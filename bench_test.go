@@ -424,9 +424,9 @@ func BenchmarkSessionRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregatorAdd measures server-side verification and
+// BenchmarkPipelineAdd measures server-side verification and
 // accumulation of one signed contribution at dim 1024.
-func BenchmarkAggregatorAdd(b *testing.B) {
+func BenchmarkPipelineAdd(b *testing.B) {
 	tb, dev := benchDevice(b, 1024, ModeNone)
 	contribution := make(Vector, 1024)
 	sc, err := dev.Contribute(1, contribution, nil)
@@ -450,13 +450,13 @@ func BenchmarkAggregatorAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregatorIngest measures the server-side ingest pipeline —
+// BenchmarkPipelineIngest measures the server-side ingest pipeline —
 // decode, ed25519 verify, dedup, accumulate — over a cohort of signed
 // contributions at keyboard-model scale, comparing the serial baseline
 // (one worker, one shard) against the concurrent sharded pipeline. The
 // contributions are fabricated and signed directly so the benchmark
 // isolates the service layer from Glimmer execution.
-func BenchmarkAggregatorIngest(b *testing.B) {
+func BenchmarkPipelineIngest(b *testing.B) {
 	const (
 		dim     = 256
 		clients = 512

@@ -1228,7 +1228,7 @@ func sweepSuite(sz sizes, spec string) ([]benchEntry, error) {
 	return entries, nil
 }
 
-// benchIngest mirrors BenchmarkAggregatorIngest: one op is one full cohort
+// benchIngest mirrors BenchmarkPipelineIngest: one op is one full cohort
 // through a fresh pipeline (construction included, as since PR 1), so the
 // serial and parallel figures in one artifact are directly comparable.
 func benchIngest(sz sizes, serviceName string, key *xcrypto.SigningKey, workers, shards int) testing.BenchmarkResult {
@@ -1331,7 +1331,7 @@ func benchSubmitTransport(sz sizes, serviceName string, key *xcrypto.SigningKey,
 		Dim:            sz.dim,
 		ExpectedCohort: sz.batchItems,
 	})
-	tb.server.SetIngest(mgr)
+	tb.server.Mux().HandleIngest(mgr)
 
 	verifier := &tee.QuoteVerifier{Root: tb.as.Root()}
 	verifier.Allow(tb.server.Measurement())
@@ -1529,13 +1529,15 @@ func newBenchWorld(serviceName string, dim int) (*benchWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	server := gaas.NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := gaas.NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
 		}
 		return svc.Provision(dev, payload)
 	})
+	server := gaas.New(gaas.ServerConfig{Platform: platform, Mux: mux})
 	svc.Vet(server.Measurement())
 	return &benchWorld{as: as, server: server}, nil
 }

@@ -62,8 +62,7 @@ type (
 	Service = service.Service
 	// Pipeline is the concurrent, sharded ingest path for one round, with
 	// an explicit open → sealed → closed lifecycle. Workers: 1, Shards: 1
-	// configures the strictly serial baseline the old Aggregator facade
-	// provided.
+	// configures the strictly serial baseline.
 	Pipeline = service.Pipeline
 	// PipelineConfig sizes a Pipeline (verifier workers, shards).
 	PipelineConfig = service.PipelineConfig

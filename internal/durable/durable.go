@@ -345,6 +345,27 @@ func (s *Store) Close() error {
 	return s.err
 }
 
+// Abandon releases the store the way a process kill would: the flusher
+// stops, records still staged are discarded unwritten, and the WAL fd is
+// closed — no write, no fsync. It is the crash-simulation hook
+// (internal/sim): what is on disk afterwards is exactly what had been
+// flushed, so a recovery of the directory sees the flushed prefix and
+// nothing more. Serving code shuts down with Close.
+func (s *Store) Abandon() {
+	s.mu.Lock()
+	f := s.f
+	s.f = nil // from here on stage and flush are no-ops, so no late tick writes
+	s.staged = s.staged[:0]
+	s.synced.Broadcast() // a barrier waiter must not hang on a dead process
+	s.mu.Unlock()
+	s.stopFlusher()
+	if f != nil {
+		s.ioMu.Lock() // a write already in flight lands, as it would in the kernel
+		f.Close()
+		s.ioMu.Unlock()
+	}
+}
+
 // Store implements service.Journal: one appended record per mutation.
 // Barrier records (sealed/closed/ticket-granted) return only once
 // durable; the rest are staged fire-and-forget.

@@ -213,13 +213,15 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 	res.Rows = append(res.Rows, E9Row{"local glimmer", time.Since(start) / time.Duration(cfg.Contributions)})
 
 	// Remote glimmer over loopback TCP.
-	server := gaas.NewServer(w.Platform, glimCfg, func(dev *glimmer.Device) error {
+	mux := gaas.NewServeMux()
+	mux.Mount(glimCfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
 		}
 		return svc.Provision(dev, payload)
 	})
+	server := gaas.New(gaas.ServerConfig{Platform: w.Platform, Mux: mux})
 	svc.Vet(server.Measurement())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -53,13 +53,15 @@ func newWorldIngest(t *testing.T, withIngest bool) *world {
 	}
 	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
 
-	server := NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
 		}
 		return svc.Provision(dev, payload)
 	})
+	srvCfg := ServerConfig{Platform: platform, Mux: mux}
 	var rounds *service.RoundManager
 	if withIngest {
 		rounds = service.NewRoundManager(service.PipelineConfig{
@@ -69,9 +71,10 @@ func newWorldIngest(t *testing.T, withIngest bool) *world {
 			Workers:     2,
 			Shards:      2,
 		})
-		rounds.Vet(server.Measurement())
-		server.SetIngest(rounds)
+		rounds.Vet(glimmer.BuildBinary(cfg).Measurement())
+		srvCfg.Ingest = rounds
 	}
+	server := New(srvCfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +255,7 @@ func multiTenantWorld(t *testing.T) (*tee.AttestationService, *service.Registry,
 			t.Fatal(err)
 		}
 	}
-	server := NewTenantServer(platform, registry)
-	server.SetIngest(registry)
+	server := New(ServerConfig{Platform: platform, Hosts: registry, Ingest: registry})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +481,8 @@ func TestIdleClientReaped(t *testing.T) {
 
 	var mu sync.Mutex
 	var session *glimmer.Device
-	server := NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		mu.Lock()
 		session = dev
 		mu.Unlock()
@@ -489,7 +492,7 @@ func TestIdleClientReaped(t *testing.T) {
 		}
 		return svc.Provision(dev, payload)
 	})
-	server.SetIdleTimeout(50 * time.Millisecond)
+	server := New(ServerConfig{Platform: platform, Mux: mux, IdleTimeout: 50 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -134,38 +134,6 @@ func New(cfg ServerConfig) *Server {
 	}
 }
 
-// NewServer creates a single-tenant Glimmer host.
-//
-// Deprecated: use New with a ServerConfig whose Mux mounts the tenant
-// (ServeMux.Mount). Kept as a thin wrapper so existing callers migrate
-// incrementally.
-func NewServer(platform *tee.Platform, cfg glimmer.Config, provision func(*glimmer.Device) error) *Server {
-	mux := NewServeMux()
-	mux.Mount(cfg, provision)
-	return New(ServerConfig{Platform: platform, Mux: mux})
-}
-
-// NewTenantServer creates a Glimmer host serving every tenant the resolver
-// knows: the client names its service in the hello, and the session's
-// enclave is loaded from that tenant's configuration.
-//
-// Deprecated: use New with ServerConfig.Hosts.
-func NewTenantServer(platform *tee.Platform, resolve HostResolver) *Server {
-	return New(ServerConfig{Platform: platform, Hosts: resolve})
-}
-
-// SetIngest enables the submit-batch command, forwarding batches to ing.
-// Must be called before Serve.
-//
-// Deprecated: use ServerConfig.Ingest or ServeMux.HandleIngest.
-func (s *Server) SetIngest(ing Ingestor) { s.mux.HandleIngest(ing) }
-
-// SetIdleTimeout reaps connections that send no frame for d. Must be
-// called before Serve.
-//
-// Deprecated: use ServerConfig.IdleTimeout.
-func (s *Server) SetIdleTimeout(d time.Duration) { s.idleTimeout = d }
-
 // Mux returns the server's command router, for registering additional
 // handlers before Serve.
 func (s *Server) Mux() *ServeMux { return s.mux }

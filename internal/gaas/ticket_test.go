@@ -45,7 +45,8 @@ func newTicketWorld(t *testing.T) *ticketWorld {
 		t.Fatal(err)
 	}
 	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-	server := NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
@@ -65,8 +66,8 @@ func newTicketWorld(t *testing.T) *ticketWorld {
 		Workers: 2,
 		Shards:  2,
 	})
-	rounds.Vet(server.Measurement())
-	server.SetIngest(rounds)
+	rounds.Vet(glimmer.BuildBinary(cfg).Measurement())
+	server := New(ServerConfig{Platform: platform, Mux: mux, Ingest: rounds})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

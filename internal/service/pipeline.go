@@ -130,7 +130,7 @@ type Pipeline struct {
 	journal Journal
 
 	// The worker pool starts lazily on the first AddBatch, so a Pipeline
-	// used only through the synchronous Add (e.g. via Aggregator) costs no
+	// used only through the synchronous Add costs no
 	// goroutines.
 	poolOnce    sync.Once
 	poolStarted atomic.Bool

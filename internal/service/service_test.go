@@ -42,8 +42,7 @@ func TestSetPredicateRejectsUnverifiable(t *testing.T) {
 }
 
 // serialPipeline is the strictly serial pipeline (one worker, one shard)
-// the policy tests exercise — the configuration the old Aggregator facade
-// provided.
+// the policy tests exercise.
 func serialPipeline(name string, verify *xcrypto.VerifyKey, dim int, round uint64) *Pipeline {
 	return NewPipeline(PipelineConfig{
 		ServiceName: name,
@@ -72,7 +71,7 @@ func signedContribution(t *testing.T, key *xcrypto.SigningKey, name string, roun
 	return sc
 }
 
-func TestAggregatorPolicyChecks(t *testing.T) {
+func TestPipelinePolicyChecks(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +133,7 @@ func TestAggregatorPolicyChecks(t *testing.T) {
 	}
 }
 
-func TestAggregatorGarbageAndEmptyMean(t *testing.T) {
+func TestPipelineGarbageAndEmptyMean(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +150,7 @@ func TestAggregatorGarbageAndEmptyMean(t *testing.T) {
 	}
 }
 
-func TestAggregatorWithoutAllowlistAcceptsAnyMeasurement(t *testing.T) {
+func TestPipelineWithoutAllowlistAcceptsAnyMeasurement(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
 		t.Fatal(err)

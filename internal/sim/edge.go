@@ -2,18 +2,12 @@ package sim
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
-	"glimmers/internal/blind"
-	"glimmers/internal/fixed"
 	"glimmers/internal/gaas"
-	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
 )
@@ -53,21 +47,11 @@ type EdgeConfig struct {
 }
 
 func (c EdgeConfig) withDefaults() EdgeConfig {
-	if c.Devices <= 0 {
-		c.Devices = 6
-	}
-	if c.Dim <= 0 {
-		c.Dim = 4
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = 3
-	}
-	if c.FloodConns <= 0 {
-		c.FloodConns = 8
-	}
-	if c.SlowlorisConns <= 0 {
-		c.SlowlorisConns = 3
-	}
+	c.Devices = positiveOr(c.Devices, 6)
+	c.Dim = positiveOr(c.Dim, 4)
+	c.Lanes = positiveOr(c.Lanes, 3)
+	c.FloodConns = positiveOr(c.FloodConns, 8)
+	c.SlowlorisConns = positiveOr(c.SlowlorisConns, 3)
 	return c
 }
 
@@ -97,155 +81,56 @@ type EdgeReport struct {
 	Violations []string
 }
 
-func (r *EdgeReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
 const edgeServiceName = "edge.example"
 
-// edgeWorld is the honest side: attestation substrate, the tenant's
-// service, and a provisioned fleet with round-1 dealer masks.
-type edgeWorld struct {
-	cfg      EdgeConfig
-	as       *tee.AttestationService
-	platform *tee.Platform
-	svc      *service.Service
-	hostCfg  glimmer.Config
-	devices  []*glimmer.Device
-	values   []fixed.Vector
-}
+// edgeHosting is the tenant shape both edges register (the impostor reuses
+// it with a different enclave config).
+var edgeHosting = service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: 16, MaxRounds: 4, RoundWindow: 4}
 
-func newEdgeWorld(cfg EdgeConfig) (*edgeWorld, error) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		return nil, fmt.Errorf("sim: attestation service: %w", err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		return nil, fmt.Errorf("sim: platform: %w", err)
-	}
-	svc, err := service.New(edgeServiceName, as.Root())
-	if err != nil {
-		return nil, fmt.Errorf("sim: service: %w", err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", cfg.Dim)); err != nil {
-		return nil, fmt.Errorf("sim: predicate: %w", err)
-	}
-	hostCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	w := &edgeWorld{cfg: cfg, as: as, platform: platform, svc: svc, hostCfg: hostCfg}
-
-	seed := fmt.Appendf(nil, "sim/%s/%d/masks/1", edgeServiceName, cfg.Seed)
-	masks, err := blind.ZeroSumMasks(seed, cfg.Devices, cfg.Dim)
-	if err != nil {
-		return nil, fmt.Errorf("sim: dealer masks: %w", err)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w.values = make([]fixed.Vector, cfg.Devices)
-	for i := range w.values {
-		w.values[i] = fixed.NewVector(cfg.Dim)
-		for j := range w.values[i] {
-			w.values[i][j] = fixed.FromFloat(rng.Float64())
-		}
-	}
-
-	glimCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("sim: glimmer config: %w", err)
-	}
-	w.devices = make([]*glimmer.Device, cfg.Devices)
-	for i := range w.devices {
-		dev, err := glimmer.NewDevice(platform, glimCfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: device %d: %w", i, err)
-		}
-		svc.Vet(dev.Measurement())
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return nil, err
-		}
-		payload.Masks = map[uint64][]uint64{1: glimmer.VectorToBits(masks[i])}
-		if err := svc.Provision(dev, payload); err != nil {
-			return nil, fmt.Errorf("sim: provisioning device %d: %w", i, err)
-		}
-		w.devices[i] = dev
-	}
-	return w, nil
-}
-
-func (w *edgeWorld) shutdown() {
-	for _, dev := range w.devices {
-		if dev != nil {
-			dev.Destroy()
-		}
-	}
-}
-
-func (w *edgeWorld) expectedSum() fixed.Vector {
-	sum := fixed.NewVector(w.cfg.Dim)
-	for _, v := range w.values {
-		sum.AddInPlace(v)
-	}
-	return sum
-}
-
-// edgeTenant registers the service on a fresh registry (the impostor edge
-// reuses this shape with a different enclave config).
-func edgeTenant(reg *service.Registry, svc *service.Service, dim int, hostCfg glimmer.Config) (*service.Tenant, error) {
-	return reg.AddTenant(service.TenantConfig{
-		Name:           edgeServiceName,
-		Verify:         svc.ContributionVerifyKey(),
-		Dim:            dim,
-		Workers:        2,
-		Shards:         2,
-		ExpectedCohort: 16,
-		MaxRounds:      4,
-		RoundWindow:    4,
-		Glimmer:        hostCfg,
-	})
-}
-
-// serveEdge builds a governed TLS edge over the registry and starts it on
-// a fresh loopback listener.
-func serveEdge(platform *tee.Platform, reg *service.Registry, maxConns int, readTimeout time.Duration) (*gaas.Server, net.Listener, error) {
-	tlsConf, err := gaas.SelfSignedServerTLS("127.0.0.1")
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: edge TLS: %w", err)
-	}
-	server := gaas.New(gaas.ServerConfig{
-		Platform:     platform,
-		Hosts:        reg,
-		Ingest:       reg,
-		TLS:          tlsConf,
-		ReadTimeout:  readTimeout,
+// edgeNode is a governed TLS edge admitting maxConns connections.
+func edgeNode(id uint32, maxConns int) nodeSpec {
+	return nodeSpec{id: id, budget: 8, transport: TransportTLS, limits: gaas.ServerConfig{
+		ReadTimeout:  250 * time.Millisecond, // what reaps a slowloris
 		WriteTimeout: 2 * time.Second,
 		// Generous: the honest lanes idle through the attack phases and
 		// must not be reaped. Slowloris is ReadTimeout's job — a started
 		// frame, not an idle connection.
 		IdleTimeout: 30 * time.Second,
 		MaxConns:    maxConns,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: listen: %w", err)
+	}}
+}
+
+// edgeClients is the honest fleet's client side: the lanes it holds
+// through the attacks and the trust state they share.
+type edgeClients struct {
+	meas tee.Measurement
+	// verifier checks genuineness only; pinning is the known-hosts store's
+	// job, shared across the fleet like a provisioned config.
+	verifier *tee.QuoteVerifier
+	known    *gaas.KnownHosts
+	dialCfg  gaas.DialConfig
+	lanes    []*gaas.Client
+}
+
+// edgeDial is the client configuration every connection to an edge shares.
+func edgeDial(callTimeout time.Duration) gaas.DialConfig {
+	return gaas.DialConfig{
+		TLS:              gaas.InsecureClientTLS(),
+		DialTimeout:      5 * time.Second,
+		HandshakeTimeout: 5 * time.Second,
+		CallTimeout:      callTimeout,
 	}
-	go func() { _ = server.Serve(ln) }()
-	return server, ln, nil
 }
 
 // pollActiveConns waits for the server's active-connection count to drop
 // to want.
 func pollActiveConns(server *gaas.Server, want int, deadline time.Duration) bool {
-	end := time.Now().Add(deadline)
-	for time.Now().Before(end) {
-		if server.Stats().ActiveConns == want {
-			return true
+	for end := time.Now().Add(deadline); server.Stats().ActiveConns != want; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(end) {
+			return false
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	return server.Stats().ActiveConns == want
+	return true
 }
 
 // RunEdgeAdversary drives the malicious-edge scenario. Setup failures
@@ -253,260 +138,216 @@ func pollActiveConns(server *gaas.Server, want int, deadline time.Duration) bool
 // Violations.
 func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 	cfg = cfg.withDefaults()
-	rep := &EdgeReport{}
-	w, err := newEdgeWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer w.shutdown()
-	ctx := context.Background()
-
 	// The honest edge: capacity for the fleet's lanes plus exactly the
 	// slowloris pool, so the flood overflows and the slowloris conns all
 	// get slots to trickle in.
-	maxConns := cfg.Lanes + cfg.SlowlorisConns
-	reg := service.NewRegistry(8)
-	tenant, err := edgeTenant(reg, w.svc, cfg.Dim, w.hostCfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: tenant: %w", err)
-	}
-	manager := tenant.Manager()
-	for _, dev := range w.devices {
-		manager.Vet(dev.Measurement())
-	}
-	const readTimeout = 250 * time.Millisecond
-	server, ln, err := serveEdge(w.platform, reg, maxConns, readTimeout)
+	s, err := build(
+		tenantSpec{name: edgeServiceName, seed: cfg.Seed, devices: cfg.Devices, dim: cfg.Dim, rounds: []uint64{1}, hosting: edgeHosting},
+		edgeNode(1, cfg.Lanes+cfg.SlowlorisConns))
 	if err != nil {
 		return nil, err
 	}
-	defer server.Shutdown()
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	meas, err := server.MeasurementFor(edgeServiceName)
-	if err != nil {
-		return nil, fmt.Errorf("sim: edge measurement: %w", err)
-	}
-	// The fleet's verifier checks genuineness only; pinning is the
-	// known-hosts store's job, shared across the fleet like a provisioned
-	// config.
-	verifier := &tee.QuoteVerifier{Root: w.as.Root()}
-	verifier.Allow(meas)
-	known := gaas.NewKnownHosts()
-	dialCfg := gaas.DialConfig{
-		Service:          edgeServiceName,
-		Verifier:         verifier,
-		KnownHosts:       known,
-		TLS:              gaas.InsecureClientTLS(),
-		DialTimeout:      5 * time.Second,
-		HandshakeTimeout: 5 * time.Second,
-		CallTimeout:      10 * time.Second,
-	}
-
-	// ----- Honest lanes connect first (and TOFU-pin the edge).
-	clients := make([]*gaas.Client, cfg.Lanes)
-	for i := range clients {
-		c, err := gaas.DialContext(ctx, addr, dialCfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: lane %d: %w", i, err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	pinned, ok := known.Lookup(edgeServiceName)
-	rep.PinnedOnFirstUse = ok && pinned == meas && known.Len() == 1
-	if !rep.PinnedOnFirstUse {
-		rep.violate("first use did not pin the edge measurement")
-	}
-
-	// ----- Conn-flood: FloodConns sessionless connections, each pushing
-	// a garbage batch. The spare slots admit (and the garbage is refused
-	// at the registry, not the edge); the overflow is shed with a typed
-	// reply.
-	floodCfg := gaas.DialConfig{
-		NoSession:        true,
-		TLS:              gaas.InsecureClientTLS(),
-		DialTimeout:      5 * time.Second,
-		HandshakeTimeout: 5 * time.Second,
-		CallTimeout:      5 * time.Second,
-	}
-	garbage := [][]byte{[]byte("edge-flood: not a contribution")}
-	var floodClients []*gaas.Client
-	for i := 0; i < cfg.FloodConns; i++ {
-		c, err := gaas.DialContext(ctx, addr, floodCfg)
-		if err != nil {
-			rep.violate("flood conn %d failed to dial: %v", i, err)
-			continue
-		}
-		accepted, _, err := c.SubmitBatch(garbage)
-		switch {
-		case errors.Is(err, gaas.ErrShed):
-			rep.FloodRefused++
-			_ = c.Close()
-		case err == nil && accepted == 0:
-			rep.FloodAdmitted++
-			floodClients = append(floodClients, c)
-		default:
-			rep.violate("flood conn %d: accepted=%d err=%v", i, accepted, err)
+	defer s.shutdown()
+	rep := &EdgeReport{}
+	fleet := &edgeClients{known: gaas.NewKnownHosts()}
+	defer func() {
+		for _, c := range fleet.lanes {
 			_ = c.Close()
 		}
-	}
-	if want := maxConns - cfg.Lanes; rep.FloodAdmitted != want {
-		rep.violate("flood admitted %d conns, want %d", rep.FloodAdmitted, want)
-	}
-	if want := cfg.FloodConns - (maxConns - cfg.Lanes); rep.FloodRefused != want {
-		rep.violate("flood refused %d conns, want %d", rep.FloodRefused, want)
-	}
-	if got := server.Stats().RefusedMaxConns; got != int64(rep.FloodRefused) {
-		rep.violate("RefusedMaxConns = %d, want %d", got, rep.FloodRefused)
-	}
-	for _, c := range floodClients {
-		_ = c.Close()
-	}
-	if !pollActiveConns(server, cfg.Lanes, 5*time.Second) {
-		rep.violate("flood conns not released: %d active, want %d",
-			server.Stats().ActiveConns, cfg.Lanes)
-	}
+	}()
 
-	// ----- Slowloris: start a frame on every spare slot and trickle one
-	// byte at a time. The read deadline is armed when the frame starts
-	// and is not extended by progress, so the trickle cannot help.
-	slowDone := make(chan struct{})
-	var slowConns []net.Conn
-	for i := 0; i < cfg.SlowlorisConns; i++ {
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			rep.violate("slowloris conn %d dial: %v", i, err)
-			continue
-		}
-		tc := tls.Client(raw, gaas.InsecureClientTLS())
-		if err := tc.Handshake(); err != nil {
-			rep.violate("slowloris conn %d handshake: %v", i, err)
-			raw.Close()
-			continue
-		}
-		slowConns = append(slowConns, tc)
-		if _, err := tc.Write([]byte{0, 0, 0, 64}); err != nil {
-			rep.violate("slowloris conn %d prefix: %v", i, err)
-			continue
-		}
-		go func(c net.Conn) {
-			for {
-				select {
-				case <-slowDone:
-					return
-				case <-time.After(50 * time.Millisecond):
+	err = s.play(inRound(1,
+		connectLanes(rep, fleet, cfg.Lanes),
+		connFlood(rep, cfg.FloodConns, cfg.SlowlorisConns, cfg.Lanes),
+		slowloris(rep, cfg.SlowlorisConns, cfg.Lanes),
+		impostorEdge(rep, fleet),
+		// ----- Through all of that, the honest fleet finishes its round
+		// on the lanes it has held the whole time.
+		func(s *script) error {
+			for d := 0; d < cfg.Devices; d++ {
+				raw, err := s.raw(d)
+				if err != nil {
+					return err
 				}
-				if _, err := c.Write([]byte{0xAA}); err != nil {
-					return // reaped
+				accepted, _, err := fleet.lanes[d%cfg.Lanes].SubmitBatch([][]byte{raw})
+				if err != nil {
+					s.violate("device %d submit: %v", d, err)
+				} else if accepted != 1 {
+					s.violate("device %d submit accepted %d, want 1", d, accepted)
 				}
 			}
-		}(tc)
-	}
-	rep.SlowlorisReaped = pollActiveConns(server, cfg.Lanes, 5*time.Second)
-	if !rep.SlowlorisReaped {
-		rep.violate("slowloris conns not reaped: %d active, want %d",
-			server.Stats().ActiveConns, cfg.Lanes)
-	}
-	close(slowDone)
-	for _, c := range slowConns {
-		_ = c.Close()
-	}
+			return nil
+		},
+		seal(owner),
+		func(s *script) error {
+			rep.FinalCount, rep.RoundExact = s.sealedExact(owner)
+			// Exact accounting: the round itself saw zero rejections (no
+			// adversarial bytes ever parsed as a contribution); the
+			// admitted flood's garbage was refused at the registry, one
+			// count per frame; the edge counters hold the flood overflow
+			// and nothing else.
+			n := s.at(owner)
+			s.reconcile("edge", n.ledger(n.manager(s.t)), refusals{tenant: 0, manager: 0, registry: rep.FloodAdmitted})
+			rep.Edge = n.server.Stats()
+			if rep.Edge.RefusedMaxConns != int64(rep.FloodRefused) {
+				s.violate("final RefusedMaxConns = %d, want %d", rep.Edge.RefusedMaxConns, rep.FloodRefused)
+			}
+			if rep.Edge.RefusedPerIP != 0 || rep.Edge.ShedBatches != 0 {
+				s.violate("unexpected edge refusals: %+v", rep.Edge)
+			}
+			return nil
+		}))
+	rep.Violations = s.violations
+	return rep, err
+}
 
-	// ----- Swapped measurement: a second edge, genuinely attested on the
-	// same platform, serving the same service name from a different
-	// enclave binary. Its measurement is even on the verifier's allowlist
-	// — the host could have talked some authority into vetting it. Only
-	// the fleet's first-use pin stands between it and the session.
-	evilSvc, err := service.New(edgeServiceName, w.as.Root())
-	if err != nil {
-		return nil, fmt.Errorf("sim: impostor service: %w", err)
-	}
-	if err := evilSvc.SetPredicate(predicate.UnitRangeCheck("unit-range", cfg.Dim+1)); err != nil {
-		return nil, fmt.Errorf("sim: impostor predicate: %w", err)
-	}
-	evilHostCfg, err := evilSvc.GlimmerConfig(cfg.Dim+1, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	evilReg := service.NewRegistry(8)
-	if _, err := edgeTenant(evilReg, evilSvc, cfg.Dim+1, evilHostCfg); err != nil {
-		return nil, fmt.Errorf("sim: impostor tenant: %w", err)
-	}
-	evilServer, evilLn, err := serveEdge(w.platform, evilReg, 0, readTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer evilServer.Shutdown()
-	defer evilLn.Close()
-	evilMeas, err := evilServer.MeasurementFor(edgeServiceName)
-	if err != nil {
-		return nil, fmt.Errorf("sim: impostor measurement: %w", err)
-	}
-	if evilMeas == meas {
-		rep.violate("impostor enclave measures identically; scenario degenerate")
-	}
-	verifier.Allow(evilMeas)
-	if _, err := gaas.DialContext(ctx, evilLn.Addr().String(), dialCfg); errors.Is(err, gaas.ErrMeasurementMismatch) {
-		rep.SwappedRefused = true
-	} else {
-		rep.violate("impostor edge dial returned %v, want ErrMeasurementMismatch", err)
-	}
-	if got, _ := known.Lookup(edgeServiceName); got != meas {
-		rep.violate("impostor dial disturbed the known-hosts pin")
-	}
-
-	// ----- Through all of that, the honest fleet finishes its round on
-	// the lanes it has held the whole time.
-	for i, dev := range w.devices {
-		sc, err := dev.Contribute(1, w.values[i], nil)
-		if err != nil {
-			return nil, fmt.Errorf("sim: device %d contribute: %w", i, err)
+// connectLanes dials the honest fleet's lanes, which connect before any
+// attack and TOFU-pin the edge on first use.
+func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
+	return func(s *script) (err error) {
+		n := s.at(owner)
+		if f.meas, err = n.server.MeasurementFor(s.t.name); err != nil {
+			return fmt.Errorf("sim: edge measurement: %w", err)
 		}
-		raw := glimmer.EncodeSignedContribution(sc)
-		accepted, _, err := clients[i%cfg.Lanes].SubmitBatch([][]byte{raw})
-		if err != nil {
-			rep.violate("device %d submit: %v", i, err)
-		} else if accepted != 1 {
-			rep.violate("device %d submit accepted %d, want 1", i, accepted)
+		f.verifier = &tee.QuoteVerifier{Root: n.sub.as.Root()}
+		f.verifier.Allow(f.meas)
+		f.dialCfg = edgeDial(10 * time.Second)
+		f.dialCfg.Service, f.dialCfg.Verifier, f.dialCfg.KnownHosts = s.t.name, f.verifier, f.known
+		for i := 0; i < lanes; i++ {
+			c, err := gaas.DialContext(context.Background(), n.listener.Addr().String(), f.dialCfg)
+			if err != nil {
+				return fmt.Errorf("sim: lane %d: %w", i, err)
+			}
+			f.lanes = append(f.lanes, c)
 		}
+		pinned, ok := f.known.Lookup(s.t.name)
+		rep.PinnedOnFirstUse = ok && pinned == f.meas && f.known.Len() == 1
+		if !rep.PinnedOnFirstUse {
+			s.violate("first use did not pin the edge measurement")
+		}
+		return nil
 	}
-	if err := manager.Seal(1); err != nil {
-		return nil, fmt.Errorf("sim: seal: %w", err)
-	}
-	p, ok := manager.Lookup(1)
-	if !ok {
-		rep.violate("round 1 vanished")
-		return rep, nil
-	}
-	rep.FinalCount = p.Count()
-	rep.RoundExact = vectorsEqual(p.Sum(), w.expectedSum())
-	if !rep.RoundExact {
-		rep.violate("round 1 aggregate differs from the honest fleet's exact sum")
-	}
-	if rep.FinalCount != cfg.Devices {
-		rep.violate("round 1 cohort = %d, want %d", rep.FinalCount, cfg.Devices)
-	}
+}
 
-	// Exact accounting: the round itself saw zero rejections (no
-	// adversarial bytes ever parsed as a contribution); the admitted
-	// flood's garbage was refused at the registry, one count per frame;
-	// the edge counters hold the flood overflow and nothing else.
-	if got := p.Rejected(); got != 0 {
-		rep.violate("round rejected = %d, want 0", got)
+// connFlood opens conns sessionless connections against the owner's edge,
+// each pushing a garbage batch. The spare slots admit (and the garbage is
+// refused at the registry, not the edge); the overflow is shed with a
+// typed reply.
+func connFlood(rep *EdgeReport, conns, spare, lanes int) step {
+	return func(s *script) error {
+		server := s.at(owner).server
+		floodCfg := edgeDial(5 * time.Second)
+		floodCfg.NoSession = true
+		garbage := [][]byte{[]byte("edge-flood: not a contribution")}
+		var admitted []*gaas.Client
+		for i := 0; i < conns; i++ {
+			c, err := gaas.DialContext(context.Background(), s.at(owner).listener.Addr().String(), floodCfg)
+			if err != nil {
+				s.violate("flood conn %d failed to dial: %v", i, err)
+				continue
+			}
+			accepted, _, err := c.SubmitBatch(garbage)
+			switch {
+			case errors.Is(err, gaas.ErrShed):
+				rep.FloodRefused++
+				_ = c.Close()
+			case err == nil && accepted == 0:
+				rep.FloodAdmitted++
+				admitted = append(admitted, c)
+			default:
+				s.violate("flood conn %d: accepted=%d err=%v", i, accepted, err)
+				_ = c.Close()
+			}
+		}
+		s.expectCount("flood conns admitted", rep.FloodAdmitted, spare)
+		s.expectCount("flood conns refused", rep.FloodRefused, conns-spare)
+		s.expectCount("RefusedMaxConns", int(server.Stats().RefusedMaxConns), rep.FloodRefused)
+		for _, c := range admitted {
+			_ = c.Close()
+		}
+		if !pollActiveConns(server, lanes, 5*time.Second) {
+			s.violate("flood conns not released: %d active, want %d", server.Stats().ActiveConns, lanes)
+		}
+		return nil
 	}
-	if got := manager.Rejected(); got != 0 {
-		rep.violate("manager rejected = %d, want 0", got)
+}
+
+// slowloris starts a frame on conns connections (every spare slot) and
+// trickles one byte at a time. The read deadline is armed when the frame
+// starts and is not extended by progress, so the trickle cannot help.
+func slowloris(rep *EdgeReport, conns, lanes int) step {
+	return func(s *script) error {
+		n := s.at(owner)
+		done := make(chan struct{})
+		var slow []net.Conn
+		for i := 0; i < conns; i++ {
+			tc, err := n.dial()
+			if err != nil {
+				s.violate("slowloris conn %d dial: %v", i, err)
+				continue
+			}
+			slow = append(slow, tc)
+			if _, err := tc.Write([]byte{0, 0, 0, 64}); err != nil {
+				s.violate("slowloris conn %d prefix: %v", i, err)
+				continue
+			}
+			go func(c net.Conn) {
+				for {
+					select {
+					case <-done:
+						return
+					case <-time.After(50 * time.Millisecond):
+					}
+					if _, err := c.Write([]byte{0xAA}); err != nil {
+						return // reaped
+					}
+				}
+			}(tc)
+		}
+		rep.SlowlorisReaped = pollActiveConns(n.server, lanes, 5*time.Second)
+		if !rep.SlowlorisReaped {
+			s.violate("slowloris conns not reaped: %d active, want %d", n.server.Stats().ActiveConns, lanes)
+		}
+		close(done)
+		for _, c := range slow {
+			_ = c.Close()
+		}
+		return nil
 	}
-	if got := reg.Rejected(); got != rep.FloodAdmitted {
-		rep.violate("registry rejected = %d, want %d (admitted flood garbage)", got, rep.FloodAdmitted)
+}
+
+// impostorEdge stands up the swapped-measurement edge, genuinely attested
+// on the same platform. Its measurement is even on the verifier's
+// allowlist — the host could have talked some authority into vetting it.
+// Only the fleet's first-use pin stands between it and the session.
+func impostorEdge(rep *EdgeReport, f *edgeClients) step {
+	return func(s *script) error {
+		sub := s.at(owner).sub
+		evilTenant, err := sub.provision(tenantSpec{name: s.t.name, dim: s.t.dim + 1, hosting: edgeHosting})
+		if err != nil {
+			return fmt.Errorf("sim: impostor: %w", err)
+		}
+		evil, err := sub.start(edgeNode(2, 0), evilTenant)
+		if err != nil {
+			return fmt.Errorf("sim: impostor: %w", err)
+		}
+		defer evil.shutdown()
+		evilMeas, err := evil.server.MeasurementFor(s.t.name)
+		if err != nil {
+			return fmt.Errorf("sim: impostor measurement: %w", err)
+		}
+		if evilMeas == f.meas {
+			s.violate("impostor enclave measures identically; scenario degenerate")
+		}
+		f.verifier.Allow(evilMeas)
+		if _, err := gaas.DialContext(context.Background(), evil.listener.Addr().String(), f.dialCfg); errors.Is(err, gaas.ErrMeasurementMismatch) {
+			rep.SwappedRefused = true
+		} else {
+			s.violate("impostor edge dial returned %v, want ErrMeasurementMismatch", err)
+		}
+		if got, _ := f.known.Lookup(s.t.name); got != f.meas {
+			s.violate("impostor dial disturbed the known-hosts pin")
+		}
+		return nil
 	}
-	rep.Edge = server.Stats()
-	if rep.Edge.RefusedMaxConns != int64(rep.FloodRefused) {
-		rep.violate("final RefusedMaxConns = %d, want %d", rep.Edge.RefusedMaxConns, rep.FloodRefused)
-	}
-	if rep.Edge.RefusedPerIP != 0 || rep.Edge.ShedBatches != 0 {
-		rep.violate("unexpected edge refusals: %+v", rep.Edge)
-	}
-	return rep, nil
 }

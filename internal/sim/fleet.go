@@ -1,21 +1,11 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/durable"
-	"glimmers/internal/fixed"
-	"glimmers/internal/fleet"
-	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
-	"glimmers/internal/wire"
-	"glimmers/internal/xcrypto"
 )
 
 // Fleet scenario: one tenant's rounds sharded across N glimmerd nodes by
@@ -45,18 +35,10 @@ type FleetConfig struct {
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.Devices <= 0 {
-		c.Devices = 9
-	}
-	if c.Dim <= 0 {
-		c.Dim = 4
-	}
-	if c.CleanRounds <= 0 {
-		c.CleanRounds = 3
-	}
+	c.Nodes = positiveOr(c.Nodes, 3)
+	c.Devices = positiveOr(c.Devices, 9)
+	c.Dim = positiveOr(c.Dim, 4)
+	c.CleanRounds = positiveOr(c.CleanRounds, 3)
 	return c
 }
 
@@ -92,228 +74,7 @@ type FleetReport struct {
 	Violations []string
 }
 
-func (r *FleetReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
 const fleetSimService = "fleet.example"
-
-// fleetWorld is the state outside any single node: the hardware and
-// attestation substrate, the tenant's service, the device fleet, and the
-// per-node signing identities (modeling sealed key storage, which a node
-// crash does not erase — a restarted node re-signs with the same key its
-// TOFU pin expects).
-type fleetWorld struct {
-	cfg      FleetConfig
-	as       *tee.AttestationService
-	platform *tee.Platform
-	svc      *service.Service
-	hostCfg  glimmer.Config
-	devices  []*glimmer.Device
-
-	nodeKeys map[uint32]*xcrypto.SigningKey
-
-	// values[r][i] is device i's honest contribution to round r.
-	values map[uint64][]fixed.Vector
-}
-
-func newFleetWorld(cfg FleetConfig) (*fleetWorld, error) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		return nil, fmt.Errorf("sim: attestation service: %w", err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		return nil, fmt.Errorf("sim: platform: %w", err)
-	}
-	svc, err := service.New(fleetSimService, as.Root())
-	if err != nil {
-		return nil, fmt.Errorf("sim: service: %w", err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", cfg.Dim)); err != nil {
-		return nil, fmt.Errorf("sim: predicate: %w", err)
-	}
-	hostCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	w := &fleetWorld{
-		cfg:      cfg,
-		as:       as,
-		platform: platform,
-		svc:      svc,
-		hostCfg:  hostCfg,
-		nodeKeys: make(map[uint32]*xcrypto.SigningKey, cfg.Nodes),
-		values:   make(map[uint64][]fixed.Vector, cfg.rounds()),
-	}
-	for id := uint32(1); id <= uint32(cfg.Nodes); id++ {
-		key, err := xcrypto.NewSigningKey()
-		if err != nil {
-			return nil, fmt.Errorf("sim: node %d key: %w", id, err)
-		}
-		w.nodeKeys[id] = key
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	masks := make(map[uint64][]fixed.Vector, cfg.rounds())
-	for round := uint64(1); round <= cfg.rounds(); round++ {
-		seed := fmt.Appendf(nil, "sim/%s/%d/masks/%d", fleetSimService, cfg.Seed, round)
-		ms, err := blind.ZeroSumMasks(seed, cfg.Devices, cfg.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("sim: dealer masks for round %d: %w", round, err)
-		}
-		masks[round] = ms
-		vals := make([]fixed.Vector, cfg.Devices)
-		for i := range vals {
-			vals[i] = fixed.NewVector(cfg.Dim)
-			for j := range vals[i] {
-				vals[i][j] = fixed.FromFloat(rng.Float64())
-			}
-		}
-		w.values[round] = vals
-	}
-
-	glimCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("sim: glimmer config: %w", err)
-	}
-	w.devices = make([]*glimmer.Device, cfg.Devices)
-	for i := range w.devices {
-		dev, err := glimmer.NewDevice(platform, glimCfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: device %d: %w", i, err)
-		}
-		svc.Vet(dev.Measurement())
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return nil, err
-		}
-		payload.Masks = make(map[uint64][]uint64, len(masks))
-		for round, ms := range masks {
-			payload.Masks[round] = glimmer.VectorToBits(ms[i])
-		}
-		if err := svc.Provision(dev, payload); err != nil {
-			return nil, fmt.Errorf("sim: provisioning device %d: %w", i, err)
-		}
-		w.devices[i] = dev
-	}
-	return w, nil
-}
-
-func (w *fleetWorld) shutdown() {
-	for _, dev := range w.devices {
-		if dev != nil {
-			dev.Destroy()
-		}
-	}
-}
-
-func (w *fleetWorld) contribute(dev *glimmer.Device, round uint64, value fixed.Vector) ([]byte, error) {
-	sc, err := dev.Contribute(round, value, nil)
-	if err != nil {
-		return nil, err
-	}
-	return glimmer.EncodeSignedContribution(sc), nil
-}
-
-func (w *fleetWorld) expectedSum(round uint64) fixed.Vector {
-	sum := fixed.NewVector(w.cfg.Dim)
-	for _, v := range w.values[round] {
-		sum.AddInPlace(v)
-	}
-	return sum
-}
-
-// fleetNode is one glimmerd process: its registry, its durable store, and
-// its sealing identity.
-type fleetNode struct {
-	id      uint32
-	meas    tee.Measurement
-	key     *xcrypto.SigningKey
-	reg     *service.Registry
-	manager *service.RoundManager
-	store   *durable.Store
-}
-
-// buildFleetNode assembles one node life — config-file reconstruction
-// followed by durable recovery, the same start sequence the single-node
-// crash scenario exercises.
-func (w *fleetWorld) buildFleetNode(id uint32, dir string) (*fleetNode, durable.RecoverStats, error) {
-	var stats durable.RecoverStats
-	reg := service.NewRegistry(16)
-	tenant, err := reg.AddTenant(service.TenantConfig{
-		Name:           fleetSimService,
-		Verify:         w.svc.ContributionVerifyKey(),
-		Dim:            w.cfg.Dim,
-		Workers:        2,
-		Shards:         2,
-		ExpectedCohort: w.cfg.Devices + 2,
-		MaxRounds:      16,
-		Glimmer:        w.hostCfg,
-	})
-	if err != nil {
-		return nil, stats, fmt.Errorf("sim: node %d tenant: %w", id, err)
-	}
-	manager := tenant.Manager()
-	for _, dev := range w.devices {
-		manager.Vet(dev.Measurement())
-	}
-	store, err := durable.Open(dir)
-	if err != nil {
-		return nil, stats, fmt.Errorf("sim: node %d store: %w", id, err)
-	}
-	stats, err = store.Recover(reg)
-	if err != nil {
-		return nil, stats, fmt.Errorf("sim: node %d recovery: %w", id, err)
-	}
-	return &fleetNode{
-		id:      id,
-		meas:    tee.Measurement{0xFE, byte(id)},
-		key:     w.nodeKeys[id],
-		reg:     reg,
-		manager: manager,
-		store:   store,
-	}, stats, nil
-}
-
-// seal exports the node's signed partial for round, declaring the given
-// shard count.
-func (n *fleetNode) seal(round uint64, shards uint32) ([]byte, error) {
-	return n.manager.ExportPartialSeal(round, service.NodeSeal{
-		NodeID:      n.id,
-		ShardCount:  shards,
-		Measurement: n.meas,
-		Key:         n.key,
-	})
-}
-
-// resignSeal decodes a seal, re-attributes it to another node identity,
-// and re-signs it — the adversary who controls a valid key but claims
-// coverage (or a slot) that is not theirs.
-func resignSeal(raw []byte, nodeID uint32, key *xcrypto.SigningKey, meas tee.Measurement) ([]byte, error) {
-	seal, err := wire.DecodePartialSeal(raw)
-	if err != nil {
-		return nil, err
-	}
-	der, err := key.Public().Marshal()
-	if err != nil {
-		return nil, err
-	}
-	seal.NodeID = nodeID
-	seal.Measurement = meas[:]
-	seal.NodeKey = der
-	seal.Signature, err = key.Sign(seal.SignedBytes())
-	if err != nil {
-		return nil, err
-	}
-	return wire.EncodePartialSeal(seal), nil
-}
-
-func flipLastByte(raw []byte) []byte {
-	out := append([]byte(nil), raw...)
-	out[len(out)-1] ^= 0x01
-	return out
-}
 
 // RunFleet drives the fleet scenario against stateDir (which must be
 // empty — use a fresh temp dir; each node gets a subdirectory). Setup
@@ -321,385 +82,135 @@ func flipLastByte(raw []byte) []byte {
 // Violations.
 func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
-	rep := &FleetReport{
-		Nodes:      cfg.Nodes,
-		Owner:      make(map[uint64]uint32),
-		SumDigests: make(map[uint64]string),
+	spec := tenantSpec{
+		name:    fleetSimService,
+		seed:    cfg.Seed,
+		devices: cfg.Devices,
+		dim:     cfg.Dim,
+		hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: cfg.Devices + 2, MaxRounds: 16},
 	}
-	w, err := newFleetWorld(cfg)
-	if err != nil {
-		return nil, err
+	for round := uint64(1); round <= cfg.rounds(); round++ {
+		spec.rounds = append(spec.rounds, round)
 	}
-	defer w.shutdown()
-
-	ids := make([]uint32, 0, cfg.Nodes)
+	var nodes []nodeSpec
 	for id := uint32(1); id <= uint32(cfg.Nodes); id++ {
-		ids = append(ids, id)
+		nodes = append(nodes, nodeSpec{id: id, budget: 16, dir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))})
 	}
-	ring, err := fleet.NewRing(ids, 0)
+	s, err := build(spec, nodes...)
 	if err != nil {
 		return nil, err
 	}
-	svcKey := []byte(fleetSimService)
+	defer s.shutdown()
+	rep := &FleetReport{Nodes: cfg.Nodes, Owner: s.owners, SumDigests: s.sumDigests}
 
-	nodeDir := func(id uint32) string { return filepath.Join(stateDir, fmt.Sprintf("node-%d", id)) }
-	nodes := make(map[uint32]*fleetNode, cfg.Nodes)
-	for _, id := range ids {
-		n, stats, err := w.buildFleetNode(id, nodeDir(id))
-		if err != nil {
-			return nil, err
-		}
-		if stats.SnapshotLoaded || stats.Records != 0 {
-			rep.violate("node %d cold start found state in a fresh dir: %+v", id, stats)
-		}
-		nodes[id] = n
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.store.Close()
-		}
-	}()
-
-	// The coordinator never sees an unblinded value and holds no node
-	// registry: identities pin on first use and the pins span rounds, so
-	// a key swap in any later round is caught.
-	hub := &service.MergeHub{AllowTOFU: true}
-
-	var injectedRejects uint64 // node-level refusals the probes caused
-	var expectRefused uint64   // coordinator-level refusals the probes caused
-	refuse := func(seal []byte, want error, label string) {
-		if _, err := hub.MergePartialSeal(seal); !errors.Is(err, want) {
-			rep.violate("%s: got %v, want %v", label, err, want)
-		}
-		expectRefused++
-	}
-	// bookMerge checks a completed merge against the round's exact sum
-	// and records it.
-	bookMerge := func(round uint64, wantRejected uint64) {
-		m, ok := hub.Lookup(fleetSimService, round)
-		if !ok {
-			rep.violate("round %d: no merge materialized", round)
-			return
-		}
-		if !m.Complete() {
-			rep.violate("round %d: merge incomplete", round)
-			return
-		}
-		if !vectorsEqual(m.Sum(), w.expectedSum(round)) {
-			rep.violate("round %d: merged sum differs from the exact single-node sum", round)
-		}
-		res := m.Result()
-		if res.Count != uint64(cfg.Devices) {
-			rep.violate("round %d: merged cohort = %d, want %d", round, res.Count, cfg.Devices)
-		}
-		if res.Rejected != wantRejected {
-			rep.violate("round %d: merged rejected = %d, want %d", round, res.Rejected, wantRejected)
-		}
-		rep.MergedRounds++
-		rep.MergedContribs += res.Count
-		rep.SumDigests[round] = m.Sum().Digest()
-	}
-
-	// ingestRound ships the cohort's raws to node n with the standard
-	// probe pair: a forged signature (submitted before its genuine copy,
-	// so dedup cannot mask a signature bypass) and a duplicate.
-	ingestRound := func(n *fleetNode, round uint64, raws [][]byte) {
-		if err := n.reg.Ingest(raws[0]); err != nil {
-			rep.violate("round %d device 0 refused at node %d: %v", round, n.id, err)
-		}
-		if err := n.reg.Ingest(flipLastByte(raws[len(raws)-1])); err == nil {
-			rep.violate("round %d: node %d accepted a forged contribution", round, n.id)
-		}
-		injectedRejects++
-		for i := 1; i < len(raws); i++ {
-			if err := n.reg.Ingest(raws[i]); err != nil {
-				rep.violate("round %d device %d refused at node %d: %v", round, i, n.id, err)
-			}
-		}
-		if err := n.reg.Ingest(raws[0]); !errors.Is(err, service.ErrDuplicate) {
-			rep.violate("round %d duplicate at node %d returned %v, want ErrDuplicate", round, n.id, err)
-		}
-		injectedRejects++
-	}
-
-	cohortRaws := func(round uint64) ([][]byte, error) {
-		raws := make([][]byte, cfg.Devices)
-		for i, dev := range w.devices {
-			raw, err := w.contribute(dev, round, w.values[round][i])
-			if err != nil {
-				return nil, fmt.Errorf("sim: round %d device %d: %w", round, i, err)
-			}
-			raws[i] = raw
-		}
-		return raws, nil
-	}
-
+	all, half, third := cfg.Devices, cfg.Devices/2, cfg.Devices/3
+	var scenario []step
 	// ----- Clean rounds: the ring places each round on one owner, the
-	// owner seals a ShardCount=1 partial, the coordinator merges it.
+	// owner seals a ShardCount=1 partial, the coordinator merges it. Each
+	// cohort carries the standard probe pair: a forged signature and a
+	// duplicate.
 	for round := uint64(1); round <= uint64(cfg.CleanRounds); round++ {
-		owner := ring.Owner(svcKey, round)
-		rep.Owner[round] = owner
-		raws, err := cohortRaws(round)
-		if err != nil {
-			return nil, err
-		}
-		ingestRound(nodes[owner], round, raws)
-		seal, err := nodes[owner].seal(round, 1)
-		if err != nil {
-			return nil, fmt.Errorf("sim: round %d seal: %w", round, err)
-		}
-		if _, err := hub.MergePartialSeal(seal); err != nil {
-			rep.violate("round %d: coordinator refused the owner's seal: %v", round, err)
-		}
-		bookMerge(round, 2)
+		scenario = append(scenario, inRound(round,
+			ingest(owner, 0, 1), forged(owner, all-1, nil), ingest(owner, 1, all), duplicate(owner, 0),
+			merge(sealOf(owner, 1)),
+			merged(2)))
 	}
-
-	// ----- Crash round: the owner dies after accepting half the cohort;
-	// the remainder re-homes to the ring successor; the restarted owner
-	// recovers its partial from snapshot + WAL and both nodes seal
-	// ShardCount=2 partials.
 	crashRound := uint64(cfg.CleanRounds) + 1
-	owner := ring.Owner(svcKey, crashRound)
-	rep.Owner[crashRound] = owner
-	shrunk, err := ring.Without(owner)
-	if err != nil {
+	scenario = append(scenario,
+		// ----- Crash round: the owner dies after accepting half the
+		// cohort; the remainder re-homes to the ring successor; the
+		// restarted owner recovers its partial from snapshot + WAL and
+		// both nodes seal ShardCount=2 partials.
+		inRound(crashRound,
+			// The periodic snapshot lands between the last seal and the
+			// crash.
+			snapshot(owner),
+			ingest(owner, 0, half),
+			// Pin the pre-crash accepts to disk: this scenario exercises
+			// crashed-owner re-homing with records that had reached the
+			// WAL, so the group-commit staging buffer is flushed before
+			// the kill. (The staged-and-lost window is the crash-recovery
+			// scenario's job; see RunCrashRecovery.)
+			flush(owner),
+			crash(owner, true),
+			holds(owner, half),
+			// Dedup survived the crash: a duplicate of a pre-crash
+			// contribution is still a duplicate on the restarted owner.
+			duplicate(owner, 0),
+			// Re-home: the unacked remainder goes to the ring successor.
+			// The acked half is NOT re-sent — the owner's recovered
+			// partial covers it, and a re-send would surface as an overlap
+			// at merge time.
+			ingest(successor, half, half+1), forged(successor, all-1, nil), ingest(successor, half+1, all),
+			// Merge under attack: the successor's seal lands first and
+			// fixes the split at two, then every forged variant is refused
+			// without disturbing the merge, then the recovered owner
+			// completes it.
+			merge(sealOf(successor, 2)),
+			refuse(sealOf(owner, 1), service.ErrSealMismatch, "stale pre-re-home seal"),
+			refuse(flipped(sealOf(owner, 2)), service.ErrSealSignature, "flipped-signature seal"),
+			refuse(resigned(sealOf(successor, 2), 99), service.ErrSealOverlap, "adversarial seal claiming absorbed coverage"),
+			refuse(sealOf(successor, 2), service.ErrSealReplay, "replayed partial seal"),
+			merge(sealOf(owner, 2)),
+			refuse(resigned(sealOf(owner, 2), 77), service.ErrMergeComplete, "late seal after completion"),
+			merged(2)),
+		// ----- Partition round: the owner is cut off from its clients
+		// after accepting a third of the cohort; the rest fail over to the
+		// ring successor. The partition heals and both sides seal —
+		// nothing was lost, nothing doubled.
+		inRound(crashRound+1,
+			ingest(owner, 0, third),
+			ingest(successor, third, all),
+			merge(sealOf(owner, 2)), merge(sealOf(successor, 2)),
+			merged(0)),
+		// ----- Double-submit round: a client's ack is lost and it retries
+		// the same contribution against a different node. Both nodes
+		// accept (dedup state is per-node), but the second partial
+		// re-claims a digest the first already covers — the coordinator
+		// refuses it wholesale, so the contribution can never be
+		// double-counted.
+		inRound(crashRound+2,
+			ingest(owner, 0, all),
+			ingest(successor, 0, 1),
+			merge(sealOf(owner, 2)),
+			func(s *script) (err error) {
+				rep.DoubleSubmitCaught, err = s.refuseSeal(sealOf(successor, 2), service.ErrSealOverlap, "cross-node double submit")
+				if m, ok := s.hub.Lookup(fleetSimService, s.round); !ok {
+					s.violate("double-submit round: no merge materialized")
+				} else {
+					if res := m.Result(); m.Complete() || res.Merged != 1 || res.Count != uint64(all) {
+						s.violate("double-submit round disturbed by the refusal: %+v", res)
+					}
+					// The incomplete merge still holds the owner's exact partial.
+					s.sumDigests[s.round] = m.Sum().Digest()
+				}
+				return err
+			}),
+	)
+	if err := s.play(scenario...); err != nil {
 		return nil, err
 	}
-	fallback := nodes[shrunk.Owner(svcKey, crashRound)]
-	own := nodes[owner]
-
-	// The periodic snapshot every deployment takes; the crash lands
-	// between it and the seal.
-	if err := own.store.Snapshot(own.reg); err != nil {
-		return nil, fmt.Errorf("sim: pre-crash snapshot: %w", err)
-	}
-	raws, err := cohortRaws(crashRound)
-	if err != nil {
-		return nil, err
-	}
-	half := cfg.Devices / 2
-	for i := 0; i < half; i++ {
-		if err := own.reg.Ingest(raws[i]); err != nil {
-			rep.violate("crash round device %d refused pre-crash: %v", i, err)
-		}
-	}
-	// Pin the pre-crash accepts to disk: this scenario exercises crashed-
-	// owner re-homing with records that had reached the WAL, so the
-	// group-commit staging buffer is flushed before the kill. (The
-	// staged-and-lost window is the crash-recovery scenario's job; see
-	// RunCrashRecovery.)
-	if err := own.store.Flush(); err != nil {
-		return nil, fmt.Errorf("sim: WAL flush: %w", err)
-	}
-	// Kill: the registry and store are abandoned mid-write.
-	if err := tearWALTail(nodeDir(owner)); err != nil {
-		return nil, err
-	}
-	own, rep.RecoverCrash, err = w.buildFleetNode(owner, nodeDir(owner))
-	if err != nil {
-		return nil, err
-	}
-	nodes[owner] = own
-	if !rep.RecoverCrash.SnapshotLoaded {
-		rep.violate("restarted owner did not load the snapshot")
-	}
-	if rep.RecoverCrash.TruncatedBytes == 0 {
-		rep.violate("restarted owner did not truncate the torn WAL tail")
-	}
-	if rep.RecoverCrash.ReplayErrors != 0 {
-		rep.violate("owner replay reported %d errors", rep.RecoverCrash.ReplayErrors)
-	}
-	if p, ok := own.manager.Lookup(crashRound); !ok {
-		rep.violate("restarted owner lost the in-flight crash round")
-	} else if got := p.Count(); got != half {
-		rep.violate("restarted owner holds %d/%d pre-crash contributions", got, half)
-	}
-	// Dedup survived the crash: a duplicate of a pre-crash contribution
-	// is still a duplicate on the restarted owner.
-	if err := own.reg.Ingest(raws[0]); !errors.Is(err, service.ErrDuplicate) {
-		rep.violate("pre-crash duplicate returned %v, want ErrDuplicate", err)
-	}
-	injectedRejects++
-
-	// Re-home: the unacked remainder goes to the ring successor. The
-	// acked half is NOT re-sent — the owner's recovered partial covers
-	// it, and a re-send would surface as an overlap at merge time.
-	if err := fallback.reg.Ingest(raws[half]); err != nil {
-		rep.violate("crash round device %d refused at fallback: %v", half, err)
-	}
-	if err := fallback.reg.Ingest(flipLastByte(raws[cfg.Devices-1])); err == nil {
-		rep.violate("fallback accepted a forged contribution")
-	}
-	injectedRejects++
-	for i := half + 1; i < cfg.Devices; i++ {
-		if err := fallback.reg.Ingest(raws[i]); err != nil {
-			rep.violate("crash round device %d refused at fallback: %v", i, err)
-		}
-	}
-
-	// Merge under attack: the fallback's seal lands first and fixes the
-	// split at two, then every forged variant is refused without
-	// disturbing the merge, then the recovered owner completes it.
-	fbSeal, err := fallback.seal(crashRound, 2)
-	if err != nil {
-		return nil, fmt.Errorf("sim: fallback seal: %w", err)
-	}
-	if _, err := hub.MergePartialSeal(fbSeal); err != nil {
-		rep.violate("coordinator refused the fallback's seal: %v", err)
-	}
-	staleSeal, err := own.seal(crashRound, 1)
-	if err != nil {
-		return nil, fmt.Errorf("sim: stale seal: %w", err)
-	}
-	refuse(staleSeal, service.ErrSealMismatch, "stale pre-re-home seal")
-	ownSeal, err := own.seal(crashRound, 2)
-	if err != nil {
-		return nil, fmt.Errorf("sim: owner seal: %w", err)
-	}
-	refuse(flipLastByte(ownSeal), service.ErrSealSignature, "flipped-signature seal")
-	advKey, err := xcrypto.NewSigningKey()
-	if err != nil {
-		return nil, err
-	}
-	overlap, err := resignSeal(fbSeal, 99, advKey, tee.Measurement{0x99})
-	if err != nil {
-		return nil, err
-	}
-	refuse(overlap, service.ErrSealOverlap, "adversarial seal claiming absorbed coverage")
-	refuse(fbSeal, service.ErrSealReplay, "replayed partial seal")
-	if _, err := hub.MergePartialSeal(ownSeal); err != nil {
-		rep.violate("coordinator refused the recovered owner's seal: %v", err)
-	}
-	late, err := resignSeal(ownSeal, 77, advKey, tee.Measurement{0x77})
-	if err != nil {
-		return nil, err
-	}
-	refuse(late, service.ErrMergeComplete, "late seal after completion")
-	bookMerge(crashRound, 2)
-
-	// ----- Partition round: the owner is cut off from its clients after
-	// accepting a third of the cohort; the rest fail over to the ring
-	// successor. The partition heals and both sides seal — nothing was
-	// lost, nothing doubled.
-	partRound := crashRound + 1
-	owner = ring.Owner(svcKey, partRound)
-	rep.Owner[partRound] = owner
-	shrunk, err = ring.Without(owner)
-	if err != nil {
-		return nil, err
-	}
-	own, fallback = nodes[owner], nodes[shrunk.Owner(svcKey, partRound)]
-	raws, err = cohortRaws(partRound)
-	if err != nil {
-		return nil, err
-	}
-	third := cfg.Devices / 3
-	for i := 0; i < third; i++ {
-		if err := own.reg.Ingest(raws[i]); err != nil {
-			rep.violate("partition round device %d refused at owner: %v", i, err)
-		}
-	}
-	for i := third; i < cfg.Devices; i++ {
-		if err := fallback.reg.Ingest(raws[i]); err != nil {
-			rep.violate("partition round device %d refused at fallback: %v", i, err)
-		}
-	}
-	for _, n := range []*fleetNode{own, fallback} {
-		seal, err := n.seal(partRound, 2)
-		if err != nil {
-			return nil, fmt.Errorf("sim: partition seal node %d: %w", n.id, err)
-		}
-		if _, err := hub.MergePartialSeal(seal); err != nil {
-			rep.violate("partition round: coordinator refused node %d: %v", n.id, err)
-		}
-	}
-	bookMerge(partRound, 0)
-
-	// ----- Double-submit round: a client's ack is lost and it retries
-	// the same contribution against a different node. Both nodes accept
-	// (dedup state is per-node), but the second partial re-claims a
-	// digest the first already covers — the coordinator refuses it
-	// wholesale, so the contribution can never be double-counted.
-	dupRound := partRound + 1
-	owner = ring.Owner(svcKey, dupRound)
-	rep.Owner[dupRound] = owner
-	shrunk, err = ring.Without(owner)
-	if err != nil {
-		return nil, err
-	}
-	own, fallback = nodes[owner], nodes[shrunk.Owner(svcKey, dupRound)]
-	raws, err = cohortRaws(dupRound)
-	if err != nil {
-		return nil, err
-	}
-	for i, raw := range raws {
-		if err := own.reg.Ingest(raw); err != nil {
-			rep.violate("double-submit round device %d refused: %v", i, err)
-		}
-	}
-	if err := fallback.reg.Ingest(raws[0]); err != nil {
-		rep.violate("retry at fallback refused: %v (per-node dedup should accept it)", err)
-	}
-	ownSeal, err = own.seal(dupRound, 2)
-	if err != nil {
-		return nil, fmt.Errorf("sim: double-submit owner seal: %w", err)
-	}
-	if _, err := hub.MergePartialSeal(ownSeal); err != nil {
-		rep.violate("double-submit round: coordinator refused the owner: %v", err)
-	}
-	fbSeal, err = fallback.seal(dupRound, 2)
-	if err != nil {
-		return nil, fmt.Errorf("sim: double-submit fallback seal: %w", err)
-	}
-	if _, merr := hub.MergePartialSeal(fbSeal); errors.Is(merr, service.ErrSealOverlap) {
-		rep.DoubleSubmitCaught = true
-	} else {
-		rep.violate("cross-node double submit returned %v, want ErrSealOverlap", merr)
-	}
-	expectRefused++
-	if m, ok := hub.Lookup(fleetSimService, dupRound); !ok {
-		rep.violate("double-submit round: no merge materialized")
-	} else {
-		if m.Complete() {
-			rep.violate("double-submit round completed despite the overlap")
-		}
-		if res := m.Result(); res.Merged != 1 || res.Count != uint64(cfg.Devices) {
-			rep.violate("double-submit round disturbed by the refusal: %+v", res)
-		}
-		// The incomplete merge still holds the owner's exact partial.
-		rep.SumDigests[dupRound] = m.Sum().Digest()
-	}
+	rep.RecoverCrash = s.nodes[s.owners[crashRound]].recovered
 
 	// ----- Global reconciliation: every refusal anywhere in the fleet is
-	// accounted for exactly once, and nothing else was refused.
-	var mergedRejected, refusedTotal uint64
+	// accounted for exactly once, and nothing else was refused. The
+	// refusals a node's pipelines booked travel in its seals, so the
+	// merged totals must equal exactly the probes the scenario injected.
+	injected := 0
+	for id, n := range s.nodes {
+		s.reconcile(fmt.Sprintf("node %d", id), n.ledger(n.manager(s.t)), refusals{tenant: s.injected[id], manager: 0, registry: 0})
+		injected += s.injected[id]
+	}
 	for round := uint64(1); round <= cfg.rounds(); round++ {
-		m, ok := hub.Lookup(fleetSimService, round)
-		if !ok {
-			continue
-		}
-		res := m.Result()
-		mergedRejected += res.Rejected
-		refusedTotal += res.Refused
-	}
-	rep.RejectedTotal = mergedRejected
-	rep.RefusedSeals = refusedTotal
-	if mergedRejected != injectedRejects {
-		rep.violate("merged rejection accounting = %d, injected probes = %d", mergedRejected, injectedRejects)
-	}
-	if refusedTotal != expectRefused {
-		rep.violate("coordinator refused %d seals, probes sent %d", refusedTotal, expectRefused)
-	}
-	for id, n := range nodes {
-		if got := n.manager.Rejected(); got != 0 {
-			rep.violate("node %d manager rejected = %d, want 0", id, got)
-		}
-		if got := n.reg.Rejected(); got != 0 {
-			rep.violate("node %d registry rejected = %d, want 0", id, got)
+		if m, ok := s.hub.Lookup(fleetSimService, round); ok {
+			res := m.Result()
+			rep.RejectedTotal += res.Rejected
+			rep.RefusedSeals += res.Refused
 		}
 	}
-	if want := uint64(cfg.Devices) * uint64(cfg.CleanRounds+2); rep.MergedContribs != want {
-		rep.violate("merged contributions = %d, want %d", rep.MergedContribs, want)
-	}
+	s.expectCount("merged rejection accounting", int(rep.RejectedTotal), injected)
+	s.expectCount("seals the coordinator refused", int(rep.RefusedSeals), int(s.refusedSeals))
+	s.expectCount("merged contributions", int(s.mergedContribs), cfg.Devices*(cfg.CleanRounds+2))
+	rep.MergedRounds, rep.MergedContribs, rep.Violations = s.mergedRounds, s.mergedContribs, s.violations
 	return rep, nil
 }

@@ -143,58 +143,51 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 	errs := make([]error, len(sims))
 	for i, sim := range sims {
 		wg.Add(1)
-		go func(i int, sim *simulation) {
+		go func() {
 			defer wg.Done()
 			rep.Reports[i], errs[i] = sim.run()
-		}(i, sim)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	violate := func(format string, args ...any) {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
 	// Routing accounting: the shared registry counter must equal exactly
 	// the unroutable traffic every tenant injected.
+	cross := new(checker)
 	wantRouting := 0
 	for _, sim := range sims {
 		wantRouting += sim.observedRoutingRejects
 	}
-	if got := st.registry.Rejected(); got != wantRouting {
-		violate("routing accounting: registry counted %d, tenants injected %d", got, wantRouting)
-	}
+	cross.reconcile("routing accounting", refusals{registry: st.reg.Rejected()},
+		refusals{tenant: unchecked, manager: unchecked, registry: wantRouting})
 
-	s.probeIsolation(st, sims, violate)
+	probeIsolation(cross, st, sims)
 
-	rep.RegistryRejected = st.registry.Rejected()
+	rep.RegistryRejected = st.reg.Rejected()
 	rep.Elapsed = time.Since(start)
+	rep.Violations = cross.violations
 	return rep, nil
 }
 
 // tenantSnapshot is one tenant's externally observable aggregation state.
 type tenantSnapshot struct {
-	counts    map[uint64]int
-	digests   map[uint64]string
-	rejected  int
-	managerRj int
+	counts  map[uint64]int
+	digests map[uint64]string
+	ledger  refusals
 }
 
 func snapshotTenant(s *simulation) tenantSnapshot {
 	snap := tenantSnapshot{
-		counts:    make(map[uint64]int),
-		digests:   make(map[uint64]string),
-		managerRj: s.w.manager.Rejected(),
+		counts:  make(map[uint64]int),
+		digests: make(map[uint64]string),
+		ledger:  s.st.ledger(s.manager),
 	}
-	for _, r := range s.w.manager.Rounds() {
-		if p, ok := s.w.manager.Lookup(r); ok {
+	for _, r := range s.manager.Rounds() {
+		if p, ok := s.manager.Lookup(r); ok {
 			snap.counts[r] = p.Count()
-			snap.digests[r] = sumDigest(p.Sum())
-			snap.rejected += p.Rejected()
+			snap.digests[r] = p.Sum().Digest()
 		}
 	}
 	return snap
@@ -203,51 +196,46 @@ func snapshotTenant(s *simulation) tenantSnapshot {
 // probeIsolation fires deliberate cross-tenant attacks after the runs and
 // verifies each is refused, is booked in exactly the expected counter, and
 // moves nothing else.
-func (s MultiScenario) probeIsolation(st *stack, sims []*simulation, violate func(string, ...any)) {
+func probeIsolation(c *checker, st *node, sims []*simulation) {
 	before := make([]tenantSnapshot, len(sims))
-	for i, sim := range sims {
-		before[i] = snapshotTenant(sim)
-	}
-	registryBefore := st.registry.Rejected()
-	// Expected per-tenant rejection deltas from the probes: a refusal on a
-	// round the victim has registered lands in that round's pipeline
+	// want[i] is tenant i's expected ledger after the probes: a refusal on
+	// a round the victim has registered lands in that round's pipeline
 	// counter; a refusal for a round the victim never ran (tenants may run
 	// different round counts) lands in its manager counter.
-	wantPipeDelta := make([]int, len(sims))
-	wantMgrDelta := make([]int, len(sims))
-	wantRegistry := 0
+	want := make([]refusals, len(sims))
+	for i, sim := range sims {
+		before[i] = snapshotTenant(sim)
+		want[i] = before[i].ledger
+	}
+	wantRegistry := st.reg.Rejected()
 
 	for i, sim := range sims {
+		name := sim.cfg.ServiceName
 		round, raw := sim.acceptedSample()
 		if raw == nil {
-			violate("tenant %s: no accepted contribution to probe with", sim.cfg.ServiceName)
+			c.violate("tenant %s: no accepted contribution to probe with", name)
 			continue
 		}
 		// Probe 1: replay the tenant's own accepted contribution. It routes
 		// home and the (closed) round must refuse it.
-		if err := st.registry.Ingest(raw); !errors.Is(err, service.ErrRoundClosed) {
-			violate("tenant %s: post-run replay returned %v, want ErrRoundClosed", sim.cfg.ServiceName, err)
-		}
-		wantPipeDelta[i]++
+		c.expectRefuse(st, raw, service.ErrRoundClosed, "tenant "+name+": post-run replay")
+		want[i].tenant++
 
 		// Probe 2: the same contribution re-encoded under the next tenant's
 		// name — frame-level routing must deliver it there and that tenant
 		// must refuse it (the signature covers the name, so the splice can
 		// never verify).
-		if len(sims) > 1 {
-			j := (i + 1) % len(sims)
+		if j := (i + 1) % len(sims); j != i {
 			spliced, err := renameContribution(raw, sims[j].cfg.ServiceName)
 			if err != nil {
-				violate("tenant %s: splicing probe: %v", sim.cfg.ServiceName, err)
+				c.violate("tenant %s: splicing probe: %v", name, err)
 			} else {
-				_, roundKnown := sims[j].w.manager.Lookup(round)
-				if err := st.registry.Ingest(spliced); err == nil {
-					violate("tenant %s: contribution spliced onto %s was accepted",
-						sim.cfg.ServiceName, sims[j].cfg.ServiceName)
-				} else if roundKnown {
-					wantPipeDelta[j]++
-				} else {
-					wantMgrDelta[j]++
+				_, roundKnown := sims[j].manager.Lookup(round)
+				if c.expectRefuse(st, spliced, nil, "tenant "+name+": contribution spliced onto "+sims[j].cfg.ServiceName) {
+					want[j].tenant++
+					if !roundKnown {
+						want[j].manager++
+					}
 				}
 			}
 		}
@@ -256,35 +244,24 @@ func (s MultiScenario) probeIsolation(st *stack, sims []*simulation, violate fun
 		// be refused at the registry, touching no tenant.
 		ghost, err := renameContribution(raw, "ghost.invalid")
 		if err != nil {
-			violate("tenant %s: ghost probe: %v", sim.cfg.ServiceName, err)
+			c.violate("tenant %s: ghost probe: %v", name, err)
 			continue
 		}
-		if err := st.registry.Ingest(ghost); !errors.Is(err, service.ErrUnknownTenant) {
-			violate("tenant %s: unknown-tenant probe returned %v, want ErrUnknownTenant", sim.cfg.ServiceName, err)
-		}
+		c.expectRefuse(st, ghost, service.ErrUnknownTenant, "tenant "+name+": unknown-tenant probe")
 		wantRegistry++
 	}
 
-	if got := st.registry.Rejected(); got != registryBefore+wantRegistry {
-		violate("registry rejected %d after probes, want %d", got, registryBefore+wantRegistry)
-	}
 	for i, sim := range sims {
 		after := snapshotTenant(sim)
 		name := sim.cfg.ServiceName
-		if after.managerRj != before[i].managerRj+wantMgrDelta[i] {
-			violate("tenant %s: manager rejections %d after probes, want %d",
-				name, after.managerRj, before[i].managerRj+wantMgrDelta[i])
-		}
-		if after.rejected != before[i].rejected+wantPipeDelta[i] {
-			violate("tenant %s: pipeline rejections %d after probes, want %d",
-				name, after.rejected, before[i].rejected+wantPipeDelta[i])
-		}
-		for r, c := range before[i].counts {
-			if after.counts[r] != c {
-				violate("tenant %s round %d: count moved (%d -> %d) under probes", name, r, c, after.counts[r])
+		want[i].registry = wantRegistry
+		c.reconcile("tenant "+name+" after probes", after.ledger, want[i])
+		for r, n := range before[i].counts {
+			if after.counts[r] != n {
+				c.violate("tenant %s round %d: count moved (%d -> %d) under probes", name, r, n, after.counts[r])
 			}
 			if after.digests[r] != before[i].digests[r] {
-				violate("tenant %s round %d: aggregate moved under probes", name, r)
+				c.violate("tenant %s round %d: aggregate moved under probes", name, r)
 			}
 		}
 	}
@@ -318,8 +295,8 @@ func (s *simulation) acceptedSample() (uint64, []byte) {
 	defer s.mu.Unlock()
 	bestRound, bestDevice := uint64(0), 0
 	var best []byte
-	for r, byDev := range s.acceptedRaw {
-		for d, raw := range byDev {
+	for r, rs := range s.rounds {
+		for d, raw := range rs.accepted {
 			if best == nil || r < bestRound || (r == bestRound && d < bestDevice) {
 				bestRound, bestDevice, best = r, d, raw
 			}

@@ -2,19 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
-	"sync/atomic"
+	"slices"
 	"time"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/durable"
-	"glimmers/internal/fixed"
-	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
 )
 
 // Crash-recovery scenario: a ticketed deployment is killed mid-round and
@@ -52,12 +45,8 @@ type CrashConfig struct {
 }
 
 func (c CrashConfig) withDefaults() CrashConfig {
-	if c.Devices <= 0 {
-		c.Devices = 6
-	}
-	if c.Dim <= 0 {
-		c.Dim = 4
-	}
+	c.Devices = positiveOr(c.Devices, 6)
+	c.Dim = positiveOr(c.Dim, 4)
 	return c
 }
 
@@ -92,501 +81,167 @@ type CrashReport struct {
 	Violations []string
 }
 
-func (r *CrashReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
 const crashServiceName = "crash.example"
-
-// crashWorld is the state that survives the kill: the hardware and
-// attestation substrate, the tenant's service (its keys and predicate —
-// the operator's config), the provisioned fleet, and the injected clock.
-type crashWorld struct {
-	cfg      CrashConfig
-	as       *tee.AttestationService
-	platform *tee.Platform
-	svc      *service.Service
-	hostCfg  glimmer.Config
-	devices  []*glimmer.Device
-	clock    *atomic.Int64
-
-	// values[r][i] is device i's honest contribution to round r; the
-	// exact expected sum is their per-round total (masks cancel over the
-	// full cohort).
-	values map[uint64][]fixed.Vector
-}
-
-func newCrashWorld(cfg CrashConfig) (*crashWorld, error) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		return nil, fmt.Errorf("sim: attestation service: %w", err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		return nil, fmt.Errorf("sim: platform: %w", err)
-	}
-	svc, err := service.New(crashServiceName, as.Root())
-	if err != nil {
-		return nil, fmt.Errorf("sim: service: %w", err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", cfg.Dim)); err != nil {
-		return nil, fmt.Errorf("sim: predicate: %w", err)
-	}
-	hostCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	w := &crashWorld{
-		cfg:      cfg,
-		as:       as,
-		platform: platform,
-		svc:      svc,
-		hostCfg:  hostCfg,
-		clock:    new(atomic.Int64),
-		values:   make(map[uint64][]fixed.Vector),
-	}
-	w.clock.Store(simTicketEpoch)
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	masks := make(map[uint64][]fixed.Vector, 2)
-	for _, round := range []uint64{1, 2} {
-		seed := fmt.Appendf(nil, "sim/%s/%d/masks/%d", crashServiceName, cfg.Seed, round)
-		ms, err := blind.ZeroSumMasks(seed, cfg.Devices, cfg.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("sim: dealer masks for round %d: %w", round, err)
-		}
-		masks[round] = ms
-		vals := make([]fixed.Vector, cfg.Devices)
-		for i := range vals {
-			vals[i] = fixed.NewVector(cfg.Dim)
-			for j := range vals[i] {
-				vals[i][j] = fixed.FromFloat(rng.Float64())
-			}
-		}
-		w.values[round] = vals
-	}
-
-	glimCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("sim: glimmer config: %w", err)
-	}
-	w.devices = make([]*glimmer.Device, cfg.Devices)
-	for i := range w.devices {
-		dev, err := glimmer.NewDevice(platform, glimCfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: device %d: %w", i, err)
-		}
-		svc.Vet(dev.Measurement())
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return nil, err
-		}
-		payload.Masks = make(map[uint64][]uint64, len(masks))
-		for round, ms := range masks {
-			payload.Masks[round] = glimmer.VectorToBits(ms[i])
-		}
-		if err := svc.Provision(dev, payload); err != nil {
-			return nil, fmt.Errorf("sim: provisioning device %d: %w", i, err)
-		}
-		w.devices[i] = dev
-	}
-	return w, nil
-}
-
-func (w *crashWorld) shutdown() {
-	for _, dev := range w.devices {
-		if dev != nil {
-			dev.Destroy()
-		}
-	}
-}
-
-// buildRegistry assembles one server life: what glimmerd reconstructs
-// from its config file on every start, before recovering durable state.
-func (w *crashWorld) buildRegistry() (*service.Registry, *service.RoundManager, error) {
-	reg := service.NewRegistry(8)
-	tenant, err := reg.AddTenant(service.TenantConfig{
-		Name:   crashServiceName,
-		Verify: w.svc.ContributionVerifyKey(),
-		Dim:    w.cfg.Dim,
-		TicketPolicy: &service.TicketConfig{
-			MaxTickets: 2*w.cfg.Devices + 16,
-			TTL:        simTicketTTL,
-			MaxWindow:  64,
-			Now:        w.clock.Load,
-		},
-		Workers:        2,
-		Shards:         2,
-		ExpectedCohort: w.cfg.Devices + 2,
-		MaxRounds:      8,
-		RoundWindow:    4,
-		Glimmer:        w.hostCfg,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: tenant: %w", err)
-	}
-	manager := tenant.Manager()
-	for _, dev := range w.devices {
-		manager.Vet(dev.Measurement())
-	}
-	return reg, manager, nil
-}
-
-func (w *crashWorld) contribute(dev *glimmer.Device, round uint64, value fixed.Vector) ([]byte, error) {
-	tc, err := dev.ContributeTicketed(round, value, nil)
-	if err != nil {
-		return nil, err
-	}
-	return glimmer.EncodeTicketedContribution(tc), nil
-}
-
-func (w *crashWorld) expectedSum(round uint64) fixed.Vector {
-	sum := fixed.NewVector(w.cfg.Dim)
-	for _, v := range w.values[round] {
-		sum.AddInPlace(v)
-	}
-	return sum
-}
 
 // RunCrashRecovery drives the scenario against stateDir (which must be
 // empty — use a fresh temp dir). Setup failures return an error;
 // invariant breaks are booked in the report's Violations.
 func RunCrashRecovery(stateDir string, cfg CrashConfig) (*CrashReport, error) {
 	cfg = cfg.withDefaults()
-	rep := &CrashReport{}
-	w, err := newCrashWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer w.shutdown()
 	half := cfg.Devices / 2
+	return runCrash(stateDir, cfg, half, min(2, cfg.Devices-half-1))
+}
 
-	// ----- First life: grant tickets, seal round 1, snapshot, start
-	// round 2, die mid-round.
-	regA, managerA, err := w.buildRegistry()
+// runCrash plays the kill-and-restart scenario with the crash point as
+// data: the first life flushes round 2's first `flushed` accepts, stages
+// (and loses) the next `staged`, and dies. flushed+staged must leave at
+// least one device that has not contributed, for the forged-MAC probe.
+func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashReport, error) {
+	s, err := build(tenantSpec{
+		name:    crashServiceName,
+		seed:    cfg.Seed,
+		devices: cfg.Devices,
+		dim:     cfg.Dim,
+		rounds:  []uint64{1, 2},
+		hosting: service.TenantConfig{
+			TicketPolicy:   &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64},
+			Workers:        2,
+			Shards:         2,
+			ExpectedCohort: cfg.Devices + 2,
+			MaxRounds:      8,
+			RoundWindow:    4,
+		},
+	}, nodeSpec{id: 1, budget: 8, dir: stateDir,
+		// Huge thresholds: the background flusher never fires on its own, so
+		// the only disk writes come from barriers and explicit flush steps —
+		// the scenario controls exactly which records are durable at the kill.
+		wal: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}})
 	if err != nil {
 		return nil, err
 	}
-	// Huge thresholds: the background flusher never fires on its own, so
-	// the only disk writes come from barriers and explicit Flush calls —
-	// the scenario controls exactly which records are durable at the kill.
-	walCfg := durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}
-	storeA, err := durable.OpenConfig(stateDir, walCfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.RecoverCold, err = storeA.Recover(regA)
-	if err != nil {
-		return nil, fmt.Errorf("sim: cold recovery: %w", err)
-	}
-	if rep.RecoverCold.SnapshotLoaded || rep.RecoverCold.Records != 0 {
-		rep.violate("cold start found state in a fresh dir: %+v", rep.RecoverCold)
-	}
+	defer s.shutdown()
+	rep := &CrashReport{RecoverCold: s.nodes[1].recovered, StagedLost: staged, PreCrashAccepted: flushed + staged}
+	fresh, all := flushed+staged, cfg.Devices
 
-	// The grant exchange — the session's one asymmetric operation —
-	// happens exactly once, here. The restarted life must never see it
-	// again.
-	for i, dev := range w.devices {
-		req, err := dev.TicketRequest(1, 4)
-		if err != nil {
-			return nil, fmt.Errorf("sim: device %d ticket request: %w", i, err)
-		}
-		grant, err := regA.GrantTicket(req)
-		if err != nil {
-			return nil, fmt.Errorf("sim: device %d ticket grant: %w", i, err)
-		}
-		if err := dev.InstallTicket(grant); err != nil {
-			return nil, fmt.Errorf("sim: device %d ticket install: %w", i, err)
-		}
-	}
-
-	// Round 1: full cohort, sealed before the crash.
-	for i, dev := range w.devices {
-		raw, err := w.contribute(dev, 1, w.values[1][i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: round 1 device %d: %w", i, err)
-		}
-		if err := regA.Ingest(raw); err != nil {
-			rep.violate("round 1 device %d refused: %v", i, err)
-		}
-	}
-	if err := managerA.Seal(1); err != nil {
-		return nil, fmt.Errorf("sim: seal round 1: %w", err)
-	}
-	if p, ok := managerA.Lookup(1); ok {
-		rep.Round1Exact = vectorsEqual(p.Sum(), w.expectedSum(1))
+	// Exact accounting: a duplicate of a flushed pre-crash contribution is
+	// still a duplicate — the dedup digests survived the crash. (With
+	// nothing flushed there is none to probe with; the probe then follows
+	// device 0's post-restart submission.)
+	var dupAfterRestart, dupAtEnd step
+	if flushed > 0 {
+		dupAfterRestart = duplicate(owner, 0)
 	} else {
-		rep.violate("round 1 vanished before the crash")
+		dupAtEnd = duplicate(owner, 0)
 	}
+	err = s.play(
+		// ----- First life: grant tickets, seal round 1, snapshot, start
+		// round 2, die mid-round. The grant exchange — the session's one
+		// asymmetric operation — happens exactly once, here. The restarted
+		// life must never see it again.
+		inRound(1,
+			grantTickets(owner, 1, 4),
+			ingest(owner, 0, all),
+			seal(owner),
+			func(s *script) error {
+				_, rep.Round1Exact = s.sealedExact(owner)
+				return s.observeSeal(rep, stateDir+".seal-observer")
+			}),
+		snapshot(owner),
+		inRound(2,
+			// The flushed prefix: the records recovery must restore.
+			ingest(owner, 0, flushed),
+			flush(owner),
+			// Staged and lost: accepted by the serving path, but the process
+			// dies before any flush reaches their records. Recovery must
+			// restore exactly the flushed prefix, and these devices (which
+			// never saw a durable acknowledgment) simply re-send.
+			ingest(owner, flushed, fresh),
+			// ----- Second life: rebuild from config, recover from disk.
+			crash(owner, true)),
+		// Round 1 came back sealed with its exact sum.
+		inRound(1, func(s *script) error {
+			rep.RecoverCrash = s.at(owner).recovered
+			if _, exact := s.sealedExact(owner); !exact {
+				rep.Round1Exact = false
+			}
+			return nil
+		}),
+		inRound(2,
+			holds(owner, flushed),
+			dupAfterRestart,
+			// A forged MAC is still refused: the restored ticket keys are
+			// the real ones.
+			forged(owner, fresh, service.ErrBadMAC),
+			// The staged-and-lost devices re-send the identical bytes, and
+			// the restored round, which genuinely lost them, accepts the
+			// resend instead of refusing it as a duplicate.
+			ingest(owner, flushed, fresh),
+			// No thundering herd: the rest of the fleet finishes round 2
+			// on its pre-crash tickets — pure MAC fast path, zero grant
+			// exchanges.
+			ingest(owner, fresh, all),
+			dupAtEnd,
+			seal(owner),
+			func(s *script) error {
+				rep.FinalCount, rep.Round2Exact = s.sealedExact(owner)
+				// The two refusals above are the only ones either life saw.
+				// (With nothing flushed, round 2 does not exist when the
+				// forged MAC arrives: the manager refuses it at admission
+				// instead of the round's pipeline.)
+				n, want := s.at(owner), refusals{tenant: 2}
+				if flushed == 0 {
+					want.manager = 1
+				}
+				s.reconcile("second life", n.ledger(n.manager(s.t)), want)
+				// The ticket table survived in full.
+				for _, tn := range n.reg.ExportState().Tenants {
+					if tn.Name == crashServiceName {
+						rep.TicketsRestored = len(tn.Tickets)
+					}
+				}
+				s.expectCount("restored tickets", rep.TicketsRestored, all)
+				return nil
+			}))
+	rep.Violations = s.violations
+	return rep, err
+}
 
-	// Seal-point barrier: Seal(1) has returned, so the seal record — and,
-	// because staging preserves order, every accept record before it —
-	// must already be on disk, with no flush, snapshot, or clean close
-	// having helped. An observer recovering a byte-for-byte copy of the
-	// state directory taken at this instant (exactly what a crash right
-	// now would leave) must see the fully sealed round, never a partial
-	// seal.
-	obsDir := stateDir + ".seal-observer"
-	if err := copyDir(stateDir, obsDir); err != nil {
-		return nil, fmt.Errorf("sim: observer copy: %w", err)
+// observeSeal checks the seal-point barrier. Seal has returned, so the
+// seal record — and, because staging preserves order, every accept record
+// before it — must already be on disk, with no flush, snapshot, or clean
+// close having helped. An observer recovering a byte-for-byte copy of the
+// state directory taken at this instant (exactly what a crash right now
+// would leave) must see the fully sealed round, never a partial seal.
+func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
+	spec := s.at(owner).nodeSpec
+	if err := os.CopyFS(obsDir, os.DirFS(spec.dir)); err != nil {
+		return fmt.Errorf("sim: observer copy: %w", err)
 	}
 	defer os.RemoveAll(obsDir)
-	regObs, managerObs, err := w.buildRegistry()
+	spec.dir = obsDir
+	obs, err := s.at(owner).sub.start(spec, s.t)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("sim: observer recovery: %w", err)
 	}
-	storeObs, err := durable.OpenConfig(obsDir, walCfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := storeObs.Recover(regObs); err != nil {
-		return nil, fmt.Errorf("sim: observer recovery: %w", err)
-	}
-	rep.SealObserved = true
-	if p, ok := managerObs.Lookup(1); !ok {
-		rep.SealObserved = false
-		rep.violate("observer copy lost round 1 after Seal returned")
-	} else if p.Count() != cfg.Devices || !vectorsEqual(p.Sum(), w.expectedSum(1)) {
-		rep.SealObserved = false
-		rep.violate("observer sees a partial round 1: count=%d, want %d with the exact sum", p.Count(), cfg.Devices)
-	}
-	sealedSeen := false
-	for _, tn := range regObs.ExportState().Tenants {
-		if tn.Name != crashServiceName {
-			continue
-		}
+	for _, tn := range obs.reg.ExportState().Tenants {
 		for _, rs := range tn.Rounds {
-			if rs.Round == 1 && rs.Phase == service.RoundPhaseSealed {
-				sealedSeen = true
+			if tn.Name == s.t.name && rs.Round == s.round && rs.Phase == service.RoundPhaseSealed {
+				rep.SealObserved = true
 			}
 		}
 	}
-	if !sealedSeen {
+	if !rep.SealObserved {
+		s.violate("observer sees round %d unsealed: the seal record was not durable when Seal returned", s.round)
+	}
+	if p, ok := obs.manager(s.t).Lookup(s.round); !ok {
 		rep.SealObserved = false
-		rep.violate("observer sees round 1 unsealed: the seal record was not durable when Seal returned")
+		s.violate("observer copy lost round %d after Seal returned", s.round)
+	} else if p.Count() != s.t.devices || !slices.Equal(p.Sum(), s.expectedSum()) {
+		rep.SealObserved = false
+		s.violate("observer sees a partial round %d: count=%d, want %d with the exact sum", s.round, p.Count(), s.t.devices)
 	}
-	if err := storeObs.Close(); err != nil {
-		return nil, fmt.Errorf("sim: observer close: %w", err)
-	}
-
-	if err := storeA.Snapshot(regA); err != nil {
-		return nil, fmt.Errorf("sim: snapshot: %w", err)
-	}
-
-	// Round 2, flushed prefix: the first half of the cohort contributes
-	// and the prefix is pinned to disk — these are the records recovery
-	// must restore.
-	preCrashRaws := make([][]byte, 0, half)
-	for i := 0; i < half; i++ {
-		raw, err := w.contribute(w.devices[i], 2, w.values[2][i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: round 2 device %d: %w", i, err)
-		}
-		if err := regA.Ingest(raw); err != nil {
-			rep.violate("round 2 device %d refused pre-crash: %v", i, err)
-		}
-		preCrashRaws = append(preCrashRaws, raw)
-	}
-	if err := storeA.Flush(); err != nil {
-		return nil, fmt.Errorf("sim: WAL flush: %w", err)
-	}
-
-	// Staged and lost: the next contributions are accepted by the serving
-	// path but their records are still sitting in the group-commit
-	// staging buffer when the process dies — the documented
-	// fire-and-forget loss window. The process dies before any flush, so
-	// recovery must restore exactly the flushed prefix, and these devices
-	// (which never saw a durable acknowledgment) simply re-send.
-	stagedLost := min(2, cfg.Devices-half-1)
-	rep.StagedLost = stagedLost
-	stagedRaws := make([][]byte, 0, stagedLost)
-	for i := half; i < half+stagedLost; i++ {
-		raw, err := w.contribute(w.devices[i], 2, w.values[2][i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: round 2 device %d: %w", i, err)
-		}
-		if err := regA.Ingest(raw); err != nil {
-			rep.violate("round 2 device %d refused pre-crash: %v", i, err)
-		}
-		stagedRaws = append(stagedRaws, raw)
-	}
-	rep.PreCrashAccepted = half + stagedLost
-	if err := storeA.Err(); err != nil {
-		return nil, fmt.Errorf("sim: WAL append: %w", err)
-	}
-	// Kill: regA and storeA are simply abandoned (the OS would reclaim
-	// the fd, taking the staged records with it). The dying process's
-	// last write is torn mid-frame.
-	if err := tearWALTail(stateDir); err != nil {
-		return nil, err
-	}
-
-	// ----- Second life: rebuild from config, recover from disk.
-	regB, managerB, err := w.buildRegistry()
-	if err != nil {
-		return nil, err
-	}
-	storeB, err := durable.OpenConfig(stateDir, walCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer storeB.Close()
-	rep.RecoverCrash, err = storeB.Recover(regB)
-	if err != nil {
-		return nil, fmt.Errorf("sim: crash recovery: %w", err)
-	}
-	if !rep.RecoverCrash.SnapshotLoaded {
-		rep.violate("restart did not load the snapshot")
-	}
-	if rep.RecoverCrash.TruncatedBytes == 0 {
-		rep.violate("restart did not truncate the torn WAL tail")
-	}
-	if rep.RecoverCrash.ReplayErrors != 0 {
-		rep.violate("replay reported %d errors", rep.RecoverCrash.ReplayErrors)
-	}
-
-	// Round 1 came back sealed with its exact sum.
-	if p, ok := managerB.Lookup(1); !ok {
-		rep.violate("restored registry lost sealed round 1")
-	} else if !vectorsEqual(p.Sum(), w.expectedSum(1)) {
-		rep.Round1Exact = false
-		rep.violate("restored round 1 sum differs from the pre-crash seal")
-	}
-
-	// Round 2 came back mid-flight with exactly the flushed prefix: the
-	// staged-and-lost tail is gone whole, never a torn mix.
-	p2, ok := managerB.Lookup(2)
-	if !ok {
-		rep.violate("restored registry lost in-flight round 2")
-		return rep, nil
-	}
-	if got := p2.Count(); got != half {
-		rep.violate("restored round 2 count = %d, want exactly the flushed prefix %d", got, half)
-	}
-
-	// Exact accounting: a duplicate of a flushed pre-crash contribution
-	// is still a duplicate — the dedup digests survived the crash.
-	if err := regB.Ingest(preCrashRaws[0]); err != service.ErrDuplicate {
-		rep.violate("pre-crash duplicate returned %v, want ErrDuplicate", err)
-	}
-	// A forged MAC is still refused: the restored ticket keys are the
-	// real ones. (Submitted before the genuine copy so the dedup table
-	// cannot mask a MAC bypass.)
-	fresh := half + stagedLost
-	probe, err := w.contribute(w.devices[fresh], 2, w.values[2][fresh])
-	if err != nil {
-		return nil, fmt.Errorf("sim: round 2 device %d: %w", fresh, err)
-	}
-	forged := append([]byte(nil), probe...)
-	forged[len(forged)-1] ^= 0x01
-	if err := regB.Ingest(forged); err != service.ErrBadMAC {
-		rep.violate("forged MAC post-restart returned %v, want ErrBadMAC", err)
-	}
-
-	// The staged-and-lost contributions were never durably acknowledged,
-	// so their devices re-send the identical bytes — and the restored
-	// round, which genuinely lost them, accepts the resend instead of
-	// refusing it as a duplicate.
-	for i, raw := range stagedRaws {
-		if err := regB.Ingest(raw); err != nil {
-			rep.violate("staged-lost device %d resend refused: %v", half+i, err)
-		}
-	}
-
-	// No thundering herd: the rest of the fleet finishes round 2 on its
-	// pre-crash tickets — pure MAC fast path, zero grant exchanges.
-	if err := regB.Ingest(probe); err != nil {
-		rep.violate("round 2 device %d refused post-restart: %v", fresh, err)
-	}
-	for i := fresh + 1; i < cfg.Devices; i++ {
-		raw, err := w.contribute(w.devices[i], 2, w.values[2][i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: round 2 device %d: %w", i, err)
-		}
-		if err := regB.Ingest(raw); err != nil {
-			rep.violate("round 2 device %d refused post-restart: %v", i, err)
-		}
-	}
-	if err := managerB.Seal(2); err != nil {
-		return nil, fmt.Errorf("sim: seal round 2: %w", err)
-	}
-	rep.FinalCount = p2.Count()
-	rep.Round2Exact = vectorsEqual(p2.Sum(), w.expectedSum(2))
-	if !rep.Round2Exact {
-		rep.violate("round 2 aggregate differs from the exact sum of the split cohort")
-	}
-	if rep.FinalCount != cfg.Devices {
-		rep.violate("round 2 cohort = %d, want %d", rep.FinalCount, cfg.Devices)
-	}
-	// The two refusals above are the only ones either life saw.
-	if got := p2.Rejected(); got != 2 {
-		rep.violate("round 2 rejected = %d, want 2 (duplicate + forged MAC)", got)
-	}
-	if got := managerB.Rejected(); got != 0 {
-		rep.violate("manager rejected = %d, want 0", got)
-	}
-	if got := regB.Rejected(); got != 0 {
-		rep.violate("registry rejected = %d, want 0", got)
-	}
-
-	// The ticket table survived in full.
-	st := regB.ExportState()
-	for _, tn := range st.Tenants {
-		if tn.Name == crashServiceName {
-			rep.TicketsRestored = len(tn.Tickets)
-		}
-	}
-	if rep.TicketsRestored != cfg.Devices {
-		rep.violate("restored tickets = %d, want %d", rep.TicketsRestored, cfg.Devices)
-	}
-	return rep, nil
-}
-
-// copyDir copies every regular file in src into dst (created fresh) —
-// the observer's byte-for-byte view of the state directory, exactly as
-// a crash at that instant would leave it.
-func copyDir(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			return err
-		}
+	if err := obs.store.Close(); err != nil {
+		return fmt.Errorf("sim: observer close: %w", err)
 	}
 	return nil
-}
-
-// tearWALTail appends a partial frame to the live WAL — the dying
-// process's final, unfinished write.
-func tearWALTail(stateDir string) error {
-	entries, err := os.ReadDir(stateDir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if len(e.Name()) > 4 && e.Name()[:4] == "wal." {
-			f, err := os.OpenFile(filepath.Join(stateDir, e.Name()), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			_, werr := f.Write([]byte{0x00, 0x00, 0x01, 0x00, 0xDE, 0xAD, 0xBE})
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			return werr
-		}
-	}
-	return fmt.Errorf("sim: no WAL file in %s", stateDir)
 }

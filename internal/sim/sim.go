@@ -116,21 +116,6 @@ type FaultPlan struct {
 	Stragglers int
 }
 
-// Active reports how many distinct fault mechanisms the plan enables.
-func (f FaultPlan) Active() int {
-	n := 0
-	for _, r := range []float64{f.DropoutRate, f.ByzantineRate, f.CorruptSigRate,
-		f.DuplicateRate, f.ReplayRate, f.GarbageRate, f.OutOfWindowRate} {
-		if r > 0 {
-			n++
-		}
-	}
-	if f.Stragglers > 0 {
-		n++
-	}
-	return n
-}
-
 // Workload selects what a tenant's devices contribute and which predicate
 // their Glimmers enforce.
 type Workload int
@@ -311,12 +296,6 @@ const (
 
 // Tally counts outcomes by category.
 type Tally map[string]int
-
-func (t Tally) add(cat string, n int) {
-	if n != 0 {
-		t[cat] += n
-	}
-}
 
 // ServiceRejections sums the service-side refusal categories, including
 // rejected stragglers.

@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
 
 	"glimmers/internal/gaas"
+	"glimmers/internal/service"
 	"glimmers/internal/tee"
 )
 
@@ -24,22 +24,13 @@ type lane struct {
 	close  func() error
 }
 
-// transportPool fans submissions across lanes round-robin. grantFn is the
+// transportPool fans submissions across lanes round-robin. grant is the
 // ticket control plane: the registry directly for the in-process
-// transport, the gaas ticket-grant command on lane 0 otherwise (nil when
-// the ingestor cannot grant).
+// transport, the gaas ticket-grant command on lane 0 otherwise.
 type transportPool struct {
-	lanes   []*lane
-	next    atomic.Uint32
-	grantFn func(req []byte) ([]byte, error)
-}
-
-// grant runs one ticket exchange over the pool's control plane.
-func (p *transportPool) grant(req []byte) ([]byte, error) {
-	if p.grantFn == nil {
-		return nil, errors.New("sim: transport cannot grant tickets")
-	}
-	return p.grantFn(req)
+	lanes []*lane
+	next  atomic.Uint32
+	grant func(req []byte) ([]byte, error)
 }
 
 func (p *transportPool) submit(batch [][]byte) (int, []error, error) {
@@ -57,31 +48,20 @@ func (p *transportPool) close() {
 	}
 }
 
-// batchIngestor is the in-process submission surface (service.Registry,
-// or a single tenant's RoundManager).
-type batchIngestor interface {
-	IngestBatch(raws [][]byte) (int, []error)
-}
-
-// newDirectPool builds in-process lanes over the ingestor. The ingestor is
+// newDirectPool builds in-process lanes over the registry. The registry is
 // concurrency-safe, but each lane still serializes its own submissions so
 // Submitters bounds the concurrent IngestBatch callers exactly as it
 // bounds gaas connections — the two transports exercise the same
 // concurrency shape.
-func newDirectPool(ing batchIngestor, n int) *transportPool {
-	p := &transportPool{lanes: make([]*lane, n)}
+func newDirectPool(reg *service.Registry, n int) *transportPool {
+	p := &transportPool{lanes: make([]*lane, n), grant: reg.GrantTicket}
 	for i := range p.lanes {
 		p.lanes[i] = &lane{
 			submit: func(batch [][]byte) (int, []error, error) {
-				accepted, errs := ing.IngestBatch(batch)
+				accepted, errs := reg.IngestBatch(batch)
 				return accepted, errs, nil
 			},
 		}
-	}
-	if g, ok := ing.(interface {
-		GrantTicket([]byte) ([]byte, error)
-	}); ok {
-		p.grantFn = g.GrantTicket
 	}
 	return p
 }
@@ -90,7 +70,6 @@ func newDirectPool(ing batchIngestor, n int) *transportPool {
 // like n independent submitting hosts) and wraps them as tally-only lanes.
 func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, serviceName string, n int) (*transportPool, error) {
 	p := &transportPool{lanes: make([]*lane, 0, n)}
-	var client0 *gaas.Client
 	for i := 0; i < n; i++ {
 		conn, err := dial()
 		if err != nil {
@@ -103,25 +82,24 @@ func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, ser
 			p.close()
 			return nil, err
 		}
-		if i == 0 {
-			client0 = client
-		}
-		p.lanes = append(p.lanes, &lane{
+		l := &lane{
 			submit: func(batch [][]byte) (int, []error, error) {
 				accepted, _, err := client.SubmitBatch(batch)
 				return accepted, nil, err
 			},
 			close: client.Close,
-		})
-	}
-	// Ticket grants ride lane 0's connection; the lane lock serializes
-	// them with that lane's submissions (the frame protocol is strictly
-	// request/response per connection).
-	l0 := p.lanes[0]
-	p.grantFn = func(req []byte) ([]byte, error) {
-		l0.mu.Lock()
-		defer l0.mu.Unlock()
-		return client0.RequestTicket(req)
+		}
+		if i == 0 {
+			// Ticket grants ride lane 0's connection; the lane lock
+			// serializes them with that lane's submissions (the frame
+			// protocol is strictly request/response per connection).
+			p.grant = func(req []byte) ([]byte, error) {
+				l.mu.Lock()
+				defer l.mu.Unlock()
+				return client.RequestTicket(req)
+			}
+		}
+		p.lanes = append(p.lanes, l)
 	}
 	return p, nil
 }
