@@ -88,7 +88,7 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 	}
 
 	// A bare round manager journaling through PipelineConfig.Journal — no
-	// Registry in the loop, the embedded/benchmark shape.
+	// Registry in the loop, the embedded shape.
 	var skey xcrypto.SessionKey
 	skey[0] = 0xA7
 	tbl := service.NewTicketTable(service.TicketConfig{})

@@ -33,21 +33,6 @@ func addLanes(dst, src Vector) {
 	}
 }
 
-// AddBatchInPlace adds every vector in vs into v element-wise. It panics on
-// any length mismatch — before touching v, so a bad batch never leaves a
-// partial sum behind. One call replaces len(vs) AddInPlace calls on the
-// shard hot path, keeping the accumulator hot in cache across the batch.
-func (v Vector) AddBatchInPlace(vs []Vector) {
-	for _, o := range vs {
-		if len(o) != len(v) {
-			panic(fmt.Sprintf("fixed: vector length mismatch %d != %d", len(o), len(v)))
-		}
-	}
-	for _, o := range vs {
-		addLanes(v, o)
-	}
-}
-
 // AccumulateInto adds raw ring lanes (uint64 bit patterns, one per element)
 // into dst. It is the bridge for callers that hold decoded wire lanes and
 // want to skip the []uint64 → Vector conversion copy.

@@ -28,9 +28,9 @@ func randVector(rng *rand.Rand, n int) Vector {
 	return v
 }
 
-// TestAddBatchInPlaceMatchesRepeatedAdd is the core property: one batch add
-// equals the per-item loop it replaces, on every length (unroll remainders
-// 0..3 all covered) and across wraparound values.
+// TestAddBatchInPlaceMatchesRepeatedAdd is the core property: a batch of
+// wide-lane AddInPlace calls equals the scalar loop it replaces, on every
+// length (unroll remainders 0..3 all covered) and across wraparound values.
 func TestAddBatchInPlaceMatchesRepeatedAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 255, 256, 257} {
@@ -48,7 +48,9 @@ func TestAddBatchInPlaceMatchesRepeatedAdd(t *testing.T) {
 				}
 			}
 			got := base.Clone()
-			got.AddBatchInPlace(batch)
+			for _, o := range batch {
+				got.AddInPlace(o)
+			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("dim %d trial %d: lane %d = %#x, want %#x", dim, trial, i, uint64(got[i]), uint64(want[i]))
@@ -85,25 +87,6 @@ func TestAccumulatePathsAgree(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAddBatchInPlacePanicsBeforeMutating locks the all-or-nothing check
-// order: a bad vector anywhere in the batch must leave the accumulator
-// untouched, not partially summed.
-func TestAddBatchInPlacePanicsBeforeMutating(t *testing.T) {
-	v := Vector{1, 2, 3}
-	batch := []Vector{{10, 10, 10}, {1, 2}} // second has the wrong length
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("AddBatchInPlace did not panic on length mismatch")
-			}
-		}()
-		v.AddBatchInPlace(batch)
-	}()
-	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("accumulator mutated by a rejected batch: %v", v)
 	}
 }
 
@@ -147,9 +130,8 @@ func TestAccumulateAllocFree(t *testing.T) {
 	src := NewVector(256)
 	lanes := make([]uint64, 256)
 	be := src.AppendWire(nil)
-	batch := []Vector{src, src, src, src}
 	if got := testing.AllocsPerRun(100, func() {
-		dst.AddBatchInPlace(batch)
+		dst.AddInPlace(src)
 		AccumulateInto(dst, lanes)
 		AccumulateWireInto(dst, be)
 	}); got > 0 {

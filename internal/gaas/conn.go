@@ -157,15 +157,20 @@ func (s *Session) userContribute(body []byte) ([]byte, error) {
 	return s.dev.UserContribute(body)
 }
 
-// submitBatch decodes a batch frame without copying (the items are views
+// submitBatch ingests a client's batch frame into the mux's Ingestor.
+func (s *Session) submitBatch(body []byte) ([]byte, error) {
+	return s.ingestFrame(s.srv.mux.ingest, body)
+}
+
+// ingestFrame decodes a batch frame without copying (the items are views
 // into the connection's frame buffer, valid for exactly as long as the
-// blocking IngestBatch call below), hands it to the ingest pipeline, and
-// encodes the accepted/rejected tallies.
+// blocking IngestBatch call below), hands it to ing, and encodes the
+// accepted/rejected tallies.
 //
 // The shed gate runs before any decode work: when MaxInflightBatches
 // batches are already inside the pipelines, the frame is refused with
 // ErrShed immediately — backpressure as a reply, never as a hang.
-func (s *Session) submitBatch(body []byte) ([]byte, error) {
+func (s *Session) ingestFrame(ing Ingestor, body []byte) ([]byte, error) {
 	srv := s.srv
 	if max := srv.maxInflight; max > 0 {
 		if srv.inflight.Add(1) > int64(max) {
@@ -181,7 +186,7 @@ func (s *Session) submitBatch(body []byte) ([]byte, error) {
 	}
 	// Per-item errors stay server-side: the reply is tallies only, so the
 	// frame stays O(1) regardless of batch size.
-	accepted, _ := srv.mux.ingest.IngestBatch(items)
+	accepted, _ := ing.IngestBatch(items)
 	reply := binary.BigEndian.AppendUint32(make([]byte, 0, 8), uint32(accepted))
 	reply = binary.BigEndian.AppendUint32(reply, uint32(len(items)-accepted))
 	// Drop the item views before recycling the scratch: stale headers

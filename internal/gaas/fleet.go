@@ -2,7 +2,7 @@ package gaas
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"glimmers/internal/fleet"
@@ -48,30 +48,15 @@ func (m *ServeMux) HandleFleet(forward Ingestor, merger PartialMerger) {
 	}
 }
 
-// fleetForward ingests a batch forwarded by a peer node. Same shed gate,
-// zero-copy decode, and tally reply as submitBatch; only the counter
-// differs.
+// fleetForward ingests a batch forwarded by a peer node: submitBatch against
+// the fleet Ingestor, counted apart. A frame the shed gate refused never
+// arrived as far as the counter.
 func (s *Session) fleetForward(body []byte) ([]byte, error) {
-	srv := s.srv
-	if max := srv.maxInflight; max > 0 {
-		if srv.inflight.Add(1) > int64(max) {
-			srv.inflight.Add(-1)
-			srv.shedBatches.Add(1)
-			return nil, fmt.Errorf("%w: %d contribution batches in flight", ErrShed, max)
-		}
-		defer srv.inflight.Add(-1)
+	reply, err := s.ingestFrame(s.srv.mux.fleetIngest, body)
+	if !errors.Is(err, ErrShed) {
+		s.srv.forwardedBatches.Add(1)
 	}
-	srv.forwardedBatches.Add(1)
-	items, err := wire.DecodeBatchInto(body, s.batchScratch)
-	if err != nil {
-		return nil, err
-	}
-	accepted, _ := srv.mux.fleetIngest.IngestBatch(items)
-	reply := binary.BigEndian.AppendUint32(make([]byte, 0, 8), uint32(accepted))
-	reply = binary.BigEndian.AppendUint32(reply, uint32(len(items)-accepted))
-	clear(items)
-	s.batchScratch = items[:0]
-	return reply, nil
+	return reply, err
 }
 
 // fleetMerge hands one partial seal to the coordinator and replies with

@@ -239,3 +239,20 @@ func TestEncodeSignedContributionSingleAlloc(t *testing.T) {
 		t.Errorf("EncodeSignedContribution: %.1f allocs/op, want 1", got)
 	}
 }
+
+// TestDecodeSignedContributionBytesThreeAllocs pins the copying decoder at
+// the three copies its value-semantics API promises — vector, signature,
+// signed bytes — with the reader scratch pooled.
+func TestDecodeSignedContributionBytesThreeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	raw := allocContribution(1)
+	if got := testing.AllocsPerRun(500, func() {
+		if _, _, err := DecodeSignedContributionBytes(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 3 {
+		t.Errorf("DecodeSignedContributionBytes: %.1f allocs/op, want 3", got)
+	}
+}

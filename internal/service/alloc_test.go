@@ -179,3 +179,73 @@ func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryIngestBatchOneAlloc pins what a routed frame may allocate:
+// the error slice IngestBatch returns, and nothing else on a single-tenant,
+// single-round frame — the manager below writes into slots from the
+// registry's own scratch. A frame interleaving three tenants (two vector
+// tenants and a one-bit one, verification off) may allocate no more than
+// the 10 per frame recorded when that shape was last measured.
+func TestRegistryIngestBatchOneAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const round, perTenant, runs = uint64(7), 16, 100
+	tenants := []struct {
+		name string
+		dim  int
+	}{{"alloc.example", 64}, {"maps.alloc.example", 64}, {"bot.alloc.example", 1}}
+	for _, tc := range []struct {
+		name    string
+		tenants int
+		max     float64
+	}{{"single-tenant", 1, 1}, {"three-tenant", 3, 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry(0)
+			for _, tn := range tenants[:tc.tenants] {
+				if _, err := r.AddTenant(TenantConfig{
+					Name: tn.name, Dim: tn.dim, Workers: 1, Shards: 1,
+					ExpectedCohort: (runs + 2) * perTenant,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames := make([][][]byte, runs+2)
+			for f := range frames {
+				for i := 0; i < perTenant; i++ {
+					for _, tn := range tenants[:tc.tenants] {
+						frames[f] = append(frames[f], tenantContribution(t, nil, tn.name, round, tn.dim, f*perTenant+i))
+					}
+				}
+			}
+			r.IngestBatch(frames[0]) // create the rounds, warm scratches and arenas
+			f := 0
+			if got := testing.AllocsPerRun(runs, func() {
+				f++
+				if accepted, _ := r.IngestBatch(frames[f]); accepted != len(frames[f]) {
+					t.Fatalf("accepted %d of %d", accepted, len(frames[f]))
+				}
+			}); got > tc.max {
+				t.Errorf("Registry.IngestBatch: %.2f allocs/op, want <= %v", got, tc.max)
+			}
+		})
+	}
+}
+
+// TestRouteScratchReleaseDropsFrame: a frame that split into a large group
+// followed by a small one must not ride back into the pool inside the
+// scratch — the views past the last group's length point into the caller's
+// frame buffer too.
+func TestRouteScratchReleaseDropsFrame(t *testing.T) {
+	frame := [][]byte{{1}, {2}, {3}, {4}}
+	rs := getRouteScratch(len(frame))
+	rs.batch = append(rs.batch[:0], frame...) // the large group
+	rs.batch = append(rs.batch[:0], frame[0]) // then a one-item group
+	held := rs.batch[:cap(rs.batch)]
+	rs.release()
+	for i, view := range held {
+		if view != nil {
+			t.Errorf("released scratch still holds frame view %d", i)
+		}
+	}
+}

@@ -52,7 +52,7 @@ type PipelineConfig struct {
 	// Verify may be nil, which disables signature verification: the
 	// pipeline then trusts its transport entirely. That mode exists for
 	// pre-authenticated in-process ingest (contributions already verified
-	// upstream) and for benchmarks isolating the decode+dedup path;
+	// upstream) and for tests pinning the decode+dedup path's allocations;
 	// anything fed from a network must set Verify.
 	ServiceName string
 	Verify      *xcrypto.VerifyKey
@@ -83,7 +83,7 @@ type PipelineConfig struct {
 	// Journal interface in state.go for the barrier contract). Registry
 	// tenants get theirs via Registry.SetJournal, which overrides this;
 	// the field exists so bare pipelines and round managers — tests,
-	// benchmarks, embedded uses without a Registry — can journal too.
+	// embedded uses without a Registry — can journal too.
 	Journal Journal
 }
 

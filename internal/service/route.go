@@ -44,17 +44,12 @@ func getRouteScratch(n int) *routeScratch {
 
 // release drops every view and pointer the scratch took into the caller's
 // batch before pooling it — the same must-not-retain contract the ingest
-// arena honors.
+// arena honors. batch is cleared to capacity: its length is that of the
+// last group, and an earlier, larger group left views past it.
 func (rs *routeScratch) release() {
-	for i := range rs.batch {
-		rs.batch[i] = nil
-	}
-	for i := range rs.tenants {
-		rs.tenants[i] = nil
-	}
-	for i := range rs.errs {
-		rs.errs[i] = nil
-	}
+	clear(rs.batch[:cap(rs.batch)])
+	clear(rs.tenants)
+	clear(rs.errs)
 	routePool.Put(rs)
 }
 
@@ -75,6 +70,12 @@ func (rs *routeScratch) errSlots(n int) []error {
 // number accepted and one error slot per input, aligned with raws.
 func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 	errs := make([]error, len(raws))
+	return m.ingestBatchInto(raws, errs), errs
+}
+
+// ingestBatchInto is IngestBatch writing into the caller's error slots,
+// which must be nil on entry and aligned with raws.
+func (m *RoundManager) ingestBatchInto(raws [][]byte, errs []error) int {
 	rs := getRouteScratch(len(raws))
 	defer rs.release()
 	for i, raw := range raws {
@@ -138,7 +139,7 @@ func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 			accepted++
 		}
 	}
-	return accepted, errs
+	return accepted
 }
 
 // IngestBatch routes a batch of encoded contributions, grouping them by
@@ -180,8 +181,8 @@ func (r *Registry) IngestBatch(raws [][]byte) (int, []error) {
 				rs.batch = append(rs.batch, raws[j])
 			}
 		}
-		n, terrs := t.manager.IngestBatch(rs.batch)
-		accepted += n
+		terrs := rs.errSlots(len(rs.batch))
+		accepted += t.manager.ingestBatchInto(rs.batch, terrs)
 		for j, err := range terrs {
 			errs[rs.idx[j]] = err
 		}

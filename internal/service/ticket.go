@@ -124,8 +124,8 @@ func (t *TicketTable) Len() int {
 }
 
 // Install registers a ticket directly — the deployment hook for keys
-// established out of band (and the benchmarks' way to fill a table without
-// the DH exchange). Grant is the protocol path.
+// established out of band (and the tests' way to fill a table without the
+// DH exchange). Grant is the protocol path.
 func (t *TicketTable) Install(id uint64, key xcrypto.SessionKey, roundFirst, roundLast uint64, expiresUnix int64) {
 	e := ticketEntry{key: key, roundFirst: roundFirst, roundLast: roundLast, expiresUnix: expiresUnix}
 	t.mu.Lock()

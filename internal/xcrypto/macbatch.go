@@ -114,26 +114,6 @@ func (m *MACState) VerifyKeyed(head, tail, mac []byte) bool {
 	return hmac.Equal(m.out[:], mac)
 }
 
-// VerifyBatch verifies msgs[i] against macs[i] under one session key,
-// amortizing the key schedule across the whole batch, and writes each
-// verdict into ok[i]. It returns the number that verified. The slices must
-// be the same length; like Verify, a MAC of the wrong size fails rather
-// than erroring. Zero heap allocations at steady state.
-func (m *MACState) VerifyBatch(key *SessionKey, msgs, macs [][]byte, ok []bool) int {
-	if len(msgs) != len(macs) || len(msgs) != len(ok) {
-		panic("xcrypto: VerifyBatch slice lengths differ")
-	}
-	m.SetKey(key)
-	n := 0
-	for i, msg := range msgs {
-		ok[i] = m.VerifyKeyed(nil, msg, macs[i])
-		if ok[i] {
-			n++
-		}
-	}
-	return n
-}
-
 // BatchVerifier is a concurrency-safe pool of MACStates for batch
 // verification: pipelines hold one per process (or per tenant) and each
 // worker or shard borrows a state for the duration of a batch, so keyed pad
@@ -155,12 +135,3 @@ func (v *BatchVerifier) Get() *MACState { return v.pool.Get().(*MACState) }
 // cache — that is the point: the next batch naming the same ticket skips
 // the key schedule entirely.
 func (v *BatchVerifier) Put(m *MACState) { v.pool.Put(m) }
-
-// VerifyBatch borrows a state, verifies the batch under one key, and
-// returns the state — the one-call convenience for callers without their
-// own state management.
-func (v *BatchVerifier) VerifyBatch(key *SessionKey, msgs, macs [][]byte, ok []bool) int {
-	m := v.Get()
-	defer v.Put(m)
-	return m.VerifyBatch(key, msgs, macs, ok)
-}

@@ -89,7 +89,22 @@ func TestScalarAndKeyedInterleave(t *testing.T) {
 	}
 }
 
-// TestVerifyBatch exercises the batch entry point: verdicts must agree with
+// verifyKeyedAll is the batch loop as the service's MAC phase runs it: one
+// SetKey, then VerifyKeyed per message, each verdict written into ok[i]. It
+// returns the number that verified.
+func verifyKeyedAll(m *MACState, key *SessionKey, msgs, macs [][]byte, ok []bool) int {
+	m.SetKey(key)
+	n := 0
+	for i, msg := range msgs {
+		ok[i] = m.VerifyKeyed(nil, msg, macs[i])
+		if ok[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestVerifyBatch exercises the keyed batch loop: verdicts must agree with
 // scalar Verify item by item, including corrupted MACs and wrong-length tags.
 func TestVerifyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -122,8 +137,8 @@ func TestVerifyBatch(t *testing.T) {
 	}
 	var m MACState
 	ok := make([]bool, n)
-	if got := m.VerifyBatch(&key, msgs, macs, ok); got != wantN {
-		t.Fatalf("VerifyBatch = %d verified, want %d", got, wantN)
+	if got := verifyKeyedAll(&m, &key, msgs, macs, ok); got != wantN {
+		t.Fatalf("keyed batch = %d verified, want %d", got, wantN)
 	}
 	var scalar MACState
 	for i := range msgs {
@@ -136,8 +151,8 @@ func TestVerifyBatch(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchAllocFree pins the batch verifier's zero-allocation
-// contract: on warm state, verifying a batch allocates nothing.
+// TestVerifyBatchAllocFree pins the keyed path's zero-allocation contract:
+// on warm state, SetKey plus a batch of VerifyKeyed allocates nothing.
 func TestVerifyBatchAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -155,13 +170,13 @@ func TestVerifyBatchAllocFree(t *testing.T) {
 		macs[i] = append([]byte(nil), mac[:]...)
 	}
 	var m MACState
-	m.VerifyBatch(&key, msgs, macs, ok) // warm the snapshots and hasher
+	verifyKeyedAll(&m, &key, msgs, macs, ok) // warm the snapshots and hasher
 	if got := testing.AllocsPerRun(100, func() {
-		if m.VerifyBatch(&key, msgs, macs, ok) != n {
+		if verifyKeyedAll(&m, &key, msgs, macs, ok) != n {
 			t.Fatal("batch failed to verify")
 		}
 	}); got > 0 {
-		t.Errorf("VerifyBatch: %.1f allocs/op, want 0", got)
+		t.Errorf("SetKey+VerifyKeyed batch: %.1f allocs/op, want 0", got)
 	}
 }
 
@@ -191,7 +206,10 @@ func TestBatchVerifierConcurrent(t *testing.T) {
 			}
 			macs[7][0] ^= 0xFF
 			for round := 0; round < 50; round++ {
-				if got := v.VerifyBatch(&key, msgs, macs, ok); got != n-1 {
+				m := v.Get()
+				got := verifyKeyedAll(m, &key, msgs, macs, ok)
+				v.Put(m)
+				if got != n-1 {
 					t.Errorf("worker %d round %d: %d verified, want %d", w, round, got, n-1)
 					return
 				}
