@@ -54,506 +54,176 @@
 package main
 
 import (
-	"context"
-	"crypto/tls"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
-	"time"
 
-	"glimmers/internal/audit"
-	"glimmers/internal/botdetect"
 	"glimmers/internal/durable"
-	"glimmers/internal/gaas"
-	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
+	"glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
 	"glimmers/internal/xcrypto"
 )
 
-// parsePeers parses "1=host:port,2=host:port" into the fleet node set.
-func parsePeers(s string) ([]gaas.FleetNode, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var nodes []gaas.FleetNode
-	for _, entry := range strings.Split(s, ",") {
-		idStr, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
-		if !ok || addr == "" {
-			return nil, fmt.Errorf("peer %q: want id=host:port", entry)
-		}
-		id, err := strconv.ParseUint(idStr, 10, 32)
-		if err != nil || id == 0 {
-			return nil, fmt.Errorf("peer %q: node id must be a positive integer", entry)
-		}
-		nodes = append(nodes, gaas.FleetNode{ID: uint32(id), Addr: addr})
-	}
-	return nodes, nil
-}
-
-// tenantSpec is one parsed -tenants entry.
-type tenantSpec struct {
-	name string
-	dim  int
-	bot  bool
-}
-
-// parseTenants parses "name:dim,name:bot" into specs.
-func parseTenants(s string) ([]tenantSpec, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var specs []tenantSpec
-	for _, entry := range strings.Split(s, ",") {
-		name, kind, ok := strings.Cut(strings.TrimSpace(entry), ":")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("tenant %q: want name:dim or name:bot", entry)
-		}
-		if kind == "bot" {
-			specs = append(specs, tenantSpec{name: name, dim: botdetect.TenantDim, bot: true})
-			continue
-		}
-		dim, err := strconv.Atoi(kind)
-		if err != nil || dim <= 0 {
-			return nil, fmt.Errorf("tenant %q: dimension must be a positive integer", entry)
-		}
-		specs = append(specs, tenantSpec{name: name, dim: dim})
-	}
-	return specs, nil
-}
-
-// addTenant assembles one tenant: its cloud service, predicate, hosting
-// enclave config, and registry entry.
-func addTenant(registry *service.Registry, as *tee.AttestationService, spec tenantSpec, workers, shards int, ticketTTL int64) (*service.Tenant, error) {
-	svc, err := service.New(spec.name, as.Root())
-	if err != nil {
-		return nil, err
-	}
-	pred := predicate.UnitRangeCheck("unit-range", spec.dim)
-	if spec.bot {
-		pred = botdetect.DefaultDetector.TenantPredicate("bot-tenant")
-	}
-	if err := svc.SetPredicate(pred); err != nil {
-		return nil, err
-	}
-	cfg, err := svc.GlimmerConfig(spec.dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-	// Session tickets (the amortized fast path): one ECDSA-verified grant
-	// per client session, constant-time MACs per contribution thereafter.
-	var ticketPolicy *service.TicketConfig
-	if ticketTTL > 0 {
-		ticketPolicy = &service.TicketConfig{TTL: ticketTTL}
-	}
-	tenant, err := registry.AddTenant(service.TenantConfig{
-		Name:         spec.name,
-		Verify:       svc.ContributionVerifyKey(),
-		Dim:          spec.dim,
-		TicketPolicy: ticketPolicy,
-		Workers:      workers,
-		Shards:       shards,
-		// Unattended daemon: rounds march forward forever, so evict the
-		// least-filled round at the quota instead of wedging ingest, and
-		// refuse rounds far from the ones in flight (the round number is
-		// client-chosen).
-		EvictAtCap:  true,
-		RoundWindow: 16,
-		Glimmer:     cfg,
-		Provision: func(dev *glimmer.Device) error {
-			payload, err := svc.BasePayload()
-			if err != nil {
-				return err
-			}
-			return svc.Provision(dev, payload)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tenant.Manager().Vet(glimmer.BuildBinary(cfg).Measurement())
-	return tenant, nil
-}
-
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7433", "address to listen on")
-	dim := flag.Int("dim", 16, "primary tenant's contribution dimensionality")
-	serviceName := flag.String("service", "demo.glimmers.example", "primary tenant's service name")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "verifier workers per aggregation round")
-	shards := flag.Int("shards", 0, "dedup/sum shards per round (0 = 2×workers)")
-	tenants := flag.String("tenants", "", "extra tenants: name:dim or name:bot, comma-separated")
-	maxRounds := flag.Int("max-total-rounds", service.DefaultMaxTotalRounds,
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
+		log.Fatalf("glimmerd: %v", err)
+	}
+}
+
+// run is the whole daemon: flags → node.Config → node.Start → wait for a
+// stop signal → Drain → print the Report.
+func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
+	// Flags that are node.Config fields parse straight into it.
+	var cfg node.Config
+	fs := flag.NewFlagSet("glimmerd", flag.ExitOnError)
+	listen := fs.String("listen", "127.0.0.1:7433", "address to listen on")
+	dim := fs.Int("dim", 16, "primary tenant's contribution dimensionality")
+	serviceName := fs.String("service", "demo.glimmers.example", "primary tenant's service name")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "verifier workers per aggregation round")
+	shards := fs.Int("shards", 0, "dedup/sum shards per round (0 = 2×workers)")
+	tenants := fs.String("tenants", "", "extra tenants: name:dim or name:bot, comma-separated")
+	fs.IntVar(&cfg.MaxTotalRounds, "max-total-rounds", service.DefaultMaxTotalRounds,
 		"shared budget: live rounds across all tenants")
-	ticketTTL := flag.Int64("ticket-ttl", service.DefaultTicketTTL,
+	ticketTTL := fs.Int64("ticket-ttl", service.DefaultTicketTTL,
 		"session-ticket lifetime in seconds (0 disables the MAC fast path)")
-	stateDir := flag.String("state-dir", "",
+	fs.StringVar(&cfg.StateDir, "state-dir", "",
 		"durable state directory: recover snapshot+WAL on start, snapshot on shutdown (empty disables)")
-	walFlushBytes := flag.Int("wal-flush-bytes", durable.DefaultFlushBytes,
+	fs.IntVar(&cfg.WAL.FlushBytes, "wal-flush-bytes", durable.DefaultFlushBytes,
 		"WAL group-commit: staged bytes that trigger an early flush (4x this applies ingest backpressure)")
-	walFlushInterval := flag.Duration("wal-flush-interval", durable.DefaultFlushInterval,
+	fs.DurationVar(&cfg.WAL.FlushInterval, "wal-flush-interval", durable.DefaultFlushInterval,
 		"WAL group-commit: max time an async record stays staged — the crash-loss window for unsealed accepts")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute,
+	edge := &cfg.Edge
+	fs.DurationVar(&edge.IdleTimeout, "idle-timeout", node.DefaultIdleTimeout,
 		"reap connections idle longer than this (0 disables)")
-	readTimeout := flag.Duration("read-timeout", 30*time.Second,
+	fs.DurationVar(&edge.ReadTimeout, "read-timeout", node.DefaultReadTimeout,
 		"reap connections that take longer than this to deliver one started frame (0 disables)")
-	writeTimeout := flag.Duration("write-timeout", 30*time.Second,
+	fs.DurationVar(&edge.WriteTimeout, "write-timeout", node.DefaultWriteTimeout,
 		"fail reply writes that take longer than this (0 disables)")
-	maxConns := flag.Int("max-conns", 4096,
+	fs.IntVar(&edge.MaxConns, "max-conns", node.DefaultMaxConns,
 		"concurrently served connections; excess is refused with a shed error (0 = unlimited)")
-	maxConnsPerIP := flag.Int("max-conns-per-ip", 64,
+	fs.IntVar(&edge.MaxConnsPerIP, "max-conns-per-ip", node.DefaultMaxConnsPerIP,
 		"concurrently served connections per client IP (0 = unlimited)")
-	maxInflight := flag.Int("max-inflight-batches", 256,
+	fs.IntVar(&edge.MaxInflightBatches, "max-inflight-batches", node.DefaultMaxInflightBatches,
 		"contribution batches concurrently inside the pipelines; excess is shed (0 = unlimited)")
-	tlsSelfSigned := flag.Bool("tls-self-signed", false,
+	tlsSelfSigned := fs.Bool("tls-self-signed", false,
 		"serve TLS with a fresh self-signed cert (transport privacy; client trust stays with attestation)")
-	tlsCert := flag.String("tls-cert", "", "serve TLS with this certificate file (requires -tls-key)")
-	tlsKey := flag.String("tls-key", "", "TLS private key file for -tls-cert")
-	writeKnownHosts := flag.String("write-known-hosts", "",
+	tlsCert := fs.String("tls-cert", "", "serve TLS with this certificate file (requires -tls-key)")
+	tlsKey := fs.String("tls-key", "", "TLS private key file for -tls-cert")
+	writeKnownHosts := fs.String("write-known-hosts", "",
 		"write each tenant's measurement pin to this gaas known-hosts file and continue serving")
-	nodeID := flag.Uint("node-id", 0,
+	nodeID := fs.Uint("node-id", 0,
 		"fleet: this node's ring identity (0 = standalone; required with -peers)")
-	peers := flag.String("peers", "",
+	peers := fs.String("peers", "",
 		"fleet: the full node set as id=host:port pairs, comma-separated (must include -node-id)")
-	coordinator := flag.String("coordinator", "",
+	coordinator := fs.String("coordinator", "",
 		`fleet: "self" serves the fleet-merge command here; host:port ships this node's partial seals there on drain`)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
 
 	switch {
 	case *dim <= 0:
-		log.Fatalf("glimmerd: -dim must be positive, got %d", *dim)
+		return fmt.Errorf("-dim must be positive, got %d", *dim)
 	case *workers <= 0:
-		log.Fatalf("glimmerd: -workers must be positive, got %d", *workers)
+		return fmt.Errorf("-workers must be positive, got %d", *workers)
 	case *shards < 0:
-		log.Fatalf("glimmerd: -shards must be non-negative, got %d", *shards)
-	case *maxRounds <= 0:
-		log.Fatalf("glimmerd: -max-total-rounds must be positive, got %d", *maxRounds)
+		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
+	case cfg.MaxTotalRounds <= 0:
+		return fmt.Errorf("-max-total-rounds must be positive, got %d", cfg.MaxTotalRounds)
 	case *serviceName == "":
-		log.Fatal("glimmerd: -service must not be empty")
+		return fmt.Errorf("-service must not be empty")
 	case *ticketTTL < 0:
-		log.Fatalf("glimmerd: -ticket-ttl must be non-negative, got %d", *ticketTTL)
-	case *idleTimeout < 0:
-		log.Fatalf("glimmerd: -idle-timeout must be non-negative, got %v", *idleTimeout)
-	case *readTimeout < 0 || *writeTimeout < 0:
-		log.Fatalf("glimmerd: timeouts must be non-negative")
-	case *maxConns < 0 || *maxConnsPerIP < 0 || *maxInflight < 0:
-		log.Fatalf("glimmerd: connection and batch caps must be non-negative")
-	case *walFlushBytes <= 0 || *walFlushInterval <= 0:
-		log.Fatal("glimmerd: -wal-flush-bytes and -wal-flush-interval must be positive")
+		return fmt.Errorf("-ticket-ttl must be non-negative, got %d", *ticketTTL)
+	case edge.IdleTimeout < 0 || edge.ReadTimeout < 0 || edge.WriteTimeout < 0:
+		return fmt.Errorf("timeouts must be non-negative")
+	case edge.MaxConns < 0 || edge.MaxConnsPerIP < 0 || edge.MaxInflightBatches < 0:
+		return fmt.Errorf("connection and batch caps must be non-negative")
+	case cfg.WAL.FlushBytes <= 0 || cfg.WAL.FlushInterval <= 0:
+		return fmt.Errorf("-wal-flush-bytes and -wal-flush-interval must be positive")
 	case *tlsSelfSigned && (*tlsCert != "" || *tlsKey != ""):
-		log.Fatal("glimmerd: -tls-self-signed and -tls-cert/-tls-key are mutually exclusive")
+		return fmt.Errorf("-tls-self-signed and -tls-cert/-tls-key are mutually exclusive")
 	case (*tlsCert == "") != (*tlsKey == ""):
-		log.Fatal("glimmerd: -tls-cert and -tls-key must be set together")
+		return fmt.Errorf("-tls-cert and -tls-key must be set together")
 	case *nodeID > uint(^uint32(0)):
-		log.Fatalf("glimmerd: -node-id must fit in 32 bits, got %d", *nodeID)
+		return fmt.Errorf("-node-id must fit in 32 bits, got %d", *nodeID)
+	case *coordinator != "" && *coordinator != "self" && *nodeID == 0:
+		return fmt.Errorf("shipping partial seals (-coordinator host:port) requires -node-id")
 	}
-	peerNodes, err := parsePeers(*peers)
+	cfg.NodeID = uint32(*nodeID)
+	peerNodes, err := parsePeers(*peers, cfg.NodeID)
 	if err != nil {
-		log.Fatalf("glimmerd: -peers: %v", err)
+		return fmt.Errorf("-peers: %v", err)
 	}
-	if len(peerNodes) > 0 {
-		if *nodeID == 0 {
-			log.Fatal("glimmerd: -peers requires -node-id")
-		}
-		found := false
-		for _, n := range peerNodes {
-			found = found || n.ID == uint32(*nodeID)
-		}
-		if !found {
-			log.Fatalf("glimmerd: -peers does not include this node's id %d", *nodeID)
-		}
-	}
-	if *coordinator != "" && *coordinator != "self" && *nodeID == 0 {
-		log.Fatal("glimmerd: shipping partial seals (-coordinator host:port) requires -node-id")
-	}
-	specs := []tenantSpec{{name: *serviceName, dim: *dim}}
-	extra, err := parseTenants(*tenants)
+	cfg.ShardCount = uint32(len(peerNodes))
+	specs, err := parseTenants(*tenants)
 	if err != nil {
-		log.Fatalf("glimmerd: -tenants: %v", err)
+		return fmt.Errorf("-tenants: %v", err)
 	}
-	specs = append(specs, extra...)
+	specs = append([]tenantSpec{{name: *serviceName, dim: *dim}}, specs...)
 
 	as, err := tee.NewAttestationService()
 	if err != nil {
-		log.Fatalf("attestation service: %v", err)
+		return fmt.Errorf("attestation service: %v", err)
 	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		log.Fatalf("platform: %v", err)
+	if edge.Platform, err = tee.NewPlatform(as); err != nil {
+		return fmt.Errorf("platform: %v", err)
 	}
-	registry := service.NewRegistry(*maxRounds)
 	for _, spec := range specs {
-		if _, err := addTenant(registry, as, spec, *workers, *shards, *ticketTTL); err != nil {
-			log.Fatalf("tenant %q: %v", spec.name, err)
+		tc, err := tenantConfig(as, spec, *workers, *shards, *ticketTTL)
+		if err != nil {
+			return fmt.Errorf("tenant %q: %v", spec.name, err)
 		}
+		cfg.Tenants = append(cfg.Tenants, tc)
 	}
-
-	// Durable state: recover before serving, snapshot after draining.
-	// Only aggregates, digests, counters, and ticket keys are persisted —
-	// never raw contributions (see README, "Durability"). Recovery and
-	// snapshot events go to <state-dir>/audit.log.
-	var store *durable.Store
-	if *stateDir != "" {
-		store, err = durable.OpenConfig(*stateDir, durable.Config{
-			FlushBytes:    *walFlushBytes,
-			FlushInterval: *walFlushInterval,
-		})
-		if err != nil {
-			log.Fatalf("state dir: %v", err)
-		}
-		auditFile, err := os.OpenFile(filepath.Join(*stateDir, "audit.log"),
-			os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("audit log: %v", err)
-		}
-		defer auditFile.Close()
-		store.SetAudit(audit.NewLog(auditFile, nil))
-		stats, err := store.Recover(registry)
-		if err != nil {
-			log.Fatalf("recover: %v", err)
-		}
-		fmt.Printf("glimmerd: recovered state dir %s: snapshot=%v generation=%d wal_records=%d truncated=%dB replay_errors=%d\n",
-			*stateDir, stats.SnapshotLoaded, stats.Generation, stats.Records, stats.TruncatedBytes, stats.ReplayErrors)
+	if edge.TLS, err = tlsConfig(*listen, *tlsSelfSigned, *tlsCert, *tlsKey); err != nil {
+		return fmt.Errorf("tls: %v", err)
 	}
-
-	// The TLS transport denies passive observers the frame plaintext; the
-	// trust decision stays with attestation (clients pin measurements, not
-	// certificates), so a self-signed cert is a legitimate deployment.
-	var tlsConf *tls.Config
-	switch {
-	case *tlsSelfSigned:
-		host := *listen
-		if h, _, err := net.SplitHostPort(*listen); err == nil && h != "" {
-			host = h
-		}
-		tlsConf, err = gaas.SelfSignedServerTLS(host)
-		if err != nil {
-			log.Fatalf("tls: %v", err)
-		}
-	case *tlsCert != "":
-		cert, err := tls.LoadX509KeyPair(*tlsCert, *tlsKey)
-		if err != nil {
-			log.Fatalf("tls: %v", err)
-		}
-		tlsConf = &tls.Config{Certificates: []tls.Certificate{cert}, MinVersion: tls.VersionTLS12}
-	}
-
-	server := gaas.New(gaas.ServerConfig{
-		Platform:           platform,
-		Hosts:              registry,
-		Ingest:             registry,
-		TLS:                tlsConf,
-		ReadTimeout:        *readTimeout,
-		WriteTimeout:       *writeTimeout,
-		IdleTimeout:        *idleTimeout,
-		MaxConns:           *maxConns,
-		MaxConnsPerIP:      *maxConnsPerIP,
-		MaxInflightBatches: *maxInflight,
-	})
-
-	// Fleet plane: peer batch forwarding always mounts in fleet mode; the
-	// merge hub mounts only on the coordinator. The node signing key is
-	// per-process — coordinators pin it on first use, so a later key swap
-	// under the same node id is refused.
-	fleetMode := *nodeID != 0 || *coordinator != ""
-	var hub *service.MergeHub
+	// Fleet role: "self" serves merges from an in-process hub (TOFU node
+	// pinning); any other coordinator is where this node's partial seals
+	// ship on drain. The node signing key is per-process — coordinators
+	// pin it on first use, so a later key swap under the same node id is
+	// refused.
 	if *coordinator == "self" {
-		hub = &service.MergeHub{AllowTOFU: true}
+		cfg.Hub = &service.MergeHub{AllowTOFU: true}
+	} else {
+		cfg.Coordinator = *coordinator
 	}
-	var nodeKey *xcrypto.SigningKey
-	if fleetMode {
-		if nodeKey, err = xcrypto.NewSigningKey(); err != nil {
-			log.Fatalf("fleet node key: %v", err)
+	if cfg.NodeID != 0 {
+		if cfg.SealKey, err = xcrypto.NewSigningKey(); err != nil {
+			return fmt.Errorf("fleet node key: %v", err)
 		}
-		var forward gaas.Ingestor
-		if *nodeID != 0 {
-			forward = registry
-		}
-		server.Mux().HandleFleet(forward, hub)
 	}
-
-	ln, err := net.Listen("tcp", *listen)
+	if cfg.Listener, err = net.Listen("tcp", *listen); err != nil {
+		return fmt.Errorf("listen: %v", err)
+	}
+	n, err := node.Start(cfg)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return err
 	}
-	transport := "tcp"
-	if tlsConf != nil {
-		transport = "tcp+tls"
-	}
-	fmt.Printf("glimmerd: serving %d tenant(s) on %s over %s (budget %d rounds, %d verifier workers/round)\n",
-		len(specs), ln.Addr(), transport, *maxRounds, *workers)
-	fmt.Printf("glimmerd: edge limits: max-conns=%d per-ip=%d inflight-batches=%d read=%v write=%v idle=%v\n",
-		*maxConns, *maxConnsPerIP, *maxInflight, *readTimeout, *writeTimeout, *idleTimeout)
-	if fleetMode {
-		fmt.Printf("glimmerd: fleet: role=%s peers=%d coordinator=%q\n",
-			fleetRole(uint32(*nodeID), hub != nil), len(peerNodes), *coordinator)
-	}
-	for _, t := range registry.Tenants() {
-		meas, err := server.MeasurementFor(t.Name())
-		if err != nil {
-			log.Fatalf("tenant %q: %v", t.Name(), err)
-		}
-		fmt.Printf("glimmerd: tenant %-28s dim=%-4d measurement %s (clients must pin this)\n",
-			t.Name(), t.Config().Dim, meas)
-	}
+	out := printer{stdout}
+	out.status(n, cfg, *workers, *coordinator)
 	if *writeKnownHosts != "" {
-		// Export the pins in the client's known-hosts format: devices
-		// provisioned from this file skip the TOFU leap of faith entirely.
-		known, err := gaas.LoadKnownHosts(*writeKnownHosts)
-		if err != nil {
-			log.Fatalf("known hosts: %v", err)
+		if err := out.writePins(*writeKnownHosts, n.Registry().Tenants()); err != nil {
+			n.Kill()
+			return fmt.Errorf("known hosts: %v", err)
 		}
-		for _, t := range registry.Tenants() {
-			if err := known.Pin(t.Name(), t.Measurement()); err != nil {
-				log.Fatalf("known hosts: %v", err)
-			}
-		}
-		fmt.Printf("glimmerd: wrote %d measurement pin(s) to %s\n", known.Len(), *writeKnownHosts)
 	}
 
-	// Graceful shutdown: stop accepting, drain in-flight batches, then
-	// report per-tenant sealed sums and rejection counters.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigs
-		fmt.Printf("glimmerd: %v: stopping accept loop, draining in-flight batches\n", sig)
-		_ = ln.Close()
-	}()
-
-	if err := server.Serve(ln); err != nil {
-		log.Fatalf("serve: %v", err)
+	// Graceful shutdown: stop accepting, drain in-flight batches, seal,
+	// ship, snapshot — then report what the node held.
+	select {
+	case sig := <-stop:
+		out.say("%v: stopping accept loop, draining in-flight batches", sig)
+	case <-n.Done(): // the accept loop died on its own; Drain reports why
 	}
-	server.Shutdown() // waits for every connection handler to settle
-	stats := server.Stats()
-	fmt.Printf("glimmerd: edge counters: refused-max-conns=%d refused-per-ip=%d shed-batches=%d\n",
-		stats.RefusedMaxConns, stats.RefusedPerIP, stats.ShedBatches)
-	reportTenants(registry)
-	if fleetMode {
-		// Ship this node's partial seals before snapshotting: the rounds
-		// are sealed (reportTenants fixed every cohort), so each export is
-		// the round's final partial.
-		if *coordinator != "" && *coordinator != "self" {
-			shardCount := uint32(len(peerNodes))
-			if shardCount == 0 {
-				shardCount = 1
-			}
-			shipPartialSeals(registry, server, *coordinator, service.NodeSeal{
-				NodeID:      uint32(*nodeID),
-				ShardCount:  shardCount,
-				Measurement: server.Measurement(),
-				Key:         nodeKey,
-			})
-		}
-		if hub != nil {
-			for svc, rounds := range hub.Merges() {
-				for _, round := range rounds {
-					if m, ok := hub.Lookup(svc, round); ok {
-						res := m.Result()
-						fmt.Printf("glimmerd: merge %s round %-6d partials=%d/%d cohort=%d rejected=%d refused=%d complete=%v\n",
-							svc, round, res.Merged, res.Expect, res.Count, res.Rejected, res.Refused, m.Complete())
-					}
-				}
-			}
-		}
-		fs := server.FleetStats()
-		fmt.Printf("glimmerd: fleet counters: role=%s partials sent=%d received=%d refused=%d forwarded-batches=%d\n",
-			fleetRole(uint32(*nodeID), hub != nil), fs.PartialsSent, fs.PartialsReceived, fs.PartialsRefused, fs.ForwardedBatches)
-	}
-	if store != nil {
-		ws := store.Stats()
-		coalesce := float64(ws.Records)
-		if ws.Writes > 0 {
-			coalesce = float64(ws.Records) / float64(ws.Writes)
-		}
-		fmt.Printf("glimmerd: wal: records=%d writes=%d (%.1f rec/write) bytes=%d syncs=%d barrier_waits=%d staged_peak=%dB\n",
-			ws.Records, ws.Writes, coalesce, ws.BytesWritten, ws.Syncs, ws.BarrierWaits, ws.StagedPeak)
-		// Ingest is quiesced (listener closed, handlers drained, rounds
-		// sealed by the report), so the image is consistent by contract.
-		if err := store.Snapshot(registry); err != nil {
-			log.Fatalf("snapshot: %v", err)
-		}
-		if err := store.Close(); err != nil {
-			log.Fatalf("state close: %v", err)
-		}
-		fmt.Printf("glimmerd: state snapshotted to %s\n", *stateDir)
-	}
-}
-
-// fleetRole names this process's fleet role for the status lines.
-func fleetRole(nodeID uint32, coordinator bool) string {
-	switch {
-	case nodeID != 0 && coordinator:
-		return fmt.Sprintf("node-%d+coordinator", nodeID)
-	case nodeID != 0:
-		return fmt.Sprintf("node-%d", nodeID)
-	case coordinator:
-		return "coordinator"
-	default:
-		return "standalone"
-	}
-}
-
-// shipPartialSeals exports every tenant round's signed partial seal and
-// ships it to the remote merge coordinator. Shipping is best-effort at
-// drain time: a refused or unreachable coordinator is reported, not
-// fatal — the durable snapshot still holds the partials for a retry.
-func shipPartialSeals(registry *service.Registry, server *gaas.Server, addr string, node service.NodeSeal) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	client, err := gaas.DialContext(ctx, addr, gaas.DialConfig{NoSession: true})
-	if err != nil {
-		fmt.Printf("glimmerd: coordinator %s unreachable: %v\n", addr, err)
-		return
-	}
-	defer client.Close()
-	for _, t := range registry.Tenants() {
-		m := t.Manager()
-		for _, round := range m.Rounds() {
-			seal, err := m.ExportPartialSeal(round, node)
-			if err != nil {
-				fmt.Printf("glimmerd: partial seal %s round %d: %v\n", t.Name(), round, err)
-				continue
-			}
-			res, err := client.MergePartialSeal(seal)
-			if err != nil {
-				fmt.Printf("glimmerd: coordinator refused %s round %d: %v\n", t.Name(), round, err)
-				continue
-			}
-			server.NotePartialSent()
-			fmt.Printf("glimmerd: shipped partial %s round %-6d merge now %d/%d partials cohort=%d\n",
-				t.Name(), round, res.Merged, res.Expect, res.Count)
-		}
-	}
-}
-
-// reportTenants seals every live round and prints each tenant's final
-// aggregation state.
-func reportTenants(registry *service.Registry) {
-	for _, t := range registry.Tenants() {
-		m := t.Manager()
-		rejected := m.Rejected()
-		fmt.Printf("glimmerd: tenant %s\n", t.Name())
-		for _, round := range m.Rounds() {
-			p, ok := m.Lookup(round)
-			if !ok {
-				continue
-			}
-			_ = p.Seal() // fix the cohort; a closed round is already final
-			rejected += p.Rejected()
-			fmt.Printf("glimmerd:   round %-6d sealed: accepted=%-6d sum=%s\n",
-				round, p.Count(), p.Sum().Digest())
-		}
-		fmt.Printf("glimmerd:   rejected total: %d (manager + pipelines)\n", rejected)
-	}
-	fmt.Printf("glimmerd: routing rejections (unroutable/unknown tenant): %d\n", registry.Rejected())
+	rep, err := n.Drain()
+	out.report(rep, cfg.StateDir)
+	return err
 }

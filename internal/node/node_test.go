@@ -1,0 +1,248 @@
+package node
+
+import (
+	"context"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"glimmers/internal/durable"
+	"glimmers/internal/fixed"
+	"glimmers/internal/gaas"
+	"glimmers/internal/glimmer"
+	"glimmers/internal/predicate"
+	"glimmers/internal/service"
+	"glimmers/internal/tee"
+)
+
+const (
+	testService = "node.example"
+	testDim     = 4
+)
+
+// world is what outlives a node life: the attestation root, the platform,
+// and the tenant's service (keys and predicate).
+type world struct {
+	platform *tee.Platform
+	svc      *service.Service
+	glimmer  glimmer.Config
+	payload  glimmer.ProvisionPayload
+}
+
+func newWorld(t *testing.T) *world {
+	t.Helper()
+	as, err := tee.NewAttestationService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &world{}
+	if w.platform, err = tee.NewPlatform(as); err != nil {
+		t.Fatal(err)
+	}
+	if w.svc, err = service.New(testService, as.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.svc.SetPredicate(predicate.UnitRangeCheck("unit-range", testDim)); err != nil {
+		t.Fatal(err)
+	}
+	if w.glimmer, err = w.svc.GlimmerConfig(testDim, glimmer.ModeNone, glimmer.DefaultPolicy); err != nil {
+		t.Fatal(err)
+	}
+	w.svc.Vet(glimmer.BuildBinary(w.glimmer).Measurement())
+	if w.payload, err = w.svc.BasePayload(); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// start runs one node life over dir on a fresh loopback TLS listener.
+func (w *world) start(t *testing.T, dir string, wal durable.Config) (*Node, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlsConf, err := gaas.SelfSignedServerTLS("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Start(Config{
+		Tenants: []service.TenantConfig{{
+			Name:         testService,
+			Verify:       w.svc.ContributionVerifyKey(),
+			Dim:          testDim,
+			Vetted:       []tee.Measurement{glimmer.BuildBinary(w.glimmer).Measurement()},
+			TicketPolicy: &service.TicketConfig{},
+			Workers:      2,
+			EvictAtCap:   DefaultEvictAtCap,
+			RoundWindow:  DefaultRoundWindow,
+		}},
+		StateDir: dir,
+		WAL:      wal,
+		Listener: ln,
+		Edge: gaas.ServerConfig{
+			Platform:     w.platform,
+			TLS:          tlsConf,
+			ReadTimeout:  DefaultReadTimeout,
+			WriteTimeout: DefaultWriteTimeout,
+			IdleTimeout:  DefaultIdleTimeout,
+			MaxConns:     DefaultMaxConns,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, ln.Addr().String()
+}
+
+// session is one device's whole path over TLS: provision, dial, ticket
+// grant, one ticketed contribution to round in a one-item frame.
+func (w *world) session(t *testing.T, addr string, round uint64) {
+	t.Helper()
+	dev, err := glimmer.NewDevice(w.platform, w.glimmer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Destroy()
+	if err := w.svc.Provision(dev, w.payload); err != nil {
+		t.Fatal(err)
+	}
+	client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{
+		NoSession: true, TLS: gaas.InsecureClientTLS(), CallTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	req, err := dev.TicketRequest(round, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := client.RequestTicket(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.InstallTicket(grant); err != nil {
+		t.Fatal(err)
+	}
+	value := fixed.NewVector(testDim)
+	for i := range value {
+		value[i] = fixed.FromFloat(0.25)
+	}
+	tc, err := dev.ContributeTicketed(round, value, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, rejected, err := client.SubmitBatch([][]byte{glimmer.EncodeTicketedContribution(tc)})
+	if err != nil || accepted != 1 || rejected != 0 {
+		t.Fatalf("submit tallied (%d, %d), err %v; want (1, 0)", accepted, rejected, err)
+	}
+}
+
+// TestStartDrainRecover is the shipped life cycle end to end: a device's
+// contribution crosses the TLS edge into a durable node, Drain seals,
+// snapshots and reports it, and the next life over the same directory
+// comes back holding the sealed round with the identical sum.
+func TestStartDrainRecover(t *testing.T) {
+	w, dir := newWorld(t), t.TempDir()
+	n, addr := w.start(t, dir, durable.Config{})
+	if rs := n.Recovered(); rs.SnapshotLoaded || rs.Records != 0 {
+		t.Fatalf("cold start found state: %+v", rs)
+	}
+	w.session(t, addr, 7)
+	rep, err := n.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Tenants) != 1 || len(rep.Tenants[0].Rounds) != 1 {
+		t.Fatalf("report holds %+v, want one tenant with one round", rep.Tenants)
+	}
+	tenant := rep.Tenants[0]
+	round := tenant.Rounds[0]
+	if tenant.Name != testService || round.Round != 7 || round.Accepted != 1 {
+		t.Errorf("report round = %s/%d accepted %d, want %s/7 accepted 1", tenant.Name, round.Round, round.Accepted, testService)
+	}
+	if tenant.PipelineRejected != 0 || tenant.ManagerRejected != 0 || rep.RoutingRejected != 0 {
+		t.Errorf("refusals pipeline=%d manager=%d routing=%d, want 0 at every level",
+			tenant.PipelineRejected, tenant.ManagerRejected, rep.RoutingRejected)
+	}
+	if rep.Role != "standalone" || rep.Edge.ShedBatches != 0 || rep.Edge.RefusedMaxConns != 0 {
+		t.Errorf("role %q edge %+v, want a standalone node that refused nothing", rep.Role, rep.Edge)
+	}
+	if rep.WAL.Records == 0 || !rep.Snapshotted {
+		t.Errorf("WAL records=%d snapshotted=%v, want journaled work and a snapshot", rep.WAL.Records, rep.Snapshotted)
+	}
+	for _, name := range []string{"snapshot", "audit.log"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("after Drain: %v", err)
+		}
+	}
+
+	again, _ := w.start(t, dir, durable.Config{})
+	defer again.Kill()
+	if !again.Recovered().SnapshotLoaded {
+		t.Fatalf("second life did not load the snapshot: %+v", again.Recovered())
+	}
+	hosted, _ := again.Registry().Tenant(testService)
+	p, ok := hosted.Manager().Lookup(7)
+	if !ok {
+		t.Fatal("second life lost round 7")
+	}
+	if p.Count() != 1 || !slices.Equal(p.Sum(), round.Sum) {
+		t.Errorf("recovered round 7: count %d sum %v, want 1 and %v", p.Count(), p.Sum(), round.Sum)
+	}
+	if err := p.Add(nil); err != service.ErrRoundSealed {
+		t.Errorf("recovered round 7 takes input (%v), want it sealed", err)
+	}
+}
+
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open fds: %v", err)
+	}
+	return len(fds)
+}
+
+// TestKillLeaksNothing: Kill must release the dead life — WAL fd, audit
+// fd, listener, flusher and accept-loop goroutines — the way a real crash
+// would, and write nothing on its way out: the next life sees exactly the
+// flushed prefix. (TestSimKillLeaksNothing's assertions, against Node.)
+func TestKillLeaksNothing(t *testing.T) {
+	w, dir := newWorld(t), t.TempDir()
+	// Huge thresholds: only barriers and explicit flushes reach the disk.
+	manual := durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}
+	n, addr := w.start(t, dir, manual)
+	w.session(t, addr, 1)
+	w.session(t, addr, 1)
+	if err := n.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.Kill()
+
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	for i := 0; i < 10; i++ {
+		n, addr = w.start(t, dir, manual)
+		hosted, _ := n.Registry().Tenant(testService)
+		if p, ok := hosted.Manager().Lookup(1); !ok || p.Count() != 2 {
+			t.Fatalf("life %d recovered round 1 = %v, want the 2 flushed accepts", i, ok)
+		}
+		w.session(t, addr, 1) // accepted, staged, never flushed: dies with the life
+		n.Kill()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for (runtime.NumGoroutine() > goroutines || openFDs(t) > fds) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("%d goroutines after 10 kills, baseline %d: dead lives leaked", got, goroutines)
+	}
+	if got := openFDs(t); got > fds {
+		t.Errorf("%d open fds after 10 kills, baseline %d: dead lives leaked", got, fds)
+	}
+}

@@ -127,27 +127,26 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 		}
 		return
 	}
-	if p.cfg.Workers == 1 {
-		// Serial plan: the whole batch through one arena, inline.
-		p.processBatch(raws, errs)
-		p.pending.Add(-len(raws))
-		return
-	}
-	p.poolOnce.Do(p.startPool)
-	var wg sync.WaitGroup
-	chunk := (len(raws) + p.cfg.Workers - 1) / p.cfg.Workers
-	if chunk < minBatchChunk {
-		chunk = minBatchChunk
-	}
-	for start := 0; start < len(raws); start += chunk {
-		end := start + chunk
-		if end > len(raws) {
-			end = len(raws)
+	// Chunks of at least minBatchChunk items, at most Workers of them. All
+	// but the last go to the pool; the last runs here, on the goroutine
+	// that would otherwise only park on wg.Wait — so a frame that fits one
+	// chunk (Workers == 1, or a small frame) never pays a channel send and
+	// two wakes for zero parallelism, and never starts the pool.
+	chunk := max((len(raws)+p.cfg.Workers-1)/p.cfg.Workers, minBatchChunk)
+	var wg *sync.WaitGroup
+	if len(raws) > chunk {
+		p.poolOnce.Do(p.startPool)
+		wg = new(sync.WaitGroup) // allocated only when the frame splits
+		for ; len(raws) > chunk; raws, errs = raws[chunk:], errs[chunk:] {
+			wg.Add(1)
+			p.jobs <- batchJob{raws: raws[:chunk], errs: errs[:chunk], wg: wg}
 		}
-		wg.Add(1)
-		p.jobs <- batchJob{raws: raws[start:end], errs: errs[start:end], wg: &wg}
 	}
-	wg.Wait()
+	p.processBatch(raws, errs)
+	p.pending.Add(-len(raws))
+	if wg != nil {
+		wg.Wait()
+	}
 }
 
 // minBatchChunk bounds fan-out granularity: below this, handoff overhead

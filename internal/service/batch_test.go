@@ -331,3 +331,76 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 		t.Fatalf("count = %d, want %d", p.Count(), (b+1)*batchSize)
 	}
 }
+
+// mixedFrame builds an n-item frame mixing both wire variants with every
+// kind of refusal. Each duplicate sits right behind its original, so for
+// chunk sizes that are multiples of 8 the pair shares a chunk and the
+// frame's error slots are deterministic whatever the fan-out.
+func mixedFrame(n, dim int, round uint64, good testTicket) [][]byte {
+	frame := make([][]byte, n)
+	for i := range frame {
+		switch i % 8 {
+		case 1: // signed variant: takes the per-item path at its position
+			sc := glimmer.SignedContribution{
+				ServiceName: "batch.example", Round: round,
+				Blinded: make(fixed.Vector, dim), Confidence: 1,
+			}
+			sc.Blinded[0] = fixed.Ring(uint64(i) + 1)
+			frame[i] = glimmer.EncodeSignedContribution(sc)
+		case 2: // ErrBadMAC
+			frame[i] = ticketedRaw("batch.example", round, dim, i, good)
+			frame[i][len(frame[i])-1] ^= 0xFF
+		case 4: // ErrWrongRound
+			frame[i] = ticketedRaw("batch.example", round+1, dim, i, good)
+		case 5: // decode error
+			frame[i] = []byte{0xFF, 0xFF, 0xFF, byte(i)}
+		case 7: // ErrDuplicate of the item before
+			frame[i] = append([]byte(nil), frame[i-1]...)
+		default: // accept
+			frame[i] = ticketedRaw("batch.example", round, dim, i, good)
+		}
+	}
+	return frame
+}
+
+// TestAddBatchInlineChunkMatchesSerial is the differential test for the
+// chunking rule: a frame that fits one chunk runs on the caller, a frame
+// that splits keeps its last chunk there, and either way the error slots,
+// the sum and the rejection count are those of the Workers == 1 plan. A
+// frame of at most minBatchChunk items must not start the pool at all.
+func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
+	const dim, round = 8, uint64(3)
+	tbl := NewTicketTable(TicketConfig{})
+	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 1 << 32}
+	tbl.Install(good.id, good.key, good.first, good.last, 1<<62)
+	for _, n := range []int{1, minBatchChunk, minBatchChunk + 1, 128} {
+		frame := mixedFrame(n, dim, round, good)
+		serial := batchPipeline(dim, round, 1, tbl)
+		want := serial.AddBatch(frame)
+		pooled := batchPipeline(dim, round, 4, tbl)
+		got := pooled.AddBatch(frame)
+		for i := range frame {
+			if (want[i] == nil) != (got[i] == nil) || want[i] != nil && want[i].Error() != got[i].Error() {
+				t.Errorf("n=%d item %d: workers=1 err %v, workers=4 err %v", n, i, want[i], got[i])
+			}
+		}
+		if serial.Count() != pooled.Count() || serial.Rejected() != pooled.Rejected() {
+			t.Errorf("n=%d: tallies (%d, %d) under workers=4, want (%d, %d)",
+				n, pooled.Count(), pooled.Rejected(), serial.Count(), serial.Rejected())
+		}
+		if serial.Rejected() == 0 && n > 2 {
+			t.Errorf("n=%d: the mixed frame refused nothing", n)
+		}
+		if w, g := serial.Sum().Digest(), pooled.Sum().Digest(); w != g {
+			t.Errorf("n=%d: sum digest %s under workers=4, want %s", n, g, w)
+		}
+		if serial.poolStarted.Load() {
+			t.Errorf("n=%d: workers=1 started a pool", n)
+		}
+		if started, splits := pooled.poolStarted.Load(), n > minBatchChunk; started != splits {
+			t.Errorf("n=%d: workers=4 pool started = %v, want %v", n, started, splits)
+		}
+		serial.Close()
+		pooled.Close()
+	}
+}

@@ -129,9 +129,9 @@ type Pipeline struct {
 	// without synchronization on the hot path.
 	journal Journal
 
-	// The worker pool starts lazily on the first AddBatch, so a Pipeline
-	// used only through the synchronous Add costs no
-	// goroutines.
+	// The worker pool starts lazily on the first AddBatch frame that splits
+	// into more than one chunk, so a Pipeline fed by Add or by small frames
+	// costs no goroutines.
 	poolOnce    sync.Once
 	poolStarted atomic.Bool
 	jobs        chan batchJob
@@ -293,7 +293,7 @@ func (p *Pipeline) Add(raw []byte) error {
 
 // AddBatch verifies and accumulates a batch of encoded contributions
 // through the batch plan (see batch.go), chunking across the verifier pool
-// when Workers > 1, and returns one error slot per input (nil for
+// when the batch splits, and returns one error slot per input (nil for
 // accepted). It blocks until the whole batch has settled.
 func (p *Pipeline) AddBatch(raws [][]byte) []error {
 	errs := make([]error, len(raws))

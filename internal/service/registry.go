@@ -174,6 +174,9 @@ type TenantConfig struct {
 	Verify *xcrypto.VerifyKey
 	// Dim is the tenant's contribution dimensionality.
 	Dim int
+	// Vetted allowlists Glimmer measurements for every round from the
+	// start (RoundManager.Vet adds more later).
+	Vetted []tee.Measurement
 
 	// Workers, Shards, and ExpectedCohort size each round's pipeline (see
 	// PipelineConfig).
@@ -296,6 +299,9 @@ func (r *Registry) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	m.RoundWindow = cfg.RoundWindow
 	m.EvictAtCap = cfg.EvictAtCap
 	m.UseBudget(r.budget)
+	for _, meas := range cfg.Vetted {
+		m.Vet(meas)
+	}
 	t := &Tenant{cfg: cfg, manager: m}
 	r.tenants[cfg.Name] = t
 	return t, nil

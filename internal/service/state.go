@@ -333,12 +333,12 @@ func (p *Pipeline) restoreAccepted(digests [][32]byte, delta fixed.Vector) {
 // clock-dependent.
 func (t *TicketTable) restoreTicket(tk TicketState) {
 	t.mu.Lock()
-	t.entries[tk.ID] = ticketEntry{
+	t.putLocked(tk.ID, ticketEntry{
 		key:         tk.Key,
 		roundFirst:  tk.RoundFirst,
 		roundLast:   tk.RoundLast,
 		expiresUnix: tk.ExpiresUnix,
-	}
+	})
 	t.mu.Unlock()
 }
 

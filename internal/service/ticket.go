@@ -90,6 +90,9 @@ type ticketEntry struct {
 	key                   xcrypto.SessionKey
 	roundFirst, roundLast uint64
 	expiresUnix           int64
+	// seq orders entries by when this table gained them (grant, or replay
+	// order after a restore); it breaks eviction ties and is not persisted.
+	seq uint64
 }
 
 // TicketTable holds one tenant's live session tickets. All methods are
@@ -99,6 +102,7 @@ type TicketTable struct {
 
 	mu      sync.RWMutex
 	entries map[uint64]ticketEntry
+	nextSeq uint64
 
 	// tenant/journal route grant and evict events to the durable journal
 	// (see state.go); set via Registry.SetJournal before traffic.
@@ -152,8 +156,11 @@ func (t *TicketTable) journalInsert(j Journal, tenant string, evicted []uint64, 
 }
 
 // insertLocked adds an entry, enforcing the bound: expired tickets are
-// dropped first, then the soonest-expiring live ticket is evicted (lowest
-// ID on ties, so eviction is deterministic). It returns the removed IDs
+// dropped first, then the soonest-expiring live ticket is evicted. Expiry
+// has one-second resolution, so a burst of grants ties; the oldest grant
+// goes first — IDs are random, and breaking the tie by ID could evict the
+// ticket a session granted milliseconds ago is about to use. It returns
+// the removed IDs
 // so the caller can journal them — replay re-applies recorded removals
 // instead of re-running this policy, which keeps replay clock-independent.
 func (t *TicketTable) insertLocked(id uint64, e ticketEntry) (evicted []uint64) {
@@ -170,11 +177,11 @@ func (t *TicketTable) insertLocked(id uint64, e ticketEntry) (evicted []uint64) 
 	}
 	for len(t.entries) >= t.cfg.MaxTickets {
 		var victim uint64
-		var victimExp int64
+		var oldest ticketEntry
 		found := false
 		for k, v := range t.entries {
-			if !found || v.expiresUnix < victimExp || (v.expiresUnix == victimExp && k < victim) {
-				victim, victimExp, found = k, v.expiresUnix, true
+			if !found || v.expiresUnix < oldest.expiresUnix || (v.expiresUnix == oldest.expiresUnix && v.seq < oldest.seq) {
+				victim, oldest, found = k, v, true
 			}
 		}
 		delete(t.entries, victim)
@@ -182,8 +189,15 @@ func (t *TicketTable) insertLocked(id uint64, e ticketEntry) (evicted []uint64) 
 			evicted = append(evicted, victim)
 		}
 	}
-	t.entries[id] = e
+	t.putLocked(id, e)
 	return evicted
+}
+
+// putLocked stores an entry under the next grant sequence number.
+func (t *TicketTable) putLocked(id uint64, e ticketEntry) {
+	e.seq = t.nextSeq
+	t.nextSeq++
+	t.entries[id] = e
 }
 
 // check is the ingest hot path: resolve the ticket and enforce expiry and

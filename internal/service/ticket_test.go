@@ -579,3 +579,42 @@ func TestTicketCheckAllocFree(t *testing.T) {
 		t.Errorf("ticket check: %.1f allocs/op, want 0", got)
 	}
 }
+
+// TestTicketEvictionTieBreaksOldestGrantFirst: expiry has one-second
+// resolution, so a table filled within one second ties on it throughout.
+// The victim must then be the oldest grant — never, as a tie-break on the
+// (random) ticket ID allowed, one granted a moment ago and about to be
+// used — and the order must survive a restore.
+func TestTicketEvictionTieBreaksOldestGrantFirst(t *testing.T) {
+	const maxTickets = 8
+	cfg := TicketConfig{MaxTickets: maxTickets, TTL: 50, Now: func() int64 { return 1000 }}
+	// IDs descend, so the lowest ID is always the newest grant.
+	id := func(i int) uint64 { return uint64(1000 - i) }
+	fill := func(tbl *TicketTable) {
+		for i := 0; i < maxTickets; i++ {
+			tbl.Install(id(i), xcrypto.SessionKey{byte(i)}, 0, 10, 1050)
+		}
+	}
+	check := func(tbl *TicketTable, what string) {
+		t.Helper()
+		tbl.Install(id(maxTickets), xcrypto.SessionKey{0xFF}, 0, 10, 1050)
+		if _, err := tbl.check(id(0), 5); !errors.Is(err, ErrUnknownTicket) {
+			t.Errorf("%s: the first grant survived the eviction: %v", what, err)
+		}
+		for i := 1; i <= maxTickets; i++ {
+			if _, err := tbl.check(id(i), 5); err != nil {
+				t.Errorf("%s: grant %d of the newest %d was evicted: %v", what, i, maxTickets, err)
+			}
+		}
+	}
+	live := NewTicketTable(cfg)
+	fill(live)
+	check(live, "live table")
+
+	// A restore assigns sequence in replay order: the journal's order.
+	restored := NewTicketTable(cfg)
+	for i := 0; i < maxTickets; i++ {
+		restored.restoreTicket(TicketState{ID: id(i), Key: xcrypto.SessionKey{byte(i)}, RoundLast: 10, ExpiresUnix: 1050})
+	}
+	check(restored, "restored table")
+}

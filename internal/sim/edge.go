@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"glimmers/internal/gaas"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
 )
@@ -89,7 +90,7 @@ var edgeHosting = service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: 16
 
 // edgeNode is a governed TLS edge admitting maxConns connections.
 func edgeNode(id uint32, maxConns int) nodeSpec {
-	return nodeSpec{id: id, budget: 8, transport: TransportTLS, limits: gaas.ServerConfig{
+	return nodeSpec{transport: TransportTLS, Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, Edge: gaas.ServerConfig{
 		ReadTimeout:  250 * time.Millisecond, // what reaps a slowloris
 		WriteTimeout: 2 * time.Second,
 		// Generous: the honest lanes idle through the attack phases and
@@ -97,7 +98,7 @@ func edgeNode(id uint32, maxConns int) nodeSpec {
 		// frame, not an idle connection.
 		IdleTimeout: 30 * time.Second,
 		MaxConns:    maxConns,
-	}}
+	}}}
 }
 
 // edgeClients is the honest fleet's client side: the lanes it holds
@@ -188,7 +189,7 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 			// and nothing else.
 			n := s.at(owner)
 			s.reconcile("edge", n.ledger(n.manager(s.t)), refusals{tenant: 0, manager: 0, registry: rep.FloodAdmitted})
-			rep.Edge = n.server.Stats()
+			rep.Edge = n.Server().Stats()
 			if rep.Edge.RefusedMaxConns != int64(rep.FloodRefused) {
 				s.violate("final RefusedMaxConns = %d, want %d", rep.Edge.RefusedMaxConns, rep.FloodRefused)
 			}
@@ -206,7 +207,7 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 	return func(s *script) (err error) {
 		n := s.at(owner)
-		if f.meas, err = n.server.MeasurementFor(s.t.name); err != nil {
+		if f.meas, err = n.Server().MeasurementFor(s.t.name); err != nil {
 			return fmt.Errorf("sim: edge measurement: %w", err)
 		}
 		f.verifier = &tee.QuoteVerifier{Root: n.sub.as.Root()}
@@ -214,7 +215,7 @@ func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 		f.dialCfg = edgeDial(10 * time.Second)
 		f.dialCfg.Service, f.dialCfg.Verifier, f.dialCfg.KnownHosts = s.t.name, f.verifier, f.known
 		for i := 0; i < lanes; i++ {
-			c, err := gaas.DialContext(context.Background(), n.listener.Addr().String(), f.dialCfg)
+			c, err := gaas.DialContext(context.Background(), n.addr, f.dialCfg)
 			if err != nil {
 				return fmt.Errorf("sim: lane %d: %w", i, err)
 			}
@@ -235,13 +236,13 @@ func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 // typed reply.
 func connFlood(rep *EdgeReport, conns, spare, lanes int) step {
 	return func(s *script) error {
-		server := s.at(owner).server
+		server := s.at(owner).Server()
 		floodCfg := edgeDial(5 * time.Second)
 		floodCfg.NoSession = true
 		garbage := [][]byte{[]byte("edge-flood: not a contribution")}
 		var admitted []*gaas.Client
 		for i := 0; i < conns; i++ {
-			c, err := gaas.DialContext(context.Background(), s.at(owner).listener.Addr().String(), floodCfg)
+			c, err := gaas.DialContext(context.Background(), s.at(owner).addr, floodCfg)
 			if err != nil {
 				s.violate("flood conn %d failed to dial: %v", i, err)
 				continue
@@ -304,9 +305,9 @@ func slowloris(rep *EdgeReport, conns, lanes int) step {
 				}
 			}(tc)
 		}
-		rep.SlowlorisReaped = pollActiveConns(n.server, lanes, 5*time.Second)
+		rep.SlowlorisReaped = pollActiveConns(n.Server(), lanes, 5*time.Second)
 		if !rep.SlowlorisReaped {
-			s.violate("slowloris conns not reaped: %d active, want %d", n.server.Stats().ActiveConns, lanes)
+			s.violate("slowloris conns not reaped: %d active, want %d", n.Server().Stats().ActiveConns, lanes)
 		}
 		close(done)
 		for _, c := range slow {
@@ -332,7 +333,7 @@ func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}
 		defer evil.shutdown()
-		evilMeas, err := evil.server.MeasurementFor(s.t.name)
+		evilMeas, err := evil.Server().MeasurementFor(s.t.name)
 		if err != nil {
 			return fmt.Errorf("sim: impostor measurement: %w", err)
 		}
@@ -340,7 +341,7 @@ func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 			s.violate("impostor enclave measures identically; scenario degenerate")
 		}
 		f.verifier.Allow(evilMeas)
-		if _, err := gaas.DialContext(context.Background(), evil.listener.Addr().String(), f.dialCfg); errors.Is(err, gaas.ErrMeasurementMismatch) {
+		if _, err := gaas.DialContext(context.Background(), evil.addr, f.dialCfg); errors.Is(err, gaas.ErrMeasurementMismatch) {
 			rep.SwappedRefused = true
 		} else {
 			s.violate("impostor edge dial returned %v, want ErrMeasurementMismatch", err)

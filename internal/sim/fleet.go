@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 
 	"glimmers/internal/durable"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 )
 
@@ -94,7 +95,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	}
 	var nodes []nodeSpec
 	for id := uint32(1); id <= uint32(cfg.Nodes); id++ {
-		nodes = append(nodes, nodeSpec{id: id, budget: 16, dir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))})
+		nodes = append(nodes, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 16, StateDir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))}})
 	}
 	s, err := build(spec, nodes...)
 	if err != nil {
@@ -190,7 +191,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	if err := s.play(scenario...); err != nil {
 		return nil, err
 	}
-	rep.RecoverCrash = s.nodes[s.owners[crashRound]].recovered
+	rep.RecoverCrash = s.nodes[s.owners[crashRound]].Recovered()
 
 	// ----- Global reconciliation: every refusal anywhere in the fleet is
 	// accounted for exactly once, and nothing else was refused. The

@@ -9,7 +9,7 @@ import "testing"
 // single-node sums, and every refusal anywhere in the fleet must
 // reconcile globally. Run under -race in CI.
 func TestSimFleet(t *testing.T) {
-	rep, err := RunFleet(t.TempDir(), FleetConfig{Seed: 41})
+	rep, err := RunFleet(t.TempDir(), FleetConfig{Seed: 41 + *seedOffset})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestSimFleet(t *testing.T) {
 // byte-identical sums for every round — the scenario is a reproducible
 // fault plan, not a flake generator.
 func TestSimFleetDeterministic(t *testing.T) {
-	a, err := RunFleet(t.TempDir(), FleetConfig{Seed: 7, Devices: 7, Dim: 5})
+	a, err := RunFleet(t.TempDir(), FleetConfig{Seed: 7 + *seedOffset, Devices: 7, Dim: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFleet(t.TempDir(), FleetConfig{Seed: 7, Devices: 7, Dim: 5})
+	b, err := RunFleet(t.TempDir(), FleetConfig{Seed: 7 + *seedOffset, Devices: 7, Dim: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

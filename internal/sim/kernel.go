@@ -12,14 +12,13 @@ import (
 	"sync/atomic"
 
 	"glimmers/internal/blind"
-	"glimmers/internal/durable"
 	"glimmers/internal/fixed"
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
-	"glimmers/internal/xcrypto"
 )
 
 // The simulator kernel: the one world builder every scenario in this
@@ -167,20 +166,17 @@ func (t *tenant) destroy() {
 	}
 }
 
-// host registers the tenant on one server life's registry — what glimmerd
+// config is the tenant's registration on one server life — what glimmerd
 // reconstructs from its config file on every start, before recovering any
-// durable state — and vets the fleet's measurements.
-func (t *tenant) host(reg *service.Registry) (*service.RoundManager, error) {
+// durable state — with the fleet's measurements vetted.
+func (t *tenant) config() service.TenantConfig {
 	cfg := t.hosting
 	cfg.Name, cfg.Verify, cfg.Dim, cfg.Glimmer = t.name, t.svc.ContributionVerifyKey(), t.dim, t.hostCfg
-	hosted, err := reg.AddTenant(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: tenant: %w", err)
+	cfg.Vetted = make([]tee.Measurement, len(t.devs))
+	for i, dev := range t.devs {
+		cfg.Vetted[i] = dev.Measurement()
 	}
-	for _, dev := range t.devs {
-		hosted.Manager().Vet(dev.Measurement())
-	}
-	return hosted.Manager(), nil
+	return cfg
 }
 
 // contribute runs device d's client-side pipeline in the tenant's
@@ -222,153 +218,107 @@ func (t *tenant) grantTicket(d int, first, last uint64, grant func([]byte) ([]by
 	return nil
 }
 
-// nodeSpec describes one glimmerd process. It outlives the process: a
-// crashed node restarts from the same spec.
+// nodeSpec describes one glimmerd process as the node.Config it ships
+// with — ring identity, shared round budget, state directory and WAL
+// tuning (set: a durable node), edge governance limits, seal key — plus
+// the transport that fronts it (TransportDirect: no edge). The kernel
+// fills in Tenants, Listener, Edge.Platform and Edge.TLS. The spec
+// outlives the process: a crashed node restarts from the same one, and
+// the seal key models sealed key storage, which a crash does not erase —
+// a restarted node re-signs with the key its TOFU pin expects.
 type nodeSpec struct {
-	// id is the node's ring membership and the slot its partial seals claim.
-	id uint32
-	// budget sizes the registry's shared live-round budget.
-	budget int
-	// dir, when set, makes the node durable: a durable.Store over dir with
-	// the given group-commit tuning, recovered into the registry at start.
-	dir string
-	wal durable.Config
-	// transport, unless TransportDirect, fronts the registry with a gaas
-	// edge — user sessions routed by the tenant named in the hello,
-	// contribution batches by the service name each contribution carries —
-	// under the governance limits given (the kernel fills in Platform,
-	// Hosts, Ingest, and TLS).
+	glimnode.Config
 	transport TransportKind
-	limits    gaas.ServerConfig
-	// sealKey signs the node's partial seals. It models sealed key storage,
-	// which a crash does not erase: a restarted node re-signs with the same
-	// key its TOFU pin expects.
-	sealKey *xcrypto.SigningKey
 }
 
-// node is one life of a glimmerd process.
+// node is one life of a glimmerd process: the shipped assembly
+// (internal/node) started from the spec, plus the client side of whatever
+// listener the sim handed it.
 type node struct {
 	nodeSpec
-	sub   *substrate
-	reg   *service.Registry
-	store *durable.Store
-	// recovered is what this life's start found on disk.
-	recovered durable.RecoverStats
-
-	server   *gaas.Server
-	listener net.Listener
-	dial     func() (net.Conn, error)
+	sub *substrate
+	*glimnode.Node
+	addr string
+	dial func() (net.Conn, error)
 }
 
-// start assembles one node life in glimmerd's start sequence: config-file
-// reconstruction (a fresh registry hosting the given tenants), durable
-// recovery, then the serving edge. A node with no store to recover may
-// also be handed tenants later (tenant.host).
+// start runs one node life through node.Start — glimmerd's start sequence:
+// config-file reconstruction (a fresh registry hosting the given tenants),
+// durable recovery, then the serving edge. A node with no store to recover
+// may also be handed tenants later (Registry().AddTenant).
 func (sub *substrate) start(spec nodeSpec, tenants ...*tenant) (*node, error) {
-	n := &node{nodeSpec: spec, sub: sub, reg: service.NewRegistry(spec.budget)}
+	n := &node{nodeSpec: spec, sub: sub}
+	cfg := spec.Config
+	cfg.Edge.Platform = sub.platform
 	for _, t := range tenants {
-		if _, err := t.host(n.reg); err != nil {
-			return nil, err
-		}
-	}
-	if spec.dir != "" {
-		store, err := durable.OpenConfig(spec.dir, spec.wal)
-		if err != nil {
-			return nil, fmt.Errorf("sim: node %d store: %w", spec.id, err)
-		}
-		n.store = store
-		if n.recovered, err = store.Recover(n.reg); err != nil {
-			n.shutdown()
-			return nil, fmt.Errorf("sim: node %d recovery: %w", spec.id, err)
-		}
+		cfg.Tenants = append(cfg.Tenants, t.config())
 	}
 	if spec.transport != TransportDirect {
-		if err := n.serve(); err != nil {
-			n.shutdown()
+		if err := n.listen(&cfg); err != nil {
 			return nil, err
 		}
+	}
+	var err error
+	if n.Node, err = glimnode.Start(cfg); err != nil {
+		return nil, fmt.Errorf("sim: node %d: %w", spec.NodeID, err)
 	}
 	return n, nil
 }
 
-// serve starts the node's gaas front end on a fresh listener: in-memory
-// net.Pipe connections, loopback TCP, or TLS-wrapped loopback TCP.
-func (n *node) serve() error {
-	cfg := n.limits
-	cfg.Platform, cfg.Hosts, cfg.Ingest = n.sub.platform, n.reg, n.reg
+// listen opens the node's listener and the dialer that reaches it:
+// in-memory net.Pipe connections, loopback TCP, or TLS-wrapped loopback
+// TCP.
+func (n *node) listen(cfg *glimnode.Config) error {
 	switch n.transport {
 	case TransportPipe:
 		ln := newMemListener()
-		n.listener, n.dial = ln, ln.dial
+		cfg.Listener, n.dial = ln, ln.dial
 	case TransportTCP, TransportTLS: // TCP and TLS share the loopback socket
-		if n.transport == TransportTLS {
-			tlsConf, err := gaas.SelfSignedServerTLS("127.0.0.1")
-			if err != nil {
-				return fmt.Errorf("sim: edge TLS: %w", err)
-			}
-			cfg.TLS = tlsConf
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fmt.Errorf("sim: listen: %w", err)
 		}
 		addr := ln.Addr().String()
-		n.listener = ln
+		cfg.Listener, n.addr = ln, addr
 		n.dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		if cfg.TLS != nil {
+		if n.transport == TransportTLS {
+			if cfg.Edge.TLS, err = gaas.SelfSignedServerTLS("127.0.0.1"); err != nil {
+				_ = ln.Close()
+				return fmt.Errorf("sim: edge TLS: %w", err)
+			}
 			// Transport privacy only; endpoint trust stays with the
 			// attested handshake clients run over each connection.
 			clientTLS := gaas.InsecureClientTLS()
-			n.dial = func() (net.Conn, error) {
-				tc, err := tls.Dial("tcp", addr, clientTLS)
-				if err != nil {
-					return nil, err
-				}
-				return tc, nil
-			}
+			n.dial = func() (net.Conn, error) { return tls.Dial("tcp", addr, clientTLS) }
 		}
 	default:
 		return fmt.Errorf("sim: unknown transport %v", n.transport)
 	}
-	n.server = gaas.New(cfg)
-	go func() { _ = n.server.Serve(n.listener) }()
 	return nil
 }
 
 // manager returns the round manager of a tenant this node hosts.
 func (n *node) manager(t *tenant) *service.RoundManager {
-	hosted, _ := n.reg.Tenant(t.name)
+	hosted, _ := n.Registry().Tenant(t.name)
 	return hosted.Manager()
 }
 
-// shutdown is the clean stop: the edge drains, the store flushes, syncs
-// and closes.
-func (n *node) shutdown() {
-	if n.listener != nil {
-		_ = n.listener.Close()
-	}
-	if n.server != nil {
-		n.server.Shutdown()
-	}
-	if n.store != nil {
-		_ = n.store.Close()
-	}
-}
+// shutdown is the clean stop, glimmerd's drain: the edge settles, open
+// rounds seal, the store snapshots and closes.
+func (n *node) shutdown() { _, _ = n.Drain() }
 
-// kill ends the node's life the way a crash would: the registry is
-// abandoned mid-flight and the store released with no write and no fsync,
-// so records still staged in the group-commit buffer die with the process
-// — the documented fire-and-forget loss window — and nothing of the dead
-// life (fd, flusher goroutine) outlives it. With tornTail the dying
-// process's final write is a partial frame appended to the live WAL.
+// kill ends the node's life the way a crash would (node.Kill: the store
+// abandoned unflushed, nothing of the dead life left behind). With
+// tornTail the dying process's final write is a partial frame appended to
+// the live WAL — a sim fault, not something the assembly does.
 func (n *node) kill(tornTail bool) error {
-	n.store.Abandon()
+	n.Kill()
 	if !tornTail {
 		return nil
 	}
-	wals, _ := filepath.Glob(filepath.Join(n.dir, "wal.*"))
+	wals, _ := filepath.Glob(filepath.Join(n.StateDir, "wal.*"))
 	if len(wals) == 0 {
-		return fmt.Errorf("sim: no WAL file in %s", n.dir)
+		return fmt.Errorf("sim: no WAL file in %s", n.StateDir)
 	}
 	f, err := os.OpenFile(wals[0], os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -395,7 +345,7 @@ const unchecked = -1
 
 // ledger reads the refusal counters for the tenant m manages on this node.
 func (n *node) ledger(m *service.RoundManager) refusals {
-	r := refusals{manager: m.Rejected(), registry: n.reg.Rejected()}
+	r := refusals{manager: m.Rejected(), registry: n.Registry().Rejected()}
 	r.tenant = r.manager
 	for _, round := range m.Rounds() {
 		if p, ok := m.Lookup(round); ok {
@@ -421,8 +371,8 @@ func (c *checker) violate(format string, args ...any) {
 
 // expectAccept submits raw to the node's registry, which must accept it.
 func (c *checker) expectAccept(n *node, raw []byte, what string) {
-	if err := n.reg.Ingest(raw); err != nil {
-		c.violate("%s refused at node %d: %v", what, n.id, err)
+	if err := n.Registry().Ingest(raw); err != nil {
+		c.violate("%s refused at node %d: %v", what, n.NodeID, err)
 	}
 }
 
@@ -430,12 +380,12 @@ func (c *checker) expectAccept(n *node, raw []byte, what string) {
 // with want (nil: any refusal will do, acceptance is the bug). It reports
 // whether the refusal was the expected one.
 func (c *checker) expectRefuse(n *node, raw []byte, want error, what string) bool {
-	err := n.reg.Ingest(raw)
+	err := n.Registry().Ingest(raw)
 	switch {
 	case err == nil:
-		c.violate("%s was accepted at node %d", what, n.id)
+		c.violate("%s was accepted at node %d", what, n.NodeID)
 	case want != nil && !errors.Is(err, want):
-		c.violate("%s at node %d returned %v, want %v", what, n.id, err, want)
+		c.violate("%s at node %d returned %v, want %v", what, n.NodeID, err, want)
 	default:
 		return true
 	}

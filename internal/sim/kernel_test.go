@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"glimmers/internal/durable"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 )
 
@@ -19,7 +20,7 @@ import (
 // exact, and restore every ticket. The sweep is a loop over the scenario
 // literal in runCrash — a crash point is data, not a world.
 func TestSimCrashPointSweep(t *testing.T) {
-	cfg := CrashConfig{Seed: 29, Devices: 6, Dim: 4}
+	cfg := CrashConfig{Seed: 29 + *seedOffset, Devices: 6, Dim: 4}
 	for k := 0; k < cfg.Devices; k++ {
 		for staged := 0; staged <= min(2, cfg.Devices-k-1); staged++ {
 			t.Run(fmt.Sprintf("flushed=%d/staged=%d", k, staged), func(t *testing.T) {
@@ -53,8 +54,8 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 	t.Helper()
 	var specs []nodeSpec
 	for id := uint32(1); id <= uint32(nodes); id++ {
-		specs = append(specs, nodeSpec{id: id, budget: 8, dir: t.TempDir(),
-			wal: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}})
+		specs = append(specs, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, StateDir: t.TempDir(),
+			WAL: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}}})
 	}
 	s, err := build(tenantSpec{
 		name: "kernel.example", seed: 5, devices: devices, dim: 3, rounds: rounds,

@@ -160,12 +160,12 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 	for _, sim := range sims {
 		wantRouting += sim.observedRoutingRejects
 	}
-	cross.reconcile("routing accounting", refusals{registry: st.reg.Rejected()},
+	cross.reconcile("routing accounting", refusals{registry: st.Registry().Rejected()},
 		refusals{tenant: unchecked, manager: unchecked, registry: wantRouting})
 
 	probeIsolation(cross, st, sims)
 
-	rep.RegistryRejected = st.reg.Rejected()
+	rep.RegistryRejected = st.Registry().Rejected()
 	rep.Elapsed = time.Since(start)
 	rep.Violations = cross.violations
 	return rep, nil
@@ -207,7 +207,7 @@ func probeIsolation(c *checker, st *node, sims []*simulation) {
 		before[i] = snapshotTenant(sim)
 		want[i] = before[i].ledger
 	}
-	wantRegistry := st.reg.Rejected()
+	wantRegistry := st.Registry().Rejected()
 
 	for i, sim := range sims {
 		name := sim.cfg.ServiceName

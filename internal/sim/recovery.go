@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"glimmers/internal/durable"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 )
 
@@ -111,16 +112,16 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 			MaxRounds:      8,
 			RoundWindow:    4,
 		},
-	}, nodeSpec{id: 1, budget: 8, dir: stateDir,
+	}, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: 8, StateDir: stateDir,
 		// Huge thresholds: the background flusher never fires on its own, so
 		// the only disk writes come from barriers and explicit flush steps —
 		// the scenario controls exactly which records are durable at the kill.
-		wal: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}})
+		WAL: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}}})
 	if err != nil {
 		return nil, err
 	}
 	defer s.shutdown()
-	rep := &CrashReport{RecoverCold: s.nodes[1].recovered, StagedLost: staged, PreCrashAccepted: flushed + staged}
+	rep := &CrashReport{RecoverCold: s.nodes[1].Recovered(), StagedLost: staged, PreCrashAccepted: flushed + staged}
 	fresh, all := flushed+staged, cfg.Devices
 
 	// Exact accounting: a duplicate of a flushed pre-crash contribution is
@@ -160,7 +161,7 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 			crash(owner, true)),
 		// Round 1 came back sealed with its exact sum.
 		inRound(1, func(s *script) error {
-			rep.RecoverCrash = s.at(owner).recovered
+			rep.RecoverCrash = s.at(owner).Recovered()
 			if _, exact := s.sealedExact(owner); !exact {
 				rep.Round1Exact = false
 			}
@@ -194,7 +195,7 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 				}
 				s.reconcile("second life", n.ledger(n.manager(s.t)), want)
 				// The ticket table survived in full.
-				for _, tn := range n.reg.ExportState().Tenants {
+				for _, tn := range n.Registry().ExportState().Tenants {
 					if tn.Name == crashServiceName {
 						rep.TicketsRestored = len(tn.Tickets)
 					}
@@ -214,16 +215,16 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 // would leave) must see the fully sealed round, never a partial seal.
 func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
 	spec := s.at(owner).nodeSpec
-	if err := os.CopyFS(obsDir, os.DirFS(spec.dir)); err != nil {
+	if err := os.CopyFS(obsDir, os.DirFS(spec.StateDir)); err != nil {
 		return fmt.Errorf("sim: observer copy: %w", err)
 	}
 	defer os.RemoveAll(obsDir)
-	spec.dir = obsDir
+	spec.StateDir = obsDir
 	obs, err := s.at(owner).sub.start(spec, s.t)
 	if err != nil {
 		return fmt.Errorf("sim: observer recovery: %w", err)
 	}
-	for _, tn := range obs.reg.ExportState().Tenants {
+	for _, tn := range obs.Registry().ExportState().Tenants {
 		for _, rs := range tn.Rounds {
 			if tn.Name == s.t.name && rs.Round == s.round && rs.Phase == service.RoundPhaseSealed {
 				rep.SealObserved = true
@@ -240,8 +241,6 @@ func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
 		rep.SealObserved = false
 		s.violate("observer sees a partial round %d: count=%d, want %d with the exact sum", s.round, p.Count(), s.t.devices)
 	}
-	if err := obs.store.Close(); err != nil {
-		return fmt.Errorf("sim: observer close: %w", err)
-	}
+	obs.Kill() // the observer only looked, and its copy is removed on return
 	return nil
 }

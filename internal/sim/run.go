@@ -11,6 +11,7 @@ import (
 	"glimmers/internal/botdetect"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
 )
@@ -98,7 +99,7 @@ func newStack(transport TransportKind, roundBudget int) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sub.start(nodeSpec{id: 1, budget: roundBudget, transport: transport})
+	return sub.start(nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: roundBudget}, transport: transport})
 }
 
 // newSimulation plans the run, provisions the tenant's fleet, hosts the
@@ -194,13 +195,15 @@ func (s *simulation) open() (err error) {
 			s.dropShares[dropKey{rp.round, d}] = shares
 		}
 	}
-	if s.manager, err = s.t.host(s.st.reg); err != nil {
-		return err
+	hosted, err := s.st.Registry().AddTenant(s.t.config())
+	if err != nil {
+		return fmt.Errorf("sim: tenant: %w", err)
 	}
-	if s.st.server == nil {
-		s.pool = newDirectPool(s.st.reg, s.cfg.Submitters)
+	s.manager = hosted.Manager()
+	if s.st.Server() == nil {
+		s.pool = newDirectPool(s.st.Registry(), s.cfg.Submitters)
 	} else {
-		meas, err := s.st.server.MeasurementFor(s.t.name)
+		meas, err := s.st.Server().MeasurementFor(s.t.name)
 		if err != nil {
 			return fmt.Errorf("sim: tenant measurement: %w", err)
 		}
@@ -529,7 +532,7 @@ func (s *simulation) ticketProbes(*script) error {
 	// dealer mask is one-time-use per device and round, so each probe
 	// contribution comes from a distinct device). Installing the tight
 	// ticket replaces that device's session.
-	if err := s.t.grantTicket(2, 1, 1, s.st.reg.GrantTicket); err != nil {
+	if err := s.t.grantTicket(2, 1, 1, s.st.Registry().GrantTicket); err != nil {
 		s.violate("ticket probe: tight ticket: %v", err)
 		return nil
 	}

@@ -8,9 +8,13 @@ import (
 
 // Long-mode knobs: `go test ./internal/sim -sim.devices=64 -sim.rounds=12`
 // scales the soak past the defaults; `-short` shrinks it for smoke runs.
+// `-sim.seed=N` moves the soak, fleet and crash-sweep tests off their
+// pinned seeds (the nightly CI job sweeps N); the invariants they check
+// must hold for every seed.
 var (
 	soakDevices = flag.Int("sim.devices", 0, "soak fleet size (0 = suite default)")
 	soakRounds  = flag.Int("sim.rounds", 0, "soak round count (0 = suite default)")
+	seedOffset  = flag.Int64("sim.seed", 0, "added to the soak, fleet and crash-sweep seeds (0 = the pinned seeds)")
 )
 
 func soakScale(t *testing.T) (devices, rounds int) {
@@ -50,7 +54,7 @@ func TestSimSoakAllFaults(t *testing.T) {
 	rep, err := Scenario{
 		Name: "soak-all-faults",
 		Config: Config{
-			Seed:    42,
+			Seed:    42 + *seedOffset,
 			Devices: devices,
 			Rounds:  rounds,
 			Overlap: 2,

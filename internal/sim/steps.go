@@ -107,20 +107,20 @@ func build(spec tenantSpec, nodes ...nodeSpec) (*script, error) {
 	}
 	ids := make([]uint32, 0, len(nodes))
 	for _, ns := range nodes {
-		if ns.sealKey, err = xcrypto.NewSigningKey(); err != nil {
+		if ns.SealKey, err = xcrypto.NewSigningKey(); err != nil {
 			s.shutdown()
-			return nil, fmt.Errorf("sim: node %d key: %w", ns.id, err)
+			return nil, fmt.Errorf("sim: node %d key: %w", ns.NodeID, err)
 		}
 		n, err := sub.start(ns, s.t)
 		if err != nil {
 			s.shutdown()
 			return nil, err
 		}
-		if n.recovered.SnapshotLoaded || n.recovered.Records != 0 {
-			s.violate("node %d cold start found state in a fresh dir: %+v", ns.id, n.recovered)
+		if n.Recovered().SnapshotLoaded || n.Recovered().Records != 0 {
+			s.violate("node %d cold start found state in a fresh dir: %+v", ns.NodeID, n.Recovered())
 		}
-		s.nodes[ns.id] = n
-		ids = append(ids, ns.id)
+		s.nodes[ns.NodeID] = n
+		ids = append(ids, ns.NodeID)
 	}
 	if s.ring, err = fleet.NewRing(ids, 0); err != nil {
 		s.shutdown()
@@ -144,7 +144,7 @@ func newScript(t *tenant, nodes ...*node) *script {
 		sumDigests: make(map[uint64]string),
 	}
 	for _, n := range nodes {
-		s.nodes[n.id] = n
+		s.nodes[n.NodeID] = n
 	}
 	return s
 }
@@ -226,7 +226,7 @@ func inRound(round uint64, steps ...step) step {
 func grantTickets(at place, first, last uint64) step {
 	return func(s *script) error {
 		for d := range s.t.devs {
-			if err := s.t.grantTicket(d, first, last, s.at(at).reg.GrantTicket); err != nil {
+			if err := s.t.grantTicket(d, first, last, s.at(at).Registry().GrantTicket); err != nil {
 				return err
 			}
 		}
@@ -279,7 +279,7 @@ func (s *script) refusedCopy(at place, d int, forge bool, want error, what strin
 	}
 	n := s.at(at)
 	s.expectRefuse(n, raw, want, fmt.Sprintf("round %d device %d %s", s.round, d, what))
-	s.injected[n.id]++
+	s.injected[n.NodeID]++
 	return nil
 }
 
@@ -302,13 +302,13 @@ func onNode(at place, what string, op func(s *script, n *node) error) step {
 
 // snapshot takes the periodic snapshot every deployment takes.
 func snapshot(at place) step {
-	return onNode(at, "snapshot", func(_ *script, n *node) error { return n.store.Snapshot(n.reg) })
+	return onNode(at, "snapshot", func(_ *script, n *node) error { return n.Store().Snapshot(n.Registry()) })
 }
 
 // flush pins everything node at has staged to disk: the records a crash
 // after this point must not lose.
 func flush(at place) step {
-	return onNode(at, "WAL flush", func(_ *script, n *node) error { return n.store.Flush() })
+	return onNode(at, "WAL flush", func(_ *script, n *node) error { return n.Store().Flush() })
 }
 
 // seal seals the round in play on node at.
@@ -322,10 +322,10 @@ func seal(at place) step {
 func crash(at place, tornTail bool) step {
 	return func(s *script) error {
 		dead := s.at(at)
-		if err := dead.store.Err(); err != nil {
+		if err := dead.Store().Err(); err != nil {
 			return fmt.Errorf("sim: WAL append: %w", err)
 		}
-		_, statErr := os.Stat(filepath.Join(dead.dir, "snapshot"))
+		_, statErr := os.Stat(filepath.Join(dead.StateDir, "snapshot"))
 		if err := dead.kill(tornTail); err != nil {
 			return err
 		}
@@ -333,15 +333,15 @@ func crash(at place, tornTail bool) step {
 		if err != nil {
 			return err
 		}
-		s.nodes[n.id] = n
-		if statErr == nil && !n.recovered.SnapshotLoaded {
-			s.violate("restarted node %d did not load the snapshot", n.id)
+		s.nodes[n.NodeID] = n
+		if statErr == nil && !n.Recovered().SnapshotLoaded {
+			s.violate("restarted node %d did not load the snapshot", n.NodeID)
 		}
-		if tornTail && n.recovered.TruncatedBytes == 0 {
-			s.violate("restarted node %d did not truncate the torn WAL tail", n.id)
+		if tornTail && n.Recovered().TruncatedBytes == 0 {
+			s.violate("restarted node %d did not truncate the torn WAL tail", n.NodeID)
 		}
-		if n.recovered.ReplayErrors != 0 {
-			s.violate("node %d replay reported %d errors", n.id, n.recovered.ReplayErrors)
+		if n.Recovered().ReplayErrors != 0 {
+			s.violate("node %d replay reported %d errors", n.NodeID, n.Recovered().ReplayErrors)
 		}
 		return nil
 	}
@@ -357,9 +357,9 @@ func holds(at place, want int) step {
 		if p, ok := s.pipeline(at); ok {
 			count = p.Count()
 		} else if want > 0 {
-			s.violate("node %d lost in-flight round %d", s.at(at).id, s.round)
+			s.violate("node %d lost in-flight round %d", s.at(at).NodeID, s.round)
 		}
-		s.expectCount(fmt.Sprintf("node %d round %d count", s.at(at).id, s.round), count, want)
+		s.expectCount(fmt.Sprintf("node %d round %d count", s.at(at).NodeID, s.round), count, want)
 		return nil
 	}
 }
@@ -369,7 +369,7 @@ func holds(at place, want int) step {
 func (s *script) sealedExact(at place) (count int, exact bool) {
 	p, ok := s.pipeline(at)
 	if !ok {
-		s.violate("round %d vanished from node %d", s.round, s.at(at).id)
+		s.violate("round %d vanished from node %d", s.round, s.at(at).NodeID)
 		return 0, false
 	}
 	s.expectCount(fmt.Sprintf("round %d cohort", s.round), p.Count(), s.t.devices)
@@ -404,17 +404,17 @@ type sealRef struct {
 // the same bytes.
 func (s *script) sealBytes(src sealSrc) ([]byte, error) {
 	n := s.at(src.at)
-	ref := sealRef{n.id, s.round, src.shards}
+	ref := sealRef{n.NodeID, s.round, src.shards}
 	raw, err := s.seals[ref], error(nil)
 	if raw == nil {
 		raw, err = n.manager(s.t).ExportPartialSeal(s.round, service.NodeSeal{
-			NodeID:      n.id,
+			NodeID:      n.NodeID,
 			ShardCount:  src.shards,
-			Measurement: tee.Measurement{0xFE, byte(n.id)},
-			Key:         n.sealKey,
+			Measurement: tee.Measurement{0xFE, byte(n.NodeID)},
+			Key:         n.SealKey,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("sim: round %d node %d seal: %w", s.round, n.id, err)
+			return nil, fmt.Errorf("sim: round %d node %d seal: %w", s.round, n.NodeID, err)
 		}
 		s.seals[ref] = raw
 	}

@@ -115,35 +115,47 @@ type QuoteVerifier struct {
 
 	mu sync.RWMutex // guards Allowed against concurrent Allow/Verify
 
-	// keyMu/keys cache parsed attestation keys by the digest of their DER
-	// encoding: a fleet has few platforms but millions of handshakes, and
-	// re-parsing the same certified key on every quote was the hottest
-	// allocation in the handshake profile. Caching is sound because the
-	// key is only trusted after its certificate verifies under Root, which
-	// still happens on every call. Bounded to keep a hostile stream of
+	// keyMu/keys memoise platform certificates that verified under Root:
+	// the digest of a certificate (signed bytes and signature) maps to its
+	// parsed attestation key. A fleet has few platforms but millions of
+	// handshakes, so after a platform's first quote every later one skips
+	// the root signature check and the DER parse — one of the two ECDSA
+	// verifies a quote costs. Sound because Root is fixed at construction
+	// and an entry is made only after the certificate verified and its key
+	// parsed; a certificate that fails is never cached, and any altered
+	// byte is a different digest. Bounded to keep a hostile stream of
 	// fresh certificates from growing the map without limit.
 	keyMu sync.RWMutex
 	keys  map[[32]byte]*xcrypto.VerifyKey
 }
 
-// maxCachedAttestKeys bounds the parsed-key cache; at the bound the cache
+// maxCachedAttestKeys bounds the certificate cache; at the bound the cache
 // is dropped wholesale (a fleet rotates keys slowly, so eviction finesse
 // buys nothing).
 const maxCachedAttestKeys = 1024
 
-// attestKey returns the parsed attestation key for der, from cache when
-// possible.
-func (v *QuoteVerifier) attestKey(der []byte) (*xcrypto.VerifyKey, error) {
-	digest := sha256.Sum256(der)
+// certifiedKey returns the attestation key cert binds to its platform,
+// once cert has verified under Root — from cache when this exact
+// certificate already has.
+func (v *QuoteVerifier) certifiedKey(cert PlatformCert) (*xcrypto.VerifyKey, error) {
+	signed := cert.signedBytes()
+	// The signature's length closes the digest: AttestKey and Signature
+	// are both variable-length, and without it shifting bytes between them
+	// would keep the concatenation — and so the cache key — unchanged.
+	sigLen := len(cert.Signature)
+	digest := sha256.Sum256(append(append(signed, cert.Signature...), byte(sigLen>>8), byte(sigLen)))
 	v.keyMu.RLock()
 	key := v.keys[digest]
 	v.keyMu.RUnlock()
 	if key != nil {
 		return key, nil
 	}
-	key, err := xcrypto.ParseVerifyKey(der)
+	if !v.Root.Verify(signed, cert.Signature) {
+		return nil, ErrQuoteCert
+	}
+	key, err := xcrypto.ParseVerifyKey(cert.AttestKey)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrQuoteCert, err)
 	}
 	v.keyMu.Lock()
 	if v.keys == nil || len(v.keys) >= maxCachedAttestKeys {
@@ -177,26 +189,24 @@ func (v *QuoteVerifier) allowed(m Measurement) bool {
 	return false
 }
 
-// Verify checks the full chain: certificate under the root, report
-// signature under the certified key, platform consistency, revocation, and
-// measurement allowlisting. On success the quote's report contents can be
-// trusted.
+// Verify checks the full chain: certificate under the root (memoised per
+// certificate, see certifiedKey), platform consistency, revocation, report
+// signature under the certified key, and measurement allowlisting — all
+// but the first on every call. On success the quote's report contents can
+// be trusted.
 func (v *QuoteVerifier) Verify(q Quote) error {
 	if v.Root == nil {
 		return errors.New("tee: QuoteVerifier has no root key")
 	}
-	if !v.Root.Verify(q.Cert.signedBytes(), q.Cert.Signature) {
-		return ErrQuoteCert
+	attestKey, err := v.certifiedKey(q.Cert)
+	if err != nil {
+		return err
 	}
 	if q.Cert.PlatformID != q.Report.Platform {
 		return ErrQuotePlatform
 	}
 	if v.Revoked != nil && v.Revoked(q.Cert.PlatformID) {
 		return ErrQuoteRevoked
-	}
-	attestKey, err := v.attestKey(q.Cert.AttestKey)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrQuoteCert, err)
 	}
 	if !attestKey.Verify(q.Report.signedBytes(), q.Signature) {
 		return ErrQuoteSignature

@@ -751,3 +751,70 @@ func TestQuoteVerifyKeyCache(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestQuoteVerifyCertCache exercises the verified-certificate memo: a
+// platform's certificate is checked under the root once and every later
+// quote hits the entry; a certificate with any byte altered misses the
+// entry and fails; a failed certificate is never cached; and revocation,
+// which is not memoised, still refuses a platform whose certificate is.
+func TestQuoteVerifyCertCache(t *testing.T) {
+	as, p := testPlatform(t)
+	q, _ := quoteFromEnclave(t, p, "cache", []byte("bind"))
+	v := &QuoteVerifier{Root: as.Root(), Revoked: as.IsRevoked}
+	for i := 0; i < 3; i++ {
+		if err := v.Verify(q); err != nil {
+			t.Fatalf("verify %d: %v", i, err)
+		}
+	}
+	if len(v.keys) != 1 {
+		t.Fatalf("cached certificates = %d, want 1", len(v.keys))
+	}
+	for name, alter := range map[string]func(*PlatformCert){
+		"signature byte":  func(c *PlatformCert) { c.Signature[len(c.Signature)-1] ^= 1 },
+		"attest-key byte": func(c *PlatformCert) { c.AttestKey[len(c.AttestKey)-1] ^= 1 },
+		"platform id":     func(c *PlatformCert) { c.PlatformID[0] ^= 1 },
+		// The same concatenated bytes, split differently between the two
+		// variable-length fields, must not collide with the cached entry.
+		"shifted split": func(c *PlatformCert) {
+			c.AttestKey = append(c.AttestKey, c.Signature[0])
+			c.Signature = c.Signature[1:]
+		},
+	} {
+		bad := q
+		bad.Cert.Signature = append([]byte(nil), q.Cert.Signature...)
+		bad.Cert.AttestKey = append([]byte(nil), q.Cert.AttestKey...)
+		alter(&bad.Cert)
+		if err := v.Verify(bad); !errors.Is(err, ErrQuoteCert) {
+			t.Errorf("altered %s: err = %v, want ErrQuoteCert", name, err)
+		}
+	}
+	if len(v.keys) != 1 {
+		t.Fatalf("cached certificates = %d after refusals, want 1: a failed certificate was cached", len(v.keys))
+	}
+	as.Revoke(p.ID())
+	if err := v.Verify(q); !errors.Is(err, ErrQuoteRevoked) {
+		t.Fatalf("revoked after caching: err = %v, want ErrQuoteRevoked", err)
+	}
+}
+
+// TestQuoteVerifyCertCacheBounded: a stream of fresh, genuinely certified
+// platforms cannot grow the memo past its bound.
+func TestQuoteVerifyCertCacheBounded(t *testing.T) {
+	as, p := testPlatform(t)
+	v := &QuoteVerifier{Root: as.Root()}
+	for i := 0; i < maxCachedAttestKeys+maxCachedAttestKeys/2; i++ {
+		cert, err := as.certify(PlatformID{byte(i), byte(i >> 8), 0xCE}, p.attestKey.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.certifiedKey(cert); err != nil {
+			t.Fatalf("certificate %d: %v", i, err)
+		}
+		if len(v.keys) > maxCachedAttestKeys {
+			t.Fatalf("cache holds %d certificates after %d, bound %d", len(v.keys), i+1, maxCachedAttestKeys)
+		}
+	}
+	if len(v.keys) != maxCachedAttestKeys/2 {
+		t.Errorf("cache holds %d certificates, want %d: the bound drops it wholesale", len(v.keys), maxCachedAttestKeys/2)
+	}
+}
