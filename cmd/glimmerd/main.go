@@ -88,7 +88,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	listen := fs.String("listen", "127.0.0.1:7433", "address to listen on")
 	dim := fs.Int("dim", 16, "primary tenant's contribution dimensionality")
 	serviceName := fs.String("service", "demo.glimmers.example", "primary tenant's service name")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "verifier workers per aggregation round")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines one large frame is verified on (a round keeps none between frames)")
 	shards := fs.Int("shards", 0, "dedup/sum shards per round (0 = 2×workers)")
 	tenants := fs.String("tenants", "", "extra tenants: name:dim or name:bot, comma-separated")
 	fs.IntVar(&cfg.MaxTotalRounds, "max-total-rounds", service.DefaultMaxTotalRounds,

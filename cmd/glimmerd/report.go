@@ -28,7 +28,7 @@ func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator 
 	if cfg.Edge.TLS != nil {
 		transport = "tcp+tls"
 	}
-	p.say("serving %d tenant(s) on %s over %s (budget %d rounds, %d verifier workers/round)",
+	p.say("serving %d tenant(s) on %s over %s (budget %d rounds, frames verified on up to %d goroutines)",
 		len(cfg.Tenants), cfg.Listener.Addr(), transport, cfg.MaxTotalRounds, workers)
 	p.say("edge limits: max-conns=%d per-ip=%d inflight-batches=%d read=%v write=%v idle=%v", cfg.Edge.MaxConns,
 		cfg.Edge.MaxConnsPerIP, cfg.Edge.MaxInflightBatches, cfg.Edge.ReadTimeout, cfg.Edge.WriteTimeout, cfg.Edge.IdleTimeout)

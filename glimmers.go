@@ -64,7 +64,7 @@ type (
 	// an explicit open → sealed → closed lifecycle. Workers: 1, Shards: 1
 	// configures the strictly serial baseline.
 	Pipeline = service.Pipeline
-	// PipelineConfig sizes a Pipeline (verifier workers, shards).
+	// PipelineConfig sizes a Pipeline (per-frame fan-out, shards).
 	PipelineConfig = service.PipelineConfig
 	// RoundManager owns pipelines for concurrent aggregation rounds.
 	RoundManager = service.RoundManager

@@ -196,7 +196,15 @@ func (fc *FleetClient) Sent() int64 { return fc.sent }
 // round trip. The first transport error aborts (partial tallies
 // returned); per-item rejections are part of the tallies, as on Client.
 func (fc *FleetClient) SubmitBatch(raws [][]byte) (accepted, rejected int, err error) {
-	clear(fc.groups)
+	// However this returns, each group is truncated in place with its views
+	// cleared: the backing arrays are reused by the next call, and an idle
+	// client must not keep the caller's frame reachable.
+	defer func() {
+		for node, group := range fc.groups {
+			clear(group)
+			fc.groups[node] = group[:0]
+		}
+	}()
 	for _, raw := range raws {
 		owner, perr := fc.ring.OwnerOf(raw)
 		if perr != nil {
@@ -227,7 +235,6 @@ func (fc *FleetClient) SubmitBatch(raws [][]byte) (accepted, rejected int, err e
 			return accepted, rejected, fmt.Errorf("gaas: fleet node %d: %w", node, serr)
 		}
 		fc.sent++
-		fc.groups[node] = group[:0]
 	}
 	return accepted, rejected, nil
 }

@@ -2,6 +2,7 @@ package gaas
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -250,5 +251,166 @@ func TestFleetClientRouting(t *testing.T) {
 	}
 	if p, ok := managers[2].Lookup(99); ok && p.Count() > 0 {
 		t.Fatal("removed node received post-rehome traffic")
+	}
+}
+
+// TestFleetClientGroupsReused: the per-owner groups are scratch. After a
+// SubmitBatch — one that succeeded, and one a dead connection aborted
+// midway — every group is truncated in place (its array kept for the next
+// frame) and holds no view into the caller's frame.
+func TestFleetClientGroupsReused(t *testing.T) {
+	const dim = 3
+	ft := newFleetTenant(t)
+	nodes := make([]FleetNode, 0, 3)
+	for id := uint32(1); id <= 3; id++ {
+		_, addr := fleetServer(t, ft.manager(dim), nil)
+		nodes = append(nodes, FleetNode{ID: id, Addr: addr})
+	}
+	fc, err := DialFleet(context.Background(), FleetConfig{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	rng := rand.New(rand.NewSource(23))
+	frame := func() [][]byte {
+		var raws [][]byte
+		for round := uint64(1); round <= 12; round++ {
+			raws = append(raws, ft.contribution(t, round, dim, rng))
+		}
+		return raws
+	}
+	check := func(when string) {
+		t.Helper()
+		if len(fc.groups) != len(nodes) {
+			t.Fatalf("%s: %d groups for %d nodes", when, len(fc.groups), len(nodes))
+		}
+		for node, group := range fc.groups {
+			if cap(group) == 0 || len(group) != 0 {
+				t.Errorf("%s: node %d group has len %d cap %d, want an empty group that kept its array",
+					when, node, len(group), cap(group))
+			}
+			for i, raw := range group[:cap(group)] {
+				if raw != nil {
+					t.Errorf("%s: node %d group still holds a view at %d", when, node, i)
+				}
+			}
+		}
+	}
+	if acc, rej, err := fc.SubmitBatch(frame()); err != nil || acc != 12 || rej != 0 {
+		t.Fatalf("submit tallied (%d, %d), err %v", acc, rej, err)
+	}
+	check("after a successful submit")
+	for _, c := range fc.conns {
+		_ = c.Close()
+	}
+	if _, _, err := fc.SubmitBatch(frame()); err == nil {
+		t.Fatal("submit over closed connections succeeded")
+	}
+	check("after a failed submit")
+}
+
+// errTap records the error slots an Ingestor produced for its last frame;
+// the wire reply carries tallies only.
+type errTap struct {
+	Ingestor
+	errs []error
+}
+
+func (e *errTap) IngestBatch(raws [][]byte) (int, []error) {
+	accepted, errs := e.Ingestor.IngestBatch(raws)
+	e.errs = append(e.errs[:0], errs...)
+	return accepted, errs
+}
+
+// TestFleetTicketHonouredOnlyOnGrantingNode pins how tickets and the ring
+// (do not) compose: ticket tables are per node, routing is by (service,
+// round). A ticketed contribution whose round lives on a node other than
+// the one that granted the ticket is refused with ErrUnknownTicket, booked
+// exactly once — by the manager while the round is new to that node, by
+// the round once it is live there — and moves no sum.
+func TestFleetTicketHonouredOnlyOnGrantingNode(t *testing.T) {
+	const dim = 3
+	ft := newFleetTenant(t)
+	const granting, other = uint32(1), uint32(2)
+	tk := xcrypto.SessionKey{0xA7}
+	managers := map[uint32]*service.RoundManager{}
+	taps := map[uint32]*errTap{}
+	var nodes []FleetNode
+	for _, id := range []uint32{granting, other} {
+		tbl := service.NewTicketTable(service.TicketConfig{})
+		if id == granting {
+			tbl.Install(7, tk, 1, 1<<32, 1<<62)
+		}
+		m := service.NewRoundManager(service.PipelineConfig{
+			ServiceName: "iot.example", Verify: ft.key.Public(), Dim: dim,
+			Tickets: tbl, Workers: 1, Shards: 2,
+		})
+		m.Vet(ft.meas)
+		managers[id], taps[id] = m, &errTap{Ingestor: m}
+		_, addr := fleetServer(t, taps[id], nil)
+		nodes = append(nodes, FleetNode{ID: id, Addr: addr})
+	}
+	fc, err := DialFleet(context.Background(), FleetConfig{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	roundOn := func(node uint32) uint64 {
+		for round := uint64(1); ; round++ {
+			if fc.Ring().Owner([]byte("iot.example"), round) == node {
+				return round
+			}
+		}
+	}
+	ticketed := func(round uint64, salt uint64) []byte {
+		tc := glimmer.TicketedContribution{
+			ServiceName: "iot.example", Round: round, TicketID: 7,
+			Blinded: fixed.Vector{fixed.Ring(salt), 2, 3}, Confidence: 1,
+		}
+		return glimmer.SealTicketedContribution(tc, &tk)
+	}
+	submit := func(raw []byte, wantAccepted int) {
+		t.Helper()
+		acc, rej, err := fc.SubmitBatch([][]byte{raw})
+		if err != nil || acc != wantAccepted || rej != 1-wantAccepted {
+			t.Fatalf("submit tallied (%d, %d), err %v; want (%d, %d)", acc, rej, err, wantAccepted, 1-wantAccepted)
+		}
+	}
+	stray, rng := roundOn(other), rand.New(rand.NewSource(5))
+	m := managers[other]
+
+	// The round is new to the non-granting node: refused at the manager,
+	// and no round comes into existence for it.
+	submit(ticketed(stray, 1), 0)
+	if err := taps[other].errs[0]; !errors.Is(err, service.ErrUnknownTicket) {
+		t.Fatalf("mis-routed ticketed contribution refused with %v, want ErrUnknownTicket", err)
+	}
+	if _, live := m.Lookup(stray); live || m.Rejected() != 1 {
+		t.Fatalf("round live = %v, manager refusals = %d; want no round and exactly 1", live, m.Rejected())
+	}
+
+	// The round is live there (a signed contribution opened it): refused by
+	// the round, the manager's tally and the sum unmoved.
+	submit(ft.contribution(t, stray, dim, rng), 1)
+	p, _ := m.Lookup(stray)
+	before := p.Sum().Digest()
+	submit(ticketed(stray, 2), 0)
+	if err := taps[other].errs[0]; !errors.Is(err, service.ErrUnknownTicket) {
+		t.Fatalf("mis-routed ticketed contribution refused with %v, want ErrUnknownTicket", err)
+	}
+	if m.Rejected() != 1 || p.Rejected() != 1 {
+		t.Fatalf("refusals manager=%d round=%d, want 1 and 1", m.Rejected(), p.Rejected())
+	}
+	if p.Count() != 1 || p.Sum().Digest() != before {
+		t.Fatalf("refused contribution moved the round: count %d", p.Count())
+	}
+
+	// The same ticket on a round the granting node owns is honoured, and
+	// that node booked nothing throughout.
+	home := roundOn(granting)
+	submit(ticketed(home, 3), 1)
+	if g := managers[granting]; g.Rejected() != 0 || g.Round(home).Rejected() != 0 || g.Round(home).Count() != 1 {
+		t.Fatalf("granting node: manager refusals %d, round (%d accepted, %d refused); want 0, (1, 0)",
+			g.Rejected(), g.Round(home).Count(), g.Round(home).Rejected())
 	}
 }

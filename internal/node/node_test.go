@@ -99,9 +99,13 @@ func (w *world) start(t *testing.T, dir string, wal durable.Config) (*Node, stri
 	return n, ln.Addr().String()
 }
 
+// splitFrame is a frame size that fans out at the tenant's Workers: 2 —
+// two chunks of 32, one on a goroutine of the frame's own.
+const splitFrame = 64
+
 // session is one device's whole path over TLS: provision, dial, ticket
-// grant, one ticketed contribution to round in a one-item frame.
-func (w *world) session(t *testing.T, addr string, round uint64) {
+// grant, then one frame of items distinct ticketed contributions to round.
+func (w *world) session(t *testing.T, addr string, round uint64, items int) {
 	t.Helper()
 	dev, err := glimmer.NewDevice(w.platform, w.glimmer)
 	if err != nil {
@@ -133,38 +137,58 @@ func (w *world) session(t *testing.T, addr string, round uint64) {
 	for i := range value {
 		value[i] = fixed.FromFloat(0.25)
 	}
-	tc, err := dev.ContributeTicketed(round, value, nil)
-	if err != nil {
-		t.Fatal(err)
+	frame := make([][]byte, items)
+	for i := range frame {
+		value[0] = fixed.FromFloat(0.25) + fixed.Ring(i) // distinct, still in unit range
+		tc, err := dev.ContributeTicketed(round, value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[i] = glimmer.EncodeTicketedContribution(tc)
 	}
-	accepted, rejected, err := client.SubmitBatch([][]byte{glimmer.EncodeTicketedContribution(tc)})
-	if err != nil || accepted != 1 || rejected != 0 {
-		t.Fatalf("submit tallied (%d, %d), err %v; want (1, 0)", accepted, rejected, err)
+	accepted, rejected, err := client.SubmitBatch(frame)
+	if err != nil || accepted != items || rejected != 0 {
+		t.Fatalf("submit tallied (%d, %d), err %v; want (%d, 0)", accepted, rejected, err, items)
 	}
 }
 
+// settledGoroutines gives goroutines that have signalled completion a
+// moment to finish exiting, then reports how many are left.
+func settledGoroutines(baseline int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
 // TestStartDrainRecover is the shipped life cycle end to end: a device's
-// contribution crosses the TLS edge into a durable node, Drain seals,
-// snapshots and reports it, and the next life over the same directory
-// comes back holding the sealed round with the identical sum.
+// frame (large enough to fan out) crosses the TLS edge into a durable
+// node, Drain seals, snapshots and reports it and leaves nothing running,
+// and the next life over the same directory comes back holding the sealed
+// round with the identical sum.
 func TestStartDrainRecover(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
+	goroutines := runtime.NumGoroutine()
 	n, addr := w.start(t, dir, durable.Config{})
 	if rs := n.Recovered(); rs.SnapshotLoaded || rs.Records != 0 {
 		t.Fatalf("cold start found state: %+v", rs)
 	}
-	w.session(t, addr, 7)
+	w.session(t, addr, 7, splitFrame)
 	rep, err := n.Drain()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := settledGoroutines(goroutines); got > goroutines {
+		t.Errorf("%d goroutines after Drain, %d before Start: the drained node kept some", got, goroutines)
 	}
 	if len(rep.Tenants) != 1 || len(rep.Tenants[0].Rounds) != 1 {
 		t.Fatalf("report holds %+v, want one tenant with one round", rep.Tenants)
 	}
 	tenant := rep.Tenants[0]
 	round := tenant.Rounds[0]
-	if tenant.Name != testService || round.Round != 7 || round.Accepted != 1 {
-		t.Errorf("report round = %s/%d accepted %d, want %s/7 accepted 1", tenant.Name, round.Round, round.Accepted, testService)
+	if tenant.Name != testService || round.Round != 7 || round.Accepted != splitFrame {
+		t.Errorf("report round = %s/%d accepted %d, want %s/7 accepted %d", tenant.Name, round.Round, round.Accepted, testService, splitFrame)
 	}
 	if tenant.PipelineRejected != 0 || tenant.ManagerRejected != 0 || rep.RoutingRejected != 0 {
 		t.Errorf("refusals pipeline=%d manager=%d routing=%d, want 0 at every level",
@@ -192,8 +216,8 @@ func TestStartDrainRecover(t *testing.T) {
 	if !ok {
 		t.Fatal("second life lost round 7")
 	}
-	if p.Count() != 1 || !slices.Equal(p.Sum(), round.Sum) {
-		t.Errorf("recovered round 7: count %d sum %v, want 1 and %v", p.Count(), p.Sum(), round.Sum)
+	if p.Count() != splitFrame || !slices.Equal(p.Sum(), round.Sum) {
+		t.Errorf("recovered round 7: count %d sum %v, want %d and %v", p.Count(), p.Sum(), splitFrame, round.Sum)
 	}
 	if err := p.Add(nil); err != service.ErrRoundSealed {
 		t.Errorf("recovered round 7 takes input (%v), want it sealed", err)
@@ -210,16 +234,18 @@ func openFDs(t *testing.T) int {
 }
 
 // TestKillLeaksNothing: Kill must release the dead life — WAL fd, audit
-// fd, listener, flusher and accept-loop goroutines — the way a real crash
-// would, and write nothing on its way out: the next life sees exactly the
-// flushed prefix. (TestSimKillLeaksNothing's assertions, against Node.)
+// fd, listener, flusher and accept-loop goroutines, and whatever its open
+// rounds held (every life takes a frame that fans out) — the way a real
+// crash would, and write nothing on its way out: the next life sees
+// exactly the flushed prefix. (TestSimKillLeaksNothing's assertions,
+// against Node.)
 func TestKillLeaksNothing(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
 	// Huge thresholds: only barriers and explicit flushes reach the disk.
 	manual := durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}
 	n, addr := w.start(t, dir, manual)
-	w.session(t, addr, 1)
-	w.session(t, addr, 1)
+	w.session(t, addr, 1, 1)
+	w.session(t, addr, 1, 1)
 	if err := n.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +258,14 @@ func TestKillLeaksNothing(t *testing.T) {
 		if p, ok := hosted.Manager().Lookup(1); !ok || p.Count() != 2 {
 			t.Fatalf("life %d recovered round 1 = %v, want the 2 flushed accepts", i, ok)
 		}
-		w.session(t, addr, 1) // accepted, staged, never flushed: dies with the life
+		w.session(t, addr, 1, splitFrame) // accepted, staged, never flushed: dies with the life
 		n.Kill()
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for (runtime.NumGoroutine() > goroutines || openFDs(t) > fds) && time.Now().Before(deadline) {
+	for openFDs(t) > fds && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := runtime.NumGoroutine(); got > goroutines {
+	if got := settledGoroutines(goroutines); got > goroutines {
 		t.Errorf("%d goroutines after 10 kills, baseline %d: dead lives leaked", got, goroutines)
 	}
 	if got := openFDs(t); got > fds {

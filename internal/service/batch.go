@@ -35,6 +35,11 @@ import (
 // item, and is returned to its pool with every frame view cleared: the
 // must-not-retain contract is the same one putScratch enforces.
 //
+// A frame larger than one chunk fans out: AddBatchErrs starts a goroutine
+// per extra chunk, each running the whole plan over its chunk, and waits
+// for all of them before it returns. The frame owns those goroutines; the
+// pipeline owns none.
+//
 // Signed (ECDSA) contributions are legal in a batch but take the per-item
 // path inline at their submission position; the batch plan exists for the
 // ticketed fast path, which is where the volume is.
@@ -67,6 +72,11 @@ type ingestArena struct {
 	starts []int32 // counting sort: per-shard segment starts
 	order  []int32 // item indices, stably grouped by shard
 
+	// mac verifies every MAC of the batch. Its keyed pad cache outlives the
+	// batch with the pooled arena, so a frame stream naming the same ticket
+	// skips the key schedule entirely after the first batch.
+	mac xcrypto.MACState
+
 	// Journal scratch: the frame's accepted-digest list and summed delta,
 	// handed to Journal.BatchAccepted (which must not retain them — the
 	// same contract the arena itself rides on).
@@ -75,11 +85,6 @@ type ingestArena struct {
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(ingestArena) }}
-
-// batchMACs keeps the keyed HMAC pad caches warm across batches: a frame
-// stream naming the same ticket skips the key schedule entirely after the
-// first batch.
-var batchMACs = xcrypto.NewBatchVerifier()
 
 // release clears every frame view and returns the arena to the pool. An
 // idle pooled arena must not keep a transport's frame buffers reachable.
@@ -128,25 +133,28 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 		return
 	}
 	// Chunks of at least minBatchChunk items, at most Workers of them. All
-	// but the last go to the pool; the last runs here, on the goroutine
-	// that would otherwise only park on wg.Wait — so a frame that fits one
-	// chunk (Workers == 1, or a small frame) never pays a channel send and
-	// two wakes for zero parallelism, and never starts the pool.
-	chunk := max((len(raws)+p.cfg.Workers-1)/p.cfg.Workers, minBatchChunk)
-	var wg *sync.WaitGroup
-	if len(raws) > chunk {
-		p.poolOnce.Do(p.startPool)
-		wg = new(sync.WaitGroup) // allocated only when the frame splits
+	// but the last get a goroutine each; the last runs here, on the
+	// goroutine that would otherwise only park on wg.Wait — so a frame that
+	// fits one chunk (Workers == 1, or a small frame) spawns nothing and
+	// allocates nothing.
+	n := len(raws)
+	chunk := max((n+p.cfg.Workers-1)/p.cfg.Workers, minBatchChunk)
+	if n > chunk {
+		var wg sync.WaitGroup
 		for ; len(raws) > chunk; raws, errs = raws[chunk:], errs[chunk:] {
+			head, headErrs := raws[:chunk], errs[:chunk]
 			wg.Add(1)
-			p.jobs <- batchJob{raws: raws[:chunk], errs: errs[:chunk], wg: wg}
+			go func() {
+				defer wg.Done()
+				p.processBatch(head, headErrs)
+			}()
 		}
-	}
-	p.processBatch(raws, errs)
-	p.pending.Add(-len(raws))
-	if wg != nil {
+		p.processBatch(raws, errs)
 		wg.Wait()
+	} else {
+		p.processBatch(raws, errs)
 	}
+	p.pending.Add(-n)
 }
 
 // minBatchChunk bounds fan-out granularity: below this, handoff overhead
@@ -176,23 +184,23 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		it := &a.items[len(a.items)-1]
 		it.idx, it.ok = i, false
 		if err := it.view.Decode(raw); err != nil {
-			errs[i] = p.reject(fmt.Errorf("service: %w", err))
+			errs[i] = p.refuse(fmt.Errorf("service: %w", err), 1)
 			continue
 		}
 		if string(it.view.ServiceName) != p.cfg.ServiceName {
-			errs[i] = p.reject(ErrWrongService)
+			errs[i] = p.refuse(ErrWrongService, 1)
 			continue
 		}
 		if it.view.Round != p.cfg.Round {
-			errs[i] = p.reject(ErrWrongRound)
+			errs[i] = p.refuse(ErrWrongRound, 1)
 			continue
 		}
 		if it.view.Lanes() != p.cfg.Dim {
-			errs[i] = p.reject(ErrWrongDim)
+			errs[i] = p.refuse(ErrWrongDim, 1)
 			continue
 		}
 		if p.cfg.Tickets == nil {
-			errs[i] = p.reject(ErrUnknownTicket)
+			errs[i] = p.refuse(ErrUnknownTicket, 1)
 			continue
 		}
 		it.group = a.group(it.view.TicketID)
@@ -203,39 +211,35 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	// under cached pad states. Items are in submission order, which is
 	// almost always a single run of one ticket, so SetKey is a no-op for
 	// all but the first item of each run.
-	if len(a.groups) > 0 {
-		for gi := range a.groups {
-			g := &a.groups[gi]
-			// Every item in the group already passed the round check, so
-			// the group resolves at the pipeline's round — the same
-			// (ticket, round) pair the per-item path would present.
-			g.key, g.err = p.cfg.Tickets.check(g.id, p.cfg.Round)
+	for gi := range a.groups {
+		g := &a.groups[gi]
+		// Every item in the group already passed the round check, so
+		// the group resolves at the pipeline's round — the same
+		// (ticket, round) pair the per-item path would present.
+		g.key, g.err = p.cfg.Tickets.check(g.id, p.cfg.Round)
+	}
+	for i := range a.items {
+		it := &a.items[i]
+		if !it.ok {
+			continue
 		}
-		m := batchMACs.Get()
-		for i := range a.items {
-			it := &a.items[i]
-			if !it.ok {
-				continue
-			}
-			g := &a.groups[it.group]
-			if g.err != nil {
-				it.ok = false
-				errs[it.idx] = p.reject(g.err)
-				continue
-			}
-			m.SetKey(&g.key)
-			head, tail := it.view.PreimageParts()
-			if !m.VerifyKeyed(head, tail, it.view.MAC) {
-				it.ok = false
-				errs[it.idx] = p.reject(ErrBadMAC)
-				continue
-			}
-			// The verified MAC doubles as the dedup digest, exactly as on
-			// the per-item path.
-			copy(it.digest[:], it.view.MAC)
-			it.shard = binary.BigEndian.Uint64(it.digest[:8]) & p.shardMask
+		g := &a.groups[it.group]
+		if g.err != nil {
+			it.ok = false
+			errs[it.idx] = p.refuse(g.err, 1)
+			continue
 		}
-		batchMACs.Put(m)
+		a.mac.SetKey(&g.key)
+		head, tail := it.view.PreimageParts()
+		if !a.mac.VerifyKeyed(head, tail, it.view.MAC) {
+			it.ok = false
+			errs[it.idx] = p.refuse(ErrBadMAC, 1)
+			continue
+		}
+		// The verified MAC doubles as the dedup digest, exactly as on
+		// the per-item path.
+		copy(it.digest[:], it.view.MAC)
+		it.shard = binary.BigEndian.Uint64(it.digest[:8]) & p.shardMask
 	}
 
 	// Phase 3: stable counting sort by shard, then one lock per shard.
@@ -288,7 +292,6 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 			it := &a.items[k]
 			if sh.seen[it.digest] {
 				errs[it.idx] = ErrDuplicate
-				p.rejected.Add(1)
 				dups++
 				continue
 			}
@@ -303,29 +306,27 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	// shard lock while the arena's views are still alive. The digest list
 	// and delta live in the arena: the journal encodes synchronously and
 	// must not retain them, so the scratch recycles with the arena.
-	if j := p.journal; j != nil {
-		accepted := live - dups
-		if accepted > 0 {
-			digests := a.jdigests[:0]
-			if len(a.jdelta) != p.cfg.Dim {
-				a.jdelta = fixed.NewVector(p.cfg.Dim)
-			}
-			delta := a.jdelta
-			for i := range delta {
-				delta[i] = 0
-			}
-			for i := range a.items {
-				it := &a.items[i]
-				if it.ok && errs[it.idx] == nil {
-					digests = append(digests, it.digest)
-					fixed.AccumulateWireInto(delta, it.view.LaneBytes)
-				}
-			}
-			a.jdigests = digests
-			j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, digests, delta)
+	if j := p.journal; j != nil && live > dups {
+		digests := a.jdigests[:0]
+		if len(a.jdelta) != p.cfg.Dim {
+			a.jdelta = fixed.NewVector(p.cfg.Dim)
 		}
-		if dups > 0 {
-			j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, dups)
+		delta := a.jdelta
+		for i := range delta {
+			delta[i] = 0
 		}
+		for i := range a.items {
+			it := &a.items[i]
+			if it.ok && errs[it.idx] == nil {
+				digests = append(digests, it.digest)
+				fixed.AccumulateWireInto(delta, it.view.LaneBytes)
+			}
+		}
+		a.jdigests = digests
+		j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, digests, delta)
+	}
+	// The frame's duplicates are booked together, behind its watermark.
+	if dups > 0 {
+		_ = p.refuse(ErrDuplicate, dups)
 	}
 }

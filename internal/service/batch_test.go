@@ -2,8 +2,10 @@ package service
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
@@ -87,7 +89,7 @@ func TestAddBatchMatchesPerItem(t *testing.T) {
 }
 
 // TestAddBatchMatchesPerItemAcrossWorkers extends the equivalence to the
-// chunked worker fan-out. Chunk boundaries make duplicate attribution
+// chunked per-frame fan-out. Chunk boundaries make duplicate attribution
 // racy (one of the pair wins, as with any concurrent ingest), so the
 // per-index comparison gives way to order-independent invariants: the
 // tallies, the sum, and the multiset of error kinds.
@@ -367,7 +369,8 @@ func mixedFrame(n, dim int, round uint64, good testTicket) [][]byte {
 // chunking rule: a frame that fits one chunk runs on the caller, a frame
 // that splits keeps its last chunk there, and either way the error slots,
 // the sum and the rejection count are those of the Workers == 1 plan. A
-// frame of at most minBatchChunk items must not start the pool at all.
+// frame of at most minBatchChunk items must spawn nothing: it runs with 0
+// allocations, and a goroutine would cost at least its closure.
 func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 	const dim, round = 8, uint64(3)
 	tbl := NewTicketTable(TicketConfig{})
@@ -394,13 +397,58 @@ func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 		if w, g := serial.Sum().Digest(), pooled.Sum().Digest(); w != g {
 			t.Errorf("n=%d: sum digest %s under workers=4, want %s", n, g, w)
 		}
-		if serial.poolStarted.Load() {
-			t.Errorf("n=%d: workers=1 started a pool", n)
-		}
-		if started, splits := pooled.poolStarted.Load(), n > minBatchChunk; started != splits {
-			t.Errorf("n=%d: workers=4 pool started = %v, want %v", n, started, splits)
+		if n <= minBatchChunk && !race.Enabled {
+			clean := make([][]byte, n)
+			for i := range clean {
+				clean[i] = ticketedRaw("batch.example", round, dim, 1000+i, good)
+			}
+			errs := make([]error, n)
+			pooled.AddBatchErrs(clean, errs) // warm; every rerun is all duplicates
+			if allocs := testing.AllocsPerRun(20, func() { pooled.AddBatchErrs(clean, errs) }); allocs > 0 {
+				t.Errorf("n=%d: an unsplit frame at workers=4 cost %.1f allocs, want 0", n, allocs)
+			}
 		}
 		serial.Close()
 		pooled.Close()
+	}
+}
+
+// settledGoroutines gives goroutines that have signalled completion a
+// moment to finish exiting, then reports how many are left.
+func settledGoroutines(baseline int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestSealedRoundOwnsNoGoroutines: a frame that fans out leaves nothing
+// running once AddBatch has returned — a round that is sealed but never
+// closed (what node.Drain and node.Kill leave behind) holds no goroutine.
+func TestSealedRoundOwnsNoGoroutines(t *testing.T) {
+	const dim, round = 8, uint64(3)
+	tbl := NewTicketTable(TicketConfig{})
+	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 16}
+	tbl.Install(good.id, good.key, good.first, good.last, 1<<62)
+	frame := make([][]byte, 128)
+	for i := range frame {
+		frame[i] = ticketedRaw("batch.example", round, dim, i, good)
+	}
+	baseline := runtime.NumGoroutine()
+	p := batchPipeline(dim, round, 4, tbl)
+	for i, err := range p.AddBatch(frame) {
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(baseline); got > baseline {
+		t.Errorf("%d goroutines after AddBatch + Seal, baseline %d: the round kept some", got, baseline)
+	}
+	if p.Count() != len(frame) {
+		t.Errorf("count = %d, want %d", p.Count(), len(frame))
 	}
 }

@@ -65,9 +65,10 @@ type PipelineConfig struct {
 	// ticketed contributions with ErrUnknownTicket. The ECDSA path stays
 	// available either way — ticketless clients are unaffected.
 	Tickets *TicketTable
-	// Workers is the size of the verifier pool AddBatch fans out to.
-	// Workers == 1 processes batches inline on the calling goroutine (the
-	// serial baseline); <= 0 defaults to GOMAXPROCS.
+	// Workers bounds how many chunks one AddBatch frame is split into: the
+	// frame's own goroutines run all but the last chunk and exit before
+	// AddBatch returns. Workers == 1 processes every frame inline on the
+	// calling goroutine (the serial baseline); <= 0 defaults to GOMAXPROCS.
 	Workers int
 	// Shards is the number of independently locked dedup/sum shards,
 	// rounded up to a power of two; <= 0 defaults to 2×Workers. More shards
@@ -89,7 +90,7 @@ type PipelineConfig struct {
 
 // pipeShard is one lock's worth of aggregation state. Contributions are
 // routed by digest, so under concurrent ingest the shards fill evenly and
-// two workers rarely contend on the same lock.
+// two goroutines rarely contend on the same lock.
 type pipeShard struct {
 	mu    sync.Mutex
 	seen  map[[32]byte]bool
@@ -99,9 +100,11 @@ type pipeShard struct {
 
 // Pipeline is the concurrent ingest path for one aggregation round: decode
 // and signature checks run on whatever goroutine delivers the contribution
-// (many callers, or the AddBatch worker pool), and accumulation is sharded
-// by contribution digest so the only serialization is a brief per-shard
-// lock. All methods are safe for concurrent use.
+// (many callers, or the goroutines one AddBatch frame fans out to), and
+// accumulation is sharded by contribution digest so the only serialization
+// is a brief per-shard lock. A Pipeline is locks and data: it owns no
+// goroutine, so a round that is sealed, forgotten or simply dropped leaves
+// nothing running. All methods are safe for concurrent use.
 //
 // A round moves through an explicit lifecycle: while open it ingests; Seal
 // fixes the cohort, drains in-flight work, and merges the shards; Close
@@ -112,8 +115,9 @@ type Pipeline struct {
 	shardMask uint64
 	shards    []*pipeShard
 
-	allowMu sync.RWMutex
-	allowed map[tee.Measurement]bool
+	// allow is the pipeline's own allowlist, or — on a round a RoundManager
+	// created — the one value the tenant's manager and all its rounds share.
+	allow *allowlist
 
 	// stateMu orders lifecycle transitions against intake: intake holds the
 	// read side while registering with pending, transitions hold the write
@@ -129,14 +133,6 @@ type Pipeline struct {
 	// without synchronization on the hot path.
 	journal Journal
 
-	// The worker pool starts lazily on the first AddBatch frame that splits
-	// into more than one chunk, so a Pipeline fed by Add or by small frames
-	// costs no goroutines.
-	poolOnce    sync.Once
-	poolStarted atomic.Bool
-	jobs        chan batchJob
-	workerWG    sync.WaitGroup
-
 	// merged/final hold the shard-merged aggregate once sealed. final is
 	// guarded by stateMu after the merge (dropout correction mutates it).
 	mergeOnce  sync.Once
@@ -145,14 +141,30 @@ type Pipeline struct {
 	finalCount int
 }
 
-// batchJob is one worker's chunk of an AddBatch submission: the chunk runs
-// the whole batch plan (see processBatch) on one worker, so shard locks and
-// ticket resolution amortize across the chunk rather than being paid per
-// item.
-type batchJob struct {
-	raws [][]byte
-	errs []error
-	wg   *sync.WaitGroup
+// allowlist is the set of vetted Glimmer measurements one trust domain
+// admits: a tenant's, shared by its RoundManager and every round, or a bare
+// pipeline's own. Safe for concurrent use.
+type allowlist struct {
+	mu  sync.RWMutex
+	set map[tee.Measurement]bool
+}
+
+func newAllowlist() *allowlist {
+	return &allowlist{set: make(map[tee.Measurement]bool)}
+}
+
+func (a *allowlist) vet(m tee.Measurement) {
+	a.mu.Lock()
+	a.set[m] = true
+	a.mu.Unlock()
+}
+
+// admits is the single admission rule: an empty allowlist admits
+// everything, as the serial aggregator did.
+func (a *allowlist) admits(m tee.Measurement) bool {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return len(a.set) == 0 || a.set[m]
 }
 
 // NewPipeline creates the ingest pipeline for one round.
@@ -168,7 +180,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		cfg:       cfg,
 		shardMask: uint64(cfg.Shards - 1),
 		shards:    make([]*pipeShard, cfg.Shards),
-		allowed:   make(map[tee.Measurement]bool),
+		allow:     newAllowlist(),
 		journal:   cfg.Journal,
 	}
 	// Digest sharding spreads contributions binomially, not evenly, so
@@ -228,26 +240,10 @@ func nextPowerOfTwo(n int) int {
 // Round returns the round this pipeline aggregates.
 func (p *Pipeline) Round() uint64 { return p.cfg.Round }
 
-// Vet allowlists a Glimmer measurement. Safe to call while ingest runs.
-func (p *Pipeline) Vet(m tee.Measurement) {
-	p.allowMu.Lock()
-	p.allowed[m] = true
-	p.allowMu.Unlock()
-}
-
-// allowlistAdmits is the single admission rule shared by every allowlist
-// holder (Pipeline, RoundManager): an empty allowlist admits everything,
-// as the serial aggregator did.
-func allowlistAdmits(allowed map[tee.Measurement]bool, m tee.Measurement) bool {
-	return len(allowed) == 0 || allowed[m]
-}
-
-// vetted reports whether the measurement passes the allowlist.
-func (p *Pipeline) vetted(m tee.Measurement) bool {
-	p.allowMu.RLock()
-	defer p.allowMu.RUnlock()
-	return allowlistAdmits(p.allowed, m)
-}
+// Vet allowlists a Glimmer measurement. Safe to call while ingest runs. On
+// a round a RoundManager created, the allowlist is the tenant's: the
+// measurement is vetted for the manager and all of its rounds.
+func (p *Pipeline) Vet(m tee.Measurement) { p.allow.vet(m) }
 
 // enter registers n in-flight contributions, failing if the round has
 // left the open state. Lifecycle refusals count toward Rejected like any
@@ -257,17 +253,9 @@ func (p *Pipeline) enter(n int) error {
 	defer p.stateMu.RUnlock()
 	switch p.state {
 	case roundSealed:
-		p.rejected.Add(int64(n))
-		if j := p.journal; j != nil {
-			j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, n)
-		}
-		return ErrRoundSealed
+		return p.refuse(ErrRoundSealed, n)
 	case roundClosed:
-		p.rejected.Add(int64(n))
-		if j := p.journal; j != nil {
-			j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, n)
-		}
-		return ErrRoundClosed
+		return p.refuse(ErrRoundClosed, n)
 	}
 	p.pending.Add(n)
 	return nil
@@ -292,31 +280,13 @@ func (p *Pipeline) Add(raw []byte) error {
 }
 
 // AddBatch verifies and accumulates a batch of encoded contributions
-// through the batch plan (see batch.go), chunking across the verifier pool
-// when the batch splits, and returns one error slot per input (nil for
-// accepted). It blocks until the whole batch has settled.
+// through the batch plan (see batch.go), fanning out across up to Workers
+// goroutines of its own when the batch splits, and returns one error slot
+// per input (nil for accepted). It blocks until the whole batch has settled.
 func (p *Pipeline) AddBatch(raws [][]byte) []error {
 	errs := make([]error, len(raws))
 	p.AddBatchErrs(raws, errs)
 	return errs
-}
-
-func (p *Pipeline) startPool() {
-	p.jobs = make(chan batchJob, 4*p.cfg.Workers)
-	p.workerWG.Add(p.cfg.Workers)
-	for i := 0; i < p.cfg.Workers; i++ {
-		go p.worker()
-	}
-	p.poolStarted.Store(true)
-}
-
-func (p *Pipeline) worker() {
-	defer p.workerWG.Done()
-	for job := range p.jobs {
-		p.processBatch(job.raws, job.errs)
-		job.wg.Done()
-		p.pending.Add(-len(job.raws))
-	}
 }
 
 // checkContribution runs the stateless checks shared by pipeline ingest
@@ -421,15 +391,15 @@ func (p *Pipeline) process(raw []byte) error {
 	s := scratchPool.Get().(*ingestScratch)
 	defer putScratch(s)
 	blinded, digest, err := checkContribution(p.cfg.ServiceName, p.cfg.Verify, p.cfg.Tickets,
-		p.cfg.Dim, &p.cfg.Round, p.vetted, raw, s)
+		p.cfg.Dim, &p.cfg.Round, p.allow.admits, raw, s)
 	if err != nil {
-		return p.reject(err)
+		return p.refuse(err, 1)
 	}
 	sh := p.shards[binary.BigEndian.Uint64(digest[:8])&p.shardMask]
 	sh.mu.Lock()
 	if sh.seen[digest] {
 		sh.mu.Unlock()
-		return p.reject(ErrDuplicate)
+		return p.refuse(ErrDuplicate, 1)
 	}
 	sh.seen[digest] = true
 	sh.sum.AddInPlace(blinded)
@@ -444,10 +414,13 @@ func (p *Pipeline) process(raw []byte) error {
 	return nil
 }
 
-func (p *Pipeline) reject(err error) error {
-	p.rejected.Add(1)
+// refuse books n refused submissions — the counter and the journal's
+// Rejected record — and returns err. Every round-level refusal, on either
+// ingest path, is booked here and nowhere else.
+func (p *Pipeline) refuse(err error, n int) error {
+	p.rejected.Add(int64(n))
 	if j := p.journal; j != nil {
-		j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, 1)
+		j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, n)
 	}
 	return err
 }
@@ -490,9 +463,8 @@ func (p *Pipeline) merge() {
 	p.merged.Store(true)
 }
 
-// Close seals the round if needed and makes the aggregate immutable. The
-// worker pool, if started, is torn down. Closing twice is a no-op; Sum,
-// Mean, Count and Rejected remain available.
+// Close seals the round if needed and makes the aggregate immutable.
+// Closing twice is a no-op; Sum, Mean, Count and Rejected remain available.
 func (p *Pipeline) Close() {
 	_ = p.Seal() // only fails with ErrRoundClosed, which Close absorbs
 	p.stateMu.Lock()
@@ -502,10 +474,6 @@ func (p *Pipeline) Close() {
 	}
 	p.state = roundClosed
 	p.stateMu.Unlock()
-	if p.poolStarted.Load() {
-		close(p.jobs)
-		p.workerWG.Wait()
-	}
 	if j := p.journal; j != nil {
 		j.RoundClosed(p.cfg.ServiceName, p.cfg.Round)
 	}

@@ -73,9 +73,12 @@ type RoundManager struct {
 	// UseBudget before serving traffic.
 	budget *Budget
 
+	// allow is the tenant's one allowlist: round admission, ticket grants
+	// and every pipeline this manager creates consult this same value.
+	allow *allowlist
+
 	mu     sync.Mutex
 	rounds map[uint64]*Pipeline
-	vetted map[tee.Measurement]bool
 
 	// rejected counts manager-level refusals (unroutable bytes, failed
 	// round admission); refusals on an existing round are counted by that
@@ -92,21 +95,14 @@ type RoundManager struct {
 func NewRoundManager(cfg PipelineConfig) *RoundManager {
 	return &RoundManager{
 		cfg:     cfg,
+		allow:   newAllowlist(),
 		rounds:  make(map[uint64]*Pipeline),
-		vetted:  make(map[tee.Measurement]bool),
 		journal: cfg.Journal,
 	}
 }
 
 // Vet allowlists a measurement for every current and future round.
-func (m *RoundManager) Vet(meas tee.Measurement) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.vetted[meas] = true
-	for _, p := range m.rounds {
-		p.Vet(meas)
-	}
-}
+func (m *RoundManager) Vet(meas tee.Measurement) { m.allow.vet(meas) }
 
 // Rejected reports contributions refused before reaching any round's
 // pipeline: undecodable headers, failed round-admission verification, and
@@ -151,10 +147,7 @@ func (m *RoundManager) roundLocked(round uint64) *Pipeline {
 	cfg := m.cfg
 	cfg.Round = round
 	p := NewPipeline(cfg)
-	p.journal = m.journal
-	for meas := range m.vetted {
-		p.Vet(meas)
-	}
+	p.allow, p.journal = m.allow, m.journal
 	m.rounds[round] = p
 	if j := m.journal; j != nil {
 		j.RoundCreated(m.cfg.ServiceName, round)
@@ -191,7 +184,7 @@ func (m *RoundManager) preverify(raw []byte) error {
 	s := scratchPool.Get().(*ingestScratch)
 	defer putScratch(s)
 	_, _, err := checkContribution(m.cfg.ServiceName, m.cfg.Verify, m.cfg.Tickets,
-		m.cfg.Dim, nil, m.isVetted, raw, s)
+		m.cfg.Dim, nil, m.allow.admits, raw, s)
 	return err
 }
 
@@ -216,14 +209,7 @@ func (m *RoundManager) grantTicket(req wire.TicketRequest) ([]byte, error) {
 	if m.cfg.Tickets == nil {
 		return nil, ErrTicketsDisabled
 	}
-	return m.cfg.Tickets.Grant(m.cfg.ServiceName, m.cfg.Verify, m.isVetted, req)
-}
-
-// isVetted applies the shared admission rule to the manager's allowlist.
-func (m *RoundManager) isVetted(meas tee.Measurement) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return allowlistAdmits(m.vetted, meas)
+	return m.cfg.Tickets.Grant(m.cfg.ServiceName, m.cfg.Verify, m.allow.admits, req)
 }
 
 // ingestRound creates a verified contribution's round, refusing past the
@@ -410,10 +396,11 @@ func (m *RoundManager) Close(round uint64) *Pipeline {
 	return p
 }
 
-// Forget drops a round's pipeline entirely, closing it first (so any
-// worker pool is torn down) and releasing its memory. A fresh verified
-// contribution for a forgotten round would start a new pipeline, so only
-// forget rounds the transport no longer routes.
+// Forget drops a round's pipeline entirely, closing it first (so a caller
+// still holding the pipeline gets ErrRoundClosed, never a late accept) and
+// releasing its memory. A fresh verified contribution for a forgotten round
+// would start a new pipeline, so only forget rounds the transport no longer
+// routes.
 func (m *RoundManager) Forget(round uint64) {
 	m.mu.Lock()
 	p, ok := m.rounds[round]

@@ -442,6 +442,8 @@ func (rj *replayJournal) DropoutCorrected(tenant string, round uint64, mask fixe
 	}
 }
 
+// Rejected restores a counter that a refuse function bumped live; nothing
+// is refused here, so nothing goes through them (or back into a journal).
 func (rj *replayJournal) Rejected(tenant string, round uint64, level RejectLevel, n int) {
 	switch level {
 	case LevelRegistry:

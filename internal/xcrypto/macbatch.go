@@ -4,7 +4,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
-	"sync"
 )
 
 // Batch-amortized session-MAC verification: the ingest hot path receives
@@ -113,25 +112,3 @@ func (m *MACState) VerifyKeyed(head, tail, mac []byte) bool {
 	m.SumKeyed(head, tail, &m.out)
 	return hmac.Equal(m.out[:], mac)
 }
-
-// BatchVerifier is a concurrency-safe pool of MACStates for batch
-// verification: pipelines hold one per process (or per tenant) and each
-// worker or shard borrows a state for the duration of a batch, so keyed pad
-// caches stay warm across frames that keep naming the same tickets.
-type BatchVerifier struct {
-	pool sync.Pool
-}
-
-// NewBatchVerifier returns an empty verifier; states are created on demand.
-func NewBatchVerifier() *BatchVerifier {
-	return &BatchVerifier{pool: sync.Pool{New: func() any { return new(MACState) }}}
-}
-
-// Get borrows a MACState. The caller must Put it back when the batch is
-// done and must not share it between goroutines in the meantime.
-func (v *BatchVerifier) Get() *MACState { return v.pool.Get().(*MACState) }
-
-// Put returns a borrowed state to the pool. The state retains its keyed pad
-// cache — that is the point: the next batch naming the same ticket skips
-// the key schedule entirely.
-func (v *BatchVerifier) Put(m *MACState) { v.pool.Put(m) }

@@ -2,7 +2,6 @@ package xcrypto
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"glimmers/internal/race"
@@ -178,47 +177,4 @@ func TestVerifyBatchAllocFree(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("SetKey+VerifyKeyed batch: %.1f allocs/op, want 0", got)
 	}
-}
-
-// TestBatchVerifierConcurrent drives one BatchVerifier from many goroutines
-// under distinct keys — the per-shard usage pattern — and demands every
-// verdict be exact. Run under -race this doubles as the aliasing guard for
-// the pooled states.
-func TestBatchVerifierConcurrent(t *testing.T) {
-	v := NewBatchVerifier()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			key := randKey(rng)
-			const n = 32
-			msgs := make([][]byte, n)
-			macs := make([][]byte, n)
-			ok := make([]bool, n)
-			for i := range msgs {
-				msgs[i] = make([]byte, 64+rng.Intn(256))
-				rng.Read(msgs[i])
-				mac := SessionMAC(&key, msgs[i])
-				macs[i] = append([]byte(nil), mac[:]...)
-			}
-			macs[7][0] ^= 0xFF
-			for round := 0; round < 50; round++ {
-				m := v.Get()
-				got := verifyKeyedAll(m, &key, msgs, macs, ok)
-				v.Put(m)
-				if got != n-1 {
-					t.Errorf("worker %d round %d: %d verified, want %d", w, round, got, n-1)
-					return
-				}
-				if ok[7] {
-					t.Errorf("worker %d: corrupted MAC verified", w)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
