@@ -12,7 +12,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"glimmers/internal/blind"
 	"glimmers/internal/fedml"
@@ -25,23 +27,30 @@ import (
 )
 
 func main() {
-	users := flag.Int("users", 24, "population size")
-	words := flag.Int("words", 500, "words typed per user")
-	attackers := flag.Int("attackers", 1, "poisoning attackers (each submits 538)")
-	seed := flag.String("seed", "fedkbd", "simulation seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fedkbd", flag.ExitOnError)
+	users := fs.Int("users", 24, "population size")
+	words := fs.Int("words", 500, "words typed per user")
+	attackers := fs.Int("attackers", 1, "poisoning attackers (each submits 538)")
+	seed := fs.String("seed", "fedkbd", "simulation seed")
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
 	if *attackers > *users {
-		log.Fatalf("attackers (%d) cannot exceed users (%d)", *attackers, *users)
+		return fmt.Errorf("attackers (%d) cannot exceed users (%d)", *attackers, *users)
 	}
 
 	pop, err := keyboard.TrendingScenario([]byte(*seed), *users, *words)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vocab := pop.Corpus.Vocabulary()
-	fmt.Printf("population: %d users, %d words each, vocabulary %d (model dims %d)\n",
+	fmt.Fprintf(stdout, "population: %d users, %d words each, vocabulary %d (model dims %d)\n",
 		*users, *words, vocab.Size(), vocab.Dims())
-	fmt.Printf("trending bigrams: %v\n\n", pop.TopBigrams(5))
+	fmt.Fprintf(stdout, "trending bigrams: %v\n\n", pop.TopBigrams(5))
 
 	models := make([]*fedml.Model, *users)
 	for i, u := range pop.Users {
@@ -49,44 +58,44 @@ func main() {
 	}
 	for a := 0; a < *attackers; a++ {
 		if err := fedml.Poison(models[a], "donald", "dont", 538); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	// Unprotected round: blinded aggregation hides the poison.
 	unprotected, err := fedml.Aggregate(models...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	top, w, err := unprotected.Predict("donald")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("without glimmers: \"donald\" -> %q (weight %.3f)\n", top, w)
+	fmt.Fprintf(stdout, "without glimmers: \"donald\" -> %q (weight %.3f)\n", top, w)
 
 	// Protected round: every contribution passes through a Glimmer.
 	as, err := tee.NewAttestationService()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	platform, err := tee.NewPlatform(as)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	svc, err := service.New("nextwordpredictive.com", as.Root())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", vocab.Dims())); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg, err := svc.GlimmerConfig(vocab.Dims(), glimmer.ModeDealer, glimmer.DefaultPolicy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	masks, err := blind.ZeroSumMasks([]byte(*seed+"-masks"), *users, vocab.Dims())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	const round = 1
 	agg := service.NewPipeline(service.PipelineConfig{
@@ -102,17 +111,17 @@ func main() {
 	for i, m := range models {
 		dev, err := glimmer.NewDevice(platform, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		svc.Vet(dev.Measurement())
 		agg.Vet(dev.Measurement())
 		payload, err := svc.BasePayload()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		payload.Masks = map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])}
 		if err := svc.Provision(dev, payload); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sc, err := dev.Contribute(round, m.Weights, nil)
 		if err != nil {
@@ -121,27 +130,28 @@ func main() {
 				unusedMasks.AddInPlace(masks[i])
 				continue
 			}
-			log.Fatal(err)
+			return err
 		}
 		if err := agg.Add(glimmer.EncodeSignedContribution(sc)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := agg.CorrectDropout(unusedMasks); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mean, err := agg.Mean()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	protected, err := fedml.FromWeights(vocab, mean)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	topP, wP, err := protected.Predict("donald")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("with glimmers:    \"donald\" -> %q (weight %.3f)\n", topP, wP)
-	fmt.Printf("glimmers rejected %d/%d contributions at the client\n", rejected, *users)
+	fmt.Fprintf(stdout, "with glimmers:    \"donald\" -> %q (weight %.3f)\n", topP, wP)
+	fmt.Fprintf(stdout, "glimmers rejected %d/%d contributions at the client\n", rejected, *users)
+	return nil
 }

@@ -100,3 +100,41 @@ func TestJournaledBatchIngestAllocFree(t *testing.T) {
 		t.Fatalf("count = %d, want %d", p.Count(), (b+1)*batchSize)
 	}
 }
+
+// TestJournaledIngestAllocFree is the per-item counterpart: one ticketed
+// contribution routed through Registry.Ingest into a live store — route
+// peek, table check, MAC, dedup insert, accumulate, one accept record
+// staged — allocates nothing on a warmed round.
+func TestJournaledIngestAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const dim, round, runs = 4, uint64(2), 200
+	s := openManual(t, t.TempDir())
+	defer s.Close()
+	reg := newTestRegistry(t)
+	skey := sessionKey(0xA7)
+	reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
+		ID: 7, Key: skey, RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600,
+	})
+	reg.SetJournal(s)
+	raws := orderRaws(runs+2, dim, round, &skey)
+	ingest := func(i int) {
+		if err := reg.Ingest(raws[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(0) // create the round, warm the scratch and shards
+	warmStaging(t, s, runs+1, make([][32]byte, 1), fixed.NewVector(dim))
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		i++
+		ingest(i)
+	}); got > 0 {
+		t.Errorf("journaled Registry.Ingest: %.2f allocs/op, want 0", got)
+	}
+	hosted, _ := reg.Tenant(testTenant)
+	if p, ok := hosted.Manager().Lookup(round); !ok || p.Count() != i+1 {
+		t.Fatalf("round %d holds %v, want %d accepted", round, p, i+1)
+	}
+}

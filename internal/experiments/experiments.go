@@ -33,6 +33,37 @@ func table(title string, header []string, rows [][]string) string {
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
+// result is what every experiment returns: typed fields for tests and
+// benchmarks, one rendered table for people.
+type result = interface{ Table() string }
+
+// Index lists every experiment of README.md's index, in order, each
+// runnable at its recorded default configuration. cmd/experiments and the
+// golden-table test iterate it; nothing else keeps a list.
+var Index = []struct {
+	ID, Desc string
+	Run      func() (result, error)
+}{
+	{"e1", "Fig 1a: raw sharing", at(RunE1, DefaultFigure1)},
+	{"e2", "Fig 1b: federated learning", at(RunE2, DefaultFigure1)},
+	{"e3", "Fig 1c: secure aggregation", at(RunE3, DefaultFigure1)},
+	{"e4", "Fig 1d: poisoning attack", at(RunE4, DefaultFigure1)},
+	{"e5", "Fig 2/3: glimmer defense", at(RunE5, DefaultFigure1)},
+	{"e6", "§3: decomposition ablation", at(RunE6, DefaultE6)},
+	{"e7", "§3: validation ladder", at(RunE7, DefaultE7)},
+	{"e8", "§4.1: bot detection", at(RunE8, DefaultE8)},
+	{"e9", "§4.2: glimmer-as-a-service", at(RunE9, DefaultE9)},
+	{"e10", "§2: consortium comparison", at(RunE10, DefaultE10)},
+	{"e11", "§1/§3: photos for maps", at(RunE11, DefaultE11)},
+	{"e12", "§3: predicate verification", func() (result, error) { return RunE12() }},
+	{"e13", "fleet simulator: fault sweep", at(RunE13, DefaultE13)},
+}
+
+// at binds an experiment to its default configuration.
+func at[C any, R result](run func(C) (R, error), defaults func() C) func() (result, error) {
+	return func() (result, error) { return run(defaults()) }
+}
+
 // World is the shared experiment fixture: an attestation root, a platform,
 // and the paper's trending-keyboard population.
 type World struct {
