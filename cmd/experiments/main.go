@@ -9,63 +9,61 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"glimmers/internal/experiments"
 )
 
-type runner struct {
-	id   string
-	desc string
-	run  func() (interface{ Table() string }, error)
-}
+// errUnknownID marks a -run list naming an experiment the index lacks: a
+// usage error (exit 2), where a failing experiment is exit 1.
+var errUnknownID = errors.New("unknown experiment id")
 
 func main() {
-	runFlag := flag.String("run", "", "comma-separated experiment ids (e1..e13); empty runs all")
-	flag.Parse()
-
-	fig1 := experiments.DefaultFigure1()
-	all := []runner{
-		{"e1", "Fig 1a: raw sharing", func() (interface{ Table() string }, error) { return experiments.RunE1(fig1) }},
-		{"e2", "Fig 1b: federated learning", func() (interface{ Table() string }, error) { return experiments.RunE2(fig1) }},
-		{"e3", "Fig 1c: secure aggregation", func() (interface{ Table() string }, error) { return experiments.RunE3(fig1) }},
-		{"e4", "Fig 1d: poisoning attack", func() (interface{ Table() string }, error) { return experiments.RunE4(fig1) }},
-		{"e5", "Fig 2/3: glimmer defense", func() (interface{ Table() string }, error) { return experiments.RunE5(fig1) }},
-		{"e6", "§3: decomposition ablation", func() (interface{ Table() string }, error) { return experiments.RunE6(experiments.DefaultE6()) }},
-		{"e7", "§3: validation ladder", func() (interface{ Table() string }, error) { return experiments.RunE7(experiments.DefaultE7()) }},
-		{"e8", "§4.1: bot detection", func() (interface{ Table() string }, error) { return experiments.RunE8(experiments.DefaultE8()) }},
-		{"e9", "§4.2: glimmer-as-a-service", func() (interface{ Table() string }, error) { return experiments.RunE9(experiments.DefaultE9()) }},
-		{"e10", "§2: consortium comparison", func() (interface{ Table() string }, error) { return experiments.RunE10(experiments.DefaultE10()) }},
-		{"e11", "§1/§3: photos for maps", func() (interface{ Table() string }, error) { return experiments.RunE11(experiments.DefaultE11()) }},
-		{"e12", "§3: predicate verification", func() (interface{ Table() string }, error) { return experiments.RunE12() }},
-		{"e13", "fleet simulator: fault sweep", func() (interface{ Table() string }, error) { return experiments.RunE13(experiments.DefaultE13()) }},
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUnknownID) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
+}
 
+// run prints the table of every experiment -run names, in index order.
+// Nothing runs unless every name is in the index.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	runFlag := fs.String("run", "", "comma-separated experiment ids (e1..e13); empty runs all")
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
+
+	var valid []string
+	for _, e := range experiments.Index {
+		valid = append(valid, e.ID)
+	}
 	want := map[string]bool{}
 	if *runFlag != "" {
 		for _, id := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
+			id = strings.TrimSpace(strings.ToLower(id))
+			if !slices.Contains(valid, id) {
+				return fmt.Errorf("%w %q (valid: %s)", errUnknownID, id, strings.Join(valid, ", "))
+			}
+			want[id] = true
 		}
 	}
-
-	ran := 0
-	for _, r := range all {
-		if len(want) > 0 && !want[r.id] {
+	for _, e := range experiments.Index {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		res, err := r.run()
+		res, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s (%s): %v\n", r.id, r.desc, err)
-			os.Exit(1)
+			return fmt.Errorf("%s (%s): %v", e.ID, e.Desc, err)
 		}
-		fmt.Println(res.Table())
-		ran++
+		fmt.Fprintln(stdout, res.Table())
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments matched %q (valid: e1..e13)\n", *runFlag)
-		os.Exit(2)
-	}
+	return nil
 }

@@ -112,13 +112,7 @@ func tenantConfig(as *tee.AttestationService, spec tenantSpec, workers, shards i
 		EvictAtCap:   node.DefaultEvictAtCap,
 		RoundWindow:  node.DefaultRoundWindow,
 		Glimmer:      cfg,
-		Provision: func(dev *glimmer.Device) error {
-			payload, err := svc.BasePayload()
-			if err != nil {
-				return err
-			}
-			return svc.Provision(dev, payload)
-		},
+		Provision:    svc.ProvisionDevice,
 	}, nil
 }
 

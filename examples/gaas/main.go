@@ -2,8 +2,9 @@
 // a Glimmer hosted on another machine.
 //
 // The host (think: a set-top box, a university server, the EFF) runs
-// glimmerd's hardened serving edge: TLS transport, connection caps, and
-// per-connection deadlines around the attested session protocol. The
+// glimmerd's assembly (internal/node) with its hardened serving edge: TLS
+// transport, connection caps, and per-connection deadlines around the
+// attested session protocol. The
 // thermostat dials it with DialContext, verifies the enclave quote against
 // the attestation root, and pins the measurement trust-on-first-use in a
 // known-hosts store — a host that later swaps the enclave is refused loudly.
@@ -23,6 +24,7 @@ import (
 	"glimmers"
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
+	"glimmers/internal/node"
 	"glimmers/internal/predicate"
 )
 
@@ -39,53 +41,54 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The neutral host machine: the tenant mounts on a command mux like a
-	// route, and the host is also the ingest front door — batches of signed
-	// contributions flow into the service's concurrent sharded pipeline.
-	mux := gaas.NewServeMux()
-	mux.Mount(cfg, func(dev *glimmer.Device) error {
-		payload, err := tb.Service.BasePayload()
-		if err != nil {
-			return err
-		}
-		return tb.Service.Provision(dev, payload)
-	})
-	rounds := glimmers.NewRoundManager(glimmers.PipelineConfig{
-		ServiceName: tb.Service.Name(),
-		Verify:      tb.Service.ContributionVerifyKey(),
-		Dim:         dim,
-	})
-
+	// The neutral host machine runs what glimmerd runs (internal/node):
+	// the service is a tenant whose Glimmer the node loads and provisions
+	// for each remote session, and the node is also the ingest front door
+	// — batches of signed contributions are routed to the tenant's
+	// concurrent sharded pipeline.
+	//
 	// The public edge: TLS for transport privacy (trust stays with
 	// attestation, so a self-signed cert is fine), deadlines so a stalled
 	// peer cannot pin an enclave slot, and caps so a flood is shed with an
-	// error instead of queueing forever.
+	// error instead of queueing forever — glimmerd's defaults.
 	tlsConf, err := gaas.SelfSignedServerTLS("127.0.0.1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	server := gaas.New(gaas.ServerConfig{
-		Platform:           tb.Platform,
-		Mux:                mux,
-		Ingest:             rounds,
-		TLS:                tlsConf,
-		ReadTimeout:        5 * time.Second,
-		WriteTimeout:       5 * time.Second,
-		IdleTimeout:        time.Minute,
-		MaxConns:           256,
-		MaxConnsPerIP:      32,
-		MaxInflightBatches: 64,
-	})
-	tb.Service.Vet(server.Measurement())
-	rounds.Vet(server.Measurement())
-
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ln.Close()
-	go func() { _ = server.Serve(ln) }()
-	fmt.Printf("glimmer host serving TLS on %s (measurement %s)\n", ln.Addr(), server.Measurement())
+	hosted := glimmer.BuildBinary(cfg).Measurement()
+	tb.Service.Vet(hosted)
+	host, err := node.Start(node.Config{
+		Tenants: []glimmers.TenantConfig{{
+			Name:        tb.Service.Name(),
+			Verify:      tb.Service.ContributionVerifyKey(),
+			Dim:         dim,
+			Vetted:      []glimmers.Measurement{hosted},
+			EvictAtCap:  node.DefaultEvictAtCap,
+			RoundWindow: node.DefaultRoundWindow,
+			Glimmer:     cfg,
+			Provision:   tb.Service.ProvisionDevice,
+		}},
+		Listener: ln,
+		Edge: gaas.ServerConfig{
+			Platform:           tb.Platform,
+			TLS:                tlsConf,
+			ReadTimeout:        node.DefaultReadTimeout,
+			WriteTimeout:       node.DefaultWriteTimeout,
+			IdleTimeout:        node.DefaultIdleTimeout,
+			MaxConns:           node.DefaultMaxConns,
+			MaxConnsPerIP:      node.DefaultMaxConnsPerIP,
+			MaxInflightBatches: node.DefaultMaxInflightBatches,
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer host.Drain() //nolint:errcheck // the transcript is the example
+	fmt.Printf("glimmer host serving TLS on %s (measurement %s)\n", ln.Addr(), hosted)
 
 	// The IoT device: no TEE. The quote verifier checks the enclave is
 	// genuine; the known-hosts store pins whatever measurement the service
@@ -124,8 +127,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tenant, _ := host.Registry().Tenant(tb.Service.Name())
+	round1, _ := tenant.Manager().Lookup(1)
 	fmt.Printf("thermostat: batch submitted, accepted=%d rejected=%d; round 1 count = %d\n",
-		accepted, rejected, rounds.Round(1).Count())
+		accepted, rejected, round1.Count())
 
 	// A compromised thermostat trying to report a 900-degree reading is
 	// refused by the remote Glimmer.

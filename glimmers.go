@@ -7,10 +7,11 @@
 //
 // This root package is the public facade: it re-exports the main types from
 // the internal packages and provides a Testbed that assembles a complete
-// deployment (attestation service, platform, cloud service, Glimmer
-// devices) in a few calls. See the examples/ directory for runnable
-// walkthroughs and README.md for the system inventory and the experiment
-// index.
+// deployment (attestation service, platform, cloud service) in a few
+// calls; Glimmer devices come from Service.NewDevice, the one definition
+// of the load → vet → provision trust path. See the examples/ directory
+// for runnable walkthroughs and README.md for the system inventory and the
+// experiment index.
 //
 // The paper's SGX substrate is simulated in software (package tee): the
 // simulation enforces the same contracts — isolation, measurement,
@@ -161,26 +162,13 @@ func NewTestbed(serviceName string, pred *Program) (*Testbed, error) {
 	return &Testbed{AS: as, Platform: platform, Service: svc}, nil
 }
 
-// NewProvisionedDevice loads a Glimmer for the testbed's service, vets its
-// measurement, and provisions it — ready to contribute. Masks, if non-nil,
-// supply dealer blinding material by round.
+// NewProvisionedDevice returns a Glimmer for the testbed's service, ready
+// to contribute: Service.NewDevice (load, vet, provision) on the testbed's
+// platform. Masks, if non-nil, supply dealer blinding material by round.
 func (tb *Testbed) NewProvisionedDevice(dim int, mode Mode, masks map[uint64][]uint64) (*Device, error) {
 	cfg, err := tb.Service.GlimmerConfig(dim, mode, DefaultPolicy)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := glimmer.NewDevice(tb.Platform, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tb.Service.Vet(dev.Measurement())
-	payload, err := tb.Service.BasePayload()
-	if err != nil {
-		return nil, err
-	}
-	payload.Masks = masks
-	if err := tb.Service.Provision(dev, payload); err != nil {
-		return nil, err
-	}
-	return dev, nil
+	return tb.Service.NewDevice(tb.Platform, cfg, masks)
 }

@@ -72,9 +72,3 @@ func (s *Session) Recv(record []byte) ([]byte, error) {
 	s.recvSeq++
 	return plaintext, nil
 }
-
-// SendSeq reports how many records have been sent.
-func (s *Session) SendSeq() uint64 { return s.sendSeq }
-
-// RecvSeq reports how many records have been received.
-func (s *Session) RecvSeq() uint64 { return s.recvSeq }

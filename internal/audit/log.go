@@ -20,11 +20,10 @@ import (
 // for tests and operator introspection. All methods are safe for
 // concurrent use.
 type Log struct {
-	mu    sync.Mutex
-	w     io.Writer
-	now   func() int64
-	tail  []string
-	total uint64
+	mu   sync.Mutex
+	w    io.Writer
+	now  func() int64
+	tail []string
 }
 
 // tailCap bounds the in-memory tail; the sink keeps the full trail.
@@ -56,7 +55,6 @@ func (l *Log) Append(event, format string, args ...any) {
 		l.tail = l.tail[:tailCap-1]
 	}
 	l.tail = append(l.tail, line)
-	l.total++
 }
 
 // Tail returns a copy of the retained recent lines, oldest first.
@@ -66,12 +64,4 @@ func (l *Log) Tail() []string {
 	out := make([]string, len(l.tail))
 	copy(out, l.tail)
 	return out
-}
-
-// Total reports how many events have ever been appended (the tail may
-// retain fewer).
-func (l *Log) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }

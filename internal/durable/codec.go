@@ -237,17 +237,6 @@ func encodeAccepted(w *wire.Writer, tenant string, round uint64, digests [][32]b
 	lanesField(w, delta)
 }
 
-// encodeAcceptedOne is encodeAccepted for the single-contribution hook:
-// same record kind and bytes, without materializing a one-element digest
-// slice.
-func encodeAcceptedOne(w *wire.Writer, tenant string, round uint64, digest [32]byte, blinded fixed.Vector) {
-	w.Byte(recAccepted)
-	w.String(tenant)
-	w.Uint64(round)
-	w.Bytes(digest[:])
-	lanesField(w, blinded)
-}
-
 func encodeDropout(w *wire.Writer, tenant string, round uint64, mask fixed.Vector) {
 	w.Byte(recDropoutCorrected)
 	w.String(tenant)

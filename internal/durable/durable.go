@@ -403,12 +403,6 @@ func (s *Store) RoundForgotten(tenant string, round uint64) {
 	s.stage(false, e)
 }
 
-func (s *Store) Accepted(tenant string, round uint64, digest [32]byte, blinded fixed.Vector) {
-	e := getEncoder()
-	encodeAcceptedOne(e.w, tenant, round, digest, blinded)
-	s.stage(false, e)
-}
-
 func (s *Store) BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector) {
 	e := getEncoder()
 	encodeAccepted(e.w, tenant, round, digests, delta)

@@ -140,7 +140,7 @@ func driveStore(s service.Journal) {
 	s.Rejected(testTenant, 1, service.LevelRound, 1)
 	s.RoundSealed(testTenant, 1)
 	s.RoundCreated(testTenant, 2)
-	s.Accepted(testTenant, 2, digest(0x33), fixed.Vector{5, 6, 7, 8})
+	s.BatchAccepted(testTenant, 2, [][32]byte{digest(0x33)}, fixed.Vector{5, 6, 7, 8})
 	s.DropoutCorrected(testTenant, 2, fixed.Vector{1, 1, 1, 1})
 	s.Rejected(testTenant, 0, service.LevelManager, 2)
 	s.Rejected("", 0, service.LevelRegistry, 3)

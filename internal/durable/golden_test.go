@@ -164,10 +164,6 @@ func (c *recordCollector) RoundForgotten(tenant string, round uint64) {
 	c.add(func(w *wire.Writer) { encodeRound(w, recRoundForgotten, tenant, round) })
 }
 
-func (c *recordCollector) Accepted(tenant string, round uint64, d [32]byte, blinded fixed.Vector) {
-	c.add(func(w *wire.Writer) { encodeAcceptedOne(w, tenant, round, d, blinded) })
-}
-
 func (c *recordCollector) BatchAccepted(tenant string, round uint64, ds [][32]byte, delta fixed.Vector) {
 	c.add(func(w *wire.Writer) { encodeAccepted(w, tenant, round, ds, delta) })
 }

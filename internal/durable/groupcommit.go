@@ -32,7 +32,7 @@ import (
 // Barrier records (RoundSealed, RoundClosed, TicketGranted — and the
 // Snapshot/Close lifecycle) block their caller until the record is
 // written AND fsynced: a seal must be durable before the sealed sum is
-// observable anywhere else. Everything else (Accepted, BatchAccepted,
+// observable anywhere else. Everything else (BatchAccepted,
 // Rejected, DropoutCorrected, RoundCreated, RoundForgotten,
 // TicketEvicted) is fire-and-forget: a crash can lose the staged tail,
 // bounded by FlushBytes/FlushInterval, and recovery then restores the

@@ -57,7 +57,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		s.Accepted(testTenant, 1, digest(byte(i)), fixed.Vector{1, 2, 3, 4})
+		s.BatchAccepted(testTenant, 1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4})
 	}
 	if st := s.Stats(); st.Writes != 0 {
 		t.Fatalf("async records hit the disk before any flush: %+v", st)
@@ -87,7 +87,7 @@ func TestBarrierMakesPrefixDurable(t *testing.T) {
 
 	s.RoundCreated(testTenant, 1)
 	for i := 0; i < 5; i++ {
-		s.Accepted(testTenant, 1, digest(byte(i)), fixed.Vector{1, 2, 3, 4})
+		s.BatchAccepted(testTenant, 1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4})
 	}
 	s.RoundSealed(testTenant, 1)
 
@@ -168,7 +168,7 @@ func TestWALErrorAuditedImmediately(t *testing.T) {
 	s.f.Close()
 	s.mu.Unlock()
 
-	s.Accepted(testTenant, 1, digest(1), fixed.Vector{1, 2, 3, 4})
+	s.BatchAccepted(testTenant, 1, [][32]byte{digest(1)}, fixed.Vector{1, 2, 3, 4})
 	done := make(chan struct{})
 	go func() {
 		s.RoundSealed(testTenant, 1) // barrier: must return despite the dead file
@@ -214,7 +214,7 @@ func TestInlineBackpressureFlush(t *testing.T) {
 	s.stopFlusher()
 
 	for i := 0; i < 64; i++ {
-		s.Accepted(testTenant, 1, digest(byte(i)), fixed.Vector{1, 2, 3, 4})
+		s.BatchAccepted(testTenant, 1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4})
 	}
 	st := s.Stats()
 	if st.Writes == 0 {
@@ -243,7 +243,7 @@ func TestBackgroundFlusherInterval(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.Accepted(testTenant, 1, digest(1), fixed.Vector{1, 2, 3, 4})
+	s.BatchAccepted(testTenant, 1, [][32]byte{digest(1)}, fixed.Vector{1, 2, 3, 4})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if s.Stats().Writes > 0 {

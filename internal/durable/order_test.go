@@ -31,9 +31,6 @@ func (o *orderRecorder) RoundCreated(_ string, r uint64)   { o.rec("created", r,
 func (o *orderRecorder) RoundSealed(_ string, r uint64)    { o.rec("sealed", r, 0) }
 func (o *orderRecorder) RoundClosed(_ string, r uint64)    { o.rec("closed", r, 0) }
 func (o *orderRecorder) RoundForgotten(_ string, r uint64) { o.rec("forgotten", r, 0) }
-func (o *orderRecorder) Accepted(_ string, r uint64, _ [32]byte, _ fixed.Vector) {
-	o.rec("accepted", r, 1)
-}
 func (o *orderRecorder) BatchAccepted(_ string, r uint64, ds [][32]byte, _ fixed.Vector) {
 	o.rec("accepted", r, len(ds))
 }
@@ -146,7 +143,7 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 	// a round whose RoundForgotten is already in the journal. Synthesized
 	// deterministically (the storm above only sometimes produces it).
 	m.Forget(2)
-	s.Accepted(testTenant, 2, digest(0xEE), fixed.Vector{9, 9, 9, 9})
+	s.BatchAccepted(testTenant, 2, [][32]byte{digest(0xEE)}, fixed.Vector{9, 9, 9, 9})
 
 	p1, ok := m.Lookup(1)
 	if !ok {

@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"time"
 
 	"glimmers/internal/blind"
 	"glimmers/internal/fedml"
 	"glimmers/internal/fixed"
+	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/keyboard"
+	"glimmers/internal/node"
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
@@ -19,12 +24,16 @@ import (
 // E5Result shows the Glimmer blocking Figure 1d's attack end to end
 // (Figures 2 and 3 operating together).
 type E5Result struct {
-	// Accepted and Rejected count contributions at the aggregator.
+	// Accepted counts contributions in the node's sealed round; Rejected
+	// counts those a client's Glimmer refused to endorse.
 	Accepted int
 	Rejected int
-	// AttackBlockedAtClient: the 538 never left the attacker's device.
+	// AttackBlockedAtClient: no 538 ever left an attacker's device.
 	AttackBlockedAtClient bool
-	// SuggestionIntact: the global model still suggests the honest trend.
+	// Suggestion is what the protected global model offers after the cue
+	// word, at Weight. SuggestionIntact: it is not the attacker's target.
+	Suggestion       string
+	Weight           float64
 	SuggestionIntact bool
 	// AggregateExact: masks cancelled; aggregate equals honest-only sum.
 	AggregateExact bool
@@ -47,105 +56,138 @@ func (r *E5Result) Table() string {
 		})
 }
 
-// RunE5 reproduces the Glimmer defense over the Figure 1 cohort.
+// e5Frame is how many contributions ride one submit-batch frame.
+const e5Frame = 128
+
+// RunE5 reproduces the Glimmer defense over the Figure 1 cohort, with the
+// service side on the shipped node: the cohort's endorsed contributions
+// cross the gaas edge in batch frames, are routed, admitted and journaled
+// by a durable tenant, and the sealed sum is read off the drain report.
 func RunE5(cfg Figure1Config) (*E5Result, error) {
-	w, err := NewWorld(cfg.Seed, cfg.Users, cfg.WordsPerUser)
+	res, _, err := runE5(cfg)
+	return res, err
+}
+
+// runE5 also returns what the hosting node reported at drain.
+func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
+	pop, err := newPopulation(cfg.Seed, cfg.Users, cfg.WordsPerUser)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
-	dims := w.Vocab.Dims()
-	svc, err := w.newService("nextwordpredictive.com", predicate.UnitRangeCheck("unit-range", dims))
+	dims := pop.vocab.Dims()
+	_, platform, svc, err := trustRoot("nextwordpredictive.com", predicate.UnitRangeCheck("unit-range", dims))
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
 	// Dealer masks for one round across the cohort.
 	const round = uint64(1)
-	n := len(w.Pop.Users)
+	n := len(pop.Users)
 	masks, err := blind.ZeroSumMasks(append(cfg.Seed, 'e', '5'), n, dims)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
 	glimCfg, err := svc.GlimmerConfig(dims, glimmer.ModeDealer, glimmer.DefaultPolicy)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
 
-	models := w.localModels()
+	models := pop.localModels()
+	if err := cfg.poison(models); err != nil {
+		return nil, rep, err
+	}
 	honestSum := fixed.NewVector(dims)
-	for i, m := range models {
-		if i == 0 {
-			continue // attacker's poisoned model is excluded from truth
-		}
+	for _, m := range models[cfg.Attackers:] { // poisoned models are excluded from truth
 		honestSum.AddInPlace(m.Weights)
 	}
-	if err := fedml.Poison(models[0], cfg.AttackCue, cfg.AttackTarget, cfg.AttackWeight); err != nil {
-		return nil, err
-	}
 
-	agg := service.NewPipeline(service.PipelineConfig{
-		ServiceName: svc.Name(),
-		Verify:      svc.ContributionVerifyKey(),
-		Dim:         dims,
-		Round:       round,
-		Workers:     1,
-		Shards:      1,
-	})
-	res := &E5Result{}
+	// Client side: every user's Glimmer validates, blinds and signs.
+	res = &E5Result{}
 	var totalLatency time.Duration
-	attackerMaskUnused := fixed.NewVector(dims)
+	var endorsed [][]byte
+	unusedMasks := fixed.NewVector(dims)
 	for i, m := range models {
-		dev, err := w.provisionDevice(svc, glimCfg, map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])})
+		dev, err := svc.NewDevice(platform, glimCfg, map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])})
 		if err != nil {
-			return nil, err
+			return nil, rep, err
 		}
 		start := time.Now()
 		sc, err := dev.Contribute(round, m.Weights, nil)
 		totalLatency += time.Since(start)
+		if i < cfg.Attackers && errors.Is(err, glimmer.ErrRejected) {
+			res.Rejected++
+			// A refused device's mask never enters the aggregate; account
+			// for it so the honest masks still cancel.
+			unusedMasks.AddInPlace(masks[i])
+			continue
+		}
 		if err != nil {
-			if i == 0 && errors.Is(err, glimmer.ErrRejected) {
-				res.AttackBlockedAtClient = true
-				res.Rejected++
-				// The attacker's mask never enters the aggregate; account
-				// for it so the honest masks still cancel.
-				attackerMaskUnused.AddInPlace(masks[i])
-				continue
-			}
-			return nil, fmt.Errorf("user %d: %w", i, err)
+			return nil, rep, fmt.Errorf("user %d: %w", i, err)
 		}
-		agg.Vet(dev.Measurement())
-		if err := agg.Add(glimmer.EncodeSignedContribution(sc)); err != nil {
-			return nil, err
-		}
+		endorsed = append(endorsed, glimmer.EncodeSignedContribution(sc))
 	}
-	res.Accepted = agg.Count()
+	res.AttackBlockedAtClient = cfg.Attackers > 0 && res.Rejected == cfg.Attackers
 	res.MeanContributeLatency = totalLatency / time.Duration(n)
 
-	// The surviving masks sum to -mask[attacker]; correct like a dropout.
-	if err := agg.CorrectDropout(attackerMaskUnused); err != nil {
-		return nil, err
+	// Service side: a durable tenant on the node, fed over its edge the
+	// way a relay feeds glimmerd — sessionless, batch frames.
+	stateDir, err := os.MkdirTemp("", "glimmers-e5-")
+	if err != nil {
+		return nil, rep, err
 	}
-	got := agg.Sum()
-	res.AggregateExact = true
-	for d := range honestSum {
-		if got[d] != honestSum[d] {
-			res.AggregateExact = false
-			break
+	defer os.RemoveAll(stateDir)
+	var mean fixed.Vector
+	rep, err = onNode(platform, service.TenantConfig{
+		Name:   svc.Name(),
+		Verify: svc.ContributionVerifyKey(),
+		Dim:    dims,
+		Vetted: []tee.Measurement{glimmer.BuildBinary(glimCfg).Measurement()},
+	}, stateDir, func(hosted *node.Node, addr string) error {
+		client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{NoSession: true})
+		if err != nil {
+			return err
 		}
-	}
-	mean := got.Clone()
-	for i := range mean {
-		mean[i] = fixed.Ring(int64(mean[i]) / int64(agg.Count()))
-	}
-	global, err := fedml.FromWeights(w.Vocab, mean)
+		defer client.Close()
+		for frame := range slices.Chunk(endorsed, e5Frame) {
+			_, refused, err := client.SubmitBatch(frame)
+			if err != nil {
+				return err
+			}
+			if refused > 0 {
+				return fmt.Errorf("edge refused %d of %d endorsed contributions", refused, len(frame))
+			}
+		}
+		tenant, _ := hosted.Registry().Tenant(svc.Name())
+		p := tenant.Manager().Round(round)
+		if err := p.Seal(); err != nil {
+			return err
+		}
+		// The surviving masks sum to minus the refused devices'; correct
+		// like a dropout.
+		if err := p.CorrectDropout(unusedMasks); err != nil {
+			return err
+		}
+		mean, err = p.Mean()
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
-	top, _, err := global.Predict(cfg.AttackCue)
+	if len(rep.Tenants) != 1 || len(rep.Tenants[0].Rounds) != 1 {
+		return nil, rep, fmt.Errorf("node drained %+v, want one tenant with one round", rep.Tenants)
+	}
+	sealed := rep.Tenants[0].Rounds[0]
+	res.Accepted = sealed.Accepted
+	res.AggregateExact = slices.Equal(sealed.Sum, honestSum)
+
+	global, err := fedml.FromWeights(pop.vocab, mean)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
-	res.SuggestionIntact = top != cfg.AttackTarget
-	return res, nil
+	if res.Suggestion, res.Weight, err = global.Predict(cfg.AttackCue); err != nil {
+		return nil, rep, err
+	}
+	res.SuggestionIntact = res.Suggestion != cfg.AttackTarget
+	return res, rep, nil
 }
 
 // E6Config parameterizes the decomposition ablation.
@@ -198,11 +240,7 @@ func (r *E6Result) Table() string {
 
 // RunE6 measures the price of decomposition.
 func RunE6(cfg E6Config) (*E6Result, error) {
-	w, err := NewWorld(cfg.Seed, 1, 10)
-	if err != nil {
-		return nil, err
-	}
-	svc, err := w.newService("ablation.example", predicate.UnitRangeCheck("unit-range", cfg.Dim))
+	_, platform, svc, err := trustRoot("ablation.example", predicate.UnitRangeCheck("unit-range", cfg.Dim))
 	if err != nil {
 		return nil, err
 	}
@@ -261,16 +299,8 @@ func RunE6(cfg E6Config) (*E6Result, error) {
 		if costed {
 			opts = append(opts, tee.WithTransitionCost(cfg.TransitionCost))
 		}
-		dev, err := glimmer.NewDevice(w.Platform, glimCfg, opts...)
+		dev, err := svc.NewDevice(platform, glimCfg, nil, opts...)
 		if err != nil {
-			return nil, nil, err
-		}
-		svc.Vet(dev.Measurement())
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := svc.Provision(dev, payload); err != nil {
 			return nil, nil, err
 		}
 		return dev, func() uint64 { return dev.Stats().ECalls }, nil
@@ -288,7 +318,7 @@ func RunE6(cfg E6Config) (*E6Result, error) {
 		if costed {
 			opts = append(opts, tee.WithTransitionCost(cfg.TransitionCost))
 		}
-		dev, err := glimmer.NewDecomposedDevice(w.Platform, glimCfg, vendor.Public(), opts...)
+		dev, err := glimmer.NewDecomposedDevice(platform, glimCfg, vendor.Public(), opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -354,18 +384,18 @@ func (r *E7Result) Table() string {
 
 // RunE7 sweeps the validation ladder.
 func RunE7(cfg E7Config) (*E7Result, error) {
-	w, err := NewWorld(cfg.Seed, cfg.Users, cfg.WordsPerUser)
+	pop, err := newPopulation(cfg.Seed, cfg.Users, cfg.WordsPerUser)
 	if err != nil {
 		return nil, err
 	}
-	dims := w.Vocab.Dims()
-	models := w.localModels()
+	dims := pop.vocab.Dims()
+	models := pop.localModels()
 
 	// The forgery: an in-range model claiming maximal weight for the
 	// attacker's pet bigram, unrelated to what the attacker actually typed.
 	forge := func(i int) fixed.Vector {
 		v := fixed.NewVector(dims)
-		dim, _ := w.Vocab.BigramIndex("donald", "dont")
+		dim, _ := pop.vocab.BigramIndex("donald", "dont")
 		v[dim] = fixed.FromFloat(1.0)
 		return v
 	}
@@ -388,7 +418,7 @@ func RunE7(cfg E7Config) (*E7Result, error) {
 		honestOK, forgedOK := 0, 0
 		maxSkew := 0.0
 		for i, m := range models {
-			private := keyboard.CorroborationWeights(w.Pop.Users[i].Activity, w.Vocab)
+			private := keyboard.CorroborationWeights(pop.Users[i].Activity, pop.vocab)
 			runPred := func(v fixed.Vector) bool {
 				contribution := make([]int64, len(v))
 				for d, r := range v {

@@ -1,18 +1,25 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure or claim of the paper, as indexed in README.md.
 // Each experiment returns a typed result whose Table method prints its
-// rows; cmd/experiments regenerates them all and the root bench_test.go
-// wraps them as benchmarks.
+// rows; Index lists them all, cmd/experiments regenerates them from it and
+// the root bench_test.go wraps them as benchmarks.
+//
+// An experiment builds only what it uses: a keyboard population (E1–E5,
+// E7), a trust root (E5, E6, E8–E11), and — for the two end-to-end claims,
+// E5 and E9 — a node of the shipped assembly (internal/node). Every
+// Glimmer device comes from service.Service.NewDevice.
 package experiments
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"text/tabwriter"
 
 	"glimmers/internal/fedml"
-	"glimmers/internal/glimmer"
+	"glimmers/internal/gaas"
 	"glimmers/internal/keyboard"
+	"glimmers/internal/node"
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
@@ -64,72 +71,78 @@ func at[C any, R result](run func(C) (R, error), defaults func() C) func() (resu
 	return func() (result, error) { return run(defaults()) }
 }
 
-// World is the shared experiment fixture: an attestation root, a platform,
-// and the paper's trending-keyboard population.
-type World struct {
-	AS       *tee.AttestationService
-	Platform *tee.Platform
-	Pop      *keyboard.Population
-	Vocab    *keyboard.Vocabulary
+// population is the paper's trending-keyboard cohort, built
+// deterministically from a seed: what the Figure 1 ladder, the defense and
+// the validation ladder (E1–E5, E7) train on.
+type population struct {
+	*keyboard.Population
+	vocab *keyboard.Vocabulary
 }
 
-// NewWorld builds the fixture deterministically from a seed.
-func NewWorld(seed []byte, users, wordsPerUser int) (*World, error) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		return nil, err
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		return nil, err
-	}
+func newPopulation(seed []byte, users, wordsPerUser int) (*population, error) {
 	pop, err := keyboard.TrendingScenario(seed, users, wordsPerUser)
 	if err != nil {
 		return nil, err
 	}
-	return &World{AS: as, Platform: platform, Pop: pop, Vocab: pop.Corpus.Vocabulary()}, nil
+	return &population{Population: pop, vocab: pop.Corpus.Vocabulary()}, nil
 }
 
 // localModels trains each user's partial model.
-func (w *World) localModels() []*fedml.Model {
-	models := make([]*fedml.Model, len(w.Pop.Users))
-	for i, u := range w.Pop.Users {
-		models[i] = fedml.TrainLocal(u.Activity, w.Vocab)
+func (p *population) localModels() []*fedml.Model {
+	models := make([]*fedml.Model, len(p.Users))
+	for i, u := range p.Users {
+		models[i] = fedml.TrainLocal(u.Activity, p.vocab)
 	}
 	return models
 }
 
 // heldout generates evaluation activity from the same corpus.
-func (w *World) heldout(n int) keyboard.Activity {
-	return w.Pop.Corpus.GenerateActivity([]byte("heldout"), n)
+func (p *population) heldout(n int) keyboard.Activity {
+	return p.Corpus.GenerateActivity([]byte("heldout"), n)
 }
 
-// newService creates a vetted service over the world's trust root.
-func (w *World) newService(name string, pred *predicate.Program) (*service.Service, error) {
-	svc, err := service.New(name, w.AS.Root())
+// trustRoot mints what an experiment that runs a Glimmer stands on: an
+// attestation root, one platform certified under it, and a service that
+// trusts the root and enforces pred. Devices come from svc.NewDevice.
+func trustRoot(name string, pred *predicate.Program) (*tee.AttestationService, *tee.Platform, *service.Service, error) {
+	as, err := tee.NewAttestationService()
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	if err := svc.SetPredicate(pred); err != nil {
-		return nil, err
+	platform, err := tee.NewPlatform(as)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return svc, nil
+	svc, err := service.New(name, as.Root())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return as, platform, svc, svc.SetPredicate(pred)
 }
 
-// provisionDevice loads, vets, and provisions one Glimmer device.
-func (w *World) provisionDevice(svc *service.Service, cfg glimmer.Config, masks map[uint64][]uint64) (*glimmer.Device, error) {
-	dev, err := glimmer.NewDevice(w.Platform, cfg)
+// onNode runs drive against the shipped assembly — internal/node, what
+// glimmerd starts — hosting one tenant behind a loopback listener. A drive
+// that succeeds ends in Drain, whose Report is returned; one that fails
+// ends in Kill. Either way the node's listener, handlers and store are
+// gone when onNode returns.
+func onNode(platform *tee.Platform, tenant service.TenantConfig, stateDir string,
+	drive func(n *node.Node, addr string) error) (node.Report, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		return node.Report{}, err
 	}
-	svc.Vet(dev.Measurement())
-	payload, err := svc.BasePayload()
+	n, err := node.Start(node.Config{
+		Tenants:  []service.TenantConfig{tenant},
+		StateDir: stateDir,
+		Listener: ln,
+		Edge:     gaas.ServerConfig{Platform: platform},
+	})
 	if err != nil {
-		return nil, err
+		return node.Report{}, err
 	}
-	payload.Masks = masks
-	if err := svc.Provision(dev, payload); err != nil {
-		return nil, err
+	if err := drive(n, ln.Addr().String()); err != nil {
+		n.Kill()
+		return node.Report{}, err
 	}
-	return dev, nil
+	return n.Drain()
 }

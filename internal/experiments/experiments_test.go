@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"math"
+	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -92,10 +96,38 @@ func TestE4PoisoningInvisibleUnderBlinding(t *testing.T) {
 	}
 }
 
+// TestE4AttackerCountEdges: with no attackers, or nobody but attackers, the
+// empty group's flagged rate is 0, and the aggregate-weight field keeps
+// meaning the target bigram even when another word stays on top.
+func TestE4AttackerCountEdges(t *testing.T) {
+	for _, attackers := range []int{0, smallFigure1().Users} {
+		cfg := smallFigure1()
+		cfg.Attackers = attackers
+		res, err := RunE4(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, a := res.BlindedFlaggedHonest, res.BlindedFlaggedAttacker; math.IsNaN(h) || math.IsNaN(a) {
+			t.Errorf("attackers=%d: flagged rates %v (honest), %v (attacker)", attackers, h, a)
+		}
+		if attackers == 0 && (res.Flipped || res.PoisonedTop != res.CleanTop ||
+			res.PoisonedAggregateWeight >= res.PoisonedTopWeight) {
+			t.Errorf("attackers=0: %+v", res)
+		}
+	}
+	cfg := smallFigure1()
+	cfg.Attackers = cfg.Users + 1
+	if _, err := RunE4(cfg); err == nil {
+		t.Error("more attackers than users accepted")
+	}
+}
+
 func TestE5GlimmerBlocksAttack(t *testing.T) {
 	cfg := smallFigure1()
 	cfg.Users = 8
-	res, err := RunE5(cfg)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where the hosting node's state directory goes
+	res, rep, err := runE5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +142,16 @@ func TestE5GlimmerBlocksAttack(t *testing.T) {
 	}
 	if !res.AggregateExact {
 		t.Error("honest aggregate not exact after correcting the refused mask")
+	}
+	// The round ran on the shipped node: routed, admitted, journaled.
+	if rep.RoutingRejected != 0 || rep.Tenants[0].ManagerRejected+rep.Tenants[0].PipelineRejected != 0 {
+		t.Errorf("node refused endorsed contributions: routing %d, tenant %+v", rep.RoutingRejected, rep.Tenants[0])
+	}
+	if rep.WAL.Records == 0 || !rep.Snapshotted {
+		t.Errorf("round left no durable trace: WAL %+v, snapshotted %v", rep.WAL, rep.Snapshotted)
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("state directory outlived the run: %v", left)
 	}
 }
 
@@ -188,12 +230,23 @@ func TestE8BotDetectionThroughGlimmer(t *testing.T) {
 	}
 }
 
+// TestE9RemoteGlimmer also holds the run to leaving nothing behind: the
+// hosting node's listener, accept loop and connection handlers are gone
+// when RunE9 returns.
 func TestE9RemoteGlimmer(t *testing.T) {
 	cfg := DefaultE9()
 	cfg.Contributions = 4
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
 	res, err := RunE9(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for (runtime.NumGoroutine() > goroutines || openFDs(t) > fds) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g, f := runtime.NumGoroutine(), openFDs(t); g > goroutines || f > fds {
+		t.Errorf("after RunE9: %d goroutines (baseline %d), %d open fds (baseline %d)", g, goroutines, f, fds)
 	}
 	if !res.RemoteWorks {
 		t.Error("remote contribution failed verification")
@@ -267,16 +320,41 @@ func TestE12VerifierCertificates(t *testing.T) {
 	}
 }
 
-func TestTablesRender(t *testing.T) {
-	// Every result renders a non-empty table with its experiment id.
-	small := smallFigure1()
-	small.Users = 6
-	small.WordsPerUser = 150
-
-	if r, err := RunE1(small); err != nil || !strings.Contains(r.Table(), "E1") {
-		t.Errorf("E1 table: %v", err)
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open fds: %v", err)
 	}
-	if r, err := RunE12(); err != nil || !strings.Contains(r.Table(), "E12") {
-		t.Errorf("E12 table: %v", err)
+	return len(fds)
+}
+
+// indexTables runs every Index entry once, at its default configuration,
+// for the tests that read the rendered tables.
+var indexTables = sync.OnceValue(func() map[string]rendered {
+	tables := make(map[string]rendered, len(Index))
+	for _, e := range Index {
+		res, err := e.Run()
+		if err != nil {
+			tables[e.ID] = rendered{err: err}
+			continue
+		}
+		tables[e.ID] = rendered{table: res.Table()}
+	}
+	return tables
+})
+
+type rendered struct {
+	table string
+	err   error
+}
+
+func TestTablesRender(t *testing.T) {
+	// Every result renders a table titled with its experiment id.
+	for _, e := range Index {
+		r := indexTables()[e.ID]
+		if title := "== " + strings.ToUpper(e.ID); r.err != nil || !strings.HasPrefix(r.table, title) {
+			t.Errorf("%s table starts %.20q, want %q: %v", e.ID, r.table, title, r.err)
+		}
 	}
 }

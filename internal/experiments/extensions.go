@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"glimmers/internal/audit"
@@ -13,6 +12,7 @@ import (
 	"glimmers/internal/gaas"
 	"glimmers/internal/geo"
 	"glimmers/internal/glimmer"
+	"glimmers/internal/node"
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
@@ -76,12 +76,7 @@ func (r *E8Result) Table() string {
 // RunE8 runs detection end to end through a provisioned Glimmer, auditing
 // every verdict message.
 func RunE8(cfg E8Config) (*E8Result, error) {
-	w, err := NewWorld(cfg.Seed, 1, 10)
-	if err != nil {
-		return nil, err
-	}
-	detector := botdetect.DefaultDetector
-	svc, err := w.newService("webservice.example", detector.Predicate("bot-detector"))
+	_, platform, svc, err := trustRoot("webservice.example", botdetect.DefaultDetector.Predicate("bot-detector"))
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +84,7 @@ func RunE8(cfg E8Config) (*E8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, err := w.provisionDevice(svc, glimCfg, nil)
+	dev, err := svc.NewDevice(platform, glimCfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -181,11 +176,7 @@ func (r *E9Result) Table() string {
 
 // RunE9 measures both deployments.
 func RunE9(cfg E9Config) (*E9Result, error) {
-	w, err := NewWorld(cfg.Seed, 1, 10)
-	if err != nil {
-		return nil, err
-	}
-	svc, err := w.newService("iot.example", predicate.UnitRangeCheck("range", cfg.Dim))
+	as, platform, svc, err := trustRoot("iot.example", predicate.UnitRangeCheck("range", cfg.Dim))
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +191,7 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 	res := &E9Result{}
 
 	// Local device.
-	local, err := w.provisionDevice(svc, glimCfg, nil)
+	local, err := svc.NewDevice(platform, glimCfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -212,42 +203,38 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 	}
 	res.Rows = append(res.Rows, E9Row{"local glimmer", time.Since(start) / time.Duration(cfg.Contributions)})
 
-	// Remote glimmer over loopback TCP.
-	mux := gaas.NewServeMux()
-	mux.Mount(glimCfg, func(dev *glimmer.Device) error {
-		payload, err := svc.BasePayload()
+	// Remote glimmer: the tenant hosts it on the node, over loopback TCP.
+	_, err = onNode(platform, service.TenantConfig{
+		Name:      svc.Name(),
+		Verify:    svc.ContributionVerifyKey(),
+		Dim:       cfg.Dim,
+		Glimmer:   glimCfg,
+		Provision: svc.ProvisionDevice,
+	}, "", func(hosted *node.Node, addr string) error {
+		tenant, _ := hosted.Registry().Tenant(svc.Name())
+		enclave := tenant.Measurement()
+		svc.Vet(enclave)
+		verifier := &tee.QuoteVerifier{Root: as.Root()}
+		verifier.Allow(enclave)
+		client, err := gaas.Dial(addr, verifier, svc.Name())
 		if err != nil {
 			return err
 		}
-		return svc.Provision(dev, payload)
-	})
-	server := gaas.New(gaas.ServerConfig{Platform: w.Platform, Mux: mux})
-	svc.Vet(server.Measurement())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	go func() { _ = server.Serve(ln) }()
-
-	verifier := &tee.QuoteVerifier{Root: w.AS.Root()}
-	verifier.Allow(server.Measurement())
-	client, err := gaas.Dial(ln.Addr().String(), verifier, svc.Name())
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	var lastSC glimmer.SignedContribution
-	start = time.Now()
-	for i := 0; i < cfg.Contributions; i++ {
-		sc, err := client.Contribute(uint64(i), contribution, nil)
-		if err != nil {
-			return nil, err
+		defer client.Close()
+		var lastSC glimmer.SignedContribution
+		start := time.Now()
+		for i := 0; i < cfg.Contributions; i++ {
+			if lastSC, err = client.Contribute(uint64(i), contribution, nil); err != nil {
+				return err
+			}
 		}
-		lastSC = sc
+		res.Rows = append(res.Rows, E9Row{"remote glimmer (TCP)", time.Since(start) / time.Duration(cfg.Contributions)})
+		res.RemoteWorks = svc.ContributionVerifyKey().Verify(lastSC.SignedBytes(), lastSC.Signature)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Rows = append(res.Rows, E9Row{"remote glimmer (TCP)", time.Since(start) / time.Duration(cfg.Contributions)})
-	res.RemoteWorks = svc.ContributionVerifyKey().Verify(lastSC.SignedBytes(), lastSC.Signature)
 	return res, nil
 }
 
@@ -323,11 +310,7 @@ func RunE10(cfg E10Config) (*E10Result, error) {
 	}
 
 	// SGX Glimmer for comparison: private data stays on the device.
-	w, err := NewWorld(cfg.Seed, 1, 10)
-	if err != nil {
-		return nil, err
-	}
-	svc, err := w.newService("cmp.example", predicate.UnitRangeCheck("range", cfg.Dim))
+	_, platform, svc, err := trustRoot("cmp.example", predicate.UnitRangeCheck("range", cfg.Dim))
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +318,7 @@ func RunE10(cfg E10Config) (*E10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, err := w.provisionDevice(svc, glimCfg, nil)
+	dev, err := svc.NewDevice(platform, glimCfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -394,11 +377,7 @@ func (r *E11Result) Table() string {
 // RunE11 pushes photo contributions through a Glimmer running the maps
 // validator.
 func RunE11(cfg E11Config) (*E11Result, error) {
-	w, err := NewWorld(cfg.Seed, 1, 10)
-	if err != nil {
-		return nil, err
-	}
-	svc, err := w.newService("maps.example", geo.DefaultPredicate("photo-validator"))
+	_, platform, svc, err := trustRoot("maps.example", geo.DefaultPredicate("photo-validator"))
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +385,7 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, err := w.provisionDevice(svc, glimCfg, nil)
+	dev, err := svc.NewDevice(platform, glimCfg, nil)
 	if err != nil {
 		return nil, err
 	}

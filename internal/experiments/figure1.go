@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"glimmers/internal/blind"
 	"glimmers/internal/fedml"
@@ -10,17 +11,32 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
-// Figure1Config parameterizes the E1–E4 scenario progression.
+// Figure1Config parameterizes the E1–E5 scenario progression.
 type Figure1Config struct {
 	Seed         []byte
 	Users        int
 	WordsPerUser int
 	HeldoutWords int
-	// AttackCue/AttackTarget is the suggestion the Figure 1d attacker wants
-	// to force; AttackWeight is the illegal value (the paper's 538).
+	// Attackers is how many users (the first ones) mount Figure 1d's
+	// attack. AttackCue/AttackTarget is the suggestion they want to force;
+	// AttackWeight is the illegal value (the paper's 538).
+	Attackers    int
 	AttackCue    string
 	AttackTarget string
 	AttackWeight float64
+}
+
+// poison turns the first Attackers local models into attackers' models.
+func (cfg Figure1Config) poison(models []*fedml.Model) error {
+	if cfg.Attackers < 0 || cfg.Attackers > len(models) {
+		return fmt.Errorf("attackers (%d) must be between 0 and users (%d)", cfg.Attackers, len(models))
+	}
+	for _, m := range models[:cfg.Attackers] {
+		if err := fedml.Poison(m, cfg.AttackCue, cfg.AttackTarget, cfg.AttackWeight); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DefaultFigure1 is the canonical configuration the benchmarks record.
@@ -30,6 +46,7 @@ func DefaultFigure1() Figure1Config {
 		Users:        24,
 		WordsPerUser: 500,
 		HeldoutWords: 3000,
+		Attackers:    1,
 		AttackCue:    "donald",
 		AttackTarget: "dont",
 		AttackWeight: 538,
@@ -66,32 +83,32 @@ func (r *E1Result) Table() string {
 // accuracy (trends emerge) at total privacy loss; staying local keeps
 // privacy and loses the trend signal.
 func RunE1(cfg Figure1Config) (*E1Result, error) {
-	w, err := NewWorld(cfg.Seed, cfg.Users, cfg.WordsPerUser)
+	pop, err := newPopulation(cfg.Seed, cfg.Users, cfg.WordsPerUser)
 	if err != nil {
 		return nil, err
 	}
-	heldout := w.heldout(cfg.HeldoutWords)
+	heldout := pop.heldout(cfg.HeldoutWords)
 
 	// Local-only: each user's own model; average accuracy.
 	var localAcc float64
-	models := w.localModels()
+	models := pop.localModels()
 	for _, m := range models {
 		localAcc += m.Accuracy(heldout)
 	}
 	localAcc /= float64(len(models))
 
 	// Raw sharing: the service sees everything and trains on the union.
-	combined := make([]int64, w.Vocab.Dims())
-	for _, u := range w.Pop.Users {
-		for dim, c := range u.Activity.BigramCounts(w.Vocab) {
+	combined := make([]int64, pop.vocab.Dims())
+	for _, u := range pop.Users {
+		for dim, c := range u.Activity.BigramCounts(pop.vocab) {
 			combined[dim] += c
 		}
 	}
-	weights := make(fixed.Vector, w.Vocab.Dims())
-	for dim, v := range keyboard.WeightsFromCounts(combined, w.Vocab) {
+	weights := make(fixed.Vector, pop.vocab.Dims())
+	for dim, v := range keyboard.WeightsFromCounts(combined, pop.vocab) {
 		weights[dim] = fixed.Ring(v)
 	}
-	rawModel, err := fedml.FromWeights(w.Vocab, weights)
+	rawModel, err := fedml.FromWeights(pop.vocab, weights)
 	if err != nil {
 		return nil, err
 	}
@@ -154,12 +171,12 @@ func (r *E2Result) Table() string {
 
 // RunE2 reproduces Figure 1b.
 func RunE2(cfg Figure1Config) (*E2Result, error) {
-	w, err := NewWorld(cfg.Seed, cfg.Users, cfg.WordsPerUser)
+	pop, err := newPopulation(cfg.Seed, cfg.Users, cfg.WordsPerUser)
 	if err != nil {
 		return nil, err
 	}
-	heldout := w.heldout(cfg.HeldoutWords)
-	models := w.localModels()
+	heldout := pop.heldout(cfg.HeldoutWords)
+	models := pop.localModels()
 	global, err := fedml.Aggregate(models...)
 	if err != nil {
 		return nil, err
@@ -171,8 +188,8 @@ func RunE2(cfg Figure1Config) (*E2Result, error) {
 
 	var recall float64
 	for i, m := range models {
-		truth := w.Pop.Users[i].Activity.DistinctBigrams(w.Vocab)
-		recovered := fedml.InvertModel(m, w.Vocab.Dims())
+		truth := pop.Users[i].Activity.DistinctBigrams(pop.vocab)
+		recovered := fedml.InvertModel(m, pop.vocab.Dims())
 		recall += fedml.InversionRecall(recovered, truth)
 	}
 	recall /= float64(len(models))
@@ -225,12 +242,12 @@ func (r *E3Result) Table() string {
 
 // RunE3 reproduces Figure 1c with both blinding constructions.
 func RunE3(cfg Figure1Config) (*E3Result, error) {
-	w, err := NewWorld(cfg.Seed, cfg.Users, cfg.WordsPerUser)
+	pop, err := newPopulation(cfg.Seed, cfg.Users, cfg.WordsPerUser)
 	if err != nil {
 		return nil, err
 	}
-	models := w.localModels()
-	n, dims := len(models), w.Vocab.Dims()
+	models := pop.localModels()
+	n, dims := len(models), pop.vocab.Dims()
 	clearSum := fixed.NewVector(dims)
 	for _, m := range models {
 		clearSum.AddInPlace(m.Weights)
@@ -250,9 +267,9 @@ func RunE3(cfg Figure1Config) (*E3Result, error) {
 				break
 			}
 		}
-		truth := w.Pop.Users[0].Activity.DistinctBigrams(w.Vocab)
+		truth := pop.Users[0].Activity.DistinctBigrams(pop.vocab)
 		k := len(truth)
-		blindModel, err := fedml.FromWeights(w.Vocab, blinded[0])
+		blindModel, err := fedml.FromWeights(pop.vocab, blinded[0])
 		if err != nil {
 			return err
 		}
@@ -348,6 +365,9 @@ type E4Result struct {
 	// PoisonedAggregateWeight is the poisoned bigram's aggregate weight —
 	// far outside anything an honest population can produce.
 	PoisonedAggregateWeight float64
+	// PoisonedTopWeight is the weight behind PoisonedTop (the same number
+	// once the attack lands).
+	PoisonedTopWeight float64
 	// DetectableUnblinded: a service-side range check catches the raw 538.
 	DetectableUnblinded bool
 	// DetectableBlinded: the same check on blinded contributions cannot
@@ -377,16 +397,16 @@ func (r *E4Result) Table() string {
 
 // RunE4 reproduces Figure 1d.
 func RunE4(cfg Figure1Config) (*E4Result, error) {
-	w, err := NewWorld(cfg.Seed, cfg.Users, cfg.WordsPerUser)
+	pop, err := newPopulation(cfg.Seed, cfg.Users, cfg.WordsPerUser)
 	if err != nil {
 		return nil, err
 	}
-	models := w.localModels()
+	models := pop.localModels()
 	clean, err := fedml.Aggregate(models...)
 	if err != nil {
 		return nil, err
 	}
-	if err := fedml.Poison(models[0], cfg.AttackCue, cfg.AttackTarget, cfg.AttackWeight); err != nil {
+	if err := cfg.poison(models); err != nil {
 		return nil, err
 	}
 	poisoned, err := fedml.Aggregate(models...)
@@ -407,10 +427,11 @@ func RunE4(cfg Figure1Config) (*E4Result, error) {
 		}
 		return true
 	}
-	detectableUnblinded := !inRange(models[0].Weights)
+	detectableUnblinded := slices.ContainsFunc(models[:cfg.Attackers],
+		func(m *fedml.Model) bool { return !inRange(m.Weights) })
 
 	// Service-side detection, blinded: the same check over blinded vectors.
-	n, dims := len(models), w.Vocab.Dims()
+	n, dims := len(models), pop.vocab.Dims()
 	masks, err := blind.ZeroSumMasks(append(cfg.Seed, 'p'), n, dims)
 	if err != nil {
 		return nil, err
@@ -422,15 +443,16 @@ func RunE4(cfg Figure1Config) (*E4Result, error) {
 			return nil, err
 		}
 		if !inRange(b) {
-			if i == 0 {
+			if i < cfg.Attackers {
 				flaggedAttacker++
 			} else {
 				flaggedHonest++
 			}
 		}
 	}
-	honestRate := float64(flaggedHonest) / float64(n-1)
-	attackerRate := float64(flaggedAttacker)
+	// A group with nobody in it has nobody flagged.
+	rate := func(flagged, of int) float64 { return float64(flagged) / float64(max(of, 1)) }
+	honestRate, attackerRate := rate(flaggedHonest, n-cfg.Attackers), rate(flaggedAttacker, cfg.Attackers)
 	// "Detectable" means the check separates attacker from honest users.
 	detectableBlinded := attackerRate > honestRate+0.5
 
@@ -439,6 +461,7 @@ func RunE4(cfg Figure1Config) (*E4Result, error) {
 		PoisonedTop:             skew.PoisonedTop,
 		Flipped:                 skew.Flipped,
 		PoisonedAggregateWeight: skew.PoisonedW,
+		PoisonedTopWeight:       skew.PoisonedTopW,
 		DetectableUnblinded:     detectableUnblinded,
 		DetectableBlinded:       detectableBlinded,
 		BlindedFlaggedHonest:    honestRate,

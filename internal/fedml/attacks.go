@@ -80,6 +80,9 @@ type SuggestionSkew struct {
 	PoisonedW   float64
 	CleanTop    string
 	PoisonedTop string
+	// PoisonedTopW is the weight behind PoisonedTop; it equals PoisonedW
+	// once the attack lands.
+	PoisonedTopW float64
 	// Flipped reports whether poisoning changed the top suggestion to the
 	// attacker's target.
 	Flipped bool
@@ -95,17 +98,18 @@ func MeasureSkew(clean, poisoned *Model, cue, target string) (SuggestionSkew, er
 	if err != nil {
 		return SuggestionSkew{}, err
 	}
-	poisonedTop, _, err := poisoned.Predict(cue)
+	poisonedTop, poisonedTopW, err := poisoned.Predict(cue)
 	if err != nil {
 		return SuggestionSkew{}, err
 	}
 	return SuggestionSkew{
-		Cue:         cue,
-		Target:      target,
-		CleanW:      clean.Weights[dim].Float(),
-		PoisonedW:   poisoned.Weights[dim].Float(),
-		CleanTop:    cleanTop,
-		PoisonedTop: poisonedTop,
-		Flipped:     poisonedTop == target && cleanTop != target,
+		Cue:          cue,
+		Target:       target,
+		CleanW:       clean.Weights[dim].Float(),
+		PoisonedW:    poisoned.Weights[dim].Float(),
+		CleanTop:     cleanTop,
+		PoisonedTop:  poisonedTop,
+		PoisonedTopW: poisonedTopW,
+		Flipped:      poisonedTop == target && cleanTop != target,
 	}, nil
 }

@@ -83,15 +83,6 @@ type Event struct {
 // reach the service.
 type Activity []Event
 
-// Words extracts the word sequence.
-func (a Activity) Words() []string {
-	out := make([]string, len(a))
-	for i, e := range a {
-		out[i] = e.Word
-	}
-	return out
-}
-
 // BigramCounts tallies ordered word pairs in the activity over the
 // vocabulary; the result is the sufficient statistic local training uses.
 func (a Activity) BigramCounts(v *Vocabulary) []int64 {

@@ -1,10 +1,6 @@
 package predicate
 
-import (
-	"fmt"
-
-	"glimmers/internal/fixed"
-)
+import "glimmers/internal/fixed"
 
 // The standard predicate library: the validators the paper's scenarios
 // need, written branch-free over secrets so they pass the information-flow
@@ -101,15 +97,4 @@ func ThresholdScore(name string, weights []int64, threshold int64) *Program {
 // baseline configuration (Figure 1c without a Glimmer check).
 func AlwaysValid(name string) *Program {
 	return NewBuilder(name, 0).Push(1).Declass().Verdict().MustBuild()
-}
-
-// MustVerify verifies a standard-library program and panics on failure; the
-// library's own predicates are all verifiable by construction, so a failure
-// is a bug.
-func MustVerify(p *Program) *Analysis {
-	a, err := Verify(p)
-	if err != nil {
-		panic(fmt.Sprintf("predicate: stdlib program %q failed verification: %v", p.Name, err))
-	}
-	return a
 }

@@ -211,6 +211,9 @@ type ingestScratch struct {
 	sig glimmer.ContributionScratch
 	tkt glimmer.TicketScratch
 	mac xcrypto.MACState
+	// accepted is the one-digest set a per-item accept journals: the
+	// batch watermark of a frame of one, held here so it is not allocated.
+	accepted [1][32]byte
 }
 
 // scratchPool recycles per-contribution decode scratch across every
@@ -409,7 +412,8 @@ func (p *Pipeline) process(raw []byte) error {
 	// which is safe: the journal encodes synchronously and the scratch is
 	// not pooled until this function returns.
 	if j := p.journal; j != nil {
-		j.Accepted(p.cfg.ServiceName, p.cfg.Round, digest, blinded)
+		s.accepted[0] = digest
+		j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, s.accepted[:], blinded)
 	}
 	return nil
 }

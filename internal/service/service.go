@@ -114,7 +114,9 @@ func (s *Service) GlimmerConfig(dim int, mode glimmer.Mode, policy glimmer.Polic
 }
 
 // BasePayload assembles the provisioning payload common to every device:
-// signing key and predicate. Callers add blinding material per device.
+// signing key and predicate. NewDevice adds a device's blinding material;
+// a caller provisioning something other than a Device (the components of a
+// decomposed Glimmer) starts from it directly.
 func (s *Service) BasePayload() (glimmer.ProvisionPayload, error) {
 	if s.pred == nil {
 		return glimmer.ProvisionPayload{}, errors.New("service: no predicate set")
@@ -127,6 +129,40 @@ func (s *Service) BasePayload() (glimmer.ProvisionPayload, error) {
 		SigningKey: keyDER,
 		Predicate:  predicate.Encode(s.pred),
 	}, nil
+}
+
+// NewDevice is the trust path for one client, start to finish: load a
+// Glimmer built from cfg on the platform, vet its measurement, and
+// provision it over the attested channel with the service's signing key
+// and predicate plus masks, this device's dealer blinding material by
+// round (nil for an unblinded device). A device that fails any step is
+// destroyed and nil is returned with the error.
+func (s *Service) NewDevice(platform *tee.Platform, cfg glimmer.Config, masks map[uint64][]uint64, opts ...tee.LoadOption) (*glimmer.Device, error) {
+	dev, err := glimmer.NewDevice(platform, cfg, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s.Vet(dev.Measurement())
+	if err := s.provision(dev, masks); err != nil {
+		dev.Destroy()
+		return nil, err
+	}
+	return dev, nil
+}
+
+// ProvisionDevice provisions a freshly loaded device whose measurement is
+// already vetted. As a method value it is the hosting hook: what
+// TenantConfig.Provision and gaas's ServeMux.Mount run on each enclave
+// loaded for a remote user's session.
+func (s *Service) ProvisionDevice(dev *glimmer.Device) error { return s.provision(dev, nil) }
+
+func (s *Service) provision(dev Attestable, masks map[uint64][]uint64) error {
+	payload, err := s.BasePayload()
+	if err != nil {
+		return err
+	}
+	payload.Masks = masks
+	return s.Provision(dev, payload)
 }
 
 // Provision runs the full provisioning protocol against one attestable

@@ -2,8 +2,10 @@ package service
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/predicate"
@@ -220,5 +222,107 @@ func TestBotGateRejectsWrongKeyAndGarbage(t *testing.T) {
 	}
 	if _, err := gate.CheckVerdict([]byte("garbage")); err == nil {
 		t.Fatal("garbage verdict accepted")
+	}
+}
+
+// TestNewDeviceTrustPath walks the one definition of the trust path: a
+// service that cannot provision returns no device; devices it does return
+// sign under its key and blind with the masks they were dealt, so the
+// blinded sum of a zero-sum cohort is the clear sum; and ProvisionDevice is
+// the hosting hook a registry hands the edge for a tenant's remote sessions.
+func TestNewDeviceTrustPath(t *testing.T) {
+	as, err := tee.NewAttestationService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := tee.NewPlatform(as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dim, round = 4, uint64(3)
+
+	bare, err := New("svc", as.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := bare.GlimmerConfig(dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev, err := bare.NewDevice(platform, cfg, nil); err == nil || dev != nil {
+		t.Fatalf("NewDevice without a predicate = (%v, %v), want a nil device and an error", dev, err)
+	}
+
+	svc, err := New("svc", as.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", dim)); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = svc.GlimmerConfig(dim, glimmer.ModeDealer, glimmer.DefaultPolicy); err != nil {
+		t.Fatal(err)
+	}
+	values := []fixed.Vector{fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4}), fixed.FromFloats([]float64{0.9, 0.8, 0.7, 0.6})}
+	masks, err := blind.ZeroSumMasks([]byte("trust-path"), len(values), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clearSum, blindedSum := fixed.NewVector(dim), fixed.NewVector(dim)
+	for i, value := range values {
+		dev, err := svc.NewDevice(platform, cfg, map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := dev.Contribute(round, value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !svc.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
+			t.Errorf("device %d signed under a key that is not the service's", i)
+		}
+		if slices.Equal(sc.Blinded, value) {
+			t.Errorf("device %d contributed its clear value: the dealt mask was not installed", i)
+		}
+		clearSum.AddInPlace(value)
+		blindedSum.AddInPlace(sc.Blinded)
+	}
+	if !slices.Equal(blindedSum, clearSum) {
+		t.Errorf("blinded sum %v, want the clear sum %v", blindedSum, clearSum)
+	}
+
+	hostCfg, err := svc.GlimmerConfig(dim, glimmer.ModeNone, glimmer.DefaultPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(0)
+	if _, err := reg.AddTenant(TenantConfig{Name: "svc", Dim: dim, Glimmer: hostCfg, Provision: svc.ProvisionDevice}); err != nil {
+		t.Fatal(err)
+	}
+	resolved, provision, err := reg.ResolveHost("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() *glimmer.Device {
+		dev, err := glimmer.NewDevice(platform, resolved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	if err := provision(load()); err == nil {
+		t.Error("the hook provisioned an enclave whose measurement was never vetted")
+	}
+	hosted := load()
+	svc.Vet(hosted.Measurement())
+	if err := provision(hosted); err != nil {
+		t.Fatalf("hosting hook: %v", err)
+	}
+	sc, err := hosted.Contribute(round, values[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !svc.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
+		t.Error("hosted device signed under a key that is not the service's")
 	}
 }

@@ -61,11 +61,9 @@ type Journal interface {
 	// RoundForgotten records a round leaving the manager's map (explicit
 	// Forget or cap eviction); its state is no longer registry-reachable.
 	RoundForgotten(tenant string, round uint64)
-	// Accepted records one accepted contribution: its dedup digest and
-	// the blinded vector that entered the sum.
-	Accepted(tenant string, round uint64, digest [32]byte, blinded fixed.Vector)
-	// BatchAccepted is the batch-ingest watermark: the digests accepted
-	// from one frame and their combined delta on the round's sum.
+	// BatchAccepted is the ingest watermark: the dedup digests accepted
+	// from one frame — one digest for a contribution submitted on its own
+	// — and their combined delta on the round's sum.
 	BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector)
 	DropoutCorrected(tenant string, round uint64, mask fixed.Vector)
 	Rejected(tenant string, round uint64, level RejectLevel, n int)
@@ -419,12 +417,6 @@ func (rj *replayJournal) RoundClosed(tenant string, round uint64) {
 func (rj *replayJournal) RoundForgotten(tenant string, round uint64) {
 	if m := rj.manager(tenant); m != nil {
 		m.Forget(round)
-	}
-}
-
-func (rj *replayJournal) Accepted(tenant string, round uint64, digest [32]byte, blinded fixed.Vector) {
-	if p := rj.round(tenant, round); p != nil {
-		p.restoreAccepted([][32]byte{digest}, blinded)
 	}
 }
 

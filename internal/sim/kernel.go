@@ -137,25 +137,16 @@ func (sub *substrate) provision(spec tenantSpec) (*tenant, error) {
 		return nil, fmt.Errorf("sim: glimmer config: %w", err)
 	}
 	for i := 0; i < spec.devices; i++ {
-		dev, err := glimmer.NewDevice(sub.platform, glimCfg)
+		masks := make(map[uint64][]uint64, len(t.masks))
+		for round, dealt := range t.masks {
+			masks[round] = glimmer.VectorToBits(dealt[i])
+		}
+		dev, err := svc.NewDevice(sub.platform, glimCfg, masks)
 		if err != nil {
 			t.destroy()
 			return nil, fmt.Errorf("sim: device %d: %w", i, err)
 		}
 		t.devs = append(t.devs, dev)
-		svc.Vet(dev.Measurement())
-		payload, err := svc.BasePayload()
-		if err == nil {
-			payload.Masks = make(map[uint64][]uint64, len(t.masks))
-			for round, masks := range t.masks {
-				payload.Masks[round] = glimmer.VectorToBits(masks[i])
-			}
-			err = svc.Provision(dev, payload)
-		}
-		if err != nil {
-			t.destroy()
-			return nil, fmt.Errorf("sim: provisioning device %d: %w", i, err)
-		}
 	}
 	return t, nil
 }
