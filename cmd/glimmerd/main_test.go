@@ -15,6 +15,7 @@ import (
 	"glimmers/internal/fixed"
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
+	"glimmers/internal/node"
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
@@ -135,6 +136,23 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReportPrintsMergeLedger: a coordinator's drain report carries the
+// hub's cumulative ledger beside the merges it still holds — the per-merge
+// lines stop at the hub's retention window, the ledger does not.
+func TestReportPrintsMergeLedger(t *testing.T) {
+	var out strings.Builder
+	printer{&out}.report(node.Report{
+		Role: "coordinator",
+		Hub: &service.HubStats{Live: 1, Completed: 2, Retired: 3, Abandoned: 4,
+			SealsAbsorbed: 5, SealsRefused: 6, ContribsMerged: 7, ContribsRejected: 8},
+	}, "")
+	want := "glimmerd: merge ledger: held live=1 completed=2, gone retired=3 abandoned=4; " +
+		"seals absorbed=5 refused=6; contributions merged=7 rejected=8\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("drain report lacks %q:\n%s", want, out.String())
 	}
 }
 

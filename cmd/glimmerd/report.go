@@ -59,7 +59,8 @@ func (p printer) writePins(path string, tenants []*service.Tenant) error {
 
 // report prints a drained node's Report: edge counters, per-tenant sealed
 // sums and rejection counters, and — in fleet mode — shipped partials,
-// merges, and the fleet counters; then the WAL's.
+// the merges still held, the merge ledger and the fleet counters; then the
+// WAL's.
 func (p printer) report(rep node.Report, stateDir string) {
 	p.say("edge counters: refused-max-conns=%d refused-per-ip=%d shed-batches=%d",
 		rep.Edge.RefusedMaxConns, rep.Edge.RefusedPerIP, rep.Edge.ShedBatches)
@@ -82,6 +83,10 @@ func (p printer) report(rep node.Report, stateDir string) {
 	for _, m := range rep.Merges {
 		p.say("merge %s round %-6d partials=%d/%d cohort=%d rejected=%d refused=%d complete=%v", m.Service, m.Round,
 			m.Merged, m.Expect, m.Count, m.Rejected, m.Refused, m.Expect != 0 && m.Merged >= m.Expect)
+	}
+	if h := rep.Hub; h != nil {
+		p.say("merge ledger: held live=%d completed=%d, gone retired=%d abandoned=%d; seals absorbed=%d refused=%d; contributions merged=%d rejected=%d",
+			h.Live, h.Completed, h.Retired, h.Abandoned, h.SealsAbsorbed, h.SealsRefused, h.ContribsMerged, h.ContribsRejected)
 	}
 	if rep.Role != "standalone" {
 		p.say("fleet counters: role=%s partials sent=%d received=%d refused=%d forwarded-batches=%d", rep.Role,

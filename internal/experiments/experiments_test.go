@@ -235,7 +235,7 @@ func TestE8BotDetectionThroughGlimmer(t *testing.T) {
 // when RunE9 returns.
 func TestE9RemoteGlimmer(t *testing.T) {
 	cfg := DefaultE9()
-	cfg.Contributions = 4
+	cfg.Contributions = 31
 	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
 	res, err := RunE9(cfg)
 	if err != nil {
@@ -252,8 +252,10 @@ func TestE9RemoteGlimmer(t *testing.T) {
 		t.Error("remote contribution failed verification")
 	}
 	local, remote := res.Rows[0], res.Rows[1]
-	if remote.MeanLatency <= local.MeanLatency {
-		t.Errorf("remote %v should cost more than local %v", remote.MeanLatency, local.MeanLatency)
+	// Medians of 31 samples each: a mean of a handful inverts whenever the
+	// machine is busy for the length of one block.
+	if remote.MedianLatency <= local.MedianLatency {
+		t.Errorf("remote median %v should cost more than local median %v", remote.MedianLatency, local.MedianLatency)
 	}
 }
 

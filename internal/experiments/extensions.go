@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"glimmers/internal/audit"
@@ -150,10 +151,22 @@ func DefaultE9() E9Config {
 	return E9Config{Seed: []byte("glimmers-e9"), Dim: 32, Contributions: 32}
 }
 
-// E9Row is one deployment's latency.
+// E9Row is one deployment's latency over the run's contributions, each
+// timed on its own: the mean the table prints, and the median, which
+// outside load on a few samples does not move.
 type E9Row struct {
-	Deployment  string
-	MeanLatency time.Duration
+	Deployment    string
+	MeanLatency   time.Duration
+	MedianLatency time.Duration
+}
+
+func e9Row(deployment string, samples []time.Duration) E9Row {
+	var total time.Duration
+	for _, d := range samples {
+		total += d
+	}
+	slices.Sort(samples)
+	return E9Row{deployment, total / time.Duration(len(samples)), samples[len(samples)/2]}
 }
 
 // E9Result compares a local Glimmer with a remote one over TCP (§4.2).
@@ -195,14 +208,6 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	for i := 0; i < cfg.Contributions; i++ {
-		if _, err := local.Contribute(uint64(i), contribution, nil); err != nil {
-			return nil, err
-		}
-	}
-	res.Rows = append(res.Rows, E9Row{"local glimmer", time.Since(start) / time.Duration(cfg.Contributions)})
-
 	// Remote glimmer: the tenant hosts it on the node, over loopback TCP.
 	_, err = onNode(platform, service.TenantConfig{
 		Name:      svc.Name(),
@@ -221,14 +226,22 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 			return err
 		}
 		defer client.Close()
+		// The two deployments are sampled alternately, one contribution
+		// each, so whatever else the machine is doing falls on both.
 		var lastSC glimmer.SignedContribution
-		start := time.Now()
+		var localTook, remoteTook []time.Duration
 		for i := 0; i < cfg.Contributions; i++ {
+			t0 := time.Now()
+			if _, err := local.Contribute(uint64(i), contribution, nil); err != nil {
+				return err
+			}
+			t1 := time.Now()
 			if lastSC, err = client.Contribute(uint64(i), contribution, nil); err != nil {
 				return err
 			}
+			localTook, remoteTook = append(localTook, t1.Sub(t0)), append(remoteTook, time.Since(t1))
 		}
-		res.Rows = append(res.Rows, E9Row{"remote glimmer (TCP)", time.Since(start) / time.Duration(cfg.Contributions)})
+		res.Rows = append(res.Rows, e9Row("local glimmer", localTook), e9Row("remote glimmer (TCP)", remoteTook))
 		res.RemoteWorks = svc.ContributionVerifyKey().Verify(lastSC.SignedBytes(), lastSC.Signature)
 		return nil
 	})

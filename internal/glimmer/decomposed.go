@@ -356,11 +356,10 @@ func ecallSign(env *tee.Env, input []byte) ([]byte, error) {
 		Blinded:     blinded,
 		Confidence:  confidence,
 	}
-	sig, err := signKey.Sign(sc.SignedBytes())
+	out, err := signAndEncode(signKey, &sc)
 	if err != nil {
-		return nil, fmt.Errorf("glimmer: signing: %w", err)
+		return nil, err
 	}
-	sc.Signature = sig
 	env.CounterIncrement("accepted")
-	return EncodeSignedContribution(sc), nil
+	return out, nil
 }

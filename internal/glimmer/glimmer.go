@@ -539,13 +539,31 @@ func ecallContribute(env *tee.Env, input []byte) ([]byte, error) {
 		Blinded:     blinded,
 		Confidence:  confidence,
 	}
-	sig, err := signKey.Sign(sc.SignedBytes())
+	out, err := signAndEncode(signKey, &sc)
 	if err != nil {
+		return nil, err
+	}
+	env.CounterIncrement("accepted")
+	return out, nil
+}
+
+// signAndEncode signs sc under key and returns its transport encoding. The
+// fields are written once: the signature preimage is the domain header
+// followed by the fields, the transport encoding is the fields followed by
+// the signature, so one buffer holds both and the encoding is its tail —
+// the trick ContributionScratch.Decode plays in reverse.
+func signAndEncode(key *xcrypto.SigningKey, sc *SignedContribution) ([]byte, error) {
+	w := getWriter()
+	w.Raw(signedContributionHeader)
+	appendSignedFields(w, sc)
+	sig, err := key.Sign(w.Finish())
+	if err != nil {
+		w.Reset()
+		writerPool.Put(w)
 		return nil, fmt.Errorf("glimmer: signing: %w", err)
 	}
-	sc.Signature = sig
-	env.CounterIncrement("accepted")
-	return EncodeSignedContribution(sc), nil
+	w.Bytes(sig)
+	return finishPooledFrom(w, len(signedContributionHeader)), nil
 }
 
 // ecallDetect is the §4.1 bot-detection flow: run the (possibly

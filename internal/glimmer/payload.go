@@ -26,10 +26,14 @@ func getWriter() *wire.Writer {
 // finishPooled copies the writer's encoding into an exact-size result and
 // recycles the writer. The copy is what lets the pool exist: Finish aliases
 // the pooled buffer, and callers own what these encoders return.
-func finishPooled(w *wire.Writer) []byte {
+func finishPooled(w *wire.Writer) []byte { return finishPooledFrom(w, 0) }
+
+// finishPooledFrom is finishPooled for an encoding that starts skip bytes
+// into the writer.
+func finishPooledFrom(w *wire.Writer, skip int) []byte {
 	buf := w.Finish()
-	out := make([]byte, len(buf))
-	copy(out, buf)
+	out := make([]byte, len(buf)-skip)
+	copy(out, buf[skip:])
 	w.Reset()
 	if len(buf) <= maxPooledEncode {
 		writerPool.Put(w)
@@ -233,9 +237,10 @@ func EncodeSignedContribution(sc SignedContribution) []byte {
 	return finishPooled(w)
 }
 
-// DecodeSignedContribution reverses EncodeSignedContribution.
+// DecodeSignedContribution reverses EncodeSignedContribution. The returned
+// struct is an independent copy that outlives the input.
 func DecodeSignedContribution(data []byte) (SignedContribution, error) {
-	sc, _, err := DecodeSignedContributionBytes(data)
+	sc, _, err := decodeSignedContribution(data, false)
 	return sc, err
 }
 
@@ -320,6 +325,13 @@ var codecScratchPool = sync.Pool{New: func() any { return new(ContributionScratc
 // (which it wraps), the returned struct and signed bytes are independent
 // copies that outlive the input. On error the returned struct is zero.
 func DecodeSignedContributionBytes(data []byte) (SignedContribution, []byte, error) {
+	return decodeSignedContribution(data, true)
+}
+
+// decodeSignedContribution is the copying decoder: one allocation for the
+// vector and one for the bytes — the signature, and behind it the signed
+// preimage when the caller wants it.
+func decodeSignedContribution(data []byte, wantSigned bool) (SignedContribution, []byte, error) {
 	s := codecScratchPool.Get().(*ContributionScratch)
 	signed, err := s.Decode(data)
 	if err != nil {
@@ -329,11 +341,15 @@ func DecodeSignedContributionBytes(data []byte) (SignedContribution, []byte, err
 	}
 	sc := s.SC
 	sc.Blinded = append(fixed.Vector(nil), sc.Blinded...)
-	sc.Signature = append([]byte(nil), sc.Signature...)
-	out := append([]byte(nil), signed...)
+	if !wantSigned {
+		signed = nil
+	}
+	n := len(sc.Signature)
+	buf := append(append(make([]byte, 0, n+len(signed)), sc.Signature...), signed...)
+	sc.Signature, signed = buf[:n:n], buf[n:]
 	s.SC.Signature = nil
 	codecScratchPool.Put(s)
-	return sc, out, nil
+	return sc, signed, nil
 }
 
 // PeekContributionRound reads only the round number from an encoded

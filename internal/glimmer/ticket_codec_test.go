@@ -240,10 +240,11 @@ func TestEncodeSignedContributionSingleAlloc(t *testing.T) {
 	}
 }
 
-// TestDecodeSignedContributionBytesThreeAllocs pins the copying decoder at
-// the three copies its value-semantics API promises — vector, signature,
-// signed bytes — with the reader scratch pooled.
-func TestDecodeSignedContributionBytesThreeAllocs(t *testing.T) {
+// TestDecodeSignedContributionBytesTwoAllocs pins the copying decoder at
+// the two allocations its value-semantics API costs — the vector, and one
+// buffer holding the signature and the signed bytes — with the reader
+// scratch pooled.
+func TestDecodeSignedContributionBytesTwoAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
@@ -252,7 +253,24 @@ func TestDecodeSignedContributionBytesThreeAllocs(t *testing.T) {
 		if _, _, err := DecodeSignedContributionBytes(raw); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 3 {
-		t.Errorf("DecodeSignedContributionBytes: %.1f allocs/op, want 3", got)
+	}); got > 2 {
+		t.Errorf("DecodeSignedContributionBytes: %.1f allocs/op, want 2", got)
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if _, err := DecodeSignedContribution(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("DecodeSignedContribution: %.1f allocs/op, want 2", got)
+	}
+	// Signature and signed bytes share a buffer; growing the first must
+	// not reach the second.
+	sc, signed, err := DecodeSignedContributionBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(sc.Signature, 0xFF)
+	if !bytes.HasPrefix(signed, signedContributionHeader) {
+		t.Fatal("appending to the signature overwrote the signed bytes")
 	}
 }

@@ -233,9 +233,12 @@ type Report struct {
 	RoutingRejected int
 	// Shipped is one entry per partial seal offered to Config.Coordinator
 	// (a lone error when it could not be reached); Merges is the state of
-	// every merge Config.Hub holds, by service and round.
+	// every merge Config.Hub still holds, by service and round, and Hub
+	// (nil without one) its ledger over every merge it ever ran — a hub
+	// retires completed merges, so the totals live there.
 	Shipped []Shipment
 	Merges  []wire.MergeResult
+	Hub     *service.HubStats
 	// WAL is the store's counters before the final snapshot; Snapshotted
 	// reports that the snapshot was written and the store closed cleanly.
 	WAL         durable.Stats
@@ -293,6 +296,8 @@ func (n *Node) Drain() (Report, error) {
 		rep.Shipped = n.shipPartialSeals()
 	}
 	if hub := n.cfg.Hub; hub != nil {
+		st := hub.Stats()
+		rep.Hub = &st
 		for svc, rounds := range hub.Merges() {
 			for _, round := range rounds {
 				if m, ok := hub.Lookup(svc, round); ok {

@@ -17,6 +17,7 @@ import (
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/xcrypto"
 )
 
 const (
@@ -62,6 +63,12 @@ func newWorld(t *testing.T) *world {
 // start runs one node life over dir on a fresh loopback TLS listener.
 func (w *world) start(t *testing.T, dir string, wal durable.Config) (*Node, string) {
 	t.Helper()
+	return w.startAs(t, dir, wal, func(*Config) {})
+}
+
+// startAs is start with the fleet role filled in by role.
+func (w *world) startAs(t *testing.T, dir string, wal durable.Config, role func(*Config)) (*Node, string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +77,7 @@ func (w *world) start(t *testing.T, dir string, wal durable.Config) (*Node, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Start(Config{
+	cfg := Config{
 		Tenants: []service.TenantConfig{{
 			Name:         testService,
 			Verify:       w.svc.ContributionVerifyKey(),
@@ -92,7 +99,9 @@ func (w *world) start(t *testing.T, dir string, wal durable.Config) (*Node, stri
 			IdleTimeout:  DefaultIdleTimeout,
 			MaxConns:     DefaultMaxConns,
 		},
-	})
+	}
+	role(&cfg)
+	n, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +230,53 @@ func TestStartDrainRecover(t *testing.T) {
 	}
 	if err := p.Add(nil); err != service.ErrRoundSealed {
 		t.Errorf("recovered round 7 takes input (%v), want it sealed", err)
+	}
+}
+
+// TestDrainShipsToCoordinator is the fleet life cycle at node level: a
+// draining node ships its round's partial seal to a coordinator node, and
+// the coordinator's own drain reports the merge it still holds and the
+// hub's ledger.
+func TestDrainShipsToCoordinator(t *testing.T) {
+	w := newWorld(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plain TCP: a shipping node dials its coordinator without TLS.
+	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.platform}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, addr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
+		c.NodeID, c.ShardCount, c.SealKey, c.Coordinator = 1, 1, key, ln.Addr().String()
+	})
+	w.session(t, addr, 3, 5)
+	rep, err := n.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shipped) != 1 || rep.Shipped[0].Err != nil || rep.Shipped[0].Merge.Count != 5 {
+		t.Fatalf("node shipped %+v, want one absorbed partial of 5", rep.Shipped)
+	}
+	if rep.Hub != nil {
+		t.Errorf("a node without a hub reported a hub ledger: %+v", rep.Hub)
+	}
+
+	crep, err := coord.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crep.Role != "coordinator" || len(crep.Merges) != 1 || crep.Merges[0].Round != 3 || crep.Merges[0].Merged != 1 {
+		t.Fatalf("coordinator role %q holds %+v, want round 3 merged from one partial", crep.Role, crep.Merges)
+	}
+	want := service.HubStats{Completed: 1, SealsAbsorbed: 1, ContribsMerged: 5}
+	if crep.Hub == nil || *crep.Hub != want {
+		t.Fatalf("coordinator hub ledger = %+v, want %+v", crep.Hub, want)
 	}
 }
 

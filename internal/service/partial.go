@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,6 +28,17 @@ import (
 // sees an unblinded value, so it stays outside the trust boundary — the
 // same minimize-the-trusted-core move the paper makes for the service
 // itself.
+//
+// Retention: a party outside the trust boundary keeps only what it needs to
+// do its job. A merge holds its digest coverage only until it completes
+// (the coverage exists to refuse overlaps, and a complete merge refuses
+// every further seal before it would consult it). A MergeHub keeps a fixed
+// number of completed merges, oldest completion retired first, and a fixed
+// number of incomplete ones, oldest creation abandoned first; a fixed-size
+// ring of tombstones remembers the keys that left, so a seal for a recently
+// retired round is refused instead of opening a fresh merge. What must
+// outlive a merge — how many seals were absorbed and refused, how many
+// contributions merged — is one cumulative ledger, MergeHub.Stats.
 
 // Merge refusal sentinels. Each names the check that turned a seal away;
 // a refused seal never perturbs the merge (all-or-nothing absorption).
@@ -49,6 +61,10 @@ var (
 	ErrSealOverlap = errors.New("service: partial seal overlaps an absorbed partial")
 	// ErrMergeComplete: the merge already has every partial it expects.
 	ErrMergeComplete = errors.New("service: merge already complete")
+	// ErrMergeRetired: the hub held a merge for this round and has let it
+	// go (completed and aged out, or abandoned incomplete at the cap); the
+	// round is not reopened while its tombstone lasts.
+	ErrMergeRetired = errors.New("service: merge retired")
 )
 
 // NodeSeal is a node's sealing identity: its ring ID, how many partials
@@ -188,11 +204,13 @@ type Merge struct {
 	shardCount uint32 // partials needed; 0 until known (dynamic mode)
 	expect     map[uint32]bool
 	absorbed   map[uint32]bool
-	seen       map[[wire.SealDigestLen]byte]uint32 // digest -> absorbing node
-	sum        fixed.Vector
-	count      uint64
-	rejected   uint64
-	refused    uint64
+	// seen maps digest -> absorbing node while the merge can still take a
+	// seal; released (nil) the moment it completes.
+	seen     map[[wire.SealDigestLen]byte]uint32
+	sum      fixed.Vector
+	count    uint64
+	rejected uint64
+	refused  uint64
 }
 
 type mergePin struct {
@@ -234,15 +252,17 @@ func (m *Merge) Absorb(raw []byte) error {
 		m.mu.Unlock()
 		return err
 	}
-	return m.absorbSeal(seal)
+	_, err = m.absorbSeal(seal)
+	return err
 }
 
-func (m *Merge) absorbSeal(seal wire.PartialSeal) error {
+// absorbSeal also reports whether the merge is complete after the seal.
+func (m *Merge) absorbSeal(seal wire.PartialSeal) (complete bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkSeal(seal); err != nil {
 		m.refused++
-		return err
+		return false, err
 	}
 	// All checks passed — commit atomically.
 	if m.sum == nil {
@@ -263,7 +283,13 @@ func (m *Merge) absorbSeal(seal wire.PartialSeal) error {
 	m.absorbed[seal.NodeID] = true
 	m.count += seal.Count
 	m.rejected += seal.Rejected
-	return nil
+	if !m.completeLocked() {
+		return false, nil
+	}
+	// checkSeal answers ErrSealReplay or ErrMergeComplete from here on,
+	// before it would look at coverage.
+	m.seen = nil
+	return true, nil
 }
 
 // checkSeal runs every refusal check without mutating anything. Caller
@@ -296,7 +322,7 @@ func (m *Merge) checkSeal(seal wire.PartialSeal) error {
 	if m.absorbed[seal.NodeID] {
 		return fmt.Errorf("%w: node %d already merged", ErrSealReplay, seal.NodeID)
 	}
-	if m.shardCount != 0 && uint32(len(m.absorbed)) >= m.shardCount {
+	if m.completeLocked() {
 		return ErrMergeComplete
 	}
 
@@ -345,6 +371,10 @@ func (m *Merge) checkSeal(seal wire.PartialSeal) error {
 func (m *Merge) Complete() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.completeLocked()
+}
+
+func (m *Merge) completeLocked() bool {
 	return m.shardCount != 0 && uint32(len(m.absorbed)) >= m.shardCount
 }
 
@@ -382,15 +412,43 @@ func (m *Merge) Result() wire.MergeResult {
 // process's top-level state. Merges are created on first contact in
 // dynamic mode (TOFU unless the hub carries registered identities), which
 // is what a coordinator that doesn't know the fleet's tenant list ahead
-// of time needs.
+// of time needs. The zero value is ready to use and holds a bounded
+// working set (see the retention rule at the top of this file).
 type MergeHub struct {
 	// Nodes and AllowTOFU seed every merge's identity expectations.
 	Nodes     map[uint32]MergeNode
 	AllowTOFU bool
 
-	pins   NodePins // shared across every merge: pins span rounds
+	pins NodePins // shared across every merge: pins span rounds
+
 	mu     sync.Mutex
-	merges map[mergeKey]*Merge
+	merges map[mergeKey]*hubEntry
+	// live holds the incomplete merges in creation order, done the
+	// completed ones in completion order; both carry *hubEntry.
+	live, done list.List
+	tombs      tombstones
+	stats      HubStats // the cumulative fields; Live and Completed are list lengths
+	caps       hubCaps  // zero means the constants below; a same-package test may set smaller ones
+}
+
+// hubCaps bounds a hub's working set.
+type hubCaps struct {
+	live  int // incomplete merges; at the cap the oldest-created is abandoned
+	done  int // completed merges; at the cap the oldest completion is retired
+	tombs int // retired and abandoned keys remembered
+}
+
+const (
+	maxLiveMerges   = 1024
+	maxDoneMerges   = 256
+	mergeTombstones = 4096
+)
+
+func (h *MergeHub) limits() hubCaps {
+	if h.caps == (hubCaps{}) {
+		return hubCaps{live: maxLiveMerges, done: maxDoneMerges, tombs: mergeTombstones}
+	}
+	return h.caps
 }
 
 type mergeKey struct {
@@ -398,15 +456,82 @@ type mergeKey struct {
 	round   uint64
 }
 
-// Lookup returns the merge for (service, round) if one exists.
+// hubEntry is one merge the hub holds, with its place in live or done.
+type hubEntry struct {
+	key  mergeKey
+	m    *Merge
+	elem *list.Element // nil until the merge is registered
+	done bool
+}
+
+// tombstones is a fixed-size ring of keys that left the hub, with a set
+// over the same keys for the lookup. Round numbers are client-chosen, so
+// this is deliberately not a per-service high-water mark: one completed
+// round at 1<<63 would refuse every later round.
+type tombstones struct {
+	ring []mergeKey
+	next int
+	set  map[mergeKey]struct{}
+}
+
+func (t *tombstones) add(k mergeKey, size int) {
+	if t.set == nil {
+		t.set = make(map[mergeKey]struct{})
+	}
+	if len(t.ring) < size {
+		t.ring = append(t.ring, k)
+	} else {
+		delete(t.set, t.ring[t.next])
+		t.ring[t.next] = k
+		t.next = (t.next + 1) % size
+	}
+	t.set[k] = struct{}{}
+}
+
+func (t *tombstones) has(k mergeKey) bool {
+	_, ok := t.set[k]
+	return ok
+}
+
+// HubStats is a hub's cumulative ledger. Per-merge counters die with
+// their merge; these do not.
+type HubStats struct {
+	// Live and Completed count the merges the hub holds now.
+	Live, Completed int
+	// Retired counts completed merges that aged out of the hub, Abandoned
+	// the incomplete ones dropped at the cap.
+	Retired, Abandoned uint64
+	// SealsAbsorbed and SealsRefused count every seal handed to
+	// MergePartialSeal, each exactly once.
+	SealsAbsorbed, SealsRefused uint64
+	// ContribsMerged and ContribsRejected total the accepted and
+	// node-refused counts the absorbed seals carried.
+	ContribsMerged, ContribsRejected uint64
+}
+
+// Stats returns the hub's ledger.
+func (h *MergeHub) Stats() HubStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.stats
+	s.Live, s.Completed = h.live.Len(), h.done.Len()
+	return s
+}
+
+// Lookup returns the merge for (service, round) if the hub still holds it:
+// retired and abandoned merges are gone.
 func (h *MergeHub) Lookup(service string, round uint64) (*Merge, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m, ok := h.merges[mergeKey{service, round}]
-	return m, ok
+	e, ok := h.merges[mergeKey{service, round}]
+	if !ok {
+		return nil, false
+	}
+	return e.m, true
 }
 
-// Merges returns every live merge keyed by service name and round.
+// Merges returns the merges the hub holds — live and retained completed
+// ones, not every merge it ever ran — keyed by service name and round.
 func (h *MergeHub) Merges() map[string][]uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -417,35 +542,102 @@ func (h *MergeHub) Merges() map[string][]uint64 {
 	return out
 }
 
-// MergePartialSeal absorbs one encoded seal into the matching merge
-// (created on first contact) and returns the merge's encoded
-// wire.MergeResult — the fleet-merge reply body. On refusal the error is
-// returned and the merge (with its bumped refusal counter) is unchanged;
-// the caller must not retain seal past the call.
+// MergePartialSeal absorbs one encoded seal into the matching merge and
+// returns the merge's encoded wire.MergeResult — the fleet-merge reply
+// body. A first-contact seal is checked against a merge the hub does not
+// hold yet and the merge is registered only once the seal is absorbed, so
+// a refusal leaves nothing behind but its count in Stats. On refusal the
+// error is returned and the merge is unchanged; the caller must not retain
+// seal past the call.
 func (h *MergeHub) MergePartialSeal(seal []byte) ([]byte, error) {
 	dec, err := wire.DecodePartialSeal(seal)
 	if err != nil {
-		return nil, err
+		return nil, h.refuse(err)
 	}
+	for {
+		e, err := h.entry(mergeKey{dec.Service, dec.Round})
+		if err != nil {
+			return nil, h.refuse(err)
+		}
+		complete, err := e.m.absorbSeal(dec)
+		if err != nil {
+			return nil, h.refuse(err)
+		}
+		if h.commit(e, complete, &dec) {
+			return wire.EncodeMergeResult(e.m.Result()), nil
+		}
+		// Another first contact for the same round registered its merge
+		// while this one was verifying: go again, against that merge.
+	}
+}
+
+func (h *MergeHub) refuse(err error) error {
 	h.mu.Lock()
-	if h.merges == nil {
-		h.merges = make(map[mergeKey]*Merge)
-	}
-	key := mergeKey{dec.Service, dec.Round}
-	m, ok := h.merges[key]
-	if !ok {
-		m = NewMerge(MergeConfig{
-			ServiceName: dec.Service,
-			Round:       dec.Round,
-			Nodes:       h.Nodes,
-			AllowTOFU:   h.AllowTOFU,
-			Pins:        &h.pins,
-		})
-		h.merges[key] = m
-	}
+	h.stats.SealsRefused++
 	h.mu.Unlock()
-	if err := m.absorbSeal(dec); err != nil {
-		return nil, err
+	return err
+}
+
+// entry returns the registered merge for key, or an unregistered one for a
+// first contact.
+func (h *MergeHub) entry(key mergeKey) (*hubEntry, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.merges == nil {
+		h.merges = make(map[mergeKey]*hubEntry)
 	}
-	return wire.EncodeMergeResult(m.Result()), nil
+	if e, ok := h.merges[key]; ok {
+		return e, nil
+	}
+	if h.tombs.has(key) {
+		return nil, fmt.Errorf("%w: %s/%d", ErrMergeRetired, key.service, key.round)
+	}
+	return &hubEntry{key: key, m: NewMerge(MergeConfig{
+		ServiceName: key.service,
+		Round:       key.round,
+		Nodes:       h.Nodes,
+		AllowTOFU:   h.AllowTOFU,
+		Pins:        &h.pins,
+	})}, nil
+}
+
+// commit books an absorbed seal: it registers a first-contact merge,
+// moves a merge that just completed from live to done, and enforces both
+// caps. It reports false — nothing booked — when e is a first-contact
+// merge and the round was registered (or retired) in the meantime.
+func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if e.elem == nil {
+		if _, taken := h.merges[e.key]; taken || h.tombs.has(e.key) {
+			return false
+		}
+		h.merges[e.key] = e
+		e.elem = h.live.PushBack(e)
+	}
+	h.stats.SealsAbsorbed++
+	h.stats.ContribsMerged += seal.Count
+	h.stats.ContribsRejected += seal.Rejected
+	// A merge abandoned while this seal was verifying stays abandoned.
+	if complete && !e.done && h.merges[e.key] == e {
+		h.live.Remove(e.elem)
+		e.elem, e.done = h.done.PushBack(e), true
+	}
+	caps := h.limits()
+	if h.live.Len() > caps.live {
+		h.drop(&h.live, caps.tombs)
+		h.stats.Abandoned++
+	}
+	if h.done.Len() > caps.done {
+		h.drop(&h.done, caps.tombs)
+		h.stats.Retired++
+	}
+	return true
+}
+
+// drop lets the oldest merge of l go, behind a tombstone.
+func (h *MergeHub) drop(l *list.List, tombs int) {
+	e := l.Remove(l.Front()).(*hubEntry)
+	delete(h.merges, e.key)
+	h.tombs.add(e.key, tombs)
 }

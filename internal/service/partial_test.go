@@ -14,7 +14,7 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
-func newNodeSeal(t *testing.T, id, shards uint32) NodeSeal {
+func newNodeSeal(t testing.TB, id, shards uint32) NodeSeal {
 	t.Helper()
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
@@ -382,8 +382,8 @@ func TestMergeRefusals(t *testing.T) {
 }
 
 // TestMergeHubTOFU drives the dynamic coordinator: merges materialize on
-// first contact, node identities pin on first use, and a node that comes
-// back under a different key is refused.
+// the first seal absorbed, node identities pin on first use, and a node
+// that comes back under a different key is refused.
 func TestMergeHubTOFU(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
@@ -449,12 +449,23 @@ func TestMergeHubTOFU(t *testing.T) {
 	if _, err := hub.MergePartialSeal(late); !errors.Is(err, ErrMergeComplete) {
 		t.Fatalf("late seal got %v, want %v", err, ErrMergeComplete)
 	}
-	// Two merges live: round 2 (complete) and round 3 (materialized on the
-	// impostor's first contact, then refused — zero partials).
-	if merges := hub.Merges(); len(merges["svc"]) != 2 {
+	// The completed merge let its coverage go; the late seal above was
+	// refused without it.
+	m.mu.Lock()
+	released := m.seen == nil
+	m.mu.Unlock()
+	if !released {
+		t.Fatal("completed merge still holds its digest coverage")
+	}
+	// One merge held: round 2, complete. The impostor's first contact for
+	// round 3 was refused before any merge existed for it, so none does.
+	if merges := hub.Merges(); len(merges["svc"]) != 1 {
 		t.Fatalf("hub merges = %v", merges)
 	}
-	if m, ok := hub.Lookup("svc", round+1); !ok || m.Complete() || m.Result().Merged != 0 {
-		t.Fatal("impostor's refused seal disturbed the next round's merge")
+	if _, ok := hub.Lookup("svc", round+1); ok {
+		t.Fatal("impostor's refused first contact left a merge behind")
+	}
+	if st := hub.Stats(); st.Live != 0 || st.Completed != 1 || st.SealsAbsorbed != 2 || st.SealsRefused != 2 {
+		t.Fatalf("hub ledger = %+v, want 1 completed merge, 2 seals absorbed, 2 refused (impostor, late)", st)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/heap"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -103,6 +104,11 @@ type TicketTable struct {
 	mu      sync.RWMutex
 	entries map[uint64]ticketEntry
 	nextSeq uint64
+	// expiry orders the table for eviction: soonest expiry first, oldest
+	// grant first on a tie. Deletion is lazy — an item whose ID is gone
+	// from entries, or is there under a newer seq, is stale and skipped —
+	// so removing a ticket during replay never searches the heap.
+	expiry expiryHeap
 
 	// tenant/journal route grant and evict events to the durable journal
 	// (see state.go); set via Registry.SetJournal before traffic.
@@ -155,38 +161,31 @@ func (t *TicketTable) journalInsert(j Journal, tenant string, evicted []uint64, 
 	})
 }
 
-// insertLocked adds an entry, enforcing the bound: expired tickets are
-// dropped first, then the soonest-expiring live ticket is evicted. Expiry
-// has one-second resolution, so a burst of grants ties; the oldest grant
-// goes first — IDs are random, and breaking the tie by ID could evict the
-// ticket a session granted milliseconds ago is about to use. It returns
-// the removed IDs
+// insertLocked adds an entry, enforcing the bound: at the cap every
+// expired ticket is dropped, then, if the table is still full, the
+// soonest-expiring live one. Expiry has one-second resolution, so a burst
+// of grants ties; the oldest grant goes first — IDs are random, and
+// breaking the tie by ID could evict the ticket a session granted
+// milliseconds ago is about to use. Victims come off the expiry heap, so a
+// grant at the cap costs O(log n) under the write lock that check's
+// readers wait on, not two walks of the table. It returns the removed IDs
 // so the caller can journal them — replay re-applies recorded removals
 // instead of re-running this policy, which keeps replay clock-independent.
 func (t *TicketTable) insertLocked(id uint64, e ticketEntry) (evicted []uint64) {
 	if len(t.entries) >= t.cfg.MaxTickets {
 		now := t.now()
-		for k, v := range t.entries {
-			if now > v.expiresUnix {
-				delete(t.entries, k)
+		for len(t.expiry) > 0 {
+			top := t.expiry[0]
+			if cur, ok := t.entries[top.id]; ok && cur.seq == top.seq {
+				if now <= top.expiresUnix && len(t.entries) < t.cfg.MaxTickets {
+					break
+				}
+				delete(t.entries, top.id)
 				if t.journal != nil {
-					evicted = append(evicted, k)
+					evicted = append(evicted, top.id)
 				}
 			}
-		}
-	}
-	for len(t.entries) >= t.cfg.MaxTickets {
-		var victim uint64
-		var oldest ticketEntry
-		found := false
-		for k, v := range t.entries {
-			if !found || v.expiresUnix < oldest.expiresUnix || (v.expiresUnix == oldest.expiresUnix && v.seq < oldest.seq) {
-				victim, oldest, found = k, v, true
-			}
-		}
-		delete(t.entries, victim)
-		if t.journal != nil {
-			evicted = append(evicted, victim)
+			heap.Pop(&t.expiry)
 		}
 	}
 	t.putLocked(id, e)
@@ -198,6 +197,44 @@ func (t *TicketTable) putLocked(id uint64, e ticketEntry) {
 	e.seq = t.nextSeq
 	t.nextSeq++
 	t.entries[id] = e
+	if len(t.expiry) >= 2*len(t.entries)+staleExpirySlack {
+		// Mostly stale (a long replay of grants and evictions, or one ID
+		// installed over and over): rebuild from the table.
+		t.expiry = t.expiry[:0]
+		for k, v := range t.entries {
+			t.expiry = append(t.expiry, ticketExpiry{v.expiresUnix, v.seq, k})
+		}
+		heap.Init(&t.expiry)
+		return
+	}
+	heap.Push(&t.expiry, ticketExpiry{e.expiresUnix, e.seq, id})
+}
+
+// staleExpirySlack keeps small tables from rebuilding their heap on every
+// other insert.
+const staleExpirySlack = 64
+
+// ticketExpiry is one ticket's place in the eviction order.
+type ticketExpiry struct {
+	expiresUnix int64
+	seq         uint64
+	id          uint64
+}
+
+// expiryHeap is a container/heap min-heap on (expiresUnix, seq).
+type expiryHeap []ticketExpiry
+
+func (h expiryHeap) Len() int { return len(h) }
+func (h expiryHeap) Less(i, j int) bool {
+	return h[i].expiresUnix < h[j].expiresUnix || h[i].expiresUnix == h[j].expiresUnix && h[i].seq < h[j].seq
+}
+func (h expiryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *expiryHeap) Push(x any)   { *h = append(*h, x.(ticketExpiry)) }
+func (h *expiryHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // check is the ingest hot path: resolve the ticket and enforce expiry and

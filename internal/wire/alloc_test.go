@@ -35,6 +35,18 @@ func TestReaderScalarReadsAllocFree(t *testing.T) {
 	})
 }
 
+// TestWriterUint64sGrowsOnce: a counted sequence costs an empty writer one
+// buffer allocation, however long it is.
+func TestWriterUint64sGrowsOnce(t *testing.T) {
+	vs := make([]uint64, 64)
+	allocGuard(t, "Uint64s into an empty writer", 1, func() {
+		var w Writer
+		if len(w.Uint64s(vs).Finish()) != 4+8*len(vs) {
+			t.Fatal("wrong length")
+		}
+	})
+}
+
 func TestReaderViewReadsAllocFree(t *testing.T) {
 	msg := NewWriter().Bytes([]byte("view me")).Bytes([]byte("skip me")).Finish()
 	var r Reader

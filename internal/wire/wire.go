@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Limits guard against malformed length prefixes when decoding untrusted
@@ -105,11 +106,13 @@ func (w *Writer) Bool(v bool) *Writer {
 	return w.Byte(0)
 }
 
-// Uint64s appends a counted sequence of 64-bit values.
+// Uint64s appends a counted sequence of 64-bit values, growing the buffer
+// once for the whole field rather than by doubling through the elements.
 func (w *Writer) Uint64s(vs []uint64) *Writer {
+	w.buf = slices.Grow(w.buf, 4+8*len(vs))
 	w.Uint32(uint32(len(vs)))
 	for _, v := range vs {
-		w.Uint64(v)
+		w.buf = binary.BigEndian.AppendUint64(w.buf, v)
 	}
 	return w
 }
