@@ -9,6 +9,7 @@ import (
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/service"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -18,7 +19,7 @@ import (
 type orderRecorder struct {
 	kinds  []string
 	rounds []uint64
-	counts []int // accepted digests per record (0 for non-accept records)
+	counts []int // accepted digests or refused submissions per record (0 for the other kinds)
 }
 
 func (o *orderRecorder) rec(kind string, round uint64, n int) {
@@ -37,8 +38,8 @@ func (o *orderRecorder) BatchAccepted(_ string, r uint64, ds [][32]byte, _ fixed
 func (o *orderRecorder) DropoutCorrected(_ string, r uint64, _ fixed.Vector) {
 	o.rec("dropout", r, 0)
 }
-func (o *orderRecorder) Rejected(_ string, r uint64, _ service.RejectLevel, _ int) {
-	o.rec("rejected", r, 0)
+func (o *orderRecorder) Rejected(_ string, r uint64, level service.RejectLevel, n int) {
+	o.rec("rejected/"+[...]string{"registry", "manager", "round"}[level], r, n)
 }
 func (o *orderRecorder) TicketGranted(_ string, _ service.TicketState) { o.rec("ticket", 0, 0) }
 func (o *orderRecorder) TicketEvicted(_ string, _ uint64)              { o.rec("evicted", 0, 0) }
@@ -232,5 +233,105 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 		if _, ok := mb.Lookup(storm); ok {
 			t.Errorf("replay resurrected forgotten storm round %d", storm)
 		}
+	}
+}
+
+// TestRefusalsJournaledOncePerFrame: a frame books its refusals once per
+// level it touched, however many items it refused — a client that proved
+// nothing must not buy a WAL record per junk item — and the round's go
+// behind the frame's watermark. Recovery restores the three counters.
+func TestRefusalsJournaledOncePerFrame(t *testing.T) {
+	const dim, round, junkItems = 4, uint64(2), 65536
+	dir := t.TempDir()
+	s := openManual(t, dir)
+	reg := newTestRegistry(t)
+	skey := sessionKey(0xA7)
+	reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
+		ID: 7, Key: skey, RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600,
+	})
+	reg.SetJournal(s)
+
+	junk := make([][]byte, junkItems)
+	for i := range junk {
+		junk[i] = []byte{0xFF, 0xFF, byte(i >> 8), byte(i)}
+	}
+	if accepted, _ := reg.IngestBatch(junk); accepted != 0 {
+		t.Fatalf("junk frame: %d accepted", accepted)
+	}
+
+	raws := orderRaws(3, dim, round, &skey)
+	if err := reg.Ingest(raws[0]); err != nil { // round 2 goes live
+		t.Fatal(err)
+	}
+	flipMAC := func(raw []byte) []byte {
+		out := append([]byte(nil), raw...)
+		out[len(out)-1] ^= 0xFF
+		return out
+	}
+	mixed := [][]byte{
+		junk[0], // registry: unroutable
+		wire.NewWriter().String("nobody.example").Finish(),               // registry: unknown tenant
+		append(wire.NewWriter().String(testTenant).Finish(), 0x00, 0x00), // manager: no round to route by
+		flipMAC(orderRaws(1, dim, 3, &skey)[0]),                          // manager: a new round must verify first
+		raws[1],                                                          // accepted
+		append([]byte(nil), raws[1]...),                                  // round: duplicate
+		flipMAC(raws[2]),                                                 // round: bad MAC
+		orderRaws(1, dim+1, round, &skey)[0],                             // round: wrong dimension
+	}
+	accepted, errs := reg.IngestBatch(mixed)
+	if accepted != 1 || errs[4] != nil {
+		t.Fatalf("mixed frame: %d accepted, errs %v", accepted, errs)
+	}
+	tn, _ := reg.Tenant(testTenant)
+	p, _ := tn.Manager().Lookup(round)
+	live := [3]int{reg.Rejected(), tn.Manager().Rejected(), p.Rejected()}
+	if want := [3]int{junkItems + 2, 2, 3}; live != want {
+		t.Fatalf("live refusal counters %v, want %v", live, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "wal.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &orderRecorder{}
+	if _, torn := walkFrames(data, func(p []byte) error { return applyRecord(p, rec) }); torn {
+		t.Fatal("clean close left a torn WAL")
+	}
+	var got []string
+	var ns []int
+	for i, kind := range rec.kinds {
+		if kind != "created" {
+			got, ns = append(got, kind), append(ns, rec.counts[i])
+		}
+	}
+	// The junk frame; the warming Ingest; then the mixed frame, which books
+	// the registry's refusals before it routes, the round's behind the
+	// watermark, and the manager's when the tenant's share has settled.
+	wantKinds := []string{"rejected/registry", "accepted", "rejected/registry", "accepted", "rejected/round", "rejected/manager"}
+	wantNs := []int{junkItems, 1, 2, 1, 3, 2}
+	if len(got) != len(wantKinds) {
+		t.Fatalf("WAL records %v, want %v", got, wantKinds)
+	}
+	for i := range wantKinds {
+		if got[i] != wantKinds[i] || ns[i] != wantNs[i] {
+			t.Errorf("WAL record %d: %s n=%d, want %s n=%d", i, got[i], ns[i], wantKinds[i], wantNs[i])
+		}
+	}
+
+	regB, sB, _ := recoverInto(t, dir)
+	defer sB.Close()
+	tnB, _ := regB.Tenant(testTenant)
+	pB, ok := tnB.Manager().Lookup(round)
+	if !ok {
+		t.Fatal("round 2 not recovered")
+	}
+	if recovered := [3]int{regB.Rejected(), tnB.Manager().Rejected(), pB.Rejected()}; recovered != live {
+		t.Errorf("recovered refusal counters %v, live %v", recovered, live)
+	}
+	if pB.Count() != 2 {
+		t.Errorf("recovered round holds %d, want 2", pB.Count())
 	}
 }

@@ -80,7 +80,7 @@ func fuzzSeedTicketed() []byte {
 // FuzzDecodeTicketedContribution feeds attacker-controlled bytes to the
 // MAC'd-variant decoder — the fast-path parser on the ticketed ingest
 // route. Same contract as the signed decoder: no panics, canonical
-// re-encode on success, scratch and copying decoders agree, the header
+// re-encode on success, view and copying decoders agree, the header
 // peeks agree with the full decode, and the two wire variants can never be
 // confused for each other.
 func FuzzDecodeTicketedContribution(f *testing.F) {
@@ -100,12 +100,12 @@ func FuzzDecodeTicketedContribution(f *testing.F) {
 		if re := EncodeTicketedContribution(tc); !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in: %x\nout: %x", data, re)
 		}
-		var s TicketScratch
-		preimage, serr := s.Decode(data)
-		if serr != nil {
-			t.Fatalf("copying decode succeeded but scratch decode failed: %v", serr)
+		var v TicketedView
+		if verr := v.Decode(data); verr != nil {
+			t.Fatalf("copying decode succeeded but view decode failed: %v", verr)
 		}
-		if want := tc.MACBytes(); !bytes.Equal(preimage, want) {
+		head, tail := v.PreimageParts()
+		if preimage, want := append(append([]byte(nil), head...), tail...), tc.MACBytes(); !bytes.Equal(preimage, want) {
 			t.Fatalf("MAC preimage mismatch:\n got: %x\nwant: %x", preimage, want)
 		}
 		round, perr := PeekContributionRound(data)

@@ -74,7 +74,7 @@ func appendTicketedFields(w *wire.Writer, tc *TicketedContribution) {
 
 // ticketedDomain separates the ticketed MAC preimage from every other
 // signed/MAC'd byte string in the system; ticketedHeader is its encoded
-// form, which TicketScratch.Decode prepends when recovering the preimage.
+// form, the head segment of TicketedView.PreimageParts.
 const ticketedDomain = "glimmers/ticketed/v1"
 
 var ticketedHeader = wire.NewWriter().String(ticketedDomain).Finish()
@@ -104,46 +104,24 @@ func SealTicketedContribution(tc TicketedContribution, key *xcrypto.SessionKey) 
 }
 
 // DecodeTicketedContribution reverses EncodeTicketedContribution into an
-// independent copy. Hot paths use TicketScratch instead.
+// independent copy. It materializes what TicketedView.Decode reads, so the
+// two accept and refuse exactly the same inputs; the ingest path stays on
+// the view and never builds the vector at all.
 func DecodeTicketedContribution(data []byte) (TicketedContribution, error) {
-	var s TicketScratch
-	if _, err := s.Decode(data); err != nil {
+	var v TicketedView
+	if err := v.Decode(data); err != nil {
 		return TicketedContribution{}, err
 	}
-	tc := s.TC
-	tc.Blinded = append(fixed.Vector(nil), tc.Blinded...)
-	tc.MAC = append([]byte(nil), tc.MAC...)
-	return tc, nil
-}
-
-// TicketScratch is the reusable decode state for the ticketed ingest hot
-// path — the MAC-variant sibling of ContributionScratch, with the same
-// aliasing rules: after a successful Decode, TC.MAC aliases the input and
-// TC.Blinded aliases the scratch, both valid only until the next Decode.
-type TicketScratch struct {
-	// TC is the most recently decoded contribution. After a failed Decode
-	// its contents are unspecified.
-	TC TicketedContribution
-
-	view TicketedView
-	macd []byte
-}
-
-// Decode decodes data into s.TC and returns the exact byte string the MAC
-// covers (header || fields), which aliases the scratch. Steady state it
-// performs zero heap allocations: the preimage is recovered by copying the
-// input prefix into a reused buffer instead of re-encoding the struct.
-// Decode is the materializing wrapper over TicketedView.Decode; the batch
-// ingest path uses the view directly and never builds the vector at all.
-func (s *TicketScratch) Decode(data []byte) ([]byte, error) {
-	if err := s.view.Decode(data); err != nil {
-		return nil, err
+	tc := TicketedContribution{
+		ServiceName: string(v.ServiceName),
+		Round:       v.Round,
+		TicketID:    v.TicketID,
+		Blinded:     make(fixed.Vector, v.Lanes()),
+		Confidence:  v.Confidence,
+		MAC:         append([]byte(nil), v.MAC...),
 	}
-	s.view.materialize(&s.TC, s.TC.Blinded)
-	head, tail := s.view.PreimageParts()
-	s.macd = append(s.macd[:0], head...)
-	s.macd = append(s.macd, tail...)
-	return s.macd, nil
+	fixed.AccumulateWireInto(tc.Blinded, v.LaneBytes)
+	return tc, nil
 }
 
 // PeekContributionTicketed reports whether raw encodes the ticketed

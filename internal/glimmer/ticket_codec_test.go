@@ -84,52 +84,9 @@ func TestTicketedPeeksUnchanged(t *testing.T) {
 	}
 }
 
-// TestTicketScratchMatchesCopyingDecode locks the scratch decoder to the
-// copying decoder, including the MAC preimage verification consumes.
-func TestTicketScratchMatchesCopyingDecode(t *testing.T) {
-	var s TicketScratch
-	key := xcrypto.SessionKey{1, 2, 3}
-	for i := 0; i < 8; i++ {
-		tc := goldenTicketed()
-		tc.Round = uint64(i)
-		tc.TicketID = uint64(1000 + i)
-		raw := SealTicketedContribution(tc, &key)
-		want, err := DecodeTicketedContribution(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preimage, err := s.Decode(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.TC.ServiceName != want.ServiceName || s.TC.Round != want.Round ||
-			s.TC.TicketID != want.TicketID || s.TC.Confidence != want.Confidence {
-			t.Fatalf("decoded header diverges: %+v vs %+v", s.TC, want)
-		}
-		if len(s.TC.Blinded) != len(want.Blinded) {
-			t.Fatal("vector length diverges")
-		}
-		for j := range want.Blinded {
-			if s.TC.Blinded[j] != want.Blinded[j] {
-				t.Fatalf("vector[%d] diverges", j)
-			}
-		}
-		if !bytes.Equal(s.TC.MAC, want.MAC) {
-			t.Fatal("MAC diverges")
-		}
-		if !bytes.Equal(preimage, want.MACBytes()) {
-			t.Fatal("preimage diverges from MACBytes")
-		}
-		if !xcrypto.VerifySessionMAC(&key, preimage, s.TC.MAC) {
-			t.Fatal("sealed MAC does not verify over the recovered preimage")
-		}
-	}
-}
-
-// TestTicketScratchRejectsMalformed mirrors the signed scratch's refusal
+// TestDecodeTicketedRejectsMalformed mirrors the signed decoder's refusal
 // surface, plus the variant-confusion cases.
-func TestTicketScratchRejectsMalformed(t *testing.T) {
-	var s TicketScratch
+func TestDecodeTicketedRejectsMalformed(t *testing.T) {
 	good := EncodeTicketedContribution(goldenTicketed())
 	badMagic := append([]byte(nil), good...)
 	// The ticket header's magic starts right after the name field's length
@@ -147,9 +104,6 @@ func TestTicketScratchRejectsMalformed(t *testing.T) {
 		"short-mac":      EncodeTicketedContribution(shortMAC),
 		"signed-variant": signed,
 	} {
-		if _, err := s.Decode(raw); err == nil {
-			t.Errorf("%s: ticket scratch accepted malformed input", name)
-		}
 		if _, err := DecodeTicketedContribution(raw); err == nil {
 			t.Errorf("%s: copying decode accepted malformed input", name)
 		}
@@ -158,50 +112,6 @@ func TestTicketScratchRejectsMalformed(t *testing.T) {
 	var sc ContributionScratch
 	if _, err := sc.Decode(good); err == nil {
 		t.Error("signed scratch accepted a ticketed contribution")
-	}
-	// The scratch recovers after failures.
-	if _, err := s.Decode(good); err != nil {
-		t.Fatalf("scratch did not recover: %v", err)
-	}
-}
-
-// TestTicketScratchDecodeAllocFree pins the fast-path contract: steady-state
-// ticketed decode into a reused scratch performs zero heap allocations.
-func TestTicketScratchDecodeAllocFree(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation accounting differs under the race detector")
-	}
-	raws := make([][]byte, 64)
-	for i := range raws {
-		tc := TicketedContribution{
-			ServiceName: "alloc.example",
-			Round:       42,
-			TicketID:    uint64(i),
-			Blinded:     make(fixed.Vector, 64),
-			Confidence:  1,
-			MAC:         bytes.Repeat([]byte{0x5A}, xcrypto.MACSize),
-		}
-		for j := range tc.Blinded {
-			tc.Blinded[j] = fixed.Ring(uint64(i)*1000003 + uint64(j))
-		}
-		raws[i] = EncodeTicketedContribution(tc)
-	}
-	var s TicketScratch
-	if _, err := s.Decode(raws[0]); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	if got := testing.AllocsPerRun(500, func() {
-		i++
-		preimage, err := s.Decode(raws[i%len(raws)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(preimage) == 0 || s.TC.Round != 42 {
-			t.Fatal("bad decode")
-		}
-	}); got > 0 {
-		t.Errorf("ticket scratch decode: %.1f allocs/op, want 0", got)
 	}
 }
 

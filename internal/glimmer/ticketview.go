@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"glimmers/internal/fixed"
 	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
@@ -30,16 +29,13 @@ func (v *TicketedView) Lanes() int { return len(v.LaneBytes) / 8 }
 
 // PreimageParts returns the MAC preimage as the two segments
 // xcrypto.MACState.VerifyKeyed consumes: the constant domain header and the
-// frame's field bytes. Gluing them would cost a ~2 KB copy per message —
-// the single largest allocation the per-item path paid.
+// frame's field bytes. Gluing them would cost a ~2 KB copy per message.
 func (v *TicketedView) PreimageParts() (head, tail []byte) {
 	return ticketedHeader, v.fields
 }
 
-// Decode decodes data into v without copying. It accepts and rejects
-// exactly the inputs TicketScratch.Decode does, with identical error
-// strings — the scratch decoder is built on top of this one, so the two
-// cannot drift.
+// Decode decodes data into v without copying. It is the one parser of the
+// ticketed variant: DecodeTicketedContribution copies out of it.
 func (v *TicketedView) Decode(data []byte) error {
 	var r wire.Reader
 	r.Reset(data)
@@ -71,27 +67,4 @@ func (v *TicketedView) Decode(data []byte) error {
 // last decoded.
 func (v *TicketedView) Clear() {
 	*v = TicketedView{}
-}
-
-// materialize fills tc from the view, reusing tc's existing buffers: the
-// bridge the per-item scratch decoder uses. The name string is reused when
-// unchanged, the vector decoded in place.
-func (v *TicketedView) materialize(tc *TicketedContribution, blinded fixed.Vector) {
-	if string(v.ServiceName) != tc.ServiceName {
-		tc.ServiceName = string(v.ServiceName)
-	}
-	tc.Round = v.Round
-	tc.TicketID = v.TicketID
-	n := v.Lanes()
-	if cap(blinded) < n {
-		blinded = make(fixed.Vector, n)
-	} else {
-		blinded = blinded[:n]
-	}
-	for i := 0; i < n; i++ {
-		blinded[i] = fixed.Ring(binary.BigEndian.Uint64(v.LaneBytes[i*8:]))
-	}
-	tc.Blinded = blinded
-	tc.Confidence = v.Confidence
-	tc.MAC = v.MAC
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // TestTicketedViewMatchesScratch locks the zero-copy decoder to the
-// materializing one: same accepted fields, same lane values, and a MAC
-// preimage (as two parts) identical to the scratch's joined buffer.
+// materializing one (DecodeTicketedContribution, which the per-item ticket
+// scratch folded into): same accepted fields, same lane values, an
+// independent copy, and a MAC preimage (as two parts) identical to the
+// MACBytes the enclave sealed.
 func TestTicketedViewMatchesScratch(t *testing.T) {
 	key := xcrypto.SessionKey{9, 9, 9}
-	var s TicketScratch
 	var v TicketedView
 	var mac xcrypto.MACState
 	for i := 0; i < 8; i++ {
@@ -23,44 +24,60 @@ func TestTicketedViewMatchesScratch(t *testing.T) {
 		tc.Round = uint64(i)
 		tc.TicketID = uint64(2000 + i)
 		raw := SealTicketedContribution(tc, &key)
-		preimage, err := s.Decode(raw)
+		dec, err := DecodeTicketedContribution(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := v.Decode(raw); err != nil {
 			t.Fatal(err)
 		}
-		if string(v.ServiceName) != s.TC.ServiceName || v.Round != s.TC.Round ||
-			v.TicketID != s.TC.TicketID || v.Confidence != s.TC.Confidence {
-			t.Fatalf("view header diverges from scratch: %+v vs %+v", v, s.TC)
+		if string(v.ServiceName) != dec.ServiceName || v.Round != dec.Round ||
+			v.TicketID != dec.TicketID || v.Confidence != dec.Confidence {
+			t.Fatalf("view header diverges from the copying decode: %+v vs %+v", v, dec)
 		}
-		if !bytes.Equal(v.MAC, s.TC.MAC) {
+		if dec.ServiceName != tc.ServiceName || dec.Round != tc.Round ||
+			dec.TicketID != tc.TicketID || dec.Confidence != tc.Confidence {
+			t.Fatalf("decoded header diverges from what was sealed: %+v vs %+v", dec, tc)
+		}
+		if !bytes.Equal(v.MAC, dec.MAC) {
 			t.Fatal("view MAC diverges")
 		}
-		if v.Lanes() != len(s.TC.Blinded) {
-			t.Fatalf("view has %d lanes, scratch %d", v.Lanes(), len(s.TC.Blinded))
+		if v.Lanes() != len(tc.Blinded) || len(dec.Blinded) != len(tc.Blinded) {
+			t.Fatalf("view has %d lanes, copy %d, sealed %d", v.Lanes(), len(dec.Blinded), len(tc.Blinded))
 		}
 		sum := fixed.NewVector(v.Lanes())
 		fixed.AccumulateWireInto(sum, v.LaneBytes)
 		for j := range sum {
-			if sum[j] != s.TC.Blinded[j] {
-				t.Fatalf("lane %d: wire accumulate %#x, scratch decode %#x", j, uint64(sum[j]), uint64(s.TC.Blinded[j]))
+			if sum[j] != tc.Blinded[j] || dec.Blinded[j] != tc.Blinded[j] {
+				t.Fatalf("lane %d: wire accumulate %#x, copying decode %#x, sealed %#x",
+					j, uint64(sum[j]), uint64(dec.Blinded[j]), uint64(tc.Blinded[j]))
 			}
 		}
 		head, tail := v.PreimageParts()
 		joined := append(append([]byte(nil), head...), tail...)
-		if !bytes.Equal(joined, preimage) {
-			t.Fatal("preimage parts do not join to the scratch preimage")
+		if !bytes.Equal(joined, dec.MACBytes()) {
+			t.Fatal("preimage parts do not join to MACBytes")
+		}
+		if !xcrypto.VerifySessionMAC(&key, joined, dec.MAC) {
+			t.Fatal("sealed MAC does not verify over the recovered preimage")
 		}
 		mac.SetKey(&key)
 		if !mac.VerifyKeyed(head, tail, v.MAC) {
 			t.Fatal("sealed MAC does not verify over the view's preimage parts")
 		}
+		// The copy is independent of the frame; the view is not.
+		want := xcrypto.SessionMAC(&key, tc.MACBytes())
+		for j := range raw {
+			raw[j] ^= 0xFF
+		}
+		if !bytes.Equal(dec.MAC, want[:]) {
+			t.Fatal("copying decode aliases its input")
+		}
 	}
 }
 
-// TestTicketedViewRejectsMalformed holds the view decoder to the exact
-// refusal surface (and error strings) of the scratch decoder.
+// TestTicketedViewRejectsMalformed holds the view decoder and the copying
+// decoder to one refusal surface, error strings included.
 func TestTicketedViewRejectsMalformed(t *testing.T) {
 	good := EncodeTicketedContribution(goldenTicketed())
 	badMagic := append([]byte(nil), good...)
@@ -68,7 +85,6 @@ func TestTicketedViewRejectsMalformed(t *testing.T) {
 	copy(badMagic[hdrOff:], "NOPE")
 	shortMAC := goldenTicketed()
 	shortMAC.MAC = shortMAC.MAC[:16]
-	var s TicketScratch
 	var v TicketedView
 	for name, raw := range map[string][]byte{
 		"truncated": good[:len(good)-3],
@@ -77,18 +93,18 @@ func TestTicketedViewRejectsMalformed(t *testing.T) {
 		"bad-magic": badMagic,
 		"short-mac": EncodeTicketedContribution(shortMAC),
 	} {
-		_, scratchErr := s.Decode(raw)
+		_, copyErr := DecodeTicketedContribution(raw)
 		viewErr := v.Decode(raw)
 		if viewErr == nil {
 			t.Errorf("%s: view accepted malformed input", name)
 			continue
 		}
-		if scratchErr == nil {
-			t.Errorf("%s: scratch accepted what the view refused", name)
+		if copyErr == nil {
+			t.Errorf("%s: copying decode accepted what the view refused", name)
 			continue
 		}
-		if viewErr.Error() != scratchErr.Error() {
-			t.Errorf("%s: view error %q != scratch error %q", name, viewErr, scratchErr)
+		if viewErr.Error() != copyErr.Error() {
+			t.Errorf("%s: view error %q != copying decode error %q", name, viewErr, copyErr)
 		}
 	}
 	if err := v.Decode(good); err != nil {

@@ -7,107 +7,90 @@ import (
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
-	"glimmers/internal/xcrypto"
 )
 
-// The batch ingest plan. The per-item hot path pays, for every ticketed
-// contribution: a scratch decode that materializes the vector, a ticket
-// table read, an HMAC whose key schedule is recomputed from scratch, and a
-// shard lock acquisition. A batch shares almost all of that: contributions
-// in one frame overwhelmingly name the same ticket (same session key, same
-// table row) and land across a handful of shards. So AddBatch restructures
-// the work into phases over a per-batch arena:
+// The ingest plan. Every contribution crosses decode → rule → dedup →
+// accumulate → journal in processBatch, as one item of a frame — a frame of
+// one when it was submitted on its own (Add, the routers' Ingest). A frame
+// shares almost everything its items would otherwise each pay for:
+// contributions in one frame overwhelmingly name the same ticket (same
+// session key, same table row) and land across a handful of shards. So the
+// plan is two passes over a per-frame arena:
 //
-//  1. decode every frame into a zero-copy TicketedView (vectors stay as
-//     wire lane bytes) and run the cheap identity checks in submission
-//     order — error slots and the rejected counter land exactly where the
-//     per-item path would put them;
-//  2. resolve each distinct ticket against the table once, then verify all
-//     MACs under a key whose HMAC pad states are computed once per ticket
-//     (xcrypto.MACState.SetKey) instead of once per message;
-//  3. counting-sort the survivors by dedup shard — the sort is stable, so
-//     per-shard processing preserves submission order and duplicates
-//     resolve identically to the per-item path — and take each shard lock
+//  1. one verification loop, in submission order. A ticketed item is decoded
+//     into a zero-copy TicketedView (its vector stays wire lane bytes) and
+//     held to the ticketed rule (verifyTicketed), whose one-entry ticket
+//     memo and keyed MAC pads make a run of items under one ticket cost one
+//     table read and one key schedule. A signed (ECDSA) item runs its whole
+//     path right there, at its submission position (process): the plan
+//     exists for the ticketed fast path, which is where the volume is;
+//  2. one shard phase: counting-sort the survivors by dedup shard — the
+//     sort is stable, so a shard sees its items in submission order and a
+//     duplicate always loses to the earlier copy — and take each shard lock
 //     once, bulk-inserting digests and accumulating vectors straight from
-//     the frames' lane bytes (fixed.AccumulateWireInto).
+//     the frames' lane bytes (fixed.AccumulateWireInto);
 //
-// The arena is reset once per batch rather than a scratch being pooled per
-// item, and is returned to its pool with every frame view cleared: the
-// must-not-retain contract is the same one putScratch enforces.
+// then one BatchAccepted watermark carrying the accepted digests and their
+// summed delta, and behind it one Rejected record for every slot the frame
+// refused (settle).
+//
+// The arena is pooled across frames and pipelines and returned with every
+// frame view cleared: an idle arena must not keep a transport's frame
+// buffer reachable — the must-not-retain contract gaas.Ingestor documents
+// for this very path.
 //
 // A frame larger than one chunk fans out: AddBatchErrs starts a goroutine
 // per extra chunk, each running the whole plan over its chunk, and waits
 // for all of them before it returns. The frame owns those goroutines; the
 // pipeline owns none.
-//
-// Signed (ECDSA) contributions are legal in a batch but take the per-item
-// path inline at their submission position; the batch plan exists for the
-// ticketed fast path, which is where the volume is.
 
-// batchItem is one ticketed contribution's phase state.
+// batchItem is one ticketed contribution that passed the rule, on its way
+// to the shard phase.
 type batchItem struct {
 	idx    int // position in the submitted batch
-	group  int // index into ingestArena.groups
 	shard  uint64
-	ok     bool // survived phases 1–2; eligible for the shard phase
 	digest [32]byte
 	view   glimmer.TicketedView
 }
 
-// ticketGroup is one distinct ticket named by the batch, resolved against
-// the table exactly once.
-type ticketGroup struct {
-	id  uint64
-	key xcrypto.SessionKey
-	err error
-}
-
-// ingestArena is the per-batch scratch: everything the batch plan needs,
-// reset once per batch and pooled across batches (and pipelines — the
-// arena is workload-shaped, not round-shaped).
+// ingestArena is the per-frame scratch: everything the plan needs, pooled
+// across frames (and pipelines — the arena is workload-shaped, not
+// round-shaped). It is held by exactly one goroutine between Get and
+// release, which is what its parts' aliasing and no-concurrent-use rules
+// (glimmer.ContributionScratch, xcrypto.MACState) ask for.
 type ingestArena struct {
 	items  []batchItem
-	groups []ticketGroup
 	counts []int32 // counting sort: per-shard item counts, then offsets
 	starts []int32 // counting sort: per-shard segment starts
 	order  []int32 // item indices, stably grouped by shard
 
-	// mac verifies every MAC of the batch. Its keyed pad cache outlives the
-	// batch with the pooled arena, so a frame stream naming the same ticket
-	// skips the key schedule entirely after the first batch.
-	mac xcrypto.MACState
+	// check verifies every ticketed item of the frame. Its keyed pad cache
+	// outlives the frame with the pooled arena, so a frame stream naming
+	// the same ticket skips the key schedule entirely after the first
+	// frame; its ticket memo does not (release).
+	check ticketCheck
+	// sig decodes the frame's signed items, one at a time.
+	sig glimmer.ContributionScratch
 
-	// Journal scratch: the frame's accepted-digest list and summed delta,
-	// handed to Journal.BatchAccepted (which must not retain them — the
-	// same contract the arena itself rides on).
+	// Journal scratch: the accepted-digest list and summed delta handed to
+	// Journal.BatchAccepted (which must not retain them — the same contract
+	// the arena itself rides on).
 	jdigests [][32]byte
 	jdelta   fixed.Vector
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(ingestArena) }}
 
-// release clears every frame view and returns the arena to the pool. An
-// idle pooled arena must not keep a transport's frame buffers reachable.
+// release drops every view into the caller's frame (SC.Signature is one
+// too), forgets the ticket memo and returns the arena to the pool.
 func (a *ingestArena) release() {
 	for i := range a.items {
 		a.items[i].view.Clear()
 	}
 	a.items = a.items[:0]
-	a.groups = a.groups[:0]
+	a.sig.SC.Signature = nil
+	a.check.memoized = false
 	arenaPool.Put(a)
-}
-
-// group returns the index of the ticket group for id, creating it on first
-// sight. Batches name very few distinct tickets, so a linear scan beats a
-// map (and allocates nothing).
-func (a *ingestArena) group(id uint64) int {
-	for i := range a.groups {
-		if a.groups[i].id == id {
-			return i
-		}
-	}
-	a.groups = append(a.groups, ticketGroup{id: id})
-	return len(a.groups) - 1
 }
 
 // AddBatchErrs is AddBatch writing into a caller-owned error slice (one
@@ -121,11 +104,6 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 	if len(raws) == 0 {
 		return
 	}
-	// Accepted items never write their slot, so a reused errs slice must
-	// start clean.
-	for i := range errs {
-		errs[i] = nil
-	}
 	if err := p.enter(len(raws)); err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -137,9 +115,9 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 	// goroutine that would otherwise only park on wg.Wait — so a frame that
 	// fits one chunk (Workers == 1, or a small frame) spawns nothing and
 	// allocates nothing.
-	n := len(raws)
-	chunk := max((n+p.cfg.Workers-1)/p.cfg.Workers, minBatchChunk)
-	if n > chunk {
+	frame := errs
+	chunk := max((len(raws)+p.cfg.Workers-1)/p.cfg.Workers, minBatchChunk)
+	if len(raws) > chunk {
 		var wg sync.WaitGroup
 		for ; len(raws) > chunk; raws, errs = raws[chunk:], errs[chunk:] {
 			head, headErrs := raws[:chunk], errs[:chunk]
@@ -154,26 +132,42 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 	} else {
 		p.processBatch(raws, errs)
 	}
-	p.pending.Add(-n)
+	p.settle(frame)
+}
+
+// settle ends a frame that entered the round: every slot the plan refused
+// is non-nil, so their count is booked once for the whole frame — behind
+// the watermarks its chunks journaled, and before the frame leaves pending,
+// so a seal never overtakes it.
+func (p *Pipeline) settle(errs []error) {
+	refused := 0
+	for _, err := range errs {
+		if err != nil {
+			refused++
+		}
+	}
+	if refused > 0 {
+		p.refuse(refused)
+	}
+	p.pending.Add(-len(errs))
 }
 
 // minBatchChunk bounds fan-out granularity: below this, handoff overhead
 // beats the parallelism.
 const minBatchChunk = 16
 
-// processBatch runs the three-phase plan over one batch. Accept/reject
-// decisions, error values, and the rejected counter match the per-item
-// path exactly; only the cost shape differs.
+// processBatch runs the plan over one frame, or one chunk of one, writing
+// every error slot (nil for accepted). A refused item's slot is all that
+// records the refusal here; settle books it.
 func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	a := arenaPool.Get().(*ingestArena)
 	defer a.release()
 
-	// Phase 1: decode and cheap identity checks, in submission order.
-	// Signed-variant contributions take the per-item path right here, at
-	// their submission position.
+	// The verification loop, in submission order. a.items keeps only the
+	// ticketed items that passed: a refused one gives its slot back.
 	for i, raw := range raws {
 		if !glimmer.PeekContributionTicketed(raw) {
-			errs[i] = p.process(raw)
+			errs[i] = p.process(raw, a)
 			continue
 		}
 		if cap(a.items) > len(a.items) {
@@ -182,67 +176,21 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 			a.items = append(a.items, batchItem{})
 		}
 		it := &a.items[len(a.items)-1]
-		it.idx, it.ok = i, false
-		if err := it.view.Decode(raw); err != nil {
-			errs[i] = p.refuse(fmt.Errorf("service: %w", err), 1)
+		it.idx = i
+		it.digest, errs[i] = verifyTicketed(&p.cfg, &p.cfg.Round, raw, &it.view, &a.check)
+		if errs[i] != nil {
+			it.view.Clear()
+			a.items = a.items[:len(a.items)-1]
 			continue
 		}
-		if string(it.view.ServiceName) != p.cfg.ServiceName {
-			errs[i] = p.refuse(ErrWrongService, 1)
-			continue
-		}
-		if it.view.Round != p.cfg.Round {
-			errs[i] = p.refuse(ErrWrongRound, 1)
-			continue
-		}
-		if it.view.Lanes() != p.cfg.Dim {
-			errs[i] = p.refuse(ErrWrongDim, 1)
-			continue
-		}
-		if p.cfg.Tickets == nil {
-			errs[i] = p.refuse(ErrUnknownTicket, 1)
-			continue
-		}
-		it.group = a.group(it.view.TicketID)
-		it.ok = true
-	}
-
-	// Phase 2: resolve each distinct ticket once, then verify every MAC
-	// under cached pad states. Items are in submission order, which is
-	// almost always a single run of one ticket, so SetKey is a no-op for
-	// all but the first item of each run.
-	for gi := range a.groups {
-		g := &a.groups[gi]
-		// Every item in the group already passed the round check, so
-		// the group resolves at the pipeline's round — the same
-		// (ticket, round) pair the per-item path would present.
-		g.key, g.err = p.cfg.Tickets.check(g.id, p.cfg.Round)
-	}
-	for i := range a.items {
-		it := &a.items[i]
-		if !it.ok {
-			continue
-		}
-		g := &a.groups[it.group]
-		if g.err != nil {
-			it.ok = false
-			errs[it.idx] = p.refuse(g.err, 1)
-			continue
-		}
-		a.mac.SetKey(&g.key)
-		head, tail := it.view.PreimageParts()
-		if !a.mac.VerifyKeyed(head, tail, it.view.MAC) {
-			it.ok = false
-			errs[it.idx] = p.refuse(ErrBadMAC, 1)
-			continue
-		}
-		// The verified MAC doubles as the dedup digest, exactly as on
-		// the per-item path.
-		copy(it.digest[:], it.view.MAC)
 		it.shard = binary.BigEndian.Uint64(it.digest[:8]) & p.shardMask
 	}
+	live := len(a.items)
+	if live == 0 {
+		return
+	}
 
-	// Phase 3: stable counting sort by shard, then one lock per shard.
+	// The shard phase: stable counting sort by shard, then one lock per shard.
 	nShards := len(p.shards)
 	if cap(a.counts) < nShards {
 		a.counts = make([]int32, nShards)
@@ -253,15 +201,8 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	live := 0
 	for i := range a.items {
-		if a.items[i].ok {
-			counts[a.items[i].shard]++
-			live++
-		}
-	}
-	if live == 0 {
-		return
+		counts[a.items[i].shard]++
 	}
 	if cap(a.order) < live {
 		a.order = make([]int32, live)
@@ -274,12 +215,9 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		counts[s] = starts[s] // reuse as the scatter cursor
 	}
 	for i := range a.items {
-		if it := &a.items[i]; it.ok {
-			order[counts[it.shard]] = int32(i)
-			counts[it.shard]++
-		}
+		order[counts[a.items[i].shard]] = int32(i)
+		counts[a.items[i].shard]++
 	}
-	dups := 0
 	for s := range starts {
 		lo := starts[s]
 		hi := counts[s] // cursor ended at the segment's end
@@ -292,7 +230,6 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 			it := &a.items[k]
 			if sh.seen[it.digest] {
 				errs[it.idx] = ErrDuplicate
-				dups++
 				continue
 			}
 			sh.seen[it.digest] = true
@@ -302,11 +239,11 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		sh.mu.Unlock()
 	}
 
-	// One watermark record for the whole frame, journaled outside every
-	// shard lock while the arena's views are still alive. The digest list
-	// and delta live in the arena: the journal encodes synchronously and
-	// must not retain them, so the scratch recycles with the arena.
-	if j := p.journal; j != nil && live > dups {
+	// One watermark record for the frame's ticketed items, journaled outside
+	// every shard lock while the arena's views are still alive. The digest
+	// list and delta live in the arena: the journal encodes synchronously
+	// and must not retain them, so the scratch recycles with the arena.
+	if j := p.journal; j != nil {
 		digests := a.jdigests[:0]
 		if len(a.jdelta) != p.cfg.Dim {
 			a.jdelta = fixed.NewVector(p.cfg.Dim)
@@ -317,16 +254,14 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		}
 		for i := range a.items {
 			it := &a.items[i]
-			if it.ok && errs[it.idx] == nil {
+			if errs[it.idx] == nil {
 				digests = append(digests, it.digest)
 				fixed.AccumulateWireInto(delta, it.view.LaneBytes)
 			}
 		}
 		a.jdigests = digests
-		j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, digests, delta)
-	}
-	// The frame's duplicates are booked together, behind its watermark.
-	if dups > 0 {
-		_ = p.refuse(ErrDuplicate, dups)
+		if len(digests) > 0 {
+			j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, digests, delta)
+		}
 	}
 }

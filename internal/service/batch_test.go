@@ -15,8 +15,8 @@ import (
 
 // faultBatch builds a batch mixing every refusal the ticketed path can
 // produce with valid traffic under two tickets, plus raw garbage. The
-// returned batch is the equivalence corpus: the batch plan must land every
-// item exactly where the per-item path does.
+// returned batch is the equivalence corpus: submitted as one frame, every
+// item must land exactly where it does submitted on its own.
 func faultBatch(dim int, round uint64, good, narrow testTicket) [][]byte {
 	ghost := testTicket{id: 9999, key: xcrypto.SessionKey{0xEE}, first: 1, last: 100}
 	forged := append([]byte(nil), ticketedRaw("batch.example", round, dim, 2, good)...)
@@ -49,9 +49,9 @@ func batchPipeline(dim int, round uint64, workers int, tbl *TicketTable) *Pipeli
 	})
 }
 
-// TestAddBatchMatchesPerItem is the batch plan's core contract: identical
-// accept/reject verdicts, error values, rejected counter, and sum as the
-// per-item path, across the full fault mix.
+// TestAddBatchMatchesPerItem is framing invariance on the full fault mix:
+// one frame of N and N frames of one (Add) give identical accept/reject
+// verdicts, error values, rejected counter, and sum.
 func TestAddBatchMatchesPerItem(t *testing.T) {
 	const dim, round = 16, uint64(5)
 	tbl := NewTicketTable(TicketConfig{})
@@ -171,7 +171,7 @@ func TestAddBatchLifecycleRefusal(t *testing.T) {
 }
 
 // TestIngestArenaNotAliasedAcrossConcurrentAddBatch is the arena's -race
-// guard, mirroring the pooled-scratch guard from the per-item path: many
+// guard, mirroring the signed variant's pooled-scratch guard: many
 // concurrent AddBatch callers, one ticket per caller, and the final sum
 // must be exact — any arena state bleeding between concurrent batches
 // corrupts a lane.
@@ -342,7 +342,7 @@ func mixedFrame(n, dim int, round uint64, good testTicket) [][]byte {
 	frame := make([][]byte, n)
 	for i := range frame {
 		switch i % 8 {
-		case 1: // signed variant: takes the per-item path at its position
+		case 1: // signed variant: runs inline (process) at its position
 			sc := glimmer.SignedContribution{
 				ServiceName: "batch.example", Round: round,
 				Blinded: make(fixed.Vector, dim), Confidence: 1,
@@ -370,7 +370,8 @@ func mixedFrame(n, dim int, round uint64, good testTicket) [][]byte {
 // that splits keeps its last chunk there, and either way the error slots,
 // the sum and the rejection count are those of the Workers == 1 plan. A
 // frame of at most minBatchChunk items must spawn nothing: it runs with 0
-// allocations, and a goroutine would cost at least its closure.
+// allocations, and a goroutine would cost at least its closure. What the
+// fan-out of a split frame allocates is pinned beside it.
 func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 	const dim, round = 8, uint64(3)
 	tbl := NewTicketTable(TicketConfig{})
@@ -397,15 +398,22 @@ func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 		if w, g := serial.Sum().Digest(), pooled.Sum().Digest(); w != g {
 			t.Errorf("n=%d: sum digest %s under workers=4, want %s", n, g, w)
 		}
-		if n <= minBatchChunk && !race.Enabled {
+		if !race.Enabled {
+			// An unsplit frame costs nothing; one that fans out costs its
+			// WaitGroup and one closure per goroutine — 4 for the 128-item
+			// frame's four chunks — and must not drift past that.
+			ceiling := 0.0
+			if chunk := max((n+3)/4, minBatchChunk); n > chunk {
+				ceiling = float64((n + chunk - 1) / chunk)
+			}
 			clean := make([][]byte, n)
 			for i := range clean {
 				clean[i] = ticketedRaw("batch.example", round, dim, 1000+i, good)
 			}
 			errs := make([]error, n)
 			pooled.AddBatchErrs(clean, errs) // warm; every rerun is all duplicates
-			if allocs := testing.AllocsPerRun(20, func() { pooled.AddBatchErrs(clean, errs) }); allocs > 0 {
-				t.Errorf("n=%d: an unsplit frame at workers=4 cost %.1f allocs, want 0", n, allocs)
+			if allocs := testing.AllocsPerRun(20, func() { pooled.AddBatchErrs(clean, errs) }); allocs > ceiling {
+				t.Errorf("n=%d: a frame at workers=4 cost %.1f allocs, want <= %v", n, allocs, ceiling)
 			}
 		}
 		serial.Close()

@@ -201,37 +201,6 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	return p
 }
 
-// ingestScratch bundles the per-contribution hot-path state for both wire
-// variants: the ECDSA scratch, the ticketed scratch, and the reusable HMAC
-// state the MAC check runs on. One scratch is held by exactly one goroutine
-// between Get and Put, so the aliasing rules of its parts (see
-// glimmer.ContributionScratch / TicketScratch) and the MACState's
-// no-concurrent-use rule are trivially met.
-type ingestScratch struct {
-	sig glimmer.ContributionScratch
-	tkt glimmer.TicketScratch
-	mac xcrypto.MACState
-	// accepted is the one-digest set a per-item accept journals: the
-	// batch watermark of a frame of one, held here so it is not allocated.
-	accepted [1][32]byte
-}
-
-// scratchPool recycles per-contribution decode scratch across every
-// pipeline in the process: rounds come and go, but the scratch (vectors,
-// preimage buffers, interned service name, HMAC state) is workload-shaped
-// and stays warm.
-var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
-
-// putScratch drops the scratch's aliases into the caller's raw input
-// (SC.Signature and TC.MAC are views) before pooling it: an idle pooled
-// scratch must not keep a transport's frame buffer reachable — the same
-// must-not-retain contract gaas.Ingestor documents for this very path.
-func putScratch(s *ingestScratch) {
-	s.sig.SC.Signature = nil
-	s.tkt.TC.MAC = nil
-	scratchPool.Put(s)
-}
-
 func nextPowerOfTwo(n int) int {
 	p := 1
 	for p < n {
@@ -256,9 +225,11 @@ func (p *Pipeline) enter(n int) error {
 	defer p.stateMu.RUnlock()
 	switch p.state {
 	case roundSealed:
-		return p.refuse(ErrRoundSealed, n)
+		p.refuse(n)
+		return ErrRoundSealed
 	case roundClosed:
-		return p.refuse(ErrRoundClosed, n)
+		p.refuse(n)
+		return ErrRoundClosed
 	}
 	p.pending.Add(n)
 	return nil
@@ -271,19 +242,23 @@ func (p *Pipeline) open() bool {
 	return p.state == roundOpen
 }
 
-// Add verifies and accumulates one encoded SignedContribution on the
-// calling goroutine. Safe to call from many goroutines concurrently —
-// throughput scales with the callers.
+// Add verifies and accumulates one encoded contribution, of either wire
+// variant, on the calling goroutine: a frame of one through the ingest plan
+// (see batch.go), so a contribution crosses the same code however it was
+// submitted. Safe to call from many goroutines concurrently — throughput
+// scales with the callers.
 func (p *Pipeline) Add(raw []byte) error {
 	if err := p.enter(1); err != nil {
 		return err
 	}
-	defer p.pending.Done()
-	return p.process(raw)
+	raws, errs := [1][]byte{raw}, [1]error{}
+	p.processBatch(raws[:], errs[:])
+	p.settle(errs[:])
+	return errs[0]
 }
 
 // AddBatch verifies and accumulates a batch of encoded contributions
-// through the batch plan (see batch.go), fanning out across up to Workers
+// through the ingest plan (see batch.go), fanning out across up to Workers
 // goroutines of its own when the batch splits, and returns one error slot
 // per input (nil for accepted). It blocks until the whole batch has settled.
 func (p *Pipeline) AddBatch(raws [][]byte) []error {
@@ -292,141 +267,147 @@ func (p *Pipeline) AddBatch(raws [][]byte) []error {
 	return errs
 }
 
-// checkContribution runs the stateless checks shared by pipeline ingest
-// and round admission (RoundManager.preverify): dispatch on the wire
-// variant, decode into the caller's scratch, service identity, round (when
-// wantRound is non-nil — the cheap checks come before the expensive
-// authenticity check so stale traffic is cheap to reject), dimension, and
-// then the variant's authenticity rule: measurement allowlist + ECDSA
-// signature for the signed variant, ticket resolution (table, expiry,
-// round window) + session MAC for the ticketed one. Dedup is the caller's
-// business. Keeping this in one place means the call sites cannot drift
-// apart.
+// verifySigned is the acceptance rule of the ECDSA-signed wire variant,
+// shared by pipeline ingest (process) and round admission
+// (RoundManager.preverify): decode into the caller's scratch, service
+// identity, round (when wantRound is non-nil — the cheap checks come before
+// the expensive one so stale traffic is cheap to reject), dimension,
+// measurement allowlist, signature. Dedup is the caller's business.
 //
 // On success the returned vector is the decoded blinded contribution; it
-// aliases s (and the variant's tag field aliases raw), so the caller must
-// finish with it before recycling either. The returned digest is the
-// contribution's dedup identity: SHA-256 of the raw bytes on the signed
-// path, and the session MAC itself on the ticketed one — the MAC is
-// already a collision-resistant digest of everything the message carries
-// (only the tag field is outside its preimage, and a message whose tag was
-// altered never verifies), so the fast path skips a second full-message
-// hash. The whole check performs zero heap allocations at steady state —
-// on the ticketed path including the MAC itself, which is the fast path's
-// entire point.
-func checkContribution(serviceName string, verify *xcrypto.VerifyKey, tickets *TicketTable,
-	dim int, wantRound *uint64, vetted func(tee.Measurement) bool,
-	raw []byte, s *ingestScratch) (fixed.Vector, [32]byte, error) {
-	if glimmer.PeekContributionTicketed(raw) {
-		return checkTicketed(serviceName, tickets, dim, wantRound, raw, s)
-	}
+// aliases s (and SC.Signature aliases raw), so the caller must finish with
+// it before recycling either. The digest is the contribution's dedup
+// identity, SHA-256 of the raw bytes. Steady state the check allocates
+// nothing outside the signature verifier's internals.
+func verifySigned(cfg *PipelineConfig, wantRound *uint64, vetted *allowlist,
+	raw []byte, s *glimmer.ContributionScratch) (fixed.Vector, [32]byte, error) {
 	var digest [32]byte
-	signed, err := s.sig.Decode(raw)
+	signed, err := s.Decode(raw)
 	if err != nil {
 		return nil, digest, fmt.Errorf("service: %w", err)
 	}
-	sc := &s.sig.SC
-	if sc.ServiceName != serviceName {
+	sc := &s.SC
+	if sc.ServiceName != cfg.ServiceName {
 		return nil, digest, ErrWrongService
 	}
 	if wantRound != nil && sc.Round != *wantRound {
 		return nil, digest, ErrWrongRound
 	}
-	if len(sc.Blinded) != dim {
+	if len(sc.Blinded) != cfg.Dim {
 		return nil, digest, ErrWrongDim
 	}
-	if !vetted(sc.Measurement) {
+	if !vetted.admits(sc.Measurement) {
 		return nil, digest, ErrUnknownGlimmer
 	}
-	if verify != nil && !verify.Verify(signed, sc.Signature) {
+	if cfg.Verify != nil && !cfg.Verify.Verify(signed, sc.Signature) {
 		return nil, digest, ErrBadSignature
 	}
 	return sc.Blinded, sha256.Sum256(raw), nil
 }
 
-// checkTicketed is the amortized fast path: the per-contribution cost is a
-// scratch decode, a lock-brief table read, and one constant-time HMAC —
-// the asymmetric verify (and the measurement allowlist) were paid once, at
-// grant time. The MAC covers the service name and round, so a contribution
-// respelled for another tenant or round can never verify; the table's
-// window and expiry bound what a captured ticket can replay.
-func checkTicketed(serviceName string, tickets *TicketTable, dim int, wantRound *uint64,
-	raw []byte, s *ingestScratch) (fixed.Vector, [32]byte, error) {
-	var digest [32]byte
-	preimage, err := s.tkt.Decode(raw)
-	if err != nil {
-		return nil, digest, fmt.Errorf("service: %w", err)
-	}
-	tc := &s.tkt.TC
-	if tc.ServiceName != serviceName {
-		return nil, digest, ErrWrongService
-	}
-	if wantRound != nil && tc.Round != *wantRound {
-		return nil, digest, ErrWrongRound
-	}
-	if len(tc.Blinded) != dim {
-		return nil, digest, ErrWrongDim
-	}
-	if tickets == nil {
-		return nil, digest, ErrUnknownTicket
-	}
-	key, err := tickets.check(tc.TicketID, tc.Round)
-	if err != nil {
-		return nil, digest, err
-	}
-	if !s.mac.Verify(&key, preimage, tc.MAC) {
-		return nil, digest, ErrBadMAC
-	}
-	// The verified MAC doubles as the dedup digest: identical raw bytes
-	// yield the identical MAC, and two messages differing anywhere in
-	// their fields have distinct MACs by collision resistance.
-	copy(digest[:], tc.MAC)
-	return tc.Blinded, digest, nil
+// ticketCheck is what the ticketed rule carries from one item of a frame to
+// the next: the MAC state, whose keyed pads are rebuilt only when the key
+// changes, and a one-entry memo of the last ticket resolved, so a run of
+// items under one ticket — the usual whole frame — reads the table once.
+// The memo must not outlive the frame (ingestArena.release forgets it):
+// between frames the table may expire or evict the ticket it remembers.
+type ticketCheck struct {
+	mac xcrypto.MACState
+
+	memoized  bool
+	id, round uint64
+	key       xcrypto.SessionKey
+	err       error
 }
 
-// process is the per-contribution hot path: decode into pooled scratch,
-// policy checks, signature verification (all lock-free), then a brief
-// shard-local critical section for dedup and accumulation. Steady state it
-// allocates nothing outside the signature verifier's internals: the decode
-// reuses pooled scratch, the digest lives on the stack, and the dedup
-// insert lands in a pre-sized map (ExpectedCohort).
-func (p *Pipeline) process(raw []byte) error {
-	s := scratchPool.Get().(*ingestScratch)
-	defer putScratch(s)
-	blinded, digest, err := checkContribution(p.cfg.ServiceName, p.cfg.Verify, p.cfg.Tickets,
-		p.cfg.Dim, &p.cfg.Round, p.allow.admits, raw, s)
+// verifyTicketed is the acceptance rule of the ticketed wire variant — the
+// service's whole trust decision for a MAC'd contribution, written once for
+// pipeline ingest (processBatch) and round admission (preverify): zero-copy
+// decode into v, service identity, round (when wantRound is non-nil),
+// dimension, tickets enabled, ticket resolution (table, expiry, round
+// window), session MAC. The asymmetric verify and the measurement allowlist
+// were paid once, at grant time; the MAC covers the service name and round,
+// so a contribution respelled for another tenant or round never verifies,
+// and the table's window and expiry bound what a captured ticket can replay.
+//
+// The returned digest is the contribution's dedup identity: the verified
+// MAC itself, already a collision-resistant digest of every field (only the
+// tag is outside its preimage, and a message whose tag was altered never
+// verifies), so the fast path skips a second full-message hash. v aliases
+// raw. Zero heap allocations, the MAC included.
+func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
+	v *glimmer.TicketedView, c *ticketCheck) ([32]byte, error) {
+	var digest [32]byte
+	if err := v.Decode(raw); err != nil {
+		return digest, fmt.Errorf("service: %w", err)
+	}
+	if string(v.ServiceName) != cfg.ServiceName {
+		return digest, ErrWrongService
+	}
+	if wantRound != nil && v.Round != *wantRound {
+		return digest, ErrWrongRound
+	}
+	if v.Lanes() != cfg.Dim {
+		return digest, ErrWrongDim
+	}
+	if cfg.Tickets == nil {
+		return digest, ErrUnknownTicket
+	}
+	if !c.memoized || c.id != v.TicketID || c.round != v.Round {
+		c.key, c.err = cfg.Tickets.check(v.TicketID, v.Round)
+		c.id, c.round, c.memoized = v.TicketID, v.Round, true
+	}
+	if c.err != nil {
+		return digest, c.err
+	}
+	c.mac.SetKey(&c.key)
+	head, tail := v.PreimageParts()
+	if !c.mac.VerifyKeyed(head, tail, v.MAC) {
+		return digest, ErrBadMAC
+	}
+	copy(digest[:], v.MAC)
+	return digest, nil
+}
+
+// process is the signed variant's path through the ingest plan, run inline
+// at the item's submission position: rule checks and signature verification
+// (all lock-free), then a brief shard-local critical section for dedup and
+// accumulation, then a watermark of one. A refusal is returned, not booked:
+// the frame books every non-nil slot together (settle).
+func (p *Pipeline) process(raw []byte, a *ingestArena) error {
+	blinded, digest, err := verifySigned(&p.cfg, &p.cfg.Round, p.allow, raw, &a.sig)
 	if err != nil {
-		return p.refuse(err, 1)
+		return err
 	}
 	sh := p.shards[binary.BigEndian.Uint64(digest[:8])&p.shardMask]
 	sh.mu.Lock()
 	if sh.seen[digest] {
 		sh.mu.Unlock()
-		return p.refuse(ErrDuplicate, 1)
+		return ErrDuplicate
 	}
 	sh.seen[digest] = true
 	sh.sum.AddInPlace(blinded)
 	sh.count++
 	sh.mu.Unlock()
-	// Journal outside the shard lock. blinded aliases pooled scratch,
-	// which is safe: the journal encodes synchronously and the scratch is
-	// not pooled until this function returns.
+	// Journal outside the shard lock. blinded aliases the arena's scratch,
+	// which is safe: the journal encodes synchronously and the arena is not
+	// pooled until the frame is done.
 	if j := p.journal; j != nil {
-		s.accepted[0] = digest
-		j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, s.accepted[:], blinded)
+		a.jdigests = append(a.jdigests[:0], digest)
+		j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, a.jdigests, blinded)
 	}
 	return nil
 }
 
-// refuse books n refused submissions — the counter and the journal's
-// Rejected record — and returns err. Every round-level refusal, on either
-// ingest path, is booked here and nowhere else.
-func (p *Pipeline) refuse(err error, n int) error {
+// refuse books n refused submissions: the counter and the journal's
+// Rejected record. Every round-level refusal is booked here and nowhere
+// else — a whole frame at once when the round has left the open state
+// (enter), otherwise once per frame, behind its watermarks (settle).
+func (p *Pipeline) refuse(n int) {
 	p.rejected.Add(int64(n))
 	if j := p.journal; j != nil {
 		j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, n)
 	}
-	return err
 }
 
 // Seal fixes the cohort: it stops intake, drains in-flight contributions,

@@ -331,12 +331,13 @@ func (r *Registry) Tenants() []*Tenant {
 // tenants). Per-tenant refusals live in each tenant's manager/pipelines.
 func (r *Registry) Rejected() int { return int(r.rejected.Load()) }
 
-func (r *Registry) refuse(err error) error {
-	r.rejected.Add(1)
+// refuse books n registry-level refusals: the counter and the journal's
+// Rejected record. ingestBatchInto books a frame's worth at once.
+func (r *Registry) refuse(n int) {
+	r.rejected.Add(int64(n))
 	if j := r.journal; j != nil {
-		j.Rejected("", 0, LevelRegistry, 1)
+		j.Rejected("", 0, LevelRegistry, n)
 	}
-	return err
 }
 
 // lookup resolves a peeked service-name view without allocating: indexing
@@ -347,17 +348,12 @@ func (r *Registry) lookup(name []byte) *Tenant {
 	return r.tenants[string(name)]
 }
 
-// Ingest routes one encoded contribution to its tenant's manager.
+// Ingest routes one encoded contribution to its tenant's manager: a frame
+// of one through ingestBatchInto (route.go).
 func (r *Registry) Ingest(raw []byte) error {
-	name, err := glimmer.PeekContributionService(raw)
-	if err != nil {
-		return r.refuse(fmt.Errorf("service: %w", err))
-	}
-	t := r.lookup(name)
-	if t == nil {
-		return r.refuse(fmt.Errorf("%w: %q", ErrUnknownTenant, name))
-	}
-	return t.manager.Ingest(raw)
+	raws, errs := [1][]byte{raw}, [1]error{}
+	r.ingestBatchInto(raws[:], errs[:])
+	return errs[0]
 }
 
 // GrantTicket routes a ticket request to the tenant it names and runs that

@@ -109,13 +109,13 @@ func (m *RoundManager) Vet(meas tee.Measurement) { m.allow.vet(meas) }
 // window/cap refusals.
 func (m *RoundManager) Rejected() int { return int(m.rejected.Load()) }
 
-// refuse records a manager-level rejection.
-func (m *RoundManager) refuse(err error) error {
-	m.rejected.Add(1)
+// refuse books n manager-level refusals: the counter and the journal's
+// Rejected record. ingestBatchInto books a frame's worth at once.
+func (m *RoundManager) refuse(n int) {
+	m.rejected.Add(int64(n))
 	if j := m.journal; j != nil {
-		j.Rejected(m.cfg.ServiceName, 0, LevelManager, 1)
+		j.Rejected(m.cfg.ServiceName, 0, LevelManager, n)
 	}
-	return err
 }
 
 // UseBudget charges this manager's live rounds against a shared budget
@@ -175,16 +175,20 @@ func (m *RoundManager) Rounds() []uint64 {
 	return out
 }
 
-// preverify runs the stateless checks a pipeline would (see
-// checkContribution) without touching round state. It gates pipeline
-// creation: only a contribution that would be accepted (duplicates aside)
-// may bring a new round into existence, so unauthenticated bytes can
-// never allocate rounds.
+// preverify holds a contribution to its wire variant's acceptance rule —
+// the one its pipeline would apply, at whatever round it names — without
+// touching round state. It gates pipeline creation: only a contribution
+// that would be accepted (duplicates aside) may bring a new round into
+// existence, so unauthenticated bytes can never allocate rounds.
 func (m *RoundManager) preverify(raw []byte) error {
-	s := scratchPool.Get().(*ingestScratch)
-	defer putScratch(s)
-	_, _, err := checkContribution(m.cfg.ServiceName, m.cfg.Verify, m.cfg.Tickets,
-		m.cfg.Dim, nil, m.allow.admits, raw, s)
+	a := arenaPool.Get().(*ingestArena)
+	defer a.release()
+	if glimmer.PeekContributionTicketed(raw) {
+		var v glimmer.TicketedView
+		_, err := verifyTicketed(&m.cfg, nil, raw, &v, &a.check)
+		return err
+	}
+	_, _, err := verifySigned(&m.cfg, nil, m.allow, raw, &a.sig)
 	return err
 }
 
@@ -357,25 +361,12 @@ func (m *RoundManager) dropLeastFilled() (*Pipeline, bool) {
 	return m.evictLeastFilledLocked()
 }
 
-// Ingest routes one encoded contribution to its round's pipeline. A
-// contribution for a round with no live pipeline must fully verify before
-// the round is created (it then verifies once more inside the pipeline —
-// the double cost applies only to each round's first contribution).
+// Ingest routes one encoded contribution to its round's pipeline: a frame
+// of one through ingestBatchInto (route.go), which has the admission rule.
 func (m *RoundManager) Ingest(raw []byte) error {
-	round, err := glimmer.PeekContributionRound(raw)
-	if err != nil {
-		return m.refuse(fmt.Errorf("service: %w", err))
-	}
-	p, ok := m.Lookup(round)
-	if !ok {
-		if err := m.preverify(raw); err != nil {
-			return m.refuse(err)
-		}
-		if p, err = m.ingestRound(round); err != nil {
-			return m.refuse(err)
-		}
-	}
-	return p.Add(raw)
+	raws, errs := [1][]byte{raw}, [1]error{}
+	m.ingestBatchInto(raws[:], errs[:])
+	return errs[0]
 }
 
 // Seal seals one round's pipeline (see Pipeline.Seal). Sealing a round

@@ -66,7 +66,7 @@ func (rs *routeScratch) errSlots(n int) []error {
 }
 
 // IngestBatch routes a batch of encoded contributions, grouping them by
-// round so each group runs the pipeline's batch plan. It returns the
+// round so each group runs the pipeline's ingest plan. It returns the
 // number accepted and one error slot per input, aligned with raws.
 func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 	errs := make([]error, len(raws))
@@ -74,14 +74,20 @@ func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 }
 
 // ingestBatchInto is IngestBatch writing into the caller's error slots,
-// which must be nil on entry and aligned with raws.
+// which must be nil on entry and aligned with raws. A contribution for a
+// round with no live pipeline must fully verify before the round is created
+// (preverify); it then verifies once more inside the pipeline, a double cost
+// only each round's first contribution pays. What the manager itself refuses
+// — unroutable bytes, failed admission — is booked once for the frame.
 func (m *RoundManager) ingestBatchInto(raws [][]byte, errs []error) int {
 	rs := getRouteScratch(len(raws))
 	defer rs.release()
+	refused := 0
 	for i, raw := range raws {
 		round, err := glimmer.PeekContributionRound(raw)
 		if err != nil {
-			errs[i] = m.refuse(fmt.Errorf("service: %w", err))
+			errs[i] = fmt.Errorf("service: %w", err)
+			refused++
 			rs.done[i] = true
 			continue
 		}
@@ -107,14 +113,16 @@ func (m *RoundManager) ingestBatchInto(raws [][]byte, errs []error) int {
 			// contribution; items failing the gate are rejected here.
 			for ; start < len(idx) && p == nil; start++ {
 				if err := m.preverify(raws[idx[start]]); err != nil {
-					errs[idx[start]] = m.refuse(err)
+					errs[idx[start]] = err
+					refused++
 					continue
 				}
 				var cerr error
 				if p, cerr = m.ingestRound(round); cerr != nil {
 					for _, k := range idx[start:] {
-						errs[k] = m.refuse(cerr)
+						errs[k] = cerr
 					}
+					refused += len(idx) - start
 					break
 				}
 				start-- // re-include the verifying item in the batch
@@ -133,6 +141,9 @@ func (m *RoundManager) ingestBatchInto(raws [][]byte, errs []error) int {
 			errs[idx[start+j]] = err
 		}
 	}
+	if refused > 0 {
+		m.refuse(refused)
+	}
 	accepted := 0
 	for _, err := range errs {
 		if err == nil {
@@ -149,22 +160,35 @@ func (m *RoundManager) ingestBatchInto(raws [][]byte, errs []error) int {
 // grouping bookkeeping is pooled.
 func (r *Registry) IngestBatch(raws [][]byte) (int, []error) {
 	errs := make([]error, len(raws))
+	return r.ingestBatchInto(raws, errs), errs
+}
+
+// ingestBatchInto is IngestBatch writing into the caller's error slots,
+// which must be nil on entry and aligned with raws. What the registry itself
+// refuses — unroutable bytes, unknown tenants — is booked once for the frame.
+func (r *Registry) ingestBatchInto(raws [][]byte, errs []error) int {
 	rs := getRouteScratch(len(raws))
 	defer rs.release()
+	refused := 0
 	for i, raw := range raws {
 		name, err := glimmer.PeekContributionService(raw)
 		if err != nil {
-			errs[i] = r.refuse(fmt.Errorf("service: %w", err))
+			errs[i] = fmt.Errorf("service: %w", err)
+			refused++
 			rs.done[i] = true
 			continue
 		}
 		t := r.lookup(name)
 		if t == nil {
-			errs[i] = r.refuse(fmt.Errorf("%w: %q", ErrUnknownTenant, name))
+			errs[i] = fmt.Errorf("%w: %q", ErrUnknownTenant, name)
+			refused++
 			rs.done[i] = true
 			continue
 		}
 		rs.tenants[i] = t
+	}
+	if refused > 0 {
+		r.refuse(refused)
 	}
 	accepted := 0
 	for i := range raws {
@@ -187,5 +211,5 @@ func (r *Registry) IngestBatch(raws [][]byte) (int, []error) {
 			errs[rs.idx[j]] = err
 		}
 	}
-	return accepted, errs
+	return accepted
 }

@@ -559,6 +559,28 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 	if p.Count() != i+1 {
 		t.Fatalf("count = %d, want %d", p.Count(), i+1)
 	}
+
+	// The same contract one verb up: routed by the manager, the frame of one
+	// still allocates nothing (Registry.Ingest is TestJournaledIngestAllocFree's).
+	m := NewRoundManager(PipelineConfig{
+		ServiceName: "alloc.example", Dim: dim, Tickets: tbl,
+		Workers: 1, Shards: 1, ExpectedCohort: len(raws),
+	})
+	if err := m.Ingest(raws[0]); err != nil {
+		t.Fatal(err)
+	}
+	i = 0
+	if got := testing.AllocsPerRun(runs, func() {
+		i++
+		if err := m.Ingest(raws[i]); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("RoundManager.Ingest, ticketed: %.1f allocs/op, want 0", got)
+	}
+	if got := m.Round(7).Count(); got != i+1 {
+		t.Fatalf("manager round count = %d, want %d", got, i+1)
+	}
 }
 
 // TestTicketCheckAllocFree pins the table lookup alone: with the default

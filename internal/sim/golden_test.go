@@ -73,7 +73,7 @@ func sortedLines[V any](sb *strings.Builder, label string, m map[uint64]V) {
 // new builder. Same seed, byte-identical trace.
 func TestSimGoldenTraces(t *testing.T) {
 	for _, ticketed := range []bool{false, true} {
-		for _, tr := range []TransportKind{TransportDirect, TransportPipe, TransportTCP, TransportTLS} {
+		for _, tr := range []TransportKind{TransportDirect, TransportTCP, TransportTLS} {
 			name := "repro_" + tr.String()
 			if ticketed {
 				name = "repro_ticketed_" + tr.String()

@@ -257,13 +257,9 @@ func (sub *substrate) start(spec nodeSpec, tenants ...*tenant) (*node, error) {
 }
 
 // listen opens the node's listener and the dialer that reaches it:
-// in-memory net.Pipe connections, loopback TCP, or TLS-wrapped loopback
-// TCP.
+// loopback TCP, or TLS-wrapped loopback TCP.
 func (n *node) listen(cfg *glimnode.Config) error {
 	switch n.transport {
-	case TransportPipe:
-		ln := newMemListener()
-		cfg.Listener, n.dial = ln, ln.dial
 	case TransportTCP, TransportTLS: // TCP and TLS share the loopback socket
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // MultiScenario drives several tenants — typically a mix of range
 // aggregation and the botdetect workload — through one shared hosting
 // stack concurrently: one registry, one shared round budget, one gaas
-// front end (for the pipe/TCP transports), with every tenant's traffic
+// front end (for the TCP/TLS transports), with every tenant's traffic
 // interleaving through the same frame-level routing the production daemon
 // uses. Each tenant runs its own seeded fault plan; on top of the
 // per-tenant invariants (exact sums, exact rejection accounting) the multi
@@ -137,7 +137,7 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 	}
 
 	// All tenants run concurrently: their batches interleave through the
-	// shared registry (and, over pipe/TCP, the shared front end).
+	// shared registry (and, over TCP/TLS, the shared front end).
 	rep := &MultiReport{Scenario: s.Name, Reports: make([]*Report, len(sims))}
 	var wg sync.WaitGroup
 	errs := make([]error, len(sims))

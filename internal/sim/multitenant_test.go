@@ -80,7 +80,7 @@ func TestMultiTenantIsolation(t *testing.T) {
 // shared gaas front end: per-tenant enclave hosting resolved from the
 // tenant-bearing hello, batches routed by the service name they carry.
 func TestMultiTenantIsolationOverGaas(t *testing.T) {
-	rep, err := multiTenantScenario(TransportPipe).Run()
+	rep, err := multiTenantScenario(TransportTCP).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

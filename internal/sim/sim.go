@@ -2,7 +2,7 @@
 // assembles the real stack — tee enclaves running the Glimmer
 // validate→blind→sign pipeline, a service.RoundManager with its concurrent
 // sharded ingest pipelines, and the gaas transport either in-process or
-// over net.Pipe/TCP — and drives N simulated devices through M overlapping
+// over loopback TCP/TLS — and drives N simulated devices through M overlapping
 // aggregation rounds under a pluggable fault plan.
 //
 // The simulator is the proving ground for the paper's end-to-end loop
@@ -49,9 +49,6 @@ const (
 	// TransportDirect hands batches to the RoundManager in-process — the
 	// co-located deployment, and the fastest path.
 	TransportDirect TransportKind = iota
-	// TransportPipe routes batches through the full gaas frame protocol
-	// over synchronous in-memory net.Pipe connections.
-	TransportPipe
 	// TransportTCP routes batches through gaas over loopback TCP — the
 	// cmd/glimmerd deployment.
 	TransportTCP
@@ -66,8 +63,6 @@ func (t TransportKind) String() string {
 	switch t {
 	case TransportDirect:
 		return "direct"
-	case TransportPipe:
-		return "pipe"
 	case TransportTCP:
 		return "tcp"
 	case TransportTLS:

@@ -66,7 +66,7 @@ func TestSimTicketedOverGaas(t *testing.T) {
 			Rounds:    3,
 			Overlap:   2,
 			Dim:       6,
-			Transport: TransportPipe,
+			Transport: TransportTCP,
 			Ticketed:  true,
 			Faults: FaultPlan{
 				DropoutRate:    0.15,

@@ -103,48 +103,3 @@ func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, ser
 	}
 	return p, nil
 }
-
-// memListener is an in-memory net.Listener over net.Pipe: the gaas frame
-// protocol runs unchanged, with synchronous in-process delivery instead
-// of a kernel socket.
-type memListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-func newMemListener() *memListener {
-	return &memListener{conns: make(chan net.Conn), done: make(chan struct{})}
-}
-
-func (l *memListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *memListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-type memAddr struct{}
-
-func (memAddr) Network() string { return "mem" }
-func (memAddr) String() string  { return "mem" }
-
-func (l *memListener) Addr() net.Addr { return memAddr{} }
-
-// dial hands one end of a fresh pipe to the acceptor.
-func (l *memListener) dial() (net.Conn, error) {
-	server, client := net.Pipe()
-	select {
-	case l.conns <- server:
-		return client, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
