@@ -95,7 +95,7 @@ func tenantConfig(as *tee.AttestationService, spec tenantSpec, workers, shards i
 	}
 	meas := glimmer.BuildBinary(cfg).Measurement()
 	svc.Vet(meas)
-	// Session tickets (the amortized fast path): one ECDSA-verified grant
+	// Session tickets (the amortized fast path): one signature-verified grant
 	// per client session, constant-time MACs per contribution thereafter.
 	var ticketPolicy *service.TicketConfig
 	if ticketTTL > 0 {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"glimmers/internal/wire"
+	"glimmers/internal/xcrypto"
 )
 
 // FieldKind classifies one field of a public message format.
@@ -34,9 +35,11 @@ const (
 	KindExpected
 	// KindBool is a canonical one-byte boolean. Carries exactly one bit.
 	KindBool
-	// KindSignature is a bounded variable field that cannot be predicted
-	// (signatures are randomized). It is the residual covert channel the
-	// paper acknowledges; the auditor bounds its length and reports it.
+	// KindSignature is a bounded variable field that cannot be predicted:
+	// signatures are randomized, because every xcrypto signature opens with
+	// a fresh salt the signer draws and then signs over. It is the residual
+	// covert channel the paper acknowledges; the auditor bounds its length
+	// and reports it.
 	KindSignature
 )
 
@@ -140,12 +143,11 @@ func (f *Format) Check(msg []byte, expected map[string][]byte) (Report, error) {
 	return rep, nil
 }
 
-// maxECDSASigLen bounds a DER-encoded P-256 ECDSA signature.
-const maxECDSASigLen = 72
-
 // VerdictFormat is the public format of the §4.1 bot-detection verdict
 // message produced by glimmer.EncodeVerdict: header, service name,
-// challenge echo, one bit, signature. CapacityBits() == 1.
+// challenge echo, one bit, signature. CapacityBits() == 1. The signature
+// bound is the scheme's own: every signature a Glimmer produces is exactly
+// xcrypto.SignatureSize bytes.
 func VerdictFormat(serviceName string) *Format {
 	return &Format{
 		Name: "glimmers/verdict/v1",
@@ -154,7 +156,7 @@ func VerdictFormat(serviceName string) *Format {
 			{Name: "service", Kind: KindConst, Const: []byte(serviceName)},
 			{Name: "challenge", Kind: KindExpected},
 			{Name: "verdict", Kind: KindBool},
-			{Name: "signature", Kind: KindSignature, MaxLen: maxECDSASigLen},
+			{Name: "signature", Kind: KindSignature, MaxLen: xcrypto.SignatureSize},
 		},
 	}
 }

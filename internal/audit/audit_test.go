@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"glimmers/internal/wire"
+	"glimmers/internal/xcrypto"
 )
 
 func verdictMsg(header, svc string, challenge []byte, bit byte, sig []byte) []byte {
@@ -20,7 +21,7 @@ func verdictMsg(header, svc string, challenge []byte, bit byte, sig []byte) []by
 
 func TestVerdictFormatAcceptsCanonicalMessage(t *testing.T) {
 	f := VerdictFormat("svc.example")
-	msg := verdictMsg("glimmers/verdict/v1", "svc.example", []byte("nonce"), 1, make([]byte, 70))
+	msg := verdictMsg("glimmers/verdict/v1", "svc.example", []byte("nonce"), 1, make([]byte, xcrypto.SignatureSize))
 	rep, err := f.Check(msg, map[string][]byte{"challenge": []byte("nonce")})
 	if err != nil {
 		t.Fatal(err)
@@ -28,8 +29,8 @@ func TestVerdictFormatAcceptsCanonicalMessage(t *testing.T) {
 	if rep.InfoBits != 1 {
 		t.Fatalf("InfoBits = %d, want 1", rep.InfoBits)
 	}
-	if rep.SignatureBytes != 70 {
-		t.Fatalf("SignatureBytes = %d, want 70", rep.SignatureBytes)
+	if rep.SignatureBytes != xcrypto.SignatureSize {
+		t.Fatalf("SignatureBytes = %d, want %d", rep.SignatureBytes, xcrypto.SignatureSize)
 	}
 	if f.CapacityBits() != 1 {
 		t.Fatalf("CapacityBits = %d, want 1", f.CapacityBits())
@@ -70,9 +71,9 @@ func TestVerdictFormatRejectsCovertChannels(t *testing.T) {
 			ErrMalformed,
 		},
 		{
-			// An oversized signature field.
+			// One byte more than the scheme's signatures ever are.
 			"oversized signature",
-			verdictMsg("glimmers/verdict/v1", "svc", challenge, 1, make([]byte, 100)),
+			verdictMsg("glimmers/verdict/v1", "svc", challenge, 1, make([]byte, xcrypto.SignatureSize+1)),
 			ErrOversized,
 		},
 		{
@@ -133,7 +134,7 @@ func TestQuickVerdictFormatBound(t *testing.T) {
 		if bit {
 			b = 1
 		}
-		sig := make([]byte, int(sigLen)%(maxECDSASigLen+1))
+		sig := make([]byte, int(sigLen)%(xcrypto.SignatureSize+1))
 		msg := verdictMsg("glimmers/verdict/v1", "svc", challenge, b, sig)
 		rep, err := f.Check(msg, map[string][]byte{"challenge": challenge})
 		if err != nil || rep.InfoBits != 1 {

@@ -252,7 +252,7 @@ func (c *Client) Contribute(round uint64, contribution fixed.Vector, private []i
 // RequestTicket forwards an enclave's signed ticket request
 // (glimmer.Device.TicketRequest) to the host's service side and returns
 // the grant to install (glimmer.Device.InstallTicket) — one round trip,
-// one ECDSA verification server-side, and every contribution after it
+// one signature verification server-side, and every contribution after it
 // rides the MAC fast path. Renewal is the same call again: when SubmitBatch
 // tallies start rejecting a session whose ticket has expired, re-run the
 // exchange and re-seal.

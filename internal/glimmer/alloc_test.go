@@ -8,6 +8,7 @@ import (
 	"glimmers/internal/race"
 	"glimmers/internal/tee"
 	"glimmers/internal/wire"
+	"glimmers/internal/xcrypto"
 )
 
 // allocContribution builds one structurally valid encoded contribution
@@ -19,7 +20,7 @@ func allocContribution(i int) []byte {
 		Measurement: tee.Measurement{9},
 		Blinded:     make(fixed.Vector, 64),
 		Confidence:  1,
-		Signature:   bytes.Repeat([]byte{0x5A}, 70),
+		Signature:   bytes.Repeat([]byte{0x5A}, xcrypto.SignatureSize),
 	}
 	for j := range sc.Blinded {
 		sc.Blinded[j] = fixed.Ring(uint64(i)*1000003 + uint64(j))

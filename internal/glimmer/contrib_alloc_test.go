@@ -10,17 +10,15 @@ import (
 	"glimmers/internal/race"
 )
 
-// contributeBytesAt9560e9c is what one Device.Contribute at dim 64
-// allocated at commit 9560e9c, measured by this test's own loop there
-// (14,413–14,418 B over three runs): the request writer doubling through
-// its lanes, the signed fields encoded twice, and a preimage copy the
-// caller discards.
-const contributeBytesAt9560e9c = 14415
+// contributeBytesMeasured is what one Device.Contribute at dim 64 allocates,
+// measured by this test's own loop (5,699–5,703 B over three runs; 11,807 B
+// before the signature became Ed25519, 14,415 B at commit 9560e9c).
+const contributeBytesMeasured = 5700
 
 // TestContributeBytesAllocated holds the signed contribute path — what a
-// live device runs per contribution — at least 10% under that figure. Most
-// of what remains is crypto/ecdsa's own and the enclave boundary copies,
-// which model ECALL marshalling and stay.
+// live device runs per contribution — within 10% of that figure. Most of
+// what remains is the enclave boundary copies, which model ECALL marshalling
+// and stay; the signer's share is 240 B (xcrypto's BenchmarkSign).
 func TestContributeBytesAllocated(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -57,8 +55,8 @@ func TestContributeBytesAllocated(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("Device.Contribute at dim %d: %d B allocated per call (9560e9c: %d)", dim64, got, contributeBytesAt9560e9c)
-	if limit := uint64(contributeBytesAt9560e9c) * 9 / 10; got > limit {
-		t.Errorf("Device.Contribute allocates %d B per call, want at most %d (90%% of %d)", got, limit, contributeBytesAt9560e9c)
+	t.Logf("Device.Contribute at dim %d: %d B allocated per call (measured: %d)", dim64, got, contributeBytesMeasured)
+	if limit := uint64(contributeBytesMeasured) * 11 / 10; got > limit {
+		t.Errorf("Device.Contribute allocates %d B per call, want at most %d (110%% of %d)", got, limit, contributeBytesMeasured)
 	}
 }

@@ -3,8 +3,10 @@ package glimmer_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
+	"glimmers/internal/audit"
 	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
@@ -417,6 +419,38 @@ func TestCrossCheckCorroboration(t *testing.T) {
 	}
 }
 
+// TestIdenticalContributionsFromTwoDevices: every Glimmer of a tenant signs
+// with the one provisioned key and a signed contribution names no device,
+// so it is the signature's salt alone that keeps two honest devices with
+// the same vector from looking like one device replaying itself.
+func TestIdenticalContributionsFromTwoDevices(t *testing.T) {
+	_, platform, svc := newWorld(t)
+	const round = 1
+	agg := serialPipeline(svc, dim, round)
+	value := fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4})
+	var raws [2][]byte
+	for i := range raws {
+		dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+		sc, err := dev.Contribute(round, value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = glimmer.EncodeSignedContribution(sc)
+		if err := agg.Add(raws[i]); err != nil {
+			t.Fatalf("device %d refused: %v", i, err)
+		}
+	}
+	if bytes.Equal(raws[0], raws[1]) {
+		t.Fatal("two devices produced the identical encoding")
+	}
+	twice := fixed.NewVector(dim)
+	twice.AddInPlace(value)
+	twice.AddInPlace(value)
+	if agg.Count() != 2 || !slices.Equal(agg.Sum(), twice) {
+		t.Fatalf("count %d sum %v, want 2 and %v", agg.Count(), agg.Sum(), twice)
+	}
+}
+
 func TestDetectFlowWithBotGate(t *testing.T) {
 	_, platform, svc := newWorld(t)
 	// Detector: score = 2*s0 + 3*s1 >= 10.
@@ -461,6 +495,19 @@ func TestDetectFlowWithBotGate(t *testing.T) {
 	}
 	if human2 {
 		t.Fatal("bot signals classified as human")
+	}
+
+	// The auditor's residual channel is the scheme's fixed signature size
+	// on every verdict, whichever bit it carries.
+	format := audit.VerdictFormat(svc.Name())
+	for _, v := range []glimmer.Verdict{verdict, verdict2} {
+		rep, err := format.Check(glimmer.EncodeVerdict(v), map[string][]byte{"challenge": v.Challenge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.InfoBits != 1 || rep.SignatureBytes != xcrypto.SignatureSize {
+			t.Fatalf("audit report = %+v, want 1 bit and %d signature bytes", rep, xcrypto.SignatureSize)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func (d *Device) InstallTicket(grant []byte) error {
 }
 
 // ContributeTicketed runs the validate→blind pipeline and seals the result
-// with the session MAC instead of an ECDSA signature.
+// with the session MAC instead of a signature.
 func (d *Device) ContributeTicketed(round uint64, contribution fixed.Vector, private []int64) (TicketedContribution, error) {
 	req := ContributionRequest{
 		Round:        round,

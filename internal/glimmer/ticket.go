@@ -12,12 +12,12 @@ import (
 )
 
 // Attested session tickets: the amortized-authentication fast path. The
-// enclave signs one ticket request (a single ECDSA operation, rooted in the
+// enclave signs one ticket request (a single signing operation, rooted in the
 // same provisioned key that signs contributions), the service answers with
 // a grant completing an X25519 exchange, and both sides derive a short-lived
 // HMAC session key bound to (service, ticket, round window, expiry). Every
-// contribution that follows carries a constant-time MAC instead of an
-// ASN.1 ECDSA signature — the ~100× cheaper check the ingest hot path
+// contribution that follows carries a constant-time MAC instead of a
+// public-key signature — the far cheaper check the ingest hot path
 // verifies on pooled scratches. The trust story is unchanged: the session
 // key lives only inside the enclave (and the service's ticket table), so a
 // MAC still proves the contribution passed validate→blind inside a vetted
@@ -48,7 +48,7 @@ const ticketHeaderLen = len(ticketedMagic) + 8
 // leading fields (service name, round — so PeekContributionService and
 // PeekContributionRound route both variants identically), a ticket header
 // in place of the measurement (provenance was checked once, at grant time),
-// and an HMAC-SHA256 tag in place of the ECDSA signature.
+// and an HMAC-SHA256 tag in place of the signature.
 type TicketedContribution struct {
 	ServiceName string
 	Round       uint64
@@ -125,7 +125,7 @@ func DecodeTicketedContribution(data []byte) (TicketedContribution, error) {
 }
 
 // PeekContributionTicketed reports whether raw encodes the ticketed
-// (MAC'd) contribution variant rather than the ECDSA-signed one, without
+// (MAC'd) contribution variant rather than the signed one, without
 // allocating. Routers and pipelines dispatch on it; any malformation is
 // left for the full decode of whichever path is chosen.
 func PeekContributionTicketed(data []byte) bool {
@@ -242,7 +242,7 @@ func ecallTicketInstall(env *tee.Env, input []byte) ([]byte, error) {
 
 // ecallContributeTicketed is the fast-path sibling of ecallContribute: the
 // same validate→blind pipeline, sealed with the session MAC instead of an
-// ECDSA signature. The enclave MACs whatever round the host names — round
+// signature. The enclave MACs whatever round the host names — round
 // acceptance is the service's call (window, expiry, lifecycle), exactly as
 // it is for signed contributions.
 func ecallContributeTicketed(env *tee.Env, input []byte) ([]byte, error) {

@@ -21,7 +21,7 @@ import (
 //     into a zero-copy TicketedView (its vector stays wire lane bytes) and
 //     held to the ticketed rule (verifyTicketed), whose one-entry ticket
 //     memo and keyed MAC pads make a run of items under one ticket cost one
-//     table read and one key schedule. A signed (ECDSA) item runs its whole
+//     table read and one key schedule. A signed item runs its whole
 //     path right there, at its submission position (process): the plan
 //     exists for the ticketed fast path, which is where the volume is;
 //  2. one shard phase: counting-sort the survivors by dedup shard — the

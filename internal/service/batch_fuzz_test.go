@@ -105,7 +105,7 @@ func (j *ledgerJournal) Rejected(_ string, _ uint64, _ RejectLevel, n int) { j.r
 // FuzzBatchMatchesPerItem holds ingest to framing invariance and to the
 // reference oracle. The fuzzer composes a frame of up to 64 items, four
 // input bytes each: which template — faultBatch's corpus, valid traffic
-// under a second ticket, one ECDSA-signed item — and one byte mutation
+// under a second ticket, one signed item — and one byte mutation
 // (offset, XOR mask; a zero mask leaves the template intact, and picking a
 // template twice plants a duplicate). The frame as one AddBatchErrs call
 // (Workers: 1, so chunk boundaries cannot reorder duplicates), as N Add

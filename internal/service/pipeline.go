@@ -60,9 +60,9 @@ type PipelineConfig struct {
 	Round       uint64
 	// Tickets, when non-nil, enables the amortized fast path: contributions
 	// in the ticketed wire variant are checked with a constant-time session
-	// MAC against this table instead of an ECDSA verify. The table is
+	// MAC against this table instead of a signature verify. The table is
 	// shared by every round of a tenant (tickets span rounds); nil refuses
-	// ticketed contributions with ErrUnknownTicket. The ECDSA path stays
+	// ticketed contributions with ErrUnknownTicket. The signed path stays
 	// available either way — ticketless clients are unaffected.
 	Tickets *TicketTable
 	// Workers bounds how many chunks one AddBatch frame is split into: the
@@ -267,7 +267,7 @@ func (p *Pipeline) AddBatch(raws [][]byte) []error {
 	return errs
 }
 
-// verifySigned is the acceptance rule of the ECDSA-signed wire variant,
+// verifySigned is the acceptance rule of the signed wire variant,
 // shared by pipeline ingest (process) and round admission
 // (RoundManager.preverify): decode into the caller's scratch, service
 // identity, round (when wantRound is non-nil — the cheap checks come before

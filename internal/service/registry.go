@@ -200,9 +200,9 @@ type TenantConfig struct {
 
 	// TicketPolicy, when non-nil, enables the amortized fast path for this
 	// tenant: the registry creates a bounded per-tenant TicketTable under
-	// this policy, GrantTicket fills it (one ECDSA verify per session), and
+	// this policy, GrantTicket fills it (one signature verify per session), and
 	// ingest accepts MAC'd contributions against it. Tenants without a
-	// policy refuse ticketed traffic; their ECDSA path is unchanged.
+	// policy refuse ticketed traffic; their signed path is unchanged.
 	TicketPolicy *TicketConfig
 }
 

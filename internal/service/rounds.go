@@ -193,7 +193,7 @@ func (m *RoundManager) preverify(raw []byte) error {
 }
 
 // GrantTicket runs the service side of the attested-session-ticket
-// exchange against this manager's identity: the request's one ECDSA
+// exchange against this manager's identity: the request's one signature
 // signature is checked with the same key that verifies contributions, the
 // requesting enclave's measurement against the same allowlist, and the
 // derived session key lands in the manager's ticket table — after which

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"math/big"
 	"slices"
 	"testing"
 
@@ -132,6 +133,67 @@ func TestPipelinePolicyChecks(t *testing.T) {
 	}
 	if _, err := agg.Mean(); err != nil {
 		t.Fatalf("mean: %v", err)
+	}
+}
+
+// TestSignedContributionCannotBeReencoded: signed dedup is on the raw bytes,
+// so the count is exact only if nobody but the signer can produce a second
+// accepted encoding of a contribution they have seen. The byte-identical
+// replay is a duplicate; every single-bit flip in the signature field (salt
+// and signature alike) and the non-canonical S+L respelling are bad
+// signatures; the contribution counts once.
+func TestSignedContributionCannotBeReencoded(t *testing.T) {
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dim, round = 4, uint64(1)
+	agg := serialPipeline("svc", key.Public(), dim, round)
+	raw := signedVector(t, key, "svc", round, fixed.Vector{1, 2, 3, 4})
+	sc, err := glimmer.DecodeSignedContribution(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Signature) != xcrypto.SignatureSize {
+		t.Fatalf("signature is %d bytes, want %d", len(sc.Signature), xcrypto.SignatureSize)
+	}
+	if err := agg.Add(raw); err != nil {
+		t.Fatalf("valid contribution refused: %v", err)
+	}
+	if err := agg.Add(raw); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("byte-identical replay: err = %v, want ErrDuplicate", err)
+	}
+
+	respell := func(sig []byte) []byte {
+		forged := sc
+		forged.Signature = sig
+		return glimmer.EncodeSignedContribution(forged)
+	}
+	for bit := 0; bit < 8*len(sc.Signature); bit++ {
+		sig := slices.Clone(sc.Signature)
+		sig[bit/8] ^= 1 << (bit % 8)
+		if err := agg.Add(respell(sig)); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("signature bit %d flipped: err = %v, want ErrBadSignature", bit, err)
+		}
+	}
+	// S+L names the same scalar mod the group order L; a verifier that
+	// reduces S instead of refusing S >= L would count the contribution twice.
+	order, _ := new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
+	split := xcrypto.SignatureSize - 32
+	s := slices.Clone(sc.Signature[split:])
+	slices.Reverse(s) // S travels little-endian
+	sPlusL := new(big.Int).Add(new(big.Int).SetBytes(s), order).FillBytes(s)
+	slices.Reverse(sPlusL)
+	sig := append(slices.Clone(sc.Signature[:split]), sPlusL...)
+	if err := agg.Add(respell(sig)); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("S+L respelling: err = %v, want ErrBadSignature", err)
+	}
+
+	if err := agg.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if agg.Count() != 1 || !slices.Equal(agg.Sum(), sc.Blinded) {
+		t.Fatalf("sealed count %d sum %v, want 1 and %v", agg.Count(), agg.Sum(), sc.Blinded)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 )
 
 // The service half of attested session tickets: a bounded per-tenant table
-// mapping ticket IDs to HMAC session keys, filled by Grant (one ECDSA
+// mapping ticket IDs to HMAC session keys, filled by Grant (one signature
 // verification per session — the amortized cost) and consulted by the
 // ingest hot path (a lock-brief map read plus a constant-time MAC check per
-// contribution — the ~100× cheaper steady state).
+// contribution — the far cheaper steady state).
 
 // Ticket policy errors surfaced by granting and by ticketed ingest.
 var (
@@ -256,7 +256,7 @@ func (t *TicketTable) check(id, round uint64) (xcrypto.SessionKey, error) {
 }
 
 // Grant runs the service side of the ticket exchange on an already-decoded
-// request: verify its ECDSA signature (the session's one asymmetric check;
+// request: verify its signature (the session's one asymmetric check;
 // skipped when verify is nil, the pre-authenticated mode), apply the
 // measurement allowlist, clamp the window, complete the X25519 exchange,
 // register the derived session key, and return the encoded grant. The

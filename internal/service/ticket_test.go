@@ -23,7 +23,7 @@ type testTicket struct {
 }
 
 // grantTestTicket runs the full client side of the grant exchange against
-// granter (a RoundManager or Registry): fresh DH value, ECDSA-signed
+// granter (a RoundManager or Registry): fresh DH value, signed
 // request, decode the grant, derive the session key.
 func grantTestTicket(t *testing.T, granter interface {
 	GrantTicket([]byte) ([]byte, error)
@@ -97,8 +97,8 @@ func newTicketedManager(t *testing.T, key *xcrypto.SigningKey, dim int, tcfg Tic
 	return m
 }
 
-// TestTicketGrantAndIngest is the end-to-end happy path: one ECDSA-signed
-// grant, then a round of MAC'd contributions — with a signed (ECDSA)
+// TestTicketGrantAndIngest is the end-to-end happy path: one signed
+// grant, then a round of MAC'd contributions — with a signed
 // straggler in the same round proving the fallback path coexists — summing
 // exactly.
 func TestTicketGrantAndIngest(t *testing.T) {
@@ -128,7 +128,7 @@ func TestTicketGrantAndIngest(t *testing.T) {
 			t.Fatalf("ticketed contribution %d refused: %v", i, err)
 		}
 	}
-	// The ECDSA fallback still works in the same round.
+	// The signed fallback still works in the same round.
 	sc := glimmer.SignedContribution{
 		ServiceName: "tickets.example",
 		Round:       3,

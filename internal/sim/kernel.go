@@ -172,7 +172,7 @@ func (t *tenant) config() service.TenantConfig {
 
 // contribute runs device d's client-side pipeline in the tenant's
 // authentication mode: the Glimmer validates and blinds either way, then
-// seals with an ECDSA signature or — on the ticketed fast path — the
+// seals with a signature or — on the ticketed fast path — the
 // session MAC.
 func (t *tenant) contribute(d int, round uint64, value fixed.Vector, private []int64) ([]byte, error) {
 	if t.clock != nil {

@@ -330,7 +330,7 @@ func (s *simulation) run() (*Report, error) {
 // stragglers are held back for the round's seal.
 func (s *simulation) submitRound(rp roundPlan) step {
 	return func(*script) error {
-		// A corrupted submission is a flipped signature byte on the ECDSA
+		// A corrupted submission is a flipped signature byte on the signed
 		// path and a flipped MAC byte on the ticketed one; the service must
 		// name the right refusal either way.
 		corrupt := service.ErrBadSignature

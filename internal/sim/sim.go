@@ -177,8 +177,8 @@ type Config struct {
 
 	// Ticketed switches the fleet onto the attested-session-ticket fast
 	// path: after provisioning, every device runs one grant exchange (one
-	// ECDSA verification service-side) and MACs its contributions instead
-	// of ECDSA-signing them. All fault semantics carry over — a corrupted
+	// signature verification service-side) and MACs its contributions instead
+	// of signing them. All fault semantics carry over — a corrupted
 	// submission now means a flipped MAC — and the run additionally probes
 	// the ticket-specific attacks (forged MAC on a fresh round, round
 	// outside the ticket window, expired ticket, ticket replayed onto a

@@ -6,7 +6,7 @@ import (
 )
 
 // TestSimTicketedSoakAllFaults is the ticketed twin of the all-faults
-// soak: the fleet establishes session tickets (one ECDSA verification per
+// soak: the fleet establishes session tickets (one signature verification per
 // device) and MACs every contribution, under every fault mechanism at
 // once — a corrupted submission is now a flipped MAC — plus the four
 // ticket probes (forged MAC, tight window, ghost tenant, expiry) before
@@ -86,7 +86,7 @@ func TestSimTicketedOverGaas(t *testing.T) {
 }
 
 // TestSimTicketedReproducibleTrace: the ticketed trace (probes included)
-// is a pure function of the seed, and the ticketed and ECDSA modes accept
+// is a pure function of the seed, and the ticketed and signed modes accept
 // the same honest workload (same plan, same accepted counts and sums —
 // only the authenticator changed).
 func TestSimTicketedReproducibleTrace(t *testing.T) {
@@ -128,9 +128,9 @@ func TestSimTicketedReproducibleTrace(t *testing.T) {
 
 	// The signed-mode run of the same plan seals identical sums: the fast
 	// path changes the authenticator, never the aggregate.
-	ecdsa := cfg
-	ecdsa.Ticketed = false
-	signedTrace := run(ecdsa, "repro-signed")
+	signed := cfg
+	signed.Ticketed = false
+	signedTrace := run(signed, "repro-signed")
 	stripped := func(trace string) []string {
 		var rounds []string
 		for _, line := range strings.Split(trace, "\n") {
@@ -157,7 +157,7 @@ func TestSimTicketedReproducibleTrace(t *testing.T) {
 	}
 }
 
-// TestMultiTenantTicketedMix runs a ticketed tenant, an ECDSA tenant, and
+// TestMultiTenantTicketedMix runs a ticketed tenant, a signed tenant, and
 // a ticketed botdetect tenant concurrently on one substrate: per-tenant
 // exactness, shared-budget accounting, and the cross-tenant isolation
 // probes (which now splice MAC'd contributions across tenants) must all

@@ -119,7 +119,7 @@ type QuoteVerifier struct {
 	// the digest of a certificate (signed bytes and signature) maps to its
 	// parsed attestation key. A fleet has few platforms but millions of
 	// handshakes, so after a platform's first quote every later one skips
-	// the root signature check and the DER parse — one of the two ECDSA
+	// the root signature check and the DER parse — one of the two signature
 	// verifies a quote costs. Sound because Root is fixed at construction
 	// and an entry is made only after the certificate verified and its key
 	// parsed; a certificate that fails is never cached, and any altered

@@ -45,7 +45,7 @@ type PartialSeal struct {
 	// Measurement is the sealing node's enclave measurement; the
 	// coordinator applies its allowlist (or TOFU pin) here.
 	Measurement []byte
-	// NodeKey is the node's ECDSA verify key (PKIX DER). It is covered by
+	// NodeKey is the node's verify key (PKIX DER). It is covered by
 	// the signature, so coordinators that pin keys out of band can demand
 	// a match, and TOFU coordinators pin it on first contact.
 	NodeKey []byte
@@ -63,7 +63,7 @@ type PartialSeal struct {
 	// SealDigestLen bytes each, concatenated in strictly ascending
 	// lexicographic order (the canonical form — sorted, no duplicates).
 	Digests []byte
-	// Signature is the node's ECDSA signature over SignedBytes.
+	// Signature is the node's signature over SignedBytes.
 	Signature []byte
 }
 

@@ -24,7 +24,7 @@ var ErrTicket = errors.New("wire: malformed ticket message")
 
 // TicketRequest asks a service for a contribution session ticket. The
 // enclave signs it with the provisioned contribution-signing key, so one
-// ECDSA verification vouches for everything the session later MACs.
+// signature verification vouches for everything the session later MACs.
 type TicketRequest struct {
 	// Service names the tenant the ticket is for; the signature covers it,
 	// so a request replayed to another tenant can never verify.
@@ -40,7 +40,7 @@ type TicketRequest struct {
 	// wants to contribute to. The service may clamp the span.
 	RoundFirst uint64
 	RoundLast  uint64
-	// Signature is the enclave's ECDSA signature over SignedBytes.
+	// Signature is the enclave's signature over SignedBytes.
 	Signature []byte
 }
 

@@ -1,7 +1,7 @@
 // Package xcrypto provides the small set of cryptographic building blocks
 // the Glimmer stack needs: HKDF key derivation, a deterministic pseudo-random
 // generator for blinding masks, AEAD encryption helpers, and thin wrappers
-// around ECDSA signing and X25519 key agreement.
+// around Ed25519 signing and X25519 key agreement.
 //
 // Everything here is built on the Go standard library. The package exists so
 // that higher layers (sealing, attestation, blinding) share one audited set

@@ -1,49 +1,81 @@
 package xcrypto
 
 import (
+	"crypto"
 	"crypto/ecdh"
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/sha512"
 	"crypto/x509"
 	"fmt"
 )
 
-// SigningKey is an ECDSA P-256 private key used for all signatures in the
+// saltSize is the length of the fresh random prefix of every signature.
+const saltSize = 16
+
+// SignatureSize is the fixed length of every signature: a fresh 16-byte
+// salt followed by the 64-byte Ed25519ph signature over salt‖msg.
+//
+// The salt is load-bearing. All Glimmers of a tenant sign with one
+// provisioned key and a signed contribution names no device, so two honest
+// devices that submit the identical vector in one round would otherwise
+// produce the identical bytes and the second would be refused as a replay.
+// Because the signature covers the salt and Ed25519 verification is strict
+// (S < L, R compared bytewise), nobody but the key holder can produce a
+// second accepted encoding of a message it has seen signed.
+const SignatureSize = saltSize + ed25519.SignatureSize
+
+// SigningKey is an Ed25519 private key used for all signatures in the
 // system: enclave quotes, service identities, and Glimmer contribution
 // endorsements.
 type SigningKey struct {
-	priv *ecdsa.PrivateKey
+	priv ed25519.PrivateKey
 }
 
 // VerifyKey is the public half of a SigningKey.
 type VerifyKey struct {
-	pub *ecdsa.PublicKey
+	pub ed25519.PublicKey
 }
 
-// NewSigningKey generates a fresh P-256 signing key.
+// NewSigningKey generates a fresh Ed25519 signing key.
 func NewSigningKey() (*SigningKey, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: key generation: %w", err)
 	}
 	return &SigningKey{priv: priv}, nil
 }
 
-// Sign signs the SHA-256 digest of msg and returns an ASN.1 signature.
+// saltedDigest is SHA-512(salt‖msg), streamed so that msg is never copied.
+func saltedDigest(salt, msg []byte) [sha512.Size]byte {
+	h := sha512.New()
+	h.Write(salt)
+	h.Write(msg)
+	var digest [sha512.Size]byte
+	h.Sum(digest[:0])
+	return digest
+}
+
+// Sign returns a SignatureSize-byte signature over msg: a fresh salt, then
+// the Ed25519ph signature over salt‖msg. Two signatures of one message
+// differ.
 func (k *SigningKey) Sign(msg []byte) ([]byte, error) {
-	digest := sha256.Sum256(msg)
-	sig, err := ecdsa.SignASN1(rand.Reader, k.priv, digest[:])
+	sig := make([]byte, saltSize, SignatureSize)
+	if _, err := rand.Read(sig); err != nil {
+		return nil, fmt.Errorf("xcrypto: sign: %w", err)
+	}
+	digest := saltedDigest(sig, msg)
+	ph, err := k.priv.Sign(nil, digest[:], crypto.SHA512)
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: sign: %w", err)
 	}
-	return sig, nil
+	return append(sig, ph...), nil
 }
 
 // Public returns the verification half of the key.
 func (k *SigningKey) Public() *VerifyKey {
-	return &VerifyKey{pub: &k.priv.PublicKey}
+	return &VerifyKey{pub: k.priv.Public().(ed25519.PublicKey)}
 }
 
 // Marshal serializes the private key (PKCS#8). Used to seal service signing
@@ -62,17 +94,21 @@ func ParseSigningKey(der []byte) (*SigningKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: parse signing key: %w", err)
 	}
-	priv, ok := key.(*ecdsa.PrivateKey)
+	priv, ok := key.(ed25519.PrivateKey)
 	if !ok {
-		return nil, fmt.Errorf("xcrypto: parse signing key: not an ECDSA key")
+		return nil, fmt.Errorf("xcrypto: parse signing key: %T is not an Ed25519 key", key)
 	}
 	return &SigningKey{priv: priv}, nil
 }
 
-// Verify reports whether sig is a valid signature over msg.
+// Verify reports whether sig is a valid signature over msg. Anything that
+// is not exactly SignatureSize bytes is refused before any curve code runs.
 func (k *VerifyKey) Verify(msg, sig []byte) bool {
-	digest := sha256.Sum256(msg)
-	return ecdsa.VerifyASN1(k.pub, digest[:], sig)
+	if len(sig) != SignatureSize {
+		return false
+	}
+	digest := saltedDigest(sig[:saltSize], msg)
+	return ed25519.VerifyWithOptions(k.pub, digest[:], sig[saltSize:], &ed25519.Options{Hash: crypto.SHA512}) == nil
 }
 
 // Marshal serializes the public key (PKIX DER). The encoding doubles as the
@@ -89,7 +125,7 @@ func (k *VerifyKey) Marshal() ([]byte, error) {
 func (k *VerifyKey) Fingerprint() [32]byte {
 	der, err := k.Marshal()
 	if err != nil {
-		// P-256 public keys always marshal; a failure means memory
+		// Ed25519 public keys always marshal; a failure means memory
 		// corruption, not a recoverable condition.
 		panic("xcrypto: impossible marshal failure: " + err.Error())
 	}
@@ -102,9 +138,9 @@ func ParseVerifyKey(der []byte) (*VerifyKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: parse verify key: %w", err)
 	}
-	pub, ok := key.(*ecdsa.PublicKey)
+	pub, ok := key.(ed25519.PublicKey)
 	if !ok {
-		return nil, fmt.Errorf("xcrypto: parse verify key: not an ECDSA key")
+		return nil, fmt.Errorf("xcrypto: parse verify key: %T is not an Ed25519 key", key)
 	}
 	return &VerifyKey{pub: pub}, nil
 }
