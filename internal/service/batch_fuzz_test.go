@@ -105,7 +105,7 @@ func (j *ledgerJournal) Rejected(_ string, _ uint64, _ RejectLevel, n int) { j.r
 // FuzzBatchMatchesPerItem holds ingest to framing invariance and to the
 // reference oracle. The fuzzer composes a frame of up to 64 items, four
 // input bytes each: which template — faultBatch's corpus, valid traffic
-// under a second ticket, one signed item — and one byte mutation
+// under a second ticket, two distinct signed items — and one byte mutation
 // (offset, XOR mask; a zero mask leaves the template intact, and picking a
 // template twice plants a duplicate). The frame as one AddBatchErrs call
 // (Workers: 1, so chunk boundaries cannot reorder duplicates), as N Add
@@ -127,18 +127,21 @@ func FuzzBatchMatchesPerItem(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sc := glimmer.SignedContribution{
-		ServiceName: "batch.example", Round: round,
-		Blinded: make(fixed.Vector, dim), Confidence: 1,
-	}
-	sc.Blinded[0] = 77
-	if sc.Signature, err = key.Sign(sc.SignedBytes()); err != nil {
-		f.Fatal(err)
+	signedRaw := func(lane0 fixed.Ring) []byte {
+		sc := glimmer.SignedContribution{
+			ServiceName: "batch.example", Round: round,
+			Blinded: make(fixed.Vector, dim), Confidence: 1,
+		}
+		sc.Blinded[0] = lane0
+		if sc.Signature, err = key.Sign(sc.SignedBytes()); err != nil {
+			f.Fatal(err)
+		}
+		return glimmer.EncodeSignedContribution(sc)
 	}
 	templates := append(faultBatch(dim, round, good, narrow),
 		ticketedRaw("batch.example", round, dim, 20, second),
 		ticketedRaw("batch.example", round, dim, 21, second),
-		glimmer.EncodeSignedContribution(sc))
+		signedRaw(77), signedRaw(78))
 
 	intact := make([]byte, 0, 4*len(templates))
 	for i := range templates {
