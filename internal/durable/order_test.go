@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -333,5 +334,80 @@ func TestRefusalsJournaledOncePerFrame(t *testing.T) {
 	}
 	if pB.Count() != 2 {
 		t.Errorf("recovered round holds %d, want 2", pB.Count())
+	}
+}
+
+// signedRaws fabricates n distinct contributions in the signed wire variant
+// for one round. They are unsigned: the test tenant verifies nothing (see
+// newTestRegistry), and durable state does not depend on keys.
+func signedRaws(n, dim int, round uint64, salt int) [][]byte {
+	raws := make([][]byte, n)
+	for i := range raws {
+		sc := glimmer.SignedContribution{
+			ServiceName: testTenant,
+			Round:       round,
+			Blinded:     make(fixed.Vector, dim),
+			Confidence:  1,
+		}
+		for j := range sc.Blinded {
+			sc.Blinded[j] = fixed.Ring(uint64(salt+i)*1000003 + round*31 + uint64(j))
+		}
+		raws[i] = glimmer.EncodeSignedContribution(sc)
+	}
+	return raws
+}
+
+// TestSignedFrameOneWatermark: the signed variant journals as the ticketed
+// one does — a frame of N signed items stages exactly one BatchAccepted
+// carrying N digests and their summed delta, not N records of one — so a
+// recovery of that WAL exports state byte-identical to the live registry's,
+// and a frame staged but unflushed when the process dies is lost whole: none
+// of its items is remembered, and its resend is accepted in full.
+func TestSignedFrameOneWatermark(t *testing.T) {
+	const dim, round, n = 4, uint64(3), 24
+	dir := t.TempDir()
+	s := openManual(t, dir)
+	reg := newTestRegistry(t)
+	reg.SetJournal(s)
+
+	flushed, staged := signedRaws(n, dim, round, 0), signedRaws(n, dim, round, 1000)
+	if accepted, errs := reg.IngestBatch(flushed); accepted != n {
+		t.Fatalf("first frame: %d of %d accepted, errs %v", accepted, n, errs)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live := EncodeSnapshot(reg.ExportState(), 1)
+	if accepted, errs := reg.IngestBatch(staged); accepted != n {
+		t.Fatalf("second frame: %d of %d accepted, errs %v", accepted, n, errs)
+	}
+	s.Abandon() // the second frame's watermark never left the staging buffer
+
+	data, err := os.ReadFile(filepath.Join(dir, "wal.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &orderRecorder{}
+	if _, torn := walkFrames(data, func(p []byte) error { return applyRecord(p, rec) }); torn {
+		t.Fatal("an abandoned store left a torn WAL")
+	}
+	if len(rec.kinds) != 2 || rec.kinds[0] != "created" || rec.kinds[1] != "accepted" || rec.counts[1] != n {
+		t.Fatalf("WAL holds %v with counts %v, want [created accepted] with one watermark of %d digests",
+			rec.kinds, rec.counts, n)
+	}
+
+	regB, sB, stats := recoverInto(t, dir)
+	defer sB.Close()
+	if stats.Records != 2 || stats.ReplayErrors != 0 {
+		t.Fatalf("recovery replayed %d records with %d errors, want 2 and 0", stats.Records, stats.ReplayErrors)
+	}
+	if recovered := EncodeSnapshot(regB.ExportState(), 1); !bytes.Equal(recovered, live) {
+		t.Fatal("recovered state differs from the live registry's at the flush")
+	}
+	if accepted, errs := regB.IngestBatch(staged); accepted != n {
+		t.Errorf("resend of the lost frame: %d of %d accepted, errs %v", accepted, n, errs)
+	}
+	if accepted, _ := regB.IngestBatch(flushed); accepted != 0 {
+		t.Errorf("replay of the flushed frame: %d accepted, want every item a duplicate", accepted)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -221,7 +222,7 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 		svc.Vet(enclave)
 		verifier := &tee.QuoteVerifier{Root: as.Root()}
 		verifier.Allow(enclave)
-		client, err := gaas.Dial(addr, verifier, svc.Name())
+		client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{Service: svc.Name(), Verifier: verifier})
 		if err != nil {
 			return err
 		}

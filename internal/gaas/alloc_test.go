@@ -177,7 +177,7 @@ func TestConcurrentSubmitBatchPooledFrames(t *testing.T) {
 // behaviour byte for byte.
 func TestZeroCopyBatchMatchesRealStack(t *testing.T) {
 	w := newWorldIngest(t, true)
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,22 +71,6 @@ type Client struct {
 	measurement tee.Measurement
 }
 
-// Dial connects to a Glimmer host and establishes the attested user
-// session. The verifier must allowlist the expected Glimmer measurement —
-// pinning published measurements is what lets the client trust a machine it
-// does not own. For TLS, timeouts, or TOFU pinning use DialContext.
-func Dial(addr string, verifier *tee.QuoteVerifier, serviceName string) (*Client, error) {
-	return DialContext(context.Background(), addr, DialConfig{Service: serviceName, Verifier: verifier})
-}
-
-// DialConn establishes the attested user session over an existing
-// connection — an in-memory pipe, a unix socket, or any other transport
-// that reaches a Glimmer host. The caller retains ownership of conn when
-// the handshake fails.
-func DialConn(conn net.Conn, verifier *tee.QuoteVerifier, serviceName string) (*Client, error) {
-	return NewClient(conn, DialConfig{Service: serviceName, Verifier: verifier})
-}
-
 // DialContext connects to a Glimmer host under cfg: TCP (bounded by
 // DialTimeout and ctx), then TLS when configured (bounded by
 // HandshakeTimeout), then the attested user session unless NoSession.

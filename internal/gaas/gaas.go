@@ -171,10 +171,10 @@ func readFrame(r io.Reader) (string, []byte, error) {
 // IngestBatch must not retain any raws slice after it returns: the server
 // hands it views into a per-connection frame buffer that is reused for the
 // next frame (service.RoundManager copies everything it keeps, so it
-// qualifies). On the ticketed fast path those views flow through the
-// service layer's batch plan untouched — MAC preimages and vector lanes
-// are read in place (see service.Pipeline.AddBatchErrs), so a frame's
-// contributions reach the shard accumulators with zero copies.
+// qualifies). Those views flow through the service layer's batch plan
+// untouched, whichever wire variant they hold — MAC and signature preimages
+// and vector lanes are read in place (see service.Pipeline.AddBatchErrs), so
+// a frame's contributions reach the shard accumulators with zero copies.
 type Ingestor interface {
 	IngestBatch(raws [][]byte) (accepted int, errs []error)
 }

@@ -1,6 +1,7 @@
 package gaas
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -87,6 +88,12 @@ func newWorldIngest(t *testing.T, withIngest bool) *world {
 	}
 }
 
+// dial is the plain client every test here starts from: an attested session
+// to one tenant's hosted Glimmer, no TLS, no timeouts, no pinning.
+func dial(addr string, verifier *tee.QuoteVerifier, serviceName string) (*Client, error) {
+	return DialContext(context.Background(), addr, DialConfig{Service: serviceName, Verifier: verifier})
+}
+
 func (w *world) verifier() *tee.QuoteVerifier {
 	v := &tee.QuoteVerifier{Root: w.as.Root()}
 	v.Allow(w.server.Measurement())
@@ -95,7 +102,7 @@ func (w *world) verifier() *tee.QuoteVerifier {
 
 func TestRemoteContribution(t *testing.T) {
 	w := newWorld(t)
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,7 @@ func TestRemoteContribution(t *testing.T) {
 
 func TestRemoteRejection(t *testing.T) {
 	w := newWorld(t)
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +151,14 @@ func TestRemoteRejection(t *testing.T) {
 func TestClientRefusesWrongMeasurement(t *testing.T) {
 	w := newWorld(t)
 	v := &tee.QuoteVerifier{Root: w.as.Root(), Allowed: []tee.Measurement{{0xBB}}}
-	if _, err := Dial(w.addr, v, w.svc.Name()); err == nil {
+	if _, err := dial(w.addr, v, w.svc.Name()); err == nil {
 		t.Fatal("client trusted a glimmer with the wrong measurement")
 	}
 }
 
 func TestClientRefusesWrongService(t *testing.T) {
 	w := newWorld(t)
-	if _, err := Dial(w.addr, w.verifier(), "other.example"); err == nil {
+	if _, err := dial(w.addr, w.verifier(), "other.example"); err == nil {
 		t.Fatal("client accepted a glimmer bound to a different service")
 	}
 }
@@ -162,7 +169,7 @@ func TestConcurrentClients(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(round uint64) {
-			client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+			client, err := dial(w.addr, w.verifier(), w.svc.Name())
 			if err != nil {
 				errs <- err
 				return
@@ -186,7 +193,7 @@ func TestSubmitBatchIngest(t *testing.T) {
 	w := newWorldIngest(t, true)
 	rounds := w.rounds
 
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +287,7 @@ func TestMultiTenantHosting(t *testing.T) {
 		meas[name] = m
 		verifier := &tee.QuoteVerifier{Root: as.Root()}
 		verifier.Allow(m)
-		client, err := Dial(addr, verifier, name)
+		client, err := dial(addr, verifier, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -318,7 +325,7 @@ func TestMultiTenantHosting(t *testing.T) {
 	// the multi-tenant legacy empty hello is ambiguous and also refused.
 	verifier := &tee.QuoteVerifier{Root: as.Root()}
 	verifier.Allow(meas["alpha.example"])
-	if _, err := Dial(addr, verifier, "ghost.example"); err == nil {
+	if _, err := dial(addr, verifier, "ghost.example"); err == nil {
 		t.Fatal("unknown tenant hosted")
 	}
 }
@@ -327,7 +334,7 @@ func TestMultiTenantHosting(t *testing.T) {
 // the command instead of dropping the connection.
 func TestSubmitBatchWithoutIngest(t *testing.T) {
 	w := newWorld(t)
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +419,7 @@ func TestHostSeesOnlyCiphertext(t *testing.T) {
 		}
 	}()
 
-	client, err := Dial(proxyLn.Addr().String(), w.verifier(), w.svc.Name())
+	client, err := dial(proxyLn.Addr().String(), w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +509,7 @@ func TestIdleClientReaped(t *testing.T) {
 
 	v := &tee.QuoteVerifier{Root: as.Root()}
 	v.Allow(server.Measurement())
-	client, err := Dial(ln.Addr().String(), v, svc.Name())
+	client, err := dial(ln.Addr().String(), v, svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestTicketGrantOverGaas(t *testing.T) {
 	}
 	w.tktMgr.Vet(dev.Measurement())
 
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTicketGrantOverGaas(t *testing.T) {
 // with no ingest at all) refuses the command with a clean remote error.
 func TestTicketGrantWithoutGranter(t *testing.T) {
 	w := newWorld(t)
-	client, err := Dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.svc.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,10 @@ func allocContribution(i int) []byte {
 	return EncodeSignedContribution(sc)
 }
 
-// TestScratchDecodeAllocFree pins the tentpole contract: steady-state
-// signed-contribution decode into a reused scratch performs zero heap
-// allocations.
-func TestScratchDecodeAllocFree(t *testing.T) {
+// TestSignedViewDecodeAllocFree: the signed variant is decoded — views
+// only, no vector materialized, the preimage as two segments — without a
+// single heap allocation, cold or steady.
+func TestSignedViewDecodeAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
@@ -39,66 +39,69 @@ func TestScratchDecodeAllocFree(t *testing.T) {
 	for i := range raws {
 		raws[i] = allocContribution(i)
 	}
-	var s ContributionScratch
-	// Warm the scratch so growth is behind us, as on a live pipeline.
-	if _, err := s.Decode(raws[0]); err != nil {
-		t.Fatal(err)
-	}
+	var v SignedView
 	i := 0
 	if got := testing.AllocsPerRun(500, func() {
 		i++
-		signed, err := s.Decode(raws[i%len(raws)])
-		if err != nil {
+		if err := v.Decode(raws[i%len(raws)]); err != nil {
 			t.Fatal(err)
 		}
-		if len(signed) == 0 || s.SC.Round != 42 {
+		if _, tail := v.PreimageParts(); len(tail) == 0 || v.Round != 42 || v.Lanes() != 64 {
 			t.Fatal("bad decode")
 		}
 	}); got > 0 {
-		t.Errorf("scratch decode: %.1f allocs/op, want 0", got)
+		t.Errorf("SignedView.Decode: %.1f allocs/op, want 0", got)
 	}
 }
 
-// TestScratchDecodeMatchesCopyingDecode locks the scratch decoder to the
-// copying decoder across a traffic mix, including the signed-bytes slice
-// signature verification consumes.
-func TestScratchDecodeMatchesCopyingDecode(t *testing.T) {
-	var s ContributionScratch
+// TestSignedViewPreimageIsSignedBytes locks the view to an independent
+// re-encode across a traffic mix: PreimageParts glued is the byte string
+// SignedContribution.SignedBytes() builds field by field — what the enclave
+// signed — and every field and lane reads as the copying decoder's.
+func TestSignedViewPreimageIsSignedBytes(t *testing.T) {
+	var v SignedView
 	for i := 0; i < 8; i++ {
 		raw := allocContribution(i)
-		want, wantSigned, err := DecodeSignedContributionBytes(raw)
+		want, err := DecodeSignedContribution(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		signed, err := s.Decode(raw)
-		if err != nil {
+		if err := v.Decode(raw); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(signed, wantSigned) {
-			t.Fatalf("signed bytes diverge:\n got %x\nwant %x", signed, wantSigned)
+		head, tail := v.PreimageParts()
+		if glued := append(append([]byte(nil), head...), tail...); !bytes.Equal(glued, want.SignedBytes()) {
+			t.Fatalf("preimage parts do not join to SignedBytes:\n got %x\nwant %x", glued, want.SignedBytes())
 		}
-		if s.SC.ServiceName != want.ServiceName || s.SC.Round != want.Round ||
-			s.SC.Measurement != want.Measurement || s.SC.Confidence != want.Confidence {
-			t.Fatalf("decoded header diverges: %+v vs %+v", s.SC, want)
+		if string(v.ServiceName) != want.ServiceName || v.Round != want.Round ||
+			v.Measurement != want.Measurement || v.Confidence != want.Confidence {
+			t.Fatalf("decoded header diverges: %+v vs %+v", v, want)
 		}
-		if len(s.SC.Blinded) != len(want.Blinded) {
-			t.Fatalf("vector length %d vs %d", len(s.SC.Blinded), len(want.Blinded))
+		if v.Lanes() != len(want.Blinded) {
+			t.Fatalf("vector length %d vs %d", v.Lanes(), len(want.Blinded))
 		}
+		got := make(fixed.Vector, v.Lanes())
+		fixed.AccumulateWireInto(got, v.LaneBytes)
 		for j := range want.Blinded {
-			if s.SC.Blinded[j] != want.Blinded[j] {
+			if got[j] != want.Blinded[j] {
 				t.Fatalf("vector[%d] diverges", j)
 			}
 		}
-		if !bytes.Equal(s.SC.Signature, want.Signature) {
+		if !bytes.Equal(v.Signature, want.Signature) {
 			t.Fatal("signature diverges")
 		}
 	}
+	// Everything but the measurement is a view: Clear must drop them all.
+	v.Clear()
+	if v.ServiceName != nil || v.LaneBytes != nil || v.Signature != nil || v.fields != nil {
+		t.Fatal("Clear left a view into the input behind")
+	}
 }
 
-// TestScratchDecodeRejectsMalformed mirrors the copying decoder's refusal
-// behaviour on the scratch path.
-func TestScratchDecodeRejectsMalformed(t *testing.T) {
-	var s ContributionScratch
+// TestSignedViewRejectsMalformed holds the view and the copying decoder to
+// the same refusals.
+func TestSignedViewRejectsMalformed(t *testing.T) {
+	var v SignedView
 	good := allocContribution(1)
 	shortMeasurement := wire.NewWriter().
 		String("alloc.example").
@@ -114,16 +117,16 @@ func TestScratchDecodeRejectsMalformed(t *testing.T) {
 		"garbage":           {0xff, 0xff, 0xff, 0xff},
 		"short-measurement": shortMeasurement,
 	} {
-		if _, err := s.Decode(raw); err == nil {
-			t.Errorf("%s: scratch decode accepted malformed input", name)
+		if err := v.Decode(raw); err == nil {
+			t.Errorf("%s: view accepted malformed input", name)
 		}
 		if _, _, err := DecodeSignedContributionBytes(raw); err == nil {
 			t.Errorf("%s: copying decode accepted malformed input", name)
 		}
 	}
-	// The scratch recovers after failures.
-	if _, err := s.Decode(good); err != nil {
-		t.Fatalf("scratch did not recover: %v", err)
+	// The view recovers after failures.
+	if err := v.Decode(good); err != nil {
+		t.Fatalf("view did not recover: %v", err)
 	}
 }
 

@@ -547,23 +547,35 @@ func ecallContribute(env *tee.Env, input []byte) ([]byte, error) {
 	return out, nil
 }
 
-// signAndEncode signs sc under key and returns its transport encoding. The
-// fields are written once: the signature preimage is the domain header
-// followed by the fields, the transport encoding is the fields followed by
-// the signature, so one buffer holds both and the encoding is its tail —
-// the trick ContributionScratch.Decode plays in reverse.
-func signAndEncode(key *xcrypto.SigningKey, sc *SignedContribution) ([]byte, error) {
+// sealAndEncode writes a contribution's fields once and returns its
+// transport encoding. The preimage of either variant's endorsement is a
+// domain header followed by the fields, the transport encoding is the fields
+// followed by the endorsement, so one buffer holds both and the encoding is
+// its tail — the trick SignedView.PreimageParts and
+// TicketedView.PreimageParts play in reverse. tag endorses the preimage: a
+// signature, or a session MAC.
+func sealAndEncode(header []byte, appendFields func(*wire.Writer), tag func(preimage []byte) ([]byte, error)) ([]byte, error) {
 	w := getWriter()
-	w.Raw(signedContributionHeader)
-	appendSignedFields(w, sc)
-	sig, err := key.Sign(w.Finish())
+	w.Raw(header)
+	appendFields(w)
+	endorsement, err := tag(w.Finish())
 	if err != nil {
 		w.Reset()
 		writerPool.Put(w)
+		return nil, err
+	}
+	w.Bytes(endorsement)
+	return finishPooledFrom(w, len(header)), nil
+}
+
+// signAndEncode signs sc under key and returns its transport encoding.
+func signAndEncode(key *xcrypto.SigningKey, sc *SignedContribution) ([]byte, error) {
+	out, err := sealAndEncode(signedContributionHeader,
+		func(w *wire.Writer) { appendSignedFields(w, sc) }, key.Sign)
+	if err != nil {
 		return nil, fmt.Errorf("glimmer: signing: %w", err)
 	}
-	w.Bytes(sig)
-	return finishPooledFrom(w, len(signedContributionHeader)), nil
+	return out, nil
 }
 
 // ecallDetect is the §4.1 bot-detection flow: run the (possibly

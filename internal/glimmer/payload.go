@@ -246,110 +246,101 @@ func DecodeSignedContribution(data []byte) (SignedContribution, error) {
 
 // signedContributionDomain separates the contribution signature preimage
 // from every other signed byte string; signedContributionHeader is its
-// encoded form, which ContributionScratch.Decode prepends when recovering
-// the preimage.
+// encoded form, the head segment of SignedView.PreimageParts.
 const signedContributionDomain = "glimmers/contribution/v1"
 
 var signedContributionHeader = wire.NewWriter().String(signedContributionDomain).Finish()
 
-// ContributionScratch is the reusable decode state for the per-contribution
-// ingest hot path. One scratch decodes a stream of contributions without
-// heap allocation at steady state: the vector, the signed-bytes buffer, and
-// the service-name string are all reused across calls (the name allocates
-// only when it actually changes, which on a single service's ingest path is
-// never). Pipelines pool scratches; a scratch must not be shared between
-// goroutines concurrently.
-type ContributionScratch struct {
-	// SC is the most recently decoded contribution. After a successful
-	// Decode, SC.Signature aliases the decode input and SC.Blinded aliases
-	// the scratch: both are valid only until the next Decode and only while
-	// the input buffer lives. Callers that retain fields must copy them.
-	// After a failed Decode the contents of SC are unspecified.
-	SC SignedContribution
-
-	bits   []uint64
-	signed []byte
+// SignedView is the zero-copy decode of a signed contribution, the sibling
+// of TicketedView: every byte field is a view into the input, and the vector
+// stays in its wire form (contiguous big-endian lanes) so the ingest path
+// verifies and accumulates straight from the frame. A view is valid only
+// while the bytes it was decoded from are; retaining callers must copy.
+type SignedView struct {
+	ServiceName []byte // view into the input
+	Round       uint64
+	Measurement tee.Measurement
+	LaneBytes   []byte // view: big-endian uint64 lanes, 8 bytes each
+	Confidence  int64
+	Signature   []byte // view into the input
+	fields      []byte // view: everything the signature covers after the domain header
 }
 
-// Decode decodes data into s.SC and returns the exact byte string the
-// signature covers (header || fields), which aliases the scratch. The
-// encoded message and the signed string share every field up to the
-// signature, so the signed bytes are recovered by copying the input slice
-// into a reused buffer instead of re-encoding the decoded struct — the
-// aggregation hot path verifies thousands of contributions per second and
-// must not rebuild (or re-allocate) each one.
-func (s *ContributionScratch) Decode(data []byte) ([]byte, error) {
+// Lanes returns the vector dimension.
+func (v *SignedView) Lanes() int { return len(v.LaneBytes) / 8 }
+
+// PreimageParts returns the signature preimage as the two segments
+// xcrypto.VerifyKey.VerifyParts consumes: the constant domain header and the
+// input's field bytes. The encoded message and the signed string share every
+// field up to the signature, so the preimage is never rebuilt — or copied.
+func (v *SignedView) PreimageParts() (head, tail []byte) {
+	return signedContributionHeader, v.fields
+}
+
+// Decode decodes data into v without copying. It is the one parser of the
+// signed variant: DecodeSignedContribution[Bytes] copy out of it.
+func (v *SignedView) Decode(data []byte) error {
 	var r wire.Reader
 	r.Reset(data)
-	sc := &s.SC
-	if name := r.BytesView(); string(name) != sc.ServiceName {
-		sc.ServiceName = string(name)
-	}
-	sc.Round = r.Uint64()
+	v.ServiceName = r.BytesView()
+	v.Round = r.Uint64()
 	m := r.BytesView()
-	if len(m) == len(sc.Measurement) {
-		copy(sc.Measurement[:], m)
+	if len(m) == len(v.Measurement) {
+		copy(v.Measurement[:], m)
 	} else if r.Err() == nil {
-		return nil, fmt.Errorf("glimmer: measurement field is %d bytes", len(m))
+		return fmt.Errorf("glimmer: measurement field is %d bytes", len(m))
 	}
-	s.bits = r.Uint64sInto(s.bits)
-	if cap(sc.Blinded) < len(s.bits) {
-		sc.Blinded = make(fixed.Vector, len(s.bits))
-	} else {
-		sc.Blinded = sc.Blinded[:len(s.bits)]
-	}
-	for i, b := range s.bits {
-		sc.Blinded[i] = fixed.Ring(b)
-	}
-	sc.Confidence = int64(r.Uint64())
-	// Everything decoded so far is exactly what the signature covers, after
-	// the domain-separation header.
+	v.LaneBytes = r.Uint64sView()
+	v.Confidence = int64(r.Uint64())
 	fieldsEnd := len(data) - r.Remaining()
-	sc.Signature = r.BytesView()
+	v.Signature = r.BytesView()
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("glimmer: signed contribution: %w", err)
+		return fmt.Errorf("glimmer: signed contribution: %w", err)
 	}
-	s.signed = append(s.signed[:0], signedContributionHeader...)
-	s.signed = append(s.signed, data[:fieldsEnd]...)
-	return s.signed, nil
+	v.fields = data[:fieldsEnd]
+	return nil
 }
 
-// codecScratchPool recycles ContributionScratch values across the copying
-// decoders, so DecodeSignedContribution[Bytes] pays only for the copies it
-// hands out (vector, signature, signed bytes) instead of rebuilding the
-// decode state — bits buffer, name string, preimage buffer — per call.
-var codecScratchPool = sync.Pool{New: func() any { return new(ContributionScratch) }}
+// Clear drops every view so a pooled SignedView does not pin the bytes it
+// last decoded.
+func (v *SignedView) Clear() {
+	*v = SignedView{}
+}
 
 // DecodeSignedContributionBytes decodes data and additionally returns the
-// exact byte string the signature covers. Unlike ContributionScratch.Decode
-// (which it wraps), the returned struct and signed bytes are independent
-// copies that outlive the input. On error the returned struct is zero.
+// exact byte string the signature covers. The returned struct and signed
+// bytes are independent copies that outlive the input. On error the returned
+// struct is zero.
 func DecodeSignedContributionBytes(data []byte) (SignedContribution, []byte, error) {
 	return decodeSignedContribution(data, true)
 }
 
-// decodeSignedContribution is the copying decoder: one allocation for the
-// vector and one for the bytes — the signature, and behind it the signed
-// preimage when the caller wants it.
+// decodeSignedContribution is the copying decoder. It materializes what
+// SignedView.Decode reads, so the two accept and refuse exactly the same
+// inputs: the name, the vector, and one buffer for the signature and, behind
+// it, the signed preimage when the caller wants it.
 func decodeSignedContribution(data []byte, wantSigned bool) (SignedContribution, []byte, error) {
-	s := codecScratchPool.Get().(*ContributionScratch)
-	signed, err := s.Decode(data)
-	if err != nil {
-		s.SC.Signature = nil // never pool a view of the caller's input
-		codecScratchPool.Put(s)
+	var v SignedView
+	if err := v.Decode(data); err != nil {
 		return SignedContribution{}, nil, err
 	}
-	sc := s.SC
-	sc.Blinded = append(fixed.Vector(nil), sc.Blinded...)
-	if !wantSigned {
-		signed = nil
+	sc := SignedContribution{
+		ServiceName: string(v.ServiceName),
+		Round:       v.Round,
+		Measurement: v.Measurement,
+		Blinded:     make(fixed.Vector, v.Lanes()),
+		Confidence:  v.Confidence,
 	}
-	n := len(sc.Signature)
-	buf := append(append(make([]byte, 0, n+len(signed)), sc.Signature...), signed...)
-	sc.Signature, signed = buf[:n:n], buf[n:]
-	s.SC.Signature = nil
-	codecScratchPool.Put(s)
-	return sc, signed, nil
+	fixed.AccumulateWireInto(sc.Blinded, v.LaneBytes)
+	head, tail := v.PreimageParts()
+	if !wantSigned {
+		head, tail = nil, nil
+	}
+	n := len(v.Signature)
+	buf := make([]byte, 0, n+len(head)+len(tail))
+	buf = append(append(append(buf, v.Signature...), head...), tail...)
+	sc.Signature = buf[:n:n]
+	return sc, buf[n:], nil
 }
 
 // PeekContributionRound reads only the round number from an encoded

@@ -98,9 +98,13 @@ func EncodeTicketedContribution(tc TicketedContribution) []byte {
 // SealTicketedContribution MACs the contribution under the session key and
 // returns the encoded message — the enclave's (and tests') one-stop seal.
 func SealTicketedContribution(tc TicketedContribution, key *xcrypto.SessionKey) []byte {
-	mac := xcrypto.SessionMAC(key, tc.MACBytes())
-	tc.MAC = mac[:]
-	return EncodeTicketedContribution(tc)
+	out, _ := sealAndEncode(ticketedHeader, // no error: a MAC cannot fail
+		func(w *wire.Writer) { appendTicketedFields(w, &tc) },
+		func(preimage []byte) ([]byte, error) {
+			mac := xcrypto.SessionMAC(key, preimage)
+			return mac[:], nil
+		})
+	return out
 }
 
 // DecodeTicketedContribution reverses EncodeTicketedContribution into an
@@ -241,7 +245,7 @@ func ecallTicketInstall(env *tee.Env, input []byte) ([]byte, error) {
 }
 
 // ecallContributeTicketed is the fast-path sibling of ecallContribute: the
-// same validate→blind pipeline, sealed with the session MAC instead of an
+// same validate→blind pipeline, sealed with the session MAC instead of a
 // signature. The enclave MACs whatever round the host names — round
 // acceptance is the service's call (window, expiry, lifecycle), exactly as
 // it is for signed contributions.

@@ -109,9 +109,9 @@ func TestDecodeTicketedRejectsMalformed(t *testing.T) {
 		}
 	}
 	// A ticketed message fed to the signed decoder must be refused too.
-	var sc ContributionScratch
-	if _, err := sc.Decode(good); err == nil {
-		t.Error("signed scratch accepted a ticketed contribution")
+	var sv SignedView
+	if err := sv.Decode(good); err == nil {
+		t.Error("signed view accepted a ticketed contribution")
 	}
 }
 
@@ -151,9 +151,12 @@ func TestEncodeSignedContributionSingleAlloc(t *testing.T) {
 }
 
 // TestDecodeSignedContributionBytesTwoAllocs pins the copying decoder at
-// the two allocations its value-semantics API costs — the vector, and one
-// buffer holding the signature and the signed bytes — with the reader
-// scratch pooled.
+// three allocations: the two its name counts — the vector, and one buffer
+// holding the signature and the signed bytes — and the service-name string.
+// The pooled scratch this decoder used to borrow cached the name between
+// calls; it copies out of a SignedView now, which caches nothing, and no hot
+// loop calls it, so the pin moved rather than a cache being added. Same
+// three as DecodeTicketedContribution.
 func TestDecodeSignedContributionBytesTwoAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -163,15 +166,15 @@ func TestDecodeSignedContributionBytesTwoAllocs(t *testing.T) {
 		if _, _, err := DecodeSignedContributionBytes(raw); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 2 {
-		t.Errorf("DecodeSignedContributionBytes: %.1f allocs/op, want 2", got)
+	}); got > 3 {
+		t.Errorf("DecodeSignedContributionBytes: %.1f allocs/op, want 3", got)
 	}
 	if got := testing.AllocsPerRun(500, func() {
 		if _, err := DecodeSignedContribution(raw); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 2 {
-		t.Errorf("DecodeSignedContribution: %.1f allocs/op, want 2", got)
+	}); got > 3 {
+		t.Errorf("DecodeSignedContribution: %.1f allocs/op, want 3", got)
 	}
 	// Signature and signed bytes share a buffer; growing the first must
 	// not reach the second.

@@ -133,27 +133,27 @@ func TestTicketedViewDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodeSignedBytesPooledScratch guards the pooled copying decoder: the
-// returned struct must be an independent copy (mutating the input must not
-// reach it), errors must return a zero struct, and concurrent use of the
-// shared pool must stay exact. Run under -race this doubles as the aliasing
-// guard for codecScratchPool.
-func TestDecodeSignedBytesPooledScratch(t *testing.T) {
+// TestDecodeSignedBytesIndependentCopies guards the copying decoder: the
+// returned struct and signed bytes must be independent copies (mutating the
+// input must not reach them), errors must return a zero struct, and
+// concurrent decodes must stay exact.
+func TestDecodeSignedBytesIndependentCopies(t *testing.T) {
 	raw := allocContribution(5)
-	sc, signed, err := DecodeSignedContributionBytes(raw)
+	input := append([]byte(nil), raw...)
+	sc, signed, err := DecodeSignedContributionBytes(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := append([]byte(nil), raw...)
-	for i := range mutated {
-		mutated[i] ^= 0xFF
+	for i := range input {
+		input[i] ^= 0xFF
 	}
 	sc2, signed2, err := DecodeSignedContributionBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sc.Signature, sc2.Signature) || !bytes.Equal(signed, signed2) {
-		t.Fatal("pooled decode not deterministic")
+	if sc.ServiceName != sc2.ServiceName || sc.Blinded.Digest() != sc2.Blinded.Digest() ||
+		!bytes.Equal(sc.Signature, sc2.Signature) || !bytes.Equal(signed, signed2) {
+		t.Fatal("decoded copy aliases its input")
 	}
 	if _, _, err := DecodeSignedContributionBytes(raw[:len(raw)-2]); err == nil {
 		t.Fatal("truncated input accepted")
@@ -180,7 +180,7 @@ func TestDecodeSignedBytesPooledScratch(t *testing.T) {
 					return
 				}
 				if got.Round != want.Round || !bytes.Equal(got.Signature, want.Signature) {
-					t.Errorf("worker %d: pooled decode bled across goroutines", w)
+					t.Errorf("worker %d: decode bled across goroutines", w)
 					return
 				}
 				for j := range got.Blinded {

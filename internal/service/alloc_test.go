@@ -58,7 +58,7 @@ func TestDedupInsertAllocFree(t *testing.T) {
 		Shards:         1,
 		ExpectedCohort: len(raws),
 	})
-	// Warm the scratch pool and the first map buckets.
+	// Warm the arena pool and the first map buckets.
 	if err := p.Add(raws[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestVerifyStillEnforcedWithKey(t *testing.T) {
 }
 
 // TestPooledScratchNotAliasedAcrossConcurrentAddBatch is the -race guard
-// for the scratch pool: many goroutines push overlapping batches through a
-// pooled-worker pipeline, and the sealed aggregate must equal the exact
-// element-wise sum of every distinct contribution. A scratch recycled
-// while another worker still reads it would corrupt the sum (and trip the
-// race detector).
+// for the pooled arena on signed traffic: many goroutines push overlapping
+// frames through a pipeline that fans each one out, and the sealed aggregate
+// must equal the exact element-wise sum of every distinct contribution. An
+// arena or view recycled while another goroutine still reads it would
+// corrupt the sum (and trip the race detector).
 func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 	const (
 		dim       = 32
@@ -175,7 +175,7 @@ func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 	got := p.Sum()
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sum[%d] = %v, want %v (scratch aliasing?)", i, got[i], want[i])
+			t.Fatalf("sum[%d] = %v, want %v (arena aliasing?)", i, got[i], want[i])
 		}
 	}
 }

@@ -17,22 +17,23 @@ import (
 // session key, same table row) and land across a handful of shards. So the
 // plan is two passes over a per-frame arena:
 //
-//  1. one verification loop, in submission order. A ticketed item is decoded
-//     into a zero-copy TicketedView (its vector stays wire lane bytes) and
-//     held to the ticketed rule (verifyTicketed), whose one-entry ticket
-//     memo and keyed MAC pads make a run of items under one ticket cost one
-//     table read and one key schedule. A signed item runs its whole
-//     path right there, at its submission position (process): the plan
-//     exists for the ticketed fast path, which is where the volume is;
+//  1. one verification loop, in submission order. Each item is decoded into
+//     the zero-copy view of its wire variant (its vector stays wire lane
+//     bytes) and held to that variant's rule: verifyTicketed, whose
+//     one-entry ticket memo and keyed MAC pads make a run of items under one
+//     ticket cost one table read and one key schedule, or verifySigned,
+//     which streams the view's two preimage segments into the signature
+//     check. Either rule leaves the same thing behind — a dedup digest and
+//     a view of the lanes — so past this loop there is one kind of item;
 //  2. one shard phase: counting-sort the survivors by dedup shard — the
 //     sort is stable, so a shard sees its items in submission order and a
 //     duplicate always loses to the earlier copy — and take each shard lock
 //     once, bulk-inserting digests and accumulating vectors straight from
 //     the frames' lane bytes (fixed.AccumulateWireInto);
 //
-// then one BatchAccepted watermark carrying the accepted digests and their
-// summed delta, and behind it one Rejected record for every slot the frame
-// refused (settle).
+// then one BatchAccepted watermark carrying the accepted digests, signed and
+// ticketed alike, and their summed delta, and behind it one Rejected record
+// for every slot the frame refused (settle).
 //
 // The arena is pooled across frames and pipelines and returned with every
 // frame view cleared: an idle arena must not keep a transport's frame
@@ -44,33 +45,36 @@ import (
 // for all of them before it returns. The frame owns those goroutines; the
 // pipeline owns none.
 
-// batchItem is one ticketed contribution that passed the rule, on its way
-// to the shard phase.
+// batchItem is one contribution of either variant that passed its rule, on
+// its way to the shard phase.
 type batchItem struct {
 	idx    int // position in the submitted batch
 	shard  uint64
 	digest [32]byte
-	view   glimmer.TicketedView
+	lanes  []byte // view into the frame: the vector's wire lane bytes
 }
 
 // ingestArena is the per-frame scratch: everything the plan needs, pooled
 // across frames (and pipelines — the arena is workload-shaped, not
 // round-shaped). It is held by exactly one goroutine between Get and
 // release, which is what its parts' aliasing and no-concurrent-use rules
-// (glimmer.ContributionScratch, xcrypto.MACState) ask for.
+// (the views, xcrypto.MACState) ask for.
 type ingestArena struct {
 	items  []batchItem
 	counts []int32 // counting sort: per-shard item counts, then offsets
 	starts []int32 // counting sort: per-shard segment starts
 	order  []int32 // item indices, stably grouped by shard
 
+	// One decoder per wire variant, reused item after item: a survivor's
+	// lanes move on into its batchItem, nothing else outlives the rule.
+	ticketed glimmer.TicketedView
+	signed   glimmer.SignedView
+
 	// check verifies every ticketed item of the frame. Its keyed pad cache
 	// outlives the frame with the pooled arena, so a frame stream naming
 	// the same ticket skips the key schedule entirely after the first
 	// frame; its ticket memo does not (release).
 	check ticketCheck
-	// sig decodes the frame's signed items, one at a time.
-	sig glimmer.ContributionScratch
 
 	// Journal scratch: the accepted-digest list and summed delta handed to
 	// Journal.BatchAccepted (which must not retain them — the same contract
@@ -81,14 +85,15 @@ type ingestArena struct {
 
 var arenaPool = sync.Pool{New: func() any { return new(ingestArena) }}
 
-// release drops every view into the caller's frame (SC.Signature is one
-// too), forgets the ticket memo and returns the arena to the pool.
+// release drops every view into the caller's frame, forgets the ticket memo
+// and returns the arena to the pool.
 func (a *ingestArena) release() {
 	for i := range a.items {
-		a.items[i].view.Clear()
+		a.items[i].lanes = nil
 	}
 	a.items = a.items[:0]
-	a.sig.SC.Signature = nil
+	a.ticketed.Clear()
+	a.signed.Clear()
 	a.check.memoized = false
 	arenaPool.Put(a)
 }
@@ -163,27 +168,22 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	a := arenaPool.Get().(*ingestArena)
 	defer a.release()
 
-	// The verification loop, in submission order. a.items keeps only the
-	// ticketed items that passed: a refused one gives its slot back.
+	// The verification loop, in submission order: the rule is picked by wire
+	// variant, and a.items keeps only what passed.
 	for i, raw := range raws {
-		if !glimmer.PeekContributionTicketed(raw) {
-			errs[i] = p.process(raw, a)
-			continue
-		}
-		if cap(a.items) > len(a.items) {
-			a.items = a.items[:len(a.items)+1]
+		it := batchItem{idx: i}
+		if glimmer.PeekContributionTicketed(raw) {
+			it.digest, errs[i] = verifyTicketed(&p.cfg, &p.cfg.Round, raw, &a.ticketed, &a.check)
+			it.lanes = a.ticketed.LaneBytes
 		} else {
-			a.items = append(a.items, batchItem{})
+			it.digest, errs[i] = verifySigned(&p.cfg, &p.cfg.Round, p.allow, raw, &a.signed)
+			it.lanes = a.signed.LaneBytes
 		}
-		it := &a.items[len(a.items)-1]
-		it.idx = i
-		it.digest, errs[i] = verifyTicketed(&p.cfg, &p.cfg.Round, raw, &it.view, &a.check)
 		if errs[i] != nil {
-			it.view.Clear()
-			a.items = a.items[:len(a.items)-1]
 			continue
 		}
 		it.shard = binary.BigEndian.Uint64(it.digest[:8]) & p.shardMask
+		a.items = append(a.items, it)
 	}
 	live := len(a.items)
 	if live == 0 {
@@ -233,13 +233,13 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 				continue
 			}
 			sh.seen[it.digest] = true
-			fixed.AccumulateWireInto(sh.sum, it.view.LaneBytes)
+			fixed.AccumulateWireInto(sh.sum, it.lanes)
 			sh.count++
 		}
 		sh.mu.Unlock()
 	}
 
-	// One watermark record for the frame's ticketed items, journaled outside
+	// One watermark record for the frame's accepted items, journaled outside
 	// every shard lock while the arena's views are still alive. The digest
 	// list and delta live in the arena: the journal encodes synchronously
 	// and must not retain them, so the scratch recycles with the arena.
@@ -256,7 +256,7 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 			it := &a.items[i]
 			if errs[it.idx] == nil {
 				digests = append(digests, it.digest)
-				fixed.AccumulateWireInto(delta, it.view.LaneBytes)
+				fixed.AccumulateWireInto(delta, it.lanes)
 			}
 		}
 		a.jdigests = digests

@@ -171,7 +171,8 @@ func TestAddBatchLifecycleRefusal(t *testing.T) {
 }
 
 // TestIngestArenaNotAliasedAcrossConcurrentAddBatch is the arena's -race
-// guard, mirroring the signed variant's pooled-scratch guard: many
+// guard on ticketed traffic (the signed variant's is
+// TestPooledScratchNotAliasedAcrossConcurrentAddBatch): many
 // concurrent AddBatch callers, one ticket per caller, and the final sum
 // must be exact — any arena state bleeding between concurrent batches
 // corrupts a lane.
@@ -236,7 +237,9 @@ func TestIngestArenaNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 // TestAddBatchMustNotRetain enforces the frame-buffer contract end to end:
 // once AddBatch returns, the caller may reuse (here: trash) every input
 // buffer without corrupting the aggregate — nothing in the pipeline, its
-// shards, or the pooled arenas may still reference the frames.
+// shards, or the pooled arenas may still reference the frames. Both wire
+// variants ride the frames: a signed item's lanes are views into the
+// caller's buffer exactly as a ticketed item's are.
 func TestAddBatchMustNotRetain(t *testing.T) {
 	const dim, round = 16, uint64(3)
 	tbl := NewTicketTable(TicketConfig{})
@@ -245,16 +248,29 @@ func TestAddBatchMustNotRetain(t *testing.T) {
 	p := batchPipeline(dim, round, 1, tbl)
 	defer p.Close()
 
-	first := make([][]byte, 32)
 	want := fixed.NewVector(dim)
-	for i := range first {
-		first[i] = ticketedRaw("batch.example", round, dim, i, tk)
-		tc, err := glimmer.DecodeTicketedContribution(first[i])
-		if err != nil {
-			t.Fatal(err)
+	frame := func(salt int) [][]byte {
+		raws := make([][]byte, 32)
+		for i := range raws {
+			if i%2 == 0 {
+				raws[i] = ticketedRaw("batch.example", round, dim, salt+i, tk)
+				tc, err := glimmer.DecodeTicketedContribution(raws[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.AddInPlace(tc.Blinded)
+				continue
+			}
+			raws[i] = tenantContribution(t, nil, "batch.example", round, dim, salt+i)
+			sc, err := glimmer.DecodeSignedContribution(raws[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.AddInPlace(sc.Blinded)
 		}
-		want.AddInPlace(tc.Blinded)
+		return raws
 	}
+	first := frame(0)
 	for _, err := range p.AddBatch(first) {
 		if err != nil {
 			t.Fatal(err)
@@ -266,19 +282,13 @@ func TestAddBatchMustNotRetain(t *testing.T) {
 			raw[j] = 0xDD
 		}
 	}
-	second := make([][]byte, 32)
-	for i := range second {
-		second[i] = ticketedRaw("batch.example", round, dim, 1000+i, tk)
-		tc, err := glimmer.DecodeTicketedContribution(second[i])
+	for _, err := range p.AddBatch(frame(1000)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.AddInPlace(tc.Blinded)
 	}
-	for _, err := range p.AddBatch(second) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if p.Count() != 64 {
+		t.Fatalf("count = %d, want 64", p.Count())
 	}
 	got := p.Sum()
 	for i := range want {
@@ -334,6 +344,57 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 	}
 }
 
+// TestSignedFrameAllocs pins what the plan costs a signed frame: 128 items
+// through AddBatchErrs allocate nothing per frame with verification off
+// (decode, dedup, accumulate and the arena are the ticketed path's own), and
+// with a key nothing beyond the verifier's one object per item
+// (xcrypto's TestSignVerifyAllocs) — no vector, no preimage copy.
+func TestSignedFrameAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const dim, round, frameSize, runs = 64, uint64(7), 128, 10
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		key  *xcrypto.SigningKey
+		max  float64
+	}{{"verify-off", nil, 0}, {"verify-on", key, frameSize}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := PipelineConfig{
+				ServiceName: "alloc.example", Dim: dim, Round: round,
+				Workers: 1, ExpectedCohort: (runs + 2) * frameSize,
+			}
+			if tc.key != nil {
+				cfg.Verify = tc.key.Public()
+			}
+			p := NewPipeline(cfg)
+			defer p.Close()
+			raws := allocRaws(t, (runs+2)*frameSize, dim, round, tc.key)
+			errs := make([]error, frameSize)
+			p.AddBatchErrs(raws[:frameSize], errs) // warm the arena and the shards
+			f := 0
+			if got := testing.AllocsPerRun(runs, func() {
+				f++
+				p.AddBatchErrs(raws[f*frameSize:(f+1)*frameSize], errs)
+				for _, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}); got > tc.max {
+				t.Errorf("signed frame of %d: %.2f allocs/frame, want <= %v", frameSize, got, tc.max)
+			}
+			if p.Count() != (f+1)*frameSize {
+				t.Fatalf("count = %d, want %d", p.Count(), (f+1)*frameSize)
+			}
+		})
+	}
+}
+
 // mixedFrame builds an n-item frame mixing both wire variants with every
 // kind of refusal. Each duplicate sits right behind its original, so for
 // chunk sizes that are multiples of 8 the pair shares a chunk and the
@@ -342,7 +403,7 @@ func mixedFrame(n, dim int, round uint64, good testTicket) [][]byte {
 	frame := make([][]byte, n)
 	for i := range frame {
 		switch i % 8 {
-		case 1: // signed variant: runs inline (process) at its position
+		case 1: // signed variant, among ticketed neighbours
 			sc := glimmer.SignedContribution{
 				ServiceName: "batch.example", Round: round,
 				Blinded: make(fixed.Vector, dim), Confidence: 1,

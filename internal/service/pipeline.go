@@ -2,7 +2,6 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -267,42 +266,40 @@ func (p *Pipeline) AddBatch(raws [][]byte) []error {
 	return errs
 }
 
-// verifySigned is the acceptance rule of the signed wire variant,
-// shared by pipeline ingest (process) and round admission
-// (RoundManager.preverify): decode into the caller's scratch, service
-// identity, round (when wantRound is non-nil — the cheap checks come before
-// the expensive one so stale traffic is cheap to reject), dimension,
-// measurement allowlist, signature. Dedup is the caller's business.
+// verifySigned is the acceptance rule of the signed wire variant, written
+// once for pipeline ingest (processBatch) and round admission
+// (RoundManager.preverify): zero-copy decode into v, service identity, round
+// (when wantRound is non-nil — the cheap checks come before the expensive one
+// so stale traffic is cheap to reject), dimension, measurement allowlist,
+// signature. Dedup is the caller's business.
 //
-// On success the returned vector is the decoded blinded contribution; it
-// aliases s (and SC.Signature aliases raw), so the caller must finish with
-// it before recycling either. The digest is the contribution's dedup
-// identity, SHA-256 of the raw bytes. Steady state the check allocates
-// nothing outside the signature verifier's internals.
+// The returned digest is the contribution's dedup identity, SHA-256 of the
+// raw bytes. v aliases raw. The check copies nothing and allocates nothing
+// outside the signature verifier's internals.
 func verifySigned(cfg *PipelineConfig, wantRound *uint64, vetted *allowlist,
-	raw []byte, s *glimmer.ContributionScratch) (fixed.Vector, [32]byte, error) {
+	raw []byte, v *glimmer.SignedView) ([32]byte, error) {
 	var digest [32]byte
-	signed, err := s.Decode(raw)
-	if err != nil {
-		return nil, digest, fmt.Errorf("service: %w", err)
+	if err := v.Decode(raw); err != nil {
+		return digest, fmt.Errorf("service: %w", err)
 	}
-	sc := &s.SC
-	if sc.ServiceName != cfg.ServiceName {
-		return nil, digest, ErrWrongService
+	if string(v.ServiceName) != cfg.ServiceName {
+		return digest, ErrWrongService
 	}
-	if wantRound != nil && sc.Round != *wantRound {
-		return nil, digest, ErrWrongRound
+	if wantRound != nil && v.Round != *wantRound {
+		return digest, ErrWrongRound
 	}
-	if len(sc.Blinded) != cfg.Dim {
-		return nil, digest, ErrWrongDim
+	if v.Lanes() != cfg.Dim {
+		return digest, ErrWrongDim
 	}
-	if !vetted.admits(sc.Measurement) {
-		return nil, digest, ErrUnknownGlimmer
+	if !vetted.admits(v.Measurement) {
+		return digest, ErrUnknownGlimmer
 	}
-	if cfg.Verify != nil && !cfg.Verify.Verify(signed, sc.Signature) {
-		return nil, digest, ErrBadSignature
+	if cfg.Verify != nil {
+		if head, tail := v.PreimageParts(); !cfg.Verify.VerifyParts(head, tail, v.Signature) {
+			return digest, ErrBadSignature
+		}
 	}
-	return sc.Blinded, sha256.Sum256(raw), nil
+	return sha256.Sum256(raw), nil
 }
 
 // ticketCheck is what the ticketed rule carries from one item of a frame to
@@ -367,36 +364,6 @@ func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 	}
 	copy(digest[:], v.MAC)
 	return digest, nil
-}
-
-// process is the signed variant's path through the ingest plan, run inline
-// at the item's submission position: rule checks and signature verification
-// (all lock-free), then a brief shard-local critical section for dedup and
-// accumulation, then a watermark of one. A refusal is returned, not booked:
-// the frame books every non-nil slot together (settle).
-func (p *Pipeline) process(raw []byte, a *ingestArena) error {
-	blinded, digest, err := verifySigned(&p.cfg, &p.cfg.Round, p.allow, raw, &a.sig)
-	if err != nil {
-		return err
-	}
-	sh := p.shards[binary.BigEndian.Uint64(digest[:8])&p.shardMask]
-	sh.mu.Lock()
-	if sh.seen[digest] {
-		sh.mu.Unlock()
-		return ErrDuplicate
-	}
-	sh.seen[digest] = true
-	sh.sum.AddInPlace(blinded)
-	sh.count++
-	sh.mu.Unlock()
-	// Journal outside the shard lock. blinded aliases the arena's scratch,
-	// which is safe: the journal encodes synchronously and the arena is not
-	// pooled until the frame is done.
-	if j := p.journal; j != nil {
-		a.jdigests = append(a.jdigests[:0], digest)
-		j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, a.jdigests, blinded)
-	}
-	return nil
 }
 
 // refuse books n refused submissions: the counter and the journal's

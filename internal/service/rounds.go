@@ -184,17 +184,16 @@ func (m *RoundManager) preverify(raw []byte) error {
 	a := arenaPool.Get().(*ingestArena)
 	defer a.release()
 	if glimmer.PeekContributionTicketed(raw) {
-		var v glimmer.TicketedView
-		_, err := verifyTicketed(&m.cfg, nil, raw, &v, &a.check)
+		_, err := verifyTicketed(&m.cfg, nil, raw, &a.ticketed, &a.check)
 		return err
 	}
-	_, _, err := verifySigned(&m.cfg, nil, m.allow, raw, &a.sig)
+	_, err := verifySigned(&m.cfg, nil, m.allow, raw, &a.signed)
 	return err
 }
 
 // GrantTicket runs the service side of the attested-session-ticket
 // exchange against this manager's identity: the request's one signature
-// signature is checked with the same key that verifies contributions, the
+// is checked with the same key that verifies contributions, the
 // requesting enclave's measurement against the same allowlist, and the
 // derived session key lands in the manager's ticket table — after which
 // every contribution of the session pays a constant-time MAC instead.

@@ -76,7 +76,7 @@ func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, ser
 			p.close()
 			return nil, err
 		}
-		client, err := gaas.DialConn(conn, verifier, serviceName)
+		client, err := gaas.NewClient(conn, gaas.DialConfig{Service: serviceName, Verifier: verifier})
 		if err != nil {
 			conn.Close()
 			p.close()

@@ -62,44 +62,6 @@ func TestReaderViewReadsAllocFree(t *testing.T) {
 	})
 }
 
-func TestReaderUint64sIntoAllocFree(t *testing.T) {
-	vals := make([]uint64, 64)
-	for i := range vals {
-		vals[i] = uint64(i) * 3
-	}
-	msg := NewWriter().Uint64s(vals).Finish()
-	var r Reader
-	scratch := make([]uint64, 0, len(vals))
-	allocGuard(t, "Uint64sInto", 0, func() {
-		r.Reset(msg)
-		scratch = r.Uint64sInto(scratch)
-		if len(scratch) != len(vals) || scratch[63] != 63*3 {
-			t.Fatal("wrong decode")
-		}
-		if err := r.Done(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestUint64sIntoGrowsAndRecovers(t *testing.T) {
-	msg := NewWriter().Uint64s([]uint64{1, 2, 3, 4}).Finish()
-	var r Reader
-	r.Reset(msg)
-	got := r.Uint64sInto(nil)
-	if len(got) != 4 || got[3] != 4 {
-		t.Fatalf("got %v", got)
-	}
-	// Truncated input must not return stale scratch contents.
-	r.Reset(NewWriter().Uint32(99).Finish())
-	if got = r.Uint64sInto(got); len(got) != 0 {
-		t.Fatalf("truncated decode returned %v", got)
-	}
-	if r.Err() == nil {
-		t.Fatal("truncated decode reported no error")
-	}
-}
-
 func TestWriterResetReusesBuffer(t *testing.T) {
 	w := NewWriter()
 	w.Bytes(make([]byte, 512))

@@ -276,34 +276,6 @@ func (r *Reader) Uint64s() []uint64 {
 	return out
 }
 
-// Uint64sInto reads a counted sequence of 64-bit values into dst's
-// backing array, growing it only when the capacity is insufficient. It
-// returns the filled slice (len == the decoded count). Steady-state
-// decoders pass the previous call's result back in and allocate nothing
-// once the scratch has grown to the workload's size.
-func (r *Reader) Uint64sInto(dst []uint64) []uint64 {
-	n := r.Uint32()
-	if r.err != nil {
-		return dst[:0]
-	}
-	if uint64(n)*8 > uint64(len(r.data)-r.off) {
-		r.fail(ErrTruncated)
-		return dst[:0]
-	}
-	if cap(dst) < int(n) {
-		dst = make([]uint64, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := range dst {
-		dst[i] = r.Uint64()
-	}
-	if r.err != nil {
-		return dst[:0]
-	}
-	return dst
-}
-
 // Uint64sView reads a counted sequence of 64-bit values as a view of its
 // raw big-endian lane bytes — 8 bytes per value, contiguous, aliasing the
 // reader's input — without decoding anything. The batch ingest path

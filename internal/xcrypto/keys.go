@@ -47,11 +47,13 @@ func NewSigningKey() (*SigningKey, error) {
 	return &SigningKey{priv: priv}, nil
 }
 
-// saltedDigest is SHA-512(salt‖msg), streamed so that msg is never copied.
-func saltedDigest(salt, msg []byte) [sha512.Size]byte {
+// saltedDigest is SHA-512(salt‖head‖tail), streamed so that the message is
+// never copied — nor glued, when it arrives in two segments.
+func saltedDigest(salt, head, tail []byte) [sha512.Size]byte {
 	h := sha512.New()
 	h.Write(salt)
-	h.Write(msg)
+	h.Write(head)
+	h.Write(tail)
 	var digest [sha512.Size]byte
 	h.Sum(digest[:0])
 	return digest
@@ -65,7 +67,7 @@ func (k *SigningKey) Sign(msg []byte) ([]byte, error) {
 	if _, err := rand.Read(sig); err != nil {
 		return nil, fmt.Errorf("xcrypto: sign: %w", err)
 	}
-	digest := saltedDigest(sig, msg)
+	digest := saltedDigest(sig, nil, msg)
 	ph, err := k.priv.Sign(nil, digest[:], crypto.SHA512)
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: sign: %w", err)
@@ -101,13 +103,18 @@ func ParseSigningKey(der []byte) (*SigningKey, error) {
 	return &SigningKey{priv: priv}, nil
 }
 
-// Verify reports whether sig is a valid signature over msg. Anything that
-// is not exactly SignatureSize bytes is refused before any curve code runs.
-func (k *VerifyKey) Verify(msg, sig []byte) bool {
+// Verify reports whether sig is a valid signature over msg.
+func (k *VerifyKey) Verify(msg, sig []byte) bool { return k.VerifyParts(nil, msg, sig) }
+
+// VerifyParts reports whether sig is a valid signature over head‖tail, for
+// callers that hold a message as a constant domain header and a view of
+// received bytes (MACState.VerifyKeyed's shape). Anything that is not
+// exactly SignatureSize bytes is refused before any curve code runs.
+func (k *VerifyKey) VerifyParts(head, tail, sig []byte) bool {
 	if len(sig) != SignatureSize {
 		return false
 	}
-	digest := saltedDigest(sig[:saltSize], msg)
+	digest := saltedDigest(sig[:saltSize], head, tail)
 	return ed25519.VerifyWithOptions(k.pub, digest[:], sig[saltSize:], &ed25519.Options{Hash: crypto.SHA512}) == nil
 }
 

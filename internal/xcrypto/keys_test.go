@@ -95,7 +95,8 @@ func TestSigningKeyParseRefusesOtherSchemes(t *testing.T) {
 // TestSignVerifyAllocs pins what an endorsement costs the heap: Sign and
 // Verify allocate a small constant number of objects, and the same number
 // for a 64 B message as for a 64 KiB one — the message is streamed into the
-// hash, never copied.
+// hash, never copied. VerifyParts is held to Verify's figure at every split
+// of the message: the two segments are streamed, never glued.
 func TestSignVerifyAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -125,6 +126,15 @@ func TestSignVerifyAllocs(t *testing.T) {
 				t.Fatal("verify failed")
 			}
 		})
+		for _, cut := range []int{0, 28, size} {
+			if got := testing.AllocsPerRun(50, func() {
+				if !pub.VerifyParts(msg[:cut], msg[cut:], sig) {
+					t.Fatal("verify of a split message failed")
+				}
+			}); got != verifyAllocs[i] {
+				t.Errorf("VerifyParts split at %d of %d: %.0f allocs/op, Verify %.0f", cut, size, got, verifyAllocs[i])
+			}
+		}
 	}
 	if signAllocs[0] != signAllocs[1] || verifyAllocs[0] != verifyAllocs[1] {
 		t.Errorf("allocations depend on message size: Sign %v, Verify %v (64 B, 64 KiB)", signAllocs, verifyAllocs)
