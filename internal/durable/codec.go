@@ -109,6 +109,12 @@ func DecodeSnapshot(data []byte) (service.RegistryState, uint64, error) {
 			if rs.Digests, err = decodeDigests(r.Bytes()); err != nil {
 				return st, 0, err
 			}
+			// The count is the size of the dedup set; a round claiming
+			// contributions it has no digests for was not written by Export.
+			if rs.Count != uint64(len(rs.Digests)) {
+				return st, 0, fmt.Errorf("%w: round %d counts %d contributions over %d digests",
+					ErrBadSnapshot, rs.Round, rs.Count, len(rs.Digests))
+			}
 			ts.Rounds = append(ts.Rounds, rs)
 		}
 		nTickets := r.Uint32()

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,6 +128,21 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	for n := 0; n < len(full); n++ {
 		if _, _, err := DecodeSnapshot(full[:n]); err == nil {
 			t.Fatalf("decoded truncation at %d/%d", n, len(full))
+		}
+	}
+}
+
+// TestDecodeSnapshotRefusesCountMismatch: a round's count is the size of its
+// dedup set, so a snapshot whose count field says otherwise is damaged and
+// must fail as loudly as any other — not restore a round that claims
+// contributions nothing can deduplicate (or sign a partial seal the
+// coordinator's decoder would refuse for the same disagreement).
+func TestDecodeSnapshotRefusesCountMismatch(t *testing.T) {
+	for _, count := range []uint64{0, 3} {
+		st := testState(t)
+		st.Tenants[0].Rounds[1].Count = count // one digest
+		if _, _, err := DecodeSnapshot(EncodeSnapshot(st, 1)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("count %d over 1 digest: err = %v, want ErrBadSnapshot", count, err)
 		}
 	}
 }

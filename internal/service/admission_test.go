@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
@@ -160,8 +161,8 @@ func (t *modelTenant) evictLeastFilled() bool {
 // evictShared takes one round from the heaviest tenant that has an open one,
 // attachment order on ties.
 func (m *admissionModel) evictShared() bool {
-	byLoad := append([]*modelTenant(nil), m.tenants...)
-	sort.SliceStable(byLoad, func(i, j int) bool { return len(byLoad[i].rounds) > len(byLoad[j].rounds) })
+	byLoad := slices.Clone(m.tenants)
+	slices.SortStableFunc(byLoad, func(x, y *modelTenant) int { return len(y.rounds) - len(x.rounds) })
 	for _, t := range byLoad {
 		if t.evictLeastFilled() {
 			return true
@@ -224,7 +225,7 @@ func (t *modelTenant) sortedRounds() []uint64 {
 	for r := range t.rounds {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -521,5 +522,59 @@ func TestDropoutRacesSeal(t *testing.T) {
 	}
 	if got, want := tape.replayInto(t, newRegistry()), reg.ExportState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestForgetJournalsBeforeRecreate: Forget's RoundForgotten record must land
+// before the RoundCreated of a contribution that re-creates the round, or
+// replay — created, then forgotten — drops the new round and the contribution
+// acked to it. The hook holds Forget inside its journal call while a second
+// goroutine ingests for the same round: journaled under the manager's lock,
+// that ingest waits its turn; journaled after the unlock (as it once was), it
+// gets in first.
+func TestForgetJournalsBeforeRecreate(t *testing.T) {
+	const round = uint64(7)
+	name := admissionTenants[0].Name
+	tape := new(tapeJournal)
+	reg := admissionRegistry(t, 0, tape)
+	if err := reg.Ingest(tenantContribution(t, nil, name, round, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	inHook, ingested := make(chan struct{}), make(chan error, 1)
+	go func() {
+		<-inHook
+		ingested <- reg.Ingest(tenantContribution(t, nil, name, round, 1, 2))
+	}()
+	tape.onForgotten = func() {
+		close(inHook)
+		// Linger until the ingest has got through, or long enough that it
+		// would have, had nothing held it back.
+		select {
+		case err := <-ingested:
+			ingested <- err
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	tn, _ := reg.Tenant(name)
+	tn.Manager().Forget(round)
+	if err := <-ingested; err != nil {
+		t.Fatalf("re-creating ingest: %v", err)
+	}
+
+	// Only these two kinds: the forgotten pipeline's own Close journals its
+	// RoundSealed and RoundClosed after Forget has let go of the lock, and
+	// where they fall is not what this test pins.
+	var kinds []string
+	for _, op := range tape.ops {
+		if op.tenant == name && op.round == round && (op.kind == "RoundCreated" || op.kind == "RoundForgotten") {
+			kinds = append(kinds, op.kind)
+		}
+	}
+	if want := []string{"RoundCreated", "RoundForgotten", "RoundCreated"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("journal orders the round's lifecycle %v, want %v", kinds, want)
+	}
+	got := tape.replayInto(t, admissionRegistry(t, 0, nil))
+	if rounds := got.Tenants[0].Rounds; len(rounds) != 1 || rounds[0].Round != round || rounds[0].Count != 1 {
+		t.Fatalf("replay holds %+v, want round %d with the one re-created contribution", rounds, round)
 	}
 }

@@ -33,7 +33,7 @@ import (
 //
 // then one BatchAccepted watermark carrying the accepted digests, signed and
 // ticketed alike, and their summed delta, and behind it one Rejected record
-// for every slot the frame refused (settle).
+// for every slot the frame refused (leave).
 //
 // The arena is pooled across frames and pipelines and returned with every
 // frame view cleared: an idle arena must not keep a transport's frame
@@ -137,14 +137,14 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 	} else {
 		p.processBatch(raws, errs)
 	}
-	p.settle(frame)
+	p.leave(frame)
 }
 
-// settle ends a frame that entered the round: every slot the plan refused
+// leave ends a frame that entered the round: every slot the plan refused
 // is non-nil, so their count is booked once for the whole frame — behind
 // the watermarks its chunks journaled, and before the frame leaves pending,
 // so a seal never overtakes it.
-func (p *Pipeline) settle(errs []error) {
+func (p *Pipeline) leave(errs []error) {
 	refused := 0
 	for _, err := range errs {
 		if err != nil {
@@ -163,7 +163,7 @@ const minBatchChunk = 16
 
 // processBatch runs the plan over one frame, or one chunk of one, writing
 // every error slot (nil for accepted). A refused item's slot is all that
-// records the refusal here; settle books it.
+// records the refusal here; leave books it.
 func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	a := arenaPool.Get().(*ingestArena)
 	defer a.release()
@@ -234,7 +234,6 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 			}
 			sh.seen[it.digest] = true
 			fixed.AccumulateWireInto(sh.sum, it.lanes)
-			sh.count++
 		}
 		sh.mu.Unlock()
 	}

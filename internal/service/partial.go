@@ -80,7 +80,7 @@ type NodeSeal struct {
 // PartialSeal seals the round (idempotent; a closed round exports its
 // immutable aggregate) and returns the node's signed partial seal. The
 // export walks the same path durable snapshots use, so the digests are
-// the exact dedup coverage and the sum is the merged shard total.
+// the exact dedup coverage and the sum is the shards' total.
 func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 	if n.Key == nil {
 		return nil, errors.New("service: partial seal needs a node signing key")

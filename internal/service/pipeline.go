@@ -27,7 +27,7 @@ var (
 // Round lifecycle errors.
 var (
 	// ErrRoundSealed is returned by Add/AddBatch once Seal has been called:
-	// the cohort is fixed and the aggregate is being (or has been) merged.
+	// the cohort is fixed.
 	ErrRoundSealed = errors.New("service: round is sealed")
 	// ErrRoundClosed is returned once Close has been called; after close the
 	// aggregate is immutable (no further ingest or dropout correction).
@@ -89,12 +89,12 @@ type PipelineConfig struct {
 
 // pipeShard is one lock's worth of aggregation state. Contributions are
 // routed by digest, so under concurrent ingest the shards fill evenly and
-// two goroutines rarely contend on the same lock.
+// two goroutines rarely contend on the same lock. The dedup set is also the
+// count: a shard has accepted len(seen) contributions.
 type pipeShard struct {
-	mu    sync.Mutex
-	seen  map[[32]byte]bool
-	sum   fixed.Vector
-	count int
+	mu   sync.Mutex
+	seen map[[32]byte]bool
+	sum  fixed.Vector
 }
 
 // Pipeline is the concurrent ingest path for one aggregation round: decode
@@ -106,9 +106,11 @@ type pipeShard struct {
 // nothing running. All methods are safe for concurrent use.
 //
 // A round moves through an explicit lifecycle: while open it ingests; Seal
-// fixes the cohort, drains in-flight work, and merges the shards; Close
-// makes the aggregate immutable (CorrectDropout is valid only before
-// close, mirroring the blind-recovery window of the dropout protocol).
+// fixes the cohort and drains in-flight work; Close makes the aggregate
+// immutable (CorrectDropout is valid only before close, mirroring the
+// blind-recovery window of the dropout protocol). In every state the round's
+// aggregate is its shards: the sum is the sum of theirs, the count the size
+// of their dedup sets, and nothing keeps a second copy of either.
 type Pipeline struct {
 	cfg       PipelineConfig
 	shardMask uint64
@@ -131,13 +133,6 @@ type Pipeline struct {
 	// state.go). Set before the pipeline serves traffic: it is read
 	// without synchronization on the hot path.
 	journal Journal
-
-	// merged/final hold the shard-merged aggregate once sealed. final is
-	// guarded by stateMu after the merge (dropout correction mutates it).
-	mergeOnce  sync.Once
-	merged     atomic.Bool
-	final      fixed.Vector
-	finalCount int
 }
 
 // allowlist is the set of vetted Glimmer measurements one trust domain
@@ -252,7 +247,7 @@ func (p *Pipeline) Add(raw []byte) error {
 	}
 	raws, errs := [1][]byte{raw}, [1]error{}
 	p.processBatch(raws[:], errs[:])
-	p.settle(errs[:])
+	p.leave(errs[:])
 	return errs[0]
 }
 
@@ -369,7 +364,7 @@ func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 // refuse books n refused submissions: the counter and the journal's
 // Rejected record. Every round-level refusal is booked here and nowhere
 // else — a whole frame at once when the round has left the open state
-// (enter), otherwise once per frame, behind its watermarks (settle).
+// (enter), otherwise once per frame, behind its watermarks (leave).
 func (p *Pipeline) refuse(n int) {
 	p.rejected.Add(int64(n))
 	if j := p.journal; j != nil {
@@ -377,9 +372,11 @@ func (p *Pipeline) refuse(n int) {
 	}
 }
 
-// Seal fixes the cohort: it stops intake, drains in-flight contributions,
-// and merges the shards into the final aggregate. Sealing an already
-// sealed round is a no-op; sealing a closed round returns ErrRoundClosed.
+// Seal fixes the cohort: it stops intake, drains in-flight contributions
+// and journals the seal. Once it returns no contribution can move the
+// shards, so Sum and Count are stable (CorrectDropout, until Close, is the
+// one thing that still adds to the sum). Sealing an already sealed round is
+// a no-op; sealing a closed round returns ErrRoundClosed.
 func (p *Pipeline) Seal() error {
 	p.stateMu.Lock()
 	if p.state == roundClosed {
@@ -390,7 +387,6 @@ func (p *Pipeline) Seal() error {
 	p.state = roundSealed
 	p.stateMu.Unlock()
 	p.pending.Wait()
-	p.mergeOnce.Do(p.merge)
 	// Journaled after the drain: every accepted contribution of the round
 	// has written its record by the time the seal record lands, so replay
 	// seals exactly the cohort that was sealed live.
@@ -400,19 +396,6 @@ func (p *Pipeline) Seal() error {
 		}
 	}
 	return nil
-}
-
-// merge folds the quiescent shards into final. Runs exactly once, after
-// intake has stopped and in-flight work has drained.
-func (p *Pipeline) merge() {
-	p.final = fixed.NewVector(p.cfg.Dim)
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		p.final.AddInPlace(sh.sum)
-		p.finalCount += sh.count
-		sh.mu.Unlock()
-	}
-	p.merged.Store(true)
 }
 
 // Close seals the round if needed and makes the aggregate immutable.
@@ -431,29 +414,25 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// snapshot reads sum and count together — each shard's pair is taken
-// under its lock, so a concurrent Add is either wholly in or wholly out
-// of the result, never split between the sum and the count.
+// snapshot reads sum and count together, in whatever state the round is —
+// each shard's pair is taken under its lock, so a concurrent Add is either
+// wholly in or wholly out of the result, never split between the sum and
+// the count.
 func (p *Pipeline) snapshot() (fixed.Vector, int) {
-	if p.merged.Load() {
-		p.stateMu.RLock()
-		defer p.stateMu.RUnlock()
-		return p.final.Clone(), p.finalCount
-	}
 	out := fixed.NewVector(p.cfg.Dim)
 	count := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		out.AddInPlace(sh.sum)
-		count += sh.count
+		count += len(sh.seen)
 		sh.mu.Unlock()
 	}
 	return out, count
 }
 
-// Sum returns the aggregate sum. After Seal it is the merged, stable
-// aggregate; while the round is open it is a live snapshot and concurrent
-// Adds may land before or after it.
+// Sum returns the aggregate sum. After Seal it is stable; while the round
+// is open it is a live snapshot and concurrent Adds may land before or
+// after it.
 func (p *Pipeline) Sum() fixed.Vector {
 	sum, _ := p.snapshot()
 	return sum
@@ -461,15 +440,10 @@ func (p *Pipeline) Sum() fixed.Vector {
 
 // Count reports accepted contributions (a live snapshot while open).
 func (p *Pipeline) Count() int {
-	if p.merged.Load() {
-		p.stateMu.RLock()
-		defer p.stateMu.RUnlock()
-		return p.finalCount
-	}
 	total := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		total += sh.count
+		total += len(sh.seen)
 		sh.mu.Unlock()
 	}
 	return total
@@ -493,25 +467,20 @@ func (p *Pipeline) Mean() (fixed.Vector, error) {
 // because the surviving sum is missing exactly the dropped client's mask
 // cancellation. Valid while the round is open or sealed; a closed round's
 // aggregate is immutable.
+//
+// Open or sealed, the mask lands in shard 0 under that shard's lock: vector
+// addition commutes with every accumulate still in flight, as replaying
+// DropoutCorrected does with BatchAccepted, so a correction racing a Seal
+// waits for nothing. stateMu is held (shared) through the journal call so
+// that Close cannot come between the state check and the record.
 func (p *Pipeline) CorrectDropout(recoveredMask fixed.Vector) error {
 	if len(recoveredMask) != p.cfg.Dim {
 		return ErrWrongDim
 	}
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
+	p.stateMu.RLock()
+	defer p.stateMu.RUnlock()
 	if p.state == roundClosed {
 		return ErrRoundClosed
-	}
-	if p.state == roundSealed || p.merged.Load() {
-		// Make sure the merge has happened (Seal may be mid-flight on
-		// another goroutine; pending cannot grow while we hold stateMu).
-		p.pending.Wait()
-		p.mergeOnce.Do(p.merge)
-		p.final.AddInPlace(recoveredMask)
-		if j := p.journal; j != nil {
-			j.DropoutCorrected(p.cfg.ServiceName, p.cfg.Round, recoveredMask)
-		}
-		return nil
 	}
 	sh := p.shards[0]
 	sh.mu.Lock()

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,41 +46,22 @@ var (
 // closed rounds still count against the budget (they hold memory) but are
 // never evicted; a budget wedged by consumed-but-unforgotten rounds is
 // released by Forget.
+//
+// The budget keeps no books: its occupancy is what its members hold when it
+// is read, so operator creation is charged and Forget releases without
+// telling it. mu serializes ingest-driven admission (RoundManager.ingestRound
+// holds it from first check to insert), which keeps that occupancy at or
+// under max; it is taken before any member's own lock, never after.
 type Budget struct {
 	max int
 
 	mu sync.Mutex
-	// reserved counts admission slots claimed but not yet settled; live
-	// counts each member's registered rounds. Their sum is the budget's
-	// occupancy.
-	reserved int
-	members  []*RoundManager
-	live     map[*RoundManager]int
+	// members in attachment order, which breaks eviction ties and so is part
+	// of the budget's deterministic behaviour.
+	members []*RoundManager
 }
 
-// NewBudget creates a budget for at most max live rounds across every
-// attached manager (<= 0 means DefaultMaxTotalRounds).
-func NewBudget(max int) *Budget {
-	if max <= 0 {
-		max = DefaultMaxTotalRounds
-	}
-	return &Budget{max: max, live: make(map[*RoundManager]int)}
-}
-
-// attach registers a manager with the budget (via RoundManager.UseBudget).
-// Attachment order breaks eviction ties, so it is part of the budget's
-// deterministic behaviour.
-func (b *Budget) attach(m *RoundManager) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.live[m]; !ok {
-		b.members = append(b.members, m)
-		b.live[m] = 0
-	}
-}
-
-// Live reports the budget's occupancy (registered rounds plus in-flight
-// reservations).
+// Live reports the budget's occupancy: the rounds its members hold.
 func (b *Budget) Live() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -87,81 +69,43 @@ func (b *Budget) Live() int {
 }
 
 func (b *Budget) occupancyLocked() int {
-	n := b.reserved
-	for _, c := range b.live {
-		n += c
+	n := 0
+	for _, m := range b.members {
+		n += m.live()
 	}
 	return n
 }
 
-// reserve claims one admission slot for m, evicting cross-tenant when the
-// budget is full. The returned victims (already deregistered from their
-// managers and debited here) must be Closed by the caller outside every
-// lock; they are returned even alongside ErrBudgetExhausted.
-func (b *Budget) reserve(m *RoundManager) ([]*Pipeline, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var victims []*Pipeline
+// makeRoomLocked evicts cross-tenant until one more round fits under the
+// cap. The victims (already out of their managers) must be Closed by the
+// caller outside every lock; they are returned even alongside
+// ErrBudgetExhausted.
+func (b *Budget) makeRoomLocked() (victims []*Pipeline, err error) {
 	for b.occupancyLocked() >= b.max {
-		p, owner := b.evictLocked()
+		p := b.evictLocked()
 		if p == nil {
 			return victims, ErrBudgetExhausted
 		}
-		b.live[owner]--
 		victims = append(victims, p)
 	}
-	b.reserved++
 	return victims, nil
 }
 
 // evictLocked takes one open round from the heaviest member (attachment
 // order breaks ties; members with nothing evictable are skipped).
-func (b *Budget) evictLocked() (*Pipeline, *RoundManager) {
-	tried := make(map[*RoundManager]bool, len(b.members))
-	for len(tried) < len(b.members) {
-		var heaviest *RoundManager
-		for _, m := range b.members {
-			if tried[m] {
-				continue
-			}
-			if heaviest == nil || b.live[m] > b.live[heaviest] {
-				heaviest = m
-			}
-		}
-		if p, ok := heaviest.dropLeastFilled(); ok {
-			return p, heaviest
-		}
-		tried[heaviest] = true
+func (b *Budget) evictLocked() *Pipeline {
+	byLoad := slices.Clone(b.members)
+	live := make(map[*RoundManager]int, len(byLoad))
+	for _, m := range byLoad {
+		live[m] = m.live()
 	}
-	return nil, nil
-}
-
-// settle converts a reservation into a live round (created) or releases it
-// (the round already existed, or admission was refused for other reasons).
-func (b *Budget) settle(m *RoundManager, created bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.reserved--
-	if created {
-		b.live[m]++
+	slices.SortStableFunc(byLoad, func(x, y *RoundManager) int { return live[y] - live[x] })
+	for _, m := range byLoad {
+		if p, ok := m.dropLeastFilled(); ok {
+			return p
+		}
 	}
-}
-
-// noteCreated books an operator-created round (RoundManager.Round and the
-// Seal/Close paths). Operator creation is charged but never blocked: the
-// budget may run over its cap until ingest-driven admission rebalances it.
-func (b *Budget) noteCreated(m *RoundManager) {
-	b.mu.Lock()
-	b.live[m]++
-	b.mu.Unlock()
-}
-
-// noteRemoved releases n rounds m no longer holds (Forget, per-manager cap
-// eviction).
-func (b *Budget) noteRemoved(m *RoundManager, n int) {
-	b.mu.Lock()
-	b.live[m] -= n
-	b.mu.Unlock()
+	return nil
 }
 
 // TenantConfig describes one hosted service.
@@ -257,8 +201,11 @@ type Registry struct {
 // NewRegistry creates a registry whose tenants share a budget of at most
 // maxTotalRounds live rounds (<= 0 means DefaultMaxTotalRounds).
 func NewRegistry(maxTotalRounds int) *Registry {
+	if maxTotalRounds <= 0 {
+		maxTotalRounds = DefaultMaxTotalRounds
+	}
 	return &Registry{
-		budget:  NewBudget(maxTotalRounds),
+		budget:  &Budget{max: maxTotalRounds},
 		tenants: make(map[string]*Tenant),
 	}
 }
@@ -274,9 +221,9 @@ func (r *Registry) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("service: tenant %q: dimension must be positive", cfg.Name)
 	}
-	// The duplicate check guards manager creation too: a manager attached
-	// to the shared budget cannot be detached, so a refused AddTenant must
-	// not have created one.
+	// The duplicate check guards manager creation too: a member of the
+	// shared budget cannot leave it, so a refused AddTenant must not have
+	// made one.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.tenants[cfg.Name]; ok {
@@ -298,7 +245,10 @@ func (r *Registry) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	m.MaxRounds = cfg.MaxRounds
 	m.RoundWindow = cfg.RoundWindow
 	m.EvictAtCap = cfg.EvictAtCap
-	m.UseBudget(r.budget)
+	m.budget = r.budget
+	r.budget.mu.Lock()
+	r.budget.members = append(r.budget.members, m)
+	r.budget.mu.Unlock()
 	for _, meas := range cfg.Vetted {
 		m.Vet(meas)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,9 +69,9 @@ type RoundManager struct {
 	// Explicitly created rounds (Round) are not subject to it.
 	RoundWindow uint64
 
-	// budget, when non-nil, charges every live round against a cap shared
-	// with other managers (multi-tenant hosting: see Registry). Set via
-	// UseBudget before serving traffic.
+	// budget is the cap this manager's live rounds count against: the
+	// Registry's, shared with its other tenants, or — on a bare manager — a
+	// private one with no cap. Fixed before serving traffic.
 	budget *Budget
 
 	// allow is the tenant's one allowlist: round admission, ticket grants
@@ -93,12 +94,14 @@ type RoundManager struct {
 // NewRoundManager creates a manager that spawns pipelines from cfg
 // (cfg.Round is ignored; each round gets its own).
 func NewRoundManager(cfg PipelineConfig) *RoundManager {
-	return &RoundManager{
+	m := &RoundManager{
 		cfg:     cfg,
 		allow:   newAllowlist(),
 		rounds:  make(map[uint64]*Pipeline),
 		journal: cfg.Journal,
 	}
+	m.budget = &Budget{max: math.MaxInt, members: []*RoundManager{m}}
+	return m
 }
 
 // Vet allowlists a measurement for every current and future round.
@@ -118,26 +121,14 @@ func (m *RoundManager) refuse(n int) {
 	}
 }
 
-// UseBudget charges this manager's live rounds against a shared budget
-// (see Budget). Must be called before the manager serves traffic; the
-// Registry wires it for every tenant it creates.
-func (m *RoundManager) UseBudget(b *Budget) {
-	m.budget = b
-	b.attach(m)
-}
-
 // Round returns the pipeline for the given round, creating it if needed.
-// Explicit creation is operator-driven: it is charged to the shared budget
-// when one is attached, but never blocked by it.
+// Explicit creation is operator-driven: the round counts against the budget
+// like any other, but no cap blocks it — the budget may run over until
+// ingest-driven admission evicts it back under.
 func (m *RoundManager) Round(round uint64) *Pipeline {
 	m.mu.Lock()
-	_, existed := m.rounds[round]
-	p := m.roundLocked(round)
-	m.mu.Unlock()
-	if !existed && m.budget != nil {
-		m.budget.noteCreated(m)
-	}
-	return p
+	defer m.mu.Unlock()
+	return m.roundLocked(round)
 }
 
 func (m *RoundManager) roundLocked(round uint64) *Pipeline {
@@ -153,6 +144,13 @@ func (m *RoundManager) roundLocked(round uint64) *Pipeline {
 		j.RoundCreated(m.cfg.ServiceName, round)
 	}
 	return p
+}
+
+// live reports how many rounds the manager holds.
+func (m *RoundManager) live() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.rounds)
 }
 
 // Lookup returns the pipeline for a round without creating one.
@@ -215,50 +213,45 @@ func (m *RoundManager) grantTicket(req wire.TicketRequest) ([]byte, error) {
 	return m.cfg.Tickets.Grant(m.cfg.ServiceName, m.cfg.Verify, m.allow.admits, req)
 }
 
-// ingestRound creates a verified contribution's round, refusing past the
-// MaxRounds cap (and, when a shared budget is attached, past the global
-// cap). Evicted pipelines are closed only after the manager lock is
-// released: Close drains the victim's in-flight batches, and holding m.mu
-// through that drain would stall ingest for every other round.
+// ingestRound creates a verified contribution's round: the one ingest-driven
+// admission. It holds Budget.mu from its first check to the insert, so the
+// budget's members admit one at a time and the occupancy an admission reads
+// is the occupancy it acts on (operator verbs take only m.mu: charged, never
+// blocked). The order of checks is part of the contract:
+//
+//  1. cheap refusals, under m.mu: an existing round needs no room, and an
+//     out-of-window round is refused before the shared cap is looked at —
+//     else a vetted client spraying out-of-window rounds could evict other
+//     tenants' rounds without ever creating one of its own;
+//  2. the shared cap, with m.mu released: the budget may evict from any
+//     member, this one included (lock order Budget.mu → RoundManager.mu);
+//  3. the tenant's own quota and the insert, under m.mu again with the cheap
+//     checks repeated — step 2 may have evicted this tenant's window anchor.
+//
+// Evicted pipelines are closed only after every lock is released: Close
+// drains the victim's in-flight batches, which must not stall other rounds.
 func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
-	// Cheap refusals come before the budget round-trip: a round that
-	// already exists needs no slot, and an out-of-window round must be
-	// refused without touching the budget — reserving first would let a
-	// vetted client spraying out-of-window rounds evict other tenants'
-	// rounds without ever creating one of its own.
-	if p, err := m.precheckAdmission(round); p != nil || err != nil {
-		return p, err
-	}
-	// Reserve a global slot before per-manager admission: the budget may
-	// evict a round from another manager (or this one), which must not
-	// happen under m.mu.
-	if m.budget != nil {
-		victims, err := m.budget.reserve(m)
-		for _, v := range victims {
-			v.Close()
-		}
-		if err != nil {
-			return nil, err
+	b := m.budget
+	b.mu.Lock()
+	p, err := m.precheckAdmission(round)
+	var victims []*Pipeline
+	if p == nil && err == nil {
+		if victims, err = b.makeRoomLocked(); err == nil {
+			var own []*Pipeline
+			p, own, err = m.admitRound(round)
+			victims = append(victims, own...)
 		}
 	}
-	p, victims, created, err := m.admitRound(round)
-	if m.budget != nil {
-		m.budget.settle(m, created && err == nil)
-		if len(victims) > 0 {
-			m.budget.noteRemoved(m, len(victims))
-		}
-	}
+	b.mu.Unlock()
 	for _, v := range victims {
 		v.Close()
 	}
 	return p, err
 }
 
-// precheckAdmission runs the admission checks that need no budget slot:
-// an existing round is returned as-is, and an out-of-window round is
-// refused. admitRound repeats both checks under the same lock (the state
-// may move between the two acquisitions); this pass only guarantees the
-// cheap refusals cost nothing globally.
+// precheckAdmission runs the admission checks that need no room under any
+// cap: an existing round is returned as-is, and an out-of-window round is
+// refused. admitRound repeats both under the same lock.
 func (m *RoundManager) precheckAdmission(round uint64) (*Pipeline, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -290,14 +283,16 @@ func (m *RoundManager) windowRefusesLocked(round uint64) error {
 	return nil
 }
 
-func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipeline, created bool, err error) {
+// admitRound is the tenant's own quota and the insert. Victims of the quota
+// are returned even alongside an error.
+func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipeline, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if p, ok := m.rounds[round]; ok {
-		return p, nil, false, nil
+		return p, nil, nil
 	}
 	if err := m.windowRefusesLocked(round); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	max := m.MaxRounds
 	if max <= 0 {
@@ -305,15 +300,15 @@ func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipelin
 	}
 	for len(m.rounds) >= max {
 		if !m.EvictAtCap {
-			return nil, victims, false, ErrTooManyRounds
+			return nil, victims, ErrTooManyRounds
 		}
 		victim, found := m.evictLeastFilledLocked()
 		if !found {
-			return nil, victims, false, ErrTooManyRounds
+			return nil, victims, ErrTooManyRounds
 		}
 		victims = append(victims, victim)
 	}
-	return m.roundLocked(round), victims, true, nil
+	return m.roundLocked(round), victims, nil
 }
 
 // evictLeastFilledLocked removes and returns the least-filled open round.
@@ -352,8 +347,8 @@ func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
 
 // dropLeastFilled is the shared budget's cross-tenant eviction hook: it
 // removes and returns this manager's least-filled open round, or reports
-// that nothing here is evictable. The budget adjusts its own accounting;
-// the caller Closes the victim outside every lock.
+// that nothing here is evictable. The caller Closes the victim outside every
+// lock.
 func (m *RoundManager) dropLeastFilled() (*Pipeline, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -390,19 +385,23 @@ func (m *RoundManager) Close(round uint64) *Pipeline {
 // still holding the pipeline gets ErrRoundClosed, never a late accept) and
 // releasing its memory. A fresh verified contribution for a forgotten round
 // would start a new pipeline, so only forget rounds the transport no longer
-// routes.
+// routes. The round's share of the budget goes with it.
+//
+// RoundForgotten is journaled under m.mu, like an eviction's and like the
+// RoundCreated of a contribution that re-creates the round, so the two land
+// in the order they happened: the other way round, replay would drop the new
+// round and every contribution acked to it.
 func (m *RoundManager) Forget(round uint64) {
 	m.mu.Lock()
 	p, ok := m.rounds[round]
-	delete(m.rounds, round)
-	m.mu.Unlock()
 	if ok {
+		delete(m.rounds, round)
 		if j := m.journal; j != nil {
 			j.RoundForgotten(m.cfg.ServiceName, round)
 		}
-		if m.budget != nil {
-			m.budget.noteRemoved(m, 1)
-		}
+	}
+	m.mu.Unlock()
+	if ok {
 		p.Close()
 	}
 }

@@ -94,6 +94,8 @@ const (
 // RoundState is one round's aggregate state: lifecycle phase, accepted
 // count, rejection counter, the (blinded) sum, and every dedup digest —
 // all of them, so a restored round still refuses pre-snapshot duplicates.
+// Count is len(Digests): export writes it for readers of the state, the
+// snapshot decoder refuses a disagreement, and restore counts the digests.
 type RoundState struct {
 	Round    uint64
 	Phase    uint8
@@ -150,7 +152,7 @@ func (t *Tenant) ConfigDigest() [32]byte {
 // SetJournal attaches a journal to the registry, every tenant manager,
 // ticket table, and live pipeline. Must be called before the registry
 // serves traffic (the fields are read without synchronization on the hot
-// path, like UseBudget); internal/durable calls it at the end of Recover.
+// path); internal/durable calls it at the end of Recover.
 func (r *Registry) SetJournal(j Journal) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -204,21 +206,21 @@ func (p *Pipeline) exportRound() RoundState {
 	p.stateMu.RLock()
 	phase := uint8(p.state)
 	p.stateMu.RUnlock()
-	sum, count := p.snapshot()
 	rs := RoundState{
 		Round:    p.cfg.Round,
 		Phase:    phase,
-		Count:    uint64(count),
 		Rejected: uint64(p.rejected.Load()),
-		Sum:      sum,
+		Sum:      fixed.NewVector(p.cfg.Dim),
 	}
 	for _, sh := range p.shards {
 		sh.mu.Lock()
+		rs.Sum.AddInPlace(sh.sum)
 		for d := range sh.seen {
 			rs.Digests = append(rs.Digests, d)
 		}
 		sh.mu.Unlock()
 	}
+	rs.Count = uint64(len(rs.Digests))
 	sortDigests(rs.Digests)
 	return rs
 }
@@ -285,14 +287,6 @@ func (m *RoundManager) restoreState(ts TenantState) {
 func (p *Pipeline) restoreRound(rs RoundState) {
 	p.rejected.Store(int64(rs.Rejected))
 	p.restoreAccepted(rs.Digests, rs.Sum)
-	// Dedup inserts counted len(Digests); reconcile against the recorded
-	// count (they differ only if a future state version decouples them).
-	if diff := int(rs.Count) - len(rs.Digests); diff != 0 {
-		sh := p.shards[0]
-		sh.mu.Lock()
-		sh.count += diff
-		sh.mu.Unlock()
-	}
 	switch rs.Phase {
 	case RoundPhaseSealed:
 		_ = p.Seal()
@@ -303,18 +297,15 @@ func (p *Pipeline) restoreRound(rs RoundState) {
 
 // restoreAccepted re-applies accepted contributions from durable state:
 // digests are routed to their dedup shards exactly as live ingest routes
-// them (so restored duplicates are still refused), and the combined delta
-// lands in shard 0 — per-shard placement of sums is irrelevant, only the
-// merged total is observable. Each fresh digest counts as one accepted
-// contribution, mirroring live accounting.
+// them (so restored duplicates are still refused, and each fresh digest is
+// one accepted contribution, as live), and the combined delta lands in shard
+// 0 — per-shard placement of sums is irrelevant, only their total is
+// observable.
 func (p *Pipeline) restoreAccepted(digests [][32]byte, delta fixed.Vector) {
 	for _, d := range digests {
 		sh := p.shards[binary.BigEndian.Uint64(d[:8])&p.shardMask]
 		sh.mu.Lock()
-		if !sh.seen[d] {
-			sh.seen[d] = true
-			sh.count++
-		}
+		sh.seen[d] = true
 		sh.mu.Unlock()
 	}
 	if len(delta) == p.cfg.Dim {
