@@ -347,8 +347,9 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 // TestSignedFrameAllocs pins what the plan costs a signed frame: 128 items
 // through AddBatchErrs allocate nothing per frame with verification off
 // (decode, dedup, accumulate and the arena are the ticketed path's own), and
-// with a key nothing beyond the verifier's one object per item
-// (xcrypto's TestSignVerifyAllocs) — no vector, no preimage copy.
+// with a key nothing beyond the verifier's own objects per item (xcrypto's
+// TestSignVerifyAllocs: one for a public key, three for a key bound to its
+// signer, as ContributionVerifyKey returns) — no vector, no preimage copy.
 func TestSignedFrameAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -359,19 +360,20 @@ func TestSignedFrameAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		key  *xcrypto.SigningKey
-		max  float64
-	}{{"verify-off", nil, 0}, {"verify-on", key, frameSize}} {
+		name   string
+		key    *xcrypto.SigningKey
+		verify *xcrypto.VerifyKey
+		max    float64
+	}{
+		{"verify-off", nil, nil, 0},
+		{"verify-on", key, key.Public(), frameSize},
+		{"verify-bound", key, key.SelfVerifyKey(), 3 * frameSize},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := PipelineConfig{
-				ServiceName: "alloc.example", Dim: dim, Round: round,
+			p := NewPipeline(PipelineConfig{
+				ServiceName: "alloc.example", Dim: dim, Round: round, Verify: tc.verify,
 				Workers: 1, ExpectedCohort: (runs + 2) * frameSize,
-			}
-			if tc.key != nil {
-				cfg.Verify = tc.key.Public()
-			}
-			p := NewPipeline(cfg)
+			})
 			defer p.Close()
 			raws := allocRaws(t, (runs+2)*frameSize, dim, round, tc.key)
 			errs := make([]error, frameSize)

@@ -72,12 +72,15 @@ func FuzzVerifyParts(f *testing.F) {
 	f.Add([]byte(nil), msg, append(append([]byte(nil), honest...), 0))
 	f.Add([]byte(nil), msg, fuzzSign(f, other, salt, nil, msg))
 
-	pub := key.Public()
+	pub, bound := key.Public(), key.SelfVerifyKey()
 	f.Fuzz(func(t *testing.T, head, tail, sig []byte) {
 		want := len(sig) == SignatureSize &&
 			bytes.Equal(sig, fuzzSign(t, key, sig[:saltSize], head, tail))
 		if got := pub.VerifyParts(head, tail, sig); got != want {
 			t.Fatalf("public VerifyParts = %v, honest = %v\nhead %x\ntail %x\nsig  %x", got, want, head, tail, sig)
+		}
+		if got := bound.VerifyParts(head, tail, sig); got != want {
+			t.Fatalf("bound VerifyParts = %v, public = %v\nhead %x\ntail %x\nsig  %x", got, want, head, tail, sig)
 		}
 	})
 }

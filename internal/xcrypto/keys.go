@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/sha512"
+	"crypto/subtle"
 	"crypto/x509"
 	"fmt"
 )
@@ -33,9 +34,12 @@ type SigningKey struct {
 	priv ed25519.PrivateKey
 }
 
-// VerifyKey is the public half of a SigningKey.
+// VerifyKey is the public half of a SigningKey. A key from
+// SigningKey.SelfVerifyKey also holds its signer and verifies by
+// recomputation; every other key verifies on the curve.
 type VerifyKey struct {
-	pub ed25519.PublicKey
+	pub    ed25519.PublicKey
+	signer *SigningKey
 }
 
 // NewSigningKey generates a fresh Ed25519 signing key.
@@ -67,17 +71,38 @@ func (k *SigningKey) Sign(msg []byte) ([]byte, error) {
 	if _, err := rand.Read(sig); err != nil {
 		return nil, fmt.Errorf("xcrypto: sign: %w", err)
 	}
-	digest := saltedDigest(sig, nil, msg)
-	ph, err := k.priv.Sign(nil, digest[:], crypto.SHA512)
+	ph, err := k.signWithSalt(sig, nil, msg)
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: sign: %w", err)
 	}
 	return append(sig, ph...), nil
 }
 
-// Public returns the verification half of the key.
+// signWithSalt returns the Ed25519ph half of a signature: the 64 bytes over
+// SHA-512(salt‖head‖tail). RFC 8032 derives the nonce from the key and the
+// prehash, so the result depends on nothing else — the property a bound
+// VerifyKey rests on (TestSignIsDeterministicGivenSalt).
+func (k *SigningKey) signWithSalt(salt, head, tail []byte) ([]byte, error) {
+	digest := saltedDigest(salt, head, tail)
+	return k.priv.Sign(nil, digest[:], crypto.SHA512)
+}
+
+// Public returns the verification half of the key: it verifies on the
+// curve and is what may be marshaled and handed to anyone.
 func (k *SigningKey) Public() *VerifyKey {
 	return &VerifyKey{pub: k.priv.Public().(ed25519.PublicKey)}
+}
+
+// SelfVerifyKey returns a verification key bound to k: it checks a
+// signature by signing the same salted digest again and comparing in
+// constant time — one fixed-base multiplication instead of a double-scalar
+// verify. It accepts exactly what Public accepts from any RFC 8032 signer
+// under k, refuses every other byte string, marshals and fingerprints as
+// Public does, and never prints the secret it holds. It is for a verifier
+// that owns k; anything crossing a trust boundary gets Public or its
+// Marshal bytes.
+func (k *SigningKey) SelfVerifyKey() *VerifyKey {
+	return &VerifyKey{pub: k.priv.Public().(ed25519.PublicKey), signer: k}
 }
 
 // Marshal serializes the private key (PKCS#8). Used to seal service signing
@@ -109,10 +134,15 @@ func (k *VerifyKey) Verify(msg, sig []byte) bool { return k.VerifyParts(nil, msg
 // VerifyParts reports whether sig is a valid signature over head‖tail, for
 // callers that hold a message as a constant domain header and a view of
 // received bytes (MACState.VerifyKeyed's shape). Anything that is not
-// exactly SignatureSize bytes is refused before any curve code runs.
+// exactly SignatureSize bytes is refused before any hashing or curve code
+// runs.
 func (k *VerifyKey) VerifyParts(head, tail, sig []byte) bool {
 	if len(sig) != SignatureSize {
 		return false
+	}
+	if k.signer != nil {
+		ph, err := k.signer.signWithSalt(sig[:saltSize], head, tail)
+		return err == nil && subtle.ConstantTimeCompare(ph, sig[saltSize:]) == 1
 	}
 	digest := saltedDigest(sig[:saltSize], head, tail)
 	return ed25519.VerifyWithOptions(k.pub, digest[:], sig[saltSize:], &ed25519.Options{Hash: crypto.SHA512}) == nil
@@ -137,6 +167,13 @@ func (k *VerifyKey) Fingerprint() [32]byte {
 		panic("xcrypto: impossible marshal failure: " + err.Error())
 	}
 	return sha256.Sum256(der)
+}
+
+// Format prints the key as its fingerprint, whatever the verb, so that no
+// log line or error can show a bound key's signer.
+func (k VerifyKey) Format(f fmt.State, _ rune) {
+	fp := k.Fingerprint()
+	fmt.Fprintf(f, "VerifyKey(%x)", fp[:])
 }
 
 // ParseVerifyKey reverses VerifyKey.Marshal.

@@ -6,6 +6,8 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/x509"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,6 +71,108 @@ func TestSignIsSaltedAndFixedSize(t *testing.T) {
 	}
 }
 
+// TestSignIsDeterministicGivenSalt pins the property a bound VerifyKey rests
+// on: the 64-byte Ed25519ph half of a signature depends only on the key, the
+// salt and the message, so the key holder can check a signature by making
+// it again. Were a toolchain ever to hedge Ed25519 signing, every bound
+// verify would quietly refuse honest traffic; this fails first.
+func TestSignIsDeterministicGivenSalt(t *testing.T) {
+	key, other := fuzzKey(0x42), fuzzKey(0x43)
+	msg := []byte("the identical vector")
+	salt := bytes.Repeat([]byte{0x5A}, saltSize)
+	ph := func(k *SigningKey, salt, head, tail []byte) []byte {
+		t.Helper()
+		out, err := k.signWithSalt(salt, head, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a := ph(key, salt, nil, msg)
+	if len(a) != SignatureSize-saltSize {
+		t.Fatalf("Ed25519ph half is %d bytes, want %d", len(a), SignatureSize-saltSize)
+	}
+	for i := range 3 {
+		if b := ph(key, salt, nil, msg); !bytes.Equal(a, b) {
+			t.Fatalf("re-signing %d: the same (key, salt, message) gave different bytes", i)
+		}
+	}
+	if b := ph(key, salt, msg[:7], msg[7:]); !bytes.Equal(a, b) {
+		t.Fatal("the same message in two segments signed differently")
+	}
+	if !key.Public().Verify(msg, append(append([]byte(nil), salt...), a...)) {
+		t.Fatal("salt plus the re-signed half does not verify")
+	}
+	for name, b := range map[string][]byte{
+		"another salt":    ph(key, bytes.Repeat([]byte{0xA5}, saltSize), nil, msg),
+		"another message": ph(key, salt, nil, msg[1:]),
+		"another key":     ph(other, salt, nil, msg),
+	} {
+		if bytes.Equal(a, b) {
+			t.Errorf("%s: signed to the same bytes", name)
+		}
+	}
+}
+
+// TestBoundVerifyKeyHygiene: a bound key holds the private key and must
+// never show it. It marshals and fingerprints exactly as the public key
+// does, formats as its fingerprint under every verb, and no formatting
+// carries any 16-byte window of the seed or private key, raw or hex. The
+// keys a stranger can hold — Public and ParseVerifyKey — stay unbound.
+func TestBoundVerifyKeyHygiene(t *testing.T) {
+	key, err := NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, bound := key.Public(), key.SelfVerifyKey()
+	pubDER, err := pub.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundDER, err := bound.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pubDER, boundDER) {
+		t.Error("bound and public keys marshal differently")
+	}
+	if pub.Fingerprint() != bound.Fingerprint() {
+		t.Error("bound and public keys fingerprint differently")
+	}
+	parsed, err := ParseVerifyKey(boundDER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub.signer != nil || parsed.signer != nil {
+		t.Error("Public or ParseVerifyKey returned a key bound to its signer")
+	}
+
+	secret := []byte(key.priv) // seed ‖ public key
+	windows := func(b []byte) []string {
+		var out []string
+		for i := 0; i+16 <= len(b); i++ {
+			w := b[i : i+16]
+			out = append(out, string(w), hex.EncodeToString(w), strings.ToUpper(hex.EncodeToString(w)))
+		}
+		return out
+	}
+	fp := pub.Fingerprint()
+	want := fmt.Sprintf("VerifyKey(%x)", fp[:])
+	for _, verb := range []string{"%v", "%+v", "%#v", "%s", "%x"} {
+		for _, v := range []any{bound, *bound, []*VerifyKey{bound}, struct{ K *VerifyKey }{bound}} {
+			got := fmt.Sprintf(verb, v)
+			for _, w := range windows(secret) {
+				if strings.Contains(got, w) {
+					t.Fatalf("%s of %T shows key material: %q", verb, v, got)
+				}
+			}
+			if !strings.Contains(got, want) {
+				t.Errorf("%s of %T = %q, want it to contain %q", verb, v, got, want)
+			}
+		}
+	}
+}
+
 // TestSigningKeyParseRefusesOtherSchemes: a well-formed key of the scheme
 // this package used to speak is refused, and the error says what is wanted.
 func TestSigningKeyParseRefusesOtherSchemes(t *testing.T) {
@@ -96,20 +200,24 @@ func TestSigningKeyParseRefusesOtherSchemes(t *testing.T) {
 // Verify allocate a small constant number of objects, and the same number
 // for a 64 B message as for a 64 KiB one — the message is streamed into the
 // hash, never copied. VerifyParts is held to Verify's figure at every split
-// of the message: the two segments are streamed, never glued.
+// of the message: the two segments are streamed, never glued. A bound key
+// (SelfVerifyKey) re-signs instead of verifying on the curve and is pinned
+// at its own measured figure.
 func TestSignVerifyAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	// Measured: the returned signature plus three objects inside
-	// crypto/ed25519 for Sign, one inside crypto/ed25519 for Verify.
-	const maxSignAllocs, maxVerifyAllocs = 4, 1
+	// crypto/ed25519 for Sign, one inside crypto/ed25519 for Verify. A
+	// bound Verify is Sign without the salt and the result: the three
+	// objects crypto/ed25519's signer allocates.
+	const maxSignAllocs, maxVerifyAllocs, maxBoundAllocs = 4, 1, 3
 	key, err := NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := key.Public()
-	var signAllocs, verifyAllocs [2]float64
+	pub, bound := key.Public(), key.SelfVerifyKey()
+	var signAllocs, verifyAllocs, boundAllocs [2]float64
 	for i, size := range []int{64, 64 << 10} {
 		msg := bytes.Repeat([]byte{0xAB}, size)
 		sig, err := key.Sign(msg)
@@ -121,29 +229,38 @@ func TestSignVerifyAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		verifyAllocs[i] = testing.AllocsPerRun(50, func() {
-			if !pub.Verify(msg, sig) {
-				t.Fatal("verify failed")
-			}
-		})
-		for _, cut := range []int{0, 28, size} {
-			if got := testing.AllocsPerRun(50, func() {
-				if !pub.VerifyParts(msg[:cut], msg[cut:], sig) {
-					t.Fatal("verify of a split message failed")
+		for _, vk := range []struct {
+			name   string
+			key    *VerifyKey
+			allocs *[2]float64
+		}{{"public", pub, &verifyAllocs}, {"bound", bound, &boundAllocs}} {
+			vk.allocs[i] = testing.AllocsPerRun(50, func() {
+				if !vk.key.Verify(msg, sig) {
+					t.Fatalf("%s verify failed", vk.name)
 				}
-			}); got != verifyAllocs[i] {
-				t.Errorf("VerifyParts split at %d of %d: %.0f allocs/op, Verify %.0f", cut, size, got, verifyAllocs[i])
+			})
+			for _, cut := range []int{0, 28, size} {
+				if got := testing.AllocsPerRun(50, func() {
+					if !vk.key.VerifyParts(msg[:cut], msg[cut:], sig) {
+						t.Fatalf("%s verify of a split message failed", vk.name)
+					}
+				}); got != vk.allocs[i] {
+					t.Errorf("%s VerifyParts split at %d of %d: %.0f allocs/op, Verify %.0f", vk.name, cut, size, got, vk.allocs[i])
+				}
 			}
 		}
 	}
-	if signAllocs[0] != signAllocs[1] || verifyAllocs[0] != verifyAllocs[1] {
-		t.Errorf("allocations depend on message size: Sign %v, Verify %v (64 B, 64 KiB)", signAllocs, verifyAllocs)
+	if signAllocs[0] != signAllocs[1] || verifyAllocs[0] != verifyAllocs[1] || boundAllocs[0] != boundAllocs[1] {
+		t.Errorf("allocations depend on message size: Sign %v, Verify %v, bound Verify %v (64 B, 64 KiB)", signAllocs, verifyAllocs, boundAllocs)
 	}
 	if signAllocs[0] > maxSignAllocs {
 		t.Errorf("Sign: %.0f allocs/op, want <= %d", signAllocs[0], maxSignAllocs)
 	}
 	if verifyAllocs[0] > maxVerifyAllocs {
 		t.Errorf("Verify: %.0f allocs/op, want <= %d", verifyAllocs[0], maxVerifyAllocs)
+	}
+	if boundAllocs[0] > maxBoundAllocs {
+		t.Errorf("bound Verify: %.0f allocs/op, want <= %d", boundAllocs[0], maxBoundAllocs)
 	}
 }
 
@@ -165,20 +282,33 @@ func BenchmarkSign(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify verifies on the curve, as any holder of the public key
+// does; BenchmarkVerifyBound re-signs, as the key's owner does.
 func BenchmarkVerify(b *testing.B) {
 	key, err := NewSigningKey()
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchVerify(b, key, key.Public())
+}
+
+func BenchmarkVerifyBound(b *testing.B) {
+	key, err := NewSigningKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchVerify(b, key, key.SelfVerifyKey())
+}
+
+func benchVerify(b *testing.B, key *SigningKey, vk *VerifyKey) {
 	msg := bytes.Repeat([]byte{0xAB}, benchMsgSize)
 	sig, err := key.Sign(msg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pub := key.Public()
 	b.ReportAllocs()
 	for b.Loop() {
-		if !pub.Verify(msg, sig) {
+		if !vk.Verify(msg, sig) {
 			b.Fatal("verify failed")
 		}
 	}
