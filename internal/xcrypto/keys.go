@@ -102,7 +102,9 @@ func (k *SigningKey) Public() *VerifyKey {
 // that owns k; anything crossing a trust boundary gets Public or its
 // Marshal bytes.
 func (k *SigningKey) SelfVerifyKey() *VerifyKey {
-	return &VerifyKey{pub: k.priv.Public().(ed25519.PublicKey), signer: k}
+	vk := k.Public()
+	vk.signer = k
+	return vk
 }
 
 // Marshal serializes the private key (PKCS#8). Used to seal service signing
