@@ -23,6 +23,7 @@ import (
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/xcrypto"
 )
 
@@ -361,11 +362,7 @@ func BenchmarkPairwiseMask(b *testing.B) {
 
 // BenchmarkAttestedHandshake measures the quote-bound DH handshake.
 func BenchmarkAttestedHandshake(b *testing.B) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		b.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
+	sub, err := testbed.New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,14 +372,14 @@ func BenchmarkAttestedHandshake(b *testing.B) {
 			env = e
 			return nil, nil
 		})
-	enclave, err := platform.Load(bin)
+	enclave, err := sub.Platform.Load(bin)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if _, err := enclave.Call("grab", nil); err != nil {
 		b.Fatal(err)
 	}
-	verifier := &tee.QuoteVerifier{Root: as.Root()}
+	verifier := &tee.QuoteVerifier{Root: sub.AS.Root()}
 	identity, err := xcrypto.NewSigningKey()
 	if err != nil {
 		b.Fatal(err)
@@ -519,11 +516,7 @@ func BenchmarkPipelineIngest(b *testing.B) {
 
 // BenchmarkSeal measures enclave sealing of a 256-byte secret.
 func BenchmarkSeal(b *testing.B) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		b.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
+	sub, err := testbed.New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -531,7 +524,7 @@ func BenchmarkSeal(b *testing.B) {
 		Define("seal", func(env *tee.Env, input []byte) ([]byte, error) {
 			return env.Seal(input, nil, tee.SealToMeasurement)
 		})
-	enclave, err := platform.Load(bin)
+	enclave, err := sub.Platform.Load(bin)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -547,11 +540,7 @@ func BenchmarkSeal(b *testing.B) {
 
 // BenchmarkQuoteVerify measures the verifier's full chain check.
 func BenchmarkQuoteVerify(b *testing.B) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		b.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
+	sub, err := testbed.New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -562,14 +551,14 @@ func BenchmarkQuoteVerify(b *testing.B) {
 			quote, err = env.NewQuote(input)
 			return nil, err
 		})
-	enclave, err := platform.Load(bin)
+	enclave, err := sub.Platform.Load(bin)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if _, err := enclave.Call("quote", []byte("bind")); err != nil {
 		b.Fatal(err)
 	}
-	verifier := &tee.QuoteVerifier{Root: as.Root()}
+	verifier := &tee.QuoteVerifier{Root: sub.AS.Root()}
 	verifier.Allow(enclave.Measurement())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,11 +9,7 @@ import (
 
 	"glimmers/internal/botdetect"
 	"glimmers/internal/gaas"
-	"glimmers/internal/glimmer"
-	"glimmers/internal/node"
-	"glimmers/internal/predicate"
-	"glimmers/internal/service"
-	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // Flag values → the pieces of a node.Config.
@@ -44,76 +40,30 @@ func parsePeers(s string, self uint32) ([]gaas.FleetNode, error) {
 	return nodes, nil
 }
 
-// tenantSpec is one parsed -tenants entry.
-type tenantSpec struct {
-	name string
-	dim  int
-	bot  bool
-}
-
-// parseTenants parses "name:dim,name:bot" into specs.
-func parseTenants(s string) ([]tenantSpec, error) {
+// parseTenants parses "name:dim,name:bot" into specs: a [0,1] range-check
+// tenant over dim weights, or the §4.1 bot detector.
+func parseTenants(s string) ([]testbed.TenantSpec, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var specs []tenantSpec
+	var specs []testbed.TenantSpec
 	for _, entry := range strings.Split(s, ",") {
 		name, kind, ok := strings.Cut(strings.TrimSpace(entry), ":")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("tenant %q: want name:dim or name:bot", entry)
 		}
 		if kind == "bot" {
-			specs = append(specs, tenantSpec{name: name, dim: botdetect.TenantDim, bot: true})
+			specs = append(specs, testbed.TenantSpec{Name: name, Dim: botdetect.TenantDim,
+				Predicate: botdetect.DefaultDetector.TenantPredicate("bot-tenant")})
 			continue
 		}
 		dim, err := strconv.Atoi(kind)
 		if err != nil || dim <= 0 {
 			return nil, fmt.Errorf("tenant %q: dimension must be a positive integer", entry)
 		}
-		specs = append(specs, tenantSpec{name: name, dim: dim})
+		specs = append(specs, testbed.TenantSpec{Name: name, Dim: dim})
 	}
 	return specs, nil
-}
-
-// tenantConfig assembles one tenant: its cloud service, predicate, hosting
-// enclave config, and registry entry.
-func tenantConfig(as *tee.AttestationService, spec tenantSpec, workers, shards int, ticketTTL int64) (service.TenantConfig, error) {
-	svc, err := service.New(spec.name, as.Root())
-	if err != nil {
-		return service.TenantConfig{}, err
-	}
-	pred := predicate.UnitRangeCheck("unit-range", spec.dim)
-	if spec.bot {
-		pred = botdetect.DefaultDetector.TenantPredicate("bot-tenant")
-	}
-	if err := svc.SetPredicate(pred); err != nil {
-		return service.TenantConfig{}, err
-	}
-	cfg, err := svc.GlimmerConfig(spec.dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return service.TenantConfig{}, err
-	}
-	meas := glimmer.BuildBinary(cfg).Measurement()
-	svc.Vet(meas)
-	// Session tickets (the amortized fast path): one signature-verified grant
-	// per client session, constant-time MACs per contribution thereafter.
-	var ticketPolicy *service.TicketConfig
-	if ticketTTL > 0 {
-		ticketPolicy = &service.TicketConfig{TTL: ticketTTL}
-	}
-	return service.TenantConfig{
-		Name:         spec.name,
-		Verify:       svc.ContributionVerifyKey(),
-		Dim:          spec.dim,
-		Vetted:       []tee.Measurement{meas},
-		TicketPolicy: ticketPolicy,
-		Workers:      workers,
-		Shards:       shards,
-		EvictAtCap:   node.DefaultEvictAtCap,
-		RoundWindow:  node.DefaultRoundWindow,
-		Glimmer:      cfg,
-		Provision:    svc.ProvisionDevice,
-	}, nil
 }
 
 // tlsConfig builds the edge's TLS: nil for plaintext. The TLS transport

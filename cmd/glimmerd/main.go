@@ -67,7 +67,7 @@ import (
 	"glimmers/internal/durable"
 	"glimmers/internal/node"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/xcrypto"
 )
 
@@ -166,21 +166,27 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if err != nil {
 		return fmt.Errorf("-tenants: %v", err)
 	}
-	specs = append([]tenantSpec{{name: *serviceName, dim: *dim}}, specs...)
+	specs = append([]testbed.TenantSpec{{Name: *serviceName, Dim: *dim}}, specs...)
 
-	as, err := tee.NewAttestationService()
+	sub, err := testbed.New()
 	if err != nil {
-		return fmt.Errorf("attestation service: %v", err)
+		return err
 	}
-	if edge.Platform, err = tee.NewPlatform(as); err != nil {
-		return fmt.Errorf("platform: %v", err)
-	}
+	edge.Platform = sub.Platform
 	for _, spec := range specs {
-		tc, err := tenantConfig(as, spec, *workers, *shards, *ticketTTL)
-		if err != nil {
-			return fmt.Errorf("tenant %q: %v", spec.name, err)
+		spec.Hosting = service.TenantConfig{Workers: *workers, Shards: *shards,
+			EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
+		// Session tickets (the amortized fast path): one signature-verified
+		// grant per client session, constant-time MACs per contribution
+		// thereafter.
+		if *ticketTTL > 0 {
+			spec.Hosting.TicketPolicy = &service.TicketConfig{TTL: *ticketTTL}
 		}
-		cfg.Tenants = append(cfg.Tenants, tc)
+		t, err := sub.Provision(spec)
+		if err != nil {
+			return fmt.Errorf("tenant %q: %v", spec.Name, err)
+		}
+		cfg.Tenants = append(cfg.Tenants, t.Config())
 	}
 	if edge.TLS, err = tlsConfig(*listen, *tlsSelfSigned, *tlsCert, *tlsKey); err != nil {
 		return fmt.Errorf("tls: %v", err)

@@ -16,9 +16,8 @@ import (
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/node"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // strangerContribution is a well-formed signed contribution naming the
@@ -26,38 +25,15 @@ import (
 // routes to the tenant and fails round admission there.
 func strangerContribution(t *testing.T, name string, dim int) []byte {
 	t.Helper()
-	as, err := tee.NewAttestationService()
+	stranger, err := testbed.NewTenant(testbed.TenantSpec{Name: name, Dim: dim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := service.New(name, as.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", dim)); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := glimmer.NewDevice(platform, cfg)
+	dev, err := stranger.NewDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Destroy()
-	svc.Vet(dev.Measurement())
-	payload, err := svc.BasePayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Provision(dev, payload); err != nil {
-		t.Fatal(err)
-	}
 	sc, err := dev.Contribute(1, fixed.NewVector(dim), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // Re-exported core types. The aliases make the internal implementations
@@ -132,7 +133,8 @@ var (
 )
 
 // Testbed is a complete in-process deployment: attestation service,
-// platform, and cloud service sharing one trust root. It exists so
+// platform, and cloud service sharing one trust root (internal/testbed,
+// the substrate every in-process world is built from). It exists so
 // examples and downstream users can get to a working Glimmer in a few
 // lines.
 type Testbed struct {
@@ -144,22 +146,15 @@ type Testbed struct {
 // NewTestbed assembles a deployment for the named service with the given
 // validation predicate.
 func NewTestbed(serviceName string, pred *Program) (*Testbed, error) {
-	as, err := tee.NewAttestationService()
+	sub, err := testbed.New()
 	if err != nil {
 		return nil, fmt.Errorf("glimmers: %w", err)
 	}
-	platform, err := tee.NewPlatform(as)
+	svc, err := sub.Service(serviceName, pred)
 	if err != nil {
 		return nil, fmt.Errorf("glimmers: %w", err)
 	}
-	svc, err := service.New(serviceName, as.Root())
-	if err != nil {
-		return nil, fmt.Errorf("glimmers: %w", err)
-	}
-	if err := svc.SetPredicate(pred); err != nil {
-		return nil, err
-	}
-	return &Testbed{AS: as, Platform: platform, Service: svc}, nil
+	return &Testbed{AS: sub.AS, Platform: sub.Platform, Service: svc}, nil
 }
 
 // NewProvisionedDevice returns a Glimmer for the testbed's service, ready

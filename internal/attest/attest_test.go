@@ -15,6 +15,7 @@ import (
 // usable during the test body).
 func handshakeEnv(t *testing.T, name string) (*tee.AttestationService, *tee.Enclave, tee.Measurement, func(fn func(env *tee.Env) error) error) {
 	t.Helper()
+	// Its own trust root: internal/testbed imports attest (through service).
 	as, err := tee.NewAttestationService()
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 // distinct platforms and returns env-runners for each.
 func twoEnclaves(t *testing.T) (*tee.AttestationService, tee.Measurement, tee.Measurement, func(func(*tee.Env) error) error, func(func(*tee.Env) error) error) {
 	t.Helper()
+	// Its own trust root: internal/testbed imports attest (through service).
 	as, err := tee.NewAttestationService()
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/fedml"
 	"glimmers/internal/fixed"
 	"glimmers/internal/gaas"
@@ -16,8 +15,8 @@ import (
 	"glimmers/internal/keyboard"
 	"glimmers/internal/node"
 	"glimmers/internal/predicate"
-	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/xcrypto"
 )
 
@@ -75,21 +74,14 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 		return nil, rep, err
 	}
 	dims := pop.vocab.Dims()
-	_, platform, svc, err := trustRoot("nextwordpredictive.com", predicate.UnitRangeCheck("unit-range", dims))
-	if err != nil {
-		return nil, rep, err
-	}
-	// Dealer masks for one round across the cohort.
+	// One dealer-blinded Glimmer per user, masked for one round.
 	const round = uint64(1)
 	n := len(pop.Users)
-	masks, err := blind.ZeroSumMasks(append(cfg.Seed, 'e', '5'), n, dims)
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "nextwordpredictive.com", Devices: n, Dim: dims, Rounds: []uint64{round}})
 	if err != nil {
 		return nil, rep, err
 	}
-	glimCfg, err := svc.GlimmerConfig(dims, glimmer.ModeDealer, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, rep, err
-	}
+	defer t.Destroy()
 
 	models := pop.localModels()
 	if err := cfg.poison(models); err != nil {
@@ -106,18 +98,14 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 	var endorsed [][]byte
 	unusedMasks := fixed.NewVector(dims)
 	for i, m := range models {
-		dev, err := svc.NewDevice(platform, glimCfg, map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])})
-		if err != nil {
-			return nil, rep, err
-		}
 		start := time.Now()
-		sc, err := dev.Contribute(round, m.Weights, nil)
+		sc, err := t.Devs[i].Contribute(round, m.Weights, nil)
 		totalLatency += time.Since(start)
 		if i < cfg.Attackers && errors.Is(err, glimmer.ErrRejected) {
 			res.Rejected++
 			// A refused device's mask never enters the aggregate; account
 			// for it so the honest masks still cancel.
-			unusedMasks.AddInPlace(masks[i])
+			unusedMasks.AddInPlace(t.Masks[round][i])
 			continue
 		}
 		if err != nil {
@@ -136,12 +124,7 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 	}
 	defer os.RemoveAll(stateDir)
 	var mean fixed.Vector
-	rep, err = onNode(platform, service.TenantConfig{
-		Name:   svc.Name(),
-		Verify: svc.ContributionVerifyKey(),
-		Dim:    dims,
-		Vetted: []tee.Measurement{glimmer.BuildBinary(glimCfg).Measurement()},
-	}, stateDir, func(hosted *node.Node, addr string) error {
+	rep, err = onNode(t, stateDir, func(hosted *node.Node, addr string) error {
 		client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{NoSession: true})
 		if err != nil {
 			return err
@@ -156,7 +139,7 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 				return fmt.Errorf("edge refused %d of %d endorsed contributions", refused, len(frame))
 			}
 		}
-		tenant, _ := hosted.Registry().Tenant(svc.Name())
+		tenant, _ := hosted.Registry().Tenant(t.Name)
 		p := tenant.Manager().Round(round)
 		if err := p.Seal(); err != nil {
 			return err
@@ -240,11 +223,7 @@ func (r *E6Result) Table() string {
 
 // RunE6 measures the price of decomposition.
 func RunE6(cfg E6Config) (*E6Result, error) {
-	_, platform, svc, err := trustRoot("ablation.example", predicate.UnitRangeCheck("unit-range", cfg.Dim))
-	if err != nil {
-		return nil, err
-	}
-	glimCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeNone, glimmer.DefaultPolicy)
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "ablation.example", Dim: cfg.Dim})
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +278,7 @@ func RunE6(cfg E6Config) (*E6Result, error) {
 		if costed {
 			opts = append(opts, tee.WithTransitionCost(cfg.TransitionCost))
 		}
-		dev, err := svc.NewDevice(platform, glimCfg, nil, opts...)
+		dev, err := t.Svc.NewDevice(t.Platform, t.HostCfg, nil, opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -318,17 +297,17 @@ func RunE6(cfg E6Config) (*E6Result, error) {
 		if costed {
 			opts = append(opts, tee.WithTransitionCost(cfg.TransitionCost))
 		}
-		dev, err := glimmer.NewDecomposedDevice(platform, glimCfg, vendor.Public(), opts...)
+		dev, err := glimmer.NewDecomposedDevice(t.Platform, t.HostCfg, vendor.Public(), opts...)
 		if err != nil {
 			return nil, nil, err
 		}
-		payload, err := svc.BasePayload()
+		payload, err := t.Svc.BasePayload()
 		if err != nil {
 			return nil, nil, err
 		}
 		for _, c := range []*glimmer.Component{dev.Validator(), dev.Blinder(), dev.Signer()} {
-			svc.Vet(c.Measurement())
-			if err := svc.Provision(c, payload); err != nil {
+			t.Svc.Vet(c.Measurement())
+			if err := t.Svc.Provision(c, payload); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -5,9 +5,10 @@
 // the root bench_test.go wraps them as benchmarks.
 //
 // An experiment builds only what it uses: a keyboard population (E1–E5,
-// E7), a trust root (E5, E6, E8–E11), and — for the two end-to-end claims,
-// E5 and E9 — a node of the shipped assembly (internal/node). Every
-// Glimmer device comes from service.Service.NewDevice.
+// E7), a tenant on its own trust root (internal/testbed; E5, E6, E8–E11),
+// and — for the two end-to-end claims, E5 and E9 — a node of the shipped
+// assembly (internal/node). Every Glimmer device comes from
+// service.Service.NewDevice.
 package experiments
 
 import (
@@ -20,9 +21,8 @@ import (
 	"glimmers/internal/gaas"
 	"glimmers/internal/keyboard"
 	"glimmers/internal/node"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // table renders rows with aligned columns.
@@ -101,41 +101,21 @@ func (p *population) heldout(n int) keyboard.Activity {
 	return p.Corpus.GenerateActivity([]byte("heldout"), n)
 }
 
-// trustRoot mints what an experiment that runs a Glimmer stands on: an
-// attestation root, one platform certified under it, and a service that
-// trusts the root and enforces pred. Devices come from svc.NewDevice.
-func trustRoot(name string, pred *predicate.Program) (*tee.AttestationService, *tee.Platform, *service.Service, error) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	svc, err := service.New(name, as.Root())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return as, platform, svc, svc.SetPredicate(pred)
-}
-
 // onNode runs drive against the shipped assembly — internal/node, what
-// glimmerd starts — hosting one tenant behind a loopback listener. A drive
+// glimmerd starts — hosting t behind a loopback listener. A drive
 // that succeeds ends in Drain, whose Report is returned; one that fails
 // ends in Kill. Either way the node's listener, handlers and store are
 // gone when onNode returns.
-func onNode(platform *tee.Platform, tenant service.TenantConfig, stateDir string,
-	drive func(n *node.Node, addr string) error) (node.Report, error) {
+func onNode(t *testbed.Tenant, stateDir string, drive func(n *node.Node, addr string) error) (node.Report, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return node.Report{}, err
 	}
 	n, err := node.Start(node.Config{
-		Tenants:  []service.TenantConfig{tenant},
+		Tenants:  []service.TenantConfig{t.Config()},
 		StateDir: stateDir,
 		Listener: ln,
-		Edge:     gaas.ServerConfig{Platform: platform},
+		Edge:     gaas.ServerConfig{Platform: t.Platform},
 	})
 	if err != nil {
 		return node.Report{}, err

@@ -3,11 +3,12 @@ package experiments
 import (
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"glimmers/internal/testbed"
 )
 
 // smallFigure1 keeps the Figure 1 experiments fast in tests.
@@ -236,17 +237,13 @@ func TestE8BotDetectionThroughGlimmer(t *testing.T) {
 func TestE9RemoteGlimmer(t *testing.T) {
 	cfg := DefaultE9()
 	cfg.Contributions = 31
-	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	baseline := testbed.TakeCensus()
 	res, err := RunE9(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for (runtime.NumGoroutine() > goroutines || openFDs(t) > fds) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g, f := runtime.NumGoroutine(), openFDs(t); g > goroutines || f > fds {
-		t.Errorf("after RunE9: %d goroutines (baseline %d), %d open fds (baseline %d)", g, goroutines, f, fds)
+	if err := baseline.Settle(); err != nil {
+		t.Errorf("after RunE9: %v", err)
 	}
 	if !res.RemoteWorks {
 		t.Error("remote contribution failed verification")
@@ -320,15 +317,6 @@ func TestE12VerifierCertificates(t *testing.T) {
 	if res.LeakyRejected != res.LeakyTotal {
 		t.Errorf("leaky predicates rejected %d/%d", res.LeakyRejected, res.LeakyTotal)
 	}
-}
-
-func openFDs(t *testing.T) int {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("cannot count open fds: %v", err)
-	}
-	return len(fds)
 }
 
 // indexTables runs every Index entry once, at its default configuration,

@@ -18,6 +18,7 @@ import (
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/xcrypto"
 )
 
@@ -78,20 +79,17 @@ func (r *E8Result) Table() string {
 // RunE8 runs detection end to end through a provisioned Glimmer, auditing
 // every verdict message.
 func RunE8(cfg E8Config) (*E8Result, error) {
-	_, platform, svc, err := trustRoot("webservice.example", botdetect.DefaultDetector.Predicate("bot-detector"))
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "webservice.example", Dim: 1,
+		Predicate: botdetect.DefaultDetector.Predicate("bot-detector")})
 	if err != nil {
 		return nil, err
 	}
-	glimCfg, err := svc.GlimmerConfig(1, glimmer.ModeNone, glimmer.DefaultPolicy)
+	dev, err := t.NewDevice()
 	if err != nil {
 		return nil, err
 	}
-	dev, err := svc.NewDevice(platform, glimCfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	gate := service.NewBotGate(svc.Name(), svc.ContributionVerifyKey())
-	format := audit.VerdictFormat(svc.Name())
+	gate := service.NewBotGate(t.Name, t.Svc.ContributionVerifyKey())
+	format := audit.VerdictFormat(t.Name)
 
 	res := &E8Result{BitsPerVerdict: format.CapacityBits(), ConfidentialDelivery: true}
 	prg := xcrypto.NewPRG(cfg.Seed)
@@ -190,11 +188,7 @@ func (r *E9Result) Table() string {
 
 // RunE9 measures both deployments.
 func RunE9(cfg E9Config) (*E9Result, error) {
-	as, platform, svc, err := trustRoot("iot.example", predicate.UnitRangeCheck("range", cfg.Dim))
-	if err != nil {
-		return nil, err
-	}
-	glimCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeNone, glimmer.DefaultPolicy)
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "iot.example", Dim: cfg.Dim, Predicate: predicate.UnitRangeCheck("range", cfg.Dim)})
 	if err != nil {
 		return nil, err
 	}
@@ -205,24 +199,15 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 	res := &E9Result{}
 
 	// Local device.
-	local, err := svc.NewDevice(platform, glimCfg, nil)
+	local, err := t.NewDevice()
 	if err != nil {
 		return nil, err
 	}
 	// Remote glimmer: the tenant hosts it on the node, over loopback TCP.
-	_, err = onNode(platform, service.TenantConfig{
-		Name:      svc.Name(),
-		Verify:    svc.ContributionVerifyKey(),
-		Dim:       cfg.Dim,
-		Glimmer:   glimCfg,
-		Provision: svc.ProvisionDevice,
-	}, "", func(hosted *node.Node, addr string) error {
-		tenant, _ := hosted.Registry().Tenant(svc.Name())
-		enclave := tenant.Measurement()
-		svc.Vet(enclave)
-		verifier := &tee.QuoteVerifier{Root: as.Root()}
-		verifier.Allow(enclave)
-		client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{Service: svc.Name(), Verifier: verifier})
+	_, err = onNode(t, "", func(_ *node.Node, addr string) error {
+		verifier := &tee.QuoteVerifier{Root: t.AS.Root()}
+		verifier.Allow(t.Measurement())
+		client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{Service: t.Name, Verifier: verifier})
 		if err != nil {
 			return err
 		}
@@ -243,7 +228,7 @@ func RunE9(cfg E9Config) (*E9Result, error) {
 			localTook, remoteTook = append(localTook, t1.Sub(t0)), append(remoteTook, time.Since(t1))
 		}
 		res.Rows = append(res.Rows, e9Row("local glimmer", localTook), e9Row("remote glimmer (TCP)", remoteTook))
-		res.RemoteWorks = svc.ContributionVerifyKey().Verify(lastSC.SignedBytes(), lastSC.Signature)
+		res.RemoteWorks = t.Svc.ContributionVerifyKey().Verify(lastSC.SignedBytes(), lastSC.Signature)
 		return nil
 	})
 	if err != nil {
@@ -324,15 +309,11 @@ func RunE10(cfg E10Config) (*E10Result, error) {
 	}
 
 	// SGX Glimmer for comparison: private data stays on the device.
-	_, platform, svc, err := trustRoot("cmp.example", predicate.UnitRangeCheck("range", cfg.Dim))
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "cmp.example", Dim: cfg.Dim, Predicate: predicate.UnitRangeCheck("range", cfg.Dim)})
 	if err != nil {
 		return nil, err
 	}
-	glimCfg, err := svc.GlimmerConfig(cfg.Dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := svc.NewDevice(platform, glimCfg, nil)
+	dev, err := t.NewDevice()
 	if err != nil {
 		return nil, err
 	}
@@ -391,15 +372,11 @@ func (r *E11Result) Table() string {
 // RunE11 pushes photo contributions through a Glimmer running the maps
 // validator.
 func RunE11(cfg E11Config) (*E11Result, error) {
-	_, platform, svc, err := trustRoot("maps.example", geo.DefaultPredicate("photo-validator"))
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "maps.example", Dim: 2, Predicate: geo.DefaultPredicate("photo-validator")})
 	if err != nil {
 		return nil, err
 	}
-	glimCfg, err := svc.GlimmerConfig(2, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := svc.NewDevice(platform, glimCfg, nil)
+	dev, err := t.NewDevice()
 	if err != nil {
 		return nil, err
 	}

@@ -176,8 +176,8 @@ func TestConcurrentSubmitBatchPooledFrames(t *testing.T) {
 // hosted enclave and batch-submits; totals must match the copying-era
 // behaviour byte for byte.
 func TestZeroCopyBatchMatchesRealStack(t *testing.T) {
-	w := newWorldIngest(t, true)
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	w := newWorldIngest(t, true, nil)
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

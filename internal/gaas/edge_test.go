@@ -9,9 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
-	"glimmers/internal/service"
 	"glimmers/internal/tee"
 	"glimmers/internal/xcrypto"
 )
@@ -38,8 +35,8 @@ func (b *blockingIngestor) IngestBatch(raws [][]byte) (int, []error) {
 	return len(raws), make([]error, len(raws))
 }
 
-// edgeServer starts an ingest-only server over real TCP under cfg and
-// returns its address. The listener closes and the server shuts down with
+// edgeServer starts a server over real TCP under cfg and returns its
+// address. The listener closes and the server shuts down with
 // the test.
 func edgeServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	t.Helper()
@@ -393,54 +390,24 @@ func TestMuxCustomHandler(t *testing.T) {
 // the swapped-enclave scenario TOFU exists to catch.
 func twoEnclaveWorld(t *testing.T) (root *xcrypto.VerifyKey, addrA, addrB string, measA, measB tee.Measurement) {
 	t.Helper()
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := newSubstrate(t)
 	build := func(d int) (string, tee.Measurement) {
-		svc, err := service.New("iot.example", as.Root())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.SetPredicate(predicate.UnitRangeCheck("range", d)); err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := svc.GlimmerConfig(d, glimmer.ModeNone, glimmer.DefaultPolicy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Vet(glimmer.BuildBinary(cfg).Measurement())
+		tn := hostedTenant(t, sub, "iot.example", d)
 		mux := NewServeMux()
-		mux.Mount(cfg, func(dev *glimmer.Device) error {
-			payload, err := svc.BasePayload()
-			if err != nil {
-				return err
-			}
-			return svc.Provision(dev, payload)
-		})
+		mux.Mount(tn.HostCfg, tn.Svc.ProvisionDevice)
 		tlsConf, err := SelfSignedServerTLS("127.0.0.1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(ServerConfig{Platform: platform, Mux: mux, TLS: tlsConf})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close(); srv.Shutdown() })
-		go func() { _ = srv.Serve(ln) }()
-		return ln.Addr().String(), srv.Measurement()
+		srv, addr := edgeServer(t, ServerConfig{Platform: sub.Platform, Mux: mux, TLS: tlsConf})
+		return addr, srv.Measurement()
 	}
 	addrA, measA = build(3)
 	addrB, measB = build(4)
 	if measA == measB {
 		t.Fatal("test enclaves share a measurement")
 	}
-	return as.Root(), addrA, addrB, measA, measB
+	return sub.AS.Root(), addrA, addrB, measA, measB
 }
 
 // TestTOFUSwappedMeasurementOverTLS is the acceptance scenario end to

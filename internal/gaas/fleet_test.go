@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"net"
 	"testing"
 
 	"glimmers/internal/fixed"
@@ -66,14 +65,7 @@ func fleetServer(t *testing.T, ing Ingestor, merger PartialMerger) (*Server, str
 		mux.HandleIngest(ing)
 	}
 	mux.HandleFleet(ing, merger)
-	srv := New(ServerConfig{Mux: mux})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close(); srv.Shutdown() })
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr().String()
+	return edgeServer(t, ServerConfig{Mux: mux})
 }
 
 // TestFleetForwardAndMerge exercises the two fleet commands end to end:

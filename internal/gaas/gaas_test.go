@@ -10,82 +10,67 @@ import (
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 const dim = 3
 
+// world is one hosted tenant, iot.example, served over real TCP.
 type world struct {
-	as       *tee.AttestationService
-	platform *tee.Platform
-	svc      *service.Service
-	cfg      glimmer.Config
-	server   *Server
-	addr     string
+	*testbed.Tenant
+	server *Server
+	addr   string
 	// rounds is non-nil when the world was built with ingest enabled
 	// (wired before Serve, per SetIngest's contract).
 	rounds *service.RoundManager
 }
 
-func newWorld(t *testing.T) *world { return newWorldIngest(t, false) }
+func newWorld(t *testing.T) *world { return newWorldIngest(t, false, nil) }
 
-func newWorldIngest(t *testing.T, withIngest bool) *world {
+// newWorldIngest is newWorld with, if withIngest, a round manager behind
+// the edge; a non-nil tickets is the table it grants session tickets into.
+func newWorldIngest(t *testing.T, withIngest bool, tickets *service.TicketTable) *world {
 	t.Helper()
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := service.New("iot.example", as.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("range", dim)); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-
+	tn := hostedTenant(t, newSubstrate(t), "iot.example", dim)
 	mux := NewServeMux()
-	mux.Mount(cfg, func(dev *glimmer.Device) error {
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return err
-		}
-		return svc.Provision(dev, payload)
-	})
-	srvCfg := ServerConfig{Platform: platform, Mux: mux}
+	mux.Mount(tn.HostCfg, tn.Svc.ProvisionDevice)
+	srvCfg := ServerConfig{Platform: tn.Platform, Mux: mux}
 	var rounds *service.RoundManager
 	if withIngest {
 		rounds = service.NewRoundManager(service.PipelineConfig{
-			ServiceName: svc.Name(),
-			Verify:      svc.ContributionVerifyKey(),
+			ServiceName: tn.Name,
+			Verify:      tn.Svc.ContributionVerifyKey(),
 			Dim:         dim,
+			Tickets:     tickets,
 			Workers:     2,
 			Shards:      2,
 		})
-		rounds.Vet(glimmer.BuildBinary(cfg).Measurement())
+		rounds.Vet(tn.Measurement())
 		srvCfg.Ingest = rounds
 	}
-	server := New(srvCfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	server, addr := edgeServer(t, srvCfg)
+	return &world{Tenant: tn, server: server, addr: addr, rounds: rounds}
+}
+
+func newSubstrate(t *testing.T) *testbed.Substrate {
+	t.Helper()
+	sub, err := testbed.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() { _ = server.Serve(ln) }()
-	return &world{
-		as: as, platform: platform, svc: svc, cfg: cfg,
-		server: server, addr: ln.Addr().String(), rounds: rounds,
+	return sub
+}
+
+// hostedTenant provisions a [0,1] range-check tenant over d weights on sub.
+func hostedTenant(t *testing.T, sub *testbed.Substrate, name string, d int) *testbed.Tenant {
+	t.Helper()
+	tn, err := sub.Provision(testbed.TenantSpec{Name: name, Dim: d})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tn
 }
 
 // dial is the plain client every test here starts from: an attested session
@@ -95,14 +80,14 @@ func dial(addr string, verifier *tee.QuoteVerifier, serviceName string) (*Client
 }
 
 func (w *world) verifier() *tee.QuoteVerifier {
-	v := &tee.QuoteVerifier{Root: w.as.Root()}
+	v := &tee.QuoteVerifier{Root: w.AS.Root()}
 	v.Allow(w.server.Measurement())
 	return v
 }
 
 func TestRemoteContribution(t *testing.T) {
 	w := newWorld(t)
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +98,12 @@ func TestRemoteContribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.svc.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
+	if !w.Svc.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
 		t.Fatal("remote contribution signature invalid")
 	}
 	agg := service.NewPipeline(service.PipelineConfig{
-		ServiceName: w.svc.Name(),
-		Verify:      w.svc.ContributionVerifyKey(),
+		ServiceName: w.Name,
+		Verify:      w.Svc.ContributionVerifyKey(),
 		Dim:         dim,
 		Round:       1,
 		Workers:     1,
@@ -132,7 +117,7 @@ func TestRemoteContribution(t *testing.T) {
 
 func TestRemoteRejection(t *testing.T) {
 	w := newWorld(t)
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +135,8 @@ func TestRemoteRejection(t *testing.T) {
 
 func TestClientRefusesWrongMeasurement(t *testing.T) {
 	w := newWorld(t)
-	v := &tee.QuoteVerifier{Root: w.as.Root(), Allowed: []tee.Measurement{{0xBB}}}
-	if _, err := dial(w.addr, v, w.svc.Name()); err == nil {
+	v := &tee.QuoteVerifier{Root: w.AS.Root(), Allowed: []tee.Measurement{{0xBB}}}
+	if _, err := dial(w.addr, v, w.Name); err == nil {
 		t.Fatal("client trusted a glimmer with the wrong measurement")
 	}
 }
@@ -169,7 +154,7 @@ func TestConcurrentClients(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(round uint64) {
-			client, err := dial(w.addr, w.verifier(), w.svc.Name())
+			client, err := dial(w.addr, w.verifier(), w.Name)
 			if err != nil {
 				errs <- err
 				return
@@ -190,10 +175,10 @@ func TestConcurrentClients(t *testing.T) {
 // contributions from the hosted Glimmer, then push them back through the
 // daemon's sharded aggregation pipeline in one submit-batch frame.
 func TestSubmitBatchIngest(t *testing.T) {
-	w := newWorldIngest(t, true)
+	w := newWorldIngest(t, true, nil)
 	rounds := w.rounds
 
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,50 +211,15 @@ func TestSubmitBatchIngest(t *testing.T) {
 // multiTenantWorld hosts two tenants behind one server via a registry.
 func multiTenantWorld(t *testing.T) (*tee.AttestationService, *service.Registry, *Server, string) {
 	t.Helper()
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := newSubstrate(t)
 	registry := service.NewRegistry(0)
 	for name, d := range map[string]int{"alpha.example": 3, "beta.example": 2} {
-		svc, err := service.New(name, as.Root())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.SetPredicate(predicate.UnitRangeCheck("range", d)); err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := svc.GlimmerConfig(d, glimmer.ModeNone, glimmer.DefaultPolicy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-		if _, err := registry.AddTenant(service.TenantConfig{
-			Name: name, Verify: svc.ContributionVerifyKey(), Dim: d,
-			Glimmer: cfg,
-			Provision: func(dev *glimmer.Device) error {
-				payload, err := svc.BasePayload()
-				if err != nil {
-					return err
-				}
-				return svc.Provision(dev, payload)
-			},
-		}); err != nil {
+		if _, err := registry.AddTenant(hostedTenant(t, sub, name, d).Config()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	server := New(ServerConfig{Platform: platform, Hosts: registry, Ingest: registry})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close(); server.Shutdown() })
-	go func() { _ = server.Serve(ln) }()
-	return as, registry, server, ln.Addr().String()
+	server, addr := edgeServer(t, ServerConfig{Platform: sub.Platform, Hosts: registry, Ingest: registry})
+	return sub.AS, registry, server, addr
 }
 
 // TestMultiTenantHosting drives frame-level routing end to end: each
@@ -334,7 +284,7 @@ func TestMultiTenantHosting(t *testing.T) {
 // the command instead of dropping the connection.
 func TestSubmitBatchWithoutIngest(t *testing.T) {
 	w := newWorld(t)
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +369,7 @@ func TestHostSeesOnlyCiphertext(t *testing.T) {
 		}
 	}()
 
-	client, err := dial(proxyLn.Addr().String(), w.verifier(), w.svc.Name())
+	client, err := dial(proxyLn.Addr().String(), w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,51 +415,21 @@ outer:
 // not pin its session enclave forever. With an idle timeout set, the read
 // deadline expires, the handler exits, and the enclave is destroyed.
 func TestIdleClientReaped(t *testing.T) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := service.New("iot.example", as.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("range", dim)); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-
+	tn := hostedTenant(t, newSubstrate(t), "iot.example", dim)
 	var mu sync.Mutex
 	var session *glimmer.Device
 	mux := NewServeMux()
-	mux.Mount(cfg, func(dev *glimmer.Device) error {
+	mux.Mount(tn.HostCfg, func(dev *glimmer.Device) error {
 		mu.Lock()
 		session = dev
 		mu.Unlock()
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return err
-		}
-		return svc.Provision(dev, payload)
+		return tn.Svc.ProvisionDevice(dev)
 	})
-	server := New(ServerConfig{Platform: platform, Mux: mux, IdleTimeout: 50 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() { _ = server.Serve(ln) }()
+	server, addr := edgeServer(t, ServerConfig{Platform: tn.Platform, Mux: mux, IdleTimeout: 50 * time.Millisecond})
 
-	v := &tee.QuoteVerifier{Root: as.Root()}
+	v := &tee.QuoteVerifier{Root: tn.AS.Root()}
 	v.Allow(server.Measurement())
-	client, err := dial(ln.Addr().String(), v, svc.Name())
+	client, err := dial(addr, v, tn.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,7 @@ import (
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
 	"glimmers/internal/wire"
 )
 
@@ -19,69 +17,15 @@ import (
 // clock driving expiry.
 type ticketWorld struct {
 	*world
-	clock  *atomic.Int64
-	tktMgr *service.RoundManager
+	clock *atomic.Int64
 }
 
 func newTicketWorld(t *testing.T) *ticketWorld {
 	t.Helper()
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := service.New("iot.example", as.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("range", dim)); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeNone, glimmer.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-	mux := NewServeMux()
-	mux.Mount(cfg, func(dev *glimmer.Device) error {
-		payload, err := svc.BasePayload()
-		if err != nil {
-			return err
-		}
-		return svc.Provision(dev, payload)
-	})
 	clock := new(atomic.Int64)
 	clock.Store(1_700_000_000)
-	rounds := service.NewRoundManager(service.PipelineConfig{
-		ServiceName: svc.Name(),
-		Verify:      svc.ContributionVerifyKey(),
-		Dim:         dim,
-		Tickets: service.NewTicketTable(service.TicketConfig{
-			TTL: 60,
-			Now: clock.Load,
-		}),
-		Workers: 2,
-		Shards:  2,
-	})
-	rounds.Vet(glimmer.BuildBinary(cfg).Measurement())
-	server := New(ServerConfig{Platform: platform, Mux: mux, Ingest: rounds})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() { _ = server.Serve(ln) }()
-	return &ticketWorld{
-		world: &world{
-			as: as, platform: platform, svc: svc, cfg: cfg,
-			server: server, addr: ln.Addr().String(), rounds: rounds,
-		},
-		clock:  clock,
-		tktMgr: rounds,
-	}
+	tickets := service.NewTicketTable(service.TicketConfig{TTL: 60, Now: clock.Load})
+	return &ticketWorld{world: newWorldIngest(t, true, tickets), clock: clock}
 }
 
 // TestTicketGrantOverGaas drives the whole amortized loop through the
@@ -94,21 +38,13 @@ func TestTicketGrantOverGaas(t *testing.T) {
 
 	// The contributing enclave runs client-side here (the device owns a
 	// TEE); gaas carries its control plane and its batches.
-	dev, err := glimmer.NewDevice(w.platform, w.cfg)
+	dev, err := w.NewDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Destroy()
-	payload, err := w.svc.BasePayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.svc.Provision(dev, payload); err != nil {
-		t.Fatal(err)
-	}
-	w.tktMgr.Vet(dev.Measurement())
 
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +85,7 @@ func TestTicketGrantOverGaas(t *testing.T) {
 	if a, r := submitRound(1, []float64{0.1, 0.4, 0.7}); a != 3 || r != 0 {
 		t.Fatalf("ticketed submit = (%d, %d), want (3, 0)", a, r)
 	}
-	if got := w.tktMgr.Round(1).Count(); got != 3 {
+	if got := w.rounds.Round(1).Count(); got != 3 {
 		t.Fatalf("pipeline count = %d, want 3", got)
 	}
 
@@ -169,7 +105,7 @@ func TestTicketGrantOverGaas(t *testing.T) {
 // with no ingest at all) refuses the command with a clean remote error.
 func TestTicketGrantWithoutGranter(t *testing.T) {
 	w := newWorld(t)
-	client, err := dial(w.addr, w.verifier(), w.svc.Name())
+	client, err := dial(w.addr, w.verifier(), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

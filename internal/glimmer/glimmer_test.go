@@ -13,6 +13,7 @@ import (
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/xcrypto"
 )
 
@@ -33,22 +34,15 @@ func serialPipeline(svc *service.Service, dim int, round uint64) *service.Pipeli
 
 func newWorld(t *testing.T) (*tee.AttestationService, *tee.Platform, *service.Service) {
 	t.Helper()
-	as, err := tee.NewAttestationService()
+	sub, err := testbed.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := tee.NewPlatform(as)
+	svc, err := sub.Service("nextwordpredictive.com", predicate.UnitRangeCheck("weights-in-unit-range", dim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New("nextwordpredictive.com", as.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.SetPredicate(predicate.UnitRangeCheck("weights-in-unit-range", dim)); err != nil {
-		t.Fatal(err)
-	}
-	return as, platform, svc
+	return sub.AS, sub.Platform, svc
 }
 
 func provisionedDevice(t *testing.T, platform *tee.Platform, svc *service.Service, mode glimmer.Mode, masks map[uint64][]uint64) *glimmer.Device {
@@ -57,17 +51,8 @@ func provisionedDevice(t *testing.T, platform *tee.Platform, svc *service.Servic
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := glimmer.NewDevice(platform, cfg)
+	dev, err := svc.NewDevice(platform, cfg, masks)
 	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Vet(dev.Measurement())
-	payload, err := svc.BasePayload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload.Masks = masks
-	if err := svc.Provision(dev, payload); err != nil {
 		t.Fatal(err)
 	}
 	return dev

@@ -5,7 +5,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -14,9 +13,8 @@ import (
 	"glimmers/internal/fixed"
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/xcrypto"
 )
 
@@ -27,37 +25,20 @@ const (
 
 // world is what outlives a node life: the attestation root, the platform,
 // and the tenant's service (keys and predicate).
-type world struct {
-	platform *tee.Platform
-	svc      *service.Service
-	glimmer  glimmer.Config
-	payload  glimmer.ProvisionPayload
-}
+type world struct{ *testbed.Tenant }
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	as, err := tee.NewAttestationService()
+	tenant, err := testbed.NewTenant(testbed.TenantSpec{Name: testService, Dim: testDim, Hosting: service.TenantConfig{
+		TicketPolicy: &service.TicketConfig{},
+		Workers:      2,
+		EvictAtCap:   DefaultEvictAtCap,
+		RoundWindow:  DefaultRoundWindow,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{}
-	if w.platform, err = tee.NewPlatform(as); err != nil {
-		t.Fatal(err)
-	}
-	if w.svc, err = service.New(testService, as.Root()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.svc.SetPredicate(predicate.UnitRangeCheck("unit-range", testDim)); err != nil {
-		t.Fatal(err)
-	}
-	if w.glimmer, err = w.svc.GlimmerConfig(testDim, glimmer.ModeNone, glimmer.DefaultPolicy); err != nil {
-		t.Fatal(err)
-	}
-	w.svc.Vet(glimmer.BuildBinary(w.glimmer).Measurement())
-	if w.payload, err = w.svc.BasePayload(); err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return &world{tenant}
 }
 
 // start runs one node life over dir on a fresh loopback TLS listener.
@@ -78,21 +59,12 @@ func (w *world) startAs(t *testing.T, dir string, wal durable.Config, role func(
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Tenants: []service.TenantConfig{{
-			Name:         testService,
-			Verify:       w.svc.ContributionVerifyKey(),
-			Dim:          testDim,
-			Vetted:       []tee.Measurement{glimmer.BuildBinary(w.glimmer).Measurement()},
-			TicketPolicy: &service.TicketConfig{},
-			Workers:      2,
-			EvictAtCap:   DefaultEvictAtCap,
-			RoundWindow:  DefaultRoundWindow,
-		}},
+		Tenants:  []service.TenantConfig{w.Config()},
 		StateDir: dir,
 		WAL:      wal,
 		Listener: ln,
 		Edge: gaas.ServerConfig{
-			Platform:     w.platform,
+			Platform:     w.Platform,
 			TLS:          tlsConf,
 			ReadTimeout:  DefaultReadTimeout,
 			WriteTimeout: DefaultWriteTimeout,
@@ -116,14 +88,11 @@ const splitFrame = 64
 // grant, then one frame of items distinct ticketed contributions to round.
 func (w *world) session(t *testing.T, addr string, round uint64, items int) {
 	t.Helper()
-	dev, err := glimmer.NewDevice(w.platform, w.glimmer)
+	dev, err := w.NewDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Destroy()
-	if err := w.svc.Provision(dev, w.payload); err != nil {
-		t.Fatal(err)
-	}
 	client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{
 		NoSession: true, TLS: gaas.InsecureClientTLS(), CallTimeout: 10 * time.Second,
 	})
@@ -161,16 +130,6 @@ func (w *world) session(t *testing.T, addr string, round uint64, items int) {
 	}
 }
 
-// settledGoroutines gives goroutines that have signalled completion a
-// moment to finish exiting, then reports how many are left.
-func settledGoroutines(baseline int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return runtime.NumGoroutine()
-}
-
 // TestStartDrainRecover is the shipped life cycle end to end: a device's
 // frame (large enough to fan out) crosses the TLS edge into a durable
 // node, Drain seals, snapshots and reports it and leaves nothing running,
@@ -178,7 +137,7 @@ func settledGoroutines(baseline int) int {
 // round with the identical sum.
 func TestStartDrainRecover(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
-	goroutines := runtime.NumGoroutine()
+	baseline := testbed.TakeCensus()
 	n, addr := w.start(t, dir, durable.Config{})
 	if rs := n.Recovered(); rs.SnapshotLoaded || rs.Records != 0 {
 		t.Fatalf("cold start found state: %+v", rs)
@@ -188,8 +147,8 @@ func TestStartDrainRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := settledGoroutines(goroutines); got > goroutines {
-		t.Errorf("%d goroutines after Drain, %d before Start: the drained node kept some", got, goroutines)
+	if err := baseline.Settle(); err != nil {
+		t.Errorf("after Drain, against before Start: %v: the drained node kept some", err)
 	}
 	if len(rep.Tenants) != 1 || len(rep.Tenants[0].Rounds) != 1 {
 		t.Fatalf("report holds %+v, want one tenant with one round", rep.Tenants)
@@ -244,7 +203,7 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plain TCP: a shipping node dials its coordinator without TLS.
-	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.platform}})
+	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.Platform}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,15 +239,6 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 	}
 }
 
-func openFDs(t *testing.T) int {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("cannot count open fds: %v", err)
-	}
-	return len(fds)
-}
-
 // TestKillLeaksNothing: Kill must release the dead life — WAL fd, audit
 // fd, listener, flusher and accept-loop goroutines, and whatever its open
 // rounds held (every life takes a frame that fans out) — the way a real
@@ -307,7 +257,7 @@ func TestKillLeaksNothing(t *testing.T) {
 	}
 	n.Kill()
 
-	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	baseline := testbed.TakeCensus()
 	for i := 0; i < 10; i++ {
 		n, addr = w.start(t, dir, manual)
 		hosted, _ := n.Registry().Tenant(testService)
@@ -317,14 +267,7 @@ func TestKillLeaksNothing(t *testing.T) {
 		w.session(t, addr, 1, splitFrame) // accepted, staged, never flushed: dies with the life
 		n.Kill()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for openFDs(t) > fds && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := settledGoroutines(goroutines); got > goroutines {
-		t.Errorf("%d goroutines after 10 kills, baseline %d: dead lives leaked", got, goroutines)
-	}
-	if got := openFDs(t); got > fds {
-		t.Errorf("%d open fds after 10 kills, baseline %d: dead lives leaked", got, fds)
+	if err := baseline.Settle(); err != nil {
+		t.Errorf("after 10 kills: %v: dead lives leaked", err)
 	}
 }

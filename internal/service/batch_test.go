@@ -486,6 +486,7 @@ func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 
 // settledGoroutines gives goroutines that have signalled completion a
 // moment to finish exiting, then reports how many are left.
+// (testbed.Census is the shared leak wait; testbed imports service.)
 func settledGoroutines(baseline int) int {
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {

@@ -293,6 +293,7 @@ func TestBotGateRejectsWrongKeyAndGarbage(t *testing.T) {
 // blinded sum of a zero-sum cohort is the clear sum; and ProvisionDevice is
 // the hosting hook a registry hands the edge for a tenant's remote sessions.
 func TestNewDeviceTrustPath(t *testing.T) {
+	// Its own trust root: internal/testbed imports service.
 	as, err := tee.NewAttestationService()
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // Malicious-edge scenario: a governed TLS front end is attacked at the
@@ -143,7 +144,7 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 	// slowloris pool, so the flood overflows and the slowloris conns all
 	// get slots to trickle in.
 	s, err := build(
-		tenantSpec{name: edgeServiceName, seed: cfg.Seed, devices: cfg.Devices, dim: cfg.Dim, rounds: []uint64{1}, hosting: edgeHosting},
+		testbed.TenantSpec{Name: edgeServiceName, Seed: cfg.Seed, Devices: cfg.Devices, Dim: cfg.Dim, Rounds: []uint64{1}, Hosting: edgeHosting},
 		edgeNode(1, cfg.Lanes+cfg.SlowlorisConns))
 	if err != nil {
 		return nil, err
@@ -207,13 +208,13 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 	return func(s *script) (err error) {
 		n := s.at(owner)
-		if f.meas, err = n.Server().MeasurementFor(s.t.name); err != nil {
+		if f.meas, err = n.Server().MeasurementFor(s.t.Name); err != nil {
 			return fmt.Errorf("sim: edge measurement: %w", err)
 		}
-		f.verifier = &tee.QuoteVerifier{Root: n.sub.as.Root()}
+		f.verifier = &tee.QuoteVerifier{Root: n.sub.AS.Root()}
 		f.verifier.Allow(f.meas)
 		f.dialCfg = edgeDial(10 * time.Second)
-		f.dialCfg.Service, f.dialCfg.Verifier, f.dialCfg.KnownHosts = s.t.name, f.verifier, f.known
+		f.dialCfg.Service, f.dialCfg.Verifier, f.dialCfg.KnownHosts = s.t.Name, f.verifier, f.known
 		for i := 0; i < lanes; i++ {
 			c, err := gaas.DialContext(context.Background(), n.addr, f.dialCfg)
 			if err != nil {
@@ -221,7 +222,7 @@ func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 			}
 			f.lanes = append(f.lanes, c)
 		}
-		pinned, ok := f.known.Lookup(s.t.name)
+		pinned, ok := f.known.Lookup(s.t.Name)
 		rep.PinnedOnFirstUse = ok && pinned == f.meas && f.known.Len() == 1
 		if !rep.PinnedOnFirstUse {
 			s.violate("first use did not pin the edge measurement")
@@ -324,16 +325,16 @@ func slowloris(rep *EdgeReport, conns, lanes int) step {
 func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 	return func(s *script) error {
 		sub := s.at(owner).sub
-		evilTenant, err := sub.provision(tenantSpec{name: s.t.name, dim: s.t.dim + 1, hosting: edgeHosting})
+		evilTenant, err := sub.Provision(testbed.TenantSpec{Name: s.t.Name, Dim: s.t.Dim + 1, Hosting: edgeHosting})
 		if err != nil {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}
-		evil, err := sub.start(edgeNode(2, 0), evilTenant)
+		evil, err := startNode(sub, edgeNode(2, 0), evilTenant)
 		if err != nil {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}
 		defer evil.shutdown()
-		evilMeas, err := evil.Server().MeasurementFor(s.t.name)
+		evilMeas, err := evil.Server().MeasurementFor(s.t.Name)
 		if err != nil {
 			return fmt.Errorf("sim: impostor measurement: %w", err)
 		}
@@ -346,7 +347,7 @@ func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 		} else {
 			s.violate("impostor edge dial returned %v, want ErrMeasurementMismatch", err)
 		}
-		if got, _ := f.known.Lookup(s.t.name); got != f.meas {
+		if got, _ := f.known.Lookup(s.t.Name); got != f.meas {
 			s.violate("impostor dial disturbed the known-hosts pin")
 		}
 		return nil

@@ -7,6 +7,7 @@ import (
 	"glimmers/internal/durable"
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
+	"glimmers/internal/testbed"
 )
 
 // Fleet scenario: one tenant's rounds sharded across N glimmerd nodes by
@@ -83,15 +84,15 @@ const fleetSimService = "fleet.example"
 // Violations.
 func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
-	spec := tenantSpec{
-		name:    fleetSimService,
-		seed:    cfg.Seed,
-		devices: cfg.Devices,
-		dim:     cfg.Dim,
-		hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: cfg.Devices + 2, MaxRounds: 16},
+	spec := testbed.TenantSpec{
+		Name:    fleetSimService,
+		Seed:    cfg.Seed,
+		Devices: cfg.Devices,
+		Dim:     cfg.Dim,
+		Hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: cfg.Devices + 2, MaxRounds: 16},
 	}
 	for round := uint64(1); round <= cfg.rounds(); round++ {
-		spec.rounds = append(spec.rounds, round)
+		spec.Rounds = append(spec.Rounds, round)
 	}
 	var nodes []nodeSpec
 	for id := uint32(1); id <= uint32(cfg.Nodes); id++ {

@@ -11,22 +11,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/gaas"
-	"glimmers/internal/glimmer"
 	glimnode "glimmers/internal/node"
-	"glimmers/internal/predicate"
 	"glimmers/internal/service"
-	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // The simulator kernel: the one world builder every scenario in this
 // package is assembled by, and the one checker it is judged by.
 //
-//	substrate  attestation root + platform: what outlives every process
+//	substrate  attestation root + platform (internal/testbed)
 //	tenant     a service, its predicate and keys, and its provisioned fleet
-//	           with dealer masks for a stated round set
+//	           with dealer masks for a stated round set (internal/testbed)
 //	node       one glimmerd process: a Registry hosting tenants, optionally
 //	           a durable.Store under it and a gaas edge in front of it
 //	checker    the violations list and the recurring assertions
@@ -35,178 +32,16 @@ import (
 // is mocked. Scenarios differ only in the specs they hand the builder and
 // the steps (steps.go) they play against the result.
 
-// Ticketed-mode constants: a deterministic epoch for the injected ticket
-// clock and the grant TTL the expiry probe advances past. Wall time never
-// enters a simulation.
-const (
-	simTicketEpoch = int64(1_700_000_000)
-	simTicketTTL   = int64(3600)
-)
+// simTicketTTL is the grant TTL of ticketed tenants, which the expiry
+// probe advances the tenant's clock past.
+const simTicketTTL = int64(3600)
 
-// substrate is the hardware and attestation root every tenant and node of
-// a world shares.
-type substrate struct {
-	as       *tee.AttestationService
-	platform *tee.Platform
-}
-
-func newSubstrate() (*substrate, error) {
-	as, err := tee.NewAttestationService()
-	if err != nil {
-		return nil, fmt.Errorf("sim: attestation service: %w", err)
-	}
-	platform, err := tee.NewPlatform(as)
-	if err != nil {
-		return nil, fmt.Errorf("sim: platform: %w", err)
-	}
-	return &substrate{as: as, platform: platform}, nil
-}
-
-// tenantSpec describes one tenant and its fleet.
-type tenantSpec struct {
-	name    string
-	seed    int64
-	devices int
-	dim     int
-	// predicate is what the tenant's Glimmers enforce; nil means the
-	// paper's canonical [0,1] range check.
-	predicate *predicate.Program
-	// rounds is the set the dealer deals zero-sum masks for: every round a
-	// device may name, bogus and probe rounds included.
-	rounds []uint64
-	// hosting is the template every node registers the tenant from
-	// (pipeline sizing, admission quota, ticket policy). The kernel fills
-	// in Name, Verify, Dim, the hosting enclave, and the ticket clock; a
-	// non-nil TicketPolicy puts the fleet on the session-ticket fast path.
-	hosting service.TenantConfig
-}
-
-// tenant is everything about a tenant that lives outside any server
-// process, so no node crash erases it: its cloud service (keys and
-// predicate — the operator's config), its provisioned Glimmer fleet (the
-// remote clients), and the injected ticket clock.
-type tenant struct {
-	tenantSpec
-	svc *service.Service
-	// hostCfg is the tenant's hosting enclave (user sessions over gaas);
-	// the sim's devices are local, so it is never provisioned, but its
-	// measurement is what the tenant's clients pin.
-	hostCfg glimmer.Config
-	devs    []*glimmer.Device
-	// masks[r][i] is device i's dealer mask for round r (real and bogus
-	// rounds alike). The simulator plays the §3 trusted dealer, so it
-	// legitimately knows every mask.
-	masks map[uint64][]fixed.Vector
-	// clock drives ticket expiry for ticketed tenants (nil otherwise): a
-	// deterministic fake the expiry probe advances, so the trace stays a
-	// pure function of the configuration.
-	clock *atomic.Int64
-}
-
-// provision creates the tenant's service, deals each round's zero-sum
-// masks, and loads and provisions one Glimmer device per simulated client.
-func (sub *substrate) provision(spec tenantSpec) (*tenant, error) {
-	svc, err := service.New(spec.name, sub.as.Root())
-	if err != nil {
-		return nil, fmt.Errorf("sim: service: %w", err)
-	}
-	pred := spec.predicate
-	if pred == nil {
-		pred = predicate.UnitRangeCheck("unit-range", spec.dim)
-	}
-	if err := svc.SetPredicate(pred); err != nil {
-		return nil, fmt.Errorf("sim: predicate: %w", err)
-	}
-	t := &tenant{tenantSpec: spec, svc: svc, masks: make(map[uint64][]fixed.Vector, len(spec.rounds))}
-	if t.hostCfg, err = svc.GlimmerConfig(spec.dim, glimmer.ModeNone, glimmer.DefaultPolicy); err != nil {
-		return nil, err
-	}
-	if policy := spec.hosting.TicketPolicy; policy != nil {
-		t.clock = new(atomic.Int64)
-		t.clock.Store(simTicketEpoch)
-		policy.Now = t.clock.Load
-	}
-	for _, round := range spec.rounds {
-		seed := fmt.Appendf(nil, "sim/%s/%d/masks/%d", spec.name, spec.seed, round)
-		if t.masks[round], err = blind.ZeroSumMasks(seed, spec.devices, spec.dim); err != nil {
-			return nil, fmt.Errorf("sim: dealer masks for round %d: %w", round, err)
-		}
-	}
-	glimCfg, err := svc.GlimmerConfig(spec.dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("sim: glimmer config: %w", err)
-	}
-	for i := 0; i < spec.devices; i++ {
-		masks := make(map[uint64][]uint64, len(t.masks))
-		for round, dealt := range t.masks {
-			masks[round] = glimmer.VectorToBits(dealt[i])
-		}
-		dev, err := svc.NewDevice(sub.platform, glimCfg, masks)
-		if err != nil {
-			t.destroy()
-			return nil, fmt.Errorf("sim: device %d: %w", i, err)
-		}
-		t.devs = append(t.devs, dev)
-	}
-	return t, nil
-}
-
-func (t *tenant) destroy() {
-	for _, dev := range t.devs {
-		dev.Destroy()
-	}
-}
-
-// config is the tenant's registration on one server life — what glimmerd
-// reconstructs from its config file on every start, before recovering any
-// durable state — with the fleet's measurements vetted.
-func (t *tenant) config() service.TenantConfig {
-	cfg := t.hosting
-	cfg.Name, cfg.Verify, cfg.Dim, cfg.Glimmer = t.name, t.svc.ContributionVerifyKey(), t.dim, t.hostCfg
-	cfg.Vetted = make([]tee.Measurement, len(t.devs))
-	for i, dev := range t.devs {
-		cfg.Vetted[i] = dev.Measurement()
-	}
-	return cfg
-}
-
-// contribute runs device d's client-side pipeline in the tenant's
-// authentication mode: the Glimmer validates and blinds either way, then
-// seals with a signature or — on the ticketed fast path — the
-// session MAC.
-func (t *tenant) contribute(d int, round uint64, value fixed.Vector, private []int64) ([]byte, error) {
-	if t.clock != nil {
-		tc, err := t.devs[d].ContributeTicketed(round, value, private)
-		if err != nil {
-			return nil, err
-		}
-		return glimmer.EncodeTicketedContribution(tc), nil
-	}
-	sc, err := t.devs[d].Contribute(round, value, private)
-	if err != nil {
-		return nil, err
-	}
-	return glimmer.EncodeSignedContribution(sc), nil
-}
-
-// grantTicket runs device d's grant exchange for rounds [first, last]
-// through grant (a registry directly, or the gaas ticket-grant command):
-// the session's single asymmetric operation, after which every
-// contribution rides the MAC fast path. Installing a ticket replaces the
-// device's session.
-func (t *tenant) grantTicket(d int, first, last uint64, grant func([]byte) ([]byte, error)) error {
-	req, err := t.devs[d].TicketRequest(first, last)
-	if err != nil {
-		return fmt.Errorf("sim: device %d ticket request: %w", d, err)
-	}
-	reply, err := grant(req)
-	if err != nil {
-		return fmt.Errorf("sim: device %d ticket grant: %w", d, err)
-	}
-	if err := t.devs[d].InstallTicket(reply); err != nil {
-		return fmt.Errorf("sim: device %d ticket install: %w", d, err)
-	}
-	return nil
+// simClock is a ticketed tenant's injected clock, started at a
+// deterministic epoch: wall time never enters a simulation.
+func simClock() *atomic.Int64 {
+	clock := new(atomic.Int64)
+	clock.Store(1_700_000_000)
+	return clock
 }
 
 // nodeSpec describes one glimmerd process as the node.Config it ships
@@ -227,22 +62,22 @@ type nodeSpec struct {
 // listener the sim handed it.
 type node struct {
 	nodeSpec
-	sub *substrate
+	sub *testbed.Substrate
 	*glimnode.Node
 	addr string
 	dial func() (net.Conn, error)
 }
 
-// start runs one node life through node.Start — glimmerd's start sequence:
-// config-file reconstruction (a fresh registry hosting the given tenants),
-// durable recovery, then the serving edge. A node with no store to recover
-// may also be handed tenants later (Registry().AddTenant).
-func (sub *substrate) start(spec nodeSpec, tenants ...*tenant) (*node, error) {
+// startNode runs one node life on sub through node.Start — glimmerd's
+// start sequence: config-file reconstruction (a fresh registry hosting the
+// given tenants), durable recovery, then the serving edge. A node with no
+// store to recover may also be handed tenants later (Registry().AddTenant).
+func startNode(sub *testbed.Substrate, spec nodeSpec, tenants ...*testbed.Tenant) (*node, error) {
 	n := &node{nodeSpec: spec, sub: sub}
 	cfg := spec.Config
-	cfg.Edge.Platform = sub.platform
+	cfg.Edge.Platform = sub.Platform
 	for _, t := range tenants {
-		cfg.Tenants = append(cfg.Tenants, t.config())
+		cfg.Tenants = append(cfg.Tenants, t.Config())
 	}
 	if spec.transport != TransportDirect {
 		if err := n.listen(&cfg); err != nil {
@@ -285,8 +120,8 @@ func (n *node) listen(cfg *glimnode.Config) error {
 }
 
 // manager returns the round manager of a tenant this node hosts.
-func (n *node) manager(t *tenant) *service.RoundManager {
-	hosted, _ := n.Registry().Tenant(t.name)
+func (n *node) manager(t *testbed.Tenant) *service.RoundManager {
+	hosted, _ := n.Registry().Tenant(t.Name)
 	return hosted.Manager()
 }
 

@@ -2,13 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"glimmers/internal/durable"
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
+	"glimmers/internal/testbed"
 )
 
 // TestSimCrashPointSweep moves the crash point through round 2 instead of
@@ -57,9 +57,9 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 		specs = append(specs, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, StateDir: t.TempDir(),
 			WAL: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}}})
 	}
-	s, err := build(tenantSpec{
-		name: "kernel.example", seed: 5, devices: devices, dim: 3, rounds: rounds,
-		hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: devices, MaxRounds: 8},
+	s, err := build(testbed.TenantSpec{
+		Name: "kernel.example", Seed: 5, Devices: devices, Dim: 3, Rounds: rounds,
+		Hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: devices, MaxRounds: 8},
 	}, specs...)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 // its way out).
 func TestSimKillLeaksNothing(t *testing.T) {
 	s := durableWorld(t, 1, 6, 1)
-	baseline := runtime.NumGoroutine()
+	baseline := testbed.TakeCensus()
 	scenario := []step{ingest(owner, 0, 2), flush(owner), ingest(owner, 2, 5), crash(owner, false), holds(owner, 2)}
 	for i := 0; i < 24; i++ {
 		scenario = append(scenario, crash(owner, false), holds(owner, 2))
@@ -87,12 +87,8 @@ func TestSimKillLeaksNothing(t *testing.T) {
 	for _, v := range s.violations {
 		t.Errorf("invariant violation: %s", v)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > baseline {
-		t.Errorf("%d goroutines after 25 simulated kills, baseline %d: dead lives leaked", got, baseline)
+	if err := baseline.Settle(); err != nil {
+		t.Errorf("after 25 simulated kills: %v: dead lives leaked", err)
 	}
 }
 

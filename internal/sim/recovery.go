@@ -9,6 +9,7 @@ import (
 	"glimmers/internal/durable"
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
+	"glimmers/internal/testbed"
 )
 
 // Crash-recovery scenario: a ticketed deployment is killed mid-round and
@@ -98,13 +99,14 @@ func RunCrashRecovery(stateDir string, cfg CrashConfig) (*CrashReport, error) {
 // (and loses) the next `staged`, and dies. flushed+staged must leave at
 // least one device that has not contributed, for the forged-MAC probe.
 func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashReport, error) {
-	s, err := build(tenantSpec{
-		name:    crashServiceName,
-		seed:    cfg.Seed,
-		devices: cfg.Devices,
-		dim:     cfg.Dim,
-		rounds:  []uint64{1, 2},
-		hosting: service.TenantConfig{
+	s, err := build(testbed.TenantSpec{
+		Name:    crashServiceName,
+		Seed:    cfg.Seed,
+		Devices: cfg.Devices,
+		Dim:     cfg.Dim,
+		Rounds:  []uint64{1, 2},
+		Clock:   simClock(),
+		Hosting: service.TenantConfig{
 			TicketPolicy:   &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64},
 			Workers:        2,
 			Shards:         2,
@@ -220,13 +222,13 @@ func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
 	}
 	defer os.RemoveAll(obsDir)
 	spec.StateDir = obsDir
-	obs, err := s.at(owner).sub.start(spec, s.t)
+	obs, err := startNode(s.at(owner).sub, spec, s.t)
 	if err != nil {
 		return fmt.Errorf("sim: observer recovery: %w", err)
 	}
 	for _, tn := range obs.Registry().ExportState().Tenants {
 		for _, rs := range tn.Rounds {
-			if tn.Name == s.t.name && rs.Round == s.round && rs.Phase == service.RoundPhaseSealed {
+			if tn.Name == s.t.Name && rs.Round == s.round && rs.Phase == service.RoundPhaseSealed {
 				rep.SealObserved = true
 			}
 		}
@@ -237,9 +239,9 @@ func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
 	if p, ok := obs.manager(s.t).Lookup(s.round); !ok {
 		rep.SealObserved = false
 		s.violate("observer copy lost round %d after Seal returned", s.round)
-	} else if p.Count() != s.t.devices || !slices.Equal(p.Sum(), s.expectedSum()) {
+	} else if p.Count() != s.t.Devices || !slices.Equal(p.Sum(), s.expectedSum()) {
 		rep.SealObserved = false
-		s.violate("observer sees a partial round %d: count=%d, want %d with the exact sum", s.round, p.Count(), s.t.devices)
+		s.violate("observer sees a partial round %d: count=%d, want %d with the exact sum", s.round, p.Count(), s.t.Devices)
 	}
 	obs.Kill() // the observer only looked, and its copy is removed on return
 	return nil

@@ -14,6 +14,7 @@ import (
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 )
 
 // item is one planned submission with its expected outcome. For
@@ -95,11 +96,11 @@ type simulation struct {
 // multi-tenant registry and, for the gaas transports, its front end.
 // roundBudget sizes the registry's shared live-round budget.
 func newStack(transport TransportKind, roundBudget int) (*node, error) {
-	sub, err := newSubstrate()
+	sub, err := testbed.New()
 	if err != nil {
 		return nil, err
 	}
-	return sub.start(nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: roundBudget}, transport: transport})
+	return startNode(sub, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: roundBudget}, transport: transport})
 }
 
 // newSimulation plans the run, provisions the tenant's fleet, hosts the
@@ -109,12 +110,12 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		name = "sim"
 	}
 	p := buildPlan(cfg)
-	spec := tenantSpec{
-		name:    cfg.ServiceName,
-		seed:    cfg.Seed,
-		devices: cfg.Devices,
-		dim:     cfg.Dim,
-		hosting: service.TenantConfig{
+	spec := testbed.TenantSpec{
+		Name:    cfg.ServiceName,
+		Seed:    cfg.Seed,
+		Devices: cfg.Devices,
+		Dim:     cfg.Dim,
+		Hosting: service.TenantConfig{
 			Workers: cfg.Workers,
 			Shards:  cfg.Shards,
 			// Each round's cohort is the fleet (plus injected duplicates and
@@ -131,32 +132,33 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		},
 	}
 	if cfg.Workload == WorkloadBotdetect {
-		spec.predicate = botdetect.DefaultDetector.TenantPredicate("bot-tenant")
+		spec.Predicate = botdetect.DefaultDetector.TenantPredicate("bot-tenant")
 	}
 	// Masks cover each planned round and the bogus rounds out-of-window
 	// injections will name.
 	for _, rp := range p.rounds {
-		spec.rounds = append(spec.rounds, rp.round)
+		spec.Rounds = append(spec.Rounds, rp.round)
 		if slices.ContainsFunc(rp.devices, func(dp devicePlan) bool { return dp.outOfWindow }) {
-			spec.rounds = append(spec.rounds, rp.bogusRound)
+			spec.Rounds = append(spec.Rounds, rp.bogusRound)
 		}
 	}
 	if cfg.Ticketed {
 		// The ticket probes contribute (and are refused) against one round
 		// past the plan; the enclaves still need its dealer masks to blind.
-		spec.rounds = append(spec.rounds, uint64(cfg.Rounds+1))
+		spec.Rounds = append(spec.Rounds, uint64(cfg.Rounds+1))
 		// A per-tenant ticket table under an injected clock. The window cap
 		// is generous enough to cover the plan's bogus rounds, so the
 		// out-of-window fault keeps its round-admission semantics (the
 		// manager's window refuses it, not the ticket's); the ticket window
 		// itself is probed separately with a deliberately tight grant.
-		spec.hosting.TicketPolicy = &service.TicketConfig{
+		spec.Clock = simClock()
+		spec.Hosting.TicketPolicy = &service.TicketConfig{
 			MaxTickets: 2*cfg.Devices + 16,
 			TTL:        simTicketTTL,
 			MaxWindow:  2*bogusRoundOffset + 64,
 		}
 	}
-	t, err := st.sub.provision(spec)
+	t, err := st.sub.Provision(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -188,14 +190,14 @@ func (s *simulation) open() (err error) {
 			if dp.role != roleDropout {
 				continue
 			}
-			shares, err := blind.ShareMask(s.t.masks[rp.round][d], s.cfg.Devices-1, s.cfg.ShamirThreshold)
+			shares, err := blind.ShareMask(s.t.Masks[rp.round][d], s.cfg.Devices-1, s.cfg.ShamirThreshold)
 			if err != nil {
 				return fmt.Errorf("sim: sharing dropout mask (round %d, device %d): %w", rp.round, d, err)
 			}
 			s.dropShares[dropKey{rp.round, d}] = shares
 		}
 	}
-	hosted, err := s.st.Registry().AddTenant(s.t.config())
+	hosted, err := s.st.Registry().AddTenant(s.t.Config())
 	if err != nil {
 		return fmt.Errorf("sim: tenant: %w", err)
 	}
@@ -203,19 +205,15 @@ func (s *simulation) open() (err error) {
 	if s.st.Server() == nil {
 		s.pool = newDirectPool(s.st.Registry(), s.cfg.Submitters)
 	} else {
-		meas, err := s.st.Server().MeasurementFor(s.t.name)
-		if err != nil {
-			return fmt.Errorf("sim: tenant measurement: %w", err)
-		}
-		verifier := &tee.QuoteVerifier{Root: s.st.sub.as.Root()}
-		verifier.Allow(meas)
-		if s.pool, err = newGaasPool(s.st.dial, verifier, s.t.name, s.cfg.Submitters); err != nil {
+		verifier := &tee.QuoteVerifier{Root: s.t.AS.Root()}
+		verifier.Allow(s.t.Measurement())
+		if s.pool, err = newGaasPool(s.st.dial, verifier, s.t.Name, s.cfg.Submitters); err != nil {
 			return err
 		}
 	}
 	if s.cfg.Ticketed {
-		for d := range s.t.devs {
-			if err := s.t.grantTicket(d, 1, 1+2*bogusRoundOffset, s.pool.grant); err != nil {
+		for d := range s.t.Devs {
+			if err := s.t.GrantTicket(d, 1, 1+2*bogusRoundOffset, s.pool.grant); err != nil {
 				return err
 			}
 		}
@@ -227,7 +225,7 @@ func (s *simulation) shutdown() {
 	if s.pool != nil {
 		s.pool.close()
 	}
-	s.t.destroy()
+	s.t.Destroy()
 }
 
 // state returns round's observations, creating them (s.mu held).
@@ -352,14 +350,14 @@ func (s *simulation) submitRound(rp roundPlan) step {
 				if s.cfg.Workload == WorkloadRange {
 					val = byzantineValue(dp.value)
 				}
-				if _, err := s.t.contribute(d, rp.round, val, dp.private); !errors.Is(err, glimmer.ErrRejected) {
+				if _, err := s.t.Contribute(d, rp.round, val, dp.private); !errors.Is(err, glimmer.ErrRejected) {
 					s.violate("round %d device %d: byzantine contribution not refused client-side (err=%v)", rp.round, d, err)
 				} else {
 					s.tally(rp.round, CatClientRejected)
 				}
 				continue
 			}
-			raw, err := s.t.contribute(d, rp.round, dp.value, dp.private)
+			raw, err := s.t.Contribute(d, rp.round, dp.value, dp.private)
 			if err != nil {
 				return fmt.Errorf("sim: round %d device %d contribute: %w", rp.round, d, err)
 			}
@@ -379,7 +377,7 @@ func (s *simulation) submitRound(rp roundPlan) step {
 				wave2 = append(wave2, item{raw: dp.garbage, expect: CatRejectedGarbage, device: d})
 			}
 			if dp.outOfWindow {
-				rawOOW, err := s.t.contribute(d, rp.bogusRound, dp.value, dp.private)
+				rawOOW, err := s.t.Contribute(d, rp.bogusRound, dp.value, dp.private)
 				if err != nil {
 					return fmt.Errorf("sim: round %d device %d out-of-window contribute: %w", rp.round, d, err)
 				}
@@ -504,7 +502,7 @@ func (s *simulation) ticketProbes(*script) error {
 	// the bytes (forge: with one tag byte flipped) with want, booking the
 	// refusal under cat. It returns the genuine bytes.
 	probe := func(d int, forge bool, want error, cat string) []byte {
-		raw, err := s.t.contribute(d, probeRound, value, private)
+		raw, err := s.t.Contribute(d, probeRound, value, private)
 		if err != nil {
 			s.violate("ticket probe %s: contribute: %v", cat, err)
 			return nil
@@ -532,7 +530,7 @@ func (s *simulation) ticketProbes(*script) error {
 	// dealer mask is one-time-use per device and round, so each probe
 	// contribution comes from a distinct device). Installing the tight
 	// ticket replaces that device's session.
-	if err := s.t.grantTicket(2, 1, 1, s.st.Registry().GrantTicket); err != nil {
+	if err := s.t.GrantTicket(2, 1, 1, s.st.Registry().GrantTicket); err != nil {
 		s.violate("ticket probe: tight ticket: %v", err)
 		return nil
 	}
@@ -548,7 +546,7 @@ func (s *simulation) ticketProbes(*script) error {
 
 	// 4. Expired ticket: device 1 still holds the original wide ticket;
 	// once the clock passes the TTL its MACs must be refused.
-	s.t.clock.Add(simTicketTTL + 1)
+	s.t.Clock.Add(simTicketTTL + 1)
 	probe(1, false, service.ErrTicketExpired, CatRejectedExpiredTicket)
 	if _, ok := s.manager.Lookup(probeRound); ok {
 		s.violate("ticket probe: probes created round %d", probeRound)
@@ -628,7 +626,7 @@ func (s *simulation) submitStraggler(g uint64, it item) {
 func (s *simulation) correctAbsentees(g uint64, rs *roundState, p *service.Pipeline) int {
 	recovered := 0
 	for d, dp := range s.plan.rounds[g-1].devices {
-		mask := s.t.masks[g][d]
+		mask := s.t.Masks[g][d]
 		switch {
 		case dp.role == roleDropout:
 			k := s.cfg.ShamirThreshold

@@ -11,6 +11,7 @@ import (
 	"glimmers/internal/fleet"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/testbed"
 	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
@@ -49,7 +50,7 @@ func positiveOr(v, def int) int {
 // must be the same bytes), and the ledger of what the probes injected.
 type script struct {
 	*checker
-	t *tenant
+	t *testbed.Tenant
 	// values[r][i] is device i's honest contribution to round r; the exact
 	// expected sum is their per-round total (the zero-sum masks cancel
 	// only over the full cohort, so any lost or doubled contribution
@@ -81,24 +82,24 @@ type script struct {
 }
 
 // build is the world builder for scripted scenarios: substrate → tenant
-// (fleet provisioned with masks for spec.rounds, honest values drawn from
+// (fleet provisioned with masks for spec.Rounds, honest values drawn from
 // the seed) → nodes, each hosting the tenant and cold-started from its
 // spec, placed on a consistent-hash ring.
-func build(spec tenantSpec, nodes ...nodeSpec) (*script, error) {
-	sub, err := newSubstrate()
+func build(spec testbed.TenantSpec, nodes ...nodeSpec) (*script, error) {
+	sub, err := testbed.New()
 	if err != nil {
 		return nil, err
 	}
-	t, err := sub.provision(spec)
+	t, err := sub.Provision(spec)
 	if err != nil {
 		return nil, err
 	}
 	s := newScript(t)
-	rng := rand.New(rand.NewSource(spec.seed))
-	for _, round := range spec.rounds {
-		vals := make([]fixed.Vector, spec.devices)
+	rng := rand.New(rand.NewSource(spec.Seed))
+	for _, round := range spec.Rounds {
+		vals := make([]fixed.Vector, spec.Devices)
 		for i := range vals {
-			vals[i] = fixed.NewVector(spec.dim)
+			vals[i] = fixed.NewVector(spec.Dim)
 			for j := range vals[i] {
 				vals[i][j] = fixed.FromFloat(rng.Float64())
 			}
@@ -111,7 +112,7 @@ func build(spec tenantSpec, nodes ...nodeSpec) (*script, error) {
 			s.shutdown()
 			return nil, fmt.Errorf("sim: node %d key: %w", ns.NodeID, err)
 		}
-		n, err := sub.start(ns, s.t)
+		n, err := startNode(sub, ns, s.t)
 		if err != nil {
 			s.shutdown()
 			return nil, err
@@ -130,11 +131,11 @@ func build(spec tenantSpec, nodes ...nodeSpec) (*script, error) {
 }
 
 // newScript wraps a provisioned tenant and the nodes hosting it.
-func newScript(t *tenant, nodes ...*node) *script {
+func newScript(t *testbed.Tenant, nodes ...*node) *script {
 	s := &script{
 		checker:    new(checker),
 		t:          t,
-		values:     make(map[uint64][]fixed.Vector, len(t.rounds)),
+		values:     make(map[uint64][]fixed.Vector, len(t.Rounds)),
 		nodes:      make(map[uint32]*node, len(nodes)),
 		hub:        &service.MergeHub{AllowTOFU: true},
 		owners:     make(map[uint64]uint32),
@@ -153,7 +154,7 @@ func (s *script) shutdown() {
 	for _, n := range s.nodes {
 		n.shutdown()
 	}
-	s.t.destroy()
+	s.t.Destroy()
 }
 
 // play runs the steps in order, stopping at the first that cannot
@@ -179,7 +180,7 @@ func (s *script) pipeline(at place) (*service.Pipeline, bool) {
 }
 
 func (s *script) expectedSum() fixed.Vector {
-	sum := fixed.NewVector(s.t.dim)
+	sum := fixed.NewVector(s.t.Dim)
 	for _, v := range s.values[s.round] {
 		sum.AddInPlace(v)
 	}
@@ -190,10 +191,10 @@ func (s *script) expectedSum() fixed.Vector {
 // first use: a re-send is the identical bytes.
 func (s *script) raw(d int) ([]byte, error) {
 	if s.raws[s.round] == nil {
-		s.raws[s.round] = make([][]byte, s.t.devices)
+		s.raws[s.round] = make([][]byte, s.t.Devices)
 	}
 	if s.raws[s.round][d] == nil {
-		raw, err := s.t.contribute(d, s.round, s.values[s.round][d], nil)
+		raw, err := s.t.Contribute(d, s.round, s.values[s.round][d], nil)
 		if err != nil {
 			return nil, fmt.Errorf("sim: round %d device %d: %w", s.round, d, err)
 		}
@@ -206,7 +207,7 @@ func (s *script) raw(d int) ([]byte, error) {
 // and names the successor it would re-home to.
 func inRound(round uint64, steps ...step) step {
 	return func(s *script) error {
-		key := []byte(s.t.name)
+		key := []byte(s.t.Name)
 		s.round = round
 		s.placed = [2]uint32{owner: s.ring.Owner(key, round)}
 		if s.ring.Size() > 1 {
@@ -225,8 +226,8 @@ func inRound(round uint64, steps ...step) step {
 // against node at — the fleet's one asymmetric operation per session.
 func grantTickets(at place, first, last uint64) step {
 	return func(s *script) error {
-		for d := range s.t.devs {
-			if err := s.t.grantTicket(d, first, last, s.at(at).Registry().GrantTicket); err != nil {
+		for d := range s.t.Devs {
+			if err := s.t.GrantTicket(d, first, last, s.at(at).Registry().GrantTicket); err != nil {
 				return err
 			}
 		}
@@ -329,7 +330,7 @@ func crash(at place, tornTail bool) step {
 		if err := dead.kill(tornTail); err != nil {
 			return err
 		}
-		n, err := dead.sub.start(dead.nodeSpec, s.t)
+		n, err := startNode(dead.sub, dead.nodeSpec, s.t)
 		if err != nil {
 			return err
 		}
@@ -372,7 +373,7 @@ func (s *script) sealedExact(at place) (count int, exact bool) {
 		s.violate("round %d vanished from node %d", s.round, s.at(at).NodeID)
 		return 0, false
 	}
-	s.expectCount(fmt.Sprintf("round %d cohort", s.round), p.Count(), s.t.devices)
+	s.expectCount(fmt.Sprintf("round %d cohort", s.round), p.Count(), s.t.Devices)
 	return p.Count(), s.expectExact(fmt.Sprintf("round %d aggregate", s.round), p.Sum(), s.expectedSum())
 }
 
@@ -487,14 +488,14 @@ func (s *script) refuseSeal(src sealSrc, want error, label string) (bool, error)
 // nodes booked (which travel in their seals), and records it.
 func merged(wantRejected uint64) step {
 	return func(s *script) error {
-		m, ok := s.hub.Lookup(s.t.name, s.round)
+		m, ok := s.hub.Lookup(s.t.Name, s.round)
 		if !ok || !m.Complete() {
 			s.violate("round %d: merge missing or incomplete", s.round)
 			return nil
 		}
 		s.expectExact(fmt.Sprintf("round %d merged sum", s.round), m.Sum(), s.expectedSum())
 		res := m.Result()
-		s.expectCount(fmt.Sprintf("round %d merged cohort", s.round), int(res.Count), s.t.devices)
+		s.expectCount(fmt.Sprintf("round %d merged cohort", s.round), int(res.Count), s.t.Devices)
 		s.expectCount(fmt.Sprintf("round %d merged rejected", s.round), int(res.Rejected), int(wantRejected))
 		s.mergedRounds++
 		s.mergedContribs += res.Count

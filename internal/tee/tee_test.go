@@ -11,6 +11,7 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
+// testPlatform is this package's own trust root: internal/testbed imports tee.
 func testPlatform(t *testing.T) (*AttestationService, *Platform) {
 	t.Helper()
 	as, err := NewAttestationService()

@@ -138,6 +138,7 @@ func TestRemaining(t *testing.T) {
 }
 
 func TestQuoteCodecRoundTrip(t *testing.T) {
+	// Its own trust root: internal/testbed imports wire (through service).
 	as, err := tee.NewAttestationService()
 	if err != nil {
 		t.Fatal(err)
