@@ -1,19 +1,14 @@
 package glimmers
 
-// The benchmark harness: one benchmark per experiment in README.md's index
-// (the paper's figures and claims), plus micro-benchmarks for the
-// mechanisms underneath them. Run with:
+// The benchmark harness: every experiment in README.md's index (the
+// paper's figures and claims), plus micro-benchmarks for the mechanisms
+// underneath them. Run with:
 //
 //	go test -bench=. -benchmem
-//
-// Key reported metrics (b.ReportMetric) mirror the experiment tables so
-// the shape of the paper's argument is visible straight from the bench
-// output.
 
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"glimmers/internal/attest"
 	"glimmers/internal/blind"
@@ -27,214 +22,19 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
-func benchFigure1() experiments.Figure1Config {
-	cfg := experiments.DefaultFigure1()
-	cfg.Users = 8
-	cfg.WordsPerUser = 200
-	cfg.HeldoutWords = 400
-	return cfg
-}
-
-// BenchmarkE1RawSharing regenerates Figure 1a's utility/privacy points.
-func BenchmarkE1RawSharing(b *testing.B) {
-	cfg := benchFigure1()
-	var last *experiments.E1Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+// BenchmarkExperiments regenerates every experiment of README.md's index,
+// one sub-benchmark each at its recorded configuration. What they produce
+// is pinned by the golden tables in internal/experiments.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Index {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ReportMetric(last.Rows[1].Accuracy, "raw-accuracy")
-	b.ReportMetric(last.Rows[0].Accuracy, "local-accuracy")
-}
-
-// BenchmarkE2Federated regenerates Figure 1b: utility plus inversion.
-func BenchmarkE2Federated(b *testing.B) {
-	cfg := benchFigure1()
-	var last *experiments.E2Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.FederatedAccuracy, "fed-accuracy")
-	b.ReportMetric(last.MeanInversionRecall, "inversion-recall")
-}
-
-// BenchmarkE3SecureAgg regenerates Figure 1c: exact blinded aggregation.
-func BenchmarkE3SecureAgg(b *testing.B) {
-	cfg := benchFigure1()
-	var last *experiments.E3Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	exact := 0.0
-	if last.Rows[0].AggregateExact && last.Rows[1].AggregateExact {
-		exact = 1.0
-	}
-	b.ReportMetric(exact, "aggregate-exact")
-	b.ReportMetric(last.Rows[0].BlindedInversionRecall, "blinded-inversion")
-}
-
-// BenchmarkE4Poisoning regenerates Figure 1d: the invisible 538.
-func BenchmarkE4Poisoning(b *testing.B) {
-	cfg := benchFigure1()
-	var last *experiments.E4Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	flipped := 0.0
-	if last.Flipped {
-		flipped = 1.0
-	}
-	b.ReportMetric(flipped, "suggestion-flipped")
-	b.ReportMetric(last.PoisonedAggregateWeight, "poisoned-weight")
-}
-
-// BenchmarkE5Glimmer regenerates the Figure 2/3 defense.
-func BenchmarkE5Glimmer(b *testing.B) {
-	cfg := benchFigure1()
-	var last *experiments.E5Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	blocked := 0.0
-	if last.AttackBlockedAtClient && last.SuggestionIntact {
-		blocked = 1.0
-	}
-	b.ReportMetric(blocked, "attack-blocked")
-	b.ReportMetric(float64(last.MeanContributeLatency.Microseconds()), "contribute-us")
-}
-
-// BenchmarkE6Decomposed regenerates the §3 decomposition ablation.
-func BenchmarkE6Decomposed(b *testing.B) {
-	cfg := experiments.DefaultE6()
-	cfg.Contributions = 16
-	cfg.Dim = 32
-	cfg.TransitionCost = 20 * time.Microsecond
-	var last *experiments.E6Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE6(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Rows[0].ECallsPerContribution, "single-ecalls")
-	b.ReportMetric(last.Rows[1].ECallsPerContribution, "decomposed-ecalls")
-}
-
-// BenchmarkE7Corroboration regenerates the §3 validation ladder.
-func BenchmarkE7Corroboration(b *testing.B) {
-	cfg := experiments.DefaultE7()
-	cfg.Users = 4
-	cfg.WordsPerUser = 200
-	var last *experiments.E7Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE7(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Rows[1].ForgedAccepted, "range-forged-accepted")
-	b.ReportMetric(last.Rows[2].ForgedAccepted, "corroborated-forged-accepted")
-}
-
-// BenchmarkE8BotDetect regenerates the §4.1 sweep.
-func BenchmarkE8BotDetect(b *testing.B) {
-	cfg := experiments.DefaultE8()
-	cfg.Samples = 10
-	cfg.Sophistications = []float64{0, 1}
-	var last *experiments.E8Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE8(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Rows[0].TPR, "tpr-naive")
-	b.ReportMetric(last.Rows[0].FPR, "fpr-naive")
-	b.ReportMetric(float64(last.BitsPerVerdict), "bits-per-verdict")
-}
-
-// BenchmarkE9GaaS regenerates the §4.2 local-vs-remote comparison.
-func BenchmarkE9GaaS(b *testing.B) {
-	cfg := experiments.DefaultE9()
-	cfg.Contributions = 8
-	var last *experiments.E9Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.Rows[0].MeanLatency.Microseconds()), "local-us")
-	b.ReportMetric(float64(last.Rows[1].MeanLatency.Microseconds()), "remote-us")
-}
-
-// BenchmarkE10Consortium regenerates the §2 consortium comparison.
-func BenchmarkE10Consortium(b *testing.B) {
-	cfg := experiments.DefaultE10()
-	cfg.Contributions = 4
-	cfg.Sizes = []int{3, 5}
-	var last *experiments.E10Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE10(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.Rows[0].Disclosures), "consortium3-disclosures")
-	b.ReportMetric(float64(last.Rows[len(last.Rows)-1].Disclosures), "glimmer-disclosures")
-}
-
-// BenchmarkE11Maps regenerates the photos-for-maps validation rates.
-func BenchmarkE11Maps(b *testing.B) {
-	cfg := experiments.DefaultE11()
-	cfg.Samples = 8
-	var last *experiments.E11Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE11(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Rows[0].AcceptRate, "genuine-accept")
-	b.ReportMetric(last.Rows[1].AcceptRate, "forged-accept")
-}
-
-// BenchmarkE12Verifier regenerates the §3 verification certificates.
-func BenchmarkE12Verifier(b *testing.B) {
-	var last *experiments.E12Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunE12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.LeakyRejected)/float64(last.LeakyTotal), "leaky-rejected-rate")
 }
 
 // --- Micro-benchmarks for the mechanisms under the experiments. ---
