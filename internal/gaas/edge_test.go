@@ -36,8 +36,7 @@ func (b *blockingIngestor) IngestBatch(raws [][]byte) (int, []error) {
 }
 
 // edgeServer starts a server over real TCP under cfg and returns its
-// address. The listener closes and the server shuts down with
-// the test.
+// address. The listener closes and the server shuts down with the test.
 func edgeServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	srv := New(cfg)

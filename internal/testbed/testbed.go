@@ -9,9 +9,9 @@
 // This is the paper's trust path (§3, Figure 3) written once: an
 // attestation root certifies a platform, a service trusting the root picks
 // the predicate, vets the Glimmer's measurement and provisions it.
-// Tenant.Config is what a node registers for the tenant. Starting a node
-// stays with the callers, so the package imports nothing above service and
-// the in-package tests of gaas and node can use it.
+// Tenant.Config is what a node registers for the tenant. The package
+// imports nothing above service, so the in-package tests of gaas and node
+// can use it; starting a node therefore stays with the callers.
 package testbed
 
 import (
