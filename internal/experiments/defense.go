@@ -74,10 +74,12 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 		return nil, rep, err
 	}
 	dims := pop.vocab.Dims()
-	// One dealer-blinded Glimmer per user, masked for one round.
+	// One dealer-blinded Glimmer per user, masked for one round under the
+	// experiment's seed.
 	const round = uint64(1)
 	n := len(pop.Users)
-	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "nextwordpredictive.com", Devices: n, Dim: dims, Rounds: []uint64{round}})
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "nextwordpredictive.com", Devices: n, Dim: dims, Rounds: []uint64{round},
+		Seed: int64(xcrypto.NewPRG(append(cfg.Seed, 'e', '5')).Uint64())})
 	if err != nil {
 		return nil, rep, err
 	}

@@ -105,9 +105,8 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
 		Rounds:  []uint64{1, 2},
-		Clock:   simClock(),
 		Hosting: service.TenantConfig{
-			TicketPolicy:   &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64},
+			TicketPolicy:   &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64, Now: simClock().Load},
 			Workers:        2,
 			Shards:         2,
 			ExpectedCohort: cfg.Devices + 2,

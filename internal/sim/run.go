@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"glimmers/internal/blind"
@@ -71,6 +72,10 @@ type simulation struct {
 	st      *node
 	manager *service.RoundManager
 	pool    *transportPool
+	// clock is what a ticketed tenant's ticket table reads time from (nil
+	// otherwise): a deterministic fake the expiry probe advances, so the
+	// trace stays a pure function of the configuration.
+	clock *atomic.Int64
 	// dropShares holds the Shamir shares of each planned dropout's mask,
 	// distributed at provisioning time as blind.BackupShares would be.
 	dropShares map[dropKey][]blind.Share
@@ -142,6 +147,7 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 			spec.Rounds = append(spec.Rounds, rp.bogusRound)
 		}
 	}
+	var clock *atomic.Int64
 	if cfg.Ticketed {
 		// The ticket probes contribute (and are refused) against one round
 		// past the plan; the enclaves still need its dealer masks to blind.
@@ -151,11 +157,12 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		// out-of-window fault keeps its round-admission semantics (the
 		// manager's window refuses it, not the ticket's); the ticket window
 		// itself is probed separately with a deliberately tight grant.
-		spec.Clock = simClock()
+		clock = simClock()
 		spec.Hosting.TicketPolicy = &service.TicketConfig{
 			MaxTickets: 2*cfg.Devices + 16,
 			TTL:        simTicketTTL,
 			MaxWindow:  2*bogusRoundOffset + 64,
+			Now:        clock.Load,
 		}
 	}
 	t, err := st.sub.Provision(spec)
@@ -168,6 +175,7 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		cfg:        cfg,
 		plan:       p,
 		st:         st,
+		clock:      clock,
 		dropShares: make(map[dropKey][]blind.Share),
 		rounds:     make(map[uint64]*roundState),
 	}
@@ -546,7 +554,7 @@ func (s *simulation) ticketProbes(*script) error {
 
 	// 4. Expired ticket: device 1 still holds the original wide ticket;
 	// once the clock passes the TTL its MACs must be refused.
-	s.t.Clock.Add(simTicketTTL + 1)
+	s.clock.Add(simTicketTTL + 1)
 	probe(1, false, service.ErrTicketExpired, CatRejectedExpiredTicket)
 	if _, ok := s.manager.Lookup(probeRound); ok {
 		s.violate("ticket probe: probes created round %d", probeRound)

@@ -16,7 +16,6 @@ package testbed
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
@@ -76,10 +75,6 @@ type TenantSpec struct {
 	// the rest; a non-nil TicketPolicy puts the fleet on the session-ticket
 	// fast path.
 	Hosting service.TenantConfig
-	// Clock, when set, is what a ticketed tenant's ticket table reads time
-	// from: a deterministic fake a test advances, so a seeded run stays a
-	// pure function of its configuration. Nil means wall time.
-	Clock *atomic.Int64
 }
 
 // Tenant is everything about a tenant that lives outside any server
@@ -127,9 +122,6 @@ func (sub *Substrate) Provision(spec TenantSpec) (*Tenant, error) {
 		return nil, err
 	}
 	svc.Vet(t.Measurement())
-	if policy := spec.Hosting.TicketPolicy; policy != nil && spec.Clock != nil {
-		policy.Now = spec.Clock.Load
-	}
 	for _, round := range spec.Rounds {
 		// The seed's format pins every seeded run's masks.
 		seed := fmt.Appendf(nil, "sim/%s/%d/masks/%d", spec.Name, spec.Seed, round)

@@ -3,7 +3,6 @@ package testbed
 import (
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"glimmers/internal/fixed"
@@ -12,16 +11,13 @@ import (
 )
 
 // TestProvisionedTenantEndToEnd: the dealer's masks cancel round by round,
-// Config vets the hosting enclave and the fleet and reads time from the
-// injected clock, its hosting hook provisions a fresh enclave, and a
-// registry hosting Config takes the whole fleet's ticketed contributions
-// to the exact clear sum.
+// Config vets the hosting enclave and the fleet, its hosting hook
+// provisions a fresh enclave, and a registry hosting Config takes the whole
+// fleet's ticketed contributions to the exact clear sum.
 func TestProvisionedTenantEndToEnd(t *testing.T) {
 	const devices, dim = 3, 2
-	clock := new(atomic.Int64)
-	clock.Store(42)
 	tn, err := NewTenant(TenantSpec{Name: "testbed.example", Seed: 7, Devices: devices, Dim: dim,
-		Rounds: []uint64{1, 2}, Clock: clock, Hosting: service.TenantConfig{TicketPolicy: &service.TicketConfig{}}})
+		Rounds: []uint64{1, 2}, Hosting: service.TenantConfig{TicketPolicy: &service.TicketConfig{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +35,6 @@ func TestProvisionedTenantEndToEnd(t *testing.T) {
 	cfg := tn.Config()
 	if len(cfg.Vetted) != 1+devices || cfg.Vetted[0] != tn.Measurement() || cfg.Vetted[1] != tn.Devs[0].Measurement() {
 		t.Errorf("vetted %v, want the hosting enclave then the fleet", cfg.Vetted)
-	}
-	if cfg.TicketPolicy.Now() != 42 {
-		t.Errorf("ticket clock reads %d, want the injected 42", cfg.TicketPolicy.Now())
 	}
 	hosted, err := glimmer.NewDevice(tn.Platform, cfg.Glimmer)
 	if err != nil {
