@@ -46,12 +46,12 @@ func admissionRegistry(t testing.TB, budget int, j Journal) *Registry {
 
 // tapeJournal records every journal call in arrival order, copying what the
 // caller may reuse, so a test can play the tape back through
-// Registry.ReplayJournal. onForgotten, when set, runs inside the
-// RoundForgotten hook before the record lands on the tape.
+// Registry.ReplayJournal. before, when set, runs inside every hook with the
+// method's name, before the record lands on the tape.
 type tapeJournal struct {
-	mu          sync.Mutex
-	ops         []tapeOp
-	onForgotten func()
+	mu     sync.Mutex
+	ops    []tapeOp
+	before func(kind string)
 }
 
 type tapeOp struct {
@@ -62,6 +62,9 @@ type tapeOp struct {
 }
 
 func (j *tapeJournal) add(kind, tenant string, round uint64, play func(Journal)) {
+	if j.before != nil {
+		j.before(kind)
+	}
 	j.mu.Lock()
 	j.ops = append(j.ops, tapeOp{kind, tenant, round, play})
 	j.mu.Unlock()
@@ -77,9 +80,6 @@ func (j *tapeJournal) RoundClosed(t string, r uint64) {
 	j.add("RoundClosed", t, r, func(x Journal) { x.RoundClosed(t, r) })
 }
 func (j *tapeJournal) RoundForgotten(t string, r uint64) {
-	if j.onForgotten != nil {
-		j.onForgotten()
-	}
 	j.add("RoundForgotten", t, r, func(x Journal) { x.RoundForgotten(t, r) })
 }
 func (j *tapeJournal) BatchAccepted(t string, r uint64, digests [][32]byte, delta fixed.Vector) {
@@ -531,7 +531,11 @@ func TestDropoutRacesSeal(t *testing.T) {
 // acked to it. The hook holds Forget inside its journal call while a second
 // goroutine ingests for the same round: journaled under the manager's lock,
 // that ingest waits its turn; journaled after the unlock (as it once was), it
-// gets in first.
+// gets in first. And nothing the forgotten pipeline does afterwards may reach
+// the journal: its Close runs once Forget has let go of the lock, and the hook
+// holds a RoundSealed back the same way, so were one journaled it would land
+// after the successor's RoundCreated — and replay would seal and close the
+// successor, which is open live.
 func TestForgetJournalsBeforeRecreate(t *testing.T) {
 	const round = uint64(7)
 	name := admissionTenants[0].Name
@@ -545,14 +549,22 @@ func TestForgetJournalsBeforeRecreate(t *testing.T) {
 		<-inHook
 		ingested <- reg.Ingest(tenantContribution(t, nil, name, round, 1, 2))
 	}()
-	tape.onForgotten = func() {
-		close(inHook)
-		// Linger until the ingest has got through, or long enough that it
-		// would have, had nothing held it back.
+	// Linger until the ingest has got through, or long enough that it would
+	// have, had nothing held it back.
+	linger := func() {
 		select {
 		case err := <-ingested:
 			ingested <- err
 		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	tape.before = func(kind string) {
+		switch kind {
+		case "RoundForgotten":
+			close(inHook)
+			linger()
+		case "RoundSealed":
+			linger()
 		}
 	}
 	tn, _ := reg.Tenant(name)
@@ -561,20 +573,21 @@ func TestForgetJournalsBeforeRecreate(t *testing.T) {
 		t.Fatalf("re-creating ingest: %v", err)
 	}
 
-	// Only these two kinds: the forgotten pipeline's own Close journals its
-	// RoundSealed and RoundClosed after Forget has let go of the lock, and
-	// where they fall is not what this test pins.
+	live := reg.ExportState()
+	if rounds := live.Tenants[0].Rounds; len(rounds) != 1 || rounds[0].Round != round ||
+		rounds[0].Phase != RoundPhaseOpen || rounds[0].Count != 1 {
+		t.Fatalf("live registry holds %+v, want round %d open with the one re-created contribution", rounds, round)
+	}
+	if got := tape.replayInto(t, admissionRegistry(t, 0, nil)); !reflect.DeepEqual(got, live) {
+		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, live)
+	}
 	var kinds []string
 	for _, op := range tape.ops {
-		if op.tenant == name && op.round == round && (op.kind == "RoundCreated" || op.kind == "RoundForgotten") {
+		if op.tenant == name && op.round == round {
 			kinds = append(kinds, op.kind)
 		}
 	}
-	if want := []string{"RoundCreated", "RoundForgotten", "RoundCreated"}; !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("journal orders the round's lifecycle %v, want %v", kinds, want)
-	}
-	got := tape.replayInto(t, admissionRegistry(t, 0, nil))
-	if rounds := got.Tenants[0].Rounds; len(rounds) != 1 || rounds[0].Round != round || rounds[0].Count != 1 {
-		t.Fatalf("replay holds %+v, want round %d with the one re-created contribution", rounds, round)
+	if want := []string{"RoundCreated", "BatchAccepted", "RoundForgotten", "RoundCreated", "BatchAccepted"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("journal holds the round's lifecycle as %v, want %v", kinds, want)
 	}
 }
