@@ -152,7 +152,9 @@ func (p *Pipeline) leave(errs []error) {
 		}
 	}
 	if refused > 0 {
+		p.stateMu.RLock()
 		p.refuse(refused)
+		p.stateMu.RUnlock()
 	}
 	p.pending.Add(-len(errs))
 }
@@ -242,6 +244,8 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	// every shard lock while the arena's views are still alive. The digest
 	// list and delta live in the arena: the journal encodes synchronously
 	// and must not retain them, so the scratch recycles with the arena.
+	p.stateMu.RLock()
+	defer p.stateMu.RUnlock()
 	if j := p.journal; j != nil {
 		digests := a.jdigests[:0]
 		if len(a.jdelta) != p.cfg.Dim {

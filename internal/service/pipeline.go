@@ -122,7 +122,8 @@ type Pipeline struct {
 
 	// stateMu orders lifecycle transitions against intake: intake holds the
 	// read side while registering with pending, transitions hold the write
-	// side, so no contribution can slip in after a state change.
+	// side, so no contribution can slip in after a state change. It guards
+	// journal the same way: every record is written under the read side.
 	stateMu sync.RWMutex
 	state   int
 	pending sync.WaitGroup
@@ -130,8 +131,9 @@ type Pipeline struct {
 	rejected atomic.Int64
 
 	// journal, when non-nil, receives every durable mutation (see
-	// state.go). Set before the pipeline serves traffic: it is read
-	// without synchronization on the hot path.
+	// state.go). Read under stateMu's read side, through the record it is
+	// read for, and swapped by setJournal under the write side: a record
+	// the pipeline journals lands wholly before a swap or not at all.
 	journal Journal
 }
 
@@ -364,7 +366,8 @@ func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 // refuse books n refused submissions: the counter and the journal's
 // Rejected record. Every round-level refusal is booked here and nowhere
 // else — a whole frame at once when the round has left the open state
-// (enter), otherwise once per frame, behind its watermarks (leave).
+// (enter), otherwise once per frame, behind its watermarks (leave). The
+// caller holds stateMu's read side.
 func (p *Pipeline) refuse(n int) {
 	p.rejected.Add(int64(n))
 	if j := p.journal; j != nil {
@@ -391,9 +394,11 @@ func (p *Pipeline) Seal() error {
 	// has written its record by the time the seal record lands, so replay
 	// seals exactly the cohort that was sealed live.
 	if transitioned {
+		p.stateMu.RLock()
 		if j := p.journal; j != nil {
 			j.RoundSealed(p.cfg.ServiceName, p.cfg.Round)
 		}
+		p.stateMu.RUnlock()
 	}
 	return nil
 }
@@ -409,9 +414,20 @@ func (p *Pipeline) Close() {
 	}
 	p.state = roundClosed
 	p.stateMu.Unlock()
+	p.stateMu.RLock()
 	if j := p.journal; j != nil {
 		j.RoundClosed(p.cfg.ServiceName, p.cfg.Round)
 	}
+	p.stateMu.RUnlock()
+}
+
+// setJournal attaches j, or with nil detaches the pipeline from the journal
+// it has: once it returns, every record the pipeline journaled to the old
+// journal has landed and no further one will.
+func (p *Pipeline) setJournal(j Journal) {
+	p.stateMu.Lock()
+	p.journal = j
+	p.stateMu.Unlock()
 }
 
 // snapshot reads sum and count together, in whatever state the round is —

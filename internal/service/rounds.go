@@ -335,14 +335,23 @@ func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
 		return nil, false
 	}
 	p := m.rounds[victim]
-	delete(m.rounds, victim)
-	if j := m.journal; j != nil {
-		// The victim's own journal stays attached, so its Close (run by
-		// the caller outside m.mu) still appends a RoundClosed record —
-		// replay drops it, since this record already removed the round.
-		j.RoundForgotten(m.cfg.ServiceName, victim)
-	}
+	m.forgetLocked(victim, p)
 	return p, true
+}
+
+// forgetLocked removes a round and detaches its pipeline from the journal
+// before journaling RoundForgotten, all under m.mu. The victim's Close, run
+// by the caller outside m.mu, and whatever its in-flight frames still book
+// then reach no journal: a contribution may already have re-created the
+// round by then, and replay would apply those records to the successor.
+// What the detached pipeline accepted late is lost to replay as it is to
+// the live registry, which can no longer reach it either.
+func (m *RoundManager) forgetLocked(round uint64, p *Pipeline) {
+	delete(m.rounds, round)
+	p.setJournal(nil)
+	if j := m.journal; j != nil {
+		j.RoundForgotten(m.cfg.ServiceName, round)
+	}
 }
 
 // dropLeastFilled is the shared budget's cross-tenant eviction hook: it
@@ -395,10 +404,7 @@ func (m *RoundManager) Forget(round uint64) {
 	m.mu.Lock()
 	p, ok := m.rounds[round]
 	if ok {
-		delete(m.rounds, round)
-		if j := m.journal; j != nil {
-			j.RoundForgotten(m.cfg.ServiceName, round)
-		}
+		m.forgetLocked(round, p)
 	}
 	m.mu.Unlock()
 	if ok {

@@ -162,7 +162,7 @@ func (r *Registry) SetJournal(j Journal) {
 		m.mu.Lock()
 		m.journal = j
 		for _, p := range m.rounds {
-			p.journal = j
+			p.setJournal(j)
 		}
 		m.mu.Unlock()
 		if m.cfg.Tickets != nil {
