@@ -348,7 +348,7 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 // through AddBatchErrs allocate nothing per frame with verification off
 // (decode, dedup, accumulate and the arena are the ticketed path's own), and
 // with a key nothing beyond the verifier's own objects per item (xcrypto's
-// TestSignVerifyAllocs: one for a public key, three for a key bound to its
+// TestSignVerifyAllocs: one for a public key, none for a key bound to its
 // signer, as ContributionVerifyKey returns) — no vector, no preimage copy.
 func TestSignedFrameAllocs(t *testing.T) {
 	if race.Enabled {
@@ -367,7 +367,7 @@ func TestSignedFrameAllocs(t *testing.T) {
 	}{
 		{"verify-off", nil, nil, 0},
 		{"verify-on", key, key.Public(), frameSize},
-		{"verify-bound", key, key.SelfVerifyKey(), 3 * frameSize},
+		{"verify-bound", key, key.SelfVerifyKey(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPipeline(PipelineConfig{

@@ -77,8 +77,9 @@ func (s *Service) IdentityKeyDER() ([]byte, error) {
 // ContributionVerifyKey returns the key that verifies Glimmer-signed
 // contributions and verdicts. The service owns the signing key, so the
 // returned key is bound to it (xcrypto.SigningKey.SelfVerifyKey) and checks
-// a signature by re-signing, at about half the cost of a curve verify. It
-// holds the private key: hand it only to components inside the service's
+// a signature with RFC 8032's scalar equation, without curve arithmetic, at
+// about a twentieth of the cost of a curve verify. It holds the expanded
+// private key: hand it only to components inside the service's
 // trust boundary (its tenants, pipelines and gates). Anything that crosses
 // a boundary gets its Marshal bytes.
 func (s *Service) ContributionVerifyKey() *xcrypto.VerifyKey {

@@ -24,7 +24,8 @@ const saltSize = 16
 // produce the identical bytes and the second would be refused as a replay.
 // Because the signature covers the salt and Ed25519 verification is strict
 // (S < L, R compared bytewise), nobody but the key holder can produce a
-// second accepted encoding of a message it has seen signed.
+// second accepted encoding of a message it has seen signed — under Public
+// and under SelfVerifyKey alike.
 const SignatureSize = saltSize + ed25519.SignatureSize
 
 // SigningKey is an Ed25519 private key used for all signatures in the
@@ -35,12 +36,24 @@ type SigningKey struct {
 }
 
 // VerifyKey is the public half of a SigningKey. A key from
-// SigningKey.SelfVerifyKey also holds its signer and verifies by
-// recomputation; every other key verifies on the curve.
+// SigningKey.SelfVerifyKey also holds its signer's expanded secret and
+// checks RFC 8032's scalar equation; every other key verifies on the curve.
 type VerifyKey struct {
-	pub    ed25519.PublicKey
-	signer *SigningKey
+	pub   ed25519.PublicKey
+	bound *expandedKey
 }
+
+// expandedKey is the half of RFC 8032's key expansion that signing uses:
+// the secret scalar s = clamp(SHA-512(seed)[:32]) mod L, and the prefix
+// SHA-512(seed)[32:] from which every signature's nonce is derived.
+type expandedKey struct {
+	s      scalar
+	prefix [32]byte
+}
+
+// dom2ph is RFC 8032's dom2(1, "") — the prefix of Ed25519ph's nonce and
+// challenge hashes: phflag 1, an empty context.
+const dom2ph = "SigEd25519 no Ed25519 collisions\x01\x00"
 
 // NewSigningKey generates a fresh Ed25519 signing key.
 func NewSigningKey() (*SigningKey, error) {
@@ -81,7 +94,8 @@ func (k *SigningKey) Sign(msg []byte) ([]byte, error) {
 // signWithSalt returns the Ed25519ph half of a signature: the 64 bytes over
 // SHA-512(salt‖head‖tail). RFC 8032 derives the nonce from the key and the
 // prehash, so the result depends on nothing else — the property a bound
-// VerifyKey rests on (TestSignIsDeterministicGivenSalt).
+// VerifyKey rests on, since it recomputes that nonce
+// (TestSignIsDeterministicGivenSalt).
 func (k *SigningKey) signWithSalt(salt, head, tail []byte) ([]byte, error) {
 	digest := saltedDigest(salt, head, tail)
 	return k.priv.Sign(nil, digest[:], crypto.SHA512)
@@ -93,17 +107,28 @@ func (k *SigningKey) Public() *VerifyKey {
 	return &VerifyKey{pub: k.priv.Public().(ed25519.PublicKey)}
 }
 
-// SelfVerifyKey returns a verification key bound to k: it checks a
-// signature by signing the same salted digest again and comparing in
-// constant time — one fixed-base multiplication instead of a double-scalar
-// verify. It accepts exactly what Public accepts from any RFC 8032 signer
-// under k, refuses every other byte string, marshals and fingerprints as
-// Public does, and never prints the secret it holds. It is for a verifier
-// that owns k; anything crossing a trust boundary gets Public or its
-// Marshal bytes.
+// SelfVerifyKey returns a verification key bound to k: it expands k's seed
+// once, as RFC 8032 does, and checks a signature (R, S) with the scalar
+// equation S = r + k·s mod L — r the nonce RFC 8032 derives from the prefix
+// and the prehash, k the challenge over R, the public key and the prehash —
+// compared in constant time: three SHA-512s and one multiply-add, no curve
+// arithmetic. It accepts every RFC 8032 signature under k and refuses S ≥ L
+// and every salt, message or key mismatch. It differs from Public in one
+// case only: an R that is not the nonce's point, with the S that makes the
+// equation hold — a byte string only the holder of s can compute. So it
+// accepts exactly what the curve accepts, except byte strings only the key
+// holder can compute, and nobody else can produce a second accepted
+// encoding of a signed message. It marshals and fingerprints as Public
+// does and never prints the secret it holds. It is for a verifier that owns
+// k; anything crossing a trust boundary gets Public or its Marshal bytes.
 func (k *SigningKey) SelfVerifyKey() *VerifyKey {
 	vk := k.Public()
-	vk.signer = k
+	h := sha512.Sum512(k.priv.Seed())
+	h[0] &= 248
+	h[31] &= 127
+	h[31] |= 64
+	vk.bound = &expandedKey{s: scalarFromBytes((*[32]byte)(h[:32])), prefix: [32]byte(h[32:])}
+	clear(h[:])
 	return vk
 }
 
@@ -137,17 +162,47 @@ func (k *VerifyKey) Verify(msg, sig []byte) bool { return k.VerifyParts(nil, msg
 // callers that hold a message as a constant domain header and a view of
 // received bytes (MACState.VerifyKeyed's shape). Anything that is not
 // exactly SignatureSize bytes is refused before any hashing or curve code
-// runs.
+// runs. A bound key (SelfVerifyKey) checks the scalar equation; every
+// other key verifies on the curve.
 func (k *VerifyKey) VerifyParts(head, tail, sig []byte) bool {
 	if len(sig) != SignatureSize {
 		return false
 	}
-	if k.signer != nil {
-		ph, err := k.signer.signWithSalt(sig[:saltSize], head, tail)
-		return err == nil && subtle.ConstantTimeCompare(ph, sig[saltSize:]) == 1
-	}
 	digest := saltedDigest(sig[:saltSize], head, tail)
+	if k.bound != nil {
+		return k.bound.verify(k.pub, &digest, sig[saltSize:])
+	}
 	return ed25519.VerifyWithOptions(k.pub, digest[:], sig[saltSize:], &ed25519.Options{Hash: crypto.SHA512}) == nil
+}
+
+// verify reports whether ph, an Ed25519ph signature R‖S over the prehash
+// digest, carries the S that signatureS computes for its R.
+func (e *expandedKey) verify(pub ed25519.PublicKey, digest *[sha512.Size]byte, ph []byte) bool {
+	enc := e.signatureS(pub, digest, ph[:32])
+	return subtle.ConstantTimeCompare(enc[:], ph[32:]) == 1
+}
+
+// signatureS returns the encoding of S = r + k·s mod L, where
+// r = SHA-512(dom2‖prefix‖digest) and k = SHA-512(dom2‖R‖A‖digest). The hash
+// inputs share one stack buffer: dom2, then the prefix and the digest for r;
+// then R, A and the digest for k, which overwrite the prefix.
+func (e *expandedKey) signatureS(pub ed25519.PublicKey, digest *[sha512.Size]byte, R []byte) [32]byte {
+	const d = len(dom2ph)
+	var buf [d + 32 + 32 + sha512.Size]byte
+	copy(buf[:], dom2ph)
+	copy(buf[d:], e.prefix[:])
+	copy(buf[d+32:], digest[:])
+	wide := sha512.Sum512(buf[:d+32+sha512.Size])
+	r := scalarFromWideBytes(&wide)
+	copy(buf[d:], R)
+	copy(buf[d+32:], pub)
+	copy(buf[d+64:], digest[:])
+	wide = sha512.Sum512(buf[:])
+	k := scalarFromWideBytes(&wide)
+	s := mulAdd(&k, &e.s, &r)
+	var enc [32]byte
+	s.bytes(&enc)
+	return enc
 }
 
 // Marshal serializes the public key (PKIX DER). The encoding doubles as the

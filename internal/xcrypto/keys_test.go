@@ -73,9 +73,9 @@ func TestSignIsSaltedAndFixedSize(t *testing.T) {
 
 // TestSignIsDeterministicGivenSalt pins the property a bound VerifyKey rests
 // on: the 64-byte Ed25519ph half of a signature depends only on the key, the
-// salt and the message, so the key holder can check a signature by making
-// it again. Were a toolchain ever to hedge Ed25519 signing, every bound
-// verify would quietly refuse honest traffic; this fails first.
+// salt and the message, so the key holder can recompute the nonce a
+// signature was made with. Were a toolchain ever to hedge Ed25519 signing,
+// every bound verify would quietly refuse honest traffic; this fails first.
 func TestSignIsDeterministicGivenSalt(t *testing.T) {
 	key, other := fuzzKey(0x42), fuzzKey(0x43)
 	msg := []byte("the identical vector")
@@ -114,11 +114,12 @@ func TestSignIsDeterministicGivenSalt(t *testing.T) {
 	}
 }
 
-// TestBoundVerifyKeyHygiene: a bound key holds the private key and must
+// TestBoundVerifyKeyHygiene: a bound key holds the expanded secret and must
 // never show it. It marshals and fingerprints exactly as the public key
 // does, formats as its fingerprint under every verb, and no formatting
-// carries any 16-byte window of the seed or private key, raw or hex. The
-// keys a stranger can hold — Public and ParseVerifyKey — stay unbound.
+// carries any 16-byte window of the seed, the private key, the secret
+// scalar or the nonce prefix, raw or hex. The keys a stranger can hold —
+// Public and ParseVerifyKey — stay unbound.
 func TestBoundVerifyKeyHygiene(t *testing.T) {
 	key, err := NewSigningKey()
 	if err != nil {
@@ -143,25 +144,28 @@ func TestBoundVerifyKeyHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.signer != nil || parsed.signer != nil {
+	if pub.bound != nil || parsed.bound != nil {
 		t.Error("Public or ParseVerifyKey returned a key bound to its signer")
 	}
 
-	secret := []byte(key.priv) // seed ‖ public key
-	windows := func(b []byte) []string {
+	var scalarBytes [32]byte
+	bound.bound.s.bytes(&scalarBytes)
+	windows := func() []string {
 		var out []string
-		for i := 0; i+16 <= len(b); i++ {
-			w := b[i : i+16]
-			out = append(out, string(w), hex.EncodeToString(w), strings.ToUpper(hex.EncodeToString(w)))
+		for _, b := range [][]byte{key.priv, scalarBytes[:], bound.bound.prefix[:]} { // key.priv is seed ‖ public key
+			for i := 0; i+16 <= len(b); i++ {
+				w := b[i : i+16]
+				out = append(out, string(w), hex.EncodeToString(w), strings.ToUpper(hex.EncodeToString(w)))
+			}
 		}
 		return out
-	}
+	}()
 	fp := pub.Fingerprint()
 	want := fmt.Sprintf("VerifyKey(%x)", fp[:])
 	for _, verb := range []string{"%v", "%+v", "%#v", "%s", "%x"} {
 		for _, v := range []any{bound, *bound, []*VerifyKey{bound}, struct{ K *VerifyKey }{bound}} {
 			got := fmt.Sprintf(verb, v)
-			for _, w := range windows(secret) {
+			for _, w := range windows {
 				if strings.Contains(got, w) {
 					t.Fatalf("%s of %T shows key material: %q", verb, v, got)
 				}
@@ -201,17 +205,15 @@ func TestSigningKeyParseRefusesOtherSchemes(t *testing.T) {
 // for a 64 B message as for a 64 KiB one — the message is streamed into the
 // hash, never copied. VerifyParts is held to Verify's figure at every split
 // of the message: the two segments are streamed, never glued. A bound key
-// (SelfVerifyKey) re-signs instead of verifying on the curve and is pinned
-// at its own measured figure.
+// (SelfVerifyKey) checks the scalar equation in stack buffers and allocates
+// nothing.
 func TestSignVerifyAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	// Measured: the returned signature plus three objects inside
-	// crypto/ed25519 for Sign, one inside crypto/ed25519 for Verify. A
-	// bound Verify is Sign without the salt and the result: the three
-	// objects crypto/ed25519's signer allocates.
-	const maxSignAllocs, maxVerifyAllocs, maxBoundAllocs = 4, 1, 3
+	// crypto/ed25519 for Sign, one inside crypto/ed25519 for Verify.
+	const maxSignAllocs, maxVerifyAllocs, maxBoundAllocs = 4, 1, 0
 	key, err := NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +285,8 @@ func BenchmarkSign(b *testing.B) {
 }
 
 // BenchmarkVerify verifies on the curve, as any holder of the public key
-// does; BenchmarkVerifyBound re-signs, as the key's owner does.
+// does; BenchmarkVerifyBound checks the scalar equation, as the key's owner
+// does.
 func BenchmarkVerify(b *testing.B) {
 	key, err := NewSigningKey()
 	if err != nil {
