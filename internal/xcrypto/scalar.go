@@ -43,22 +43,23 @@ func mulLimbs(p, a, b []uint64) {
 }
 
 // reduceWide returns x mod L for a 512-bit x in little-endian limbs: HAC
-// 14.42 with b = 2^64, k = 4. The estimate q3 = ⌊⌊x/b³⌋·μ / b⁵⌋ is at most
-// two short of ⌊x/L⌋, so x − q3·L lies in [0, 3L) and two conditional
-// subtractions finish the job.
+// 14.42 with b = 2^64, k = 4. HAC bounds the estimate q3 = ⌊⌊x/b³⌋·μ / b⁵⌋
+// at two short of ⌊x/L⌋; for this L it is at most one short. Write
+// x = q1·b³ + x0 and μ = (2^512 − ρ)/L: then x/L − q1·μ/b⁵ =
+// x0/L + (q1/b⁵)·(ρ/L) < 2^-59 + ρ/L, and ρ/L ≈ 0.225. So x − q3·L lies in
+// [0, 2L) and one conditional subtraction finishes the job.
 func reduceWide(x *[8]uint64) scalar {
 	var q2 [10]uint64
 	mulLimbs(q2[:], x[3:], barrettMu[:])
 	var r2 [9]uint64
 	mulLimbs(r2[:], q2[5:], scalarL[:])
-	// r = x − q3·L mod 2^256: the difference is below 3L < 2^256, so the
+	// r = x − q3·L mod 2^256: the difference is below 2L < 2^256, so the
 	// low four limbs of each side determine it.
 	var r scalar
 	var borrow uint64
 	for i := range r {
 		r[i], borrow = bits.Sub64(x[i], r2[i], borrow)
 	}
-	r.subLIfGE()
 	r.subLIfGE()
 	return r
 }
