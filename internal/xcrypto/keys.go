@@ -113,22 +113,24 @@ func (k *SigningKey) Public() *VerifyKey {
 // and the prehash, k the challenge over R, the public key and the prehash —
 // compared in constant time: three SHA-512s and one multiply-add, no curve
 // arithmetic. It accepts every RFC 8032 signature under k and refuses S ≥ L
-// and every salt, message or key mismatch. It differs from Public in one
-// case only: an R that is not the nonce's point, with the S that makes the
-// equation hold — a byte string only the holder of s can compute. So it
-// accepts exactly what the curve accepts, except byte strings only the key
-// holder can compute, and nobody else can produce a second accepted
-// encoding of a signed message. It marshals and fingerprints as Public
-// does and never prints the secret it holds. It is for a verifier that owns
-// k; anything crossing a trust boundary gets Public or its Marshal bytes.
+// and every salt, message or key mismatch. It accepts exactly what the
+// curve accepts, except byte strings only the key holder can compute: an R
+// that is not the nonce's point, with the S that makes the equation hold.
+// So nobody but the key holder can produce a second accepted encoding of a
+// signed message. It marshals and fingerprints as Public does and never
+// prints the secret it holds. It is for a verifier that owns k; anything
+// crossing a trust boundary gets Public or its Marshal bytes.
 func (k *SigningKey) SelfVerifyKey() *VerifyKey {
 	vk := k.Public()
 	h := sha512.Sum512(k.priv.Seed())
+	e := &expandedKey{prefix: [32]byte(h[32:])}
+	clear(h[32:])
 	h[0] &= 248
 	h[31] &= 127
 	h[31] |= 64
-	vk.bound = &expandedKey{s: scalarFromBytes((*[32]byte)(h[:32])), prefix: [32]byte(h[32:])}
+	e.s = scalarFromWideBytes(&h)
 	clear(h[:])
+	vk.bound = e
 	return vk
 }
 
@@ -170,16 +172,10 @@ func (k *VerifyKey) VerifyParts(head, tail, sig []byte) bool {
 	}
 	digest := saltedDigest(sig[:saltSize], head, tail)
 	if k.bound != nil {
-		return k.bound.verify(k.pub, &digest, sig[saltSize:])
+		s := k.bound.signatureS(k.pub, &digest, sig[saltSize:saltSize+32])
+		return subtle.ConstantTimeCompare(s[:], sig[saltSize+32:]) == 1
 	}
 	return ed25519.VerifyWithOptions(k.pub, digest[:], sig[saltSize:], &ed25519.Options{Hash: crypto.SHA512}) == nil
-}
-
-// verify reports whether ph, an Ed25519ph signature R‖S over the prehash
-// digest, carries the S that signatureS computes for its R.
-func (e *expandedKey) verify(pub ed25519.PublicKey, digest *[sha512.Size]byte, ph []byte) bool {
-	enc := e.signatureS(pub, digest, ph[:32])
-	return subtle.ConstantTimeCompare(enc[:], ph[32:]) == 1
 }
 
 // signatureS returns the encoding of S = r + k·s mod L, where

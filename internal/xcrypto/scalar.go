@@ -12,7 +12,8 @@ import (
 // subtraction is a masked select — because the operands include the secret
 // scalar and the secret nonce.
 
-// scalar is an integer in [0, L) as four little-endian 64-bit limbs.
+// scalar is a 256-bit integer as four little-endian 64-bit limbs; what
+// reduceWide and mulAdd return is in [0, L).
 type scalar [4]uint64
 
 // scalarL is L = 2^252 + 27742317777372353535851937790883648493.
@@ -83,15 +84,6 @@ func (s *scalar) subLIfGE() {
 func scalarFromWideBytes(b *[64]byte) scalar {
 	var x [8]uint64
 	for i := range x {
-		x[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return reduceWide(&x)
-}
-
-// scalarFromBytes reduces a 32-byte little-endian integer mod L.
-func scalarFromBytes(b *[32]byte) scalar {
-	var x [8]uint64
-	for i := range 4 {
 		x[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return reduceWide(&x)

@@ -47,15 +47,11 @@ func scalarBig(s scalar) *big.Int {
 	return leBig(enc[:])
 }
 
-// checkReduce holds scalarFromWideBytes to x mod L, and the reduction of
-// x's low 32 bytes through scalarFromBytes to theirs.
+// checkReduce holds scalarFromWideBytes to x mod L.
 func checkReduce(t *testing.T, wide *[64]byte) {
 	t.Helper()
 	if got, want := scalarBig(scalarFromWideBytes(wide)), new(big.Int).Mod(leBig(wide[:]), bigL); got.Cmp(want) != 0 {
 		t.Fatalf("reduce %x = %v, want %v", wide[:], got, want)
-	}
-	if got, want := scalarBig(scalarFromBytes((*[32]byte)(wide[:32]))), new(big.Int).Mod(leBig(wide[:32]), bigL); got.Cmp(want) != 0 {
-		t.Fatalf("reduce %x = %v, want %v", wide[:32], got, want)
 	}
 }
 
