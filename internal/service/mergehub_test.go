@@ -200,32 +200,53 @@ func TestMergeHubNoRoundWatermark(t *testing.T) {
 
 // TestMergeHubRefusedFirstContactsLeaveNothing: well-formed seals with a
 // junk signature, each naming a fresh round, are the cheapest thing an
-// unauthenticated peer can send. None may leave a merge behind.
+// unauthenticated peer can send. None may leave a merge or a pin behind.
+// The zero hub pins nothing, so it refuses every seal, a genuine one too.
 func TestMergeHubRefusedFirstContactsLeaveNothing(t *testing.T) {
-	hub := &MergeHub{AllowTOFU: true}
-	n := newNodeSeal(t, 1, 2)
-	seal, err := wire.DecodePartialSeal(hubSeal(t, n, "svc", 0, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seal.Signature = []byte("not a signature")
-	const probes = 10000
-	for round := uint64(1); round <= probes; round++ {
-		seal.Round = round
-		if _, err := hub.MergePartialSeal(wire.EncodePartialSeal(seal)); !errors.Is(err, ErrSealSignature) {
-			t.Fatalf("round %d: junk signature got %v, want %v", round, err, ErrSealSignature)
-		}
-	}
-	if st := hub.Stats(); st != (HubStats{SealsRefused: probes}) {
-		t.Fatalf("hub ledger = %+v, want nothing but %d refusals", st, probes)
-	}
-	if held := heldMerges(hub); held != 0 {
-		t.Fatalf("refused first contacts left %d merges behind", held)
-	}
-	// The refusals pinned nothing either: the node's genuine seal is its
-	// first use.
-	if _, err := hub.MergePartialSeal(hubSeal(t, n, "svc", 1, 1, 1)); err != nil {
-		t.Fatalf("genuine seal after the probes: %v", err)
+	for _, tc := range []struct {
+		name           string
+		hub            *MergeHub
+		probe, genuine error
+	}{
+		{"tofu", &MergeHub{AllowTOFU: true}, ErrSealSignature, nil},
+		{"zero", &MergeHub{}, ErrSealIdentity, ErrSealIdentity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := tc.hub
+			n := newNodeSeal(t, 1, 2)
+			seal, err := wire.DecodePartialSeal(hubSeal(t, n, "svc", 0, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seal.Signature = []byte("not a signature")
+			const probes = 10000
+			for round := uint64(1); round <= probes; round++ {
+				seal.Round = round
+				if _, err := hub.MergePartialSeal(wire.EncodePartialSeal(seal)); !errors.Is(err, tc.probe) {
+					t.Fatalf("round %d: junk signature got %v, want %v", round, err, tc.probe)
+				}
+			}
+			if st := hub.Stats(); st != (HubStats{SealsRefused: probes}) {
+				t.Fatalf("hub ledger = %+v, want nothing but %d refusals", st, probes)
+			}
+			if held := heldMerges(hub); held != 0 {
+				t.Fatalf("refused first contacts left %d merges behind", held)
+			}
+			if _, pinned := hub.pins.get(n.NodeID); pinned {
+				t.Fatal("refused first contacts pinned the node")
+			}
+			// The node's genuine seal is its first use.
+			_, err = hub.MergePartialSeal(hubSeal(t, n, "svc", 1, 1, 1))
+			if !errors.Is(err, tc.genuine) {
+				t.Fatalf("genuine seal after the probes: got %v, want %v", err, tc.genuine)
+			}
+			if _, pinned := hub.pins.get(n.NodeID); pinned != (err == nil) {
+				t.Fatalf("node pinned = %v after the genuine seal got %v", pinned, err)
+			}
+			if held := heldMerges(hub); err != nil && held != 0 {
+				t.Fatalf("the refused genuine seal left %d merges behind", held)
+			}
+		})
 	}
 }
 

@@ -28,10 +28,6 @@ func newNodeSeal(t testing.TB, id, shards uint32) NodeSeal {
 	}
 }
 
-func (n NodeSeal) mergeNode() MergeNode {
-	return MergeNode{Verify: n.Key.Public(), Measurement: n.Measurement}
-}
-
 // partialPipeline builds a pipeline for one shard of a split round and
 // feeds it the given contributions.
 func partialPipeline(t *testing.T, key *xcrypto.SigningKey, name string, round uint64, dim int, raws [][]byte) *Pipeline {
@@ -161,28 +157,24 @@ func TestMergeSplitProperty(t *testing.T) {
 					w := rng.Intn(ways)
 					parts[w] = append(parts[w], raw)
 				}
-				nodes := make([]NodeSeal, ways)
 				seals := make([][]byte, ways)
-				cfg := MergeConfig{ServiceName: "svc", Dim: dim, Round: round, Nodes: map[uint32]MergeNode{}}
 				for w := range parts {
-					nodes[w] = newNodeSeal(t, uint32(w), uint32(ways))
-					cfg.Expect = append(cfg.Expect, uint32(w))
-					cfg.Nodes[uint32(w)] = nodes[w].mergeNode()
 					p := partialPipeline(t, key, "svc", round, dim, parts[w])
-					seals[w], err = p.PartialSeal(nodes[w])
+					seals[w], err = p.PartialSeal(newNodeSeal(t, uint32(w), uint32(ways)))
 					if err != nil {
 						t.Fatal(err)
 					}
 				}
 
 				// Absorb in a random order: the merge must be commutative.
-				merge := NewMerge(cfg)
+				hub := &MergeHub{AllowTOFU: true}
 				for _, w := range rng.Perm(ways) {
-					if err := merge.Absorb(seals[w]); err != nil {
+					if _, err := hub.MergePartialSeal(seals[w]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if !merge.Complete() {
+				merge, ok := hub.Lookup("svc", round)
+				if !ok || !merge.Complete() {
 					t.Fatal("merge not complete after every partial")
 				}
 				res := merge.Result()
@@ -213,8 +205,9 @@ func TestMergeSplitProperty(t *testing.T) {
 	}
 }
 
-// TestMergeRefusals drives every refusal path and demands each one leave
-// the merge untouched.
+// TestMergeRefusals drives every refusal path through a hub and demands
+// each one leave the round's merge — or its absence — and the hub's
+// ledger, but for one refusal, untouched.
 func TestMergeRefusals(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
@@ -241,38 +234,50 @@ func TestMergeRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newMerge := func() *Merge {
-		return NewMerge(MergeConfig{
-			ServiceName: "svc", Dim: dim, Round: round,
-			Expect: []uint32{1, 2},
-			Nodes:  map[uint32]MergeNode{1: nodeA.mergeNode(), 2: nodeB.mergeNode()},
-		})
+	absorb := func(t *testing.T, hub *MergeHub, raw []byte) {
+		t.Helper()
+		if _, err := hub.MergePartialSeal(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// newHub pins both nodes in an earlier round, so every seal under
+	// either ID answers to its pin.
+	newHub := func(t *testing.T) *MergeHub {
+		t.Helper()
+		hub := &MergeHub{AllowTOFU: true}
+		absorb(t, hub, hubSeal(t, nodeA, "svc", round-1, 1, 1))
+		absorb(t, hub, hubSeal(t, nodeB, "svc", round-1, 1, 1))
+		return hub
+	}
+	// merged is the round's merge result without its refusal counter, nil
+	// while the hub holds no merge for the round.
+	merged := func(hub *MergeHub) []byte {
+		m, ok := hub.Lookup("svc", round)
+		if !ok {
+			return nil
+		}
+		r := m.Result()
+		r.Refused = 0
+		return wire.EncodeMergeResult(r)
 	}
 
-	check := func(t *testing.T, m *Merge, raw []byte, want error) {
+	check := func(t *testing.T, hub *MergeHub, raw []byte, want error) {
 		t.Helper()
-		before := m.Result()
-		err := m.Absorb(raw)
-		if !errors.Is(err, want) {
+		before, ledger := merged(hub), hub.Stats()
+		if _, err := hub.MergePartialSeal(raw); !errors.Is(err, want) {
 			t.Fatalf("got %v, want %v", err, want)
 		}
-		after := m.Result()
-		before.Refused, after.Refused = 0, 0
-		if !bytes.Equal(wire.EncodeMergeResult(before), wire.EncodeMergeResult(after)) {
-			t.Fatalf("refusal disturbed the merge:\nbefore %+v\nafter  %+v", before, after)
+		if after := merged(hub); !bytes.Equal(before, after) {
+			t.Fatalf("refusal disturbed the merge:\nbefore %x\nafter  %x", before, after)
+		}
+		ledger.SealsRefused++
+		if got := hub.Stats(); got != ledger {
+			t.Fatalf("hub ledger = %+v, want %+v", got, ledger)
 		}
 	}
 
 	t.Run("garbage", func(t *testing.T) {
-		check(t, newMerge(), []byte{0xFF, 0xFF}, wire.ErrPartialSeal)
-	})
-
-	t.Run("wrong-round", func(t *testing.T) {
-		other, err := partialPipeline(t, key, "svc", round+1, dim, nil).PartialSeal(nodeA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, newMerge(), other, ErrSealMismatch)
+		check(t, newHub(t), []byte{0xFF, 0xFF}, wire.ErrPartialSeal)
 	})
 
 	t.Run("stale-shard-count", func(t *testing.T) {
@@ -281,39 +286,27 @@ func TestMergeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := newMerge()
-		if err := m.Absorb(sealB); err != nil {
-			t.Fatal(err)
-		}
-		check(t, m, stale, ErrSealMismatch)
-	})
-
-	t.Run("unknown-node", func(t *testing.T) {
-		intruder, err := partialPipeline(t, key, "svc", round, dim, nil).PartialSeal(newNodeSeal(t, 9, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, newMerge(), intruder, ErrSealUnknownNode)
+		hub := newHub(t)
+		absorb(t, hub, sealB)
+		check(t, hub, stale, ErrSealMismatch)
 	})
 
 	t.Run("replay", func(t *testing.T) {
-		m := newMerge()
-		if err := m.Absorb(sealA); err != nil {
-			t.Fatal(err)
-		}
-		check(t, m, sealA, ErrSealReplay)
+		hub := newHub(t)
+		absorb(t, hub, sealA)
+		check(t, hub, sealA, ErrSealReplay)
 	})
 
 	t.Run("forged-key", func(t *testing.T) {
-		// Node 2's ID under a key the coordinator never registered: the
-		// forger can sign whatever partial it likes, the registration check
-		// refuses it before the sum is touched.
+		// Node 2's ID under a key other than the one it pinned: the forger
+		// can sign whatever partial it likes, the pin refuses it before the
+		// sum is touched.
 		forger := newNodeSeal(t, 2, 2)
 		forged, err := partialPipeline(t, key, "svc", round, dim, mkRaws(2)).PartialSeal(forger)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, newMerge(), forged, ErrSealIdentity)
+		check(t, newHub(t), forged, ErrSealIdentity)
 	})
 
 	t.Run("wrong-measurement", func(t *testing.T) {
@@ -322,7 +315,7 @@ func TestMergeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, newMerge(), seal, ErrSealIdentity)
+		check(t, newHub(t), seal, ErrSealIdentity)
 	})
 
 	t.Run("flipped-signature", func(t *testing.T) {
@@ -332,7 +325,7 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		dec.Signature = append([]byte(nil), dec.Signature...)
 		dec.Signature[0] ^= 0x80
-		check(t, newMerge(), wire.EncodePartialSeal(dec), ErrSealSignature)
+		check(t, newHub(t), wire.EncodePartialSeal(dec), ErrSealSignature)
 	})
 
 	t.Run("tampered-sum", func(t *testing.T) {
@@ -344,7 +337,7 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		dec.Sum = append([]uint64(nil), dec.Sum...)
 		dec.Sum[0]++
-		check(t, newMerge(), wire.EncodePartialSeal(dec), ErrSealSignature)
+		check(t, newHub(t), wire.EncodePartialSeal(dec), ErrSealSignature)
 	})
 
 	t.Run("overlap", func(t *testing.T) {
@@ -356,27 +349,31 @@ func TestMergeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := newMerge()
-		if err := m.Absorb(sealA); err != nil {
-			t.Fatal(err)
-		}
-		check(t, m, overlapping, ErrSealOverlap)
+		hub := newHub(t)
+		absorb(t, hub, sealA)
+		check(t, hub, overlapping, ErrSealOverlap)
 		// The honest disjoint seal still completes the merge afterwards.
-		if err := m.Absorb(sealB); err != nil {
-			t.Fatal(err)
-		}
-		if !m.Complete() {
+		absorb(t, hub, sealB)
+		if m, ok := hub.Lookup("svc", round); !ok || !m.Complete() {
 			t.Fatal("merge did not complete after refusing the overlap")
 		}
 	})
 
 	t.Run("refused-counter", func(t *testing.T) {
-		m := newMerge()
-		_ = m.Absorb([]byte{0x01})
-		_ = m.Absorb(sealA)
-		_ = m.Absorb(sealA)
-		if got := m.Result().Refused; got != 2 {
-			t.Fatalf("refused counter = %d, want 2", got)
+		// The undecodable seal never reaches a merge; the replay does.
+		hub := newHub(t)
+		_, _ = hub.MergePartialSeal([]byte{0x01})
+		_, _ = hub.MergePartialSeal(sealA)
+		_, _ = hub.MergePartialSeal(sealA)
+		m, ok := hub.Lookup("svc", round)
+		if !ok {
+			t.Fatal("the absorbed seal left no merge")
+		}
+		if got := m.Result().Refused; got != 1 {
+			t.Fatalf("merge refused counter = %d, want 1", got)
+		}
+		if got := hub.Stats().SealsRefused; got != 2 {
+			t.Fatalf("hub SealsRefused = %d, want 2", got)
 		}
 	})
 }
