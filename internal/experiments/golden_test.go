@@ -25,7 +25,6 @@ var (
 	durationCell = regexp.MustCompile(`^([0-9]+(\.[0-9]+)?(h|m|s|ms|µs|ns))+$`)
 	maskedCells  = map[string]struct{ column, rowPrefix string }{
 		"e3":  {"inversion(blinded)", "pairwise masks"}, // fresh DH keys per run
-		"e10": {"bytes", ""},                            // DER signature length varies
 		"e13": {"rounds/s", ""},                         // a rate over wall time
 	}
 	cellGap = regexp.MustCompile(` {2,}`)

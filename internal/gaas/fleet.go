@@ -125,13 +125,14 @@ type FleetNode struct {
 	Addr string
 }
 
-// FleetConfig shapes a FleetClient: the node set, the ring geometry, and
-// the per-connection dial configuration. Forwarding is public-frame
-// traffic, so the dial runs sessionless regardless of cfg.Dial.NoSession.
+// FleetConfig shapes a FleetClient: the node set and the per-connection
+// dial configuration. The ring plants fleet.DefaultVirtualNodes points per
+// node, so every client routes a round to the same owner. Forwarding is
+// public-frame traffic, so the dial runs sessionless regardless of
+// cfg.Dial.NoSession.
 type FleetConfig struct {
-	Nodes  []FleetNode
-	VNodes int
-	Dial   DialConfig
+	Nodes []FleetNode
+	Dial  DialConfig
 }
 
 // FleetClient routes contribution batches across a glimmerd node set by
@@ -160,7 +161,7 @@ func DialFleet(ctx context.Context, cfg FleetConfig) (*FleetClient, error) {
 		ids = append(ids, n.ID)
 		addrs[n.ID] = n.Addr
 	}
-	ring, err := fleet.NewRing(ids, cfg.VNodes)
+	ring, err := fleet.NewRing(ids, 0)
 	if err != nil {
 		return nil, err
 	}

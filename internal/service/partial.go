@@ -43,16 +43,14 @@ import (
 // Merge refusal sentinels. Each names the check that turned a seal away;
 // a refused seal never perturbs the merge (all-or-nothing absorption).
 var (
-	// ErrSealMismatch: the seal names a different service/round/dimension
-	// or a shard count that disagrees with the merge.
+	// ErrSealMismatch: the seal's dimension or shard count disagrees with
+	// the round's first seal, or its shard count is zero.
 	ErrSealMismatch = errors.New("service: partial seal does not match this merge")
-	// ErrSealUnknownNode: the sealing node is not in the merge's expected
-	// set.
-	ErrSealUnknownNode = errors.New("service: partial seal from unexpected node")
 	// ErrSealReplay: this node's partial was already absorbed.
 	ErrSealReplay = errors.New("service: partial seal replayed")
-	// ErrSealIdentity: the seal's key or measurement contradicts the
-	// node's registered (or TOFU-pinned) identity.
+	// ErrSealIdentity: the seal's key does not parse, its key or
+	// measurement contradicts the node's first-use pin, or the node has no
+	// pin and the hub does not pin on first use.
 	ErrSealIdentity = errors.New("service: partial seal identity mismatch")
 	// ErrSealSignature: the signature does not verify.
 	ErrSealSignature = errors.New("service: partial seal signature invalid")
@@ -128,51 +126,21 @@ func (m *RoundManager) ExportPartialSeal(round uint64, n NodeSeal) ([]byte, erro
 	return p.PartialSeal(n)
 }
 
-// MergeNode is one node's registered identity on the coordinator: the
-// verify key its seals must carry and the enclave measurement it must
-// report.
-type MergeNode struct {
-	Verify      *xcrypto.VerifyKey
-	Measurement tee.Measurement
-}
-
-// MergeConfig fixes one round-merge's expectations.
-type MergeConfig struct {
-	// ServiceName, Dim, Round identify the round being merged. Dim 0
-	// adopts the first accepted seal's dimension (hub/dynamic mode).
-	ServiceName string
-	Dim         int
-	Round       uint64
-	// Expect lists the node IDs whose partials complete the merge. Nil
-	// switches to dynamic mode: the first valid seal's ShardCount sets
-	// how many partials are needed and any node may contribute one.
-	Expect []uint32
-	// Nodes maps node IDs to registered identities. A seal from a node
-	// with no entry is refused unless AllowTOFU is set, in which case the
-	// first seal pins the node's key + measurement and later seals must
-	// match the pin.
-	Nodes map[uint32]MergeNode
-	// AllowTOFU enables trust-on-first-use pinning for unregistered
-	// nodes — the deployment mode where node keys are generated per
-	// process and no out-of-band registry exists (pins have exactly the
-	// known-hosts semantics the edge already uses).
-	AllowTOFU bool
-	// Pins, when set, is a pin store shared across merges (the hub wires
-	// one in), so a node identity pinned in one round constrains every
-	// later round. Nil gives the merge a private store.
-	Pins *NodePins
-}
-
-// NodePins is a trust-on-first-use store of node identities: the first
+// nodePins is a trust-on-first-use store of node identities: the first
 // seal a node ID ever presents pins its verify-key fingerprint and
-// measurement, and every later seal under that ID — in any round sharing
-// the store — must match the pin.
-type NodePins struct {
+// measurement, and every later seal under that ID — in any round of the
+// hub — must match the pin.
+type nodePins struct {
 	mu   sync.Mutex
 	pins map[uint32]mergePin
 }
 
-func (np *NodePins) get(node uint32) (mergePin, bool) {
+type mergePin struct {
+	key         [32]byte // verify-key fingerprint
+	measurement tee.Measurement
+}
+
+func (np *nodePins) get(node uint32) (mergePin, bool) {
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	p, ok := np.pins[node]
@@ -180,7 +148,7 @@ func (np *NodePins) get(node uint32) (mergePin, bool) {
 }
 
 // pin records a node's identity if it has none yet.
-func (np *NodePins) pin(node uint32, p mergePin) {
+func (np *nodePins) pin(node uint32, p mergePin) {
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	if np.pins == nil {
@@ -191,18 +159,18 @@ func (np *NodePins) pin(node uint32, p mergePin) {
 	}
 }
 
-// Merge folds one round's partial seals into its exact sum. Absorption
-// is all-or-nothing: every check passes before any state changes, so a
-// refused seal — forged, replayed, overlapping, stale — leaves the merge
-// exactly as it was.
+// Merge folds one round's partial seals into its exact sum. A MergeHub
+// creates it at the round's first valid seal, which fixes the dimension
+// and how many partials complete the round. Absorption is all-or-nothing:
+// every check passes before any state changes, so a refused seal —
+// forged, replayed, overlapping, stale — leaves the merge exactly as it
+// was.
 type Merge struct {
-	cfg MergeConfig
-
-	pins *NodePins
+	key mergeKey
+	hub *MergeHub // AllowTOFU and the pins every round shares
 
 	mu         sync.Mutex
-	shardCount uint32 // partials needed; 0 until known (dynamic mode)
-	expect     map[uint32]bool
+	shardCount uint32 // partials needed; 0 until the first seal
 	absorbed   map[uint32]bool
 	// seen maps digest -> absorbing node while the merge can still take a
 	// seal; released (nil) the moment it completes.
@@ -213,69 +181,23 @@ type Merge struct {
 	refused  uint64
 }
 
-type mergePin struct {
-	key         [32]byte // verify-key fingerprint
-	measurement tee.Measurement
-}
-
-// NewMerge starts a merge for one round.
-func NewMerge(cfg MergeConfig) *Merge {
-	m := &Merge{
-		cfg:      cfg,
-		pins:     cfg.Pins,
-		absorbed: make(map[uint32]bool),
-		seen:     make(map[[wire.SealDigestLen]byte]uint32),
-	}
-	if m.pins == nil {
-		m.pins = &NodePins{}
-	}
-	if len(cfg.Expect) > 0 {
-		m.shardCount = uint32(len(cfg.Expect))
-		m.expect = make(map[uint32]bool, len(cfg.Expect))
-		for _, n := range cfg.Expect {
-			m.expect[n] = true
-		}
-	}
-	if cfg.Dim > 0 {
-		m.sum = fixed.NewVector(cfg.Dim)
-	}
-	return m
-}
-
-// Absorb validates and folds one encoded partial seal. On refusal the
-// merge is untouched and the refused counter is bumped.
-func (m *Merge) Absorb(raw []byte) error {
-	seal, err := wire.DecodePartialSeal(raw)
-	if err != nil {
-		m.mu.Lock()
-		m.refused++
-		m.mu.Unlock()
-		return err
-	}
-	_, err = m.absorbSeal(seal)
-	return err
-}
-
-// absorbSeal also reports whether the merge is complete after the seal.
+// absorbSeal validates and folds one seal, and reports whether the merge
+// is complete after it. On refusal the merge is untouched and the refused
+// counter is bumped.
 func (m *Merge) absorbSeal(seal wire.PartialSeal) (complete bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkSeal(seal); err != nil {
+	pin, err := m.checkSeal(seal)
+	if err != nil {
 		m.refused++
 		return false, err
 	}
 	// All checks passed — commit atomically.
-	if m.sum == nil {
-		m.sum = fixed.NewVector(len(seal.Sum))
-	}
 	if m.shardCount == 0 {
+		m.sum = fixed.NewVector(len(seal.Sum))
 		m.shardCount = seal.ShardCount
 	}
-	if key, err := xcrypto.ParseVerifyKey(seal.NodeKey); err == nil {
-		var meas tee.Measurement
-		copy(meas[:], seal.Measurement)
-		m.pins.pin(seal.NodeID, mergePin{key: key.Fingerprint(), measurement: meas})
-	}
+	m.hub.pins.pin(seal.NodeID, pin)
 	fixed.AccumulateInto(m.sum, seal.Sum)
 	for i := 0; i < seal.DigestCount(); i++ {
 		m.seen[seal.DigestAt(i)] = seal.NodeID
@@ -292,79 +214,57 @@ func (m *Merge) absorbSeal(seal wire.PartialSeal) (complete bool, err error) {
 	return true, nil
 }
 
-// checkSeal runs every refusal check without mutating anything. Caller
-// holds m.mu.
-func (m *Merge) checkSeal(seal wire.PartialSeal) error {
-	if seal.Service != m.cfg.ServiceName || seal.Round != m.cfg.Round {
-		return fmt.Errorf("%w: seal is for %s/%d, merge is %s/%d",
-			ErrSealMismatch, seal.Service, seal.Round, m.cfg.ServiceName, m.cfg.Round)
-	}
-	if m.cfg.Dim > 0 && len(seal.Sum) != m.cfg.Dim {
-		return fmt.Errorf("%w: seal sum has %d lanes, merge wants %d",
-			ErrSealMismatch, len(seal.Sum), m.cfg.Dim)
-	}
-	if m.sum != nil && len(seal.Sum) != len(m.sum) {
-		return fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
+// checkSeal runs every refusal check without mutating anything and
+// returns the identity the seal carries. Caller holds m.mu.
+func (m *Merge) checkSeal(seal wire.PartialSeal) (mergePin, error) {
+	if m.shardCount != 0 && len(seal.Sum) != len(m.sum) {
+		return mergePin{}, fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
 			ErrSealMismatch, len(seal.Sum), len(m.sum))
 	}
 	if seal.ShardCount == 0 {
-		return fmt.Errorf("%w: zero shard count", ErrSealMismatch)
+		return mergePin{}, fmt.Errorf("%w: zero shard count", ErrSealMismatch)
 	}
 	if m.shardCount != 0 && seal.ShardCount != m.shardCount {
 		// A stale seal from before a re-home names the old split; it must
 		// be re-exported, not merged.
-		return fmt.Errorf("%w: seal splits the round %d ways, merge expects %d",
+		return mergePin{}, fmt.Errorf("%w: seal splits the round %d ways, merge expects %d",
 			ErrSealMismatch, seal.ShardCount, m.shardCount)
 	}
-	if m.expect != nil && !m.expect[seal.NodeID] {
-		return fmt.Errorf("%w: node %d", ErrSealUnknownNode, seal.NodeID)
-	}
 	if m.absorbed[seal.NodeID] {
-		return fmt.Errorf("%w: node %d already merged", ErrSealReplay, seal.NodeID)
+		return mergePin{}, fmt.Errorf("%w: node %d already merged", ErrSealReplay, seal.NodeID)
 	}
 	if m.completeLocked() {
-		return ErrMergeComplete
+		return mergePin{}, ErrMergeComplete
 	}
 
-	// Identity: registered key + measurement, or a TOFU pin.
+	// Identity: the node's pin, or a first use the hub allows.
 	carried, err := xcrypto.ParseVerifyKey(seal.NodeKey)
 	if err != nil {
-		return fmt.Errorf("%w: unparseable node key: %v", ErrSealIdentity, err)
+		return mergePin{}, fmt.Errorf("%w: unparseable node key: %v", ErrSealIdentity, err)
 	}
-	var meas tee.Measurement
-	copy(meas[:], seal.Measurement)
-	verify := carried
-	if reg, ok := m.cfg.Nodes[seal.NodeID]; ok {
-		if reg.Verify != nil {
-			if carried.Fingerprint() != reg.Verify.Fingerprint() {
-				return fmt.Errorf("%w: node %d key does not match registration", ErrSealIdentity, seal.NodeID)
-			}
-			verify = reg.Verify
+	id := mergePin{key: carried.Fingerprint()}
+	copy(id.measurement[:], seal.Measurement)
+	if pin, ok := m.hub.pins.get(seal.NodeID); ok {
+		if id != pin {
+			return mergePin{}, fmt.Errorf("%w: node %d contradicts its first-use pin", ErrSealIdentity, seal.NodeID)
 		}
-		if meas != reg.Measurement {
-			return fmt.Errorf("%w: node %d measurement does not match registration", ErrSealIdentity, seal.NodeID)
-		}
-	} else if pin, ok := m.pins.get(seal.NodeID); ok {
-		if carried.Fingerprint() != pin.key || meas != pin.measurement {
-			return fmt.Errorf("%w: node %d contradicts its first-use pin", ErrSealIdentity, seal.NodeID)
-		}
-	} else if !m.cfg.AllowTOFU {
-		return fmt.Errorf("%w: node %d has no registered identity", ErrSealIdentity, seal.NodeID)
+	} else if !m.hub.AllowTOFU {
+		return mergePin{}, fmt.Errorf("%w: node %d has no pin and the hub does not pin on first use", ErrSealIdentity, seal.NodeID)
 	}
 
-	if !verify.Verify(seal.SignedBytes(), seal.Signature) {
-		return fmt.Errorf("%w: node %d", ErrSealSignature, seal.NodeID)
+	if !carried.Verify(seal.SignedBytes(), seal.Signature) {
+		return mergePin{}, fmt.Errorf("%w: node %d", ErrSealSignature, seal.NodeID)
 	}
 
 	// Disjoint coverage: every digest must be new to the merge. Checked
 	// in full before commit so an overlapping seal changes nothing.
 	for i := 0; i < seal.DigestCount(); i++ {
 		if owner, dup := m.seen[seal.DigestAt(i)]; dup {
-			return fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
+			return mergePin{}, fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
 				ErrSealOverlap, seal.NodeID, owner)
 		}
 	}
-	return nil
+	return id, nil
 }
 
 // Complete reports whether every expected partial has been absorbed.
@@ -394,8 +294,8 @@ func (m *Merge) Result() wire.MergeResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := wire.MergeResult{
-		Service:  m.cfg.ServiceName,
-		Round:    m.cfg.Round,
+		Service:  m.key.service,
+		Round:    m.key.round,
 		Expect:   m.shardCount,
 		Merged:   uint32(len(m.absorbed)),
 		Count:    m.count,
@@ -409,17 +309,18 @@ func (m *Merge) Result() wire.MergeResult {
 }
 
 // MergeHub runs merges for many (service, round) pairs — the coordinator
-// process's top-level state. Merges are created on first contact in
-// dynamic mode (TOFU unless the hub carries registered identities), which
-// is what a coordinator that doesn't know the fleet's tenant list ahead
-// of time needs. The zero value is ready to use and holds a bounded
-// working set (see the retention rule at the top of this file).
+// process's top-level state. A round's merge is created at its first
+// valid seal, so the coordinator needs to know neither the fleet's tenant
+// list nor its nodes ahead of time. A hub holds a bounded working set
+// (see the retention rule at the top of this file).
 type MergeHub struct {
-	// Nodes and AllowTOFU seed every merge's identity expectations.
-	Nodes     map[uint32]MergeNode
+	// AllowTOFU lets a node's first seal pin its identity (known-hosts
+	// semantics, as at the edge): node keys are generated per process and
+	// there is no out-of-band registry. A hub without it has nothing to
+	// check a seal against and refuses every seal.
 	AllowTOFU bool
 
-	pins NodePins // shared across every merge: pins span rounds
+	pins nodePins // shared across every merge: pins span rounds
 
 	mu     sync.Mutex
 	merges map[mergeKey]*hubEntry
@@ -458,7 +359,6 @@ type mergeKey struct {
 
 // hubEntry is one merge the hub holds, with its place in live or done.
 type hubEntry struct {
-	key  mergeKey
 	m    *Merge
 	elem *list.Element // nil until the merge is registered
 	done bool
@@ -592,13 +492,12 @@ func (h *MergeHub) entry(key mergeKey) (*hubEntry, error) {
 	if h.tombs.has(key) {
 		return nil, fmt.Errorf("%w: %s/%d", ErrMergeRetired, key.service, key.round)
 	}
-	return &hubEntry{key: key, m: NewMerge(MergeConfig{
-		ServiceName: key.service,
-		Round:       key.round,
-		Nodes:       h.Nodes,
-		AllowTOFU:   h.AllowTOFU,
-		Pins:        &h.pins,
-	})}, nil
+	return &hubEntry{m: &Merge{
+		key:      key,
+		hub:      h,
+		absorbed: make(map[uint32]bool),
+		seen:     make(map[[wire.SealDigestLen]byte]uint32),
+	}}, nil
 }
 
 // commit books an absorbed seal: it registers a first-contact merge,
@@ -609,17 +508,17 @@ func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal) bo
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if e.elem == nil {
-		if _, taken := h.merges[e.key]; taken || h.tombs.has(e.key) {
+		if _, taken := h.merges[e.m.key]; taken || h.tombs.has(e.m.key) {
 			return false
 		}
-		h.merges[e.key] = e
+		h.merges[e.m.key] = e
 		e.elem = h.live.PushBack(e)
 	}
 	h.stats.SealsAbsorbed++
 	h.stats.ContribsMerged += seal.Count
 	h.stats.ContribsRejected += seal.Rejected
 	// A merge abandoned while this seal was verifying stays abandoned.
-	if complete && !e.done && h.merges[e.key] == e {
+	if complete && !e.done && h.merges[e.m.key] == e {
 		h.live.Remove(e.elem)
 		e.elem, e.done = h.done.PushBack(e), true
 	}
@@ -638,6 +537,6 @@ func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal) bo
 // drop lets the oldest merge of l go, behind a tombstone.
 func (h *MergeHub) drop(l *list.List, tombs int) {
 	e := l.Remove(l.Front()).(*hubEntry)
-	delete(h.merges, e.key)
-	h.tombs.add(e.key, tombs)
+	delete(h.merges, e.m.key)
+	h.tombs.add(e.m.key, tombs)
 }
