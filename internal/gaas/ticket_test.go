@@ -3,6 +3,7 @@ package gaas
 import (
 	"bytes"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -98,6 +99,65 @@ func TestTicketGrantOverGaas(t *testing.T) {
 	establish()
 	if a, r := submitRound(2, []float64{0.3, 0.6}); a != 2 || r != 0 {
 		t.Fatalf("renewed submit = (%d, %d), want (2, 0)", a, r)
+	}
+}
+
+// TestIdenticalTicketedContributionsFromOneDevice is the ticketed twin of
+// glimmer's TestIdenticalContributionsFromTwoDevices: one device holding one
+// ticket contributes the same vector twice in a round. Both are honest
+// contributions and both count; only a resubmission of either one's exact
+// bytes is a replay.
+func TestIdenticalTicketedContributionsFromOneDevice(t *testing.T) {
+	w := newTicketWorld(t)
+	dev, err := w.NewDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Destroy()
+	client, err := dial(w.addr, w.verifier(), w.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	req, err := dev.TicketRequest(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := client.RequestTicket(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.InstallTicket(grant); err != nil {
+		t.Fatal(err)
+	}
+
+	const round = 1
+	value := fixed.FromFloats([]float64{0.25, 0.5, 0.75})
+	var raws [2][]byte
+	for i := range raws {
+		tc, err := dev.ContributeTicketed(round, value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = glimmer.EncodeTicketedContribution(tc)
+	}
+	if a, r, err := client.SubmitBatch(raws[:]); err != nil || a != 2 || r != 0 {
+		t.Fatalf("two identical contributions = (%d, %d, %v), want (2, 0)", a, r, err)
+	}
+	p := w.rounds.Round(round)
+	twice := fixed.NewVector(dim)
+	twice.AddInPlace(value)
+	twice.AddInPlace(value)
+	if p.Count() != 2 || !slices.Equal(p.Sum(), twice) {
+		t.Fatalf("count %d sum %v, want 2 and %v", p.Count(), p.Sum(), twice)
+	}
+	for i, raw := range raws {
+		if a, r, err := client.SubmitBatch([][]byte{raw}); err != nil || a != 0 || r != 1 {
+			t.Fatalf("replay of contribution %d = (%d, %d, %v), want (0, 1)", i, a, r, err)
+		}
+	}
+	if p.Count() != 2 {
+		t.Fatalf("count after replays = %d, want 2", p.Count())
 	}
 }
 
