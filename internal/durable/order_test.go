@@ -49,6 +49,7 @@ func (o *orderRecorder) TicketEvicted(_ string, _ uint64)              { o.rec("
 // sealed under a ticket already installed in tbl.
 func orderRaws(n, dim int, round uint64, key *xcrypto.SessionKey) [][]byte {
 	raws := make([][]byte, n)
+	aead := xcrypto.NewSessionAEAD(key)
 	for i := range raws {
 		tc := glimmer.TicketedContribution{
 			ServiceName: testTenant,
@@ -60,7 +61,7 @@ func orderRaws(n, dim int, round uint64, key *xcrypto.SessionKey) [][]byte {
 		for j := range tc.Blinded {
 			tc.Blinded[j] = fixed.Ring(uint64(i)*1000003 + round*31 + uint64(j))
 		}
-		raws[i] = glimmer.SealTicketedContribution(tc, key)
+		raws[i] = glimmer.SealTicketedContribution(tc, aead)
 	}
 	return raws
 }

@@ -359,7 +359,7 @@ func TestFleetTicketHonouredOnlyOnGrantingNode(t *testing.T) {
 			ServiceName: "iot.example", Round: round, TicketID: 7,
 			Blinded: fixed.Vector{fixed.Ring(salt), 2, 3}, Confidence: 1,
 		}
-		return glimmer.SealTicketedContribution(tc, &tk)
+		return glimmer.SealTicketedContribution(tc, xcrypto.NewSessionAEAD(&tk))
 	}
 	submit := func(raw []byte, wantAccepted int) {
 		t.Helper()

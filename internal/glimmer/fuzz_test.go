@@ -6,6 +6,7 @@ import (
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/tee"
+	"glimmers/internal/xcrypto"
 )
 
 // fuzzSeedContribution is a structurally valid encoded SignedContribution
@@ -73,7 +74,7 @@ func fuzzSeedTicketed() []byte {
 		TicketID:    0xDEADBEEFCAFE,
 		Blinded:     fixed.Vector{fixed.FromFloat(0.25), fixed.Ring(1 << 63), 0},
 		Confidence:  77,
-		MAC:         bytes.Repeat([]byte{0x5A}, 32),
+		MAC:         bytes.Repeat([]byte{0x5A}, xcrypto.MACSize),
 	})
 }
 

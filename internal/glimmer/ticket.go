@@ -1,6 +1,7 @@
 package glimmer
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,15 +16,15 @@ import (
 // enclave signs one ticket request (a single signing operation, rooted in the
 // same provisioned key that signs contributions), the service answers with
 // a grant completing an X25519 exchange, and both sides derive a short-lived
-// HMAC session key bound to (service, ticket, round window, expiry). Every
-// contribution that follows carries a constant-time MAC instead of a
-// public-key signature — the far cheaper check the ingest hot path
-// verifies on pooled scratches. The trust story is unchanged: the session
-// key lives only inside the enclave (and the service's ticket table), so a
-// MAC still proves the contribution passed validate→blind inside a vetted
-// Glimmer; what moved is *when* the asymmetric work happens — once per
-// session, as the paper's "attest once, endorse what follows" model
-// licenses.
+// AES-256 session key bound to (service, ticket, round window, expiry).
+// Every contribution that follows carries a 28-byte GMAC (xcrypto.MACSize:
+// an enclave-drawn random nonce, then the tag) instead of a public-key
+// signature — the far cheaper check the ingest hot path verifies on pooled
+// scratches. The trust story is unchanged: the session key lives only
+// inside the enclave (and the service's ticket table), so a MAC still
+// proves the contribution passed validate→blind inside a vetted Glimmer;
+// what moved is *when* the asymmetric work happens — once per session, as
+// the paper's "attest once, endorse what follows" model licenses.
 
 // ErrNoTicket is returned by the ticketed-contribution ECALL before a
 // grant has been installed.
@@ -35,10 +36,11 @@ const (
 	objTicket   = "ticket"
 )
 
-// ticketedMagic marks the third field of the ticketed wire variant; its
-// length differs from a measurement's, so the two contribution encodings
-// can never be confused for one another.
-const ticketedMagic = "GTK1"
+// ticketedMagic marks the third field of the ticketed wire variant. The
+// field's length differs from a measurement's, so the two contribution
+// encodings can never be confused for one another; the magic names the MAC
+// scheme, so a contribution of an earlier one is refused as a bad header.
+const ticketedMagic = "GTK2"
 
 // ticketHeaderLen is the ticketed variant's third field: magic plus the
 // 8-byte ticket ID.
@@ -48,7 +50,7 @@ const ticketHeaderLen = len(ticketedMagic) + 8
 // leading fields (service name, round — so PeekContributionService and
 // PeekContributionRound route both variants identically), a ticket header
 // in place of the measurement (provenance was checked once, at grant time),
-// and an HMAC-SHA256 tag in place of the signature.
+// and a session MAC (nonce, then GMAC tag) in place of the signature.
 type TicketedContribution struct {
 	ServiceName string
 	Round       uint64
@@ -75,7 +77,7 @@ func appendTicketedFields(w *wire.Writer, tc *TicketedContribution) {
 // ticketedDomain separates the ticketed MAC preimage from every other
 // signed/MAC'd byte string in the system; ticketedHeader is its encoded
 // form, the head segment of TicketedView.PreimageParts.
-const ticketedDomain = "glimmers/ticketed/v1"
+const ticketedDomain = "glimmers/ticketed/v2"
 
 var ticketedHeader = wire.NewWriter().String(ticketedDomain).Finish()
 
@@ -95,14 +97,16 @@ func EncodeTicketedContribution(tc TicketedContribution) []byte {
 	return finishPooled(w)
 }
 
-// SealTicketedContribution MACs the contribution under the session key and
-// returns the encoded message — the enclave's (and tests') one-stop seal.
-func SealTicketedContribution(tc TicketedContribution, key *xcrypto.SessionKey) []byte {
+// SealTicketedContribution MACs the contribution under a ticket's AEAD
+// (xcrypto.NewSessionAEAD) and returns the encoded message — the enclave's
+// (and tests') one-stop seal. The MAC covers the contiguous preimage
+// sealAndEncode builds, under a fresh nonce, so sealing one contribution
+// twice gives two different messages.
+func SealTicketedContribution(tc TicketedContribution, aead cipher.AEAD) []byte {
 	out, _ := sealAndEncode(ticketedHeader, // no error: a MAC cannot fail
 		func(w *wire.Writer) { appendTicketedFields(w, &tc) },
 		func(preimage []byte) ([]byte, error) {
-			mac := xcrypto.SessionMAC(key, preimage)
-			return mac[:], nil
+			return xcrypto.AppendSessionMAC(nil, aead, preimage), nil
 		})
 	return out
 }
@@ -130,22 +134,23 @@ func DecodeTicketedContribution(data []byte) (TicketedContribution, error) {
 
 // PeekContributionTicketed reports whether raw encodes the ticketed
 // (MAC'd) contribution variant rather than the signed one, without
-// allocating. Routers and pipelines dispatch on it; any malformation is
-// left for the full decode of whichever path is chosen.
+// allocating. Routers and pipelines dispatch on it, by the length of the
+// third field alone; any malformation, the magic included, is left for the
+// full decode of whichever path is chosen.
 func PeekContributionTicketed(data []byte) bool {
 	var r wire.Reader
 	r.Reset(data)
 	r.SkipBytes() // service name
 	r.Uint64()    // round
 	hdr := r.BytesView()
-	return r.Err() == nil && len(hdr) == ticketHeaderLen &&
-		string(hdr[:len(ticketedMagic)]) == ticketedMagic
+	return r.Err() == nil && len(hdr) == ticketHeaderLen
 }
 
-// sessionTicket is the enclave-held half of a granted ticket.
+// sessionTicket is the enclave-held half of a granted ticket: its AEAD,
+// built once at install, seals every contribution of the session.
 type sessionTicket struct {
 	id                    uint64
-	key                   xcrypto.SessionKey
+	aead                  cipher.AEAD
 	roundFirst, roundLast uint64
 	expiresUnix           uint64
 }
@@ -234,9 +239,10 @@ func ecallTicketInstall(env *tee.Env, input []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	env.DeleteObject(objTicketDH)
+	key := xcrypto.DeriveTicketKey(shared, cfg.ServiceName, grant.ID)
 	t := sessionTicket{
 		id:          grant.ID,
-		key:         xcrypto.DeriveTicketKey(shared, cfg.ServiceName, grant.ID),
+		aead:        xcrypto.NewSessionAEAD(&key),
 		roundFirst:  grant.RoundFirst,
 		roundLast:   grant.RoundLast,
 		expiresUnix: grant.ExpiresUnix,
@@ -281,5 +287,5 @@ func ecallContributeTicketed(env *tee.Env, input []byte) ([]byte, error) {
 		Confidence:  confidence,
 	}
 	env.CounterIncrement("accepted")
-	return SealTicketedContribution(tc, &ticket.key), nil
+	return SealTicketedContribution(tc, ticket.aead), nil
 }

@@ -2,6 +2,7 @@ package glimmer
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"glimmers/internal/fixed"
@@ -112,6 +113,32 @@ func TestDecodeTicketedRejectsMalformed(t *testing.T) {
 	var sv SignedView
 	if err := sv.Decode(good); err == nil {
 		t.Error("signed view accepted a ticketed contribution")
+	}
+}
+
+// TestTicketedRefusesEarlierScheme: a contribution in the HMAC-era
+// encoding (magic GTK1, a 32-byte MAC) still routes as ticketed, because
+// dispatch is by the header's length, and is refused there as a bad ticket
+// header rather than reaching any MAC check.
+func TestTicketedRefusesEarlierScheme(t *testing.T) {
+	old := goldenTicketed()
+	old.MAC = bytes.Repeat([]byte{0xC0}, 32)
+	raw := EncodeTicketedContribution(old)
+	hdrOff := 4 + len("golden.example") + 8 + 4
+	if string(raw[hdrOff:hdrOff+4]) != ticketedMagic {
+		t.Fatalf("header offset %d does not hold the magic", hdrOff)
+	}
+	copy(raw[hdrOff:], "GTK1")
+	if !PeekContributionTicketed(raw) {
+		t.Fatal("a GTK1 contribution did not route as ticketed")
+	}
+	var v TicketedView
+	err := v.Decode(raw)
+	if err == nil || !strings.Contains(err.Error(), "bad ticket header") {
+		t.Fatalf("GTK1 decode err = %v, want a bad ticket header", err)
+	}
+	if _, cerr := DecodeTicketedContribution(raw); cerr == nil || cerr.Error() != err.Error() {
+		t.Fatalf("copying decode err = %v, view err = %v", cerr, err)
 	}
 }
 

@@ -27,9 +27,10 @@ type TicketedView struct {
 // Lanes returns the vector dimension.
 func (v *TicketedView) Lanes() int { return len(v.LaneBytes) / 8 }
 
-// PreimageParts returns the MAC preimage as the two segments
-// xcrypto.MACState.VerifyKeyed consumes: the constant domain header and the
-// frame's field bytes. Gluing them would cost a ~2 KB copy per message.
+// PreimageParts returns the MAC preimage as two segments: the constant
+// domain header and the frame's field bytes. GCM takes its additional data
+// in one piece, so a checker joins them in a reusable buffer
+// (xcrypto.MACState.VerifyKeyed does).
 func (v *TicketedView) PreimageParts() (head, tail []byte) {
 	return ticketedHeader, v.fields
 }

@@ -58,7 +58,7 @@ type batchItem struct {
 // across frames (and pipelines — the arena is workload-shaped, not
 // round-shaped). It is held by exactly one goroutine between Get and
 // release, which is what its parts' aliasing and no-concurrent-use rules
-// (the views, xcrypto.MACState) ask for.
+// (the views, the preimage buffer) ask for.
 type ingestArena struct {
 	items  []batchItem
 	counts []int32 // counting sort: per-shard item counts, then offsets
@@ -70,10 +70,9 @@ type ingestArena struct {
 	ticketed glimmer.TicketedView
 	signed   glimmer.SignedView
 
-	// check verifies every ticketed item of the frame. Its keyed pad cache
-	// outlives the frame with the pooled arena, so a frame stream naming
-	// the same ticket skips the key schedule entirely after the first
-	// frame; its ticket memo does not (release).
+	// check verifies every ticketed item of the frame. Its preimage buffer
+	// outlives the frame with the pooled arena; its ticket memo does not
+	// (release).
 	check ticketCheck
 
 	// Journal scratch: the accepted-digest list and summed delta handed to
@@ -94,7 +93,7 @@ func (a *ingestArena) release() {
 	a.items = a.items[:0]
 	a.ticketed.Clear()
 	a.signed.Clear()
-	a.check.memoized = false
+	a.check.memoized, a.check.aead = false, nil
 	arenaPool.Put(a)
 }
 

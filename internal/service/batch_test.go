@@ -16,14 +16,17 @@ import (
 // faultBatch builds a batch mixing every refusal the ticketed path can
 // produce with valid traffic under two tickets, plus raw garbage. The
 // returned batch is the equivalence corpus: submitted as one frame, every
-// item must land exactly where it does submitted on its own.
+// item must land exactly where it does submitted on its own. Duplicates
+// replay bytes: sealing one contribution again draws a fresh nonce, and
+// that is a second contribution, not a replay.
 func faultBatch(dim int, round uint64, good, narrow testTicket) [][]byte {
 	ghost := testTicket{id: 9999, key: xcrypto.SessionKey{0xEE}, first: 1, last: 100}
 	forged := append([]byte(nil), ticketedRaw("batch.example", round, dim, 2, good)...)
 	forged[len(forged)-1] ^= 0xFF // flip a MAC byte
+	first := ticketedRaw("batch.example", round, dim, 1, good)
 	dup := ticketedRaw("batch.example", round, dim, 3, good)
 	return [][]byte{
-		ticketedRaw("batch.example", round, dim, 1, good), // accept
+		first,                       // accept
 		forged,                      // ErrBadMAC
 		dup,                         // accept
 		append([]byte(nil), dup...), // ErrDuplicate
@@ -34,7 +37,7 @@ func faultBatch(dim int, round uint64, good, narrow testTicket) [][]byte {
 		ticketedRaw("batch.example", round, dim, 8, narrow), // ErrTicketWindow
 		{0xFF, 0xFF, 0xFF, 0xFF},                            // decode error
 		ticketedRaw("batch.example", round, dim, 9, good),   // accept
-		ticketedRaw("batch.example", round, dim, 1, good),   // ErrDuplicate of [0]
+		append([]byte(nil), first...),                       // ErrDuplicate of [0]
 	}
 }
 
@@ -309,7 +312,7 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 	tbl := NewTicketTable(TicketConfig{})
 	tk := testTicket{id: 42, key: xcrypto.SessionKey{1, 2, 3}, first: 1, last: 16}
 	tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
-	batches := make([][][]byte, runs+2)
+	batches := make([][][]byte, runs+3)
 	for b := range batches {
 		batches[b] = make([][]byte, batchSize)
 		for i := range batches[b] {
@@ -326,8 +329,11 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 	})
 	defer p.Close()
 	errs := make([]error, batchSize)
-	p.AddBatchErrs(batches[0], errs) // warm the arena, MAC snapshots, shards
-	b := 0
+	// Warm the arena and the shards; the second frame's check makes the
+	// table cache the ticket's AEAD.
+	p.AddBatchErrs(batches[0], errs)
+	p.AddBatchErrs(batches[1], errs)
+	b := 1
 	if got := testing.AllocsPerRun(runs, func() {
 		b++
 		p.AddBatchErrs(batches[b], errs)

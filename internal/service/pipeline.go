@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/cipher"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -300,18 +301,19 @@ func verifySigned(cfg *PipelineConfig, wantRound *uint64, vetted *allowlist,
 }
 
 // ticketCheck is what the ticketed rule carries from one item of a frame to
-// the next: the MAC state, whose keyed pads are rebuilt only when the key
-// changes, and a one-entry memo of the last ticket resolved, so a run of
-// items under one ticket — the usual whole frame — reads the table once.
-// The memo must not outlive the frame (ingestArena.release forgets it):
-// between frames the table may expire or evict the ticket it remembers.
+// the next: a one-entry memo of the last ticket resolved, so a run of items
+// under one ticket — the usual whole frame — reads the table once, and the
+// buffer each item's preimage is joined in. The memo must not outlive the
+// frame (ingestArena.release forgets it): between frames the table may
+// expire or evict the ticket it remembers, and a first check's AEAD is
+// the frame's alone. The buffer outlives it with the pooled arena.
 type ticketCheck struct {
-	mac xcrypto.MACState
-
 	memoized  bool
 	id, round uint64
-	key       xcrypto.SessionKey
+	aead      cipher.AEAD
 	err       error
+
+	preimage []byte
 }
 
 // verifyTicketed is the acceptance rule of the ticketed wire variant — the
@@ -325,10 +327,12 @@ type ticketCheck struct {
 // and the table's window and expiry bound what a captured ticket can replay.
 //
 // The returned digest is the contribution's dedup identity: the verified
-// MAC itself, already a collision-resistant digest of every field (only the
-// tag is outside its preimage, and a message whose tag was altered never
-// verifies), so the fast path skips a second full-message hash. v aliases
-// raw. Zero heap allocations, the MAC included.
+// MAC itself, nonce then tag, zero-padded to 32 bytes. The nonce is drawn
+// afresh per seal, so two honest contributions share it only by a 96-bit
+// birthday collision, and a message whose nonce or tag was altered never
+// verifies: only a byte-identical resubmission collides, as on the signed
+// path, and the fast path skips a full-message hash. v aliases raw. Zero
+// heap allocations once the ticket's AEAD is cached (ticketEntry).
 func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 	v *glimmer.TicketedView, c *ticketCheck) ([32]byte, error) {
 	var digest [32]byte
@@ -348,15 +352,15 @@ func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 		return digest, ErrUnknownTicket
 	}
 	if !c.memoized || c.id != v.TicketID || c.round != v.Round {
-		c.key, c.err = cfg.Tickets.check(v.TicketID, v.Round)
+		c.aead, c.err = cfg.Tickets.check(v.TicketID, v.Round)
 		c.id, c.round, c.memoized = v.TicketID, v.Round, true
 	}
 	if c.err != nil {
 		return digest, c.err
 	}
-	c.mac.SetKey(&c.key)
 	head, tail := v.PreimageParts()
-	if !c.mac.VerifyKeyed(head, tail, v.MAC) {
+	c.preimage = append(append(c.preimage[:0], head...), tail...)
+	if !xcrypto.OpenSessionMAC(c.aead, c.preimage, v.MAC) {
 		return digest, ErrBadMAC
 	}
 	copy(digest[:], v.MAC)

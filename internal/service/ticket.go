@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/heap"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -15,10 +16,11 @@ import (
 )
 
 // The service half of attested session tickets: a bounded per-tenant table
-// mapping ticket IDs to HMAC session keys, filled by Grant (one signature
+// mapping ticket IDs to AES-256 session keys, filled by Grant (one signature
 // verification per session — the amortized cost) and consulted by the
-// ingest hot path (a lock-brief map read plus a constant-time MAC check per
-// contribution — the far cheaper steady state).
+// ingest hot path (a lock-brief map read plus a GMAC check per contribution
+// — the far cheaper steady state). A key's AEAD is derived state: the table
+// caches it only for tickets that keep contributing, and never persists it.
 
 // Ticket policy errors surfaced by granting and by ticketed ingest.
 var (
@@ -86,11 +88,18 @@ func (c TicketConfig) withDefaults() TicketConfig {
 }
 
 // ticketEntry is one live ticket. Entries are values, so the hot path
-// copies the 32-byte key out of the table instead of sharing pointers.
+// copies an entry out of the table instead of sharing pointers.
 type ticketEntry struct {
 	key                   xcrypto.SessionKey
 	roundFirst, roundLast uint64
 	expiresUnix           int64
+	// aead is the key's AES-GCM instance, cached from the ticket's second
+	// check on (checked marks the first). A session that contributes once
+	// — most of them — never makes the table hold its ~1 KB of key schedule
+	// and GHASH tables; one that keeps contributing builds it twice, then
+	// never again. Neither field is persisted.
+	aead    cipher.AEAD
+	checked bool
 	// seq orders entries by when this table gained them (grant, or replay
 	// order after a restore); it breaks eviction ties and is not persisted.
 	seq uint64
@@ -238,21 +247,50 @@ func (h *expiryHeap) Pop() any {
 }
 
 // check is the ingest hot path: resolve the ticket and enforce expiry and
-// the round window, returning the session key by value. Zero allocations.
-func (t *TicketTable) check(id, round uint64) (xcrypto.SessionKey, error) {
+// the round window, returning the AEAD that checks the ticket's MACs. For a
+// ticket checked at least twice before, that is one map read under the read
+// lock and zero allocations. Its first two checks build the AEAD (the
+// second also caches it, under the write lock); an expired ticket's cached
+// AEAD is dropped, since nothing can verify under it again.
+func (t *TicketTable) check(id, round uint64) (cipher.AEAD, error) {
 	t.mu.RLock()
 	e, ok := t.entries[id]
 	t.mu.RUnlock()
 	if !ok {
-		return xcrypto.SessionKey{}, ErrUnknownTicket
+		return nil, ErrUnknownTicket
 	}
 	if t.now() > e.expiresUnix {
-		return xcrypto.SessionKey{}, ErrTicketExpired
+		if e.aead != nil {
+			t.update(id, e.seq, func(cur *ticketEntry) { cur.aead = nil })
+		}
+		return nil, ErrTicketExpired
 	}
 	if round < e.roundFirst || round > e.roundLast {
-		return xcrypto.SessionKey{}, ErrTicketWindow
+		return nil, ErrTicketWindow
 	}
-	return e.key, nil
+	if e.aead != nil {
+		return e.aead, nil
+	}
+	aead := xcrypto.NewSessionAEAD(&e.key)
+	t.update(id, e.seq, func(cur *ticketEntry) {
+		if cur.checked && cur.aead == nil {
+			cur.aead = aead
+		}
+		cur.checked = true
+	})
+	return aead, nil
+}
+
+// update applies fn to the entry id holds, under the write lock, if
+// it is still the one granted under seq: a ticket evicted or re-installed
+// since the caller read it is left alone.
+func (t *TicketTable) update(id, seq uint64, fn func(*ticketEntry)) {
+	t.mu.Lock()
+	if cur, ok := t.entries[id]; ok && cur.seq == seq {
+		fn(&cur)
+		t.entries[id] = cur
+	}
+	t.mu.Unlock()
 }
 
 // Grant runs the service side of the ticket exchange on an already-decoded

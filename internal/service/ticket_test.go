@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,7 +81,7 @@ func ticketedRaw(serviceName string, round uint64, dim, salt int, tk testTicket)
 	for j := range tc.Blinded {
 		tc.Blinded[j] = fixed.Ring(uint64(salt)*1000003 + round*31 + uint64(j))
 	}
-	return glimmer.SealTicketedContribution(tc, &tk.key)
+	return glimmer.SealTicketedContribution(tc, xcrypto.NewSessionAEAD(&tk.key))
 }
 
 func newTicketedManager(t *testing.T, key *xcrypto.SigningKey, dim int, tcfg TicketConfig) *RoundManager {
@@ -213,6 +215,14 @@ func TestTicketedRefusals(t *testing.T) {
 	// Duplicate of an accepted ticketed contribution.
 	if err := m.Ingest(good); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate err = %v, want ErrDuplicate", err)
+	}
+
+	// The earlier MAC scheme's header: refused by the decoder, before the
+	// table or any MAC check.
+	old := bytes.Clone(good)
+	copy(old[bytes.Index(old, []byte("GTK2")):], "GTK1")
+	if err := m.Ingest(old); err == nil || !strings.Contains(err.Error(), "bad ticket header") {
+		t.Fatalf("GTK1 contribution err = %v, want a bad ticket header", err)
 	}
 
 	// Wrong dimension.
@@ -442,10 +452,10 @@ func TestTicketedRoundCreationGated(t *testing.T) {
 }
 
 // TestPooledMACScratchNotAliasedAcrossConcurrentAddBatch is the -race
-// guard for the pooled HMAC scratch: many goroutines push overlapping
+// guard for the pooled MAC scratch: many goroutines push overlapping
 // ticketed batches through a pooled-worker pipeline across all shards, and
 // the sealed aggregate must equal the exact element-wise sum of every
-// distinct contribution. A MACState or ticket scratch recycled while
+// distinct contribution. A preimage buffer or ticket memo recycled while
 // another worker still uses it would corrupt a MAC check or the sum (and
 // trip the race detector).
 func TestPooledMACScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
@@ -544,10 +554,14 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 		Shards:         1,
 		ExpectedCohort: len(raws),
 	})
-	if err := p.Add(raws[0]); err != nil {
-		t.Fatal(err)
+	// Two warm-up verifications: the second makes the table cache the
+	// ticket's AEAD.
+	for _, raw := range raws[:2] {
+		if err := p.Add(raw); err != nil {
+			t.Fatal(err)
+		}
 	}
-	i := 0
+	i := 1
 	if got := testing.AllocsPerRun(runs, func() {
 		i++
 		if err := p.Add(raws[i]); err != nil {
@@ -566,10 +580,12 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 		ServiceName: "alloc.example", Dim: dim, Tickets: tbl,
 		Workers: 1, Shards: 1, ExpectedCohort: len(raws),
 	})
-	if err := m.Ingest(raws[0]); err != nil {
-		t.Fatal(err)
+	for _, raw := range raws[:2] {
+		if err := m.Ingest(raw); err != nil {
+			t.Fatal(err)
+		}
 	}
-	i = 0
+	i = 1
 	if got := testing.AllocsPerRun(runs, func() {
 		i++
 		if err := m.Ingest(raws[i]); err != nil {
@@ -586,19 +602,179 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 // TestTicketCheckAllocFree pins the table lookup alone: with the default
 // wall clock (withDefaults caches a concrete func at construction — the
 // nil-vs-injected choice must not be resolved per check), check performs
-// zero allocations.
+// zero allocations once two checks have cached the ticket's AEAD.
 func TestTicketCheckAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	tbl := NewTicketTable(TicketConfig{}) // nil Now: the cached time.Now path
 	tbl.Install(42, xcrypto.SessionKey{1, 2, 3}, 1, 16, 1<<62)
+	for range 2 {
+		if _, err := tbl.check(42, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := testing.AllocsPerRun(1000, func() {
 		if _, err := tbl.check(42, 7); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
 		t.Errorf("ticket check: %.1f allocs/op, want 0", got)
+	}
+}
+
+// cachedAEAD reports whether the table's entry for id holds an AEAD.
+func cachedAEAD(tbl *TicketTable, id uint64) bool {
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	return tbl.entries[id].aead != nil
+}
+
+// TestTicketTableCachesAEADFromSecondCheck pins what a live ticket costs the
+// table: nothing beyond its key until its second check, one AEAD from then
+// on, handed out to every later check. Expiry drops it, and so do eviction
+// and a re-install under the same ID; a restore never carries it, and a
+// restored table still verifies the MACs of its tickets.
+func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
+	const dim, round = 4, uint64(3)
+	now := int64(1000)
+	cfg := TicketConfig{MaxTickets: 2, TTL: 100, Now: func() int64 { return now }}
+	tbl := NewTicketTable(cfg)
+	tk := testTicket{id: 42, key: xcrypto.SessionKey{4, 2}, first: 1, last: 16}
+	tbl.Install(tk.id, tk.key, tk.first, tk.last, now+100)
+	if cachedAEAD(tbl, tk.id) {
+		t.Fatal("a granted ticket holds an AEAD before any check")
+	}
+	first, err := tbl.check(tk.id, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cachedAEAD(tbl, tk.id) {
+		t.Fatal("a ticket checked once holds an AEAD")
+	}
+	second, err := tbl.check(tk.id, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cachedAEAD(tbl, tk.id) {
+		t.Fatal("a ticket checked twice holds no AEAD")
+	}
+	if third, _ := tbl.check(tk.id, round); third != second || first == second {
+		t.Fatal("later checks do not share the cached AEAD, or the first check's was cached")
+	}
+	raw := ticketedRaw("cache.example", round, dim, 1, tk)
+	tc, err := glimmer.DecodeTicketedContribution(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, aead := range []cipher.AEAD{first, second} {
+		if !xcrypto.OpenSessionMAC(aead, tc.MACBytes(), tc.MAC) {
+			t.Fatal("a checked AEAD does not verify the ticket's MAC")
+		}
+	}
+
+	// Restore: the state carries the key, never the AEAD, and the restored
+	// table verifies what the live one did.
+	reg := NewRegistry(0)
+	if _, err := reg.AddTenant(TenantConfig{Name: "cache.example", Dim: dim, TicketPolicy: &cfg}); err != nil {
+		t.Fatal(err)
+	}
+	hosted, _ := reg.Tenant("cache.example")
+	hosted.Manager().cfg.Tickets.Install(tk.id, tk.key, tk.first, tk.last, now+100)
+	for range 2 {
+		if _, err := hosted.Manager().cfg.Tickets.check(tk.id, round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored := NewRegistry(0)
+	if _, err := restored.AddTenant(TenantConfig{Name: "cache.example", Dim: dim, TicketPolicy: &cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreState(reg.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	rt, _ := restored.Tenant("cache.example")
+	if cachedAEAD(rt.Manager().cfg.Tickets, tk.id) {
+		t.Fatal("a restored ticket holds an AEAD")
+	}
+	if err := restored.Ingest(raw); err != nil {
+		t.Fatalf("the restored table refused a genuine MAC: %v", err)
+	}
+	forged := bytes.Clone(raw)
+	forged[len(forged)-1] ^= 1
+	if err := restored.Ingest(forged); !errors.Is(err, ErrBadMAC) {
+		t.Fatalf("the restored table: forged err = %v, want ErrBadMAC", err)
+	}
+
+	// Re-install under the same ID: a new entry, no AEAD.
+	tbl.Install(tk.id, tk.key, tk.first, tk.last, now+100)
+	if cachedAEAD(tbl, tk.id) {
+		t.Fatal("a re-installed ticket kept the old entry's AEAD")
+	}
+	for range 2 {
+		if _, err := tbl.check(tk.id, round); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Eviction: at the bound, the soonest-expiring ticket goes, AEAD and all.
+	tbl.Install(7, xcrypto.SessionKey{7}, 1, 16, now+200)
+	tbl.Install(8, xcrypto.SessionKey{8}, 1, 16, now+200)
+	if _, err := tbl.check(tk.id, round); !errors.Is(err, ErrUnknownTicket) {
+		t.Fatalf("evicted ticket: err = %v, want ErrUnknownTicket", err)
+	}
+
+	// Expiry: the first check past the TTL drops the cached AEAD.
+	for range 2 {
+		if _, err := tbl.check(7, round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !cachedAEAD(tbl, 7) {
+		t.Fatal("ticket 7 checked twice holds no AEAD")
+	}
+	now += 201
+	if _, err := tbl.check(7, round); !errors.Is(err, ErrTicketExpired) {
+		t.Fatalf("expired ticket: err = %v, want ErrTicketExpired", err)
+	}
+	if cachedAEAD(tbl, 7) {
+		t.Fatal("an expired ticket still holds its AEAD")
+	}
+}
+
+// TestTicketTableConcurrentChecksShareOneAEAD: checks racing on one cold
+// ticket each get an AEAD that verifies its MACs, the table ends up caching
+// exactly one, and every later check is handed that one.
+func TestTicketTableConcurrentChecksShareOneAEAD(t *testing.T) {
+	tbl := NewTicketTable(TicketConfig{})
+	tk := testTicket{id: 42, key: xcrypto.SessionKey{4, 2}, first: 1, last: 16}
+	tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+	tc, err := glimmer.DecodeTicketedContribution(ticketedRaw("race.example", 3, 4, 1, tk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preimage := tc.MACBytes()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				aead, err := tbl.check(tk.id, 3)
+				if err != nil || !xcrypto.OpenSessionMAC(aead, preimage, tc.MAC) {
+					t.Errorf("concurrent check: err %v, or its AEAD refused the MAC", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cached, err := tbl.check(tk.id, 3)
+	if err != nil || !cachedAEAD(tbl, tk.id) {
+		t.Fatalf("after concurrent checks: err %v, cached %v", err, cachedAEAD(tbl, tk.id))
+	}
+	if again, _ := tbl.check(tk.id, 3); again != cached {
+		t.Fatal("checks after the cache is warm get different AEADs")
 	}
 }
 

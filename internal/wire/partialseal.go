@@ -21,8 +21,8 @@ import (
 // message in the system, and frozen by golden fixtures.
 
 // SealDigestLen is the length of one dedup digest as it appears in a
-// partial seal (SHA-256 of the raw contribution, or the session MAC on
-// the ticketed path — both 32 bytes).
+// partial seal: SHA-256 of the raw contribution, or on the ticketed path
+// the 28-byte session MAC zero-padded to 32.
 const SealDigestLen = 32
 
 // ErrPartialSeal is the decode-failure sentinel both merge-plane codecs

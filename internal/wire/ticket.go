@@ -8,8 +8,9 @@ import (
 // Ticket codecs: the attested-session-ticket control plane. A device-side
 // Glimmer enclave signs one TicketRequest (the single asymmetric operation
 // of a session); the service answers with a TicketGrant carrying no secret
-// at all — both sides derive the HMAC session key from the X25519 exchange
-// the request/grant pair completes. The encodings are public and auditable
+// at all — both sides derive the AES-256 session key, whose GMAC tags
+// endorse the session's contributions, from the X25519 exchange the
+// request/grant pair completes. The encodings are public and auditable
 // like every other message in the system, and frozen by golden fixtures.
 
 // DHPublicLen is the length of an X25519 public value.

@@ -84,3 +84,49 @@ func FuzzVerifyParts(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVerifySessionMAC holds the keyed check to the one-shot one:
+// MACState.VerifyKeyed over head‖tail must give VerifySessionMAC's verdict
+// over the joined message, under a key the fuzzer picks, for any MAC field.
+// When flip is zero the field is a genuine MAC of the message, which both
+// must accept; otherwise it is that MAC XORed with flip, cut or padded to
+// flip's length. Seeds: genuine MACs at several splits and over an empty
+// message, a flipped bit in the nonce and in the tag, and fields one byte
+// short and one byte long.
+func FuzzVerifySessionMAC(f *testing.F) {
+	msg := bytes.Repeat([]byte("ticketed bytes of one contribution "), 3)
+	for _, cut := range []int{0, 1, 16, len(msg)} {
+		f.Add(byte(1), msg[:cut], msg[cut:], []byte(nil))
+	}
+	f.Add(byte(2), []byte(nil), []byte(nil), []byte(nil))
+	for _, i := range []int{0, MACNonceSize - 1, MACNonceSize, MACSize - 1} {
+		flip := make([]byte, MACSize)
+		flip[i] = 0x80
+		f.Add(byte(3), []byte(nil), msg, flip)
+	}
+	f.Add(byte(4), []byte(nil), msg, make([]byte, MACSize-1))
+	f.Add(byte(4), []byte(nil), msg, make([]byte, MACSize+1))
+
+	var m MACState
+	f.Fuzz(func(t *testing.T, keyByte byte, head, tail, flip []byte) {
+		key := SessionKey{keyByte}
+		joined := append(append([]byte(nil), head...), tail...)
+		genuine := SessionMAC(&key, joined)
+		mac := genuine[:]
+		if len(flip) > 0 {
+			mac = make([]byte, len(flip))
+			copy(mac, genuine[:])
+			for i := range mac {
+				mac[i] ^= flip[i]
+			}
+		}
+		want := VerifySessionMAC(&key, joined, mac)
+		m.SetKey(&key)
+		if got := m.VerifyKeyed(head, tail, mac); got != want {
+			t.Fatalf("VerifyKeyed = %v, one-shot = %v\nhead %x\ntail %x\nmac  %x", got, want, head, tail, mac)
+		}
+		if isGenuine := bytes.Equal(mac, genuine[:]); want != isGenuine {
+			t.Fatalf("one-shot = %v for a field that is genuine: %v\nmac %x", want, isGenuine, mac)
+		}
+	})
+}

@@ -1,27 +1,37 @@
 package xcrypto
 
 import (
-	"crypto/hmac"
+	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"fmt"
-	"hash"
 )
 
 // Session MACs: the amortized-authentication primitive behind attested
 // session tickets. One public-key operation (a signature-verified ticket
 // request, or an attested handshake) establishes a short-lived 32-byte
-// session key; every message that follows carries an HMAC-SHA256 tag
-// instead of an asymmetric signature, turning the ~60 µs per-message
-// verify into a ~1 µs constant-time check on the ingest hot path.
+// session key; every message that follows carries a GMAC tag instead of an
+// asymmetric signature. GMAC is AES-256-GCM sealing an empty plaintext with
+// the message as additional data (NIST SP 800-38D), so the per-message cost
+// is AES-NI and carry-less multiplication over the message, not SHA-256.
+//
+// A MAC is MACNonceSize bytes of nonce followed by the 16-byte tag. The
+// sealer draws every nonce from crypto/rand and never from a counter:
+// sealed enclave state can be rolled back, and a rolled-back counter would
+// reuse a nonce. Random nonces also make two MACs of one message differ, so
+// a MAC names one act of sealing rather than one message — two identical
+// honest contributions under one ticket are two contributions, and only a
+// byte-identical resubmission is a replay.
 
-// MACSize is the byte length of a session MAC (HMAC-SHA256).
-const MACSize = sha256.Size
+const (
+	// MACNonceSize is the byte length of a session MAC's leading nonce.
+	MACNonceSize = 12
+	// MACSize is the byte length of a session MAC: nonce, then tag.
+	MACSize = MACNonceSize + 16
+)
 
-// SessionKey is a 32-byte HMAC-SHA256 session key. It is a value type so
-// hot paths can copy it out of shared tables without allocating.
+// SessionKey is a 32-byte AES-256 session key. It is a value type so hot
+// paths can copy it out of shared tables without allocating.
 type SessionKey [32]byte
 
 // NewSessionKey draws a fresh random session key.
@@ -49,80 +59,79 @@ func DeriveTicketKey(shared []byte, service string, ticketID uint64) SessionKey 
 	return key
 }
 
-// MACState is reusable HMAC-SHA256 state for the per-message hot path: one
-// state computes and verifies a stream of MACs under changing keys with
-// zero heap allocations at steady state (the hasher is created once, the
-// pads and digest buffers live on the struct). A MACState must not be used
-// from two goroutines concurrently; pipelines pool them alongside their
-// decode scratch.
-type MACState struct {
-	h   hash.Hash
-	pad [sha256.BlockSize]byte
-	sum [MACSize]byte
-	out [MACSize]byte
-
-	// Batch amortization (see macbatch.go): the keyed pad states for `key`,
-	// snapshotted once per SetKey and restored per message. The snapshots
-	// are immune to Sum/Verify calls in between — those rebuild their own
-	// pads — so a state can interleave scalar and keyed use freely.
-	key       SessionKey
-	keyed     bool
-	snap      bool
-	states    keyedStates
-	unmarshal encoding.BinaryUnmarshaler
-	joined    []byte
+// NewSessionAEAD returns the AES-256-GCM instance that seals and opens
+// key's MACs. Building one expands the AES key schedule and the GHASH
+// tables, which costs more than a MAC over a few kilobytes, so whoever MACs
+// a stream under one key builds it once and reuses it; it is safe for
+// concurrent use.
+func NewSessionAEAD(key *SessionKey) cipher.AEAD {
+	aead, err := newGCM(*key)
+	if err != nil {
+		panic(err) // AES accepts every 32-byte key
+	}
+	return aead
 }
 
-// Sum computes HMAC-SHA256(key, msg) into out.
-func (m *MACState) Sum(key *SessionKey, msg []byte, out *[MACSize]byte) {
-	if m.h == nil {
-		m.h = sha256.New()
-	}
-	// K0 = key || zeros to the block size; inner pad = K0 ^ 0x36.
-	for i := range m.pad {
-		m.pad[i] = 0x36
-	}
-	for i, b := range key {
-		m.pad[i] ^= b
-	}
-	m.h.Reset()
-	m.h.Write(m.pad[:])
-	m.h.Write(msg)
-	inner := m.h.Sum(m.sum[:0])
-	// Outer pad = K0 ^ 0x5c.
-	for i := range m.pad {
-		m.pad[i] ^= 0x36 ^ 0x5c
-	}
-	m.h.Reset()
-	m.h.Write(m.pad[:])
-	m.h.Write(inner)
-	m.h.Sum(out[:0])
+// AppendSessionMAC appends a session MAC of msg under aead to dst: a fresh
+// random nonce, then the tag. msg must not overlap dst's spare capacity.
+func AppendSessionMAC(dst []byte, aead cipher.AEAD, msg []byte) []byte {
+	dst = append(dst, make([]byte, MACNonceSize)...)
+	nonce := dst[len(dst)-MACNonceSize:]
+	rand.Read(nonce) // never fails: crypto/rand aborts the program instead
+	return aead.Seal(dst, nonce, nil, msg)
 }
 
-// Verify reports whether mac is the session MAC of msg under key, in
-// constant time with respect to the MAC bytes.
-func (m *MACState) Verify(key *SessionKey, msg, mac []byte) bool {
+// OpenSessionMAC reports whether mac is a session MAC of msg under aead.
+// Anything that is not exactly MACSize bytes is refused before AES runs;
+// the tag comparison is constant-time.
+func OpenSessionMAC(aead cipher.AEAD, msg, mac []byte) bool {
 	if len(mac) != MACSize {
 		return false
 	}
-	// The comparison buffer lives on the state: a stack array passed into
-	// the hasher's interface methods would escape and cost one allocation
-	// per verification.
-	m.Sum(key, msg, &m.out)
-	return hmac.Equal(m.out[:], mac)
+	_, err := aead.Open(nil, mac[:MACNonceSize], mac[MACNonceSize:], msg)
+	return err == nil
 }
 
-// SessionMAC is the one-shot convenience for cold paths (ticket issuance,
-// the enclave's per-contribution seal, tests).
+// SessionMAC is the one-shot seal for cold paths and tests; it builds an
+// AEAD per call.
 func SessionMAC(key *SessionKey, msg []byte) [MACSize]byte {
-	var m MACState
 	var out [MACSize]byte
-	m.Sum(key, msg, &out)
+	AppendSessionMAC(out[:0], NewSessionAEAD(key), msg)
 	return out
 }
 
-// VerifySessionMAC is the one-shot verification counterpart.
+// VerifySessionMAC is the one-shot check counterpart of SessionMAC.
 func VerifySessionMAC(key *SessionKey, msg, mac []byte) bool {
-	var m MACState
-	return m.Verify(key, msg, mac)
+	return OpenSessionMAC(NewSessionAEAD(key), msg, mac)
+}
+
+// MACState checks a stream of MACs over two-segment preimages (a constant
+// domain header and a view of received bytes): it keeps the AEAD of the
+// last key set, rebuilt only when the key changes, and a scratch buffer
+// the two segments are joined in, since GCM takes its additional data in
+// one piece. At steady state under one key it allocates nothing. A
+// MACState must not be used from two goroutines concurrently.
+type MACState struct {
+	key      SessionKey
+	aead     cipher.AEAD
+	preimage []byte
+}
+
+// SetKey makes key the one VerifyKeyed checks under. Setting the key m
+// already holds is a no-op, so loops call it unconditionally per item.
+func (m *MACState) SetKey(key *SessionKey) {
+	if m.aead != nil && m.key == *key {
+		return
+	}
+	m.key, m.aead = *key, NewSessionAEAD(key)
+}
+
+// VerifyKeyed reports whether mac is a session MAC of head‖tail under the
+// key set by SetKey. It panics if SetKey has not been called.
+func (m *MACState) VerifyKeyed(head, tail, mac []byte) bool {
+	if m.aead == nil {
+		panic("xcrypto: VerifyKeyed before SetKey")
+	}
+	m.preimage = append(append(m.preimage[:0], head...), tail...)
+	return OpenSessionMAC(m.aead, m.preimage, mac)
 }
