@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/tee"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -104,6 +106,96 @@ func TestRegistryRoutesBatchAcrossTenants(t *testing.T) {
 			t.Fatalf("tenant %s dim = %d", name, tn.Config().Dim)
 		}
 	}
+
+	// A second frame crosses every routing outcome at once, journaled: two
+	// rounds per tenant, rounds that do not exist yet (alpha's 2, whose first
+	// item fails preverify and whose second creates it; beta's 3, which no
+	// item creates), duplicates on an existing round, an unknown tenant,
+	// garbage, and bytes that name a tenant but carry no round.
+	tape := new(tapeJournal)
+	r.SetJournal(tape)
+	alpha, beta := keys["alpha.example"], keys["beta.example"]
+	noRound := wire.NewWriter().String("alpha.example").Finish()
+	frame := [][]byte{
+		tenantContribution(t, alpha, "alpha.example", 1, 4, 10), // 0 accepted
+		tenantContribution(t, beta, "beta.example", 2, 2, 0),    // 1 creates beta/2
+		tenantContribution(t, beta, "alpha.example", 2, 4, 0),   // 2 fails preverify
+		[]byte("garbage"), // 3 registry
+		tenantContribution(t, alpha, "alpha.example", 2, 4, 1), // 4 creates alpha/2
+		tenantContribution(t, alpha, "ghost.example", 2, 4, 0), // 5 registry
+		raws[1], // 6 duplicate of beta/1's first
+		raws[0], // 7 duplicate of alpha/1's first
+		noRound, // 8 alpha's manager
+		tenantContribution(t, beta, "beta.example", 2, 2, 1),    // 9 accepted
+		tenantContribution(t, alpha, "alpha.example", 1, 4, 11), // 10 accepted
+		tenantContribution(t, alpha, "beta.example", 3, 2, 0),   // 11 fails preverify
+	}
+	accepted, errs = r.IngestBatch(frame)
+	if accepted != 5 {
+		t.Fatalf("second frame accepted = %d, want 5", accepted)
+	}
+	for i, want := range []error{nil, nil, ErrBadSignature, nil, nil, ErrUnknownTenant,
+		ErrDuplicate, ErrDuplicate, nil, nil, nil, ErrBadSignature} {
+		switch {
+		case want != nil && !errors.Is(errs[i], want):
+			t.Errorf("item %d err = %v, want %v", i, errs[i], want)
+		case want == nil && (i == 3 || i == 8) && errs[i] == nil:
+			t.Errorf("item %d (unroutable) accepted", i)
+		case want == nil && i != 3 && i != 8 && errs[i] != nil:
+			t.Errorf("item %d refused: %v", i, errs[i])
+		}
+	}
+	ta, _ := r.Tenant("alpha.example")
+	tb, _ := r.Tenant("beta.example")
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"registry rejected", r.Rejected(), 4},
+		{"alpha manager rejected", ta.Manager().Rejected(), 2},
+		{"beta manager rejected", tb.Manager().Rejected(), 1},
+		{"alpha/1 rejected", roundOf(t, ta, 1).Rejected(), 1},
+		{"beta/1 rejected", roundOf(t, tb, 1).Rejected(), 1},
+		{"alpha/1 count", roundOf(t, ta, 1).Count(), 6},
+		{"alpha/2 count", roundOf(t, ta, 2).Count(), 1},
+		{"beta/2 count", roundOf(t, tb, 2).Count(), 2},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
+		}
+	}
+	if _, ok := tb.Manager().Lookup(3); ok {
+		t.Error("beta round 3 created by an item that failed preverify")
+	}
+	// One registry record before any tenant's; then each tenant in
+	// first-seen order, its rounds in first-seen order, and its manager's
+	// one record for the frame last.
+	want := []string{
+		"Rejected /0",
+		"BatchAccepted alpha.example/1", "Rejected alpha.example/1",
+		"RoundCreated alpha.example/2", "BatchAccepted alpha.example/2",
+		"Rejected alpha.example/0",
+		"RoundCreated beta.example/2", "BatchAccepted beta.example/2",
+		"Rejected beta.example/1",
+		"Rejected beta.example/0",
+	}
+	var got []string
+	for _, op := range tape.ops {
+		got = append(got, fmt.Sprintf("%s %s/%d", op.kind, op.tenant, op.round))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("journal records:\n got %q\nwant %q", got, want)
+	}
+}
+
+// roundOf returns a round the test expects to exist.
+func roundOf(t testing.TB, tn *Tenant, round uint64) *Pipeline {
+	t.Helper()
+	p, ok := tn.Manager().Lookup(round)
+	if !ok {
+		t.Fatalf("tenant %s has no round %d", tn.Name(), round)
+	}
+	return p
 }
 
 // TestRegistryCrossTenantForgery pins the isolation guarantee behind
