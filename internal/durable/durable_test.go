@@ -387,3 +387,55 @@ func TestTicketsSurviveRecovery(t *testing.T) {
 		t.Fatalf("ticket 7 state = %+v", tk)
 	}
 }
+
+// TestReplayRefusesMisdimensionedBatch: a first-generation WAL (no
+// snapshot, so no config digest) written at one dimension and recovered
+// into a tenant of the same name at another. The accepted batch must not
+// half-apply — its digests counted, its delta dropped — but be refused
+// whole and reported as a replay error, without truncating the WAL.
+func TestReplayRefusesMisdimensionedBatch(t *testing.T) {
+	dir := t.TempDir()
+	_, sA, _ := recoverInto(t, dir)
+	sA.RoundCreated(testTenant, 1)
+	sA.BatchAccepted(testTenant, 1, [][32]byte{digest(0x11), digest(0x22)}, fixed.Vector{10, 20, 30, 40})
+	sA.RoundSealed(testTenant, 1)
+	if err := sA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := service.NewRegistry(64)
+	if _, err := reg.AddTenant(service.TenantConfig{Name: testTenant, Dim: 8, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sB, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sB.Close()
+	stats, err := sB.Recover(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 3 || stats.ReplayErrors != 1 || stats.TruncatedBytes != 0 {
+		t.Fatalf("stats = %+v, want 3 records, 1 replay error, nothing truncated", stats)
+	}
+	tn, _ := reg.Tenant(testTenant)
+	p, ok := tn.Manager().Lookup(1)
+	if !ok {
+		t.Fatal("round 1 not recovered")
+	}
+	if p.Count() != 0 || !reflect.DeepEqual(p.Sum(), make(fixed.Vector, 8)) {
+		t.Fatalf("round 1 count=%d sum=%v, want nothing applied", p.Count(), p.Sum())
+	}
+}
+
+// TestRestoreRefusesMisdimensionedSum: a snapshot round whose sum has the
+// wrong length is refused, not restored without its sum.
+func TestRestoreRefusesMisdimensionedSum(t *testing.T) {
+	st := testState(t)
+	st.Tenants[0].Rounds[0].Sum = fixed.Vector{10, 20, 30}
+	reg := newTestRegistry(t)
+	if err := reg.RestoreState(st); err == nil {
+		t.Fatal("restore accepted a round sum of the wrong dimension")
+	}
+}
