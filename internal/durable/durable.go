@@ -84,7 +84,7 @@ type RecoverStats struct {
 	Generation     uint64
 	Records        int   // intact WAL records replayed
 	TruncatedBytes int64 // torn tail removed, 0 for a clean file
-	ReplayErrors   int   // records naming state the registry no longer has
+	ReplayErrors   int   // records naming state the registry no longer has, or of another dimension
 }
 
 // Open creates or opens a state directory with default group-commit

@@ -266,33 +266,41 @@ func (r *Registry) RestoreState(st RegistryState) error {
 		if t.ConfigDigest() != ts.ConfigDigest {
 			return fmt.Errorf("service: restore: tenant %q config digest mismatch (state was exported under a different name/dim/ticket policy)", ts.Name)
 		}
-		t.manager.restoreState(ts)
+		if err := t.manager.restoreState(ts); err != nil {
+			return fmt.Errorf("service: restore: tenant %q: %w", ts.Name, err)
+		}
 	}
 	r.rejected.Store(int64(st.Rejected))
 	return nil
 }
 
-func (m *RoundManager) restoreState(ts TenantState) {
+func (m *RoundManager) restoreState(ts TenantState) error {
 	m.rejected.Store(int64(ts.Rejected))
 	for _, rs := range ts.Rounds {
-		m.Round(rs.Round).restoreRound(rs)
+		if err := m.Round(rs.Round).restoreRound(rs); err != nil {
+			return fmt.Errorf("round %d: %w", rs.Round, err)
+		}
 	}
 	if m.cfg.Tickets != nil {
 		for _, tk := range ts.Tickets {
 			m.cfg.Tickets.restoreTicket(tk)
 		}
 	}
+	return nil
 }
 
-func (p *Pipeline) restoreRound(rs RoundState) {
+func (p *Pipeline) restoreRound(rs RoundState) error {
+	if err := p.restoreAccepted(rs.Digests, rs.Sum); err != nil {
+		return err
+	}
 	p.rejected.Store(int64(rs.Rejected))
-	p.restoreAccepted(rs.Digests, rs.Sum)
 	switch rs.Phase {
 	case RoundPhaseSealed:
 		_ = p.Seal()
 	case RoundPhaseClosed:
 		p.Close()
 	}
+	return nil
 }
 
 // restoreAccepted re-applies accepted contributions from durable state:
@@ -300,20 +308,23 @@ func (p *Pipeline) restoreRound(rs RoundState) {
 // them (so restored duplicates are still refused, and each fresh digest is
 // one accepted contribution, as live), and the combined delta lands in shard
 // 0 — per-shard placement of sums is irrelevant, only their total is
-// observable.
-func (p *Pipeline) restoreAccepted(digests [][32]byte, delta fixed.Vector) {
+// observable. A delta of the wrong dimension applies nothing: counting its
+// digests without their sum would make the round wrong rather than absent.
+func (p *Pipeline) restoreAccepted(digests [][32]byte, delta fixed.Vector) error {
+	if len(delta) != p.cfg.Dim {
+		return ErrWrongDim
+	}
 	for _, d := range digests {
 		sh := p.shards[binary.BigEndian.Uint64(d[:8])&p.shardMask]
 		sh.mu.Lock()
 		sh.seen[d] = true
 		sh.mu.Unlock()
 	}
-	if len(delta) == p.cfg.Dim {
-		sh := p.shards[0]
-		sh.mu.Lock()
-		sh.sum.AddInPlace(delta)
-		sh.mu.Unlock()
-	}
+	sh := p.shards[0]
+	sh.mu.Lock()
+	sh.sum.AddInPlace(delta)
+	sh.mu.Unlock()
+	return nil
 }
 
 // restoreTicket installs an entry verbatim: no eviction policy, no
@@ -347,7 +358,8 @@ func (t *TicketTable) setJournal(tenant string, j Journal) {
 // directly: the replay side of the WAL. internal/durable feeds decoded
 // records through it before attaching the real journal. onErr (may be
 // nil) receives non-fatal replay mismatches — records naming tenants the
-// registry no longer has.
+// registry no longer has, and vectors of another dimension than the
+// tenant's.
 func (r *Registry) ReplayJournal(onErr func(error)) Journal {
 	if onErr == nil {
 		onErr = func(error) {}
@@ -413,7 +425,9 @@ func (rj *replayJournal) RoundForgotten(tenant string, round uint64) {
 
 func (rj *replayJournal) BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector) {
 	if p := rj.round(tenant, round); p != nil {
-		p.restoreAccepted(digests, delta)
+		if err := p.restoreAccepted(digests, delta); err != nil {
+			rj.onErr(fmt.Errorf("service: replay: accepted batch on %s/%d: %w", tenant, round, err))
+		}
 	}
 }
 
