@@ -233,15 +233,19 @@ func BenchmarkPipelineAdd(b *testing.B) {
 	raw := EncodeSignedContribution(sc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := NewPipeline(PipelineConfig{
-			ServiceName: tb.Service.Name(),
-			Verify:      tb.Service.ContributionVerifyKey(),
-			Dim:         1024,
-			Round:       1,
-			Workers:     1,
-			Shards:      1,
+		reg := NewRegistry(0)
+		tenant, err := reg.AddTenant(TenantConfig{
+			Name:    tb.Service.Name(),
+			Verify:  tb.Service.ContributionVerifyKey(),
+			Dim:     1024,
+			Workers: 1,
+			Shards:  1,
 		})
-		if err := agg.Add(raw); err != nil {
+		if err != nil {
+			b.Fatal(err)
+		}
+		tenant.Manager().Round(1) // open, so admission's verify is not paid
+		if err := reg.Ingest(raw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,15 +291,20 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	run := func(b *testing.B, workers, shards int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			p := service.NewPipeline(service.PipelineConfig{
-				ServiceName: "bench.example",
-				Verify:      key.Public(),
-				Dim:         dim,
-				Round:       round,
-				Workers:     workers,
-				Shards:      shards,
+			reg := service.NewRegistry(0)
+			tenant, err := reg.AddTenant(service.TenantConfig{
+				Name:    "bench.example",
+				Verify:  key.Public(),
+				Dim:     dim,
+				Workers: workers,
+				Shards:  shards,
 			})
-			for _, err := range p.AddBatch(raws) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := tenant.Manager().Round(round)
+			_, errs := reg.IngestBatch(raws)
+			for _, err := range errs {
 				if err != nil {
 					b.Fatal(err)
 				}

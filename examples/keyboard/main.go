@@ -99,14 +99,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	agg := glimmers.NewPipeline(glimmers.PipelineConfig{
-		ServiceName: tb.Service.Name(),
-		Verify:      tb.Service.ContributionVerifyKey(),
-		Dim:         vocab.Dims(),
-		Round:       round,
-		Workers:     1,
-		Shards:      1,
+	reg := glimmers.NewRegistry(0)
+	tenant, err := reg.AddTenant(glimmers.TenantConfig{
+		Name:    tb.Service.Name(),
+		Verify:  tb.Service.ContributionVerifyKey(),
+		Dim:     vocab.Dims(),
+		Workers: 1,
+		Shards:  1,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	agg := tenant.Manager().Round(round)
 	rejected := 0
 	unused := fixed.NewVector(vocab.Dims())
 	for i, m := range models {
@@ -115,7 +119,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		agg.Vet(dev.Measurement())
+		tenant.Manager().Vet(dev.Measurement())
 		sc, err := dev.Contribute(round, m.Weights, nil)
 		if err != nil {
 			if errors.Is(err, glimmer.ErrRejected) {
@@ -125,7 +129,7 @@ func main() {
 			}
 			log.Fatal(err)
 		}
-		if err := agg.Add(glimmers.EncodeSignedContribution(sc)); err != nil {
+		if err := reg.Ingest(glimmers.EncodeSignedContribution(sc)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -51,17 +51,21 @@ func main() {
 	fmt.Printf("malicious contribution rejected: %v\n", errors.Is(err, glimmer.ErrRejected))
 
 	// 5. The service aggregates only endorsed contributions.
-	agg := glimmers.NewPipeline(glimmers.PipelineConfig{
-		ServiceName: tb.Service.Name(),
-		Verify:      tb.Service.ContributionVerifyKey(),
-		Dim:         dim,
-		Round:       1,
-		Workers:     1,
-		Shards:      1,
+	reg := glimmers.NewRegistry(0)
+	tenant, err := reg.AddTenant(glimmers.TenantConfig{
+		Name:    tb.Service.Name(),
+		Verify:  tb.Service.ContributionVerifyKey(),
+		Dim:     dim,
+		Workers: 1,
+		Shards:  1,
 	})
-	agg.Vet(dev.Measurement())
-	if err := agg.Add(glimmers.EncodeSignedContribution(sc)); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
+	tenant.Manager().Vet(dev.Measurement())
+	if err := reg.Ingest(glimmers.EncodeSignedContribution(sc)); err != nil {
+		log.Fatal(err)
+	}
+	agg := tenant.Manager().Round(1)
 	fmt.Printf("aggregator accepted %d contribution(s); sum[1] = %s\n", agg.Count(), agg.Sum()[1])
 }

@@ -63,18 +63,17 @@ type (
 	// Service is the cloud side: provisioning, vetting, aggregation.
 	Service = service.Service
 	// Pipeline is the concurrent, sharded ingest path for one round, with
-	// an explicit open → sealed → closed lifecycle. Workers: 1, Shards: 1
-	// configures the strictly serial baseline.
+	// an explicit open → sealed → closed lifecycle.
 	Pipeline = service.Pipeline
-	// PipelineConfig sizes a Pipeline (per-frame fan-out, shards).
-	PipelineConfig = service.PipelineConfig
-	// RoundManager owns pipelines for concurrent aggregation rounds.
+	// RoundManager owns one tenant's pipelines for concurrent rounds.
 	RoundManager = service.RoundManager
 	// Registry hosts many tenants — each with its own predicate, keys, and
 	// rounds — under one shared budget, routing contributions by the
 	// service name they carry.
 	Registry = service.Registry
-	// TenantConfig describes one of a Registry's hosted services.
+	// TenantConfig describes one of a Registry's hosted services, and
+	// sizes its rounds: Workers: 1, Shards: 1 configures the strictly
+	// serial baseline.
 	TenantConfig = service.TenantConfig
 	// BotGate consumes §4.1 verdicts.
 	BotGate = service.BotGate
@@ -114,10 +113,6 @@ var (
 	NewDevice = glimmer.NewDevice
 	// NewService creates a cloud service trusting an attestation root.
 	NewService = service.New
-	// NewPipeline starts a concurrent sharded ingest pipeline for a round.
-	NewPipeline = service.NewPipeline
-	// NewRoundManager starts a manager for concurrent rounds.
-	NewRoundManager = service.NewRoundManager
 	// NewRegistry starts a multi-tenant registry with a shared round budget.
 	NewRegistry = service.NewRegistry
 	// UnitRangeCheck builds the paper's canonical [0,1] validator.

@@ -8,17 +8,23 @@ import (
 	"glimmers/internal/glimmer"
 )
 
-// serialPipeline is the strictly serial aggregation baseline (one worker,
-// one shard) the facade tests collect into.
-func serialPipeline(tb *glimmers.Testbed, dim int, round uint64) *glimmers.Pipeline {
-	return glimmers.NewPipeline(glimmers.PipelineConfig{
-		ServiceName: tb.Service.Name(),
-		Verify:      tb.Service.ContributionVerifyKey(),
-		Dim:         dim,
-		Round:       round,
-		Workers:     1,
-		Shards:      1,
+// serialTenant hosts the testbed's service as the only tenant of a fresh
+// registry, strictly serial (one worker, one shard): the aggregation
+// baseline the facade tests collect into.
+func serialTenant(t *testing.T, tb *glimmers.Testbed, dim int) (*glimmers.Registry, *glimmers.RoundManager) {
+	t.Helper()
+	reg := glimmers.NewRegistry(0)
+	tenant, err := reg.AddTenant(glimmers.TenantConfig{
+		Name:    tb.Service.Name(),
+		Verify:  tb.Service.ContributionVerifyKey(),
+		Dim:     dim,
+		Workers: 1,
+		Shards:  1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg, tenant.Manager()
 }
 
 // TestFacadeQuickstart exercises the public API the way the quickstart
@@ -41,13 +47,13 @@ func TestFacadeQuickstart(t *testing.T) {
 	if !tb.Service.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
 		t.Fatal("signature invalid through facade")
 	}
-	agg := serialPipeline(tb, dim, 1)
-	agg.Vet(dev.Measurement())
-	if err := agg.Add(glimmers.EncodeSignedContribution(sc)); err != nil {
+	reg, rounds := serialTenant(t, tb, dim)
+	rounds.Vet(dev.Measurement())
+	if err := reg.Ingest(glimmers.EncodeSignedContribution(sc)); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Count() != 1 {
-		t.Fatalf("count = %d", agg.Count())
+	if got := rounds.Round(1).Count(); got != 1 {
+		t.Fatalf("count = %d", got)
 	}
 	// The 538 attack through the facade.
 	if _, err := dev.Contribute(2, glimmers.FromFloats([]float64{538, 0, 0, 0}), nil); !errors.Is(err, glimmer.ErrRejected) {
@@ -66,7 +72,7 @@ func TestFacadeDealerMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := serialPipeline(tb, dim, 1)
+	reg, rounds := serialTenant(t, tb, dim)
 	var want glimmers.Vector = make([]glimmers.Ring, dim)
 	for i := 0; i < n; i++ {
 		dev, err := tb.NewProvisionedDevice(dim, glimmers.ModeDealer,
@@ -74,7 +80,7 @@ func TestFacadeDealerMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg.Vet(dev.Measurement())
+		rounds.Vet(dev.Measurement())
 		c := glimmers.FromFloats([]float64{0.25, 0.5, 0.75})
 		for d := range want {
 			want[d] += c[d]
@@ -83,11 +89,11 @@ func TestFacadeDealerMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.Add(glimmers.EncodeSignedContribution(sc)); err != nil {
+		if err := reg.Ingest(glimmers.EncodeSignedContribution(sc)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := agg.Sum()
+	got := rounds.Round(1).Sum()
 	for d := range want {
 		if got[d] != want[d] {
 			t.Fatalf("aggregate mismatch at %d", d)

@@ -6,7 +6,6 @@ import (
 	"glimmers/internal/fixed"
 	"glimmers/internal/race"
 	"glimmers/internal/service"
-	"glimmers/internal/xcrypto"
 )
 
 // warmStaging gives both of the store's staging segments their steady-state
@@ -54,53 +53,64 @@ func TestBatchAcceptedAllocFree(t *testing.T) {
 
 // TestJournaledBatchIngestAllocFree is TestAddBatchErrsAllocFree of the
 // service package with the durability tax on: the batch plan journaling one
-// BatchAccepted record per frame into a live store still allocates nothing
-// per frame.
+// BatchAccepted record per frame into a live store allocates nothing per
+// frame beyond what the same frame costs unjournaled — the error slice
+// Registry.IngestBatch returns (TestRegistryIngestBatchOneAlloc).
 func TestJournaledBatchIngestAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	const dim, round, batchSize, runs = 256, uint64(7), 128, 50
-	s := openManual(t, t.TempDir())
-	defer s.Close()
-	var skey xcrypto.SessionKey
-	skey[0] = 0xA7
-	tbl := service.NewTicketTable(service.TicketConfig{})
-	tbl.Install(7, skey, 1, 1<<32, 1<<62)
+	skey := sessionKey(0xA7)
 	raws := orderRaws((runs+3)*batchSize, dim, round, &skey)
-	p := service.NewPipeline(service.PipelineConfig{
-		ServiceName:    testTenant,
-		Dim:            dim,
-		Round:          round,
-		Tickets:        tbl,
-		Workers:        1,
-		ExpectedCohort: len(raws),
-		Journal:        s,
-	})
-	defer p.Close()
-	errs := make([]error, batchSize)
-	ingest := func(b int) {
-		p.AddBatchErrs(raws[b*batchSize:(b+1)*batchSize], errs)
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
+	// perFrame measures steady-state frames through a fresh registry,
+	// journaling into s when it is non-nil.
+	perFrame := func(s *Store) float64 {
+		reg := service.NewRegistry(64)
+		hosted, err := reg.AddTenant(service.TenantConfig{
+			Name: testTenant, Dim: dim, Workers: 1,
+			ExpectedCohort: len(raws), TicketPolicy: &service.TicketConfig{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
+			ID: 7, Key: skey, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62,
+		})
+		if s != nil {
+			reg.SetJournal(s)
+		}
+		ingest := func(b int) {
+			_, errs := reg.IngestBatch(raws[b*batchSize : (b+1)*batchSize])
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		// Create the round, warm the arena and the shards; the second
+		// frame's check makes the table cache the ticket's AEAD.
+		ingest(0)
+		ingest(1)
+		if s != nil {
+			warmStaging(t, s, runs+1, make([][32]byte, batchSize), fixed.NewVector(dim))
+		}
+		b := 1
+		got := testing.AllocsPerRun(runs, func() {
+			b++
+			ingest(b)
+		})
+		if p, ok := hosted.Manager().Lookup(round); !ok || p.Count() != (b+1)*batchSize {
+			t.Fatalf("round %d holds %v, want %d accepted", round, p, (b+1)*batchSize)
+		}
+		return got
 	}
-	// Warm the arena and the shards; the second frame's check makes the
-	// table cache the ticket's AEAD.
-	ingest(0)
-	ingest(1)
-	warmStaging(t, s, runs+1, make([][32]byte, batchSize), fixed.NewVector(dim))
-	b := 1
-	if got := testing.AllocsPerRun(runs, func() {
-		b++
-		ingest(b)
-	}); got > 0 {
-		t.Errorf("journaled AddBatchErrs: %.2f allocs/op, want 0", got)
-	}
-	if p.Count() != (b+1)*batchSize {
-		t.Fatalf("count = %d, want %d", p.Count(), (b+1)*batchSize)
+	s := openManual(t, t.TempDir())
+	defer s.Close()
+	bare, journaled := perFrame(nil), perFrame(s)
+	if journaled > bare {
+		t.Errorf("journaled frame: %.2f allocs/op, unjournaled %.2f: the journal costs %.2f, want 0",
+			journaled, bare, journaled-bare)
 	}
 }
 

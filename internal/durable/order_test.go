@@ -67,7 +67,7 @@ func orderRaws(n, dim int, round uint64, key *xcrypto.SessionKey) [][]byte {
 }
 
 // TestJournalOrderUnderConcurrentIngest is the ordering property of the
-// group-commit path: however many goroutines feed AddBatchErrs across
+// group-commit path: however many goroutines feed frames across
 // however many shards, every accept record a round journals lands in the
 // WAL before that round's seal record (staging assigns sequence numbers
 // under one lock, and Seal drains in-flight work before journaling), so
@@ -78,30 +78,30 @@ func orderRaws(n, dim int, round uint64, key *xcrypto.SessionKey) [][]byte {
 func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 	const dim, perRound, batches = 4, 64, 8
 	dir := t.TempDir()
-	regSeed := newTestRegistry(t)
+	reg := service.NewRegistry(64)
+	hosted, err := reg.AddTenant(service.TenantConfig{
+		Name:           testTenant,
+		Dim:            dim,
+		Workers:        2,
+		Shards:         4,
+		ExpectedCohort: perRound,
+		TicketPolicy:   &service.TicketConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skey := sessionKey(0xA7)
+	reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
+		ID: 7, Key: skey, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62,
+	})
 	s, err := OpenConfig(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Recover(regSeed); err != nil {
+	if _, err := s.Recover(reg); err != nil {
 		t.Fatal(err)
 	}
-
-	// A bare round manager journaling through PipelineConfig.Journal — no
-	// Registry in the loop, the embedded shape.
-	var skey xcrypto.SessionKey
-	skey[0] = 0xA7
-	tbl := service.NewTicketTable(service.TicketConfig{})
-	tbl.Install(7, skey, 1, 1<<32, 1<<62)
-	m := service.NewRoundManager(service.PipelineConfig{
-		ServiceName:    testTenant,
-		Dim:            dim,
-		Tickets:        tbl,
-		Workers:        2,
-		Shards:         4,
-		ExpectedCohort: perRound,
-		Journal:        s,
-	})
+	m := hosted.Manager()
 
 	// Rounds 1 and 2 ingest concurrently, interleaved batch by batch,
 	// while a forget storm churns rounds 10+ through create → ingest →
@@ -114,8 +114,7 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 			wg.Add(1)
 			go func(round uint64, part [][]byte) {
 				defer wg.Done()
-				errs := make([]error, len(part))
-				m.Round(round).AddBatchErrs(part, errs)
+				_, errs := reg.IngestBatch(part)
 				for _, err := range errs {
 					if err != nil {
 						t.Errorf("round %d ingest: %v", round, err)
@@ -128,9 +127,8 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func(round uint64) {
 			defer wg.Done()
-			raws := orderRaws(4, dim, round, &skey)
-			errs := make([]error, len(raws))
-			m.Round(round).AddBatchErrs(raws, errs)
+			m.Round(round)
+			reg.IngestBatch(orderRaws(4, dim, round, &skey))
 			m.Forget(round)
 		}(storm)
 	}

@@ -30,13 +30,24 @@ func newFleetTenant(t *testing.T) *fleetTenant {
 	return &fleetTenant{key: key, meas: tee.Measurement{1, 2, 3}}
 }
 
-func (ft *fleetTenant) manager(dim int) *service.RoundManager {
-	m := service.NewRoundManager(service.PipelineConfig{
-		ServiceName: "iot.example", Verify: ft.key.Public(), Dim: dim,
-		Workers: 1, Shards: 2,
+// node hosts the tenant as the only one of a fresh registry, ticketed and
+// holding the given tickets: the ingest one fleet node serves, and the
+// tenant's rounds there.
+func (ft *fleetTenant) node(t *testing.T, dim int, tickets ...service.TicketState) (*service.Registry, *service.RoundManager) {
+	t.Helper()
+	reg := service.NewRegistry(0)
+	hosted, err := reg.AddTenant(service.TenantConfig{
+		Name: "iot.example", Verify: ft.key.Public(), Dim: dim,
+		Vetted: []tee.Measurement{ft.meas}, Workers: 1, Shards: 2,
+		TicketPolicy: &service.TicketConfig{},
 	})
-	m.Vet(ft.meas)
-	return m
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range tickets {
+		reg.ReplayJournal(nil).TicketGranted("iot.example", tk)
+	}
+	return reg, hosted.Manager()
 }
 
 func (ft *fleetTenant) contribution(t *testing.T, round uint64, dim int, rng *rand.Rand) []byte {
@@ -75,8 +86,8 @@ func fleetServer(t *testing.T, ing Ingestor, merger PartialMerger) (*Server, str
 func TestFleetForwardAndMerge(t *testing.T) {
 	const dim, round = 3, uint64(7)
 	ft := newFleetTenant(t)
-	rounds := ft.manager(dim)
-	nodeSrv, nodeAddr := fleetServer(t, rounds, nil)
+	reg, rounds := ft.node(t, dim)
+	nodeSrv, nodeAddr := fleetServer(t, reg, nil)
 
 	hub := &service.MergeHub{AllowTOFU: true}
 	coordSrv, coordAddr := fleetServer(t, nil, hub)
@@ -167,9 +178,9 @@ func TestFleetClientRouting(t *testing.T) {
 	managers := map[uint32]*service.RoundManager{}
 	nodes := make([]FleetNode, 0, 3)
 	for id := uint32(1); id <= 3; id++ {
-		m := ft.manager(dim)
+		reg, m := ft.node(t, dim)
 		managers[id] = m
-		_, addr := fleetServer(t, m, nil)
+		_, addr := fleetServer(t, reg, nil)
 		nodes = append(nodes, FleetNode{ID: id, Addr: addr})
 	}
 	fc, err := DialFleet(context.Background(), FleetConfig{Nodes: nodes})
@@ -255,7 +266,8 @@ func TestFleetClientGroupsReused(t *testing.T) {
 	ft := newFleetTenant(t)
 	nodes := make([]FleetNode, 0, 3)
 	for id := uint32(1); id <= 3; id++ {
-		_, addr := fleetServer(t, ft.manager(dim), nil)
+		reg, _ := ft.node(t, dim)
+		_, addr := fleetServer(t, reg, nil)
 		nodes = append(nodes, FleetNode{ID: id, Addr: addr})
 	}
 	fc, err := DialFleet(context.Background(), FleetConfig{Nodes: nodes})
@@ -329,16 +341,12 @@ func TestFleetTicketHonouredOnlyOnGrantingNode(t *testing.T) {
 	taps := map[uint32]*errTap{}
 	var nodes []FleetNode
 	for _, id := range []uint32{granting, other} {
-		tbl := service.NewTicketTable(service.TicketConfig{})
+		var granted []service.TicketState
 		if id == granting {
-			tbl.Install(7, tk, 1, 1<<32, 1<<62)
+			granted = append(granted, service.TicketState{ID: 7, Key: tk, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62})
 		}
-		m := service.NewRoundManager(service.PipelineConfig{
-			ServiceName: "iot.example", Verify: ft.key.Public(), Dim: dim,
-			Tickets: tbl, Workers: 1, Shards: 2,
-		})
-		m.Vet(ft.meas)
-		managers[id], taps[id] = m, &errTap{Ingestor: m}
+		reg, m := ft.node(t, dim, granted...)
+		managers[id], taps[id] = m, &errTap{Ingestor: reg}
 		_, addr := fleetServer(t, taps[id], nil)
 		nodes = append(nodes, FleetNode{ID: id, Addr: addr})
 	}

@@ -164,25 +164,24 @@ func readFrame(r io.Reader) (string, []byte, error) {
 }
 
 // Ingestor accepts batches of encoded signed contributions and reports
-// how many were accepted, with one error slot per input.
-// service.RoundManager satisfies it for a single tenant; service.Registry
-// satisfies it with frame-level routing across tenants.
+// how many were accepted, with one error slot per input. service.Registry
+// satisfies it, routing each contribution to its tenant and round, one
+// tenant or many.
 //
 // IngestBatch must not retain any raws slice after it returns: the server
 // hands it views into a per-connection frame buffer that is reused for the
-// next frame (service.RoundManager copies everything it keeps, so it
+// next frame (service.Registry copies everything it keeps, so it
 // qualifies). Those views flow through the service layer's batch plan
 // untouched, whichever wire variant they hold — MAC and signature preimages
-// and vector lanes are read in place (see service.Pipeline.AddBatchErrs), so
+// and vector lanes are read in place (see service.Registry.IngestBatch), so
 // a frame's contributions reach the shard accumulators with zero copies.
 type Ingestor interface {
 	IngestBatch(raws [][]byte) (accepted int, errs []error)
 }
 
 // TicketGranter runs the service side of the attested-session-ticket
-// exchange: one signed request in, one grant out (see
-// service.RoundManager.GrantTicket). service.Registry satisfies it with
-// per-tenant routing. A mux whose Ingestor also implements TicketGranter
+// exchange: one signed request in, one grant out. service.Registry
+// satisfies it with per-tenant routing (see service.Registry.GrantTicket). A mux whose Ingestor also implements TicketGranter
 // serves the ticket-grant command; ticket renewal is simply another grant
 // (clients re-run the exchange when ingest starts refusing with the
 // ticket-expired error), and an expired or unknown ticket never grants

@@ -22,16 +22,17 @@ type world struct {
 	*testbed.Tenant
 	server *Server
 	addr   string
-	// rounds is non-nil when the world was built with ingest enabled
-	// (wired before Serve, per SetIngest's contract).
+	// rounds is the hosted tenant's when the world was built with ingest
+	// enabled (wired before Serve, per SetIngest's contract).
 	rounds *service.RoundManager
 }
 
 func newWorld(t *testing.T) *world { return newWorldIngest(t, false, nil) }
 
-// newWorldIngest is newWorld with, if withIngest, a round manager behind
-// the edge; a non-nil tickets is the table it grants session tickets into.
-func newWorldIngest(t *testing.T, withIngest bool, tickets *service.TicketTable) *world {
+// newWorldIngest is newWorld with, if withIngest, a registry hosting the
+// tenant behind the edge; a non-nil tickets is the policy it grants session
+// tickets under.
+func newWorldIngest(t *testing.T, withIngest bool, tickets *service.TicketConfig) *world {
 	t.Helper()
 	tn := hostedTenant(t, newSubstrate(t), "iot.example", dim)
 	mux := NewServeMux()
@@ -39,16 +40,21 @@ func newWorldIngest(t *testing.T, withIngest bool, tickets *service.TicketTable)
 	srvCfg := ServerConfig{Platform: tn.Platform, Mux: mux}
 	var rounds *service.RoundManager
 	if withIngest {
-		rounds = service.NewRoundManager(service.PipelineConfig{
-			ServiceName: tn.Name,
-			Verify:      tn.Svc.ContributionVerifyKey(),
-			Dim:         dim,
-			Tickets:     tickets,
-			Workers:     2,
-			Shards:      2,
+		reg := service.NewRegistry(0)
+		hosted, err := reg.AddTenant(service.TenantConfig{
+			Name:         tn.Name,
+			Verify:       tn.Svc.ContributionVerifyKey(),
+			Dim:          dim,
+			Vetted:       []tee.Measurement{tn.Measurement()},
+			Workers:      2,
+			Shards:       2,
+			TicketPolicy: tickets,
 		})
-		rounds.Vet(tn.Measurement())
-		srvCfg.Ingest = rounds
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = hosted.Manager()
+		srvCfg.Ingest = reg
 	}
 	server, addr := edgeServer(t, srvCfg)
 	return &world{Tenant: tn, server: server, addr: addr, rounds: rounds}
@@ -101,16 +107,18 @@ func TestRemoteContribution(t *testing.T) {
 	if !w.Svc.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
 		t.Fatal("remote contribution signature invalid")
 	}
-	agg := service.NewPipeline(service.PipelineConfig{
-		ServiceName: w.Name,
-		Verify:      w.Svc.ContributionVerifyKey(),
-		Dim:         dim,
-		Round:       1,
-		Workers:     1,
-		Shards:      1,
-	})
-	agg.Vet(w.server.Measurement())
-	if err := agg.Add(glimmer.EncodeSignedContribution(sc)); err != nil {
+	reg := service.NewRegistry(0)
+	if _, err := reg.AddTenant(service.TenantConfig{
+		Name:    w.Name,
+		Verify:  w.Svc.ContributionVerifyKey(),
+		Dim:     dim,
+		Vetted:  []tee.Measurement{w.server.Measurement()},
+		Workers: 1,
+		Shards:  1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Ingest(glimmer.EncodeSignedContribution(sc)); err != nil {
 		t.Fatal(err)
 	}
 }

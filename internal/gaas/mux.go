@@ -75,8 +75,8 @@ func (m *ServeMux) MountResolver(r HostResolver) {
 }
 
 // HandleIngest registers the submit-batch command, forwarding batches to
-// ing, and — when ing also grants tickets (service.Registry,
-// service.RoundManager) — the ticket-grant command.
+// ing, and — when ing also grants tickets (service.Registry) — the
+// ticket-grant command.
 func (m *ServeMux) HandleIngest(ing Ingestor) {
 	m.ingest = ing
 	m.Handle(cmdSubmitBatch, HandlerFunc((*Session).submitBatch))

@@ -25,7 +25,7 @@ func newTicketWorld(t *testing.T) *ticketWorld {
 	t.Helper()
 	clock := new(atomic.Int64)
 	clock.Store(1_700_000_000)
-	tickets := service.NewTicketTable(service.TicketConfig{TTL: 60, Now: clock.Load})
+	tickets := &service.TicketConfig{TTL: 60, Now: clock.Load}
 	return &ticketWorld{world: newWorldIngest(t, true, tickets), clock: clock}
 }
 

@@ -93,7 +93,7 @@ func TestDealerEnclaveEndToEnd(t *testing.T) {
 	}
 
 	// The cohort contributes; the dealt masks cancel exactly.
-	agg := serialPipeline(svc, dim, round)
+	agg := newSerialPipeline(t, svc, dim, round)
 	trueSum := fixed.NewVector(dim)
 	prg := xcrypto.NewPRG([]byte("dealer-cohort"))
 	for _, dev := range devices {

@@ -20,17 +20,34 @@ import (
 const dim = 4
 
 // serialPipeline is the strictly serial aggregation baseline (one worker,
-// one shard) these tests collect into.
-func serialPipeline(svc *service.Service, dim int, round uint64) *service.Pipeline {
-	return service.NewPipeline(service.PipelineConfig{
-		ServiceName: svc.Name(),
-		Verify:      svc.ContributionVerifyKey(),
-		Dim:         dim,
-		Round:       round,
-		Workers:     1,
-		Shards:      1,
-	})
+// one shard) these tests collect into: one round of the service as the only
+// tenant of a fresh registry, fed through the registry as a transport
+// feeds it.
+type serialPipeline struct {
+	*service.Pipeline
+	reg    *service.Registry
+	rounds *service.RoundManager
 }
+
+func newSerialPipeline(t *testing.T, svc *service.Service, dim int, round uint64) serialPipeline {
+	t.Helper()
+	reg := service.NewRegistry(0)
+	tenant, err := reg.AddTenant(service.TenantConfig{
+		Name:    svc.Name(),
+		Verify:  svc.ContributionVerifyKey(),
+		Dim:     dim,
+		Workers: 1,
+		Shards:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tenant.Manager()
+	return serialPipeline{Pipeline: m.Round(round), reg: reg, rounds: m}
+}
+
+func (p serialPipeline) Add(raw []byte) error     { return p.reg.Ingest(raw) }
+func (p serialPipeline) Vet(meas tee.Measurement) { p.rounds.Vet(meas) }
 
 func newWorld(t *testing.T) (*tee.AttestationService, *tee.Platform, *service.Service) {
 	t.Helper()
@@ -216,7 +233,7 @@ func TestHostCannotTamperWithSignedContribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := serialPipeline(svc, dim, 3)
+	agg := newSerialPipeline(t, svc, dim, 3)
 	agg.Vet(dev.Measurement())
 
 	// Host flips one blinded element before forwarding.
@@ -262,7 +279,7 @@ func TestDealerModeCohortAggregation(t *testing.T) {
 
 	contributions := make([]fixed.Vector, n)
 	trueSum := fixed.NewVector(dim)
-	agg := serialPipeline(svc, dim, round)
+	agg := newSerialPipeline(t, svc, dim, round)
 	prg := xcrypto.NewPRG([]byte("cohort"))
 	for i, dev := range devices {
 		agg.Vet(dev.Measurement())
@@ -355,7 +372,7 @@ func TestPairwiseModeCohortAggregation(t *testing.T) {
 		}
 	}
 
-	agg := serialPipeline(svc, dim, round)
+	agg := newSerialPipeline(t, svc, dim, round)
 	trueSum := fixed.NewVector(dim)
 	prg := xcrypto.NewPRG([]byte("pairwise"))
 	for _, dev := range devices {
@@ -411,7 +428,7 @@ func TestCrossCheckCorroboration(t *testing.T) {
 func TestIdenticalContributionsFromTwoDevices(t *testing.T) {
 	_, platform, svc := newWorld(t)
 	const round = 1
-	agg := serialPipeline(svc, dim, round)
+	agg := newSerialPipeline(t, svc, dim, round)
 	value := fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4})
 	var raws [2][]byte
 	for i := range raws {

@@ -29,8 +29,8 @@ func (v *TicketedView) Lanes() int { return len(v.LaneBytes) / 8 }
 
 // PreimageParts returns the MAC preimage as two segments: the constant
 // domain header and the frame's field bytes. GCM takes its additional data
-// in one piece, so a checker joins them in a reusable buffer
-// (xcrypto.MACState.VerifyKeyed does).
+// in one piece, so a checker joins them in a reusable buffer (the service
+// joins them in its per-frame ticketCheck.preimage).
 func (v *TicketedView) PreimageParts() (head, tail []byte) {
 	return ticketedHeader, v.fields
 }

@@ -15,6 +15,7 @@ import (
 	"glimmers/internal/glimmer"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -187,7 +188,10 @@ func TestStartDrainRecover(t *testing.T) {
 	if p.Count() != splitFrame || !slices.Equal(p.Sum(), round.Sum) {
 		t.Errorf("recovered round 7: count %d sum %v, want %d and %v", p.Count(), p.Sum(), splitFrame, round.Sum)
 	}
-	if err := p.Add(nil); err != service.ErrRoundSealed {
+	// A header naming round 7 reaches the round, which refuses before it
+	// reads any further.
+	probe := wire.NewWriter().String(testService).Uint64(7).Finish()
+	if err := again.Registry().Ingest(probe); err != service.ErrRoundSealed {
 		t.Errorf("recovered round 7 takes input (%v), want it sealed", err)
 	}
 }

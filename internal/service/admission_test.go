@@ -402,9 +402,9 @@ func TestAdmissionConcurrent(t *testing.T) {
 				continue
 			}
 			gone++
-			raw := tenantContribution(t, nil, a.mgr.cfg.ServiceName, a.round, 1, int(nextItem.Add(1)))
-			if err := a.p.Add(raw); !errors.Is(err, ErrRoundClosed) {
-				t.Fatalf("%s/%d left its manager but answers %v, want ErrRoundClosed", a.mgr.cfg.ServiceName, a.round, err)
+			raw := tenantContribution(t, nil, a.mgr.cfg.Name, a.round, 1, int(nextItem.Add(1)))
+			if err := add(a.p, raw)[0]; !errors.Is(err, ErrRoundClosed) {
+				t.Fatalf("%s/%d left its manager but answers %v, want ErrRoundClosed", a.mgr.cfg.Name, a.round, err)
 			}
 		}
 	}
@@ -470,7 +470,7 @@ func TestDropoutRacesSeal(t *testing.T) {
 					close(warm)
 				}
 				batch := batches[h*frames+f]
-				for i, err := range p.AddBatch(batch) {
+				for i, err := range add(p, batch...) {
 					switch {
 					case err == nil:
 						sc, derr := glimmer.DecodeSignedContribution(batch[i])
@@ -515,7 +515,7 @@ func TestDropoutRacesSeal(t *testing.T) {
 	wg.Wait()
 
 	if got := p.Count(); got != accepted {
-		t.Fatalf("sealed count = %d, AddBatch reported %d accepted", got, accepted)
+		t.Fatalf("sealed count = %d, its frames reported %d accepted", got, accepted)
 	}
 	if got := p.Sum(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sealed sum = %v, want accepted + masks = %v", got, want)

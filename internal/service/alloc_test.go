@@ -50,23 +50,23 @@ func TestDedupInsertAllocFree(t *testing.T) {
 	}
 	const runs = 300
 	raws := allocRaws(t, runs+50, 64, 7, nil)
-	p := NewPipeline(PipelineConfig{
-		ServiceName:    "alloc.example",
+	p := testRound(t, TenantConfig{
+		Name:           "alloc.example",
 		Dim:            64,
-		Round:          7,
 		Workers:        1,
 		Shards:         1,
 		ExpectedCohort: len(raws),
-	})
+	}, 7)
 	// Warm the arena pool and the first map buckets.
-	if err := p.Add(raws[0]); err != nil {
-		t.Fatal(err)
+	errs := make([]error, 1)
+	if p.addBatchErrs(raws[:1], errs); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	i := 0
 	if got := testing.AllocsPerRun(runs, func() {
 		i++
-		if err := p.Add(raws[i]); err != nil {
-			t.Fatal(err)
+		if p.addBatchErrs(raws[i:i+1], errs); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	}); got > 0 {
 		t.Errorf("decode+dedup insert: %.1f allocs/op, want 0", got)
@@ -81,19 +81,19 @@ func TestDedupInsertAllocFree(t *testing.T) {
 // still applies.
 func TestNilVerifySkipsSignatureCheck(t *testing.T) {
 	raws := allocRaws(t, 2, 8, 3, nil)
-	p := NewPipeline(PipelineConfig{ServiceName: "alloc.example", Dim: 8, Round: 3, Workers: 1, Shards: 1})
-	if err := p.Add(raws[0]); err != nil {
+	p := testRound(t, TenantConfig{Name: "alloc.example", Dim: 8, Workers: 1, Shards: 1}, 3)
+	if err := add(p, raws[0])[0]; err != nil {
 		t.Fatalf("unsigned contribution refused in nil-Verify mode: %v", err)
 	}
-	if err := p.Add(raws[0]); err != ErrDuplicate {
+	if err := add(p, raws[0])[0]; err != ErrDuplicate {
 		t.Fatalf("duplicate err = %v, want ErrDuplicate", err)
 	}
 	wrongRound := allocRaws(t, 1, 8, 4, nil)
-	if err := p.Add(wrongRound[0]); err != ErrWrongRound {
+	if err := add(p, wrongRound[0])[0]; err != ErrWrongRound {
 		t.Fatalf("wrong-round err = %v, want ErrWrongRound", err)
 	}
 	wrongDim := allocRaws(t, 1, 9, 3, nil)
-	if err := p.Add(wrongDim[0]); err != ErrWrongDim {
+	if err := add(p, wrongDim[0])[0]; err != ErrWrongDim {
 		t.Fatalf("wrong-dim err = %v, want ErrWrongDim", err)
 	}
 }
@@ -108,11 +108,11 @@ func TestVerifyStillEnforcedWithKey(t *testing.T) {
 	}
 	good := allocRaws(t, 1, 8, 3, key)
 	bad := allocRaws(t, 1, 8, 3, nil) // unsigned
-	p := NewPipeline(PipelineConfig{ServiceName: "alloc.example", Verify: key.Public(), Dim: 8, Round: 3, Workers: 1, Shards: 1})
-	if err := p.Add(good[0]); err != nil {
+	p := testRound(t, TenantConfig{Name: "alloc.example", Verify: key.Public(), Dim: 8, Workers: 1, Shards: 1}, 3)
+	if err := add(p, good[0])[0]; err != nil {
 		t.Fatalf("valid signed contribution refused: %v", err)
 	}
-	if err := p.Add(bad[0]); err != ErrBadSignature {
+	if err := add(p, bad[0])[0]; err != ErrBadSignature {
 		t.Fatalf("unsigned err = %v, want ErrBadSignature", err)
 	}
 }
@@ -143,23 +143,22 @@ func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 		}
 		want.AddInPlace(sc.Blinded)
 	}
-	p := NewPipeline(PipelineConfig{
-		ServiceName:    "alloc.example",
+	p := testRound(t, TenantConfig{
+		Name:           "alloc.example",
 		Verify:         key.Public(),
 		Dim:            dim,
-		Round:          round,
 		Workers:        4,
 		ExpectedCohort: len(all),
-	})
+	}, round)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		batch := all[c*perCaller : (c+1)*perCaller]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, err := range p.AddBatch(batch) {
+			for _, err := range add(p, batch...) {
 				if err != nil {
-					t.Errorf("AddBatch: %v", err)
+					t.Errorf("addBatchErrs: %v", err)
 				}
 			}
 		}()
@@ -181,11 +180,10 @@ func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 }
 
 // TestRegistryIngestBatchOneAlloc pins what a routed frame may allocate:
-// the error slice IngestBatch returns, and nothing else on a single-tenant,
-// single-round frame — the manager below writes into slots from the
-// registry's own scratch. A frame interleaving three tenants (two vector
-// tenants and a one-bit one, verification off) may allocate no more than
-// the 10 per frame recorded when that shape was last measured.
+// the error slice IngestBatch returns, and nothing else — every round
+// group writes into slots from the router's one pooled scratch, however
+// many tenants the frame interleaves (here three: two vector tenants and a
+// one-bit one, verification off).
 func TestRegistryIngestBatchOneAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -199,7 +197,7 @@ func TestRegistryIngestBatchOneAlloc(t *testing.T) {
 		name    string
 		tenants int
 		max     float64
-	}{{"single-tenant", 1, 1}, {"three-tenant", 3, 10}} {
+	}{{"single-tenant", 1, 1}, {"three-tenant", 3, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRegistry(0)
 			for _, tn := range tenants[:tc.tenants] {

@@ -11,7 +11,7 @@ import (
 
 // The ingest plan. Every contribution crosses decode → rule → dedup →
 // accumulate → journal in processBatch, as one item of a frame — a frame of
-// one when it was submitted on its own (Add, the routers' Ingest). A frame
+// one when it was submitted on its own (Registry.Ingest). A frame
 // shares almost everything its items would otherwise each pay for:
 // contributions in one frame overwhelmingly name the same ticket (same
 // session key, same table row) and land across a handful of shards. So the
@@ -20,10 +20,9 @@ import (
 //  1. one verification loop, in submission order. Each item is decoded into
 //     the zero-copy view of its wire variant (its vector stays wire lane
 //     bytes) and held to that variant's rule: verifyTicketed, whose
-//     one-entry ticket memo and keyed MAC pads make a run of items under one
-//     ticket cost one table read and one key schedule, or verifySigned,
-//     which streams the view's two preimage segments into the signature
-//     check. Either rule leaves the same thing behind — a dedup digest and
+//     one-entry ticket memo makes a run of items under one ticket cost one
+//     table read and reuse one AEAD, or verifySigned, which streams the
+//     view's two preimage segments into the signature check. Either rule leaves the same thing behind — a dedup digest and
 //     a view of the lanes — so past this loop there is one kind of item;
 //  2. one shard phase: counting-sort the survivors by dedup shard — the
 //     sort is stable, so a shard sees its items in submission order and a
@@ -40,7 +39,7 @@ import (
 // buffer reachable — the must-not-retain contract gaas.Ingestor documents
 // for this very path.
 //
-// A frame larger than one chunk fans out: AddBatchErrs starts a goroutine
+// A frame larger than one chunk fans out: addBatchErrs starts a goroutine
 // per extra chunk, each running the whole plan over its chunk, and waits
 // for all of them before it returns. The frame owns those goroutines; the
 // pipeline owns none.
@@ -97,13 +96,14 @@ func (a *ingestArena) release() {
 	arenaPool.Put(a)
 }
 
-// AddBatchErrs is AddBatch writing into a caller-owned error slice (one
-// slot per input, nil for accepted), so steady-state callers can reuse the
-// slice and keep the whole submission allocation-free. It blocks until the
-// batch has settled. len(errs) must equal len(raws).
-func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
+// addBatchErrs verifies and accumulates one round's group of a routed frame
+// through the ingest plan, writing one error slot per input (nil for
+// accepted) into the router's slots, so a steady-state frame allocates
+// nothing. It blocks until the batch has settled. len(errs) must equal
+// len(raws).
+func (p *Pipeline) addBatchErrs(raws [][]byte, errs []error) {
 	if len(errs) != len(raws) {
-		panic(fmt.Sprintf("service: AddBatchErrs got %d error slots for %d inputs", len(errs), len(raws)))
+		panic(fmt.Sprintf("service: addBatchErrs got %d error slots for %d inputs", len(errs), len(raws)))
 	}
 	if len(raws) == 0 {
 		return
@@ -174,10 +174,10 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	for i, raw := range raws {
 		it := batchItem{idx: i}
 		if glimmer.PeekContributionTicketed(raw) {
-			it.digest, errs[i] = verifyTicketed(&p.cfg, &p.cfg.Round, raw, &a.ticketed, &a.check)
+			it.digest, errs[i] = verifyTicketed(p.cfg, &p.round, raw, &a.ticketed, &a.check)
 			it.lanes = a.ticketed.LaneBytes
 		} else {
-			it.digest, errs[i] = verifySigned(&p.cfg, &p.cfg.Round, p.allow, raw, &a.signed)
+			it.digest, errs[i] = verifySigned(p.cfg, &p.round, raw, &a.signed)
 			it.lanes = a.signed.LaneBytes
 		}
 		if errs[i] != nil {
@@ -263,7 +263,7 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		}
 		a.jdigests = digests
 		if len(digests) > 0 {
-			j.BatchAccepted(p.cfg.ServiceName, p.cfg.Round, digests, delta)
+			j.BatchAccepted(p.cfg.Name, p.round, digests, delta)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
-// oracle is the differential's independent party, now that Add and
-// AddBatchErrs are one implementation: the acceptance rule of both wire
+// oracle is the differential's independent party, now that a frame of one
+// and a frame of N are one implementation: the acceptance rule of both wire
 // variants in its documented order, written plainly with the copying
 // decoders, the one-shot MAC, a map and AddInPlace — no scratch, view,
 // arena, memo or keyed MAC state, nothing the ingest plan is built from.
@@ -83,9 +83,9 @@ func (o *oracle) check(raw []byte) (fixed.Vector, [32]byte, error) {
 	return tc.Blinded, digest, nil
 }
 
-// ledgerJournal adds up what a bare pipeline journals: the multiset of
-// watermarked digests, the summed delta and the summed Rejected n. A bare,
-// unsealed pipeline calls no other Journal method.
+// ledgerJournal adds up what one round journals: the multiset of
+// watermarked digests, the summed delta and the summed Rejected n. An
+// unsealed round fed past the router calls no other Journal method.
 type ledgerJournal struct {
 	Journal
 	digests  map[[32]byte]int
@@ -107,20 +107,18 @@ func (j *ledgerJournal) Rejected(_ string, _ uint64, _ RejectLevel, n int) { j.r
 // input bytes each: which template — faultBatch's corpus, valid traffic
 // under a second ticket, two distinct signed items — and one byte mutation
 // (offset, XOR mask; a zero mask leaves the template intact, and picking a
-// template twice plants a duplicate). The frame as one AddBatchErrs call
-// (Workers: 1, so chunk boundaries cannot reorder duplicates), as N Add
-// calls and through the oracle must produce the identical error string per
+// template twice plants a duplicate). The frame as one addBatchErrs call
+// (Workers: 1, so chunk boundaries cannot reorder duplicates), as N frames
+// of one and through the oracle must produce the identical error string per
 // index, identical Count, Rejected and sum, and — on the two pipelines'
 // journals — the digests, delta and refusal count the oracle accepted.
 func FuzzBatchMatchesPerItem(f *testing.F) {
 	const dim, round = 8, uint64(5)
-	tbl := NewTicketTable(TicketConfig{})
 	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 1 << 32}
 	second := testTicket{id: 9, key: xcrypto.SessionKey{0xC9}, first: 1, last: 1 << 32}
 	narrow := testTicket{id: 8, key: xcrypto.SessionKey{0xB8}, first: 1, last: 2}
 	tickets := map[uint64]testTicket{}
 	for _, tk := range []testTicket{good, second, narrow} {
-		tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
 		tickets[tk.id] = tk
 	}
 	key, err := xcrypto.NewSigningKey()
@@ -149,12 +147,18 @@ func FuzzBatchMatchesPerItem(f *testing.F) {
 	}
 	f.Add(intact) // more seeds under testdata/fuzz
 
-	pipeline := func() (*Pipeline, *ledgerJournal) {
+	pipeline := func(t *testing.T) (*Pipeline, *ledgerJournal) {
+		r, m := testTenant(t, TenantConfig{
+			Name: "batch.example", Verify: key.Public(), Dim: dim,
+			Workers: 1, Shards: 2, TicketPolicy: &TicketConfig{},
+		})
+		for _, tk := range tickets {
+			m.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+		}
+		p := m.Round(round)
 		j := &ledgerJournal{digests: map[[32]byte]int{}, delta: fixed.NewVector(dim)}
-		return NewPipeline(PipelineConfig{
-			ServiceName: "batch.example", Verify: key.Public(), Dim: dim, Round: round,
-			Tickets: tbl, Workers: 1, Shards: 2, Journal: j,
-		}), j
+		r.SetJournal(j)
+		return p, j
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := make([][]byte, 0, 64)
@@ -167,24 +171,24 @@ func FuzzBatchMatchesPerItem(f *testing.F) {
 			name: "batch.example", dim: dim, round: round, verify: key.Public(), tickets: tickets,
 			seen: map[[32]byte]bool{}, sum: fixed.NewVector(dim),
 		}
-		framed, framedLedger := pipeline()
-		single, singleLedger := pipeline()
+		framed, framedLedger := pipeline(t)
+		single, singleLedger := pipeline(t)
 		framedErrs := make([]error, len(frame))
-		framed.AddBatchErrs(frame, framedErrs)
+		framed.addBatchErrs(frame, framedErrs)
 		for i, raw := range frame {
 			wantErr := fmt.Sprint(want.add(raw))
 			if got := fmt.Sprint(framedErrs[i]); got != wantErr {
-				t.Errorf("item %d: oracle err %s, AddBatchErrs err %s", i, wantErr, got)
+				t.Errorf("item %d: oracle err %s, addBatchErrs err %s", i, wantErr, got)
 			}
-			if got := fmt.Sprint(single.Add(raw)); got != wantErr {
-				t.Errorf("item %d: oracle err %s, Add err %s", i, wantErr, got)
+			if got := fmt.Sprint(add(single, raw)[0]); got != wantErr {
+				t.Errorf("item %d: oracle err %s, frame-of-one err %s", i, wantErr, got)
 			}
 		}
 		for _, side := range []struct {
 			how    string
 			p      *Pipeline
 			ledger *ledgerJournal
-		}{{"one AddBatchErrs", framed, framedLedger}, {"N Adds", single, singleLedger}} {
+		}{{"one frame of N", framed, framedLedger}, {"N frames of one", single, singleLedger}} {
 			if side.p.Count() != len(want.seen) || side.p.Rejected() != want.rejected {
 				t.Errorf("%s: tallies (%d, %d), oracle (%d, %d)",
 					side.how, side.p.Count(), side.p.Rejected(), len(want.seen), want.rejected)

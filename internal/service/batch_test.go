@@ -41,15 +41,21 @@ func faultBatch(dim int, round uint64, good, narrow testTicket) [][]byte {
 	}
 }
 
-func batchPipeline(dim int, round uint64, workers int, tbl *TicketTable) *Pipeline {
-	return NewPipeline(PipelineConfig{
-		ServiceName:    "batch.example",
+// batchPipeline returns a round of a fresh ticketed tenant
+// "batch.example" whose table holds the given tickets.
+func batchPipeline(t testing.TB, dim int, round uint64, workers int, tickets ...testTicket) *Pipeline {
+	t.Helper()
+	p := testRound(t, TenantConfig{
+		Name:           "batch.example",
 		Dim:            dim,
-		Round:          round,
-		Tickets:        tbl,
 		Workers:        workers,
 		ExpectedCohort: 4096,
-	})
+		TicketPolicy:   &TicketConfig{},
+	}, round)
+	for _, tk := range tickets {
+		p.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+	}
+	return p
 }
 
 // TestAddBatchMatchesPerItem is framing invariance on the full fault mix:
@@ -57,21 +63,18 @@ func batchPipeline(dim int, round uint64, workers int, tbl *TicketTable) *Pipeli
 // verdicts, error values, rejected counter, and sum.
 func TestAddBatchMatchesPerItem(t *testing.T) {
 	const dim, round = 16, uint64(5)
-	tbl := NewTicketTable(TicketConfig{})
 	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 1 << 32}
 	narrow := testTicket{id: 8, key: xcrypto.SessionKey{0xB8}, first: 1, last: 2}
-	tbl.Install(good.id, good.key, good.first, good.last, 1<<62)
-	tbl.Install(narrow.id, narrow.key, narrow.first, narrow.last, 1<<62)
 	batch := faultBatch(dim, round, good, narrow)
 
-	ref := batchPipeline(dim, round, 1, tbl)
+	ref := batchPipeline(t, dim, round, 1, good, narrow)
 	refErrs := make([]error, len(batch))
 	for i, raw := range batch {
-		refErrs[i] = ref.Add(raw)
+		refErrs[i] = add(ref, raw)[0]
 	}
 
-	got := batchPipeline(dim, round, 1, tbl)
-	gotErrs := got.AddBatch(batch)
+	got := batchPipeline(t, dim, round, 1, good, narrow)
+	gotErrs := add(got, batch...)
 	for i := range batch {
 		switch {
 		case (refErrs[i] == nil) != (gotErrs[i] == nil):
@@ -98,27 +101,24 @@ func TestAddBatchMatchesPerItem(t *testing.T) {
 // tallies, the sum, and the multiset of error kinds.
 func TestAddBatchMatchesPerItemAcrossWorkers(t *testing.T) {
 	const dim, round = 16, uint64(5)
-	tbl := NewTicketTable(TicketConfig{})
 	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 1 << 32}
 	narrow := testTicket{id: 8, key: xcrypto.SessionKey{0xB8}, first: 1, last: 2}
-	tbl.Install(good.id, good.key, good.first, good.last, 1<<62)
-	tbl.Install(narrow.id, narrow.key, narrow.first, narrow.last, 1<<62)
 	batch := faultBatch(dim, round, good, narrow)
 	// Pad with enough valid traffic that every worker count actually chunks.
 	for i := 0; i < 100; i++ {
 		batch = append(batch, ticketedRaw("batch.example", round, dim, 100+i, good))
 	}
 
-	ref := batchPipeline(dim, round, 1, tbl)
+	ref := batchPipeline(t, dim, round, 1, good, narrow)
 	for _, raw := range batch {
-		_ = ref.Add(raw)
+		_ = add(ref, raw)[0]
 	}
 	wantSum := ref.Sum().Digest()
 	ref.Close()
 
 	for _, workers := range []int{1, 2, 3, 4} {
-		p := batchPipeline(dim, round, workers, tbl)
-		errs := p.AddBatch(batch)
+		p := batchPipeline(t, dim, round, workers, good, narrow)
+		errs := add(p, batch...)
 		kinds := map[string]int{}
 		for _, err := range errs {
 			if err != nil {
@@ -157,14 +157,13 @@ func TestAddBatchMatchesPerItemAcrossWorkers(t *testing.T) {
 // TestAddBatchLifecycleRefusal checks the whole-batch refusal path fills
 // every slot.
 func TestAddBatchLifecycleRefusal(t *testing.T) {
-	tbl := NewTicketTable(TicketConfig{})
-	p := batchPipeline(8, 1, 1, tbl)
+	p := batchPipeline(t, 8, 1, 1)
 	if err := p.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	errs := make([]error, 3)
 	errs[1] = errors.New("stale") // reused slices must be overwritten
-	p.AddBatchErrs(make([][]byte, 3), errs)
+	p.addBatchErrs(make([][]byte, 3), errs)
 	for i, err := range errs {
 		if !errors.Is(err, ErrRoundSealed) {
 			t.Errorf("slot %d: %v, want ErrRoundSealed", i, err)
@@ -176,7 +175,7 @@ func TestAddBatchLifecycleRefusal(t *testing.T) {
 // TestIngestArenaNotAliasedAcrossConcurrentAddBatch is the arena's -race
 // guard on ticketed traffic (the signed variant's is
 // TestPooledScratchNotAliasedAcrossConcurrentAddBatch): many
-// concurrent AddBatch callers, one ticket per caller, and the final sum
+// concurrent frames, one ticket per caller, and the final sum
 // must be exact — any arena state bleeding between concurrent batches
 // corrupts a lane.
 func TestIngestArenaNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
@@ -186,14 +185,12 @@ func TestIngestArenaNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 		callers   = 6
 		round     = uint64(5)
 	)
-	tbl := NewTicketTable(TicketConfig{})
 	tickets := make([]testTicket, callers)
 	for c := range tickets {
 		tickets[c] = testTicket{id: uint64(100 + c), key: xcrypto.SessionKey{byte(c + 1)}, first: 1, last: 16}
-		tbl.Install(tickets[c].id, tickets[c].key, tickets[c].first, tickets[c].last, 1<<62)
 	}
 	for _, workers := range []int{1, 4} {
-		p := batchPipeline(dim, round, workers, tbl)
+		p := batchPipeline(t, dim, round, workers, tickets...)
 		all := make([][][]byte, callers)
 		want := fixed.NewVector(dim)
 		for c := 0; c < callers; c++ {
@@ -213,9 +210,9 @@ func TestIngestArenaNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 			wg.Add(1)
 			go func(batch [][]byte) {
 				defer wg.Done()
-				for _, err := range p.AddBatch(batch) {
+				for _, err := range add(p, batch...) {
 					if err != nil {
-						t.Errorf("AddBatch: %v", err)
+						t.Errorf("addBatchErrs: %v", err)
 					}
 				}
 			}(all[c])
@@ -238,17 +235,15 @@ func TestIngestArenaNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 }
 
 // TestAddBatchMustNotRetain enforces the frame-buffer contract end to end:
-// once AddBatch returns, the caller may reuse (here: trash) every input
+// once a frame returns, the caller may reuse (here: trash) every input
 // buffer without corrupting the aggregate — nothing in the pipeline, its
 // shards, or the pooled arenas may still reference the frames. Both wire
 // variants ride the frames: a signed item's lanes are views into the
 // caller's buffer exactly as a ticketed item's are.
 func TestAddBatchMustNotRetain(t *testing.T) {
 	const dim, round = 16, uint64(3)
-	tbl := NewTicketTable(TicketConfig{})
 	tk := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 16}
-	tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
-	p := batchPipeline(dim, round, 1, tbl)
+	p := batchPipeline(t, dim, round, 1, tk)
 	defer p.Close()
 
 	want := fixed.NewVector(dim)
@@ -274,7 +269,7 @@ func TestAddBatchMustNotRetain(t *testing.T) {
 		return raws
 	}
 	first := frame(0)
-	for _, err := range p.AddBatch(first) {
+	for _, err := range add(p, first...) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +280,7 @@ func TestAddBatchMustNotRetain(t *testing.T) {
 			raw[j] = 0xDD
 		}
 	}
-	for _, err := range p.AddBatch(frame(1000)) {
+	for _, err := range add(p, frame(1000)...) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,9 +304,7 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	const dim, round, batchSize, runs = 64, uint64(7), 16, 100
-	tbl := NewTicketTable(TicketConfig{})
 	tk := testTicket{id: 42, key: xcrypto.SessionKey{1, 2, 3}, first: 1, last: 16}
-	tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
 	batches := make([][][]byte, runs+3)
 	for b := range batches {
 		batches[b] = make([][]byte, batchSize)
@@ -319,31 +312,24 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 			batches[b][i] = ticketedRaw("batch.example", round, dim, b*batchSize+i, tk)
 		}
 	}
-	p := NewPipeline(PipelineConfig{
-		ServiceName:    "batch.example",
-		Dim:            dim,
-		Round:          round,
-		Tickets:        tbl,
-		Workers:        1,
-		ExpectedCohort: len(batches) * batchSize,
-	})
+	p := batchPipeline(t, dim, round, 1, tk)
 	defer p.Close()
 	errs := make([]error, batchSize)
 	// Warm the arena and the shards; the second frame's check makes the
 	// table cache the ticket's AEAD.
-	p.AddBatchErrs(batches[0], errs)
-	p.AddBatchErrs(batches[1], errs)
+	p.addBatchErrs(batches[0], errs)
+	p.addBatchErrs(batches[1], errs)
 	b := 1
 	if got := testing.AllocsPerRun(runs, func() {
 		b++
-		p.AddBatchErrs(batches[b], errs)
+		p.addBatchErrs(batches[b], errs)
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); got > 0 {
-		t.Errorf("AddBatchErrs: %.2f allocs/op, want 0", got)
+		t.Errorf("addBatchErrs: %.2f allocs/op, want 0", got)
 	}
 	if p.Count() != (b+1)*batchSize {
 		t.Fatalf("count = %d, want %d", p.Count(), (b+1)*batchSize)
@@ -351,7 +337,7 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 }
 
 // TestSignedFrameAllocs pins what the plan costs a signed frame: 128 items
-// through AddBatchErrs allocate nothing per frame with verification off
+// through addBatchErrs allocate nothing per frame with verification off
 // (decode, dedup, accumulate and the arena are the ticketed path's own), and
 // with a key nothing beyond the verifier's own objects per item (xcrypto's
 // TestSignVerifyAllocs: one for a public key, none for a key bound to its
@@ -376,18 +362,18 @@ func TestSignedFrameAllocs(t *testing.T) {
 		{"verify-bound", key, key.SelfVerifyKey(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewPipeline(PipelineConfig{
-				ServiceName: "alloc.example", Dim: dim, Round: round, Verify: tc.verify,
+			p := testRound(t, TenantConfig{
+				Name: "alloc.example", Dim: dim, Verify: tc.verify,
 				Workers: 1, ExpectedCohort: (runs + 2) * frameSize,
-			})
+			}, round)
 			defer p.Close()
 			raws := allocRaws(t, (runs+2)*frameSize, dim, round, tc.key)
 			errs := make([]error, frameSize)
-			p.AddBatchErrs(raws[:frameSize], errs) // warm the arena and the shards
+			p.addBatchErrs(raws[:frameSize], errs) // warm the arena and the shards
 			f := 0
 			if got := testing.AllocsPerRun(runs, func() {
 				f++
-				p.AddBatchErrs(raws[f*frameSize:(f+1)*frameSize], errs)
+				p.addBatchErrs(raws[f*frameSize:(f+1)*frameSize], errs)
 				for _, err := range errs {
 					if err != nil {
 						t.Fatal(err)
@@ -443,15 +429,13 @@ func mixedFrame(n, dim int, round uint64, good testTicket) [][]byte {
 // fan-out of a split frame allocates is pinned beside it.
 func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 	const dim, round = 8, uint64(3)
-	tbl := NewTicketTable(TicketConfig{})
 	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 1 << 32}
-	tbl.Install(good.id, good.key, good.first, good.last, 1<<62)
 	for _, n := range []int{1, minBatchChunk, minBatchChunk + 1, 128} {
 		frame := mixedFrame(n, dim, round, good)
-		serial := batchPipeline(dim, round, 1, tbl)
-		want := serial.AddBatch(frame)
-		pooled := batchPipeline(dim, round, 4, tbl)
-		got := pooled.AddBatch(frame)
+		serial := batchPipeline(t, dim, round, 1, good)
+		want := add(serial, frame...)
+		pooled := batchPipeline(t, dim, round, 4, good)
+		got := add(pooled, frame...)
 		for i := range frame {
 			if (want[i] == nil) != (got[i] == nil) || want[i] != nil && want[i].Error() != got[i].Error() {
 				t.Errorf("n=%d item %d: workers=1 err %v, workers=4 err %v", n, i, want[i], got[i])
@@ -480,8 +464,8 @@ func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 				clean[i] = ticketedRaw("batch.example", round, dim, 1000+i, good)
 			}
 			errs := make([]error, n)
-			pooled.AddBatchErrs(clean, errs) // warm; every rerun is all duplicates
-			if allocs := testing.AllocsPerRun(20, func() { pooled.AddBatchErrs(clean, errs) }); allocs > ceiling {
+			pooled.addBatchErrs(clean, errs) // warm; every rerun is all duplicates
+			if allocs := testing.AllocsPerRun(20, func() { pooled.addBatchErrs(clean, errs) }); allocs > ceiling {
 				t.Errorf("n=%d: a frame at workers=4 cost %.1f allocs, want <= %v", n, allocs, ceiling)
 			}
 		}
@@ -502,20 +486,18 @@ func settledGoroutines(baseline int) int {
 }
 
 // TestSealedRoundOwnsNoGoroutines: a frame that fans out leaves nothing
-// running once AddBatch has returned — a round that is sealed but never
+// running once the frame has returned — a round that is sealed but never
 // closed (what node.Drain and node.Kill leave behind) holds no goroutine.
 func TestSealedRoundOwnsNoGoroutines(t *testing.T) {
 	const dim, round = 8, uint64(3)
-	tbl := NewTicketTable(TicketConfig{})
 	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 16}
-	tbl.Install(good.id, good.key, good.first, good.last, 1<<62)
 	frame := make([][]byte, 128)
 	for i := range frame {
 		frame[i] = ticketedRaw("batch.example", round, dim, i, good)
 	}
 	baseline := runtime.NumGoroutine()
-	p := batchPipeline(dim, round, 4, tbl)
-	for i, err := range p.AddBatch(frame) {
+	p := batchPipeline(t, dim, round, 4, good)
+	for i, err := range add(p, frame...) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
@@ -524,7 +506,7 @@ func TestSealedRoundOwnsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := settledGoroutines(baseline); got > baseline {
-		t.Errorf("%d goroutines after AddBatch + Seal, baseline %d: the round kept some", got, baseline)
+		t.Errorf("%d goroutines after a frame + Seal, baseline %d: the round kept some", got, baseline)
 	}
 	if p.Count() != len(frame) {
 		t.Errorf("count = %d, want %d", p.Count(), len(frame))

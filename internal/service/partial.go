@@ -96,8 +96,8 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 		return nil, fmt.Errorf("service: partial seal: %w", err)
 	}
 	seal := wire.PartialSeal{
-		Service:     p.cfg.ServiceName,
-		Round:       p.cfg.Round,
+		Service:     p.cfg.Name,
+		Round:       p.round,
 		NodeID:      n.NodeID,
 		ShardCount:  n.ShardCount,
 		Measurement: n.Measurement[:],

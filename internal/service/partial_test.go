@@ -32,13 +32,12 @@ func newNodeSeal(t testing.TB, id, shards uint32) NodeSeal {
 // feeds it the given contributions.
 func partialPipeline(t *testing.T, key *xcrypto.SigningKey, name string, round uint64, dim int, raws [][]byte) *Pipeline {
 	t.Helper()
-	p := NewPipeline(PipelineConfig{
-		ServiceName: name, Verify: key.Public(), Dim: dim, Round: round,
-		Workers: 1, Shards: 2,
-	})
-	p.Vet(tee.Measurement{1, 2, 3})
-	for _, raw := range raws {
-		if err := p.Add(raw); err != nil {
+	p := testRound(t, TenantConfig{
+		Name: name, Verify: key.Public(), Dim: dim, Workers: 1, Shards: 2,
+		Vetted: []tee.Measurement{{1, 2, 3}},
+	}, round)
+	for _, err := range add(p, raws...) {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +94,7 @@ func TestPartialSealExport(t *testing.T) {
 		t.Fatal("exported a seal without a signing key")
 	}
 
-	m := NewRoundManager(PipelineConfig{ServiceName: "svc", Verify: key.Public(), Dim: 4})
+	_, m := testTenant(t, TenantConfig{Name: "svc", Verify: key.Public(), Dim: 4})
 	if _, err := m.ExportPartialSeal(99, node); err == nil {
 		t.Fatal("exported a seal for a round the manager never opened")
 	}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -27,8 +26,8 @@ var (
 
 // Round lifecycle errors.
 var (
-	// ErrRoundSealed is returned by Add/AddBatch once Seal has been called:
-	// the cohort is fixed.
+	// ErrRoundSealed is returned by ingest once Seal has been called: the
+	// cohort is fixed.
 	ErrRoundSealed = errors.New("service: round is sealed")
 	// ErrRoundClosed is returned once Close has been called; after close the
 	// aggregate is immutable (no further ingest or dropout correction).
@@ -43,49 +42,14 @@ const (
 	roundClosed
 )
 
-// PipelineConfig sizes one round's ingest pipeline.
-type PipelineConfig struct {
-	// ServiceName, Verify, Dim, Round fix the round's identity and trust
-	// policy: only contributions endorsed by a vetted Glimmer's signing
-	// key, for this service, round, and dimensionality, count.
-	//
-	// Verify may be nil, which disables signature verification: the
-	// pipeline then trusts its transport entirely. That mode exists for
-	// pre-authenticated in-process ingest (contributions already verified
-	// upstream) and for tests pinning the decode+dedup path's allocations;
-	// anything fed from a network must set Verify.
-	ServiceName string
-	Verify      *xcrypto.VerifyKey
-	Dim         int
-	Round       uint64
-	// Tickets, when non-nil, enables the amortized fast path: contributions
-	// in the ticketed wire variant are checked with a constant-time session
-	// MAC against this table instead of a signature verify. The table is
-	// shared by every round of a tenant (tickets span rounds); nil refuses
-	// ticketed contributions with ErrUnknownTicket. The signed path stays
-	// available either way — ticketless clients are unaffected.
-	Tickets *TicketTable
-	// Workers bounds how many chunks one AddBatch frame is split into: the
-	// frame's own goroutines run all but the last chunk and exit before
-	// AddBatch returns. Workers == 1 processes every frame inline on the
-	// calling goroutine (the serial baseline); <= 0 defaults to GOMAXPROCS.
-	Workers int
-	// Shards is the number of independently locked dedup/sum shards,
-	// rounded up to a power of two; <= 0 defaults to 2×Workers. More shards
-	// mean less accumulation contention under concurrent ingest.
-	Shards int
-	// ExpectedCohort, when positive, pre-sizes each shard's dedup set for
-	// that many total contributions, so steady-state ingest below the
-	// expectation never rehashes (and therefore never allocates) on the
-	// dedup insert. Ingest beyond the expectation still works; the maps
-	// grow as usual.
-	ExpectedCohort int
-	// Journal, when non-nil, receives every durable mutation (see the
-	// Journal interface in state.go for the barrier contract). Registry
-	// tenants get theirs via Registry.SetJournal, which overrides this;
-	// the field exists so bare pipelines and round managers — tests,
-	// embedded uses without a Registry — can journal too.
-	Journal Journal
+// roundConfig is what every round of one tenant is built from and held to:
+// the tenant's TenantConfig as AddTenant resolved it (Workers, Shards and
+// MaxRounds defaulted), its ticket table and its allowlist. The tenant's
+// manager and every round it creates share the one value.
+type roundConfig struct {
+	TenantConfig
+	tickets *TicketTable // nil refuses ticketed traffic with ErrUnknownTicket
+	allow   *allowlist
 }
 
 // pipeShard is one lock's worth of aggregation state. Contributions are
@@ -98,13 +62,13 @@ type pipeShard struct {
 	sum  fixed.Vector
 }
 
-// Pipeline is the concurrent ingest path for one aggregation round: decode
-// and signature checks run on whatever goroutine delivers the contribution
-// (many callers, or the goroutines one AddBatch frame fans out to), and
-// accumulation is sharded by contribution digest so the only serialization
-// is a brief per-shard lock. A Pipeline is locks and data: it owns no
-// goroutine, so a round that is sealed, forgotten or simply dropped leaves
-// nothing running. All methods are safe for concurrent use.
+// Pipeline is the concurrent ingest path for one aggregation round, built by
+// its tenant's RoundManager: decode and signature checks run on whatever
+// goroutine delivers the contribution (many callers, or the goroutines one
+// frame fans out to), and accumulation is sharded by contribution digest so
+// the only serialization is a brief per-shard lock. A Pipeline is locks and
+// data: it owns no goroutine, so a round that is sealed, forgotten or simply
+// dropped leaves nothing running. All methods are safe for concurrent use.
 //
 // A round moves through an explicit lifecycle: while open it ingests; Seal
 // fixes the cohort and drains in-flight work; Close makes the aggregate
@@ -113,13 +77,10 @@ type pipeShard struct {
 // aggregate is its shards: the sum is the sum of theirs, the count the size
 // of their dedup sets, and nothing keeps a second copy of either.
 type Pipeline struct {
-	cfg       PipelineConfig
+	cfg       *roundConfig
+	round     uint64
 	shardMask uint64
 	shards    []*pipeShard
-
-	// allow is the pipeline's own allowlist, or — on a round a RoundManager
-	// created — the one value the tenant's manager and all its rounds share.
-	allow *allowlist
 
 	// stateMu orders lifecycle transitions against intake: intake holds the
 	// read side while registering with pending, transitions hold the write
@@ -138,9 +99,8 @@ type Pipeline struct {
 	journal Journal
 }
 
-// allowlist is the set of vetted Glimmer measurements one trust domain
-// admits: a tenant's, shared by its RoundManager and every round, or a bare
-// pipeline's own. Safe for concurrent use.
+// allowlist is the set of vetted Glimmer measurements one tenant admits,
+// shared by its RoundManager and every round. Safe for concurrent use.
 type allowlist struct {
 	mu  sync.RWMutex
 	set map[tee.Measurement]bool
@@ -164,21 +124,13 @@ func (a *allowlist) admits(m tee.Measurement) bool {
 	return len(a.set) == 0 || a.set[m]
 }
 
-// NewPipeline creates the ingest pipeline for one round.
-func NewPipeline(cfg PipelineConfig) *Pipeline {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2 * cfg.Workers
-	}
-	cfg.Shards = nextPowerOfTwo(cfg.Shards)
+// newPipeline creates one round of the tenant cfg describes.
+func newPipeline(cfg *roundConfig, round uint64) *Pipeline {
 	p := &Pipeline{
 		cfg:       cfg,
+		round:     round,
 		shardMask: uint64(cfg.Shards - 1),
 		shards:    make([]*pipeShard, cfg.Shards),
-		allow:     newAllowlist(),
-		journal:   cfg.Journal,
 	}
 	// Digest sharding spreads contributions binomially, not evenly, so
 	// each shard gets 25% headroom plus a constant over the even split —
@@ -207,12 +159,7 @@ func nextPowerOfTwo(n int) int {
 }
 
 // Round returns the round this pipeline aggregates.
-func (p *Pipeline) Round() uint64 { return p.cfg.Round }
-
-// Vet allowlists a Glimmer measurement. Safe to call while ingest runs. On
-// a round a RoundManager created, the allowlist is the tenant's: the
-// measurement is vetted for the manager and all of its rounds.
-func (p *Pipeline) Vet(m tee.Measurement) { p.allow.vet(m) }
+func (p *Pipeline) Round() uint64 { return p.round }
 
 // enter registers n in-flight contributions, failing if the round has
 // left the open state. Lifecycle refusals count toward Rejected like any
@@ -239,33 +186,8 @@ func (p *Pipeline) open() bool {
 	return p.state == roundOpen
 }
 
-// Add verifies and accumulates one encoded contribution, of either wire
-// variant, on the calling goroutine: a frame of one through the ingest plan
-// (see batch.go), so a contribution crosses the same code however it was
-// submitted. Safe to call from many goroutines concurrently — throughput
-// scales with the callers.
-func (p *Pipeline) Add(raw []byte) error {
-	if err := p.enter(1); err != nil {
-		return err
-	}
-	raws, errs := [1][]byte{raw}, [1]error{}
-	p.processBatch(raws[:], errs[:])
-	p.leave(errs[:])
-	return errs[0]
-}
-
-// AddBatch verifies and accumulates a batch of encoded contributions
-// through the ingest plan (see batch.go), fanning out across up to Workers
-// goroutines of its own when the batch splits, and returns one error slot
-// per input (nil for accepted). It blocks until the whole batch has settled.
-func (p *Pipeline) AddBatch(raws [][]byte) []error {
-	errs := make([]error, len(raws))
-	p.AddBatchErrs(raws, errs)
-	return errs
-}
-
 // verifySigned is the acceptance rule of the signed wire variant, written
-// once for pipeline ingest (processBatch) and round admission
+// once for round ingest (processBatch) and round admission
 // (RoundManager.preverify): zero-copy decode into v, service identity, round
 // (when wantRound is non-nil — the cheap checks come before the expensive one
 // so stale traffic is cheap to reject), dimension, measurement allowlist,
@@ -274,13 +196,13 @@ func (p *Pipeline) AddBatch(raws [][]byte) []error {
 // The returned digest is the contribution's dedup identity, SHA-256 of the
 // raw bytes. v aliases raw. The check copies nothing and allocates nothing
 // outside the signature verifier's internals.
-func verifySigned(cfg *PipelineConfig, wantRound *uint64, vetted *allowlist,
-	raw []byte, v *glimmer.SignedView) ([32]byte, error) {
+func verifySigned(cfg *roundConfig, wantRound *uint64, raw []byte,
+	v *glimmer.SignedView) ([32]byte, error) {
 	var digest [32]byte
 	if err := v.Decode(raw); err != nil {
 		return digest, fmt.Errorf("service: %w", err)
 	}
-	if string(v.ServiceName) != cfg.ServiceName {
+	if string(v.ServiceName) != cfg.Name {
 		return digest, ErrWrongService
 	}
 	if wantRound != nil && v.Round != *wantRound {
@@ -289,7 +211,7 @@ func verifySigned(cfg *PipelineConfig, wantRound *uint64, vetted *allowlist,
 	if v.Lanes() != cfg.Dim {
 		return digest, ErrWrongDim
 	}
-	if !vetted.admits(v.Measurement) {
+	if !cfg.allow.admits(v.Measurement) {
 		return digest, ErrUnknownGlimmer
 	}
 	if cfg.Verify != nil {
@@ -318,7 +240,7 @@ type ticketCheck struct {
 
 // verifyTicketed is the acceptance rule of the ticketed wire variant — the
 // service's whole trust decision for a MAC'd contribution, written once for
-// pipeline ingest (processBatch) and round admission (preverify): zero-copy
+// round ingest (processBatch) and round admission (preverify): zero-copy
 // decode into v, service identity, round (when wantRound is non-nil),
 // dimension, tickets enabled, ticket resolution (table, expiry, round
 // window), session MAC. The asymmetric verify and the measurement allowlist
@@ -333,13 +255,13 @@ type ticketCheck struct {
 // verifies: only a byte-identical resubmission collides, as on the signed
 // path, and the fast path skips a full-message hash. v aliases raw. Zero
 // heap allocations once the ticket's AEAD is cached (ticketEntry).
-func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
+func verifyTicketed(cfg *roundConfig, wantRound *uint64, raw []byte,
 	v *glimmer.TicketedView, c *ticketCheck) ([32]byte, error) {
 	var digest [32]byte
 	if err := v.Decode(raw); err != nil {
 		return digest, fmt.Errorf("service: %w", err)
 	}
-	if string(v.ServiceName) != cfg.ServiceName {
+	if string(v.ServiceName) != cfg.Name {
 		return digest, ErrWrongService
 	}
 	if wantRound != nil && v.Round != *wantRound {
@@ -348,11 +270,11 @@ func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 	if v.Lanes() != cfg.Dim {
 		return digest, ErrWrongDim
 	}
-	if cfg.Tickets == nil {
+	if cfg.tickets == nil {
 		return digest, ErrUnknownTicket
 	}
 	if !c.memoized || c.id != v.TicketID || c.round != v.Round {
-		c.aead, c.err = cfg.Tickets.check(v.TicketID, v.Round)
+		c.aead, c.err = cfg.tickets.check(v.TicketID, v.Round)
 		c.id, c.round, c.memoized = v.TicketID, v.Round, true
 	}
 	if c.err != nil {
@@ -375,7 +297,7 @@ func verifyTicketed(cfg *PipelineConfig, wantRound *uint64, raw []byte,
 func (p *Pipeline) refuse(n int) {
 	p.rejected.Add(int64(n))
 	if j := p.journal; j != nil {
-		j.Rejected(p.cfg.ServiceName, p.cfg.Round, LevelRound, n)
+		j.Rejected(p.cfg.Name, p.round, LevelRound, n)
 	}
 }
 
@@ -400,7 +322,7 @@ func (p *Pipeline) Seal() error {
 	if transitioned {
 		p.stateMu.RLock()
 		if j := p.journal; j != nil {
-			j.RoundSealed(p.cfg.ServiceName, p.cfg.Round)
+			j.RoundSealed(p.cfg.Name, p.round)
 		}
 		p.stateMu.RUnlock()
 	}
@@ -420,7 +342,7 @@ func (p *Pipeline) Close() {
 	p.stateMu.Unlock()
 	p.stateMu.RLock()
 	if j := p.journal; j != nil {
-		j.RoundClosed(p.cfg.ServiceName, p.cfg.Round)
+		j.RoundClosed(p.cfg.Name, p.round)
 	}
 	p.stateMu.RUnlock()
 }
@@ -435,9 +357,9 @@ func (p *Pipeline) setJournal(j Journal) {
 }
 
 // snapshot reads sum and count together, in whatever state the round is —
-// each shard's pair is taken under its lock, so a concurrent Add is either
-// wholly in or wholly out of the result, never split between the sum and
-// the count.
+// each shard's pair is taken under its lock, so a contribution accepted
+// concurrently is either wholly in or wholly out of the result, never split
+// between the sum and the count.
 func (p *Pipeline) snapshot() (fixed.Vector, int) {
 	out := fixed.NewVector(p.cfg.Dim)
 	count := 0
@@ -451,7 +373,7 @@ func (p *Pipeline) snapshot() (fixed.Vector, int) {
 }
 
 // Sum returns the aggregate sum. After Seal it is stable; while the round
-// is open it is a live snapshot and concurrent Adds may land before or
+// is open it is a live snapshot and concurrent ingest may land before or
 // after it.
 func (p *Pipeline) Sum() fixed.Vector {
 	sum, _ := p.snapshot()
@@ -507,7 +429,7 @@ func (p *Pipeline) CorrectDropout(recoveredMask fixed.Vector) error {
 	sh.sum.AddInPlace(recoveredMask)
 	sh.mu.Unlock()
 	if j := p.journal; j != nil {
-		j.DropoutCorrected(p.cfg.ServiceName, p.cfg.Round, recoveredMask)
+		j.DropoutCorrected(p.cfg.Name, p.round, recoveredMask)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/tee"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -27,6 +28,32 @@ func signedVector(t *testing.T, key *xcrypto.SigningKey, name string, round uint
 	}
 	sc.Signature = sig
 	return glimmer.EncodeSignedContribution(sc)
+}
+
+// testTenant registers cfg as the only tenant of a fresh registry.
+func testTenant(t testing.TB, cfg TenantConfig) (*Registry, *RoundManager) {
+	t.Helper()
+	r := NewRegistry(0)
+	tn, err := r.AddTenant(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, tn.Manager()
+}
+
+// testRound returns one round of a fresh single-tenant registry.
+func testRound(t testing.TB, cfg TenantConfig, round uint64) *Pipeline {
+	t.Helper()
+	_, m := testTenant(t, cfg)
+	return m.Round(round)
+}
+
+// add hands raws to p's ingest plan directly, past the router, so the
+// round's own checks answer for what the router would have sent elsewhere.
+func add(p *Pipeline, raws ...[]byte) []error {
+	errs := make([]error, len(raws))
+	p.addBatchErrs(raws, errs)
+	return errs
 }
 
 func randomVector(rng *rand.Rand, dim int) fixed.Vector {
@@ -51,15 +78,14 @@ func TestPipelineConcurrentErrorPaths(t *testing.T) {
 		round      = uint64(3)
 		goroutines = 8
 	)
-	p := NewPipeline(PipelineConfig{
-		ServiceName: "svc",
-		Verify:      key.Public(),
-		Dim:         dim,
-		Round:       round,
-		Workers:     4,
-		Shards:      4,
-	})
-	p.Vet(tee.Measurement{1, 2, 3})
+	p := testRound(t, TenantConfig{
+		Name:    "svc",
+		Verify:  key.Public(),
+		Dim:     dim,
+		Workers: 4,
+		Shards:  4,
+		Vetted:  []tee.Measurement{{1, 2, 3}},
+	}, round)
 
 	shared := signedVector(t, key, "svc", round, fixed.NewVector(dim))
 	rng := rand.New(rand.NewSource(42))
@@ -100,10 +126,10 @@ func TestPipelineConcurrentErrorPaths(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if err := p.Add(goods[g]); err != nil {
+			if err := add(p, goods[g])[0]; err != nil {
 				t.Errorf("good contribution %d refused: %v", g, err)
 			}
-			switch err := p.Add(shared); {
+			switch err := add(p, shared)[0]; {
 			case err == nil:
 				mu.Lock()
 				dupAccepts++
@@ -121,11 +147,11 @@ func TestPipelineConcurrentErrorPaths(t *testing.T) {
 				{unvetted, ErrUnknownGlimmer},
 				{forged, ErrBadSignature},
 			} {
-				if err := p.Add(c.raw); !errors.Is(err, c.want) {
+				if err := add(p, c.raw)[0]; !errors.Is(err, c.want) {
 					t.Errorf("err = %v, want %v", err, c.want)
 				}
 			}
-			if err := p.Add([]byte("garbage")); err == nil {
+			if err := add(p, []byte("garbage"))[0]; err == nil {
 				t.Error("garbage accepted")
 			}
 		}(g)
@@ -168,29 +194,27 @@ func TestPipelineShardedSumEqualsSerial(t *testing.T) {
 		raws[i] = signedVector(t, key, "svc", round, randomVector(rng, dim))
 	}
 
-	serial := NewPipeline(PipelineConfig{
-		ServiceName: "svc",
-		Verify:      key.Public(),
-		Dim:         dim,
-		Round:       round,
-		Workers:     1,
-		Shards:      1,
-	})
+	serial := testRound(t, TenantConfig{
+		Name:    "svc",
+		Verify:  key.Public(),
+		Dim:     dim,
+		Workers: 1,
+		Shards:  1,
+	}, round)
 	for _, raw := range raws {
-		if err := serial.Add(raw); err != nil {
+		if err := add(serial, raw)[0]; err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	sharded := NewPipeline(PipelineConfig{
-		ServiceName: "svc",
-		Verify:      key.Public(),
-		Dim:         dim,
-		Round:       round,
-		Workers:     8,
-		Shards:      16,
-	})
-	for _, err := range sharded.AddBatch(raws) {
+	sharded := testRound(t, TenantConfig{
+		Name:    "svc",
+		Verify:  key.Public(),
+		Dim:     dim,
+		Workers: 8,
+		Shards:  16,
+	}, round)
+	for _, err := range add(sharded, raws...) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,12 +254,11 @@ func TestPipelineLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim, round = 4, uint64(1)
-	p := NewPipeline(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim, Round: round,
-		Workers: 2, Shards: 2,
-	})
+	p := testRound(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 2, Shards: 2,
+	}, round)
 	good := signedVector(t, key, "svc", round, fixed.FromFloats([]float64{0.5, 0.5, 0.5, 0.5}))
-	if err := p.Add(good); err != nil {
+	if err := add(p, good)[0]; err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,10 +269,10 @@ func TestPipelineLifecycle(t *testing.T) {
 		t.Fatalf("second seal: %v", err)
 	}
 	late := signedVector(t, key, "svc", round, fixed.NewVector(dim))
-	if err := p.Add(late); !errors.Is(err, ErrRoundSealed) {
+	if err := add(p, late)[0]; !errors.Is(err, ErrRoundSealed) {
 		t.Fatalf("add after seal err = %v, want ErrRoundSealed", err)
 	}
-	for _, err := range p.AddBatch([][]byte{late}) {
+	for _, err := range add(p, late) {
 		if !errors.Is(err, ErrRoundSealed) {
 			t.Fatalf("batch after seal err = %v, want ErrRoundSealed", err)
 		}
@@ -277,7 +300,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	if err := p.CorrectDropout(mask); !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("dropout after close err = %v, want ErrRoundClosed", err)
 	}
-	if err := p.Add(late); !errors.Is(err, ErrRoundClosed) {
+	if err := add(p, late)[0]; !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("add after close err = %v, want ErrRoundClosed", err)
 	}
 	if err := p.Seal(); !errors.Is(err, ErrRoundClosed) {
@@ -299,9 +322,8 @@ func TestRoundManagerOverlappingRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim = 8
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 2, Shards: 2,
+	r, m := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 2, Shards: 2,
 	})
 
 	rng := rand.New(rand.NewSource(11))
@@ -312,7 +334,7 @@ func TestRoundManagerOverlappingRounds(t *testing.T) {
 			batch = append(batch, signedVector(t, key, "svc", round, randomVector(rng, dim)))
 		}
 	}
-	accepted, errs := m.IngestBatch(batch)
+	accepted, errs := r.IngestBatch(batch)
 	if accepted != len(batch) {
 		t.Fatalf("accepted = %d, want %d (errs: %v)", accepted, len(batch), errs)
 	}
@@ -327,10 +349,10 @@ func TestRoundManagerOverlappingRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	late1 := signedVector(t, key, "svc", 1, randomVector(rng, dim))
-	if err := m.Ingest(late1); !errors.Is(err, ErrRoundSealed) {
+	if err := r.Ingest(late1); !errors.Is(err, ErrRoundSealed) {
 		t.Fatalf("round 1 straggler err = %v, want ErrRoundSealed", err)
 	}
-	if err := m.Ingest(signedVector(t, key, "svc", 2, randomVector(rng, dim))); err != nil {
+	if err := r.Ingest(signedVector(t, key, "svc", 2, randomVector(rng, dim))); err != nil {
 		t.Fatalf("round 2 ingest after round 1 seal: %v", err)
 	}
 
@@ -339,7 +361,7 @@ func TestRoundManagerOverlappingRounds(t *testing.T) {
 		t.Fatalf("round 2 count = %d, want %d", p2.Count(), perRound[2]+1)
 	}
 	// A closed round stays closed for stragglers until forgotten.
-	if err := m.Ingest(signedVector(t, key, "svc", 2, randomVector(rng, dim))); !errors.Is(err, ErrRoundClosed) {
+	if err := r.Ingest(signedVector(t, key, "svc", 2, randomVector(rng, dim))); !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("round 2 straggler err = %v, want ErrRoundClosed", err)
 	}
 
@@ -351,14 +373,16 @@ func TestRoundManagerOverlappingRounds(t *testing.T) {
 		t.Fatalf("rounds after forget = %v, want [1]", got)
 	}
 
-	if err := m.Ingest([]byte("garbage")); err == nil {
-		t.Fatal("garbage routed")
+	// Bytes naming the tenant but no round are the manager's to refuse.
+	noRound := wire.NewWriter().String("svc").Finish()
+	if err := r.Ingest(noRound); err == nil {
+		t.Fatal("bytes without a round routed")
 	}
-	if _, errs := m.IngestBatch([][]byte{[]byte("garbage")}); errs[0] == nil {
-		t.Fatal("garbage batch item accepted")
+	if _, errs := r.IngestBatch([][]byte{noRound}); errs[0] == nil {
+		t.Fatal("batch item without a round accepted")
 	}
 	if got := m.Rejected(); got != 2 {
-		t.Fatalf("manager rejected = %d, want 2 (the garbage refusals)", got)
+		t.Fatalf("manager rejected = %d, want 2 (the roundless refusals)", got)
 	}
 }
 
@@ -371,18 +395,17 @@ func TestRoundManagerCapsIngestRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim = 4
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	r, m := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		MaxRounds: 2,
 	})
-	m.MaxRounds = 2
 
 	rng := rand.New(rand.NewSource(5))
 	var batch [][]byte
 	for round := uint64(1); round <= 5; round++ {
 		batch = append(batch, signedVector(t, key, "svc", round, randomVector(rng, dim)))
 	}
-	accepted, errs := m.IngestBatch(batch)
+	accepted, errs := r.IngestBatch(batch)
 	if accepted != 2 {
 		t.Fatalf("accepted = %d, want 2 (errs: %v)", accepted, errs)
 	}
@@ -400,12 +423,12 @@ func TestRoundManagerCapsIngestRounds(t *testing.T) {
 	}
 	// Existing rounds still ingest at the cap.
 	live := m.Rounds()[0]
-	if err := m.Ingest(signedVector(t, key, "svc", live, randomVector(rng, dim))); err != nil {
+	if err := r.Ingest(signedVector(t, key, "svc", live, randomVector(rng, dim))); err != nil {
 		t.Fatalf("ingest for live round at cap: %v", err)
 	}
 	// Forgetting a round frees a slot for a new one.
 	m.Forget(live)
-	if err := m.Ingest(signedVector(t, key, "svc", 99, randomVector(rng, dim))); err != nil {
+	if err := r.Ingest(signedVector(t, key, "svc", 99, randomVector(rng, dim))); err != nil {
 		t.Fatalf("ingest after forget: %v", err)
 	}
 }
@@ -423,9 +446,8 @@ func TestRoundManagerGatesCreationOnSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim = 4
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	r, m := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
 	})
 
 	rng := rand.New(rand.NewSource(3))
@@ -435,7 +457,7 @@ func TestRoundManagerGatesCreationOnSignature(t *testing.T) {
 	for round := uint64(1); round <= 50; round++ {
 		forged = append(forged, signedVector(t, attacker, "svc", round, randomVector(rng, dim)))
 	}
-	accepted, errs := m.IngestBatch(forged)
+	accepted, errs := r.IngestBatch(forged)
 	if accepted != 0 {
 		t.Fatalf("accepted = %d forged contributions", accepted)
 	}
@@ -447,7 +469,7 @@ func TestRoundManagerGatesCreationOnSignature(t *testing.T) {
 	if got := m.Rounds(); len(got) != 0 {
 		t.Fatalf("forged traffic created rounds %v", got)
 	}
-	if err := m.Ingest(signedVector(t, attacker, "svc", 7, randomVector(rng, dim))); !errors.Is(err, ErrBadSignature) {
+	if err := r.Ingest(signedVector(t, attacker, "svc", 7, randomVector(rng, dim))); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("single forged ingest err = %v, want ErrBadSignature", err)
 	}
 	if got := m.Rounds(); len(got) != 0 {
@@ -461,7 +483,7 @@ func TestRoundManagerGatesCreationOnSignature(t *testing.T) {
 		signedVector(t, key, "svc", 9, randomVector(rng, dim)),
 		signedVector(t, attacker, "svc", 9, randomVector(rng, dim)),
 	}
-	accepted, errs = m.IngestBatch(mixed)
+	accepted, errs = r.IngestBatch(mixed)
 	if accepted != 1 {
 		t.Fatalf("mixed batch accepted = %d, want 1 (errs: %v)", accepted, errs)
 	}
@@ -483,37 +505,35 @@ func TestRoundManagerRoundWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim = 4
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	r, _ := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		RoundWindow: 16,
 	})
-	m.RoundWindow = 16
 
 	rng := rand.New(rand.NewSource(6))
 	// Two contributions establish round 100 as the window anchor.
 	for i := 0; i < 2; i++ {
-		if err := m.Ingest(signedVector(t, key, "svc", 100, randomVector(rng, dim))); err != nil {
+		if err := r.Ingest(signedVector(t, key, "svc", 100, randomVector(rng, dim))); err != nil {
 			t.Fatalf("anchor round: %v", err)
 		}
 	}
-	if err := m.Ingest(signedVector(t, key, "svc", 1<<60, randomVector(rng, dim))); !errors.Is(err, ErrRoundOutOfWindow) {
+	if err := r.Ingest(signedVector(t, key, "svc", 1<<60, randomVector(rng, dim))); !errors.Is(err, ErrRoundOutOfWindow) {
 		t.Fatalf("far-future round err = %v, want ErrRoundOutOfWindow", err)
 	}
-	if err := m.Ingest(signedVector(t, key, "svc", 1, randomVector(rng, dim))); !errors.Is(err, ErrRoundOutOfWindow) {
+	if err := r.Ingest(signedVector(t, key, "svc", 1, randomVector(rng, dim))); !errors.Is(err, ErrRoundOutOfWindow) {
 		t.Fatalf("far-past round err = %v, want ErrRoundOutOfWindow", err)
 	}
-	if err := m.Ingest(signedVector(t, key, "svc", 113, randomVector(rng, dim))); err != nil {
+	if err := r.Ingest(signedVector(t, key, "svc", 113, randomVector(rng, dim))); err != nil {
 		t.Fatalf("in-window round: %v", err)
 	}
 
 	// Before any round establishes, a stray far-off round cannot wedge the
 	// manager: it is admitted (bounded by the cap), and real rounds stay
 	// admissible afterwards.
-	fresh := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	fresh, _ := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		RoundWindow: 16,
 	})
-	fresh.RoundWindow = 16
 	if err := fresh.Ingest(signedVector(t, key, "svc", 1<<50, randomVector(rng, dim))); err != nil {
 		t.Fatalf("stray far round before establishment: %v", err)
 	}
@@ -531,18 +551,16 @@ func TestRoundManagerEvictAtCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim = 4
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	r, m := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		MaxRounds: 2, EvictAtCap: true,
 	})
-	m.MaxRounds = 2
-	m.EvictAtCap = true
 
 	rng := rand.New(rand.NewSource(4))
 	// Round 1 is established with two contributions; rounds 2..4 arrive
 	// with one each and must evict each other, never round 1.
 	for _, round := range []uint64{1, 1, 2, 3, 4} {
-		if err := m.Ingest(signedVector(t, key, "svc", round, randomVector(rng, dim))); err != nil {
+		if err := r.Ingest(signedVector(t, key, "svc", round, randomVector(rng, dim))); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -555,14 +573,12 @@ func TestRoundManagerEvictAtCap(t *testing.T) {
 
 	// On a count tie the highest round number loses: an ascending spray
 	// evicts its own latest round, not the earlier-opened one.
-	tie := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	tieReg, tie := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		MaxRounds: 2, EvictAtCap: true,
 	})
-	tie.MaxRounds = 2
-	tie.EvictAtCap = true
 	for _, round := range []uint64{10, 11, 12} {
-		if err := tie.Ingest(signedVector(t, key, "svc", round, randomVector(rng, dim))); err != nil {
+		if err := tieReg.Ingest(signedVector(t, key, "svc", round, randomVector(rng, dim))); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -573,23 +589,21 @@ func TestRoundManagerEvictAtCap(t *testing.T) {
 	// A sealed round is never an eviction victim, even at Count()==0: its
 	// anti-reopen guarantee must survive cap pressure. With every live
 	// round unevictable, ingest for new rounds refuses instead.
-	sealed := NewRoundManager(PipelineConfig{
-		ServiceName: "svc", Verify: key.Public(), Dim: dim,
-		Workers: 1, Shards: 1,
+	sealedReg, sealed := testTenant(t, TenantConfig{
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		MaxRounds: 2, EvictAtCap: true,
 	})
-	sealed.MaxRounds = 2
-	sealed.EvictAtCap = true
 	if err := sealed.Seal(20); err != nil {
 		t.Fatal(err)
 	}
 	sealed.Close(21)
-	if err := sealed.Ingest(signedVector(t, key, "svc", 22, randomVector(rng, dim))); !errors.Is(err, ErrTooManyRounds) {
+	if err := sealedReg.Ingest(signedVector(t, key, "svc", 22, randomVector(rng, dim))); !errors.Is(err, ErrTooManyRounds) {
 		t.Fatalf("ingest with only sealed/closed rounds err = %v, want ErrTooManyRounds", err)
 	}
 	if got := sealed.Rounds(); len(got) != 2 || got[0] != 20 || got[1] != 21 {
 		t.Fatalf("sealed/closed rounds = %v, want [20 21]", got)
 	}
-	if err := sealed.Ingest(signedVector(t, key, "svc", 20, randomVector(rng, dim))); !errors.Is(err, ErrRoundSealed) {
+	if err := sealedReg.Ingest(signedVector(t, key, "svc", 20, randomVector(rng, dim))); !errors.Is(err, ErrRoundSealed) {
 		t.Fatalf("straggler to sealed round err = %v, want ErrRoundSealed", err)
 	}
 }

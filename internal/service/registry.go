@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -113,8 +114,12 @@ type TenantConfig struct {
 	// Name is the tenant's service name — the routing key every
 	// contribution carries and every client names in its hello.
 	Name string
-	// Verify checks the tenant's glimmer-signed contributions; nil
-	// disables signature verification (pre-authenticated ingest only).
+	// Verify checks the tenant's glimmer-signed contributions. Nil
+	// disables signature verification: the tenant then trusts its
+	// transport entirely. That mode exists for pre-authenticated
+	// in-process ingest (contributions already verified upstream) and for
+	// tests pinning the decode+dedup path's allocations; anything fed from
+	// a network must set Verify.
 	Verify *xcrypto.VerifyKey
 	// Dim is the tenant's contribution dimensionality.
 	Dim int
@@ -122,18 +127,56 @@ type TenantConfig struct {
 	// start (RoundManager.Vet adds more later).
 	Vetted []tee.Measurement
 
-	// Workers, Shards, and ExpectedCohort size each round's pipeline (see
-	// PipelineConfig).
-	Workers        int
-	Shards         int
+	// Workers bounds how many chunks one frame's group for a round is split
+	// into: the frame's own goroutines run all but the last chunk and exit
+	// before ingest returns. Workers == 1 processes every frame inline on
+	// the calling goroutine (the serial baseline); <= 0 defaults to
+	// GOMAXPROCS.
+	Workers int
+	// Shards is the number of independently locked dedup/sum shards per
+	// round, rounded up to a power of two; <= 0 defaults to 2×Workers. More
+	// shards mean less accumulation contention under concurrent ingest.
+	Shards int
+	// ExpectedCohort, when positive, pre-sizes each round's dedup sets for
+	// that many total contributions, so steady-state ingest below the
+	// expectation never rehashes (and therefore never allocates) on the
+	// dedup insert. Ingest beyond the expectation still works; the maps
+	// grow as usual.
 	ExpectedCohort int
 
 	// MaxRounds, RoundWindow, and EvictAtCap are the tenant's admission
-	// quota (see the RoundManager fields of the same names). The quota is
-	// per-tenant; the Registry's Budget is the global cap on top.
-	MaxRounds   int
+	// quota. The quota is per-tenant; the Registry's Budget is the global
+	// cap on top.
+	//
+	// MaxRounds caps how many live rounds ingest traffic may create (<= 0
+	// means DefaultMaxRounds). The explicit RoundManager.Round is
+	// operator-driven and not subject to the cap.
+	MaxRounds int
+	// RoundWindow, when non-zero, restricts which new rounds ingest may
+	// create: within RoundWindow of the highest established live round —
+	// one with at least two accepted contributions. Anchoring only on
+	// established rounds means a single stray far-off round (a stale
+	// client or epoch-misconfigured bug, admitted while nothing was live)
+	// cannot become the anchor and wedge all real traffic; until some
+	// round establishes, admission falls back to the cap alone. This is a
+	// guard against accidents, not a security boundary: the round number
+	// is client-chosen and the anchor moves with the workload, so a
+	// vetted client can still walk the window forward. Deployments that
+	// need hard round authority must assign round numbers server-side.
+	// Explicitly created rounds (RoundManager.Round) are not subject to it.
 	RoundWindow uint64
-	EvictAtCap  bool
+	// EvictAtCap makes ingest at the cap close and forget the least-filled
+	// open round (fewest accepted contributions; highest round number on
+	// ties) to admit a new verified one, instead of returning
+	// ErrTooManyRounds. Evicting by fill means a vetted client spraying
+	// fresh round numbers mostly evicts its own near-empty rounds, and a
+	// round with a substantially filled cohort outlasts any spray — though
+	// a client willing to spend valid contributions can still tie and
+	// displace a round with an equally small count, so this bounds damage
+	// rather than eliminating it. Suits unattended daemons (cmd/glimmerd);
+	// services that consume aggregates should retire rounds explicitly via
+	// Close/Forget instead.
+	EvictAtCap bool
 
 	// Glimmer, when its ServiceName is set, is the enclave configuration
 	// the hosting front end (internal/gaas) loads for this tenant's user
@@ -229,29 +272,27 @@ func (r *Registry) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	if _, ok := r.tenants[cfg.Name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, cfg.Name)
 	}
-	var tickets *TicketTable
-	if cfg.TicketPolicy != nil {
-		tickets = NewTicketTable(*cfg.TicketPolicy)
+	rc := &roundConfig{TenantConfig: cfg, allow: newAllowlist()}
+	if rc.Workers <= 0 {
+		rc.Workers = runtime.GOMAXPROCS(0)
 	}
-	m := NewRoundManager(PipelineConfig{
-		ServiceName:    cfg.Name,
-		Verify:         cfg.Verify,
-		Dim:            cfg.Dim,
-		Tickets:        tickets,
-		Workers:        cfg.Workers,
-		Shards:         cfg.Shards,
-		ExpectedCohort: cfg.ExpectedCohort,
-	})
-	m.MaxRounds = cfg.MaxRounds
-	m.RoundWindow = cfg.RoundWindow
-	m.EvictAtCap = cfg.EvictAtCap
-	m.budget = r.budget
+	if rc.Shards <= 0 {
+		rc.Shards = 2 * rc.Workers
+	}
+	rc.Shards = nextPowerOfTwo(rc.Shards)
+	if rc.MaxRounds <= 0 {
+		rc.MaxRounds = DefaultMaxRounds
+	}
+	if cfg.TicketPolicy != nil {
+		rc.tickets = newTicketTable(*cfg.TicketPolicy)
+	}
+	for _, meas := range cfg.Vetted {
+		rc.allow.vet(meas)
+	}
+	m := &RoundManager{cfg: rc, budget: r.budget, rounds: make(map[uint64]*Pipeline)}
 	r.budget.mu.Lock()
 	r.budget.members = append(r.budget.members, m)
 	r.budget.mu.Unlock()
-	for _, meas := range cfg.Vetted {
-		m.Vet(meas)
-	}
 	t := &Tenant{cfg: cfg, manager: m}
 	r.tenants[cfg.Name] = t
 	return t, nil
@@ -298,18 +339,23 @@ func (r *Registry) lookup(name []byte) *Tenant {
 	return r.tenants[string(name)]
 }
 
-// Ingest routes one encoded contribution to its tenant's manager: a frame
-// of one through ingestBatchInto (route.go).
+// Ingest routes one encoded contribution to its tenant's round: a frame of
+// one through ingestBatchInto (route.go).
 func (r *Registry) Ingest(raw []byte) error {
 	raws, errs := [1][]byte{raw}, [1]error{}
 	r.ingestBatchInto(raws[:], errs[:])
 	return errs[0]
 }
 
-// GrantTicket routes a ticket request to the tenant it names and runs that
-// tenant's grant exchange (see RoundManager.GrantTicket). Control-plane
-// refusals — unknown tenant included — return to the caller without
-// touching the rejection counters, which account contributions only.
+// GrantTicket runs the service side of the attested-session-ticket exchange
+// for the tenant the request names: the request's one signature is checked
+// with the key that verifies the tenant's contributions, the requesting
+// enclave's measurement against the tenant's allowlist, and the derived
+// session key lands in the tenant's ticket table — after which every
+// contribution of the session pays a constant-time MAC instead.
+// Control-plane refusals — unknown tenant included — return to the caller
+// without touching the rejection counters, which account contributions
+// only.
 func (r *Registry) GrantTicket(raw []byte) ([]byte, error) {
 	req, err := wire.DecodeTicketRequest(raw)
 	if err != nil {
@@ -319,7 +365,11 @@ func (r *Registry) GrantTicket(raw []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, req.Service)
 	}
-	return t.manager.grantTicket(req)
+	rc := t.manager.cfg
+	if rc.tickets == nil {
+		return nil, ErrTicketsDisabled
+	}
+	return rc.tickets.Grant(rc.Name, rc.Verify, rc.allow.admits, req)
 }
 
 // ResolveHost returns the enclave configuration and provisioning hook for

@@ -2,15 +2,12 @@ package service
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"glimmers/internal/glimmer"
 	"glimmers/internal/tee"
-	"glimmers/internal/wire"
 )
 
 // DefaultMaxRounds bounds the live pipelines a RoundManager will create
@@ -28,55 +25,19 @@ var ErrTooManyRounds = errors.New("service: too many concurrent rounds")
 // new round too far from the rounds currently in flight.
 var ErrRoundOutOfWindow = errors.New("service: round outside admission window")
 
-// RoundManager owns the pipelines for concurrent aggregation rounds, keyed
-// by round number. Transports (cmd/glimmerd, internal/gaas) hand it raw
-// contributions in any order; each is routed to its round's pipeline by a
-// cheap header peek, so a service can keep round N open for stragglers
-// while round N+1 is already filling. All methods are safe for concurrent
-// use.
+// RoundManager owns one tenant's pipelines for concurrent aggregation
+// rounds, keyed by round number; Registry.AddTenant builds it. The registry
+// routes each contribution to its round by a cheap header peek, so a
+// service can keep round N open for stragglers while round N+1 is already
+// filling. All methods are safe for concurrent use.
 type RoundManager struct {
-	cfg PipelineConfig // template; Round is overridden per pipeline
+	// cfg is the tenant's round template and admission quota (MaxRounds,
+	// EvictAtCap, RoundWindow), shared with every round it creates.
+	cfg *roundConfig
 
-	// MaxRounds caps how many live rounds ingest traffic may create
-	// (<= 0 means DefaultMaxRounds). Set before serving traffic. The
-	// explicit Round method is operator-driven and not subject to the cap.
-	MaxRounds int
-
-	// EvictAtCap makes ingest at the cap close and forget the least-filled
-	// open round (fewest accepted contributions; highest round number on
-	// ties) to admit a new verified one, instead of returning
-	// ErrTooManyRounds. Evicting by fill means a vetted client spraying
-	// fresh round numbers mostly evicts its own near-empty rounds, and a
-	// round with a substantially filled cohort outlasts any spray — though
-	// a client willing to spend valid contributions can still tie and
-	// displace a round with an equally small count, so this bounds damage
-	// rather than eliminating it. Suits unattended daemons (cmd/glimmerd);
-	// services that consume aggregates should retire rounds explicitly via
-	// Close/Forget instead.
-	EvictAtCap bool
-
-	// RoundWindow, when non-zero, restricts which new rounds ingest may
-	// create: within RoundWindow of the highest established live round —
-	// one with at least two accepted contributions. Anchoring only on
-	// established rounds means a single stray far-off round (a stale
-	// client or epoch-misconfigured bug, admitted while nothing was live)
-	// cannot become the anchor and wedge all real traffic; until some
-	// round establishes, admission falls back to the cap alone. This is a
-	// guard against accidents, not a security boundary: the round number
-	// is client-chosen and the anchor moves with the workload, so a
-	// vetted client can still walk the window forward. Deployments that
-	// need hard round authority must assign round numbers server-side.
-	// Explicitly created rounds (Round) are not subject to it.
-	RoundWindow uint64
-
-	// budget is the cap this manager's live rounds count against: the
-	// Registry's, shared with its other tenants, or — on a bare manager — a
-	// private one with no cap. Fixed before serving traffic.
+	// budget is the Registry's cap this manager's live rounds count
+	// against, shared with its other tenants.
 	budget *Budget
-
-	// allow is the tenant's one allowlist: round admission, ticket grants
-	// and every pipeline this manager creates consult this same value.
-	allow *allowlist
 
 	mu     sync.Mutex
 	rounds map[uint64]*Pipeline
@@ -91,21 +52,8 @@ type RoundManager struct {
 	journal Journal
 }
 
-// NewRoundManager creates a manager that spawns pipelines from cfg
-// (cfg.Round is ignored; each round gets its own).
-func NewRoundManager(cfg PipelineConfig) *RoundManager {
-	m := &RoundManager{
-		cfg:     cfg,
-		allow:   newAllowlist(),
-		rounds:  make(map[uint64]*Pipeline),
-		journal: cfg.Journal,
-	}
-	m.budget = &Budget{max: math.MaxInt, members: []*RoundManager{m}}
-	return m
-}
-
 // Vet allowlists a measurement for every current and future round.
-func (m *RoundManager) Vet(meas tee.Measurement) { m.allow.vet(meas) }
+func (m *RoundManager) Vet(meas tee.Measurement) { m.cfg.allow.vet(meas) }
 
 // Rejected reports contributions refused before reaching any round's
 // pipeline: undecodable headers, failed round-admission verification, and
@@ -113,11 +61,11 @@ func (m *RoundManager) Vet(meas tee.Measurement) { m.allow.vet(meas) }
 func (m *RoundManager) Rejected() int { return int(m.rejected.Load()) }
 
 // refuse books n manager-level refusals: the counter and the journal's
-// Rejected record. ingestBatchInto books a frame's worth at once.
+// Rejected record. The router books a frame's worth at once.
 func (m *RoundManager) refuse(n int) {
 	m.rejected.Add(int64(n))
 	if j := m.journal; j != nil {
-		j.Rejected(m.cfg.ServiceName, 0, LevelManager, n)
+		j.Rejected(m.cfg.Name, 0, LevelManager, n)
 	}
 }
 
@@ -135,13 +83,11 @@ func (m *RoundManager) roundLocked(round uint64) *Pipeline {
 	if p, ok := m.rounds[round]; ok {
 		return p
 	}
-	cfg := m.cfg
-	cfg.Round = round
-	p := NewPipeline(cfg)
-	p.allow, p.journal = m.allow, m.journal
+	p := newPipeline(m.cfg, round)
+	p.journal = m.journal
 	m.rounds[round] = p
 	if j := m.journal; j != nil {
-		j.RoundCreated(m.cfg.ServiceName, round)
+		j.RoundCreated(m.cfg.Name, round)
 	}
 	return p
 }
@@ -182,35 +128,40 @@ func (m *RoundManager) preverify(raw []byte) error {
 	a := arenaPool.Get().(*ingestArena)
 	defer a.release()
 	if glimmer.PeekContributionTicketed(raw) {
-		_, err := verifyTicketed(&m.cfg, nil, raw, &a.ticketed, &a.check)
+		_, err := verifyTicketed(m.cfg, nil, raw, &a.ticketed, &a.check)
 		return err
 	}
-	_, err := verifySigned(&m.cfg, nil, m.allow, raw, &a.signed)
+	_, err := verifySigned(m.cfg, nil, raw, &a.signed)
 	return err
 }
 
-// GrantTicket runs the service side of the attested-session-ticket
-// exchange against this manager's identity: the request's one signature
-// is checked with the same key that verifies contributions, the
-// requesting enclave's measurement against the same allowlist, and the
-// derived session key lands in the manager's ticket table — after which
-// every contribution of the session pays a constant-time MAC instead.
-// Refusals here are control-plane errors returned to the caller; they are
-// not counted as contribution rejections.
-func (m *RoundManager) GrantTicket(raw []byte) ([]byte, error) {
-	req, err := wire.DecodeTicketRequest(raw)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+// admit returns the pipeline a frame's group of items for round rides in:
+// the live one, or one created for the first of the items that verifies
+// (preverify), which then verifies once more inside the pipeline — a double
+// cost only each round's first contribution pays. Items failing the gate,
+// or every remaining item when admission refuses the round, get their
+// error slot set and count toward refused; rest is what rides.
+func (m *RoundManager) admit(round uint64, raws [][]byte, errs []error, idx []int) (p *Pipeline, rest []int, refused int) {
+	if p, ok := m.Lookup(round); ok {
+		return p, idx, 0
 	}
-	return m.grantTicket(req)
-}
-
-// grantTicket is the post-decode grant path shared with Registry routing.
-func (m *RoundManager) grantTicket(req wire.TicketRequest) ([]byte, error) {
-	if m.cfg.Tickets == nil {
-		return nil, ErrTicketsDisabled
+	for len(idx) > 0 {
+		if err := m.preverify(raws[idx[0]]); err != nil {
+			errs[idx[0]] = err
+			refused++
+			idx = idx[1:]
+			continue
+		}
+		var err error
+		if p, err = m.ingestRound(round); err != nil {
+			for _, k := range idx {
+				errs[k] = err
+			}
+			return nil, nil, refused + len(idx)
+		}
+		return p, idx, refused
 	}
-	return m.cfg.Tickets.Grant(m.cfg.ServiceName, m.cfg.Verify, m.allow.admits, req)
+	return nil, nil, refused
 }
 
 // ingestRound creates a verified contribution's round: the one ingest-driven
@@ -263,7 +214,7 @@ func (m *RoundManager) precheckAdmission(round uint64) (*Pipeline, error) {
 
 // windowRefusesLocked applies the RoundWindow admission rule.
 func (m *RoundManager) windowRefusesLocked(round uint64) error {
-	if m.RoundWindow == 0 {
+	if m.cfg.RoundWindow == 0 {
 		return nil
 	}
 	anchor, anchored := uint64(0), false
@@ -275,8 +226,8 @@ func (m *RoundManager) windowRefusesLocked(round uint64) error {
 	if !anchored {
 		return nil
 	}
-	outsideAbove := round > anchor && round-anchor > m.RoundWindow
-	outsideBelow := round < anchor && anchor-round > m.RoundWindow
+	outsideAbove := round > anchor && round-anchor > m.cfg.RoundWindow
+	outsideBelow := round < anchor && anchor-round > m.cfg.RoundWindow
 	if outsideAbove || outsideBelow {
 		return ErrRoundOutOfWindow
 	}
@@ -294,12 +245,8 @@ func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipelin
 	if err := m.windowRefusesLocked(round); err != nil {
 		return nil, nil, err
 	}
-	max := m.MaxRounds
-	if max <= 0 {
-		max = DefaultMaxRounds
-	}
-	for len(m.rounds) >= max {
-		if !m.EvictAtCap {
+	for len(m.rounds) >= m.cfg.MaxRounds {
+		if !m.cfg.EvictAtCap {
 			return nil, victims, ErrTooManyRounds
 		}
 		victim, found := m.evictLeastFilledLocked()
@@ -350,7 +297,7 @@ func (m *RoundManager) forgetLocked(round uint64, p *Pipeline) {
 	delete(m.rounds, round)
 	p.setJournal(nil)
 	if j := m.journal; j != nil {
-		j.RoundForgotten(m.cfg.ServiceName, round)
+		j.RoundForgotten(m.cfg.Name, round)
 	}
 }
 
@@ -362,14 +309,6 @@ func (m *RoundManager) dropLeastFilled() (*Pipeline, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.evictLeastFilledLocked()
-}
-
-// Ingest routes one encoded contribution to its round's pipeline: a frame
-// of one through ingestBatchInto (route.go), which has the admission rule.
-func (m *RoundManager) Ingest(raw []byte) error {
-	raws, errs := [1][]byte{raw}, [1]error{}
-	m.ingestBatchInto(raws[:], errs[:])
-	return errs[0]
 }
 
 // Seal seals one round's pipeline (see Pipeline.Seal). Sealing a round

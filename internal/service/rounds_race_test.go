@@ -13,9 +13,9 @@ import (
 
 // TestEvictAtCapRaceKeepsAcceptedContributions is the -race regression for
 // the eviction path: while one goroutine hammers a victim round with
-// AddBatch and another seals it, a third keeps the manager at its round
+// frames and another seals it, a third keeps the manager at its round
 // cap with fresh verified rounds so EvictAtCap evictions fire throughout.
-// The property under test: a contribution whose AddBatch slot returned nil
+// The property under test: a contribution whose frame slot returned nil
 // is never lost — it is in the round's (eventually merged) aggregate and
 // count, even if the round was evicted and closed mid-batch.
 func TestEvictAtCapRaceKeepsAcceptedContributions(t *testing.T) {
@@ -30,16 +30,16 @@ func TestEvictAtCapRaceKeepsAcceptedContributions(t *testing.T) {
 		batches     = 40
 		batchSize   = 4
 	)
-	mgr := NewRoundManager(PipelineConfig{
-		ServiceName: "svc",
-		Verify:      key.Public(),
-		Dim:         dim,
-		Workers:     2,
-		Shards:      2,
+	reg, mgr := testTenant(t, TenantConfig{
+		Name:       "svc",
+		Verify:     key.Public(),
+		Dim:        dim,
+		Workers:    2,
+		Shards:     2,
+		MaxRounds:  4,
+		EvictAtCap: true,
+		Vetted:     []tee.Measurement{{1, 2, 3}},
 	})
-	mgr.MaxRounds = 4
-	mgr.EvictAtCap = true
-	mgr.Vet(tee.Measurement{1, 2, 3})
 	victim := mgr.Round(victimRound)
 
 	var (
@@ -67,7 +67,7 @@ func TestEvictAtCapRaceKeepsAcceptedContributions(t *testing.T) {
 			default:
 			}
 			raw := signedVector(t, key, "svc", round, randomVector(rng, dim))
-			if err := mgr.Ingest(raw); err != nil &&
+			if err := reg.Ingest(raw); err != nil &&
 				!errors.Is(err, ErrTooManyRounds) && !errors.Is(err, ErrRoundOutOfWindow) {
 				t.Errorf("spray round %d: unexpected error %v", round, err)
 				return
@@ -94,7 +94,7 @@ func TestEvictAtCapRaceKeepsAcceptedContributions(t *testing.T) {
 					vecs[i] = randomVector(rng, dim)
 					batch[i] = signedVector(t, key, "svc", victimRound, vecs[i])
 				}
-				for i, err := range victim.AddBatch(batch) {
+				for i, err := range add(victim, batch...) {
 					switch {
 					case err == nil:
 						mu.Lock()
@@ -135,7 +135,7 @@ func TestEvictAtCapRaceKeepsAcceptedContributions(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if got := victim.Count(); got != acceptedCount {
-		t.Fatalf("accepted-then-lost: victim count %d, AddBatch reported %d accepted", got, acceptedCount)
+		t.Fatalf("accepted-then-lost: victim count %d, its frames reported %d accepted", got, acceptedCount)
 	}
 	sum := victim.Sum()
 	for d := range acceptedSum {

@@ -7,18 +7,15 @@ import (
 	"glimmers/internal/glimmer"
 )
 
-// routeScratch pools the grouping bookkeeping the batch routers pay per
-// call: RoundManager.IngestBatch groups by round, Registry.IngestBatch by
-// tenant, and before this both built a fresh map and index slices for every
-// batch — per-frame garbage on a path whose whole point is to amortize
-// per-frame cost. Groups are processed in first-seen submission order
-// (deterministic, unlike the map iteration it replaces); membership is a
-// rescan rather than stored per-group lists, which is O(groups × items)
-// with a group count that is almost always 1.
+// routeScratch pools the grouping bookkeeping the router pays per frame, so
+// routing a frame builds no map and no index slice. Groups are processed in
+// first-seen submission order (deterministic, unlike a map's iteration);
+// membership is a rescan rather than stored per-group lists, which is
+// O(groups × items) with a group count that is almost always 1.
 type routeScratch struct {
+	tenants []*Tenant // nil: refused by the registry
 	rounds  []uint64
-	tenants []*Tenant
-	done    []bool
+	done    []bool // routed to a round group, or refused by its tenant
 	batch   [][]byte
 	idx     []int
 	errs    []error
@@ -66,149 +63,94 @@ func (rs *routeScratch) errSlots(n int) []error {
 }
 
 // IngestBatch routes a batch of encoded contributions, grouping them by
-// round so each group runs the pipeline's ingest plan. It returns the
-// number accepted and one error slot per input, aligned with raws.
-func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
-	errs := make([]error, len(raws))
-	return m.ingestBatchInto(raws, errs), errs
-}
-
-// ingestBatchInto is IngestBatch writing into the caller's error slots,
-// which must be nil on entry and aligned with raws. A contribution for a
-// round with no live pipeline must fully verify before the round is created
-// (preverify); it then verifies once more inside the pipeline, a double cost
-// only each round's first contribution pays. What the manager itself refuses
-// — unroutable bytes, failed admission — is booked once for the frame.
-func (m *RoundManager) ingestBatchInto(raws [][]byte, errs []error) int {
-	rs := getRouteScratch(len(raws))
-	defer rs.release()
-	refused := 0
-	for i, raw := range raws {
-		round, err := glimmer.PeekContributionRound(raw)
-		if err != nil {
-			errs[i] = fmt.Errorf("service: %w", err)
-			refused++
-			rs.done[i] = true
-			continue
-		}
-		rs.rounds[i] = round
-	}
-	for i := range raws {
-		if rs.done[i] {
-			continue
-		}
-		round := rs.rounds[i]
-		rs.idx = rs.idx[:0]
-		for j := i; j < len(raws); j++ {
-			if !rs.done[j] && rs.rounds[j] == round {
-				rs.done[j] = true
-				rs.idx = append(rs.idx, j)
-			}
-		}
-		idx := rs.idx
-		p, ok := m.Lookup(round)
-		start := 0
-		if !ok {
-			// Gate creation of an unseen round on its first verifying
-			// contribution; items failing the gate are rejected here.
-			for ; start < len(idx) && p == nil; start++ {
-				if err := m.preverify(raws[idx[start]]); err != nil {
-					errs[idx[start]] = err
-					refused++
-					continue
-				}
-				var cerr error
-				if p, cerr = m.ingestRound(round); cerr != nil {
-					for _, k := range idx[start:] {
-						errs[k] = cerr
-					}
-					refused += len(idx) - start
-					break
-				}
-				start-- // re-include the verifying item in the batch
-			}
-			if p == nil {
-				continue
-			}
-		}
-		rs.batch = rs.batch[:0]
-		for _, k := range idx[start:] {
-			rs.batch = append(rs.batch, raws[k])
-		}
-		suberrs := rs.errSlots(len(rs.batch))
-		p.AddBatchErrs(rs.batch, suberrs)
-		for j, err := range suberrs {
-			errs[idx[start+j]] = err
-		}
-	}
-	if refused > 0 {
-		m.refuse(refused)
-	}
-	accepted := 0
-	for _, err := range errs {
-		if err == nil {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// IngestBatch routes a batch of encoded contributions, grouping them by
-// tenant so each tenant's sub-batch rides its own manager (which groups
-// further by round). It returns the number accepted and one error slot per
-// input, aligned with raws. The routing peek itself allocates nothing; the
-// grouping bookkeeping is pooled.
+// tenant and round so each group runs its round's ingest plan. It returns
+// the number accepted and one error slot per input, aligned with raws. The
+// routing peeks allocate nothing; the grouping bookkeeping is pooled.
 func (r *Registry) IngestBatch(raws [][]byte) (int, []error) {
 	errs := make([]error, len(raws))
 	return r.ingestBatchInto(raws, errs), errs
 }
 
 // ingestBatchInto is IngestBatch writing into the caller's error slots,
-// which must be nil on entry and aligned with raws. What the registry itself
-// refuses — unroutable bytes, unknown tenants — is booked once for the frame.
+// which must be nil on entry and aligned with raws. It is the one router:
+// one peek pass names each item's tenant and round, then tenants are
+// routed in first-seen order and, within each, rounds in first-seen order.
+// Each layer books what it refuses once for the frame: the registry
+// unroutable bytes and unknown tenants, before any tenant runs; a tenant's
+// manager its items without a round and its failed round admissions, after
+// the tenant's rounds; each round, its own refusals.
 func (r *Registry) ingestBatchInto(raws [][]byte, errs []error) int {
 	rs := getRouteScratch(len(raws))
 	defer rs.release()
-	refused := 0
+	unroutable := 0
 	for i, raw := range raws {
 		name, err := glimmer.PeekContributionService(raw)
 		if err != nil {
 			errs[i] = fmt.Errorf("service: %w", err)
-			refused++
-			rs.done[i] = true
+			unroutable++
 			continue
 		}
 		t := r.lookup(name)
 		if t == nil {
 			errs[i] = fmt.Errorf("%w: %q", ErrUnknownTenant, name)
-			refused++
-			rs.done[i] = true
+			unroutable++
 			continue
 		}
 		rs.tenants[i] = t
-	}
-	if refused > 0 {
-		r.refuse(refused)
-	}
-	accepted := 0
-	for i := range raws {
-		if rs.done[i] {
-			continue
+		// An item without a round stays unrouted (done false) with its
+		// error set: its tenant's manager books it.
+		if rs.rounds[i], err = glimmer.PeekContributionRound(raw); err != nil {
+			errs[i] = fmt.Errorf("service: %w", err)
 		}
-		t := rs.tenants[i]
-		rs.idx = rs.idx[:0]
-		rs.batch = rs.batch[:0]
-		for j := i; j < len(raws); j++ {
-			if !rs.done[j] && rs.tenants[j] == t {
-				rs.done[j] = true
-				rs.idx = append(rs.idx, j)
-				rs.batch = append(rs.batch, raws[j])
+	}
+	if unroutable > 0 {
+		r.refuse(unroutable)
+	}
+	for first, t := range rs.tenants {
+		if t == nil || rs.done[first] {
+			continue // refused by the registry, or its tenant is routed
+		}
+		m, refused := t.manager, 0
+		for i := first; i < len(raws); i++ {
+			if rs.tenants[i] != t || rs.done[i] {
+				continue
+			}
+			rs.done[i] = true
+			if errs[i] != nil { // no round to route to
+				refused++
+				continue
+			}
+			round := rs.rounds[i]
+			rs.idx = append(rs.idx[:0], i)
+			for j := i + 1; j < len(raws); j++ {
+				if rs.tenants[j] == t && !rs.done[j] && errs[j] == nil && rs.rounds[j] == round {
+					rs.done[j] = true
+					rs.idx = append(rs.idx, j)
+				}
+			}
+			p, idx, n := m.admit(round, raws, errs, rs.idx)
+			refused += n
+			if p == nil {
+				continue
+			}
+			rs.batch = rs.batch[:0]
+			for _, k := range idx {
+				rs.batch = append(rs.batch, raws[k])
+			}
+			suberrs := rs.errSlots(len(idx))
+			p.addBatchErrs(rs.batch, suberrs)
+			for j, err := range suberrs {
+				errs[idx[j]] = err
 			}
 		}
-		terrs := rs.errSlots(len(rs.batch))
-		accepted += t.manager.ingestBatchInto(rs.batch, terrs)
-		for j, err := range terrs {
-			errs[rs.idx[j]] = err
+		if refused > 0 {
+			m.refuse(refused)
+		}
+	}
+	accepted := 0
+	for _, err := range errs {
+		if err == nil {
+			accepted++
 		}
 	}
 	return accepted

@@ -44,17 +44,17 @@ func TestSetPredicateRejectsUnverifiable(t *testing.T) {
 	}
 }
 
-// serialPipeline is the strictly serial pipeline (one worker, one shard)
-// the policy tests exercise.
-func serialPipeline(name string, verify *xcrypto.VerifyKey, dim int, round uint64) *Pipeline {
-	return NewPipeline(PipelineConfig{
-		ServiceName: name,
-		Verify:      verify,
-		Dim:         dim,
-		Round:       round,
-		Workers:     1,
-		Shards:      1,
-	})
+// serialPipeline is the strictly serial round (one worker, one shard) the
+// policy tests exercise.
+func serialPipeline(t *testing.T, name string, verify *xcrypto.VerifyKey, dim int, round uint64, vetted ...tee.Measurement) *Pipeline {
+	return testRound(t, TenantConfig{
+		Name:    name,
+		Verify:  verify,
+		Dim:     dim,
+		Workers: 1,
+		Shards:  1,
+		Vetted:  vetted,
+	}, round)
 }
 
 // signedContribution fabricates a contribution signed by key.
@@ -80,11 +80,10 @@ func TestPipelinePolicyChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim, round = 4, uint64(2)
-	agg := serialPipeline("svc", key.Public(), dim, round)
-	agg.Vet(tee.Measurement{1, 2, 3})
+	agg := serialPipeline(t, "svc", key.Public(), dim, round, tee.Measurement{1, 2, 3})
 
 	good := signedContribution(t, key, "svc", round, dim)
-	if err := agg.Add(glimmer.EncodeSignedContribution(good)); err != nil {
+	if err := add(agg, glimmer.EncodeSignedContribution(good))[0]; err != nil {
 		t.Fatalf("valid contribution refused: %v", err)
 	}
 
@@ -120,7 +119,7 @@ func TestPipelinePolicyChecks(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := agg.Add(glimmer.EncodeSignedContribution(c.mk())); !errors.Is(err, c.want) {
+			if err := add(agg, glimmer.EncodeSignedContribution(c.mk()))[0]; !errors.Is(err, c.want) {
 				t.Fatalf("err = %v, want %v", err, c.want)
 			}
 		})
@@ -148,7 +147,7 @@ func TestSignedContributionCannotBeReencoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim, round = 4, uint64(1)
-	agg := serialPipeline("svc", key.Public(), dim, round)
+	agg := serialPipeline(t, "svc", key.Public(), dim, round)
 	raw := signedVector(t, key, "svc", round, fixed.Vector{1, 2, 3, 4})
 	sc, err := glimmer.DecodeSignedContribution(raw)
 	if err != nil {
@@ -157,10 +156,10 @@ func TestSignedContributionCannotBeReencoded(t *testing.T) {
 	if len(sc.Signature) != xcrypto.SignatureSize {
 		t.Fatalf("signature is %d bytes, want %d", len(sc.Signature), xcrypto.SignatureSize)
 	}
-	if err := agg.Add(raw); err != nil {
+	if err := add(agg, raw)[0]; err != nil {
 		t.Fatalf("valid contribution refused: %v", err)
 	}
-	if err := agg.Add(raw); !errors.Is(err, ErrDuplicate) {
+	if err := add(agg, raw)[0]; !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("byte-identical replay: err = %v, want ErrDuplicate", err)
 	}
 
@@ -172,7 +171,7 @@ func TestSignedContributionCannotBeReencoded(t *testing.T) {
 	for bit := 0; bit < 8*len(sc.Signature); bit++ {
 		sig := slices.Clone(sc.Signature)
 		sig[bit/8] ^= 1 << (bit % 8)
-		if err := agg.Add(respell(sig)); !errors.Is(err, ErrBadSignature) {
+		if err := add(agg, respell(sig))[0]; !errors.Is(err, ErrBadSignature) {
 			t.Fatalf("signature bit %d flipped: err = %v, want ErrBadSignature", bit, err)
 		}
 	}
@@ -185,7 +184,7 @@ func TestSignedContributionCannotBeReencoded(t *testing.T) {
 	sPlusL := new(big.Int).Add(new(big.Int).SetBytes(s), order).FillBytes(s)
 	slices.Reverse(sPlusL)
 	sig := append(slices.Clone(sc.Signature[:split]), sPlusL...)
-	if err := agg.Add(respell(sig)); !errors.Is(err, ErrBadSignature) {
+	if err := add(agg, respell(sig))[0]; !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("S+L respelling: err = %v, want ErrBadSignature", err)
 	}
 
@@ -202,8 +201,8 @@ func TestPipelineGarbageAndEmptyMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := serialPipeline("svc", key.Public(), 4, 1)
-	if err := agg.Add([]byte("garbage")); err == nil {
+	agg := serialPipeline(t, "svc", key.Public(), 4, 1)
+	if err := add(agg, []byte("garbage"))[0]; err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := agg.Mean(); err == nil {
@@ -219,9 +218,9 @@ func TestPipelineWithoutAllowlistAcceptsAnyMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := serialPipeline("svc", key.Public(), 4, 1)
+	agg := serialPipeline(t, "svc", key.Public(), 4, 1)
 	sc := signedContribution(t, key, "svc", 1, 4)
-	if err := agg.Add(glimmer.EncodeSignedContribution(sc)); err != nil {
+	if err := add(agg, glimmer.EncodeSignedContribution(sc))[0]; err != nil {
 		t.Fatalf("no-allowlist aggregator refused contribution: %v", err)
 	}
 }

@@ -165,8 +165,8 @@ func (r *Registry) SetJournal(j Journal) {
 			p.setJournal(j)
 		}
 		m.mu.Unlock()
-		if m.cfg.Tickets != nil {
-			m.cfg.Tickets.setJournal(t.cfg.Name, j)
+		if m.cfg.tickets != nil {
+			m.cfg.tickets.setJournal(t.cfg.Name, j)
 		}
 	}
 }
@@ -196,8 +196,8 @@ func (t *Tenant) exportState() TenantState {
 			ts.Rounds = append(ts.Rounds, p.exportRound())
 		}
 	}
-	if m.cfg.Tickets != nil {
-		ts.Tickets = m.cfg.Tickets.exportTickets()
+	if m.cfg.tickets != nil {
+		ts.Tickets = m.cfg.tickets.exportTickets()
 	}
 	return ts
 }
@@ -207,7 +207,7 @@ func (p *Pipeline) exportRound() RoundState {
 	phase := uint8(p.state)
 	p.stateMu.RUnlock()
 	rs := RoundState{
-		Round:    p.cfg.Round,
+		Round:    p.round,
 		Phase:    phase,
 		Rejected: uint64(p.rejected.Load()),
 		Sum:      fixed.NewVector(p.cfg.Dim),
@@ -281,9 +281,9 @@ func (m *RoundManager) restoreState(ts TenantState) error {
 			return fmt.Errorf("round %d: %w", rs.Round, err)
 		}
 	}
-	if m.cfg.Tickets != nil {
+	if m.cfg.tickets != nil {
 		for _, tk := range ts.Tickets {
-			m.cfg.Tickets.restoreTicket(tk)
+			m.cfg.tickets.restoreTicket(tk)
 		}
 	}
 	return nil
@@ -463,11 +463,11 @@ func (rj *replayJournal) TicketGranted(tenant string, tk TicketState) {
 	if m == nil {
 		return
 	}
-	if m.cfg.Tickets == nil {
+	if m.cfg.tickets == nil {
 		rj.onErr(fmt.Errorf("service: replay: ticket grant for %q, which has no ticket table", tenant))
 		return
 	}
-	m.cfg.Tickets.restoreTicket(tk)
+	m.cfg.tickets.restoreTicket(tk)
 }
 
 func (rj *replayJournal) TicketEvicted(tenant string, id uint64) {
@@ -475,7 +475,7 @@ func (rj *replayJournal) TicketEvicted(tenant string, id uint64) {
 	if m == nil {
 		return
 	}
-	if m.cfg.Tickets != nil {
-		m.cfg.Tickets.deleteTicket(id)
+	if m.cfg.tickets != nil {
+		m.cfg.tickets.deleteTicket(id)
 	}
 }

@@ -125,8 +125,8 @@ type TicketTable struct {
 	journal Journal
 }
 
-// NewTicketTable creates a table under the given policy.
-func NewTicketTable(cfg TicketConfig) *TicketTable {
+// newTicketTable creates a table under the given policy.
+func newTicketTable(cfg TicketConfig) *TicketTable {
 	return &TicketTable{cfg: cfg.withDefaults(), entries: make(map[uint64]ticketEntry)}
 }
 
@@ -140,18 +140,6 @@ func (t *TicketTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.entries)
-}
-
-// Install registers a ticket directly — the deployment hook for keys
-// established out of band (and the tests' way to fill a table without the
-// DH exchange). Grant is the protocol path.
-func (t *TicketTable) Install(id uint64, key xcrypto.SessionKey, roundFirst, roundLast uint64, expiresUnix int64) {
-	e := ticketEntry{key: key, roundFirst: roundFirst, roundLast: roundLast, expiresUnix: expiresUnix}
-	t.mu.Lock()
-	evicted := t.insertLocked(id, e)
-	j, tenant := t.journal, t.tenant
-	t.mu.Unlock()
-	t.journalInsert(j, tenant, evicted, id, e)
 }
 
 // journalInsert appends the evict and grant records of one insert,

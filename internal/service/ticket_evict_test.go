@@ -93,7 +93,7 @@ func TestTicketEvictionMatchesLinearScan(t *testing.T) {
 			now := int64(1000)
 			cfg := TicketConfig{MaxTickets: max, Now: func() int64 { return now }}
 			j := new(evictionJournal)
-			tbl := NewTicketTable(cfg)
+			tbl := newTicketTable(cfg)
 			tbl.setJournal("t", j)
 			ref := &scanTable{max: max, entries: map[uint64]ticketExpiry{}}
 
@@ -103,7 +103,7 @@ func TestTicketEvictionMatchesLinearScan(t *testing.T) {
 					id := uint64(rng.Intn(4 * max))
 					expires := now + int64(rng.Intn(6)) - 1 // ties are common; some arrive expired
 					j.evicted, j.granted = nil, nil
-					tbl.Install(id, xcrypto.SessionKey{byte(step)}, 0, 10, expires)
+					tbl.install(id, xcrypto.SessionKey{byte(step)}, 0, 10, expires)
 					want := ref.insert(now, id, expires)
 					if !reflect.DeepEqual(j.evicted, want) {
 						t.Fatalf("step %d: install %d journaled evictions %v, linear scan evicts %v", step, id, j.evicted, want)
@@ -122,7 +122,7 @@ func TestTicketEvictionMatchesLinearScan(t *testing.T) {
 					// Snapshot and restore: entries come back in export (ID)
 					// order, which becomes their grant order.
 					tickets := tbl.exportTickets()
-					tbl = NewTicketTable(cfg)
+					tbl = newTicketTable(cfg)
 					ref = &scanTable{max: max, entries: map[uint64]ticketExpiry{}}
 					for _, tk := range tickets {
 						tbl.restoreTicket(tk)
@@ -152,14 +152,14 @@ func TestTicketEvictionMatchesLinearScan(t *testing.T) {
 // table: every iteration evicts the soonest-expiring ticket.
 func BenchmarkTicketGrantAtCap(b *testing.B) {
 	now := int64(1000)
-	tbl := NewTicketTable(TicketConfig{MaxTickets: DefaultMaxTickets, Now: func() int64 { return now }})
+	tbl := newTicketTable(TicketConfig{MaxTickets: DefaultMaxTickets, Now: func() int64 { return now }})
 	for i := 0; i < DefaultMaxTickets; i++ {
-		tbl.Install(uint64(i), xcrypto.SessionKey{byte(i)}, 0, 10, now+DefaultTicketTTL)
+		tbl.install(uint64(i), xcrypto.SessionKey{byte(i)}, 0, 10, now+DefaultTicketTTL)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Install(uint64(DefaultMaxTickets+i), xcrypto.SessionKey{byte(i)}, 0, 10, now+DefaultTicketTTL)
+		tbl.install(uint64(DefaultMaxTickets+i), xcrypto.SessionKey{byte(i)}, 0, 10, now+DefaultTicketTTL)
 	}
 	if tbl.Len() != DefaultMaxTickets {
 		b.Fatalf("table holds %d tickets, want %d", tbl.Len(), DefaultMaxTickets)

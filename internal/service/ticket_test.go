@@ -25,11 +25,9 @@ type testTicket struct {
 }
 
 // grantTestTicket runs the full client side of the grant exchange against
-// granter (a RoundManager or Registry): fresh DH value, signed
-// request, decode the grant, derive the session key.
-func grantTestTicket(t *testing.T, granter interface {
-	GrantTicket([]byte) ([]byte, error)
-}, serviceName string, signKey *xcrypto.SigningKey, meas tee.Measurement, first, last uint64) testTicket {
+// granter: fresh DH value, signed request, decode the grant, derive the
+// session key.
+func grantTestTicket(t *testing.T, granter *Registry, serviceName string, signKey *xcrypto.SigningKey, meas tee.Measurement, first, last uint64) testTicket {
 	t.Helper()
 	dh, err := xcrypto.NewDHKey()
 	if err != nil {
@@ -84,19 +82,31 @@ func ticketedRaw(serviceName string, round uint64, dim, salt int, tk testTicket)
 	return glimmer.SealTicketedContribution(tc, xcrypto.NewSessionAEAD(&tk.key))
 }
 
-func newTicketedManager(t *testing.T, key *xcrypto.SigningKey, dim int, tcfg TicketConfig) *RoundManager {
+// newTicketedTenant registers "tickets.example", ticketed under tcfg, as
+// the only tenant of a fresh registry.
+func newTicketedTenant(t *testing.T, key *xcrypto.SigningKey, dim int, tcfg TicketConfig) (*Registry, *RoundManager) {
 	t.Helper()
 	var verify *xcrypto.VerifyKey
 	if key != nil {
 		verify = key.Public()
 	}
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "tickets.example",
-		Verify:      verify,
-		Dim:         dim,
-		Tickets:     NewTicketTable(tcfg),
+	return testTenant(t, TenantConfig{
+		Name:         "tickets.example",
+		Verify:       verify,
+		Dim:          dim,
+		TicketPolicy: &tcfg,
 	})
-	return m
+}
+
+// install registers a ticket directly, without the DH exchange, journaling
+// it as a grant would.
+func (t *TicketTable) install(id uint64, key xcrypto.SessionKey, roundFirst, roundLast uint64, expiresUnix int64) {
+	e := ticketEntry{key: key, roundFirst: roundFirst, roundLast: roundLast, expiresUnix: expiresUnix}
+	t.mu.Lock()
+	evicted := t.insertLocked(id, e)
+	j, tenant := t.journal, t.tenant
+	t.mu.Unlock()
+	t.journalInsert(j, tenant, evicted, id, e)
 }
 
 // TestTicketGrantAndIngest is the end-to-end happy path: one signed
@@ -109,11 +119,11 @@ func TestTicketGrantAndIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTicketedManager(t, key, dim, TicketConfig{})
+	r, m := newTicketedTenant(t, key, dim, TicketConfig{})
 	meas := tee.Measurement{7}
 	m.Vet(meas)
 
-	tk := grantTestTicket(t, m, "tickets.example", key, meas, 1, 16)
+	tk := grantTestTicket(t, r, "tickets.example", key, meas, 1, 16)
 	if tk.first != 1 || tk.last != 16 {
 		t.Fatalf("granted window [%d, %d], want [1, 16]", tk.first, tk.last)
 	}
@@ -126,7 +136,7 @@ func TestTicketGrantAndIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.AddInPlace(tc.Blinded)
-		if err := m.Ingest(raw); err != nil {
+		if err := r.Ingest(raw); err != nil {
 			t.Fatalf("ticketed contribution %d refused: %v", i, err)
 		}
 	}
@@ -147,7 +157,7 @@ func TestTicketGrantAndIngest(t *testing.T) {
 	}
 	sc.Signature = sig
 	want.AddInPlace(sc.Blinded)
-	if err := m.Ingest(glimmer.EncodeSignedContribution(sc)); err != nil {
+	if err := r.Ingest(glimmer.EncodeSignedContribution(sc)); err != nil {
 		t.Fatalf("signed fallback refused: %v", err)
 	}
 
@@ -179,23 +189,23 @@ func TestTicketedRefusals(t *testing.T) {
 	}
 	now := int64(1_700_000_000)
 	clock := func() int64 { return now }
-	m := newTicketedManager(t, key, dim, TicketConfig{TTL: 100, MaxWindow: 8, Now: clock})
+	r, m := newTicketedTenant(t, key, dim, TicketConfig{TTL: 100, MaxWindow: 8, Now: clock})
 	meas := tee.Measurement{7}
 	m.Vet(meas)
-	tk := grantTestTicket(t, m, "tickets.example", key, meas, 1, 100)
+	tk := grantTestTicket(t, r, "tickets.example", key, meas, 1, 100)
 	if tk.last != 1+8 {
 		t.Fatalf("window not clamped: last = %d, want 9", tk.last)
 	}
 
 	good := ticketedRaw("tickets.example", 2, dim, 1, tk)
-	if err := m.Ingest(good); err != nil {
+	if err := r.Ingest(good); err != nil {
 		t.Fatalf("good ticketed contribution refused: %v", err)
 	}
 
 	// Forged MAC: flip one tag byte.
 	forged := append([]byte(nil), ticketedRaw("tickets.example", 2, dim, 2, tk)...)
 	forged[len(forged)-1] ^= 0x01
-	if err := m.Ingest(forged); !errors.Is(err, ErrBadMAC) {
+	if err := r.Ingest(forged); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("forged MAC err = %v, want ErrBadMAC", err)
 	}
 
@@ -203,17 +213,17 @@ func TestTicketedRefusals(t *testing.T) {
 	// MAC is sealed under a random key, so even the right key check would
 	// fail — but the table lookup must refuse first.
 	ghost := testTicket{id: tk.id ^ 0xFFFF, key: xcrypto.SessionKey{9}}
-	if err := m.Ingest(ticketedRaw("tickets.example", 2, dim, 3, ghost)); !errors.Is(err, ErrUnknownTicket) {
+	if err := r.Ingest(ticketedRaw("tickets.example", 2, dim, 3, ghost)); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("unknown ticket err = %v, want ErrUnknownTicket", err)
 	}
 
 	// Round outside the granted window.
-	if err := m.Ingest(ticketedRaw("tickets.example", 50, dim, 4, tk)); !errors.Is(err, ErrTicketWindow) {
+	if err := r.Ingest(ticketedRaw("tickets.example", 50, dim, 4, tk)); !errors.Is(err, ErrTicketWindow) {
 		t.Fatalf("out-of-window err = %v, want ErrTicketWindow", err)
 	}
 
 	// Duplicate of an accepted ticketed contribution.
-	if err := m.Ingest(good); !errors.Is(err, ErrDuplicate) {
+	if err := r.Ingest(good); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate err = %v, want ErrDuplicate", err)
 	}
 
@@ -221,27 +231,32 @@ func TestTicketedRefusals(t *testing.T) {
 	// table or any MAC check.
 	old := bytes.Clone(good)
 	copy(old[bytes.Index(old, []byte("GTK2")):], "GTK1")
-	if err := m.Ingest(old); err == nil || !strings.Contains(err.Error(), "bad ticket header") {
+	if err := r.Ingest(old); err == nil || !strings.Contains(err.Error(), "bad ticket header") {
 		t.Fatalf("GTK1 contribution err = %v, want a bad ticket header", err)
 	}
 
 	// Wrong dimension.
-	if err := m.Ingest(ticketedRaw("tickets.example", 2, dim+1, 5, tk)); !errors.Is(err, ErrWrongDim) {
+	if err := r.Ingest(ticketedRaw("tickets.example", 2, dim+1, 5, tk)); !errors.Is(err, ErrWrongDim) {
 		t.Fatalf("wrong-dim err = %v, want ErrWrongDim", err)
 	}
 
-	// Wrong service name: refused before any table access.
-	if err := m.Ingest(ticketedRaw("other.example", 2, dim, 6, tk)); !errors.Is(err, ErrWrongService) {
-		t.Fatalf("wrong-service err = %v, want ErrWrongService", err)
+	// Wrong service name: the registry routes by name, so it meets an
+	// unknown tenant — and a round handed it directly refuses it before
+	// any table access.
+	if err := r.Ingest(ticketedRaw("other.example", 2, dim, 6, tk)); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("wrong-service err = %v, want ErrUnknownTenant", err)
+	}
+	if err := add(m.Round(2), ticketedRaw("other.example", 2, dim, 6, tk))[0]; !errors.Is(err, ErrWrongService) {
+		t.Fatalf("wrong-service err at the round = %v, want ErrWrongService", err)
 	}
 
 	// Expired: advance the clock past the TTL; renewal re-grants.
 	now += 101
-	if err := m.Ingest(ticketedRaw("tickets.example", 2, dim, 7, tk)); !errors.Is(err, ErrTicketExpired) {
+	if err := r.Ingest(ticketedRaw("tickets.example", 2, dim, 7, tk)); !errors.Is(err, ErrTicketExpired) {
 		t.Fatalf("expired err = %v, want ErrTicketExpired", err)
 	}
-	renewed := grantTestTicket(t, m, "tickets.example", key, meas, 1, 8)
-	if err := m.Ingest(ticketedRaw("tickets.example", 2, dim, 8, renewed)); err != nil {
+	renewed := grantTestTicket(t, r, "tickets.example", key, meas, 1, 8)
+	if err := r.Ingest(ticketedRaw("tickets.example", 2, dim, 8, renewed)); err != nil {
 		t.Fatalf("renewed ticket refused: %v", err)
 	}
 }
@@ -257,7 +272,7 @@ func TestTicketGrantRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTicketedManager(t, key, 4, TicketConfig{})
+	r, m := newTicketedTenant(t, key, 4, TicketConfig{})
 	meas := tee.Measurement{7}
 	m.Vet(meas)
 
@@ -284,35 +299,36 @@ func TestTicketGrantRefusals(t *testing.T) {
 		return wire.EncodeTicketRequest(req)
 	}
 
-	if _, err := m.GrantTicket(makeReq(nil, wrongKey)); !errors.Is(err, ErrBadSignature) {
+	if _, err := r.GrantTicket(makeReq(nil, wrongKey)); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("wrong-key grant err = %v, want ErrBadSignature", err)
 	}
-	if _, err := m.GrantTicket(makeReq(func(r *wire.TicketRequest) {
+	if _, err := r.GrantTicket(makeReq(func(r *wire.TicketRequest) {
 		r.Measurement = make([]byte, 32)
 	}, key)); !errors.Is(err, ErrUnknownGlimmer) {
 		t.Fatalf("unvetted grant err = %v, want ErrUnknownGlimmer", err)
 	}
-	if _, err := m.GrantTicket(makeReq(func(r *wire.TicketRequest) {
+	if _, err := r.GrantTicket(makeReq(func(r *wire.TicketRequest) {
 		r.Service = "other.example"
-	}, key)); !errors.Is(err, ErrWrongService) {
-		t.Fatalf("wrong-service grant err = %v, want ErrWrongService", err)
+	}, key)); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("wrong-service grant err = %v, want ErrUnknownTenant", err)
 	}
-	if _, err := m.GrantTicket(makeReq(func(r *wire.TicketRequest) {
+	if _, err := r.GrantTicket(makeReq(func(r *wire.TicketRequest) {
 		r.RoundFirst, r.RoundLast = 9, 3
 	}, key)); err == nil {
 		t.Fatal("inverted window granted")
 	}
-	if _, err := m.GrantTicket([]byte{0xFF, 0xFF}); err == nil {
+	if _, err := r.GrantTicket([]byte{0xFF, 0xFF}); err == nil {
 		t.Fatal("undecodable request granted")
 	}
 
-	// A manager without a table refuses grants and ticketed traffic alike.
-	bare := NewRoundManager(PipelineConfig{ServiceName: "tickets.example", Verify: key.Public(), Dim: 4})
-	bare.Vet(meas)
+	// A tenant without a table refuses grants and ticketed traffic alike.
+	bare, _ := testTenant(t, TenantConfig{
+		Name: "tickets.example", Verify: key.Public(), Dim: 4, Vetted: []tee.Measurement{meas},
+	})
 	if _, err := bare.GrantTicket(makeReq(nil, key)); !errors.Is(err, ErrTicketsDisabled) {
 		t.Fatalf("disabled grant err = %v, want ErrTicketsDisabled", err)
 	}
-	tk := grantTestTicket(t, m, "tickets.example", key, meas, 1, 4)
+	tk := grantTestTicket(t, r, "tickets.example", key, meas, 1, 4)
 	if err := bare.Ingest(ticketedRaw("tickets.example", 2, 4, 0, tk)); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("ticketless-tenant ingest err = %v, want ErrUnknownTicket", err)
 	}
@@ -322,15 +338,15 @@ func TestTicketGrantRefusals(t *testing.T) {
 // expired entries are dropped first, then the soonest-expiring live one.
 func TestTicketTableBoundsAndEviction(t *testing.T) {
 	now := int64(1000)
-	tbl := NewTicketTable(TicketConfig{MaxTickets: 3, TTL: 50, Now: func() int64 { return now }})
-	tbl.Install(1, xcrypto.SessionKey{1}, 0, 10, now+10)
-	tbl.Install(2, xcrypto.SessionKey{2}, 0, 10, now+20)
-	tbl.Install(3, xcrypto.SessionKey{3}, 0, 10, now+30)
+	tbl := newTicketTable(TicketConfig{MaxTickets: 3, TTL: 50, Now: func() int64 { return now }})
+	tbl.install(1, xcrypto.SessionKey{1}, 0, 10, now+10)
+	tbl.install(2, xcrypto.SessionKey{2}, 0, 10, now+20)
+	tbl.install(3, xcrypto.SessionKey{3}, 0, 10, now+30)
 	if tbl.Len() != 3 {
 		t.Fatalf("len = %d, want 3", tbl.Len())
 	}
 	// At the bound with nothing expired: ticket 1 (soonest expiry) loses.
-	tbl.Install(4, xcrypto.SessionKey{4}, 0, 10, now+40)
+	tbl.install(4, xcrypto.SessionKey{4}, 0, 10, now+40)
 	if tbl.Len() != 3 {
 		t.Fatalf("len = %d, want 3 after eviction", tbl.Len())
 	}
@@ -343,7 +359,7 @@ func TestTicketTableBoundsAndEviction(t *testing.T) {
 	// Expire 2 and 3; the next insert reclaims both slots instead of
 	// evicting the live ticket 4.
 	now += 35
-	tbl.Install(5, xcrypto.SessionKey{5}, 0, 10, now+40)
+	tbl.install(5, xcrypto.SessionKey{5}, 0, 10, now+40)
 	if _, err := tbl.check(4, 5); err != nil {
 		t.Fatalf("live ticket 4 evicted while expired entries existed: %v", err)
 	}
@@ -427,20 +443,20 @@ func TestTicketedRoundCreationGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTicketedManager(t, key, dim, TicketConfig{})
+	r, m := newTicketedTenant(t, key, dim, TicketConfig{})
 	meas := tee.Measurement{7}
 	m.Vet(meas)
-	tk := grantTestTicket(t, m, "tickets.example", key, meas, 1, 16)
+	tk := grantTestTicket(t, r, "tickets.example", key, meas, 1, 16)
 
 	forged := append([]byte(nil), ticketedRaw("tickets.example", 9, dim, 1, tk)...)
 	forged[len(forged)-1] ^= 0x01
-	if err := m.Ingest(forged); !errors.Is(err, ErrBadMAC) {
+	if err := r.Ingest(forged); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("forged err = %v, want ErrBadMAC", err)
 	}
 	if _, ok := m.Lookup(9); ok {
 		t.Fatal("forged ticketed contribution created a round")
 	}
-	if err := m.Ingest(ticketedRaw("tickets.example", 9, dim, 2, tk)); err != nil {
+	if err := r.Ingest(ticketedRaw("tickets.example", 9, dim, 2, tk)); err != nil {
 		t.Fatalf("genuine ticketed contribution refused: %v", err)
 	}
 	if _, ok := m.Lookup(9); !ok {
@@ -469,13 +485,13 @@ func TestPooledMACScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTicketedManager(t, key, dim, TicketConfig{})
+	r, m := newTicketedTenant(t, key, dim, TicketConfig{})
 	meas := tee.Measurement{7}
 	m.Vet(meas)
 	// One ticket per caller: concurrent MAC checks resolve different keys.
 	tickets := make([]testTicket, callers)
 	for c := range tickets {
-		tickets[c] = grantTestTicket(t, m, "tickets.example", key, meas, 1, 16)
+		tickets[c] = grantTestTicket(t, r, "tickets.example", key, meas, 1, 16)
 	}
 	all := make([][]byte, 0, callers*perCaller)
 	want := fixed.NewVector(dim)
@@ -497,7 +513,7 @@ func TestPooledMACScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs := m.IngestBatch(batch)
+			_, errs := r.IngestBatch(batch)
 			for _, err := range errs {
 				if err != nil {
 					t.Errorf("IngestBatch: %v", err)
@@ -523,7 +539,7 @@ func TestPooledMACScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 	// concurrency: a flipped MAC still bounces.
 	forged := append([]byte(nil), bytes.Clone(all[0])...)
 	forged[len(forged)-1] ^= 0x01
-	if err := m.Ingest(forged); !errors.Is(err, ErrBadMAC) && !errors.Is(err, ErrRoundSealed) {
+	if err := r.Ingest(forged); !errors.Is(err, ErrBadMAC) && !errors.Is(err, ErrRoundSealed) {
 		t.Fatalf("forged err = %v, want ErrBadMAC or ErrRoundSealed", err)
 	}
 }
@@ -538,34 +554,36 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 	}
 	const runs = 300
 	const dim = 64
-	tbl := NewTicketTable(TicketConfig{})
 	tk := testTicket{id: 42, key: xcrypto.SessionKey{1, 2, 3}, first: 1, last: 16}
-	tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
 	raws := make([][]byte, runs+50)
 	for i := range raws {
 		raws[i] = ticketedRaw("alloc.example", 7, dim, i, tk)
 	}
-	p := NewPipeline(PipelineConfig{
-		ServiceName:    "alloc.example",
-		Dim:            dim,
-		Round:          7,
-		Tickets:        tbl,
-		Workers:        1,
-		Shards:         1,
-		ExpectedCohort: len(raws),
-	})
-	// Two warm-up verifications: the second makes the table cache the
-	// ticket's AEAD.
-	for _, raw := range raws[:2] {
-		if err := p.Add(raw); err != nil {
-			t.Fatal(err)
+	tenant := func() (*Registry, *RoundManager) {
+		r, m := testTenant(t, TenantConfig{
+			Name: "alloc.example", Dim: dim, Workers: 1, Shards: 1,
+			ExpectedCohort: len(raws), TicketPolicy: &TicketConfig{},
+		})
+		m.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+		return r, m
+	}
+
+	// The round's ingest plan, a frame of one into reused error slots. Two
+	// warm-up verifications: the second makes the table cache the ticket's
+	// AEAD.
+	_, m := tenant()
+	p := m.Round(7)
+	errs := make([]error, 1)
+	for i := range 2 {
+		if p.addBatchErrs(raws[i:i+1], errs); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	}
 	i := 1
 	if got := testing.AllocsPerRun(runs, func() {
 		i++
-		if err := p.Add(raws[i]); err != nil {
-			t.Fatal(err)
+		if p.addBatchErrs(raws[i:i+1], errs); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	}); got > 0 {
 		t.Errorf("ticketed ingest: %.1f allocs/op, want 0", got)
@@ -574,28 +592,26 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 		t.Fatalf("count = %d, want %d", p.Count(), i+1)
 	}
 
-	// The same contract one verb up: routed by the manager, the frame of one
-	// still allocates nothing (Registry.Ingest is TestJournaledIngestAllocFree's).
-	m := NewRoundManager(PipelineConfig{
-		ServiceName: "alloc.example", Dim: dim, Tickets: tbl,
-		Workers: 1, Shards: 1, ExpectedCohort: len(raws),
-	})
+	// The same contract one verb up: routed by the registry, the frame of
+	// one still allocates nothing (journaled, it is
+	// TestJournaledIngestAllocFree's).
+	r, m := tenant()
 	for _, raw := range raws[:2] {
-		if err := m.Ingest(raw); err != nil {
+		if err := r.Ingest(raw); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i = 1
 	if got := testing.AllocsPerRun(runs, func() {
 		i++
-		if err := m.Ingest(raws[i]); err != nil {
+		if err := r.Ingest(raws[i]); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
-		t.Errorf("RoundManager.Ingest, ticketed: %.1f allocs/op, want 0", got)
+		t.Errorf("Registry.Ingest, ticketed: %.1f allocs/op, want 0", got)
 	}
 	if got := m.Round(7).Count(); got != i+1 {
-		t.Fatalf("manager round count = %d, want %d", got, i+1)
+		t.Fatalf("routed round count = %d, want %d", got, i+1)
 	}
 }
 
@@ -607,8 +623,8 @@ func TestTicketCheckAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
-	tbl := NewTicketTable(TicketConfig{}) // nil Now: the cached time.Now path
-	tbl.Install(42, xcrypto.SessionKey{1, 2, 3}, 1, 16, 1<<62)
+	tbl := newTicketTable(TicketConfig{}) // nil Now: the cached time.Now path
+	tbl.install(42, xcrypto.SessionKey{1, 2, 3}, 1, 16, 1<<62)
 	for range 2 {
 		if _, err := tbl.check(42, 7); err != nil {
 			t.Fatal(err)
@@ -639,9 +655,9 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 	const dim, round = 4, uint64(3)
 	now := int64(1000)
 	cfg := TicketConfig{MaxTickets: 2, TTL: 100, Now: func() int64 { return now }}
-	tbl := NewTicketTable(cfg)
+	tbl := newTicketTable(cfg)
 	tk := testTicket{id: 42, key: xcrypto.SessionKey{4, 2}, first: 1, last: 16}
-	tbl.Install(tk.id, tk.key, tk.first, tk.last, now+100)
+	tbl.install(tk.id, tk.key, tk.first, tk.last, now+100)
 	if cachedAEAD(tbl, tk.id) {
 		t.Fatal("a granted ticket holds an AEAD before any check")
 	}
@@ -680,9 +696,9 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosted, _ := reg.Tenant("cache.example")
-	hosted.Manager().cfg.Tickets.Install(tk.id, tk.key, tk.first, tk.last, now+100)
+	hosted.Manager().cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, now+100)
 	for range 2 {
-		if _, err := hosted.Manager().cfg.Tickets.check(tk.id, round); err != nil {
+		if _, err := hosted.Manager().cfg.tickets.check(tk.id, round); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -694,7 +710,7 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, _ := restored.Tenant("cache.example")
-	if cachedAEAD(rt.Manager().cfg.Tickets, tk.id) {
+	if cachedAEAD(rt.Manager().cfg.tickets, tk.id) {
 		t.Fatal("a restored ticket holds an AEAD")
 	}
 	if err := restored.Ingest(raw); err != nil {
@@ -707,7 +723,7 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 	}
 
 	// Re-install under the same ID: a new entry, no AEAD.
-	tbl.Install(tk.id, tk.key, tk.first, tk.last, now+100)
+	tbl.install(tk.id, tk.key, tk.first, tk.last, now+100)
 	if cachedAEAD(tbl, tk.id) {
 		t.Fatal("a re-installed ticket kept the old entry's AEAD")
 	}
@@ -718,8 +734,8 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 	}
 
 	// Eviction: at the bound, the soonest-expiring ticket goes, AEAD and all.
-	tbl.Install(7, xcrypto.SessionKey{7}, 1, 16, now+200)
-	tbl.Install(8, xcrypto.SessionKey{8}, 1, 16, now+200)
+	tbl.install(7, xcrypto.SessionKey{7}, 1, 16, now+200)
+	tbl.install(8, xcrypto.SessionKey{8}, 1, 16, now+200)
 	if _, err := tbl.check(tk.id, round); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("evicted ticket: err = %v, want ErrUnknownTicket", err)
 	}
@@ -746,9 +762,9 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 // ticket each get an AEAD that verifies its MACs, the table ends up caching
 // exactly one, and every later check is handed that one.
 func TestTicketTableConcurrentChecksShareOneAEAD(t *testing.T) {
-	tbl := NewTicketTable(TicketConfig{})
+	tbl := newTicketTable(TicketConfig{})
 	tk := testTicket{id: 42, key: xcrypto.SessionKey{4, 2}, first: 1, last: 16}
-	tbl.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+	tbl.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
 	tc, err := glimmer.DecodeTicketedContribution(ticketedRaw("race.example", 3, 4, 1, tk))
 	if err != nil {
 		t.Fatal(err)
@@ -790,12 +806,12 @@ func TestTicketEvictionTieBreaksOldestGrantFirst(t *testing.T) {
 	id := func(i int) uint64 { return uint64(1000 - i) }
 	fill := func(tbl *TicketTable) {
 		for i := 0; i < maxTickets; i++ {
-			tbl.Install(id(i), xcrypto.SessionKey{byte(i)}, 0, 10, 1050)
+			tbl.install(id(i), xcrypto.SessionKey{byte(i)}, 0, 10, 1050)
 		}
 	}
 	check := func(tbl *TicketTable, what string) {
 		t.Helper()
-		tbl.Install(id(maxTickets), xcrypto.SessionKey{0xFF}, 0, 10, 1050)
+		tbl.install(id(maxTickets), xcrypto.SessionKey{0xFF}, 0, 10, 1050)
 		if _, err := tbl.check(id(0), 5); !errors.Is(err, ErrUnknownTicket) {
 			t.Errorf("%s: the first grant survived the eviction: %v", what, err)
 		}
@@ -805,12 +821,12 @@ func TestTicketEvictionTieBreaksOldestGrantFirst(t *testing.T) {
 			}
 		}
 	}
-	live := NewTicketTable(cfg)
+	live := newTicketTable(cfg)
 	fill(live)
 	check(live, "live table")
 
 	// A restore assigns sequence in replay order: the journal's order.
-	restored := NewTicketTable(cfg)
+	restored := newTicketTable(cfg)
 	for i := 0; i < maxTickets; i++ {
 		restored.restoreTicket(TicketState{ID: id(i), Key: xcrypto.SessionKey{byte(i)}, RoundLast: 10, ExpiresUnix: 1050})
 	}

@@ -154,7 +154,7 @@ type Config struct {
 	// Dim is the contribution dimensionality.
 	Dim int
 	// Workers and Shards size each round's ingest pipeline (see
-	// service.PipelineConfig).
+	// service.TenantConfig).
 	Workers int
 	Shards  int
 	// Transport selects the submission path.
