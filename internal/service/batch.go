@@ -22,8 +22,9 @@ import (
 //     bytes) and held to that variant's rule: verifyTicketed, whose
 //     one-entry ticket memo makes a run of items under one ticket cost one
 //     table read and reuse one AEAD, or verifySigned, which streams the
-//     view's two preimage segments into the signature check. Either rule leaves the same thing behind — a dedup digest and
-//     a view of the lanes — so past this loop there is one kind of item;
+//     view's two preimage segments into the signature check. Either rule
+//     leaves the same thing behind — a dedup digest and a view of the
+//     lanes — so past this loop there is one kind of item;
 //  2. one shard phase: counting-sort the survivors by dedup shard — the
 //     sort is stable, so a shard sees its items in submission order and a
 //     duplicate always loses to the earlier copy — and take each shard lock

@@ -24,8 +24,8 @@ import (
 
 // Ticket policy errors surfaced by granting and by ticketed ingest.
 var (
-	// ErrTicketsDisabled is returned by Grant when the tenant has no ticket
-	// policy configured.
+	// ErrTicketsDisabled is returned by Registry.GrantTicket when the
+	// tenant has no ticket policy configured.
 	ErrTicketsDisabled = errors.New("service: session tickets not enabled")
 	// ErrUnknownTicket is returned when a contribution names a ticket the
 	// table does not hold (never granted, evicted, or another tenant's).
