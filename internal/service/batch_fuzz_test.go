@@ -2,7 +2,9 @@ package service
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"glimmers/internal/fixed"
@@ -213,4 +215,123 @@ func FuzzBatchMatchesPerItem(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChunkedJournalMatchesOracle is the journaled, fanned-out side of
+// FuzzBatchMatchesPerItem: a round with Workers: 4 and Shards: 8 takes
+// frames large enough to split into four chunks, drawn with replacement
+// from a pool of valid and refused items, so byte-identical duplicates land
+// within one frame, across its chunks, and across frames. Which copy of a
+// duplicate wins across chunks is a race, so only order-free outputs are
+// held to the oracle: Sum, Count, Rejected, each frame's accepted count,
+// every non-duplicate refusal, and the journal's digest multiset and delta.
+// The recorded journal, replayed into a fresh registry, must give the same
+// Sum and Count: the live sum and the journaled delta agree.
+func TestChunkedJournalMatchesOracle(t *testing.T) {
+	const dim, round = 8, uint64(5)
+	good := testTicket{id: 7, key: xcrypto.SessionKey{0xA7}, first: 1, last: 1 << 32}
+	narrow := testTicket{id: 8, key: xcrypto.SessionKey{0xB8}, first: 1, last: 2}
+	tickets := map[uint64]testTicket{good.id: good, narrow.id: narrow}
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := faultBatch(dim, round, good, narrow)
+	for i := 0; i < 40; i++ {
+		pool = append(pool, ticketedRaw("batch.example", round, dim, 100+i, good))
+	}
+	for i := 0; i < 8; i++ {
+		sc := glimmer.SignedContribution{
+			ServiceName: "batch.example", Round: round,
+			Blinded: make(fixed.Vector, dim), Confidence: 1,
+		}
+		sc.Blinded[i%dim] = fixed.Ring(1000 + i)
+		if sc.Signature, err = key.Sign(sc.SignedBytes()); err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, glimmer.EncodeSignedContribution(sc))
+	}
+	cfg := TenantConfig{
+		Name: "batch.example", Verify: key.Public(), Dim: dim,
+		Workers: 4, Shards: 8, TicketPolicy: &TicketConfig{},
+	}
+	tenant := func() (*Registry, *Pipeline) {
+		r, m := testTenant(t, cfg)
+		for _, tk := range tickets {
+			m.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+		}
+		return r, m.Round(round)
+	}
+
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r, p := tenant()
+		tape := &tapeJournal{}
+		r.SetJournal(tape)
+		want := &oracle{
+			name: "batch.example", dim: dim, round: round, verify: key.Public(), tickets: tickets,
+			seen: map[[32]byte]bool{}, sum: fixed.NewVector(dim),
+		}
+		for f := 0; f < 4; f++ {
+			frame := make([][]byte, 96)
+			for i := range frame {
+				frame[i] = append([]byte(nil), pool[rng.Intn(len(pool))]...)
+			}
+			errs := make([]error, len(frame))
+			p.addBatchErrs(frame, errs)
+			wantAccepted, gotAccepted := 0, 0
+			for i, raw := range frame {
+				wantErr := want.add(raw)
+				if wantErr == nil {
+					wantAccepted++
+				}
+				if errs[i] == nil {
+					gotAccepted++
+				}
+				switch {
+				case wantErr == nil || errors.Is(wantErr, ErrDuplicate):
+					if errs[i] != nil && !errors.Is(errs[i], ErrDuplicate) {
+						t.Errorf("seed %d frame %d item %d: oracle %v, chunked %v", seed, f, i, wantErr, errs[i])
+					}
+				case fmt.Sprint(errs[i]) != fmt.Sprint(wantErr):
+					t.Errorf("seed %d frame %d item %d: oracle %v, chunked %v", seed, f, i, wantErr, errs[i])
+				}
+			}
+			if gotAccepted != wantAccepted {
+				t.Errorf("seed %d frame %d: accepted %d, oracle %d", seed, f, gotAccepted, wantAccepted)
+			}
+		}
+		if p.Count() != len(want.seen) || p.Rejected() != want.rejected {
+			t.Errorf("seed %d: tallies (%d, %d), oracle (%d, %d)", seed, p.Count(), p.Rejected(), len(want.seen), want.rejected)
+		}
+		if p.Sum().Digest() != want.sum.Digest() {
+			t.Errorf("seed %d: sum diverges from the oracle's", seed)
+		}
+
+		ledger := &ledgerJournal{digests: map[[32]byte]int{}, delta: fixed.NewVector(dim)}
+		for _, op := range tape.ops {
+			op.play(ledger) // BatchAccepted and Rejected only: the round predates the journal
+		}
+		if ledger.delta.Digest() != want.sum.Digest() {
+			t.Errorf("seed %d: journaled deltas do not add up to the oracle's sum", seed)
+		}
+		if ledger.rejected != want.rejected {
+			t.Errorf("seed %d: journaled %d refusals, oracle refused %d", seed, ledger.rejected, want.rejected)
+		}
+		if len(ledger.digests) != len(want.seen) {
+			t.Errorf("seed %d: journaled %d distinct digests, oracle accepted %d", seed, len(ledger.digests), len(want.seen))
+		}
+		for d, n := range ledger.digests {
+			if n != 1 || !want.seen[d] {
+				t.Errorf("seed %d: digest %x journaled %d times, oracle accepted: %v", seed, d[:4], n, want.seen[d])
+			}
+		}
+
+		fresh, replayed := tenant()
+		tape.replayInto(t, fresh)
+		if replayed.Count() != p.Count() || replayed.Sum().Digest() != p.Sum().Digest() {
+			t.Errorf("seed %d: replayed journal gives count %d, live %d (sums equal: %v)",
+				seed, replayed.Count(), p.Count(), replayed.Sum().Digest() == p.Sum().Digest())
+		}
+	}
 }
