@@ -80,6 +80,13 @@ func DialContext(ctx context.Context, addr string, cfg DialConfig) (*Client, err
 	if err != nil {
 		return nil, fmt.Errorf("gaas: dial: %w", err)
 	}
+	return clientOver(ctx, conn, cfg)
+}
+
+// clientOver builds DialContext's client over an established transport
+// conn: TLS when configured (bounded by HandshakeTimeout), then NewClient.
+// It owns conn: on error, what it built over conn is closed.
+func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, error) {
 	if cfg.TLS != nil {
 		tconn := tls.Client(conn, cfg.TLS)
 		hctx := ctx
