@@ -109,8 +109,8 @@ func TestTLSFrameIsOneTransportWrite(t *testing.T) {
 	}
 
 	// Past crypto/tls's first 128 KiB every record is full-sized, so a
-	// frame under 16 KiB is exactly one record: its plaintext plus the
-	// 5-byte header, the content type byte and the 16-byte AEAD tag.
+	// frame under 16 KiB is exactly one record: its plaintext plus
+	// recordOverhead.
 	small := repeatedItems(4, 1024, 0x70)
 	frameLen := 4 + 4 + len(cmdSubmitBatch) + 4 + wire.EncodedBatchSize(small)
 	before = cc.writes.Load()
@@ -120,7 +120,7 @@ func TestTLSFrameIsOneTransportWrite(t *testing.T) {
 	if got := cc.writes.Load() - before; got != 1 {
 		t.Errorf("a %d B frame took %d transport writes, want 1", frameLen, got)
 	}
-	if got, want := cc.lastLen.Load(), int64(frameLen+5+1+16); got != want {
+	if got, want := cc.lastLen.Load(), int64(frameLen+recordOverhead); got != want {
 		t.Errorf("a one-record frame wrote %d B, want its record alone (%d B)", got, want)
 	}
 	if want := 128 + 64 + 4; ing.total != want {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -65,7 +66,11 @@ type DialConfig struct {
 // own; its trust comes entirely from quote verification (and, when
 // configured, the TOFU measurement pin).
 type Client struct {
-	conn        net.Conn
+	conn net.Conn
+	// frames is where whole request frames are written: conn itself, or,
+	// over TLS that DialContext set up, a frameWriter that makes a
+	// multi-record frame one socket write.
+	frames      io.Writer
 	session     *attest.Session
 	callTimeout time.Duration
 	measurement tee.Measurement
@@ -74,6 +79,8 @@ type Client struct {
 // DialContext connects to a Glimmer host under cfg: TCP (bounded by
 // DialTimeout and ctx), then TLS when configured (bounded by
 // HandshakeTimeout), then the attested user session unless NoSession.
+// Under TLS, a request frame that spans several records reaches the
+// socket as one write (coalesceConn).
 func DialContext(ctx context.Context, addr string, cfg DialConfig) (*Client, error) {
 	d := net.Dialer{Timeout: cfg.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -87,8 +94,10 @@ func DialContext(ctx context.Context, addr string, cfg DialConfig) (*Client, err
 // conn: TLS when configured (bounded by HandshakeTimeout), then NewClient.
 // It owns conn: on error, what it built over conn is closed.
 func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, error) {
+	var frames io.Writer
 	if cfg.TLS != nil {
-		tconn := tls.Client(conn, cfg.TLS)
+		co := &coalesceConn{Conn: conn}
+		tconn := tls.Client(co, cfg.TLS)
 		hctx := ctx
 		if cfg.HandshakeTimeout > 0 {
 			var cancel context.CancelFunc
@@ -99,9 +108,9 @@ func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, er
 			conn.Close()
 			return nil, fmt.Errorf("gaas: tls handshake: %w", err)
 		}
-		conn = tconn
+		conn, frames = tconn, &frameWriter{tls: tconn, co: co}
 	}
-	c, err := NewClient(conn, cfg)
+	c, err := newClient(conn, frames, cfg)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -113,7 +122,15 @@ func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, er
 // attested user handshake unless cfg.NoSession. The caller retains
 // ownership of conn when the handshake fails.
 func NewClient(conn net.Conn, cfg DialConfig) (*Client, error) {
-	c := &Client{conn: conn, callTimeout: cfg.CallTimeout}
+	return newClient(conn, nil, cfg)
+}
+
+// newClient is NewClient writing its frames to frames (nil: to conn).
+func newClient(conn net.Conn, frames io.Writer, cfg DialConfig) (*Client, error) {
+	if frames == nil {
+		frames = conn
+	}
+	c := &Client{conn: conn, frames: frames, callTimeout: cfg.CallTimeout}
 	if cfg.NoSession {
 		return c, nil
 	}
@@ -154,7 +171,7 @@ func (c *Client) roundTrip(cmd string, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("gaas: arm deadline: %w", err)
 	}
 	defer c.disarmDeadline()
-	if err := writeFrame(c.conn, cmd, body); err != nil {
+	if err := writeFrame(c.frames, cmd, body); err != nil {
 		return nil, err
 	}
 	return c.readReply()
@@ -257,7 +274,8 @@ func (c *Client) RequestTicket(request []byte) ([]byte, error) {
 // the service, like cmd/glimmerd).
 //
 // The batch frame is encoded exactly once, directly into a pooled buffer,
-// and written in a single call. Earlier versions encoded the batch body
+// and handed to the connection in one Write — over TLS set up by
+// DialContext, one socket write for all its records. Earlier versions encoded the batch body
 // and then re-encoded it inside the frame wrapper — twice the bytes, twice
 // the copies — and paid that full cost again just to discover the frame
 // was oversized before a split-and-retry. The size check is now arithmetic
@@ -289,7 +307,7 @@ func (c *Client) submitBatchCmd(cmd string, raws [][]byte) (accepted, rejected i
 	bufp := frameBufPool.Get().(*[]byte)
 	buf := appendFrameHeader((*bufp)[:0], cmd, batchSize)
 	buf = wire.AppendBatch(buf, raws)
-	_, err = c.conn.Write(buf)
+	_, err = c.frames.Write(buf)
 	*bufp = buf[:0]
 	putFrameBuf(bufp)
 	if err != nil {

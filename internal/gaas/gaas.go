@@ -75,8 +75,10 @@ func appendFrameHeader(dst []byte, tag string, bodyLen int) []byte {
 }
 
 // appendFrame appends a complete encoded frame — identical bytes to the
-// original two-write encoding, but built in one pass so the transport
-// issues a single Write per frame.
+// original two-write encoding, but built in one pass so the frame is one
+// Write to its conn. Over TLS that Write is one record per 16 KiB of
+// plaintext, each its own transport write, unless the client's coalescer
+// gathers them (coalesce.go).
 func appendFrame(dst []byte, tag string, body []byte) []byte {
 	dst = appendFrameHeader(dst, tag, len(body))
 	return append(dst, body...)
