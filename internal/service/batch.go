@@ -28,12 +28,13 @@ import (
 //  2. one shard phase: counting-sort the survivors by dedup shard — the
 //     sort is stable, so a shard sees its items in submission order and a
 //     duplicate always loses to the earlier copy — and take each shard lock
-//     once, bulk-inserting digests and accumulating vectors straight from
-//     the frames' lane bytes (fixed.AccumulateWireInto);
+//     once, bulk-inserting digests; then sum the accepted items' vectors
+//     once, straight from the frames' lane bytes (fixed.AccumulateWireInto),
+//     into a delta that folds into one shard's sum;
 //
 // then one BatchAccepted watermark carrying the accepted digests, signed and
-// ticketed alike, and their summed delta, and behind it one Rejected record
-// for every slot the frame refused (leave).
+// ticketed alike, and that delta, and behind it one Rejected record for
+// every slot the frame refused (leave).
 //
 // The arena is pooled across frames and pipelines and returned with every
 // frame view cleared: an idle arena must not keep a transport's frame
@@ -75,11 +76,13 @@ type ingestArena struct {
 	// (release).
 	check ticketCheck
 
-	// Journal scratch: the accepted-digest list and summed delta handed to
-	// Journal.BatchAccepted (which must not retain them — the same contract
-	// the arena itself rides on).
-	jdigests [][32]byte
-	jdelta   fixed.Vector
+	// The accepted items' digests and summed lanes: the delta folds into
+	// the round's sum, and both go to Journal.BatchAccepted (which must not
+	// retain them — the same contract the arena itself rides on). delta is
+	// resliced to each round's dimension within its capacity: the arena
+	// serves tenants of every Dim.
+	digests [][32]byte
+	delta   fixed.Vector
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(ingestArena) }}
@@ -93,7 +96,7 @@ func (a *ingestArena) release() {
 	a.items = a.items[:0]
 	a.ticketed.Clear()
 	a.signed.Clear()
-	a.check.memoized, a.check.aead = false, nil
+	a.check.memoized, a.check.clocked, a.check.aead = false, false, nil
 	arenaPool.Put(a)
 }
 
@@ -220,6 +223,13 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		order[counts[a.items[i].shard]] = int32(i)
 		counts[a.items[i].shard]++
 	}
+	// Under each shard lock the phase only deduplicates: one insert, and
+	// the set's size says whether the digest was new. The sum is not
+	// touched here — the accepted items' lanes are summed once, below.
+	// stateMu's read side spans dedup, fold and journal, so snapshot (which
+	// takes the write side) sees a frame's count and sum together.
+	p.stateMu.RLock()
+	defer p.stateMu.RUnlock()
 	for s := range starts {
 		lo := starts[s]
 		hi := counts[s] // cursor ended at the segment's end
@@ -230,41 +240,43 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		sh.mu.Lock()
 		for _, k := range order[lo:hi] {
 			it := &a.items[k]
-			if sh.seen[it.digest] {
-				errs[it.idx] = ErrDuplicate
-				continue
-			}
+			n := len(sh.seen)
 			sh.seen[it.digest] = true
-			fixed.AccumulateWireInto(sh.sum, it.lanes)
+			if len(sh.seen) == n {
+				errs[it.idx] = ErrDuplicate
+			}
 		}
 		sh.mu.Unlock()
 	}
 
-	// One watermark record for the frame's accepted items, journaled outside
-	// every shard lock while the arena's views are still alive. The digest
-	// list and delta live in the arena: the journal encodes synchronously
-	// and must not retain them, so the scratch recycles with the arena.
-	p.stateMu.RLock()
-	defer p.stateMu.RUnlock()
+	// One accumulate per accepted item, in submission order, into the
+	// arena's delta, while the arena's views into the frame are still
+	// alive. The delta folds into one shard's sum — the first survivor's,
+	// so concurrent frames spread over the locks; only the total across
+	// shards is observable, as restoreAccepted relies on too — and the same
+	// digests and delta make the frame's one watermark record.
+	digests := a.digests[:0]
+	if cap(a.delta) < p.cfg.Dim {
+		a.delta = fixed.NewVector(p.cfg.Dim)
+	}
+	delta := a.delta[:p.cfg.Dim]
+	clear(delta)
+	for i := range a.items {
+		it := &a.items[i]
+		if errs[it.idx] == nil {
+			digests = append(digests, it.digest)
+			fixed.AccumulateWireInto(delta, it.lanes)
+		}
+	}
+	a.digests = digests
+	if len(digests) == 0 {
+		return
+	}
+	sh := p.shards[a.items[0].shard]
+	sh.mu.Lock()
+	sh.sum.AddInPlace(delta)
+	sh.mu.Unlock()
 	if j := p.journal; j != nil {
-		digests := a.jdigests[:0]
-		if len(a.jdelta) != p.cfg.Dim {
-			a.jdelta = fixed.NewVector(p.cfg.Dim)
-		}
-		delta := a.jdelta
-		for i := range delta {
-			delta[i] = 0
-		}
-		for i := range a.items {
-			it := &a.items[i]
-			if errs[it.idx] == nil {
-				digests = append(digests, it.digest)
-				fixed.AccumulateWireInto(delta, it.lanes)
-			}
-		}
-		a.jdigests = digests
-		if len(digests) > 0 {
-			j.BatchAccepted(p.cfg.Name, p.round, digests, delta)
-		}
+		j.BatchAccepted(p.cfg.Name, p.round, digests, delta)
 	}
 }

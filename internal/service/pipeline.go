@@ -224,16 +224,22 @@ func verifySigned(cfg *roundConfig, wantRound *uint64, raw []byte,
 
 // ticketCheck is what the ticketed rule carries from one item of a frame to
 // the next: a one-entry memo of the last ticket resolved, so a run of items
-// under one ticket — the usual whole frame — reads the table once, and the
-// buffer each item's preimage is joined in. The memo must not outlive the
-// frame (ingestArena.release forgets it): between frames the table may
-// expire or evict the ticket it remembers, and a first check's AEAD is
-// the frame's alone. The buffer outlives it with the pooled arena.
+// under one ticket — the usual whole frame — reads the table once; the
+// table clock, read once at the first ticket resolved, so a frame of many
+// tickets reads it once too; and the buffer each item's preimage is joined
+// in. The memo and the clock reading must not outlive the frame
+// (ingestArena.release forgets them): between frames the table may expire
+// or evict the ticket it remembers, time moves on, and a first check's
+// AEAD is the frame's alone. The buffer outlives them with the pooled
+// arena.
 type ticketCheck struct {
 	memoized  bool
 	id, round uint64
 	aead      cipher.AEAD
 	err       error
+
+	clocked bool
+	now     int64
 
 	preimage []byte
 }
@@ -274,7 +280,10 @@ func verifyTicketed(cfg *roundConfig, wantRound *uint64, raw []byte,
 		return digest, ErrUnknownTicket
 	}
 	if !c.memoized || c.id != v.TicketID || c.round != v.Round {
-		c.aead, c.err = cfg.tickets.check(v.TicketID, v.Round)
+		if !c.clocked {
+			c.now, c.clocked = cfg.tickets.now(), true
+		}
+		c.aead, c.err = cfg.tickets.check(v.TicketID, v.Round, c.now)
 		c.id, c.round, c.memoized = v.TicketID, v.Round, true
 	}
 	if c.err != nil {
@@ -356,11 +365,14 @@ func (p *Pipeline) setJournal(j Journal) {
 	p.stateMu.Unlock()
 }
 
-// snapshot reads sum and count together, in whatever state the round is —
-// each shard's pair is taken under its lock, so a contribution accepted
-// concurrently is either wholly in or wholly out of the result, never split
-// between the sum and the count.
+// snapshot reads sum and count together, in whatever state the round is.
+// A chunk's accepted items enter a shard's count at dedup and the sum at
+// the fold that follows, both under stateMu's read side; holding the write
+// side here puts a contribution accepted concurrently either wholly in or
+// wholly out of the result, never split between the sum and the count.
 func (p *Pipeline) snapshot() (fixed.Vector, int) {
+	p.stateMu.Lock()
+	defer p.stateMu.Unlock()
 	out := fixed.NewVector(p.cfg.Dim)
 	count := 0
 	for _, sh := range p.shards {

@@ -234,20 +234,22 @@ func (h *expiryHeap) Pop() any {
 	return x
 }
 
-// check is the ingest hot path: resolve the ticket and enforce expiry and
-// the round window, returning the AEAD that checks the ticket's MACs. For a
+// check is the ingest hot path: resolve the ticket and enforce expiry at
+// now (a reading of the table clock, which the caller may reuse across a
+// frame) and the round window, returning the AEAD that checks the ticket's
+// MACs. For a
 // ticket checked at least twice before, that is one map read under the read
 // lock and zero allocations. Its first two checks build the AEAD (the
 // second also caches it, under the write lock); an expired ticket's cached
 // AEAD is dropped, since nothing can verify under it again.
-func (t *TicketTable) check(id, round uint64) (cipher.AEAD, error) {
+func (t *TicketTable) check(id, round uint64, now int64) (cipher.AEAD, error) {
 	t.mu.RLock()
 	e, ok := t.entries[id]
 	t.mu.RUnlock()
 	if !ok {
 		return nil, ErrUnknownTicket
 	}
-	if t.now() > e.expiresUnix {
+	if now > e.expiresUnix {
 		if e.aead != nil {
 			t.update(id, e.seq, func(cur *ticketEntry) { cur.aead = nil })
 		}

@@ -350,20 +350,20 @@ func TestTicketTableBoundsAndEviction(t *testing.T) {
 	if tbl.Len() != 3 {
 		t.Fatalf("len = %d, want 3 after eviction", tbl.Len())
 	}
-	if _, err := tbl.check(1, 5); !errors.Is(err, ErrUnknownTicket) {
+	if _, err := tbl.check(1, 5, tbl.now()); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("soonest-expiring ticket not evicted: %v", err)
 	}
-	if _, err := tbl.check(2, 5); err != nil {
+	if _, err := tbl.check(2, 5, tbl.now()); err != nil {
 		t.Fatalf("ticket 2 lost: %v", err)
 	}
 	// Expire 2 and 3; the next insert reclaims both slots instead of
 	// evicting the live ticket 4.
 	now += 35
 	tbl.install(5, xcrypto.SessionKey{5}, 0, 10, now+40)
-	if _, err := tbl.check(4, 5); err != nil {
+	if _, err := tbl.check(4, 5, tbl.now()); err != nil {
 		t.Fatalf("live ticket 4 evicted while expired entries existed: %v", err)
 	}
-	if _, err := tbl.check(5, 5); err != nil {
+	if _, err := tbl.check(5, 5, tbl.now()); err != nil {
 		t.Fatalf("ticket 5 lost: %v", err)
 	}
 	if tbl.Len() > 3 {
@@ -626,12 +626,12 @@ func TestTicketCheckAllocFree(t *testing.T) {
 	tbl := newTicketTable(TicketConfig{}) // nil Now: the cached time.Now path
 	tbl.install(42, xcrypto.SessionKey{1, 2, 3}, 1, 16, 1<<62)
 	for range 2 {
-		if _, err := tbl.check(42, 7); err != nil {
+		if _, err := tbl.check(42, 7, tbl.now()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := testing.AllocsPerRun(1000, func() {
-		if _, err := tbl.check(42, 7); err != nil {
+		if _, err := tbl.check(42, 7, tbl.now()); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
@@ -661,21 +661,21 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 	if cachedAEAD(tbl, tk.id) {
 		t.Fatal("a granted ticket holds an AEAD before any check")
 	}
-	first, err := tbl.check(tk.id, round)
+	first, err := tbl.check(tk.id, round, tbl.now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cachedAEAD(tbl, tk.id) {
 		t.Fatal("a ticket checked once holds an AEAD")
 	}
-	second, err := tbl.check(tk.id, round)
+	second, err := tbl.check(tk.id, round, tbl.now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cachedAEAD(tbl, tk.id) {
 		t.Fatal("a ticket checked twice holds no AEAD")
 	}
-	if third, _ := tbl.check(tk.id, round); third != second || first == second {
+	if third, _ := tbl.check(tk.id, round, tbl.now()); third != second || first == second {
 		t.Fatal("later checks do not share the cached AEAD, or the first check's was cached")
 	}
 	raw := ticketedRaw("cache.example", round, dim, 1, tk)
@@ -698,7 +698,7 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 	hosted, _ := reg.Tenant("cache.example")
 	hosted.Manager().cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, now+100)
 	for range 2 {
-		if _, err := hosted.Manager().cfg.tickets.check(tk.id, round); err != nil {
+		if _, err := hosted.Manager().cfg.tickets.check(tk.id, round, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -728,7 +728,7 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 		t.Fatal("a re-installed ticket kept the old entry's AEAD")
 	}
 	for range 2 {
-		if _, err := tbl.check(tk.id, round); err != nil {
+		if _, err := tbl.check(tk.id, round, tbl.now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -736,13 +736,13 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 	// Eviction: at the bound, the soonest-expiring ticket goes, AEAD and all.
 	tbl.install(7, xcrypto.SessionKey{7}, 1, 16, now+200)
 	tbl.install(8, xcrypto.SessionKey{8}, 1, 16, now+200)
-	if _, err := tbl.check(tk.id, round); !errors.Is(err, ErrUnknownTicket) {
+	if _, err := tbl.check(tk.id, round, tbl.now()); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("evicted ticket: err = %v, want ErrUnknownTicket", err)
 	}
 
 	// Expiry: the first check past the TTL drops the cached AEAD.
 	for range 2 {
-		if _, err := tbl.check(7, round); err != nil {
+		if _, err := tbl.check(7, round, tbl.now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -750,7 +750,7 @@ func TestTicketTableCachesAEADFromSecondCheck(t *testing.T) {
 		t.Fatal("ticket 7 checked twice holds no AEAD")
 	}
 	now += 201
-	if _, err := tbl.check(7, round); !errors.Is(err, ErrTicketExpired) {
+	if _, err := tbl.check(7, round, tbl.now()); !errors.Is(err, ErrTicketExpired) {
 		t.Fatalf("expired ticket: err = %v, want ErrTicketExpired", err)
 	}
 	if cachedAEAD(tbl, 7) {
@@ -776,7 +776,7 @@ func TestTicketTableConcurrentChecksShareOneAEAD(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range 4 {
-				aead, err := tbl.check(tk.id, 3)
+				aead, err := tbl.check(tk.id, 3, tbl.now())
 				if err != nil || !xcrypto.OpenSessionMAC(aead, preimage, tc.MAC) {
 					t.Errorf("concurrent check: err %v, or its AEAD refused the MAC", err)
 					return
@@ -785,11 +785,11 @@ func TestTicketTableConcurrentChecksShareOneAEAD(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	cached, err := tbl.check(tk.id, 3)
+	cached, err := tbl.check(tk.id, 3, tbl.now())
 	if err != nil || !cachedAEAD(tbl, tk.id) {
 		t.Fatalf("after concurrent checks: err %v, cached %v", err, cachedAEAD(tbl, tk.id))
 	}
-	if again, _ := tbl.check(tk.id, 3); again != cached {
+	if again, _ := tbl.check(tk.id, 3, tbl.now()); again != cached {
 		t.Fatal("checks after the cache is warm get different AEADs")
 	}
 }
@@ -812,11 +812,11 @@ func TestTicketEvictionTieBreaksOldestGrantFirst(t *testing.T) {
 	check := func(tbl *TicketTable, what string) {
 		t.Helper()
 		tbl.install(id(maxTickets), xcrypto.SessionKey{0xFF}, 0, 10, 1050)
-		if _, err := tbl.check(id(0), 5); !errors.Is(err, ErrUnknownTicket) {
+		if _, err := tbl.check(id(0), 5, tbl.now()); !errors.Is(err, ErrUnknownTicket) {
 			t.Errorf("%s: the first grant survived the eviction: %v", what, err)
 		}
 		for i := 1; i <= maxTickets; i++ {
-			if _, err := tbl.check(id(i), 5); err != nil {
+			if _, err := tbl.check(id(i), 5, tbl.now()); err != nil {
 				t.Errorf("%s: grant %d of the newest %d was evicted: %v", what, i, maxTickets, err)
 			}
 		}
