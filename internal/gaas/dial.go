@@ -94,7 +94,7 @@ func DialContext(ctx context.Context, addr string, cfg DialConfig) (*Client, err
 // conn: TLS when configured (bounded by HandshakeTimeout), then NewClient.
 // It owns conn: on error, what it built over conn is closed.
 func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, error) {
-	var frames io.Writer
+	var frames io.Writer = conn
 	if cfg.TLS != nil {
 		co := &coalesceConn{Conn: conn}
 		tconn := tls.Client(co, cfg.TLS)
@@ -122,14 +122,11 @@ func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, er
 // attested user handshake unless cfg.NoSession. The caller retains
 // ownership of conn when the handshake fails.
 func NewClient(conn net.Conn, cfg DialConfig) (*Client, error) {
-	return newClient(conn, nil, cfg)
+	return newClient(conn, conn, cfg)
 }
 
-// newClient is NewClient writing its frames to frames (nil: to conn).
+// newClient is NewClient writing its request frames to frames.
 func newClient(conn net.Conn, frames io.Writer, cfg DialConfig) (*Client, error) {
-	if frames == nil {
-		frames = conn
-	}
 	c := &Client{conn: conn, frames: frames, callTimeout: cfg.CallTimeout}
 	if cfg.NoSession {
 		return c, nil
