@@ -119,12 +119,17 @@ func RunE1(cfg Figure1Config) (*E1Result, error) {
 	}}, nil
 }
 
-// pairwiseParties builds an n-party pairwise-masking group.
-func pairwiseParties(n int) ([]*blind.Party, error) {
+// pairwiseParties builds an n-party pairwise-masking group. Each party's
+// X25519 key is drawn from the experiment seed, so the masks, and the
+// inversion recall they leave, are the same on every run.
+func pairwiseParties(seed []byte, n int) ([]*blind.Party, error) {
+	prg := xcrypto.NewPRG(append(slices.Clip(seed), 'p'))
 	keys := make([]*xcrypto.DHKey, n)
 	roster := make([][]byte, n)
 	for i := range keys {
-		k, err := xcrypto.NewDHKey()
+		var priv [32]byte
+		prg.Read(priv[:]) // never fails
+		k, err := xcrypto.ParseDHKey(priv[:])
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +306,7 @@ func RunE3(cfg Figure1Config) (*E3Result, error) {
 	}
 
 	// Pairwise masks.
-	parties, err := pairwiseParties(n)
+	parties, err := pairwiseParties(cfg.Seed, n)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,7 @@ var update = flag.Bool("update", false, "rewrite internal/experiments/testdata/g
 var (
 	durationCell = regexp.MustCompile(`^([0-9]+(\.[0-9]+)?(h|m|s|ms|µs|ns))+$`)
 	maskedCells  = map[string]struct{ column, rowPrefix string }{
-		"e3":  {"inversion(blinded)", "pairwise masks"}, // fresh DH keys per run
-		"e13": {"rounds/s", ""},                         // a rate over wall time
+		"e13": {"rounds/s", ""}, // a rate over wall time
 	}
 	cellGap = regexp.MustCompile(` {2,}`)
 )
