@@ -16,9 +16,8 @@ import (
 //
 //	<unix-seconds> <event> <detail>
 //
-// Writes go to the sink verbatim and a bounded tail is retained in memory
-// for tests and operator introspection. All methods are safe for
-// concurrent use.
+// Writes go to the sink verbatim and a bounded tail is retained in memory.
+// All methods are safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	w    io.Writer
@@ -55,13 +54,4 @@ func (l *Log) Append(event, format string, args ...any) {
 		l.tail = l.tail[:tailCap-1]
 	}
 	l.tail = append(l.tail, line)
-}
-
-// Tail returns a copy of the retained recent lines, oldest first.
-func (l *Log) Tail() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, len(l.tail))
-	copy(out, l.tail)
-	return out
 }

@@ -13,8 +13,8 @@
 //     shared DH secret into a mask stream; client i adds the stream for
 //     peers above it and subtracts for peers below, so all streams cancel
 //     pairwise with no trusted dealer. Dropouts are survivable: a dropped
-//     client's masks can be reconstructed from pairwise seeds, or its DH
-//     key recovered from Shamir shares held by survivors.
+//     client's mask can be reconstructed from the pairwise seeds the
+//     survivors reveal.
 package blind
 
 import (
@@ -62,18 +62,6 @@ func Apply(contribution, mask fixed.Vector) (fixed.Vector, error) {
 	}
 	out := contribution.Clone()
 	out.AddInPlace(mask)
-	return out, nil
-}
-
-// Remove returns blinded - mask, recovering the original contribution. Used
-// in tests and in dropout recovery, where a reconstructed mask is removed
-// from the aggregate.
-func Remove(blinded, mask fixed.Vector) (fixed.Vector, error) {
-	if len(blinded) != len(mask) {
-		return nil, fmt.Errorf("blind: blinded dim %d != mask dim %d", len(blinded), len(mask))
-	}
-	out := blinded.Clone()
-	out.SubInPlace(mask)
 	return out, nil
 }
 

@@ -74,19 +74,14 @@ func TestApplyRemoveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Remove(blinded, masks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := blinded.Clone()
+	back.SubInPlace(masks[0])
 	for i := range contribution {
 		if back[i] != contribution[i] {
 			t.Fatalf("round trip mismatch at %d", i)
 		}
 	}
 	if _, err := Apply(contribution, fixed.NewVector(2)); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	if _, err := Remove(blinded, fixed.NewVector(2)); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -366,43 +361,6 @@ func TestShamirValidation(t *testing.T) {
 	}
 }
 
-func TestDropoutRecoveryViaShamirBackup(t *testing.T) {
-	// Full Bonawitz-style recovery: the dropped party's DH key is rebuilt
-	// from backup shares, then its seeds and mask are recomputed.
-	const n, dim, round, k = 4, 3, 11, 2
-	keys, roster := newRoster(t, n)
-	parties := make([]*Party, n)
-	for i := range parties {
-		p, err := NewParty(i, keys[i], roster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parties[i] = p
-	}
-	const dropped = 1
-	backup, err := parties[dropped].BackupShares(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RecoverParty([]Share{backup[3], backup[0]}, k, dropped, roster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMask, err := parties[dropped].Mask(dim, round)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMask, err := restored.Mask(dim, round)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := range wantMask {
-		if wantMask[d] != gotMask[d] {
-			t.Fatalf("recovered mask differs at dim %d", d)
-		}
-	}
-}
-
 // Property: GF(256) multiplication agrees with the reference shift-and-add
 // implementation.
 func TestQuickGFMulAgreesWithReference(t *testing.T) {
@@ -461,10 +419,8 @@ func TestQuickBlindUnblindIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := Remove(blinded, masks[0])
-		if err != nil {
-			return false
-		}
+		back := blinded.Clone()
+		back.SubInPlace(masks[0])
 		for i := range contribution {
 			if back[i] != contribution[i] {
 				return false

@@ -29,9 +29,6 @@ func NewParty(index int, dh *xcrypto.DHKey, roster [][]byte) (*Party, error) {
 	return &Party{index: index, dh: dh, roster: roster}, nil
 }
 
-// Index returns the party's roster position.
-func (p *Party) Index() int { return p.index }
-
 // SeedWith derives the symmetric pairwise seed shared with another party.
 // Both parties derive the same seed, ordered by roster position so the
 // derivation is symmetric.
@@ -103,25 +100,4 @@ func RecoverMask(dropped, n, dim int, round uint64, seeds map[int][]byte) (fixed
 		}
 	}
 	return mask, nil
-}
-
-// BackupShares splits the party's DH private key into n Shamir shares with
-// threshold k, one share per peer. If the party drops out, any k peers can
-// reconstruct its key with RecoverParty and derive the seeds needed for
-// RecoverMask without every survivor having to be online.
-func (p *Party) BackupShares(k int) ([]Share, error) {
-	return SplitSecret(p.dh.Bytes(), len(p.roster), k)
-}
-
-// RecoverParty reconstructs a dropped party from k of its backup shares.
-func RecoverParty(shares []Share, k int, index int, roster [][]byte) (*Party, error) {
-	keyBytes, err := CombineShares(shares, k)
-	if err != nil {
-		return nil, fmt.Errorf("blind: recover party %d: %w", index, err)
-	}
-	dh, err := xcrypto.ParseDHKey(keyBytes)
-	if err != nil {
-		return nil, fmt.Errorf("blind: recover party %d: %w", index, err)
-	}
-	return NewParty(index, dh, roster)
 }

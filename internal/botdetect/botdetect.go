@@ -271,28 +271,3 @@ func (d Detector) Classify(features []int64) bool {
 	}
 	return votes >= d.MinIndicators
 }
-
-// Accuracy evaluates the detector over sample populations, returning the
-// true-positive rate (humans classified human) and false-positive rate
-// (bots classified human).
-func (d Detector) Accuracy(humans, bots []Trace) (tpr, fpr float64) {
-	humanHits := 0
-	for _, tr := range humans {
-		if d.Classify(Features(tr)) {
-			humanHits++
-		}
-	}
-	botHits := 0
-	for _, tr := range bots {
-		if d.Classify(Features(tr)) {
-			botHits++
-		}
-	}
-	if len(humans) > 0 {
-		tpr = float64(humanHits) / float64(len(humans))
-	}
-	if len(bots) > 0 {
-		fpr = float64(botHits) / float64(len(bots))
-	}
-	return tpr, fpr
-}

@@ -74,21 +74,6 @@ func New(n, k int, pred *predicate.Program) (*Consortium, error) {
 	return c, nil
 }
 
-// Size returns the number of members.
-func (c *Consortium) Size() int { return len(c.members) }
-
-// Threshold returns k.
-func (c *Consortium) Threshold() int { return c.threshold }
-
-// PublicKeys returns each member's verification key, indexed by member.
-func (c *Consortium) PublicKeys() []*xcrypto.VerifyKey {
-	out := make([]*xcrypto.VerifyKey, len(c.members))
-	for i, m := range c.members {
-		out[i] = m.key.Public()
-	}
-	return out
-}
-
 // Endorsement is a threshold-validated, blinded contribution.
 type Endorsement struct {
 	Round   uint64

@@ -87,12 +87,9 @@ type RecoverStats struct {
 	ReplayErrors   int   // records naming state the registry no longer has, or of another dimension
 }
 
-// Open creates or opens a state directory with default group-commit
-// tuning. No files are read until Recover.
-func Open(dir string) (*Store, error) { return OpenConfig(dir, Config{}) }
-
-// OpenConfig is Open with explicit group-commit tuning (glimmerd's
-// -wal-flush-bytes / -wal-flush-interval flags).
+// OpenConfig creates or opens a state directory with the given group-commit
+// tuning (glimmerd's -wal-flush-bytes / -wal-flush-interval flags; the zero
+// Config is the default). No files are read until Recover.
 func OpenConfig(dir string, cfg Config) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +48,15 @@ func maybeUpdateGolden(t *testing.T, name string, data []byte) bool {
 		t.Fatal(err)
 	}
 	return true
+}
+
+// appendFrame frames one record payload onto dst.
+func appendFrame(dst, payload []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
 }
 
 // goldenWAL builds the frozen record sequence (driveStore's mutations) as

@@ -27,15 +27,6 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame frames one record payload onto dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
 // walkFrames iterates the intact frames of a WAL image (magic header
 // included), calling fn for each payload. It returns the byte offset
 // just past the last intact frame and whether the file ended cleanly;

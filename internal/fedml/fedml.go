@@ -16,7 +16,6 @@ package fedml
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/keyboard"
@@ -42,9 +41,6 @@ func FromWeights(v *keyboard.Vocabulary, w fixed.Vector) (*Model, error) {
 	}
 	return &Model{vocab: v, Weights: w.Clone()}, nil
 }
-
-// Vocabulary returns the model's vocabulary.
-func (m *Model) Vocabulary() *keyboard.Vocabulary { return m.vocab }
 
 // TrainLocal builds a user's local partial model from private activity:
 // row-normalized bigram counts, exactly the paper's strawman.
@@ -74,16 +70,6 @@ func Aggregate(models ...*Model) (*Model, error) {
 	return &Model{vocab: models[0].vocab, Weights: mean}, nil
 }
 
-// AggregateVectors is Aggregate over raw weight vectors, the form the
-// service actually receives (possibly blinded).
-func AggregateVectors(v *keyboard.Vocabulary, vecs ...fixed.Vector) (*Model, error) {
-	mean, err := fixed.Mean(vecs...)
-	if err != nil {
-		return nil, err
-	}
-	return FromWeights(v, mean)
-}
-
 // Predict returns the most probable next word after prev and its weight.
 func (m *Model) Predict(prev string) (string, float64, error) {
 	p, ok := m.vocab.Index(prev)
@@ -98,34 +84,6 @@ func (m *Model) Predict(prev string) (string, float64, error) {
 		}
 	}
 	return m.vocab.Word(best), bestW, nil
-}
-
-// TopK returns the k highest-weight continuations of prev.
-func (m *Model) TopK(prev string, k int) ([]string, error) {
-	p, ok := m.vocab.Index(prev)
-	if !ok {
-		return nil, fmt.Errorf("fedml: unknown word %q", prev)
-	}
-	n := m.vocab.Size()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := m.Weights[p*n+idx[a]], m.Weights[p*n+idx[b]]
-		if wa != wb {
-			return int64(wa) > int64(wb)
-		}
-		return idx[a] < idx[b]
-	})
-	if k > n {
-		k = n
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = m.vocab.Word(idx[i])
-	}
-	return out, nil
 }
 
 // Accuracy measures next-word prediction accuracy over held-out activity:

@@ -92,12 +92,12 @@ func TestAggregateMatchesBlindedAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	viaBlinding, err := AggregateVectors(v, blinded...)
+	viaBlinding, err := fixed.Mean(blinded...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for dim := range clear.Weights {
-		if clear.Weights[dim] != viaBlinding.Weights[dim] {
+		if clear.Weights[dim] != viaBlinding[dim] {
 			t.Fatalf("blinded aggregation differs at dim %d", dim)
 		}
 	}
@@ -122,17 +122,7 @@ func TestPredictAndTopK(t *testing.T) {
 	if pred != "b" || math.Abs(w-0.7) > 0.001 {
 		t.Fatalf("Predict = %q, %v", pred, w)
 	}
-	top, err := m.TopK("a", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top[0] != "b" || top[1] != "c" {
-		t.Fatalf("TopK = %v", top)
-	}
 	if _, _, err := m.Predict("zebra"); err == nil {
-		t.Fatal("unknown word accepted")
-	}
-	if _, err := m.TopK("zebra", 1); err == nil {
 		t.Fatal("unknown word accepted")
 	}
 }

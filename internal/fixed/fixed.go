@@ -51,12 +51,6 @@ func (r Ring) Float() float64 {
 	return float64(int64(r)) / Scale
 }
 
-// Add returns r + other in the ring.
-func (r Ring) Add(other Ring) Ring { return r + other }
-
-// Sub returns r - other in the ring.
-func (r Ring) Sub(other Ring) Ring { return r - other }
-
 // InUnitRange reports whether the element decodes to a value in [0, 1].
 // This is the paper's canonical validity predicate for model weights.
 func (r Ring) InUnitRange() bool {
@@ -78,15 +72,6 @@ func FromFloats(vs []float64) Vector {
 	out := make(Vector, len(vs))
 	for i, v := range vs {
 		out[i] = FromFloat(v)
-	}
-	return out
-}
-
-// Floats decodes the vector to real values.
-func (v Vector) Floats() []float64 {
-	out := make([]float64, len(v))
-	for i, r := range v {
-		out[i] = r.Float()
 	}
 	return out
 }
@@ -177,23 +162,4 @@ func Mean(vectors ...Vector) (Vector, error) {
 	}
 	sum.DivScalarInPlace(int64(len(vectors)))
 	return sum, nil
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// two decoded vectors, a convergence / skew metric for experiments.
-func MaxAbsDiff(a, b Vector) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("fixed: vector length mismatch %d != %d", len(a), len(b))
-	}
-	var maxDiff float64
-	for i := range a {
-		d := a[i].Float() - b[i].Float()
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return maxDiff, nil
 }

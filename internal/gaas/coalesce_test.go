@@ -93,7 +93,7 @@ func TestTLSFrameIsOneTransportWrite(t *testing.T) {
 		t.Errorf("a %d B SubmitBatch took %d transport writes, want 1", wire.EncodedBatchSize(big), got)
 	}
 
-	body := wire.EncodeBatch(repeatedItems(64, 1024, 0x40)) // ≥64 KiB through roundTrip
+	body := wire.AppendBatch(nil, repeatedItems(64, 1024, 0x40)) // ≥64 KiB through roundTrip
 	before = cc.writes.Load()
 	reply, err := client.roundTrip(cmdSubmitBatch, body)
 	if err != nil {

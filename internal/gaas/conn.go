@@ -27,9 +27,6 @@ type Session struct {
 	batchScratch [][]byte
 }
 
-// Server returns the server this session is being served by.
-func (s *Session) Server() *Server { return s.srv }
-
 // RemoteAddr returns the client's address.
 func (s *Session) RemoteAddr() net.Addr { return s.conn.RemoteAddr() }
 

@@ -282,8 +282,8 @@ func (c *Client) SubmitBatch(raws [][]byte) (accepted, rejected int, err error) 
 	return c.submitBatchCmd(cmdSubmitBatch, raws)
 }
 
-// submitBatchCmd is the shared encode-once batch round trip behind
-// SubmitBatch (submit-batch) and ForwardBatch (fleet-forward).
+// submitBatchCmd is the encode-once batch round trip behind SubmitBatch
+// (submit-batch); fleet-forward frames take the same shape.
 func (c *Client) submitBatchCmd(cmd string, raws [][]byte) (accepted, rejected int, err error) {
 	// Check the protocol limits client-side: the server rejects an
 	// oversized frame with ErrFrameTooLarge and then drops the connection

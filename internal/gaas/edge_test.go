@@ -366,9 +366,9 @@ func TestUnknownCommandTyped(t *testing.T) {
 // registers like a route and serves alongside the built-ins.
 func TestMuxCustomHandler(t *testing.T) {
 	mux := NewServeMux()
-	mux.HandleFunc("ping", func(s *Session, body []byte) ([]byte, error) {
+	mux.Handle("ping", HandlerFunc(func(s *Session, body []byte) ([]byte, error) {
 		return append([]byte("pong:"), body...), nil
-	})
+	}))
 	ing := &tallyIngestor{}
 	_, addr := edgeServer(t, ServerConfig{Mux: mux, Ingest: ing})
 	client := submitOnlyClient(t, addr, DialConfig{})
@@ -392,8 +392,7 @@ func twoEnclaveWorld(t *testing.T) (root *xcrypto.VerifyKey, addrA, addrB string
 	sub := newSubstrate(t)
 	build := func(d int) (string, tee.Measurement) {
 		tn := hostedTenant(t, sub, "iot.example", d)
-		mux := NewServeMux()
-		mux.Mount(tn.HostCfg, tn.Svc.ProvisionDevice)
+		mux, _ := hostMux(t, tn.Config())
 		tlsConf, err := SelfSignedServerTLS("127.0.0.1")
 		if err != nil {
 			t.Fatal(err)

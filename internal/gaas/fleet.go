@@ -102,13 +102,6 @@ func (s *Server) FleetStats() FleetStats {
 // node role, so drain output reads all fleet counters from one place.
 func (s *Server) NotePartialSent() { s.partialsSent.Add(1) }
 
-// ForwardBatch ships a batch to a peer node over fleet-forward — the
-// node-to-node variant of SubmitBatch with identical size limits and
-// tally reply.
-func (c *Client) ForwardBatch(raws [][]byte) (accepted, rejected int, err error) {
-	return c.submitBatchCmd(cmdFleetForward, raws)
-}
-
 // MergePartialSeal ships a signed partial seal to the merge coordinator
 // and returns the round's updated merge state.
 func (c *Client) MergePartialSeal(seal []byte) (wire.MergeResult, error) {
@@ -152,8 +145,7 @@ type FleetClient struct {
 
 // DialFleet connects to every node in the set. Connections are
 // sessionless (forwarding carries only public frames). A node that
-// cannot be reached fails the dial — use Rehome to route around a node
-// that dies later.
+// cannot be reached fails the dial.
 func DialFleet(ctx context.Context, cfg FleetConfig) (*FleetClient, error) {
 	ids := make([]uint32, 0, len(cfg.Nodes))
 	addrs := make(map[uint32]string, len(cfg.Nodes))
@@ -185,12 +177,8 @@ func DialFleet(ctx context.Context, cfg FleetConfig) (*FleetClient, error) {
 	return fc, nil
 }
 
-// Ring exposes the client's current placement view (it shrinks on
-// Rehome).
+// Ring exposes the client's placement view.
 func (fc *FleetClient) Ring() *fleet.Ring { return fc.ring }
-
-// Sent reports how many batches have been shipped across all nodes.
-func (fc *FleetClient) Sent() int64 { return fc.sent }
 
 // SubmitBatch routes each raw to its owner node and submits one batch
 // per owner. Raws that cannot be peeked are counted rejected without a
@@ -238,26 +226,6 @@ func (fc *FleetClient) SubmitBatch(raws [][]byte) (accepted, rejected int, err e
 		fc.sent++
 	}
 	return accepted, rejected, nil
-}
-
-// Rehome removes a dead node from the ring: its shards move to their
-// arcs' successors and its connection is dropped. Contributions already
-// acknowledged by the dead node are NOT resubmitted — its partial seal
-// (recovered from durable state) still covers them, and a resubmission
-// would collide with that partial's digests at merge time.
-func (fc *FleetClient) Rehome(node uint32) error {
-	ring, err := fc.ring.Without(node)
-	if err != nil {
-		return err
-	}
-	fc.ring = ring
-	if c := fc.conns[node]; c != nil {
-		_ = c.Close()
-	}
-	delete(fc.conns, node)
-	delete(fc.addrs, node)
-	delete(fc.groups, node)
-	return nil
 }
 
 // Close drops every node connection.

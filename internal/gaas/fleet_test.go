@@ -102,7 +102,7 @@ func TestFleetForwardAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	accepted, rejected, err := peer.ForwardBatch(append(append([][]byte(nil), raws...), raws[0]))
+	accepted, rejected, err := peer.submitBatchCmd(cmdFleetForward, append(append([][]byte(nil), raws...), raws[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,8 @@ func TestFleetForwardAndMerge(t *testing.T) {
 }
 
 // TestFleetClientRouting drives the ring-routing client against three
-// live nodes: every contribution lands on its ring owner, tallies add
-// up, and a re-home moves orphaned shards without touching survivors.
+// live nodes: every contribution lands on its ring owner, and tallies add
+// up.
 func TestFleetClientRouting(t *testing.T) {
 	const dim = 3
 	ft := newFleetTenant(t)
@@ -222,38 +222,10 @@ func TestFleetClientRouting(t *testing.T) {
 			}
 		}
 	}
-	if fc.Sent() == 0 {
-		t.Fatal("no batches sent")
-	}
 
 	// Unroutable frames count rejected without a round trip.
 	if _, rej, err := fc.SubmitBatch([][]byte{{0x00}}); err != nil || rej != 1 {
 		t.Fatalf("unroutable frame: rej=%d err=%v", rej, err)
-	}
-
-	// Re-home node 2: its rounds move, survivors keep theirs.
-	before := map[uint64]uint32{}
-	for round := range perRound {
-		before[round] = fc.Ring().Owner([]byte("iot.example"), round)
-	}
-	if err := fc.Rehome(2); err != nil {
-		t.Fatal(err)
-	}
-	for round, owner := range before {
-		now := fc.Ring().Owner([]byte("iot.example"), round)
-		if owner != 2 && now != owner {
-			t.Fatalf("round %d moved %d -> %d though its owner survived", round, owner, now)
-		}
-		if owner == 2 && now == 2 {
-			t.Fatalf("round %d still owned by removed node", round)
-		}
-	}
-	more := [][]byte{ft.contribution(t, 99, dim, rng)}
-	if acc, _, err := fc.SubmitBatch(more); err != nil || acc != 1 {
-		t.Fatalf("post-rehome submit acc=%d err=%v", acc, err)
-	}
-	if p, ok := managers[2].Lookup(99); ok && p.Count() > 0 {
-		t.Fatal("removed node received post-rehome traffic")
 	}
 }
 

@@ -194,9 +194,8 @@ type TicketGranter interface {
 
 // HostResolver maps the service name a client's hello carries to the
 // enclave that tenant's user sessions run in. service.Registry satisfies
-// it; single-tenant servers use ServeMux.Mount. The empty name is the
-// legacy hello: resolvers should map it to their sole tenant when that is
-// unambiguous.
+// it. The empty name is the legacy hello: resolvers should map it to their
+// sole tenant when that is unambiguous.
 type HostResolver interface {
 	ResolveHost(service string) (glimmer.Config, func(*glimmer.Device) error, error)
 }

@@ -35,24 +35,13 @@ func newWorld(t *testing.T) *world { return newWorldIngest(t, false, nil) }
 func newWorldIngest(t *testing.T, withIngest bool, tickets *service.TicketConfig) *world {
 	t.Helper()
 	tn := hostedTenant(t, newSubstrate(t), "iot.example", dim)
-	mux := NewServeMux()
-	mux.Mount(tn.HostCfg, tn.Svc.ProvisionDevice)
+	cfg := tn.Config()
+	cfg.Workers, cfg.Shards, cfg.TicketPolicy = 2, 2, tickets
+	mux, reg := hostMux(t, cfg)
 	srvCfg := ServerConfig{Platform: tn.Platform, Mux: mux}
 	var rounds *service.RoundManager
 	if withIngest {
-		reg := service.NewRegistry(0)
-		hosted, err := reg.AddTenant(service.TenantConfig{
-			Name:         tn.Name,
-			Verify:       tn.Svc.ContributionVerifyKey(),
-			Dim:          dim,
-			Vetted:       []tee.Measurement{tn.Measurement()},
-			Workers:      2,
-			Shards:       2,
-			TicketPolicy: tickets,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		hosted, _ := reg.Tenant(tn.Name)
 		rounds = hosted.Manager()
 		srvCfg.Ingest = reg
 	}
@@ -67,6 +56,19 @@ func newSubstrate(t *testing.T) *testbed.Substrate {
 		t.Fatal(err)
 	}
 	return sub
+}
+
+// hostMux mounts cfg's hosted Glimmer on a fresh mux through a registry,
+// the resolver a node mounts.
+func hostMux(t *testing.T, cfg service.TenantConfig) (*ServeMux, *service.Registry) {
+	t.Helper()
+	reg := service.NewRegistry(0)
+	if _, err := reg.AddTenant(cfg); err != nil {
+		t.Fatal(err)
+	}
+	mux := NewServeMux()
+	mux.MountResolver(reg)
+	return mux, reg
 }
 
 // hostedTenant provisions a [0,1] range-check tenant over d weights on sub.
@@ -426,13 +428,14 @@ func TestIdleClientReaped(t *testing.T) {
 	tn := hostedTenant(t, newSubstrate(t), "iot.example", dim)
 	var mu sync.Mutex
 	var session *glimmer.Device
-	mux := NewServeMux()
-	mux.Mount(tn.HostCfg, func(dev *glimmer.Device) error {
+	cfg := tn.Config()
+	cfg.Provision = func(dev *glimmer.Device) error {
 		mu.Lock()
 		session = dev
 		mu.Unlock()
 		return tn.Svc.ProvisionDevice(dev)
-	})
+	}
+	mux, _ := hostMux(t, cfg)
 	server, addr := edgeServer(t, ServerConfig{Platform: tn.Platform, Mux: mux, IdleTimeout: 50 * time.Millisecond})
 
 	v := &tee.QuoteVerifier{Root: tn.AS.Root()}

@@ -51,19 +51,6 @@ func (m *ServeMux) Handle(cmd string, h Handler) {
 	m.handlers[cmd] = h
 }
 
-// HandleFunc registers f for command cmd.
-func (m *ServeMux) HandleFunc(cmd string, f func(*Session, []byte) ([]byte, error)) {
-	m.Handle(cmd, HandlerFunc(f))
-}
-
-// Mount hosts a single tenant: clients whose hello names this config's
-// service (or the legacy empty name) get a freshly provisioned enclave
-// built from it. Mount is MountResolver over a fixed single-entry
-// resolver — the legacy fixedHost path reduced to one registration.
-func (m *ServeMux) Mount(cfg glimmer.Config, provision func(*glimmer.Device) error) {
-	m.MountResolver(fixedHost{cfg: cfg, provision: provision})
-}
-
 // MountResolver hosts every tenant the resolver knows (service.Registry
 // in multi-tenant deployments) and registers the attested user-session
 // commands that serve them.
@@ -98,21 +85,4 @@ func (m *ServeMux) ResolveHost(service string) (glimmer.Config, func(*glimmer.De
 		return glimmer.Config{}, nil, fmt.Errorf("gaas: no tenants mounted")
 	}
 	return m.hosts.ResolveHost(service)
-}
-
-// fixedHost is the single-tenant resolver behind ServeMux.Mount: one
-// config, one provisioner. It accepts the empty (legacy) name and its own
-// service's name, and refuses others — a client asking a single-tenant
-// host for a different service should learn so before shipping private
-// data.
-type fixedHost struct {
-	cfg       glimmer.Config
-	provision func(*glimmer.Device) error
-}
-
-func (h fixedHost) ResolveHost(service string) (glimmer.Config, func(*glimmer.Device) error, error) {
-	if service != "" && service != h.cfg.ServiceName {
-		return glimmer.Config{}, nil, fmt.Errorf("gaas: host does not serve %q", service)
-	}
-	return h.cfg, h.provision, nil
 }

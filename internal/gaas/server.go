@@ -30,7 +30,7 @@ type ServerConfig struct {
 	Mux *ServeMux
 
 	// Hosts mounts the attested user-session commands for every tenant
-	// the resolver knows (service.Registry, or ServeMux.Mount for one).
+	// the resolver knows (service.Registry).
 	Hosts HostResolver
 
 	// Ingest enables submit-batch (and ticket-grant when the Ingestor

@@ -88,13 +88,6 @@ type Component struct {
 	enclave *tee.Enclave
 }
 
-// Role returns the component's pipeline role.
-func (c *Component) Role() Role { return c.role }
-
-// Enclave exposes the component's enclave (stats, direct ECALLs in tests
-// and experiments).
-func (c *Component) Enclave() *tee.Enclave { return c.enclave }
-
 // Measurement returns the component enclave's measurement.
 func (c *Component) Measurement() tee.Measurement { return c.enclave.Measurement() }
 
@@ -176,11 +169,6 @@ func (d *DecomposedDevice) Blinder() *Component { return d.blinder }
 // Signer returns the signing component handle.
 func (d *DecomposedDevice) Signer() *Component { return d.signer }
 
-// PairwisePub fetches the blinder's pairwise-blinding public key.
-func (d *DecomposedDevice) PairwisePub() ([]byte, error) {
-	return d.blinder.enclave.Call("pairwise-pub", nil)
-}
-
 // Contribute pipelines a contribution through the three components. The
 // host sees only link-encrypted records between stages.
 func (d *DecomposedDevice) Contribute(round uint64, contribution fixed.Vector, private []int64) (SignedContribution, error) {
@@ -204,12 +192,6 @@ func (d *DecomposedDevice) Contribute(round uint64, contribution fixed.Vector, p
 	return DecodeSignedContribution(signed)
 }
 
-// SignerMeasurement is the measurement contributions carry — the identity a
-// service allowlists for decomposed deployments.
-func (d *DecomposedDevice) SignerMeasurement() tee.Measurement {
-	return d.signer.enclave.Measurement()
-}
-
 // Stats aggregates transition counters across the three enclaves.
 func (d *DecomposedDevice) Stats() tee.TransitionStats {
 	var total tee.TransitionStats
@@ -222,11 +204,4 @@ func (d *DecomposedDevice) Stats() tee.TransitionStats {
 		total.SimulatedOverhead += s.SimulatedOverhead
 	}
 	return total
-}
-
-// Destroy tears down all three enclaves.
-func (d *DecomposedDevice) Destroy() {
-	d.validator.enclave.Destroy()
-	d.blinder.enclave.Destroy()
-	d.signer.enclave.Destroy()
 }

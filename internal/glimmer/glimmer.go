@@ -112,23 +112,6 @@ func (c Config) encode() []byte {
 		Finish()
 }
 
-func decodeConfig(data []byte) (Config, error) {
-	r := wire.NewReader(data)
-	c := Config{
-		ServiceName: r.String(),
-		ServiceKey:  r.Bytes(),
-		Dim:         int(r.Uint32()),
-		Mode:        Mode(r.Byte()),
-	}
-	c.Policy.MaxDeclassSites = int(r.Uint32())
-	c.Policy.MaxCostBound = int64(r.Uint64())
-	c.MinVerdict = int64(r.Uint64())
-	if err := r.Done(); err != nil {
-		return Config{}, fmt.Errorf("glimmer: config: %w", err)
-	}
-	return c, nil
-}
-
 // ProvisionContext returns the attested-channel context string for a
 // service's provisioning handshake.
 func ProvisionContext(serviceName string) string {

@@ -585,14 +585,12 @@ func TestDecomposedPipeline(t *testing.T) {
 	if !svc.ContributionVerifyKey().Verify(sc.SignedBytes(), sc.Signature) {
 		t.Fatal("decomposed contribution signature invalid")
 	}
-	if sc.Measurement != dev.SignerMeasurement() {
+	if sc.Measurement != dev.Signer().Measurement() {
 		t.Fatal("contribution should carry the signer measurement")
 	}
 	// Unmasking recovers the contribution exactly.
-	unmasked, err := blind.Remove(sc.Blinded, masks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	unmasked := sc.Blinded.Clone()
+	unmasked.SubInPlace(masks[0])
 	for d := range honest {
 		if unmasked[d] != honest[d] {
 			t.Fatal("decomposed blinding corrupted the contribution")

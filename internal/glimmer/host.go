@@ -26,9 +26,6 @@ func NewDevice(p *tee.Platform, cfg Config, opts ...tee.LoadOption) (*Device, er
 	return &Device{enclave: enclave}, nil
 }
 
-// Enclave exposes the underlying enclave (for stats and OCALL wiring).
-func (d *Device) Enclave() *tee.Enclave { return d.enclave }
-
 // Measurement returns the Glimmer's measurement, the identity a service
 // allowlists.
 func (d *Device) Measurement() tee.Measurement { return d.enclave.Measurement() }
@@ -48,11 +45,6 @@ func (d *Device) Complete(response []byte) error {
 // enclave and returns the session-encrypted acknowledgement.
 func (d *Device) Provision(record []byte) ([]byte, error) {
 	return d.enclave.Call("provision", record)
-}
-
-// PairwisePub fetches the enclave's pairwise-blinding public key.
-func (d *Device) PairwisePub() ([]byte, error) {
-	return d.enclave.Call("pairwise-pub", nil)
 }
 
 // Contribute runs the validate→blind→sign pipeline for one contribution.

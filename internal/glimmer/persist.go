@@ -80,17 +80,3 @@ func ecallRestoreState(env *tee.Env, input []byte) ([]byte, error) {
 	}
 	return nil, env.PutObject(objSignKey, signKey)
 }
-
-// ExportState seals the Glimmer's provisioned state for offline storage.
-func (d *Device) ExportState() ([]byte, error) {
-	return d.enclave.Call("export-state", nil)
-}
-
-// RestoreState reinstalls sealed state into a freshly loaded Glimmer,
-// skipping the service provisioning round trip. Blinding material is
-// deliberately not persisted: dealer masks are single-use and pairwise
-// state is re-established per cohort.
-func (d *Device) RestoreState(blob []byte) error {
-	_, err := d.enclave.Call("restore-state", blob)
-	return err
-}

@@ -169,19 +169,6 @@ func (c *Corpus) Boost(from, to string, factor float64) error {
 	return nil
 }
 
-// TransitionProb returns the corpus probability of next following prev.
-func (c *Corpus) TransitionProb(prev, next string) (float64, error) {
-	p, ok := c.vocab.Index(prev)
-	if !ok {
-		return 0, fmt.Errorf("keyboard: unknown word %q", prev)
-	}
-	n, ok := c.vocab.Index(next)
-	if !ok {
-		return 0, fmt.Errorf("keyboard: unknown word %q", next)
-	}
-	return c.trans[p][n], nil
-}
-
 // GenerateActivity samples a user session of nWords from the corpus chain,
 // with human-ish inter-word timing (lognormal-ish around ~350ms).
 func (c *Corpus) GenerateActivity(userSeed []byte, nWords int) Activity {

@@ -118,11 +118,7 @@ func TestCorpusRowsAreStochastic(t *testing.T) {
 	c := NewCorpus(v, []byte("s"))
 	for p := 0; p < v.Size(); p++ {
 		var sum float64
-		for n := 0; n < v.Size(); n++ {
-			pr, err := c.TransitionProb(v.Word(p), v.Word(n))
-			if err != nil {
-				t.Fatal(err)
-			}
+		for n, pr := range c.trans[p] {
 			if pr < 0 {
 				t.Fatalf("negative probability at (%d,%d)", p, n)
 			}
@@ -137,18 +133,18 @@ func TestCorpusRowsAreStochastic(t *testing.T) {
 func TestBoostRaisesProbability(t *testing.T) {
 	v := testVocab(t)
 	c := NewCorpus(v, []byte("s"))
-	before, _ := c.TransitionProb("a", "b")
+	a, _ := v.Index("a")
+	b, _ := v.Index("b")
+	before := c.trans[a][b]
 	if err := c.Boost("a", "b", 20); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := c.TransitionProb("a", "b")
-	if after <= before {
+	if after := c.trans[a][b]; after <= before {
 		t.Fatalf("boost did not raise probability: %v -> %v", before, after)
 	}
 	// Row still stochastic.
 	var sum float64
-	for n := 0; n < v.Size(); n++ {
-		pr, _ := c.TransitionProb("a", v.Word(n))
+	for _, pr := range c.trans[a] {
 		sum += pr
 	}
 	if sum < 0.999 || sum > 1.001 {

@@ -1,11 +1,9 @@
 package predicate
 
 import (
-	"crypto/sha256"
 	"fmt"
 
 	"glimmers/internal/wire"
-	"glimmers/internal/xcrypto"
 )
 
 // Encode serializes a program deterministically. The encoding doubles as
@@ -38,28 +36,4 @@ func Decode(data []byte) (*Program, error) {
 		return nil, fmt.Errorf("predicate: decode: %w", err)
 	}
 	return p, nil
-}
-
-// Digest returns the program's canonical identity hash.
-func Digest(p *Program) [32]byte {
-	return sha256.Sum256(Encode(p))
-}
-
-// Encrypt wraps a program in an authenticated encrypted container for
-// validation confidentiality (§4.1): the service ships the predicate to the
-// Glimmer over an attested channel without the host — or the user — seeing
-// its logic. The associated data binds the container to a context (e.g. the
-// service identity and protocol version).
-func Encrypt(p *Program, key [32]byte, associated []byte) ([]byte, error) {
-	return xcrypto.Seal(key, Encode(p), associated)
-}
-
-// Decrypt opens an encrypted predicate container. It runs inside the
-// Glimmer enclave; the plaintext program never exists outside it.
-func Decrypt(container []byte, key [32]byte, associated []byte) (*Program, error) {
-	plaintext, err := xcrypto.Open(key, container, associated)
-	if err != nil {
-		return nil, fmt.Errorf("predicate: decrypt: %w", err)
-	}
-	return Decode(plaintext)
 }

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,17 @@ import (
 
 	"glimmers/internal/fixed"
 )
+
+// Len returns the number of recorded branch outcomes.
+func (t *Trace) Len() int { return t.n }
+
+// Equal reports whether two traces recorded identical branch behaviour.
+func (t *Trace) Equal(other *Trace) bool {
+	if t == nil || other == nil {
+		return t == other
+	}
+	return t.n == other.n && bytes.Equal(t.bits, other.bits)
+}
 
 func mustRun(t *testing.T, p *Program, contribution, private []int64) *Result {
 	t.Helper()
@@ -585,109 +597,6 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
-const rangeCheckAsm = `
-; range check over 2 elements in [0, 100]
-push 1
-store 0
-loop 2
-  idx 0
-  loadci
-  dup
-  push 0
-  ge
-  swap
-  push 100
-  le
-  and
-  load 0
-  and
-  store 0
-endloop
-load 0
-declass
-verdict
-`
-
-func TestAssemble(t *testing.T) {
-	p, err := Assemble("asm-range", rangeCheckAsm, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Verify(p); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if res := mustRun(t, p, []int64{50, 100}, nil); res.Verdict != 1 {
-		t.Error("valid input rejected")
-	}
-	if res := mustRun(t, p, []int64{50, 101}, nil); res.Verdict != 0 {
-		t.Error("out-of-range input accepted")
-	}
-}
-
-func TestAssembleLabels(t *testing.T) {
-	src := `
-lenc
-push 0
-eq
-jz @else
-push 5
-jmp @end
-else: push 9
-end: declass
-verdict
-`
-	p, err := Assemble("lbl", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := mustRun(t, p, nil, nil); res.Verdict != 5 {
-		t.Fatalf("Verdict = %d, want 5", res.Verdict)
-	}
-	if res := mustRun(t, p, []int64{1}, nil); res.Verdict != 9 {
-		t.Fatalf("Verdict = %d, want 9", res.Verdict)
-	}
-}
-
-func TestAssembleErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown mnemonic": "frobnicate",
-		"missing operand":  "push",
-		"extra operand":    "add 3",
-		"bad operand":      "push abc",
-		"undefined label":  "jmp @nowhere\nverdict",
-		"duplicate label":  "a:\npush 1\na:\nverdict",
-		"label on push":    "push @lbl\nlbl: verdict",
-	}
-	for name, src := range cases {
-		if _, err := Assemble("bad", src, 0); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestDisassembleRoundTrip(t *testing.T) {
-	progs := []*Program{
-		UnitRangeCheck("rc", 3),
-		SumBound("sb", 2, 0, 10),
-		ThresholdScore("ts", []int64{1, 2}, 5),
-	}
-	for _, p := range progs {
-		asm := Disassemble(p)
-		back, err := Assemble(p.Name, asm, p.Locals)
-		if err != nil {
-			t.Fatalf("%s: reassemble: %v\n%s", p.Name, err, asm)
-		}
-		if len(back.Code) != len(p.Code) {
-			t.Fatalf("%s: code length %d != %d", p.Name, len(back.Code), len(p.Code))
-		}
-		for i := range p.Code {
-			if back.Code[i] != p.Code[i] {
-				t.Fatalf("%s: instr %d: %v != %v", p.Name, i, back.Code[i], p.Code[i])
-			}
-		}
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	p := UnitRangeCheck("codec", 7)
 	back, err := Decode(Encode(p))
@@ -701,46 +610,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		if back.Code[i] != p.Code[i] {
 			t.Fatalf("instr %d corrupted", i)
 		}
-	}
-	if Digest(p) != Digest(back) {
-		t.Fatal("digest changed across round trip")
-	}
-}
-
-func TestDigestSensitivity(t *testing.T) {
-	a := Digest(UnitRangeCheck("p", 4))
-	b := Digest(UnitRangeCheck("p", 5))
-	c := Digest(UnitRangeCheck("q", 4))
-	if a == b || a == c {
-		t.Fatal("digest collision across distinct programs")
-	}
-}
-
-func TestEncryptedPredicate(t *testing.T) {
-	p := ThresholdScore("confidential", []int64{3, 1, 4}, 7)
-	var key [32]byte
-	copy(key[:], "0123456789abcdef0123456789abcdef")
-	container, err := Encrypt(p, key, []byte("svc-v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decrypt(container, key, []byte("svc-v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Digest(back) != Digest(p) {
-		t.Fatal("decrypted program differs")
-	}
-	var wrong [32]byte
-	if _, err := Decrypt(container, wrong, []byte("svc-v1")); err == nil {
-		t.Fatal("wrong key decrypted container")
-	}
-	if _, err := Decrypt(container, key, []byte("svc-v2")); err == nil {
-		t.Fatal("wrong context decrypted container")
-	}
-	container[len(container)-1] ^= 1
-	if _, err := Decrypt(container, key, []byte("svc-v1")); err == nil {
-		t.Fatal("tampered container decrypted")
 	}
 }
 
@@ -778,7 +647,7 @@ func TestQuickCodecIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Digest(back) == Digest(p)
+		return bytes.Equal(Encode(back), Encode(p))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

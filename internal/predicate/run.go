@@ -1,7 +1,6 @@
 package predicate
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -51,20 +50,6 @@ func (t *Trace) append(taken bool) {
 		t.bits[t.n/8] |= 1 << (t.n % 8)
 	}
 	t.n++
-}
-
-// Len returns the number of recorded branch outcomes.
-func (t *Trace) Len() int { return t.n }
-
-// Bytes returns the packed outcome bits.
-func (t *Trace) Bytes() []byte { return append([]byte(nil), t.bits...) }
-
-// Equal reports whether two traces recorded identical branch behaviour.
-func (t *Trace) Equal(other *Trace) bool {
-	if t == nil || other == nil {
-		return t == other
-	}
-	return t.n == other.n && bytes.Equal(t.bits, other.bits)
 }
 
 // value is one tainted stack slot.

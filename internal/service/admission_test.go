@@ -21,6 +21,16 @@ import (
 // drive Registry.Ingest and the operator verbs and read Rounds(), Count()
 // and Budget().Live() back.
 
+// Budget returns the shared budget, for occupancy inspection.
+func (r *Registry) Budget() *Budget { return r.budget }
+
+// Live reports the budget's occupancy: the rounds its members hold.
+func (b *Budget) Live() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.occupancyLocked()
+}
+
 // admissionTenants are three tenants with distinct quotas: one that evicts
 // at its own cap, one that refuses at it behind a window, one small and
 // windowed that evicts.

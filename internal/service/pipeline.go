@@ -158,9 +158,6 @@ func nextPowerOfTwo(n int) int {
 	return p
 }
 
-// Round returns the round this pipeline aggregates.
-func (p *Pipeline) Round() uint64 { return p.round }
-
 // enter registers n in-flight contributions, failing if the round has
 // left the open state. Lifecycle refusals count toward Rejected like any
 // other refused submission.

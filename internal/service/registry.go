@@ -62,13 +62,6 @@ type Budget struct {
 	members []*RoundManager
 }
 
-// Live reports the budget's occupancy: the rounds its members hold.
-func (b *Budget) Live() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.occupancyLocked()
-}
-
 func (b *Budget) occupancyLocked() int {
 	n := 0
 	for _, m := range b.members {
@@ -252,9 +245,6 @@ func NewRegistry(maxTotalRounds int) *Registry {
 		tenants: make(map[string]*Tenant),
 	}
 }
-
-// Budget returns the shared budget, for occupancy inspection.
-func (r *Registry) Budget() *Budget { return r.budget }
 
 // AddTenant registers a service and returns its tenant handle.
 func (r *Registry) AddTenant(cfg TenantConfig) (*Tenant, error) {

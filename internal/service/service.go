@@ -158,8 +158,8 @@ func (s *Service) NewDevice(platform *tee.Platform, cfg glimmer.Config, masks ma
 
 // ProvisionDevice provisions a freshly loaded device whose measurement is
 // already vetted. As a method value it is the hosting hook: what
-// TenantConfig.Provision and gaas's ServeMux.Mount run on each enclave
-// loaded for a remote user's session.
+// TenantConfig.Provision runs on each enclave loaded for a remote user's
+// session.
 func (s *Service) ProvisionDevice(dev *glimmer.Device) error { return s.provision(dev, nil) }
 
 func (s *Service) provision(dev Attestable, masks map[uint64][]uint64) error {

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,32 +60,6 @@ type MultiReport struct {
 	// Violations lists cross-tenant invariant breaches; per-tenant
 	// breaches live in the tenant reports.
 	Violations []string
-}
-
-// Ok reports whether every invariant — per-tenant and cross-tenant — held.
-func (r *MultiReport) Ok() bool {
-	if len(r.Violations) > 0 {
-		return false
-	}
-	for _, rep := range r.Reports {
-		if !rep.Ok() {
-			return false
-		}
-	}
-	return true
-}
-
-// Summary is a one-line human summary.
-func (r *MultiReport) Summary() string {
-	parts := make([]string, len(r.Reports))
-	for i, rep := range r.Reports {
-		parts[i] = rep.Summary()
-	}
-	status := "OK"
-	if !r.Ok() {
-		status = "VIOLATIONS"
-	}
-	return fmt.Sprintf("%s: %d tenants %s\n  %s", r.Scenario, len(r.Reports), status, strings.Join(parts, "\n  "))
 }
 
 // Run executes the multi-tenant scenario.

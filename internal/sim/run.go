@@ -77,7 +77,7 @@ type simulation struct {
 	// trace stays a pure function of the configuration.
 	clock *atomic.Int64
 	// dropShares holds the Shamir shares of each planned dropout's mask,
-	// distributed at provisioning time as blind.BackupShares would be.
+	// distributed at provisioning time.
 	dropShares map[dropKey][]blind.Share
 	// soleTenant marks this simulation as the registry's only tenant, so
 	// registry-level rejection accounting can be reconciled here; a

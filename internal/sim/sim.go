@@ -34,7 +34,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -126,17 +125,6 @@ const (
 	// refuses their sessions inside the enclave.
 	WorkloadBotdetect
 )
-
-// String names the workload for reports.
-func (w Workload) String() string {
-	switch w {
-	case WorkloadRange:
-		return "range"
-	case WorkloadBotdetect:
-		return "botdetect"
-	}
-	return fmt.Sprintf("workload(%d)", int(w))
-}
 
 // Config sizes one simulation.
 type Config struct {
@@ -304,19 +292,6 @@ func (t Tally) ServiceRejections() int {
 	return n
 }
 
-func (t Tally) String() string {
-	cats := make([]string, 0, len(t))
-	for cat := range t {
-		cats = append(cats, cat)
-	}
-	sort.Strings(cats)
-	parts := make([]string, len(cats))
-	for i, cat := range cats {
-		parts[i] = fmt.Sprintf("%s=%d", cat, t[cat])
-	}
-	return strings.Join(parts, " ")
-}
-
 // RoundReport is one sealed round's outcome.
 type RoundReport struct {
 	Round uint64
@@ -356,29 +331,4 @@ func (r *Report) RoundsPerSec() float64 {
 		return 0
 	}
 	return float64(len(r.Rounds)) / r.Elapsed.Seconds()
-}
-
-// Trace renders the deterministic accept/reject/sum trace: one line per
-// round plus a totals line. With Stragglers == 0 the trace is a pure
-// function of the configuration (same seed → same trace).
-func (r *Report) Trace() string {
-	var sb strings.Builder
-	for _, rr := range r.Rounds {
-		fmt.Fprintf(&sb, "round %d: accepted=%d exact=%v dropouts=%d sum=%s [%s]\n",
-			rr.Round, rr.Accepted, rr.Exact, rr.DropoutsRecovered, rr.SumDigest, rr.Tally)
-	}
-	fmt.Fprintf(&sb, "totals: %s\n", r.Totals)
-	return sb.String()
-}
-
-// Summary is a one-line human summary.
-func (r *Report) Summary() string {
-	status := "OK"
-	if !r.Ok() {
-		status = fmt.Sprintf("%d VIOLATIONS", len(r.Violations))
-	}
-	return fmt.Sprintf("%s: %d devices × %d rounds over %s, accepted=%d rejected=%d (%0.1f rounds/s) %s",
-		r.Scenario, r.Config.Devices, len(r.Rounds), r.Transport,
-		r.Totals[CatAccepted]+r.Totals[CatStragglerAccepted],
-		r.Totals.ServiceRejections(), r.RoundsPerSec(), status)
 }

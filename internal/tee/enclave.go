@@ -64,12 +64,6 @@ type Handler2Host func(input []byte) ([]byte, error)
 // Measurement returns the enclave's code measurement (MRENCLAVE analogue).
 func (e *Enclave) Measurement() Measurement { return e.measurement }
 
-// SignerID returns the enclave's signer identity (MRSIGNER analogue).
-func (e *Enclave) SignerID() SignerID { return e.signerID }
-
-// Platform returns the identity of the platform hosting this enclave.
-func (e *Enclave) Platform() PlatformID { return e.platform.id }
-
 // ProvideOCall registers a host service the enclave may call. Host code
 // decides what to expose; the enclave decides what to trust (typically
 // nothing — OCALL results are untrusted input).
@@ -170,9 +164,6 @@ func (env *Env) Measurement() Measurement { return env.enclave.measurement }
 
 // SignerID returns the signer of the running enclave.
 func (env *Env) SignerID() SignerID { return env.enclave.signerID }
-
-// PlatformID returns the hosting platform's identity.
-func (env *Env) PlatformID() PlatformID { return env.enclave.platform.id }
 
 // Put stores a value in enclave-private memory, charged against the EPC
 // budget.

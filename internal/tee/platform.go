@@ -130,9 +130,6 @@ func NewPlatform(as *AttestationService) (*Platform, error) {
 // ID returns the platform identity.
 func (p *Platform) ID() PlatformID { return p.id }
 
-// Cert returns the platform's attestation certificate.
-func (p *Platform) Cert() PlatformCert { return p.cert }
-
 // LoadOption configures enclave creation.
 type LoadOption func(*loadConfig)
 

@@ -20,16 +20,11 @@ const MaxBatchItems = 1 << 16
 // MaxBatchItems.
 var ErrBatchTooLarge = errors.New("wire: batch exceeds item limit")
 
-// EncodeBatch frames items into one batch message.
-func EncodeBatch(items [][]byte) []byte {
-	return AppendBatch(make([]byte, 0, EncodedBatchSize(items)), items)
-}
-
 // AppendBatch appends the batch framing of items to dst and returns the
-// extended slice — the single definition of the batch byte format, shared
-// by EncodeBatch and by transports that encode straight into a pooled
-// frame buffer (gaas.Client.SubmitBatch). Size dst with EncodedBatchSize
-// to avoid growth.
+// extended slice — the single definition of the batch byte format, which
+// transports encode straight into a pooled frame buffer
+// (gaas.Client.SubmitBatch). Size dst with EncodedBatchSize to avoid
+// growth.
 func AppendBatch(dst []byte, items [][]byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(items)))
 	for _, item := range items {
@@ -39,7 +34,7 @@ func AppendBatch(dst []byte, items [][]byte) []byte {
 	return dst
 }
 
-// EncodedBatchSize returns len(EncodeBatch(items)) without encoding:
+// EncodedBatchSize returns len(AppendBatch(nil, items)) without encoding:
 // encoders that frame a batch into a preallocated buffer size it with
 // this.
 func EncodedBatchSize(items [][]byte) int {
@@ -48,17 +43,6 @@ func EncodedBatchSize(items [][]byte) int {
 		n += 4 + len(item)
 	}
 	return n
-}
-
-// DecodeBatch reverses EncodeBatch. Every item is an independent copy, so
-// decoded batches can be fanned out to concurrent workers that outlive the
-// frame buffer.
-func DecodeBatch(data []byte) ([][]byte, error) {
-	items, err := decodeBatch(data, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
 }
 
 // DecodeBatchInto decodes a batch frame without copying: every returned

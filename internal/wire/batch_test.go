@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// EncodeBatch frames items into one fresh batch message.
+func EncodeBatch(items [][]byte) []byte {
+	return AppendBatch(make([]byte, 0, EncodedBatchSize(items)), items)
+}
+
+// DecodeBatch reverses EncodeBatch. Every item is an independent copy.
+func DecodeBatch(data []byte) ([][]byte, error) {
+	items, err := decodeBatch(data, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	items := [][]byte{[]byte("one"), {}, []byte("three")}
 	got, err := DecodeBatch(EncodeBatch(items))

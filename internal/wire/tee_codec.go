@@ -49,23 +49,6 @@ func ReadQuote(r *Reader) (tee.Quote, error) {
 	return q, r.Err()
 }
 
-// EncodeQuote serializes a quote as a standalone message.
-func EncodeQuote(q tee.Quote) []byte {
-	w := NewWriter()
-	AppendQuote(w, q)
-	return w.Finish()
-}
-
-// DecodeQuote reverses EncodeQuote.
-func DecodeQuote(data []byte) (tee.Quote, error) {
-	r := NewReader(data)
-	q, err := ReadQuote(r)
-	if err != nil {
-		return q, err
-	}
-	return q, r.Done()
-}
-
 func copyExact(dst, src []byte, what string) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("wire: %s field is %d bytes, want %d", what, len(src), len(dst))

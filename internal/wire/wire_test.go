@@ -161,8 +161,10 @@ func TestQuoteCodecRoundTrip(t *testing.T) {
 	if _, err := e.Call("quote", []byte("binding")); err != nil {
 		t.Fatal(err)
 	}
-	encoded := EncodeQuote(q)
-	decoded, err := DecodeQuote(encoded)
+	w := NewWriter()
+	AppendQuote(w, q)
+	encoded := w.Finish()
+	decoded, err := ReadQuote(NewReader(encoded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestQuoteCodecRoundTrip(t *testing.T) {
 	}
 	// Any truncation of the encoding must fail decoding.
 	for _, cut := range []int{0, 1, len(encoded) / 2, len(encoded) - 1} {
-		if _, err := DecodeQuote(encoded[:cut]); err == nil {
+		if _, err := ReadQuote(NewReader(encoded[:cut])); err == nil {
 			t.Errorf("truncated quote at %d decoded successfully", cut)
 		}
 	}
@@ -188,7 +190,7 @@ func TestQuoteCodecWrongFieldWidth(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		w.Bytes(nil)
 	}
-	if _, err := DecodeQuote(w.Finish()); err == nil {
+	if _, err := ReadQuote(NewReader(w.Finish())); err == nil {
 		t.Fatal("malformed quote accepted")
 	}
 }

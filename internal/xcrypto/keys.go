@@ -262,10 +262,7 @@ func (k *DHKey) PublicBytes() []byte {
 	return k.priv.PublicKey().Bytes()
 }
 
-// Bytes returns the private key material, for Shamir-style backup schemes.
-func (k *DHKey) Bytes() []byte { return k.priv.Bytes() }
-
-// ParseDHKey reconstructs a DHKey from Bytes output.
+// ParseDHKey builds a DHKey from 32 bytes of X25519 private key material.
 func ParseDHKey(b []byte) (*DHKey, error) {
 	priv, err := ecdh.X25519().NewPrivateKey(b)
 	if err != nil {

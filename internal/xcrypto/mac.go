@@ -4,7 +4,6 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 )
 
 // Session MACs: the amortized-authentication primitive behind attested
@@ -33,15 +32,6 @@ const (
 // SessionKey is a 32-byte AES-256 session key. It is a value type so hot
 // paths can copy it out of shared tables without allocating.
 type SessionKey [32]byte
-
-// NewSessionKey draws a fresh random session key.
-func NewSessionKey() (SessionKey, error) {
-	var k SessionKey
-	if _, err := rand.Read(k[:]); err != nil {
-		return SessionKey{}, fmt.Errorf("xcrypto: session key generation: %w", err)
-	}
-	return k, nil
-}
 
 // DeriveTicketKey derives the session key both ends of a ticket grant
 // compute from the X25519 shared secret: the granting service on one side,
