@@ -45,7 +45,7 @@ func benchDevice(b *testing.B, dim int, mode Mode) (*Testbed, *Device) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev, err := tb.NewProvisionedDevice(dim, mode, nil)
+	dev, err := tb.NewProvisionedDevice(dim, mode)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func BenchmarkProvision(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tb.NewProvisionedDevice(16, ModeNone, nil); err != nil {
+		if _, err := tb.NewProvisionedDevice(16, ModeNone); err != nil {
 			b.Fatal(err)
 		}
 	}

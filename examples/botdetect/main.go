@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev, err := tb.NewProvisionedDevice(1, glimmers.ModeNone, nil)
+	dev, err := tb.NewProvisionedDevice(1, glimmers.ModeNone)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/keyboard"
+	"glimmers/internal/testbed"
 )
 
 func main() {
@@ -94,15 +95,19 @@ func main() {
 		skew.PoisonedTop, skew.PoisonedW)
 	fmt.Printf("  The service cannot range-check blinded values; the attack is undetectable server-side.\n\n")
 
-	// Fig 2/3: the Glimmer defense.
-	tb, err := glimmers.NewTestbed("nextwordpredictive.com", glimmers.UnitRangeCheck("unit-range", vocab.Dims()))
+	// Fig 2/3: the Glimmer defense. The testbed provisions one
+	// dealer-blinded Glimmer per user; an attested dealer enclave deals the
+	// round's masks, so the service never holds one.
+	tn, err := testbed.NewTenant(testbed.TenantSpec{Name: "nextwordpredictive.com", Devices: users,
+		Dim: vocab.Dims(), Rounds: []uint64{round}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tn.Destroy()
 	reg := glimmers.NewRegistry(0)
 	tenant, err := reg.AddTenant(glimmers.TenantConfig{
-		Name:    tb.Service.Name(),
-		Verify:  tb.Service.ContributionVerifyKey(),
+		Name:    tn.Name,
+		Verify:  tn.Svc.ContributionVerifyKey(),
 		Dim:     vocab.Dims(),
 		Workers: 1,
 		Shards:  1,
@@ -111,20 +116,14 @@ func main() {
 		log.Fatal(err)
 	}
 	agg := tenant.Manager().Round(round)
-	rejected := 0
-	unused := fixed.NewVector(vocab.Dims())
+	var rejected []uint32
 	for i, m := range models {
-		dev, err := tb.NewProvisionedDevice(vocab.Dims(), glimmers.ModeDealer,
-			map[uint64][]uint64{round: glimmers.VectorToBits(masks[i])})
-		if err != nil {
-			log.Fatal(err)
-		}
+		dev := tn.Devs[i]
 		tenant.Manager().Vet(dev.Measurement())
 		sc, err := dev.Contribute(round, m.Weights, nil)
 		if err != nil {
 			if errors.Is(err, glimmer.ErrRejected) {
-				rejected++
-				unused.AddInPlace(masks[i])
+				rejected = append(rejected, uint32(i))
 				continue
 			}
 			log.Fatal(err)
@@ -133,8 +132,16 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := agg.CorrectDropout(unused); err != nil {
-		log.Fatal(err)
+	// A rejected device's mask never entered the aggregate: the dealer
+	// reveals the rejected devices' mask sum, once, to correct for it.
+	if len(rejected) > 0 {
+		unused, err := tn.Reveal(round, rejected)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := agg.CorrectDropout(unused); err != nil {
+			log.Fatal(err)
+		}
 	}
 	mean, err := agg.Mean()
 	if err != nil {
@@ -148,6 +155,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Fig 2/3 — with Glimmers: %d/%d contributions rejected at the client;\n", rejected, users)
+	fmt.Printf("Fig 2/3 — with Glimmers: %d/%d contributions rejected at the client;\n", len(rejected), users)
 	fmt.Printf("  global model still suggests %q after \"donald\".\n", top)
 }

@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev, err := tb.NewProvisionedDevice(2, glimmers.ModeNone, nil)
+	dev, err := tb.NewProvisionedDevice(2, glimmers.ModeNone)
 	if err != nil {
 		log.Fatal(err)
 	}

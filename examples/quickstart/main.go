@@ -29,7 +29,7 @@ func main() {
 
 	// 2. Load and provision a Glimmer on the client platform. The testbed
 	//    vets the measurement and runs the attested provisioning protocol.
-	dev, err := tb.NewProvisionedDevice(dim, glimmers.ModeNone, nil)
+	dev, err := tb.NewProvisionedDevice(dim, glimmers.ModeNone)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"glimmers/internal/attest"
-	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/predicate"
@@ -119,10 +118,6 @@ var (
 	UnitRangeCheck = predicate.UnitRangeCheck
 	// FromFloats encodes a real vector into the fixed-point ring.
 	FromFloats = fixed.FromFloats
-	// ZeroSumMasks draws dealer blinding masks that cancel in aggregate.
-	ZeroSumMasks = blind.ZeroSumMasks
-	// VectorToBits converts a vector for provisioning payloads.
-	VectorToBits = glimmer.VectorToBits
 	// EncodeSignedContribution serializes a contribution for transport.
 	EncodeSignedContribution = glimmer.EncodeSignedContribution
 )
@@ -154,11 +149,12 @@ func NewTestbed(serviceName string, pred *Program) (*Testbed, error) {
 
 // NewProvisionedDevice returns a Glimmer for the testbed's service, ready
 // to contribute: Service.NewDevice (load, vet, provision) on the testbed's
-// platform. Masks, if non-nil, supply dealer blinding material by round.
-func (tb *Testbed) NewProvisionedDevice(dim int, mode Mode, masks map[uint64][]uint64) (*Device, error) {
+// platform. A dealer-mode device also needs a dealer enclave the service
+// vouches for; internal/testbed's Tenant runs one for its fleet.
+func (tb *Testbed) NewProvisionedDevice(dim int, mode Mode) (*Device, error) {
 	cfg, err := tb.Service.GlimmerConfig(dim, mode, DefaultPolicy)
 	if err != nil {
 		return nil, err
 	}
-	return tb.Service.NewDevice(tb.Platform, cfg, masks)
+	return tb.Service.NewDevice(tb.Platform, cfg)
 }

@@ -6,6 +6,7 @@ import (
 
 	"glimmers"
 	"glimmers/internal/glimmer"
+	"glimmers/internal/testbed"
 )
 
 // serialTenant hosts the testbed's service as the only tenant of a fresh
@@ -35,7 +36,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := tb.NewProvisionedDevice(dim, glimmers.ModeNone, nil)
+	dev, err := tb.NewProvisionedDevice(dim, glimmers.ModeNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,25 +62,20 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-// TestFacadeDealerMode exercises dealer blinding through the facade.
+// TestFacadeDealerMode exercises dealer blinding through the facade's
+// registry: the testbed's fleet takes its masks from an attested dealer
+// enclave, and the facade aggregates the blinded contributions exactly.
 func TestFacadeDealerMode(t *testing.T) {
 	const dim, n = 3, 4
-	tb, err := glimmers.NewTestbed("dealer.example", glimmers.UnitRangeCheck("range", dim))
+	tn, err := testbed.NewTenant(testbed.TenantSpec{Name: "dealer.example", Devices: n, Dim: dim, Rounds: []uint64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := glimmers.ZeroSumMasks([]byte("facade"), n, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer tn.Destroy()
+	tb := &glimmers.Testbed{AS: tn.AS, Platform: tn.Platform, Service: tn.Svc}
 	reg, rounds := serialTenant(t, tb, dim)
 	var want glimmers.Vector = make([]glimmers.Ring, dim)
-	for i := 0; i < n; i++ {
-		dev, err := tb.NewProvisionedDevice(dim, glimmers.ModeDealer,
-			map[uint64][]uint64{1: glimmers.VectorToBits(masks[i])})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, dev := range tn.Devs {
 		rounds.Vet(dev.Measurement())
 		c := glimmers.FromFloats([]float64{0.25, 0.5, 0.75})
 		for d := range want {

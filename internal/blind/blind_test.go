@@ -293,114 +293,6 @@ func TestRecoverMaskRequiresAllSurvivors(t *testing.T) {
 	}
 }
 
-func TestShamirRoundTrip(t *testing.T) {
-	secret := []byte("the dropped client's X25519 key!")
-	shares, err := SplitSecret(secret, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shares) != 5 {
-		t.Fatalf("got %d shares", len(shares))
-	}
-	// Any 3 shares reconstruct.
-	got, err := CombineShares([]Share{shares[4], shares[0], shares[2]}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatalf("reconstructed %q, want %q", got, secret)
-	}
-}
-
-func TestShamirThreshold(t *testing.T) {
-	secret := []byte("secret")
-	shares, err := SplitSecret(secret, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CombineShares(shares[:2], 3); err == nil {
-		t.Fatal("combined with fewer than k shares")
-	}
-	// Two shares give no information: reconstructing with a forged third
-	// share must (overwhelmingly) not yield the secret.
-	forged := Share{X: shares[2].X, Data: make([]byte, len(shares[2].Data))}
-	got, err := CombineShares([]Share{shares[0], shares[1], forged}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, secret) {
-		t.Fatal("forged share reconstructed the true secret")
-	}
-}
-
-func TestShamirValidation(t *testing.T) {
-	if _, err := SplitSecret([]byte("s"), 2, 3); err == nil {
-		t.Error("k > n accepted")
-	}
-	if _, err := SplitSecret([]byte("s"), 300, 2); err == nil {
-		t.Error("n > 255 accepted")
-	}
-	if _, err := SplitSecret(nil, 3, 2); err == nil {
-		t.Error("empty secret accepted")
-	}
-	shares, err := SplitSecret([]byte("s"), 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup := []Share{shares[0], shares[0]}
-	if _, err := CombineShares(dup, 2); err == nil {
-		t.Error("duplicate shares accepted")
-	}
-	bad := []Share{shares[0], {X: 0, Data: []byte{1}}}
-	if _, err := CombineShares(bad, 2); err == nil {
-		t.Error("x=0 share accepted")
-	}
-	mismatched := []Share{shares[0], {X: 9, Data: []byte{1, 2}}}
-	if _, err := CombineShares(mismatched, 2); err == nil {
-		t.Error("length-mismatched shares accepted")
-	}
-}
-
-// Property: GF(256) multiplication agrees with the reference shift-and-add
-// implementation.
-func TestQuickGFMulAgreesWithReference(t *testing.T) {
-	f := func(a, b byte) bool {
-		return gfMul(a, b) == gfMulNoTable(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: GF(256) inverses are real inverses.
-func TestQuickGFInverse(t *testing.T) {
-	for a := 1; a < 256; a++ {
-		if gfMul(byte(a), gfInv(byte(a))) != 1 {
-			t.Fatalf("inv(%d) wrong", a)
-		}
-	}
-}
-
-// Property: Shamir round trips for arbitrary secrets and thresholds.
-func TestQuickShamirRoundTrip(t *testing.T) {
-	f := func(secret []byte, nRaw, kRaw uint8) bool {
-		if len(secret) == 0 {
-			secret = []byte{42}
-		}
-		n := int(nRaw%10) + 2
-		k := int(kRaw)%n + 1
-		shares, err := SplitSecret(secret, n, k)
-		if err != nil {
-			return false
-		}
-		got, err := CombineShares(shares[:k], k)
-		return err == nil && bytes.Equal(got, secret)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: blinding then unblinding any vector is the identity.
 func TestQuickBlindUnblindIdentity(t *testing.T) {
 	f := func(vals []uint64, maskSeed []byte) bool {

@@ -98,16 +98,16 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 	res = &E5Result{}
 	var totalLatency time.Duration
 	var endorsed [][]byte
-	unusedMasks := fixed.NewVector(dims)
+	var refused []uint32
 	for i, m := range models {
 		start := time.Now()
 		sc, err := t.Devs[i].Contribute(round, m.Weights, nil)
 		totalLatency += time.Since(start)
 		if i < cfg.Attackers && errors.Is(err, glimmer.ErrRejected) {
 			res.Rejected++
-			// A refused device's mask never enters the aggregate; account
-			// for it so the honest masks still cancel.
-			unusedMasks.AddInPlace(t.Masks[round][i])
+			// A refused device's mask never enters the aggregate; the
+			// dealer reveals it below so the honest masks still cancel.
+			refused = append(refused, uint32(i))
 			continue
 		}
 		if err != nil {
@@ -146,10 +146,16 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 		if err := p.Seal(); err != nil {
 			return err
 		}
-		// The surviving masks sum to minus the refused devices'; correct
-		// like a dropout.
-		if err := p.CorrectDropout(unusedMasks); err != nil {
-			return err
+		// The surviving masks sum to minus the refused devices'; the dealer
+		// reveals those, and the round corrects like a dropout.
+		if len(refused) > 0 {
+			unused, err := t.Reveal(round, refused)
+			if err != nil {
+				return err
+			}
+			if err := p.CorrectDropout(unused); err != nil {
+				return err
+			}
 		}
 		mean, err = p.Mean()
 		return err
@@ -280,7 +286,7 @@ func RunE6(cfg E6Config) (*E6Result, error) {
 		if costed {
 			opts = append(opts, tee.WithTransitionCost(cfg.TransitionCost))
 		}
-		dev, err := t.Svc.NewDevice(t.Platform, t.HostCfg, nil, opts...)
+		dev, err := t.Svc.NewDevice(t.Platform, t.HostCfg, opts...)
 		if err != nil {
 			return nil, nil, err
 		}

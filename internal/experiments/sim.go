@@ -7,7 +7,7 @@ import (
 )
 
 // E13 is the fault-sweep: the full stack (enclave Glimmers, concurrent
-// sharded ingest, seal/close lifecycle, Shamir dropout recovery) driven by
+// sharded ingest, seal/close lifecycle, dropout correction by the dealer's reveal) driven by
 // the fleet simulator at increasing fault rates, measuring how acceptance
 // degrades while exactness and the end-of-round invariants must not. This
 // is the regime the paper targets — aggregation that stays exact and
@@ -68,8 +68,8 @@ type E13Row struct {
 	// ServiceRejected were refused by the service (bad signatures,
 	// duplicates, replays, garbage, out-of-window, losing stragglers).
 	ServiceRejected int
-	// DropoutsRecovered counts masks reconstructed from Shamir shares and
-	// removed via CorrectDropout.
+	// DropoutsRecovered counts dropouts whose masks the dealer's reveal
+	// covered and CorrectDropout removed.
 	DropoutsRecovered int
 	// Exact: every sealed round's aggregate equalled the exact sum of its
 	// accepted honest contributions.
@@ -106,7 +106,7 @@ func (r *E13Result) Table() string {
 	out := table(
 		fmt.Sprintf("E13: fault sweep — %d devices × %d rounds (overlap %d), invariants enforced",
 			r.Cfg.Devices, r.Cfg.Rounds, r.Cfg.Overlap),
-		[]string{"fault-rate", "accepted", "client-rej", "service-rej", "shamir-recovered", "exact", "invariants", "rounds/s"},
+		[]string{"fault-rate", "accepted", "client-rej", "service-rej", "dropouts-recovered", "exact", "invariants", "rounds/s"},
 		rows)
 	if len(r.Violations) > 0 {
 		out += fmt.Sprintf("INVARIANT VIOLATIONS: %v\n", r.Violations)

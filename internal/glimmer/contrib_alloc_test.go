@@ -32,7 +32,7 @@ func TestContributeBytesAllocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := svc.NewDevice(platform, cfg, nil)
+	dev, err := svc.NewDevice(platform, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,10 @@ import (
 // hardware randomness inside its enclave and ships mask i to client i over
 // session i. The host that shuttles the records sees only ciphertext, and
 // only genuine Glimmer enclaves can receive masks — the modern equivalent
-// of "sealed to the Glimmer code".
+// of "sealed to the Glimmer code". The dealer is the only holder of every
+// mask: the one thing it tells the host is reveal's sum over the devices
+// the host names as absent from a round, once per round, which is what the
+// aggregator needs to correct for dropouts.
 
 // DealerVersion is the dealer enclave's code identity version.
 const DealerVersion = "glimmer-dealer/1.0"
@@ -49,6 +52,12 @@ type DealerConfig struct {
 	AttestationRoot []byte
 	// AllowedClient is the vetted Glimmer measurement masks may go to.
 	AllowedClient tee.Measurement
+	// Seed, when set, makes the dealing reproducible: round r's masks are
+	// blind.ZeroSumMasks(Seed‖"/masks/"‖r). It is for seeded runs only —
+	// anyone who knows it knows every mask — and, being measured, it gives
+	// a seeded dealer a measurement no unseeded deployment vouches for.
+	// Empty, the dealer draws each round from in-enclave randomness.
+	Seed []byte
 }
 
 func (c DealerConfig) encode() []byte {
@@ -57,6 +66,7 @@ func (c DealerConfig) encode() []byte {
 		String(c.Cohort).
 		Bytes(c.AttestationRoot).
 		Bytes(c.AllowedClient[:]).
+		Bytes(c.Seed).
 		Finish()
 }
 
@@ -64,6 +74,9 @@ func (c DealerConfig) encode() []byte {
 const (
 	objDealerConfig   = "dealer-config"
 	objDealerSessions = "dealer-sessions"
+	// objDealerRounds maps each dealt round to its masks by cohort index;
+	// a revealed round maps to nil.
+	objDealerRounds = "dealer-rounds"
 )
 
 // BuildDealerBinary constructs the dealer enclave.
@@ -74,10 +87,14 @@ func BuildDealerBinary(cfg DealerConfig) *tee.Binary {
 		if err := env.PutObject(objDealerConfig, cfg); err != nil {
 			return nil, err
 		}
+		if err := env.PutObject(objDealerRounds, map[uint64][]fixed.Vector{}); err != nil {
+			return nil, err
+		}
 		return nil, env.PutObject(objDealerSessions, map[uint32]*attest.Session{})
 	})
 	b.Define("enroll", ecallDealerEnroll)
 	b.Define("distribute", ecallDealerDistribute)
+	b.Define("reveal", ecallDealerReveal)
 	return b
 }
 
@@ -118,9 +135,9 @@ func ecallDealerEnroll(env *tee.Env, input []byte) ([]byte, error) {
 	return attest.EncodeHello(resp), nil
 }
 
-// ecallDealerDistribute draws zero-sum masks for the enrolled cohort and
-// returns one encrypted record per client, in index order. Input:
-// {dim, round}.
+// ecallDealerDistribute draws zero-sum masks for the enrolled cohort, keeps
+// them for reveal, and returns one encrypted record per client, in index
+// order. A round is dealt once. Input: {dim, round}.
 func ecallDealerDistribute(env *tee.Env, input []byte) ([]byte, error) {
 	r := wire.NewReader(input)
 	dim := r.Uint32()
@@ -128,16 +145,26 @@ func ecallDealerDistribute(env *tee.Env, input []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	cfgV, _ := env.GetObject(objDealerConfig)
+	cfg := cfgV.(DealerConfig)
 	sessionsV, _ := env.GetObject(objDealerSessions)
 	sessions := sessionsV.(map[uint32]*attest.Session)
+	roundsV, _ := env.GetObject(objDealerRounds)
+	rounds := roundsV.(map[uint64][]fixed.Vector)
 	n := len(sessions)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty cohort", ErrState)
 	}
-	// Hardware randomness for the dealing seed: the host never sees it.
-	seed := make([]byte, 32)
-	if err := env.Rand(seed); err != nil {
-		return nil, err
+	if _, dealt := rounds[round]; dealt {
+		return nil, fmt.Errorf("%w: round %d already dealt", ErrBadRequest, round)
+	}
+	seed := fmt.Appendf(nil, "%s/masks/%d", cfg.Seed, round)
+	if len(cfg.Seed) == 0 {
+		// Hardware randomness for the dealing seed: the host never sees it.
+		seed = make([]byte, 32)
+		if err := env.Rand(seed); err != nil {
+			return nil, err
+		}
 	}
 	masks, err := blind.ZeroSumMasks(seed, n, int(dim))
 	if err != nil {
@@ -160,7 +187,41 @@ func ecallDealerDistribute(env *tee.Env, input []byte) ([]byte, error) {
 		out.Uint32(uint32(i))
 		out.Bytes(record)
 	}
+	rounds[round] = masks
 	return out.Finish(), nil
+}
+
+// ecallDealerReveal returns the sum of the named cohort members' masks for
+// a dealt round: the correction an aggregator applies for devices whose
+// contributions never entered the round. Each round answers once, so the
+// host cannot difference two answers. Input: {round, indices}.
+func ecallDealerReveal(env *tee.Env, input []byte) ([]byte, error) {
+	r := wire.NewReader(input)
+	round := r.Uint64()
+	absent := r.Uint64s()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	roundsV, _ := env.GetObject(objDealerRounds)
+	rounds := roundsV.(map[uint64][]fixed.Vector)
+	masks, dealt := rounds[round]
+	switch {
+	case !dealt:
+		return nil, fmt.Errorf("%w: round %d was never dealt", ErrBadRequest, round)
+	case masks == nil:
+		return nil, fmt.Errorf("%w: round %d already revealed", ErrBadRequest, round)
+	}
+	sum := fixed.NewVector(len(masks[0]))
+	seen := make(map[uint64]bool, len(absent))
+	for _, i := range absent {
+		if i >= uint64(len(masks)) || seen[i] {
+			return nil, fmt.Errorf("%w: absent index %d is out of range or repeated", ErrBadRequest, i)
+		}
+		seen[i] = true
+		sum.AddInPlace(masks[i])
+	}
+	rounds[round] = nil
+	return wire.NewWriter().Uint64s(VectorToBits(sum)).Finish(), nil
 }
 
 // Client-side (Glimmer) dealer ECALLs, defined on the standard binary.
@@ -283,6 +344,9 @@ func NewDealerHost(p *tee.Platform, cfg DealerConfig, opts ...tee.LoadOption) (*
 	return &DealerHost{enclave: enclave}, nil
 }
 
+// Destroy tears down the dealer enclave and every mask it holds.
+func (d *DealerHost) Destroy() { d.enclave.Destroy() }
+
 // Measurement returns the dealer's measurement (what services vouch for).
 func (d *DealerHost) Measurement() tee.Measurement { return d.enclave.Measurement() }
 
@@ -310,6 +374,30 @@ func (d *DealerHost) Distribute(dim int, round uint64) (map[uint32][]byte, error
 		return nil, fmt.Errorf("glimmer: dealer output: %w", err)
 	}
 	return records, nil
+}
+
+// Reveal returns the sum of the absent cohort members' masks for a dealt
+// round. The dealer answers each round once, and refuses a round it never
+// dealt or an index that is out of range or repeated.
+func (d *DealerHost) Reveal(round uint64, absent []uint32) (fixed.Vector, error) {
+	indices := make([]uint64, len(absent))
+	for i, a := range absent {
+		indices[i] = uint64(a)
+	}
+	out, err := d.enclave.Call("reveal", wire.NewWriter().Uint64(round).Uint64s(indices).Finish())
+	if err != nil {
+		return nil, err
+	}
+	r := wire.NewReader(out)
+	bits := r.Uint64s()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("glimmer: dealer reveal: %w", err)
+	}
+	sum := make(fixed.Vector, len(bits))
+	for i, b := range bits {
+		sum[i] = fixed.Ring(b)
+	}
+	return sum, nil
 }
 
 // Device-side wrappers.

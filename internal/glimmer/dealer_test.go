@@ -1,8 +1,10 @@
 package glimmer_test
 
 import (
+	"slices"
 	"testing"
 
+	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/service"
@@ -11,15 +13,15 @@ import (
 )
 
 // dealerWorld provisions a cohort of n glimmers wired to an enclave-hosted
-// dealer, all on one platform (the dealer "on one of the clients", §3).
-func dealerWorld(t *testing.T, n int) (*tee.AttestationService, *service.Service, *glimmer.DealerHost, []*glimmer.Device) {
+// dealer the service vouches for, all on one platform (the dealer "on one
+// of the clients", §3). A non-empty seed makes the dealing reproducible.
+func dealerWorld(t *testing.T, n int, seed []byte) (*tee.AttestationService, *service.Service, *glimmer.DealerHost, []*glimmer.Device) {
 	t.Helper()
 	as, platform, svc := newWorld(t)
 	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	glimmerMeasurement := glimmer.BuildBinary(cfg).Measurement()
 	rootDER, err := as.Root().Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -27,33 +29,50 @@ func dealerWorld(t *testing.T, n int) (*tee.AttestationService, *service.Service
 	dealer, err := glimmer.NewDealerHost(platform, glimmer.DealerConfig{
 		ServiceName:     svc.Name(),
 		AttestationRoot: rootDER,
-		AllowedClient:   glimmerMeasurement,
+		AllowedClient:   glimmer.BuildBinary(cfg).Measurement(),
+		Seed:            seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	t.Cleanup(dealer.Destroy)
+	svc.VouchDealer(dealer.Measurement())
 	devices := make([]*glimmer.Device, n)
-	base, err := svc.BasePayload()
+	for i := range devices {
+		if devices[i], err = svc.NewDevice(platform, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return as, svc, dealer, devices
+}
+
+// dealtCohort is dealerWorld with the cohort enrolled and each of rounds
+// dealt and installed.
+func dealtCohort(t *testing.T, n int, rounds ...uint64) (*service.Service, *glimmer.DealerHost, []*glimmer.Device) {
+	t.Helper()
+	_, svc, dealer, devices := dealerWorld(t, n, nil)
+	enrollCohort(t, dealer, devices)
+	for _, round := range rounds {
+		dealRound(t, dealer, devices, round)
+	}
+	return svc, dealer, devices
+}
+
+// dealRound deals one round and relays each record to its device.
+func dealRound(t *testing.T, dealer *glimmer.DealerHost, devices []*glimmer.Device, round uint64) {
+	t.Helper()
+	records, err := dealer.Distribute(dim, round)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := dealer.Measurement()
-	for i := range devices {
-		dev, err := glimmer.NewDevice(platform, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Vet(dev.Measurement())
-		payload := base
-		payload.DealerMeasurement = dm[:]
-		payload.AttestationRoot = rootDER
-		if err := svc.Provision(dev, payload); err != nil {
-			t.Fatal(err)
-		}
-		devices[i] = dev
+	if len(records) != len(devices) {
+		t.Fatalf("records = %d, want %d", len(records), len(devices))
 	}
-	return as, svc, dealer, devices
+	for i, dev := range devices {
+		if err := dev.InstallMask(records[uint32(i)]); err != nil {
+			t.Fatalf("device %d install mask: %v", i, err)
+		}
+	}
 }
 
 func enrollCohort(t *testing.T, dealer *glimmer.DealerHost, devices []*glimmer.Device) {
@@ -76,21 +95,7 @@ func enrollCohort(t *testing.T, dealer *glimmer.DealerHost, devices []*glimmer.D
 func TestDealerEnclaveEndToEnd(t *testing.T) {
 	const n = 4
 	const round = uint64(9)
-	_, svc, dealer, devices := dealerWorld(t, n)
-	enrollCohort(t, dealer, devices)
-
-	records, err := dealer.Distribute(dim, round)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != n {
-		t.Fatalf("records = %d, want %d", len(records), n)
-	}
-	for i, dev := range devices {
-		if err := dev.InstallMask(records[uint32(i)]); err != nil {
-			t.Fatalf("device %d install mask: %v", i, err)
-		}
-	}
+	svc, _, devices := dealtCohort(t, n, round)
 
 	// The cohort contributes; the dealt masks cancel exactly.
 	agg := newSerialPipeline(t, svc, dim, round)
@@ -166,7 +171,7 @@ func TestGlimmerRefusesImposterDealer(t *testing.T) {
 	// vouched for: an imposter dealer with the same service name (hence
 	// same handshake context) but a different cohort label measures
 	// differently and is refused at DealerComplete.
-	as, svc, _, devices := dealerWorld(t, 1)
+	as, svc, _, devices := dealerWorld(t, 1, nil)
 	dev := devices[0]
 	platform2, err := tee.NewPlatform(as)
 	if err != nil {
@@ -199,7 +204,7 @@ func TestGlimmerRefusesImposterDealer(t *testing.T) {
 }
 
 func TestInstallMaskRejectsTamperedRecord(t *testing.T) {
-	_, _, dealer, devices := dealerWorld(t, 2)
+	_, _, dealer, devices := dealerWorld(t, 2, nil)
 	enrollCohort(t, dealer, devices)
 	records, err := dealer.Distribute(dim, 1)
 	if err != nil {
@@ -217,7 +222,7 @@ func TestInstallMaskRejectsTamperedRecord(t *testing.T) {
 }
 
 func TestDealerRejectsDuplicateIndex(t *testing.T) {
-	_, _, dealer, devices := dealerWorld(t, 2)
+	_, _, dealer, devices := dealerWorld(t, 2, nil)
 	hello0, err := devices[0].DealerHello()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +240,7 @@ func TestDealerRejectsDuplicateIndex(t *testing.T) {
 }
 
 func TestDistributeRequiresContiguousCohort(t *testing.T) {
-	_, _, dealer, devices := dealerWorld(t, 2)
+	_, _, dealer, devices := dealerWorld(t, 2, nil)
 	hello, err := devices[0].DealerHello()
 	if err != nil {
 		t.Fatal(err)
@@ -246,5 +251,116 @@ func TestDistributeRequiresContiguousCohort(t *testing.T) {
 	}
 	if _, err := dealer.Distribute(dim, 1); err == nil {
 		t.Fatal("distribution with a cohort gap succeeded")
+	}
+}
+
+func TestDealerRevealSumsAbsentMasks(t *testing.T) {
+	const n = 4
+	svc, dealer, devices := dealtCohort(t, n, 3, 4)
+
+	// Devices 0 and 1 contribute to round 3; 2 and 3 never do. The dealer's
+	// reveal over the absent pair is exactly what makes the sum exact.
+	agg := newSerialPipeline(t, svc, dim, 3)
+	trueSum := fixed.NewVector(dim)
+	for _, dev := range devices[:2] {
+		agg.Vet(dev.Measurement())
+		c := fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4})
+		trueSum.AddInPlace(c)
+		sc, err := dev.Contribute(3, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.Add(glimmer.EncodeSignedContribution(sc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absent, err := dealer.Reveal(3, []uint32{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.CorrectDropout(absent); err != nil {
+		t.Fatal(err)
+	}
+	if got := agg.Sum(); !slices.Equal(got, trueSum) {
+		t.Fatalf("corrected sum %v, want %v", got, trueSum)
+	}
+
+	if _, err := dealer.Reveal(3, []uint32{0}); err == nil {
+		t.Error("a round was revealed twice")
+	}
+	if _, err := dealer.Reveal(99, []uint32{0}); err == nil {
+		t.Error("a round that was never dealt was revealed")
+	}
+	if _, err := dealer.Reveal(4, []uint32{n}); err == nil {
+		t.Error("an out-of-range index was revealed")
+	}
+	if _, err := dealer.Reveal(4, []uint32{1, 1}); err == nil {
+		t.Error("a repeated index was revealed")
+	}
+	// A refused request does not use up the round's one answer.
+	if _, err := dealer.Reveal(4, []uint32{1}); err != nil {
+		t.Errorf("reveal after refused requests: %v", err)
+	}
+	if _, err := dealer.Distribute(dim, 3); err == nil {
+		t.Error("a round was dealt twice")
+	}
+}
+
+func TestSeededDealerDealsFromItsSeed(t *testing.T) {
+	const n = 3
+	seed := []byte("sim/dealer.example/7")
+	_, _, dealer, devices := dealerWorld(t, n, seed)
+	enrollCohort(t, dealer, devices)
+	dealRound(t, dealer, devices, 5)
+	want, err := blind.ZeroSumMasks([]byte("sim/dealer.example/7/masks/5"), n, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dealer.Reveal(5, []uint32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want[1]) {
+		t.Fatalf("seeded dealer dealt %v, want %v", got, want[1])
+	}
+
+	// The seed is measured: a seeded dealer is never the unseeded one.
+	_, _, unseeded, _ := dealerWorld(t, 0, nil)
+	_, _, reseeded, _ := dealerWorld(t, 0, []byte("sim/dealer.example/8"))
+	if dealer.Measurement() == unseeded.Measurement() || dealer.Measurement() == reseeded.Measurement() {
+		t.Error("the dealer's seed does not change its measurement")
+	}
+}
+
+func TestDealerModeNeedsAVouchedDealer(t *testing.T) {
+	as, platform, svc := newWorld(t)
+	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev, err := svc.NewDevice(platform, cfg); err == nil || dev != nil {
+		t.Fatalf("dealer-mode device provisioned with no dealer vouched for: (%v, %v)", dev, err)
+	}
+	dev, err := glimmer.NewDevice(platform, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := svc.BasePayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.DealerMeasurement = make([]byte, 32)
+	if err := svc.Provision(dev, base); err == nil {
+		t.Error("dealer measurement without an attestation root accepted")
+	}
+	if base.AttestationRoot, err = as.Root().Marshal(); err != nil {
+		t.Fatal(err)
+	}
+	base.DealerMeasurement = base.DealerMeasurement[:31]
+	if err := svc.Provision(dev, base); err == nil {
+		t.Error("31-byte dealer measurement accepted")
 	}
 }

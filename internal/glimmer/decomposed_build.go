@@ -74,6 +74,11 @@ func BuildComponentBinary(cfg Config, role Role, vendor *xcrypto.VerifyKey) *tee
 		b.Define("link-init", ecallLinkInit)
 		b.Define("link-finish", ecallLinkFinish)
 		b.Define("pairwise-pub", ecallPairwisePub)
+		// A dealer-mode blinder takes its masks the one way a Glimmer does:
+		// from the vouched-for dealer enclave.
+		b.Define("dealer-hello", ecallDealerHello)
+		b.Define("dealer-complete", ecallDealerComplete)
+		b.Define("install-mask", ecallInstallMask)
 	case RoleSigner:
 		b.Define("sign", ecallSign)
 		b.Define("link-accept", ecallLinkAccept)

@@ -413,39 +413,21 @@ func installPredicate(env *tee.Env, cfg Config, payload ProvisionPayload) error 
 func installBlinding(env *tee.Env, cfg Config, payload ProvisionPayload) error {
 	switch cfg.Mode {
 	case ModeDealer:
-		// Dealer mode takes masks directly from the service payload, or a
-		// vouched-for dealer-enclave identity to fetch them from (§3's
-		// trusted blinding service), or both.
-		if len(payload.DealerMeasurement) > 0 {
-			if len(payload.DealerMeasurement) != len(tee.Measurement{}) {
-				return fmt.Errorf("%w: dealer measurement is %d bytes", ErrBadRequest, len(payload.DealerMeasurement))
-			}
-			if len(payload.AttestationRoot) == 0 {
-				return fmt.Errorf("%w: dealer measurement without attestation root", ErrBadRequest)
-			}
-			var dm tee.Measurement
-			copy(dm[:], payload.DealerMeasurement)
-			if err := env.PutObject(objDealerMeasurement, dm); err != nil {
-				return err
-			}
-			if err := env.PutObject(objDealerRoot, payload.AttestationRoot); err != nil {
-				return err
-			}
-		} else if len(payload.Masks) == 0 {
-			return fmt.Errorf("%w: dealer mode without masks or dealer identity", ErrBadRequest)
+		// Dealer mode takes a vouched-for dealer enclave's identity and the
+		// root its quote chains to (§3's trusted blinding service). Masks
+		// come from that dealer alone, over its own attested channel.
+		if len(payload.DealerMeasurement) == 0 || len(payload.AttestationRoot) == 0 {
+			return fmt.Errorf("%w: dealer mode without a dealer identity and attestation root", ErrBadRequest)
 		}
-		masks := make(map[uint64]fixed.Vector, len(payload.Masks))
-		for round, raw := range payload.Masks {
-			if len(raw) != cfg.Dim {
-				return fmt.Errorf("%w: mask dim %d != %d", ErrBadRequest, len(raw), cfg.Dim)
-			}
-			m := make(fixed.Vector, cfg.Dim)
-			for i, u := range raw {
-				m[i] = fixed.Ring(u)
-			}
-			masks[round] = m
+		if len(payload.DealerMeasurement) != len(tee.Measurement{}) {
+			return fmt.Errorf("%w: dealer measurement is %d bytes", ErrBadRequest, len(payload.DealerMeasurement))
 		}
-		return env.PutObject(objMasks, masks)
+		var dm tee.Measurement
+		copy(dm[:], payload.DealerMeasurement)
+		if err := env.PutObject(objDealerMeasurement, dm); err != nil {
+			return err
+		}
+		return env.PutObject(objDealerRoot, payload.AttestationRoot)
 	case ModePairwise:
 		if len(payload.Roster) == 0 {
 			return fmt.Errorf("%w: pairwise mode without roster", ErrBadRequest)

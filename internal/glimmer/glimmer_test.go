@@ -7,13 +7,13 @@ import (
 	"testing"
 
 	"glimmers/internal/audit"
-	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/predicate"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
 	"glimmers/internal/testbed"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -62,13 +62,13 @@ func newWorld(t *testing.T) (*tee.AttestationService, *tee.Platform, *service.Se
 	return sub.AS, sub.Platform, svc
 }
 
-func provisionedDevice(t *testing.T, platform *tee.Platform, svc *service.Service, mode glimmer.Mode, masks map[uint64][]uint64) *glimmer.Device {
+func provisionedDevice(t *testing.T, platform *tee.Platform, svc *service.Service, mode glimmer.Mode) *glimmer.Device {
 	t.Helper()
 	cfg, err := svc.GlimmerConfig(dim, mode, glimmer.DefaultPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := svc.NewDevice(platform, cfg, masks)
+	dev, err := svc.NewDevice(platform, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func provisionedDevice(t *testing.T, platform *tee.Platform, svc *service.Servic
 
 func TestSingleEnclaveLifecycle(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 
 	honest := fixed.FromFloats([]float64{0.1, 0.9, 0.5, 0.0})
 	sc, err := dev.Contribute(1, honest, nil)
@@ -103,7 +103,7 @@ func TestSingleEnclaveLifecycle(t *testing.T) {
 
 func TestGlimmerBlocksThe538Attack(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 
 	malicious := fixed.FromFloats([]float64{0.1, 538, 0.5, 0.0})
 	_, err := dev.Contribute(1, malicious, nil)
@@ -134,7 +134,7 @@ func TestContributeRequiresProvisioning(t *testing.T) {
 
 func TestContributeRejectsWrongDimension(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	_, err := dev.Contribute(1, fixed.NewVector(dim+1), nil)
 	if !errors.Is(err, glimmer.ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
@@ -228,7 +228,7 @@ func unwrapECall(err error) error { return err }
 
 func TestHostCannotTamperWithSignedContribution(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	sc, err := dev.Contribute(3, fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4}), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -265,17 +265,7 @@ func TestDealerModeCohortAggregation(t *testing.T) {
 	// individual blinded values useless to the service.
 	const n = 5
 	const round = uint64(7)
-	_, platform, svc := newWorld(t)
-
-	masks, err := blind.ZeroSumMasks([]byte("round-7"), n, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devices := make([]*glimmer.Device, n)
-	for i := range devices {
-		devices[i] = provisionedDevice(t, platform, svc, glimmer.ModeDealer,
-			map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])})
-	}
+	svc, _, devices := dealtCohort(t, n, round)
 
 	contributions := make([]fixed.Vector, n)
 	trueSum := fixed.NewVector(dim)
@@ -317,13 +307,8 @@ func TestDealerModeCohortAggregation(t *testing.T) {
 
 func TestDealerMaskIsSingleUse(t *testing.T) {
 	const round = uint64(1)
-	_, platform, svc := newWorld(t)
-	masks, err := blind.ZeroSumMasks([]byte("r"), 2, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeDealer,
-		map[uint64][]uint64{round: glimmer.VectorToBits(masks[0])})
+	_, _, devices := dealtCohort(t, 2, round)
+	dev := devices[0]
 	c := fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4})
 	if _, err := dev.Contribute(round, c, nil); err != nil {
 		t.Fatal(err)
@@ -405,7 +390,7 @@ func TestCrossCheckCorroboration(t *testing.T) {
 	if err := svc.SetPredicate(predicate.CrossCheck("corroborate", dim, 2)); err != nil {
 		t.Fatal(err)
 	}
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	claimed := fixed.FromFloats([]float64{0.5, 0.25, 0.25, 0.0})
 	observed := make([]int64, dim)
 	for i, r := range claimed {
@@ -432,7 +417,7 @@ func TestIdenticalContributionsFromTwoDevices(t *testing.T) {
 	value := fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4})
 	var raws [2][]byte
 	for i := range raws {
-		dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+		dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 		sc, err := dev.Contribute(round, value, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -459,7 +444,7 @@ func TestDetectFlowWithBotGate(t *testing.T) {
 	if err := svc.SetPredicate(predicate.ThresholdScore("bot-detector", []int64{2, 3}, 10)); err != nil {
 		t.Fatal(err)
 	}
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	gate := service.NewBotGate(svc.Name(), svc.ContributionVerifyKey())
 
 	challenge, err := gate.NewChallenge()
@@ -518,7 +503,7 @@ func TestDetectVerdictTamperingCaught(t *testing.T) {
 	if err := svc.SetPredicate(predicate.ThresholdScore("d", []int64{1}, 1)); err != nil {
 		t.Fatal(err)
 	}
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	gate := service.NewBotGate(svc.Name(), svc.ContributionVerifyKey())
 	challenge, err := gate.NewChallenge()
 	if err != nil {
@@ -537,7 +522,7 @@ func TestDetectVerdictTamperingCaught(t *testing.T) {
 }
 
 func TestDecomposedPipeline(t *testing.T) {
-	_, platform, svc := newWorld(t)
+	as, platform, svc := newWorld(t)
 	vendor, err := xcrypto.NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
@@ -546,36 +531,83 @@ func TestDecomposedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := glimmer.NewDecomposedDevice(platform, cfg, vendor.Public())
+	// A cohort of two decomposed Glimmers: their blinders share the one
+	// measurement the dealer deals to.
+	var cohort []*glimmer.DecomposedDevice
+	for range 2 {
+		d, err := glimmer.NewDecomposedDevice(platform, cfg, vendor.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*glimmer.Component{d.Validator(), d.Blinder(), d.Signer()} {
+			svc.Vet(c.Measurement())
+		}
+		cohort = append(cohort, d)
+	}
+	rootDER, err := as.Root().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*glimmer.Component{dev.Validator(), dev.Blinder(), dev.Signer()} {
-		svc.Vet(c.Measurement())
-	}
-	masks, err := blind.ZeroSumMasks([]byte("d"), 2, dim)
+	dealer, err := glimmer.NewDealerHost(platform, glimmer.DealerConfig{
+		ServiceName:     svc.Name(),
+		AttestationRoot: rootDER,
+		AllowedClient:   cohort[0].Blinder().Measurement(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer dealer.Destroy()
+	svc.VouchDealer(dealer.Measurement())
 	base, err := svc.BasePayload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	valPayload := glimmer.ProvisionPayload{SigningKey: base.SigningKey, Predicate: base.Predicate}
-	if err := svc.Provision(dev.Validator(), valPayload); err != nil {
-		t.Fatalf("provision validator: %v", err)
+	// Each component installs only its own material: the validator the
+	// predicate, the blinder the dealer's identity, the signer the key.
+	for i, d := range cohort {
+		valPayload := glimmer.ProvisionPayload{SigningKey: base.SigningKey, Predicate: base.Predicate}
+		if err := svc.Provision(d.Validator(), valPayload); err != nil {
+			t.Fatalf("provision validator: %v", err)
+		}
+		blindPayload := glimmer.ProvisionPayload{
+			SigningKey:        base.SigningKey,
+			Predicate:         base.Predicate,
+			DealerMeasurement: base.DealerMeasurement,
+			AttestationRoot:   base.AttestationRoot,
+		}
+		if err := svc.Provision(d.Blinder(), blindPayload); err != nil {
+			t.Fatalf("provision blinder: %v", err)
+		}
+		if err := svc.Provision(d.Signer(), base); err != nil {
+			t.Fatalf("provision signer: %v", err)
+		}
+		blinder := d.Blinder().Enclave()
+		hello, err := blinder.Call("dealer-hello", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dealer.Enroll(uint32(i), hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := blinder.Call("dealer-complete", wire.NewWriter().Bytes(resp).Finish()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blindPayload := glimmer.ProvisionPayload{
-		SigningKey: base.SigningKey,
-		Predicate:  base.Predicate,
-		Masks:      map[uint64][]uint64{1: glimmer.VectorToBits(masks[0])},
+	records, err := dealer.Distribute(dim, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := svc.Provision(dev.Blinder(), blindPayload); err != nil {
-		t.Fatalf("provision blinder: %v", err)
+	for i, d := range cohort {
+		if _, err := d.Blinder().Enclave().Call("install-mask", records[uint32(i)]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := svc.Provision(dev.Signer(), base); err != nil {
-		t.Fatalf("provision signer: %v", err)
+	mask, err := dealer.Reveal(1, []uint32{0})
+	if err != nil {
+		t.Fatal(err)
 	}
+	dev := cohort[0]
 
 	honest := fixed.FromFloats([]float64{0.2, 0.4, 0.6, 0.8})
 	sc, err := dev.Contribute(1, honest, nil)
@@ -590,7 +622,7 @@ func TestDecomposedPipeline(t *testing.T) {
 	}
 	// Unmasking recovers the contribution exactly.
 	unmasked := sc.Blinded.Clone()
-	unmasked.SubInPlace(masks[0])
+	unmasked.SubInPlace(mask)
 	for d := range honest {
 		if unmasked[d] != honest[d] {
 			t.Fatal("decomposed blinding corrupted the contribution")
@@ -691,7 +723,7 @@ func TestDecomposedCostsMoreTransitions(t *testing.T) {
 	// E6's shape: one contribution costs 1 ECALL on the single enclave,
 	// 3 on the decomposed pipeline.
 	_, platform, svc := newWorld(t)
-	single := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	single := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	vendor, err := xcrypto.NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
@@ -767,7 +799,7 @@ func TestProvisionRecordCannotBeReplayed(t *testing.T) {
 
 func TestRejectionCounterAdvances(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	bad := fixed.FromFloats([]float64{538, 0, 0, 0})
 	for i := 0; i < 3; i++ {
 		_, _ = dev.Contribute(uint64(i), bad, nil)

@@ -51,7 +51,9 @@ func appendVector(w *wire.Writer, v fixed.Vector) {
 }
 
 // ProvisionPayload is what a service installs into a Glimmer over the
-// attested session: signing key, predicate, and blinding material.
+// attested session: signing key, predicate, and blinding identities. It
+// never carries a mask: a dealer-mode Glimmer takes its masks from the
+// dealer enclave the payload names.
 type ProvisionPayload struct {
 	// SigningKey is the PKCS#8 DER of the contribution-signing key.
 	SigningKey []byte
@@ -59,15 +61,12 @@ type ProvisionPayload struct {
 	// travels inside the encrypted session, so a confidential predicate
 	// (§4.1) is never visible to the host.
 	Predicate []byte
-	// Masks maps round numbers to dealer masks (ModeDealer only).
-	Masks map[uint64][]uint64
 	// PartyIndex and Roster configure pairwise blinding (ModePairwise).
 	PartyIndex uint32
 	Roster     [][]byte
-	// DealerMeasurement, when set (32 bytes), names a dealer enclave the
-	// service vouches for: the Glimmer will fetch masks from it over a
-	// mutually attested channel instead of (or in addition to) taking
-	// masks from this payload. AttestationRoot (PKIX DER) is the root the
+	// DealerMeasurement (32 bytes) names the dealer enclave the service
+	// vouches for: a dealer-mode Glimmer fetches its masks from it over a
+	// mutually attested channel. AttestationRoot (PKIX DER) is the root the
 	// Glimmer verifies the dealer's quote against.
 	DealerMeasurement []byte
 	AttestationRoot   []byte
@@ -78,23 +77,6 @@ func EncodeProvision(p ProvisionPayload) []byte {
 	w := wire.NewWriter()
 	w.Bytes(p.SigningKey)
 	w.Bytes(p.Predicate)
-	w.Uint32(uint32(len(p.Masks)))
-	// Deterministic order: rounds ascending.
-	rounds := make([]uint64, 0, len(p.Masks))
-	for r := range p.Masks {
-		rounds = append(rounds, r)
-	}
-	for i := 0; i < len(rounds); i++ {
-		for j := i + 1; j < len(rounds); j++ {
-			if rounds[j] < rounds[i] {
-				rounds[i], rounds[j] = rounds[j], rounds[i]
-			}
-		}
-	}
-	for _, r := range rounds {
-		w.Uint64(r)
-		w.Uint64s(p.Masks[r])
-	}
 	w.Uint32(p.PartyIndex)
 	w.Uint32(uint32(len(p.Roster)))
 	for _, pub := range p.Roster {
@@ -111,19 +93,8 @@ func DecodeProvision(data []byte) (ProvisionPayload, error) {
 	p := ProvisionPayload{
 		SigningKey: r.Bytes(),
 		Predicate:  r.Bytes(),
+		PartyIndex: r.Uint32(),
 	}
-	nMasks := r.Uint32()
-	if nMasks > 0 {
-		if nMasks > 1<<16 {
-			return p, fmt.Errorf("glimmer: absurd mask count %d", nMasks)
-		}
-		p.Masks = make(map[uint64][]uint64, nMasks)
-		for i := uint32(0); i < nMasks; i++ {
-			round := r.Uint64()
-			p.Masks[round] = r.Uint64s()
-		}
-	}
-	p.PartyIndex = r.Uint32()
 	nRoster := r.Uint32()
 	if nRoster > 1<<16 {
 		return p, fmt.Errorf("glimmer: absurd roster size %d", nRoster)

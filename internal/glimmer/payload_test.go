@@ -12,12 +12,8 @@ import (
 
 func TestProvisionPayloadRoundTrip(t *testing.T) {
 	p := glimmer.ProvisionPayload{
-		SigningKey: []byte("key-der"),
-		Predicate:  []byte("predicate-bytes"),
-		Masks: map[uint64][]uint64{
-			3: {1, 2, 3},
-			1: {7, 8, 9},
-		},
+		SigningKey:        []byte("key-der"),
+		Predicate:         []byte("predicate-bytes"),
 		PartyIndex:        2,
 		Roster:            [][]byte{[]byte("pk0"), []byte("pk1"), []byte("pk2")},
 		DealerMeasurement: bytes.Repeat([]byte{0xAB}, 32),
@@ -30,9 +26,6 @@ func TestProvisionPayloadRoundTrip(t *testing.T) {
 	if !bytes.Equal(back.SigningKey, p.SigningKey) || !bytes.Equal(back.Predicate, p.Predicate) {
 		t.Fatal("key/predicate corrupted")
 	}
-	if len(back.Masks) != 2 || back.Masks[3][2] != 3 || back.Masks[1][0] != 7 {
-		t.Fatalf("masks corrupted: %v", back.Masks)
-	}
 	if back.PartyIndex != 2 || len(back.Roster) != 3 || !bytes.Equal(back.Roster[1], []byte("pk1")) {
 		t.Fatal("roster corrupted")
 	}
@@ -42,11 +35,11 @@ func TestProvisionPayloadRoundTrip(t *testing.T) {
 }
 
 func TestProvisionPayloadEncodingDeterministic(t *testing.T) {
-	// Map iteration order must not leak into the encoding (it feeds MACs).
+	// The encoding feeds MACs: one payload always encodes the same way.
 	p := glimmer.ProvisionPayload{
 		SigningKey: []byte("k"),
 		Predicate:  []byte("p"),
-		Masks:      map[uint64][]uint64{5: {5}, 1: {1}, 9: {9}, 3: {3}},
+		Roster:     [][]byte{[]byte("pk0"), []byte("pk1")},
 	}
 	first := glimmer.EncodeProvision(p)
 	for i := 0; i < 20; i++ {

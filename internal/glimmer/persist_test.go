@@ -11,7 +11,7 @@ import (
 
 func TestSealedStateSurvivesEnclaveTeardown(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	blob, err := dev.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestSealedStateSurvivesEnclaveTeardown(t *testing.T) {
 
 func TestSealedStateRejectsOtherBinary(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	blob, err := dev.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSealedStateRejectsOtherBinary(t *testing.T) {
 
 func TestSealedStateRejectsOtherPlatform(t *testing.T) {
 	as, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	blob, err := dev.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSealedStateRejectsOtherPlatform(t *testing.T) {
 
 func TestSealedStateRejectsTampering(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	blob, err := dev.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestSealedStateRejectsTampering(t *testing.T) {
 
 func TestSealedStateRollbackDetected(t *testing.T) {
 	_, platform, svc := newWorld(t)
-	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone, nil)
+	dev := provisionedDevice(t, platform, svc, glimmer.ModeNone)
 	oldBlob, err := dev.ExportState()
 	if err != nil {
 		t.Fatal(err)

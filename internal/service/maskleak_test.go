@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +79,63 @@ func (r *recorder) Complete(resp []byte) error {
 }
 func (r *recorder) Provision(rec []byte) ([]byte, error) { return r.enclave.Call("provision", rec) }
 
+// dealerFleet is the fleet the testbed builds: a dealer enclave on platform
+// (seeded with seed) that svc vouches for, and n dealer-mode devices that
+// svc provisions, the dealer enrolls at index i, and that take each of
+// rounds' dealt masks.
+func dealerFleet(t *testing.T, as *tee.AttestationService, platform *tee.Platform, svc *Service, dim, n int, seed []byte, rounds ...uint64) (*glimmer.DealerHost, []*glimmer.Device) {
+	t.Helper()
+	cfg, err := svc.GlimmerConfig(dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootDER, err := as.Root().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dealer, err := glimmer.NewDealerHost(platform, glimmer.DealerConfig{
+		ServiceName:     svc.Name(),
+		AttestationRoot: rootDER,
+		AllowedClient:   glimmer.BuildBinary(cfg).Measurement(),
+		Seed:            seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dealer.Destroy)
+	svc.VouchDealer(dealer.Measurement())
+	devs := make([]*glimmer.Device, n)
+	for i := range devs {
+		if devs[i], err = svc.NewDevice(platform, cfg); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(devs[i].Destroy)
+		hello, err := devs[i].DealerHello()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dealer.Enroll(uint32(i), hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := devs[i].DealerComplete(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, round := range rounds {
+		records, err := dealer.Distribute(dim, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, dev := range devs {
+			if err := dev.InstallMask(records[uint32(i)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dealer, devs
+}
+
 // maskWindows is every 16-byte window of every mask's big-endian lane
 // bytes, raw and in both hex cases.
 func maskWindows(masks map[uint64][]fixed.Vector) []string {
@@ -132,14 +190,18 @@ func TestServiceNeverSendsADealtMask(t *testing.T) {
 		}
 	}
 
+	// The testbed's fleet: a seeded dealer the service vouches for deals
+	// every round to the enrolled devices.
+	dealer, _ := dealerFleet(t, as, platform, svc, dim, n, fmt.Appendf(nil, "sim/%s/%d", name, seed), rounds...)
+	if got, err := dealer.Reveal(1, []uint32{0}); err != nil || !slices.Equal(got, dealt[1][0]) {
+		t.Fatalf("the dealer's round-1 mask for device 0 is (%v, %v), want %v", got, err, dealt[1][0])
+	}
+	// Each device's provisioning, recorded: the service sends every
+	// Glimmer of the fleet what it sends each of these.
 	var recs []*recorder
 	for i := 0; i < n; i++ {
 		rec := newRecorder(t, platform, svc)
-		masks := make(map[uint64][]uint64, len(dealt))
-		for round, m := range dealt {
-			masks[round] = glimmer.VectorToBits(m[i])
-		}
-		if err := svc.provision(rec, masks); err != nil {
+		if err := svc.provision(rec); err != nil {
 			t.Fatal(err)
 		}
 		recs = append(recs, rec)

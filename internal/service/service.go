@@ -42,6 +42,8 @@ type Service struct {
 	contribKey *xcrypto.SigningKey
 	verifier   *tee.QuoteVerifier
 	pred       *predicate.Program
+	// dealer is the dealer enclave the service vouches for (zero: none).
+	dealer tee.Measurement
 }
 
 // New creates a service trusting the given attestation root.
@@ -103,6 +105,12 @@ func (s *Service) SetPredicate(p *predicate.Program) error {
 	return nil
 }
 
+// VouchDealer names the one dealer enclave the service vouches for. Every
+// payload then carries its measurement and the service's attestation root,
+// so a dealer-mode Glimmer takes masks from that dealer and no other; the
+// service itself never holds a mask.
+func (s *Service) VouchDealer(m tee.Measurement) { s.dealer = m }
+
 // GlimmerConfig builds the client-side configuration for this service. The
 // measurement of a Glimmer built from it is what Vet expects.
 func (s *Service) GlimmerConfig(dim int, mode glimmer.Mode, policy glimmer.Policy) (glimmer.Config, error) {
@@ -120,9 +128,9 @@ func (s *Service) GlimmerConfig(dim int, mode glimmer.Mode, policy glimmer.Polic
 }
 
 // BasePayload assembles the provisioning payload common to every device:
-// signing key and predicate. NewDevice adds a device's blinding material;
-// a caller provisioning something other than a Device (the components of a
-// decomposed Glimmer) starts from it directly.
+// signing key, predicate and, once VouchDealer has named one, the dealer's
+// identity. A caller provisioning something other than a Device (the
+// components of a decomposed Glimmer) starts from it directly.
 func (s *Service) BasePayload() (glimmer.ProvisionPayload, error) {
 	if s.pred == nil {
 		return glimmer.ProvisionPayload{}, errors.New("service: no predicate set")
@@ -131,25 +139,31 @@ func (s *Service) BasePayload() (glimmer.ProvisionPayload, error) {
 	if err != nil {
 		return glimmer.ProvisionPayload{}, err
 	}
-	return glimmer.ProvisionPayload{
+	payload := glimmer.ProvisionPayload{
 		SigningKey: keyDER,
 		Predicate:  predicate.Encode(s.pred),
-	}, nil
+	}
+	if s.dealer != (tee.Measurement{}) {
+		if payload.AttestationRoot, err = s.verifier.Root.Marshal(); err != nil {
+			return glimmer.ProvisionPayload{}, err
+		}
+		payload.DealerMeasurement = s.dealer[:]
+	}
+	return payload, nil
 }
 
 // NewDevice is the trust path for one client, start to finish: load a
 // Glimmer built from cfg on the platform, vet its measurement, and
-// provision it over the attested channel with the service's signing key
-// and predicate plus masks, this device's dealer blinding material by
-// round (nil for an unblinded device). A device that fails any step is
-// destroyed and nil is returned with the error.
-func (s *Service) NewDevice(platform *tee.Platform, cfg glimmer.Config, masks map[uint64][]uint64, opts ...tee.LoadOption) (*glimmer.Device, error) {
+// provision it over the attested channel with the service's base payload.
+// A device that fails any step is destroyed and nil is returned with the
+// error.
+func (s *Service) NewDevice(platform *tee.Platform, cfg glimmer.Config, opts ...tee.LoadOption) (*glimmer.Device, error) {
 	dev, err := glimmer.NewDevice(platform, cfg, opts...)
 	if err != nil {
 		return nil, err
 	}
 	s.Vet(dev.Measurement())
-	if err := s.provision(dev, masks); err != nil {
+	if err := s.provision(dev); err != nil {
 		dev.Destroy()
 		return nil, err
 	}
@@ -160,14 +174,13 @@ func (s *Service) NewDevice(platform *tee.Platform, cfg glimmer.Config, masks ma
 // already vetted. As a method value it is the hosting hook: what
 // TenantConfig.Provision runs on each enclave loaded for a remote user's
 // session.
-func (s *Service) ProvisionDevice(dev *glimmer.Device) error { return s.provision(dev, nil) }
+func (s *Service) ProvisionDevice(dev *glimmer.Device) error { return s.provision(dev) }
 
-func (s *Service) provision(dev Attestable, masks map[uint64][]uint64) error {
+func (s *Service) provision(dev Attestable) error {
 	payload, err := s.BasePayload()
 	if err != nil {
 		return err
 	}
-	payload.Masks = masks
 	return s.Provision(dev, payload)
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/predicate"
@@ -311,7 +310,7 @@ func TestNewDeviceTrustPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev, err := bare.NewDevice(platform, cfg, nil); err == nil || dev != nil {
+	if dev, err := bare.NewDevice(platform, cfg); err == nil || dev != nil {
 		t.Fatalf("NewDevice without a predicate = (%v, %v), want a nil device and an error", dev, err)
 	}
 
@@ -322,21 +321,11 @@ func TestNewDeviceTrustPath(t *testing.T) {
 	if err := svc.SetPredicate(predicate.UnitRangeCheck("unit-range", dim)); err != nil {
 		t.Fatal(err)
 	}
-	if cfg, err = svc.GlimmerConfig(dim, glimmer.ModeDealer, glimmer.DefaultPolicy); err != nil {
-		t.Fatal(err)
-	}
 	values := []fixed.Vector{fixed.FromFloats([]float64{0.1, 0.2, 0.3, 0.4}), fixed.FromFloats([]float64{0.9, 0.8, 0.7, 0.6})}
-	masks, err := blind.ZeroSumMasks([]byte("trust-path"), len(values), dim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, devs := dealerFleet(t, as, platform, svc, dim, len(values), nil, round)
 	clearSum, blindedSum := fixed.NewVector(dim), fixed.NewVector(dim)
 	for i, value := range values {
-		dev, err := svc.NewDevice(platform, cfg, map[uint64][]uint64{round: glimmer.VectorToBits(masks[i])})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := dev.Contribute(round, value, nil)
+		sc, err := devs[i].Contribute(round, value, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,8 @@ import (
 //
 //	substrate  attestation root + platform (internal/testbed)
 //	tenant     a service, its predicate and keys, and its provisioned fleet
-//	           with dealer masks for a stated round set (internal/testbed)
+//	           blinded by its dealer enclave for a stated round set
+//	           (internal/testbed)
 //	node       one glimmerd process: a Registry hosting tenants, optionally
 //	           a durable.Store under it and a gaas edge in front of it
 //	checker    the violations list and the recurring assertions

@@ -20,7 +20,7 @@ type role int
 
 const (
 	roleHonest role = iota
-	// roleDropout: silent for the round; mask recovered via Shamir.
+	// roleDropout: silent for the round; its mask is in the dealer's reveal.
 	roleDropout
 	// roleByzantine: submits an out-of-range value the Glimmer refuses.
 	roleByzantine
@@ -31,8 +31,11 @@ const (
 // devicePlan is one device's behaviour for one round.
 type devicePlan struct {
 	role role
-	// straggler: the (honest) submission is withheld to race Seal.
-	straggler bool
+	// straggler: the (honest) submission is withheld until the round
+	// seals; beforeSeal says whether it arrives just before Seal or just
+	// after.
+	straggler  bool
+	beforeSeal bool
 	// value is the honest contribution (every element in the predicate's
 	// accepted range; the fixed verdict vector for botdetect tenants).
 	// Range-workload byzantine devices submit a corrupted copy.
@@ -70,6 +73,9 @@ const bogusRoundOffset = 1 << 20
 
 func buildPlan(cfg Config) *plan {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Straggler sides come from their own stream, so drawing them moves no
+	// other decision of the plan.
+	sides := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_51de))
 	p := &plan{rounds: make([]roundPlan, cfg.Rounds)}
 	for r := 0; r < cfg.Rounds; r++ {
 		round := uint64(r + 1)
@@ -134,13 +140,15 @@ func buildPlan(cfg Config) *plan {
 			}
 		}
 		// Stragglers: the highest-indexed honest devices, always leaving
-		// two prompt honest submitters. A straggler races Seal, so it must
-		// not also duplicate (the copy's outcome would depend on the race).
+		// two prompt honest submitters. A straggler is held back until the
+		// seal, so it does not also duplicate (the copy would be submitted
+		// before its original).
 		stragglers := cfg.Faults.Stragglers
 		for d := cfg.Devices - 1; d >= 0 && stragglers > 0 && honest > 2; d-- {
 			dp := &rp.devices[d]
 			if dp.role == roleHonest {
 				dp.straggler = true
+				dp.beforeSeal = sides.Intn(2) == 0
 				dp.duplicate = false
 				stragglers--
 				honest--

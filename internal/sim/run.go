@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/botdetect"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
@@ -33,16 +32,10 @@ type item struct {
 	value fixed.Vector
 }
 
-// dropKey identifies one planned dropout.
-type dropKey struct {
-	round  uint64
-	device int
-}
-
 // roundState is what the run has observed during one round's step.
 type roundState struct {
 	// tally counts outcomes (the cohort, its injections, and its
-	// seal-racing stragglers).
+	// stragglers).
 	tally Tally
 	// sum accumulates the honest values of the accepted contributions —
 	// the exact sum the sealed aggregate must equal.
@@ -50,8 +43,8 @@ type roundState struct {
 	// accepted[d] is device d's accepted encoded contribution, kept for
 	// duplicate and replay injections.
 	accepted map[int][]byte
-	// lost marks devices whose straggling submission lost the race; their
-	// masks need dropout correction.
+	// lost marks devices whose straggling submission came after the seal;
+	// their masks need dropout correction.
 	lost map[int]bool
 	// stragglers are generated at the round's step and released when the
 	// round seals.
@@ -76,9 +69,6 @@ type simulation struct {
 	// otherwise): a deterministic fake the expiry probe advances, so the
 	// trace stays a pure function of the configuration.
 	clock *atomic.Int64
-	// dropShares holds the Shamir shares of each planned dropout's mask,
-	// distributed at provisioning time.
-	dropShares map[dropKey][]blind.Share
 	// soleTenant marks this simulation as the registry's only tenant, so
 	// registry-level rejection accounting can be reconciled here; a
 	// MultiScenario reconciles the shared counter across its tenants
@@ -170,14 +160,13 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		return nil, err
 	}
 	s := &simulation{
-		script:     newScript(t, st),
-		name:       name,
-		cfg:        cfg,
-		plan:       p,
-		st:         st,
-		clock:      clock,
-		dropShares: make(map[dropKey][]blind.Share),
-		rounds:     make(map[uint64]*roundState),
+		script: newScript(t, st),
+		name:   name,
+		cfg:    cfg,
+		plan:   p,
+		st:     st,
+		clock:  clock,
+		rounds: make(map[uint64]*roundState),
 	}
 	if err := s.open(); err != nil {
 		s.shutdown()
@@ -186,25 +175,12 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 	return s, nil
 }
 
-// open Shamir-shares the masks of planned dropouts among the other
-// devices, hosts the tenant, builds its submission lanes into the shared
+// open hosts the tenant, builds its submission lanes into the shared
 // node — in-process registry calls, or gaas clients (each dialing the
 // shared front end and naming this tenant in its hello) — and, ticketed,
 // runs each device's grant exchange through them. The grant window covers
 // the plan's bogus rounds deliberately — see the ticket policy above.
 func (s *simulation) open() (err error) {
-	for _, rp := range s.plan.rounds {
-		for d, dp := range rp.devices {
-			if dp.role != roleDropout {
-				continue
-			}
-			shares, err := blind.ShareMask(s.t.Masks[rp.round][d], s.cfg.Devices-1, s.cfg.ShamirThreshold)
-			if err != nil {
-				return fmt.Errorf("sim: sharing dropout mask (round %d, device %d): %w", rp.round, d, err)
-			}
-			s.dropShares[dropKey{rp.round, d}] = shares
-		}
-	}
 	hosted, err := s.st.Registry().AddTenant(s.t.Config())
 	if err != nil {
 		return fmt.Errorf("sim: tenant: %w", err)
@@ -285,8 +261,8 @@ func (s *simulation) recordReject(round uint64, cat string) {
 
 // run plays the plan as a scenario: for each step r, submit round r's
 // cohort and injections, close round r-Overlap (verifying post-close
-// immutability), and seal round r-Overlap+1 with its stragglers racing the
-// Seal; then drain the remaining open rounds, fire the ticket probes, and
+// immutability), and seal round r-Overlap+1 with its stragglers on the
+// planned sides of the Seal; then drain the remaining open rounds, fire the ticket probes, and
 // reconcile the global rejection accounting.
 func (s *simulation) run() (*Report, error) {
 	start := time.Now()
@@ -562,27 +538,31 @@ func (s *simulation) ticketProbes(*script) error {
 	return nil
 }
 
-// sealRound releases the round's stragglers to race Seal, settles the
-// cohort, applies dropout corrections (Shamir recovery for dropouts), and
-// checks the end-of-round invariants: accepted count matches, and the
-// corrected aggregate equals the exact sum of accepted honest values.
+// sealRound plays the round's stragglers on the sides of the seal the plan
+// drew (those before are submitted and answered, then the round seals,
+// then those after are submitted), applies the dealer's dropout
+// correction, and checks the end-of-round invariants: accepted count
+// matches, and the corrected aggregate equals the exact sum of accepted
+// honest values.
 func (s *simulation) sealRound(g uint64) step {
 	return func(*script) error {
 		s.mu.Lock()
 		rs := s.state(g)
 		s.mu.Unlock()
-		var wg sync.WaitGroup
+		var after []item
 		for _, it := range rs.stragglers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
+			if s.plan.rounds[g-1].devices[it.device].beforeSeal {
 				s.submitStraggler(g, it)
-			}()
+			} else {
+				after = append(after, it)
+			}
 		}
 		if err := s.manager.Seal(g); err != nil {
 			s.violate("round %d: seal failed: %v", g, err)
 		}
-		wg.Wait()
+		for _, it := range after {
+			s.submitStraggler(g, it)
+		}
 
 		p, ok := s.manager.Lookup(g)
 		if !ok {
@@ -605,8 +585,8 @@ func (s *simulation) sealRound(g uint64) step {
 	}
 }
 
-// submitStraggler ships one held-back contribution, racing the caller's
-// Seal. Either outcome is legal; both feed the invariants.
+// submitStraggler ships one held-back contribution. Accepted and
+// ErrRoundSealed are its only legal outcomes; both feed the invariants.
 func (s *simulation) submitStraggler(g uint64, it item) {
 	accepted, errs, err := s.pool.submit([][]byte{it.raw})
 	if err != nil {
@@ -627,37 +607,38 @@ func (s *simulation) submitStraggler(g uint64, it item) {
 	s.mu.Unlock()
 }
 
-// correctAbsentees removes the uncancelled dealer masks of every device
-// whose contribution did not enter the sealed aggregate: dropouts (mask
-// reconstructed from Shamir shares, as survivors would), byzantine and
-// tampered devices, and stragglers that lost the race.
+// correctAbsentees asks the tenant's dealer, once, for the sum of the masks
+// of every device whose contribution did not enter the sealed aggregate —
+// dropouts, byzantine and tampered devices, and stragglers that came after
+// the seal — and removes it with one dropout correction. It returns the number
+// of dropouts the correction covered.
 func (s *simulation) correctAbsentees(g uint64, rs *roundState, p *service.Pipeline) int {
-	recovered := 0
+	var absent []uint32
+	dropouts := 0
 	for d, dp := range s.plan.rounds[g-1].devices {
-		mask := s.t.Masks[g][d]
 		switch {
 		case dp.role == roleDropout:
-			k := s.cfg.ShamirThreshold
-			rec, err := blind.RecoverSharedMask(s.dropShares[dropKey{g, d}][:k], k, s.cfg.Dim)
-			if err != nil {
-				s.violate("round %d device %d: shamir recovery: %v", g, d, err)
-				continue
-			}
-			if !slices.Equal(rec, mask) {
-				s.violate("round %d device %d: shamir-recovered mask differs from dealt mask", g, d)
-			}
-			mask = rec
-			recovered++
+			dropouts++
 		case dp.role == roleByzantine, dp.role == roleCorruptSig, dp.straggler && rs.lost[d]:
 			// Never submitted or refused: the dealt mask is still out.
 		default:
 			continue
 		}
-		if err := p.CorrectDropout(mask); err != nil {
-			s.violate("round %d device %d: dropout correction refused: %v", g, d, err)
-		}
+		absent = append(absent, uint32(d))
 	}
-	return recovered
+	if len(absent) == 0 {
+		return 0
+	}
+	mask, err := s.t.Reveal(g, absent)
+	if err != nil {
+		s.violate("round %d: dealer reveal: %v", g, err)
+		return 0
+	}
+	if err := p.CorrectDropout(mask); err != nil {
+		s.violate("round %d: dropout correction refused: %v", g, err)
+		return 0
+	}
+	return dropouts
 }
 
 // closeRound closes a sealed round and verifies post-close immutability:

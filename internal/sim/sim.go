@@ -8,10 +8,10 @@
 // The simulator is the proving ground for the paper's end-to-end loop
 // (provision → validate → blind → sign → batch-submit → dedup → seal →
 // dropout-correct → exact sum) at fleet scale and under adversarial
-// conditions: dropouts recovered via Shamir-shared masks, duplicate and
+// conditions: dropouts corrected by the dealer's reveal, duplicate and
 // replayed submissions, corrupted signatures and frames, out-of-window
 // round numbers, byzantine clients pushing out-of-range values, and slow
-// stragglers racing Seal. After every round it checks the invariants the
+// stragglers arriving on either side of Seal. After every round it checks the invariants the
 // design promises:
 //
 //   - the sealed aggregate equals the exact sum of the honest
@@ -23,13 +23,12 @@
 //   - no dropout correction is possible after Close, and the closed
 //     aggregate is immutable.
 //
-// Determinism: all workload decisions (values, fault roles, schedules) are
-// drawn from a single seeded generator in a planning pass before any
-// concurrency starts, so the same seed yields the same accept/reject/sum
-// trace. The one deliberate exception is stragglers, which race Seal by
-// design; plans with Stragglers > 0 have a nondeterministic straggler
-// outcome (observed and accounted either way), so reproducibility
-// comparisons should use plans without them.
+// Determinism: all workload decisions (values, fault roles, schedules,
+// and which side of Seal each straggler lands on) are drawn from the seed
+// in a planning pass before any concurrency starts, so the same seed
+// yields the same accept/reject/sum trace, stragglers included. The real
+// race between a submission and Seal is pinned by the service's own tests
+// (TestDropoutRacesSeal), not here.
 package sim
 
 import (
@@ -77,9 +76,9 @@ func (t TransportKind) String() string {
 // submission. All selections are drawn deterministically from the
 // simulation seed.
 type FaultPlan struct {
-	// DropoutRate: the device goes silent for the round. Its dealer mask
-	// is Shamir-shared at provisioning time; the simulator reconstructs it
-	// from surviving shares and applies CorrectDropout.
+	// DropoutRate: the device goes silent for the round. At seal the
+	// tenant's dealer reveals the sum of every absent device's mask, and
+	// the simulator applies it with one CorrectDropout.
 	DropoutRate float64
 	// ByzantineRate: the device submits an out-of-range contribution. The
 	// Glimmer's validation predicate refuses it client-side, so nothing
@@ -104,8 +103,9 @@ type FaultPlan struct {
 	OutOfWindowRate float64
 
 	// Stragglers is the number of honest devices per round whose
-	// submission is withheld until it races Seal. Each straggler is
-	// submitted individually and its observed outcome (accepted or
+	// submission is withheld until the round seals. The seed decides, per
+	// straggler, whether it arrives just before Seal or just after; each
+	// is submitted individually and its observed outcome (accepted or
 	// ErrRoundSealed) feeds the invariant checks either way.
 	Stragglers int
 }
@@ -152,9 +152,6 @@ type Config struct {
 	// Submitters is the number of concurrent submission lanes — parallel
 	// gaas connections or concurrent IngestBatch callers (default 4).
 	Submitters int
-	// ShamirThreshold is k for dropout mask recovery (default: majority
-	// of the other devices).
-	ShamirThreshold int
 	// Faults is the adversarial workload.
 	Faults FaultPlan
 
@@ -206,9 +203,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ServiceName == "" {
 		c.ServiceName = "sim.glimmers.example"
 	}
-	if c.ShamirThreshold == 0 {
-		c.ShamirThreshold = (c.Devices-1)/2 + 1
-	}
 	switch {
 	case c.Devices < 4:
 		return c, fmt.Errorf("sim: need at least 4 devices, got %d", c.Devices)
@@ -218,8 +212,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("sim: overlap %d outside [1, %d]", c.Overlap, c.Rounds)
 	case c.Dim < 1:
 		return c, fmt.Errorf("sim: dimension must be positive, got %d", c.Dim)
-	case c.ShamirThreshold < 1 || c.ShamirThreshold > c.Devices-1:
-		return c, fmt.Errorf("sim: shamir threshold %d outside [1, %d]", c.ShamirThreshold, c.Devices-1)
 	case c.Faults.Stragglers < 0 || c.Faults.Stragglers > c.Devices-2:
 		return c, fmt.Errorf("sim: stragglers %d outside [0, %d]", c.Faults.Stragglers, c.Devices-2)
 	}
@@ -304,8 +296,8 @@ type RoundReport struct {
 	// Exact reports whether the corrected sealed aggregate equals the
 	// exact sum of the accepted honest contributions.
 	Exact bool
-	// DropoutsRecovered counts masks reconstructed from Shamir shares and
-	// applied via CorrectDropout.
+	// DropoutsRecovered counts the dropouts whose masks the dealer's
+	// reveal covered and CorrectDropout removed.
 	DropoutsRecovered int
 }
 

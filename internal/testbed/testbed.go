@@ -4,7 +4,8 @@
 //
 //	Substrate  attestation root + platform: what outlives every process
 //	Tenant     a service, its predicate and keys, its hosting enclave, and
-//	           its provisioned fleet with dealer masks for a stated round set
+//	           its provisioned fleet, blinded by an attested dealer enclave
+//	           for a stated round set
 //
 // This is the paper's trust path (§3, Figure 3) written once: an
 // attestation root certifies a platform, a service trusting the root picks
@@ -17,7 +18,6 @@ package testbed
 import (
 	"fmt"
 
-	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/predicate"
@@ -79,8 +79,8 @@ type TenantSpec struct {
 
 // Tenant is everything about a tenant that lives outside any server
 // process, so no node crash erases it: its cloud service (keys and
-// predicate — the operator's config) and its provisioned Glimmer fleet
-// (the clients).
+// predicate — the operator's config), its provisioned Glimmer fleet (the
+// clients), and the dealer enclave that blinds the fleet.
 type Tenant struct {
 	TenantSpec
 	*Substrate
@@ -90,10 +90,10 @@ type Tenant struct {
 	// and is what the tenant's clients pin.
 	HostCfg glimmer.Config
 	Devs    []*glimmer.Device
-	// Masks[r][i] is device i's dealer mask for round r (real and bogus
-	// rounds alike). The testbed plays the §3 trusted dealer, so it
-	// legitimately knows every mask.
-	Masks map[uint64][]fixed.Vector
+	// dealer is the §3 trusted blinding service: an attested enclave the
+	// testbed hosts, not plays. It alone holds the masks; the testbed only
+	// relays its ciphertext records to the fleet.
+	dealer *glimmer.DealerHost
 }
 
 // NewTenant provisions spec on a fresh substrate.
@@ -105,9 +105,11 @@ func NewTenant(spec TenantSpec) (*Tenant, error) {
 	return sub.Provision(spec)
 }
 
-// Provision creates the tenant's service, vets its hosting enclave, deals
-// each round's zero-sum masks, and loads and provisions one Glimmer device
-// per client.
+// Provision creates the tenant's service, vets its hosting enclave, loads
+// the tenant's dealer enclave and has the service vouch for it, loads and
+// provisions one Glimmer device per client, enrolls device i at cohort
+// index i, and relays each round's dealt records to the fleet. The dealer
+// is seeded from the spec, so every seeded run deals the same masks.
 func (sub *Substrate) Provision(spec TenantSpec) (*Tenant, error) {
 	pred := spec.Predicate
 	if pred == nil {
@@ -117,41 +119,88 @@ func (sub *Substrate) Provision(spec TenantSpec) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tenant{TenantSpec: spec, Substrate: sub, Svc: svc, Masks: make(map[uint64][]fixed.Vector, len(spec.Rounds))}
+	t := &Tenant{TenantSpec: spec, Substrate: sub, Svc: svc}
 	if t.HostCfg, err = svc.GlimmerConfig(spec.Dim, glimmer.ModeNone, glimmer.DefaultPolicy); err != nil {
 		return nil, err
 	}
 	svc.Vet(t.Measurement())
-	for _, round := range spec.Rounds {
-		// The seed's format pins every seeded run's masks.
-		seed := fmt.Appendf(nil, "sim/%s/%d/masks/%d", spec.Name, spec.Seed, round)
-		if t.Masks[round], err = blind.ZeroSumMasks(seed, spec.Devices, spec.Dim); err != nil {
-			return nil, fmt.Errorf("testbed: dealer masks for round %d: %w", round, err)
-		}
-	}
 	glimCfg, err := svc.GlimmerConfig(spec.Dim, glimmer.ModeDealer, glimmer.DefaultPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: glimmer config: %w", err)
 	}
-	for i := 0; i < spec.Devices; i++ {
-		masks := make(map[uint64][]uint64, len(t.Masks))
-		for round, dealt := range t.Masks {
-			masks[round] = glimmer.VectorToBits(dealt[i])
-		}
-		dev, err := svc.NewDevice(sub.Platform, glimCfg, masks)
-		if err != nil {
-			t.Destroy()
-			return nil, fmt.Errorf("testbed: device %d: %w", i, err)
-		}
-		t.Devs = append(t.Devs, dev)
+	rootDER, err := sub.AS.Root().Marshal()
+	if err != nil {
+		return nil, fmt.Errorf("testbed: attestation root: %w", err)
+	}
+	t.dealer, err = glimmer.NewDealerHost(sub.Platform, glimmer.DealerConfig{
+		ServiceName:     spec.Name,
+		AttestationRoot: rootDER,
+		AllowedClient:   glimmer.BuildBinary(glimCfg).Measurement(),
+		Seed:            fmt.Appendf(nil, "sim/%s/%d", spec.Name, spec.Seed),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("testbed: %w", err)
+	}
+	svc.VouchDealer(t.dealer.Measurement())
+	if err := t.provisionFleet(glimCfg); err != nil {
+		t.Destroy()
+		return nil, err
 	}
 	return t, nil
 }
 
-// Destroy tears down the tenant's fleet.
+// provisionFleet loads, provisions and enrolls the spec's devices, then
+// deals every round of the spec to them.
+func (t *Tenant) provisionFleet(cfg glimmer.Config) error {
+	for i := 0; i < t.Devices; i++ {
+		dev, err := t.Svc.NewDevice(t.Platform, cfg)
+		if err != nil {
+			return fmt.Errorf("testbed: device %d: %w", i, err)
+		}
+		t.Devs = append(t.Devs, dev)
+		hello, err := dev.DealerHello()
+		if err != nil {
+			return fmt.Errorf("testbed: device %d dealer hello: %w", i, err)
+		}
+		resp, err := t.dealer.Enroll(uint32(i), hello)
+		if err != nil {
+			return fmt.Errorf("testbed: device %d enroll: %w", i, err)
+		}
+		if err := dev.DealerComplete(resp); err != nil {
+			return fmt.Errorf("testbed: device %d dealer handshake: %w", i, err)
+		}
+	}
+	if t.Devices == 0 {
+		return nil
+	}
+	for _, round := range t.Rounds {
+		records, err := t.dealer.Distribute(t.Dim, round)
+		if err != nil {
+			return fmt.Errorf("testbed: dealing round %d: %w", round, err)
+		}
+		for i, dev := range t.Devs {
+			if err := dev.InstallMask(records[uint32(i)]); err != nil {
+				return fmt.Errorf("testbed: device %d round %d mask: %w", i, round, err)
+			}
+		}
+	}
+	return nil
+}
+
+// Reveal asks the tenant's dealer for the sum of the absent devices' masks
+// for a dealt round: the dropout correction for devices whose
+// contributions never entered it. The dealer answers each round once.
+func (t *Tenant) Reveal(round uint64, absent []uint32) (fixed.Vector, error) {
+	return t.dealer.Reveal(round, absent)
+}
+
+// Destroy tears down the tenant's fleet and its dealer.
 func (t *Tenant) Destroy() {
 	for _, dev := range t.Devs {
 		dev.Destroy()
+	}
+	if t.dealer != nil {
+		t.dealer.Destroy()
 	}
 }
 
@@ -163,7 +212,7 @@ func (t *Tenant) Measurement() tee.Measurement {
 // NewDevice runs the trust path (Service.NewDevice) for one more client
 // outside the fleet: an unblinded Glimmer of the hosting configuration.
 func (t *Tenant) NewDevice() (*glimmer.Device, error) {
-	return t.Svc.NewDevice(t.Platform, t.HostCfg, nil)
+	return t.Svc.NewDevice(t.Platform, t.HostCfg)
 }
 
 // Config is the tenant's registration on one server life — what glimmerd

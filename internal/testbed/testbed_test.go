@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/service"
 )
 
-// TestProvisionedTenantEndToEnd: the dealer's masks cancel round by round,
-// Config vets the hosting enclave and the fleet, its hosting hook
+// TestProvisionedTenantEndToEnd: the tenant's seeded dealer deals the
+// masks the seed names and reveals each round once, Config vets the hosting enclave and the fleet, its hosting hook
 // provisions a fresh enclave, and a registry hosting Config takes the whole
 // fleet's ticketed contributions to the exact clear sum.
 func TestProvisionedTenantEndToEnd(t *testing.T) {
@@ -22,14 +23,15 @@ func TestProvisionedTenantEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tn.Destroy()
-	for round, masks := range tn.Masks {
-		sum := fixed.NewVector(dim)
-		for _, m := range masks {
-			sum.AddInPlace(m)
-		}
-		if !slices.Equal(sum, fixed.NewVector(dim)) || len(masks) != devices {
-			t.Errorf("round %d: %d masks summing to %v, want %d summing to zero", round, len(masks), sum, devices)
-		}
+	dealt, err := blind.ZeroSumMasks([]byte("sim/testbed.example/7/masks/2"), devices, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tn.Reveal(2, []uint32{1}); err != nil || !slices.Equal(got, dealt[1]) {
+		t.Errorf("reveal of device 1 in round 2 = (%v, %v), want %v", got, err, dealt[1])
+	}
+	if _, err := tn.Reveal(2, []uint32{0}); err == nil {
+		t.Error("the dealer revealed round 2 twice")
 	}
 
 	cfg := tn.Config()
