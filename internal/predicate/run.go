@@ -3,7 +3,6 @@ package predicate
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Runtime errors.
@@ -52,7 +51,7 @@ func (t *Trace) append(taken bool) {
 	t.n++
 }
 
-// value is one tainted stack slot.
+// value is one tainted local slot.
 type value struct {
 	v      int64
 	secret bool
@@ -60,73 +59,75 @@ type value struct {
 
 type loopFrame struct {
 	start     int // pc of OpLoop
-	end       int // pc of OpEndLoop
 	remaining int64
 	index     int64
 }
+
+// effect is one opcode's stack pops and pushes; effects is stackEffect as
+// a table, so a step indexes it instead of calling through a switch.
+type effect struct{ pops, pushes int }
+
+var effects = func() (t [256]effect) {
+	for op := range t {
+		t[op].pops, t[op].pushes = stackEffect(Op(op))
+	}
+	return t
+}()
 
 // Run executes a program over the two input banks. It enforces the same
 // safety properties dynamically that Verify proves statically (step budget,
 // stack bounds, taint discipline), so even an unverified program cannot
 // leak or diverge — it can only fail.
+//
+// The machine state lives in fixed arrays on Run's stack: the operand
+// stack as values and taints indexed by sp (MaxStack bounds it
+// dynamically), the locals and the loop frames (spilling to the heap only
+// for an unverified program beyond MaxLocals or MaxNesting), and the loop
+// ends of a program up to len(endsBuf) instructions.
 func Run(p *Program, contribution, private []int64, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	budget := opts.MaxSteps
-	if budget <= 0 {
-		budget = MaxCost
-	}
-
-	// Precompute loop matching.
-	ends := make(map[int]int)
-	var open []int
-	for pc, ins := range p.Code {
-		switch ins.Op {
-		case OpLoop:
-			open = append(open, pc)
-		case OpEndLoop:
-			if len(open) == 0 {
-				return nil, fmt.Errorf("%w: endloop without loop at pc %d", ErrLoopStructure, pc)
-			}
-			ends[open[len(open)-1]] = pc
-			open = open[:len(open)-1]
+	budget := int64(MaxCost)
+	var trace *Trace
+	if opts != nil {
+		if opts.MaxSteps > 0 {
+			budget = opts.MaxSteps
+		}
+		if opts.RecordTrace {
+			trace = &Trace{}
 		}
 	}
-	if len(open) != 0 {
-		return nil, fmt.Errorf("%w: unclosed loop", ErrLoopStructure)
+	var endsBuf [256]int32
+	ends, err := matchLoops(p.Code, endsBuf[:])
+	if err != nil {
+		return nil, err
 	}
 
 	var (
-		stack  []value
-		locals = make([]value, p.Locals)
-		frames []loopFrame
-		steps  int64
-		trace  *Trace
+		vals      [MaxStack]int64
+		taint     [MaxStack]bool
+		sp        int
+		localsBuf [MaxLocals]value
+		framesBuf [MaxNesting]loopFrame
+		frames    = framesBuf[:0]
+		steps     int64
 	)
-	if opts.RecordTrace {
-		trace = &Trace{}
+	var locals []value
+	if p.Locals <= MaxLocals {
+		locals = localsBuf[:p.Locals]
+	} else {
+		locals = make([]value, p.Locals)
 	}
 
-	pop := func() value {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
-	}
-	push := func(v value) {
-		stack = append(stack, v)
-	}
-
-	for pc := 0; pc < len(p.Code); {
+	code := p.Code
+	for pc := 0; pc < len(code); {
 		if steps++; steps > budget {
 			return nil, fmt.Errorf("%w: %d steps", ErrStepBudget, budget)
 		}
-		ins := p.Code[pc]
-		pops, pushes := stackEffect(ins.Op)
-		if len(stack) < pops {
+		ins := code[pc]
+		e := effects[ins.Op]
+		if sp < e.pops {
 			return nil, fmt.Errorf("%w: underflow at pc %d (%s)", ErrStackDepth, pc, ins)
 		}
-		if len(stack)-pops+pushes > MaxStack {
+		if sp-e.pops+e.pushes > MaxStack {
 			return nil, fmt.Errorf("%w: at pc %d", ErrStackOverflow, pc)
 		}
 
@@ -134,132 +135,152 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 		case OpHalt:
 			return nil, ErrHaltNoVerdict
 		case OpPush:
-			push(value{v: ins.Arg})
+			vals[sp], taint[sp] = ins.Arg, false
+			sp++
 		case OpLoadC:
 			if ins.Arg < 0 || ins.Arg >= int64(len(contribution)) {
 				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, ins.Arg, len(contribution))
 			}
-			push(value{v: contribution[ins.Arg], secret: true})
+			vals[sp], taint[sp] = contribution[ins.Arg], true
+			sp++
 		case OpLoadP:
 			if ins.Arg < 0 || ins.Arg >= int64(len(private)) {
 				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, ins.Arg, len(private))
 			}
-			push(value{v: private[ins.Arg], secret: true})
+			vals[sp], taint[sp] = private[ins.Arg], true
+			sp++
 		case OpLoadCI:
-			idx := pop()
-			if idx.v < 0 || idx.v >= int64(len(contribution)) {
-				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, idx.v, len(contribution))
+			idx := vals[sp-1]
+			if idx < 0 || idx >= int64(len(contribution)) {
+				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, idx, len(contribution))
 			}
-			push(value{v: contribution[idx.v], secret: true})
+			vals[sp-1], taint[sp-1] = contribution[idx], true
 		case OpLoadPI:
-			idx := pop()
-			if idx.v < 0 || idx.v >= int64(len(private)) {
-				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, idx.v, len(private))
+			idx := vals[sp-1]
+			if idx < 0 || idx >= int64(len(private)) {
+				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, idx, len(private))
 			}
-			push(value{v: private[idx.v], secret: true})
+			vals[sp-1], taint[sp-1] = private[idx], true
 		case OpLenC:
-			push(value{v: int64(len(contribution))})
+			vals[sp], taint[sp] = int64(len(contribution)), false
+			sp++
 		case OpLenP:
-			push(value{v: int64(len(private))})
+			vals[sp], taint[sp] = int64(len(private)), false
+			sp++
 		case OpLoad:
 			if ins.Arg < 0 || ins.Arg >= int64(len(locals)) {
 				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, len(locals), pc)
 			}
-			push(locals[ins.Arg])
+			l := locals[ins.Arg]
+			vals[sp], taint[sp] = l.v, l.secret
+			sp++
 		case OpStore:
 			if ins.Arg < 0 || ins.Arg >= int64(len(locals)) {
 				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, len(locals), pc)
 			}
-			locals[ins.Arg] = pop()
+			sp--
+			locals[ins.Arg] = value{v: vals[sp], secret: taint[sp]}
 		case OpIdx:
 			k := int(ins.Arg)
 			if k < 0 || k >= len(frames) {
 				return nil, fmt.Errorf("%w: idx %d with %d active loops at pc %d", ErrBadArg, k, len(frames), pc)
 			}
-			push(value{v: frames[len(frames)-1-k].index})
-		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpMin, OpMax,
-			OpLt, OpLe, OpGt, OpGe, OpEq, OpNe, OpAnd, OpOr:
-			b := pop()
-			a := pop()
-			r, err := binaryOp(ins.Op, a.v, b.v)
-			if err != nil {
-				return nil, fmt.Errorf("%w at pc %d", err, pc)
+			vals[sp], taint[sp] = frames[len(frames)-1-k].index, false
+			sp++
+		case OpAdd:
+			sp = binary(&vals, &taint, sp, vals[sp-2]+vals[sp-1])
+		case OpSub:
+			sp = binary(&vals, &taint, sp, vals[sp-2]-vals[sp-1])
+		case OpMul:
+			sp = binary(&vals, &taint, sp, vals[sp-2]*vals[sp-1])
+		case OpDiv, OpMod:
+			if vals[sp-1] == 0 {
+				return nil, fmt.Errorf("%w at pc %d", ErrDivByZero, pc)
 			}
-			push(value{v: r, secret: a.secret || b.secret})
+			// Go defines MinInt64 / -1 as MinInt64 and MinInt64 % -1 as 0
+			// (two's-complement wrap), so neither panics.
+			r := vals[sp-2] % vals[sp-1]
+			if ins.Op == OpDiv {
+				r = vals[sp-2] / vals[sp-1]
+			}
+			sp = binary(&vals, &taint, sp, r)
+		case OpMin:
+			sp = binary(&vals, &taint, sp, min(vals[sp-2], vals[sp-1]))
+		case OpMax:
+			sp = binary(&vals, &taint, sp, max(vals[sp-2], vals[sp-1]))
+		case OpLt:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] < vals[sp-1]))
+		case OpLe:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] <= vals[sp-1]))
+		case OpGt:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] > vals[sp-1]))
+		case OpGe:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] >= vals[sp-1]))
+		case OpEq:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] == vals[sp-1]))
+		case OpNe:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] != vals[sp-1]))
+		case OpAnd:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] != 0 && vals[sp-1] != 0))
+		case OpOr:
+			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] != 0 || vals[sp-1] != 0))
 		case OpNeg:
-			a := pop()
-			push(value{v: -a.v, secret: a.secret})
+			vals[sp-1] = -vals[sp-1]
 		case OpAbs:
-			a := pop()
-			v := a.v
-			if v < 0 {
-				v = -v
+			if vals[sp-1] < 0 {
+				vals[sp-1] = -vals[sp-1]
 			}
-			push(value{v: v, secret: a.secret})
 		case OpNot:
-			a := pop()
-			push(value{v: boolToInt(a.v == 0), secret: a.secret})
+			vals[sp-1] = boolToInt(vals[sp-1] == 0)
 		case OpDup:
-			a := pop()
-			push(a)
-			push(a)
+			vals[sp], taint[sp] = vals[sp-1], taint[sp-1]
+			sp++
 		case OpPop:
-			pop()
+			sp--
 		case OpSwap:
-			b := pop()
-			a := pop()
-			push(b)
-			push(a)
+			vals[sp-2], vals[sp-1] = vals[sp-1], vals[sp-2]
+			taint[sp-2], taint[sp-1] = taint[sp-1], taint[sp-2]
 		case OpOver:
-			b := pop()
-			a := pop()
-			push(a)
-			push(b)
-			push(a)
+			vals[sp], taint[sp] = vals[sp-2], taint[sp-2]
+			sp++
 		case OpSelect:
-			cond := pop()
-			onFalse := pop()
-			onTrue := pop()
-			out := onFalse
-			if cond.v != 0 {
-				out = onTrue
+			// onTrue, onFalse, cond from the bottom; the result takes the
+			// taint of all three.
+			if vals[sp-1] == 0 {
+				vals[sp-3] = vals[sp-2]
 			}
-			out.secret = out.secret || cond.secret || onTrue.secret || onFalse.secret
-			push(out)
+			taint[sp-3] = taint[sp-3] || taint[sp-2] || taint[sp-1]
+			sp -= 2
 		case OpJmp:
 			target := int64(pc) + 1 + ins.Arg
-			if target < 0 || target > int64(len(p.Code)) {
+			if target < 0 || target > int64(len(code)) {
 				return nil, fmt.Errorf("%w: jump to %d at pc %d", ErrJumpTarget, target, pc)
 			}
 			pc = int(target)
 			continue
 		case OpJz:
-			cond := pop()
-			if cond.secret {
+			sp--
+			if taint[sp] {
 				return nil, fmt.Errorf("%w: at pc %d", ErrSecretBranch, pc)
 			}
-			taken := cond.v == 0
+			taken := vals[sp] == 0
 			if trace != nil {
 				trace.append(taken)
 			}
 			if taken {
 				target := int64(pc) + 1 + ins.Arg
-				if target < 0 || target > int64(len(p.Code)) {
+				if target < 0 || target > int64(len(code)) {
 					return nil, fmt.Errorf("%w: jump to %d at pc %d", ErrJumpTarget, target, pc)
 				}
 				pc = int(target)
 				continue
 			}
 		case OpLoop:
-			end, ok := ends[pc]
-			if !ok {
-				return nil, fmt.Errorf("%w: loop without end at pc %d", ErrLoopStructure, pc)
-			}
 			if ins.Arg == 0 {
-				pc = end + 1
+				pc = int(ends[pc]) + 1
 				continue
 			}
-			frames = append(frames, loopFrame{start: pc, end: end, remaining: ins.Arg, index: 0})
+			frames = append(frames, loopFrame{start: pc, remaining: ins.Arg})
 		case OpEndLoop:
 			if len(frames) == 0 {
 				// Reachable only by jumping into a loop body, which the
@@ -275,14 +296,13 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 			}
 			frames = frames[:len(frames)-1]
 		case OpDeclass:
-			a := pop()
-			push(value{v: a.v})
+			taint[sp-1] = false
 		case OpVerdict:
-			v := pop()
-			if v.secret {
+			sp--
+			if taint[sp] {
 				return nil, fmt.Errorf("%w: at pc %d", ErrTaintedVerdict, pc)
 			}
-			return &Result{Verdict: v.v, Steps: steps, Trace: trace}, nil
+			return &Result{Verdict: vals[sp], Steps: steps, Trace: trace}, nil
 		default:
 			return nil, fmt.Errorf("%w: %s at pc %d", ErrBadOp, ins.Op, pc)
 		}
@@ -291,59 +311,11 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 	return nil, ErrHaltNoVerdict
 }
 
-func binaryOp(op Op, a, b int64) (int64, error) {
-	switch op {
-	case OpAdd:
-		return a + b, nil
-	case OpSub:
-		return a - b, nil
-	case OpMul:
-		return a * b, nil
-	case OpDiv:
-		if b == 0 {
-			return 0, ErrDivByZero
-		}
-		if a == math.MinInt64 && b == -1 {
-			// Two's-complement wrap: Go's / panics on this one case.
-			return a, nil
-		}
-		return a / b, nil
-	case OpMod:
-		if b == 0 {
-			return 0, ErrDivByZero
-		}
-		if a == math.MinInt64 && b == -1 {
-			return 0, nil
-		}
-		return a % b, nil
-	case OpMin:
-		if a < b {
-			return a, nil
-		}
-		return b, nil
-	case OpMax:
-		if a > b {
-			return a, nil
-		}
-		return b, nil
-	case OpLt:
-		return boolToInt(a < b), nil
-	case OpLe:
-		return boolToInt(a <= b), nil
-	case OpGt:
-		return boolToInt(a > b), nil
-	case OpGe:
-		return boolToInt(a >= b), nil
-	case OpEq:
-		return boolToInt(a == b), nil
-	case OpNe:
-		return boolToInt(a != b), nil
-	case OpAnd:
-		return boolToInt(a != 0 && b != 0), nil
-	case OpOr:
-		return boolToInt(a != 0 || b != 0), nil
-	}
-	return 0, fmt.Errorf("%w: %s", ErrBadOp, op)
+// binary replaces a binary op's two operands with its result r, tainted
+// if either operand was, and returns the new stack pointer.
+func binary(vals *[MaxStack]int64, taint *[MaxStack]bool, sp int, r int64) int {
+	vals[sp-2], taint[sp-2] = r, taint[sp-2] || taint[sp-1]
+	return sp - 1
 }
 
 func boolToInt(b bool) int64 {

@@ -116,11 +116,39 @@ func stackEffect(op Op) (int, int) {
 	return 0, 0
 }
 
-// loopInfo holds matched loop structure.
-type loopInfo struct {
-	start int // pc of OpLoop
-	end   int // pc of OpEndLoop
-	count int64
+// matchLoops pairs every OpLoop with the OpEndLoop that closes it: for each
+// pair, match[start] is end and match[end] is start (other entries are
+// meaningless). It reuses buf when the program fits, so the interpreter can
+// match on its stack. Run and Verify both take their loop structure from it.
+func matchLoops(code []Instr, buf []int32) ([]int32, error) {
+	match := buf[:0]
+	if len(code) <= cap(buf) {
+		match = buf[:len(code)]
+	} else {
+		match = make([]int32, len(code))
+	}
+	open := 0 // the open loops' starts are chained through match
+	top := int32(-1)
+	for pc, ins := range code {
+		switch ins.Op {
+		case OpLoop:
+			match[pc] = top
+			top = int32(pc)
+			open++
+		case OpEndLoop:
+			if open == 0 {
+				return nil, fmt.Errorf("%w: endloop without loop at pc %d", ErrLoopStructure, pc)
+			}
+			start := top
+			top = match[start]
+			match[start], match[pc] = int32(pc), start
+			open--
+		}
+	}
+	if open != 0 {
+		return nil, fmt.Errorf("%w: unclosed loop", ErrLoopStructure)
+	}
+	return match, nil
 }
 
 // Verify statically checks a program and returns its analysis certificate.
@@ -141,8 +169,12 @@ func Verify(p *Program) (*Analysis, error) {
 
 	analysis := &Analysis{}
 
-	// Pass A: opcode/argument validity and loop matching.
-	loops, nest, err := checkStructure(p, analysis)
+	// Pass A: opcode/argument validity and loop nesting.
+	nest, err := checkStructure(p, analysis)
+	if err != nil {
+		return nil, err
+	}
+	loops, err := matchLoops(p.Code, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +197,7 @@ func Verify(p *Program) (*Analysis, error) {
 	}
 
 	// Cost bound: instruction count weighted by enclosing loop counts.
-	cost, err := costBound(p, loops)
+	cost, err := costBound(p)
 	if err != nil {
 		return nil, err
 	}
@@ -178,22 +210,21 @@ func Verify(p *Program) (*Analysis, error) {
 	return analysis, nil
 }
 
-func checkStructure(p *Program, analysis *Analysis) (map[int]loopInfo, []int, error) {
+func checkStructure(p *Program, analysis *Analysis) ([]int, error) {
 	n := len(p.Code)
 	nest := make([]int, n)
-	loops := make(map[int]loopInfo)
-	var open []loopInfo
+	open := 0
 	for pc, ins := range p.Code {
 		if ins.Op >= opCount {
-			return nil, nil, fmt.Errorf("%w: %d at pc %d", ErrBadOp, ins.Op, pc)
+			return nil, fmt.Errorf("%w: %d at pc %d", ErrBadOp, ins.Op, pc)
 		}
-		nest[pc] = len(open)
+		nest[pc] = open
 		switch ins.Op {
 		case OpPush:
 			// any immediate is fine
 		case OpLoadC, OpLoadP:
 			if ins.Arg < 0 {
-				return nil, nil, fmt.Errorf("%w: negative input index at pc %d", ErrBadArg, pc)
+				return nil, fmt.Errorf("%w: negative input index at pc %d", ErrBadArg, pc)
 			}
 			if ins.Op == OpLoadC {
 				analysis.ReadsContribution = true
@@ -206,45 +237,42 @@ func checkStructure(p *Program, analysis *Analysis) (map[int]loopInfo, []int, er
 			analysis.ReadsPrivate = true
 		case OpLoad, OpStore:
 			if ins.Arg < 0 || ins.Arg >= int64(p.Locals) {
-				return nil, nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, p.Locals, pc)
+				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, p.Locals, pc)
 			}
 		case OpIdx:
-			if ins.Arg < 0 || ins.Arg >= int64(len(open)) {
-				return nil, nil, fmt.Errorf("%w: idx %d with %d enclosing loops at pc %d", ErrBadArg, ins.Arg, len(open), pc)
+			if ins.Arg < 0 || ins.Arg >= int64(open) {
+				return nil, fmt.Errorf("%w: idx %d with %d enclosing loops at pc %d", ErrBadArg, ins.Arg, open, pc)
 			}
 		case OpLoop:
 			if ins.Arg < 0 || ins.Arg > MaxLoopCount {
-				return nil, nil, fmt.Errorf("%w: loop count %d at pc %d", ErrBadArg, ins.Arg, pc)
+				return nil, fmt.Errorf("%w: loop count %d at pc %d", ErrBadArg, ins.Arg, pc)
 			}
-			if len(open) >= MaxNesting {
-				return nil, nil, fmt.Errorf("%w: nesting exceeds %d at pc %d", ErrLoopStructure, MaxNesting, pc)
+			if open >= MaxNesting {
+				return nil, fmt.Errorf("%w: nesting exceeds %d at pc %d", ErrLoopStructure, MaxNesting, pc)
 			}
-			open = append(open, loopInfo{start: pc, count: ins.Arg})
+			open++
 		case OpEndLoop:
-			if len(open) == 0 {
-				return nil, nil, fmt.Errorf("%w: endloop without loop at pc %d", ErrLoopStructure, pc)
+			if open == 0 {
+				return nil, fmt.Errorf("%w: endloop without loop at pc %d", ErrLoopStructure, pc)
 			}
-			li := open[len(open)-1]
-			open = open[:len(open)-1]
-			li.end = pc
-			loops[li.start] = li
-			nest[pc] = len(open)
+			open--
+			nest[pc] = open
 		case OpDeclass:
 			analysis.DeclassSites = append(analysis.DeclassSites, pc)
 		case OpVerdict:
 			analysis.Verdicts = append(analysis.Verdicts, pc)
 		}
 	}
-	if len(open) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d unclosed loops", ErrLoopStructure, len(open))
+	if open != 0 {
+		return nil, fmt.Errorf("%w: %d unclosed loops", ErrLoopStructure, open)
 	}
 	if len(analysis.Verdicts) == 0 {
-		return nil, nil, ErrNoVerdict
+		return nil, ErrNoVerdict
 	}
-	return loops, nest, nil
+	return nest, nil
 }
 
-func costBound(p *Program, loops map[int]loopInfo) (int64, error) {
+func costBound(p *Program) (int64, error) {
 	var total int64
 	multiplier := int64(1)
 	var stack []int64
@@ -252,7 +280,7 @@ func costBound(p *Program, loops map[int]loopInfo) (int64, error) {
 		switch p.Code[pc].Op {
 		case OpLoop:
 			stack = append(stack, multiplier)
-			count := loops[pc].count
+			count := p.Code[pc].Arg
 			// Charge the loop instruction itself once per entry.
 			total += multiplier
 			if count == 0 {
@@ -280,7 +308,7 @@ func costBound(p *Program, loops map[int]loopInfo) (int64, error) {
 // a fixpoint. Loop bodies create the only backward dataflow edges (locals
 // mutated by iteration k feed iteration k+1), handled by re-running the
 // forward scan until states stabilize.
-func dataflow(p *Program, loops map[int]loopInfo, analysis *Analysis) error {
+func dataflow(p *Program, loops []int32, analysis *Analysis) error {
 	n := len(p.Code)
 	states := make([]absState, n+1) // states[n] = falling off the end
 
@@ -320,7 +348,7 @@ func dataflow(p *Program, loops map[int]loopInfo, analysis *Analysis) error {
 	return nil
 }
 
-func dataflowPass(p *Program, loops map[int]loopInfo, states []absState, analysis *Analysis) (bool, error) {
+func dataflowPass(p *Program, loops []int32, states []absState, analysis *Analysis) (bool, error) {
 	n := len(p.Code)
 	changed := false
 	propagate := func(target int, s absState) error {
@@ -415,9 +443,8 @@ func dataflowPass(p *Program, loops map[int]loopInfo, states []absState, analysi
 			}
 			// fallthrough successor handled below
 		case OpLoop:
-			li := loops[pc]
 			// Successor 1: loop body (if count > 0).
-			if li.count > 0 {
+			if ins.Arg > 0 {
 				if err := propagate(pc+1, out); err != nil {
 					return false, err
 				}
@@ -425,20 +452,14 @@ func dataflowPass(p *Program, loops map[int]loopInfo, states []absState, analysi
 			// Successor 2: after the loop (count could be zero; also the
 			// normal exit). Stack must be balanced, which the EndLoop
 			// transfer enforces.
-			if err := propagate(li.end+1, out); err != nil {
+			if err := propagate(int(loops[pc])+1, out); err != nil {
 				return false, err
 			}
 			continue
 		case OpEndLoop:
 			// Net-zero stack effect across the body: depth here must match
 			// depth at the loop header.
-			var header int
-			for start, li := range loops {
-				if li.end == pc {
-					header = start
-					break
-				}
-			}
+			header := int(loops[pc])
 			if states[header].set && in.depth != states[header].depth {
 				return false, fmt.Errorf("%w: loop body at pc %d changes stack depth (%d -> %d)",
 					ErrStackDepth, header, states[header].depth, in.depth)
