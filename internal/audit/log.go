@@ -16,19 +16,15 @@ import (
 //
 //	<unix-seconds> <event> <detail>
 //
-// Writes go to the sink verbatim and a bounded tail is retained in memory.
-// All methods are safe for concurrent use.
+// Writes go to the sink verbatim; the log keeps nothing in memory. All
+// methods are safe for concurrent use.
 type Log struct {
-	mu   sync.Mutex
-	w    io.Writer
-	now  func() int64
-	tail []string
+	mu  sync.Mutex
+	w   io.Writer
+	now func() int64
 }
 
-// tailCap bounds the in-memory tail; the sink keeps the full trail.
-const tailCap = 256
-
-// NewLog creates a log writing to w (nil keeps events in memory only).
+// NewLog creates a log writing to w (nil discards every event).
 // now supplies the clock in Unix seconds; nil means time.Now — the
 // deterministic simulator injects its own.
 func NewLog(w io.Writer, now func() int64) *Log {
@@ -39,19 +35,13 @@ func NewLog(w io.Writer, now func() int64) *Log {
 }
 
 // Append records one event. Sink write errors are deliberately swallowed:
-// an audit trail must never take down the serving path it describes, and
-// the in-memory tail still has the event.
+// an audit trail must never take down the serving path it describes.
 func (l *Log) Append(event, format string, args ...any) {
+	if l.w == nil {
+		return
+	}
 	detail := fmt.Sprintf(format, args...)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	line := fmt.Sprintf("%d %s %s", l.now(), event, detail)
-	if l.w != nil {
-		fmt.Fprintln(l.w, line)
-	}
-	if len(l.tail) >= tailCap {
-		copy(l.tail, l.tail[1:])
-		l.tail = l.tail[:tailCap-1]
-	}
-	l.tail = append(l.tail, line)
+	fmt.Fprintf(l.w, "%d %s %s\n", l.now(), event, detail)
 }

@@ -140,7 +140,6 @@ type FleetClient struct {
 	addrs  map[uint32]string
 	dial   DialConfig
 	groups map[uint32][][]byte // reused per SubmitBatch call
-	sent   int64
 }
 
 // DialFleet connects to every node in the set. Connections are
@@ -223,7 +222,6 @@ func (fc *FleetClient) SubmitBatch(raws [][]byte) (accepted, rejected int, err e
 		if serr != nil {
 			return accepted, rejected, fmt.Errorf("gaas: fleet node %d: %w", node, serr)
 		}
-		fc.sent++
 	}
 	return accepted, rejected, nil
 }

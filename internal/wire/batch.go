@@ -51,10 +51,6 @@ func EncodedBatchSize(items [][]byte) int {
 // valid only while data is — callers that fan items out to workers must
 // keep the frame buffer alive (and unrecycled) until processing settles.
 func DecodeBatchInto(data []byte, scratch [][]byte) ([][]byte, error) {
-	return decodeBatch(data, scratch, true)
-}
-
-func decodeBatch(data []byte, scratch [][]byte, view bool) ([][]byte, error) {
 	var r Reader
 	r.Reset(data)
 	n := r.Uint32()
@@ -76,11 +72,7 @@ func decodeBatch(data []byte, scratch [][]byte, view bool) ([][]byte, error) {
 		items = make([][]byte, 0, n)
 	}
 	for i := uint32(0); i < n; i++ {
-		if view {
-			items = append(items, r.BytesView())
-		} else {
-			items = append(items, r.Bytes())
-		}
+		items = append(items, r.BytesView())
 	}
 	if err := r.Done(); err != nil {
 		// Drop any views already appended into the caller's scratch: a

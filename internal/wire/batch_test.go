@@ -13,9 +13,12 @@ func EncodeBatch(items [][]byte) []byte {
 
 // DecodeBatch reverses EncodeBatch. Every item is an independent copy.
 func DecodeBatch(data []byte) ([][]byte, error) {
-	items, err := decodeBatch(data, nil, false)
+	items, err := DecodeBatchInto(data, nil)
 	if err != nil {
 		return nil, err
+	}
+	for i, item := range items {
+		items[i] = bytes.Clone(item)
 	}
 	return items, nil
 }
