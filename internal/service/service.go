@@ -10,6 +10,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -147,7 +148,7 @@ func (s *Service) BasePayload() (glimmer.ProvisionPayload, error) {
 		if payload.AttestationRoot, err = s.verifier.Root.Marshal(); err != nil {
 			return glimmer.ProvisionPayload{}, err
 		}
-		payload.DealerMeasurement = s.dealer[:]
+		payload.DealerMeasurement = bytes.Clone(s.dealer[:])
 	}
 	return payload, nil
 }

@@ -262,8 +262,8 @@ func (s *simulation) recordReject(round uint64, cat string) {
 // run plays the plan as a scenario: for each step r, submit round r's
 // cohort and injections, close round r-Overlap (verifying post-close
 // immutability), and seal round r-Overlap+1 with its stragglers on the
-// planned sides of the Seal; then drain the remaining open rounds, fire the ticket probes, and
-// reconcile the global rejection accounting.
+// planned sides of the Seal; then drain the remaining open rounds, fire
+// the ticket probes, and reconcile the global rejection accounting.
 func (s *simulation) run() (*Report, error) {
 	start := time.Now()
 	overlap := s.cfg.Overlap
@@ -607,11 +607,11 @@ func (s *simulation) submitStraggler(g uint64, it item) {
 	s.mu.Unlock()
 }
 
-// correctAbsentees asks the tenant's dealer, once, for the sum of the masks
-// of every device whose contribution did not enter the sealed aggregate —
-// dropouts, byzantine and tampered devices, and stragglers that came after
-// the seal — and removes it with one dropout correction. It returns the number
-// of dropouts the correction covered.
+// correctAbsentees asks the tenant's dealer, once, for the sum of the
+// masks of every device whose contribution did not enter the sealed
+// aggregate — dropouts, byzantine and tampered devices, and stragglers that
+// came after the seal — and removes it with one dropout correction. It
+// returns the number of dropouts the correction covered.
 func (s *simulation) correctAbsentees(g uint64, rs *roundState, p *service.Pipeline) int {
 	var absent []uint32
 	dropouts := 0

@@ -170,9 +170,6 @@ func (t *Tenant) provisionFleet(cfg glimmer.Config) error {
 			return fmt.Errorf("testbed: device %d dealer handshake: %w", i, err)
 		}
 	}
-	if t.Devices == 0 {
-		return nil
-	}
 	for _, round := range t.Rounds {
 		records, err := t.dealer.Distribute(t.Dim, round)
 		if err != nil {
