@@ -63,59 +63,81 @@ type loopFrame struct {
 	index     int64
 }
 
-// effect is one opcode's stack pops and pushes; effects is stackEffect as
-// a table, so a step indexes it instead of calling through a switch.
+// effect is one opcode's stack pops and pushes.
 type effect struct{ pops, pushes int }
 
-var effects = func() (t [256]effect) {
-	for op := range t {
-		t[op].pops, t[op].pushes = stackEffect(Op(op))
+// effects is every opcode's effect, indexed by its byte so a step needs no
+// switch; an unknown opcode has none.
+var effects = [256]effect{
+	OpPush: {0, 1}, OpLenC: {0, 1}, OpLenP: {0, 1}, OpLoad: {0, 1}, OpIdx: {0, 1}, OpLoadC: {0, 1}, OpLoadP: {0, 1},
+	OpLoadCI: {1, 1}, OpLoadPI: {1, 1}, OpNeg: {1, 1}, OpAbs: {1, 1}, OpNot: {1, 1}, OpDeclass: {1, 1},
+	OpAdd: {2, 1}, OpSub: {2, 1}, OpMul: {2, 1}, OpDiv: {2, 1}, OpMod: {2, 1}, OpMin: {2, 1}, OpMax: {2, 1},
+	OpLt: {2, 1}, OpLe: {2, 1}, OpGt: {2, 1}, OpGe: {2, 1}, OpEq: {2, 1}, OpNe: {2, 1}, OpAnd: {2, 1}, OpOr: {2, 1},
+	OpDup: {1, 2}, OpPop: {1, 0}, OpStore: {1, 0}, OpJz: {1, 0}, OpVerdict: {1, 0},
+	OpSwap: {2, 2}, OpOver: {2, 3}, OpSelect: {3, 1},
+}
+
+// machine is one execution's state. Run keeps it in one variable on its
+// stack, off the step loop's registers, which go to pc and sp: the operand
+// stack as values and taints indexed by sp (MaxStack bounds it
+// dynamically), the locals and loop frames in fixed arrays, and the input
+// banks. Only an unverified program past MaxLocals or MaxNesting spills
+// into the heap (moreLocals, moreFrames). It holds no slice of its own
+// arrays: that would move it to the heap.
+type machine struct {
+	vals                  [MaxStack]int64
+	taint                 [MaxStack]bool
+	locals                [MaxLocals]value
+	frames                [MaxNesting]loopFrame
+	moreLocals            []value
+	moreFrames            []loopFrame
+	nframes               int
+	contribution, private []int64
+	trace                 *Trace
+}
+
+// local is local slot i, which the caller has checked against p.Locals.
+func (m *machine) local(i int64) *value {
+	if m.moreLocals != nil {
+		return &m.moreLocals[i]
 	}
-	return t
-}()
+	return &m.locals[i]
+}
+
+// frame is the i-th active loop frame, counting from the outermost.
+func (m *machine) frame(i int) *loopFrame {
+	if i < MaxNesting {
+		return &m.frames[i]
+	}
+	return &m.moreFrames[i-MaxNesting]
+}
 
 // Run executes a program over the two input banks. It enforces the same
 // safety properties dynamically that Verify proves statically (step budget,
 // stack bounds, taint discipline), so even an unverified program cannot
 // leak or diverge — it can only fail.
-//
-// The machine state lives in fixed arrays on Run's stack: the operand
-// stack as values and taints indexed by sp (MaxStack bounds it
-// dynamically), the locals and the loop frames (spilling to the heap only
-// for an unverified program beyond MaxLocals or MaxNesting), and the loop
-// ends of a program up to len(endsBuf) instructions.
 func Run(p *Program, contribution, private []int64, opts *Options) (*Result, error) {
+	var m machine
+	m.contribution, m.private = contribution, private
 	budget := int64(MaxCost)
-	var trace *Trace
 	if opts != nil {
 		if opts.MaxSteps > 0 {
 			budget = opts.MaxSteps
 		}
 		if opts.RecordTrace {
-			trace = &Trace{}
+			m.trace = &Trace{}
 		}
 	}
-	var endsBuf [256]int32
+	var endsBuf [256]int32 // the loop ends of a program up to 256 instructions
 	ends, err := matchLoops(p.Code, endsBuf[:])
 	if err != nil {
 		return nil, err
 	}
-
-	var (
-		vals      [MaxStack]int64
-		taint     [MaxStack]bool
-		sp        int
-		localsBuf [MaxLocals]value
-		framesBuf [MaxNesting]loopFrame
-		frames    = framesBuf[:0]
-		steps     int64
-	)
-	var locals []value
-	if p.Locals <= MaxLocals {
-		locals = localsBuf[:p.Locals]
-	} else {
-		locals = make([]value, p.Locals)
+	if p.Locals > MaxLocals {
+		m.moreLocals = make([]value, p.Locals)
 	}
+	var sp int
+	var steps int64
 
 	code := p.Code
 	for pc := 0; pc < len(code); {
@@ -135,121 +157,121 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 		case OpHalt:
 			return nil, ErrHaltNoVerdict
 		case OpPush:
-			vals[sp], taint[sp] = ins.Arg, false
+			m.vals[sp], m.taint[sp] = ins.Arg, false
 			sp++
 		case OpLoadC:
-			if ins.Arg < 0 || ins.Arg >= int64(len(contribution)) {
-				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, ins.Arg, len(contribution))
+			if ins.Arg < 0 || ins.Arg >= int64(len(m.contribution)) {
+				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, ins.Arg, len(m.contribution))
 			}
-			vals[sp], taint[sp] = contribution[ins.Arg], true
+			m.vals[sp], m.taint[sp] = m.contribution[ins.Arg], true
 			sp++
 		case OpLoadP:
-			if ins.Arg < 0 || ins.Arg >= int64(len(private)) {
-				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, ins.Arg, len(private))
+			if ins.Arg < 0 || ins.Arg >= int64(len(m.private)) {
+				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, ins.Arg, len(m.private))
 			}
-			vals[sp], taint[sp] = private[ins.Arg], true
+			m.vals[sp], m.taint[sp] = m.private[ins.Arg], true
 			sp++
 		case OpLoadCI:
-			idx := vals[sp-1]
-			if idx < 0 || idx >= int64(len(contribution)) {
-				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, idx, len(contribution))
+			idx := m.vals[sp-1]
+			if idx < 0 || idx >= int64(len(m.contribution)) {
+				return nil, fmt.Errorf("%w: contribution[%d] of %d", ErrIndexRange, idx, len(m.contribution))
 			}
-			vals[sp-1], taint[sp-1] = contribution[idx], true
+			m.vals[sp-1], m.taint[sp-1] = m.contribution[idx], true
 		case OpLoadPI:
-			idx := vals[sp-1]
-			if idx < 0 || idx >= int64(len(private)) {
-				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, idx, len(private))
+			idx := m.vals[sp-1]
+			if idx < 0 || idx >= int64(len(m.private)) {
+				return nil, fmt.Errorf("%w: private[%d] of %d", ErrIndexRange, idx, len(m.private))
 			}
-			vals[sp-1], taint[sp-1] = private[idx], true
+			m.vals[sp-1], m.taint[sp-1] = m.private[idx], true
 		case OpLenC:
-			vals[sp], taint[sp] = int64(len(contribution)), false
+			m.vals[sp], m.taint[sp] = int64(len(m.contribution)), false
 			sp++
 		case OpLenP:
-			vals[sp], taint[sp] = int64(len(private)), false
+			m.vals[sp], m.taint[sp] = int64(len(m.private)), false
 			sp++
 		case OpLoad:
-			if ins.Arg < 0 || ins.Arg >= int64(len(locals)) {
-				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, len(locals), pc)
+			if ins.Arg < 0 || ins.Arg >= int64(p.Locals) {
+				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, p.Locals, pc)
 			}
-			l := locals[ins.Arg]
-			vals[sp], taint[sp] = l.v, l.secret
+			l := m.local(ins.Arg)
+			m.vals[sp], m.taint[sp] = l.v, l.secret
 			sp++
 		case OpStore:
-			if ins.Arg < 0 || ins.Arg >= int64(len(locals)) {
-				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, len(locals), pc)
+			if ins.Arg < 0 || ins.Arg >= int64(p.Locals) {
+				return nil, fmt.Errorf("%w: local %d of %d at pc %d", ErrBadArg, ins.Arg, p.Locals, pc)
 			}
 			sp--
-			locals[ins.Arg] = value{v: vals[sp], secret: taint[sp]}
+			*m.local(ins.Arg) = value{v: m.vals[sp], secret: m.taint[sp]}
 		case OpIdx:
 			k := int(ins.Arg)
-			if k < 0 || k >= len(frames) {
-				return nil, fmt.Errorf("%w: idx %d with %d active loops at pc %d", ErrBadArg, k, len(frames), pc)
+			if k < 0 || k >= m.nframes {
+				return nil, fmt.Errorf("%w: idx %d with %d active loops at pc %d", ErrBadArg, k, m.nframes, pc)
 			}
-			vals[sp], taint[sp] = frames[len(frames)-1-k].index, false
+			m.vals[sp], m.taint[sp] = m.frame(m.nframes-1-k).index, false
 			sp++
 		case OpAdd:
-			sp = binary(&vals, &taint, sp, vals[sp-2]+vals[sp-1])
+			sp = m.binary(sp, m.vals[sp-2]+m.vals[sp-1])
 		case OpSub:
-			sp = binary(&vals, &taint, sp, vals[sp-2]-vals[sp-1])
+			sp = m.binary(sp, m.vals[sp-2]-m.vals[sp-1])
 		case OpMul:
-			sp = binary(&vals, &taint, sp, vals[sp-2]*vals[sp-1])
+			sp = m.binary(sp, m.vals[sp-2]*m.vals[sp-1])
 		case OpDiv, OpMod:
-			if vals[sp-1] == 0 {
+			if m.vals[sp-1] == 0 {
 				return nil, fmt.Errorf("%w at pc %d", ErrDivByZero, pc)
 			}
 			// Go defines MinInt64 / -1 as MinInt64 and MinInt64 % -1 as 0
 			// (two's-complement wrap), so neither panics.
-			r := vals[sp-2] % vals[sp-1]
+			r := m.vals[sp-2] % m.vals[sp-1]
 			if ins.Op == OpDiv {
-				r = vals[sp-2] / vals[sp-1]
+				r = m.vals[sp-2] / m.vals[sp-1]
 			}
-			sp = binary(&vals, &taint, sp, r)
+			sp = m.binary(sp, r)
 		case OpMin:
-			sp = binary(&vals, &taint, sp, min(vals[sp-2], vals[sp-1]))
+			sp = m.binary(sp, min(m.vals[sp-2], m.vals[sp-1]))
 		case OpMax:
-			sp = binary(&vals, &taint, sp, max(vals[sp-2], vals[sp-1]))
+			sp = m.binary(sp, max(m.vals[sp-2], m.vals[sp-1]))
 		case OpLt:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] < vals[sp-1]))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] < m.vals[sp-1]))
 		case OpLe:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] <= vals[sp-1]))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] <= m.vals[sp-1]))
 		case OpGt:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] > vals[sp-1]))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] > m.vals[sp-1]))
 		case OpGe:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] >= vals[sp-1]))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] >= m.vals[sp-1]))
 		case OpEq:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] == vals[sp-1]))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] == m.vals[sp-1]))
 		case OpNe:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] != vals[sp-1]))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] != m.vals[sp-1]))
 		case OpAnd:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] != 0 && vals[sp-1] != 0))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] != 0 && m.vals[sp-1] != 0))
 		case OpOr:
-			sp = binary(&vals, &taint, sp, boolToInt(vals[sp-2] != 0 || vals[sp-1] != 0))
+			sp = m.binary(sp, boolToInt(m.vals[sp-2] != 0 || m.vals[sp-1] != 0))
 		case OpNeg:
-			vals[sp-1] = -vals[sp-1]
+			m.vals[sp-1] = -m.vals[sp-1]
 		case OpAbs:
-			if vals[sp-1] < 0 {
-				vals[sp-1] = -vals[sp-1]
+			if m.vals[sp-1] < 0 {
+				m.vals[sp-1] = -m.vals[sp-1]
 			}
 		case OpNot:
-			vals[sp-1] = boolToInt(vals[sp-1] == 0)
+			m.vals[sp-1] = boolToInt(m.vals[sp-1] == 0)
 		case OpDup:
-			vals[sp], taint[sp] = vals[sp-1], taint[sp-1]
+			m.vals[sp], m.taint[sp] = m.vals[sp-1], m.taint[sp-1]
 			sp++
 		case OpPop:
 			sp--
 		case OpSwap:
-			vals[sp-2], vals[sp-1] = vals[sp-1], vals[sp-2]
-			taint[sp-2], taint[sp-1] = taint[sp-1], taint[sp-2]
+			m.vals[sp-2], m.vals[sp-1] = m.vals[sp-1], m.vals[sp-2]
+			m.taint[sp-2], m.taint[sp-1] = m.taint[sp-1], m.taint[sp-2]
 		case OpOver:
-			vals[sp], taint[sp] = vals[sp-2], taint[sp-2]
+			m.vals[sp], m.taint[sp] = m.vals[sp-2], m.taint[sp-2]
 			sp++
 		case OpSelect:
 			// onTrue, onFalse, cond from the bottom; the result takes the
 			// taint of all three.
-			if vals[sp-1] == 0 {
-				vals[sp-3] = vals[sp-2]
+			if m.vals[sp-1] == 0 {
+				m.vals[sp-3] = m.vals[sp-2]
 			}
-			taint[sp-3] = taint[sp-3] || taint[sp-2] || taint[sp-1]
+			m.taint[sp-3] = m.taint[sp-3] || m.taint[sp-2] || m.taint[sp-1]
 			sp -= 2
 		case OpJmp:
 			target := int64(pc) + 1 + ins.Arg
@@ -260,12 +282,12 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 			continue
 		case OpJz:
 			sp--
-			if taint[sp] {
+			if m.taint[sp] {
 				return nil, fmt.Errorf("%w: at pc %d", ErrSecretBranch, pc)
 			}
-			taken := vals[sp] == 0
-			if trace != nil {
-				trace.append(taken)
+			taken := m.vals[sp] == 0
+			if m.trace != nil {
+				m.trace.append(taken)
 			}
 			if taken {
 				target := int64(pc) + 1 + ins.Arg
@@ -280,29 +302,33 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 				pc = int(ends[pc]) + 1
 				continue
 			}
-			frames = append(frames, loopFrame{start: pc, remaining: ins.Arg})
+			if m.nframes >= MaxNesting {
+				m.moreFrames = append(m.moreFrames[:m.nframes-MaxNesting], loopFrame{})
+			}
+			*m.frame(m.nframes) = loopFrame{start: pc, remaining: ins.Arg}
+			m.nframes++
 		case OpEndLoop:
-			if len(frames) == 0 {
+			if m.nframes == 0 {
 				// Reachable only by jumping into a loop body, which the
 				// verifier forbids; unverified programs fail cleanly.
 				return nil, fmt.Errorf("%w: endloop with no active loop at pc %d", ErrLoopStructure, pc)
 			}
-			f := &frames[len(frames)-1]
+			f := m.frame(m.nframes - 1)
 			f.remaining--
 			if f.remaining > 0 {
 				f.index++
 				pc = f.start + 1
 				continue
 			}
-			frames = frames[:len(frames)-1]
+			m.nframes--
 		case OpDeclass:
-			taint[sp-1] = false
+			m.taint[sp-1] = false
 		case OpVerdict:
 			sp--
-			if taint[sp] {
+			if m.taint[sp] {
 				return nil, fmt.Errorf("%w: at pc %d", ErrTaintedVerdict, pc)
 			}
-			return &Result{Verdict: vals[sp], Steps: steps, Trace: trace}, nil
+			return &Result{Verdict: m.vals[sp], Steps: steps, Trace: m.trace}, nil
 		default:
 			return nil, fmt.Errorf("%w: %s at pc %d", ErrBadOp, ins.Op, pc)
 		}
@@ -313,8 +339,8 @@ func Run(p *Program, contribution, private []int64, opts *Options) (*Result, err
 
 // binary replaces a binary op's two operands with its result r, tainted
 // if either operand was, and returns the new stack pointer.
-func binary(vals *[MaxStack]int64, taint *[MaxStack]bool, sp int, r int64) int {
-	vals[sp-2], taint[sp-2] = r, taint[sp-2] || taint[sp-1]
+func (m *machine) binary(sp int, r int64) int {
+	m.vals[sp-2], m.taint[sp-2] = r, m.taint[sp-2] || m.taint[sp-1]
 	return sp - 1
 }
 

@@ -241,6 +241,33 @@ func runOracle(p *Program, contribution, private []int64, opts *Options) (*Resul
 	return nil, ErrHaltNoVerdict
 }
 
+// stackEffect is the oracle's stack effect: the switch the effects table
+// replaced.
+func stackEffect(op Op) (int, int) {
+	switch op {
+	case OpPush, OpLenC, OpLenP, OpLoad, OpIdx, OpLoadC, OpLoadP:
+		return 0, 1
+	case OpLoadCI, OpLoadPI, OpNeg, OpAbs, OpNot, OpDeclass:
+		return 1, 1
+	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpMin, OpMax,
+		OpLt, OpLe, OpGt, OpGe, OpEq, OpNe, OpAnd, OpOr:
+		return 2, 1
+	case OpDup:
+		return 1, 2
+	case OpPop, OpStore, OpJz, OpVerdict:
+		return 1, 0
+	case OpSwap:
+		return 2, 2
+	case OpOver:
+		return 2, 3
+	case OpSelect:
+		return 3, 1
+	case OpHalt, OpJmp, OpLoop, OpEndLoop:
+		return 0, 0
+	}
+	return 0, 0
+}
+
 // binaryOp is the oracle's arithmetic.
 func binaryOp(op Op, a, b int64) (int64, error) {
 	switch op {
@@ -319,16 +346,22 @@ func sameRun(p *Program, contribution, private []int64, opts *Options) string {
 	return ""
 }
 
-// TestRunMatchesOracle holds the interpreter to the reference one, verdict,
-// step count, branch trace and error text alike: over the stdlib
-// predicates on in-range, out-of-range and short inputs; over the
-// hand-written programs of this package's tests; and over random op
-// sequences, nearly all of them unverifiable, on random inputs.
+// TestRunMatchesOracle holds the interpreter to the reference one —
+// verdict, step count, branch trace and error text alike — over the stdlib
+// predicates on in-range, out-of-range and short inputs, the hand-written
+// programs of this package's tests, and random op sequences (nearly all of
+// them unverifiable) on random inputs. It holds the effects table to the
+// reference's stackEffect too.
 func TestRunMatchesOracle(t *testing.T) {
 	check := func(p *Program, contribution, private []int64, opts *Options) {
 		t.Helper()
 		if diff := sameRun(p, contribution, private, opts); diff != "" {
 			t.Fatalf("%s (opts %+v, contribution %v, private %v)\n%s", diff, opts, contribution, private, listing(p))
+		}
+	}
+	for op := range 256 {
+		if pops, pushes := stackEffect(Op(op)); effects[op] != (effect{pops, pushes}) {
+			t.Errorf("effects[%d] = %v, stackEffect says (%d, %d)", op, effects[op], pops, pushes)
 		}
 	}
 	optionSets := []*Options{nil, {RecordTrace: true}, {MaxSteps: 40}, {MaxSteps: 1}}

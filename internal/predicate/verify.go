@@ -90,62 +90,33 @@ func mergeInto(dst *absState, src absState, pc int) (bool, error) {
 	return changed, nil
 }
 
-// stackEffect returns (pops, pushes) for an opcode.
-func stackEffect(op Op) (int, int) {
-	switch op {
-	case OpPush, OpLenC, OpLenP, OpLoad, OpIdx, OpLoadC, OpLoadP:
-		return 0, 1
-	case OpLoadCI, OpLoadPI, OpNeg, OpAbs, OpNot, OpDeclass:
-		return 1, 1
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpMin, OpMax,
-		OpLt, OpLe, OpGt, OpGe, OpEq, OpNe, OpAnd, OpOr:
-		return 2, 1
-	case OpDup:
-		return 1, 2
-	case OpPop, OpStore, OpJz, OpVerdict:
-		return 1, 0
-	case OpSwap:
-		return 2, 2
-	case OpOver:
-		return 2, 3
-	case OpSelect:
-		return 3, 1
-	case OpHalt, OpJmp, OpLoop, OpEndLoop:
-		return 0, 0
-	}
-	return 0, 0
-}
-
 // matchLoops pairs every OpLoop with the OpEndLoop that closes it: for each
 // pair, match[start] is end and match[end] is start (other entries are
 // meaningless). It reuses buf when the program fits, so the interpreter can
 // match on its stack. Run and Verify both take their loop structure from it.
 func matchLoops(code []Instr, buf []int32) ([]int32, error) {
-	match := buf[:0]
-	if len(code) <= cap(buf) {
-		match = buf[:len(code)]
-	} else {
+	match := buf
+	if len(code) > cap(buf) {
 		match = make([]int32, len(code))
 	}
-	open := 0 // the open loops' starts are chained through match
+	match = match[:len(code)]
+	// top is the innermost open loop; an open loop's entry holds the one
+	// enclosing it until its end is found.
 	top := int32(-1)
 	for pc, ins := range code {
 		switch ins.Op {
 		case OpLoop:
-			match[pc] = top
-			top = int32(pc)
-			open++
+			match[pc], top = top, int32(pc)
 		case OpEndLoop:
-			if open == 0 {
+			if top < 0 {
 				return nil, fmt.Errorf("%w: endloop without loop at pc %d", ErrLoopStructure, pc)
 			}
 			start := top
 			top = match[start]
 			match[start], match[pc] = int32(pc), start
-			open--
 		}
 	}
-	if open != 0 {
+	if top >= 0 {
 		return nil, fmt.Errorf("%w: unclosed loop", ErrLoopStructure)
 	}
 	return match, nil
@@ -368,7 +339,7 @@ func dataflowPass(p *Program, loops []int32, states []absState, analysis *Analys
 			continue // unreachable (so far)
 		}
 		ins := p.Code[pc]
-		pops, _ := stackEffect(ins.Op)
+		pops := effects[ins.Op].pops
 		if in.depth < pops {
 			return false, fmt.Errorf("%w: underflow at pc %d (%s)", ErrStackDepth, pc, ins)
 		}
