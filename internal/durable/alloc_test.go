@@ -16,7 +16,7 @@ func warmStaging(t *testing.T, s *Store, records int, digests [][32]byte, delta 
 	t.Helper()
 	for swap := 0; swap < 2; swap++ {
 		for i := 0; i < records; i++ {
-			s.BatchAccepted(testTenant, 1, digests, delta)
+			s.Append(service.Record{Kind: service.BatchAccepted, Tenant: testTenant, Round: 1, Digests: digests, Lanes: delta})
 		}
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
@@ -42,9 +42,9 @@ func TestBatchAcceptedAllocFree(t *testing.T) {
 	delta := fixed.NewVector(256)
 	warmStaging(t, s, runs+1, digests, delta)
 	if got := testing.AllocsPerRun(runs, func() {
-		s.BatchAccepted(testTenant, 1, digests, delta)
+		s.Append(service.Record{Kind: service.BatchAccepted, Tenant: testTenant, Round: 1, Digests: digests, Lanes: delta})
 	}); got > 0 {
-		t.Errorf("BatchAccepted: %.2f allocs/op, want 0", got)
+		t.Errorf("Append(BatchAccepted): %.2f allocs/op, want 0", got)
 	}
 	if st := s.Stats(); st.Records != 3*(runs+1) || st.Writes != 2 {
 		t.Errorf("stats = %+v, want %d records, 2 writes (the flusher ran inside the window?)", st, 3*(runs+1))
@@ -74,9 +74,7 @@ func TestJournaledBatchIngestAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
-			ID: 7, Key: skey, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62,
-		})
+		grantTicket(t, reg, service.TicketState{ID: 7, Key: skey, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62})
 		if s != nil {
 			reg.SetJournal(s)
 		}
@@ -127,9 +125,7 @@ func TestJournaledIngestAllocFree(t *testing.T) {
 	defer s.Close()
 	reg := newTestRegistry(t)
 	skey := sessionKey(0xA7)
-	reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
-		ID: 7, Key: skey, RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600,
-	})
+	grantTicket(t, reg, service.TicketState{ID: 7, Key: skey, RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600})
 	reg.SetJournal(s)
 	raws := orderRaws(runs+3, dim, round, &skey)
 	ingest := func(i int) {

@@ -193,35 +193,46 @@ func readTicket(r *wire.Reader) (service.TicketState, error) {
 	return tk, nil
 }
 
-// WAL record kinds. The payload of every record starts with the kind
-// byte and the tenant name; the rest is kind-specific.
-const (
-	recRoundCreated byte = iota + 1
-	recRoundSealed
-	recRoundClosed
-	recRoundForgotten
-	recAccepted
-	recDropoutCorrected
-	recRejected
-	recTicketGranted
-	recTicketEvicted
-)
-
 // errBadRecord reports an undecodable (but CRC-valid) WAL record —
 // version skew, not a torn write. Replay stops at it.
 var errBadRecord = errors.New("durable: malformed WAL record")
 
-func encodeRound(w *wire.Writer, kind byte, tenant string, round uint64) {
-	w.Byte(kind)
-	w.String(tenant)
-	w.Uint64(round)
+// encodeRecord renders one journal record as a WAL payload: the kind byte
+// (service.RecordKind's wire value) and the tenant name, then the kind's
+// fields — the ticket for a grant, its ID for an eviction, otherwise the
+// round and, for an accept, a dropout correction or a refusal, what it
+// carries.
+//
+// Digests and lanes stream straight into the writer (BytesPrefix + Raw —
+// both field lengths are known up front), so the hot journal path renders
+// a record in one pass with no staging copy and no allocation. The bytes
+// produced are identical to framing a pre-staged block with Bytes.
+func encodeRecord(w *wire.Writer, rec service.Record) {
+	w.Byte(byte(rec.Kind))
+	w.String(rec.Tenant)
+	switch rec.Kind {
+	case service.TicketGranted:
+		appendTicket(w, rec.Ticket)
+	case service.TicketEvicted:
+		w.Uint64(rec.Ticket.ID)
+	case service.BatchAccepted:
+		w.Uint64(rec.Round)
+		w.BytesPrefix(len(rec.Digests) * digestLen)
+		for i := range rec.Digests {
+			w.Raw(rec.Digests[i][:])
+		}
+		lanesField(w, rec.Lanes)
+	case service.DropoutCorrected:
+		w.Uint64(rec.Round)
+		lanesField(w, rec.Lanes)
+	case service.Rejected:
+		w.Uint64(rec.Round)
+		w.Byte(byte(rec.Level))
+		w.Uint64(uint64(rec.Count))
+	default:
+		w.Uint64(rec.Round)
+	}
 }
-
-// The accepted/dropout encoders stream their nested digest/lane fields
-// straight into the writer (BytesPrefix + Raw — both field lengths are
-// known up front), so the hot journal path renders records in one pass
-// with no staging copy and no allocation. The bytes produced are
-// identical to framing a pre-staged block with Bytes.
 
 // lanesField appends a vector as one framed field of raw big-endian
 // lanes — byte-identical to w.Bytes(v.AppendWire(nil)).
@@ -232,118 +243,55 @@ func lanesField(w *wire.Writer, v fixed.Vector) {
 	}
 }
 
-func encodeAccepted(w *wire.Writer, tenant string, round uint64, digests [][32]byte, delta fixed.Vector) {
-	w.Byte(recAccepted)
-	w.String(tenant)
-	w.Uint64(round)
-	w.BytesPrefix(len(digests) * digestLen)
-	for i := range digests {
-		w.Raw(digests[i][:])
-	}
-	lanesField(w, delta)
-}
-
-func encodeDropout(w *wire.Writer, tenant string, round uint64, mask fixed.Vector) {
-	w.Byte(recDropoutCorrected)
-	w.String(tenant)
-	w.Uint64(round)
-	lanesField(w, mask)
-}
-
-func encodeRejected(w *wire.Writer, tenant string, round uint64, level service.RejectLevel, n int) {
-	w.Byte(recRejected)
-	w.String(tenant)
-	w.Uint64(round)
-	w.Byte(byte(level))
-	w.Uint64(uint64(n))
-}
-
-func encodeTicketGranted(w *wire.Writer, tenant string, tk service.TicketState) {
-	w.Byte(recTicketGranted)
-	w.String(tenant)
-	appendTicket(w, tk)
-}
-
-func encodeTicketEvicted(w *wire.Writer, tenant string, id uint64) {
-	w.Byte(recTicketEvicted)
-	w.String(tenant)
-	w.Uint64(id)
-}
-
-// applyRecord decodes one WAL record payload and applies it through the
-// replay journal.
-func applyRecord(payload []byte, j service.Journal) error {
+// decodeRecord parses one WAL record payload; every record it accepts
+// re-encodes to the identical bytes.
+func decodeRecord(payload []byte) (service.Record, error) {
 	r := wire.NewReader(payload)
-	kind := r.Byte()
-	tenant := r.String()
-	switch kind {
-	case recRoundCreated, recRoundSealed, recRoundClosed, recRoundForgotten:
-		round := r.Uint64()
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
+	rec := service.Record{Kind: service.RecordKind(r.Byte()), Tenant: r.String()}
+	var err error
+	switch rec.Kind {
+	case service.TicketGranted:
+		rec.Ticket, err = readTicket(r)
+	case service.TicketEvicted:
+		rec.Ticket.ID = r.Uint64()
+	case service.RoundCreated, service.RoundSealed, service.RoundClosed, service.RoundForgotten:
+		rec.Round = r.Uint64()
+	case service.BatchAccepted:
+		rec.Round = r.Uint64()
+		if rec.Digests, err = decodeDigests(r.Bytes()); err == nil {
+			rec.Lanes, err = decodeVector(r.Bytes())
 		}
-		switch kind {
-		case recRoundCreated:
-			j.RoundCreated(tenant, round)
-		case recRoundSealed:
-			j.RoundSealed(tenant, round)
-		case recRoundClosed:
-			j.RoundClosed(tenant, round)
-		case recRoundForgotten:
-			j.RoundForgotten(tenant, round)
-		}
-	case recAccepted:
-		round := r.Uint64()
-		digests, err := decodeDigests(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		delta, err := decodeVector(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		j.BatchAccepted(tenant, round, digests, delta)
-	case recDropoutCorrected:
-		round := r.Uint64()
-		mask, err := decodeVector(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		j.DropoutCorrected(tenant, round, mask)
-	case recRejected:
-		round := r.Uint64()
-		level := service.RejectLevel(r.Byte())
+	case service.DropoutCorrected:
+		rec.Round = r.Uint64()
+		rec.Lanes, err = decodeVector(r.Bytes())
+	case service.Rejected:
+		rec.Round = r.Uint64()
+		rec.Level = service.RejectLevel(r.Byte())
 		n := r.Uint64()
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
+		if rec.Level > service.LevelRound || n > maxEntries {
+			err = fmt.Errorf("reject level %d count %d", rec.Level, n)
 		}
-		if level > service.LevelRound || n > maxEntries {
-			return fmt.Errorf("%w: reject level %d count %d", errBadRecord, level, n)
-		}
-		j.Rejected(tenant, round, level, int(n))
-	case recTicketGranted:
-		tk, err := readTicket(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		j.TicketGranted(tenant, tk)
-	case recTicketEvicted:
-		id := r.Uint64()
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("%w: %v", errBadRecord, err)
-		}
-		j.TicketEvicted(tenant, id)
+		rec.Count = int(n)
 	default:
-		return fmt.Errorf("%w: unknown kind %d", errBadRecord, kind)
+		err = fmt.Errorf("unknown kind %d", rec.Kind)
 	}
-	return nil
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return service.Record{}, fmt.Errorf("%w: %v", errBadRecord, err)
+	}
+	return rec, nil
+}
+
+// walkRecords is walkFrames over decoded records: a record that does not
+// decode stops the walk as a tear does.
+func walkRecords(data []byte, fn func(service.Record)) (good int64, torn bool) {
+	return walkFrames(data, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err == nil {
+			fn(rec)
+		}
+		return err
+	})
 }

@@ -22,16 +22,17 @@ import (
 // Recover loads snapshot + WAL into a registry and attaches the store as
 // the registry's journal; Snapshot rotates: new image, new WAL
 // generation, old generation deleted. Store implements service.Journal —
-// every mutation the service layer reports becomes one appended record,
+// every service.Record the service layer appends becomes one WAL record,
 // staged and group-committed by a background flusher (see
 // groupcommit.go).
 //
-// Durability classes: RoundSealed, RoundClosed, and TicketGranted are
-// barriers — the call returns only after the record is written and
-// fsynced. Every other journal hook is fire-and-forget: staged in
-// memory and flushed within Config.FlushBytes/FlushInterval, so a crash
-// can lose that bounded tail (recovery restores the exact flushed
-// prefix; see internal/sim.RunCrashRecovery).
+// Durability classes: a record whose kind is a barrier
+// (service.RecordKind.Barrier: sealed, closed, ticket granted) returns
+// only after it is written and fsynced. Every other record is
+// fire-and-forget: staged in memory and flushed within
+// Config.FlushBytes/FlushInterval, so a crash can lose that bounded tail
+// (recovery restores the exact flushed prefix; see
+// internal/sim.RunCrashRecovery).
 //
 // Concurrency: the journal side is safe for concurrent use. Recover and
 // Snapshot require quiesced ingest — a mutation concurrent with the
@@ -145,7 +146,6 @@ func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 	}
 	stats.Generation = s.gen
 
-	rj := reg.ReplayJournal(func(error) { stats.ReplayErrors++ })
 	f, err := os.OpenFile(s.walPath(s.gen), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return stats, fmt.Errorf("durable: %w", err)
@@ -161,12 +161,11 @@ func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 			return stats, fmt.Errorf("durable: %w", err)
 		}
 	} else {
-		good, torn := walkFrames(data, func(payload []byte) error {
-			if err := applyRecord(payload, rj); err != nil {
-				return err
+		good, torn := walkRecords(data, func(rec service.Record) {
+			if reg.Apply(rec) != nil {
+				stats.ReplayErrors++
 			}
 			stats.Records++
-			return nil
 		})
 		if torn {
 			if good < int64(len(walMagic)) {
@@ -363,74 +362,22 @@ func (s *Store) Abandon() {
 	}
 }
 
-// Store implements service.Journal: one appended record per mutation.
-// Barrier records (sealed/closed/ticket-granted) return only once
-// durable; the rest are staged fire-and-forget.
-
-func (s *Store) RoundCreated(tenant string, round uint64) {
-	// Journaled under the round manager's lock (round admission), so it
-	// must stay async — and it can: a lost RoundCreated only loses the
-	// (empty) round it created, which recovery treats as never admitted.
+// Append implements service.Journal: one staged record per mutation. A
+// barrier kind (service.RecordKind.Barrier) returns only once durable;
+// the rest are staged fire-and-forget.
+func (s *Store) Append(rec service.Record) {
 	e := getEncoder()
-	encodeRound(e.w, recRoundCreated, tenant, round)
-	s.stage(false, e)
+	encodeRecord(e.w, rec)
+	s.stage(rec.Kind.Barrier(), e)
+}
+
+// BatchAccepted appends one accept watermark, and RoundSealed one seal
+// barrier, outside any registry: the benchmark times the journal's two
+// halves with them.
+func (s *Store) BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector) {
+	s.Append(service.Record{Kind: service.BatchAccepted, Tenant: tenant, Round: round, Digests: digests, Lanes: delta})
 }
 
 func (s *Store) RoundSealed(tenant string, round uint64) {
-	// Barrier: the fleet plane ships partial seals and operators read
-	// sealed sums the moment Seal returns, so the seal record — and,
-	// because staging preserves order, every accept record before it —
-	// must be durable first.
-	e := getEncoder()
-	encodeRound(e.w, recRoundSealed, tenant, round)
-	s.stage(true, e)
-}
-
-func (s *Store) RoundClosed(tenant string, round uint64) {
-	// Barrier: a closed round's sum has been consumed downstream.
-	e := getEncoder()
-	encodeRound(e.w, recRoundClosed, tenant, round)
-	s.stage(true, e)
-}
-
-func (s *Store) RoundForgotten(tenant string, round uint64) {
-	// Journaled under the manager's lock on the eviction path: async.
-	e := getEncoder()
-	encodeRound(e.w, recRoundForgotten, tenant, round)
-	s.stage(false, e)
-}
-
-func (s *Store) BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector) {
-	e := getEncoder()
-	encodeAccepted(e.w, tenant, round, digests, delta)
-	s.stage(false, e)
-}
-
-func (s *Store) DropoutCorrected(tenant string, round uint64, mask fixed.Vector) {
-	e := getEncoder()
-	encodeDropout(e.w, tenant, round, mask)
-	s.stage(false, e)
-}
-
-func (s *Store) Rejected(tenant string, round uint64, level service.RejectLevel, n int) {
-	e := getEncoder()
-	encodeRejected(e.w, tenant, round, level, n)
-	s.stage(false, e)
-}
-
-func (s *Store) TicketGranted(tenant string, tk service.TicketState) {
-	// Barrier: the grant reply hands the device a session key; if the
-	// record were lost, every post-restart contribution under that
-	// ticket would be refused and the device forced back through the
-	// asymmetric exchange — the thundering herd durability exists to
-	// prevent.
-	e := getEncoder()
-	encodeTicketGranted(e.w, tenant, tk)
-	s.stage(true, e)
-}
-
-func (s *Store) TicketEvicted(tenant string, id uint64) {
-	e := getEncoder()
-	encodeTicketEvicted(e.w, tenant, id)
-	s.stage(false, e)
+	s.Append(service.Record{Kind: service.RoundSealed, Tenant: tenant, Round: round})
 }

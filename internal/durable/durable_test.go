@@ -167,22 +167,43 @@ func TestDecodeSnapshotRefusesCountMismatch(t *testing.T) {
 	}
 }
 
+// roundRecord and acceptRecord build records of the test tenant.
+func roundRecord(kind service.RecordKind, round uint64) service.Record {
+	return service.Record{Kind: kind, Tenant: testTenant, Round: round}
+}
+
+func acceptRecord(round uint64, digests [][32]byte, lanes fixed.Vector) service.Record {
+	return service.Record{Kind: service.BatchAccepted, Tenant: testTenant, Round: round, Digests: digests, Lanes: lanes}
+}
+
+// grantTicket installs a ticket in the test tenant's table as replay does.
+func grantTicket(t testing.TB, reg *service.Registry, tk service.TicketState) {
+	t.Helper()
+	if err := reg.Apply(service.Record{Kind: service.TicketGranted, Tenant: testTenant, Ticket: tk}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // driveStore journals a deterministic mutation sequence through a
 // journal (the store under test, or the golden-fixture collector),
 // mirroring what live ingest would report.
-func driveStore(s service.Journal) {
-	s.RoundCreated(testTenant, 1)
-	s.BatchAccepted(testTenant, 1, [][32]byte{digest(0x11), digest(0x22)}, fixed.Vector{10, 20, 30, 40})
-	s.Rejected(testTenant, 1, service.LevelRound, 1)
-	s.RoundSealed(testTenant, 1)
-	s.RoundCreated(testTenant, 2)
-	s.BatchAccepted(testTenant, 2, [][32]byte{digest(0x33)}, fixed.Vector{5, 6, 7, 8})
-	s.DropoutCorrected(testTenant, 2, fixed.Vector{1, 1, 1, 1})
-	s.Rejected(testTenant, 0, service.LevelManager, 2)
-	s.Rejected("", 0, service.LevelRegistry, 3)
-	s.TicketGranted(testTenant, service.TicketState{ID: 7, Key: sessionKey(0xA1), RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600})
-	s.TicketGranted(testTenant, service.TicketState{ID: 9, Key: sessionKey(0xB2), RoundFirst: 2, RoundLast: 2, ExpiresUnix: testClock() + 60})
-	s.TicketEvicted(testTenant, 9)
+func driveStore(j service.Journal) {
+	for _, rec := range []service.Record{
+		roundRecord(service.RoundCreated, 1),
+		acceptRecord(1, [][32]byte{digest(0x11), digest(0x22)}, fixed.Vector{10, 20, 30, 40}),
+		{Kind: service.Rejected, Tenant: testTenant, Round: 1, Level: service.LevelRound, Count: 1},
+		roundRecord(service.RoundSealed, 1),
+		roundRecord(service.RoundCreated, 2),
+		acceptRecord(2, [][32]byte{digest(0x33)}, fixed.Vector{5, 6, 7, 8}),
+		{Kind: service.DropoutCorrected, Tenant: testTenant, Round: 2, Lanes: fixed.Vector{1, 1, 1, 1}},
+		{Kind: service.Rejected, Tenant: testTenant, Level: service.LevelManager, Count: 2},
+		{Kind: service.Rejected, Level: service.LevelRegistry, Count: 3},
+		{Kind: service.TicketGranted, Tenant: testTenant, Ticket: service.TicketState{ID: 7, Key: sessionKey(0xA1), RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600}},
+		{Kind: service.TicketGranted, Tenant: testTenant, Ticket: service.TicketState{ID: 9, Key: sessionKey(0xB2), RoundFirst: 2, RoundLast: 2, ExpiresUnix: testClock() + 60}},
+		{Kind: service.TicketEvicted, Tenant: testTenant, Ticket: service.TicketState{ID: 9}},
+	} {
+		j.Append(rec)
+	}
 }
 
 func recoverInto(t *testing.T, dir string) (*service.Registry, *Store, RecoverStats) {
@@ -242,6 +263,20 @@ func TestStoreRecoverReplaysWAL(t *testing.T) {
 		t.Fatalf("unexpected stats %+v", stats)
 	}
 	checkReplayedState(t, regB)
+
+	// Replay and restore are two ways into Registry.Apply: the image of the
+	// replayed registry, recovered alone, must export the same bytes.
+	if err := sB.Snapshot(regB); err != nil {
+		t.Fatal(err)
+	}
+	regC, sC, stats := recoverInto(t, dir)
+	defer sC.Close()
+	if !stats.SnapshotLoaded || stats.Records != 0 {
+		t.Fatalf("stats = %+v, want the snapshot alone", stats)
+	}
+	if replayed, restored := EncodeSnapshot(regB.ExportState(), 1), EncodeSnapshot(regC.ExportState(), 1); !bytes.Equal(replayed, restored) {
+		t.Fatalf("restored image diverges from the replayed registry:\nreplayed %x\nrestored %x", replayed, restored)
+	}
 }
 
 func TestWALTornTailTruncated(t *testing.T) {
@@ -411,9 +446,9 @@ func TestTicketsSurviveRecovery(t *testing.T) {
 func TestReplayRefusesMisdimensionedBatch(t *testing.T) {
 	dir := t.TempDir()
 	_, sA, _ := recoverInto(t, dir)
-	sA.RoundCreated(testTenant, 1)
-	sA.BatchAccepted(testTenant, 1, [][32]byte{digest(0x11), digest(0x22)}, fixed.Vector{10, 20, 30, 40})
-	sA.RoundSealed(testTenant, 1)
+	sA.Append(roundRecord(service.RoundCreated, 1))
+	sA.Append(acceptRecord(1, [][32]byte{digest(0x11), digest(0x22)}, fixed.Vector{10, 20, 30, 40}))
+	sA.Append(roundRecord(service.RoundSealed, 1))
 	if err := sA.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"glimmers/internal/service"
+	"glimmers/internal/wire"
 )
 
 // fuzzRegistry builds the canonical test tenant without *testing.T (the
@@ -44,13 +46,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 // FuzzWALReplay: an arbitrary WAL image replayed into a live registry —
 // exactly the walk Recover performs — must never panic, whatever rounds,
-// tickets, or counters the records claim.
+// tickets, or counters the records claim; and every record that decodes
+// must re-encode to the identical payload, so the codec has one spelling
+// per record.
 func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := fuzzRegistry()
-		rj := reg.ReplayJournal(nil)
 		good, _ := walkFrames(data, func(payload []byte) error {
-			return applyRecord(payload, rj)
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			w := wire.NewWriter()
+			encodeRecord(w, rec)
+			if !bytes.Equal(w.Finish(), payload) {
+				t.Fatalf("record %+v re-encodes to other bytes:\n got %x\nwant %x", rec, w.Finish(), payload)
+			}
+			_ = reg.Apply(rec) // a mismatch is counted, not fatal, as in Recover
+			return nil
 		})
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("good offset %d out of range", good)

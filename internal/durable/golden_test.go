@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"glimmers/internal/fixed"
 	"glimmers/internal/service"
 	"glimmers/internal/wire"
 )
@@ -104,14 +103,12 @@ func TestGoldenWAL(t *testing.T) {
 	// The frozen image replays into exactly the state driveStore
 	// describes.
 	reg := newTestRegistry(t)
-	rj := reg.ReplayJournal(func(err error) { t.Errorf("replay error: %v", err) })
 	records := 0
-	good, torn := walkFrames(want, func(p []byte) error {
-		if err := applyRecord(p, rj); err != nil {
-			return err
+	good, torn := walkRecords(want, func(rec service.Record) {
+		if err := reg.Apply(rec); err != nil {
+			t.Errorf("replay error: %v", err)
 		}
 		records++
-		return nil
 	})
 	if torn || good != int64(len(want)) || records != 12 {
 		t.Fatalf("walk: good=%d torn=%v records=%d", good, torn, records)
@@ -147,50 +144,14 @@ func TestUpdateFuzzSeeds(t *testing.T) {
 	write("FuzzWALReplay", "seed_magic_only", walMagic)
 }
 
-// recordCollector implements service.Journal with the same encoders
-// Store.append uses, collecting raw payloads instead of writing frames
+// recordCollector implements service.Journal with the encoder
+// Store.Append uses, collecting raw payloads instead of writing frames
 // to disk — the golden WAL and the live store stay in lockstep by
 // construction.
 type recordCollector struct{ payloads [][]byte }
 
-func (c *recordCollector) add(build func(w *wire.Writer)) {
+func (c *recordCollector) Append(rec service.Record) {
 	w := wire.NewWriter()
-	build(w)
-	c.payloads = append(c.payloads, append([]byte(nil), w.Finish()...))
-}
-
-func (c *recordCollector) RoundCreated(tenant string, round uint64) {
-	c.add(func(w *wire.Writer) { encodeRound(w, recRoundCreated, tenant, round) })
-}
-
-func (c *recordCollector) RoundSealed(tenant string, round uint64) {
-	c.add(func(w *wire.Writer) { encodeRound(w, recRoundSealed, tenant, round) })
-}
-
-func (c *recordCollector) RoundClosed(tenant string, round uint64) {
-	c.add(func(w *wire.Writer) { encodeRound(w, recRoundClosed, tenant, round) })
-}
-
-func (c *recordCollector) RoundForgotten(tenant string, round uint64) {
-	c.add(func(w *wire.Writer) { encodeRound(w, recRoundForgotten, tenant, round) })
-}
-
-func (c *recordCollector) BatchAccepted(tenant string, round uint64, ds [][32]byte, delta fixed.Vector) {
-	c.add(func(w *wire.Writer) { encodeAccepted(w, tenant, round, ds, delta) })
-}
-
-func (c *recordCollector) DropoutCorrected(tenant string, round uint64, mask fixed.Vector) {
-	c.add(func(w *wire.Writer) { encodeDropout(w, tenant, round, mask) })
-}
-
-func (c *recordCollector) Rejected(tenant string, round uint64, level service.RejectLevel, n int) {
-	c.add(func(w *wire.Writer) { encodeRejected(w, tenant, round, level, n) })
-}
-
-func (c *recordCollector) TicketGranted(tenant string, tk service.TicketState) {
-	c.add(func(w *wire.Writer) { encodeTicketGranted(w, tenant, tk) })
-}
-
-func (c *recordCollector) TicketEvicted(tenant string, id uint64) {
-	c.add(func(w *wire.Writer) { encodeTicketEvicted(w, tenant, id) })
+	encodeRecord(w, rec)
+	c.payloads = append(c.payloads, w.Finish())
 }

@@ -29,15 +29,14 @@ import (
 //     write(2) for the whole segment, and fsyncs only when a barrier is
 //     waiting.
 //
-// Barrier records (RoundSealed, RoundClosed, TicketGranted — and the
+// Barrier records (the kinds service.RecordKind.Barrier names — and the
 // Snapshot/Close lifecycle) block their caller until the record is
 // written AND fsynced: a seal must be durable before the sealed sum is
-// observable anywhere else. Everything else (BatchAccepted,
-// Rejected, DropoutCorrected, RoundCreated, RoundForgotten,
-// TicketEvicted) is fire-and-forget: a crash can lose the staged tail,
-// bounded by FlushBytes/FlushInterval, and recovery then restores the
-// exact flushed prefix — the same torn-tail contract the WAL always had,
-// just with a slightly wider (and now tunable) window.
+// observable anywhere else. Every other kind is fire-and-forget: a
+// crash can lose the staged tail, bounded by FlushBytes/FlushInterval,
+// and recovery then restores the exact flushed prefix — the same
+// torn-tail contract the WAL always had, just with a slightly wider (and
+// now tunable) window.
 
 // Config tunes the group-commit write path. The zero value means
 // defaults.

@@ -9,6 +9,7 @@ import (
 
 	"glimmers/internal/audit"
 	"glimmers/internal/fixed"
+	"glimmers/internal/service"
 )
 
 // manualConfig disables every automatic flush trigger: records reach the
@@ -57,7 +58,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		s.BatchAccepted(testTenant, 1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4})
+		s.Append(acceptRecord(1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4}))
 	}
 	if st := s.Stats(); st.Writes != 0 {
 		t.Fatalf("async records hit the disk before any flush: %+v", st)
@@ -85,11 +86,11 @@ func TestBarrierMakesPrefixDurable(t *testing.T) {
 	s := openManual(t, dir)
 	defer s.Close()
 
-	s.RoundCreated(testTenant, 1)
+	s.Append(roundRecord(service.RoundCreated, 1))
 	for i := 0; i < 5; i++ {
-		s.BatchAccepted(testTenant, 1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4})
+		s.Append(acceptRecord(1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4}))
 	}
-	s.RoundSealed(testTenant, 1)
+	s.Append(roundRecord(service.RoundSealed, 1))
 
 	if got := countFrames(t, dir, "1"); got != 7 {
 		t.Errorf("WAL holds %d frames after the seal barrier, want all 7", got)
@@ -116,8 +117,8 @@ func TestGiantRecordReleasesCapacity(t *testing.T) {
 		d[0], d[1], d[2] = byte(i), byte(i>>8), byte(i>>16)
 		giant[i] = d
 	}
-	s.RoundCreated(testTenant, 1)
-	s.BatchAccepted(testTenant, 1, giant, fixed.Vector{1, 2, 3, 4})
+	s.Append(roundRecord(service.RoundCreated, 1))
+	s.Append(acceptRecord(1, giant, fixed.Vector{1, 2, 3, 4}))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +170,10 @@ func TestWALErrorAuditedImmediately(t *testing.T) {
 	s.f.Close()
 	s.mu.Unlock()
 
-	s.BatchAccepted(testTenant, 1, [][32]byte{digest(1)}, fixed.Vector{1, 2, 3, 4})
+	s.Append(acceptRecord(1, [][32]byte{digest(1)}, fixed.Vector{1, 2, 3, 4}))
 	done := make(chan struct{})
 	go func() {
-		s.RoundSealed(testTenant, 1) // barrier: must return despite the dead file
+		s.Append(roundRecord(service.RoundSealed, 1)) // barrier: must return despite the dead file
 		close(done)
 	}()
 	select {
@@ -209,7 +210,7 @@ func TestInlineBackpressureFlush(t *testing.T) {
 	s.stopFlusher()
 
 	for i := 0; i < 64; i++ {
-		s.BatchAccepted(testTenant, 1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4})
+		s.Append(acceptRecord(1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4}))
 	}
 	st := s.Stats()
 	if st.Writes == 0 {
@@ -238,7 +239,7 @@ func TestBackgroundFlusherInterval(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.BatchAccepted(testTenant, 1, [][32]byte{digest(1)}, fixed.Vector{1, 2, 3, 4})
+	s.Append(acceptRecord(1, [][32]byte{digest(1)}, fixed.Vector{1, 2, 3, 4}))
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if s.Stats().Writes > 0 {

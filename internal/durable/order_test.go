@@ -23,27 +23,21 @@ type orderRecorder struct {
 	counts []int // accepted digests or refused submissions per record (0 for the other kinds)
 }
 
-func (o *orderRecorder) rec(kind string, round uint64, n int) {
-	o.kinds = append(o.kinds, kind)
-	o.rounds = append(o.rounds, round)
-	o.counts = append(o.counts, n)
+var orderKinds = [...]string{
+	service.RoundCreated: "created", service.RoundSealed: "sealed", service.RoundClosed: "closed",
+	service.RoundForgotten: "forgotten", service.BatchAccepted: "accepted", service.DropoutCorrected: "dropout",
+	service.Rejected: "rejected", service.TicketGranted: "ticket", service.TicketEvicted: "evicted",
 }
 
-func (o *orderRecorder) RoundCreated(_ string, r uint64)   { o.rec("created", r, 0) }
-func (o *orderRecorder) RoundSealed(_ string, r uint64)    { o.rec("sealed", r, 0) }
-func (o *orderRecorder) RoundClosed(_ string, r uint64)    { o.rec("closed", r, 0) }
-func (o *orderRecorder) RoundForgotten(_ string, r uint64) { o.rec("forgotten", r, 0) }
-func (o *orderRecorder) BatchAccepted(_ string, r uint64, ds [][32]byte, _ fixed.Vector) {
-	o.rec("accepted", r, len(ds))
+func (o *orderRecorder) Append(rec service.Record) {
+	kind, n := orderKinds[rec.Kind], len(rec.Digests)
+	if rec.Kind == service.Rejected {
+		kind, n = kind+"/"+[...]string{"registry", "manager", "round"}[rec.Level], rec.Count
+	}
+	o.kinds = append(o.kinds, kind)
+	o.rounds = append(o.rounds, rec.Round)
+	o.counts = append(o.counts, n)
 }
-func (o *orderRecorder) DropoutCorrected(_ string, r uint64, _ fixed.Vector) {
-	o.rec("dropout", r, 0)
-}
-func (o *orderRecorder) Rejected(_ string, r uint64, level service.RejectLevel, n int) {
-	o.rec("rejected/"+[...]string{"registry", "manager", "round"}[level], r, n)
-}
-func (o *orderRecorder) TicketGranted(_ string, _ service.TicketState) { o.rec("ticket", 0, 0) }
-func (o *orderRecorder) TicketEvicted(_ string, _ uint64)              { o.rec("evicted", 0, 0) }
 
 // orderRaws fabricates n distinct MAC'd contributions for one round,
 // sealed under a ticket already installed in tbl.
@@ -91,9 +85,7 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	skey := sessionKey(0xA7)
-	reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
-		ID: 7, Key: skey, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62,
-	})
+	grantTicket(t, reg, service.TicketState{ID: 7, Key: skey, RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62})
 	s, err := OpenConfig(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +136,7 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 	// a round whose RoundForgotten is already in the journal. Synthesized
 	// deterministically (the storm above only sometimes produces it).
 	m.Forget(2)
-	s.BatchAccepted(testTenant, 2, [][32]byte{digest(0xEE)}, fixed.Vector{9, 9, 9, 9})
+	s.Append(service.Record{Kind: service.BatchAccepted, Tenant: testTenant, Round: 2, Digests: [][32]byte{digest(0xEE)}, Lanes: fixed.Vector{9, 9, 9, 9}})
 
 	p1, ok := m.Lookup(1)
 	if !ok {
@@ -162,7 +154,7 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &orderRecorder{}
-	if _, torn := walkFrames(data, func(p []byte) error { return applyRecord(p, rec) }); torn {
+	if _, torn := walkRecords(data, rec.Append); torn {
 		t.Fatal("clean close left a torn WAL")
 	}
 	sealedAt := map[uint64]int{}
@@ -210,8 +202,11 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 	// no forgotten round is resurrected by its late accepts.
 	regB := newTestRegistry(t)
 	replayErrs := 0
-	rj := regB.ReplayJournal(func(error) { replayErrs++ })
-	if _, torn := walkFrames(data, func(p []byte) error { return applyRecord(p, rj) }); torn {
+	if _, torn := walkRecords(data, func(rec service.Record) {
+		if regB.Apply(rec) != nil {
+			replayErrs++
+		}
+	}); torn {
 		t.Fatal("replay walk torn")
 	}
 	if replayErrs != 0 {
@@ -246,9 +241,7 @@ func TestRefusalsJournaledOncePerFrame(t *testing.T) {
 	s := openManual(t, dir)
 	reg := newTestRegistry(t)
 	skey := sessionKey(0xA7)
-	reg.ReplayJournal(nil).TicketGranted(testTenant, service.TicketState{
-		ID: 7, Key: skey, RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600,
-	})
+	grantTicket(t, reg, service.TicketState{ID: 7, Key: skey, RoundFirst: 1, RoundLast: 4, ExpiresUnix: testClock() + 3600})
 	reg.SetJournal(s)
 
 	junk := make([][]byte, junkItems)
@@ -297,7 +290,7 @@ func TestRefusalsJournaledOncePerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &orderRecorder{}
-	if _, torn := walkFrames(data, func(p []byte) error { return applyRecord(p, rec) }); torn {
+	if _, torn := walkRecords(data, rec.Append); torn {
 		t.Fatal("clean close left a torn WAL")
 	}
 	var got []string
@@ -387,7 +380,7 @@ func TestSignedFrameOneWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &orderRecorder{}
-	if _, torn := walkFrames(data, func(p []byte) error { return applyRecord(p, rec) }); torn {
+	if _, torn := walkRecords(data, rec.Append); torn {
 		t.Fatal("an abandoned store left a torn WAL")
 	}
 	if len(rec.kinds) != 2 || rec.kinds[0] != "created" || rec.kinds[1] != "accepted" || rec.counts[1] != n {

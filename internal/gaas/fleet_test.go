@@ -45,7 +45,9 @@ func (ft *fleetTenant) node(t *testing.T, dim int, tickets ...service.TicketStat
 		t.Fatal(err)
 	}
 	for _, tk := range tickets {
-		reg.ReplayJournal(nil).TicketGranted("iot.example", tk)
+		if err := reg.Apply(service.Record{Kind: service.TicketGranted, Tenant: "iot.example", Ticket: tk}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return reg, hosted.Manager()
 }

@@ -54,71 +54,36 @@ func admissionRegistry(t testing.TB, budget int, j Journal) *Registry {
 	return r
 }
 
-// tapeJournal records every journal call in arrival order, copying what the
-// caller may reuse, so a test can play the tape back through
-// Registry.ReplayJournal. before, when set, runs inside every hook with the
-// method's name, before the record lands on the tape.
+// tapeJournal records every journal record in arrival order, cloning what
+// the caller may reuse, so a test can play the tape back through
+// Registry.Apply. before, when set, runs inside every Append with the
+// record's kind, before the record lands on the tape.
 type tapeJournal struct {
 	mu     sync.Mutex
-	ops    []tapeOp
-	before func(kind string)
+	recs   []Record
+	before func(RecordKind)
 }
 
-type tapeOp struct {
-	kind   string // the Journal method name
-	tenant string
-	round  uint64
-	play   func(Journal)
-}
-
-func (j *tapeJournal) add(kind, tenant string, round uint64, play func(Journal)) {
+func (j *tapeJournal) Append(rec Record) {
 	if j.before != nil {
-		j.before(kind)
+		j.before(rec.Kind)
 	}
+	rec.Digests, rec.Lanes = slices.Clone(rec.Digests), slices.Clone(rec.Lanes)
 	j.mu.Lock()
-	j.ops = append(j.ops, tapeOp{kind, tenant, round, play})
+	j.recs = append(j.recs, rec)
 	j.mu.Unlock()
-}
-
-func (j *tapeJournal) RoundCreated(t string, r uint64) {
-	j.add("RoundCreated", t, r, func(x Journal) { x.RoundCreated(t, r) })
-}
-func (j *tapeJournal) RoundSealed(t string, r uint64) {
-	j.add("RoundSealed", t, r, func(x Journal) { x.RoundSealed(t, r) })
-}
-func (j *tapeJournal) RoundClosed(t string, r uint64) {
-	j.add("RoundClosed", t, r, func(x Journal) { x.RoundClosed(t, r) })
-}
-func (j *tapeJournal) RoundForgotten(t string, r uint64) {
-	j.add("RoundForgotten", t, r, func(x Journal) { x.RoundForgotten(t, r) })
-}
-func (j *tapeJournal) BatchAccepted(t string, r uint64, digests [][32]byte, delta fixed.Vector) {
-	ds, dv := append([][32]byte(nil), digests...), delta.Clone()
-	j.add("BatchAccepted", t, r, func(x Journal) { x.BatchAccepted(t, r, ds, dv) })
-}
-func (j *tapeJournal) DropoutCorrected(t string, r uint64, mask fixed.Vector) {
-	mv := mask.Clone()
-	j.add("DropoutCorrected", t, r, func(x Journal) { x.DropoutCorrected(t, r, mv) })
-}
-func (j *tapeJournal) Rejected(t string, r uint64, level RejectLevel, n int) {
-	j.add("Rejected", t, r, func(x Journal) { x.Rejected(t, r, level, n) })
-}
-func (j *tapeJournal) TicketGranted(t string, tk TicketState) {
-	j.add("TicketGranted", t, 0, func(x Journal) { x.TicketGranted(t, tk) })
-}
-func (j *tapeJournal) TicketEvicted(t string, id uint64) {
-	j.add("TicketEvicted", t, 0, func(x Journal) { x.TicketEvicted(t, id) })
 }
 
 // replayInto plays the tape into r, a fresh registry of the same tenants,
 // and returns its exported state.
 func (j *tapeJournal) replayInto(t testing.TB, r *Registry) RegistryState {
 	t.Helper()
-	rj := r.ReplayJournal(func(err error) { t.Errorf("replay: %v", err) })
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, op := range j.ops {
-		op.play(rj)
+	for _, rec := range j.recs {
+		if err := r.Apply(rec); err != nil {
+			t.Errorf("replay: %v", err)
+		}
 	}
 	return r.ExportState()
 }
@@ -568,12 +533,12 @@ func TestForgetJournalsBeforeRecreate(t *testing.T) {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-	tape.before = func(kind string) {
+	tape.before = func(kind RecordKind) {
 		switch kind {
-		case "RoundForgotten":
+		case RoundForgotten:
 			close(inHook)
 			linger()
-		case "RoundSealed":
+		case RoundSealed:
 			linger()
 		}
 	}
@@ -591,13 +556,13 @@ func TestForgetJournalsBeforeRecreate(t *testing.T) {
 	if got := tape.replayInto(t, admissionRegistry(t, 0, nil)); !reflect.DeepEqual(got, live) {
 		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, live)
 	}
-	var kinds []string
-	for _, op := range tape.ops {
-		if op.tenant == name && op.round == round {
-			kinds = append(kinds, op.kind)
+	var kinds []RecordKind
+	for _, rec := range tape.recs {
+		if rec.Tenant == name && rec.Round == round {
+			kinds = append(kinds, rec.Kind)
 		}
 	}
-	if want := []string{"RoundCreated", "BatchAccepted", "RoundForgotten", "RoundCreated", "BatchAccepted"}; !reflect.DeepEqual(kinds, want) {
+	if want := []RecordKind{RoundCreated, BatchAccepted, RoundForgotten, RoundCreated, BatchAccepted}; !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("journal holds the round's lifecycle as %v, want %v", kinds, want)
 	}
 }

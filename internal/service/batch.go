@@ -77,10 +77,10 @@ type ingestArena struct {
 	check ticketCheck
 
 	// The accepted items' digests and summed lanes: the delta folds into
-	// the round's sum, and both go to Journal.BatchAccepted (which must not
-	// retain them — the same contract the arena itself rides on). delta is
-	// resliced to each round's dimension within its capacity: the arena
-	// serves tenants of every Dim.
+	// the round's sum, and both go to the journal's BatchAccepted record
+	// (which must not retain them — the same contract the arena itself
+	// rides on). delta is resliced to each round's dimension within its
+	// capacity: the arena serves tenants of every Dim.
 	digests [][32]byte
 	delta   fixed.Vector
 }
@@ -277,6 +277,6 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	sh.sum.AddInPlace(delta)
 	sh.mu.Unlock()
 	if j := p.journal; j != nil {
-		j.BatchAccepted(p.cfg.Name, p.round, digests, delta)
+		j.Append(Record{Kind: BatchAccepted, Tenant: p.cfg.Name, Round: p.round, Digests: digests, Lanes: delta})
 	}
 }

@@ -86,23 +86,25 @@ func (o *oracle) check(raw []byte) (fixed.Vector, [32]byte, error) {
 }
 
 // ledgerJournal adds up what one round journals: the multiset of
-// watermarked digests, the summed delta and the summed Rejected n. An
-// unsealed round fed past the router calls no other Journal method.
+// watermarked digests, the summed delta and the summed Rejected count. An
+// unsealed round fed past the router appends no other kind.
 type ledgerJournal struct {
-	Journal
 	digests  map[[32]byte]int
 	delta    fixed.Vector
 	rejected int
 }
 
-func (j *ledgerJournal) BatchAccepted(_ string, _ uint64, digests [][32]byte, delta fixed.Vector) {
-	for _, d := range digests {
-		j.digests[d]++
+func (j *ledgerJournal) Append(rec Record) {
+	switch rec.Kind {
+	case BatchAccepted:
+		for _, d := range rec.Digests {
+			j.digests[d]++
+		}
+		j.delta.AddInPlace(rec.Lanes)
+	case Rejected:
+		j.rejected += rec.Count
 	}
-	j.delta.AddInPlace(delta)
 }
-
-func (j *ledgerJournal) Rejected(_ string, _ uint64, _ RejectLevel, n int) { j.rejected += n }
 
 // FuzzBatchMatchesPerItem holds ingest to framing invariance and to the
 // reference oracle. The fuzzer composes a frame of up to 64 items, four
@@ -309,8 +311,8 @@ func TestChunkedJournalMatchesOracle(t *testing.T) {
 		}
 
 		ledger := &ledgerJournal{digests: map[[32]byte]int{}, delta: fixed.NewVector(dim)}
-		for _, op := range tape.ops {
-			op.play(ledger) // BatchAccepted and Rejected only: the round predates the journal
+		for _, rec := range tape.recs {
+			ledger.Append(rec) // BatchAccepted and Rejected only: the round predates the journal
 		}
 		if ledger.delta.Digest() != want.sum.Digest() {
 			t.Errorf("seed %d: journaled deltas do not add up to the oracle's sum", seed)

@@ -303,7 +303,7 @@ func verifyTicketed(cfg *roundConfig, wantRound *uint64, raw []byte,
 func (p *Pipeline) refuse(n int) {
 	p.rejected.Add(int64(n))
 	if j := p.journal; j != nil {
-		j.Rejected(p.cfg.Name, p.round, LevelRound, n)
+		j.Append(Record{Kind: Rejected, Tenant: p.cfg.Name, Round: p.round, Level: LevelRound, Count: n})
 	}
 }
 
@@ -328,7 +328,7 @@ func (p *Pipeline) Seal() error {
 	if transitioned {
 		p.stateMu.RLock()
 		if j := p.journal; j != nil {
-			j.RoundSealed(p.cfg.Name, p.round)
+			j.Append(Record{Kind: RoundSealed, Tenant: p.cfg.Name, Round: p.round})
 		}
 		p.stateMu.RUnlock()
 	}
@@ -348,7 +348,7 @@ func (p *Pipeline) Close() {
 	p.stateMu.Unlock()
 	p.stateMu.RLock()
 	if j := p.journal; j != nil {
-		j.RoundClosed(p.cfg.Name, p.round)
+		j.Append(Record{Kind: RoundClosed, Tenant: p.cfg.Name, Round: p.round})
 	}
 	p.stateMu.RUnlock()
 }
@@ -438,7 +438,7 @@ func (p *Pipeline) CorrectDropout(recoveredMask fixed.Vector) error {
 	sh.sum.AddInPlace(recoveredMask)
 	sh.mu.Unlock()
 	if j := p.journal; j != nil {
-		j.DropoutCorrected(p.cfg.Name, p.round, recoveredMask)
+		j.Append(Record{Kind: DropoutCorrected, Tenant: p.cfg.Name, Round: p.round, Lanes: recoveredMask})
 	}
 	return nil
 }

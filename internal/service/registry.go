@@ -317,7 +317,7 @@ func (r *Registry) Rejected() int { return int(r.rejected.Load()) }
 func (r *Registry) refuse(n int) {
 	r.rejected.Add(int64(n))
 	if j := r.journal; j != nil {
-		j.Rejected("", 0, LevelRegistry, n)
+		j.Append(Record{Kind: Rejected, Level: LevelRegistry, Count: n})
 	}
 }
 

@@ -170,21 +170,26 @@ func TestRegistryRoutesBatchAcrossTenants(t *testing.T) {
 	// One registry record before any tenant's; then each tenant in
 	// first-seen order, its rounds in first-seen order, and its manager's
 	// one record for the frame last.
-	want := []string{
-		"Rejected /0",
-		"BatchAccepted alpha.example/1", "Rejected alpha.example/1",
-		"RoundCreated alpha.example/2", "BatchAccepted alpha.example/2",
-		"Rejected alpha.example/0",
-		"RoundCreated beta.example/2", "BatchAccepted beta.example/2",
-		"Rejected beta.example/1",
-		"Rejected beta.example/0",
+	type entry struct {
+		kind   RecordKind
+		tenant string
+		round  uint64
 	}
-	var got []string
-	for _, op := range tape.ops {
-		got = append(got, fmt.Sprintf("%s %s/%d", op.kind, op.tenant, op.round))
+	want := []entry{
+		{Rejected, "", 0},
+		{BatchAccepted, "alpha.example", 1}, {Rejected, "alpha.example", 1},
+		{RoundCreated, "alpha.example", 2}, {BatchAccepted, "alpha.example", 2},
+		{Rejected, "alpha.example", 0},
+		{RoundCreated, "beta.example", 2}, {BatchAccepted, "beta.example", 2},
+		{Rejected, "beta.example", 1},
+		{Rejected, "beta.example", 0},
+	}
+	var got []entry
+	for _, rec := range tape.recs {
+		got = append(got, entry{rec.Kind, rec.Tenant, rec.Round})
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("journal records:\n got %q\nwant %q", got, want)
+		t.Fatalf("journal records (kind, tenant, round):\n got %v\nwant %v", got, want)
 	}
 }
 

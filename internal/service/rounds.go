@@ -65,7 +65,7 @@ func (m *RoundManager) Rejected() int { return int(m.rejected.Load()) }
 func (m *RoundManager) refuse(n int) {
 	m.rejected.Add(int64(n))
 	if j := m.journal; j != nil {
-		j.Rejected(m.cfg.Name, 0, LevelManager, n)
+		j.Append(Record{Kind: Rejected, Tenant: m.cfg.Name, Level: LevelManager, Count: n})
 	}
 }
 
@@ -87,7 +87,7 @@ func (m *RoundManager) roundLocked(round uint64) *Pipeline {
 	p.journal = m.journal
 	m.rounds[round] = p
 	if j := m.journal; j != nil {
-		j.RoundCreated(m.cfg.Name, round)
+		j.Append(Record{Kind: RoundCreated, Tenant: m.cfg.Name, Round: round})
 	}
 	return p
 }
@@ -297,7 +297,7 @@ func (m *RoundManager) forgetLocked(round uint64, p *Pipeline) {
 	delete(m.rounds, round)
 	p.setJournal(nil)
 	if j := m.journal; j != nil {
-		j.RoundForgotten(m.cfg.Name, round)
+		j.Append(Record{Kind: RoundForgotten, Tenant: m.cfg.Name, Round: round})
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 )
 
 // This file is the durability boundary of the service layer: exportable
-// state types, export/restore hooks on Registry/RoundManager/Pipeline/
-// TicketTable, and the Journal interface that internal/durable implements
-// to write a WAL. The state deliberately holds only what the operator can
-// already observe from the running process — aggregate sums, dedup
-// digests, counters, and ticket session keys (symmetric keys the server
-// necessarily holds). Raw contributions, blinding masks, and device
-// secrets are never part of it, so persisting it widens no leakage
-// surface beyond the process memory it mirrors.
+// state types, the journal Record every mutation becomes, the Journal
+// interface that internal/durable implements to write a WAL, and Apply,
+// the one way a record or an exported image gets back in. The state
+// deliberately holds only what the operator can already observe from the
+// running process — aggregate sums, dedup digests, counters, and ticket
+// session keys (symmetric keys the server necessarily holds). Raw
+// contributions, blinding masks, and device secrets are never part of it,
+// so persisting it widens no leakage surface beyond the process memory it
+// mirrors.
 
 // RejectLevel says which layer refused a submission, so replay can restore
 // the rejection counter that was actually bumped.
@@ -36,39 +37,84 @@ const (
 	LevelRound
 )
 
-// Journal receives every durable mutation of a Registry as it happens.
-// internal/durable implements it to append WAL records; ReplayJournal
-// implements it to apply those records back. Attach with SetJournal
-// before the registry serves traffic.
-//
-// Calls are made outside shard locks on the hot path and must not retain
-// slice arguments (digests, vectors) past the call: encode synchronously.
-//
-// Durability contract: implementations may persist asynchronously, but
-// RoundSealed, RoundClosed, and TicketGranted are barriers — they must
-// not return until the record and everything journaled before it are
-// durable, because the caller publishes the state they describe the
-// moment the journal call returns (a sealed sum to operators and the
-// fleet plane, a session key to the device). The service layer keeps
-// those three hooks off its internal locks so an implementation can
-// block in them; the remaining hooks may be called under manager or
-// shard bookkeeping locks and must return quickly (RoundCreated and
-// RoundForgotten, in particular, fire under the round manager's lock).
-type Journal interface {
-	RoundCreated(tenant string, round uint64)
-	RoundSealed(tenant string, round uint64)
-	RoundClosed(tenant string, round uint64)
+// RecordKind names a journal record. The values are fixed as WAL wire
+// values: the kind byte every record's payload starts with.
+type RecordKind uint8
+
+const (
+	// RoundCreated records a round entering its manager's map.
+	RoundCreated RecordKind = iota + 1
+	RoundSealed
+	RoundClosed
 	// RoundForgotten records a round leaving the manager's map (explicit
 	// Forget or cap eviction); its state is no longer registry-reachable.
-	RoundForgotten(tenant string, round uint64)
+	RoundForgotten
 	// BatchAccepted is the ingest watermark: the dedup digests accepted
 	// from one frame — one digest for a contribution submitted on its own
 	// — and their combined delta on the round's sum.
-	BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector)
-	DropoutCorrected(tenant string, round uint64, mask fixed.Vector)
-	Rejected(tenant string, round uint64, level RejectLevel, n int)
-	TicketGranted(tenant string, tk TicketState)
-	TicketEvicted(tenant string, id uint64)
+	BatchAccepted
+	DropoutCorrected
+	Rejected
+	TicketGranted
+	TicketEvicted
+)
+
+// Barrier is the durability contract: a journal may persist a record
+// asynchronously unless its kind is a barrier, whose Append must not return
+// until the record and everything journaled before it are durable, because
+// the caller publishes the state it describes the moment Append returns.
+// The service layer appends barrier records off its internal locks so a
+// journal can block in them; the rest may be appended under manager or shard
+// bookkeeping locks and must return quickly.
+//
+//   - RoundSealed: the fleet plane ships partial seals and operators read
+//     sealed sums the moment Seal returns, so the seal — and, because
+//     records are staged in order, every accept before it — must be durable
+//     first.
+//   - RoundClosed: a closed round's sum has been consumed downstream.
+//   - TicketGranted: the grant reply hands the device a session key; were
+//     the record lost, every post-restart contribution under that ticket
+//     would be refused and the device forced back through the asymmetric
+//     exchange — the thundering herd durability exists to prevent.
+//
+// RoundCreated and RoundForgotten are appended under the round manager's
+// lock, so they must stay async — and they can: a lost RoundCreated only
+// loses the (empty) round it created, which recovery treats as never
+// admitted.
+func (k RecordKind) Barrier() bool {
+	return k == RoundSealed || k == RoundClosed || k == TicketGranted
+}
+
+// Record is one durable mutation of a Registry, as a value: the WAL
+// appends it, and Apply plays it back. Which fields a kind uses:
+//
+//   - every kind: Tenant (empty for a registry-level Rejected);
+//   - every kind but the ticket ones: Round (0 for a manager- or
+//     registry-level Rejected);
+//   - BatchAccepted: Digests and Lanes (the delta on the round's sum);
+//   - DropoutCorrected: Lanes (the recovered mask);
+//   - Rejected: Level and Count;
+//   - TicketGranted: Ticket; TicketEvicted: Ticket.ID.
+type Record struct {
+	Kind    RecordKind
+	Tenant  string
+	Round   uint64
+	Digests [][32]byte
+	Lanes   fixed.Vector
+	Level   RejectLevel
+	Count   int
+	Ticket  TicketState
+}
+
+// Journal receives every durable mutation of a Registry as it happens.
+// internal/durable implements it to append WAL records. Attach with
+// SetJournal before the registry serves traffic.
+//
+// Append is called outside shard locks on the hot path and must not retain
+// the record's slices (Digests, Lanes) past the call: encode synchronously.
+// Which kinds must be durable before Append returns is RecordKind.Barrier.
+type Journal interface {
+	Append(Record)
 }
 
 // TicketState is one ticket-table entry in exportable form. The session
@@ -256,7 +302,9 @@ func (t *TicketTable) exportTickets() []TicketState {
 // tenants have already been registered with matching configurations
 // (same names, dimensions, ticket policies — ConfigDigest enforces it).
 // Call on a fresh registry before it serves traffic and before
-// SetJournal, so the restore itself is not journaled back.
+// SetJournal, so the restore itself is not journaled back. Each round
+// goes through Apply as the records that built it: created, accepted,
+// refused, then sealed or closed.
 func (r *Registry) RestoreState(st RegistryState) error {
 	for _, ts := range st.Tenants {
 		t, ok := r.Tenant(ts.Name)
@@ -266,39 +314,99 @@ func (r *Registry) RestoreState(st RegistryState) error {
 		if t.ConfigDigest() != ts.ConfigDigest {
 			return fmt.Errorf("service: restore: tenant %q config digest mismatch (state was exported under a different name/dim/ticket policy)", ts.Name)
 		}
-		if err := t.manager.restoreState(ts); err != nil {
-			return fmt.Errorf("service: restore: tenant %q: %w", ts.Name, err)
+		var recs []Record
+		for _, rs := range ts.Rounds {
+			recs = append(recs,
+				Record{Kind: RoundCreated, Tenant: ts.Name, Round: rs.Round},
+				Record{Kind: BatchAccepted, Tenant: ts.Name, Round: rs.Round, Digests: rs.Digests, Lanes: rs.Sum},
+				Record{Kind: Rejected, Tenant: ts.Name, Round: rs.Round, Level: LevelRound, Count: int(rs.Rejected)})
+			switch rs.Phase {
+			case RoundPhaseSealed:
+				recs = append(recs, Record{Kind: RoundSealed, Tenant: ts.Name, Round: rs.Round})
+			case RoundPhaseClosed:
+				recs = append(recs, Record{Kind: RoundClosed, Tenant: ts.Name, Round: rs.Round})
+			}
 		}
-	}
-	r.rejected.Store(int64(st.Rejected))
-	return nil
-}
-
-func (m *RoundManager) restoreState(ts TenantState) error {
-	m.rejected.Store(int64(ts.Rejected))
-	for _, rs := range ts.Rounds {
-		if err := m.Round(rs.Round).restoreRound(rs); err != nil {
-			return fmt.Errorf("round %d: %w", rs.Round, err)
-		}
-	}
-	if m.cfg.tickets != nil {
 		for _, tk := range ts.Tickets {
-			m.cfg.tickets.restoreTicket(tk)
+			recs = append(recs, Record{Kind: TicketGranted, Tenant: ts.Name, Ticket: tk})
+		}
+		recs = append(recs, Record{Kind: Rejected, Tenant: ts.Name, Level: LevelManager, Count: int(ts.Rejected)})
+		for _, rec := range recs {
+			if err := r.Apply(rec); err != nil {
+				return fmt.Errorf("service: restore: %w", err)
+			}
 		}
 	}
-	return nil
+	return r.Apply(Record{Kind: Rejected, Level: LevelRegistry, Count: int(st.Rejected)})
 }
 
-func (p *Pipeline) restoreRound(rs RoundState) error {
-	if err := p.restoreAccepted(rs.Digests, rs.Sum); err != nil {
-		return err
+// Apply plays one journal record back into the registry: the replay side
+// of the WAL, and the way RestoreState installs an image. It mutates state
+// directly — nothing is refused, verified or journaled — so call it before
+// SetJournal. Only RoundCreated brings a round into existence: a record for
+// a round no longer registered (one a RoundForgotten has removed) is
+// dropped and returns nil, exactly mirroring what registry-reachable state
+// did live — an evicted round's late in-flight records changed only the
+// detached pipeline, which the registry could no longer observe. A record
+// naming an unknown tenant, a vector of another dimension than the
+// tenant's, a grant for a tenant without a ticket table, or an unknown
+// kind or level returns an error and applies nothing.
+func (r *Registry) Apply(rec Record) error {
+	if rec.Kind == Rejected && rec.Level == LevelRegistry {
+		r.rejected.Add(int64(rec.Count))
+		return nil
 	}
-	p.rejected.Store(int64(rs.Rejected))
-	switch rs.Phase {
-	case RoundPhaseSealed:
-		_ = p.Seal()
-	case RoundPhaseClosed:
-		p.Close()
+	t, ok := r.Tenant(rec.Tenant)
+	if !ok {
+		return fmt.Errorf("service: apply: %w: %q", ErrUnknownTenant, rec.Tenant)
+	}
+	m := t.manager
+	switch rec.Kind {
+	case RoundCreated:
+		m.Round(rec.Round)
+	case RoundForgotten:
+		m.Forget(rec.Round)
+	case TicketGranted:
+		if m.cfg.tickets == nil {
+			return fmt.Errorf("service: apply: ticket grant for %q, which has no ticket table", rec.Tenant)
+		}
+		m.cfg.tickets.restoreTicket(rec.Ticket)
+	case TicketEvicted:
+		if m.cfg.tickets != nil {
+			m.cfg.tickets.deleteTicket(rec.Ticket.ID)
+		}
+	case Rejected:
+		switch rec.Level {
+		case LevelManager:
+			m.rejected.Add(int64(rec.Count))
+		case LevelRound:
+			if p, ok := m.Lookup(rec.Round); ok {
+				p.rejected.Add(int64(rec.Count))
+			}
+		default:
+			return fmt.Errorf("service: apply: unknown reject level %d", rec.Level)
+		}
+	case RoundSealed, RoundClosed, BatchAccepted, DropoutCorrected:
+		p, ok := m.Lookup(rec.Round)
+		if !ok {
+			return nil
+		}
+		var err error
+		switch rec.Kind {
+		case RoundSealed:
+			_ = p.Seal()
+		case RoundClosed:
+			p.Close()
+		case BatchAccepted:
+			err = p.restoreAccepted(rec.Digests, rec.Lanes)
+		case DropoutCorrected:
+			err = p.CorrectDropout(rec.Lanes)
+		}
+		if err != nil {
+			return fmt.Errorf("service: apply: %s/%d: %w", rec.Tenant, rec.Round, err)
+		}
+	default:
+		return fmt.Errorf("service: apply: unknown record kind %d", rec.Kind)
 	}
 	return nil
 }
@@ -352,130 +460,4 @@ func (t *TicketTable) setJournal(tenant string, j Journal) {
 	t.mu.Lock()
 	t.tenant, t.journal = tenant, j
 	t.mu.Unlock()
-}
-
-// ReplayJournal returns a Journal whose events mutate the registry
-// directly: the replay side of the WAL. internal/durable feeds decoded
-// records through it before attaching the real journal. onErr (may be
-// nil) receives non-fatal replay mismatches — records naming tenants the
-// registry no longer has, and vectors of another dimension than the
-// tenant's.
-func (r *Registry) ReplayJournal(onErr func(error)) Journal {
-	if onErr == nil {
-		onErr = func(error) {}
-	}
-	return &replayJournal{reg: r, onErr: onErr}
-}
-
-type replayJournal struct {
-	reg   *Registry
-	onErr func(error)
-}
-
-func (rj *replayJournal) manager(tenant string) *RoundManager {
-	t, ok := rj.reg.Tenant(tenant)
-	if !ok {
-		rj.onErr(fmt.Errorf("service: replay: %w: %q", ErrUnknownTenant, tenant))
-		return nil
-	}
-	return t.manager
-}
-
-// round resolves an existing round for replay. Only RoundCreated brings a
-// round into existence: every other record applies to a round that is
-// still registered and is dropped once a RoundForgotten record has
-// removed it — exactly mirroring what registry-reachable state did live
-// (an evicted round's late in-flight records changed only the detached
-// pipeline, which the registry could no longer observe).
-func (rj *replayJournal) round(tenant string, round uint64) *Pipeline {
-	m := rj.manager(tenant)
-	if m == nil {
-		return nil
-	}
-	p, ok := m.Lookup(round)
-	if !ok {
-		return nil
-	}
-	return p
-}
-
-func (rj *replayJournal) RoundCreated(tenant string, round uint64) {
-	if m := rj.manager(tenant); m != nil {
-		m.Round(round)
-	}
-}
-
-func (rj *replayJournal) RoundSealed(tenant string, round uint64) {
-	if p := rj.round(tenant, round); p != nil {
-		_ = p.Seal()
-	}
-}
-
-func (rj *replayJournal) RoundClosed(tenant string, round uint64) {
-	if p := rj.round(tenant, round); p != nil {
-		p.Close()
-	}
-}
-
-func (rj *replayJournal) RoundForgotten(tenant string, round uint64) {
-	if m := rj.manager(tenant); m != nil {
-		m.Forget(round)
-	}
-}
-
-func (rj *replayJournal) BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector) {
-	if p := rj.round(tenant, round); p != nil {
-		if err := p.restoreAccepted(digests, delta); err != nil {
-			rj.onErr(fmt.Errorf("service: replay: accepted batch on %s/%d: %w", tenant, round, err))
-		}
-	}
-}
-
-func (rj *replayJournal) DropoutCorrected(tenant string, round uint64, mask fixed.Vector) {
-	if p := rj.round(tenant, round); p != nil {
-		if err := p.CorrectDropout(mask); err != nil {
-			rj.onErr(fmt.Errorf("service: replay: dropout correction on %s/%d: %w", tenant, round, err))
-		}
-	}
-}
-
-// Rejected restores a counter that a refuse function bumped live; nothing
-// is refused here, so nothing goes through them (or back into a journal).
-func (rj *replayJournal) Rejected(tenant string, round uint64, level RejectLevel, n int) {
-	switch level {
-	case LevelRegistry:
-		rj.reg.rejected.Add(int64(n))
-	case LevelManager:
-		if m := rj.manager(tenant); m != nil {
-			m.rejected.Add(int64(n))
-		}
-	case LevelRound:
-		if p := rj.round(tenant, round); p != nil {
-			p.rejected.Add(int64(n))
-		}
-	default:
-		rj.onErr(fmt.Errorf("service: replay: unknown reject level %d", level))
-	}
-}
-
-func (rj *replayJournal) TicketGranted(tenant string, tk TicketState) {
-	m := rj.manager(tenant)
-	if m == nil {
-		return
-	}
-	if m.cfg.tickets == nil {
-		rj.onErr(fmt.Errorf("service: replay: ticket grant for %q, which has no ticket table", tenant))
-		return
-	}
-	m.cfg.tickets.restoreTicket(tk)
-}
-
-func (rj *replayJournal) TicketEvicted(tenant string, id uint64) {
-	m := rj.manager(tenant)
-	if m == nil {
-		return
-	}
-	if m.cfg.tickets != nil {
-		m.cfg.tickets.deleteTicket(id)
-	}
 }

@@ -149,13 +149,13 @@ func (t *TicketTable) journalInsert(j Journal, tenant string, evicted []uint64, 
 		return
 	}
 	for _, v := range evicted {
-		j.TicketEvicted(tenant, v)
+		j.Append(Record{Kind: TicketEvicted, Tenant: tenant, Ticket: TicketState{ID: v}})
 	}
-	j.TicketGranted(tenant, TicketState{
+	j.Append(Record{Kind: TicketGranted, Tenant: tenant, Ticket: TicketState{
 		ID: id, Key: e.key,
 		RoundFirst: e.roundFirst, RoundLast: e.roundLast,
 		ExpiresUnix: e.expiresUnix,
-	})
+	}})
 }
 
 // insertLocked adds an entry, enforcing the bound: at the cap every

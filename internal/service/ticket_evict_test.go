@@ -66,17 +66,20 @@ func (o *scanTable) ids() []uint64 {
 	return out
 }
 
-// evictionJournal records the ticket events of one insert; the table
-// touches no other Journal method.
+// evictionJournal records the ticket records of one insert; the table
+// appends no other kind.
 type evictionJournal struct {
-	Journal
 	evicted []uint64
 	granted []uint64
 }
 
-func (j *evictionJournal) TicketEvicted(_ string, id uint64) { j.evicted = append(j.evicted, id) }
-func (j *evictionJournal) TicketGranted(_ string, tk TicketState) {
-	j.granted = append(j.granted, tk.ID)
+func (j *evictionJournal) Append(rec Record) {
+	switch rec.Kind {
+	case TicketEvicted:
+		j.evicted = append(j.evicted, rec.Ticket.ID)
+	case TicketGranted:
+		j.granted = append(j.granted, rec.Ticket.ID)
+	}
 }
 
 // TestTicketEvictionMatchesLinearScan is the differential test for the
