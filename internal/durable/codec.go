@@ -1,157 +1,111 @@
-// Package durable persists service.Registry state: a versioned snapshot
-// plus a write-ahead log of the mutations since, so a restarted glimmerd
-// recovers its open rounds, dedup sets, sealed sums, rejection counters,
-// and ticket tables — and pre-crash sessions keep contributing without
-// re-running the asymmetric grant exchange.
+// Package durable persists service.Registry state as journal records: a
+// write-ahead log of every mutation, and an image — the snapshot — of the
+// registry as the records that rebuild it, in one framing of one codec.
+// A restarted glimmerd recovers its open rounds, dedup sets, sealed sums,
+// rejection counters and ticket tables, and pre-crash sessions keep
+// contributing without re-running the asymmetric grant exchange.
 //
 // Privacy boundary (the PrivTru caution): everything here is state the
 // operator already observes in process memory — aggregate sums, dedup
 // digests, counters, and the symmetric ticket session keys the server
 // necessarily holds. Raw contributions, blinding masks, and device-side
-// secrets are never serialized.
+// secrets are never serialized; a frame's summed delta (for a frame of
+// one, one device's blinded vector) stays in the WAL until a snapshot.
 package durable
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/service"
 	"glimmers/internal/wire"
 )
 
-// snapshotMagic versions the snapshot encoding; a format change bumps it.
-const snapshotMagic = "glimmers/snapshot/v1"
+// snapshotMagic versions the image encoding; a format change bumps it.
+// An image is the magic, the big-endian generation of the WAL that
+// follows it, then service.RegistryState.Records in WAL frames.
+const snapshotMagic = "glimmers/snapshot/v2"
 
-// ErrBadSnapshot reports an undecodable snapshot. Unlike a torn WAL tail
-// this is never expected — snapshots are written to a temp file and
-// renamed into place — so recovery fails loudly instead of truncating.
+// ErrBadSnapshot reports an image that does not load: a bad header, a torn
+// or undecodable frame, a record Apply refuses, or an image cut short of
+// its closing record. Unlike a torn WAL tail this is never expected —
+// images are written to a temp file, synced and renamed into place — so
+// recovery fails loudly instead of truncating.
 var ErrBadSnapshot = errors.New("durable: malformed snapshot")
 
 const (
-	digestLen  = 32
-	keyLen     = 32
-	maxLanes   = 1 << 20 // dimension sanity bound for decoders
-	maxEntries = 1 << 22 // per-collection sanity bound for decoders
+	digestLen = 32
+	keyLen    = 32
+	maxLanes  = 1 << 20 // dimension sanity bound for decoders
 )
 
-// EncodeSnapshot serializes a registry state and the WAL generation that
-// starts after it. The encoding is deterministic for a deterministically
-// exported state (service.Registry.ExportState sorts everything), which
-// is what makes snapshot round-trips byte-identical.
-func EncodeSnapshot(st service.RegistryState, generation uint64) []byte {
-	w := wire.NewWriter()
-	w.String(snapshotMagic)
-	w.Uint64(generation)
-	w.Uint64(st.Rejected)
-	w.Uint32(uint32(len(st.Tenants)))
-	for _, ts := range st.Tenants {
-		w.String(ts.Name)
-		w.Bytes(ts.ConfigDigest[:])
-		w.Uint64(ts.Rejected)
-		w.Uint32(uint32(len(ts.Rounds)))
-		for _, rs := range ts.Rounds {
-			w.Uint64(rs.Round)
-			w.Byte(rs.Phase)
-			w.Uint64(rs.Count)
-			w.Uint64(rs.Rejected)
-			w.Bytes(rs.Sum.AppendWire(nil))
-			w.Bytes(appendDigests(nil, rs.Digests))
-		}
-		w.Uint32(uint32(len(ts.Tickets)))
-		for _, tk := range ts.Tickets {
-			appendTicket(w, tk)
-		}
+// imageDigests caps the digests of one accept record in an image: a wider
+// round is split across records, so 32 MiB of digests plus maxLanes lanes
+// always fit maxFramePayload. A variable so tests can split small rounds.
+var imageDigests = 1 << 20
+
+// writeImage encodes st as the image that precedes WAL generation gen.
+func writeImage(w io.Writer, st service.RegistryState, gen uint64) error {
+	bw := bufio.NewWriterSize(w, walkBuffer)
+	bw.WriteString(snapshotMagic)
+	bw.Write(binary.BigEndian.AppendUint64(nil, gen))
+	e := wire.NewWriter()
+	frame := func(rec service.Record) {
+		e.Reset()
+		encodeRecord(e, rec)
+		hdr := frameHeader(e.Finish())
+		bw.Write(hdr[:])
+		bw.Write(e.Finish())
 	}
-	return w.Finish()
+	for _, rec := range st.Records() {
+		for rec.Kind == service.BatchAccepted && len(rec.Digests) > imageDigests {
+			head := rec
+			head.Digests = rec.Digests[:imageDigests]
+			frame(head)
+			rec.Digests, rec.Lanes = rec.Digests[imageDigests:], fixed.NewVector(len(rec.Lanes))
+		}
+		frame(rec)
+	}
+	return bw.Flush()
 }
 
-// DecodeSnapshot parses a snapshot, returning the state and the WAL
-// generation to replay after it.
-func DecodeSnapshot(data []byte) (service.RegistryState, uint64, error) {
-	var st service.RegistryState
-	r := wire.NewReader(data)
-	if r.String() != snapshotMagic {
-		return st, 0, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	generation := r.Uint64()
-	st.Rejected = r.Uint64()
-	nTenants := r.Uint32()
-	if nTenants > maxEntries {
-		return st, 0, fmt.Errorf("%w: tenant count %d", ErrBadSnapshot, nTenants)
-	}
-	for i := uint32(0); i < nTenants && r.Err() == nil; i++ {
-		var ts service.TenantState
-		ts.Name = r.String()
-		if d := r.Bytes(); len(d) == digestLen {
-			copy(ts.ConfigDigest[:], d)
-		} else {
-			return st, 0, fmt.Errorf("%w: config digest length %d", ErrBadSnapshot, len(d))
+// loadImage applies an image of size bytes, read from r, to reg and
+// returns the WAL generation that follows it. Every failure is
+// ErrBadSnapshot. Records closes an image with the registry's refusal
+// counter, so an image cut at a frame boundary fails too.
+func loadImage(reg *service.Registry, r io.Reader, size int64) (uint64, error) {
+	hdr := make([]byte, len(snapshotMagic)+8)
+	closed := false
+	_, err := walk(r, size, hdr, snapshotMagic, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		switch {
+		case err != nil:
+			return err
+		case closed:
+			return errors.New("record after the closing one")
 		}
-		ts.Rejected = r.Uint64()
-		nRounds := r.Uint32()
-		if nRounds > maxEntries {
-			return st, 0, fmt.Errorf("%w: round count %d", ErrBadSnapshot, nRounds)
-		}
-		for j := uint32(0); j < nRounds && r.Err() == nil; j++ {
-			var rs service.RoundState
-			rs.Round = r.Uint64()
-			rs.Phase = r.Byte()
-			if rs.Phase > service.RoundPhaseClosed {
-				return st, 0, fmt.Errorf("%w: round phase %d", ErrBadSnapshot, rs.Phase)
-			}
-			rs.Count = r.Uint64()
-			rs.Rejected = r.Uint64()
-			var err error
-			if rs.Sum, err = decodeVector(r.Bytes()); err != nil {
-				return st, 0, err
-			}
-			if rs.Digests, err = decodeDigests(r.Bytes()); err != nil {
-				return st, 0, err
-			}
-			// The count is the size of the dedup set; a round claiming
-			// contributions it has no digests for was not written by Export.
-			if rs.Count != uint64(len(rs.Digests)) {
-				return st, 0, fmt.Errorf("%w: round %d counts %d contributions over %d digests",
-					ErrBadSnapshot, rs.Round, rs.Count, len(rs.Digests))
-			}
-			ts.Rounds = append(ts.Rounds, rs)
-		}
-		nTickets := r.Uint32()
-		if nTickets > maxEntries {
-			return st, 0, fmt.Errorf("%w: ticket count %d", ErrBadSnapshot, nTickets)
-		}
-		for j := uint32(0); j < nTickets && r.Err() == nil; j++ {
-			tk, err := readTicket(r)
-			if err != nil {
-				return st, 0, err
-			}
-			ts.Tickets = append(ts.Tickets, tk)
-		}
-		st.Tenants = append(st.Tenants, ts)
+		closed = rec.Kind == service.Rejected && rec.Level == service.LevelRegistry
+		return reg.Apply(rec)
+	})
+	if err == nil && !closed {
+		err = errTorn
 	}
-	if err := r.Done(); err != nil {
-		return service.RegistryState{}, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	return st, generation, nil
-}
-
-func appendDigests(dst []byte, ds [][32]byte) []byte {
-	for i := range ds {
-		dst = append(dst, ds[i][:]...)
-	}
-	return dst
+	return binary.BigEndian.Uint64(hdr[len(snapshotMagic):]), nil
 }
 
 func decodeDigests(b []byte) ([][32]byte, error) {
 	if len(b)%digestLen != 0 {
-		return nil, fmt.Errorf("%w: digest block length %d", ErrBadSnapshot, len(b))
+		return nil, fmt.Errorf("digest block length %d", len(b))
 	}
-	n := len(b) / digestLen
-	if n > maxEntries {
-		return nil, fmt.Errorf("%w: digest count %d", ErrBadSnapshot, n)
-	}
-	out := make([][32]byte, n)
+	out := make([][32]byte, len(b)/digestLen)
 	for i := range out {
 		copy(out[i][:], b[i*digestLen:])
 	}
@@ -160,48 +114,26 @@ func decodeDigests(b []byte) ([][32]byte, error) {
 
 func decodeVector(b []byte) (fixed.Vector, error) {
 	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("%w: lane block length %d", ErrBadSnapshot, len(b))
+		return nil, fmt.Errorf("lane block length %d", len(b))
 	}
 	n := len(b) / 8
 	if n > maxLanes {
-		return nil, fmt.Errorf("%w: lane count %d", ErrBadSnapshot, n)
+		return nil, fmt.Errorf("lane count %d", n)
 	}
 	v := fixed.NewVector(n)
 	fixed.AccumulateWireInto(v, b)
 	return v, nil
 }
 
-func appendTicket(w *wire.Writer, tk service.TicketState) {
-	w.Uint64(tk.ID)
-	w.Bytes(tk.Key[:])
-	w.Uint64(tk.RoundFirst)
-	w.Uint64(tk.RoundLast)
-	w.Uint64(uint64(tk.ExpiresUnix))
-}
+// errBadRecord reports an undecodable (but CRC-valid) record — version
+// skew, not a torn write. WAL replay stops at it; an image fails.
+var errBadRecord = errors.New("durable: malformed record")
 
-func readTicket(r *wire.Reader) (service.TicketState, error) {
-	var tk service.TicketState
-	tk.ID = r.Uint64()
-	if k := r.Bytes(); len(k) == keyLen {
-		copy(tk.Key[:], k)
-	} else {
-		return tk, fmt.Errorf("%w: ticket key length %d", ErrBadSnapshot, len(k))
-	}
-	tk.RoundFirst = r.Uint64()
-	tk.RoundLast = r.Uint64()
-	tk.ExpiresUnix = int64(r.Uint64())
-	return tk, nil
-}
-
-// errBadRecord reports an undecodable (but CRC-valid) WAL record —
-// version skew, not a torn write. Replay stops at it.
-var errBadRecord = errors.New("durable: malformed WAL record")
-
-// encodeRecord renders one journal record as a WAL payload: the kind byte
+// encodeRecord renders one journal record as a frame payload: the kind byte
 // (service.RecordKind's wire value) and the tenant name, then the kind's
-// fields — the ticket for a grant, its ID for an eviction, otherwise the
-// round and, for an accept, a dropout correction or a refusal, what it
-// carries.
+// fields — the ticket for a grant, its ID for an eviction, the config
+// digest for a TenantBound, otherwise the round and, for an accept, a
+// dropout correction or a refusal, what it carries.
 //
 // Digests and lanes stream straight into the writer (BytesPrefix + Raw —
 // both field lengths are known up front), so the hot journal path renders
@@ -212,15 +144,15 @@ func encodeRecord(w *wire.Writer, rec service.Record) {
 	w.String(rec.Tenant)
 	switch rec.Kind {
 	case service.TicketGranted:
-		appendTicket(w, rec.Ticket)
+		tk := rec.Ticket
+		w.Uint64(tk.ID).Bytes(tk.Key[:]).Uint64(tk.RoundFirst).Uint64(tk.RoundLast).Uint64(uint64(tk.ExpiresUnix))
 	case service.TicketEvicted:
 		w.Uint64(rec.Ticket.ID)
+	case service.TenantBound:
+		digestsField(w, rec.Digests)
 	case service.BatchAccepted:
 		w.Uint64(rec.Round)
-		w.BytesPrefix(len(rec.Digests) * digestLen)
-		for i := range rec.Digests {
-			w.Raw(rec.Digests[i][:])
-		}
+		digestsField(w, rec.Digests)
 		lanesField(w, rec.Lanes)
 	case service.DropoutCorrected:
 		w.Uint64(rec.Round)
@@ -234,6 +166,14 @@ func encodeRecord(w *wire.Writer, rec service.Record) {
 	}
 }
 
+// digestsField appends digests as one framed field of raw bytes.
+func digestsField(w *wire.Writer, ds [][32]byte) {
+	w.BytesPrefix(len(ds) * digestLen)
+	for i := range ds {
+		w.Raw(ds[i][:])
+	}
+}
+
 // lanesField appends a vector as one framed field of raw big-endian
 // lanes — byte-identical to w.Bytes(v.AppendWire(nil)).
 func lanesField(w *wire.Writer, v fixed.Vector) {
@@ -243,32 +183,43 @@ func lanesField(w *wire.Writer, v fixed.Vector) {
 	}
 }
 
-// decodeRecord parses one WAL record payload; every record it accepts
-// re-encodes to the identical bytes.
+// decodeRecord parses one record payload; every record it accepts
+// re-encodes to the identical bytes. Nothing it returns aliases payload.
 func decodeRecord(payload []byte) (service.Record, error) {
 	r := wire.NewReader(payload)
 	rec := service.Record{Kind: service.RecordKind(r.Byte()), Tenant: r.String()}
 	var err error
 	switch rec.Kind {
 	case service.TicketGranted:
-		rec.Ticket, err = readTicket(r)
+		tk := &rec.Ticket
+		tk.ID = r.Uint64()
+		if k := r.BytesView(); len(k) == keyLen {
+			copy(tk.Key[:], k)
+		} else {
+			err = fmt.Errorf("ticket key length %d", len(k))
+		}
+		tk.RoundFirst, tk.RoundLast, tk.ExpiresUnix = r.Uint64(), r.Uint64(), int64(r.Uint64())
 	case service.TicketEvicted:
 		rec.Ticket.ID = r.Uint64()
+	case service.TenantBound:
+		if rec.Digests, err = decodeDigests(r.BytesView()); err == nil && len(rec.Digests) != 1 {
+			err = fmt.Errorf("tenant bound by %d digests", len(rec.Digests))
+		}
 	case service.RoundCreated, service.RoundSealed, service.RoundClosed, service.RoundForgotten:
 		rec.Round = r.Uint64()
 	case service.BatchAccepted:
 		rec.Round = r.Uint64()
-		if rec.Digests, err = decodeDigests(r.Bytes()); err == nil {
-			rec.Lanes, err = decodeVector(r.Bytes())
+		if rec.Digests, err = decodeDigests(r.BytesView()); err == nil {
+			rec.Lanes, err = decodeVector(r.BytesView())
 		}
 	case service.DropoutCorrected:
 		rec.Round = r.Uint64()
-		rec.Lanes, err = decodeVector(r.Bytes())
+		rec.Lanes, err = decodeVector(r.BytesView())
 	case service.Rejected:
 		rec.Round = r.Uint64()
 		rec.Level = service.RejectLevel(r.Byte())
 		n := r.Uint64()
-		if rec.Level > service.LevelRound || n > maxEntries {
+		if rec.Level > service.LevelRound || n > math.MaxInt {
 			err = fmt.Errorf("reject level %d count %d", rec.Level, n)
 		}
 		rec.Count = int(n)
@@ -282,16 +233,4 @@ func decodeRecord(payload []byte) (service.Record, error) {
 		return service.Record{}, fmt.Errorf("%w: %v", errBadRecord, err)
 	}
 	return rec, nil
-}
-
-// walkRecords is walkFrames over decoded records: a record that does not
-// decode stops the walk as a tear does.
-func walkRecords(data []byte, fn func(service.Record)) (good int64, torn bool) {
-	return walkFrames(data, func(payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err == nil {
-			fn(rec)
-		}
-		return err
-	})
 }

@@ -1,11 +1,13 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 
 	"glimmers/internal/audit"
@@ -15,28 +17,22 @@ import (
 
 // Store owns one state directory:
 //
-//	snapshot   — the latest full registry image (written atomically via
-//	             rename), embedding the WAL generation that follows it
-//	wal.<gen>  — the mutations since that snapshot
+//	snapshot   — the latest image: the registry as the records that
+//	             rebuild it (see writeImage), followed by the generation
+//	             of the WAL that continues it
+//	wal.<gen>  — the records since that image
 //
-// Recover loads snapshot + WAL into a registry and attaches the store as
-// the registry's journal; Snapshot rotates: new image, new WAL
-// generation, old generation deleted. Store implements service.Journal —
-// every service.Record the service layer appends becomes one WAL record,
-// staged and group-committed by a background flusher (see
-// groupcommit.go).
-//
-// Durability classes: a record whose kind is a barrier
-// (service.RecordKind.Barrier: sealed, closed, ticket granted) returns
-// only after it is written and fsynced. Every other record is
-// fire-and-forget: staged in memory and flushed within
-// Config.FlushBytes/FlushInterval, so a crash can lose that bounded tail
-// (recovery restores the exact flushed prefix; see
-// internal/sim.RunCrashRecovery).
+// Recover streams both files through Registry.Apply and attaches the
+// store as the registry's journal; Snapshot writes a new image and
+// rotates to the next WAL generation (see rotate for the order that
+// survives a power loss). Store implements service.Journal — every
+// service.Record the service layer appends becomes one WAL record,
+// staged and group-committed by a background flusher; groupcommit.go
+// states which records are durable when Append returns.
 //
 // Concurrency: the journal side is safe for concurrent use. Recover and
 // Snapshot require quiesced ingest — a mutation concurrent with the
-// export would land in both the snapshot and the next WAL generation
+// export would land in both the image and the next WAL generation
 // and double-apply on the next recovery. glimmerd snapshots after
 // draining its listener; the sim between waves.
 type Store struct {
@@ -49,7 +45,8 @@ type Store struct {
 
 	mu     sync.Mutex
 	synced *sync.Cond // broadcast when syncedSeq advances or the WAL dies
-	f      *os.File
+	fs     fileSystem
+	f      file
 	gen    uint64
 	err    error // first write-path failure; sticky, audited immediately
 
@@ -83,7 +80,7 @@ type Store struct {
 type RecoverStats struct {
 	SnapshotLoaded bool
 	Generation     uint64
-	Records        int   // intact WAL records replayed
+	Records        int   // intact WAL records replayed; an image's are not counted
 	TruncatedBytes int64 // torn tail removed, 0 for a clean file
 	ReplayErrors   int   // records naming state the registry no longer has, or of another dimension
 }
@@ -99,6 +96,7 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 	s := &Store{
 		dir:         dir,
 		cfg:         cfg,
+		fs:          osFS{},
 		maxRetained: max(4*cfg.FlushBytes, maxRetainedStagingFloor),
 		gen:         1,
 		kick:        make(chan struct{}, 1),
@@ -122,74 +120,37 @@ func (s *Store) walPath(gen uint64) string {
 	return filepath.Join(s.dir, "wal."+strconv.FormatUint(gen, 10))
 }
 
-// Recover loads the snapshot (if any) and replays the WAL into reg,
-// truncates any torn tail, opens the WAL for appending, starts the
-// background flusher, and attaches the store as reg's journal. The
-// registry must already hold its tenants (same configs as when the
-// state was exported) and must not yet be serving traffic.
+// Recover applies the image (if any), then replays the WAL that follows
+// it, into reg; truncates a torn WAL tail; opens the WAL for appending,
+// starts the background flusher, and attaches the store as reg's journal.
+// Both files are streamed. An image that does not load whole fails
+// Recover with ErrBadSnapshot; a WAL record Apply refuses is counted in
+// ReplayErrors. The registry must already hold its tenants (same configs
+// as when the state was exported) and must not yet be serving traffic.
 func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 	var stats RecoverStats
-
-	if data, err := os.ReadFile(s.snapshotPath()); err == nil {
-		st, gen, err := DecodeSnapshot(data)
+	img, size, err := s.open(s.snapshotPath())
+	if err == nil {
+		s.gen, err = loadImage(reg, img, size)
+		img.Close()
 		if err != nil {
 			return stats, err
 		}
-		if err := reg.RestoreState(st); err != nil {
-			return stats, err
-		}
-		s.gen = gen
 		stats.SnapshotLoaded = true
-		s.audit("snapshot-loaded", "generation=%d tenants=%d bytes=%d", gen, len(st.Tenants), len(data))
-	} else if !os.IsNotExist(err) {
+		s.audit("snapshot-loaded", "generation=%d bytes=%d", s.gen, size)
+	} else if !errors.Is(err, fs.ErrNotExist) {
 		return stats, fmt.Errorf("durable: %w", err)
 	}
 	stats.Generation = s.gen
 
-	f, err := os.OpenFile(s.walPath(s.gen), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := s.replayWAL(reg, &stats)
+	if err == nil && f == nil {
+		f, err = s.rotate(nil, s.gen)
+	} else if err == nil {
+		s.fs.Remove(s.walPath(s.gen - 1)) // a crash inside rotate leaves it
+	}
 	if err != nil {
 		return stats, fmt.Errorf("durable: %w", err)
-	}
-	data, err := os.ReadFile(s.walPath(s.gen))
-	if err != nil {
-		f.Close()
-		return stats, fmt.Errorf("durable: %w", err)
-	}
-	if len(data) == 0 {
-		if _, err := f.Write(walMagic); err != nil {
-			f.Close()
-			return stats, fmt.Errorf("durable: %w", err)
-		}
-	} else {
-		good, torn := walkRecords(data, func(rec service.Record) {
-			if reg.Apply(rec) != nil {
-				stats.ReplayErrors++
-			}
-			stats.Records++
-		})
-		if torn {
-			if good < int64(len(walMagic)) {
-				// The header itself is damaged; start the file over.
-				if err := f.Truncate(0); err != nil {
-					f.Close()
-					return stats, fmt.Errorf("durable: %w", err)
-				}
-				if _, err := f.WriteAt(walMagic, 0); err != nil {
-					f.Close()
-					return stats, fmt.Errorf("durable: %w", err)
-				}
-				good = int64(len(walMagic))
-			} else if err := f.Truncate(good); err != nil {
-				f.Close()
-				return stats, fmt.Errorf("durable: %w", err)
-			}
-			stats.TruncatedBytes = int64(len(data)) - good
-			s.audit("wal-truncated", "generation=%d offset=%d dropped=%d", s.gen, good, stats.TruncatedBytes)
-		}
-		if _, err := f.Seek(0, 2); err != nil {
-			f.Close()
-			return stats, fmt.Errorf("durable: %w", err)
-		}
 	}
 	s.audit("wal-replayed", "generation=%d records=%d replay_errors=%d", s.gen, stats.Records, stats.ReplayErrors)
 
@@ -197,9 +158,62 @@ func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 	s.f = f
 	s.mu.Unlock()
 	s.startFlusher()
-	s.removeOldGenerations()
 	reg.SetJournal(s)
 	return stats, nil
+}
+
+// replayWAL applies the intact records of the current WAL to reg and cuts
+// a torn tail, syncing the cut. It returns the WAL open for appending, or
+// nil when rotate must make one: the file is missing, empty, or its
+// header is damaged.
+func (s *Store) replayWAL(reg *service.Registry, stats *RecoverStats) (file, error) {
+	f, size, err := s.open(s.walPath(s.gen))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	good, err := walk(f, size, make([]byte, len(walMagic)), walMagic, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return err // a record that does not decode is a tear
+		}
+		if reg.Apply(rec) != nil {
+			stats.ReplayErrors++
+		}
+		stats.Records++
+		return nil
+	})
+	if errors.Is(err, errTorn) || errors.Is(err, errBadRecord) {
+		err, stats.TruncatedBytes = nil, size-good
+		if stats.TruncatedBytes > 0 {
+			s.audit("wal-truncated", "generation=%d offset=%d dropped=%d", s.gen, good, stats.TruncatedBytes)
+		}
+		if good > 0 {
+			if err = f.Truncate(good); err == nil {
+				err = f.Sync()
+			}
+		}
+	}
+	if err != nil || good == 0 {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// open opens an existing file for reading and appending, with its size.
+func (s *Store) open(path string) (file, int64, error) {
+	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
 }
 
 // Snapshot writes a fresh registry image and rotates the WAL. Requires
@@ -225,41 +239,14 @@ func (s *Store) Snapshot(reg *service.Registry) error {
 		return s.err
 	}
 	next := s.gen + 1
-	data := EncodeSnapshot(st, next)
-
-	tmp := s.snapshotPath() + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	nf, err := s.rotate(&st, next)
 	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if _, err := tf.Write(data); err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
-	}
-	if err := os.Rename(tmp, s.snapshotPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
-	}
-
-	nf, err := os.OpenFile(s.walPath(next), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if _, err := nf.Write(walMagic); err != nil {
-		nf.Close()
 		return fmt.Errorf("durable: %w", err)
 	}
 	if s.f != nil {
 		s.f.Close()
 	}
 	s.f = nf
-	prev := s.gen
 	s.gen = next
 	// Superseded by the image: drop the staged tail and settle every
 	// sequence watermark so no barrier can wait on pre-rotation records.
@@ -269,29 +256,65 @@ func (s *Store) Snapshot(reg *service.Registry) error {
 	}
 	s.flushedSeq, s.syncedSeq = s.seq, s.seq
 	s.synced.Broadcast()
-	os.Remove(s.walPath(prev))
-	s.audit("snapshot-taken", "generation=%d tenants=%d bytes=%d", next, len(st.Tenants), len(data))
+	s.audit("snapshot-taken", "generation=%d tenants=%d", next, len(st.Tenants))
 	return nil
 }
 
-// removeOldGenerations deletes wal files older than the current
-// generation — leftovers from a crash between snapshot rename and
-// old-WAL removal.
-func (s *Store) removeOldGenerations() {
-	entries, err := os.ReadDir(s.dir)
+// rotate moves the directory to WAL generation next and returns that
+// WAL, open for appending. Each step is durable before the next one
+// starts, so a power loss at any point leaves a directory Recover
+// reads whole:
+//
+//  1. with an image (st != nil): write and fsync snapshot.tmp, rename it
+//     to snapshot, fsync the directory;
+//  2. create wal.<next>, write its magic, fsync it, fsync the directory;
+//  3. only then remove wal.<next-1>.
+func (s *Store) rotate(st *service.RegistryState, next uint64) (file, error) {
+	if st != nil {
+		tmp := s.snapshotPath() + ".tmp"
+		img, err := s.create(tmp, func(w io.Writer) error { return writeImage(w, *st, next) })
+		if err == nil {
+			if err = img.Close(); err == nil {
+				err = s.fs.Rename(tmp, s.snapshotPath())
+			}
+		}
+		if err == nil {
+			err = s.fs.SyncDir(s.dir)
+		}
+		if err != nil {
+			s.fs.Remove(tmp)
+			return nil, err
+		}
+	}
+	f, err := s.create(s.walPath(next), func(w io.Writer) error {
+		_, err := io.WriteString(w, walMagic)
+		return err
+	})
 	if err != nil {
-		return
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal.") {
-			continue
-		}
-		gen, err := strconv.ParseUint(name[len("wal."):], 10, 64)
-		if err == nil && gen < s.gen {
-			os.Remove(filepath.Join(s.dir, name))
-		}
+	if err := s.fs.SyncDir(s.dir); err != nil {
+		f.Close()
+		return nil, err
 	}
+	s.fs.Remove(s.walPath(next - 1))
+	return f, nil
+}
+
+// create writes a new file at path through write and fsyncs it.
+func (s *Store) create(path string, write func(io.Writer) error) (file, error) {
+	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // Err reports the first write-path failure, if any.
@@ -305,6 +328,7 @@ func (s *Store) Err() error {
 // must not be attached as a journal of a registry still serving traffic.
 func (s *Store) Close() error {
 	s.stopFlusher()
+	s.flush(true)
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
@@ -312,32 +336,12 @@ func (s *Store) Close() error {
 	if s.f == nil {
 		return s.err
 	}
-	var err error
-	if s.err == nil && len(s.staged) > 0 {
-		if _, werr := s.f.Write(s.staged); werr != nil {
-			err = werr
-		} else {
-			s.stats.Writes++
-			s.stats.BytesWritten += uint64(len(s.staged))
-		}
-		s.staged = s.staged[:0]
-	}
-	if err == nil {
-		if serr := s.f.Sync(); serr != nil {
-			err = serr
-		} else if s.err == nil {
-			s.stats.Syncs++
-		}
-	}
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
+	if err := s.f.Close(); err != nil && s.err == nil {
+		s.err = fmt.Errorf("durable: %w", err)
 	}
 	s.f = nil
 	s.flushedSeq, s.syncedSeq = s.seq, s.seq
 	s.synced.Broadcast()
-	if s.err == nil && err != nil {
-		s.err = fmt.Errorf("durable: %w", err)
-	}
 	return s.err
 }
 
@@ -367,7 +371,7 @@ func (s *Store) Abandon() {
 // the rest are staged fire-and-forget.
 func (s *Store) Append(rec service.Record) {
 	e := getEncoder()
-	encodeRecord(e.w, rec)
+	encodeRecord(e, rec)
 	s.stage(rec.Kind.Barrier(), e)
 }
 
@@ -380,4 +384,44 @@ func (s *Store) BatchAccepted(tenant string, round uint64, digests [][32]byte, d
 
 func (s *Store) RoundSealed(tenant string, round uint64) {
 	s.Append(service.Record{Kind: service.RoundSealed, Tenant: tenant, Round: round})
+}
+
+// fileSystem is the store's seam to the disk: every file it opens and
+// every rename, removal and directory sync goes through it, so a test can
+// record their order. osFS is the only implementation outside tests.
+type fileSystem interface {
+	OpenFile(name string, flag int, perm os.FileMode) (file, error)
+	Rename(from, to string) error
+	Remove(name string) error
+	SyncDir(dir string) error
+}
+
+// file is the part of *os.File the store uses.
+type file interface {
+	io.ReadWriteCloser
+	Sync() error
+	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
+}
+
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err // not a non-nil file holding a nil *os.File
+	}
+	return f, nil
+}
+
+func (osFS) Rename(from, to string) error { return os.Rename(from, to) }
+func (osFS) Remove(name string) error     { return os.Remove(name) }
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	return err
 }

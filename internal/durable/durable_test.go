@@ -87,12 +87,12 @@ func testState(t *testing.T) service.RegistryState {
 			Rejected:     2,
 			Rounds: []service.RoundState{
 				{
-					Round: 1, Phase: service.RoundPhaseSealed, Count: 2, Rejected: 1,
+					Round: 1, Phase: service.RoundPhaseSealed, Rejected: 1,
 					Sum:     fixed.Vector{10, 20, 30, 40},
 					Digests: [][32]byte{digest(0x11), digest(0x22)},
 				},
 				{
-					Round: 2, Phase: service.RoundPhaseOpen, Count: 1, Rejected: 0,
+					Round: 2, Phase: service.RoundPhaseOpen, Rejected: 0,
 					Sum:     fixed.Vector{5, 6, 7, 8},
 					Digests: [][32]byte{digest(0x33)},
 				},
@@ -105,24 +105,33 @@ func testState(t *testing.T) service.RegistryState {
 	}
 }
 
-// The acceptance criterion: export → encode → restore → export → encode
+// encodeImage is the image writeImage puts on disk for st.
+func encodeImage(st service.RegistryState, gen uint64) []byte {
+	var b bytes.Buffer
+	if err := writeImage(&b, st, gen); err != nil {
+		panic(err) // a bytes.Buffer does not fail a write
+	}
+	return b.Bytes()
+}
+
+// loadImageBytes applies an in-memory image to reg.
+func loadImageBytes(reg *service.Registry, img []byte) (uint64, error) {
+	return loadImage(reg, bytes.NewReader(img), int64(len(img)))
+}
+
+// The acceptance criterion: export → image → load → export → image
 // must round-trip byte-identically.
 func TestSnapshotRoundTripByteIdentical(t *testing.T) {
-	st := testState(t)
-	enc1 := EncodeSnapshot(st, 7)
-
-	dec, gen, err := DecodeSnapshot(enc1)
+	enc1 := encodeImage(testState(t), 7)
+	reg := newTestRegistry(t)
+	gen, err := loadImageBytes(reg, enc1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != 7 {
 		t.Fatalf("generation = %d, want 7", gen)
 	}
-	reg := newTestRegistry(t)
-	if err := reg.RestoreState(dec); err != nil {
-		t.Fatal(err)
-	}
-	enc2 := EncodeSnapshot(reg.ExportState(), 7)
+	enc2 := encodeImage(reg.ExportState(), 7)
 	if !bytes.Equal(enc1, enc2) {
 		t.Fatalf("snapshot not byte-identical after restore:\n enc1: %x\n enc2: %x", enc1, enc2)
 	}
@@ -135,34 +144,41 @@ func TestRestoreRefusesConfigMismatch(t *testing.T) {
 	if err := reg.RestoreState(st); err == nil {
 		t.Fatal("restore accepted a state with a mismatched config digest")
 	}
+	// Through the store, the mismatch is a record the image's Apply
+	// refuses: the image does not load.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), encodeImage(st, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenConfig(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(newTestRegistry(t)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Recover of a mismatched image: err = %v, want ErrBadSnapshot", err)
+	}
 }
 
+// TestDecodeSnapshotRejectsGarbage: garbage, and every truncation of a
+// valid image — a frame boundary included, which only the image's closing
+// record can tell from its end — fails Recover with ErrBadSnapshot.
 func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
-	for _, data := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xFF}, 64)} {
-		if _, _, err := DecodeSnapshot(data); err == nil {
-			t.Fatalf("decoded garbage %x", data)
-		}
-	}
-	// Truncations of a valid snapshot must all fail, never panic.
-	full := EncodeSnapshot(testState(t), 1)
+	full := encodeImage(testState(t), 1)
+	bad := [][]byte{[]byte("x"), bytes.Repeat([]byte{0xFF}, 64)}
 	for n := 0; n < len(full); n++ {
-		if _, _, err := DecodeSnapshot(full[:n]); err == nil {
-			t.Fatalf("decoded truncation at %d/%d", n, len(full))
-		}
+		bad = append(bad, full[:n])
 	}
-}
-
-// TestDecodeSnapshotRefusesCountMismatch: a round's count is the size of its
-// dedup set, so a snapshot whose count field says otherwise is damaged and
-// must fail as loudly as any other — not restore a round that claims
-// contributions nothing can deduplicate (or sign a partial seal the
-// coordinator's decoder would refuse for the same disagreement).
-func TestDecodeSnapshotRefusesCountMismatch(t *testing.T) {
-	for _, count := range []uint64{0, 3} {
-		st := testState(t)
-		st.Tenants[0].Rounds[1].Count = count // one digest
-		if _, _, err := DecodeSnapshot(EncodeSnapshot(st, 1)); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("count %d over 1 digest: err = %v, want ErrBadSnapshot", count, err)
+	dir := t.TempDir()
+	for i, data := range bad {
+		if err := os.WriteFile(filepath.Join(dir, "snapshot"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenConfig(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Recover(newTestRegistry(t)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("image %d (%d of %d bytes): err = %v, want ErrBadSnapshot", i, len(data), len(full), err)
 		}
 	}
 }
@@ -274,7 +290,7 @@ func TestStoreRecoverReplaysWAL(t *testing.T) {
 	if !stats.SnapshotLoaded || stats.Records != 0 {
 		t.Fatalf("stats = %+v, want the snapshot alone", stats)
 	}
-	if replayed, restored := EncodeSnapshot(regB.ExportState(), 1), EncodeSnapshot(regC.ExportState(), 1); !bytes.Equal(replayed, restored) {
+	if replayed, restored := encodeImage(regB.ExportState(), 1), encodeImage(regC.ExportState(), 1); !bytes.Equal(replayed, restored) {
 		t.Fatalf("restored image diverges from the replayed registry:\nreplayed %x\nrestored %x", replayed, restored)
 	}
 }
@@ -415,7 +431,7 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 
 	// And the recovered registry exports the same image the writer
 	// would: byte-identical continuation.
-	if !bytes.Equal(EncodeSnapshot(regA.ExportState(), 9), EncodeSnapshot(regB.ExportState(), 9)) {
+	if !bytes.Equal(encodeImage(regA.ExportState(), 9), encodeImage(regB.ExportState(), 9)) {
 		t.Fatal("recovered registry diverges from the one that wrote the snapshot")
 	}
 }

@@ -2,7 +2,7 @@ package durable
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
 	"testing"
 
 	"glimmers/internal/service"
@@ -25,21 +25,13 @@ func fuzzRegistry() *service.Registry {
 	return reg
 }
 
-// FuzzDecodeSnapshot: arbitrary bytes must never panic the decoder, and
-// any state that decodes must survive a re-encode/re-decode round trip.
-func FuzzDecodeSnapshot(f *testing.F) {
+// FuzzRecoverImage: arbitrary image bytes, streamed through the walk
+// Recover applies an image with, must load or fail with ErrBadSnapshot,
+// and never panic.
+func FuzzRecoverImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, gen, err := DecodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		re := EncodeSnapshot(st, gen)
-		st2, gen2, err := DecodeSnapshot(re)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
-		}
-		if gen2 != gen || !reflect.DeepEqual(st, st2) {
-			t.Fatalf("snapshot round trip diverged:\n st: %+v\nst2: %+v", st, st2)
+		if _, err := loadImageBytes(fuzzRegistry(), data); err != nil && !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("image failed with %v, want ErrBadSnapshot", err)
 		}
 	})
 }
@@ -52,7 +44,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := fuzzRegistry()
-		good, _ := walkFrames(data, func(payload []byte) error {
+		good, _ := walkWAL(data, func(payload []byte) error {
 			rec, err := decodeRecord(payload)
 			if err != nil {
 				return err
@@ -68,9 +60,14 @@ func FuzzWALReplay(f *testing.F) {
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("good offset %d out of range", good)
 		}
-		// The replayed registry must still export and encode cleanly.
-		if _, _, err := DecodeSnapshot(EncodeSnapshot(reg.ExportState(), 1)); err != nil {
-			t.Fatalf("replayed registry exports an undecodable snapshot: %v", err)
+		// The replayed registry's image must load and export the same image.
+		img := encodeImage(reg.ExportState(), 1)
+		again := fuzzRegistry()
+		if _, err := loadImageBytes(again, img); err != nil {
+			t.Fatalf("replayed registry writes an image that does not load: %v", err)
+		}
+		if re := encodeImage(again.ExportState(), 1); !bytes.Equal(re, img) {
+			t.Fatalf("image round trip diverged:\n got %x\nwant %x", re, img)
 		}
 	})
 }

@@ -2,10 +2,8 @@ package durable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,9 +49,7 @@ func maybeUpdateGolden(t *testing.T, name string, data []byte) bool {
 
 // appendFrame frames one record payload onto dst.
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frameHeader(payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -71,7 +67,7 @@ func goldenWAL() []byte {
 }
 
 func TestGoldenSnapshot(t *testing.T) {
-	got := EncodeSnapshot(testState(t), 7)
+	got := encodeImage(testState(t), 7)
 	if maybeUpdateGolden(t, "snapshot.hex", got) {
 		t.Skip("updated testdata/snapshot.hex")
 	}
@@ -79,15 +75,17 @@ func TestGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("snapshot encoding changed:\n got: %x\nwant: %x", got, want)
 	}
-	st, gen, err := DecodeSnapshot(want)
+	reg := newTestRegistry(t)
+	gen, err := loadImageBytes(reg, want)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := reg.ExportState()
 	if gen != 7 || len(st.Tenants) != 1 || st.Tenants[0].Name != testTenant {
-		t.Fatalf("decoded gen=%d tenants=%+v", gen, st.Tenants)
+		t.Fatalf("loaded gen=%d tenants=%+v", gen, st.Tenants)
 	}
 	if len(st.Tenants[0].Rounds) != 2 || len(st.Tenants[0].Tickets) != 2 {
-		t.Fatalf("decoded rounds/tickets = %d/%d", len(st.Tenants[0].Rounds), len(st.Tenants[0].Tickets))
+		t.Fatalf("loaded rounds/tickets = %d/%d", len(st.Tenants[0].Rounds), len(st.Tenants[0].Tickets))
 	}
 }
 
@@ -134,14 +132,14 @@ func TestUpdateFuzzSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := EncodeSnapshot(testState(t), 7)
-	write("FuzzDecodeSnapshot", "seed_valid", snap)
-	write("FuzzDecodeSnapshot", "seed_truncated", snap[:len(snap)/2])
-	write("FuzzDecodeSnapshot", "seed_magic_only", []byte("\x00\x00\x00\x14"+snapshotMagic))
+	snap := encodeImage(testState(t), 7)
+	write("FuzzRecoverImage", "seed_valid", snap)
+	write("FuzzRecoverImage", "seed_truncated", snap[:len(snap)/2])
+	write("FuzzRecoverImage", "seed_magic_only", []byte(snapshotMagic))
 	wal := goldenWAL()
 	write("FuzzWALReplay", "seed_valid", wal)
 	write("FuzzWALReplay", "seed_torn", append(append([]byte(nil), wal...), 0x00, 0x00, 0x00, 0x40, 0xDE))
-	write("FuzzWALReplay", "seed_magic_only", walMagic)
+	write("FuzzWALReplay", "seed_magic_only", []byte(walMagic))
 }
 
 // recordCollector implements service.Journal with the encoder
@@ -154,4 +152,23 @@ func (c *recordCollector) Append(rec service.Record) {
 	w := wire.NewWriter()
 	encodeRecord(w, rec)
 	c.payloads = append(c.payloads, w.Finish())
+}
+
+// walkWAL walks a WAL held in memory with the walker Recover uses.
+func walkWAL(data []byte, fn func(payload []byte) error) (int64, error) {
+	return walk(bytes.NewReader(data), int64(len(data)), make([]byte, len(walMagic)), walMagic, fn)
+}
+
+// walkRecords streams a WAL held in memory through the walk Recover uses,
+// handing fn each decoded record; a record that does not decode stops the
+// walk as a tear does.
+func walkRecords(data []byte, fn func(service.Record)) (good int64, torn bool) {
+	good, err := walkWAL(data, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err == nil {
+			fn(rec)
+		}
+		return err
+	})
+	return good, err != nil
 }

@@ -1,9 +1,7 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -18,7 +16,7 @@ import (
 // The write path has three stages:
 //
 //  1. Encode outside every lock. Each journal call takes a pooled
-//     recordEncoder, renders the record payload and its CRC frame
+//     wire writer, renders the record payload and its CRC frame
 //     header, and only then touches the store.
 //  2. Stage under a short critical section. The framed bytes are
 //     appended to the active staging segment and the record is assigned
@@ -97,35 +95,27 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// recordEncoder is the per-call scratch a journal append needs: the wire
-// writer the payload renders into. Pooled so steady-state appends
-// allocate nothing.
-type recordEncoder struct {
-	w *wire.Writer
+// encoderPool holds the wire writers journal appends render records
+// into, so steady-state appends allocate nothing.
+var encoderPool = sync.Pool{New: func() any { return wire.NewWriter() }}
+
+func getEncoder() *wire.Writer {
+	w := encoderPool.Get().(*wire.Writer)
+	w.Reset()
+	return w
 }
 
-var encoderPool = sync.Pool{New: func() any { return &recordEncoder{w: wire.NewWriter()} }}
-
-func getEncoder() *recordEncoder {
-	e := encoderPool.Get().(*recordEncoder)
-	e.w.Reset()
-	return e
-}
-
-func putEncoder(e *recordEncoder, payloadCap int) {
-	if payloadCap > maxRetainedRecord {
-		return // drop: a giant record must not pin its capacity
+func putEncoder(w *wire.Writer, payloadCap int) {
+	if payloadCap <= maxRetainedRecord { // a giant record must not pin its capacity
+		encoderPool.Put(w)
 	}
-	encoderPool.Put(e)
 }
 
 // stage publishes one encoded record into the staging segment and, for a
 // barrier, waits until it is written and fsynced. It consumes e.
-func (s *Store) stage(barrier bool, e *recordEncoder) {
-	payload := e.w.Finish()
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+func (s *Store) stage(barrier bool, e *wire.Writer) {
+	payload := e.Finish()
+	hdr := frameHeader(payload)
 
 	s.mu.Lock()
 	if s.f == nil || s.err != nil {
@@ -243,16 +233,6 @@ func (s *Store) flush(forceSync bool) {
 // contract — but deterministic tests and the crash simulator use it to
 // pin down the exact flushed prefix.
 func (s *Store) Flush() error {
-	s.mu.Lock()
-	if s.f == nil || s.err != nil {
-		err := s.err
-		s.mu.Unlock()
-		return err
-	}
-	if s.seq > s.wantSync {
-		s.wantSync = s.seq
-	}
-	s.mu.Unlock()
 	s.flush(true)
 	return s.Err()
 }

@@ -40,8 +40,7 @@ func countFrames(t *testing.T, dir string, gen string) int {
 		t.Fatal(err)
 	}
 	n := 0
-	_, torn := walkFrames(data, func([]byte) error { n++; return nil })
-	if torn {
+	if _, err := walkWAL(data, func([]byte) error { n++; return nil }); err != nil {
 		t.Fatalf("WAL has a torn tail after %d frames", n)
 	}
 	return n

@@ -550,7 +550,7 @@ func TestForgetJournalsBeforeRecreate(t *testing.T) {
 
 	live := reg.ExportState()
 	if rounds := live.Tenants[0].Rounds; len(rounds) != 1 || rounds[0].Round != round ||
-		rounds[0].Phase != RoundPhaseOpen || rounds[0].Count != 1 {
+		rounds[0].Phase != RoundPhaseOpen || len(rounds[0].Digests) != 1 {
 		t.Fatalf("live registry holds %+v, want round %d open with the one re-created contribution", rounds, round)
 	}
 	if got := tape.replayInto(t, admissionRegistry(t, 0, nil)); !reflect.DeepEqual(got, live) {

@@ -102,7 +102,7 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 		ShardCount:  n.ShardCount,
 		Measurement: n.Measurement[:],
 		NodeKey:     der,
-		Count:       rs.Count,
+		Count:       uint64(len(rs.Digests)),
 		Rejected:    rs.Rejected,
 		Sum:         glimmer.VectorToBits(rs.Sum),
 		Digests:     digests,

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"glimmers/internal/fixed"
@@ -57,6 +59,10 @@ const (
 	Rejected
 	TicketGranted
 	TicketEvicted
+	// TenantBound opens a tenant's records in an image. Its one Digests
+	// entry is the ConfigDigest the state was exported under; Apply refuses
+	// a tenant whose configuration has another.
+	TenantBound
 )
 
 // Barrier is the durability contract: a journal may persist a record
@@ -89,12 +95,13 @@ func (k RecordKind) Barrier() bool {
 // appends it, and Apply plays it back. Which fields a kind uses:
 //
 //   - every kind: Tenant (empty for a registry-level Rejected);
-//   - every kind but the ticket ones: Round (0 for a manager- or
-//     registry-level Rejected);
+//   - every kind but the ticket ones and TenantBound: Round (0 for a
+//     manager- or registry-level Rejected);
 //   - BatchAccepted: Digests and Lanes (the delta on the round's sum);
 //   - DropoutCorrected: Lanes (the recovered mask);
 //   - Rejected: Level and Count;
-//   - TicketGranted: Ticket; TicketEvicted: Ticket.ID.
+//   - TicketGranted: Ticket; TicketEvicted: Ticket.ID;
+//   - TenantBound: Digests, holding only the tenant's ConfigDigest.
 type Record struct {
 	Kind    RecordKind
 	Tenant  string
@@ -137,15 +144,13 @@ const (
 	RoundPhaseClosed uint8 = 2
 )
 
-// RoundState is one round's aggregate state: lifecycle phase, accepted
-// count, rejection counter, the (blinded) sum, and every dedup digest —
-// all of them, so a restored round still refuses pre-snapshot duplicates.
-// Count is len(Digests): export writes it for readers of the state, the
-// snapshot decoder refuses a disagreement, and restore counts the digests.
+// RoundState is one round's aggregate state: lifecycle phase, rejection
+// counter, the (blinded) sum, and every dedup digest — all of them, so a
+// restored round still refuses pre-snapshot duplicates. The round's
+// accepted count is len(Digests).
 type RoundState struct {
 	Round    uint64
 	Phase    uint8
-	Count    uint64
 	Rejected uint64
 	Sum      fixed.Vector
 	Digests  [][32]byte // sorted lexicographically for determinism
@@ -266,21 +271,8 @@ func (p *Pipeline) exportRound() RoundState {
 		}
 		sh.mu.Unlock()
 	}
-	rs.Count = uint64(len(rs.Digests))
-	sortDigests(rs.Digests)
+	slices.SortFunc(rs.Digests, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
 	return rs
-}
-
-func sortDigests(ds [][32]byte) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := &ds[i], &ds[j]
-		for k := 0; k < 32; k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }
 
 func (t *TicketTable) exportTickets() []TicketState {
@@ -298,23 +290,14 @@ func (t *TicketTable) exportTickets() []TicketState {
 	return out
 }
 
-// RestoreState loads a previously exported state into a registry whose
-// tenants have already been registered with matching configurations
-// (same names, dimensions, ticket policies — ConfigDigest enforces it).
-// Call on a fresh registry before it serves traffic and before
-// SetJournal, so the restore itself is not journaled back. Each round
-// goes through Apply as the records that built it: created, accepted,
-// refused, then sealed or closed.
-func (r *Registry) RestoreState(st RegistryState) error {
+// Records is the state as the journal records that rebuild it, in image
+// order: per tenant, a TenantBound, then each round as created, accepted,
+// refused, then sealed or closed, then the tenant's tickets and its
+// manager's refusals; last, the registry's refusals.
+func (st RegistryState) Records() []Record {
+	var recs []Record
 	for _, ts := range st.Tenants {
-		t, ok := r.Tenant(ts.Name)
-		if !ok {
-			return fmt.Errorf("service: restore: %w: %q", ErrUnknownTenant, ts.Name)
-		}
-		if t.ConfigDigest() != ts.ConfigDigest {
-			return fmt.Errorf("service: restore: tenant %q config digest mismatch (state was exported under a different name/dim/ticket policy)", ts.Name)
-		}
-		var recs []Record
+		recs = append(recs, Record{Kind: TenantBound, Tenant: ts.Name, Digests: [][32]byte{ts.ConfigDigest}})
 		for _, rs := range ts.Rounds {
 			recs = append(recs,
 				Record{Kind: RoundCreated, Tenant: ts.Name, Round: rs.Round},
@@ -331,26 +314,36 @@ func (r *Registry) RestoreState(st RegistryState) error {
 			recs = append(recs, Record{Kind: TicketGranted, Tenant: ts.Name, Ticket: tk})
 		}
 		recs = append(recs, Record{Kind: Rejected, Tenant: ts.Name, Level: LevelManager, Count: int(ts.Rejected)})
-		for _, rec := range recs {
-			if err := r.Apply(rec); err != nil {
-				return fmt.Errorf("service: restore: %w", err)
-			}
+	}
+	return append(recs, Record{Kind: Rejected, Level: LevelRegistry, Count: int(st.Rejected)})
+}
+
+// RestoreState applies st.Records() to a registry whose tenants have
+// already been registered with matching configurations (same names,
+// dimensions, ticket policies — each TenantBound enforces it). Call on a
+// fresh registry before it serves traffic and before SetJournal, so the
+// restore itself is not journaled back.
+func (r *Registry) RestoreState(st RegistryState) error {
+	for _, rec := range st.Records() {
+		if err := r.Apply(rec); err != nil {
+			return fmt.Errorf("service: restore: %w", err)
 		}
 	}
-	return r.Apply(Record{Kind: Rejected, Level: LevelRegistry, Count: int(st.Rejected)})
+	return nil
 }
 
 // Apply plays one journal record back into the registry: the replay side
-// of the WAL, and the way RestoreState installs an image. It mutates state
+// of the WAL and of an image. It mutates state
 // directly — nothing is refused, verified or journaled — so call it before
 // SetJournal. Only RoundCreated brings a round into existence: a record for
 // a round no longer registered (one a RoundForgotten has removed) is
 // dropped and returns nil, exactly mirroring what registry-reachable state
 // did live — an evicted round's late in-flight records changed only the
 // detached pipeline, which the registry could no longer observe. A record
-// naming an unknown tenant, a vector of another dimension than the
-// tenant's, a grant for a tenant without a ticket table, or an unknown
-// kind or level returns an error and applies nothing.
+// naming an unknown tenant, a TenantBound of another configuration, a
+// vector of another dimension than the tenant's, a grant for a tenant
+// without a ticket table, or an unknown kind or level returns an error and
+// applies nothing.
 func (r *Registry) Apply(rec Record) error {
 	if rec.Kind == Rejected && rec.Level == LevelRegistry {
 		r.rejected.Add(int64(rec.Count))
@@ -362,6 +355,10 @@ func (r *Registry) Apply(rec Record) error {
 	}
 	m := t.manager
 	switch rec.Kind {
+	case TenantBound:
+		if len(rec.Digests) != 1 || rec.Digests[0] != t.ConfigDigest() {
+			return fmt.Errorf("service: apply: tenant %q config digest mismatch (state was exported under a different name/dim/ticket policy)", rec.Tenant)
+		}
 	case RoundCreated:
 		m.Round(rec.Round)
 	case RoundForgotten:
