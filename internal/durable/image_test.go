@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -87,6 +88,115 @@ func (f *loggedFile) Sync() error {
 func (f *loggedFile) Truncate(size int64) error {
 	f.log.add("truncate", f.name)
 	return f.file.Truncate(size)
+}
+
+// errInjected is the failure faultFS injects.
+var errInjected = errors.New("injected disk failure")
+
+// faultFS performs every operation through osFS but fails one, as a full
+// or dying disk would: the first operation spelled fail (as opLog spells
+// it), once the one spelled after has happened ("" fails it at once).
+type faultFS struct {
+	osFS
+	fail, after string
+	armed       bool
+	fired       bool
+}
+
+func (f *faultFS) check(op string) error {
+	if f.armed && !f.fired && op == f.fail {
+		f.fired = true
+		return errInjected
+	}
+	f.armed = f.armed || op == f.after
+	return nil
+}
+
+func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	if flag&os.O_CREATE != 0 {
+		if err := f.check("create " + filepath.Base(name)); err != nil {
+			return nil, err
+		}
+	}
+	return f.osFS.OpenFile(name, flag, perm)
+}
+
+func (f *faultFS) Rename(from, to string) error {
+	if err := f.check("rename " + filepath.Base(from) + " " + filepath.Base(to)); err != nil {
+		return err
+	}
+	return f.osFS.Rename(from, to)
+}
+
+func (f *faultFS) SyncDir(dir string) error {
+	if err := f.check("syncdir"); err != nil {
+		return err
+	}
+	return f.osFS.SyncDir(dir)
+}
+
+// roundOf returns the exported state of round in reg's test tenant.
+func roundOf(reg *service.Registry, round uint64) (service.RoundState, bool) {
+	for _, ts := range reg.ExportState().Tenants {
+		for _, rs := range ts.Rounds {
+			if ts.Name == testTenant && rs.Round == round {
+				return rs, true
+			}
+		}
+	}
+	return service.RoundState{}, false
+}
+
+// liveTicket is the ticket the tests' frames are sealed under.
+func liveTicket() service.TicketState {
+	return service.TicketState{ID: 7, Key: sessionKey(0xA7), RoundFirst: 1, RoundLast: 1 << 32, ExpiresUnix: 1 << 62}
+}
+
+// ingestFrame submits raws to reg as one frame, which must be accepted
+// whole.
+func ingestFrame(t *testing.T, reg *service.Registry, raws [][]byte) {
+	t.Helper()
+	if _, errs := reg.IngestBatch(raws); errors.Join(errs...) != nil {
+		t.Fatalf("frame refused: %v", errors.Join(errs...))
+	}
+}
+
+// TestFailedRotationKeepsAckedSeal: a Snapshot whose rotation fails part
+// way — the directory sync after the image's rename, or the next WAL's
+// create — must not cost a record acked after it. A frame ingested and
+// its round sealed once Snapshot has returned the failure come back from
+// Recover sealed, with the exact sum.
+func TestFailedRotationKeepsAckedSeal(t *testing.T) {
+	for _, tc := range []struct{ name, fail, after string }{
+		{"directory sync after the image rename", "syncdir", "rename snapshot.tmp snapshot"},
+		{"next WAL create", "create wal.2", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg, s, _ := recoverInto(t, dir)
+			tk := liveTicket()
+			grantTicket(t, reg, tk)
+			tn, _ := reg.Tenant(testTenant)
+			tn.Manager().Round(1)
+			s.fs = &faultFS{fail: tc.fail, after: tc.after, armed: tc.after == ""}
+			if err := s.Snapshot(reg); !errors.Is(err, errInjected) {
+				t.Fatalf("Snapshot: err = %v, want the injected failure", err)
+			}
+
+			ingestFrame(t, reg, orderRaws(3, 4, 2, &tk.Key))
+			if err := tn.Manager().Seal(2); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := roundOf(reg, 2)
+			s.Abandon()
+
+			regB, sB, _ := recoverInto(t, dir)
+			defer sB.Close()
+			if got, ok := roundOf(regB, 2); !ok || got.Phase != service.RoundPhaseSealed || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round 2 after recovery = %+v (found %v), want sealed %+v", got, ok, want)
+			}
+		})
+	}
 }
 
 // TestRotateOrdersDirectorySyncs: every step of a rotation is durable
