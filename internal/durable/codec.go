@@ -35,7 +35,7 @@ const snapshotMagic = "glimmers/snapshot/v2"
 // or undecodable frame, a record Apply refuses, or an image cut short of
 // its closing record. Unlike a torn WAL tail this is never expected —
 // images are written to a temp file, synced and renamed into place — so
-// recovery fails loudly instead of truncating.
+// recovery fails loudly instead of skipping it.
 var ErrBadSnapshot = errors.New("durable: malformed snapshot")
 
 const (

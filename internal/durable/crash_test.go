@@ -1,11 +1,12 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -22,10 +23,11 @@ import (
 // crash after any prefix of it knows what had been acknowledged by then.
 // crashStates replays a prefix as POSIX lets a power loss see it.
 type crashFS struct {
-	mu    sync.Mutex // the flusher writes the WAL from its own goroutine
-	trace []crashOp
-	names map[string]int // the live directory: file name → inode
-	next  int            // the next inode number
+	mu     sync.Mutex // the flusher writes the WAL from its own goroutine
+	trace  []crashOp
+	names  map[string]int // the live directory: file name → inode
+	next   int            // the next inode number
+	failOn string         // a file whose next create fails, as a full disk would
 }
 
 // crashOp is one traced operation. check is a test's assertion about a
@@ -52,13 +54,17 @@ func (c *crashFS) expect(check func(*service.Registry) error) {
 }
 
 func (c *crashFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	base := filepath.Base(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if flag&os.O_CREATE != 0 && base == c.failOn {
+		c.failOn = ""
+		return nil, errInjected
+	}
 	f, err := osFS{}.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	base := filepath.Base(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ino, ok := c.names[base]
 	if flag&os.O_CREATE != 0 {
 		if ok {
@@ -175,7 +181,7 @@ func crashStates(ops []crashOp) []map[string][]byte {
 	}
 	var states []map[string][]byte
 	for kept := 0; kept < 1<<len(pending); kept++ {
-		dir := maps(durable)
+		dir := maps.Clone(durable)
 		var subset []crashOp
 		for i, op := range pending {
 			if kept&(1<<i) != 0 {
@@ -183,11 +189,7 @@ func crashStates(ops []crashOp) []map[string][]byte {
 			}
 		}
 		applyDirOps(dir, subset)
-		names := make([]string, 0, len(dir))
-		for name := range dir {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := slices.Sorted(maps.Keys(dir))
 		// Every combination of one cut per file, odometer-style.
 		pick := make([]int, len(names))
 		for {
@@ -210,14 +212,6 @@ func crashStates(ops []crashOp) []map[string][]byte {
 		}
 	}
 	return states
-}
-
-func maps(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // applyDirOps applies directory operations to a directory of name → inode.
@@ -243,17 +237,18 @@ func applyDirOps(dir map[string]int, ops []crashOp) {
 // store (the ALICE method: Pillai et al., "All File Systems Are Not
 // Created Equal", OSDI 2014). Two lives of a store run over a crashFS:
 // the first recovers an empty directory, grants, ingests and seals, takes
-// a Snapshot, seals again under ingest and dies as a process does, with
-// its page cache intact; the second recovers that and seals a round the
-// first left open. After every prefix of the traced operations, every
+// a Snapshot whose image cannot be created, seals again under ingest,
+// takes a Snapshot that succeeds and dies as a process does, with its
+// page cache intact; the second recovers that and seals a round the first
+// left open. After every prefix of the traced operations, every
 // directory a power loss could leave must recover with every seal
 // observed by then sealed at its exact sum, every acked grant present,
 // and nothing wrong: each round holds a cohort its live registry held at
 // some point (withheld — not yet sealed, or absent — is allowed).
 func TestCrashModelRecoversEveryAckedRecord(t *testing.T) {
 	// Every record is written as it is staged and synced only at a
-	// barrier, so the unsynced tails a power loss can cut are as long as
-	// the store ever lets them get.
+	// barrier, so a power loss can cut an unsynced tail between any two
+	// records and inside any one.
 	writeThrough := Config{FlushBytes: 1, FlushInterval: time.Hour}
 	dir := t.TempDir()
 	c := newCrashFS()
@@ -324,14 +319,18 @@ func TestCrashModelRecoversEveryAckedRecord(t *testing.T) {
 	ingest(reg, 1, 2, 3)
 	seal(reg, 1)
 	ingest(reg, 2, 0, 1) // unsynced when Snapshot cuts the WAL
-	if err := s.Snapshot(reg); err != nil {
-		t.Fatal(err)
+	c.failOn = "snapshot.tmp"
+	if err := s.Snapshot(reg); !errors.Is(err, errInjected) {
+		t.Fatalf("Snapshot: err = %v, want the injected failure", err)
 	}
 	grant(reg, s, 8)
 	ingest(reg, 2, 1, 2)
 	ingest(reg, 3, 0, 1)
 	seal(reg, 2) // a barrier with ingest staged on both sides of it
 	ingest(reg, 3, 1, 2)
+	if err := s.Snapshot(reg); err != nil {
+		t.Fatal(err)
+	}
 	ingest(reg, 3, 2, 3) // unsynced when the process dies
 	s.Abandon()
 
@@ -384,14 +383,7 @@ func stateKey(state map[string][]byte, checks int) string {
 	return b.String()
 }
 
-func stateNames(state map[string][]byte) []string {
-	names := make([]string, 0, len(state))
-	for name := range state {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func stateNames(state map[string][]byte) []string { return slices.Sorted(maps.Keys(state)) }
 
 func lastOp(ops []crashOp) string {
 	if len(ops) == 0 {

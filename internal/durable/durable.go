@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 
 	"glimmers/internal/audit"
@@ -18,17 +19,20 @@ import (
 // Store owns one state directory:
 //
 //	snapshot   — the latest image: the registry as the records that
-//	             rebuild it (see writeImage), followed by the generation
-//	             of the WAL that continues it
-//	wal.<gen>  — the records since that image
+//	             rebuild it (see writeImage), and the first WAL
+//	             generation it does not hold
+//	wal.<gen>  — the records since, one file per generation
 //
-// Recover streams both files through Registry.Apply and attaches the
-// store as the registry's journal; Snapshot writes a new image and
-// rotates to the next WAL generation (see rotate for the order that
-// survives a power loss). Store implements service.Journal — every
-// service.Record the service layer appends becomes one WAL record,
-// staged and group-committed by a background flusher; groupcommit.go
-// states which records are durable when Append returns.
+// The directory obeys one rule: an image names the first generation it
+// does not hold, and every WAL from that generation on is replayed, in
+// order, each up to its first tear. A WAL is written by one life of the
+// store and never reopened for writing: Snapshot cuts it at a record
+// boundary, and Recover starts the next generation. A failure or a power
+// loss at any step of either leaves a directory that recovers every acked
+// record. Store implements service.Journal — every service.Record the
+// service layer appends becomes one WAL record, staged and
+// group-committed by a background flusher; groupcommit.go states which
+// records are durable when Append returns.
 //
 // Concurrency: the journal side is safe for concurrent use. Recover and
 // Snapshot require quiesced ingest — a mutation concurrent with the
@@ -79,10 +83,10 @@ type Store struct {
 // RecoverStats describes what a recovery found.
 type RecoverStats struct {
 	SnapshotLoaded bool
-	Generation     uint64
-	Records        int   // intact WAL records replayed; an image's are not counted
-	TruncatedBytes int64 // torn tail removed, 0 for a clean file
-	ReplayErrors   int   // records naming state the registry no longer has, or of another dimension
+	Generation     uint64 // the first WAL generation replayed: the image's, or 1
+	Records        int    // intact WAL records replayed; an image's are not counted
+	TruncatedBytes int64  // torn bytes skipped, over every generation replayed
+	ReplayErrors   int    // records naming state the registry no longer has, or of another dimension
 }
 
 // OpenConfig creates or opens a state directory with the given group-commit
@@ -120,13 +124,13 @@ func (s *Store) walPath(gen uint64) string {
 	return filepath.Join(s.dir, "wal."+strconv.FormatUint(gen, 10))
 }
 
-// Recover applies the image (if any), then replays the WAL that follows
-// it, into reg; truncates a torn WAL tail; opens the WAL for appending,
-// starts the background flusher, and attaches the store as reg's journal.
-// Both files are streamed. An image that does not load whole fails
-// Recover with ErrBadSnapshot; a WAL record Apply refuses is counted in
-// ReplayErrors. The registry must already hold its tenants (same configs
-// as when the state was exported) and must not yet be serving traffic.
+// Recover applies the image (if any), removes the WALs it holds, replays
+// every later generation into reg, each up to its first tear, starts a
+// new generation and the flusher, and attaches the store as reg's
+// journal. Every file is streamed, read-only. An image that does not load
+// whole fails Recover with ErrBadSnapshot; a WAL record Apply refuses is
+// counted in ReplayErrors. The registry must already hold its tenants
+// (same configs as at export) and must not yet be serving traffic.
 func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 	var stats RecoverStats
 	img, size, err := s.open(s.snapshotPath())
@@ -142,17 +146,19 @@ func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 		return stats, fmt.Errorf("durable: %w", err)
 	}
 	stats.Generation = s.gen
+	s.removeHeld(s.gen)
 
-	f, err := s.replayWAL(reg, &stats)
-	if err == nil && f == nil {
-		f, err = s.rotate(nil, s.gen)
-	} else if err == nil {
-		s.fs.Remove(s.walPath(s.gen - 1)) // a crash inside rotate leaves it
+	for err = s.replayWAL(reg, &stats); err == nil; err = s.replayWAL(reg, &stats) {
+		s.gen++
+	}
+	var f file
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = s.newWAL(s.gen)
 	}
 	if err != nil {
 		return stats, fmt.Errorf("durable: %w", err)
 	}
-	s.audit("wal-replayed", "generation=%d records=%d replay_errors=%d", s.gen, stats.Records, stats.ReplayErrors)
+	s.audit("wal-replayed", "generation=%d next=%d records=%d replay_errors=%d", stats.Generation, s.gen, stats.Records, stats.ReplayErrors)
 
 	s.mu.Lock()
 	s.f = f
@@ -162,17 +168,16 @@ func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
 	return stats, nil
 }
 
-// replayWAL applies the intact records of the current WAL to reg and cuts
-// a torn tail, syncing the cut. It returns the WAL open for appending, or
-// nil when rotate must make one: the file is missing, empty, or its
-// header is damaged.
-func (s *Store) replayWAL(reg *service.Registry, stats *RecoverStats) (file, error) {
+// replayWAL applies the records of wal.<s.gen> to reg up to its first
+// tear, which it skips, and syncs the file: a power loss must not take
+// back what the next generation builds on. A missing WAL is
+// fs.ErrNotExist.
+func (s *Store) replayWAL(reg *service.Registry, stats *RecoverStats) error {
 	f, size, err := s.open(s.walPath(s.gen))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	} else if err != nil {
-		return nil, err
+	if err != nil {
+		return err
 	}
+	defer f.Close()
 	good, err := walk(f, size, make([]byte, len(walMagic)), walMagic, func(payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
@@ -185,26 +190,21 @@ func (s *Store) replayWAL(reg *service.Registry, stats *RecoverStats) (file, err
 		return nil
 	})
 	if errors.Is(err, errTorn) || errors.Is(err, errBadRecord) {
-		err, stats.TruncatedBytes = nil, size-good
-		if stats.TruncatedBytes > 0 {
-			s.audit("wal-truncated", "generation=%d offset=%d dropped=%d", s.gen, good, stats.TruncatedBytes)
-		}
-		if good > 0 {
-			if err = f.Truncate(good); err == nil {
-				err = f.Sync()
-			}
+		err = nil
+		if torn := size - good; torn > 0 {
+			stats.TruncatedBytes += torn
+			s.audit("wal-torn", "generation=%d offset=%d skipped=%d", s.gen, good, torn)
 		}
 	}
-	if err != nil || good == 0 {
-		f.Close()
-		return nil, err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f, nil
+	return err
 }
 
-// open opens an existing file for reading and appending, with its size.
+// open opens an existing file for reading, with its size.
 func (s *Store) open(path string) (file, int64, error) {
-	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	f, err := s.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -216,99 +216,94 @@ func (s *Store) open(path string) (file, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// Snapshot writes a fresh registry image and rotates the WAL. Requires
+// removeHeld removes every WAL below generation gen: an image naming gen
+// holds their records.
+func (s *Store) removeHeld(gen uint64) {
+	entries, _ := os.ReadDir(s.dir)
+	for _, e := range entries {
+		g, ok := strings.CutPrefix(e.Name(), "wal.")
+		if n, err := strconv.ParseUint(g, 10, 64); ok && err == nil && n < gen {
+			s.fs.Remove(filepath.Join(s.dir, e.Name()))
+		}
+	}
+}
+
+// Snapshot cuts the WAL and writes a fresh registry image. Requires
 // quiesced ingest (see the type comment). Any write-path error since the
-// last snapshot surfaces here. Records still staged when the rotation
-// happens are simply discarded: the mutations they describe happened
-// before the export, so the image already contains them.
+// last snapshot surfaces here. Nothing staged is discarded, and each step
+// is durable before the next: the staged tail is written to the closing
+// WAL and synced; wal.<next> is made and appends move to it; the image
+// naming next is written to snapshot.tmp, synced, renamed, and the
+// directory synced; only then go the WALs it holds. After a failure the
+// store appends to the WAL it reached, which no image on disk holds.
 func (s *Store) Snapshot(reg *service.Registry) error {
 	// Export outside s.mu: the export takes service locks, and journal
 	// appends (which hold s.mu) happen under some of them.
 	st := reg.ExportState()
 
-	// Runs after the unlocks below: a store that was never Recovered
-	// (or whose flusher died with the old file) still ends up with a
-	// live flusher for the new generation.
+	// Runs after the unlock below: a store that was never Recovered (or
+	// whose flusher died with the old file) still ends up with a live
+	// flusher for the new generation.
 	defer s.startFlusher()
 
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	s.flushLocked(true)
+	if err := s.Err(); err != nil {
+		return err
 	}
 	next := s.gen + 1
-	nf, err := s.rotate(&st, next)
+	f, err := s.newWAL(next)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
+	s.mu.Lock()
 	if s.f != nil {
 		s.f.Close()
 	}
-	s.f = nf
-	s.gen = next
-	// Superseded by the image: drop the staged tail and settle every
-	// sequence watermark so no barrier can wait on pre-rotation records.
-	s.staged = s.staged[:0]
-	if cap(s.staged) > s.maxRetained {
-		s.staged = nil
+	s.f, s.gen = f, next
+	s.mu.Unlock()
+
+	tmp := s.snapshotPath() + ".tmp"
+	img, err := s.create(tmp, s.snapshotPath(), func(w io.Writer) error { return writeImage(w, st, next) })
+	if err == nil {
+		err = img.Close()
 	}
-	s.flushedSeq, s.syncedSeq = s.seq, s.seq
-	s.synced.Broadcast()
+	if err != nil {
+		s.fs.Remove(tmp)
+		return fmt.Errorf("durable: %w", err)
+	}
+	s.removeHeld(next)
 	s.audit("snapshot-taken", "generation=%d tenants=%d", next, len(st.Tenants))
 	return nil
 }
 
-// rotate moves the directory to WAL generation next and returns that
-// WAL, open for appending. Each step is durable before the next one
-// starts, so a power loss at any point leaves a directory Recover
-// reads whole:
-//
-//  1. with an image (st != nil): write and fsync snapshot.tmp, rename it
-//     to snapshot, fsync the directory;
-//  2. create wal.<next>, write its magic, fsync it, fsync the directory;
-//  3. only then remove wal.<next-1>.
-func (s *Store) rotate(st *service.RegistryState, next uint64) (file, error) {
-	if st != nil {
-		tmp := s.snapshotPath() + ".tmp"
-		img, err := s.create(tmp, func(w io.Writer) error { return writeImage(w, *st, next) })
-		if err == nil {
-			if err = img.Close(); err == nil {
-				err = s.fs.Rename(tmp, s.snapshotPath())
-			}
-		}
-		if err == nil {
-			err = s.fs.SyncDir(s.dir)
-		}
-		if err != nil {
-			s.fs.Remove(tmp)
-			return nil, err
-		}
-	}
-	f, err := s.create(s.walPath(next), func(w io.Writer) error {
+// newWAL creates wal.<gen>, the one place a WAL is opened for writing:
+// its magic, then its directory entry, is fsynced before any record of it
+// is acked and before any later generation exists.
+func (s *Store) newWAL(gen uint64) (file, error) {
+	return s.create(s.walPath(gen), s.walPath(gen), func(w io.Writer) error {
 		_, err := io.WriteString(w, walMagic)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.fs.Remove(s.walPath(next - 1))
-	return f, nil
 }
 
-// create writes a new file at path through write and fsyncs it.
-func (s *Store) create(path string, write func(io.Writer) error) (file, error) {
-	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
+// create makes a new file durable under name: it writes path through
+// write, fsyncs it, renames it to name if that differs, and fsyncs the
+// directory.
+func (s *Store) create(path, name string, write func(io.Writer) error) (file, error) {
+	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	if err = write(f); err == nil {
 		err = f.Sync()
+	}
+	if err == nil && path != name {
+		err = s.fs.Rename(path, name)
+	}
+	if err == nil {
+		err = s.fs.SyncDir(s.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -400,7 +395,6 @@ type fileSystem interface {
 type file interface {
 	io.ReadWriteCloser
 	Sync() error
-	Truncate(size int64) error
 	Stat() (os.FileInfo, error)
 }
 

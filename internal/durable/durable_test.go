@@ -295,7 +295,9 @@ func TestStoreRecoverReplaysWAL(t *testing.T) {
 	}
 }
 
-func TestWALTornTailTruncated(t *testing.T) {
+// TestWALTornTailSkipped: replay stops at a torn tail, keeps the intact
+// prefix, audits the tear, and leaves the file as it found it.
+func TestWALTornTailSkipped(t *testing.T) {
 	dir := t.TempDir()
 	_, sA, _ := recoverInto(t, dir)
 	driveStore(sA)
@@ -328,19 +330,20 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	defer sB.Close()
 	if stats.Records != 12 || stats.TruncatedBytes != 6 {
-		t.Fatalf("stats = %+v, want 12 records and 6 truncated bytes", stats)
+		t.Fatalf("stats = %+v, want 12 records and 6 torn bytes skipped", stats)
 	}
 	checkReplayedState(t, regB)
 
-	if !strings.Contains(sink.String(), "wal-truncated") {
-		t.Fatalf("audit log missing wal-truncated event: %s", sink)
+	if !strings.Contains(sink.String(), "wal-torn") {
+		t.Fatalf("audit log missing wal-torn event: %s", sink)
 	}
 
-	// The tear is gone from disk: a third recovery sees a clean file.
+	// The tear stays on disk, in a generation no store writes again: a
+	// third recovery skips it once more and rebuilds the same state.
 	regC, sC, stats := recoverInto(t, dir)
 	defer sC.Close()
-	if stats.TruncatedBytes != 0 || stats.Records != 12 {
-		t.Fatalf("post-truncation stats = %+v", stats)
+	if stats.TruncatedBytes != 6 || stats.Records != 12 {
+		t.Fatalf("third recovery stats = %+v, want the same 12 records and 6 torn bytes", stats)
 	}
 	checkReplayedState(t, regC)
 }
@@ -504,4 +507,89 @@ func TestRestoreRefusesMisdimensionedSum(t *testing.T) {
 	if err := reg.RestoreState(st); err == nil {
 		t.Fatal("restore accepted a round sum of the wrong dimension")
 	}
+}
+
+// TestRecoverChainAfterTornCrashes: two crashes with a torn tail and no
+// snapshot between them, a round sealed in each life. Each recovery skips
+// every tear in the chain of generations and is exact; a later Snapshot
+// leaves the image and one WAL; and a stale WAL below the image — what a
+// crash before Snapshot's removal leaves — is removed by Recover, not
+// replayed.
+func TestRecoverChainAfterTornCrashes(t *testing.T) {
+	dir := t.TempDir()
+	tk := liveTicket()
+	reg, s, _ := recoverInto(t, dir)
+	var sealed []service.RoundState
+	for life := 1; life <= 2; life++ {
+		grantTicket(t, reg, tk)
+		round := uint64(life)
+		ingestFrame(t, reg, orderRaws(3, 4, round, &tk.Key))
+		tn, _ := reg.Tenant(testTenant)
+		if err := tn.Manager().Seal(round); err != nil {
+			t.Fatal(err)
+		}
+		rs, _ := roundOf(reg, round)
+		sealed = append(sealed, rs)
+		s.Abandon()
+		f, err := os.OpenFile(s.walPath(s.gen), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte{0x00, 0x00, 0x01, 0x00, 0xDE, 0xAD, 0xBE})
+		f.Close()
+
+		var stats RecoverStats
+		reg, s, stats = recoverInto(t, dir)
+		if stats.Generation != 1 || stats.TruncatedBytes != int64(7*life) || stats.ReplayErrors != 0 {
+			t.Fatalf("life %d: stats = %+v, want generation 1 and %d torn bytes skipped", life, stats, 7*life)
+		}
+		for _, want := range sealed {
+			if got, ok := roundOf(reg, want.Round); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("life %d: round %d recovered as %+v, want %+v", life, want.Round, got, want)
+			}
+		}
+	}
+	if err := s.Snapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dirNames(t, dir), []string{"snapshot", "wal.4"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Snapshot the directory holds %q, want %q", got, want)
+	}
+
+	c := &recordCollector{}
+	c.Append(roundRecord(service.RoundCreated, 99))
+	stale := appendFrame([]byte(walMagic), c.payloads[0])
+	if err := os.WriteFile(filepath.Join(dir, "wal.3"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	regB, sB, stats := recoverInto(t, dir)
+	defer sB.Close()
+	if _, ok := roundOf(regB, 99); ok || stats.Records != 0 {
+		t.Fatalf("the stale WAL below the image was replayed (stats %+v)", stats)
+	}
+	if got, want := dirNames(t, dir), []string{"snapshot", "wal.4", "wal.5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Recover the directory holds %q, want %q", got, want)
+	}
+	for _, want := range sealed {
+		if got, ok := roundOf(regB, want.Round); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d recovered from the image as %+v, want %+v", want.Round, got, want)
+		}
+	}
+}
+
+// dirNames lists the files in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }

@@ -172,7 +172,11 @@ func (s *Store) kickFlusher() {
 func (s *Store) flush(forceSync bool) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
+	s.flushLocked(forceSync)
+}
 
+// flushLocked is flush with ioMu held: Snapshot's cut.
+func (s *Store) flushLocked(forceSync bool) {
 	s.mu.Lock()
 	f := s.f
 	if f == nil || s.err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 
 // opLog is a fileSystem that performs every operation through osFS and
 // records, in order, each one that changes the disk: creates, writes,
-// syncs, truncations, renames, directory syncs and removals (of a file
-// that was there).
+// syncs, renames, directory syncs and removals (of a file that was
+// there).
 type opLog struct {
 	mu  sync.Mutex // the flusher writes the WAL from its own goroutine
 	ops []string
@@ -83,11 +84,6 @@ func (f *loggedFile) Write(p []byte) (int, error) {
 func (f *loggedFile) Sync() error {
 	f.log.add("sync", f.name)
 	return f.file.Sync()
-}
-
-func (f *loggedFile) Truncate(size int64) error {
-	f.log.add("truncate", f.name)
-	return f.file.Truncate(size)
 }
 
 // errInjected is the failure faultFS injects.
@@ -200,11 +196,12 @@ func TestFailedRotationKeepsAckedSeal(t *testing.T) {
 }
 
 // TestRotateOrdersDirectorySyncs: every step of a rotation is durable
-// before the next one starts. The image is synced, renamed and its
-// directory entry synced; the next WAL is created, given its magic, synced
-// and its entry synced; only then does the superseded WAL go. Recover's
-// first WAL, and a WAL whose header it cannot read, are made the same
-// way, and a torn tail's truncation is synced.
+// before the next one starts. The staged tail is written to the closing
+// WAL and synced; the next WAL is created, given its magic, synced and its
+// entry synced; the image is synced, renamed and its entry synced; only
+// then does the WAL the image holds go. Recover writes no WAL it replays:
+// it syncs each one, torn tail or torn header alike, and makes a fresh
+// generation the same way Snapshot does.
 func TestRotateOrdersDirectorySyncs(t *testing.T) {
 	dir := t.TempDir()
 	log := &opLog{}
@@ -239,10 +236,9 @@ func TestRotateOrdersDirectorySyncs(t *testing.T) {
 	if err := s.Snapshot(reg); err != nil {
 		t.Fatal(err)
 	}
-	want("snapshot", append([]string{
+	want("snapshot", slices.Concat([]string{"write wal.1", "sync wal.1"}, newWAL("wal.2"), []string{
 		"create snapshot.tmp", "write snapshot.tmp", "sync snapshot.tmp",
-		"rename snapshot.tmp snapshot", "syncdir"},
-		append(newWAL("wal.2"), "remove wal.1")...)...)
+		"rename snapshot.tmp snapshot", "syncdir", "remove wal.1"})...)
 
 	tn.Manager().Round(2)
 	if err := s.Close(); err != nil {
@@ -257,7 +253,7 @@ func TestRotateOrdersDirectorySyncs(t *testing.T) {
 	f.Write([]byte{0x00, 0x00, 0x00, 0x40, 0xDE})
 	f.Close()
 	_, s = open()
-	want("torn tail", "truncate wal.2", "sync wal.2")
+	want("torn tail", append([]string{"sync wal.2"}, newWAL("wal.3")...)...)
 	s.Close()
 
 	log.take()
@@ -265,7 +261,7 @@ func TestRotateOrdersDirectorySyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, s = open()
-	want("torn header", newWAL("wal.2")...)
+	want("torn header", append([]string{"sync wal.2", "sync wal.3"}, newWAL("wal.4")...)...)
 	s.Close()
 }
 
@@ -299,7 +295,7 @@ func snapshotAndRecover(t *testing.T, dir string, regA *service.Registry, sA *St
 	if err := sA.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := encodeImage(regA.ExportState(), 2)
+	want := encodeImage(regA.ExportState(), sA.gen)
 	if onDisk, err := os.ReadFile(filepath.Join(dir, "snapshot")); err != nil || !bytes.Equal(onDisk, want) {
 		t.Fatalf("image on disk differs from the export's (err %v)", err)
 	}
@@ -308,7 +304,7 @@ func snapshotAndRecover(t *testing.T, dir string, regA *service.Registry, sA *St
 	if !stats.SnapshotLoaded || stats.Records != 0 {
 		t.Fatalf("stats = %+v, want the image alone", stats)
 	}
-	if got := encodeImage(regB.ExportState(), 2); !bytes.Equal(got, want) {
+	if got := encodeImage(regB.ExportState(), sA.gen); !bytes.Equal(got, want) {
 		t.Fatalf("recovered export differs:\n got %x\nwant %x", got, want)
 	}
 	return regB

@@ -14,8 +14,9 @@ import (
 //
 // An image uses the same frames after its own header (see writeImage).
 // A crash can tear the last frame (partial header, partial payload, or a
-// payload that fails its CRC); replay stops at the tear, and the store
-// truncates the file there before appending again.
+// payload that fails its CRC); replay stops at the tear and goes on with
+// the next generation. No WAL is written again once its store's life
+// ends, so the tear stays where it is, skipped by every later replay.
 const walMagic = "glimmers/wal/v1\x00"
 
 const (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -133,7 +135,8 @@ func (n *node) shutdown() { _, _ = n.Drain() }
 // kill ends the node's life the way a crash would (node.Kill: the store
 // abandoned unflushed, nothing of the dead life left behind). With
 // tornTail the dying process's final write is a partial frame appended to
-// the live WAL — a sim fault, not something the assembly does.
+// the live WAL, the numerically highest generation — a sim fault, not
+// something the assembly does.
 func (n *node) kill(tornTail bool) error {
 	n.Kill()
 	if !tornTail {
@@ -143,7 +146,9 @@ func (n *node) kill(tornTail bool) error {
 	if len(wals) == 0 {
 		return fmt.Errorf("sim: no WAL file in %s", n.StateDir)
 	}
-	f, err := os.OpenFile(wals[0], os.O_WRONLY|os.O_APPEND, 0o644)
+	// Shorter names first, so wal.10 sorts after wal.9.
+	slices.SortFunc(wals, func(a, b string) int { return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b)) })
+	f, err := os.OpenFile(wals[len(wals)-1], os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
