@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -107,12 +108,29 @@ func TestRunServesAndDrains(t *testing.T) {
 			t.Errorf("drain report lacks %q:\n%s", want, report)
 		}
 	}
+	// The two sizes the compaction policy reads: a cold start's WAL holds
+	// the records written (if the flusher has run) and its generation's
+	// header, and there is no image yet.
+	if m := regexp.MustCompile(` bytes=(\d+) .* wal_bytes=(\d+) image_bytes=(\d+)\n`).FindStringSubmatch(report); m == nil {
+		t.Errorf("drain report lacks the WAL sizes:\n%s", report)
+	} else if written, wal, image := atoi(t, m[1]), atoi(t, m[2]), atoi(t, m[3]); wal <= written || image != 0 {
+		t.Errorf("wal bytes=%d wal_bytes=%d image_bytes=%d, want the records written and a header, and no image", written, wal, image)
+	}
 	if strings.Contains(report, "fleet") {
 		t.Errorf("standalone daemon printed fleet lines:\n%s", report)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil {
 		t.Error(err)
 	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestReportPrintsMergeLedger: a coordinator's drain report carries the

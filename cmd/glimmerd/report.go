@@ -94,8 +94,9 @@ func (p printer) report(rep node.Report, stateDir string) {
 	}
 	if stateDir != "" {
 		ws := rep.WAL
-		p.say("wal: records=%d writes=%d (%.1f rec/write) bytes=%d syncs=%d barrier_waits=%d staged_peak=%dB", ws.Records,
-			ws.Writes, float64(ws.Records)/float64(max(ws.Writes, 1)), ws.BytesWritten, ws.Syncs, ws.BarrierWaits, ws.StagedPeak)
+		p.say("wal: records=%d writes=%d (%.1f rec/write) bytes=%d syncs=%d barrier_waits=%d staged_peak=%dB wal_bytes=%d image_bytes=%d", ws.Records,
+			ws.Writes, float64(ws.Records)/float64(max(ws.Writes, 1)), ws.BytesWritten, ws.Syncs, ws.BarrierWaits, ws.StagedPeak,
+			ws.WALBytes, ws.ImageBytes)
 		if rep.Snapshotted {
 			p.say("state snapshotted to %s", stateDir)
 		}

@@ -10,7 +10,9 @@
 // digests, counters, and the symmetric ticket session keys the server
 // necessarily holds. Raw contributions, blinding masks, and device-side
 // secrets are never serialized; a frame's summed delta (for a frame of
-// one, one device's blinded vector) stays in the WAL until a snapshot.
+// one, one device's blinded vector) stays in the WAL until the next
+// snapshot folds its generation into a round sum, which a serving node
+// takes once its WAL outgrows the image (internal/node), not at drain.
 package durable
 
 import (

@@ -239,8 +239,10 @@ func applyDirOps(dir map[string]int, ops []crashOp) {
 // the first recovers an empty directory, grants, ingests and seals, takes
 // a Snapshot whose image cannot be created, seals again under ingest,
 // takes a Snapshot that succeeds and dies as a process does, with its
-// page cache intact; the second recovers that and seals a round the first
-// left open. After every prefix of the traced operations, every
+// page cache intact; the second recovers that, takes a Snapshot while one
+// frame's accept record is held across its cut, and seals the round the
+// first left open. After every prefix of the traced operations — the
+// folds, image writes and removals included — every
 // directory a power loss could leave must recover with every seal
 // observed by then sealed at its exact sum, every acked grant present,
 // and nothing wrong: each round holds a cohort its live registry held at
@@ -336,7 +338,13 @@ func TestCrashModelRecoversEveryAckedRecord(t *testing.T) {
 
 	reg, s = open()
 	ingest(reg, 3, 3, 4)
-	seal(reg, 3)
+	hold := newHoldJournal(s)
+	reg.SetJournal(hold)
+	if err := snapshotAcross(t, reg, s, hold, frames[3][4:5]); err != nil {
+		t.Fatal(err)
+	}
+	note(reg, 3)
+	seal(reg, 3) // acks the frame held across the cut
 	s.Abandon()
 
 	scratch := t.TempDir()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -34,11 +35,14 @@ import (
 // group-committed by a background flusher; groupcommit.go states which
 // records are durable when Append returns.
 //
-// Concurrency: the journal side is safe for concurrent use. Recover and
-// Snapshot require quiesced ingest — a mutation concurrent with the
-// export would land in both the image and the next WAL generation
-// and double-apply on the next recovery. glimmerd snapshots after
-// draining its listener; the sim between waves.
+// An image is what recovery would build: Recover folds the files into
+// the registry it is handed, and Snapshot folds them into a blank
+// registry of the same tenants, which it writes as the next image. The
+// serving registry is never exported, so a record is in an image exactly
+// when it is in a generation the image holds.
+//
+// Concurrency: the journal side and Snapshot are safe for concurrent use,
+// ingest included. Recover runs before the registry serves traffic.
 type Store struct {
 	dir string
 	cfg Config
@@ -55,8 +59,11 @@ type Store struct {
 	err    error // first write-path failure; sticky, audited immediately
 
 	// ioMu serializes disk I/O (flushes, the close drain, the snapshot
-	// rotation) so s.mu is never held across a syscall.
+	// cut) so s.mu is never held across a syscall.
 	ioMu sync.Mutex
+	// snapMu serializes Snapshots: each folds from the image the last one
+	// wrote.
+	snapMu sync.Mutex
 
 	// Double-buffered staging: journal calls append frames to staged;
 	// the flusher swaps staged with spare and writes the whole segment.
@@ -124,58 +131,98 @@ func (s *Store) walPath(gen uint64) string {
 	return filepath.Join(s.dir, "wal."+strconv.FormatUint(gen, 10))
 }
 
-// Recover applies the image (if any), removes the WALs it holds, replays
-// every later generation into reg, each up to its first tear, starts a
-// new generation and the flusher, and attaches the store as reg's
-// journal. Every file is streamed, read-only. An image that does not load
-// whole fails Recover with ErrBadSnapshot; a WAL record Apply refuses is
-// counted in ReplayErrors. The registry must already hold its tenants
-// (same configs as at export) and must not yet be serving traffic.
+// Recover folds the directory into reg, removes the WALs the image holds,
+// starts a new generation and the flusher, and attaches the store as
+// reg's journal. An image that does not load whole fails Recover with
+// ErrBadSnapshot; a WAL record Apply refuses is counted in ReplayErrors.
+// When it replayed more than one generation — lives that crashed with no
+// snapshot between them — it snapshots before returning, so a node that
+// keeps crashing keeps a bounded directory. The registry must already
+// hold its tenants (same configs as at export) and must not yet be
+// serving traffic.
 func (s *Store) Recover(reg *service.Registry) (RecoverStats, error) {
-	var stats RecoverStats
-	img, size, err := s.open(s.snapshotPath())
-	if err == nil {
-		s.gen, err = loadImage(reg, img, size)
-		img.Close()
-		if err != nil {
-			return stats, err
-		}
-		stats.SnapshotLoaded = true
-		s.audit("snapshot-loaded", "generation=%d bytes=%d", s.gen, size)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return stats, fmt.Errorf("durable: %w", err)
-	}
-	stats.Generation = s.gen
-	s.removeHeld(s.gen)
-
-	for err = s.replayWAL(reg, &stats); err == nil; err = s.replayWAL(reg, &stats) {
-		s.gen++
-	}
-	var f file
-	if errors.Is(err, fs.ErrNotExist) {
-		f, err = s.newWAL(s.gen)
-	}
+	fd, err := s.fold(reg, math.MaxUint64)
 	if err != nil {
-		return stats, fmt.Errorf("durable: %w", err)
+		return fd.RecoverStats, err
 	}
-	s.audit("wal-replayed", "generation=%d next=%d records=%d replay_errors=%d", stats.Generation, s.gen, stats.Records, stats.ReplayErrors)
+	if fd.SnapshotLoaded {
+		s.audit("snapshot-loaded", "generation=%d bytes=%d", fd.Generation, fd.imageBytes)
+	}
+	s.removeHeld(fd.Generation)
+	s.gen = fd.next
+	f, err := s.newWAL(s.gen)
+	if err != nil {
+		return fd.RecoverStats, fmt.Errorf("durable: %w", err)
+	}
+	s.audit("wal-replayed", "generation=%d next=%d records=%d replay_errors=%d", fd.Generation, s.gen, fd.Records, fd.ReplayErrors)
 
 	s.mu.Lock()
 	s.f = f
+	s.stats.WALBytes = fd.walBytes + uint64(len(walMagic))
+	s.stats.ImageBytes = fd.imageBytes
 	s.mu.Unlock()
 	s.startFlusher()
 	reg.SetJournal(s)
-	return stats, nil
+	if fd.wals > 1 {
+		// The store serves on from the generation it just started either
+		// way: a failed image costs a longer next recovery, nothing more.
+		if err := s.Snapshot(reg); err != nil {
+			s.audit("snapshot-failed", "generation=%d err=%v", s.gen, err)
+		}
+	}
+	return fd.RecoverStats, nil
 }
 
-// replayWAL applies the records of wal.<s.gen> to reg up to its first
-// tear, which it skips, and syncs the file: a power loss must not take
-// back what the next generation builds on. A missing WAL is
+// folded is what one fold applied.
+type folded struct {
+	RecoverStats
+	next       uint64 // the first generation not applied
+	wals       int    // WAL generations applied
+	walBytes   uint64 // their size on disk
+	imageBytes uint64 // the image's size on disk (0 without one)
+}
+
+// fold applies the image, if any, and then each later WAL generation below
+// below, in order, each up to its first tear, to reg; it ends early at the
+// first generation that does not exist. Every file is streamed read-only,
+// and every WAL is synced once read: a power loss must not take back what
+// a later generation, or an image folded from it, builds on. An image that
+// does not load whole is ErrBadSnapshot; a WAL record Apply refuses is
+// counted in ReplayErrors.
+func (s *Store) fold(reg *service.Registry, below uint64) (folded, error) {
+	fd := folded{RecoverStats: RecoverStats{Generation: 1}}
+	img, size, err := s.open(s.snapshotPath())
+	if err == nil {
+		fd.Generation, err = loadImage(reg, img, size)
+		img.Close()
+		if err != nil {
+			return fd, err
+		}
+		fd.SnapshotLoaded, fd.imageBytes = true, uint64(size)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return fd, fmt.Errorf("durable: %w", err)
+	}
+	for fd.next = fd.Generation; fd.next < below; fd.next++ {
+		size, err := s.replayWAL(reg, fd.next, &fd.RecoverStats)
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return fd, fmt.Errorf("durable: %w", err)
+		}
+		fd.wals++
+		fd.walBytes += uint64(size)
+	}
+	return fd, nil
+}
+
+// replayWAL applies the records of wal.<gen> to reg up to its first tear,
+// which it skips, syncs the file, and returns its size. A missing WAL is
 // fs.ErrNotExist.
-func (s *Store) replayWAL(reg *service.Registry, stats *RecoverStats) error {
-	f, size, err := s.open(s.walPath(s.gen))
+func (s *Store) replayWAL(reg *service.Registry, gen uint64, stats *RecoverStats) (int64, error) {
+	f, size, err := s.open(s.walPath(gen))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
 	good, err := walk(f, size, make([]byte, len(walMagic)), walMagic, func(payload []byte) error {
@@ -193,13 +240,13 @@ func (s *Store) replayWAL(reg *service.Registry, stats *RecoverStats) error {
 		err = nil
 		if torn := size - good; torn > 0 {
 			stats.TruncatedBytes += torn
-			s.audit("wal-torn", "generation=%d offset=%d skipped=%d", s.gen, good, torn)
+			s.audit("wal-torn", "generation=%d offset=%d skipped=%d", gen, good, torn)
 		}
 	}
 	if err == nil {
 		err = f.Sync()
 	}
-	return err
+	return size, err
 }
 
 // open opens an existing file for reading, with its size.
@@ -228,19 +275,62 @@ func (s *Store) removeHeld(gen uint64) {
 	}
 }
 
-// Snapshot cuts the WAL and writes a fresh registry image. Requires
-// quiesced ingest (see the type comment). Any write-path error since the
-// last snapshot surfaces here. Nothing staged is discarded, and each step
-// is durable before the next: the staged tail is written to the closing
-// WAL and synced; wal.<next> is made and appends move to it; the image
-// naming next is written to snapshot.tmp, synced, renamed, and the
-// directory synced; only then go the WALs it holds. After a failure the
-// store appends to the WAL it reached, which no image on disk holds.
+// Snapshot cuts the WAL and writes the image of everything before the cut.
+// reg names the tenants (their configurations); its state is not read.
+// Any write-path error since the last snapshot surfaces here. Nothing
+// staged is discarded, and each step is durable before the next: the
+// staged tail is written to the closing WAL and synced; wal.<next> is made
+// and appends move to it; the image and every WAL below next are folded
+// into a blank registry of reg's tenants, whose image naming next is
+// written to snapshot.tmp, synced, renamed, and the directory synced; only
+// then go the WALs it holds. Ingest may run throughout: only the cut
+// holds up the flusher. After a failure the store appends to the WAL it
+// reached, which no image on disk holds.
 func (s *Store) Snapshot(reg *service.Registry) error {
-	// Export outside s.mu: the export takes service locks, and journal
-	// appends (which hold s.mu) happen under some of them.
-	st := reg.ExportState()
+	blank := service.NewRegistry(0)
+	for _, t := range reg.Tenants() {
+		if _, err := blank.AddTenant(t.Config()); err != nil {
+			return fmt.Errorf("durable: %w", err)
+		}
+	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	next, held, err := s.cut()
+	if err != nil {
+		return err
+	}
+	fd, err := s.fold(blank, next)
+	if err == nil && fd.next != next {
+		err = fmt.Errorf("durable: %s missing", filepath.Base(s.walPath(fd.next)))
+	}
+	if err != nil {
+		return err
+	}
+	st := blank.ExportState()
+	tmp := s.snapshotPath() + ".tmp"
+	img, err := s.create(tmp, s.snapshotPath(), func(w io.Writer) error { return writeImage(w, st, next) })
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = img.Stat()
+		err = errors.Join(err, img.Close())
+	}
+	if err != nil {
+		s.fs.Remove(tmp)
+		return fmt.Errorf("durable: %w", err)
+	}
+	s.removeHeld(next)
+	s.mu.Lock()
+	s.stats.WALBytes -= held
+	s.stats.ImageBytes = uint64(fi.Size())
+	s.mu.Unlock()
+	s.audit("snapshot-taken", "generation=%d tenants=%d bytes=%d folded_wals=%d", next, len(st.Tenants), fi.Size(), fd.wals)
+	return nil
+}
 
+// cut ends the live WAL at a record boundary: the staged tail is written
+// to it and synced, wal.<next> is made, and appends move there. It
+// returns next and the WAL bytes counted in the generations below it.
+func (s *Store) cut() (next, held uint64, err error) {
 	// Runs after the unlock below: a store that was never Recovered (or
 	// whose flusher died with the old file) still ends up with a live
 	// flusher for the new generation.
@@ -250,32 +340,22 @@ func (s *Store) Snapshot(reg *service.Registry) error {
 	defer s.ioMu.Unlock()
 	s.flushLocked(true)
 	if err := s.Err(); err != nil {
-		return err
+		return 0, 0, err
 	}
-	next := s.gen + 1
+	next = s.gen + 1
 	f, err := s.newWAL(next)
 	if err != nil {
-		return fmt.Errorf("durable: %w", err)
+		return 0, 0, fmt.Errorf("durable: %w", err)
 	}
 	s.mu.Lock()
 	if s.f != nil {
 		s.f.Close()
 	}
 	s.f, s.gen = f, next
+	held = s.stats.WALBytes
+	s.stats.WALBytes += uint64(len(walMagic))
 	s.mu.Unlock()
-
-	tmp := s.snapshotPath() + ".tmp"
-	img, err := s.create(tmp, s.snapshotPath(), func(w io.Writer) error { return writeImage(w, st, next) })
-	if err == nil {
-		err = img.Close()
-	}
-	if err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
-	}
-	s.removeHeld(next)
-	s.audit("snapshot-taken", "generation=%d tenants=%d", next, len(st.Tenants))
-	return nil
+	return next, held, nil
 }
 
 // newWAL creates wal.<gen>, the one place a WAL is opened for writing:

@@ -511,10 +511,11 @@ func TestRestoreRefusesMisdimensionedSum(t *testing.T) {
 
 // TestRecoverChainAfterTornCrashes: two crashes with a torn tail and no
 // snapshot between them, a round sealed in each life. Each recovery skips
-// every tear in the chain of generations and is exact; a later Snapshot
-// leaves the image and one WAL; and a stale WAL below the image — what a
-// crash before Snapshot's removal leaves — is removed by Recover, not
-// replayed.
+// every tear in the chain of generations and is exact; the second, which
+// replays a chain of two, folds it into an image before it returns; a
+// later Snapshot leaves the image and one WAL; and a stale WAL below the
+// image — what a crash before Snapshot's removal leaves — is removed by
+// Recover, not replayed.
 func TestRecoverChainAfterTornCrashes(t *testing.T) {
 	dir := t.TempDir()
 	tk := liveTicket()
@@ -548,6 +549,9 @@ func TestRecoverChainAfterTornCrashes(t *testing.T) {
 				t.Fatalf("life %d: round %d recovered as %+v, want %+v", life, want.Round, got, want)
 			}
 		}
+		if got, want := dirNames(t, dir), [][]string{{"wal.1", "wal.2"}, {"snapshot", "wal.4"}}[life-1]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("life %d: after Recover the directory holds %q, want %q", life, got, want)
+		}
 	}
 	if err := s.Snapshot(reg); err != nil {
 		t.Fatal(err)
@@ -555,14 +559,14 @@ func TestRecoverChainAfterTornCrashes(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dirNames(t, dir), []string{"snapshot", "wal.4"}; !reflect.DeepEqual(got, want) {
+	if got, want := dirNames(t, dir), []string{"snapshot", "wal.5"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Snapshot the directory holds %q, want %q", got, want)
 	}
 
 	c := &recordCollector{}
 	c.Append(roundRecord(service.RoundCreated, 99))
 	stale := appendFrame([]byte(walMagic), c.payloads[0])
-	if err := os.WriteFile(filepath.Join(dir, "wal.3"), stale, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "wal.4"), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	regB, sB, stats := recoverInto(t, dir)
@@ -570,7 +574,7 @@ func TestRecoverChainAfterTornCrashes(t *testing.T) {
 	if _, ok := roundOf(regB, 99); ok || stats.Records != 0 {
 		t.Fatalf("the stale WAL below the image was replayed (stats %+v)", stats)
 	}
-	if got, want := dirNames(t, dir), []string{"snapshot", "wal.4", "wal.5"}; !reflect.DeepEqual(got, want) {
+	if got, want := dirNames(t, dir), []string{"snapshot", "wal.5", "wal.6"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Recover the directory holds %q, want %q", got, want)
 	}
 	for _, want := range sealed {

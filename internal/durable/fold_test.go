@@ -1,11 +1,13 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
+	"glimmers/internal/fixed"
 	"glimmers/internal/service"
 )
 
@@ -80,4 +82,67 @@ func TestSnapshotUnderConcurrentIngestIsExact(t *testing.T) {
 	if got, ok := roundOf(regB, 1); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("round 1 after recovery = %+v (found %v), want %+v", got, ok, want)
 	}
+}
+
+// BenchmarkSnapshotFold prices a Snapshot by the WAL it folds, in the
+// shape of edge-steady's records: dim-256 frames of 128 digests, rounds of
+// 4,096 contributions that are sealed, closed and forgotten, so the image
+// stays small and the fold's cost is the WAL's. Each iteration journals
+// foldRounds rounds (untimed), then snapshots them away.
+func BenchmarkSnapshotFold(b *testing.B) {
+	const dim, frameItems, roundItems, foldRounds = 256, 128, 4096, 4
+	reg := service.NewRegistry(0)
+	if _, err := reg.AddTenant(service.TenantConfig{Name: testTenant, Dim: dim, Workers: 1}); err != nil {
+		b.Fatal(err)
+	}
+	s, err := OpenConfig(b.TempDir(), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Recover(reg); err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	digests := make([][32]byte, frameItems)
+	lanes := fixed.NewVector(dim)
+	for i := range lanes {
+		lanes[i] = fixed.Ring(i * 7919)
+	}
+	journal := func() {
+		for round := uint64(1); round <= foldRounds; round++ {
+			s.Append(roundRecord(service.RoundCreated, round))
+			for f := range roundItems / frameItems {
+				for i := range digests {
+					binary.BigEndian.PutUint64(digests[i][:], round)
+					binary.BigEndian.PutUint64(digests[i][8:], uint64(f*frameItems+i))
+				}
+				s.Append(acceptRecord(round, digests, lanes))
+			}
+			for _, kind := range []service.RecordKind{service.RoundSealed, service.RoundClosed, service.RoundForgotten} {
+				s.Append(roundRecord(kind, round))
+			}
+		}
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One untimed pass sizes an iteration's WAL: every pass journals the
+	// same records.
+	before := s.Stats().BytesWritten
+	journal()
+	b.SetBytes(int64(s.Stats().BytesWritten - before))
+	if err := s.Snapshot(reg); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		journal()
+		b.StartTimer()
+		if err := s.Snapshot(reg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*foldRounds*roundItems), "ns/contrib")
 }

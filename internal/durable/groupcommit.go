@@ -76,9 +76,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats are the group-commit counters, exposed for drain reports and
-// benchmarks. The coalescing ratio is Records/Writes; StagedPeak is the
-// largest byte count that was ever exposed to a crash.
+// Stats are the group-commit counters, exposed for drain reports,
+// benchmarks and a node's compaction policy. The coalescing ratio is
+// Records/Writes; StagedPeak is the largest byte count that was ever
+// exposed to a crash. WALBytes and ImageBytes are the directory's two
+// sizes: an image's bytes never count toward BytesWritten.
 type Stats struct {
 	Records      uint64 // journal records staged
 	BytesWritten uint64 // framed bytes that reached write(2)
@@ -86,6 +88,8 @@ type Stats struct {
 	Syncs        uint64 // fsyncs (barriers, Flush, Snapshot, Close)
 	BarrierWaits uint64 // records that blocked for durability
 	StagedPeak   int    // high-water mark of staged-but-unwritten bytes
+	WALBytes     uint64 // bytes on disk in the WAL generations no image holds
+	ImageBytes   uint64 // size of the last image loaded or written
 }
 
 // Stats returns a snapshot of the write-path counters.
@@ -167,7 +171,7 @@ func (s *Store) kickFlusher() {
 
 // flush drains the staging segment with one write(2) and fsyncs if a
 // barrier (or forceSync) demands it. ioMu serializes flushes against
-// each other and against the snapshot rotation; s.mu is held only for
+// each other and against the snapshot cut; s.mu is held only for
 // the buffer swap and the bookkeeping, never across disk I/O.
 func (s *Store) flush(forceSync bool) {
 	s.ioMu.Lock()
@@ -209,6 +213,7 @@ func (s *Store) flushLocked(forceSync bool) {
 	if err == nil && len(buf) > 0 {
 		s.stats.Writes++
 		s.stats.BytesWritten += uint64(len(buf))
+		s.stats.WALBytes += uint64(len(buf))
 	}
 	if synced {
 		s.stats.Syncs++

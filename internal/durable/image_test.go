@@ -198,10 +198,11 @@ func TestFailedRotationKeepsAckedSeal(t *testing.T) {
 // TestRotateOrdersDirectorySyncs: every step of a rotation is durable
 // before the next one starts. The staged tail is written to the closing
 // WAL and synced; the next WAL is created, given its magic, synced and its
-// entry synced; the image is synced, renamed and its entry synced; only
-// then does the WAL the image holds go. Recover writes no WAL it replays:
-// it syncs each one, torn tail or torn header alike, and makes a fresh
-// generation the same way Snapshot does.
+// entry synced; the fold syncs each WAL it reads; the image is synced,
+// renamed and its entry synced; only then does the WAL the image holds
+// go. Recover writes no WAL it replays: it syncs each one, torn tail or
+// torn header alike, and makes a fresh generation the same way Snapshot
+// does.
 func TestRotateOrdersDirectorySyncs(t *testing.T) {
 	dir := t.TempDir()
 	log := &opLog{}
@@ -237,6 +238,7 @@ func TestRotateOrdersDirectorySyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("snapshot", slices.Concat([]string{"write wal.1", "sync wal.1"}, newWAL("wal.2"), []string{
+		"sync wal.1", // the fold
 		"create snapshot.tmp", "write snapshot.tmp", "sync snapshot.tmp",
 		"rename snapshot.tmp snapshot", "syncdir", "remove wal.1"})...)
 
@@ -261,7 +263,13 @@ func TestRotateOrdersDirectorySyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, s = open()
-	want("torn header", append([]string{"sync wal.2", "sync wal.3"}, newWAL("wal.4")...)...)
+	// Two generations replayed: a chain, which Recover folds into an image
+	// before it returns.
+	want("torn header", slices.Concat([]string{"sync wal.2", "sync wal.3"}, newWAL("wal.4"),
+		[]string{"sync wal.4"}, newWAL("wal.5"), []string{
+			"sync wal.2", "sync wal.3", "sync wal.4",
+			"create snapshot.tmp", "write snapshot.tmp", "sync snapshot.tmp",
+			"rename snapshot.tmp snapshot", "syncdir", "remove wal.2", "remove wal.3", "remove wal.4"})...)
 	s.Close()
 }
 
@@ -281,6 +289,18 @@ func imageRecords(t *testing.T, path string) []service.Record {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// applyJournaled applies recs to reg and journals them through s, as a
+// live mutation is both: an image holds what reached the WAL.
+func applyJournaled(t *testing.T, reg *service.Registry, s *Store, recs []service.Record) {
+	t.Helper()
+	for _, rec := range recs {
+		if err := reg.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+		s.Append(rec)
+	}
 }
 
 // snapshotAndRecover writes regA's image through sA, recovers the
@@ -317,9 +337,7 @@ func TestImageRoundTripsThroughRecover(t *testing.T) {
 	t.Run("testState", func(t *testing.T) {
 		dir := t.TempDir()
 		regA, sA, _ := recoverInto(t, dir)
-		if err := regA.RestoreState(testState(t)); err != nil {
-			t.Fatal(err)
-		}
+		applyJournaled(t, regA, sA, testState(t).Records())
 		snapshotAndRecover(t, dir, regA, sA)
 	})
 	t.Run("golden WAL", func(t *testing.T) {
@@ -345,17 +363,13 @@ func TestImageCarriesLargeCounterAndWideRound(t *testing.T) {
 	digests := [][32]byte{digest(1), digest(2), digest(3), digest(4), digest(5)}
 	dir := t.TempDir()
 	regA, sA, _ := recoverInto(t, dir)
-	for _, rec := range []service.Record{
+	applyJournaled(t, regA, sA, []service.Record{
 		{Kind: service.Rejected, Level: service.LevelRegistry, Count: big},
 		{Kind: service.Rejected, Tenant: testTenant, Level: service.LevelManager, Count: big + 1},
 		roundRecord(service.RoundCreated, 1),
 		acceptRecord(1, digests, fixed.Vector{1, 2, 3, 4}),
 		{Kind: service.Rejected, Tenant: testTenant, Round: 1, Level: service.LevelRound, Count: big + 2},
-	} {
-		if err := regA.Apply(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	regB := snapshotAndRecover(t, dir, regA, sA)
 
 	var accepts [][][32]byte

@@ -2,10 +2,11 @@
 // paper): a tenant Registry, the durable Store under it, the governed gaas
 // edge in front of it, and the node's fleet role. It owns the only copy of
 // the start order — register tenants → open store → attach audit → recover
-// → mount fleet routes → serve — and of the drain order — close listener →
-// settle handlers → seal + tally → ship partial seals → snapshot → close.
-// cmd/glimmerd is flags in front of Start; internal/sim runs every fault
-// step against the same assembly.
+// → start compaction → mount fleet routes → serve — and of the drain order
+// — stop compaction → close listener → settle handlers → seal + tally →
+// ship partial seals → snapshot → close. It also owns the compaction
+// policy (compact.go). cmd/glimmerd is flags in front of Start;
+// internal/sim runs every fault step against the same assembly.
 package node
 
 import (
@@ -59,11 +60,11 @@ type Config struct {
 	Tenants []service.TenantConfig
 
 	// StateDir, when set, makes the node durable: a durable.Store over it
-	// under the WAL group-commit tuning, recovered at start and
-	// snapshotted at drain, with recovery, snapshot and WAL-failure events
-	// appended to <StateDir>/audit.log. Only aggregates, digests, counters
-	// and ticket keys are persisted — never raw contributions (README,
-	// "Durability").
+	// under the WAL group-commit tuning, recovered at start, compacted
+	// while serving and snapshotted at drain, with recovery, snapshot,
+	// compaction and WAL-failure events appended to
+	// <StateDir>/audit.log. Only aggregates, digests, counters and ticket
+	// keys are persisted — never raw contributions (README, "Durability").
 	StateDir string
 	WAL      durable.Config
 
@@ -96,6 +97,9 @@ type Node struct {
 	store     *durable.Store
 	auditFile *os.File
 	recovered durable.RecoverStats
+	// compactor runs the compaction policy of a durable node (nil
+	// without a StateDir).
+	compactor *compactor
 	server    *gaas.Server
 	// done closes when the accept loop returns; serveErr is why it did.
 	done     chan struct{}
@@ -128,10 +132,12 @@ func (n *Node) start() error {
 		if err != nil {
 			return fmt.Errorf("node: audit log: %w", err)
 		}
-		n.store.SetAudit(audit.NewLog(n.auditFile, nil))
+		log := audit.NewLog(n.auditFile, nil)
+		n.store.SetAudit(log)
 		if n.recovered, err = n.store.Recover(n.reg); err != nil {
 			return fmt.Errorf("node: recover: %w", err)
 		}
+		n.compactor = startCompactor(n.store, n.reg, log)
 	}
 	if n.cfg.Listener == nil {
 		return nil
@@ -206,12 +212,14 @@ func (n *Node) stopServing() error {
 	return n.serveErr
 }
 
-// Kill ends the node the way a crash would: the store is abandoned first,
-// with no write and no fsync, so records still staged in the group-commit
-// buffer die with it — the documented fire-and-forget loss window — and
-// then the edge is torn down. Nothing of the dead life (fd, flusher,
+// Kill ends the node the way a crash would: once compaction has stopped
+// (a snapshot in flight completes), the store is abandoned, with no write
+// and no fsync, so records still staged in the group-commit buffer die
+// with it — the documented fire-and-forget loss window — and then the
+// edge is torn down. Nothing of the dead life (fd, flusher, compactor,
 // accept loop, handlers) outlives the call.
 func (n *Node) Kill() {
+	n.compactor.stop()
 	if n.store != nil {
 		n.store.Abandon()
 	}
@@ -273,6 +281,7 @@ type Shipment struct {
 // error is an accept-loop, snapshot or close failure; the Report is
 // filled as far as the drain got.
 func (n *Node) Drain() (Report, error) {
+	n.compactor.stop()
 	rep := Report{Role: n.Role()}
 	err := n.stopServing()
 	for _, t := range n.reg.Tenants() {
@@ -315,8 +324,6 @@ func (n *Node) Drain() (Report, error) {
 	}
 	if n.store != nil {
 		rep.WAL = n.store.Stats()
-		// Ingest is quiesced (listener closed, handlers settled, rounds
-		// sealed above), so the image is consistent by contract.
 		serr := n.store.Snapshot(n.reg)
 		cerr := errors.Join(n.store.Close(), n.auditFile.Close())
 		rep.Snapshotted = serr == nil && cerr == nil

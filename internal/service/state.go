@@ -222,11 +222,10 @@ func (r *Registry) SetJournal(j Journal) {
 	}
 }
 
-// ExportState snapshots the registry. Serialization happens in the
-// caller (internal/durable) outside every service lock; this walk takes
-// each shard/table lock only long enough to copy. For a consistent image
-// the caller must have quiesced ingest — a mutation concurrent with the
-// export would land in both the snapshot and the next WAL generation.
+// ExportState copies the registry's state; this walk takes each
+// shard/table lock only long enough to copy. internal/durable exports
+// only the registry it folded its files into, which nothing else
+// mutates, and encodes the copy outside every service lock.
 func (r *Registry) ExportState() RegistryState {
 	st := RegistryState{Rejected: uint64(r.rejected.Load())}
 	for _, t := range r.Tenants() { // name-sorted

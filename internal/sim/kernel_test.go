@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -69,11 +71,13 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 }
 
 // TestSimKillLeaksNothing: a simulated kill must release the dead life —
-// its WAL fd and its flusher goroutine — the way a real crash would, not
-// park them until the process ends. Twenty-five kills return the
-// goroutine count to its baseline, and recovery after such a kill still
-// sees exactly the flushed prefix (the released store wrote nothing on
-// its way out).
+// its WAL fd and its flusher and compactor goroutines — the way a real
+// crash would, not park them until the process ends. Twenty-five kills
+// return the goroutine count to its baseline, recovery after such a kill
+// still sees exactly the flushed prefix (the released store wrote nothing
+// on its way out), and the crash loop leaves a bounded directory: a
+// recovery that replays a chain of generations folds it into the image,
+// so the state dir holds the image and at most two WALs.
 func TestSimKillLeaksNothing(t *testing.T) {
 	s := durableWorld(t, 1, 6, 1)
 	baseline := testbed.TakeCensus()
@@ -89,6 +93,11 @@ func TestSimKillLeaksNothing(t *testing.T) {
 	}
 	if err := baseline.Settle(); err != nil {
 		t.Errorf("after 25 simulated kills: %v: dead lives leaked", err)
+	}
+	dir := s.nodes[1].StateDir
+	wals, _ := filepath.Glob(filepath.Join(dir, "wal.*"))
+	if _, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil || len(wals) > 2 {
+		t.Errorf("after 25 simulated kills the state dir holds %d WALs (snapshot: %v), want the image and at most two", len(wals), err)
 	}
 }
 
