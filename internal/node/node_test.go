@@ -2,10 +2,12 @@ package node
 
 import (
 	"context"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,6 +242,62 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 	want := service.HubStats{Completed: 1, SealsAbsorbed: 1, ContribsMerged: 5}
 	if crep.Hub == nil || *crep.Hub != want {
 		t.Fatalf("coordinator hub ledger = %+v, want %+v", crep.Hub, want)
+	}
+}
+
+// TestRestartedFleetNodeMergesUnderItsPin: a fleet node's sealing
+// identity survives a restart from its state directory. The coordinator
+// pins node 1 on its first partial seal; a second life over the same
+// directory — under a freshly provisioned tenant, as glimmerd provisions
+// one per process — must still merge under that pin, while a node on a
+// fresh directory claiming node 1 is refused.
+func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
+	w, dir := newWorld(t), t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.Platform}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	fleetNode := func(c *Config) { c.NodeID, c.ShardCount, c.Coordinator = 1, 2, ln.Addr().String() }
+	// life ingests one frame into round on a fleet node over dir and
+	// drains it, returning the shipment of that round.
+	life := func(w *world, dir string, round uint64) (Shipment, []Shipment) {
+		t.Helper()
+		n, addr := w.startAs(t, dir, durable.Config{}, fleetNode)
+		w.session(t, addr, round, 5)
+		rep, err := n.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range rep.Shipped {
+			if sh.Err == nil && sh.Merge.Round == round {
+				return sh, rep.Shipped
+			}
+		}
+		return Shipment{Err: errors.New("no shipment absorbed")}, rep.Shipped
+	}
+
+	if sh, all := life(w, dir, 3); sh.Err != nil || sh.Merge.Count != 5 || sh.Merge.Merged != 1 {
+		t.Fatalf("life 1 shipped %+v, want round 3 absorbed with 5 contributions", all)
+	}
+	sh, all := life(newWorld(t), dir, 4)
+	if sh.Err != nil || sh.Merge.Count != 5 || sh.Merge.Merged != 1 {
+		t.Errorf("life 2 shipped %+v, want round 4 absorbed with 5 contributions", all)
+	}
+	for _, s := range all {
+		if s.Err != nil && strings.Contains(s.Err.Error(), service.ErrSealIdentity.Error()) {
+			t.Errorf("life 2 shipment refused by the pin: %v", s.Err)
+		}
+	}
+
+	// A different key under node 1 is still a swap.
+	_, all = life(newWorld(t), t.TempDir(), 5)
+	if len(all) != 1 || all[0].Err == nil || !strings.Contains(all[0].Err.Error(), service.ErrSealIdentity.Error()) {
+		t.Errorf("a node on a fresh directory shipped %+v, want ErrSealIdentity", all)
 	}
 }
 
