@@ -35,7 +35,12 @@
 // pinning), while host:port ships this node's signed partial seals to a
 // remote coordinator when the daemon drains. The fleet plane
 // (fleet-forward for peer batches, fleet-merge for partial seals) mounts
-// whenever either flag is set.
+// whenever either flag is set. A fleet node is its signing key: with
+// -state-dir the key lives in <dir>/node.key, made on the first start, so
+// a restarted node merges again under the pin its coordinator took;
+// without -state-dir each process has a key of its own, and a restart
+// cannot rejoin a live coordinator under the same -node-id. The status
+// lines name the key by a public-key fingerprint.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight batches,
 // seals every open round, and prints per-tenant sealed sums, rejection
@@ -68,7 +73,6 @@ import (
 	"glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
-	"glimmers/internal/xcrypto"
 )
 
 func main() {
@@ -96,7 +100,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	ticketTTL := fs.Int64("ticket-ttl", service.DefaultTicketTTL,
 		"session-ticket lifetime in seconds (0 disables the MAC fast path)")
 	fs.StringVar(&cfg.StateDir, "state-dir", "",
-		"durable state directory: recover snapshot+WAL on start, snapshot on shutdown (empty disables)")
+		"durable state directory: recover snapshot+WAL on start, snapshot on shutdown; a fleet node keeps its signing key there (empty disables)")
 	fs.IntVar(&cfg.WAL.FlushBytes, "wal-flush-bytes", durable.DefaultFlushBytes,
 		"WAL group-commit: staged bytes that trigger an early flush (4x this applies ingest backpressure)")
 	fs.DurationVar(&cfg.WAL.FlushInterval, "wal-flush-interval", durable.DefaultFlushInterval,
@@ -193,18 +197,14 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	// Fleet role: "self" serves merges from an in-process hub (TOFU node
 	// pinning); any other coordinator is where this node's partial seals
-	// ship on drain. The node signing key is per-process — coordinators
-	// pin it on first use, so a later key swap under the same node id is
-	// refused.
+	// ship on drain. node.Start gives a fleet node its signing key: the
+	// one in -state-dir, made on the first start, or one per process
+	// without it. Coordinators pin the key on first use, so only a node
+	// restarted from its state directory merges again under its node id.
 	if *coordinator == "self" {
 		cfg.Hub = &service.MergeHub{AllowTOFU: true}
 	} else {
 		cfg.Coordinator = *coordinator
-	}
-	if cfg.NodeID != 0 {
-		if cfg.SealKey, err = xcrypto.NewSigningKey(); err != nil {
-			return fmt.Errorf("fleet node key: %v", err)
-		}
 	}
 	if cfg.Listener, err = net.Listen("tcp", *listen); err != nil {
 		return fmt.Errorf("listen: %v", err)

@@ -133,6 +133,49 @@ func atoi(t *testing.T, s string) int {
 	return n
 }
 
+// TestRunKeepsNodeKeyAcrossRestarts: a fleet node's signing key lives in
+// its state directory, so two runs over one directory name the same key
+// and a run over a fresh directory names another.
+func TestRunKeepsNodeKeyAcrossRestarts(t *testing.T) {
+	fleetLine := regexp.MustCompile(`^glimmerd: fleet: role=node-1 .* key=([0-9a-f]{16})$`)
+	keyOf := func(dir string) string {
+		t.Helper()
+		pr, pw := io.Pipe()
+		stop := make(chan os.Signal, 1)
+		done := make(chan error, 1)
+		go func() {
+			err := run([]string{"-listen", "127.0.0.1:0", "-node-id", "1", "-dim", "4", "-state-dir", dir}, pw, stop)
+			pw.Close()
+			done <- err
+		}()
+		key := ""
+		lines := bufio.NewScanner(pr)
+		for lines.Scan() {
+			if m := fleetLine.FindStringSubmatch(lines.Text()); m != nil {
+				key = m[1]
+			}
+			if strings.Contains(lines.Text(), "(clients must pin this)") {
+				stop <- syscall.SIGTERM // the last status line
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if key == "" {
+			t.Fatal("no fleet status line names the node key")
+		}
+		return key
+	}
+	dir := t.TempDir()
+	first, again, fresh := keyOf(dir), keyOf(dir), keyOf(t.TempDir())
+	if first != again {
+		t.Errorf("restart over one state dir changed the node key: %s, then %s", first, again)
+	}
+	if fresh == first {
+		t.Errorf("a fresh state dir reused the node key %s", first)
+	}
+}
+
 // TestReportPrintsMergeLedger: a coordinator's drain report carries the
 // hub's cumulative ledger beside the merges it still holds — the per-merge
 // lines stop at the hub's retention window, the ledger does not.

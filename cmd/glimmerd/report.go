@@ -33,7 +33,12 @@ func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator 
 	p.say("edge limits: max-conns=%d per-ip=%d inflight-batches=%d read=%v write=%v idle=%v", cfg.Edge.MaxConns,
 		cfg.Edge.MaxConnsPerIP, cfg.Edge.MaxInflightBatches, cfg.Edge.ReadTimeout, cfg.Edge.WriteTimeout, cfg.Edge.IdleTimeout)
 	if n.Role() != "standalone" {
-		p.say("fleet: role=%s peers=%d coordinator=%q", n.Role(), cfg.ShardCount, coordinator)
+		key := "" // a coordinator without a NodeID signs nothing
+		if k := n.NodeSeal().Key; k != nil {
+			fp := k.Public().Fingerprint()
+			key = fmt.Sprintf(" key=%x", fp[:8])
+		}
+		p.say("fleet: role=%s peers=%d coordinator=%q%s", n.Role(), cfg.ShardCount, coordinator, key)
 	}
 	for _, t := range n.Registry().Tenants() {
 		p.say("tenant %-28s dim=%-4d measurement %s (clients must pin this)", t.Name(), t.Config().Dim, t.Measurement())

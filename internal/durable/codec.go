@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/service"
@@ -83,8 +84,9 @@ func writeImage(w io.Writer, st service.RegistryState, gen uint64) error {
 func loadImage(reg *service.Registry, r io.Reader, size int64) (uint64, error) {
 	hdr := make([]byte, len(snapshotMagic)+8)
 	closed := false
+	var d recordDecoder
 	_, err := walk(r, size, hdr, snapshotMagic, func(payload []byte) error {
-		rec, err := decodeRecord(payload)
+		rec, err := d.decode(payload)
 		switch {
 		case err != nil:
 			return err
@@ -103,18 +105,29 @@ func loadImage(reg *service.Registry, r io.Reader, size int64) (uint64, error) {
 	return binary.BigEndian.Uint64(hdr[len(snapshotMagic):]), nil
 }
 
-func decodeDigests(b []byte) ([][32]byte, error) {
+// recordDecoder decodes records into buffers it reuses across one walk:
+// the digests and lanes of a record it returns are valid until its next
+// decode. A replay needs no more, because Registry.Apply retains neither.
+type recordDecoder struct {
+	r       wire.Reader
+	tenant  string
+	digests [][32]byte
+	lanes   fixed.Vector
+}
+
+func (d *recordDecoder) decodeDigests(b []byte) ([][32]byte, error) {
 	if len(b)%digestLen != 0 {
 		return nil, fmt.Errorf("digest block length %d", len(b))
 	}
-	out := make([][32]byte, len(b)/digestLen)
-	for i := range out {
-		copy(out[i][:], b[i*digestLen:])
+	n := len(b) / digestLen
+	d.digests = slices.Grow(d.digests[:0], n)[:n]
+	for i := range d.digests {
+		copy(d.digests[i][:], b[i*digestLen:])
 	}
-	return out, nil
+	return d.digests, nil
 }
 
-func decodeVector(b []byte) (fixed.Vector, error) {
+func (d *recordDecoder) decodeVector(b []byte) (fixed.Vector, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("lane block length %d", len(b))
 	}
@@ -122,9 +135,10 @@ func decodeVector(b []byte) (fixed.Vector, error) {
 	if n > maxLanes {
 		return nil, fmt.Errorf("lane count %d", n)
 	}
-	v := fixed.NewVector(n)
-	fixed.AccumulateWireInto(v, b)
-	return v, nil
+	d.lanes = slices.Grow(d.lanes[:0], n)[:n]
+	clear(d.lanes)
+	fixed.AccumulateWireInto(d.lanes, b)
+	return d.lanes, nil
 }
 
 // errBadRecord reports an undecodable (but CRC-valid) record — version
@@ -185,11 +199,16 @@ func lanesField(w *wire.Writer, v fixed.Vector) {
 	}
 }
 
-// decodeRecord parses one record payload; every record it accepts
-// re-encodes to the identical bytes. Nothing it returns aliases payload.
-func decodeRecord(payload []byte) (service.Record, error) {
-	r := wire.NewReader(payload)
-	rec := service.Record{Kind: service.RecordKind(r.Byte()), Tenant: r.String()}
+// decode parses one record payload; every record it accepts re-encodes
+// to the identical bytes. Nothing it returns aliases payload.
+func (d *recordDecoder) decode(payload []byte) (service.Record, error) {
+	r := &d.r
+	r.Reset(payload)
+	rec := service.Record{Kind: service.RecordKind(r.Byte())}
+	if name := r.BytesView(); string(name) != d.tenant {
+		d.tenant = string(name)
+	}
+	rec.Tenant = d.tenant
 	var err error
 	switch rec.Kind {
 	case service.TicketGranted:
@@ -204,19 +223,19 @@ func decodeRecord(payload []byte) (service.Record, error) {
 	case service.TicketEvicted:
 		rec.Ticket.ID = r.Uint64()
 	case service.TenantBound:
-		if rec.Digests, err = decodeDigests(r.BytesView()); err == nil && len(rec.Digests) != 1 {
+		if rec.Digests, err = d.decodeDigests(r.BytesView()); err == nil && len(rec.Digests) != 1 {
 			err = fmt.Errorf("tenant bound by %d digests", len(rec.Digests))
 		}
 	case service.RoundCreated, service.RoundSealed, service.RoundClosed, service.RoundForgotten:
 		rec.Round = r.Uint64()
 	case service.BatchAccepted:
 		rec.Round = r.Uint64()
-		if rec.Digests, err = decodeDigests(r.BytesView()); err == nil {
-			rec.Lanes, err = decodeVector(r.BytesView())
+		if rec.Digests, err = d.decodeDigests(r.BytesView()); err == nil {
+			rec.Lanes, err = d.decodeVector(r.BytesView())
 		}
 	case service.DropoutCorrected:
 		rec.Round = r.Uint64()
-		rec.Lanes, err = decodeVector(r.BytesView())
+		rec.Lanes, err = d.decodeVector(r.BytesView())
 	case service.Rejected:
 		rec.Round = r.Uint64()
 		rec.Level = service.RejectLevel(r.Byte())

@@ -15,6 +15,7 @@ import (
 	"glimmers/internal/audit"
 	"glimmers/internal/fixed"
 	"glimmers/internal/service"
+	"glimmers/internal/xcrypto"
 )
 
 // Store owns one state directory:
@@ -23,6 +24,7 @@ import (
 //	             rebuild it (see writeImage), and the first WAL
 //	             generation it does not hold
 //	wal.<gen>  — the records since, one file per generation
+//	node.key   — a fleet node's sealing key (NodeKey), mode 0600
 //
 // The directory obeys one rule: an image names the first generation it
 // does not hold, and every WAL from that generation on is replayed, in
@@ -225,8 +227,9 @@ func (s *Store) replayWAL(reg *service.Registry, gen uint64, stats *RecoverStats
 		return 0, err
 	}
 	defer f.Close()
+	var d recordDecoder
 	good, err := walk(f, size, make([]byte, len(walMagic)), walMagic, func(payload []byte) error {
-		rec, err := decodeRecord(payload)
+		rec, err := d.decode(payload)
 		if err != nil {
 			return err // a record that does not decode is a tear
 		}
@@ -308,7 +311,7 @@ func (s *Store) Snapshot(reg *service.Registry) error {
 	}
 	st := blank.ExportState()
 	tmp := s.snapshotPath() + ".tmp"
-	img, err := s.create(tmp, s.snapshotPath(), func(w io.Writer) error { return writeImage(w, st, next) })
+	img, err := s.create(tmp, s.snapshotPath(), 0o644, func(w io.Writer) error { return writeImage(w, st, next) })
 	var fi os.FileInfo
 	if err == nil {
 		fi, err = img.Stat()
@@ -362,17 +365,61 @@ func (s *Store) cut() (next, held uint64, err error) {
 // its magic, then its directory entry, is fsynced before any record of it
 // is acked and before any later generation exists.
 func (s *Store) newWAL(gen uint64) (file, error) {
-	return s.create(s.walPath(gen), s.walPath(gen), func(w io.Writer) error {
+	return s.create(s.walPath(gen), s.walPath(gen), 0o644, func(w io.Writer) error {
 		_, err := io.WriteString(w, walMagic)
 		return err
 	})
 }
 
-// create makes a new file durable under name: it writes path through
-// write, fsyncs it, renames it to name if that differs, and fsyncs the
-// directory.
-func (s *Store) create(path, name string, write func(io.Writer) error) (file, error) {
-	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
+// NodeKey returns the key a fleet node signs its partial seals with: the
+// one in node.key, or, before the file exists, a new key written there the
+// way an image is — node.key.tmp (mode 0600; a leftover of a crashed
+// attempt is truncated, never read), fsync, rename, directory fsync. The
+// key is the node's identity to a coordinator that pinned it, so a file
+// that does not parse is an error naming it, and is left in place.
+func (s *Store) NodeKey() (*xcrypto.SigningKey, error) {
+	path := filepath.Join(s.dir, "node.key")
+	f, size, err := s.open(path)
+	if err == nil {
+		der := make([]byte, size)
+		_, err = io.ReadFull(f, der)
+		f.Close()
+		var key *xcrypto.SigningKey
+		if err == nil {
+			key, err = xcrypto.ParseSigningKey(der)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("durable: %s: %w", path, err)
+		}
+		return key, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	der, err := key.Marshal()
+	if err == nil {
+		f, err = s.create(path+".tmp", path, 0o600, func(w io.Writer) error {
+			_, err := w.Write(der)
+			return err
+		})
+	}
+	if err != nil {
+		s.fs.Remove(path + ".tmp")
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	f.Close()
+	return key, nil
+}
+
+// create makes a new file durable under name: it writes path (created
+// with perm) through write, fsyncs it, renames it to name if that
+// differs, and fsyncs the directory.
+func (s *Store) create(path, name string, perm os.FileMode, write func(io.Writer) error) (file, error) {
+	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return nil, err
 	}

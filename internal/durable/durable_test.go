@@ -597,3 +597,111 @@ func dirNames(t *testing.T, dir string) []string {
 	}
 	return names
 }
+
+// nodeKeyIn opens a store over dir and returns its node key.
+func nodeKeyIn(t *testing.T, dir string) (*xcrypto.SigningKey, error) {
+	t.Helper()
+	s, err := OpenConfig(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.NodeKey()
+}
+
+// TestNodeKeySurvivesReopen: the first NodeKey writes node.key, mode 0600;
+// a reopened store reads the same key back.
+func TestNodeKeySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	first, err := nodeKeyIn(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := nodeKeyIn(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Public().Fingerprint() != again.Public().Fingerprint() {
+		t.Error("a reopened store returned another node key")
+	}
+	fi, err := os.Stat(filepath.Join(dir, "node.key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o600 {
+		t.Errorf("node.key mode %v, want 0600", fi.Mode().Perm())
+	}
+	other, err := nodeKeyIn(t, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Public().Fingerprint() == first.Public().Fingerprint() {
+		t.Error("two state directories share a node key")
+	}
+}
+
+// TestNodeKeyOverwritesLeftoverTmp: a node.key.tmp left by a create that
+// crashed before its rename is never read; the next NodeKey writes over it
+// and renames it into place.
+func TestNodeKeyOverwritesLeftoverTmp(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "node.key.tmp")
+	leftover := bytes.Repeat([]byte{0xAB}, 4096) // longer than any key: truncation shows
+	if err := os.WriteFile(tmp, leftover, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	key, err := nodeKeyIn(t, dir)
+	if err != nil {
+		t.Fatalf("NodeKey with a leftover tmp: %v", err)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("node.key.tmp still there after NodeKey: %v", err)
+	}
+	der, err := os.ReadFile(filepath.Join(dir, "node.key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := xcrypto.ParseSigningKey(der)
+	if err != nil {
+		t.Fatalf("node.key written over a leftover does not parse: %v", err)
+	}
+	if onDisk.Public().Fingerprint() != key.Public().Fingerprint() {
+		t.Error("node.key holds another key than NodeKey returned")
+	}
+}
+
+// TestNodeKeyRefusesDamagedFile: a node.key that does not parse — cut
+// short, or garbled — fails NodeKey with an error naming the file, and is
+// left as it was: a node's identity is never silently replaced.
+func TestNodeKeyRefusesDamagedFile(t *testing.T) {
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := key.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A flipped seed byte would parse as another key, which a coordinator
+	// refuses as a swap; a flipped header byte does not parse at all.
+	garbled := bytes.Clone(der)
+	garbled[0] ^= 0xFF
+	for name, body := range map[string][]byte{
+		"truncated": der[:len(der)-5],
+		"garbled":   garbled,
+		"empty":     {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "node.key")
+			if err := os.WriteFile(path, body, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nodeKeyIn(t, dir); err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("NodeKey over a %s node.key = %v, want an error naming %s", name, err, path)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, body) {
+				t.Errorf("the %s node.key was not left in place (%v)", name, err)
+			}
+		})
+	}
+}

@@ -37,15 +37,16 @@ func FuzzRecoverImage(f *testing.F) {
 }
 
 // FuzzWALReplay: an arbitrary WAL image replayed into a live registry —
-// exactly the walk Recover performs — must never panic, whatever rounds,
-// tickets, or counters the records claim; and every record that decodes
-// must re-encode to the identical payload, so the codec has one spelling
-// per record.
+// exactly the walk Recover performs, one decoder's buffers reused across
+// it — must never panic, whatever rounds, tickets, or counters the records
+// claim; and every record that decodes must re-encode to the identical
+// payload, so the codec has one spelling per record.
 func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := fuzzRegistry()
+		var d recordDecoder
 		good, _ := walkWAL(data, func(payload []byte) error {
-			rec, err := decodeRecord(payload)
+			rec, err := d.decode(payload)
 			if err != nil {
 				return err
 			}

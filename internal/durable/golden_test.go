@@ -159,6 +159,12 @@ func walkWAL(data []byte, fn func(payload []byte) error) (int64, error) {
 	return walk(bytes.NewReader(data), int64(len(data)), make([]byte, len(walMagic)), walMagic, fn)
 }
 
+// decodeRecord decodes one payload into buffers of its own, for tests
+// that keep the records they decode.
+func decodeRecord(payload []byte) (service.Record, error) {
+	return new(recordDecoder).decode(payload)
+}
+
 // walkRecords streams a WAL held in memory through the walk Recover uses,
 // handing fn each decoded record; a record that does not decode stops the
 // walk as a tear does.

@@ -273,6 +273,33 @@ func TestRotateOrdersDirectorySyncs(t *testing.T) {
 	s.Close()
 }
 
+// TestNodeKeyCreateOrder: node.key is made the way an image is — its tmp
+// created, written and synced, renamed into place, the directory synced —
+// and read back later without a write.
+func TestNodeKeyCreateOrder(t *testing.T) {
+	s, err := OpenConfig(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &opLog{}
+	s.fs = log
+	for _, step := range []struct {
+		name string
+		ops  []string
+	}{
+		{"first NodeKey", []string{"create node.key.tmp", "write node.key.tmp", "sync node.key.tmp",
+			"rename node.key.tmp node.key", "syncdir"}},
+		{"second NodeKey", nil},
+	} {
+		if _, err := s.NodeKey(); err != nil {
+			t.Fatal(err)
+		}
+		if got := log.take(); !reflect.DeepEqual(got, step.ops) {
+			t.Errorf("%s:\n got %q\nwant %q", step.name, got, step.ops)
+		}
+	}
+}
+
 // imageRecords decodes the records of the image at path.
 func imageRecords(t *testing.T, path string) []service.Record {
 	t.Helper()

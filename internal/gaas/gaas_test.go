@@ -17,6 +17,16 @@ import (
 
 const dim = 3
 
+// Measurement returns the measurement clients of a single-tenant host must
+// pin: its resolver's default tenant's.
+func (s *Server) Measurement() tee.Measurement {
+	m, err := s.MeasurementFor("")
+	if err != nil {
+		return tee.Measurement{}
+	}
+	return m
+}
+
 // world is one hosted tenant, iot.example, served over real TCP.
 type world struct {
 	*testbed.Tenant

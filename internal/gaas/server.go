@@ -138,17 +138,6 @@ func New(cfg ServerConfig) *Server {
 // handlers before Serve.
 func (s *Server) Mux() *ServeMux { return s.mux }
 
-// Measurement returns the measurement clients of a single-tenant host must
-// pin (the resolver's default tenant). Multi-tenant deployments publish
-// one measurement per tenant via MeasurementFor.
-func (s *Server) Measurement() tee.Measurement {
-	m, err := s.MeasurementFor("")
-	if err != nil {
-		return tee.Measurement{}
-	}
-	return m
-}
-
 // MeasurementFor returns the measurement clients of the named tenant must
 // pin.
 func (s *Server) MeasurementFor(service string) (tee.Measurement, error) {

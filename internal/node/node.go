@@ -1,12 +1,13 @@
 // Package node assembles one Glimmer-as-a-service host (§4.2 of the
 // paper): a tenant Registry, the durable Store under it, the governed gaas
 // edge in front of it, and the node's fleet role. It owns the only copy of
-// the start order — register tenants → open store → attach audit → recover
-// → start compaction → mount fleet routes → serve — and of the drain order
-// — stop compaction → close listener → settle handlers → seal + tally →
-// ship partial seals → snapshot → close. It also owns the compaction
-// policy (compact.go). cmd/glimmerd is flags in front of Start;
-// internal/sim runs every fault step against the same assembly.
+// the start order — register tenants → open store → load the node key →
+// attach audit → recover → start compaction → mount fleet routes → serve —
+// and of the drain order — stop compaction → close listener → settle
+// handlers → seal + tally → ship partial seals → snapshot → close. It also
+// owns the compaction policy (compact.go) and where a fleet node's
+// sealing identity comes from (NodeSeal). cmd/glimmerd is flags in front
+// of Start; internal/sim runs every fault step against the same assembly.
 package node
 
 import (
@@ -76,13 +77,14 @@ type Config struct {
 	Edge     gaas.ServerConfig
 
 	// NodeID is this node's ring identity (0 = standalone). A fleet node
-	// serves fleet-forward for peer batches; Hub, when non-nil, makes it
-	// the merge coordinator serving fleet-merge.
+	// serves fleet-forward for peer batches and signs its partial seals
+	// with the key in <StateDir>/node.key, made on its first start (one
+	// key per process without a StateDir). Coordinators pin that key on
+	// first use, so only a node restarted from its state directory merges
+	// again under the same NodeID. Hub, when non-nil, makes the node the
+	// merge coordinator serving fleet-merge.
 	NodeID uint32
 	Hub    *service.MergeHub
-	// SealKey signs this node's partial seals. Coordinators pin it on first
-	// use, so a later key swap under the same NodeID is refused.
-	SealKey *xcrypto.SigningKey
 	// Coordinator, when set, is the remote merge coordinator Drain ships
 	// every round's partial seal to; ShardCount is how many partials
 	// complete a merge — the size of the node set (0 means 1).
@@ -97,6 +99,8 @@ type Node struct {
 	store     *durable.Store
 	auditFile *os.File
 	recovered durable.RecoverStats
+	// key signs the node's partial seals (nil without a NodeID).
+	key *xcrypto.SigningKey
 	// compactor runs the compaction policy of a durable node (nil
 	// without a StateDir).
 	compactor *compactor
@@ -123,12 +127,19 @@ func (n *Node) start() error {
 			return fmt.Errorf("node: tenant %q: %w", t.Name, err)
 		}
 	}
-	if dir := n.cfg.StateDir; dir != "" {
-		var err error
-		if n.store, err = durable.OpenConfig(dir, n.cfg.WAL); err != nil {
+	var err error
+	if n.cfg.StateDir != "" {
+		if n.store, err = durable.OpenConfig(n.cfg.StateDir, n.cfg.WAL); err != nil {
 			return fmt.Errorf("node: state dir: %w", err)
 		}
-		n.auditFile, err = os.OpenFile(filepath.Join(dir, "audit.log"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	}
+	if n.cfg.NodeID != 0 {
+		if n.key, err = n.nodeKey(); err != nil {
+			return fmt.Errorf("node: %w", err)
+		}
+	}
+	if n.store != nil {
+		n.auditFile, err = os.OpenFile(filepath.Join(n.cfg.StateDir, "audit.log"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("node: audit log: %w", err)
 		}
@@ -163,6 +174,24 @@ func (n *Node) start() error {
 		close(n.done)
 	}()
 	return nil
+}
+
+// nodeKey is the key a fleet node seals with: its state directory's, or
+// a fresh one for a node that keeps no state.
+func (n *Node) nodeKey() (*xcrypto.SigningKey, error) {
+	if n.store == nil {
+		return xcrypto.NewSigningKey()
+	}
+	return n.store.NodeKey()
+}
+
+// NodeSeal is the identity this node signs its partial seals with: its
+// ring ID, the size of the node set, and its key. The measurement is
+// zero: the node asserts it itself and a coordinator only pins what the
+// first seal carried, so it never carried trust — the key is the node's
+// whole identity.
+func (n *Node) NodeSeal() service.NodeSeal {
+	return service.NodeSeal{NodeID: n.cfg.NodeID, ShardCount: max(n.cfg.ShardCount, 1), Key: n.key}
 }
 
 // Registry is the node's tenant registry: the in-process ingest entry,
@@ -344,10 +373,7 @@ func (n *Node) shipPartialSeals() []Shipment {
 		return []Shipment{{Err: fmt.Errorf("coordinator %s unreachable: %w", n.cfg.Coordinator, err)}}
 	}
 	defer client.Close()
-	seal := service.NodeSeal{NodeID: n.cfg.NodeID, ShardCount: max(n.cfg.ShardCount, 1), Key: n.cfg.SealKey}
-	if n.server != nil {
-		seal.Measurement = n.server.Measurement()
-	}
+	seal := n.NodeSeal()
 	var out []Shipment
 	for _, t := range n.reg.Tenants() {
 		for _, round := range t.Manager().Rounds() {

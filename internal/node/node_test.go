@@ -18,7 +18,6 @@ import (
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
 	"glimmers/internal/wire"
-	"glimmers/internal/xcrypto"
 )
 
 const (
@@ -213,12 +212,8 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := xcrypto.NewSigningKey()
-	if err != nil {
-		t.Fatal(err)
-	}
 	n, addr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
-		c.NodeID, c.ShardCount, c.SealKey, c.Coordinator = 1, 1, key, ln.Addr().String()
+		c.NodeID, c.ShardCount, c.Coordinator = 1, 1, ln.Addr().String()
 	})
 	w.session(t, addr, 3, 5)
 	rep, err := n.Drain()
@@ -298,6 +293,47 @@ func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 	_, all = life(newWorld(t), t.TempDir(), 5)
 	if len(all) != 1 || all[0].Err == nil || !strings.Contains(all[0].Err.Error(), service.ErrSealIdentity.Error()) {
 		t.Errorf("a node on a fresh directory shipped %+v, want ErrSealIdentity", all)
+	}
+}
+
+// TestNodeKeyOnlyForFleetNodes: a node with a NodeID keeps its key in its
+// state directory, a standalone node writes none, and a node.key that
+// does not parse fails Start, naming the file and leaving it in place.
+func TestNodeKeyOnlyForFleetNodes(t *testing.T) {
+	w := newWorld(t)
+	standalone, fleet := t.TempDir(), t.TempDir()
+	start := func(dir string, id uint32) (*Node, error) {
+		return Start(Config{Tenants: []service.TenantConfig{w.Config()}, StateDir: dir, NodeID: id})
+	}
+	for dir, id := range map[string]uint32{standalone: 0, fleet: 1} {
+		n, err := start(dir, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(standalone, "node.key")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a standalone node wrote node.key (%v)", err)
+	}
+	path := filepath.Join(fleet, "node.key")
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("a fleet node kept no key: %v", err)
+	}
+
+	garbage := []byte("not a key")
+	if err := os.WriteFile(path, garbage, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := start(fleet, 1); err == nil {
+		n.Kill()
+		t.Error("Start took a node.key that does not parse")
+	} else if !strings.Contains(err.Error(), path) {
+		t.Errorf("Start failed with %v, want an error naming %s", err, path)
+	}
+	if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, garbage) {
+		t.Errorf("Start did not leave the damaged node.key in place (%v)", err)
 	}
 }
 

@@ -343,6 +343,10 @@ func (r *Registry) RestoreState(st RegistryState) error {
 // vector of another dimension than the tenant's, a grant for a tenant
 // without a ticket table, or an unknown kind or level returns an error and
 // applies nothing.
+//
+// Apply does not retain the record's slices (Digests, Lanes) past the
+// call: digests are copied into dedup keys and lanes added into a sum, so
+// a replay may decode every record into the same buffers.
 func (r *Registry) Apply(rec Record) error {
 	if rec.Kind == Rejected && rec.Level == LevelRegistry {
 		r.rejected.Add(int64(rec.Count))

@@ -49,12 +49,13 @@ func simClock() *atomic.Int64 {
 
 // nodeSpec describes one glimmerd process as the node.Config it ships
 // with — ring identity, shared round budget, state directory and WAL
-// tuning (set: a durable node), edge governance limits, seal key — plus
-// the transport that fronts it (TransportDirect: no edge). The kernel
-// fills in Tenants, Listener, Edge.Platform and Edge.TLS. The spec
-// outlives the process: a crashed node restarts from the same one, and
-// the seal key models sealed key storage, which a crash does not erase —
-// a restarted node re-signs with the key its TOFU pin expects.
+// tuning (set: a durable node), edge governance limits — plus the
+// transport that fronts it (TransportDirect: no edge). The kernel fills in
+// Tenants, Listener, Edge.Platform and Edge.TLS. The spec outlives the
+// process: a crashed node restarts from the same one. It holds no key:
+// node.Start gives a sim node its sealing key as it gives glimmerd's, from
+// the state directory, so a restarted node re-signs with the key its TOFU
+// pin expects only because that key survived on disk.
 type nodeSpec struct {
 	glimnode.Config
 	transport TransportKind

@@ -108,10 +108,6 @@ func build(spec testbed.TenantSpec, nodes ...nodeSpec) (*script, error) {
 	}
 	ids := make([]uint32, 0, len(nodes))
 	for _, ns := range nodes {
-		if ns.SealKey, err = xcrypto.NewSigningKey(); err != nil {
-			s.shutdown()
-			return nil, fmt.Errorf("sim: node %d key: %w", ns.NodeID, err)
-		}
 		n, err := startNode(sub, ns, s.t)
 		if err != nil {
 			s.shutdown()
@@ -408,13 +404,9 @@ func (s *script) sealBytes(src sealSrc) ([]byte, error) {
 	ref := sealRef{n.NodeID, s.round, src.shards}
 	raw, err := s.seals[ref], error(nil)
 	if raw == nil {
-		raw, err = n.manager(s.t).ExportPartialSeal(s.round, service.NodeSeal{
-			NodeID:      n.NodeID,
-			ShardCount:  src.shards,
-			Measurement: tee.Measurement{0xFE, byte(n.NodeID)},
-			Key:         n.SealKey,
-		})
-		if err != nil {
+		seal := n.NodeSeal()
+		seal.ShardCount = src.shards
+		if raw, err = n.manager(s.t).ExportPartialSeal(s.round, seal); err != nil {
 			return nil, fmt.Errorf("sim: round %d node %d seal: %w", s.round, n.NodeID, err)
 		}
 		s.seals[ref] = raw

@@ -42,8 +42,10 @@ type PartialSeal struct {
 	// into; the coordinator refuses a seal whose count disagrees with the
 	// merge it is running (a stale pre-re-home seal fails here).
 	ShardCount uint32
-	// Measurement is the sealing node's enclave measurement; the
-	// coordinator applies its allowlist (or TOFU pin) here.
+	// Measurement is the measurement the sealing node asserts for itself.
+	// Nothing attests it: a coordinator pins it beside NodeKey on first
+	// contact and refuses a later seal that changes it, and that is all.
+	// glimmerd nodes send the zero measurement.
 	Measurement []byte
 	// NodeKey is the node's verify key (PKIX DER). It is covered by
 	// the signature, so coordinators that pin keys out of band can demand
