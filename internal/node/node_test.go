@@ -244,15 +244,17 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 // identity survives a restart from its state directory. The coordinator
 // pins node 1 on its first partial seal; a second life over the same
 // directory — under a freshly provisioned tenant, as glimmerd provisions
-// one per process — must still merge under that pin, while a node on a
-// fresh directory claiming node 1 is refused.
+// one per process — must still merge under that pin, and ships only its
+// new round: the round the first life shipped is not sent again. A node
+// on a fresh directory claiming node 1 is refused.
 func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.Platform}})
+	hub := &service.MergeHub{AllowTOFU: true}
+	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,19 +281,25 @@ func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 	if sh, all := life(w, dir, 3); sh.Err != nil || sh.Merge.Count != 5 || sh.Merge.Merged != 1 {
 		t.Fatalf("life 1 shipped %+v, want round 3 absorbed with 5 contributions", all)
 	}
+	refused := hub.Stats().SealsRefused
 	sh, all := life(newWorld(t), dir, 4)
 	if sh.Err != nil || sh.Merge.Count != 5 || sh.Merge.Merged != 1 {
 		t.Errorf("life 2 shipped %+v, want round 4 absorbed with 5 contributions", all)
 	}
 	for _, s := range all {
-		if s.Err != nil && strings.Contains(s.Err.Error(), service.ErrSealIdentity.Error()) {
+		if errors.Is(s.Err, service.ErrSealIdentity) {
 			t.Errorf("life 2 shipment refused by the pin: %v", s.Err)
+		} else if s.Err != nil {
+			t.Errorf("life 2 shipment refused: %v", s.Err)
 		}
+	}
+	if got := hub.Stats().SealsRefused; got != refused {
+		t.Errorf("life 2 moved the hub's refusals from %d to %d", refused, got)
 	}
 
 	// A different key under node 1 is still a swap.
 	_, all = life(newWorld(t), t.TempDir(), 5)
-	if len(all) != 1 || all[0].Err == nil || !strings.Contains(all[0].Err.Error(), service.ErrSealIdentity.Error()) {
+	if len(all) != 1 || !errors.Is(all[0].Err, service.ErrSealIdentity) {
 		t.Errorf("a node on a fresh directory shipped %+v, want ErrSealIdentity", all)
 	}
 }
