@@ -33,7 +33,8 @@
 // gaas.DialFleet), and -coordinator selects the merge role — "self"
 // serves the fleet-merge command from an in-process merge hub (TOFU node
 // pinning), while host:port ships this node's signed partial seals to a
-// remote coordinator when the daemon drains. The fleet plane
+// remote coordinator when the daemon drains, once per round: a round the
+// coordinator answered is closed and never ships again. The fleet plane
 // (fleet-forward for peer batches, fleet-merge for partial seals) mounts
 // whenever either flag is set. A fleet node is its signing key: with
 // -state-dir the key lives in <dir>/node.key, made on the first start, so

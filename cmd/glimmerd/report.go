@@ -77,11 +77,13 @@ func (p printer) report(rep node.Report, stateDir string) {
 		p.say("  rejected total: %d (manager + pipelines)", t.ManagerRejected+t.PipelineRejected)
 	}
 	p.say("routing rejections (unroutable/unknown tenant): %d", rep.RoutingRejected)
+	sent := 0 // partials the coordinator absorbed
 	for _, sh := range rep.Shipped {
 		if sh.Err != nil {
 			p.say("%v", sh.Err)
 			continue
 		}
+		sent++
 		p.say("shipped partial %s round %-6d merge now %d/%d partials cohort=%d",
 			sh.Merge.Service, sh.Merge.Round, sh.Merge.Merged, sh.Merge.Expect, sh.Merge.Count)
 	}
@@ -89,13 +91,15 @@ func (p printer) report(rep node.Report, stateDir string) {
 		p.say("merge %s round %-6d partials=%d/%d cohort=%d rejected=%d refused=%d complete=%v", m.Service, m.Round,
 			m.Merged, m.Expect, m.Count, m.Rejected, m.Refused, m.Expect != 0 && m.Merged >= m.Expect)
 	}
+	var received, refused uint64
 	if h := rep.Hub; h != nil {
+		received, refused = h.SealsAbsorbed+h.SealsRefused, h.SealsRefused
 		p.say("merge ledger: held live=%d completed=%d, gone retired=%d abandoned=%d; seals absorbed=%d refused=%d; contributions merged=%d rejected=%d",
 			h.Live, h.Completed, h.Retired, h.Abandoned, h.SealsAbsorbed, h.SealsRefused, h.ContribsMerged, h.ContribsRejected)
 	}
 	if rep.Role != "standalone" {
 		p.say("fleet counters: role=%s partials sent=%d received=%d refused=%d forwarded-batches=%d", rep.Role,
-			rep.Fleet.PartialsSent, rep.Fleet.PartialsReceived, rep.Fleet.PartialsRefused, rep.Fleet.ForwardedBatches)
+			sent, received, refused, rep.Edge.ForwardedBatches)
 	}
 	if stateDir != "" {
 		ws := rep.WAL

@@ -1,8 +1,10 @@
 package gaas
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"glimmers/internal/tee"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -344,6 +347,37 @@ func TestFrameTooLargeTyped(t *testing.T) {
 	// The stream is desynced; the server must drop the connection.
 	if _, _, _, err := readFrameInto(conn, nil); err == nil {
 		t.Fatal("connection survived an oversized frame")
+	}
+}
+
+// TestSentinelsSurviveAnErrorFrame: every typed refusal a server or a
+// merge coordinator sends — wrapped with its detail, the way a handler
+// returns it — crosses an error frame and comes back matching its own
+// sentinel and ErrRemote, and no other sentinel, with its text intact.
+func TestSentinelsSurviveAnErrorFrame(t *testing.T) {
+	sentinels := []error{
+		ErrShed, ErrUnknownCommand, ErrFrameTooLarge, errNoSession,
+		wire.ErrSealMismatch, wire.ErrSealReplay, wire.ErrSealIdentity, wire.ErrSealSignature,
+		wire.ErrSealOverlap, wire.ErrMergeComplete, wire.ErrMergeRetired,
+	}
+	for _, want := range sentinels {
+		var frame bytes.Buffer
+		if err := writeFrame(&frame, "error", []byte(fmt.Errorf("%w: detail", want).Error())); err != nil {
+			t.Fatal(err)
+		}
+		status, body, err := readFrame(&frame)
+		if err != nil || status != "error" {
+			t.Fatalf("%v: read back %q, %v", want, status, err)
+		}
+		got := remoteError(body)
+		if !errors.Is(got, want) || !errors.Is(got, ErrRemote) || got.Error() != ErrRemote.Error()+": "+string(body) {
+			t.Errorf("%q maps to %q, want it under ErrRemote matching %v", body, got, want)
+		}
+		for _, other := range sentinels {
+			if other != want && errors.Is(got, other) {
+				t.Errorf("%q also maps to %v", body, other)
+			}
+		}
 	}
 }
 

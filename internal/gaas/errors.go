@@ -2,7 +2,10 @@ package gaas
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+
+	"glimmers/internal/wire"
 )
 
 // Typed protocol errors. Server handlers wrap these (the sentinel text
@@ -42,36 +45,22 @@ var (
 var ErrBatchTooLarge = errors.New("gaas: batch exceeds frame limit")
 
 // wireSentinels are the typed errors recoverable from an error frame's
-// text. Order matters only for prefix ambiguity; these are disjoint.
-var wireSentinels = []error{ErrShed, ErrUnknownCommand, ErrFrameTooLarge, errNoSession}
+// text: the edge's own and a merge coordinator's refusals. Order matters
+// only for prefix ambiguity; these are disjoint.
+var wireSentinels = append([]error{ErrShed, ErrUnknownCommand, ErrFrameTooLarge, errNoSession}, wire.MergeRefusals...)
 
 var errNoSession = errors.New("gaas: no session enclave (send user-hello first)")
 
-// remoteErr is a refusal that traveled back in an error frame. It
-// unwraps to ErrRemote and, when the frame text identifies one, to the
-// matching wire sentinel — errors.Is(err, ErrShed) works on both sides
-// of the connection.
-type remoteErr struct {
-	msg      string
-	sentinel error
-}
-
-func (e *remoteErr) Error() string { return ErrRemote.Error() + ": " + e.msg }
-
-func (e *remoteErr) Unwrap() []error {
-	if e.sentinel != nil {
-		return []error{ErrRemote, e.sentinel}
-	}
-	return []error{ErrRemote}
-}
-
-// remoteError maps an error frame's body back onto the typed sentinels.
+// remoteError maps an error frame's body back onto the typed sentinels:
+// the error unwraps to ErrRemote and, when the frame text leads with one,
+// to the matching wire sentinel — errors.Is(err, ErrShed) works on both
+// sides of the connection. Its text is ErrRemote's, then the frame's.
 func remoteError(body []byte) error {
 	msg := string(body)
 	for _, s := range wireSentinels {
-		if strings.HasPrefix(msg, s.Error()) {
-			return &remoteErr{msg: msg, sentinel: s}
+		if rest, ok := strings.CutPrefix(msg, s.Error()); ok {
+			return fmt.Errorf("%w: %w%s", ErrRemote, s, rest)
 		}
 	}
-	return &remoteErr{msg: msg}
+	return fmt.Errorf("%w: %s", ErrRemote, msg)
 }

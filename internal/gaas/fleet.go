@@ -61,46 +61,11 @@ func (s *Session) fleetForward(body []byte) ([]byte, error) {
 
 // fleetMerge hands one partial seal to the coordinator and replies with
 // the merge's state. A refused seal is an "error" frame carrying the
-// refusal (wire-crossing sentinels survive the trip), and bumps the
-// refused counter; the merge itself is untouched by construction.
+// refusal (wire-crossing sentinels survive the trip); the merge itself is
+// untouched by construction. The coordinator's ledger counts both.
 func (s *Session) fleetMerge(body []byte) ([]byte, error) {
-	srv := s.srv
-	srv.partialsReceived.Add(1)
-	reply, err := srv.mux.merger.MergePartialSeal(body)
-	if err != nil {
-		srv.partialsRefused.Add(1)
-		return nil, err
-	}
-	return reply, nil
+	return s.srv.mux.merger.MergePartialSeal(body)
 }
-
-// FleetStats is a snapshot of the fleet plane's counters — the merge/
-// forward counterpart of EdgeStats.
-type FleetStats struct {
-	// PartialsSent counts partial seals this process shipped to a
-	// coordinator (bumped by the node role via NotePartialSent).
-	PartialsSent int64
-	// PartialsReceived counts partial seals that arrived on fleet-merge.
-	PartialsReceived int64
-	// PartialsRefused counts received seals the coordinator turned away.
-	PartialsRefused int64
-	// ForwardedBatches counts batches that arrived on fleet-forward.
-	ForwardedBatches int64
-}
-
-// FleetStats snapshots the fleet-plane counters.
-func (s *Server) FleetStats() FleetStats {
-	return FleetStats{
-		PartialsSent:     s.partialsSent.Load(),
-		PartialsReceived: s.partialsReceived.Load(),
-		PartialsRefused:  s.partialsRefused.Load(),
-		ForwardedBatches: s.forwardedBatches.Load(),
-	}
-}
-
-// NotePartialSent records one partial seal shipped by this process's
-// node role, so drain output reads all fleet counters from one place.
-func (s *Server) NotePartialSent() { s.partialsSent.Add(1) }
 
 // MergePartialSeal ships a signed partial seal to the merge coordinator
 // and returns the round's updated merge state.

@@ -10,6 +10,7 @@ import (
 	"glimmers/internal/glimmer"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
+	"glimmers/internal/wire"
 	"glimmers/internal/xcrypto"
 )
 
@@ -92,7 +93,7 @@ func TestFleetForwardAndMerge(t *testing.T) {
 	nodeSrv, nodeAddr := fleetServer(t, reg, nil)
 
 	hub := &service.MergeHub{AllowTOFU: true}
-	coordSrv, coordAddr := fleetServer(t, nil, hub)
+	_, coordAddr := fleetServer(t, nil, hub)
 
 	rng := rand.New(rand.NewSource(3))
 	raws := make([][]byte, 6)
@@ -111,7 +112,7 @@ func TestFleetForwardAndMerge(t *testing.T) {
 	if accepted != 6 || rejected != 1 {
 		t.Fatalf("forward tallies accepted=%d rejected=%d", accepted, rejected)
 	}
-	if fs := nodeSrv.FleetStats(); fs.ForwardedBatches != 1 {
+	if fs := nodeSrv.Stats(); fs.ForwardedBatches != 1 {
 		t.Fatalf("node fleet stats = %+v", fs)
 	}
 
@@ -135,7 +136,6 @@ func TestFleetForwardAndMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeSrv.NotePartialSent()
 	if res.Merged != 1 || res.Expect != 1 || res.Count != 6 || res.Rejected != 1 {
 		t.Fatalf("merge result = %+v", res)
 	}
@@ -153,17 +153,14 @@ func TestFleetForwardAndMerge(t *testing.T) {
 
 	// Replay across the wire: refused as an error frame, connection and
 	// merge both undisturbed.
-	if _, err := coord.MergePartialSeal(seal); err == nil {
-		t.Fatal("replayed seal accepted over the wire")
+	if _, err := coord.MergePartialSeal(seal); !errors.Is(err, wire.ErrSealReplay) {
+		t.Fatalf("replayed seal over the wire: %v, want ErrSealReplay", err)
 	}
 	if res := m.Result(); res.Merged != 1 || res.Refused != 1 {
 		t.Fatalf("after replay: %+v", res)
 	}
-	if fs := coordSrv.FleetStats(); fs.PartialsReceived != 2 || fs.PartialsRefused != 1 {
-		t.Fatalf("coordinator fleet stats = %+v", fs)
-	}
-	if fs := nodeSrv.FleetStats(); fs.PartialsSent != 1 {
-		t.Fatalf("node fleet stats = %+v", fs)
+	if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 1 {
+		t.Fatalf("coordinator ledger = %+v", st)
 	}
 	// The refused replay must not have poisoned the connection.
 	if _, err := coord.MergePartialSeal(seal); err == nil {

@@ -95,15 +95,10 @@ type Server struct {
 	closing bool
 	connWG  sync.WaitGroup
 
-	inflight     atomic.Int64
-	refusedConns atomic.Int64
-	refusedPerIP atomic.Int64
-	shedBatches  atomic.Int64
-
-	// Fleet-plane counters (see FleetStats).
-	partialsSent     atomic.Int64
-	partialsReceived atomic.Int64
-	partialsRefused  atomic.Int64
+	inflight         atomic.Int64
+	refusedConns     atomic.Int64
+	refusedPerIP     atomic.Int64
+	shedBatches      atomic.Int64
 	forwardedBatches atomic.Int64
 }
 
@@ -148,7 +143,8 @@ func (s *Server) MeasurementFor(service string) (tee.Measurement, error) {
 	return glimmer.BuildBinary(cfg).Measurement(), nil
 }
 
-// EdgeStats is a snapshot of the serving edge's governance counters.
+// EdgeStats is a snapshot of the serving edge's counters: its governance
+// refusals and the batches peers forwarded.
 type EdgeStats struct {
 	// ActiveConns is the number of connections currently being served.
 	ActiveConns int
@@ -159,18 +155,22 @@ type EdgeStats struct {
 	// ShedBatches counts submit-batch frames refused by the
 	// MaxInflightBatches gate.
 	ShedBatches int64
+	// ForwardedBatches counts batches that arrived on fleet-forward. (A
+	// coordinator's partial seals are counted by its service.HubStats.)
+	ForwardedBatches int64
 }
 
-// Stats snapshots the edge governance counters.
+// Stats snapshots the edge counters.
 func (s *Server) Stats() EdgeStats {
 	s.connMu.Lock()
 	active := len(s.conns)
 	s.connMu.Unlock()
 	return EdgeStats{
-		ActiveConns:     active,
-		RefusedMaxConns: s.refusedConns.Load(),
-		RefusedPerIP:    s.refusedPerIP.Load(),
-		ShedBatches:     s.shedBatches.Load(),
+		ActiveConns:      active,
+		RefusedMaxConns:  s.refusedConns.Load(),
+		RefusedPerIP:     s.refusedPerIP.Load(),
+		ShedBatches:      s.shedBatches.Load(),
+		ForwardedBatches: s.forwardedBatches.Load(),
 	}
 }
 

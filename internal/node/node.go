@@ -4,7 +4,7 @@
 // the start order — register tenants → open store → load the node key →
 // attach audit → recover → start compaction → mount fleet routes → serve —
 // and of the drain order — stop compaction → close listener → settle
-// handlers → seal + tally → ship partial seals → snapshot → close. It also
+// handlers → seal + tally → ship and close → snapshot → close. It also
 // owns the compaction policy (compact.go) and where a fleet node's
 // sealing identity comes from (NodeSeal). cmd/glimmerd is flags in front
 // of Start; internal/sim runs every fault step against the same assembly.
@@ -17,6 +17,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -85,8 +86,8 @@ type Config struct {
 	// merge coordinator serving fleet-merge.
 	NodeID uint32
 	Hub    *service.MergeHub
-	// Coordinator, when set, is the remote merge coordinator Drain ships
-	// every round's partial seal to; ShardCount is how many partials
+	// Coordinator, when set, is where Drain ships the partial seal of every
+	// round no coordinator has answered; ShardCount is how many partials
 	// complete a merge — the size of the node set (0 means 1).
 	Coordinator string
 	ShardCount  uint32
@@ -261,9 +262,8 @@ func (n *Node) Kill() {
 // Report is what a drained node did, as values: glimmerd prints it, tests
 // read it.
 type Report struct {
-	Role  string
-	Edge  gaas.EdgeStats
-	Fleet gaas.FleetStats
+	Role string
+	Edge gaas.EdgeStats
 	// Tenants, in name order, with every round sealed. RoutingRejected
 	// counts what never reached a tenant (unroutable, unknown tenant).
 	Tenants         []TenantReport
@@ -306,6 +306,13 @@ type Shipment struct {
 	Err   error
 }
 
+// sealedRound is a round Drain found sealed, not closed: not yet shipped.
+type sealedRound struct {
+	tenant string
+	round  uint64
+	p      *service.Pipeline
+}
+
 // Drain stops the node gracefully and reports what it held. The returned
 // error is an accept-loop, snapshot or close failure; the Report is
 // filled as far as the drain got.
@@ -313,6 +320,7 @@ func (n *Node) Drain() (Report, error) {
 	n.compactor.stop()
 	rep := Report{Role: n.Role()}
 	err := n.stopServing()
+	var unshipped []sealedRound
 	for _, t := range n.reg.Tenants() {
 		m := t.Manager()
 		tr := TenantReport{Name: t.Name(), ManagerRejected: m.Rejected()}
@@ -321,7 +329,10 @@ func (n *Node) Drain() (Report, error) {
 			if !ok {
 				continue
 			}
-			_ = p.Seal() // fix the cohort; a closed round is already final
+			// Fix the cohort; a closed round has gone downstream already.
+			if p.Seal() == nil {
+				unshipped = append(unshipped, sealedRound{t.Name(), round, p})
+			}
 			tr.PipelineRejected += p.Rejected()
 			tr.Rounds = append(tr.Rounds, RoundReport{Round: round, Accepted: p.Count(), Sum: p.Sum()})
 		}
@@ -329,9 +340,9 @@ func (n *Node) Drain() (Report, error) {
 	}
 	rep.RoutingRejected = n.reg.Rejected()
 	// Ship before snapshotting: every cohort is fixed, so each export is
-	// the round's final partial.
-	if n.cfg.Coordinator != "" {
-		rep.Shipped = n.shipPartialSeals()
+	// the round's final partial, and the image keeps each answered close.
+	if n.cfg.Coordinator != "" && len(unshipped) > 0 {
+		rep.Shipped = n.shipPartialSeals(unshipped)
 	}
 	if hub := n.cfg.Hub; hub != nil {
 		st := hub.Stats()
@@ -349,7 +360,7 @@ func (n *Node) Drain() (Report, error) {
 		})
 	}
 	if n.server != nil {
-		rep.Edge, rep.Fleet = n.server.Stats(), n.server.FleetStats()
+		rep.Edge = n.server.Stats()
 	}
 	if n.store != nil {
 		rep.WAL = n.store.Stats()
@@ -361,11 +372,13 @@ func (n *Node) Drain() (Report, error) {
 	return rep, err
 }
 
-// shipPartialSeals exports every tenant round's signed partial seal and
-// ships it to the remote merge coordinator. Shipping is best-effort: a
-// refused or unreachable coordinator is reported, not fatal — the durable
-// snapshot still holds the partials for a retry.
-func (n *Node) shipPartialSeals() []Shipment {
+// shipPartialSeals ships each round's signed partial seal to the remote
+// merge coordinator and closes the round once the coordinator answers —
+// absorbs the seal or refuses it with one of wire.MergeRefusals — so it
+// ships once (a node that dies before the close is durable re-sends it,
+// and reads the replay refusal as the answer). Any other failure is
+// reported, not fatal, and leaves the round sealed for the next drain.
+func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 	defer cancel()
 	client, err := gaas.DialContext(ctx, n.cfg.Coordinator, gaas.DialConfig{NoSession: true})
@@ -374,19 +387,19 @@ func (n *Node) shipPartialSeals() []Shipment {
 	}
 	defer client.Close()
 	seal := n.NodeSeal()
-	var out []Shipment
-	for _, t := range n.reg.Tenants() {
-		for _, round := range t.Manager().Rounds() {
-			var sh Shipment
-			raw, err := t.Manager().ExportPartialSeal(round, seal)
-			if err != nil {
-				sh.Err = fmt.Errorf("partial seal %s round %d: %w", t.Name(), round, err)
-			} else if sh.Merge, err = client.MergePartialSeal(raw); err != nil {
-				sh.Err = fmt.Errorf("coordinator refused %s round %d: %w", t.Name(), round, err)
-			} else if n.server != nil {
-				n.server.NotePartialSent()
-			}
-			out = append(out, sh)
+	out := make([]Shipment, len(rounds))
+	for i, r := range rounds {
+		raw, err := r.p.PartialSeal(seal)
+		if err != nil {
+			out[i].Err = fmt.Errorf("partial seal %s round %d: %w", r.tenant, r.round, err)
+			continue
+		}
+		out[i].Merge, err = client.MergePartialSeal(raw)
+		if err == nil || slices.ContainsFunc(wire.MergeRefusals, func(s error) bool { return errors.Is(err, s) }) {
+			r.p.Close()
+		}
+		if err != nil {
+			out[i].Err = fmt.Errorf("coordinator refused %s round %d: %w", r.tenant, r.round, err)
 		}
 	}
 	return out

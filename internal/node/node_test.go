@@ -287,7 +287,7 @@ func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 		t.Errorf("life 2 shipped %+v, want round 4 absorbed with 5 contributions", all)
 	}
 	for _, s := range all {
-		if errors.Is(s.Err, service.ErrSealIdentity) {
+		if errors.Is(s.Err, wire.ErrSealIdentity) {
 			t.Errorf("life 2 shipment refused by the pin: %v", s.Err)
 		} else if s.Err != nil {
 			t.Errorf("life 2 shipment refused: %v", s.Err)
@@ -299,8 +299,108 @@ func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 
 	// A different key under node 1 is still a swap.
 	_, all = life(newWorld(t), t.TempDir(), 5)
-	if len(all) != 1 || !errors.Is(all[0].Err, service.ErrSealIdentity) {
+	if len(all) != 1 || !errors.Is(all[0].Err, wire.ErrSealIdentity) {
 		t.Errorf("a node on a fresh directory shipped %+v, want ErrSealIdentity", all)
+	}
+}
+
+// TestKilledBeforeCloseResendsOnce is the one window in which an honest
+// fleet node sends a seal twice: it dies after the coordinator answered a
+// round's seal and before the round's close was durable. Life 1 ships
+// round 3 by hand and is killed, leaving the round sealed and not closed;
+// life 2's drain re-sends it once, reads the replay refusal as an answer
+// and closes it; life 3's drain ships nothing.
+func TestKilledBeforeCloseResendsOnce(t *testing.T) {
+	w, dir := newWorld(t), t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := &service.MergeHub{AllowTOFU: true}
+	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	fleetNode := func(c *Config) { c.NodeID, c.ShardCount, c.Coordinator = 1, 2, ln.Addr().String() }
+
+	n, addr := w.startAs(t, dir, durable.Config{}, fleetNode)
+	w.session(t, addr, 3, 5)
+	hosted, _ := n.Registry().Tenant(testService)
+	raw, err := hosted.Manager().ExportPartialSeal(3, n.NodeSeal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := gaas.DialContext(context.Background(), ln.Addr().String(), gaas.DialConfig{NoSession: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if m, err := client.MergePartialSeal(raw); err != nil || m.Merged != 1 || m.Count != 5 {
+		t.Fatalf("life 1 shipped round 3 as %+v, %v; want one absorbed partial of 5", m, err)
+	}
+	n.Kill()
+
+	drain := func() Report {
+		t.Helper()
+		n, _ := w.startAs(t, dir, durable.Config{}, fleetNode)
+		rep, err := n.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if rep := drain(); len(rep.Shipped) != 1 || !errors.Is(rep.Shipped[0].Err, wire.ErrSealReplay) {
+		t.Errorf("life 2 shipped %+v, want round 3 re-sent once and refused as ErrSealReplay", rep.Shipped)
+	}
+	rep := drain()
+	if len(rep.Shipped) != 0 {
+		t.Errorf("life 3 shipped %+v, want nothing", rep.Shipped)
+	}
+	if r := rep.Tenants[0].Rounds; len(r) != 1 || r[0].Round != 3 || r[0].Accepted != 5 {
+		t.Errorf("life 3 holds rounds %+v, want round 3 with 5 contributions", r)
+	}
+	if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 1 {
+		t.Errorf("hub absorbed %d and refused %d seals, want 1 and 1", st.SealsAbsorbed, st.SealsRefused)
+	}
+}
+
+// TestUnansweredRoundShipsAtNextDrain: a refusal that is not a merge
+// sentinel is no answer. Life 1 ships round 3 to a node that serves no
+// merges, which refuses the command; the round stays sealed, and life 2's
+// drain ships it to a real coordinator, which absorbs it.
+func TestUnansweredRoundShipsAtNextDrain(t *testing.T) {
+	w, dir := newWorld(t), t.TempDir()
+	listen := func(hub *service.MergeHub) string {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Kill)
+		return ln.Addr().String()
+	}
+	life := func(coordinator string, ingest bool) []Shipment {
+		t.Helper()
+		n, addr := w.startAs(t, dir, durable.Config{}, func(c *Config) { c.NodeID, c.ShardCount, c.Coordinator = 1, 1, coordinator })
+		if ingest {
+			w.session(t, addr, 3, 5)
+		}
+		rep, err := n.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Shipped
+	}
+	if sh := life(listen(nil), true); len(sh) != 1 || !errors.Is(sh[0].Err, gaas.ErrUnknownCommand) {
+		t.Fatalf("life 1 shipped %+v to a node without a hub, want ErrUnknownCommand", sh)
+	}
+	if sh := life(listen(&service.MergeHub{AllowTOFU: true}), false); len(sh) != 1 || sh[0].Err != nil || sh[0].Merge.Count != 5 {
+		t.Errorf("life 2 shipped %+v, want round 3 absorbed with 5 contributions", sh)
 	}
 }
 

@@ -142,8 +142,8 @@ func TestMergeHubRetiredReplay(t *testing.T) {
 	run(2)
 	run(3) // retires round 1
 	before := hub.Stats()
-	if _, err := hub.MergePartialSeal(seals[1]); !errors.Is(err, ErrMergeRetired) {
-		t.Fatalf("replay for a retired round got %v, want %v", err, ErrMergeRetired)
+	if _, err := hub.MergePartialSeal(seals[1]); !errors.Is(err, wire.ErrMergeRetired) {
+		t.Fatalf("replay for a retired round got %v, want %v", err, wire.ErrMergeRetired)
 	}
 	after := hub.Stats()
 	if after.SealsRefused != before.SealsRefused+1 {
@@ -157,8 +157,8 @@ func TestMergeHubRetiredReplay(t *testing.T) {
 		t.Fatal("retired replay reopened the round")
 	}
 	// A held completed round still answers as complete, not retired.
-	if _, err := hub.MergePartialSeal(seals[3]); !errors.Is(err, ErrSealReplay) {
-		t.Fatalf("replay for a held round got %v, want %v", err, ErrSealReplay)
+	if _, err := hub.MergePartialSeal(seals[3]); !errors.Is(err, wire.ErrSealReplay) {
+		t.Fatalf("replay for a held round got %v, want %v", err, wire.ErrSealReplay)
 	}
 
 	// Push round 1's tombstone out of the three-slot ring.
@@ -208,8 +208,8 @@ func TestMergeHubRefusedFirstContactsLeaveNothing(t *testing.T) {
 		hub            *MergeHub
 		probe, genuine error
 	}{
-		{"tofu", &MergeHub{AllowTOFU: true}, ErrSealSignature, nil},
-		{"zero", &MergeHub{}, ErrSealIdentity, ErrSealIdentity},
+		{"tofu", &MergeHub{AllowTOFU: true}, wire.ErrSealSignature, nil},
+		{"zero", &MergeHub{}, wire.ErrSealIdentity, wire.ErrSealIdentity},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hub := tc.hub
@@ -263,8 +263,8 @@ func TestMergeHubLiveCapAbandonsOldest(t *testing.T) {
 	if st := hub.Stats(); st.Live != 3 || st.Abandoned != 1 {
 		t.Fatalf("hub ledger = %+v, want 3 live and 1 abandoned", st)
 	}
-	if _, err := hub.MergePartialSeal(hubSeal(t, b, "svc", 1, 1, 1)); !errors.Is(err, ErrMergeRetired) {
-		t.Fatalf("second partial of the abandoned round got %v, want %v", err, ErrMergeRetired)
+	if _, err := hub.MergePartialSeal(hubSeal(t, b, "svc", 1, 1, 1)); !errors.Is(err, wire.ErrMergeRetired) {
+		t.Fatalf("second partial of the abandoned round got %v, want %v", err, wire.ErrMergeRetired)
 	}
 	if _, err := hub.MergePartialSeal(hubSeal(t, b, "svc", 2, 1, 1)); err != nil {
 		t.Fatalf("second partial of a live round: %v", err)

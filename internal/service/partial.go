@@ -40,31 +40,6 @@ import (
 // outlive a merge — how many seals were absorbed and refused, how many
 // contributions merged — is one cumulative ledger, MergeHub.Stats.
 
-// Merge refusal sentinels. Each names the check that turned a seal away;
-// a refused seal never perturbs the merge (all-or-nothing absorption).
-var (
-	// ErrSealMismatch: the seal's dimension or shard count disagrees with
-	// the round's first seal, or its shard count is zero.
-	ErrSealMismatch = errors.New("service: partial seal does not match this merge")
-	// ErrSealReplay: this node's partial was already absorbed.
-	ErrSealReplay = errors.New("service: partial seal replayed")
-	// ErrSealIdentity: the seal's key does not parse, its key or
-	// measurement contradicts the node's first-use pin, or the node has no
-	// pin and the hub does not pin on first use.
-	ErrSealIdentity = errors.New("service: partial seal identity mismatch")
-	// ErrSealSignature: the signature does not verify.
-	ErrSealSignature = errors.New("service: partial seal signature invalid")
-	// ErrSealOverlap: the seal claims a contribution another partial
-	// already covers — double-counting, refused wholesale.
-	ErrSealOverlap = errors.New("service: partial seal overlaps an absorbed partial")
-	// ErrMergeComplete: the merge already has every partial it expects.
-	ErrMergeComplete = errors.New("service: merge already complete")
-	// ErrMergeRetired: the hub held a merge for this round and has let it
-	// go (completed and aged out, or abandoned incomplete at the cap); the
-	// round is not reopened while its tombstone lasts.
-	ErrMergeRetired = errors.New("service: merge retired")
-)
-
 // NodeSeal is a node's sealing identity: its ring ID, how many partials
 // it believes the round splits into, and the enclave measurement + key
 // it signs with.
@@ -219,41 +194,41 @@ func (m *Merge) absorbSeal(seal wire.PartialSeal) (complete bool, err error) {
 func (m *Merge) checkSeal(seal wire.PartialSeal) (mergePin, error) {
 	if m.shardCount != 0 && len(seal.Sum) != len(m.sum) {
 		return mergePin{}, fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
-			ErrSealMismatch, len(seal.Sum), len(m.sum))
+			wire.ErrSealMismatch, len(seal.Sum), len(m.sum))
 	}
 	if seal.ShardCount == 0 {
-		return mergePin{}, fmt.Errorf("%w: zero shard count", ErrSealMismatch)
+		return mergePin{}, fmt.Errorf("%w: zero shard count", wire.ErrSealMismatch)
 	}
 	if m.shardCount != 0 && seal.ShardCount != m.shardCount {
 		// A stale seal from before a re-home names the old split; it must
 		// be re-exported, not merged.
 		return mergePin{}, fmt.Errorf("%w: seal splits the round %d ways, merge expects %d",
-			ErrSealMismatch, seal.ShardCount, m.shardCount)
+			wire.ErrSealMismatch, seal.ShardCount, m.shardCount)
 	}
 	if m.absorbed[seal.NodeID] {
-		return mergePin{}, fmt.Errorf("%w: node %d already merged", ErrSealReplay, seal.NodeID)
+		return mergePin{}, fmt.Errorf("%w: node %d already merged", wire.ErrSealReplay, seal.NodeID)
 	}
 	if m.completeLocked() {
-		return mergePin{}, ErrMergeComplete
+		return mergePin{}, wire.ErrMergeComplete
 	}
 
 	// Identity: the node's pin, or a first use the hub allows.
 	carried, err := xcrypto.ParseVerifyKey(seal.NodeKey)
 	if err != nil {
-		return mergePin{}, fmt.Errorf("%w: unparseable node key: %v", ErrSealIdentity, err)
+		return mergePin{}, fmt.Errorf("%w: unparseable node key: %v", wire.ErrSealIdentity, err)
 	}
 	id := mergePin{key: carried.Fingerprint()}
 	copy(id.measurement[:], seal.Measurement)
 	if pin, ok := m.hub.pins.get(seal.NodeID); ok {
 		if id != pin {
-			return mergePin{}, fmt.Errorf("%w: node %d contradicts its first-use pin", ErrSealIdentity, seal.NodeID)
+			return mergePin{}, fmt.Errorf("%w: node %d contradicts its first-use pin", wire.ErrSealIdentity, seal.NodeID)
 		}
 	} else if !m.hub.AllowTOFU {
-		return mergePin{}, fmt.Errorf("%w: node %d has no pin and the hub does not pin on first use", ErrSealIdentity, seal.NodeID)
+		return mergePin{}, fmt.Errorf("%w: node %d has no pin and the hub does not pin on first use", wire.ErrSealIdentity, seal.NodeID)
 	}
 
 	if !carried.Verify(seal.SignedBytes(), seal.Signature) {
-		return mergePin{}, fmt.Errorf("%w: node %d", ErrSealSignature, seal.NodeID)
+		return mergePin{}, fmt.Errorf("%w: node %d", wire.ErrSealSignature, seal.NodeID)
 	}
 
 	// Disjoint coverage: every digest must be new to the merge. Checked
@@ -261,7 +236,7 @@ func (m *Merge) checkSeal(seal wire.PartialSeal) (mergePin, error) {
 	for i := 0; i < seal.DigestCount(); i++ {
 		if owner, dup := m.seen[seal.DigestAt(i)]; dup {
 			return mergePin{}, fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
-				ErrSealOverlap, seal.NodeID, owner)
+				wire.ErrSealOverlap, seal.NodeID, owner)
 		}
 	}
 	return id, nil
@@ -490,7 +465,7 @@ func (h *MergeHub) entry(key mergeKey) (*hubEntry, error) {
 		return e, nil
 	}
 	if h.tombs.has(key) {
-		return nil, fmt.Errorf("%w: %s/%d", ErrMergeRetired, key.service, key.round)
+		return nil, fmt.Errorf("%w: %s/%d", wire.ErrMergeRetired, key.service, key.round)
 	}
 	return &hubEntry{m: &Merge{
 		key:      key,

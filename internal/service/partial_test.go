@@ -287,13 +287,13 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		hub := newHub(t)
 		absorb(t, hub, sealB)
-		check(t, hub, stale, ErrSealMismatch)
+		check(t, hub, stale, wire.ErrSealMismatch)
 	})
 
 	t.Run("replay", func(t *testing.T) {
 		hub := newHub(t)
 		absorb(t, hub, sealA)
-		check(t, hub, sealA, ErrSealReplay)
+		check(t, hub, sealA, wire.ErrSealReplay)
 	})
 
 	t.Run("forged-key", func(t *testing.T) {
@@ -305,7 +305,7 @@ func TestMergeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, newHub(t), forged, ErrSealIdentity)
+		check(t, newHub(t), forged, wire.ErrSealIdentity)
 	})
 
 	t.Run("wrong-measurement", func(t *testing.T) {
@@ -314,7 +314,7 @@ func TestMergeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, newHub(t), seal, ErrSealIdentity)
+		check(t, newHub(t), seal, wire.ErrSealIdentity)
 	})
 
 	t.Run("flipped-signature", func(t *testing.T) {
@@ -324,7 +324,7 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		dec.Signature = append([]byte(nil), dec.Signature...)
 		dec.Signature[0] ^= 0x80
-		check(t, newHub(t), wire.EncodePartialSeal(dec), ErrSealSignature)
+		check(t, newHub(t), wire.EncodePartialSeal(dec), wire.ErrSealSignature)
 	})
 
 	t.Run("tampered-sum", func(t *testing.T) {
@@ -336,7 +336,7 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		dec.Sum = append([]uint64(nil), dec.Sum...)
 		dec.Sum[0]++
-		check(t, newHub(t), wire.EncodePartialSeal(dec), ErrSealSignature)
+		check(t, newHub(t), wire.EncodePartialSeal(dec), wire.ErrSealSignature)
 	})
 
 	t.Run("overlap", func(t *testing.T) {
@@ -350,7 +350,7 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		hub := newHub(t)
 		absorb(t, hub, sealA)
-		check(t, hub, overlapping, ErrSealOverlap)
+		check(t, hub, overlapping, wire.ErrSealOverlap)
 		// The honest disjoint seal still completes the merge afterwards.
 		absorb(t, hub, sealB)
 		if m, ok := hub.Lookup("svc", round); !ok || !m.Complete() {
@@ -419,8 +419,8 @@ func TestMergeHubTOFU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.MergePartialSeal(impostor); !errors.Is(err, ErrSealIdentity) {
-		t.Fatalf("impostor got %v, want %v", err, ErrSealIdentity)
+	if _, err := hub.MergePartialSeal(impostor); !errors.Is(err, wire.ErrSealIdentity) {
+		t.Fatalf("impostor got %v, want %v", err, wire.ErrSealIdentity)
 	}
 
 	reply, err = hub.MergePartialSeal(sealB)
@@ -442,8 +442,8 @@ func TestMergeHubTOFU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.MergePartialSeal(late); !errors.Is(err, ErrMergeComplete) {
-		t.Fatalf("late seal got %v, want %v", err, ErrMergeComplete)
+	if _, err := hub.MergePartialSeal(late); !errors.Is(err, wire.ErrMergeComplete) {
+		t.Fatalf("late seal got %v, want %v", err, wire.ErrMergeComplete)
 	}
 	// The completed merge let its coverage go; the late seal above was
 	// refused without it.

@@ -8,6 +8,7 @@ import (
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
+	"glimmers/internal/wire"
 )
 
 // Fleet scenario: one tenant's rounds sharded across N glimmerd nodes by
@@ -149,12 +150,12 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 			// without disturbing the merge, then the recovered owner
 			// completes it.
 			merge(sealOf(successor, 2)),
-			refuse(sealOf(owner, 1), service.ErrSealMismatch, "stale pre-re-home seal"),
-			refuse(flipped(sealOf(owner, 2)), service.ErrSealSignature, "flipped-signature seal"),
-			refuse(resigned(sealOf(successor, 2), 99), service.ErrSealOverlap, "adversarial seal claiming absorbed coverage"),
-			refuse(sealOf(successor, 2), service.ErrSealReplay, "replayed partial seal"),
+			refuse(sealOf(owner, 1), wire.ErrSealMismatch, "stale pre-re-home seal"),
+			refuse(flipped(sealOf(owner, 2)), wire.ErrSealSignature, "flipped-signature seal"),
+			refuse(resigned(sealOf(successor, 2), 99), wire.ErrSealOverlap, "adversarial seal claiming absorbed coverage"),
+			refuse(sealOf(successor, 2), wire.ErrSealReplay, "replayed partial seal"),
 			merge(sealOf(owner, 2)),
-			refuse(resigned(sealOf(owner, 2), 77), service.ErrMergeComplete, "late seal after completion"),
+			refuse(resigned(sealOf(owner, 2), 77), wire.ErrMergeComplete, "late seal after completion"),
 			merged(2)),
 		// ----- Partition round: the owner is cut off from its clients
 		// after accepting a third of the cohort; the rest fail over to the
@@ -176,7 +177,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 			ingest(successor, 0, 1),
 			merge(sealOf(owner, 2)),
 			func(s *script) (err error) {
-				rep.DoubleSubmitCaught, err = s.refuseSeal(sealOf(successor, 2), service.ErrSealOverlap, "cross-node double submit")
+				rep.DoubleSubmitCaught, err = s.refuseSeal(sealOf(successor, 2), wire.ErrSealOverlap, "cross-node double submit")
 				if m, ok := s.hub.Lookup(fleetSimService, s.round); !ok {
 					s.violate("double-submit round: no merge materialized")
 				} else {

@@ -29,6 +29,35 @@ const SealDigestLen = 32
 // wrap.
 var ErrPartialSeal = errors.New("wire: malformed partial-seal message")
 
+// Merge refusal sentinels, each naming the check that turned a seal away;
+// a refused seal never perturbs the merge (all-or-nothing absorption). They
+// cross the wire in an error frame, which the client maps back onto them.
+var (
+	// ErrSealMismatch: the seal's dimension or shard count disagrees with
+	// the round's first seal, or its shard count is zero.
+	ErrSealMismatch = errors.New("service: partial seal does not match this merge")
+	// ErrSealReplay: this node's partial was already absorbed.
+	ErrSealReplay = errors.New("service: partial seal replayed")
+	// ErrSealIdentity: the seal's key does not parse, its key or
+	// measurement contradicts the node's first-use pin, or the node has no
+	// pin and the hub does not pin on first use.
+	ErrSealIdentity = errors.New("service: partial seal identity mismatch")
+	// ErrSealSignature: the signature does not verify.
+	ErrSealSignature = errors.New("service: partial seal signature invalid")
+	// ErrSealOverlap: the seal claims a contribution another partial
+	// already covers — double-counting, refused wholesale.
+	ErrSealOverlap = errors.New("service: partial seal overlaps an absorbed partial")
+	// ErrMergeComplete: the merge already has every partial it expects.
+	ErrMergeComplete = errors.New("service: merge already complete")
+	// ErrMergeRetired: the hub held a merge for this round and has let it
+	// go (completed and aged out, or abandoned incomplete at the cap); the
+	// round is not reopened while its tombstone lasts.
+	ErrMergeRetired = errors.New("service: merge retired")
+)
+
+// MergeRefusals are the coordinator's answers to a seal it turns away.
+var MergeRefusals = []error{ErrSealMismatch, ErrSealReplay, ErrSealIdentity, ErrSealSignature, ErrSealOverlap, ErrMergeComplete, ErrMergeRetired}
+
 // PartialSeal is one node's sealed share of a round's aggregate.
 type PartialSeal struct {
 	// Service names the tenant; the signature covers it, so a seal
