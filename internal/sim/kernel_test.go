@@ -72,15 +72,16 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 
 // TestSimKillLeaksNothing: a simulated kill must release the dead life —
 // its WAL fd and its flusher and compactor goroutines — the way a real
-// crash would, not park them until the process ends. Twenty-five kills
-// return the goroutine count to its baseline, recovery after such a kill
-// still sees exactly the flushed prefix (the released store wrote nothing
-// on its way out), and the crash loop leaves a bounded directory: a
-// recovery that replays a chain of generations folds it into the image,
-// so the state dir holds the image and at most two WALs.
+// crash would, not park them until the process ends. After twenty-five
+// kills, and a last one that ends the life the loop left running, no
+// goroutine started since before the first life is alive; recovery after
+// such a kill still sees exactly the flushed prefix (the released store
+// wrote nothing on its way out), and the crash loop leaves a bounded
+// directory: a recovery that replays a chain of generations folds it into
+// the image, so the state dir holds the image and at most two WALs.
 func TestSimKillLeaksNothing(t *testing.T) {
-	s := durableWorld(t, 1, 6, 1)
 	baseline := testbed.TakeCensus()
+	s := durableWorld(t, 1, 6, 1)
 	scenario := []step{ingest(owner, 0, 2), flush(owner), ingest(owner, 2, 5), crash(owner, false), holds(owner, 2)}
 	for i := 0; i < 24; i++ {
 		scenario = append(scenario, crash(owner, false), holds(owner, 2))
@@ -91,10 +92,13 @@ func TestSimKillLeaksNothing(t *testing.T) {
 	for _, v := range s.violations {
 		t.Errorf("invariant violation: %s", v)
 	}
+	last := s.nodes[1]
+	delete(s.nodes, 1) // killed here, not drained at cleanup
+	last.Kill()
 	if err := baseline.Settle(); err != nil {
-		t.Errorf("after 25 simulated kills: %v: dead lives leaked", err)
+		t.Errorf("after 26 simulated kills: %v: dead lives leaked", err)
 	}
-	dir := s.nodes[1].StateDir
+	dir := last.StateDir
 	wals, _ := filepath.Glob(filepath.Join(dir, "wal.*"))
 	if _, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil || len(wals) > 2 {
 		t.Errorf("after 25 simulated kills the state dir holds %d WALs (snapshot: %v), want the image and at most two", len(wals), err)

@@ -77,8 +77,12 @@ func TestProvisionedTenantEndToEnd(t *testing.T) {
 }
 
 // TestCensusSettle: Settle waits out a goroutine that is on its way out,
-// and names one that never leaves.
+// and names one that never leaves by where it was created — even while a
+// goroutine counted in the baseline exits, which a count would take for
+// the stuck one leaving.
 func TestCensusSettle(t *testing.T) {
+	leaving := make(chan struct{})
+	go func() { <-leaving }()
 	baseline := TakeCensus()
 	go func() {}()
 	if err := baseline.Settle(); err != nil {
@@ -87,7 +91,8 @@ func TestCensusSettle(t *testing.T) {
 	stuck := make(chan struct{})
 	defer close(stuck)
 	go func() { <-stuck }()
-	if err := baseline.Settle(); err == nil || !strings.Contains(err.Error(), "goroutines") {
-		t.Errorf("stuck goroutine: Settle returned %v, want the excess named", err)
+	close(leaving)
+	if err := baseline.Settle(); err == nil || !strings.Contains(err.Error(), "TestCensusSettle") {
+		t.Errorf("stuck goroutine: Settle returned %v, want it named with its creation site", err)
 	}
 }
