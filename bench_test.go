@@ -239,7 +239,6 @@ func BenchmarkPipelineAdd(b *testing.B) {
 			Verify:  tb.Service.ContributionVerifyKey(),
 			Dim:     1024,
 			Workers: 1,
-			Shards:  1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -254,7 +253,7 @@ func BenchmarkPipelineAdd(b *testing.B) {
 // BenchmarkPipelineIngest measures the server-side ingest pipeline —
 // decode, ed25519 verify, dedup, accumulate — over a cohort of signed
 // contributions at keyboard-model scale, comparing the serial baseline
-// (one worker, one shard) against the concurrent sharded pipeline. The
+// (one worker) against one frame fanned out over every core. The
 // contributions are fabricated and signed directly so the benchmark
 // isolates the service layer from Glimmer execution.
 func BenchmarkPipelineIngest(b *testing.B) {
@@ -288,7 +287,7 @@ func BenchmarkPipelineIngest(b *testing.B) {
 		sc.Signature = sig
 		raws[i] = glimmer.EncodeSignedContribution(sc)
 	}
-	run := func(b *testing.B, workers, shards int) {
+	run := func(b *testing.B, workers int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			reg := service.NewRegistry(0)
@@ -297,7 +296,6 @@ func BenchmarkPipelineIngest(b *testing.B) {
 				Verify:  key.Public(),
 				Dim:     dim,
 				Workers: workers,
-				Shards:  shards,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -319,8 +317,8 @@ func BenchmarkPipelineIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(clients*b.N)/b.Elapsed().Seconds(), "contrib/s")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0), 0) })
+	b.Run("serial", func(b *testing.B) { run(b, 1) })
+	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkSeal measures enclave sealing of a 256-byte secret.

@@ -50,7 +50,7 @@
 //
 // Usage:
 //
-//	glimmerd -listen 127.0.0.1:7433 -dim 16 -workers 8 -shards 32 \
+//	glimmerd -listen 127.0.0.1:7433 -dim 16 -workers 8 \
 //	  -tls-self-signed -max-conns 4096 -max-conns-per-ip 64 \
 //	  -tenants sensors.example:8,webservice.example:bot
 //
@@ -93,8 +93,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	listen := fs.String("listen", "127.0.0.1:7433", "address to listen on")
 	dim := fs.Int("dim", 16, "primary tenant's contribution dimensionality")
 	serviceName := fs.String("service", "demo.glimmers.example", "primary tenant's service name")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines one large frame is verified on (a round keeps none between frames)")
-	shards := fs.Int("shards", 0, "dedup/sum shards per round (0 = 2×workers)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines one large frame is verified on (a round keeps none between frames, and has 2×workers dedup/sum shards)")
 	tenants := fs.String("tenants", "", "extra tenants: name:dim or name:bot, comma-separated")
 	fs.IntVar(&cfg.MaxTotalRounds, "max-total-rounds", service.DefaultMaxTotalRounds,
 		"shared budget: live rounds across all tenants")
@@ -138,8 +137,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return fmt.Errorf("-dim must be positive, got %d", *dim)
 	case *workers <= 0:
 		return fmt.Errorf("-workers must be positive, got %d", *workers)
-	case *shards < 0:
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
 	case cfg.MaxTotalRounds <= 0:
 		return fmt.Errorf("-max-total-rounds must be positive, got %d", cfg.MaxTotalRounds)
 	case *serviceName == "":
@@ -179,7 +176,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	edge.Platform = sub.Platform
 	for _, spec := range specs {
-		spec.Hosting = service.TenantConfig{Workers: *workers, Shards: *shards,
+		spec.Hosting = service.TenantConfig{Workers: *workers,
 			EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
 		// Session tickets (the amortized fast path): one signature-verified
 		// grant per client session, constant-time MACs per contribution

@@ -110,7 +110,6 @@ func main() {
 		Verify:  tn.Svc.ContributionVerifyKey(),
 		Dim:     vocab.Dims(),
 		Workers: 1,
-		Shards:  1,
 	})
 	if err != nil {
 		log.Fatal(err)

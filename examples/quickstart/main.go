@@ -57,7 +57,6 @@ func main() {
 		Verify:  tb.Service.ContributionVerifyKey(),
 		Dim:     dim,
 		Workers: 1,
-		Shards:  1,
 	})
 	if err != nil {
 		log.Fatal(err)

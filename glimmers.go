@@ -71,8 +71,8 @@ type (
 	// service name they carry.
 	Registry = service.Registry
 	// TenantConfig describes one of a Registry's hosted services, and
-	// sizes its rounds: Workers: 1, Shards: 1 configures the strictly
-	// serial baseline.
+	// sizes its rounds: Workers: 1 configures the serial baseline, every
+	// frame verified on the goroutine that submits it.
 	TenantConfig = service.TenantConfig
 	// BotGate consumes §4.1 verdicts.
 	BotGate = service.BotGate

@@ -20,7 +20,6 @@ func serialTenant(t *testing.T, tb *glimmers.Testbed, dim int) (*glimmers.Regist
 		Verify:  tb.Service.ContributionVerifyKey(),
 		Dim:     dim,
 		Workers: 1,
-		Shards:  1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,25 @@
 package durable
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/race"
 	"glimmers/internal/service"
 )
+
+// onOneP runs f on a single P, as testing.AllocsPerRun measures, with the
+// service's pool of spare dedup sets emptied first: the sets a round
+// forgotten inside f hands back are then the ones the next round f creates
+// takes.
+func onOneP(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC() // the first collection moves the pool to its victim cache,
+	runtime.GC() // the second drops it
+	f()
+}
 
 // warmStaging gives both of the store's staging segments their steady-state
 // capacity: it stages a full measured window's worth of batch watermarks,
@@ -68,8 +81,7 @@ func TestJournaledBatchIngestAllocFree(t *testing.T) {
 	perFrame := func(s *Store) float64 {
 		reg := service.NewRegistry(64)
 		hosted, err := reg.AddTenant(service.TenantConfig{
-			Name: testTenant, Dim: dim, Workers: 1,
-			ExpectedCohort: len(raws), TicketPolicy: &service.TicketConfig{},
+			Name: testTenant, Dim: dim, Workers: 1, TicketPolicy: &service.TicketConfig{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,9 +98,17 @@ func TestJournaledBatchIngestAllocFree(t *testing.T) {
 				}
 			}
 		}
-		// Create the round, warm the arena and the shards; the second
-		// frame's check makes the table cache the ticket's AEAD.
-		ingest(0)
+		// A first life of the round takes every frame and is forgotten, so
+		// the round ingest(0) re-creates takes dedup sets that hold them
+		// all; the frames warm the arena, and the table caches the
+		// ticket's AEAD.
+		onOneP(func() {
+			for b := range runs + 3 {
+				ingest(b)
+			}
+			hosted.Manager().Forget(round)
+			ingest(0)
+		})
 		ingest(1)
 		if s != nil {
 			warmStaging(t, s, runs+1, make([][32]byte, batchSize), fixed.NewVector(dim))
@@ -148,5 +168,62 @@ func TestJournaledIngestAllocFree(t *testing.T) {
 	hosted, _ := reg.Tenant(testTenant)
 	if p, ok := hosted.Manager().Lookup(round); !ok || p.Count() != i+1 {
 		t.Fatalf("round %d holds %v, want %d accepted", round, p, i+1)
+	}
+}
+
+// TestReplayReusesForgottenRoundSets pins what a fold pays for a WAL of
+// equal rounds, each created, filled, sealed, closed and forgotten: the
+// first round grows its dedup sets, and every later one replays its
+// BatchAccepted records into the sets the one before handed back, with no
+// allocation.
+func TestReplayReusesForgottenRoundSets(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const dim, frameItems, frames = 8, 128, 32
+	reg := service.NewRegistry(0)
+	if _, err := reg.AddTenant(service.TenantConfig{Name: testTenant, Dim: dim, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	lanes := fixed.NewVector(dim)
+	accepts := func(round uint64) []service.Record {
+		recs := make([]service.Record, frames)
+		for f := range recs {
+			digests := make([][32]byte, frameItems)
+			for i := range digests {
+				// The shard a digest lands in is read off its first bytes.
+				binary.BigEndian.PutUint64(digests[i][:], uint64(f*frameItems+i))
+				binary.BigEndian.PutUint64(digests[i][8:], round)
+			}
+			recs[f] = acceptRecord(round, digests, lanes)
+		}
+		return recs
+	}
+	apply := func(rec service.Record) {
+		if err := reg.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := accepts(1), accepts(2)
+	onOneP(func() {
+		apply(roundRecord(service.RoundCreated, 1))
+		for _, rec := range first {
+			apply(rec)
+		}
+		for _, kind := range []service.RecordKind{service.RoundSealed, service.RoundClosed, service.RoundForgotten} {
+			apply(roundRecord(kind, 1))
+		}
+		apply(roundRecord(service.RoundCreated, 2))
+	})
+	f := 0
+	if got := testing.AllocsPerRun(frames-1, func() {
+		apply(second[f])
+		f++
+	}); got > 0 {
+		t.Errorf("replaying a BatchAccepted of a round after a forgotten one: %.2f allocs/op, want 0", got)
+	}
+	hosted, _ := reg.Tenant(testTenant)
+	if p, ok := hosted.Manager().Lookup(2); !ok || p.Count() != frames*frameItems {
+		t.Fatalf("round 2 holds %v, want %d accepted", p, frames*frameItems)
 	}
 }

@@ -74,12 +74,10 @@ func TestJournalOrderUnderConcurrentIngest(t *testing.T) {
 	dir := t.TempDir()
 	reg := service.NewRegistry(64)
 	hosted, err := reg.AddTenant(service.TenantConfig{
-		Name:           testTenant,
-		Dim:            dim,
-		Workers:        2,
-		Shards:         4,
-		ExpectedCohort: perRound,
-		TicketPolicy:   &service.TicketConfig{},
+		Name:         testTenant,
+		Dim:          dim,
+		Workers:      2,
+		TicketPolicy: &service.TicketConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)

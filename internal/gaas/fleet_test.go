@@ -39,7 +39,7 @@ func (ft *fleetTenant) node(t *testing.T, dim int, tickets ...service.TicketStat
 	reg := service.NewRegistry(0)
 	hosted, err := reg.AddTenant(service.TenantConfig{
 		Name: "iot.example", Verify: ft.key.Public(), Dim: dim,
-		Vetted: []tee.Measurement{ft.meas}, Workers: 1, Shards: 2,
+		Vetted: []tee.Measurement{ft.meas}, Workers: 1,
 		TicketPolicy: &service.TicketConfig{},
 	})
 	if err != nil {

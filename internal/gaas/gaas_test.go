@@ -46,7 +46,7 @@ func newWorldIngest(t *testing.T, withIngest bool, tickets *service.TicketConfig
 	t.Helper()
 	tn := hostedTenant(t, newSubstrate(t), "iot.example", dim)
 	cfg := tn.Config()
-	cfg.Workers, cfg.Shards, cfg.TicketPolicy = 2, 2, tickets
+	cfg.Workers, cfg.TicketPolicy = 2, tickets
 	mux, reg := hostMux(t, cfg)
 	srvCfg := ServerConfig{Platform: tn.Platform, Mux: mux}
 	var rounds *service.RoundManager
@@ -126,7 +126,6 @@ func TestRemoteContribution(t *testing.T) {
 		Dim:     dim,
 		Vetted:  []tee.Measurement{w.server.Measurement()},
 		Workers: 1,
-		Shards:  1,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ func newSerialPipeline(t *testing.T, svc *service.Service, dim int, round uint64
 		Verify:  svc.ContributionVerifyKey(),
 		Dim:     dim,
 		Workers: 1,
-		Shards:  1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -406,7 +406,7 @@ func TestDropoutRacesSeal(t *testing.T) {
 		frameSize = 20 // more than one chunk at Workers: 2
 		masks     = 60
 	)
-	cfg := TenantConfig{Name: "a.example", Dim: dim, Workers: 2, Shards: 2}
+	cfg := TenantConfig{Name: "a.example", Dim: dim, Workers: 2}
 	newRegistry := func() *Registry {
 		r := NewRegistry(0)
 		if _, err := r.AddTenant(cfg); err != nil {

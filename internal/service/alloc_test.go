@@ -1,6 +1,7 @@
 package service
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -39,9 +40,37 @@ func allocRaws(t testing.TB, n, dim int, round uint64, key *xcrypto.SigningKey) 
 	return raws
 }
 
+// onOneP runs f on a single P, as testing.AllocsPerRun measures, with
+// seenPool emptied first: the dedup sets a round forgotten inside f hands
+// back are then the ones the next round f creates takes.
+func onOneP(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC() // the first collection moves the pool to its victim cache,
+	runtime.GC() // the second drops it
+	f()
+}
+
+// steadyRound brings round of m to steady state the way a serving tenant
+// gets there: a first life of the round ingests raws and is forgotten, and
+// the round re-created in its place takes that life's dedup sets, already
+// grown to hold raws.
+func steadyRound(t testing.TB, m *RoundManager, round uint64, raws [][]byte) (p *Pipeline) {
+	t.Helper()
+	onOneP(func() {
+		for _, err := range add(m.Round(round), raws...) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Forget(round)
+		p = m.Round(round)
+	})
+	return p
+}
+
 // TestDedupInsertAllocFree pins the tentpole contract on the service
-// layer: with a pre-sized cohort and signature verification out of the
-// way (nil Verify — the pre-authenticated mode), the steady-state
+// layer: with the round in steady state and signature verification out of
+// the way (nil Verify — the pre-authenticated mode), the steady-state
 // decode→dedup→accumulate path performs zero heap allocations per
 // contribution.
 func TestDedupInsertAllocFree(t *testing.T) {
@@ -50,13 +79,8 @@ func TestDedupInsertAllocFree(t *testing.T) {
 	}
 	const runs = 300
 	raws := allocRaws(t, runs+50, 64, 7, nil)
-	p := testRound(t, TenantConfig{
-		Name:           "alloc.example",
-		Dim:            64,
-		Workers:        1,
-		Shards:         1,
-		ExpectedCohort: len(raws),
-	}, 7)
+	_, m := testTenant(t, TenantConfig{Name: "alloc.example", Dim: 64, Workers: 1})
+	p := steadyRound(t, m, 7, raws)
 	// Warm the arena pool and the first map buckets.
 	errs := make([]error, 1)
 	if p.addBatchErrs(raws[:1], errs); errs[0] != nil {
@@ -81,7 +105,7 @@ func TestDedupInsertAllocFree(t *testing.T) {
 // still applies.
 func TestNilVerifySkipsSignatureCheck(t *testing.T) {
 	raws := allocRaws(t, 2, 8, 3, nil)
-	p := testRound(t, TenantConfig{Name: "alloc.example", Dim: 8, Workers: 1, Shards: 1}, 3)
+	p := testRound(t, TenantConfig{Name: "alloc.example", Dim: 8, Workers: 1}, 3)
 	if err := add(p, raws[0])[0]; err != nil {
 		t.Fatalf("unsigned contribution refused in nil-Verify mode: %v", err)
 	}
@@ -108,7 +132,7 @@ func TestVerifyStillEnforcedWithKey(t *testing.T) {
 	}
 	good := allocRaws(t, 1, 8, 3, key)
 	bad := allocRaws(t, 1, 8, 3, nil) // unsigned
-	p := testRound(t, TenantConfig{Name: "alloc.example", Verify: key.Public(), Dim: 8, Workers: 1, Shards: 1}, 3)
+	p := testRound(t, TenantConfig{Name: "alloc.example", Verify: key.Public(), Dim: 8, Workers: 1}, 3)
 	if err := add(p, good[0])[0]; err != nil {
 		t.Fatalf("valid signed contribution refused: %v", err)
 	}
@@ -144,11 +168,10 @@ func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 		want.AddInPlace(sc.Blinded)
 	}
 	p := testRound(t, TenantConfig{
-		Name:           "alloc.example",
-		Verify:         key.Public(),
-		Dim:            dim,
-		Workers:        4,
-		ExpectedCohort: len(all),
+		Name:    "alloc.example",
+		Verify:  key.Public(),
+		Dim:     dim,
+		Workers: 4,
 	}, round)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
@@ -200,13 +223,13 @@ func TestRegistryIngestBatchOneAlloc(t *testing.T) {
 	}{{"single-tenant", 1, 1}, {"three-tenant", 3, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRegistry(0)
+			var managers []*RoundManager
 			for _, tn := range tenants[:tc.tenants] {
-				if _, err := r.AddTenant(TenantConfig{
-					Name: tn.name, Dim: tn.dim, Workers: 1, Shards: 1,
-					ExpectedCohort: (runs + 2) * perTenant,
-				}); err != nil {
+				hosted, err := r.AddTenant(TenantConfig{Name: tn.name, Dim: tn.dim, Workers: 1})
+				if err != nil {
 					t.Fatal(err)
 				}
+				managers = append(managers, hosted.Manager())
 			}
 			frames := make([][][]byte, runs+2)
 			for f := range frames {
@@ -216,7 +239,18 @@ func TestRegistryIngestBatchOneAlloc(t *testing.T) {
 					}
 				}
 			}
-			r.IngestBatch(frames[0]) // create the rounds, warm scratches and arenas
+			// A first life of the rounds takes every frame and is forgotten;
+			// frames[0] re-creates them on its dedup sets and warms the
+			// scratches and arenas.
+			onOneP(func() {
+				for _, frame := range frames {
+					r.IngestBatch(frame)
+				}
+				for _, m := range managers {
+					m.Forget(round)
+				}
+				r.IngestBatch(frames[0])
+			})
 			f := 0
 			if got := testing.AllocsPerRun(runs, func() {
 				f++

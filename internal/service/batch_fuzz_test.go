@@ -154,7 +154,7 @@ func FuzzBatchMatchesPerItem(f *testing.F) {
 	pipeline := func(t *testing.T) (*Pipeline, *ledgerJournal) {
 		r, m := testTenant(t, TenantConfig{
 			Name: "batch.example", Verify: key.Public(), Dim: dim,
-			Workers: 1, Shards: 2, TicketPolicy: &TicketConfig{},
+			Workers: 1, TicketPolicy: &TicketConfig{},
 		})
 		for _, tk := range tickets {
 			m.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
@@ -220,7 +220,7 @@ func FuzzBatchMatchesPerItem(f *testing.F) {
 }
 
 // TestChunkedJournalMatchesOracle is the journaled, fanned-out side of
-// FuzzBatchMatchesPerItem: a round with Workers: 4 and Shards: 8 takes
+// FuzzBatchMatchesPerItem: a round with Workers: 4 (so 8 shards) takes
 // frames large enough to split into four chunks, drawn with replacement
 // from a pool of valid and refused items, so byte-identical duplicates land
 // within one frame, across its chunks, and across frames. Which copy of a
@@ -255,7 +255,7 @@ func TestChunkedJournalMatchesOracle(t *testing.T) {
 	}
 	cfg := TenantConfig{
 		Name: "batch.example", Verify: key.Public(), Dim: dim,
-		Workers: 4, Shards: 8, TicketPolicy: &TicketConfig{},
+		Workers: 4, TicketPolicy: &TicketConfig{},
 	}
 	tenant := func() (*Registry, *Pipeline) {
 		r, m := testTenant(t, cfg)

@@ -41,21 +41,26 @@ func faultBatch(dim int, round uint64, good, narrow testTicket) [][]byte {
 	}
 }
 
-// batchPipeline returns a round of a fresh ticketed tenant
+// batchTenant returns the manager of a fresh ticketed tenant
 // "batch.example" whose table holds the given tickets.
+func batchTenant(t testing.TB, dim, workers int, tickets ...testTicket) *RoundManager {
+	t.Helper()
+	_, m := testTenant(t, TenantConfig{
+		Name:         "batch.example",
+		Dim:          dim,
+		Workers:      workers,
+		TicketPolicy: &TicketConfig{},
+	})
+	for _, tk := range tickets {
+		m.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+	}
+	return m
+}
+
+// batchPipeline returns a round of a fresh batchTenant.
 func batchPipeline(t testing.TB, dim int, round uint64, workers int, tickets ...testTicket) *Pipeline {
 	t.Helper()
-	p := testRound(t, TenantConfig{
-		Name:           "batch.example",
-		Dim:            dim,
-		Workers:        workers,
-		ExpectedCohort: 4096,
-		TicketPolicy:   &TicketConfig{},
-	}, round)
-	for _, tk := range tickets {
-		p.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
-	}
-	return p
+	return batchTenant(t, dim, workers, tickets...).Round(round)
 }
 
 // TestAddBatchMatchesPerItem is framing invariance on the full fault mix:
@@ -312,11 +317,15 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 			batches[b][i] = ticketedRaw("batch.example", round, dim, b*batchSize+i, tk)
 		}
 	}
-	p := batchPipeline(t, dim, round, 1, tk)
+	var all [][]byte
+	for _, batch := range batches {
+		all = append(all, batch...)
+	}
+	p := steadyRound(t, batchTenant(t, dim, 1, tk), round, all)
 	defer p.Close()
 	errs := make([]error, batchSize)
-	// Warm the arena and the shards; the second frame's check makes the
-	// table cache the ticket's AEAD.
+	// Warm the arena; the second frame's check makes the table cache the
+	// ticket's AEAD.
 	p.addBatchErrs(batches[0], errs)
 	p.addBatchErrs(batches[1], errs)
 	b := 1
@@ -362,14 +371,14 @@ func TestSignedFrameAllocs(t *testing.T) {
 		{"verify-bound", key, key.SelfVerifyKey(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := testRound(t, TenantConfig{
-				Name: "alloc.example", Dim: dim, Verify: tc.verify,
-				Workers: 1, ExpectedCohort: (runs + 2) * frameSize,
-			}, round)
-			defer p.Close()
+			_, m := testTenant(t, TenantConfig{
+				Name: "alloc.example", Dim: dim, Verify: tc.verify, Workers: 1,
+			})
 			raws := allocRaws(t, (runs+2)*frameSize, dim, round, tc.key)
+			p := steadyRound(t, m, round, raws)
+			defer p.Close()
 			errs := make([]error, frameSize)
-			p.addBatchErrs(raws[:frameSize], errs) // warm the arena and the shards
+			p.addBatchErrs(raws[:frameSize], errs) // warm the arena
 			f := 0
 			if got := testing.AllocsPerRun(runs, func() {
 				f++

@@ -242,3 +242,55 @@ func TestForgetRacesIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestForgetEmptiesHeldPipeline: a caller still holding a round's pipeline
+// after Forget, or after the round was evicted, reads an empty closed round
+// — Count 0, a zero Sum, no Mean, its Rejected count kept — because the
+// round's dedup sets have gone on to later rounds.
+func TestForgetEmptiesHeldPipeline(t *testing.T) {
+	const dim = 3
+	cfg := TenantConfig{Name: "f.example", Dim: dim, Workers: 1, MaxRounds: 1, EvictAtCap: true}
+	reg, m := testTenant(t, cfg)
+	held := func(round uint64) *Pipeline {
+		t.Helper()
+		raws := [][]byte{tenantContribution(t, nil, cfg.Name, round, dim, 1), tenantContribution(t, nil, cfg.Name, round, dim, 2)}
+		raws = append(raws, raws[0]) // refused as a duplicate, on the round's own count
+		if accepted, _ := reg.IngestBatch(raws); accepted != 2 {
+			t.Fatalf("round %d accepted %d of its frame, want 2", round, accepted)
+		}
+		p, _ := m.Lookup(round)
+		return p
+	}
+	check := func(how string, p *Pipeline) {
+		t.Helper()
+		if got := p.Count(); got != 0 {
+			t.Errorf("%s round counts %d, want 0", how, got)
+		}
+		if got := p.Sum(); !reflect.DeepEqual(got, fixed.NewVector(dim)) {
+			t.Errorf("%s round sums %v, want zero", how, got)
+		}
+		if _, err := p.Mean(); err == nil {
+			t.Errorf("%s round has a mean", how)
+		}
+		if got := p.Rejected(); got != 1 {
+			t.Errorf("%s round rejected %d, want its 1 kept", how, got)
+		}
+		if got := p.exportRound(); len(got.Digests) != 0 || got.Phase != RoundPhaseClosed {
+			t.Errorf("%s round exports %+v, want closed and no digests", how, got)
+		}
+		if err := add(p, tenantContribution(t, nil, cfg.Name, p.round, dim, 3))[0]; !errors.Is(err, ErrRoundClosed) {
+			t.Errorf("%s round answers ingest with %v, want ErrRoundClosed", how, err)
+		}
+	}
+
+	forgotten := held(1)
+	m.Forget(1)
+	check("forgotten", forgotten)
+
+	evicted := held(2)
+	held(3) // at MaxRounds 1, round 3 evicts round 2
+	if _, ok := m.Lookup(2); ok {
+		t.Fatal("round 2 was not evicted")
+	}
+	check("evicted", evicted)
+}

@@ -33,7 +33,7 @@ func newNodeSeal(t testing.TB, id, shards uint32) NodeSeal {
 func partialPipeline(t *testing.T, key *xcrypto.SigningKey, name string, round uint64, dim int, raws [][]byte) *Pipeline {
 	t.Helper()
 	p := testRound(t, TenantConfig{
-		Name: name, Verify: key.Public(), Dim: dim, Workers: 1, Shards: 2,
+		Name: name, Verify: key.Public(), Dim: dim, Workers: 1,
 		Vetted: []tee.Measurement{{1, 2, 3}},
 	}, round)
 	for _, err := range add(p, raws...) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -43,9 +44,9 @@ const (
 )
 
 // roundConfig is what every round of one tenant is built from and held to:
-// the tenant's TenantConfig as AddTenant resolved it (Workers, Shards and
-// MaxRounds defaulted), its ticket table and its allowlist. The tenant's
-// manager and every round it creates share the one value.
+// the tenant's TenantConfig as AddTenant resolved it (Workers and MaxRounds
+// defaulted), its ticket table and its allowlist. The tenant's manager and
+// every round it creates share the one value.
 type roundConfig struct {
 	TenantConfig
 	tickets *TicketTable // nil refuses ticketed traffic with ErrUnknownTicket
@@ -55,12 +56,18 @@ type roundConfig struct {
 // pipeShard is one lock's worth of aggregation state. Contributions are
 // routed by digest, so under concurrent ingest the shards fill evenly and
 // two goroutines rarely contend on the same lock. The dedup set is also the
-// count: a shard has accepted len(seen) contributions.
+// count: a shard has accepted len(seen) contributions. A round takes its
+// shards' sets from seenPool and hands them back when it is forgotten
+// (retire), so a set grown by one round serves a later one.
 type pipeShard struct {
 	mu   sync.Mutex
-	seen map[[32]byte]bool
+	seen map[[32]byte]bool // nil once released
 	sum  fixed.Vector
 }
+
+// seenPool holds cleared dedup sets of forgotten rounds, at whatever size
+// their rounds grew them to; the runtime decides how many it keeps.
+var seenPool = sync.Pool{New: func() any { return make(map[[32]byte]bool) }}
 
 // Pipeline is the concurrent ingest path for one aggregation round, built by
 // its tenant's RoundManager: decode and signature checks run on whatever
@@ -124,38 +131,45 @@ func (a *allowlist) admits(m tee.Measurement) bool {
 	return len(a.set) == 0 || a.set[m]
 }
 
-// newPipeline creates one round of the tenant cfg describes.
+// newPipeline creates one round of the tenant cfg describes, with 2×Workers
+// shards rounded up to a power of two, so a digest's shard is a mask.
 func newPipeline(cfg *roundConfig, round uint64) *Pipeline {
+	n := 2 << bits.Len(uint(cfg.Workers-1))
 	p := &Pipeline{
 		cfg:       cfg,
 		round:     round,
-		shardMask: uint64(cfg.Shards - 1),
-		shards:    make([]*pipeShard, cfg.Shards),
-	}
-	// Digest sharding spreads contributions binomially, not evenly, so
-	// each shard gets 25% headroom plus a constant over the even split —
-	// enough that ingest below the expectation stays rehash-free well
-	// past the 1-sigma shard imbalance.
-	perShard := 0
-	if cfg.ExpectedCohort > 0 {
-		even := cfg.ExpectedCohort / cfg.Shards
-		perShard = even + even/4 + 16
+		shardMask: uint64(n - 1),
+		shards:    make([]*pipeShard, n),
 	}
 	for i := range p.shards {
 		p.shards[i] = &pipeShard{
-			seen: make(map[[32]byte]bool, perShard),
+			seen: seenPool.Get().(map[[32]byte]bool),
 			sum:  fixed.NewVector(cfg.Dim),
 		}
 	}
 	return p
 }
 
-func nextPowerOfTwo(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+// retire closes a round that has left its manager — RoundManager.Forget and
+// the eviction of a round call it — so nothing writes to it again, then
+// hands its dedup sets back to seenPool, cleared, and zeroes its sum. Every
+// reader of a shard's set holds the shard lock retire takes, and snapshot
+// holds the write side of stateMu too, so a caller still holding the
+// pipeline reads an empty closed round — Count 0, a zero Sum — and never a
+// digest of the round that takes a set next.
+func (p *Pipeline) retire() {
+	p.Close()
+	p.stateMu.Lock()
+	defer p.stateMu.Unlock()
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		seen := sh.seen
+		sh.seen = nil
+		clear(sh.sum)
+		sh.mu.Unlock()
+		clear(seen)
+		seenPool.Put(seen)
 	}
-	return p
 }
 
 // enter registers n in-flight contributions, failing if the round has

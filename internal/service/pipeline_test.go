@@ -83,7 +83,6 @@ func TestPipelineConcurrentErrorPaths(t *testing.T) {
 		Verify:  key.Public(),
 		Dim:     dim,
 		Workers: 4,
-		Shards:  4,
 		Vetted:  []tee.Measurement{{1, 2, 3}},
 	}, round)
 
@@ -199,7 +198,6 @@ func TestPipelineShardedSumEqualsSerial(t *testing.T) {
 		Verify:  key.Public(),
 		Dim:     dim,
 		Workers: 1,
-		Shards:  1,
 	}, round)
 	for _, raw := range raws {
 		if err := add(serial, raw)[0]; err != nil {
@@ -212,7 +210,6 @@ func TestPipelineShardedSumEqualsSerial(t *testing.T) {
 		Verify:  key.Public(),
 		Dim:     dim,
 		Workers: 8,
-		Shards:  16,
 	}, round)
 	for _, err := range add(sharded, raws...) {
 		if err != nil {
@@ -255,7 +252,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	}
 	const dim, round = 4, uint64(1)
 	p := testRound(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 2, Shards: 2,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 2,
 	}, round)
 	good := signedVector(t, key, "svc", round, fixed.FromFloats([]float64{0.5, 0.5, 0.5, 0.5}))
 	if err := add(p, good)[0]; err != nil {
@@ -323,7 +320,7 @@ func TestRoundManagerOverlappingRounds(t *testing.T) {
 	}
 	const dim = 8
 	r, m := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 2, Shards: 2,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 2,
 	})
 
 	rng := rand.New(rand.NewSource(11))
@@ -396,7 +393,7 @@ func TestRoundManagerCapsIngestRounds(t *testing.T) {
 	}
 	const dim = 4
 	r, m := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 		MaxRounds: 2,
 	})
 
@@ -447,7 +444,7 @@ func TestRoundManagerGatesCreationOnSignature(t *testing.T) {
 	}
 	const dim = 4
 	r, m := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 	})
 
 	rng := rand.New(rand.NewSource(3))
@@ -506,7 +503,7 @@ func TestRoundManagerRoundWindow(t *testing.T) {
 	}
 	const dim = 4
 	r, _ := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 		RoundWindow: 16,
 	})
 
@@ -531,7 +528,7 @@ func TestRoundManagerRoundWindow(t *testing.T) {
 	// manager: it is admitted (bounded by the cap), and real rounds stay
 	// admissible afterwards.
 	fresh, _ := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 		RoundWindow: 16,
 	})
 	if err := fresh.Ingest(signedVector(t, key, "svc", 1<<50, randomVector(rng, dim))); err != nil {
@@ -552,7 +549,7 @@ func TestRoundManagerEvictAtCap(t *testing.T) {
 	}
 	const dim = 4
 	r, m := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 		MaxRounds: 2, EvictAtCap: true,
 	})
 
@@ -574,7 +571,7 @@ func TestRoundManagerEvictAtCap(t *testing.T) {
 	// On a count tie the highest round number loses: an ascending spray
 	// evicts its own latest round, not the earlier-opened one.
 	tieReg, tie := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 		MaxRounds: 2, EvictAtCap: true,
 	})
 	for _, round := range []uint64{10, 11, 12} {
@@ -590,7 +587,7 @@ func TestRoundManagerEvictAtCap(t *testing.T) {
 	// anti-reopen guarantee must survive cap pressure. With every live
 	// round unevictable, ingest for new rounds refuses instead.
 	sealedReg, sealed := testTenant(t, TenantConfig{
-		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1, Shards: 1,
+		Name: "svc", Verify: key.Public(), Dim: dim, Workers: 1,
 		MaxRounds: 2, EvictAtCap: true,
 	})
 	if err := sealed.Seal(20); err != nil {

@@ -124,18 +124,10 @@ type TenantConfig struct {
 	// into: the frame's own goroutines run all but the last chunk and exit
 	// before ingest returns. Workers == 1 processes every frame inline on
 	// the calling goroutine (the serial baseline); <= 0 defaults to
-	// GOMAXPROCS.
+	// GOMAXPROCS. Each round has 2×Workers independently locked dedup/sum
+	// shards, rounded up to a power of two, so a frame's chunks rarely
+	// contend on one lock.
 	Workers int
-	// Shards is the number of independently locked dedup/sum shards per
-	// round, rounded up to a power of two; <= 0 defaults to 2×Workers. More
-	// shards mean less accumulation contention under concurrent ingest.
-	Shards int
-	// ExpectedCohort, when positive, pre-sizes each round's dedup sets for
-	// that many total contributions, so steady-state ingest below the
-	// expectation never rehashes (and therefore never allocates) on the
-	// dedup insert. Ingest beyond the expectation still works; the maps
-	// grow as usual.
-	ExpectedCohort int
 
 	// MaxRounds, RoundWindow, and EvictAtCap are the tenant's admission
 	// quota. The quota is per-tenant; the Registry's Budget is the global
@@ -266,10 +258,6 @@ func (r *Registry) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	if rc.Workers <= 0 {
 		rc.Workers = runtime.GOMAXPROCS(0)
 	}
-	if rc.Shards <= 0 {
-		rc.Shards = 2 * rc.Workers
-	}
-	rc.Shards = nextPowerOfTwo(rc.Shards)
 	if rc.MaxRounds <= 0 {
 		rc.MaxRounds = DefaultMaxRounds
 	}

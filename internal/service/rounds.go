@@ -179,8 +179,9 @@ func (m *RoundManager) admit(round uint64, raws [][]byte, errs []error, idx []in
 //  3. the tenant's own quota and the insert, under m.mu again with the cheap
 //     checks repeated — step 2 may have evicted this tenant's window anchor.
 //
-// Evicted pipelines are closed only after every lock is released: Close
-// drains the victim's in-flight batches, which must not stall other rounds.
+// Evicted pipelines are retired only after every lock is released: closing
+// drains the victim's in-flight batches, which must not stall other rounds,
+// and then its dedup sets go on to later rounds, as Forget's do.
 func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 	b := m.budget
 	b.mu.Lock()
@@ -195,7 +196,7 @@ func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 	}
 	b.mu.Unlock()
 	for _, v := range victims {
-		v.Close()
+		v.retire()
 	}
 	return p, err
 }
@@ -264,7 +265,7 @@ func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipelin
 // ErrRoundSealed/ErrRoundClosed, never a fresh dedup set) holds. Among
 // open rounds the least-filled loses; on a count tie the highest round
 // number loses, so a client spraying ascending fresh rounds evicts its own
-// spray before a round that opened earlier. The caller must Close the
+// spray before a round that opened earlier. The caller must retire the
 // victim outside m.mu.
 func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
 	var victim uint64
@@ -303,7 +304,7 @@ func (m *RoundManager) forgetLocked(round uint64, p *Pipeline) {
 
 // dropLeastFilled is the shared budget's cross-tenant eviction hook: it
 // removes and returns this manager's least-filled open round, or reports
-// that nothing here is evictable. The caller Closes the victim outside every
+// that nothing here is evictable. The caller retires the victim outside every
 // lock.
 func (m *RoundManager) dropLeastFilled() (*Pipeline, bool) {
 	m.mu.Lock()
@@ -331,9 +332,11 @@ func (m *RoundManager) Close(round uint64) *Pipeline {
 
 // Forget drops a round's pipeline entirely, closing it first (so a caller
 // still holding the pipeline gets ErrRoundClosed, never a late accept) and
-// releasing its memory. A fresh verified contribution for a forgotten round
-// would start a new pipeline, so only forget rounds the transport no longer
-// routes. The round's share of the budget goes with it.
+// handing its dedup sets on to later rounds, so a caller still holding the
+// pipeline reads an empty closed round (Count 0, a zero Sum, its Rejected
+// kept). A fresh verified contribution for a forgotten round would start a
+// new pipeline, so only forget rounds the transport no longer routes. The
+// round's share of the budget goes with it.
 //
 // RoundForgotten is journaled under m.mu, like an eviction's and like the
 // RoundCreated of a contribution that re-creates the round, so the two land
@@ -347,6 +350,6 @@ func (m *RoundManager) Forget(round uint64) {
 	}
 	m.mu.Unlock()
 	if ok {
-		p.Close()
+		p.retire()
 	}
 }

@@ -35,7 +35,6 @@ func TestEvictAtCapRaceKeepsAcceptedContributions(t *testing.T) {
 		Verify:     key.Public(),
 		Dim:        dim,
 		Workers:    2,
-		Shards:     2,
 		MaxRounds:  4,
 		EvictAtCap: true,
 		Vetted:     []tee.Measurement{{1, 2, 3}},

@@ -51,7 +51,6 @@ func serialPipeline(t *testing.T, name string, verify *xcrypto.VerifyKey, dim in
 		Verify:  verify,
 		Dim:     dim,
 		Workers: 1,
-		Shards:  1,
 		Vetted:  vetted,
 	}, round)
 }

@@ -561,8 +561,7 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 	}
 	tenant := func() (*Registry, *RoundManager) {
 		r, m := testTenant(t, TenantConfig{
-			Name: "alloc.example", Dim: dim, Workers: 1, Shards: 1,
-			ExpectedCohort: len(raws), TicketPolicy: &TicketConfig{},
+			Name: "alloc.example", Dim: dim, Workers: 1, TicketPolicy: &TicketConfig{},
 		})
 		m.cfg.tickets.install(tk.id, tk.key, tk.first, tk.last, 1<<62)
 		return r, m
@@ -572,7 +571,7 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 	// warm-up verifications: the second makes the table cache the ticket's
 	// AEAD.
 	_, m := tenant()
-	p := m.Round(7)
+	p := steadyRound(t, m, 7, raws)
 	errs := make([]error, 1)
 	for i := range 2 {
 		if p.addBatchErrs(raws[i:i+1], errs); errs[0] != nil {
@@ -596,11 +595,19 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 	// one still allocates nothing (journaled, it is
 	// TestJournaledIngestAllocFree's).
 	r, m := tenant()
-	for _, raw := range raws[:2] {
-		if err := r.Ingest(raw); err != nil {
-			t.Fatal(err)
+	onOneP(func() {
+		for _, raw := range raws {
+			if err := r.Ingest(raw); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		m.Forget(7)
+		for _, raw := range raws[:2] {
+			if err := r.Ingest(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	i = 1
 	if got := testing.AllocsPerRun(runs, func() {
 		i++

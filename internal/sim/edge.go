@@ -87,7 +87,7 @@ const edgeServiceName = "edge.example"
 
 // edgeHosting is the tenant shape both edges register (the impostor reuses
 // it with a different enclave config).
-var edgeHosting = service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: 16, MaxRounds: 4, RoundWindow: 4}
+var edgeHosting = service.TenantConfig{Workers: 2, MaxRounds: 4, RoundWindow: 4}
 
 // edgeNode is a governed TLS edge admitting maxConns connections.
 func edgeNode(id uint32, maxConns int) nodeSpec {

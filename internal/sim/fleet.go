@@ -90,7 +90,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 		Seed:    cfg.Seed,
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
-		Hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: cfg.Devices + 2, MaxRounds: 16},
+		Hosting: service.TenantConfig{Workers: 2, MaxRounds: 16},
 	}
 	for round := uint64(1); round <= cfg.rounds(); round++ {
 		spec.Rounds = append(spec.Rounds, round)

@@ -61,7 +61,7 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 	}
 	s, err := build(testbed.TenantSpec{
 		Name: "kernel.example", Seed: 5, Devices: devices, Dim: 3, Rounds: rounds,
-		Hosting: service.TenantConfig{Workers: 2, Shards: 2, ExpectedCohort: devices, MaxRounds: 8},
+		Hosting: service.TenantConfig{Workers: 2, MaxRounds: 8},
 	}, specs...)
 	if err != nil {
 		t.Fatal(err)

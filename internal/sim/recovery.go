@@ -106,12 +106,10 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 		Dim:     cfg.Dim,
 		Rounds:  []uint64{1, 2},
 		Hosting: service.TenantConfig{
-			TicketPolicy:   &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64, Now: simClock().Load},
-			Workers:        2,
-			Shards:         2,
-			ExpectedCohort: cfg.Devices + 2,
-			MaxRounds:      8,
-			RoundWindow:    4,
+			TicketPolicy: &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64, Now: simClock().Load},
+			Workers:      2,
+			MaxRounds:    8,
+			RoundWindow:  4,
 		},
 	}, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: 8, StateDir: stateDir,
 		// Huge thresholds: the background flusher never fires on its own, so

@@ -112,11 +112,6 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		Dim:     cfg.Dim,
 		Hosting: service.TenantConfig{
 			Workers: cfg.Workers,
-			Shards:  cfg.Shards,
-			// Each round's cohort is the fleet (plus injected duplicates and
-			// replays); pre-sizing the dedup shards keeps steady-state ingest
-			// on the zero-allocation path.
-			ExpectedCohort: cfg.Devices + cfg.Devices/2,
 			// Rounds are closed but never forgotten (a forgotten round could be
 			// re-created by a replayed contribution), so the quota covers them
 			// all.

@@ -141,10 +141,9 @@ type Config struct {
 	Overlap int
 	// Dim is the contribution dimensionality.
 	Dim int
-	// Workers and Shards size each round's ingest pipeline (see
+	// Workers sizes each round's ingest pipeline (see
 	// service.TenantConfig).
 	Workers int
-	Shards  int
 	// Transport selects the submission path.
 	Transport TransportKind
 	// BatchSize caps contributions per submitted batch (default 16).
