@@ -13,6 +13,7 @@ import (
 
 	"glimmers/internal/durable"
 	"glimmers/internal/fixed"
+	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
 	"glimmers/internal/service"
@@ -475,5 +476,210 @@ func TestKillLeaksNothing(t *testing.T) {
 	}
 	if err := baseline.Settle(); err != nil {
 		t.Errorf("after 10 kills: %v: dead lives leaked", err)
+	}
+}
+
+// fleetOf is the node set glimmerd is started with: -node-id id -peers
+// over ids. role is what glimmerd derives from those two flags, plus the
+// coordinator its nodes ship to.
+func fleetOf(ids []uint32, id uint32, coordinator string) func(*Config) {
+	return func(c *Config) {
+		c.NodeID, c.ShardCount, c.Coordinator = id, uint32(len(ids)), coordinator
+	}
+}
+
+// signedFrame is n distinct signed contributions to round from one fresh
+// device, and their exact sum in merge-result lanes.
+func (w *world) signedFrame(t *testing.T, round uint64, n int) ([][]byte, []uint64) {
+	t.Helper()
+	dev, err := w.NewDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Destroy()
+	frame, sum := make([][]byte, n), fixed.NewVector(testDim)
+	for i := range frame {
+		value := fixed.NewVector(testDim)
+		for j := range value {
+			value[j] = fixed.FromFloat(0.25)
+		}
+		value[0] += fixed.Ring(i + int(round)) // distinct, still in unit range
+		sc, err := dev.Contribute(round, value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[i] = glimmer.EncodeSignedContribution(sc)
+		sum.AddInPlace(value)
+	}
+	lanes := make([]uint64, len(sum))
+	for i, r := range sum {
+		lanes[i] = uint64(r)
+	}
+	return frame, lanes
+}
+
+// TestFleetOfThreeMergesEveryRound: three nodes configured as glimmerd
+// configures them from -node-id and -peers, fed through gaas.DialFleet,
+// ship every round to a coordinator node at drain, and every round's
+// merge completes from the one partial its ring owner holds, with the
+// round's whole cohort and its exact sum.
+func TestFleetOfThreeMergesEveryRound(t *testing.T) {
+	w := newWorld(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := &service.MergeHub{AllowTOFU: true}
+	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	ids := []uint32{1, 2, 3}
+	nodes := make([]*Node, len(ids))
+	var peers []gaas.FleetNode
+	for i, id := range ids {
+		var addr string
+		nodes[i], addr = w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(ids, id, ln.Addr().String()))
+		peers = append(peers, gaas.FleetNode{ID: id, Addr: addr})
+	}
+	fc, err := gaas.DialFleet(context.Background(), gaas.FleetConfig{Nodes: peers, Dial: gaas.DialConfig{
+		TLS: gaas.InsecureClientTLS(), CallTimeout: 10 * time.Second,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+
+	const rounds, cohort = 8, 5
+	sums := make(map[uint64][]uint64, rounds)
+	owners := make(map[uint32]int)
+	for round := uint64(1); round <= rounds; round++ {
+		frame, sum := w.signedFrame(t, round, cohort)
+		if accepted, rejected, err := fc.SubmitBatch(frame); err != nil || accepted != cohort || rejected != 0 {
+			t.Fatalf("round %d tallied (%d, %d), err %v; want (%d, 0)", round, accepted, rejected, err, cohort)
+		}
+		sums[round] = sum
+		owners[fc.Ring().Owner([]byte(testService), round)]++
+	}
+	if len(owners) < 2 {
+		t.Fatalf("the ring placed all %d rounds on one node (%v); the test needs a spread", rounds, owners)
+	}
+
+	shipped := 0
+	for i, n := range nodes {
+		rep, err := n.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range rep.Shipped {
+			if sh.Err != nil {
+				t.Errorf("node %d: %v", ids[i], sh.Err)
+				continue
+			}
+			shipped++
+			m := sh.Merge
+			complete := m.Expect != 0 && m.Merged >= m.Expect
+			if !complete || m.Expect != 1 || m.Merged != 1 || m.Count != cohort || m.Rejected != 0 {
+				t.Errorf("node %d shipped round %d: merge %d/%d partials, cohort %d, rejected %d; want complete at 1/1 with cohort %d",
+					ids[i], m.Round, m.Merged, m.Expect, m.Count, m.Rejected, cohort)
+			}
+			if !slices.Equal(m.Sum, sums[m.Round]) {
+				t.Errorf("round %d merged sum %v, want %v", m.Round, m.Sum, sums[m.Round])
+			}
+		}
+	}
+	if shipped != rounds {
+		t.Errorf("the fleet shipped %d partials, want one per round (%d)", shipped, rounds)
+	}
+	if st := hub.Stats(); st.Completed != rounds || st.SealsAbsorbed != rounds || st.SealsRefused != 0 || st.ContribsMerged != rounds*cohort {
+		t.Errorf("hub ledger %+v, want %d completed merges of %d contributions each", st, rounds, cohort)
+	}
+}
+
+// TestNodeRefusesRoundItDoesNotOwn: a valid contribution sent to a fleet
+// node that the ring does not make its round's owner is refused before
+// it creates the round, counted once among the node's manager refusals,
+// and still counted after a restart from the node's state directory. The
+// node ships nothing for the round, and the owner's seal alone completes
+// the merge with exactly the honest cohort.
+func TestNodeRefusesRoundItDoesNotOwn(t *testing.T) {
+	w := newWorld(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordinator := ln.Addr().String()
+	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.Platform}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	ids := []uint32{1, 2, 3}
+	ring, err := fleet.NewRing(ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := uint64(1)
+	for ring.Owner([]byte(testService), round) != 1 {
+		round++
+	}
+	submit := func(addr string, frame [][]byte) (accepted, rejected int) {
+		t.Helper()
+		client, err := gaas.DialContext(context.Background(), addr, gaas.DialConfig{
+			NoSession: true, TLS: gaas.InsecureClientTLS(), CallTimeout: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		if accepted, rejected, err = client.SubmitBatch(frame); err != nil {
+			t.Fatal(err)
+		}
+		return accepted, rejected
+	}
+
+	const cohort = 5
+	owner, ownerAddr := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(ids, 1, coordinator))
+	honest, sum := w.signedFrame(t, round, cohort)
+	if a, r := submit(ownerAddr, honest); a != cohort || r != 0 {
+		t.Fatalf("owner tallied (%d, %d), want (%d, 0)", a, r, cohort)
+	}
+	dir := t.TempDir()
+	other, otherAddr := w.startAs(t, dir, durable.Config{}, fleetOf(ids, 2, coordinator))
+	stray, _ := w.signedFrame(t, round, 1)
+	if a, r := submit(otherAddr, stray); a != 0 || r != 1 {
+		t.Errorf("node 2 tallied (%d, %d) for a round node 1 owns, want (0, 1)", a, r)
+	}
+	rep, err := other.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shipped) != 0 {
+		t.Errorf("node 2 shipped %+v, want nothing", rep.Shipped)
+	}
+	if tr := rep.Tenants[0]; len(tr.Rounds) != 0 || tr.ManagerRejected != 1 || tr.PipelineRejected != 0 {
+		t.Errorf("node 2 holds rounds %+v with refusals manager=%d pipeline=%d, want no round and one manager refusal",
+			tr.Rounds, tr.ManagerRejected, tr.PipelineRejected)
+	}
+
+	again, _ := w.startAs(t, dir, durable.Config{}, fleetOf(ids, 2, coordinator))
+	hosted, _ := again.Registry().Tenant(testService)
+	if got := hosted.Manager().Rejected(); got != 1 {
+		t.Errorf("node 2 restarted with %d manager refusals, want 1", got)
+	}
+	again.Kill()
+
+	rep, err = owner.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shipped) != 1 || rep.Shipped[0].Err != nil {
+		t.Fatalf("node 1 shipped %+v, want one absorbed partial", rep.Shipped)
+	}
+	m := rep.Shipped[0].Merge
+	if m.Round != round || m.Expect != 1 || m.Merged != 1 || m.Count != cohort || !slices.Equal(m.Sum, sum) {
+		t.Errorf("round %d merge = %d/%d partials, cohort %d, sum %v; want 1/1, %d, %v",
+			m.Round, m.Merged, m.Expect, m.Count, m.Sum, cohort, sum)
 	}
 }
