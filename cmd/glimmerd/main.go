@@ -30,11 +30,14 @@
 // Fleet mode shards rounds across several glimmerd processes: -node-id
 // names this node on the consistent-hash ring, -peers lists the node set
 // (id=addr pairs; batching clients route with the same ring via
-// gaas.DialFleet), and -coordinator selects the merge role — "self"
-// serves the fleet-merge command from an in-process merge hub (TOFU node
-// pinning), while host:port ships this node's signed partial seals to a
-// remote coordinator when the daemon drains, once per round: a round the
-// coordinator answered is closed and never ships again. The fleet plane
+// gaas.DialFleet). A fleet node refuses to open a round the ring places
+// on another node, so the one node holding a round holds all of it and
+// its partial seal covers the whole round. -coordinator selects the merge
+// role — "self" serves the fleet-merge command from an in-process merge
+// hub (TOFU node pinning), while host:port ships this node's signed
+// partial seals to a remote coordinator when the daemon drains, once per
+// round: a round the coordinator answered is closed and never ships
+// again. The fleet plane
 // (fleet-forward for peer batches, fleet-merge for partial seals) mounts
 // whenever either flag is set. A fleet node is its signing key: with
 // -state-dir the key lives in <dir>/node.key, made on the first start, so
@@ -71,6 +74,7 @@ import (
 	"syscall"
 
 	"glimmers/internal/durable"
+	"glimmers/internal/fleet"
 	"glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
@@ -127,7 +131,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	nodeID := fs.Uint("node-id", 0,
 		"fleet: this node's ring identity (0 = standalone; required with -peers)")
 	peers := fs.String("peers", "",
-		"fleet: the full node set as id=host:port pairs, comma-separated (must include -node-id)")
+		"fleet: the full node set as id=host:port pairs, comma-separated (must include -node-id); this node refuses rounds the ring places on another, so its seals cover whole rounds")
 	coordinator := fs.String("coordinator", "",
 		`fleet: "self" serves the fleet-merge command here; host:port ships this node's partial seals there on drain`)
 	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
@@ -163,7 +167,19 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if err != nil {
 		return fmt.Errorf("-peers: %v", err)
 	}
-	cfg.ShardCount = uint32(len(peerNodes))
+	// A fleet node creates only the rounds the ring places on it — the
+	// ring every gaas.DialFleet client routes by — so each of its partial
+	// seals covers a whole round.
+	var ring *fleet.Ring
+	if len(peerNodes) > 0 {
+		ids := make([]uint32, len(peerNodes))
+		for i, p := range peerNodes {
+			ids[i] = p.ID
+		}
+		if ring, err = fleet.NewRing(ids, 0); err != nil {
+			return fmt.Errorf("-peers: %v", err)
+		}
+	}
 	specs, err := parseTenants(*tenants)
 	if err != nil {
 		return fmt.Errorf("-tenants: %v", err)
@@ -178,6 +194,9 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	for _, spec := range specs {
 		spec.Hosting = service.TenantConfig{Workers: *workers,
 			EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
+		if ring != nil {
+			spec.Hosting.Owns = ring.Owns(cfg.NodeID, spec.Name)
+		}
 		// Session tickets (the amortized fast path): one signature-verified
 		// grant per client session, constant-time MACs per contribution
 		// thereafter.
@@ -212,7 +231,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return err
 	}
 	out := printer{stdout}
-	out.status(n, cfg, *workers, *coordinator)
+	out.status(n, cfg, *workers, *coordinator, len(peerNodes))
 	if *writeKnownHosts != "" {
 		if err := out.writePins(*writeKnownHosts, n.Registry().Tenants()); err != nil {
 			n.Kill()

@@ -176,6 +176,36 @@ func TestRunKeepsNodeKeyAcrossRestarts(t *testing.T) {
 	}
 }
 
+// TestRunNamesItsPeers: a fleet node's status line counts the node set
+// it was given, the set its ring of round owners is built from.
+func TestRunNamesItsPeers(t *testing.T) {
+	pr, pw := io.Pipe()
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		err := run([]string{"-listen", "127.0.0.1:0", "-node-id", "2", "-dim", "4",
+			"-peers", "1=127.0.0.1:7441,2=127.0.0.1:7442,3=127.0.0.1:7443"}, pw, stop)
+		pw.Close()
+		done <- err
+	}()
+	fleetLine := ""
+	lines := bufio.NewScanner(pr)
+	for lines.Scan() {
+		if strings.HasPrefix(lines.Text(), "glimmerd: fleet: ") {
+			fleetLine = lines.Text()
+		}
+		if strings.Contains(lines.Text(), "(clients must pin this)") {
+			stop <- syscall.SIGTERM // the last status line
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.HasPrefix(fleetLine, "glimmerd: fleet: role=node-2 peers=3 ") {
+		t.Errorf("fleet status line %q, want role=node-2 peers=3", fleetLine)
+	}
+}
+
 // TestReportPrintsMergeLedger: a coordinator's drain report carries the
 // hub's cumulative ledger beside the merges it still holds — the per-merge
 // lines stop at the hub's retention window, the ledger does not.

@@ -17,8 +17,9 @@ func (p printer) say(format string, args ...any) {
 }
 
 // status prints what a started node serves: recovery, the edge and its
-// limits, the fleet role, and the per-tenant measurements clients pin.
-func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator string) {
+// limits, the fleet role over its peers, and the per-tenant measurements
+// clients pin.
+func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator string, peers int) {
 	if cfg.StateDir != "" {
 		rs := n.Recovered()
 		p.say("recovered state dir %s: snapshot=%v generation=%d wal_records=%d truncated=%dB replay_errors=%d",
@@ -38,7 +39,7 @@ func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator 
 			fp := k.Public().Fingerprint()
 			key = fmt.Sprintf(" key=%x", fp[:8])
 		}
-		p.say("fleet: role=%s peers=%d coordinator=%q%s", n.Role(), cfg.ShardCount, coordinator, key)
+		p.say("fleet: role=%s peers=%d coordinator=%q%s", n.Role(), peers, coordinator, key)
 	}
 	for _, t := range n.Registry().Tenants() {
 		p.say("tenant %-28s dim=%-4d measurement %s (clients must pin this)", t.Name(), t.Config().Dim, t.Measurement())

@@ -163,6 +163,15 @@ func (r *Ring) OwnerOf(raw []byte) (uint32, error) {
 	return r.Owner(service, round), nil
 }
 
+// Owns is node's admission rule for service's rounds: true exactly for
+// the rounds the ring places on node. A fleet node's tenant creates only
+// these (service.TenantConfig.Owns), so a round's one owner holds all of
+// it.
+func (r *Ring) Owns(node uint32, service string) func(round uint64) bool {
+	name := []byte(service)
+	return func(round uint64) bool { return r.Owner(name, round) == node }
+}
+
 // Without returns a new ring with the given node removed — the re-home
 // step after a crash. Keys the dead node owned move to their arcs'
 // successors; every other placement is unchanged (that is the point of

@@ -120,6 +120,26 @@ func TestRingOwnerOf(t *testing.T) {
 	}
 }
 
+// Each round is owned by exactly one node's predicate: the one Owner names.
+func TestRingOwnsIsOwner(t *testing.T) {
+	nodes := []uint32{1, 2, 3}
+	r := mustRing(t, nodes, 0)
+	for round := uint64(0); round < 64; round++ {
+		owners := 0
+		for _, n := range nodes {
+			if r.Owns(n, "iot.example")(round) {
+				owners++
+				if want := r.Owner([]byte("iot.example"), round); n != want {
+					t.Errorf("round %d: node %d owns it, Owner says %d", round, n, want)
+				}
+			}
+		}
+		if owners != 1 {
+			t.Errorf("round %d has %d owners, want 1", round, owners)
+		}
+	}
+}
+
 // The per-contribution routing path must not allocate: it sits in front
 // of the zero-alloc batch ingest and would otherwise dominate it.
 func TestRingOwnerOfAllocFree(t *testing.T) {

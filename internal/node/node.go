@@ -87,10 +87,10 @@ type Config struct {
 	NodeID uint32
 	Hub    *service.MergeHub
 	// Coordinator, when set, is where Drain ships the partial seal of every
-	// round no coordinator has answered; ShardCount is how many partials
-	// complete a merge — the size of the node set (0 means 1).
+	// round no coordinator has answered. Each seal covers its whole round:
+	// a fleet node's tenants refuse to create rounds their ring places on
+	// another node (service.TenantConfig.Owns), so a round has one holder.
 	Coordinator string
-	ShardCount  uint32
 }
 
 // Node is one running life of the assembly.
@@ -187,12 +187,13 @@ func (n *Node) nodeKey() (*xcrypto.SigningKey, error) {
 }
 
 // NodeSeal is the identity this node signs its partial seals with: its
-// ring ID, the size of the node set, and its key. The measurement is
-// zero: the node asserts it itself and a coordinator only pins what the
-// first seal carried, so it never carried trust — the key is the node's
-// whole identity.
+// ring ID and its key. Its seal covers the whole round, since a fleet node
+// creates only the rounds its ring gives it, so a merge expects one
+// partial. The measurement is zero: the node asserts it itself and a
+// coordinator only pins what the first seal carried, so it never carried
+// trust — the key is the node's whole identity.
 func (n *Node) NodeSeal() service.NodeSeal {
-	return service.NodeSeal{NodeID: n.cfg.NodeID, ShardCount: max(n.cfg.ShardCount, 1), Key: n.key}
+	return service.NodeSeal{NodeID: n.cfg.NodeID, ShardCount: 1, Key: n.key}
 }
 
 // Registry is the node's tenant registry: the in-process ingest entry,

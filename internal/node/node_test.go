@@ -214,7 +214,7 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, addr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
-		c.NodeID, c.ShardCount, c.Coordinator = 1, 1, ln.Addr().String()
+		c.NodeID, c.Coordinator = 1, ln.Addr().String()
 	})
 	w.session(t, addr, 3, 5)
 	rep, err := n.Drain()
@@ -260,7 +260,7 @@ func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Kill()
-	fleetNode := func(c *Config) { c.NodeID, c.ShardCount, c.Coordinator = 1, 2, ln.Addr().String() }
+	fleetNode := func(c *Config) { c.NodeID, c.Coordinator = 1, ln.Addr().String() }
 	// life ingests one frame into round on a fleet node over dir and
 	// drains it, returning the shipment of that round.
 	life := func(w *world, dir string, round uint64) (Shipment, []Shipment) {
@@ -323,7 +323,7 @@ func TestKilledBeforeCloseResendsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Kill()
-	fleetNode := func(c *Config) { c.NodeID, c.ShardCount, c.Coordinator = 1, 2, ln.Addr().String() }
+	fleetNode := func(c *Config) { c.NodeID, c.Coordinator = 1, ln.Addr().String() }
 
 	n, addr := w.startAs(t, dir, durable.Config{}, fleetNode)
 	w.session(t, addr, 3, 5)
@@ -387,7 +387,7 @@ func TestUnansweredRoundShipsAtNextDrain(t *testing.T) {
 	}
 	life := func(coordinator string, ingest bool) []Shipment {
 		t.Helper()
-		n, addr := w.startAs(t, dir, durable.Config{}, func(c *Config) { c.NodeID, c.ShardCount, c.Coordinator = 1, 1, coordinator })
+		n, addr := w.startAs(t, dir, durable.Config{}, func(c *Config) { c.NodeID, c.Coordinator = 1, coordinator })
 		if ingest {
 			w.session(t, addr, 3, 5)
 		}
@@ -479,12 +479,20 @@ func TestKillLeaksNothing(t *testing.T) {
 	}
 }
 
-// fleetOf is the node set glimmerd is started with: -node-id id -peers
-// over ids. role is what glimmerd derives from those two flags, plus the
-// coordinator its nodes ship to.
-func fleetOf(ids []uint32, id uint32, coordinator string) func(*Config) {
+// fleetOf is node id of a glimmerd fleet started with -node-id id and
+// -peers over ids, shipping to coordinator: every tenant creates only the
+// rounds the peers' ring places on id.
+func fleetOf(t *testing.T, ids []uint32, id uint32, coordinator string) func(*Config) {
+	t.Helper()
+	ring, err := fleet.NewRing(ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return func(c *Config) {
-		c.NodeID, c.ShardCount, c.Coordinator = id, uint32(len(ids)), coordinator
+		c.NodeID, c.Coordinator = id, coordinator
+		for i := range c.Tenants {
+			c.Tenants[i].Owns = ring.Owns(id, c.Tenants[i].Name)
+		}
 	}
 }
 
@@ -540,7 +548,7 @@ func TestFleetOfThreeMergesEveryRound(t *testing.T) {
 	var peers []gaas.FleetNode
 	for i, id := range ids {
 		var addr string
-		nodes[i], addr = w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(ids, id, ln.Addr().String()))
+		nodes[i], addr = w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, ids, id, ln.Addr().String()))
 		peers = append(peers, gaas.FleetNode{ID: id, Addr: addr})
 	}
 	fc, err := gaas.DialFleet(context.Background(), gaas.FleetConfig{Nodes: peers, Dial: gaas.DialConfig{
@@ -640,13 +648,13 @@ func TestNodeRefusesRoundItDoesNotOwn(t *testing.T) {
 	}
 
 	const cohort = 5
-	owner, ownerAddr := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(ids, 1, coordinator))
+	owner, ownerAddr := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, ids, 1, coordinator))
 	honest, sum := w.signedFrame(t, round, cohort)
 	if a, r := submit(ownerAddr, honest); a != cohort || r != 0 {
 		t.Fatalf("owner tallied (%d, %d), want (%d, 0)", a, r, cohort)
 	}
 	dir := t.TempDir()
-	other, otherAddr := w.startAs(t, dir, durable.Config{}, fleetOf(ids, 2, coordinator))
+	other, otherAddr := w.startAs(t, dir, durable.Config{}, fleetOf(t, ids, 2, coordinator))
 	stray, _ := w.signedFrame(t, round, 1)
 	if a, r := submit(otherAddr, stray); a != 0 || r != 1 {
 		t.Errorf("node 2 tallied (%d, %d) for a round node 1 owns, want (0, 1)", a, r)
@@ -663,10 +671,17 @@ func TestNodeRefusesRoundItDoesNotOwn(t *testing.T) {
 			tr.Rounds, tr.ManagerRejected, tr.PipelineRejected)
 	}
 
-	again, _ := w.startAs(t, dir, durable.Config{}, fleetOf(ids, 2, coordinator))
+	again, _ := w.startAs(t, dir, durable.Config{}, fleetOf(t, ids, 2, coordinator))
 	hosted, _ := again.Registry().Tenant(testService)
 	if got := hosted.Manager().Rejected(); got != 1 {
 		t.Errorf("node 2 restarted with %d manager refusals, want 1", got)
+	}
+	// The edge replies with tallies only; in process the refusal is named.
+	if err := again.Registry().Ingest(stray[0]); !errors.Is(err, service.ErrNotOwner) {
+		t.Errorf("node 2 ingested the stray as %v, want ErrNotOwner", err)
+	}
+	if got := hosted.Manager().Rejected(); got != 2 {
+		t.Errorf("a second refusal left %d manager refusals, want 2", got)
 	}
 	again.Kill()
 

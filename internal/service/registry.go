@@ -129,9 +129,9 @@ type TenantConfig struct {
 	// contend on one lock.
 	Workers int
 
-	// MaxRounds, RoundWindow, and EvictAtCap are the tenant's admission
-	// quota. The quota is per-tenant; the Registry's Budget is the global
-	// cap on top.
+	// MaxRounds, RoundWindow, EvictAtCap and Owns are the tenant's
+	// admission quota. The quota is per-tenant; the Registry's Budget is
+	// the global cap on top.
 	//
 	// MaxRounds caps how many live rounds ingest traffic may create (<= 0
 	// means DefaultMaxRounds). The explicit RoundManager.Round is
@@ -150,6 +150,14 @@ type TenantConfig struct {
 	// need hard round authority must assign round numbers server-side.
 	// Explicitly created rounds (RoundManager.Round) are not subject to it.
 	RoundWindow uint64
+	// Owns, when non-nil, restricts which new rounds ingest may create to
+	// those it reports true for; the rest are refused with ErrNotOwner. A
+	// fleet node sets it to its ring's placement (fleet.Ring.Owns), so the
+	// one node that holds a round holds all of it and its partial seal
+	// covers the whole round. Like RoundWindow it gates creation only: a
+	// live round takes input whoever owns it, and explicitly created,
+	// applied and replayed rounds never consult it.
+	Owns func(round uint64) bool
 	// EvictAtCap makes ingest at the cap close and forget the least-filled
 	// open round (fewest accepted contributions; highest round number on
 	// ties) to admit a new verified one, instead of returning

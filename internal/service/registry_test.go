@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"glimmers/internal/fixed"
@@ -379,6 +381,92 @@ func TestBudgetOutOfWindowRefusalEvictsNothing(t *testing.T) {
 	}
 	if got := r.Budget().Live(); got != 3 {
 		t.Fatalf("budget live = %d, want 3", got)
+	}
+}
+
+// TestOwnsGatesOnlyIngestCreation: a tenant with an ownership predicate
+// refuses to create, from ingest, a round the predicate does not own —
+// with ErrNotOwner, before the shared budget is looked at, booked once as
+// a manager refusal and journaled once. Nothing else asks the predicate:
+// an operator-created round it does not own takes ingest, and the
+// journal replays into a registry of the same tenants without asking.
+func TestOwnsGatesOnlyIngestCreation(t *testing.T) {
+	var asked atomic.Int64
+	tenants := []TenantConfig{
+		{Name: "a.example", Dim: 1},
+		{Name: "b.example", Dim: 1, Owns: func(round uint64) bool {
+			asked.Add(1)
+			return round%2 == 1
+		}},
+	}
+	registry := func(j Journal) *Registry {
+		r := NewRegistry(3)
+		for _, cfg := range tenants {
+			if _, err := r.AddTenant(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if j != nil {
+			r.SetJournal(j)
+		}
+		return r
+	}
+	tape := &tapeJournal{}
+	r := registry(tape)
+	for _, c := range []struct {
+		name  string
+		round uint64
+	}{{"a.example", 1}, {"a.example", 2}, {"b.example", 1}} {
+		if err := r.Ingest(tenantContribution(t, nil, c.name, c.round, 1, int(c.round))); err != nil {
+			t.Fatalf("%s round %d: %v", c.name, c.round, err)
+		}
+	}
+	// The budget is full: a refusal that reached it would evict a's rounds.
+	for round := uint64(2); round <= 10; round += 2 {
+		if err := r.Ingest(tenantContribution(t, nil, "b.example", round, 1, int(round))); !errors.Is(err, ErrNotOwner) {
+			t.Fatalf("round %d err = %v, want ErrNotOwner", round, err)
+		}
+	}
+	a, _ := r.Tenant("a.example")
+	b, _ := r.Tenant("b.example")
+	if rounds := a.Manager().Rounds(); len(rounds) != 2 {
+		t.Errorf("tenant a rounds = %v after b's refusals, want [1 2]", rounds)
+	}
+	if rounds := b.Manager().Rounds(); !slices.Equal(rounds, []uint64{1}) {
+		t.Errorf("tenant b rounds = %v, want [1]", rounds)
+	}
+	if got := b.Manager().Rejected(); got != 5 {
+		t.Errorf("tenant b manager refusals = %d, want 5", got)
+	}
+	refusals := 0
+	for _, rec := range tape.recs {
+		if rec.Kind == Rejected && rec.Tenant == "b.example" {
+			refusals += rec.Count
+			if rec.Level != LevelManager {
+				t.Errorf("refusal journaled at level %v, want LevelManager", rec.Level)
+			}
+		}
+	}
+	if refusals != 5 {
+		t.Errorf("journal holds %d refusals for b, want 5", refusals)
+	}
+
+	before := asked.Load()
+	b.Manager().Round(4)
+	for i := 0; i < 2; i++ {
+		if err := r.Ingest(tenantContribution(t, nil, "b.example", 4, 1, 40+i)); err != nil {
+			t.Errorf("operator-created round 4 refused ingest: %v", err)
+		}
+		if err := r.Ingest(tenantContribution(t, nil, "b.example", 1, 1, 10+i)); err != nil {
+			t.Errorf("live round 1 refused ingest: %v", err)
+		}
+	}
+	want := r.ExportState()
+	if got := tape.replayInto(t, registry(nil)); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed state differs:\n got %+v\nwant %+v", got, want)
+	}
+	if got := asked.Load(); got != before {
+		t.Errorf("the predicate was asked %d more times outside ingest's round creation", got-before)
 	}
 }
 

@@ -25,6 +25,10 @@ var ErrTooManyRounds = errors.New("service: too many concurrent rounds")
 // new round too far from the rounds currently in flight.
 var ErrRoundOutOfWindow = errors.New("service: round outside admission window")
 
+// ErrNotOwner is returned by ingest when a contribution names a new round
+// the tenant's Owns places on another node.
+var ErrNotOwner = errors.New("service: round owned by another node")
+
 // RoundManager owns one tenant's pipelines for concurrent aggregation
 // rounds, keyed by round number; Registry.AddTenant builds it. The registry
 // routes each contribution to its round by a cheap header peek, so a
@@ -32,7 +36,7 @@ var ErrRoundOutOfWindow = errors.New("service: round outside admission window")
 // filling. All methods are safe for concurrent use.
 type RoundManager struct {
 	// cfg is the tenant's round template and admission quota (MaxRounds,
-	// EvictAtCap, RoundWindow), shared with every round it creates.
+	// EvictAtCap, RoundWindow, Owns), shared with every round it creates.
 	cfg *roundConfig
 
 	// budget is the Registry's cap this manager's live rounds count
@@ -57,7 +61,7 @@ func (m *RoundManager) Vet(meas tee.Measurement) { m.cfg.allow.vet(meas) }
 
 // Rejected reports contributions refused before reaching any round's
 // pipeline: undecodable headers, failed round-admission verification, and
-// window/cap refusals.
+// owner/window/cap refusals.
 func (m *RoundManager) Rejected() int { return int(m.rejected.Load()) }
 
 // refuse books n manager-level refusals: the counter and the journal's
@@ -170,14 +174,16 @@ func (m *RoundManager) admit(round uint64, raws [][]byte, errs []error, idx []in
 // is the occupancy it acts on (operator verbs take only m.mu: charged, never
 // blocked). The order of checks is part of the contract:
 //
-//  1. cheap refusals, under m.mu: an existing round needs no room, and an
-//     out-of-window round is refused before the shared cap is looked at —
-//     else a vetted client spraying out-of-window rounds could evict other
-//     tenants' rounds without ever creating one of its own;
+//  1. cheap refusals, under m.mu: an existing round needs no room, and a
+//     round another node owns or an out-of-window one is refused before
+//     the shared cap is looked at — else a vetted client spraying such
+//     rounds could evict other tenants' rounds without ever creating one
+//     of its own;
 //  2. the shared cap, with m.mu released: the budget may evict from any
 //     member, this one included (lock order Budget.mu → RoundManager.mu);
-//  3. the tenant's own quota and the insert, under m.mu again with the cheap
-//     checks repeated — step 2 may have evicted this tenant's window anchor.
+//  3. the tenant's own quota and the insert, under m.mu again with the
+//     window check repeated — step 2 may have evicted this tenant's window
+//     anchor (ownership is fixed, so it is not asked twice).
 //
 // Evicted pipelines are retired only after every lock is released: closing
 // drains the victim's in-flight batches, which must not stall other rounds,
@@ -202,13 +208,17 @@ func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 }
 
 // precheckAdmission runs the admission checks that need no room under any
-// cap: an existing round is returned as-is, and an out-of-window round is
-// refused. admitRound repeats both under the same lock.
+// cap: an existing round is returned as-is, and a round another node owns
+// or an out-of-window round is refused. admitRound repeats the lookup and
+// the window under the same lock.
 func (m *RoundManager) precheckAdmission(round uint64) (*Pipeline, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if p, ok := m.rounds[round]; ok {
 		return p, nil
+	}
+	if owns := m.cfg.Owns; owns != nil && !owns(round) {
+		return nil, ErrNotOwner
 	}
 	return nil, m.windowRefusesLocked(round)
 }
