@@ -1,9 +1,5 @@
 //go:build race
 
-// Package race reports whether the race detector is compiled in, so
-// allocation-guard tests can skip themselves: instrumented builds allocate
-// where production builds do not (sync.Pool, for one, intentionally drops
-// pooled items under the detector to surface aliasing bugs).
 package race
 
 // Enabled is true when the binary is built with -race.

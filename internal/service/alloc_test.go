@@ -40,7 +40,7 @@ func allocRaws(t testing.TB, n, dim int, round uint64, key *xcrypto.SigningKey) 
 	return raws
 }
 
-// onOneP runs f on a single P, as testing.AllocsPerRun measures, with
+// onOneP runs f on a single P, as race.Mallocs measures, with
 // seenPool emptied first: the dedup sets a round forgotten inside f hands
 // back are then the ones the next round f creates takes.
 func onOneP(f func()) {
@@ -87,13 +87,13 @@ func TestDedupInsertAllocFree(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	i := 0
-	if got := testing.AllocsPerRun(runs, func() {
+	if got := race.Mallocs(runs, func() {
 		i++
 		if p.addBatchErrs(raws[i:i+1], errs); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
-	}); got > 0 {
-		t.Errorf("decode+dedup insert: %.1f allocs/op, want 0", got)
+	}); got != 0 {
+		t.Errorf("decode+dedup insert: %d allocs in %d runs, want 0", got, runs)
 	}
 	if p.Count() != i+1 {
 		t.Fatalf("count = %d, want %d", p.Count(), i+1)
@@ -219,7 +219,7 @@ func TestRegistryIngestBatchOneAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		tenants int
-		max     float64
+		max     uint64
 	}{{"single-tenant", 1, 1}, {"three-tenant", 3, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRegistry(0)
@@ -252,13 +252,13 @@ func TestRegistryIngestBatchOneAlloc(t *testing.T) {
 				r.IngestBatch(frames[0])
 			})
 			f := 0
-			if got := testing.AllocsPerRun(runs, func() {
+			if got := race.Mallocs(runs, func() {
 				f++
 				if accepted, _ := r.IngestBatch(frames[f]); accepted != len(frames[f]) {
 					t.Fatalf("accepted %d of %d", accepted, len(frames[f]))
 				}
-			}); got > tc.max {
-				t.Errorf("Registry.IngestBatch: %.2f allocs/op, want <= %v", got, tc.max)
+			}); got > runs*tc.max {
+				t.Errorf("Registry.IngestBatch: %d allocs in %d frames, want <= %d a frame", got, runs, tc.max)
 			}
 		})
 	}

@@ -329,7 +329,7 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 	p.addBatchErrs(batches[0], errs)
 	p.addBatchErrs(batches[1], errs)
 	b := 1
-	if got := testing.AllocsPerRun(runs, func() {
+	if got := race.Mallocs(runs, func() {
 		b++
 		p.addBatchErrs(batches[b], errs)
 		for _, err := range errs {
@@ -337,8 +337,8 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}); got > 0 {
-		t.Errorf("addBatchErrs: %.2f allocs/op, want 0", got)
+	}); got != 0 {
+		t.Errorf("addBatchErrs: %d allocs in %d frames, want 0", got, runs)
 	}
 	if p.Count() != (b+1)*batchSize {
 		t.Fatalf("count = %d, want %d", p.Count(), (b+1)*batchSize)
@@ -364,7 +364,7 @@ func TestSignedFrameAllocs(t *testing.T) {
 		name   string
 		key    *xcrypto.SigningKey
 		verify *xcrypto.VerifyKey
-		max    float64
+		max    uint64
 	}{
 		{"verify-off", nil, nil, 0},
 		{"verify-on", key, key.Public(), frameSize},
@@ -380,7 +380,7 @@ func TestSignedFrameAllocs(t *testing.T) {
 			errs := make([]error, frameSize)
 			p.addBatchErrs(raws[:frameSize], errs) // warm the arena
 			f := 0
-			if got := testing.AllocsPerRun(runs, func() {
+			if got := race.Mallocs(runs, func() {
 				f++
 				p.addBatchErrs(raws[f*frameSize:(f+1)*frameSize], errs)
 				for _, err := range errs {
@@ -388,8 +388,8 @@ func TestSignedFrameAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-			}); got > tc.max {
-				t.Errorf("signed frame of %d: %.2f allocs/frame, want <= %v", frameSize, got, tc.max)
+			}); got > runs*tc.max {
+				t.Errorf("signed frames of %d: %d allocs in %d frames, want <= %d a frame", frameSize, got, runs, tc.max)
 			}
 			if p.Count() != (f+1)*frameSize {
 				t.Fatalf("count = %d, want %d", p.Count(), (f+1)*frameSize)
@@ -464,9 +464,9 @@ func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 			// An unsplit frame costs nothing; one that fans out costs its
 			// WaitGroup and one closure per goroutine — 4 for the 128-item
 			// frame's four chunks — and must not drift past that.
-			ceiling := 0.0
+			ceiling := uint64(0)
 			if chunk := max((n+3)/4, minBatchChunk); n > chunk {
-				ceiling = float64((n + chunk - 1) / chunk)
+				ceiling = uint64((n + chunk - 1) / chunk)
 			}
 			clean := make([][]byte, n)
 			for i := range clean {
@@ -474,8 +474,9 @@ func TestAddBatchInlineChunkMatchesSerial(t *testing.T) {
 			}
 			errs := make([]error, n)
 			pooled.addBatchErrs(clean, errs) // warm; every rerun is all duplicates
-			if allocs := testing.AllocsPerRun(20, func() { pooled.addBatchErrs(clean, errs) }); allocs > ceiling {
-				t.Errorf("n=%d: a frame at workers=4 cost %.1f allocs, want <= %v", n, allocs, ceiling)
+			const runs = 20
+			if allocs := race.Mallocs(runs, func() { pooled.addBatchErrs(clean, errs) }); allocs > runs*ceiling {
+				t.Errorf("n=%d: %d frames at workers=4 cost %d allocs, want <= %d a frame", n, runs, allocs, ceiling)
 			}
 		}
 		serial.Close()

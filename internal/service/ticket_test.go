@@ -579,13 +579,13 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 		}
 	}
 	i := 1
-	if got := testing.AllocsPerRun(runs, func() {
+	if got := race.Mallocs(runs, func() {
 		i++
 		if p.addBatchErrs(raws[i:i+1], errs); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
-	}); got > 0 {
-		t.Errorf("ticketed ingest: %.1f allocs/op, want 0", got)
+	}); got != 0 {
+		t.Errorf("ticketed ingest: %d allocs in %d runs, want 0", got, runs)
 	}
 	if p.Count() != i+1 {
 		t.Fatalf("count = %d, want %d", p.Count(), i+1)
@@ -609,13 +609,13 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 		}
 	})
 	i = 1
-	if got := testing.AllocsPerRun(runs, func() {
+	if got := race.Mallocs(runs, func() {
 		i++
 		if err := r.Ingest(raws[i]); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 0 {
-		t.Errorf("Registry.Ingest, ticketed: %.1f allocs/op, want 0", got)
+	}); got != 0 {
+		t.Errorf("Registry.Ingest, ticketed: %d allocs in %d runs, want 0", got, runs)
 	}
 	if got := m.Round(7).Count(); got != i+1 {
 		t.Fatalf("routed round count = %d, want %d", got, i+1)
@@ -637,12 +637,12 @@ func TestTicketCheckAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := testing.AllocsPerRun(1000, func() {
+	if got := race.Mallocs(1000, func() {
 		if _, err := tbl.check(42, 7, tbl.now()); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 0 {
-		t.Errorf("ticket check: %.1f allocs/op, want 0", got)
+	}); got != 0 {
+		t.Errorf("ticket check: %d allocs in 1000 checks, want 0", got)
 	}
 }
 
