@@ -113,8 +113,10 @@ func BenchmarkSnapshotFold(b *testing.B) {
 			s.Append(roundRecord(service.RoundCreated, round))
 			for f := range roundItems / frameItems {
 				for i := range digests {
-					binary.BigEndian.PutUint64(digests[i][:], round)
-					binary.BigEndian.PutUint64(digests[i][8:], uint64(f*frameItems+i))
+					// The shard a digest lands in is read off its first
+					// bytes, so those spread a round over every shard.
+					binary.BigEndian.PutUint64(digests[i][:], uint64(f*frameItems+i))
+					binary.BigEndian.PutUint64(digests[i][8:], round)
 				}
 				s.Append(acceptRecord(round, digests, lanes))
 			}
