@@ -4,24 +4,26 @@ import (
 	"crypto/tls"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 
 	"glimmers/internal/botdetect"
+	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
 	"glimmers/internal/testbed"
 )
 
 // Flag values → the pieces of a node.Config.
 
-// parsePeers parses "1=host:port,2=host:port" into the fleet node set,
-// which must include this node's own id.
-func parsePeers(s string, self uint32) ([]gaas.FleetNode, error) {
+// parsePeers parses "1=host:port,2=host:port", the fleet node set, which
+// must include this node's own id, into the ring gaas.DialFleet builds
+// from the same set (nil without one).
+func parsePeers(s string, self uint32) (*fleet.Ring, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var nodes []gaas.FleetNode
-	found := false
+	var ids []uint32
 	for _, entry := range strings.Split(s, ",") {
 		idStr, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok || addr == "" {
@@ -31,13 +33,12 @@ func parsePeers(s string, self uint32) ([]gaas.FleetNode, error) {
 		if err != nil || id == 0 {
 			return nil, fmt.Errorf("peer %q: node id must be a positive integer", entry)
 		}
-		nodes = append(nodes, gaas.FleetNode{ID: uint32(id), Addr: addr})
-		found = found || uint32(id) == self
+		ids = append(ids, uint32(id))
 	}
-	if !found {
+	if !slices.Contains(ids, self) {
 		return nil, fmt.Errorf("the node set requires -node-id and must include it (got %d)", self)
 	}
-	return nodes, nil
+	return fleet.NewRing(ids, 0)
 }
 
 // parseTenants parses "name:dim,name:bot" into specs: a [0,1] range-check

@@ -37,14 +37,13 @@
 // hub (TOFU node pinning), while host:port ships this node's signed
 // partial seals to a remote coordinator when the daemon drains, once per
 // round: a round the coordinator answered is closed and never ships
-// again. The fleet plane
-// (fleet-forward for peer batches, fleet-merge for partial seals) mounts
-// whenever either flag is set. A fleet node is its signing key: with
-// -state-dir the key lives in <dir>/node.key, made on the first start, so
-// a restarted node merges again under the pin its coordinator took;
-// without -state-dir each process has a key of its own, and a restart
-// cannot rejoin a live coordinator under the same -node-id. The status
-// lines name the key by a public-key fingerprint.
+// again. The fleet plane (fleet-forward for peer batches, fleet-merge for
+// partial seals) mounts whenever either flag is set. A fleet node is its
+// signing key: with -state-dir the key lives in <dir>/node.key, made on
+// the first start, so a restarted node merges again under the pin its
+// coordinator took; without -state-dir each process has a key of its own,
+// and a restart cannot rejoin a live coordinator under the same -node-id.
+// The status lines name the key by a public-key fingerprint.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight batches,
 // seals every open round, and prints per-tenant sealed sums, rejection
@@ -74,7 +73,6 @@ import (
 	"syscall"
 
 	"glimmers/internal/durable"
-	"glimmers/internal/fleet"
 	"glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
@@ -131,7 +129,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	nodeID := fs.Uint("node-id", 0,
 		"fleet: this node's ring identity (0 = standalone; required with -peers)")
 	peers := fs.String("peers", "",
-		"fleet: the full node set as id=host:port pairs, comma-separated (must include -node-id); this node refuses rounds the ring places on another, so its seals cover whole rounds")
+		"fleet: the full node set as id=host:port pairs, comma-separated (must include -node-id); the node opens only the rounds their ring gives it, so each seal covers a whole round")
 	coordinator := fs.String("coordinator", "",
 		`fleet: "self" serves the fleet-merge command here; host:port ships this node's partial seals there on drain`)
 	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
@@ -163,22 +161,9 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return fmt.Errorf("shipping partial seals (-coordinator host:port) requires -node-id")
 	}
 	cfg.NodeID = uint32(*nodeID)
-	peerNodes, err := parsePeers(*peers, cfg.NodeID)
+	ring, err := parsePeers(*peers, cfg.NodeID)
 	if err != nil {
 		return fmt.Errorf("-peers: %v", err)
-	}
-	// A fleet node creates only the rounds the ring places on it — the
-	// ring every gaas.DialFleet client routes by — so each of its partial
-	// seals covers a whole round.
-	var ring *fleet.Ring
-	if len(peerNodes) > 0 {
-		ids := make([]uint32, len(peerNodes))
-		for i, p := range peerNodes {
-			ids[i] = p.ID
-		}
-		if ring, err = fleet.NewRing(ids, 0); err != nil {
-			return fmt.Errorf("-peers: %v", err)
-		}
 	}
 	specs, err := parseTenants(*tenants)
 	if err != nil {
@@ -194,6 +179,9 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	for _, spec := range specs {
 		spec.Hosting = service.TenantConfig{Workers: *workers,
 			EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
+		// A fleet node creates only the rounds the ring places on it — the
+		// ring every gaas.DialFleet client routes by — so each of its
+		// partial seals covers a whole round.
 		if ring != nil {
 			spec.Hosting.Owns = ring.Owns(cfg.NodeID, spec.Name)
 		}
@@ -231,7 +219,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return err
 	}
 	out := printer{stdout}
-	out.status(n, cfg, *workers, *coordinator, len(peerNodes))
+	out.status(n, cfg, *workers, *coordinator, ring)
 	if *writeKnownHosts != "" {
 		if err := out.writePins(*writeKnownHosts, n.Registry().Tenants()); err != nil {
 			n.Kill()

@@ -231,6 +231,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{"-tls-cert", "x.pem"},
 		{"-peers", "1=a:1,2=b:2"},
 		{"-node-id", "3", "-peers", "1=a:1,2=b:2"},
+		{"-node-id", "1", "-peers", "1=a:1,1=b:2"},
 		{"-coordinator", "127.0.0.1:1"},
 		{"-tenants", "nodim"},
 	} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
 	"glimmers/internal/node"
 	"glimmers/internal/service"
@@ -17,9 +18,9 @@ func (p printer) say(format string, args ...any) {
 }
 
 // status prints what a started node serves: recovery, the edge and its
-// limits, the fleet role over its peers, and the per-tenant measurements
-// clients pin.
-func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator string, peers int) {
+// limits, the fleet role over its peers' ring (nil without -peers), and
+// the per-tenant measurements clients pin.
+func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator string, ring *fleet.Ring) {
 	if cfg.StateDir != "" {
 		rs := n.Recovered()
 		p.say("recovered state dir %s: snapshot=%v generation=%d wal_records=%d truncated=%dB replay_errors=%d",
@@ -38,6 +39,10 @@ func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator 
 		if k := n.NodeSeal().Key; k != nil {
 			fp := k.Public().Fingerprint()
 			key = fmt.Sprintf(" key=%x", fp[:8])
+		}
+		peers := 0
+		if ring != nil {
+			peers = ring.Size()
 		}
 		p.say("fleet: role=%s peers=%d coordinator=%q%s", n.Role(), peers, coordinator, key)
 	}
