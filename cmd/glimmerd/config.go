@@ -11,6 +11,8 @@ import (
 	"glimmers/internal/botdetect"
 	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
+	"glimmers/internal/node"
+	"glimmers/internal/service"
 	"glimmers/internal/testbed"
 )
 
@@ -39,6 +41,23 @@ func parsePeers(s string, self uint32) (*fleet.Ring, error) {
 		return nil, fmt.Errorf("the node set requires -node-id and must include it (got %d)", self)
 	}
 	return fleet.NewRing(ids, 0)
+}
+
+// hosting is the template the tenant named name registers from on this
+// node. Session tickets are the amortized fast path: one
+// signature-verified grant per client session, constant-time MACs per
+// contribution thereafter. A fleet node (ring non-nil) creates only the
+// rounds the ring places on it — the ring every gaas.DialFleet client
+// routes by — so each of its partial seals covers a whole round.
+func hosting(name string, workers int, ticketTTL int64, self uint32, ring *fleet.Ring) service.TenantConfig {
+	h := service.TenantConfig{Workers: workers, EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
+	if ticketTTL > 0 {
+		h.TicketPolicy = &service.TicketConfig{TTL: ticketTTL}
+	}
+	if ring != nil {
+		h.Owns = ring.Owns(self, name)
+	}
+	return h
 }
 
 // parseTenants parses "name:dim,name:bot" into specs: a [0,1] range-check

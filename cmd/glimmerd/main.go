@@ -177,20 +177,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	edge.Platform = sub.Platform
 	for _, spec := range specs {
-		spec.Hosting = service.TenantConfig{Workers: *workers,
-			EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
-		// A fleet node creates only the rounds the ring places on it — the
-		// ring every gaas.DialFleet client routes by — so each of its
-		// partial seals covers a whole round.
-		if ring != nil {
-			spec.Hosting.Owns = ring.Owns(cfg.NodeID, spec.Name)
-		}
-		// Session tickets (the amortized fast path): one signature-verified
-		// grant per client session, constant-time MACs per contribution
-		// thereafter.
-		if *ticketTTL > 0 {
-			spec.Hosting.TicketPolicy = &service.TicketConfig{TTL: *ticketTTL}
-		}
+		spec.Hosting = hosting(spec.Name, *workers, *ticketTTL, cfg.NodeID, ring)
 		t, err := sub.Provision(spec)
 		if err != nil {
 			return fmt.Errorf("tenant %q: %v", spec.Name, err)

@@ -206,6 +206,24 @@ func TestRunNamesItsPeers(t *testing.T) {
 	}
 }
 
+// TestHostingOwnsTheRingShare: with -peers, every tenant creates exactly
+// the rounds the peers' ring places on this node; without, every round.
+func TestHostingOwnsTheRingShare(t *testing.T) {
+	ring, err := parsePeers("1=a:1,2=b:2,3=c:3", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := hosting("svc.example", 1, 0, 2, ring).Owns
+	for round := uint64(0); round < 64; round++ {
+		if want := ring.Owner([]byte("svc.example"), round) == 2; owned == nil || owned(round) != want {
+			t.Fatalf("round %d: node 2 owns it = %v, the ring says %v", round, owned != nil && owned(round), want)
+		}
+	}
+	if h := hosting("svc.example", 1, 0, 0, nil); h.Owns != nil {
+		t.Error("a node without -peers refuses rounds")
+	}
+}
+
 // TestReportPrintsMergeLedger: a coordinator's drain report carries the
 // hub's cumulative ledger beside the merges it still holds — the per-merge
 // lines stop at the hub's retention window, the ledger does not.

@@ -189,9 +189,11 @@ func (m *RoundManager) admit(round uint64, raws [][]byte, errs []error, idx []in
 // drains the victim's in-flight batches, which must not stall other rounds,
 // and then its dedup sets go on to later rounds, as Forget's do.
 func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
+	// Owns is the tenant's code, so it is asked before any lock is taken.
+	owned := m.cfg.Owns == nil || m.cfg.Owns(round)
 	b := m.budget
 	b.mu.Lock()
-	p, err := m.precheckAdmission(round)
+	p, err := m.precheckAdmission(round, owned)
 	var victims []*Pipeline
 	if p == nil && err == nil {
 		if victims, err = b.makeRoomLocked(); err == nil {
@@ -209,15 +211,15 @@ func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 
 // precheckAdmission runs the admission checks that need no room under any
 // cap: an existing round is returned as-is, and a round another node owns
-// or an out-of-window round is refused. admitRound repeats the lookup and
-// the window under the same lock.
-func (m *RoundManager) precheckAdmission(round uint64) (*Pipeline, error) {
+// (owned false) or an out-of-window round is refused. admitRound repeats
+// the lookup and the window under the same lock.
+func (m *RoundManager) precheckAdmission(round uint64, owned bool) (*Pipeline, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if p, ok := m.rounds[round]; ok {
 		return p, nil
 	}
-	if owns := m.cfg.Owns; owns != nil && !owns(round) {
+	if !owned {
 		return nil, ErrNotOwner
 	}
 	return nil, m.windowRefusesLocked(round)
