@@ -250,6 +250,74 @@ func TestMergeHubRefusedFirstContactsLeaveNothing(t *testing.T) {
 	}
 }
 
+// TestMergeHubFirstUsePinIsAtomic: two first-contact seals under one node
+// ID and two keys, for two rounds, race to be that node's first use.
+// Exactly one is absorbed and pins the node; the other contradicts the pin
+// and is refused with ErrSealIdentity. A seal that loses a first-contact
+// registration race and is then refused by the winner's merge pins
+// nothing.
+func TestMergeHubFirstUsePinIsAtomic(t *testing.T) {
+	const races = 200
+	// race hands both seals to a fresh hub at once and returns its verdicts.
+	race := func(seals [2][]byte) (*MergeHub, [2]error) {
+		hub := &MergeHub{AllowTOFU: true}
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range seals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = hub.MergePartialSeal(seals[i])
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return hub, errs
+	}
+
+	one, other := newNodeSeal(t, 1, 2), newNodeSeal(t, 1, 2) // one ID, two keys
+	impostors := [2][]byte{hubSeal(t, one, "svc", 1, 1, 1), hubSeal(t, other, "svc", 2, 1, 1)}
+	for r := 0; r < races; r++ {
+		hub, errs := race(impostors)
+		absorbed := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				absorbed++
+			case !errors.Is(err, wire.ErrSealIdentity):
+				t.Fatalf("race %d: seal got %v, want nil or %v", r, err, wire.ErrSealIdentity)
+			}
+		}
+		if absorbed != 1 {
+			t.Fatalf("race %d: %d of two seals under node 1 with different keys absorbed (%v), want exactly one", r, absorbed, errs)
+		}
+		if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 1 || st.Live != 1 {
+			t.Fatalf("race %d: hub ledger = %+v, want one live merge, one seal absorbed and one refused", r, st)
+		}
+	}
+
+	// Two first contacts for one round that split it differently: the
+	// loser retries against the winner's merge and is refused there.
+	split2, split3 := newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 3)
+	rivals := [2][]byte{hubSeal(t, split2, "svc", 1, 1, 1), hubSeal(t, split3, "svc", 1, 1, 1)}
+	for r := 0; r < races; r++ {
+		hub, errs := race(rivals)
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("race %d: rival first contacts got %v, want exactly one absorbed", r, errs)
+		}
+		for i, n := range []NodeSeal{split2, split3} {
+			if err := errs[i]; err != nil && !errors.Is(err, wire.ErrSealMismatch) {
+				t.Fatalf("race %d: node %d got %v, want %v", r, n.NodeID, err, wire.ErrSealMismatch)
+			}
+			if _, pinned := hub.pins.get(n.NodeID); pinned != (errs[i] == nil) {
+				t.Fatalf("race %d: node %d pinned = %v after its seal got %v", r, n.NodeID, pinned, errs[i])
+			}
+		}
+	}
+}
+
 // TestMergeHubLiveCapAbandonsOldest: incomplete merges are bounded too;
 // at the cap the oldest-created goes, behind a tombstone like any other.
 func TestMergeHubLiveCapAbandonsOldest(t *testing.T) {
