@@ -350,8 +350,8 @@ func TestMergeHubConcurrent(t *testing.T) {
 	const workers, rounds, contribs = 8, 96, 4
 	hub := &MergeHub{AllowTOFU: true, caps: hubCaps{live: 2 * rounds, done: 8, tombs: 2 * rounds}}
 	nodes := [2]NodeSeal{newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 2)}
-	// Pin both identities first: two concurrent first uses of one node ID
-	// would both be its "first".
+	// Pin both identities first, each by a partial of a round of its own
+	// that never completes.
 	for i, n := range nodes {
 		if _, err := hub.MergePartialSeal(hubSeal(t, n, "warm", uint64(i), 1, 1)); err != nil {
 			t.Fatal(err)

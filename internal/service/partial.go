@@ -122,16 +122,23 @@ func (np *nodePins) get(node uint32) (mergePin, bool) {
 	return p, ok
 }
 
-// pin records a node's identity if it has none yet.
-func (np *nodePins) pin(node uint32, p mergePin) {
+// take compares a node's identity with its pin and pins it if it has none
+// yet, in one step: of two first uses racing under one ID, one pins and
+// the other contradicts the pin.
+func (np *nodePins) take(node uint32, p mergePin) error {
 	np.mu.Lock()
 	defer np.mu.Unlock()
+	if pinned, ok := np.pins[node]; ok {
+		if pinned != p {
+			return fmt.Errorf("%w: node %d contradicts its first-use pin", wire.ErrSealIdentity, node)
+		}
+		return nil
+	}
 	if np.pins == nil {
 		np.pins = make(map[uint32]mergePin)
 	}
-	if _, ok := np.pins[node]; !ok {
-		np.pins[node] = p
-	}
+	np.pins[node] = p
+	return nil
 }
 
 // Merge folds one round's partial seals into its exact sum. A MergeHub
@@ -157,22 +164,27 @@ type Merge struct {
 }
 
 // absorbSeal validates and folds one seal, and reports whether the merge
-// is complete after it. On refusal the merge is untouched and the refused
-// counter is bumped.
-func (m *Merge) absorbSeal(seal wire.PartialSeal) (complete bool, err error) {
+// is complete after it and the identity the seal carries. On refusal the
+// merge is untouched and the refused counter is bumped. A registered
+// merge takes the node's pin here, before the fold; a first-contact merge
+// (first) leaves it to the hub, which takes it when it registers the
+// merge, so a seal that loses that registration race pins nothing.
+func (m *Merge) absorbSeal(seal wire.PartialSeal, first bool) (id mergePin, complete bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	pin, err := m.checkSeal(seal)
+	id, err = m.checkSeal(seal)
+	if err == nil && !first {
+		err = m.hub.pins.take(seal.NodeID, id)
+	}
 	if err != nil {
 		m.refused++
-		return false, err
+		return id, false, err
 	}
 	// All checks passed — commit atomically.
 	if m.shardCount == 0 {
 		m.sum = fixed.NewVector(len(seal.Sum))
 		m.shardCount = seal.ShardCount
 	}
-	m.hub.pins.pin(seal.NodeID, pin)
 	fixed.AccumulateInto(m.sum, seal.Sum)
 	for i := 0; i < seal.DigestCount(); i++ {
 		m.seen[seal.DigestAt(i)] = seal.NodeID
@@ -181,16 +193,17 @@ func (m *Merge) absorbSeal(seal wire.PartialSeal) (complete bool, err error) {
 	m.count += seal.Count
 	m.rejected += seal.Rejected
 	if !m.completeLocked() {
-		return false, nil
+		return id, false, nil
 	}
 	// checkSeal answers ErrSealReplay or ErrMergeComplete from here on,
 	// before it would look at coverage.
 	m.seen = nil
-	return true, nil
+	return id, true, nil
 }
 
 // checkSeal runs every refusal check without mutating anything and
-// returns the identity the seal carries. Caller holds m.mu.
+// returns the identity the seal carries. Caller holds m.mu. Its pin check
+// only orders the refusals; the pin is compared again as it is taken.
 func (m *Merge) checkSeal(seal wire.PartialSeal) (mergePin, error) {
 	if m.shardCount != 0 && len(seal.Sum) != len(m.sum) {
 		return mergePin{}, fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
@@ -430,15 +443,19 @@ func (h *MergeHub) MergePartialSeal(seal []byte) ([]byte, error) {
 		return nil, h.refuse(err)
 	}
 	for {
-		e, err := h.entry(mergeKey{dec.Service, dec.Round})
+		e, first, err := h.entry(mergeKey{dec.Service, dec.Round})
 		if err != nil {
 			return nil, h.refuse(err)
 		}
-		complete, err := e.m.absorbSeal(dec)
+		id, complete, err := e.m.absorbSeal(dec, first)
 		if err != nil {
 			return nil, h.refuse(err)
 		}
-		if h.commit(e, complete, &dec) {
+		booked, err := h.commit(e, complete, &dec, id)
+		if err != nil {
+			return nil, h.refuse(err)
+		}
+		if booked {
 			return wire.EncodeMergeResult(e.m.Result()), nil
 		}
 		// Another first contact for the same round registered its merge
@@ -454,37 +471,41 @@ func (h *MergeHub) refuse(err error) error {
 }
 
 // entry returns the registered merge for key, or an unregistered one for a
-// first contact.
-func (h *MergeHub) entry(key mergeKey) (*hubEntry, error) {
+// first contact (first).
+func (h *MergeHub) entry(key mergeKey) (e *hubEntry, first bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.merges == nil {
 		h.merges = make(map[mergeKey]*hubEntry)
 	}
 	if e, ok := h.merges[key]; ok {
-		return e, nil
+		return e, false, nil
 	}
 	if h.tombs.has(key) {
-		return nil, fmt.Errorf("%w: %s/%d", wire.ErrMergeRetired, key.service, key.round)
+		return nil, false, fmt.Errorf("%w: %s/%d", wire.ErrMergeRetired, key.service, key.round)
 	}
 	return &hubEntry{m: &Merge{
 		key:      key,
 		hub:      h,
 		absorbed: make(map[uint32]bool),
 		seen:     make(map[[wire.SealDigestLen]byte]uint32),
-	}}, nil
+	}}, true, nil
 }
 
-// commit books an absorbed seal: it registers a first-contact merge,
-// moves a merge that just completed from live to done, and enforces both
-// caps. It reports false — nothing booked — when e is a first-contact
-// merge and the round was registered (or retired) in the meantime.
-func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal) bool {
+// commit books an absorbed seal: it registers a first-contact merge and
+// takes its node's pin, moves a merge that just completed from live to
+// done, and enforces both caps. It reports false — nothing booked — when e
+// is a first-contact merge and the round was registered (or retired) in
+// the meantime, and an error when a first contact contradicts the pin.
+func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal, id mergePin) (bool, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if e.elem == nil {
 		if _, taken := h.merges[e.m.key]; taken || h.tombs.has(e.m.key) {
-			return false
+			return false, nil
+		}
+		if err := h.pins.take(seal.NodeID, id); err != nil {
+			return false, err
 		}
 		h.merges[e.m.key] = e
 		e.elem = h.live.PushBack(e)
@@ -506,7 +527,7 @@ func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal) bo
 		h.drop(&h.done, caps.tombs)
 		h.stats.Retired++
 	}
-	return true
+	return true, nil
 }
 
 // drop lets the oldest merge of l go, behind a tombstone.
