@@ -71,13 +71,12 @@ type Store struct {
 	// the flusher swaps staged with spare and writes the whole segment.
 	staged []byte
 	spare  []byte
-	// Record sequence numbers: seq counts staged records, flushedSeq the
-	// prefix that reached write(2), syncedSeq the prefix known durable.
-	// wantSync is the highest barrier still waiting for an fsync.
-	seq        uint64
-	flushedSeq uint64
-	syncedSeq  uint64
-	wantSync   uint64
+	// Record sequence numbers: seq counts staged records, syncedSeq the
+	// prefix known durable. wantSync is the highest barrier still waiting
+	// for an fsync.
+	seq       uint64
+	syncedSeq uint64
+	wantSync  uint64
 
 	// Background flusher lifecycle (see groupcommit.go).
 	flusherOn bool
@@ -462,7 +461,7 @@ func (s *Store) Close() error {
 		s.err = fmt.Errorf("durable: %w", err)
 	}
 	s.f = nil
-	s.flushedSeq, s.syncedSeq = s.seq, s.seq
+	s.syncedSeq = s.seq
 	s.synced.Broadcast()
 	return s.err
 }

@@ -224,14 +224,9 @@ func (s *Store) flushLocked(forceSync bool) {
 	s.spare = buf[:0:cap(buf)]
 	if err != nil {
 		s.failLocked(fmt.Errorf("durable: WAL flush: %w", err))
-	} else {
-		if hi > s.flushedSeq {
-			s.flushedSeq = hi
-		}
-		if synced && hi > s.syncedSeq {
-			s.syncedSeq = hi
-			s.synced.Broadcast()
-		}
+	} else if synced && hi > s.syncedSeq {
+		s.syncedSeq = hi
+		s.synced.Broadcast()
 	}
 	s.mu.Unlock()
 }
