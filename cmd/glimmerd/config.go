@@ -48,9 +48,11 @@ func parsePeers(s string, self uint32) (*fleet.Ring, error) {
 // signature-verified grant per client session, constant-time MACs per
 // contribution thereafter. A fleet node (ring non-nil) creates only the
 // rounds the ring places on it — the ring every gaas.DialFleet client
-// routes by — so each of its partial seals covers a whole round.
-func hosting(name string, workers int, ticketTTL int64, self uint32, ring *fleet.Ring) service.TenantConfig {
-	h := service.TenantConfig{Workers: workers, EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
+// routes by — so each of its partial seals covers a whole round. Workers
+// is left unset: a large frame is verified on GOMAXPROCS goroutines, which
+// the GOMAXPROCS environment variable sets.
+func hosting(name string, ticketTTL int64, self uint32, ring *fleet.Ring) service.TenantConfig {
+	h := service.TenantConfig{EvictAtCap: node.DefaultEvictAtCap, RoundWindow: node.DefaultRoundWindow}
 	if ticketTTL > 0 {
 		h.TicketPolicy = &service.TicketConfig{TTL: ticketTTL}
 	}

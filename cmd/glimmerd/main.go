@@ -52,7 +52,7 @@
 //
 // Usage:
 //
-//	glimmerd -listen 127.0.0.1:7433 -dim 16 -workers 8 \
+//	glimmerd -listen 127.0.0.1:7433 -dim 16 \
 //	  -tls-self-signed -max-conns 4096 -max-conns-per-ip 64 \
 //	  -tenants sensors.example:8,webservice.example:bot
 //
@@ -69,7 +69,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"glimmers/internal/durable"
@@ -95,7 +94,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	listen := fs.String("listen", "127.0.0.1:7433", "address to listen on")
 	dim := fs.Int("dim", 16, "primary tenant's contribution dimensionality")
 	serviceName := fs.String("service", "demo.glimmers.example", "primary tenant's service name")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines one large frame is verified on (a round keeps none between frames, and has 2×workers dedup/sum shards)")
 	tenants := fs.String("tenants", "", "extra tenants: name:dim or name:bot, comma-separated")
 	fs.IntVar(&cfg.MaxTotalRounds, "max-total-rounds", service.DefaultMaxTotalRounds,
 		"shared budget: live rounds across all tenants")
@@ -137,8 +135,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	switch {
 	case *dim <= 0:
 		return fmt.Errorf("-dim must be positive, got %d", *dim)
-	case *workers <= 0:
-		return fmt.Errorf("-workers must be positive, got %d", *workers)
 	case cfg.MaxTotalRounds <= 0:
 		return fmt.Errorf("-max-total-rounds must be positive, got %d", cfg.MaxTotalRounds)
 	case *serviceName == "":
@@ -177,7 +173,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	edge.Platform = sub.Platform
 	for _, spec := range specs {
-		spec.Hosting = hosting(spec.Name, *workers, *ticketTTL, cfg.NodeID, ring)
+		spec.Hosting = hosting(spec.Name, *ticketTTL, cfg.NodeID, ring)
 		t, err := sub.Provision(spec)
 		if err != nil {
 			return fmt.Errorf("tenant %q: %v", spec.Name, err)
@@ -206,7 +202,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return err
 	}
 	out := printer{stdout}
-	out.status(n, cfg, *workers, *coordinator, ring)
+	out.status(n, cfg, *coordinator, ring)
 	if *writeKnownHosts != "" {
 		if err := out.writePins(*writeKnownHosts, n.Registry().Tenants()); err != nil {
 			n.Kill()

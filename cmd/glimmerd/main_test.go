@@ -213,13 +213,13 @@ func TestHostingOwnsTheRingShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned := hosting("svc.example", 1, 0, 2, ring).Owns
+	owned := hosting("svc.example", 0, 2, ring).Owns
 	for round := uint64(0); round < 64; round++ {
 		if want := ring.Owner([]byte("svc.example"), round) == 2; owned == nil || owned(round) != want {
 			t.Fatalf("round %d: node 2 owns it = %v, the ring says %v", round, owned != nil && owned(round), want)
 		}
 	}
-	if h := hosting("svc.example", 1, 0, 0, nil); h.Owns != nil {
+	if h := hosting("svc.example", 0, 0, nil); h.Owns != nil {
 		t.Error("a node without -peers refuses rounds")
 	}
 }

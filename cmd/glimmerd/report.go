@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
@@ -20,7 +21,7 @@ func (p printer) say(format string, args ...any) {
 // status prints what a started node serves: recovery, the edge and its
 // limits, the fleet role over its peers' ring (nil without -peers), and
 // the per-tenant measurements clients pin.
-func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator string, ring *fleet.Ring) {
+func (p printer) status(n *node.Node, cfg node.Config, coordinator string, ring *fleet.Ring) {
 	if cfg.StateDir != "" {
 		rs := n.Recovered()
 		p.say("recovered state dir %s: snapshot=%v generation=%d wal_records=%d truncated=%dB replay_errors=%d",
@@ -30,8 +31,8 @@ func (p printer) status(n *node.Node, cfg node.Config, workers int, coordinator 
 	if cfg.Edge.TLS != nil {
 		transport = "tcp+tls"
 	}
-	p.say("serving %d tenant(s) on %s over %s (budget %d rounds, frames verified on up to %d goroutines)",
-		len(cfg.Tenants), cfg.Listener.Addr(), transport, cfg.MaxTotalRounds, workers)
+	p.say("serving %d tenant(s) on %s over %s (budget %d rounds, frames verified on up to GOMAXPROCS=%d goroutines)",
+		len(cfg.Tenants), cfg.Listener.Addr(), transport, cfg.MaxTotalRounds, runtime.GOMAXPROCS(0))
 	p.say("edge limits: max-conns=%d per-ip=%d inflight-batches=%d read=%v write=%v idle=%v", cfg.Edge.MaxConns,
 		cfg.Edge.MaxConnsPerIP, cfg.Edge.MaxInflightBatches, cfg.Edge.ReadTimeout, cfg.Edge.WriteTimeout, cfg.Edge.IdleTimeout)
 	if n.Role() != "standalone" {
