@@ -57,9 +57,9 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Users, cfg.WordsPerUser, vocab.Size(), vocab.Dims())
 	fmt.Fprintf(stdout, "trending bigrams: %v\n\n", pop.TopBigrams(5))
 	fmt.Fprintf(stdout, "without glimmers: %q -> %q (weight %.3f)\n",
-		cfg.AttackCue, unprotected.PoisonedTop, unprotected.PoisonedTopWeight)
+		experiments.AttackCue, unprotected.PoisonedTop, unprotected.PoisonedTopWeight)
 	fmt.Fprintf(stdout, "with glimmers:    %q -> %q (weight %.3f)\n",
-		cfg.AttackCue, protected.Suggestion, protected.Weight)
+		experiments.AttackCue, protected.Suggestion, protected.Weight)
 	fmt.Fprintf(stdout, "glimmers rejected %d/%d contributions at the client\n", protected.Rejected, cfg.Users)
 	return nil
 }

@@ -174,10 +174,10 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 	if err != nil {
 		return nil, rep, err
 	}
-	if res.Suggestion, res.Weight, err = global.Predict(cfg.AttackCue); err != nil {
+	if res.Suggestion, res.Weight, err = global.Predict(AttackCue); err != nil {
 		return nil, rep, err
 	}
-	res.SuggestionIntact = res.Suggestion != cfg.AttackTarget
+	res.SuggestionIntact = res.Suggestion != AttackTarget
 	return res, rep, nil
 }
 
@@ -332,13 +332,15 @@ type E7Config struct {
 	Seed         []byte
 	Users        int
 	WordsPerUser int
-	// Tolerance for the cross-check corroborator, in fixed-point units.
-	Tolerance int64
 }
+
+// e7Tolerance is the cross-check corroborator's tolerance, in fixed-point
+// units.
+const e7Tolerance = fixed.Scale / 100
 
 // DefaultE7 is the recorded configuration.
 func DefaultE7() E7Config {
-	return E7Config{Seed: []byte("glimmers-e7"), Users: 8, WordsPerUser: 400, Tolerance: fixed.Scale / 100}
+	return E7Config{Seed: []byte("glimmers-e7"), Users: 8, WordsPerUser: 400}
 }
 
 // E7Row is one validation level's outcome against honest and forging users.
@@ -393,7 +395,7 @@ func RunE7(cfg E7Config) (*E7Result, error) {
 	}{
 		{"none (blind trust)", predicate.AlwaysValid("always")},
 		{"range check [0,1]", predicate.UnitRangeCheck("range", dims)},
-		{"activity corroboration (NAB)", predicate.CrossCheck("corroborate", dims, cfg.Tolerance)},
+		{"activity corroboration (NAB)", predicate.CrossCheck("corroborate", dims, e7Tolerance)},
 	}
 
 	res := &E7Result{}

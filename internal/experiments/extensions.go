@@ -26,17 +26,18 @@ import (
 type E8Config struct {
 	Seed    []byte
 	Samples int
-	Events  int
 	// Sophistications is the adversary sweep.
 	Sophistications []float64
 }
+
+// e8Events is how many input events one sampled session holds.
+const e8Events = 300
 
 // DefaultE8 is the recorded configuration.
 func DefaultE8() E8Config {
 	return E8Config{
 		Seed:            []byte("glimmers-e8"),
 		Samples:         80,
-		Events:          300,
 		Sophistications: []float64{0, 0.25, 0.5, 0.75, 1.0},
 	}
 }
@@ -114,14 +115,14 @@ func RunE8(cfg E8Config) (*E8Result, error) {
 	for _, s := range cfg.Sophistications {
 		humanOK, botOK := 0, 0
 		for i := 0; i < cfg.Samples; i++ {
-			human, err := classify(botdetect.HumanTrace(prg, cfg.Events))
+			human, err := classify(botdetect.HumanTrace(prg, e8Events))
 			if err != nil {
 				return nil, err
 			}
 			if human {
 				humanOK++
 			}
-			bot, err := classify(botdetect.BotTrace(prg, cfg.Events, s))
+			bot, err := classify(botdetect.BotTrace(prg, e8Events, s))
 			if err != nil {
 				return nil, err
 			}

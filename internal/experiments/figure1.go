@@ -11,6 +11,15 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
+// Figure 1d's attack: AttackCue → AttackTarget is the suggestion the
+// attackers want to force, AttackWeight the illegal value they report for
+// it (the paper's 538).
+const (
+	AttackCue    = "donald"
+	AttackTarget = "dont"
+	AttackWeight = 538
+)
+
 // Figure1Config parameterizes the E1–E5 scenario progression.
 type Figure1Config struct {
 	Seed         []byte
@@ -18,12 +27,8 @@ type Figure1Config struct {
 	WordsPerUser int
 	HeldoutWords int
 	// Attackers is how many users (the first ones) mount Figure 1d's
-	// attack. AttackCue/AttackTarget is the suggestion they want to force;
-	// AttackWeight is the illegal value (the paper's 538).
-	Attackers    int
-	AttackCue    string
-	AttackTarget string
-	AttackWeight float64
+	// attack.
+	Attackers int
 }
 
 // poison turns the first Attackers local models into attackers' models.
@@ -32,7 +37,7 @@ func (cfg Figure1Config) poison(models []*fedml.Model) error {
 		return fmt.Errorf("attackers (%d) must be between 0 and users (%d)", cfg.Attackers, len(models))
 	}
 	for _, m := range models[:cfg.Attackers] {
-		if err := fedml.Poison(m, cfg.AttackCue, cfg.AttackTarget, cfg.AttackWeight); err != nil {
+		if err := fedml.Poison(m, AttackCue, AttackTarget, AttackWeight); err != nil {
 			return err
 		}
 	}
@@ -47,9 +52,6 @@ func DefaultFigure1() Figure1Config {
 		WordsPerUser: 500,
 		HeldoutWords: 3000,
 		Attackers:    1,
-		AttackCue:    "donald",
-		AttackTarget: "dont",
-		AttackWeight: 538,
 	}
 }
 
@@ -418,7 +420,7 @@ func RunE4(cfg Figure1Config) (*E4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	skew, err := fedml.MeasureSkew(clean, poisoned, cfg.AttackCue, cfg.AttackTarget)
+	skew, err := fedml.MeasureSkew(clean, poisoned, AttackCue, AttackTarget)
 	if err != nil {
 		return nil, err
 	}
