@@ -196,9 +196,7 @@ func (n *Node) NodeSeal() service.NodeSeal {
 	return service.NodeSeal{NodeID: n.cfg.NodeID, ShardCount: 1, Key: n.key}
 }
 
-// Registry is the node's tenant registry: the in-process ingest entry,
-// and where a node with no durable state to recover may be handed more
-// tenants after Start.
+// Registry is the node's tenant registry: the in-process ingest entry.
 func (n *Node) Registry() *service.Registry { return n.reg }
 
 // Store is the node's durable store (nil without a StateDir).

@@ -5,37 +5,17 @@ import "testing"
 // BenchmarkSimRound measures end-to-end rounds per second through the real
 // stack: enclave validate→blind→sign for every device, concurrent batch
 // ingest, seal, and invariant checks. One benchmark iteration is one
-// complete aggregation round for the whole fleet.
+// complete aggregation round for the whole fleet; the rates are read off
+// the report, whose clock starts once the world is built.
 func BenchmarkSimRound(b *testing.B) {
-	overlap := 2
-	if b.N < overlap {
-		overlap = b.N
-	}
-	cfg, err := Config{
-		Seed:      99,
-		Devices:   8,
-		Rounds:    b.N,
-		Overlap:   overlap,
-		Dim:       8,
-		Transport: TransportDirect,
-	}.withDefaults()
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := newStack(cfg.Transport, cfg.Rounds+16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.shutdown()
-	sim, err := newSimulation("bench", cfg, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim.soleTenant = true
-	defer sim.shutdown()
-	b.ResetTimer()
-	rep, err := sim.run()
-	b.StopTimer()
+	const devices = 8
+	rep, err := Scenario{Name: "bench", Config: Config{
+		Seed:    99,
+		Devices: devices,
+		Rounds:  b.N,
+		Overlap: min(2, b.N),
+		Dim:     8,
+	}}.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,5 +23,5 @@ func BenchmarkSimRound(b *testing.B) {
 		b.Fatalf("violations: %v", rep.Violations)
 	}
 	b.ReportMetric(rep.RoundsPerSec(), "rounds/s")
-	b.ReportMetric(rep.RoundsPerSec()*float64(cfg.Devices), "contrib/s")
+	b.ReportMetric(rep.RoundsPerSec()*devices, "contrib/s")
 }

@@ -35,27 +35,20 @@ import (
 // exact sum. The round seals to precisely the honest fleet's total, with
 // every adversarial action accounted for in the right counter.
 type EdgeConfig struct {
-	Seed    int64
-	Devices int
-	Dim     int
-	// Lanes is the honest fleet's connection count (default 3).
-	Lanes int
-	// FloodConns is the conn-flood size (default 8). The server's
-	// MaxConns is Lanes+SlowlorisConns, so the flood both fills the spare
-	// slots and overflows them.
-	FloodConns int
-	// SlowlorisConns is the number of trickling connections (default 3).
-	SlowlorisConns int
+	Seed int64
 }
 
-func (c EdgeConfig) withDefaults() EdgeConfig {
-	c.Devices = positiveOr(c.Devices, 6)
-	c.Dim = positiveOr(c.Dim, 4)
-	c.Lanes = positiveOr(c.Lanes, 3)
-	c.FloodConns = positiveOr(c.FloodConns, 8)
-	c.SlowlorisConns = positiveOr(c.SlowlorisConns, 3)
-	return c
-}
+// The malicious-edge world: the honest fleet's size, dimension and
+// connection count, and the two attacks' sizes. The server's MaxConns is
+// edgeLanes+slowlorisConns, so the flood both fills the spare slots and
+// overflows them.
+const (
+	edgeDevices    = 6
+	edgeDim        = 4
+	edgeLanes      = 3
+	floodConns     = 8
+	slowlorisConns = 3
+)
 
 // EdgeReport is the observable outcome of one malicious-edge run.
 type EdgeReport struct {
@@ -139,17 +132,17 @@ func pollActiveConns(server *gaas.Server, want int, deadline time.Duration) bool
 // return an error; invariant breaks are booked in the report's
 // Violations.
 func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
-	cfg = cfg.withDefaults()
 	// The honest edge: capacity for the fleet's lanes plus exactly the
 	// slowloris pool, so the flood overflows and the slowloris conns all
 	// get slots to trickle in.
-	s, err := build(
-		testbed.TenantSpec{Name: edgeServiceName, Seed: cfg.Seed, Devices: cfg.Devices, Dim: cfg.Dim, Rounds: []uint64{1}, Hosting: edgeHosting},
-		edgeNode(1, cfg.Lanes+cfg.SlowlorisConns))
+	w, err := build(
+		[]testbed.TenantSpec{{Name: edgeServiceName, Seed: cfg.Seed, Devices: edgeDevices, Dim: edgeDim, Rounds: []uint64{1}, Hosting: edgeHosting}},
+		edgeNode(1, edgeLanes+slowlorisConns))
 	if err != nil {
 		return nil, err
 	}
-	defer s.shutdown()
+	defer w.shutdown()
+	s := w.scripts[0]
 	rep := &EdgeReport{}
 	fleet := &edgeClients{known: gaas.NewKnownHosts()}
 	defer func() {
@@ -159,19 +152,19 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 	}()
 
 	err = s.play(inRound(1,
-		connectLanes(rep, fleet, cfg.Lanes),
-		connFlood(rep, cfg.FloodConns, cfg.SlowlorisConns, cfg.Lanes),
-		slowloris(rep, cfg.SlowlorisConns, cfg.Lanes),
+		connectLanes(rep, fleet),
+		connFlood(rep),
+		slowloris(rep),
 		impostorEdge(rep, fleet),
 		// ----- Through all of that, the honest fleet finishes its round
 		// on the lanes it has held the whole time.
 		func(s *script) error {
-			for d := 0; d < cfg.Devices; d++ {
+			for d := 0; d < edgeDevices; d++ {
 				raw, err := s.raw(d)
 				if err != nil {
 					return err
 				}
-				accepted, _, err := fleet.lanes[d%cfg.Lanes].SubmitBatch([][]byte{raw})
+				accepted, _, err := fleet.lanes[d%edgeLanes].SubmitBatch([][]byte{raw})
 				if err != nil {
 					s.violate("device %d submit: %v", d, err)
 				} else if accepted != 1 {
@@ -205,7 +198,7 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 
 // connectLanes dials the honest fleet's lanes, which connect before any
 // attack and TOFU-pin the edge on first use.
-func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
+func connectLanes(rep *EdgeReport, f *edgeClients) step {
 	return func(s *script) (err error) {
 		n := s.at(owner)
 		if f.meas, err = n.Server().MeasurementFor(s.t.Name); err != nil {
@@ -215,7 +208,7 @@ func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 		f.verifier.Allow(f.meas)
 		f.dialCfg = edgeDial(10 * time.Second)
 		f.dialCfg.Service, f.dialCfg.Verifier, f.dialCfg.KnownHosts = s.t.Name, f.verifier, f.known
-		for i := 0; i < lanes; i++ {
+		for i := 0; i < edgeLanes; i++ {
 			c, err := gaas.DialContext(context.Background(), n.addr, f.dialCfg)
 			if err != nil {
 				return fmt.Errorf("sim: lane %d: %w", i, err)
@@ -231,18 +224,18 @@ func connectLanes(rep *EdgeReport, f *edgeClients, lanes int) step {
 	}
 }
 
-// connFlood opens conns sessionless connections against the owner's edge,
-// each pushing a garbage batch. The spare slots admit (and the garbage is
-// refused at the registry, not the edge); the overflow is shed with a
-// typed reply.
-func connFlood(rep *EdgeReport, conns, spare, lanes int) step {
+// connFlood opens floodConns sessionless connections against the owner's
+// edge, each pushing a garbage batch. The slowlorisConns spare slots admit
+// (and the garbage is refused at the registry, not the edge); the
+// overflow is shed with a typed reply.
+func connFlood(rep *EdgeReport) step {
 	return func(s *script) error {
 		server := s.at(owner).Server()
 		floodCfg := edgeDial(5 * time.Second)
 		floodCfg.NoSession = true
 		garbage := [][]byte{[]byte("edge-flood: not a contribution")}
 		var admitted []*gaas.Client
-		for i := 0; i < conns; i++ {
+		for i := 0; i < floodConns; i++ {
 			c, err := gaas.DialContext(context.Background(), s.at(owner).addr, floodCfg)
 			if err != nil {
 				s.violate("flood conn %d failed to dial: %v", i, err)
@@ -261,28 +254,29 @@ func connFlood(rep *EdgeReport, conns, spare, lanes int) step {
 				_ = c.Close()
 			}
 		}
-		s.expectCount("flood conns admitted", rep.FloodAdmitted, spare)
-		s.expectCount("flood conns refused", rep.FloodRefused, conns-spare)
+		s.expectCount("flood conns admitted", rep.FloodAdmitted, slowlorisConns)
+		s.expectCount("flood conns refused", rep.FloodRefused, floodConns-slowlorisConns)
 		s.expectCount("RefusedMaxConns", int(server.Stats().RefusedMaxConns), rep.FloodRefused)
 		for _, c := range admitted {
 			_ = c.Close()
 		}
-		if !pollActiveConns(server, lanes, 5*time.Second) {
-			s.violate("flood conns not released: %d active, want %d", server.Stats().ActiveConns, lanes)
+		if !pollActiveConns(server, edgeLanes, 5*time.Second) {
+			s.violate("flood conns not released: %d active, want %d", server.Stats().ActiveConns, edgeLanes)
 		}
 		return nil
 	}
 }
 
-// slowloris starts a frame on conns connections (every spare slot) and
-// trickles one byte at a time. The read deadline is armed when the frame
-// starts and is not extended by progress, so the trickle cannot help.
-func slowloris(rep *EdgeReport, conns, lanes int) step {
+// slowloris starts a frame on slowlorisConns connections (every spare
+// slot) and trickles one byte at a time. The read deadline is armed when
+// the frame starts and is not extended by progress, so the trickle cannot
+// help.
+func slowloris(rep *EdgeReport) step {
 	return func(s *script) error {
 		n := s.at(owner)
 		done := make(chan struct{})
 		var slow []net.Conn
-		for i := 0; i < conns; i++ {
+		for i := 0; i < slowlorisConns; i++ {
 			tc, err := n.dial()
 			if err != nil {
 				s.violate("slowloris conn %d dial: %v", i, err)
@@ -306,9 +300,9 @@ func slowloris(rep *EdgeReport, conns, lanes int) step {
 				}
 			}(tc)
 		}
-		rep.SlowlorisReaped = pollActiveConns(n.Server(), lanes, 5*time.Second)
+		rep.SlowlorisReaped = pollActiveConns(n.Server(), edgeLanes, 5*time.Second)
 		if !rep.SlowlorisReaped {
-			s.violate("slowloris conns not reaped: %d active, want %d", n.Server().Stats().ActiveConns, lanes)
+			s.violate("slowloris conns not reaped: %d active, want %d", n.Server().Stats().ActiveConns, edgeLanes)
 		}
 		close(done)
 		for _, c := range slow {
@@ -329,7 +323,9 @@ func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 		if err != nil {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}
-		evil, err := startNode(sub, edgeNode(2, 0), evilTenant)
+		spec := edgeNode(2, 0)
+		spec.Tenants = []service.TenantConfig{evilTenant.Config()}
+		evil, err := startNode(sub, spec)
 		if err != nil {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}

@@ -30,24 +30,27 @@ import (
 //     without disturbing their merge, including the cross-node
 //     double-submit a client retry after a lost ack would cause.
 type FleetConfig struct {
-	Seed        int64
-	Nodes       int // glimmerd node count; rounds shard across them
-	Devices     int // full cohort per round
-	Dim         int
-	CleanRounds int // fault-free rounds before the crash and partition
+	Seed    int64
+	Devices int // full cohort per round
+	Dim     int
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
-	c.Nodes = positiveOr(c.Nodes, 3)
 	c.Devices = positiveOr(c.Devices, 9)
 	c.Dim = positiveOr(c.Dim, 4)
-	c.CleanRounds = positiveOr(c.CleanRounds, 3)
 	return c
 }
 
-// rounds returns the total round count: the clean rounds plus the crash
-// round, the partition round, and the double-submit probe round.
-func (c FleetConfig) rounds() uint64 { return uint64(c.CleanRounds) + 3 }
+const (
+	// fleetNodes is the glimmerd node count; rounds shard across them.
+	fleetNodes = 3
+	// fleetCleanRounds are the fault-free rounds before the crash and
+	// partition.
+	fleetCleanRounds = 3
+	// fleetRounds is the total round count: the clean rounds plus the
+	// crash round, the partition round, and the double-submit probe round.
+	fleetRounds = fleetCleanRounds + 3
+)
 
 // FleetReport is the observable outcome of one fleet run.
 type FleetReport struct {
@@ -92,19 +95,20 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 		Dim:     cfg.Dim,
 		Hosting: service.TenantConfig{Workers: 2, MaxRounds: 16},
 	}
-	for round := uint64(1); round <= cfg.rounds(); round++ {
+	for round := uint64(1); round <= fleetRounds; round++ {
 		spec.Rounds = append(spec.Rounds, round)
 	}
 	var nodes []nodeSpec
-	for id := uint32(1); id <= uint32(cfg.Nodes); id++ {
+	for id := uint32(1); id <= fleetNodes; id++ {
 		nodes = append(nodes, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 16, StateDir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))}})
 	}
-	s, err := build(spec, nodes...)
+	w, err := build([]testbed.TenantSpec{spec}, nodes...)
 	if err != nil {
 		return nil, err
 	}
-	defer s.shutdown()
-	rep := &FleetReport{Nodes: cfg.Nodes, Owner: s.owners, SumDigests: s.sumDigests}
+	defer w.shutdown()
+	s := w.scripts[0]
+	rep := &FleetReport{Nodes: fleetNodes, Owner: s.owners, SumDigests: s.sumDigests}
 
 	all, half, third := cfg.Devices, cfg.Devices/2, cfg.Devices/3
 	var scenario []step
@@ -112,13 +116,13 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	// owner seals a ShardCount=1 partial, the coordinator merges it. Each
 	// cohort carries the standard probe pair: a forged signature and a
 	// duplicate.
-	for round := uint64(1); round <= uint64(cfg.CleanRounds); round++ {
+	for round := uint64(1); round <= fleetCleanRounds; round++ {
 		scenario = append(scenario, inRound(round,
 			ingest(owner, 0, 1), forged(owner, all-1, nil), ingest(owner, 1, all), duplicate(owner, 0),
 			merge(sealOf(owner, 1)),
 			merged(2)))
 	}
-	crashRound := uint64(cfg.CleanRounds) + 1
+	crashRound := uint64(fleetCleanRounds + 1)
 	scenario = append(scenario,
 		// ----- Crash round: the owner dies after accepting half the
 		// cohort; the remainder re-homes to the ring successor; the
@@ -210,10 +214,10 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	rep.RejectedTotal, rep.RefusedSeals = hub.ContribsRejected, hub.SealsRefused
 	// Every round of the scenario opened one merge, and the scenario is far
 	// below the hub's caps, so it holds them all.
-	s.expectCount("merges the coordinator holds", hub.Live+hub.Completed, int(cfg.rounds()))
+	s.expectCount("merges the coordinator holds", hub.Live+hub.Completed, fleetRounds)
 	s.expectCount("merged rejection accounting", int(rep.RejectedTotal), injected)
 	s.expectCount("seals the coordinator refused", int(rep.RefusedSeals), int(s.refusedSeals))
-	s.expectCount("merged contributions", int(s.mergedContribs), cfg.Devices*(cfg.CleanRounds+2))
+	s.expectCount("merged contributions", int(s.mergedContribs), cfg.Devices*(fleetCleanRounds+2))
 	rep.MergedRounds, rep.MergedContribs, rep.Violations = s.mergedRounds, s.mergedContribs, s.violations
 	return rep, nil
 }

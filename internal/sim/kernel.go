@@ -21,14 +21,16 @@ import (
 )
 
 // The simulator kernel: the one world builder every scenario in this
-// package is assembled by, and the one checker it is judged by.
+// package is assembled by — scripted and plan-driven alike — and the one
+// checker it is judged by.
 //
 //	substrate  attestation root + platform (internal/testbed)
 //	tenant     a service, its predicate and keys, and its provisioned fleet
 //	           blinded by its dealer enclave for a stated round set
 //	           (internal/testbed)
-//	node       one glimmerd process: a Registry hosting tenants, optionally
-//	           a durable.Store under it and a gaas edge in front of it
+//	node       one glimmerd process: a Registry hosting every tenant of the
+//	           world from its start, optionally a durable.Store under it
+//	           and a gaas edge in front of it
 //	checker    the violations list and the recurring assertions
 //
 // The pieces are the product's own, in the cmd/glimmerd topology; nothing
@@ -49,10 +51,11 @@ func simClock() *atomic.Int64 {
 
 // nodeSpec describes one glimmerd process as the node.Config it ships
 // with — ring identity, shared round budget, state directory and WAL
-// tuning (set: a durable node), edge governance limits — plus the
-// transport that fronts it (TransportDirect: no edge). The kernel fills in
-// Tenants, Listener, Edge.Platform and Edge.TLS. The spec outlives the
-// process: a crashed node restarts from the same one. It holds no key:
+// tuning (set: a durable node), edge governance limits, and the tenants
+// it hosts — plus the transport that fronts it (TransportDirect: no
+// edge). build fills in Tenants, startNode Listener, Edge.Platform and
+// Edge.TLS. The spec outlives the process: a crashed node restarts from
+// the same one, tenants included. It holds no key:
 // node.Start gives a sim node its sealing key as it gives glimmerd's, from
 // the state directory, so a restarted node re-signs with the key its TOFU
 // pin expects only because that key survived on disk.
@@ -74,15 +77,11 @@ type node struct {
 
 // startNode runs one node life on sub through node.Start — glimmerd's
 // start sequence: config-file reconstruction (a fresh registry hosting the
-// given tenants), durable recovery, then the serving edge. A node with no
-// store to recover may also be handed tenants later (Registry().AddTenant).
-func startNode(sub *testbed.Substrate, spec nodeSpec, tenants ...*testbed.Tenant) (*node, error) {
+// spec's tenants), durable recovery, then the serving edge.
+func startNode(sub *testbed.Substrate, spec nodeSpec) (*node, error) {
 	n := &node{nodeSpec: spec, sub: sub}
 	cfg := spec.Config
 	cfg.Edge.Platform = sub.Platform
-	for _, t := range tenants {
-		cfg.Tenants = append(cfg.Tenants, t.Config())
-	}
 	if spec.transport != TransportDirect {
 		if err := n.listen(&cfg); err != nil {
 			return nil, err

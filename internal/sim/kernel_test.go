@@ -59,15 +59,15 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 		specs = append(specs, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, StateDir: t.TempDir(),
 			WAL: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}}})
 	}
-	s, err := build(testbed.TenantSpec{
+	w, err := build([]testbed.TenantSpec{{
 		Name: "kernel.example", Seed: 5, Devices: devices, Dim: 3, Rounds: rounds,
 		Hosting: service.TenantConfig{Workers: 2, MaxRounds: 8},
-	}, specs...)
+	}}, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.shutdown)
-	return s
+	t.Cleanup(w.shutdown)
+	return w.scripts[0]
 }
 
 // TestSimKillLeaksNothing: a simulated kill must release the dead life —

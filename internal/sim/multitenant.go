@@ -7,13 +7,16 @@ import (
 	"time"
 
 	"glimmers/internal/glimmer"
+	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
+	"glimmers/internal/testbed"
 )
 
 // MultiScenario drives several tenants — typically a mix of range
 // aggregation and the botdetect workload — through one shared hosting
-// stack concurrently: one registry, one shared round budget, one gaas
-// front end (for the TCP/TLS transports), with every tenant's traffic
+// stack concurrently: one node started with every tenant, as glimmerd
+// starts — one registry, one shared round budget, one gaas front end (for
+// the TCP/TLS transports) — with every tenant's traffic
 // interleaving through the same frame-level routing the production daemon
 // uses. Each tenant runs its own seeded fault plan; on top of the
 // per-tenant invariants (exact sums, exact rejection accounting) the multi
@@ -43,20 +46,23 @@ type MultiScenario struct {
 	// Transport applies to every tenant (per-tenant Transport fields are
 	// overridden): all lanes share one stack.
 	Transport TransportKind
-	// TotalRoundBudget sizes the registry's shared budget (0 = generous:
-	// the sum of every tenant's quota).
-	TotalRoundBudget int
 }
+
+const (
+	// simNodeID is the ring identity of the node a MultiScenario's tenants
+	// share.
+	simNodeID = 1
+	// roundBudgetSlack is each tenant's share of the node's live-round
+	// budget beyond its own rounds.
+	roundBudgetSlack = 16
+)
 
 // MultiReport is the outcome of one multi-tenant run.
 type MultiReport struct {
 	Scenario string
 	// Reports holds each tenant's report, in Tenants order.
 	Reports []*Report
-	// RegistryRejected is the shared registry's routing-refusal count at
-	// the end of the run (including the cross-tenant probes).
-	RegistryRejected int
-	Elapsed          time.Duration
+	Elapsed time.Duration
 	// Violations lists cross-tenant invariant breaches; per-tenant
 	// breaches live in the tenant reports.
 	Violations []string
@@ -67,8 +73,9 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 	if len(s.Tenants) == 0 {
 		return nil, errors.New("sim: multi-tenant scenario without tenants")
 	}
-	cfgs := make([]Config, len(s.Tenants))
-	budget := s.TotalRoundBudget
+	sims := make([]*simulation, len(s.Tenants))
+	specs := make([]testbed.TenantSpec, len(s.Tenants))
+	budget := 0
 	names := make(map[string]bool, len(s.Tenants))
 	for i, tcfg := range s.Tenants {
 		tcfg.Transport = s.Transport
@@ -86,28 +93,28 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 			return nil, fmt.Errorf("sim: duplicate tenant name %q", cfg.ServiceName)
 		}
 		names[cfg.ServiceName] = true
-		cfgs[i] = cfg
-		if s.TotalRoundBudget == 0 {
-			budget += cfg.Rounds + 16
-		}
+		sims[i], specs[i] = newSimulation(cfg)
+		budget += cfg.Rounds + roundBudgetSlack
 	}
 
 	start := time.Now()
-	st, err := newStack(s.Transport, budget)
+	w, err := build(specs, nodeSpec{Config: glimnode.Config{NodeID: simNodeID, MaxTotalRounds: budget}, transport: s.Transport})
 	if err != nil {
 		return nil, err
 	}
-	defer st.shutdown()
-
-	sims := make([]*simulation, len(cfgs))
-	for i, cfg := range cfgs {
-		sim, err := newSimulation(cfg.ServiceName, cfg, st)
-		if err != nil {
+	defer w.shutdown()
+	// The lanes close before the node drains.
+	defer func() {
+		for _, sim := range sims {
+			sim.close()
+		}
+	}()
+	for i, sim := range sims {
+		if err := sim.open(w.scripts[i]); err != nil {
 			return nil, err
 		}
-		defer sim.shutdown()
-		sims[i] = sim
 	}
+	st := w.nodes[simNodeID]
 
 	// All tenants run concurrently: their batches interleave through the
 	// shared registry (and, over TCP/TLS, the shared front end).
@@ -138,7 +145,6 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 
 	probeIsolation(cross, st, sims)
 
-	rep.RegistryRejected = st.Registry().Rejected()
 	rep.Elapsed = time.Since(start)
 	rep.Violations = cross.violations
 	return rep, nil

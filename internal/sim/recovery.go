@@ -99,7 +99,7 @@ func RunCrashRecovery(stateDir string, cfg CrashConfig) (*CrashReport, error) {
 // (and loses) the next `staged`, and dies. flushed+staged must leave at
 // least one device that has not contributed, for the forged-MAC probe.
 func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashReport, error) {
-	s, err := build(testbed.TenantSpec{
+	w, err := build([]testbed.TenantSpec{{
 		Name:    crashServiceName,
 		Seed:    cfg.Seed,
 		Devices: cfg.Devices,
@@ -111,7 +111,7 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 			MaxRounds:    8,
 			RoundWindow:  4,
 		},
-	}, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: 8, StateDir: stateDir,
+	}}, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: 8, StateDir: stateDir,
 		// Huge thresholds: the background flusher never fires on its own, so
 		// the only disk writes come from barriers and explicit flush steps —
 		// the scenario controls exactly which records are durable at the kill.
@@ -119,7 +119,8 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 	if err != nil {
 		return nil, err
 	}
-	defer s.shutdown()
+	defer w.shutdown()
+	s := w.scripts[0]
 	rep := &CrashReport{RecoverCold: s.nodes[1].Recovered(), StagedLost: staged, PreCrashAccepted: flushed + staged}
 	fresh, all := flushed+staged, cfg.Devices
 
@@ -219,7 +220,7 @@ func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
 	}
 	defer os.RemoveAll(obsDir)
 	spec.StateDir = obsDir
-	obs, err := startNode(s.at(owner).sub, spec, s.t)
+	obs, err := startNode(s.at(owner).sub, spec)
 	if err != nil {
 		return fmt.Errorf("sim: observer recovery: %w", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"glimmers/internal/botdetect"
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
-	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/tee"
 	"glimmers/internal/testbed"
@@ -51,17 +50,24 @@ type roundState struct {
 	stragglers []item
 }
 
+// Every simulation submits in batches of batchSize contributions over
+// submitters concurrent lanes — parallel gaas connections or concurrent
+// IngestBatch callers.
+const (
+	batchSize  = 16
+	submitters = 4
+)
+
 // simulation is one tenant's seeded fault plan running against a node: a
 // script (the tenant, the node, the checker) plus the plan and what its
 // execution has observed so far.
 type simulation struct {
 	*script
-	name string
 	cfg  Config
 	plan *plan
-	// st is the node hosting the tenant (shared with its co-tenants in a
-	// MultiScenario), manager the tenant's round manager on it, and pool
-	// the tenant's submission lanes into it.
+	// st is the node hosting the tenant (shared with its co-tenants),
+	// manager the tenant's round manager on it, and pool the tenant's
+	// submission lanes into it.
 	st      *node
 	manager *service.RoundManager
 	pool    *transportPool
@@ -69,11 +75,6 @@ type simulation struct {
 	// otherwise): a deterministic fake the expiry probe advances, so the
 	// trace stays a pure function of the configuration.
 	clock *atomic.Int64
-	// soleTenant marks this simulation as the registry's only tenant, so
-	// registry-level rejection accounting can be reconciled here; a
-	// MultiScenario reconciles the shared counter across its tenants
-	// instead.
-	soleTenant bool
 
 	mu     sync.Mutex
 	rounds map[uint64]*roundState
@@ -86,24 +87,9 @@ type simulation struct {
 	reports                []RoundReport
 }
 
-// newStack assembles the hosting substrate every tenant of a simulation
-// runs on: one attestation root, one platform, and one node — a
-// multi-tenant registry and, for the gaas transports, its front end.
-// roundBudget sizes the registry's shared live-round budget.
-func newStack(transport TransportKind, roundBudget int) (*node, error) {
-	sub, err := testbed.New()
-	if err != nil {
-		return nil, err
-	}
-	return startNode(sub, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: roundBudget}, transport: transport})
-}
-
-// newSimulation plans the run, provisions the tenant's fleet, hosts the
-// tenant on st, and opens its submission lanes.
-func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
-	if name == "" {
-		name = "sim"
-	}
+// newSimulation plans cfg's run and returns it with the spec of the
+// tenant it runs as, for build to provision and host.
+func newSimulation(cfg Config) (*simulation, testbed.TenantSpec) {
 	p := buildPlan(cfg)
 	spec := testbed.TenantSpec{
 		Name:    cfg.ServiceName,
@@ -111,7 +97,6 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
 		Hosting: service.TenantConfig{
-			Workers: cfg.Workers,
 			// Rounds are closed but never forgotten (a forgotten round could be
 			// re-created by a replayed contribution), so the quota covers them
 			// all.
@@ -150,43 +135,25 @@ func newSimulation(name string, cfg Config, st *node) (*simulation, error) {
 			Now:        clock.Load,
 		}
 	}
-	t, err := st.sub.Provision(spec)
-	if err != nil {
-		return nil, err
-	}
-	s := &simulation{
-		script: newScript(t, st),
-		name:   name,
-		cfg:    cfg,
-		plan:   p,
-		st:     st,
-		clock:  clock,
-		rounds: make(map[uint64]*roundState),
-	}
-	if err := s.open(); err != nil {
-		s.shutdown()
-		return nil, err
-	}
-	return s, nil
+	return &simulation{cfg: cfg, plan: p, clock: clock, rounds: make(map[uint64]*roundState)}, spec
 }
 
-// open hosts the tenant, builds its submission lanes into the shared
-// node — in-process registry calls, or gaas clients (each dialing the
-// shared front end and naming this tenant in its hello) — and, ticketed,
-// runs each device's grant exchange through them. The grant window covers
-// the plan's bogus rounds deliberately — see the ticket policy above.
-func (s *simulation) open() (err error) {
-	hosted, err := s.st.Registry().AddTenant(s.t.Config())
-	if err != nil {
-		return fmt.Errorf("sim: tenant: %w", err)
-	}
-	s.manager = hosted.Manager()
+// open takes the tenant's script in the built world, whose one node hosts
+// the tenant from its start, builds the tenant's submission lanes into
+// that node — in-process registry calls, or gaas clients (each dialing
+// the shared front end and naming this tenant in its hello) — and,
+// ticketed, runs each device's grant exchange through them. The grant
+// window covers the plan's bogus rounds deliberately — see the ticket
+// policy above.
+func (s *simulation) open(sc *script) (err error) {
+	s.script, s.st = sc, sc.nodes[simNodeID]
+	s.manager = s.st.manager(s.t)
 	if s.st.Server() == nil {
-		s.pool = newDirectPool(s.st.Registry(), s.cfg.Submitters)
+		s.pool = newDirectPool(s.st.Registry())
 	} else {
 		verifier := &tee.QuoteVerifier{Root: s.t.AS.Root()}
 		verifier.Allow(s.t.Measurement())
-		if s.pool, err = newGaasPool(s.st.dial, verifier, s.t.Name, s.cfg.Submitters); err != nil {
+		if s.pool, err = newGaasPool(s.st.dial, verifier, s.t.Name); err != nil {
 			return err
 		}
 	}
@@ -200,11 +167,11 @@ func (s *simulation) open() (err error) {
 	return nil
 }
 
-func (s *simulation) shutdown() {
+// close closes the tenant's submission lanes.
+func (s *simulation) close() {
 	if s.pool != nil {
 		s.pool.close()
 	}
-	s.t.Destroy()
 }
 
 // state returns round's observations, creating them (s.mu held).
@@ -290,7 +257,7 @@ func (s *simulation) run() (*Report, error) {
 		}
 	}
 	return &Report{
-		Scenario:   s.name,
+		Scenario:   s.cfg.ServiceName,
 		Config:     s.cfg,
 		Rounds:     s.reports,
 		Totals:     totals,
@@ -387,8 +354,8 @@ func (s *simulation) submitRound(rp roundPlan) step {
 // reconciles observed outcomes against expectations.
 func (s *simulation) submitWave(round uint64, items []item) error {
 	var wg sync.WaitGroup
-	errCh := make(chan error, (len(items)/s.cfg.BatchSize)+1)
-	for batch := range slices.Chunk(items, s.cfg.BatchSize) {
+	errCh := make(chan error, (len(items)/batchSize)+1)
+	for batch := range slices.Chunk(items, batchSize) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -661,16 +628,11 @@ func (s *simulation) closeRound(c uint64) step {
 	}
 }
 
-// reconcileRejections checks that every observed refusal is accounted for
-// exactly: tenant-level refusals by this tenant's manager- and
-// pipeline-level counters, and (when this is the registry's only tenant)
-// routing-level refusals by the shared registry counter. Multi-tenant runs
-// reconcile the shared counter across tenants in MultiScenario.Run.
+// reconcileRejections checks that every tenant-level refusal observed is
+// accounted for exactly by this tenant's manager- and pipeline-level
+// counters. Routing-level refusals land in the registry counter the
+// tenants share, which MultiScenario.Run reconciles across them.
 func (s *simulation) reconcileRejections(*script) error {
-	want := refusals{tenant: s.observedRejects, manager: unchecked, registry: unchecked}
-	if s.soleTenant {
-		want.registry = s.observedRoutingRejects
-	}
-	s.reconcile(s.name, s.st.ledger(s.manager), want)
+	s.reconcile(s.cfg.ServiceName, s.st.ledger(s.manager), refusals{tenant: s.observedRejects, manager: unchecked, registry: unchecked})
 	return nil
 }

@@ -128,7 +128,8 @@ const (
 
 // Config sizes one simulation.
 type Config struct {
-	// Seed drives every workload decision. Same seed, same plan.
+	// Seed drives every workload decision. Same seed, same plan (zero: a
+	// default distinct per tenant, see MultiScenario.Tenants).
 	Seed int64
 	// Devices is the fleet size (≥ 4: the round-admission anchor needs at
 	// least two honest accepts per round, and dropout recovery needs
@@ -141,20 +142,13 @@ type Config struct {
 	Overlap int
 	// Dim is the contribution dimensionality.
 	Dim int
-	// Workers sizes each round's ingest pipeline (see
-	// service.TenantConfig).
-	Workers int
 	// Transport selects the submission path.
 	Transport TransportKind
-	// BatchSize caps contributions per submitted batch (default 16).
-	BatchSize int
-	// Submitters is the number of concurrent submission lanes — parallel
-	// gaas connections or concurrent IngestBatch callers (default 4).
-	Submitters int
 	// Faults is the adversarial workload.
 	Faults FaultPlan
 
-	// ServiceName names the simulated service (the tenant's routing key).
+	// ServiceName names the simulated service (the tenant's routing key;
+	// empty: tenant<i>.glimmers.example, i its place in the scenario).
 	ServiceName string
 	// Workload selects the tenant's contribution shape and predicate.
 	Workload Workload
@@ -193,15 +187,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Dim == 0 {
 		c.Dim = 8
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
-	if c.Submitters == 0 {
-		c.Submitters = 4
-	}
-	if c.ServiceName == "" {
-		c.ServiceName = "sim.glimmers.example"
-	}
 	switch {
 	case c.Devices < 4:
 		return c, fmt.Errorf("sim: need at least 4 devices, got %d", c.Devices)
@@ -224,26 +209,19 @@ type Scenario struct {
 	Config Config
 }
 
-// Run executes the scenario: a single-tenant deployment of the full
-// multi-tenant stack (one Registry, one tenant). Use MultiScenario for
-// several tenants sharing the substrate.
+// Run executes the scenario as a one-tenant MultiScenario: the full
+// multi-tenant stack hosting one tenant, its cross-tenant checks included
+// (their breaches join the tenant's). Use MultiScenario for several
+// tenants sharing the substrate.
 func (s Scenario) Run() (*Report, error) {
-	cfg, err := s.Config.withDefaults()
+	multi, err := MultiScenario{Name: s.Name, Tenants: []Config{s.Config}, Transport: s.Config.Transport}.Run()
 	if err != nil {
 		return nil, err
 	}
-	st, err := newStack(cfg.Transport, cfg.Rounds+16)
-	if err != nil {
-		return nil, err
-	}
-	defer st.shutdown()
-	sim, err := newSimulation(s.Name, cfg, st)
-	if err != nil {
-		return nil, err
-	}
-	sim.soleTenant = true
-	defer sim.shutdown()
-	return sim.run()
+	rep := multi.Reports[0]
+	rep.Scenario = s.Name
+	rep.Violations = append(rep.Violations, multi.Violations...)
+	return rep, nil
 }
 
 // Outcome categories tallied by the simulator. Categories starting with

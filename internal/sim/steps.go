@@ -44,11 +44,33 @@ func positiveOr(v, def int) int {
 	return v
 }
 
-// script is a built world plus the state steps share: the round in play
-// and its placement, the contributions and seals already produced (a
-// dealer mask is one-time-use per device and round, and a replayed seal
-// must be the same bytes), and the ledger of what the probes injected.
+// world is what build made: the tenants, the nodes hosting all of them
+// (a crashed node's restart replaces its entry), their ring, and one
+// script per tenant.
+type world struct {
+	tenants []*testbed.Tenant
+	nodes   map[uint32]*node
+	ring    *fleet.Ring
+	scripts []*script
+}
+
+// shutdown drains every node, then destroys every tenant.
+func (w *world) shutdown() {
+	for _, n := range w.nodes {
+		n.shutdown()
+	}
+	for _, t := range w.tenants {
+		t.Destroy()
+	}
+}
+
+// script is one tenant's view of a built world plus the state steps
+// share: the round in play and its placement, the contributions and seals
+// already produced (a dealer mask is one-time-use per device and round,
+// and a replayed seal must be the same bytes), and the ledger of what the
+// probes injected.
 type script struct {
+	*world
 	*checker
 	t *testbed.Tenant
 	// values[r][i] is device i's honest contribution to round r; the exact
@@ -56,8 +78,6 @@ type script struct {
 	// only over the full cohort, so any lost or doubled contribution
 	// poisons the sum loudly).
 	values map[uint64][]fixed.Vector
-	nodes  map[uint32]*node
-	ring   *fleet.Ring
 	// hub is the merge coordinator. It never sees an unblinded value and
 	// holds no node registry: identities pin on first use and the pins
 	// span rounds, so a key swap in any later round is caught.
@@ -81,58 +101,59 @@ type script struct {
 	sumDigests     map[uint64]string
 }
 
-// build is the world builder for scripted scenarios: substrate → tenant
-// (fleet provisioned with masks for spec.Rounds, honest values drawn from
-// the seed) → nodes, each hosting the tenant and cold-started from its
-// spec, placed on a consistent-hash ring.
-func build(spec testbed.TenantSpec, nodes ...nodeSpec) (*script, error) {
+// build is the one world builder: substrate → every tenant of the world
+// (each fleet provisioned with masks for its spec.Rounds, honest values
+// drawn from its seed) → nodes, each cold-started from its spec with all
+// the tenants in node.Config.Tenants, as glimmerd starts, placed on a
+// consistent-hash ring. The world holds one script per spec, in order.
+func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 	sub, err := testbed.New()
 	if err != nil {
 		return nil, err
 	}
-	t, err := sub.Provision(spec)
-	if err != nil {
-		return nil, err
-	}
-	s := newScript(t)
-	rng := rand.New(rand.NewSource(spec.Seed))
-	for _, round := range spec.Rounds {
-		vals := make([]fixed.Vector, spec.Devices)
-		for i := range vals {
-			vals[i] = fixed.NewVector(spec.Dim)
-			for j := range vals[i] {
-				vals[i][j] = fixed.FromFloat(rng.Float64())
-			}
+	w := &world{nodes: make(map[uint32]*node, len(nodes))}
+	var hosted []service.TenantConfig
+	for _, spec := range specs {
+		t, err := sub.Provision(spec)
+		if err != nil {
+			w.shutdown()
+			return nil, err
 		}
-		s.values[round] = vals
+		w.tenants = append(w.tenants, t)
+		w.scripts = append(w.scripts, newScript(w, t))
+		hosted = append(hosted, t.Config())
 	}
 	ids := make([]uint32, 0, len(nodes))
 	for _, ns := range nodes {
-		n, err := startNode(sub, ns, s.t)
+		ns.Tenants = hosted
+		n, err := startNode(sub, ns)
 		if err != nil {
-			s.shutdown()
+			w.shutdown()
 			return nil, err
 		}
 		if n.Recovered().SnapshotLoaded || n.Recovered().Records != 0 {
-			s.violate("node %d cold start found state in a fresh dir: %+v", ns.NodeID, n.Recovered())
+			for _, s := range w.scripts {
+				s.violate("node %d cold start found state in a fresh dir: %+v", ns.NodeID, n.Recovered())
+			}
 		}
-		s.nodes[ns.NodeID] = n
+		w.nodes[ns.NodeID] = n
 		ids = append(ids, ns.NodeID)
 	}
-	if s.ring, err = fleet.NewRing(ids, 0); err != nil {
-		s.shutdown()
+	if w.ring, err = fleet.NewRing(ids, 0); err != nil {
+		w.shutdown()
 		return nil, err
 	}
-	return s, nil
+	return w, nil
 }
 
-// newScript wraps a provisioned tenant and the nodes hosting it.
-func newScript(t *testbed.Tenant, nodes ...*node) *script {
+// newScript is tenant t's view of w, with t's honest values drawn from its
+// seed for every round it was dealt.
+func newScript(w *world, t *testbed.Tenant) *script {
 	s := &script{
+		world:      w,
 		checker:    new(checker),
 		t:          t,
 		values:     make(map[uint64][]fixed.Vector, len(t.Rounds)),
-		nodes:      make(map[uint32]*node, len(nodes)),
 		hub:        &service.MergeHub{AllowTOFU: true},
 		owners:     make(map[uint64]uint32),
 		raws:       make(map[uint64][][]byte),
@@ -140,17 +161,18 @@ func newScript(t *testbed.Tenant, nodes ...*node) *script {
 		injected:   make(map[uint32]int),
 		sumDigests: make(map[uint64]string),
 	}
-	for _, n := range nodes {
-		s.nodes[n.NodeID] = n
+	rng := rand.New(rand.NewSource(t.Seed))
+	for _, round := range t.Rounds {
+		vals := make([]fixed.Vector, t.Devices)
+		for i := range vals {
+			vals[i] = fixed.NewVector(t.Dim)
+			for j := range vals[i] {
+				vals[i][j] = fixed.FromFloat(rng.Float64())
+			}
+		}
+		s.values[round] = vals
 	}
 	return s
-}
-
-func (s *script) shutdown() {
-	for _, n := range s.nodes {
-		n.shutdown()
-	}
-	s.t.Destroy()
 }
 
 // play runs the steps in order, stopping at the first that cannot
@@ -326,7 +348,7 @@ func crash(at place, tornTail bool) step {
 		if err := dead.kill(tornTail); err != nil {
 			return err
 		}
-		n, err := startNode(dead.sub, dead.nodeSpec, s.t)
+		n, err := startNode(dead.sub, dead.nodeSpec)
 		if err != nil {
 			return err
 		}

@@ -12,8 +12,8 @@ import (
 
 // A lane is one submission path to the service. Each lane serializes its
 // own submissions — gaas lanes own a connection whose frame protocol is
-// strictly request/response, and direct lanes match that shape so the
-// Submitters knob bounds concurrent ingest callers identically on every
+// strictly request/response, and direct lanes match that shape so
+// submitters bounds concurrent ingest callers identically on every
 // transport. Different lanes proceed in parallel.
 type lane struct {
 	mu sync.Mutex
@@ -48,13 +48,13 @@ func (p *transportPool) close() {
 	}
 }
 
-// newDirectPool builds in-process lanes over the registry. The registry is
-// concurrency-safe, but each lane still serializes its own submissions so
-// Submitters bounds the concurrent IngestBatch callers exactly as it
-// bounds gaas connections — the two transports exercise the same
-// concurrency shape.
-func newDirectPool(reg *service.Registry, n int) *transportPool {
-	p := &transportPool{lanes: make([]*lane, n), grant: reg.GrantTicket}
+// newDirectPool builds submitters in-process lanes over the registry. The
+// registry is concurrency-safe, but each lane still serializes its own
+// submissions so submitters bounds the concurrent IngestBatch callers
+// exactly as it bounds gaas connections — the two transports exercise the
+// same concurrency shape.
+func newDirectPool(reg *service.Registry) *transportPool {
+	p := &transportPool{lanes: make([]*lane, submitters), grant: reg.GrantTicket}
 	for i := range p.lanes {
 		p.lanes[i] = &lane{
 			submit: func(batch [][]byte) (int, []error, error) {
@@ -66,11 +66,12 @@ func newDirectPool(reg *service.Registry, n int) *transportPool {
 	return p
 }
 
-// newGaasPool dials n gaas clients (each with its own attested handshake,
-// like n independent submitting hosts) and wraps them as tally-only lanes.
-func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, serviceName string, n int) (*transportPool, error) {
-	p := &transportPool{lanes: make([]*lane, 0, n)}
-	for i := 0; i < n; i++ {
+// newGaasPool dials submitters gaas clients (each with its own attested
+// handshake, like independent submitting hosts) and wraps them as
+// tally-only lanes.
+func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, serviceName string) (*transportPool, error) {
+	p := &transportPool{lanes: make([]*lane, 0, submitters)}
+	for i := 0; i < submitters; i++ {
 		conn, err := dial()
 		if err != nil {
 			p.close()
