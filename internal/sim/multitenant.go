@@ -40,7 +40,8 @@ import (
 type MultiScenario struct {
 	Name string
 	// Tenants are the per-tenant workloads. Empty ServiceNames are
-	// assigned tenant<i>.glimmers.example; names must be distinct. A zero
+	// assigned tenant<i>.glimmers.example; names must be distinct (the
+	// node refuses to start with two tenants of one name). A zero
 	// Seed gets a distinct per-tenant default.
 	Tenants []Config
 	// Transport applies to every tenant (per-tenant Transport fields are
@@ -76,7 +77,6 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 	sims := make([]*simulation, len(s.Tenants))
 	specs := make([]testbed.TenantSpec, len(s.Tenants))
 	budget := 0
-	names := make(map[string]bool, len(s.Tenants))
 	for i, tcfg := range s.Tenants {
 		tcfg.Transport = s.Transport
 		if tcfg.ServiceName == "" {
@@ -89,10 +89,6 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		if names[cfg.ServiceName] {
-			return nil, fmt.Errorf("sim: duplicate tenant name %q", cfg.ServiceName)
-		}
-		names[cfg.ServiceName] = true
 		sims[i], specs[i] = newSimulation(cfg)
 		budget += cfg.Rounds + roundBudgetSlack
 	}
