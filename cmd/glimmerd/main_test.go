@@ -99,7 +99,8 @@ func TestRunServesAndDrains(t *testing.T) {
 		"glimmerd: terminated: stopping accept loop, draining in-flight batches\n",
 		"glimmerd: edge counters: refused-max-conns=0 refused-per-ip=0 shed-batches=0\n",
 		"glimmerd: tenant bots.example\nglimmerd:   rejected total: 0 (manager + pipelines)\n",
-		"glimmerd: tenant demo.glimmers.example\nglimmerd:   rejected total: 1 (manager + pipelines)\n",
+		"glimmerd: tenant demo.glimmers.example\nglimmerd:   rejected total: 1 (manager + pipelines)\n" +
+			"glimmerd:   dropped unsealed: 0 (accepted in rounds forgotten before their seal)\n",
 		"glimmerd: routing rejections (unroutable/unknown tenant): 1\n",
 		"glimmerd: wal: records=",
 		"glimmerd: state snapshotted to " + dir,

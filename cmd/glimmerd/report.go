@@ -82,6 +82,7 @@ func (p printer) report(rep node.Report, stateDir string) {
 			p.say("  round %-6d sealed: accepted=%-6d sum=%s", r.Round, r.Accepted, r.Sum.Digest())
 		}
 		p.say("  rejected total: %d (manager + pipelines)", t.ManagerRejected+t.PipelineRejected)
+		p.say("  dropped unsealed: %d (accepted in rounds forgotten before their seal)", t.Dropped)
 	}
 	p.say("routing rejections (unroutable/unknown tenant): %d", rep.RoutingRejected)
 	sent := 0 // partials the coordinator absorbed

@@ -283,12 +283,14 @@ type Report struct {
 
 // TenantReport is one tenant's final aggregation state. A refusal is
 // counted once: by the round's pipeline, or by the manager when no round
-// admitted it.
+// admitted it. Dropped is service.RoundManager.Dropped: contributions
+// accepted into rounds forgotten before their seal.
 type TenantReport struct {
 	Name             string
 	Rounds           []RoundReport
 	ManagerRejected  int
 	PipelineRejected int
+	Dropped          int
 }
 
 // RoundReport is one sealed round.
@@ -322,7 +324,7 @@ func (n *Node) Drain() (Report, error) {
 	var unshipped []sealedRound
 	for _, t := range n.reg.Tenants() {
 		m := t.Manager()
-		tr := TenantReport{Name: t.Name(), ManagerRejected: m.Rejected()}
+		tr := TenantReport{Name: t.Name(), ManagerRejected: m.Rejected(), Dropped: m.Dropped()}
 		for _, round := range m.Rounds() {
 			p, ok := m.Lookup(round)
 			if !ok {

@@ -51,6 +51,10 @@ type roundConfig struct {
 	TenantConfig
 	tickets *TicketTable // nil refuses ticketed traffic with ErrUnknownTicket
 	allow   *allowlist
+	// dropped tallies the contributions of rounds forgotten before their
+	// seal was booked (Pipeline.retire adds them): acked, then never part
+	// of a sealed aggregate. RoundManager.Dropped reads it.
+	dropped atomic.Int64
 }
 
 // pipeShard is one lock's worth of aggregation state. Contributions are
@@ -96,6 +100,10 @@ type Pipeline struct {
 	stateMu sync.RWMutex
 	state   int
 	pending sync.WaitGroup
+	// forgotten is set as the round leaves its manager (detach), sealed
+	// once a Seal has drained the round and booked its cohort. A round
+	// forgotten before it was sealed is a drop: retire tallies it.
+	forgotten, sealed bool
 
 	rejected atomic.Int64
 
@@ -150,25 +158,48 @@ func newPipeline(cfg *roundConfig, round uint64) *Pipeline {
 	return p
 }
 
-// retire closes a round that has left its manager — RoundManager.Forget and
-// the eviction of a round call it — so nothing writes to it again, then
-// hands its dedup sets back to seenPool, cleared, and zeroes its sum. Every
-// reader of a shard's set holds the shard lock retire takes, and snapshot
-// holds the write side of stateMu too, so a caller still holding the
-// pipeline reads an empty closed round — Count 0, a zero Sum — and never a
-// digest of the round that takes a set next.
-func (p *Pipeline) retire() {
-	p.Close()
+// detach takes the round out of service as it leaves its manager, under
+// the manager's lock: intake stops, the journal is detached (see
+// RoundManager.forgetLocked), and a Seal that has not yet booked the cohort
+// returns ErrRoundClosed. With onlyOpen a round that is no longer open is
+// left alone and detach reports false, so an eviction never takes a round
+// a concurrent Seal has claimed.
+func (p *Pipeline) detach(onlyOpen bool) bool {
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
+	if onlyOpen && p.state != roundOpen {
+		return false
+	}
+	p.state, p.forgotten, p.journal = roundClosed, true, nil
+	return true
+}
+
+// retire finishes a round that detach took out of service — RoundManager.
+// Forget and the eviction of a round call it — once every lock is released:
+// it waits for the batches still in flight, adds the count of a round that
+// was never sealed to its tenant's dropped tally, then hands its dedup sets
+// back to seenPool, cleared, and zeroes its sum. Every reader of a shard's
+// set holds the shard lock retire takes, and snapshot holds the write side
+// of stateMu too, so a caller still holding the pipeline reads an empty
+// closed round — Count 0, a zero Sum — and never a digest of the round that
+// takes a set next.
+func (p *Pipeline) retire() {
+	p.pending.Wait()
+	p.stateMu.Lock()
+	defer p.stateMu.Unlock()
+	dropped := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		seen := sh.seen
+		dropped += len(seen)
 		sh.seen = nil
 		clear(sh.sum)
 		sh.mu.Unlock()
 		clear(seen)
 		seenPool.Put(seen)
+	}
+	if !p.sealed {
+		p.cfg.dropped.Add(int64(dropped))
 	}
 }
 
@@ -325,7 +356,9 @@ func (p *Pipeline) refuse(n int) {
 // and journals the seal. Once it returns no contribution can move the
 // shards, so Sum and Count are stable (CorrectDropout, until Close, is the
 // one thing that still adds to the sum). Sealing an already sealed round is
-// a no-op; sealing a closed round returns ErrRoundClosed.
+// a no-op; sealing a closed round returns ErrRoundClosed, and so does a
+// Seal whose round left its manager (detach) before the cohort was booked:
+// retire empties that round and tallies it as dropped.
 func (p *Pipeline) Seal() error {
 	p.stateMu.Lock()
 	if p.state == roundClosed {
@@ -336,15 +369,19 @@ func (p *Pipeline) Seal() error {
 	p.state = roundSealed
 	p.stateMu.Unlock()
 	p.pending.Wait()
-	// Journaled after the drain: every accepted contribution of the round
-	// has written its record by the time the seal record lands, so replay
-	// seals exactly the cohort that was sealed live.
+	// Booked after the drain: every accepted contribution of the round has
+	// written its record by the time the seal record lands, so replay seals
+	// exactly the cohort that was sealed live.
+	p.stateMu.Lock()
+	defer p.stateMu.Unlock()
+	if p.forgotten && !p.sealed {
+		return ErrRoundClosed
+	}
 	if transitioned {
-		p.stateMu.RLock()
+		p.sealed = true
 		if j := p.journal; j != nil {
 			j.Append(Record{Kind: RoundSealed, Tenant: p.cfg.Name, Round: p.round})
 		}
-		p.stateMu.RUnlock()
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ func (b *Budget) occupancyLocked() int {
 }
 
 // makeRoomLocked evicts cross-tenant until one more round fits under the
-// cap. The victims (already out of their managers) must be Closed by the
+// cap. The victims (already out of their managers) must be retired by the
 // caller outside every lock; they are returned even alongside
 // ErrBudgetExhausted.
 func (b *Budget) makeRoomLocked() (victims []*Pipeline, err error) {

@@ -64,6 +64,14 @@ func (m *RoundManager) Vet(meas tee.Measurement) { m.cfg.allow.vet(meas) }
 // owner/window/cap refusals.
 func (m *RoundManager) Rejected() int { return int(m.rejected.Load()) }
 
+// Dropped reports the contributions accepted into rounds that were
+// forgotten — evicted at the cap or by Forget — before they were sealed:
+// acked, and then part of no sealed aggregate. Replay counts the rounds
+// the journal forgets, so after a restart it covers the WALs replayed
+// since the last image (an image holds live rounds only) and what this
+// life dropped.
+func (m *RoundManager) Dropped() int { return int(m.cfg.dropped.Load()) }
+
 // refuse books n manager-level refusals: the counter and the journal's
 // Rejected record. The router books a frame's worth at once.
 func (m *RoundManager) refuse(n int) {
@@ -185,7 +193,7 @@ func (m *RoundManager) admit(round uint64, raws [][]byte, errs []error, idx []in
 //     window check repeated — step 2 may have evicted this tenant's window
 //     anchor (ownership is fixed, so it is not asked twice).
 //
-// Evicted pipelines are retired only after every lock is released: closing
+// Evicted pipelines are retired only after every lock is released: retiring
 // drains the victim's in-flight batches, which must not stall other rounds,
 // and then its dedup sets go on to later rounds, as Forget's do.
 func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
@@ -277,41 +285,52 @@ func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipelin
 // ErrRoundSealed/ErrRoundClosed, never a fresh dedup set) holds. Among
 // open rounds the least-filled loses; on a count tie the highest round
 // number loses, so a client spraying ascending fresh rounds evicts its own
-// spray before a round that opened earlier. The caller must retire the
-// victim outside m.mu.
+// spray before a round that opened earlier. A round a concurrent Seal
+// claims between the scan and the detach is passed over. The caller must
+// retire the victim outside m.mu.
 func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
-	var victim uint64
-	victimCount, found := 0, false
-	for r, p := range m.rounds {
-		if !p.open() {
-			continue
+	for {
+		var victim uint64
+		victimCount, found := 0, false
+		for r, p := range m.rounds {
+			if !p.open() {
+				continue
+			}
+			c := p.Count()
+			if !found || c < victimCount || (c == victimCount && r > victim) {
+				victim, victimCount, found = r, c, true
+			}
 		}
-		c := p.Count()
-		if !found || c < victimCount || (c == victimCount && r > victim) {
-			victim, victimCount, found = r, c, true
+		if !found {
+			return nil, false
+		}
+		if p := m.rounds[victim]; m.forgetLocked(victim, p, true) {
+			return p, true
 		}
 	}
-	if !found {
-		return nil, false
-	}
-	p := m.rounds[victim]
-	m.forgetLocked(victim, p)
-	return p, true
 }
 
-// forgetLocked removes a round and detaches its pipeline from the journal
-// before journaling RoundForgotten, all under m.mu. The victim's Close, run
-// by the caller outside m.mu, and whatever its in-flight frames still book
-// then reach no journal: a contribution may already have re-created the
-// round by then, and replay would apply those records to the successor.
-// What the detached pipeline accepted late is lost to replay as it is to
-// the live registry, which can no longer reach it either.
-func (m *RoundManager) forgetLocked(round uint64, p *Pipeline) {
+// forgetLocked takes a round out of the manager, all under m.mu: it
+// detaches the pipeline (intake stops, and the journal goes before
+// RoundForgotten is journaled), then removes it. The caller retires it
+// outside m.mu, and whatever its in-flight frames still book then reaches
+// no journal: a contribution may already have re-created the round by then,
+// and replay would apply those records to the successor. With onlyOpen a
+// round that is no longer open stays, and forgetLocked reports false.
+//
+// What a detached pipeline accepts late is lost to replay as it is to the
+// live registry, which can no longer reach it either. The dropped tally
+// differs by exactly those accepts: live, retire counts them; replay
+// counts what the journal holds.
+func (m *RoundManager) forgetLocked(round uint64, p *Pipeline, onlyOpen bool) bool {
+	if !p.detach(onlyOpen) {
+		return false
+	}
 	delete(m.rounds, round)
-	p.setJournal(nil)
 	if j := m.journal; j != nil {
 		j.Append(Record{Kind: RoundForgotten, Tenant: m.cfg.Name, Round: round})
 	}
+	return true
 }
 
 // dropLeastFilled is the shared budget's cross-tenant eviction hook: it
@@ -346,7 +365,7 @@ func (m *RoundManager) Close(round uint64) *Pipeline {
 // still holding the pipeline gets ErrRoundClosed, never a late accept) and
 // handing its dedup sets on to later rounds, so a caller still holding the
 // pipeline reads an empty closed round (Count 0, a zero Sum, its Rejected
-// kept). A fresh verified contribution for a forgotten round would start a
+// kept). A round forgotten before it was sealed adds its count to Dropped. A fresh verified contribution for a forgotten round would start a
 // new pipeline, so only forget rounds the transport no longer routes. The
 // round's share of the budget goes with it.
 //
@@ -358,7 +377,7 @@ func (m *RoundManager) Forget(round uint64) {
 	m.mu.Lock()
 	p, ok := m.rounds[round]
 	if ok {
-		m.forgetLocked(round, p)
+		m.forgetLocked(round, p, false)
 	}
 	m.mu.Unlock()
 	if ok {
