@@ -705,3 +705,62 @@ func TestNodeKeyRefusesDamagedFile(t *testing.T) {
 		})
 	}
 }
+
+// TestDroppedTallySurvivesReplay: a round evicted at the cap before its
+// seal drops the contributions it accepted, and so does an open round an
+// operator forgets; a sealed round forgotten drops nothing. The tenant's
+// tally counts the drops, and a restart that replays the WAL — where each
+// drop is a RoundForgotten after the round's accept records — counts them
+// again.
+func TestDroppedTallySurvivesReplay(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*service.RoundManager, *service.Registry, *Store) {
+		reg := service.NewRegistry(64)
+		tn, err := reg.AddTenant(service.TenantConfig{
+			Name:         testTenant,
+			Dim:          4,
+			Workers:      1,
+			MaxRounds:    2,
+			EvictAtCap:   true,
+			TicketPolicy: &service.TicketConfig{MaxTickets: 8, TTL: 3600, Now: testClock},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenConfig(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Recover(reg); err != nil {
+			t.Fatal(err)
+		}
+		return tn.Manager(), reg, s
+	}
+	m, reg, s := open()
+	tk := liveTicket()
+	grantTicket(t, reg, tk)
+	ingestFrame(t, reg, orderRaws(3, 4, 1, &tk.Key))
+	ingestFrame(t, reg, orderRaws(2, 4, 2, &tk.Key))
+	if err := m.Seal(2); err != nil {
+		t.Fatal(err)
+	}
+	// Round 3 finds the tenant at its cap; round 1 is the one open round.
+	ingestFrame(t, reg, orderRaws(1, 4, 3, &tk.Key))
+	if _, held := m.Lookup(1); held || m.Dropped() != 3 {
+		t.Fatalf("after the eviction: round 1 held %v, dropped %d; want evicted and 3", held, m.Dropped())
+	}
+	m.Forget(2)
+	m.Forget(3)
+	if got := m.Dropped(); got != 4 {
+		t.Fatalf("dropped %d after forgetting sealed round 2 and open round 3, want 4", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, _, sB := open()
+	defer sB.Close()
+	if got := again.Dropped(); got != 4 {
+		t.Fatalf("replayed WAL drops %d, the live tenant dropped 4", got)
+	}
+}
