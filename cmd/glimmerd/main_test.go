@@ -232,10 +232,10 @@ func TestReportPrintsMergeLedger(t *testing.T) {
 	var out strings.Builder
 	printer{&out}.report(node.Report{
 		Role: "coordinator",
-		Hub: &service.HubStats{Live: 1, Completed: 2, Retired: 3, Abandoned: 4,
+		Hub: &service.HubStats{Completed: 2, Retired: 3,
 			SealsAbsorbed: 5, SealsRefused: 6, ContribsMerged: 7, ContribsRejected: 8},
 	}, "")
-	want := "glimmerd: merge ledger: held live=1 completed=2, gone retired=3 abandoned=4; " +
+	want := "glimmerd: merge ledger: held completed=2, gone retired=3; " +
 		"seals absorbed=5 refused=6; contributions merged=7 rejected=8\n"
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("drain report lacks %q:\n%s", want, out.String())

@@ -102,8 +102,8 @@ func (p printer) report(rep node.Report, stateDir string) {
 	var received, refused uint64
 	if h := rep.Hub; h != nil {
 		received, refused = h.SealsAbsorbed+h.SealsRefused, h.SealsRefused
-		p.say("merge ledger: held live=%d completed=%d, gone retired=%d abandoned=%d; seals absorbed=%d refused=%d; contributions merged=%d rejected=%d",
-			h.Live, h.Completed, h.Retired, h.Abandoned, h.SealsAbsorbed, h.SealsRefused, h.ContribsMerged, h.ContribsRejected)
+		p.say("merge ledger: held completed=%d, gone retired=%d; seals absorbed=%d refused=%d; contributions merged=%d rejected=%d",
+			h.Completed, h.Retired, h.SealsAbsorbed, h.SealsRefused, h.ContribsMerged, h.ContribsRejected)
 	}
 	if rep.Role != "standalone" {
 		p.say("fleet counters: role=%s partials sent=%d received=%d refused=%d forwarded-batches=%d", rep.Role,

@@ -1,19 +1,19 @@
-// Package fleet shards (tenant, round) across glimmerd nodes.
+// Package fleet places (tenant, round) on glimmerd nodes.
 //
-// Glimmers' aggregation algebra is natively horizontal: partial sums are
-// additive in Z_2^64 and dedup is digest-sharded, so a round can be split
-// across nodes and merged exactly (internal/service's partial-seal
-// merge). What the algebra does not give us is *placement* — which node
-// owns which round. This package supplies it: a consistent-hash ring with
-// virtual nodes, keyed on (service, round), with an alloc-free owner
-// lookup fed by the contribution peeks (glimmer.PeekContributionService /
-// PeekContributionRound) so per-contribution routing stays on the
+// A fleet node hosts every tenant but admits only the rounds a
+// consistent-hash ring places on it (service.TenantConfig.Owns, from Owns
+// below), so each round has one owner that holds all of it, seals it and
+// ships one seal to the merge coordinator. The ring has virtual nodes and
+// is keyed on (service, round), with an alloc-free owner lookup fed by the
+// contribution peeks (glimmer.PeekContributionService /
+// PeekContributionRound), so per-contribution routing stays on the
 // zero-alloc ingest path.
 //
-// Consistent hashing keeps the re-home blast radius small: removing a
-// node moves only the rounds it owned (to each arc's successor), so a
-// crash mid-round turns into exactly one extra partial seal per affected
-// round instead of a fleet-wide reshuffle.
+// Every node builds its ring once, from its peer list: a ring does not
+// change while the fleet runs. A dead node's rounds wait for its restart —
+// no other node owns them — and two nodes whose peer lists disagree can
+// both own a round, which the coordinator then merges from the first seal
+// alone. Re-homing a dead node's rounds would need a live ring rebalance.
 package fleet
 
 import (
@@ -35,8 +35,7 @@ type point struct {
 }
 
 // Ring is an immutable consistent-hash ring. Immutability is the
-// concurrency story: lookups are lock-free reads, and membership changes
-// (a crash re-home) build a new ring with Without.
+// concurrency story: lookups are lock-free reads.
 type Ring struct {
 	points []point
 	nodes  []uint32
@@ -170,26 +169,4 @@ func (r *Ring) OwnerOf(raw []byte) (uint32, error) {
 func (r *Ring) Owns(node uint32, service string) func(round uint64) bool {
 	name := []byte(service)
 	return func(round uint64) bool { return r.Owner(name, round) == node }
-}
-
-// Without returns a new ring with the given node removed — the re-home
-// step after a crash. Keys the dead node owned move to their arcs'
-// successors; every other placement is unchanged (that is the point of
-// consistent hashing). Returns an error if removing the node would empty
-// the ring or the node isn't a member.
-func (r *Ring) Without(node uint32) (*Ring, error) {
-	rest := make([]uint32, 0, len(r.nodes)-1)
-	for _, n := range r.nodes {
-		if n != node {
-			rest = append(rest, n)
-		}
-	}
-	if len(rest) == len(r.nodes) {
-		return nil, fmt.Errorf("fleet: node %d not on the ring", node)
-	}
-	if len(rest) == 0 {
-		return nil, fmt.Errorf("fleet: removing node %d empties the ring", node)
-	}
-	vnodes := len(r.points) / len(r.nodes)
-	return NewRing(rest, vnodes)
 }

@@ -358,7 +358,7 @@ func TestSentinelsSurviveAnErrorFrame(t *testing.T) {
 	sentinels := []error{
 		ErrShed, ErrUnknownCommand, ErrFrameTooLarge, errNoSession,
 		wire.ErrSealMismatch, wire.ErrSealReplay, wire.ErrSealIdentity, wire.ErrSealSignature,
-		wire.ErrSealOverlap, wire.ErrMergeComplete, wire.ErrMergeRetired,
+		wire.ErrMergeComplete, wire.ErrMergeRetired,
 	}
 	for _, want := range sentinels {
 		var frame bytes.Buffer

@@ -698,3 +698,72 @@ func TestNodeRefusesRoundItDoesNotOwn(t *testing.T) {
 			m.Round, m.Merged, m.Expect, m.Count, m.Sum, cohort, sum)
 	}
 }
+
+// TestDisagreeingRingsWithholdNeverWrong: two nodes whose -peers disagree
+// — node 1 started with peers 1 and 3, node 2 with 2 and 3 — can both own
+// one round, and each takes a cohort for it. At drain the coordinator
+// merges the first seal and refuses the second with ErrMergeComplete: the
+// round is withheld in part, never summed wrong.
+func TestDisagreeingRingsWithholdNeverWrong(t *testing.T) {
+	w := newWorld(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := &service.MergeHub{AllowTOFU: true}
+	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	peersA, peersB := []uint32{1, 3}, []uint32{2, 3}
+	ringA, err := fleet.NewRing(peersA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringB, err := fleet.NewRing(peersB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := uint64(1)
+	for ringA.Owner([]byte(testService), round) != 1 || ringB.Owner([]byte(testService), round) != 2 {
+		round++
+	}
+	a, _ := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, peersA, 1, ln.Addr().String()))
+	b, _ := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, peersB, 2, ln.Addr().String()))
+	frameA, sumA := w.signedFrame(t, round, 3)
+	frameB, _ := w.signedFrame(t, round, 2)
+	for _, fed := range []struct {
+		n     *Node
+		frame [][]byte
+	}{{a, frameA}, {b, frameB}} {
+		if _, errs := fed.n.Registry().IngestBatch(fed.frame); errors.Join(errs...) != nil {
+			t.Fatalf("node %d refused a round its ring gives it: %v", fed.n.cfg.NodeID, errors.Join(errs...))
+		}
+	}
+
+	repA, err := a.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(repA.Shipped) != 1 || repA.Shipped[0].Err != nil {
+		t.Fatalf("node 1 shipped %+v, want its seal merged", repA.Shipped)
+	}
+	repB, err := b.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(repB.Shipped) != 1 || !errors.Is(repB.Shipped[0].Err, wire.ErrMergeComplete) {
+		t.Fatalf("node 2 shipped %+v, want its seal refused with %v", repB.Shipped, wire.ErrMergeComplete)
+	}
+	m, ok := hub.Lookup(testService, round)
+	if !ok {
+		t.Fatal("the coordinator holds no merge for the round")
+	}
+	if res := m.Result(); res.Count != 3 || !slices.Equal(res.Sum, sumA) {
+		t.Errorf("round %d merged cohort %d sum %v, want node 1's partial alone: 3 and %v", round, res.Count, res.Sum, sumA)
+	}
+	if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 1 || st.ContribsMerged != 3 {
+		t.Errorf("hub ledger = %+v, want one seal of 3 merged and one refused", st)
+	}
+}

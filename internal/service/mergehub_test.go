@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -61,35 +62,39 @@ func heldMerges(h *MergeHub) int {
 	return n
 }
 
+// liveHeap is the heap a collection leaves. The second collection empties
+// the sync.Pool victim caches the first one fills, so pooled garbage from
+// before the sample is not counted as live.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
 
-// TestMergeHubBoundedWorkingSet drives ten times the completed-merge cap
-// of two-partial rounds through one hub. The tombstone ring is sized to
-// the completed cap so that it, too, is full by the first heap sample.
+// TestMergeHubBoundedWorkingSet drives ten times the merge cap of rounds
+// through one hub, their seals from two nodes in turn. The tombstone ring
+// is sized to the merge cap so that it, too, is full by the first heap
+// sample.
 func TestMergeHubBoundedWorkingSet(t *testing.T) {
 	const contribs = 64
-	caps := hubCaps{live: 64, done: 64, tombs: 64}
+	caps := hubCaps{done: 64, tombs: 64}
 	hub := &MergeHub{AllowTOFU: true, caps: caps}
-	a, b := newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 2)
+	nodes := [2]NodeSeal{newNodeSeal(t, 1, 1), newNodeSeal(t, 2, 1)}
 
 	var want HubStats
 	var heapAt2x uint64
 	for round := uint64(1); round <= uint64(10*caps.done); round++ {
-		for _, n := range []NodeSeal{a, b} {
-			if _, err := hub.MergePartialSeal(hubSeal(t, n, "svc", round, contribs, round)); err != nil {
-				t.Fatalf("round %d node %d: %v", round, n.NodeID, err)
-			}
-			want.SealsAbsorbed++
-			want.ContribsMerged += contribs
-			want.ContribsRejected++
+		n := nodes[round%2]
+		if _, err := hub.MergePartialSeal(hubSeal(t, n, "svc", round, contribs, round)); err != nil {
+			t.Fatalf("round %d node %d: %v", round, n.NodeID, err)
 		}
-		if held := heldMerges(hub); held > caps.live+caps.done {
-			t.Fatalf("round %d: hub holds %d merges, caps allow %d", round, held, caps.live+caps.done)
+		want.SealsAbsorbed++
+		want.ContribsMerged += contribs
+		want.ContribsRejected++
+		if held := heldMerges(hub); held > caps.done {
+			t.Fatalf("round %d: hub holds %d merges, caps allow %d", round, held, caps.done)
 		}
 		if round == uint64(2*caps.done) {
 			heapAt2x = liveHeap()
@@ -106,13 +111,13 @@ func TestMergeHubBoundedWorkingSet(t *testing.T) {
 		t.Fatalf("hub ledger = %+v, want %+v", got, want)
 	}
 	if held := heldMerges(hub); held != caps.done {
-		t.Fatalf("hub holds %d merges after the run, want the %d newest completed", held, caps.done)
+		t.Fatalf("hub holds %d merges after the run, want the %d newest", held, caps.done)
 	}
 	if _, ok := hub.Lookup("svc", 1); ok {
-		t.Fatal("the oldest completed merge was never retired")
+		t.Fatal("the oldest merge was never retired")
 	}
-	if m, ok := hub.Lookup("svc", uint64(10*caps.done)); !ok || !m.Complete() {
-		t.Fatal("the newest completed merge is not held")
+	if _, ok := hub.Lookup("svc", uint64(10*caps.done)); !ok {
+		t.Fatal("the newest merge is not held")
 	}
 }
 
@@ -122,7 +127,7 @@ func TestMergeHubBoundedWorkingSet(t *testing.T) {
 // can reopen the round, and all it can do there is re-derive the same sum
 // from the same signed partials.
 func TestMergeHubRetiredReplay(t *testing.T) {
-	hub := &MergeHub{AllowTOFU: true, caps: hubCaps{live: 4, done: 2, tombs: 3}}
+	hub := &MergeHub{AllowTOFU: true, caps: hubCaps{done: 2, tombs: 3}}
 	n := newNodeSeal(t, 1, 1)
 	seals := make(map[uint64][]byte)
 	run := func(round uint64) wire.MergeResult {
@@ -213,7 +218,7 @@ func TestMergeHubRefusedFirstContactsLeaveNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hub := tc.hub
-			n := newNodeSeal(t, 1, 2)
+			n := newNodeSeal(t, 1, 1)
 			seal, err := wire.DecodePartialSeal(hubSeal(t, n, "svc", 0, 1, 1))
 			if err != nil {
 				t.Fatal(err)
@@ -253,9 +258,7 @@ func TestMergeHubRefusedFirstContactsLeaveNothing(t *testing.T) {
 // TestMergeHubFirstUsePinIsAtomic: two first-contact seals under one node
 // ID and two keys, for two rounds, race to be that node's first use.
 // Exactly one is absorbed and pins the node; the other contradicts the pin
-// and is refused with ErrSealIdentity. A seal that loses a first-contact
-// registration race and is then refused by the winner's merge pins
-// nothing.
+// and is refused with ErrSealIdentity.
 func TestMergeHubFirstUsePinIsAtomic(t *testing.T) {
 	const races = 200
 	// race hands both seals to a fresh hub at once and returns its verdicts.
@@ -277,7 +280,7 @@ func TestMergeHubFirstUsePinIsAtomic(t *testing.T) {
 		return hub, errs
 	}
 
-	one, other := newNodeSeal(t, 1, 2), newNodeSeal(t, 1, 2) // one ID, two keys
+	one, other := newNodeSeal(t, 1, 1), newNodeSeal(t, 1, 1) // one ID, two keys
 	impostors := [2][]byte{hubSeal(t, one, "svc", 1, 1, 1), hubSeal(t, other, "svc", 2, 1, 1)}
 	for r := 0; r < races; r++ {
 		hub, errs := race(impostors)
@@ -293,155 +296,112 @@ func TestMergeHubFirstUsePinIsAtomic(t *testing.T) {
 		if absorbed != 1 {
 			t.Fatalf("race %d: %d of two seals under node 1 with different keys absorbed (%v), want exactly one", r, absorbed, errs)
 		}
-		if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 1 || st.Live != 1 {
-			t.Fatalf("race %d: hub ledger = %+v, want one live merge, one seal absorbed and one refused", r, st)
+		if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 1 {
+			t.Fatalf("race %d: hub ledger = %+v, want one seal absorbed and one refused", r, st)
 		}
 	}
 
-	// Two first contacts for one round that split it differently: the
-	// loser retries against the winner's merge and is refused there.
-	split2, split3 := newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 3)
-	rivals := [2][]byte{hubSeal(t, split2, "svc", 1, 1, 1), hubSeal(t, split3, "svc", 1, 1, 1)}
-	for r := 0; r < races; r++ {
-		hub, errs := race(rivals)
-		if (errs[0] == nil) == (errs[1] == nil) {
-			t.Fatalf("race %d: rival first contacts got %v, want exactly one absorbed", r, errs)
-		}
-		for i, n := range []NodeSeal{split2, split3} {
-			if err := errs[i]; err != nil && !errors.Is(err, wire.ErrSealMismatch) {
-				t.Fatalf("race %d: node %d got %v, want %v", r, n.NodeID, err, wire.ErrSealMismatch)
-			}
-			if _, pinned := hub.pins.get(n.NodeID); pinned != (errs[i] == nil) {
-				t.Fatalf("race %d: node %d pinned = %v after its seal got %v", r, n.NodeID, pinned, errs[i])
-			}
-		}
-	}
 }
 
-// TestMergeHubLiveCapAbandonsOldest: incomplete merges are bounded too;
-// at the cap the oldest-created goes, behind a tombstone like any other.
-func TestMergeHubLiveCapAbandonsOldest(t *testing.T) {
-	hub := &MergeHub{AllowTOFU: true, caps: hubCaps{live: 3, done: 3, tombs: 8}}
-	a, b := newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 2)
-	for round := uint64(1); round <= 4; round++ {
-		if _, err := hub.MergePartialSeal(hubSeal(t, a, "svc", round, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := hub.Stats(); st.Live != 3 || st.Abandoned != 1 {
-		t.Fatalf("hub ledger = %+v, want 3 live and 1 abandoned", st)
-	}
-	if _, err := hub.MergePartialSeal(hubSeal(t, b, "svc", 1, 1, 1)); !errors.Is(err, wire.ErrMergeRetired) {
-		t.Fatalf("second partial of the abandoned round got %v, want %v", err, wire.ErrMergeRetired)
-	}
-	if _, err := hub.MergePartialSeal(hubSeal(t, b, "svc", 2, 1, 1)); err != nil {
-		t.Fatalf("second partial of a live round: %v", err)
-	}
-	if st := hub.Stats(); st.Live != 2 || st.Completed != 1 {
-		t.Fatalf("hub ledger = %+v, want 2 live and 1 completed", st)
-	}
-}
-
-// TestMergeHubConcurrent hammers one hub from 8 goroutines — the two
-// partials of every round arrive from different goroutines, completed
-// merges retire while others absorb — and demands every merged sum exact.
-// Run under -race.
+// TestMergeHubConcurrent hammers one hub from 8 goroutines: every round's
+// one seal reaches the hub from two goroutines at once, as a node's re-send
+// racing its first send would. Exactly one copy merges, with the exact sum,
+// and the other is refused with ErrSealReplay. Run under -race.
 func TestMergeHubConcurrent(t *testing.T) {
 	const workers, rounds, contribs = 8, 96, 4
-	hub := &MergeHub{AllowTOFU: true, caps: hubCaps{live: 2 * rounds, done: 8, tombs: 2 * rounds}}
-	nodes := [2]NodeSeal{newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 2)}
-	// Pin both identities first, each by a partial of a round of its own
-	// that never completes.
-	for i, n := range nodes {
-		if _, err := hub.MergePartialSeal(hubSeal(t, n, "warm", uint64(i), 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	hub := &MergeHub{AllowTOFU: true}
+	nodes := [2]NodeSeal{newNodeSeal(t, 1, 1), newNodeSeal(t, 2, 1)}
 	type job struct {
 		round uint64
+		copy  int
 		seal  []byte
 	}
 	jobs := make([][]job, workers)
 	for round := uint64(1); round <= rounds; round++ {
-		for i, n := range nodes {
-			w := (int(round) + i*(workers/2)) % workers
-			jobs[w] = append(jobs[w], job{round, hubSeal(t, n, "svc", round, contribs, round)})
+		seal := hubSeal(t, nodes[round%2], "svc", round, contribs, round)
+		for c := 0; c < 2; c++ {
+			w := (int(round) + c*(workers/2)) % workers
+			jobs[w] = append(jobs[w], job{round, c, seal})
 		}
 	}
-	var wg sync.WaitGroup
-	completed := make([]int, workers)
+	var (
+		wg      sync.WaitGroup
+		start   = make(chan struct{})
+		errs    [rounds + 1][2]error
+		results [rounds + 1][2]wire.MergeResult
+	)
 	for w := range jobs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			<-start
 			for _, j := range jobs[w] {
 				reply, err := hub.MergePartialSeal(j.seal)
-				if err != nil {
-					t.Errorf("round %d: %v", j.round, err)
-					continue
+				if err == nil {
+					results[j.round][j.copy], err = wire.DecodeMergeResult(reply)
 				}
-				res, err := wire.DecodeMergeResult(reply)
-				if err != nil {
-					t.Errorf("round %d: %v", j.round, err)
-					continue
-				}
-				if res.Merged < res.Expect {
-					continue
-				}
-				completed[w]++
-				for _, lane := range res.Sum {
-					if lane != 2*contribs*j.round {
-						t.Errorf("round %d merged sum %v, want %d in every lane", j.round, res.Sum, 2*contribs*j.round)
-						break
-					}
-				}
-				if res.Count != 2*contribs {
-					t.Errorf("round %d merged cohort %d, want %d", j.round, res.Count, 2*contribs)
-				}
+				errs[j.round][j.copy] = err
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
-	total := 0
-	for _, n := range completed {
-		total += n
+	for round := uint64(1); round <= rounds; round++ {
+		won := -1
+		for c, err := range errs[round] {
+			switch {
+			case err == nil && won < 0:
+				won = c
+			case !errors.Is(err, wire.ErrSealReplay):
+				t.Fatalf("round %d copy %d got %v; want one copy merged and the other %v", round, c, err, wire.ErrSealReplay)
+			}
+		}
+		if won < 0 {
+			t.Fatalf("round %d: neither copy merged (%v)", round, errs[round])
+		}
+		res := results[round][won]
+		for _, lane := range res.Sum {
+			if lane != contribs*round {
+				t.Fatalf("round %d merged sum %v, want %d in every lane", round, res.Sum, contribs*round)
+			}
+		}
+		if res.Count != contribs {
+			t.Fatalf("round %d merged cohort %d, want %d", round, res.Count, contribs)
+		}
 	}
-	// The reply to whichever partial lands second shows the round
-	// complete; when both land together, both replies may.
-	if total < rounds {
-		t.Fatalf("%d rounds reported complete, want at least %d", total, rounds)
-	}
-	st := hub.Stats()
 	want := HubStats{
-		Live:             2, // the two warm-up merges never complete
-		Completed:        8,
-		Retired:          rounds - 8,
-		SealsAbsorbed:    2*rounds + 2,
-		ContribsMerged:   2*rounds*contribs + 2,
-		ContribsRejected: 2*rounds + 2,
+		Completed:        rounds,
+		SealsAbsorbed:    rounds,
+		SealsRefused:     rounds,
+		ContribsMerged:   rounds * contribs,
+		ContribsRejected: rounds,
 	}
-	if st != want {
+	if st := hub.Stats(); st != want {
 		t.Fatalf("hub ledger = %+v, want %+v", st, want)
 	}
 }
 
-// BenchmarkMergeHub is a coordinator's steady state: single-partial rounds
-// of 128 contributions, each a first contact that completes and pushes the
-// oldest completed merge out.
+// BenchmarkMergeHub is a coordinator's steady state: rounds of one seal,
+// each a first contact that merges and pushes the oldest merge out, at 128
+// digests a seal (a fleet-signed round's) and at 4,096.
 func BenchmarkMergeHub(b *testing.B) {
-	hub := &MergeHub{AllowTOFU: true}
-	n := newNodeSeal(b, 1, 1)
-	seals := make([][]byte, b.N)
-	for i := range seals {
-		seals[i] = hubSeal(b, n, "svc", uint64(i), 128, 1)
+	for _, contribs := range []int{128, 4096} {
+		b.Run(fmt.Sprintf("digests=%d", contribs), func(b *testing.B) {
+			hub := &MergeHub{AllowTOFU: true}
+			n := newNodeSeal(b, 1, 1)
+			seals := make([][]byte, b.N)
+			for i := range seals {
+				seals[i] = hubSeal(b, n, "svc", uint64(i), contribs, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, seal := range seals {
+				if _, err := hub.MergePartialSeal(seal); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(heldMerges(hub)), "merges-held")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, seal := range seals {
-		if _, err := hub.MergePartialSeal(seal); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(heldMerges(hub)), "merges-held")
 }

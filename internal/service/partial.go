@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/glimmer"
@@ -15,34 +16,36 @@ import (
 
 // Partial-seal export and merge: the service-layer half of the fleet.
 //
-// A round sharded across nodes produces one partial aggregate per node.
-// Export (Pipeline.PartialSeal) seals the local cohort and emits a signed
-// wire.PartialSeal carrying the blinded partial sum, the accept/reject
-// accounting, and the full dedup-digest coverage. Merge (the coordinator
-// side) folds partials back into the round's exact sum — and because the
-// seals carry their digests, the coordinator can demand *disjoint cohort
-// coverage*: no contribution may appear in two partials, so the merged
-// sum is exactly the single-node sum of the union cohort, and the
-// zero-sum dealer masks cancel the moment the union covers the full
-// cohort. The coordinator verifies signatures and disjointness but never
-// sees an unblinded value, so it stays outside the trust boundary — the
-// same minimize-the-trusted-core move the paper makes for the service
-// itself.
+// A fleet node admits only the rounds its ring places on it
+// (TenantConfig.Owns), so a round's one owner holds all of it. Export
+// (Pipeline.PartialSeal) seals the round and emits a signed wire.PartialSeal
+// carrying the blinded sum, the accept/reject accounting and the dedup
+// digests, declaring one partial (NodeSeal.ShardCount 1). Merge (the
+// coordinator side) takes a round's one seal as its exact sum: the
+// coordinator checks who signed it and learns nothing else — it never sees
+// an unblinded value, so it stays outside the trust boundary, the same
+// minimize-the-trusted-core move the paper makes for the service itself.
+//
+// A seal that declares a split round is refused. The fleet gave up
+// splitting a round across nodes, and with it re-homing a dead node's rounds
+// to a successor: a round waits for its owner's restart. Only a live ring
+// rebalance would bring them back, and with them a check that the partials
+// of one round cover disjoint contributions. Two nodes whose peer lists
+// disagree can both own a round; the hub merges the first seal and refuses
+// the second with ErrMergeComplete, so the round is withheld in part, never
+// wrong.
 //
 // Retention: a party outside the trust boundary keeps only what it needs to
-// do its job. A merge holds its digest coverage only until it completes
-// (the coverage exists to refuse overlaps, and a complete merge refuses
-// every further seal before it would consult it). A MergeHub keeps a fixed
-// number of completed merges, oldest completion retired first, and a fixed
-// number of incomplete ones, oldest creation abandoned first; a fixed-size
-// ring of tombstones remembers the keys that left, so a seal for a recently
-// retired round is refused instead of opening a fresh merge. What must
-// outlive a merge — how many seals were absorbed and refused, how many
-// contributions merged — is one cumulative ledger, MergeHub.Stats.
+// do its job. A merge keeps its sum and counts, never the digests. A
+// MergeHub keeps a fixed number of merges, the oldest retired first; a
+// fixed-size ring of tombstones remembers the keys that left, so a seal for
+// a recently retired round is refused instead of opening a fresh merge.
+// What must outlive a merge — how many seals were absorbed and refused, how
+// many contributions merged — is one cumulative ledger, MergeHub.Stats.
 
 // NodeSeal is a node's sealing identity: its ring ID, how many partials
-// it believes the round splits into, and the enclave measurement + key
-// it signs with.
+// it declares a round splits into (a hub merges only 1), and the enclave
+// measurement + key it signs with.
 type NodeSeal struct {
 	NodeID      uint32
 	ShardCount  uint32
@@ -141,166 +144,40 @@ func (np *nodePins) take(node uint32, p mergePin) error {
 	return nil
 }
 
-// Merge folds one round's partial seals into its exact sum. A MergeHub
-// creates it at the round's first valid seal, which fixes the dimension
-// and how many partials complete the round. Absorption is all-or-nothing:
-// every check passes before any state changes, so a refused seal —
-// forged, replayed, overlapping, stale — leaves the merge exactly as it
-// was.
+// Merge is one round's merged sum: the round's one absorbed seal, fixed
+// when the hub registers it. Only its refusal counter moves afterwards.
 type Merge struct {
-	key mergeKey
-	hub *MergeHub // AllowTOFU and the pins every round shares
-
-	mu         sync.Mutex
-	shardCount uint32 // partials needed; 0 until the first seal
-	absorbed   map[uint32]bool
-	// seen maps digest -> absorbing node while the merge can still take a
-	// seal; released (nil) the moment it completes.
-	seen     map[[wire.SealDigestLen]byte]uint32
+	key      mergeKey
+	node     uint32 // the node whose seal the merge holds
 	sum      fixed.Vector
 	count    uint64
 	rejected uint64
-	refused  uint64
+	refused  atomic.Uint64
 }
 
-// absorbSeal validates and folds one seal, and reports whether the merge
-// is complete after it and the identity the seal carries. On refusal the
-// merge is untouched and the refused counter is bumped. A registered
-// merge takes the node's pin here, before the fold; a first-contact merge
-// (first) leaves it to the hub, which takes it when it registers the
-// merge, so a seal that loses that registration race pins nothing.
-func (m *Merge) absorbSeal(seal wire.PartialSeal, first bool) (id mergePin, complete bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id, err = m.checkSeal(seal)
-	if err == nil && !first {
-		err = m.hub.pins.take(seal.NodeID, id)
-	}
-	if err != nil {
-		m.refused++
-		return id, false, err
-	}
-	// All checks passed — commit atomically.
-	if m.shardCount == 0 {
-		m.sum = fixed.NewVector(len(seal.Sum))
-		m.shardCount = seal.ShardCount
-	}
-	fixed.AccumulateInto(m.sum, seal.Sum)
-	for i := 0; i < seal.DigestCount(); i++ {
-		m.seen[seal.DigestAt(i)] = seal.NodeID
-	}
-	m.absorbed[seal.NodeID] = true
-	m.count += seal.Count
-	m.rejected += seal.Rejected
-	if !m.completeLocked() {
-		return id, false, nil
-	}
-	// checkSeal answers ErrSealReplay or ErrMergeComplete from here on,
-	// before it would look at coverage.
-	m.seen = nil
-	return id, true, nil
-}
-
-// checkSeal runs every refusal check without mutating anything and
-// returns the identity the seal carries. Caller holds m.mu. Its pin check
-// only orders the refusals; the pin is compared again as it is taken.
-func (m *Merge) checkSeal(seal wire.PartialSeal) (mergePin, error) {
-	if m.shardCount != 0 && len(seal.Sum) != len(m.sum) {
-		return mergePin{}, fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
-			wire.ErrSealMismatch, len(seal.Sum), len(m.sum))
-	}
-	if seal.ShardCount == 0 {
-		return mergePin{}, fmt.Errorf("%w: zero shard count", wire.ErrSealMismatch)
-	}
-	if m.shardCount != 0 && seal.ShardCount != m.shardCount {
-		// A stale seal from before a re-home names the old split; it must
-		// be re-exported, not merged.
-		return mergePin{}, fmt.Errorf("%w: seal splits the round %d ways, merge expects %d",
-			wire.ErrSealMismatch, seal.ShardCount, m.shardCount)
-	}
-	if m.absorbed[seal.NodeID] {
-		return mergePin{}, fmt.Errorf("%w: node %d already merged", wire.ErrSealReplay, seal.NodeID)
-	}
-	if m.completeLocked() {
-		return mergePin{}, wire.ErrMergeComplete
-	}
-
-	// Identity: the node's pin, or a first use the hub allows.
-	carried, err := xcrypto.ParseVerifyKey(seal.NodeKey)
-	if err != nil {
-		return mergePin{}, fmt.Errorf("%w: unparseable node key: %v", wire.ErrSealIdentity, err)
-	}
-	id := mergePin{key: carried.Fingerprint()}
-	copy(id.measurement[:], seal.Measurement)
-	if pin, ok := m.hub.pins.get(seal.NodeID); ok {
-		if id != pin {
-			return mergePin{}, fmt.Errorf("%w: node %d contradicts its first-use pin", wire.ErrSealIdentity, seal.NodeID)
-		}
-	} else if !m.hub.AllowTOFU {
-		return mergePin{}, fmt.Errorf("%w: node %d has no pin and the hub does not pin on first use", wire.ErrSealIdentity, seal.NodeID)
-	}
-
-	if !carried.Verify(seal.SignedBytes(), seal.Signature) {
-		return mergePin{}, fmt.Errorf("%w: node %d", wire.ErrSealSignature, seal.NodeID)
-	}
-
-	// Disjoint coverage: every digest must be new to the merge. Checked
-	// in full before commit so an overlapping seal changes nothing.
-	for i := 0; i < seal.DigestCount(); i++ {
-		if owner, dup := m.seen[seal.DigestAt(i)]; dup {
-			return mergePin{}, fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
-				wire.ErrSealOverlap, seal.NodeID, owner)
-		}
-	}
-	return id, nil
-}
-
-// Complete reports whether every expected partial has been absorbed.
-func (m *Merge) Complete() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.completeLocked()
-}
-
-func (m *Merge) completeLocked() bool {
-	return m.shardCount != 0 && uint32(len(m.absorbed)) >= m.shardCount
-}
-
-// Sum returns the merged sum so far (the round's exact blinded sum once
-// Complete). The returned vector is a copy.
-func (m *Merge) Sum() fixed.Vector {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sum == nil {
-		return nil
-	}
-	return m.sum.Clone()
-}
+// Sum returns the merged sum: the round's exact blinded sum. The returned
+// vector is a copy.
+func (m *Merge) Sum() fixed.Vector { return m.sum.Clone() }
 
 // Result snapshots the merge as a wire.MergeResult.
 func (m *Merge) Result() wire.MergeResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := wire.MergeResult{
+	return wire.MergeResult{
 		Service:  m.key.service,
 		Round:    m.key.round,
-		Expect:   m.shardCount,
-		Merged:   uint32(len(m.absorbed)),
+		Expect:   1,
+		Merged:   1,
 		Count:    m.count,
 		Rejected: m.rejected,
-		Refused:  m.refused,
+		Refused:  m.refused.Load(),
+		Sum:      glimmer.VectorToBits(m.sum),
 	}
-	if m.sum != nil {
-		r.Sum = glimmer.VectorToBits(m.sum)
-	}
-	return r
 }
 
 // MergeHub runs merges for many (service, round) pairs — the coordinator
-// process's top-level state. A round's merge is created at its first
-// valid seal, so the coordinator needs to know neither the fleet's tenant
-// list nor its nodes ahead of time. A hub holds a bounded working set
-// (see the retention rule at the top of this file).
+// process's top-level state. A round's merge is created at its one valid
+// seal, so the coordinator needs to know neither the fleet's tenant list
+// nor its nodes ahead of time. A hub holds a bounded working set (see the
+// retention rule at the top of this file).
 type MergeHub struct {
 	// AllowTOFU lets a node's first seal pin its identity (known-hosts
 	// semantics, as at the edge): node keys are generated per process and
@@ -311,31 +188,27 @@ type MergeHub struct {
 	pins nodePins // shared across every merge: pins span rounds
 
 	mu     sync.Mutex
-	merges map[mergeKey]*hubEntry
-	// live holds the incomplete merges in creation order, done the
-	// completed ones in completion order; both carry *hubEntry.
-	live, done list.List
-	tombs      tombstones
-	stats      HubStats // the cumulative fields; Live and Completed are list lengths
-	caps       hubCaps  // zero means the constants below; a same-package test may set smaller ones
+	merges map[mergeKey]*Merge
+	done   list.List // the held merges, *Merge, oldest first
+	tombs  tombstones
+	stats  HubStats // the cumulative fields; Completed is done's length
+	caps   hubCaps  // zero means the constants below; a same-package test may set smaller ones
 }
 
 // hubCaps bounds a hub's working set.
 type hubCaps struct {
-	live  int // incomplete merges; at the cap the oldest-created is abandoned
-	done  int // completed merges; at the cap the oldest completion is retired
-	tombs int // retired and abandoned keys remembered
+	done  int // merges held; at the cap the oldest is retired
+	tombs int // retired keys remembered
 }
 
 const (
-	maxLiveMerges   = 1024
-	maxDoneMerges   = 256
+	maxMerges       = 256
 	mergeTombstones = 4096
 )
 
 func (h *MergeHub) limits() hubCaps {
 	if h.caps == (hubCaps{}) {
-		return hubCaps{live: maxLiveMerges, done: maxDoneMerges, tombs: mergeTombstones}
+		return hubCaps{done: maxMerges, tombs: mergeTombstones}
 	}
 	return h.caps
 }
@@ -343,13 +216,6 @@ func (h *MergeHub) limits() hubCaps {
 type mergeKey struct {
 	service string
 	round   uint64
-}
-
-// hubEntry is one merge the hub holds, with its place in live or done.
-type hubEntry struct {
-	m    *Merge
-	elem *list.Element // nil until the merge is registered
-	done bool
 }
 
 // tombstones is a fixed-size ring of keys that left the hub, with a set
@@ -384,11 +250,10 @@ func (t *tombstones) has(k mergeKey) bool {
 // HubStats is a hub's cumulative ledger. Per-merge counters die with
 // their merge; these do not.
 type HubStats struct {
-	// Live and Completed count the merges the hub holds now.
-	Live, Completed int
-	// Retired counts completed merges that aged out of the hub, Abandoned
-	// the incomplete ones dropped at the cap.
-	Retired, Abandoned uint64
+	// Completed counts the merges the hub holds now, Retired those that
+	// aged out of it.
+	Completed int
+	Retired   uint64
 	// SealsAbsorbed and SealsRefused count every seal handed to
 	// MergePartialSeal, each exactly once.
 	SealsAbsorbed, SealsRefused uint64
@@ -402,24 +267,21 @@ func (h *MergeHub) Stats() HubStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.stats
-	s.Live, s.Completed = h.live.Len(), h.done.Len()
+	s.Completed = h.done.Len()
 	return s
 }
 
 // Lookup returns the merge for (service, round) if the hub still holds it:
-// retired and abandoned merges are gone.
+// retired merges are gone.
 func (h *MergeHub) Lookup(service string, round uint64) (*Merge, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	e, ok := h.merges[mergeKey{service, round}]
-	if !ok {
-		return nil, false
-	}
-	return e.m, true
+	m, ok := h.merges[mergeKey{service, round}]
+	return m, ok
 }
 
-// Merges returns the merges the hub holds — live and retained completed
-// ones, not every merge it ever ran — keyed by service name and round.
+// Merges returns the merges the hub holds — not every merge it ever ran —
+// keyed by service name and round.
 func (h *MergeHub) Merges() map[string][]uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -430,109 +292,112 @@ func (h *MergeHub) Merges() map[string][]uint64 {
 	return out
 }
 
-// MergePartialSeal absorbs one encoded seal into the matching merge and
+// MergePartialSeal absorbs one encoded seal as its round's merge and
 // returns the merge's encoded wire.MergeResult — the fleet-merge reply
-// body. A first-contact seal is checked against a merge the hub does not
-// hold yet and the merge is registered only once the seal is absorbed, so
-// a refusal leaves nothing behind but its count in Stats. On refusal the
-// error is returned and the merge is unchanged; the caller must not retain
-// seal past the call.
+// body. On refusal the error is returned and the hub holds nothing new but
+// the refusal's count in Stats; the caller must not retain seal past the
+// call.
 func (h *MergeHub) MergePartialSeal(seal []byte) ([]byte, error) {
 	dec, err := wire.DecodePartialSeal(seal)
-	if err != nil {
-		return nil, h.refuse(err)
+	if err == nil {
+		var m *Merge
+		if m, err = h.absorb(&dec); err == nil {
+			return wire.EncodeMergeResult(m.Result()), nil
+		}
 	}
-	for {
-		e, first, err := h.entry(mergeKey{dec.Service, dec.Round})
-		if err != nil {
-			return nil, h.refuse(err)
-		}
-		id, complete, err := e.m.absorbSeal(dec, first)
-		if err != nil {
-			return nil, h.refuse(err)
-		}
-		booked, err := h.commit(e, complete, &dec, id)
-		if err != nil {
-			return nil, h.refuse(err)
-		}
-		if booked {
-			return wire.EncodeMergeResult(e.m.Result()), nil
-		}
-		// Another first contact for the same round registered its merge
-		// while this one was verifying: go again, against that merge.
-	}
-}
-
-func (h *MergeHub) refuse(err error) error {
 	h.mu.Lock()
 	h.stats.SealsRefused++
 	h.mu.Unlock()
-	return err
+	return nil, err
 }
 
-// entry returns the registered merge for key, or an unregistered one for a
-// first contact (first).
-func (h *MergeHub) entry(key mergeKey) (e *hubEntry, first bool, err error) {
+// absorb checks a seal and registers its round's merge, cheapest check
+// first: the seal's own shape, then what the hub holds for the round, so a
+// seal for a merged round costs no signature check; then, outside the hub
+// lock, the node's identity and signature. Registration is one locked
+// step: it repeats the hub's checks, takes the node's pin and books the
+// merge, so of two seals racing for one round or one pin, one wins.
+func (h *MergeHub) absorb(seal *wire.PartialSeal) (*Merge, error) {
+	if seal.ShardCount != 1 {
+		return nil, fmt.Errorf("%w: seal splits the round %d ways, a round merges from one seal",
+			wire.ErrSealMismatch, seal.ShardCount)
+	}
+	key := mergeKey{seal.Service, seal.Round}
+	h.mu.Lock()
+	err := h.heldLocked(key, seal.NodeID)
+	h.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	id, err := h.verify(seal)
+	if err != nil {
+		return nil, err
+	}
+
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if err := h.heldLocked(key, seal.NodeID); err != nil {
+		return nil, err
+	}
+	if err := h.pins.take(seal.NodeID, id); err != nil {
+		return nil, err
+	}
+	m := &Merge{key: key, node: seal.NodeID, sum: fixed.NewVector(len(seal.Sum)), count: seal.Count, rejected: seal.Rejected}
+	fixed.AccumulateInto(m.sum, seal.Sum)
 	if h.merges == nil {
-		h.merges = make(map[mergeKey]*hubEntry)
+		h.merges = make(map[mergeKey]*Merge)
 	}
-	if e, ok := h.merges[key]; ok {
-		return e, false, nil
-	}
-	if h.tombs.has(key) {
-		return nil, false, fmt.Errorf("%w: %s/%d", wire.ErrMergeRetired, key.service, key.round)
-	}
-	return &hubEntry{m: &Merge{
-		key:      key,
-		hub:      h,
-		absorbed: make(map[uint32]bool),
-		seen:     make(map[[wire.SealDigestLen]byte]uint32),
-	}}, true, nil
-}
-
-// commit books an absorbed seal: it registers a first-contact merge and
-// takes its node's pin, moves a merge that just completed from live to
-// done, and enforces both caps. It reports false — nothing booked — when e
-// is a first-contact merge and the round was registered (or retired) in
-// the meantime, and an error when a first contact contradicts the pin.
-func (h *MergeHub) commit(e *hubEntry, complete bool, seal *wire.PartialSeal, id mergePin) (bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e.elem == nil {
-		if _, taken := h.merges[e.m.key]; taken || h.tombs.has(e.m.key) {
-			return false, nil
-		}
-		if err := h.pins.take(seal.NodeID, id); err != nil {
-			return false, err
-		}
-		h.merges[e.m.key] = e
-		e.elem = h.live.PushBack(e)
-	}
+	h.merges[key] = m
+	h.done.PushBack(m)
 	h.stats.SealsAbsorbed++
 	h.stats.ContribsMerged += seal.Count
 	h.stats.ContribsRejected += seal.Rejected
-	// A merge abandoned while this seal was verifying stays abandoned.
-	if complete && !e.done && h.merges[e.m.key] == e {
-		h.live.Remove(e.elem)
-		e.elem, e.done = h.done.PushBack(e), true
-	}
-	caps := h.limits()
-	if h.live.Len() > caps.live {
-		h.drop(&h.live, caps.tombs)
-		h.stats.Abandoned++
-	}
-	if h.done.Len() > caps.done {
-		h.drop(&h.done, caps.tombs)
+	if caps := h.limits(); h.done.Len() > caps.done {
+		old := h.done.Remove(h.done.Front()).(*Merge)
+		delete(h.merges, old.key)
+		h.tombs.add(old.key, caps.tombs)
 		h.stats.Retired++
 	}
-	return true, nil
+	return m, nil
 }
 
-// drop lets the oldest merge of l go, behind a tombstone.
-func (h *MergeHub) drop(l *list.List, tombs int) {
-	e := l.Remove(l.Front()).(*hubEntry)
-	delete(h.merges, e.m.key)
-	h.tombs.add(e.m.key, tombs)
+// heldLocked refuses a seal for a round the hub has merged — a replay
+// from the merge's own node, a late seal from any other, each counted on
+// the merge — or has retired. Caller holds h.mu.
+func (h *MergeHub) heldLocked(key mergeKey, node uint32) error {
+	if m, ok := h.merges[key]; ok {
+		m.refused.Add(1)
+		if m.node == node {
+			return fmt.Errorf("%w: node %d already merged", wire.ErrSealReplay, node)
+		}
+		return fmt.Errorf("%w: node %d merged %s/%d", wire.ErrMergeComplete, m.node, key.service, key.round)
+	}
+	if h.tombs.has(key) {
+		return fmt.Errorf("%w: %s/%d", wire.ErrMergeRetired, key.service, key.round)
+	}
+	return nil
+}
+
+// verify checks a seal's identity — its node's pin, or a first use the
+// hub allows — and its signature, and returns the identity it carries.
+// The pin check only orders the refusals; the pin is compared again as it
+// is taken.
+func (h *MergeHub) verify(seal *wire.PartialSeal) (mergePin, error) {
+	carried, err := xcrypto.ParseVerifyKey(seal.NodeKey)
+	if err != nil {
+		return mergePin{}, fmt.Errorf("%w: unparseable node key: %v", wire.ErrSealIdentity, err)
+	}
+	id := mergePin{key: carried.Fingerprint()}
+	copy(id.measurement[:], seal.Measurement)
+	if pin, ok := h.pins.get(seal.NodeID); ok {
+		if id != pin {
+			return mergePin{}, fmt.Errorf("%w: node %d contradicts its first-use pin", wire.ErrSealIdentity, seal.NodeID)
+		}
+	} else if !h.AllowTOFU {
+		return mergePin{}, fmt.Errorf("%w: node %d has no pin and the hub does not pin on first use", wire.ErrSealIdentity, seal.NodeID)
+	}
+	if !carried.Verify(seal.SignedBytes(), seal.Signature) {
+		return mergePin{}, fmt.Errorf("%w: node %d", wire.ErrSealSignature, seal.NodeID)
+	}
+	return id, nil
 }

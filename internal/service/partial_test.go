@@ -68,8 +68,8 @@ func TestPartialSealExport(t *testing.T) {
 	if seal.Service != "svc" || seal.Round != 3 || seal.NodeID != 2 || seal.ShardCount != 3 {
 		t.Fatalf("seal header = %q/%d node %d shards %d", seal.Service, seal.Round, seal.NodeID, seal.ShardCount)
 	}
-	if seal.Count != 5 || seal.DigestCount() != 5 {
-		t.Fatalf("seal covers count=%d digests=%d", seal.Count, seal.DigestCount())
+	if digests := len(seal.Digests) / wire.SealDigestLen; seal.Count != 5 || digests != 5 {
+		t.Fatalf("seal covers count=%d digests=%d", seal.Count, digests)
 	}
 	if want := glimmer.VectorToBits(p.Sum()); !equalLanes(seal.Sum, want) {
 		t.Fatalf("seal sum %v != pipeline sum %v", seal.Sum, want)
@@ -114,9 +114,11 @@ func equalLanes(a, b []uint64) bool {
 
 // TestMergeSplitProperty is the merge algebra property test: for every
 // dimension that exercises the 4-wide unroll remainders in fixed and for
-// cohorts of ring-wraparound values, ANY N-way split of the cohort —
-// merged in any order — produces the byte-identical sum, count, and
-// digest coverage of a single node ingesting the whole cohort.
+// cohorts of ring-wraparound values, ANY N-way split of the cohort into
+// frames — ingested in any order by the round's one owner — seals and
+// merges to the byte-identical sum, count and digest coverage of the
+// cohort ingested whole. A seal declaring the round split N ways across
+// nodes is refused.
 func TestMergeSplitProperty(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
@@ -132,7 +134,7 @@ func TestMergeSplitProperty(t *testing.T) {
 				for i := range raws {
 					v := randomVector(rng, dim)
 					// Force wraparound arithmetic: half the cohort sits at the
-					// top of the ring so partial sums overflow uint64 lanes.
+					// top of the ring so the sum overflows uint64 lanes.
 					if i%2 == 0 {
 						for j := range v {
 							v[j] = fixed.Ring(^uint64(0) - uint64(rng.Intn(3)))
@@ -141,7 +143,7 @@ func TestMergeSplitProperty(t *testing.T) {
 					raws[i] = signedVector(t, key, "svc", round, v)
 				}
 
-				// Reference: one node ingests everything.
+				// Reference: the cohort in one frame.
 				single := partialPipeline(t, key, "svc", round, dim, raws)
 				if err := single.Seal(); err != nil {
 					t.Fatal(err)
@@ -149,55 +151,69 @@ func TestMergeSplitProperty(t *testing.T) {
 				wantSum := glimmer.VectorToBits(single.Sum())
 				wantState := single.exportRound()
 
-				// Random N-way partition (every shard non-empty not required —
-				// empty partials are legal).
+				// Random N-way partition into frames (empty frames are
+				// legal), ingested in a random order.
 				parts := make([][][]byte, ways)
 				for _, raw := range raws {
 					w := rng.Intn(ways)
 					parts[w] = append(parts[w], raw)
 				}
-				seals := make([][]byte, ways)
-				for w := range parts {
-					p := partialPipeline(t, key, "svc", round, dim, parts[w])
-					seals[w], err = p.PartialSeal(newNodeSeal(t, uint32(w), uint32(ways)))
+				p := partialPipeline(t, key, "svc", round, dim, nil)
+				for _, w := range rng.Perm(ways) {
+					for _, err := range add(p, parts[w]...) {
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				node := newNodeSeal(t, 1, 1)
+				seal, err := p.PartialSeal(node)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				hub := &MergeHub{AllowTOFU: true}
+				if ways > 1 {
+					split := node
+					split.ShardCount = uint32(ways)
+					splitSeal, err := p.PartialSeal(split)
 					if err != nil {
 						t.Fatal(err)
 					}
-				}
-
-				// Absorb in a random order: the merge must be commutative.
-				hub := &MergeHub{AllowTOFU: true}
-				for _, w := range rng.Perm(ways) {
-					if _, err := hub.MergePartialSeal(seals[w]); err != nil {
-						t.Fatal(err)
+					if _, err := hub.MergePartialSeal(splitSeal); !errors.Is(err, wire.ErrSealMismatch) {
+						t.Fatalf("seal declaring %d partials got %v, want %v", ways, err, wire.ErrSealMismatch)
 					}
 				}
+				if _, err := hub.MergePartialSeal(seal); err != nil {
+					t.Fatal(err)
+				}
 				merge, ok := hub.Lookup("svc", round)
-				if !ok || !merge.Complete() {
-					t.Fatal("merge not complete after every partial")
+				if !ok {
+					t.Fatal("no merge after the round's seal")
 				}
 				res := merge.Result()
 				if !equalLanes(res.Sum, wantSum) {
-					t.Fatalf("merged sum %v != single-node sum %v", res.Sum, wantSum)
+					t.Fatalf("merged sum %v != single-frame sum %v", res.Sum, wantSum)
 				}
-				if res.Count != uint64(len(wantState.Digests)) {
-					t.Fatalf("merged count %d != single-node count %d", res.Count, len(wantState.Digests))
+				if res.Count != uint64(len(wantState.Digests)) || res.Expect != 1 || res.Merged != 1 {
+					t.Fatalf("merge %d/%d partials of %d, want 1/1 of %d", res.Merged, res.Expect, res.Count, len(wantState.Digests))
 				}
 				if got := wire.EncodeMergeResult(res); !bytes.Equal(got, wire.EncodeMergeResult(merge.Result())) {
 					t.Fatal("merge result encoding unstable")
 				}
-				// Digest coverage must be the union: every digest the single
-				// node saw is claimed by exactly one partial.
-				covered := 0
-				for _, raw := range seals {
-					s, err := wire.DecodePartialSeal(raw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					covered += s.DigestCount()
+				// Digest coverage is the cohort's: the seal carries exactly
+				// the digests the single frame's round holds.
+				dec, err := wire.DecodePartialSeal(seal)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if covered != len(wantState.Digests) {
-					t.Fatalf("partials cover %d digests, single node saw %d", covered, len(wantState.Digests))
+				var want []byte
+				for _, d := range wantState.Digests {
+					want = append(want, d[:]...)
+				}
+				if !bytes.Equal(dec.Digests, want) {
+					t.Fatalf("seal covers %d digests, not the %d the single frame's round holds",
+						len(dec.Digests)/wire.SealDigestLen, len(wantState.Digests))
 				}
 			})
 		}
@@ -221,8 +237,8 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		return raws
 	}
-	nodeA := newNodeSeal(t, 1, 2)
-	nodeB := newNodeSeal(t, 2, 2)
+	nodeA := newNodeSeal(t, 1, 1)
+	nodeB := newNodeSeal(t, 2, 1)
 	rawsA, rawsB := mkRaws(3), mkRaws(3)
 	sealA, err := partialPipeline(t, key, "svc", round, dim, rawsA).PartialSeal(nodeA)
 	if err != nil {
@@ -239,13 +255,13 @@ func TestMergeRefusals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// newHub pins both nodes in an earlier round, so every seal under
+	// newHub pins both nodes in earlier rounds, so every seal under
 	// either ID answers to its pin.
 	newHub := func(t *testing.T) *MergeHub {
 		t.Helper()
 		hub := &MergeHub{AllowTOFU: true}
 		absorb(t, hub, hubSeal(t, nodeA, "svc", round-1, 1, 1))
-		absorb(t, hub, hubSeal(t, nodeB, "svc", round-1, 1, 1))
+		absorb(t, hub, hubSeal(t, nodeB, "svc", round-2, 1, 1))
 		return hub
 	}
 	// merged is the round's merge result without its refusal counter, nil
@@ -300,7 +316,7 @@ func TestMergeRefusals(t *testing.T) {
 		// Node 2's ID under a key other than the one it pinned: the forger
 		// can sign whatever partial it likes, the pin refuses it before the
 		// sum is touched.
-		forger := newNodeSeal(t, 2, 2)
+		forger := newNodeSeal(t, 2, 1)
 		forged, err := partialPipeline(t, key, "svc", round, dim, mkRaws(2)).PartialSeal(forger)
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +325,7 @@ func TestMergeRefusals(t *testing.T) {
 	})
 
 	t.Run("wrong-measurement", func(t *testing.T) {
-		swapped := NodeSeal{NodeID: 1, ShardCount: 2, Measurement: tee.Measurement{0xEE}, Key: nodeA.Key}
+		swapped := NodeSeal{NodeID: 1, ShardCount: 1, Measurement: tee.Measurement{0xEE}, Key: nodeA.Key}
 		seal, err := partialPipeline(t, key, "svc", round, dim, nil).PartialSeal(swapped)
 		if err != nil {
 			t.Fatal(err)
@@ -340,9 +356,10 @@ func TestMergeRefusals(t *testing.T) {
 	})
 
 	t.Run("overlap", func(t *testing.T) {
-		// Node 2 signs a perfectly valid seal that claims one of node 1's
-		// contributions — double counting. The disjointness check refuses
-		// it even though the signature verifies.
+		// Node 2 signs a perfectly valid seal that re-claims one of node
+		// 1's contributions — double counting. The round merged from node
+		// 1's seal, so node 2's is late, refused before its signature is
+		// checked, and the contribution counts once.
 		overlapping, err := partialPipeline(t, key, "svc", round, dim,
 			append(append([][]byte(nil), rawsB...), rawsA[0])).PartialSeal(nodeB)
 		if err != nil {
@@ -350,12 +367,7 @@ func TestMergeRefusals(t *testing.T) {
 		}
 		hub := newHub(t)
 		absorb(t, hub, sealA)
-		check(t, hub, overlapping, wire.ErrSealOverlap)
-		// The honest disjoint seal still completes the merge afterwards.
-		absorb(t, hub, sealB)
-		if m, ok := hub.Lookup("svc", round); !ok || !m.Complete() {
-			t.Fatal("merge did not complete after refusing the overlap")
-		}
+		check(t, hub, overlapping, wire.ErrMergeComplete)
 	})
 
 	t.Run("refused-counter", func(t *testing.T) {
@@ -377,9 +389,11 @@ func TestMergeRefusals(t *testing.T) {
 	})
 }
 
-// TestMergeHubTOFU drives the dynamic coordinator: merges materialize on
-// the first seal absorbed, node identities pin on first use, and a node
-// that comes back under a different key is refused.
+// TestMergeHubTOFU drives the dynamic coordinator: a merge exists from
+// its first absorbed seal, node identities pin on first use and the pins
+// span rounds, so a node that comes back under a different key is refused
+// and leaves no merge behind, and a late seal from another node finds the
+// round merged.
 func TestMergeHubTOFU(t *testing.T) {
 	key, err := xcrypto.NewSigningKey()
 	if err != nil {
@@ -387,10 +401,11 @@ func TestMergeHubTOFU(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	const dim, round = 3, uint64(2)
-	nodeA, nodeB := newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 2)
+	nodeA, nodeB := newNodeSeal(t, 1, 1), newNodeSeal(t, 2, 1)
 	rawsA := [][]byte{signedVector(t, key, "svc", round, randomVector(rng, dim))}
 	rawsB := [][]byte{signedVector(t, key, "svc", round, randomVector(rng, dim))}
-	sealA, err := partialPipeline(t, key, "svc", round, dim, rawsA).PartialSeal(nodeA)
+	pA := partialPipeline(t, key, "svc", round, dim, rawsA)
+	sealA, err := pA.PartialSeal(nodeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +415,9 @@ func TestMergeHubTOFU(t *testing.T) {
 	}
 
 	hub := &MergeHub{AllowTOFU: true}
+	if _, ok := hub.Lookup("svc", round); ok {
+		t.Fatal("a merge exists before any seal")
+	}
 	reply, err := hub.MergePartialSeal(sealA)
 	if err != nil {
 		t.Fatal(err)
@@ -408,60 +426,35 @@ func TestMergeHubTOFU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Merged != 1 || res.Expect != 2 {
-		t.Fatalf("after first seal: merged=%d expect=%d", res.Merged, res.Expect)
+	if res.Merged != 1 || res.Expect != 1 || res.Count != 1 || !equalLanes(res.Sum, glimmer.VectorToBits(pA.Sum())) {
+		t.Fatalf("after the first seal: %+v, want node 1's partial merged whole", res)
+	}
+	if _, ok := hub.Lookup("svc", round); !ok {
+		t.Fatal("the absorbed seal left no merge")
 	}
 
 	// Pins span rounds: an impostor re-using node 1's ID under a different
 	// key in the NEXT round contradicts the pin taken in this one.
 	impostor, err := partialPipeline(t, key, "svc", round+1, dim, nil).PartialSeal(
-		NodeSeal{NodeID: 1, ShardCount: 2, Measurement: nodeA.Measurement, Key: nodeB.Key})
+		NodeSeal{NodeID: 1, ShardCount: 1, Measurement: nodeA.Measurement, Key: nodeB.Key})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hub.MergePartialSeal(impostor); !errors.Is(err, wire.ErrSealIdentity) {
 		t.Fatalf("impostor got %v, want %v", err, wire.ErrSealIdentity)
 	}
-
-	reply, err = hub.MergePartialSeal(sealB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err = wire.DecodeMergeResult(reply); err != nil {
-		t.Fatal(err)
-	}
-	if res.Merged != 2 || res.Expect != 2 {
-		t.Fatalf("after second seal: merged=%d expect=%d", res.Merged, res.Expect)
-	}
-	m, ok := hub.Lookup("svc", round)
-	if !ok || !m.Complete() {
-		t.Fatal("hub merge not complete")
-	}
-	// A third node with the completed round's shard count cannot join.
-	late, err := partialPipeline(t, key, "svc", round, dim, nil).PartialSeal(newNodeSeal(t, 3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.MergePartialSeal(late); !errors.Is(err, wire.ErrMergeComplete) {
-		t.Fatalf("late seal got %v, want %v", err, wire.ErrMergeComplete)
-	}
-	// The completed merge let its coverage go; the late seal above was
-	// refused without it.
-	m.mu.Lock()
-	released := m.seen == nil
-	m.mu.Unlock()
-	if !released {
-		t.Fatal("completed merge still holds its digest coverage")
-	}
-	// One merge held: round 2, complete. The impostor's first contact for
-	// round 3 was refused before any merge existed for it, so none does.
-	if merges := hub.Merges(); len(merges["svc"]) != 1 {
-		t.Fatalf("hub merges = %v", merges)
-	}
 	if _, ok := hub.Lookup("svc", round+1); ok {
 		t.Fatal("impostor's refused first contact left a merge behind")
 	}
-	if st := hub.Stats(); st.Live != 0 || st.Completed != 1 || st.SealsAbsorbed != 2 || st.SealsRefused != 2 {
-		t.Fatalf("hub ledger = %+v, want 1 completed merge, 2 seals absorbed, 2 refused (impostor, late)", st)
+
+	// Another node's seal for the merged round is late.
+	if _, err := hub.MergePartialSeal(sealB); !errors.Is(err, wire.ErrMergeComplete) {
+		t.Fatalf("late seal got %v, want %v", err, wire.ErrMergeComplete)
+	}
+	if merges := hub.Merges(); len(merges["svc"]) != 1 {
+		t.Fatalf("hub merges = %v", merges)
+	}
+	if st := hub.Stats(); st.Completed != 1 || st.SealsAbsorbed != 1 || st.SealsRefused != 2 {
+		t.Fatalf("hub ledger = %+v, want 1 merge, 1 seal absorbed, 2 refused (impostor, late)", st)
 	}
 }

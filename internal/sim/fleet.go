@@ -11,24 +11,24 @@ import (
 	"glimmers/internal/wire"
 )
 
-// Fleet scenario: one tenant's rounds sharded across N glimmerd nodes by
-// consistent hashing, each node sealing a signed partial aggregate, a
-// coordinator merging the partials — driven through a node crash, a
-// network partition, and a battery of forged-seal probes.
+// Fleet scenario: one tenant's rounds on N glimmerd nodes, each admitting
+// only the rounds the ring places on it as glimmerd's -peers does, each
+// owner sealing its round's one seal for a coordinator to merge — driven
+// through an owner's crash, a network partition, a client's cross-node
+// retry and a battery of forged-seal probes.
 //
 // The scenario demands the fleet's three correctness claims:
 //
-//   - exact sums survive sharding: the merged sum of every round — clean,
-//     crashed, or partitioned — is byte-identical to the single-node exact
-//     sum of its full cohort (the zero-sum dealer masks cancel only once
-//     the merged partials cover the whole cohort, so any lost or doubled
-//     contribution poisons the sum loudly);
-//   - accounting reconciles globally: every refusal a node booked travels
-//     in its seal, and the coordinator's totals equal exactly the probes
-//     the scenario injected — across nodes, crashes, and re-homes;
-//   - forged, replayed, stale, and overlapping partial seals are refused
-//     without disturbing their merge, including the cross-node
-//     double-submit a client retry after a lost ack would cause.
+//   - exact sums survive the faults: the merged sum of every round —
+//     clean, crashed, or partitioned — is byte-identical to the exact sum
+//     of its full cohort (the zero-sum dealer masks cancel only over the
+//     whole cohort, so any lost or doubled contribution poisons the sum
+//     loudly);
+//   - accounting reconciles across the fleet: every refusal is booked
+//     once — a non-owner's by its manager, an owner's in its seal — and
+//     the totals equal exactly the probes the scenario injected;
+//   - forged, split, replayed and late seals are refused without
+//     disturbing their merge.
 type FleetConfig struct {
 	Seed    int64
 	Devices int // full cohort per round
@@ -42,7 +42,7 @@ func (c FleetConfig) withDefaults() FleetConfig {
 }
 
 const (
-	// fleetNodes is the glimmerd node count; rounds shard across them.
+	// fleetNodes is the glimmerd node count; the ring places rounds on them.
 	fleetNodes = 3
 	// fleetCleanRounds are the fault-free rounds before the crash and
 	// partition.
@@ -62,13 +62,14 @@ type FleetReport struct {
 	// torn-tail truncation, exactly as in the single-node crash scenario.
 	RecoverCrash durable.RecoverStats
 
-	MergedRounds   int    // merges driven to completion
-	MergedContribs uint64 // total cohort across completed merges
+	MergedRounds   int    // rounds merged
+	MergedContribs uint64 // total cohort across the merges
 	RejectedTotal  uint64 // node-booked refusals carried in merged seals
-	RefusedSeals   uint64 // partial seals the coordinator turned away
+	RefusedSeals   uint64 // seals the coordinator turned away
 
-	// DoubleSubmitCaught reports that the cross-node double submission was
-	// refused as an overlap instead of double-counting the contribution.
+	// DoubleSubmitCaught reports that a client's retry of an accepted
+	// contribution was refused at a node that does not own the round and
+	// as a duplicate at the owner, so it counted once.
 	DoubleSubmitCaught bool
 
 	// SumDigests holds each merged round's sum digest — two runs with the
@@ -113,100 +114,82 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	all, half, third := cfg.Devices, cfg.Devices/2, cfg.Devices/3
 	var scenario []step
 	// ----- Clean rounds: the ring places each round on one owner, the
-	// owner seals a ShardCount=1 partial, the coordinator merges it. Each
-	// cohort carries the standard probe pair: a forged signature and a
-	// duplicate.
+	// owner seals it, the coordinator merges the seal. Each cohort carries
+	// the standard probe pair: a forged signature and a duplicate.
 	for round := uint64(1); round <= fleetCleanRounds; round++ {
 		scenario = append(scenario, inRound(round,
 			ingest(owner, 0, 1), forged(owner, all-1, nil), ingest(owner, 1, all), duplicate(owner, 0),
-			merge(sealOf(owner, 1)),
+			merge(sealOf(owner)),
 			merged(2)))
 	}
 	crashRound := uint64(fleetCleanRounds + 1)
 	scenario = append(scenario,
 		// ----- Crash round: the owner dies after accepting half the
-		// cohort; the remainder re-homes to the ring successor; the
-		// restarted owner recovers its partial from snapshot + WAL and
-		// both nodes seal ShardCount=2 partials.
+		// cohort; the remainder tries the successor meanwhile and is
+		// refused, as on glimmerd, whose ring never changes. The restarted
+		// owner recovers its half from snapshot + WAL and takes the rest.
 		inRound(crashRound,
 			// The periodic snapshot lands between the last seal and the
 			// crash.
 			snapshot(owner),
 			ingest(owner, 0, half),
-			// Pin the pre-crash accepts to disk: this scenario exercises
-			// crashed-owner re-homing with records that had reached the
-			// WAL, so the group-commit staging buffer is flushed before
-			// the kill. (The staged-and-lost window is the crash-recovery
-			// scenario's job; see RunCrashRecovery.)
+			// The pre-crash accepts reach the WAL before the kill (the
+			// staged-and-lost window is RunCrashRecovery's job).
 			flush(owner),
+			notOwned(successor, half, all),
 			crash(owner, true),
 			holds(owner, half),
 			// Dedup survived the crash: a duplicate of a pre-crash
 			// contribution is still a duplicate on the restarted owner.
 			duplicate(owner, 0),
-			// Re-home: the unacked remainder goes to the ring successor.
-			// The acked half is NOT re-sent — the owner's recovered
-			// partial covers it, and a re-send would surface as an overlap
-			// at merge time.
-			ingest(successor, half, half+1), forged(successor, all-1, nil), ingest(successor, half+1, all),
-			// Merge under attack: the successor's seal lands first and
-			// fixes the split at two, then every forged variant is refused
-			// without disturbing the merge, then the recovered owner
-			// completes it.
-			merge(sealOf(successor, 2)),
-			refuse(sealOf(owner, 1), wire.ErrSealMismatch, "stale pre-re-home seal"),
-			refuse(flipped(sealOf(owner, 2)), wire.ErrSealSignature, "flipped-signature seal"),
-			refuse(resigned(sealOf(successor, 2), 99), wire.ErrSealOverlap, "adversarial seal claiming absorbed coverage"),
-			refuse(sealOf(successor, 2), wire.ErrSealReplay, "replayed partial seal"),
-			merge(sealOf(owner, 2)),
-			refuse(resigned(sealOf(owner, 2), 77), wire.ErrMergeComplete, "late seal after completion"),
+			ingest(owner, half, half+1), forged(owner, all-1, nil), ingest(owner, half+1, all),
+			// Forged seals first, while the round has no merge: once it
+			// has one, every seal for it is refused as a replay or as late
+			// before its signature is checked.
+			refuse(split(sealOf(owner), 2), wire.ErrSealMismatch, "seal declaring a split round"),
+			refuse(flipped(sealOf(owner)), wire.ErrSealSignature, "flipped-signature seal"),
+			refuse(resigned(sealOf(owner), owner), wire.ErrSealIdentity, "seal re-signed under the owner's ID with another key"),
+			merge(sealOf(owner)),
+			refuse(sealOf(owner), wire.ErrSealReplay, "replayed seal"),
+			refuse(resigned(sealOf(owner), successor), wire.ErrMergeComplete, "late seal from another node"),
 			merged(2)),
-		// ----- Partition round: the owner is cut off from its clients
-		// after accepting a third of the cohort; the rest fail over to the
-		// ring successor. The partition heals and both sides seal —
-		// nothing was lost, nothing doubled.
+		// ----- Partition round: clients cut off from the owner after it
+		// accepted a third are refused at the successor; once the
+		// partition heals they send to the owner — nothing lost or doubled.
 		inRound(crashRound+1,
 			ingest(owner, 0, third),
-			ingest(successor, third, all),
-			merge(sealOf(owner, 2)), merge(sealOf(successor, 2)),
+			notOwned(successor, third, all),
+			ingest(owner, third, all),
+			merge(sealOf(owner)),
 			merged(0)),
-		// ----- Double-submit round: a client's ack is lost and it retries
-		// the same contribution against a different node. Both nodes
-		// accept (dedup state is per-node), but the second partial
-		// re-claims a digest the first already covers — the coordinator
-		// refuses it wholesale, so the contribution can never be
-		// double-counted.
+		// ----- Double-submit round: a client whose ack was lost retries at
+		// another node, which does not own the round, and at the owner,
+		// whose dedup refuses the copy: it counts once.
 		inRound(crashRound+2,
 			ingest(owner, 0, all),
-			ingest(successor, 0, 1),
-			merge(sealOf(owner, 2)),
-			func(s *script) (err error) {
-				rep.DoubleSubmitCaught, err = s.refuseSeal(sealOf(successor, 2), wire.ErrSealOverlap, "cross-node double submit")
-				if m, ok := s.hub.Lookup(fleetSimService, s.round); !ok {
-					s.violate("double-submit round: no merge materialized")
-				} else {
-					if res := m.Result(); m.Complete() || res.Merged != 1 || res.Count != uint64(all) {
-						s.violate("double-submit round disturbed by the refusal: %+v", res)
-					}
-					// The incomplete merge still holds the owner's exact partial.
-					s.sumDigests[s.round] = m.Sum().Digest()
-				}
+			func(s *script) error {
+				before := len(s.violations)
+				err := s.play(notOwned(successor, 0, 1), duplicate(owner, 0))
+				rep.DoubleSubmitCaught = err == nil && len(s.violations) == before
 				return err
-			}),
+			},
+			merge(sealOf(owner)),
+			merged(1)),
 	)
 	if err := s.play(scenario...); err != nil {
 		return nil, err
 	}
 	rep.RecoverCrash = s.nodes[s.owners[crashRound]].Recovered()
 
-	// ----- Global reconciliation: every refusal anywhere in the fleet is
-	// accounted for exactly once, and nothing else was refused. The
-	// refusals a node's pipelines booked travel in its seals, so the
-	// merged totals must equal exactly the probes the scenario injected.
-	injected := 0
+	// ----- Fleet reconciliation: every refusal anywhere in the fleet is
+	// accounted for exactly once, and nothing else was refused; a round's
+	// refusals travel in its owner's seal, so the merged totals equal the
+	// round-level probes injected.
+	carried := 0
 	for id, n := range s.nodes {
-		s.reconcile(fmt.Sprintf("node %d", id), n.ledger(n.manager(s.t)), refusals{tenant: s.injected[id], manager: 0, registry: 0})
-		injected += s.injected[id]
+		r := s.injected[id]
+		s.reconcile(fmt.Sprintf("node %d", id), n.ledger(n.manager(s.t)), refusals{tenant: r.tenant, manager: r.manager, registry: 0})
+		carried += r.tenant - r.manager
 	}
 	// The hub's ledger, not its merges: a first-contact refusal never had a
 	// merge to count it, and a retired merge's counters go with it.
@@ -214,10 +197,10 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	rep.RejectedTotal, rep.RefusedSeals = hub.ContribsRejected, hub.SealsRefused
 	// Every round of the scenario opened one merge, and the scenario is far
 	// below the hub's caps, so it holds them all.
-	s.expectCount("merges the coordinator holds", hub.Live+hub.Completed, fleetRounds)
-	s.expectCount("merged rejection accounting", int(rep.RejectedTotal), injected)
+	s.expectCount("merges the coordinator holds", hub.Completed, fleetRounds)
+	s.expectCount("merged rejection accounting", int(rep.RejectedTotal), carried)
 	s.expectCount("seals the coordinator refused", int(rep.RefusedSeals), int(s.refusedSeals))
-	s.expectCount("merged contributions", int(s.mergedContribs), cfg.Devices*(fleetCleanRounds+2))
+	s.expectCount("merged contributions", int(s.mergedContribs), cfg.Devices*fleetRounds)
 	rep.MergedRounds, rep.MergedContribs, rep.Violations = s.mergedRounds, s.mergedContribs, s.violations
 	return rep, nil
 }

@@ -2,12 +2,12 @@ package sim
 
 import "testing"
 
-// TestSimFleet shards a tenant's rounds across a three-node fleet and
-// drives it through a node crash (with durable recovery and shard
-// re-homing), a network partition, and a battery of forged/replayed/
-// overlapping partial-seal probes. Merged sums must equal the exact
-// single-node sums, and every refusal anywhere in the fleet must
-// reconcile globally. Run under -race in CI.
+// TestSimFleet places a tenant's rounds on a three-node fleet, each node
+// admitting only the rounds it owns, and drives it through an owner's
+// crash (with durable recovery), a network partition, a cross-node client
+// retry, and a battery of forged/split/replayed/late seal probes. Merged
+// sums must equal the exact sums, and every refusal anywhere in the fleet
+// must reconcile. Run under -race in CI.
 func TestSimFleet(t *testing.T) {
 	rep, err := RunFleet(t.TempDir(), FleetConfig{Seed: 41 + *seedOffset})
 	if err != nil {
@@ -16,11 +16,11 @@ func TestSimFleet(t *testing.T) {
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violation: %s", v)
 	}
-	if rep.MergedRounds != 5 {
-		t.Errorf("merged rounds = %d, want 5", rep.MergedRounds)
+	if rep.MergedRounds != 6 {
+		t.Errorf("merged rounds = %d, want 6", rep.MergedRounds)
 	}
 	if !rep.DoubleSubmitCaught {
-		t.Error("cross-node double submit was not caught as an overlap")
+		t.Error("a client's cross-node retry was not refused at the non-owner and as a duplicate at the owner")
 	}
 	if rep.RecoverCrash.TruncatedBytes != 7 {
 		t.Errorf("truncated %d bytes, want the 7-byte torn tail", rep.RecoverCrash.TruncatedBytes)

@@ -106,28 +106,34 @@ func TestSimKillLeaksNothing(t *testing.T) {
 }
 
 // TestSimCrashDuringPartition is a fault product no hand-built world
-// covered: the successor a partitioned round failed over to crashes —
-// losing a staged accept — while the owner is still cut off. It is the
-// README's example of a new scenario being a literal.
+// covered: the owner crashes — losing a staged accept — while some of its
+// clients are cut off from it and fail over to a node that does not own
+// the round. It is the README's example of a new scenario being a literal.
 func TestSimCrashDuringPartition(t *testing.T) {
 	s := durableWorld(t, 3, 6, 1)
 	err := s.play(inRound(1,
-		ingest(owner, 0, 2),     // the owner takes two, then is cut off
-		ingest(successor, 2, 4), // clients fail over to the ring successor
-		flush(successor),
-		ingest(successor, 4, 5), // staged, never flushed
-		crash(successor, true),  // the successor dies mid-partition
-		holds(successor, 2),     // and comes back with the flushed prefix
-		duplicate(successor, 2), // its dedup table survived
-		ingest(successor, 4, 6), // the lost accept re-sends; the cohort completes
-		merge(sealOf(owner, 2)), // the partition heals: both sides seal
-		merge(sealOf(successor, 2)),
-		merged(1), // exact sum, full cohort, one refusal on the books
+		ingest(owner, 0, 2),       // the owner takes two, then is cut off from the rest
+		notOwned(successor, 2, 4), // they fail over to another node, which does not own the round
+		flush(owner),
+		ingest(owner, 2, 3),  // a client on the owner's side: staged, never flushed
+		crash(owner, true),   // the owner dies mid-partition
+		holds(owner, 2),      // and comes back with the flushed prefix
+		duplicate(owner, 1),  // its dedup table survived
+		ingest(owner, 2, 6),  // the partition heals: the lost accept re-sends, the cohort completes
+		merge(sealOf(owner)), // the owner's one seal merges the round
+		merged(1),            // exact sum, full cohort, one refusal on the owner's books
 	))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range s.violations {
 		t.Errorf("invariant violation: %s", v)
+	}
+	for id, n := range s.nodes {
+		r := s.injected[id]
+		s.reconcile(fmt.Sprintf("node %d", id), n.ledger(n.manager(s.t)), refusals{tenant: r.tenant, manager: r.manager, registry: 0})
+	}
+	for _, v := range s.violations {
+		t.Errorf("refusal reconciliation: %s", v)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"glimmers/internal/fixed"
 	"glimmers/internal/fleet"
@@ -31,8 +32,8 @@ type place int
 const (
 	// owner is the node the ring places the round in play on.
 	owner place = iota
-	// successor is where the round re-homes when its owner is unreachable
-	// (crashed, partitioned): its owner on Ring.Without(owner).
+	// successor is the next node after the owner in ID order: it owns none
+	// of the round in play and refuses it with service.ErrNotOwner.
 	successor
 )
 
@@ -91,9 +92,9 @@ type script struct {
 	seals  map[sealRef][]byte
 	advKey *xcrypto.SigningKey
 
-	// injected counts, per node, the tenant-level refusals the probes
-	// caused; refusedSeals the coordinator-level ones.
-	injected     map[uint32]int
+	// injected counts, per node, the refusals the probes caused (manager:
+	// for a round it does not own); refusedSeals the coordinator's.
+	injected     map[uint32]refusals
 	refusedSeals uint64
 
 	mergedRounds   int
@@ -103,9 +104,10 @@ type script struct {
 
 // build is the one world builder: substrate → every tenant of the world
 // (each fleet provisioned with masks for its spec.Rounds, honest values
-// drawn from its seed) → nodes, each cold-started from its spec with all
-// the tenants in node.Config.Tenants, as glimmerd starts, placed on a
-// consistent-hash ring. The world holds one script per spec, in order.
+// drawn from its seed) → a consistent-hash ring → nodes, each cold-started
+// from its spec with all the tenants in node.Config.Tenants owning the
+// ring's share (TenantConfig.Owns), as glimmerd starts with -peers. The
+// world holds one script per spec, in order.
 func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 	sub, err := testbed.New()
 	if err != nil {
@@ -125,7 +127,17 @@ func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 	}
 	ids := make([]uint32, 0, len(nodes))
 	for _, ns := range nodes {
-		ns.Tenants = hosted
+		ids = append(ids, ns.NodeID)
+	}
+	if w.ring, err = fleet.NewRing(ids, 0); err != nil {
+		w.shutdown()
+		return nil, err
+	}
+	for _, ns := range nodes {
+		ns.Tenants = slices.Clone(hosted)
+		for i := range ns.Tenants {
+			ns.Tenants[i].Owns = w.ring.Owns(ns.NodeID, ns.Tenants[i].Name)
+		}
 		n, err := startNode(sub, ns)
 		if err != nil {
 			w.shutdown()
@@ -137,11 +149,6 @@ func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 			}
 		}
 		w.nodes[ns.NodeID] = n
-		ids = append(ids, ns.NodeID)
-	}
-	if w.ring, err = fleet.NewRing(ids, 0); err != nil {
-		w.shutdown()
-		return nil, err
 	}
 	return w, nil
 }
@@ -158,7 +165,7 @@ func newScript(w *world, t *testbed.Tenant) *script {
 		owners:     make(map[uint64]uint32),
 		raws:       make(map[uint64][][]byte),
 		seals:      make(map[sealRef][]byte),
-		injected:   make(map[uint32]int),
+		injected:   make(map[uint32]refusals),
 		sumDigests: make(map[uint64]string),
 	}
 	rng := rand.New(rand.NewSource(t.Seed))
@@ -221,19 +228,14 @@ func (s *script) raw(d int) ([]byte, error) {
 	return s.raws[s.round][d], nil
 }
 
-// inRound plays steps with round in play: the ring places it on its owner
-// and names the successor it would re-home to.
+// inRound plays steps with round in play: the ring places it on its owner,
+// and the successor is the next node after it.
 func inRound(round uint64, steps ...step) step {
 	return func(s *script) error {
-		key := []byte(s.t.Name)
 		s.round = round
-		s.placed = [2]uint32{owner: s.ring.Owner(key, round)}
-		if s.ring.Size() > 1 {
-			shrunk, err := s.ring.Without(s.placed[owner])
-			if err != nil {
-				return err
-			}
-			s.placed[successor] = shrunk.Owner(key, round)
+		s.placed = [2]uint32{owner: s.ring.Owner([]byte(s.t.Name), round)}
+		if ids := s.ring.Nodes(); len(ids) > 1 {
+			s.placed[successor] = ids[(slices.Index(ids, s.placed[owner])+1)%len(ids)]
 		}
 		s.owners[round] = s.placed[owner]
 		return s.play(steps...)
@@ -255,8 +257,7 @@ func grantTickets(at place, first, last uint64) step {
 
 // ingest submits the honest contributions of devices [lo, hi) to node at,
 // which must accept each. Ingest left unflushed before a crash is the
-// stage-and-lose fault; ingest at the successor is the re-home after a
-// crash or partition.
+// stage-and-lose fault.
 func ingest(at place, lo, hi int) step {
 	return func(s *script) error {
 		for d := lo; d < hi; d++ {
@@ -298,8 +299,27 @@ func (s *script) refusedCopy(at place, d int, forge bool, want error, what strin
 	}
 	n := s.at(at)
 	s.expectRefuse(n, raw, want, fmt.Sprintf("round %d device %d %s", s.round, d, what))
-	s.injected[n.NodeID]++
+	r := s.injected[n.NodeID]
+	r.tenant++
+	if want == service.ErrNotOwner {
+		r.manager++
+	}
+	s.injected[n.NodeID] = r
 	return nil
+}
+
+// notOwned submits the honest contributions of devices [lo, hi) to node
+// at, which does not own the round in play: each is refused with
+// service.ErrNotOwner, booked once by the node's manager.
+func notOwned(at place, lo, hi int) step {
+	return func(s *script) error {
+		for d := lo; d < hi; d++ {
+			if err := s.refusedCopy(at, d, false, service.ErrNotOwner, "at a node that does not own it"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func flipLastByte(raw []byte) []byte {
@@ -396,22 +416,22 @@ func (s *script) sealedExact(at place) (count int, exact bool) {
 }
 
 // sealSrc names an encoded partial seal for the round in play: node at's
-// signed export declaring the given shard count (how many partials
-// complete the merge), or an adversary's variant of it.
+// signed export, or an adversary's variant of it.
 type sealSrc struct {
 	at     place
-	shards uint32
+	shards uint32 // non-zero: the split-round probe
 	// flip flips the last byte of the signature.
 	flip bool
-	// resignAs, when non-zero, re-attributes the seal to that node identity
-	// and re-signs it — the adversary who controls a valid key but claims
-	// coverage (or a slot) that is not theirs.
-	resignAs uint32
+	// resignAs, when set, re-signs the seal with the adversary's key under
+	// the ID of the node at that place — the adversary who controls a valid
+	// key but claims an identity that is not theirs.
+	resignAs *place
 }
 
-func sealOf(at place, shards uint32) sealSrc  { return sealSrc{at: at, shards: shards} }
-func flipped(src sealSrc) sealSrc             { src.flip = true; return src }
-func resigned(src sealSrc, id uint32) sealSrc { src.resignAs = id; return src }
+func sealOf(at place) sealSrc                  { return sealSrc{at: at} }
+func split(src sealSrc, shards uint32) sealSrc { src.shards = shards; return src }
+func flipped(src sealSrc) sealSrc              { src.flip = true; return src }
+func resigned(src sealSrc, as place) sealSrc   { src.resignAs = &as; return src }
 
 type sealRef struct {
 	node   uint32
@@ -427,13 +447,15 @@ func (s *script) sealBytes(src sealSrc) ([]byte, error) {
 	raw, err := s.seals[ref], error(nil)
 	if raw == nil {
 		seal := n.NodeSeal()
-		seal.ShardCount = src.shards
+		if src.shards != 0 {
+			seal.ShardCount = src.shards
+		}
 		if raw, err = n.manager(s.t).ExportPartialSeal(s.round, seal); err != nil {
 			return nil, fmt.Errorf("sim: round %d node %d seal: %w", s.round, n.NodeID, err)
 		}
 		s.seals[ref] = raw
 	}
-	if src.resignAs != 0 {
+	if src.resignAs != nil {
 		if s.advKey == nil {
 			if s.advKey, err = xcrypto.NewSigningKey(); err != nil {
 				return nil, err
@@ -447,8 +469,9 @@ func (s *script) sealBytes(src sealSrc) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		meas := tee.Measurement{byte(src.resignAs)}
-		seal.NodeID, seal.NodeKey, seal.Measurement = src.resignAs, der, meas[:]
+		as := s.placed[*src.resignAs]
+		meas := tee.Measurement{byte(as)}
+		seal.NodeID, seal.NodeKey, seal.Measurement = as, der, meas[:]
 		if seal.Signature, err = s.advKey.Sign(seal.SignedBytes()); err != nil {
 			return nil, err
 		}
@@ -474,37 +497,30 @@ func merge(src sealSrc) step {
 	}
 }
 
-// refuse hands a forged, stale, replayed, overlapping or late seal to the
-// coordinator, which must turn it away with want, leaving the merge
-// undisturbed.
+// refuse hands a forged, split, replayed or late seal to the coordinator,
+// which must turn it away with want, leaving the merge undisturbed.
 func refuse(src sealSrc, want error, label string) step {
 	return func(s *script) error {
-		_, err := s.refuseSeal(src, want, label)
-		return err
+		raw, err := s.sealBytes(src)
+		if err != nil {
+			return err
+		}
+		s.refusedSeals++
+		if _, err := s.hub.MergePartialSeal(raw); !errors.Is(err, want) {
+			s.violate("round %d %s: got %v, want %v", s.round, label, err, want)
+		}
+		return nil
 	}
 }
 
-func (s *script) refuseSeal(src sealSrc, want error, label string) (bool, error) {
-	raw, err := s.sealBytes(src)
-	if err != nil {
-		return false, err
-	}
-	s.refusedSeals++
-	if _, err := s.hub.MergePartialSeal(raw); !errors.Is(err, want) {
-		s.violate("round %d %s: got %v, want %v", s.round, label, err, want)
-		return false, nil
-	}
-	return true, nil
-}
-
-// merged checks the completed merge of the round in play against the
-// round's exact single-node sum, its full cohort, and the refusals its
-// nodes booked (which travel in their seals), and records it.
+// merged checks the merge of the round in play against the round's exact
+// single-node sum, its full cohort, and the refusals its owner booked
+// (which travel in its seal), and records it.
 func merged(wantRejected uint64) step {
 	return func(s *script) error {
 		m, ok := s.hub.Lookup(s.t.Name, s.round)
-		if !ok || !m.Complete() {
-			s.violate("round %d: merge missing or incomplete", s.round)
+		if !ok {
+			s.violate("round %d: no merge", s.round)
 			return nil
 		}
 		s.expectExact(fmt.Sprintf("round %d merged sum", s.round), m.Sum(), s.expectedSum())

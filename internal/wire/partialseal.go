@@ -6,19 +6,15 @@ import (
 	"fmt"
 )
 
-// Partial-seal codecs: the fleet's cross-node merge plane. When a round's
-// cohort is split across glimmerd nodes — consistent-hash sharding, or a
-// mid-round re-home after a crash or partition — each node seals only a
-// *partial* aggregate. The PartialSeal message carries that partial to the
-// merge coordinator: the node's identity (ring ID, enclave measurement,
-// verify key), the round it covers, how many partials the round splits
-// into, the blinded partial sum, the accept/reject accounting, and every
-// dedup digest the partial covers. The digests are what let the
-// coordinator demand *disjoint cohort coverage*: two partials claiming the
-// same contribution can never both merge, so nothing double-counts no
-// matter how a shard was re-homed. MergeResult is the coordinator's
-// answer. Both encodings are public and auditable like every other
-// message in the system, and frozen by golden fixtures.
+// Partial-seal codecs: the fleet's cross-node merge plane. A glimmerd
+// node that owns a round on the fleet's consistent-hash ring seals it and
+// ships a PartialSeal to the merge coordinator: the node's identity (ring
+// ID, enclave measurement, verify key), the round it covers, how many
+// partials it declares the round splits into (1: a coordinator refuses any
+// other count), the blinded sum, the accept/reject accounting, and every
+// dedup digest the seal covers. MergeResult is the coordinator's answer.
+// Both encodings are public and auditable like every other message in the
+// system, and frozen by golden fixtures.
 
 // SealDigestLen is the length of one dedup digest as it appears in a
 // partial seal: SHA-256 of the raw contribution, or on the ticketed path
@@ -33,10 +29,10 @@ var ErrPartialSeal = errors.New("wire: malformed partial-seal message")
 // a refused seal never perturbs the merge (all-or-nothing absorption). They
 // cross the wire in an error frame, which the client maps back onto them.
 var (
-	// ErrSealMismatch: the seal's dimension or shard count disagrees with
-	// the round's first seal, or its shard count is zero.
+	// ErrSealMismatch: the seal declares a shard count other than 1; a
+	// round merges from its owner's one seal.
 	ErrSealMismatch = errors.New("service: partial seal does not match this merge")
-	// ErrSealReplay: this node's partial was already absorbed.
+	// ErrSealReplay: this node's seal already merged the round.
 	ErrSealReplay = errors.New("service: partial seal replayed")
 	// ErrSealIdentity: the seal's key does not parse, its key or
 	// measurement contradicts the node's first-use pin, or the node has no
@@ -44,19 +40,15 @@ var (
 	ErrSealIdentity = errors.New("service: partial seal identity mismatch")
 	// ErrSealSignature: the signature does not verify.
 	ErrSealSignature = errors.New("service: partial seal signature invalid")
-	// ErrSealOverlap: the seal claims a contribution another partial
-	// already covers — double-counting, refused wholesale.
-	ErrSealOverlap = errors.New("service: partial seal overlaps an absorbed partial")
-	// ErrMergeComplete: the merge already has every partial it expects.
+	// ErrMergeComplete: another node's seal already merged the round.
 	ErrMergeComplete = errors.New("service: merge already complete")
 	// ErrMergeRetired: the hub held a merge for this round and has let it
-	// go (completed and aged out, or abandoned incomplete at the cap); the
-	// round is not reopened while its tombstone lasts.
+	// age out; the round is not reopened while its tombstone lasts.
 	ErrMergeRetired = errors.New("service: merge retired")
 )
 
 // MergeRefusals are the coordinator's answers to a seal it turns away.
-var MergeRefusals = []error{ErrSealMismatch, ErrSealReplay, ErrSealIdentity, ErrSealSignature, ErrSealOverlap, ErrMergeComplete, ErrMergeRetired}
+var MergeRefusals = []error{ErrSealMismatch, ErrSealReplay, ErrSealIdentity, ErrSealSignature, ErrMergeComplete, ErrMergeRetired}
 
 // PartialSeal is one node's sealed share of a round's aggregate.
 type PartialSeal struct {
@@ -67,9 +59,8 @@ type PartialSeal struct {
 	Round uint64
 	// NodeID is the sealing node's identity on the fleet ring.
 	NodeID uint32
-	// ShardCount is how many partials the node believes this round splits
-	// into; the coordinator refuses a seal whose count disagrees with the
-	// merge it is running (a stale pre-re-home seal fails here).
+	// ShardCount is how many partials the node declares this round splits
+	// into; a coordinator refuses any count but 1.
 	ShardCount uint32
 	// Measurement is the measurement the sealing node asserts for itself.
 	// Nothing attests it: a coordinator pins it beside NodeKey on first
@@ -96,16 +87,6 @@ type PartialSeal struct {
 	Digests []byte
 	// Signature is the node's signature over SignedBytes.
 	Signature []byte
-}
-
-// DigestCount returns the number of dedup digests the seal carries.
-func (s PartialSeal) DigestCount() int { return len(s.Digests) / SealDigestLen }
-
-// DigestAt returns the i-th digest as an array (copying 32 bytes).
-func (s PartialSeal) DigestAt(i int) [SealDigestLen]byte {
-	var d [SealDigestLen]byte
-	copy(d[:], s.Digests[i*SealDigestLen:])
-	return d
 }
 
 // SignedBytes returns the byte string the seal signature covers: a
@@ -177,29 +158,28 @@ func DecodePartialSeal(data []byte) (PartialSeal, error) {
 	return s, nil
 }
 
-// MergeResult is the coordinator's running (and, once Merged == Expect,
-// final) answer for one round's merge: how many partials it demands, how
-// many it has folded, the global accept/reject accounting, and the merged
-// blinded sum. It travels back as the fleet-merge reply so a sealing node
+// MergeResult is the coordinator's answer for one round's merge: how many
+// partials it demands and has folded (1 and 1), the accept/reject
+// accounting, and the merged blinded sum. It travels back as the fleet-merge reply so a sealing node
 // learns the round's global state from its own ack.
 type MergeResult struct {
 	// Service and Round identify the merge.
 	Service string
 	Round   uint64
 	// Expect is how many partials complete the merge; Merged is how many
-	// have been folded in so far. Merged == Expect means the Sum below is
-	// the round's exact (still blinded) total.
+	// have been folded in. A coordinator merges a round from one seal, so
+	// both read 1 and the Sum below is the round's exact (still blinded)
+	// total.
 	Expect uint32
 	Merged uint32
-	// Count and Rejected are the global accounting: accepted contributions
-	// and refused submissions summed across every merged partial.
+	// Count and Rejected are the round's accounting: accepted contributions
+	// and refused submissions, as the merged seal carried them.
 	Count    uint64
 	Rejected uint64
-	// Refused counts partial seals the coordinator turned away (bad
-	// signature, replay, overlap, stale shard count) without disturbing
-	// the merge.
+	// Refused counts the seals for this round the coordinator turned away
+	// (replayed, or late from another node) without disturbing the merge.
 	Refused uint64
-	// Sum is the merged blinded sum so far.
+	// Sum is the merged blinded sum.
 	Sum []uint64
 }
 

@@ -24,6 +24,16 @@ func maybeUpdateGolden(t *testing.T, name string, data []byte) bool {
 	return true
 }
 
+// DigestCount returns the number of dedup digests the seal carries.
+func (s PartialSeal) DigestCount() int { return len(s.Digests) / SealDigestLen }
+
+// DigestAt returns the i-th digest as an array (copying 32 bytes).
+func (s PartialSeal) DigestAt(i int) [SealDigestLen]byte {
+	var d [SealDigestLen]byte
+	copy(d[:], s.Digests[i*SealDigestLen:])
+	return d
+}
+
 // goldenPartialSeal covers every field shape: a multi-lane sum, two
 // digests in canonical order, and a non-empty rejection count.
 func goldenPartialSeal() PartialSeal {
