@@ -100,10 +100,12 @@ type Pipeline struct {
 	stateMu sync.RWMutex
 	state   int
 	pending sync.WaitGroup
-	// forgotten is set as the round leaves its manager (detach), sealed
-	// once a Seal has drained the round and booked its cohort. A round
-	// forgotten before it was sealed is a drop: retire tallies it.
-	forgotten, sealed bool
+	// forgotten is set, under the write side, as the round leaves its
+	// manager (detach); sealed once a Seal has drained the round and
+	// journaled its seal, under the read side, which excludes detach. A
+	// round forgotten before it was sealed is a drop: retire tallies it.
+	forgotten bool
+	sealed    atomic.Bool
 
 	rejected atomic.Int64
 
@@ -198,7 +200,7 @@ func (p *Pipeline) retire() {
 		clear(seen)
 		seenPool.Put(seen)
 	}
-	if !p.sealed {
+	if !p.sealed.Load() {
 		p.cfg.dropped.Add(int64(dropped))
 	}
 }
@@ -371,14 +373,17 @@ func (p *Pipeline) Seal() error {
 	p.pending.Wait()
 	// Booked after the drain: every accepted contribution of the round has
 	// written its record by the time the seal record lands, so replay seals
-	// exactly the cohort that was sealed live.
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	if p.forgotten && !p.sealed {
+	// exactly the cohort that was sealed live. The read side, as for every
+	// record, keeps detach out from the check to the record without
+	// stalling other readers (an eviction scan's open) while the seal's
+	// barrier syncs.
+	p.stateMu.RLock()
+	defer p.stateMu.RUnlock()
+	if p.forgotten && !p.sealed.Load() {
 		return ErrRoundClosed
 	}
 	if transitioned {
-		p.sealed = true
+		p.sealed.Store(true)
 		if j := p.journal; j != nil {
 			j.Append(Record{Kind: RoundSealed, Tenant: p.cfg.Name, Round: p.round})
 		}

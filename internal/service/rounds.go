@@ -365,8 +365,9 @@ func (m *RoundManager) Close(round uint64) *Pipeline {
 // still holding the pipeline gets ErrRoundClosed, never a late accept) and
 // handing its dedup sets on to later rounds, so a caller still holding the
 // pipeline reads an empty closed round (Count 0, a zero Sum, its Rejected
-// kept). A round forgotten before it was sealed adds its count to Dropped. A fresh verified contribution for a forgotten round would start a
-// new pipeline, so only forget rounds the transport no longer routes. The
+// kept). A round forgotten before it was sealed adds its count to Dropped.
+// A fresh verified contribution for a forgotten round would start a new
+// pipeline, so only forget rounds the transport no longer routes. The
 // round's share of the budget goes with it.
 //
 // RoundForgotten is journaled under m.mu, like an eviction's and like the
