@@ -173,7 +173,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	edge.Platform = sub.Platform
 	for _, spec := range specs {
-		spec.Hosting = hosting(spec.Name, *ticketTTL, cfg.NodeID, ring)
+		spec.Hosting = node.Hosting(spec.Name, *ticketTTL, cfg.NodeID, ring)
 		t, err := sub.Provision(spec)
 		if err != nil {
 			return fmt.Errorf("tenant %q: %v", spec.Name, err)

@@ -19,6 +19,7 @@ import (
 	"glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
+	"glimmers/internal/wire"
 )
 
 // strangerContribution is a well-formed signed contribution naming the
@@ -207,24 +208,6 @@ func TestRunNamesItsPeers(t *testing.T) {
 	}
 }
 
-// TestHostingOwnsTheRingShare: with -peers, every tenant creates exactly
-// the rounds the peers' ring places on this node; without, every round.
-func TestHostingOwnsTheRingShare(t *testing.T) {
-	ring, err := parsePeers("1=a:1,2=b:2,3=c:3", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owned := hosting("svc.example", 0, 2, ring).Owns
-	for round := uint64(0); round < 64; round++ {
-		if want := ring.Owner([]byte("svc.example"), round) == 2; owned == nil || owned(round) != want {
-			t.Fatalf("round %d: node 2 owns it = %v, the ring says %v", round, owned != nil && owned(round), want)
-		}
-	}
-	if h := hosting("svc.example", 0, 0, nil); h.Owns != nil {
-		t.Error("a node without -peers refuses rounds")
-	}
-}
-
 // TestReportPrintsMergeLedger: a coordinator's drain report carries the
 // hub's cumulative ledger beside the merges it still holds — the per-merge
 // lines stop at the hub's retention window, the ledger does not.
@@ -239,6 +222,27 @@ func TestReportPrintsMergeLedger(t *testing.T) {
 		"seals absorbed=5 refused=6; contributions merged=7 rejected=8\n"
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("drain report lacks %q:\n%s", want, out.String())
+	}
+}
+
+// TestReportPrintsShipmentsAndMerges: a shipment line and a held-merge line
+// print the round's accounting, and nothing of the partial count — a round
+// merges from one seal, so it would always read 1/1.
+func TestReportPrintsShipmentsAndMerges(t *testing.T) {
+	var out strings.Builder
+	one := wire.MergeResult{Service: "svc.example", Round: 9, Expect: 1, Merged: 1, Count: 4, Rejected: 2, Refused: 1}
+	printer{&out}.report(node.Report{Role: "node-2", Shipped: []node.Shipment{{Merge: one}}, Merges: []wire.MergeResult{one}}, "")
+	for _, want := range []string{
+		"glimmerd: shipped partial svc.example round 9      cohort=4\n",
+		"glimmerd: merge svc.example round 9      cohort=4 rejected=2 refused=1\n",
+		"glimmerd: fleet counters: role=node-2 partials sent=1 received=0 refused=0 forwarded-batches=0\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("drain report lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "1/1") || strings.Contains(out.String(), "complete=") {
+		t.Errorf("drain report still prints the partial count:\n%s", out.String())
 	}
 }
 

@@ -92,12 +92,10 @@ func (p printer) report(rep node.Report, stateDir string) {
 			continue
 		}
 		sent++
-		p.say("shipped partial %s round %-6d merge now %d/%d partials cohort=%d",
-			sh.Merge.Service, sh.Merge.Round, sh.Merge.Merged, sh.Merge.Expect, sh.Merge.Count)
+		p.say("shipped partial %s round %-6d cohort=%d", sh.Merge.Service, sh.Merge.Round, sh.Merge.Count)
 	}
 	for _, m := range rep.Merges {
-		p.say("merge %s round %-6d partials=%d/%d cohort=%d rejected=%d refused=%d complete=%v", m.Service, m.Round,
-			m.Merged, m.Expect, m.Count, m.Rejected, m.Refused, m.Expect != 0 && m.Merged >= m.Expect)
+		p.say("merge %s round %-6d cohort=%d rejected=%d refused=%d", m.Service, m.Round, m.Count, m.Rejected, m.Refused)
 	}
 	var received, refused uint64
 	if h := rep.Hub; h != nil {

@@ -61,17 +61,11 @@ func main() {
 	}
 	hosted := glimmer.BuildBinary(cfg).Measurement()
 	tb.Service.Vet(hosted)
+	hosting := node.Hosting(tb.Service.Name(), 0, 0, nil)
+	hosting.Name, hosting.Verify, hosting.Dim = tb.Service.Name(), tb.Service.ContributionVerifyKey(), dim
+	hosting.Vetted, hosting.Glimmer, hosting.Provision = []glimmers.Measurement{hosted}, cfg, tb.Service.ProvisionDevice
 	host, err := node.Start(node.Config{
-		Tenants: []glimmers.TenantConfig{{
-			Name:        tb.Service.Name(),
-			Verify:      tb.Service.ContributionVerifyKey(),
-			Dim:         dim,
-			Vetted:      []glimmers.Measurement{hosted},
-			EvictAtCap:  node.DefaultEvictAtCap,
-			RoundWindow: node.DefaultRoundWindow,
-			Glimmer:     cfg,
-			Provision:   tb.Service.ProvisionDevice,
-		}},
+		Tenants:  []glimmers.TenantConfig{hosting},
 		Listener: ln,
 		Edge: gaas.ServerConfig{
 			Platform:           tb.Platform,

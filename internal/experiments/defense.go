@@ -78,8 +78,9 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 	// experiment's seed.
 	const round = uint64(1)
 	n := len(pop.Users)
-	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "nextwordpredictive.com", Devices: n, Dim: dims, Rounds: []uint64{round},
-		Seed: int64(xcrypto.NewPRG(append(cfg.Seed, 'e', '5')).Uint64())})
+	const name = "nextwordpredictive.com"
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: name, Devices: n, Dim: dims, Rounds: []uint64{round},
+		Seed: int64(xcrypto.NewPRG(append(cfg.Seed, 'e', '5')).Uint64()), Hosting: node.Hosting(name, 0, 0, nil)})
 	if err != nil {
 		return nil, rep, err
 	}

@@ -102,7 +102,8 @@ func (p *population) heldout(n int) keyboard.Activity {
 }
 
 // onNode runs drive against the shipped assembly — internal/node, what
-// glimmerd starts — hosting t behind a loopback listener. A drive
+// glimmerd starts — hosting t behind a loopback listener; t is provisioned
+// from node.Hosting, as glimmerd provisions its tenants. A drive
 // that succeeds ends in Drain, whose Report is returned; one that fails
 // ends in Kill. Either way the node's listener, handlers and store are
 // gone when onNode returns.

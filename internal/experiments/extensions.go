@@ -189,7 +189,9 @@ func (r *E9Result) Table() string {
 
 // RunE9 measures both deployments.
 func RunE9(cfg E9Config) (*E9Result, error) {
-	t, err := testbed.NewTenant(testbed.TenantSpec{Name: "iot.example", Dim: cfg.Dim, Predicate: predicate.UnitRangeCheck("range", cfg.Dim)})
+	const name = "iot.example"
+	t, err := testbed.NewTenant(testbed.TenantSpec{Name: name, Dim: cfg.Dim, Predicate: predicate.UnitRangeCheck("range", cfg.Dim),
+		Hosting: node.Hosting(name, 0, 0, nil)})
 	if err != nil {
 		return nil, err
 	}

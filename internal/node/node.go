@@ -5,9 +5,11 @@
 // attach audit → recover → start compaction → mount fleet routes → serve —
 // and of the drain order — stop compaction → close listener → settle
 // handlers → seal + tally → ship and close → snapshot → close. It also
-// owns the compaction policy (compact.go) and where a fleet node's
-// sealing identity comes from (NodeSeal). cmd/glimmerd is flags in front
-// of Start; internal/sim runs every fault step against the same assembly.
+// owns the template every node hosts a tenant from (Hosting), the
+// compaction policy (compact.go) and where a fleet node's sealing
+// identity comes from (NodeSeal). cmd/glimmerd is flags in front of
+// Start; internal/sim runs every fault step against the same assembly,
+// its tenants hosted from the same template.
 package node
 
 import (
@@ -24,6 +26,7 @@ import (
 	"glimmers/internal/audit"
 	"glimmers/internal/durable"
 	"glimmers/internal/fixed"
+	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
 	"glimmers/internal/service"
 	"glimmers/internal/wire"
@@ -40,13 +43,27 @@ const (
 	DefaultMaxConns           = 4096
 	DefaultMaxConnsPerIP      = 64
 	DefaultMaxInflightBatches = 256
-	// An unattended node's rounds march forward forever, so a tenant
-	// evicts its least-filled round at the quota instead of wedging ingest
-	// (EvictAtCap), and refuses rounds far from the ones in flight — the
-	// round number is client-chosen (RoundWindow).
-	DefaultEvictAtCap  = true
-	DefaultRoundWindow = 16
 )
+
+// Hosting is the template every node this repository starts registers the
+// tenant named name from. An unattended node's rounds march forward
+// forever, so a tenant evicts its least-filled round at the quota instead
+// of wedging ingest, and refuses rounds far from the ones in flight (the
+// round number is client-chosen). Session tickets are the amortized fast
+// path: one signature-verified grant per session, MACs thereafter. A
+// fleet node (ring non-nil) creates only the rounds the ring every
+// gaas.DialFleet client routes by places on it, so each of its partial
+// seals covers a whole round. Workers is left to GOMAXPROCS.
+func Hosting(name string, ticketTTL int64, self uint32, ring *fleet.Ring) service.TenantConfig {
+	h := service.TenantConfig{EvictAtCap: true, RoundWindow: 16}
+	if ticketTTL > 0 {
+		h.TicketPolicy = &service.TicketConfig{TTL: ticketTTL}
+	}
+	if ring != nil {
+		h.Owns = ring.Owns(self, name)
+	}
+	return h
+}
 
 // shipTimeout bounds dialing the merge coordinator at drain.
 const shipTimeout = 30 * time.Second

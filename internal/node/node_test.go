@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -32,12 +33,8 @@ type world struct{ *testbed.Tenant }
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	tenant, err := testbed.NewTenant(testbed.TenantSpec{Name: testService, Dim: testDim, Hosting: service.TenantConfig{
-		TicketPolicy: &service.TicketConfig{},
-		Workers:      2,
-		EvictAtCap:   DefaultEvictAtCap,
-		RoundWindow:  DefaultRoundWindow,
-	}})
+	tenant, err := testbed.NewTenant(testbed.TenantSpec{Name: testService, Dim: testDim,
+		Hosting: Hosting(testService, service.DefaultTicketTTL, 0, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +478,7 @@ func TestKillLeaksNothing(t *testing.T) {
 
 // fleetOf is node id of a glimmerd fleet started with -node-id id and
 // -peers over ids, shipping to coordinator: every tenant creates only the
-// rounds the peers' ring places on id.
+// rounds the peers' ring places on id, as Hosting sets them.
 func fleetOf(t *testing.T, ids []uint32, id uint32, coordinator string) func(*Config) {
 	t.Helper()
 	ring, err := fleet.NewRing(ids, 0)
@@ -491,8 +488,34 @@ func fleetOf(t *testing.T, ids []uint32, id uint32, coordinator string) func(*Co
 	return func(c *Config) {
 		c.NodeID, c.Coordinator = id, coordinator
 		for i := range c.Tenants {
-			c.Tenants[i].Owns = ring.Owns(id, c.Tenants[i].Name)
+			c.Tenants[i].Owns = Hosting(c.Tenants[i].Name, 0, id, ring).Owns
 		}
+	}
+}
+
+// TestHostingOwnsTheRingShare: the template every node hosts a tenant
+// from evicts at the quota, admits rounds within 16 of the ones in flight,
+// grants tickets exactly when a TTL is given, and sets nothing else; with
+// -peers, the tenant creates exactly the rounds the peers' ring places on
+// this node; without, every round.
+func TestHostingOwnsTheRingShare(t *testing.T) {
+	ring, err := fleet.NewRing([]uint32{1, 2, 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Hosting("svc.example", 0, 2, ring)
+	for round := uint64(0); round < 64; round++ {
+		if want := ring.Owner([]byte("svc.example"), round) == 2; h.Owns == nil || h.Owns(round) != want {
+			t.Fatalf("round %d: node 2 owns it = %v, the ring says %v", round, h.Owns != nil && h.Owns(round), want)
+		}
+	}
+	h.Owns = nil
+	if want := (service.TenantConfig{EvictAtCap: true, RoundWindow: 16}); !reflect.DeepEqual(h, want) {
+		t.Errorf("Hosting without tickets = %+v, want %+v", h, want)
+	}
+	ticketed := service.TenantConfig{EvictAtCap: true, RoundWindow: 16, TicketPolicy: &service.TicketConfig{TTL: 90}}
+	if h := Hosting("svc.example", 90, 0, nil); !reflect.DeepEqual(h, ticketed) {
+		t.Errorf("Hosting with a 90 s ticket TTL = %+v, want %+v", h, ticketed)
 	}
 }
 

@@ -47,7 +47,9 @@ const (
 	DefaultMaxTickets = 4096
 	// DefaultTicketTTL is the grant lifetime in seconds.
 	DefaultTicketTTL = 3600
-	// DefaultMaxTicketWindow caps the round span one grant may cover.
+	// DefaultMaxTicketWindow caps the round span one grant may cover;
+	// wider requests are clamped, and the clamped window is what the grant
+	// returns.
 	DefaultMaxTicketWindow = 1024
 )
 
@@ -59,10 +61,6 @@ type TicketConfig struct {
 	MaxTickets int
 	// TTL is the grant lifetime in seconds (<= 0 means DefaultTicketTTL).
 	TTL int64
-	// MaxWindow caps the round span of one grant (<= 0 means
-	// DefaultMaxTicketWindow); wider requests are clamped, and the clamped
-	// window is what the grant returns.
-	MaxWindow uint64
 	// Now supplies the clock (Unix seconds); nil means time.Now. Tests and
 	// the deterministic simulator inject their own.
 	Now func() int64
@@ -74,9 +72,6 @@ func (c TicketConfig) withDefaults() TicketConfig {
 	}
 	if c.TTL <= 0 {
 		c.TTL = DefaultTicketTTL
-	}
-	if c.MaxWindow == 0 {
-		c.MaxWindow = DefaultMaxTicketWindow
 	}
 	// Cache the clock at construction: the expiry check runs on the
 	// ingest hot path, and resolving the nil-vs-injected choice there
@@ -306,8 +301,8 @@ func (t *TicketTable) Grant(serviceName string, verify *xcrypto.VerifyKey,
 		return nil, fmt.Errorf("service: ticket window [%d, %d] is inverted", req.RoundFirst, req.RoundLast)
 	}
 	first, last := req.RoundFirst, req.RoundLast
-	if span := last - first; span > t.cfg.MaxWindow {
-		last = first + t.cfg.MaxWindow
+	if span := last - first; span > DefaultMaxTicketWindow {
+		last = first + DefaultMaxTicketWindow
 	}
 	eph, err := xcrypto.NewDHKey()
 	if err != nil {

@@ -189,12 +189,12 @@ func TestTicketedRefusals(t *testing.T) {
 	}
 	now := int64(1_700_000_000)
 	clock := func() int64 { return now }
-	r, m := newTicketedTenant(t, key, dim, TicketConfig{TTL: 100, MaxWindow: 8, Now: clock})
+	r, m := newTicketedTenant(t, key, dim, TicketConfig{TTL: 100, Now: clock})
 	meas := tee.Measurement{7}
 	m.Vet(meas)
-	tk := grantTestTicket(t, r, "tickets.example", key, meas, 1, 100)
-	if tk.last != 1+8 {
-		t.Fatalf("window not clamped: last = %d, want 9", tk.last)
+	tk := grantTestTicket(t, r, "tickets.example", key, meas, 1, 1+DefaultMaxTicketWindow+100)
+	if tk.last != 1+DefaultMaxTicketWindow {
+		t.Fatalf("window not clamped: last = %d, want %d", tk.last, 1+DefaultMaxTicketWindow)
 	}
 
 	good := ticketedRaw("tickets.example", 2, dim, 1, tk)
@@ -217,8 +217,8 @@ func TestTicketedRefusals(t *testing.T) {
 		t.Fatalf("unknown ticket err = %v, want ErrUnknownTicket", err)
 	}
 
-	// Round outside the granted window.
-	if err := r.Ingest(ticketedRaw("tickets.example", 50, dim, 4, tk)); !errors.Is(err, ErrTicketWindow) {
+	// Round outside the granted window, just past the clamp.
+	if err := r.Ingest(ticketedRaw("tickets.example", tk.last+1, dim, 4, tk)); !errors.Is(err, ErrTicketWindow) {
 		t.Fatalf("out-of-window err = %v, want ErrTicketWindow", err)
 	}
 

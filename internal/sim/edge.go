@@ -78,10 +78,6 @@ type EdgeReport struct {
 
 const edgeServiceName = "edge.example"
 
-// edgeHosting is the tenant shape both edges register (the impostor reuses
-// it with a different enclave config).
-var edgeHosting = service.TenantConfig{Workers: 2, MaxRounds: 4, RoundWindow: 4}
-
 // edgeNode is a governed TLS edge admitting maxConns connections.
 func edgeNode(id uint32, maxConns int) nodeSpec {
 	return nodeSpec{transport: TransportTLS, Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, Edge: gaas.ServerConfig{
@@ -136,7 +132,7 @@ func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
 	// slowloris pool, so the flood overflows and the slowloris conns all
 	// get slots to trickle in.
 	w, err := build(
-		[]testbed.TenantSpec{{Name: edgeServiceName, Seed: cfg.Seed, Devices: edgeDevices, Dim: edgeDim, Rounds: []uint64{1}, Hosting: edgeHosting}},
+		[]testbed.TenantSpec{{Name: edgeServiceName, Seed: cfg.Seed, Devices: edgeDevices, Dim: edgeDim, Rounds: []uint64{1}, Hosting: hosting(edgeServiceName, nil)}},
 		edgeNode(1, edgeLanes+slowlorisConns))
 	if err != nil {
 		return nil, err
@@ -319,7 +315,7 @@ func slowloris(rep *EdgeReport) step {
 func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 	return func(s *script) error {
 		sub := s.at(owner).sub
-		evilTenant, err := sub.Provision(testbed.TenantSpec{Name: s.t.Name, Dim: s.t.Dim + 1, Hosting: edgeHosting})
+		evilTenant, err := sub.Provision(testbed.TenantSpec{Name: s.t.Name, Dim: s.t.Dim + 1, Hosting: hosting(s.t.Name, nil)})
 		if err != nil {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}

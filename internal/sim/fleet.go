@@ -6,7 +6,6 @@ import (
 
 	"glimmers/internal/durable"
 	glimnode "glimmers/internal/node"
-	"glimmers/internal/service"
 	"glimmers/internal/testbed"
 	"glimmers/internal/wire"
 )
@@ -94,7 +93,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 		Seed:    cfg.Seed,
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
-		Hosting: service.TenantConfig{Workers: 2, MaxRounds: 16},
+		Hosting: hosting(fleetSimService, nil),
 	}
 	for round := uint64(1); round <= fleetRounds; round++ {
 		spec.Rounds = append(spec.Rounds, round)

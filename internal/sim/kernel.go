@@ -27,7 +27,7 @@ import (
 //	substrate  attestation root + platform (internal/testbed)
 //	tenant     a service, its predicate and keys, and its provisioned fleet
 //	           blinded by its dealer enclave for a stated round set
-//	           (internal/testbed)
+//	           (internal/testbed), hosted as glimmerd hosts it (hosting)
 //	node       one glimmerd process: a Registry hosting every tenant of the
 //	           world from its start, optionally a durable.Store under it
 //	           and a gaas edge in front of it
@@ -37,16 +37,24 @@ import (
 // is mocked. Scenarios differ only in the specs they hand the builder and
 // the steps (steps.go) they play against the result.
 
-// simTicketTTL is the grant TTL of ticketed tenants, which the expiry
-// probe advances the tenant's clock past.
-const simTicketTTL = int64(3600)
-
 // simClock is a ticketed tenant's injected clock, started at a
 // deterministic epoch: wall time never enters a simulation.
 func simClock() *atomic.Int64 {
 	clock := new(atomic.Int64)
 	clock.Store(1_700_000_000)
 	return clock
+}
+
+// hosting is node.Hosting as glimmerd applies it: the default ticket TTL
+// for a ticketed tenant (one with a clock), -ticket-ttl 0 for the rest.
+// The sim's one seam is that clock.
+func hosting(name string, clock *atomic.Int64) service.TenantConfig {
+	if clock == nil {
+		return glimnode.Hosting(name, 0, 0, nil)
+	}
+	h := glimnode.Hosting(name, service.DefaultTicketTTL, 0, nil)
+	h.TicketPolicy.Now = clock.Load
+	return h
 }
 
 // nodeSpec describes one glimmerd process as the node.Config it ships
@@ -91,8 +99,12 @@ func startNode(sub *testbed.Substrate, spec nodeSpec) (*node, error) {
 	if n.Node, err = glimnode.Start(cfg); err != nil {
 		return nil, fmt.Errorf("sim: node %d: %w", spec.NodeID, err)
 	}
+	started(n)
 	return n, nil
 }
+
+// started sees every node life the sim starts (a test's hook).
+var started = func(*node) {}
 
 // listen opens the node's listener and the dialer that reaches it:
 // loopback TCP, or TLS-wrapped loopback TCP.

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"glimmers/internal/durable"
+	"glimmers/internal/glimmer"
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
 	"glimmers/internal/testbed"
@@ -61,7 +64,7 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 	}
 	w, err := build([]testbed.TenantSpec{{
 		Name: "kernel.example", Seed: 5, Devices: devices, Dim: 3, Rounds: rounds,
-		Hosting: service.TenantConfig{Workers: 2, MaxRounds: 8},
+		Hosting: hosting("kernel.example", nil),
 	}}, specs...)
 	if err != nil {
 		t.Fatal(err)
@@ -136,4 +139,91 @@ func TestSimCrashDuringPartition(t *testing.T) {
 	for _, v := range s.violations {
 		t.Errorf("refusal reconciliation: %s", v)
 	}
+}
+
+// TestSimHostsTenantsAsGlimmerd: every tenant every sim node hosts — in
+// the plan-driven signed and ticketed scenarios, the multi-tenant mix, the
+// fleet with its restarted owner, both edges of the adversary scenario and
+// both lives of the crash scenario, and this file's durable world — is
+// node.Hosting's template, as glimmerd builds it from -ticket-ttl (the
+// default TTL, or 0). The tenant's identity (name, keys, enclave, vetted
+// measurements) comes from testbed; Owns and the ticket clock are the
+// only other fields allowed to differ.
+func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		lives  int
+		hosted []service.TenantConfig
+	)
+	started = func(n *node) {
+		mu.Lock()
+		defer mu.Unlock()
+		lives++
+		for _, tenant := range n.Registry().Tenants() {
+			hosted = append(hosted, tenant.Config())
+		}
+	}
+	t.Cleanup(func() { started = func(*node) {} })
+	small := Config{Seed: 3, Devices: 4, Rounds: 2, Overlap: 2, Dim: 2, Faults: fullFaultPlan()}
+	ticketed := small
+	ticketed.Ticketed = true
+	plan := func(cfgs ...Config) func() error {
+		return func() error { _, err := MultiScenario{Name: "hosting", Tenants: cfgs}.Run(); return err }
+	}
+	for _, sc := range []struct {
+		name     string
+		lives    int  // node lives the scenario starts, at least
+		ticketed bool // some tenant is on the ticketed path
+		run      func() error
+	}{
+		{"signed", 1, false, plan(small)},
+		{"ticketed", 1, true, plan(ticketed)},
+		{"multi-tenant", 1, true, plan(small, ticketed, Config{Devices: 4, Rounds: 1, Workload: WorkloadBotdetect})},
+		{"fleet", fleetNodes + 1, false, func() error { _, err := RunFleet(t.TempDir(), FleetConfig{Seed: 3}); return err }},
+		{"edge", 2, false, func() error { _, err := RunEdgeAdversary(EdgeConfig{Seed: 3}); return err }},
+		{"crash", 2, true, func() error { _, err := RunCrashRecovery(t.TempDir(), CrashConfig{Seed: 3}); return err }},
+		{"durable world", 2, false, func() error { durableWorld(t, 2, 4, 1); return nil }},
+	} {
+		lives, hosted = 0, nil
+		if err := sc.run(); err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if lives < sc.lives {
+			t.Errorf("%s: %d node lives seen, want at least %d", sc.name, lives, sc.lives)
+		}
+		withTickets := 0
+		for _, h := range hosted {
+			ttl := int64(0)
+			if h.TicketPolicy != nil {
+				ttl, withTickets = service.DefaultTicketTTL, withTickets+1
+				if h.TicketPolicy.Now == nil {
+					t.Errorf("%s: tenant %s reads the wall clock", sc.name, h.Name)
+				}
+			}
+			want := glimnode.Hosting(h.Name, ttl, 0, nil)
+			got := h
+			got.Name, got.Verify, got.Dim, got.Vetted, got.Glimmer, got.Provision = "", nil, 0, nil, glimmer.Config{}, nil
+			got.Owns = nil
+			if got.TicketPolicy != nil {
+				policy := *got.TicketPolicy
+				policy.Now = nil
+				got.TicketPolicy = &policy
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: tenant %s hosted as %s, node.Hosting gives %s", sc.name, h.Name, admission(got), admission(want))
+			}
+		}
+		if (withTickets > 0) != sc.ticketed {
+			t.Errorf("%s: %d tenants hosted on the ticketed path, want some: %v", sc.name, withTickets, sc.ticketed)
+		}
+	}
+}
+
+// admission renders h's admission and ticket fields.
+func admission(h service.TenantConfig) string {
+	s := fmt.Sprintf("{workers=%d max-rounds=%d round-window=%d evict-at-cap=%v}", h.Workers, h.MaxRounds, h.RoundWindow, h.EvictAtCap)
+	if h.TicketPolicy != nil {
+		s += fmt.Sprintf(" tickets %+v", *h.TicketPolicy)
+	}
+	return s
 }

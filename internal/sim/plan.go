@@ -67,9 +67,9 @@ type plan struct {
 	rounds []roundPlan
 }
 
-// bogusRoundOffset puts out-of-window submissions far beyond any
-// admission window a simulation would configure.
-const bogusRoundOffset = 1 << 20
+// bogusRoundOffset puts out-of-window submissions past node.Hosting's
+// 16-round admission window and inside the 1,024-round ticket window.
+const bogusRoundOffset = 512
 
 func buildPlan(cfg Config) *plan {
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -105,12 +105,7 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
 		Rounds:  []uint64{1, 2},
-		Hosting: service.TenantConfig{
-			TicketPolicy: &service.TicketConfig{MaxTickets: 2*cfg.Devices + 16, TTL: simTicketTTL, MaxWindow: 64, Now: simClock().Load},
-			Workers:      2,
-			MaxRounds:    8,
-			RoundWindow:  4,
-		},
+		Hosting: hosting(crashServiceName, simClock()),
 	}}, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: 8, StateDir: stateDir,
 		// Huge thresholds: the background flusher never fires on its own, so
 		// the only disk writes come from barriers and explicit flush steps —

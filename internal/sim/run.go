@@ -96,15 +96,6 @@ func newSimulation(cfg Config) (*simulation, testbed.TenantSpec) {
 		Seed:    cfg.Seed,
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
-		Hosting: service.TenantConfig{
-			// Rounds are closed but never forgotten (a forgotten round could be
-			// re-created by a replayed contribution), so the quota covers them
-			// all.
-			MaxRounds: cfg.Rounds + 8,
-			// Generous enough for the configured overlap, tight enough that
-			// the plan's bogus rounds are always refused.
-			RoundWindow: uint64(cfg.Overlap + 2),
-		},
 	}
 	if cfg.Workload == WorkloadBotdetect {
 		spec.Predicate = botdetect.DefaultDetector.TenantPredicate("bot-tenant")
@@ -122,19 +113,12 @@ func newSimulation(cfg Config) (*simulation, testbed.TenantSpec) {
 		// The ticket probes contribute (and are refused) against one round
 		// past the plan; the enclaves still need its dealer masks to blind.
 		spec.Rounds = append(spec.Rounds, uint64(cfg.Rounds+1))
-		// A per-tenant ticket table under an injected clock. The window cap
-		// is generous enough to cover the plan's bogus rounds, so the
-		// out-of-window fault keeps its round-admission semantics (the
-		// manager's window refuses it, not the ticket's); the ticket window
-		// itself is probed separately with a deliberately tight grant.
+		// A per-tenant ticket table under an injected clock.
 		clock = simClock()
-		spec.Hosting.TicketPolicy = &service.TicketConfig{
-			MaxTickets: 2*cfg.Devices + 16,
-			TTL:        simTicketTTL,
-			MaxWindow:  2*bogusRoundOffset + 64,
-			Now:        clock.Load,
-		}
 	}
+	// The ticket window covers the bogus rounds, so round admission refuses
+	// them; the ticket window is probed with a deliberately tight grant.
+	spec.Hosting = hosting(cfg.ServiceName, clock)
 	return &simulation{cfg: cfg, plan: p, clock: clock, rounds: make(map[uint64]*roundState)}, spec
 }
 
@@ -142,9 +126,8 @@ func newSimulation(cfg Config) (*simulation, testbed.TenantSpec) {
 // the tenant from its start, builds the tenant's submission lanes into
 // that node — in-process registry calls, or gaas clients (each dialing
 // the shared front end and naming this tenant in its hello) — and,
-// ticketed, runs each device's grant exchange through them. The grant
-// window covers the plan's bogus rounds deliberately — see the ticket
-// policy above.
+// ticketed, runs each device's grant exchange through them, over a
+// window that covers the plan's bogus rounds.
 func (s *simulation) open(sc *script) (err error) {
 	s.script, s.st = sc, sc.nodes[simNodeID]
 	s.manager = s.st.manager(s.t)
@@ -492,7 +475,7 @@ func (s *simulation) ticketProbes(*script) error {
 
 	// 4. Expired ticket: device 1 still holds the original wide ticket;
 	// once the clock passes the TTL its MACs must be refused.
-	s.clock.Add(simTicketTTL + 1)
+	s.clock.Add(service.DefaultTicketTTL + 1)
 	probe(1, false, service.ErrTicketExpired, CatRejectedExpiredTicket)
 	if _, ok := s.manager.Lookup(probeRound); ok {
 		s.violate("ticket probe: probes created round %d", probeRound)

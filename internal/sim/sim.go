@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"glimmers/internal/botdetect"
+	"glimmers/internal/service"
 )
 
 // TransportKind selects how signed contributions travel from devices to
@@ -192,6 +193,8 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("sim: need at least 4 devices, got %d", c.Devices)
 	case c.Rounds < 1:
 		return c, fmt.Errorf("sim: need at least 1 round, got %d", c.Rounds)
+	case c.Rounds > service.DefaultMaxRounds: // no round is forgotten, and a tenant evicts at its quota
+		return c, fmt.Errorf("sim: %d rounds exceed a tenant's quota of %d live rounds (service.DefaultMaxRounds)", c.Rounds, service.DefaultMaxRounds)
 	case c.Overlap < 1 || c.Overlap > c.Rounds:
 		return c, fmt.Errorf("sim: overlap %d outside [1, %d]", c.Overlap, c.Rounds)
 	case c.Dim < 1:

@@ -235,3 +235,28 @@ func TestSimScenarioSpec(t *testing.T) {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
 }
+
+// TestSimRoundsWithinTheQuota: a run keeps every round it plays live, so
+// it may play as many rounds as a node.Hosting tenant holds — 64, which
+// run clean on the signed and the ticketed path under every fault — and
+// no more: at 65 the tenant would evict an open round.
+func TestSimRoundsWithinTheQuota(t *testing.T) {
+	for _, ticketed := range []bool{false, true} {
+		rep, err := Scenario{Name: "full-quota", Config: Config{
+			Seed: 64 + *seedOffset, Devices: 5, Rounds: 64, Overlap: 2, Dim: 2, Faults: fullFaultPlan(), Ticketed: ticketed,
+		}}.Run()
+		if err != nil {
+			t.Fatalf("ticketed=%v: %v", ticketed, err)
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("ticketed=%v: invariant violation: %s", ticketed, v)
+		}
+		if len(rep.Rounds) != 64 {
+			t.Errorf("ticketed=%v: sealed %d rounds, want 64", ticketed, len(rep.Rounds))
+		}
+	}
+	_, err := Scenario{Name: "over-quota", Config: Config{Devices: 5, Rounds: 65}}.Run()
+	if err == nil || !strings.Contains(err.Error(), "65 rounds exceed a tenant's quota of 64 live rounds") {
+		t.Errorf("65 rounds: err = %v, want the quota of 64 named", err)
+	}
+}
