@@ -70,13 +70,14 @@ func parseTenants(s string) ([]testbed.TenantSpec, error) {
 // tlsConfig builds the edge's TLS: nil for plaintext. The TLS transport
 // denies passive observers the frame plaintext; the trust decision stays
 // with attestation (clients pin measurements, not certificates), so a
-// self-signed cert is a legitimate deployment.
+// self-signed cert is a legitimate deployment; it names the listen host,
+// or loopback for a wildcard address, which names no host a client dials.
 func tlsConfig(listen string, selfSigned bool, certFile, keyFile string) (*tls.Config, error) {
 	switch {
 	case selfSigned:
-		host := listen
-		if h, _, err := net.SplitHostPort(listen); err == nil && h != "" {
-			host = h
+		host, _, _ := net.SplitHostPort(listen)
+		if host == "" || net.ParseIP(host).IsUnspecified() {
+			return gaas.SelfSignedServerTLS()
 		}
 		return gaas.SelfSignedServerTLS(host)
 	case certFile != "":

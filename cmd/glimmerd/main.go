@@ -1,10 +1,11 @@
 // Command glimmerd hosts a multi-tenant Glimmer-as-a-service daemon (§4.2
 // of the paper): a TCP server whose tenant registry serves N services at
 // once — each with its own validation predicate, contribution key, and
-// aggregation rounds — under one shared round budget. Clients name their
-// service in the hello and get a fresh enclave loaded from that tenant's
-// configuration; submitted contribution batches are routed to their
-// tenant's pipeline by the service name each contribution carries.
+// aggregation rounds — under one round budget no flag sets,
+// service.DefaultMaxTotalRounds. Clients name their service in the hello
+// and get a fresh enclave loaded from that tenant's configuration;
+// submitted contribution batches are routed to their tenant's pipeline by
+// the service name each contribution carries.
 //
 // The daemon assembles a self-contained demo deployment — a simulated
 // attestation service, a platform, and the requested tenants — and prints
@@ -21,8 +22,9 @@
 // (-tls-self-signed, or -tls-cert/-tls-key for a CA-issued pair),
 // connection caps (-max-conns, -max-conns-per-ip), per-connection
 // deadlines (-read-timeout, -write-timeout, -idle-timeout), and load
-// shedding for the ingest pipelines (-max-inflight-batches). Excess work
-// is refused with a typed shed error, never queued into a hang.
+// shedding for the ingest pipelines (-max-inflight-batches), defaulting to
+// node.DefaultEdge(), the edge every node in this repository starts from.
+// Excess work is refused with a typed shed error, never queued into a hang.
 // -write-known-hosts exports each tenant's measurement as a gaas
 // known-hosts pin so clients can be provisioned without the TOFU leap of
 // faith.
@@ -89,14 +91,12 @@ func main() {
 // stop signal → Drain → print the Report.
 func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	// Flags that are node.Config fields parse straight into it.
-	var cfg node.Config
+	cfg := node.Config{Edge: node.DefaultEdge()}
 	fs := flag.NewFlagSet("glimmerd", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7433", "address to listen on")
 	dim := fs.Int("dim", 16, "primary tenant's contribution dimensionality")
 	serviceName := fs.String("service", "demo.glimmers.example", "primary tenant's service name")
 	tenants := fs.String("tenants", "", "extra tenants: name:dim or name:bot, comma-separated")
-	fs.IntVar(&cfg.MaxTotalRounds, "max-total-rounds", service.DefaultMaxTotalRounds,
-		"shared budget: live rounds across all tenants")
 	ticketTTL := fs.Int64("ticket-ttl", service.DefaultTicketTTL,
 		"session-ticket lifetime in seconds (0 disables the MAC fast path)")
 	fs.StringVar(&cfg.StateDir, "state-dir", "",
@@ -106,17 +106,17 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	fs.DurationVar(&cfg.WAL.FlushInterval, "wal-flush-interval", durable.DefaultFlushInterval,
 		"WAL group-commit: max time an async record stays staged — the crash-loss window for unsealed accepts")
 	edge := &cfg.Edge
-	fs.DurationVar(&edge.IdleTimeout, "idle-timeout", node.DefaultIdleTimeout,
+	fs.DurationVar(&edge.IdleTimeout, "idle-timeout", edge.IdleTimeout,
 		"reap connections idle longer than this (0 disables)")
-	fs.DurationVar(&edge.ReadTimeout, "read-timeout", node.DefaultReadTimeout,
+	fs.DurationVar(&edge.ReadTimeout, "read-timeout", edge.ReadTimeout,
 		"reap connections that take longer than this to deliver one started frame (0 disables)")
-	fs.DurationVar(&edge.WriteTimeout, "write-timeout", node.DefaultWriteTimeout,
+	fs.DurationVar(&edge.WriteTimeout, "write-timeout", edge.WriteTimeout,
 		"fail reply writes that take longer than this (0 disables)")
-	fs.IntVar(&edge.MaxConns, "max-conns", node.DefaultMaxConns,
+	fs.IntVar(&edge.MaxConns, "max-conns", edge.MaxConns,
 		"concurrently served connections; excess is refused with a shed error (0 = unlimited)")
-	fs.IntVar(&edge.MaxConnsPerIP, "max-conns-per-ip", node.DefaultMaxConnsPerIP,
+	fs.IntVar(&edge.MaxConnsPerIP, "max-conns-per-ip", edge.MaxConnsPerIP,
 		"concurrently served connections per client IP (0 = unlimited)")
-	fs.IntVar(&edge.MaxInflightBatches, "max-inflight-batches", node.DefaultMaxInflightBatches,
+	fs.IntVar(&edge.MaxInflightBatches, "max-inflight-batches", edge.MaxInflightBatches,
 		"contribution batches concurrently inside the pipelines; excess is shed (0 = unlimited)")
 	tlsSelfSigned := fs.Bool("tls-self-signed", false,
 		"serve TLS with a fresh self-signed cert (transport privacy; client trust stays with attestation)")
@@ -135,8 +135,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	switch {
 	case *dim <= 0:
 		return fmt.Errorf("-dim must be positive, got %d", *dim)
-	case cfg.MaxTotalRounds <= 0:
-		return fmt.Errorf("-max-total-rounds must be positive, got %d", cfg.MaxTotalRounds)
 	case *serviceName == "":
 		return fmt.Errorf("-service must not be empty")
 	case *ticketTTL < 0:

@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"context"
+	"crypto/x509"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -260,6 +262,32 @@ func TestRunRefusesBadFlags(t *testing.T) {
 	} {
 		if err := run(args, io.Discard, nil); err == nil {
 			t.Errorf("run(%v) started", args)
+		}
+	}
+}
+
+// TestSelfSignedCertNamesTheListenHost: -tls-self-signed names the host
+// glimmerd listens on, and a wildcard listen address — which names no host
+// a client dials — gets gaas.SelfSignedServerTLS's loopback names instead.
+func TestSelfSignedCertNamesTheListenHost(t *testing.T) {
+	loopback := "dns=[localhost] ip=[127.0.0.1 ::1]"
+	for _, tc := range []struct{ listen, want string }{
+		{":7433", loopback},
+		{"0.0.0.0:7433", loopback},
+		{"[::]:7433", loopback},
+		{"127.0.0.1:7433", "dns=[] ip=[127.0.0.1]"},
+		{"example.org:7433", "dns=[example.org] ip=[]"},
+	} {
+		conf, err := tlsConfig(tc.listen, true, "", "")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.listen, err)
+		}
+		cert, err := x509.ParseCertificate(conf.Certificates[0].Certificate[0])
+		if err != nil {
+			t.Fatalf("%s: %v", tc.listen, err)
+		}
+		if got := fmt.Sprintf("dns=%v ip=%v", cert.DNSNames, cert.IPAddresses); got != tc.want {
+			t.Errorf("-listen %s: certificate names %s, want %s", tc.listen, got, tc.want)
 		}
 	}
 }

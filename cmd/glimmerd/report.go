@@ -32,7 +32,7 @@ func (p printer) status(n *node.Node, cfg node.Config, coordinator string, ring 
 		transport = "tcp+tls"
 	}
 	p.say("serving %d tenant(s) on %s over %s (budget %d rounds, frames verified on up to GOMAXPROCS=%d goroutines)",
-		len(cfg.Tenants), cfg.Listener.Addr(), transport, cfg.MaxTotalRounds, runtime.GOMAXPROCS(0))
+		len(cfg.Tenants), cfg.Listener.Addr(), transport, service.DefaultMaxTotalRounds, runtime.GOMAXPROCS(0))
 	p.say("edge limits: max-conns=%d per-ip=%d inflight-batches=%d read=%v write=%v idle=%v", cfg.Edge.MaxConns,
 		cfg.Edge.MaxConnsPerIP, cfg.Edge.MaxInflightBatches, cfg.Edge.ReadTimeout, cfg.Edge.WriteTimeout, cfg.Edge.IdleTimeout)
 	if n.Role() != "standalone" {

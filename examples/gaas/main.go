@@ -64,20 +64,9 @@ func main() {
 	hosting := node.Hosting(tb.Service.Name(), 0, 0, nil)
 	hosting.Name, hosting.Verify, hosting.Dim = tb.Service.Name(), tb.Service.ContributionVerifyKey(), dim
 	hosting.Vetted, hosting.Glimmer, hosting.Provision = []glimmers.Measurement{hosted}, cfg, tb.Service.ProvisionDevice
-	host, err := node.Start(node.Config{
-		Tenants:  []glimmers.TenantConfig{hosting},
-		Listener: ln,
-		Edge: gaas.ServerConfig{
-			Platform:           tb.Platform,
-			TLS:                tlsConf,
-			ReadTimeout:        node.DefaultReadTimeout,
-			WriteTimeout:       node.DefaultWriteTimeout,
-			IdleTimeout:        node.DefaultIdleTimeout,
-			MaxConns:           node.DefaultMaxConns,
-			MaxConnsPerIP:      node.DefaultMaxConnsPerIP,
-			MaxInflightBatches: node.DefaultMaxInflightBatches,
-		},
-	})
+	edge := node.DefaultEdge()
+	edge.Platform, edge.TLS = tb.Platform, tlsConf
+	host, err := node.Start(node.Config{Tenants: []glimmers.TenantConfig{hosting}, Listener: ln, Edge: edge})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"text/tabwriter"
 
 	"glimmers/internal/fedml"
-	"glimmers/internal/gaas"
 	"glimmers/internal/keyboard"
 	"glimmers/internal/node"
 	"glimmers/internal/service"
@@ -102,8 +101,9 @@ func (p *population) heldout(n int) keyboard.Activity {
 }
 
 // onNode runs drive against the shipped assembly — internal/node, what
-// glimmerd starts — hosting t behind a loopback listener; t is provisioned
-// from node.Hosting, as glimmerd provisions its tenants. A drive
+// glimmerd starts — hosting t behind a loopback listener on glimmerd's
+// default edge; t is provisioned from node.Hosting, as glimmerd
+// provisions its tenants. A drive
 // that succeeds ends in Drain, whose Report is returned; one that fails
 // ends in Kill. Either way the node's listener, handlers and store are
 // gone when onNode returns.
@@ -112,11 +112,13 @@ func onNode(t *testbed.Tenant, stateDir string, drive func(n *node.Node, addr st
 	if err != nil {
 		return node.Report{}, err
 	}
+	edge := node.DefaultEdge()
+	edge.Platform = t.Platform
 	n, err := node.Start(node.Config{
 		Tenants:  []service.TenantConfig{t.Config()},
 		StateDir: stateDir,
 		Listener: ln,
-		Edge:     gaas.ServerConfig{Platform: t.Platform},
+		Edge:     edge,
 	})
 	if err != nil {
 		return node.Report{}, err

@@ -33,17 +33,21 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
-// The governance defaults of a public-facing node (glimmerd's flag
-// defaults). A zero gaas.ServerConfig knob means "off", so a deployment
-// opts in by naming these.
-const (
-	DefaultReadTimeout        = 30 * time.Second
-	DefaultWriteTimeout       = 30 * time.Second
-	DefaultIdleTimeout        = 2 * time.Minute
-	DefaultMaxConns           = 4096
-	DefaultMaxConnsPerIP      = 64
-	DefaultMaxInflightBatches = 256
-)
+// DefaultEdge is the edge glimmerd serves when no flags are given: the
+// governance of a public-facing node. A zero gaas.ServerConfig knob means
+// "off", so every node this repository starts begins from this one and
+// changes only what a glimmerd flag could; Start fills in Hosts and
+// Ingest, the caller Platform and TLS.
+func DefaultEdge() gaas.ServerConfig {
+	return gaas.ServerConfig{
+		ReadTimeout:        30 * time.Second,
+		WriteTimeout:       30 * time.Second,
+		IdleTimeout:        2 * time.Minute,
+		MaxConns:           4096,
+		MaxConnsPerIP:      64,
+		MaxInflightBatches: 256,
+	}
+}
 
 // Hosting is the template every node this repository starts registers the
 // tenant named name from. An unattended node's rounds march forward
@@ -71,11 +75,9 @@ const shipTimeout = 30 * time.Second
 // Config describes one node, in the shape of gaas.ServerConfig one level
 // up: plain fields, one Start.
 type Config struct {
-	// MaxTotalRounds is the live-round budget the tenants share (<= 0
-	// means service.DefaultMaxTotalRounds).
-	MaxTotalRounds int
 	// Tenants are registered in order on a fresh Registry, before any
-	// durable state is recovered into it.
+	// durable state is recovered into it. They share its live-round
+	// budget, service.DefaultMaxTotalRounds.
 	Tenants []service.TenantConfig
 
 	// StateDir, when set, makes the node durable: a durable.Store over it
@@ -88,7 +90,8 @@ type Config struct {
 	WAL      durable.Config
 
 	// Listener, when non-nil, is served by a gaas edge built from Edge
-	// (Platform, TLS, deadlines and caps; Start fills in Hosts and Ingest).
+	// (Platform, TLS, deadlines and caps, starting from DefaultEdge; Start
+	// fills in Hosts and Ingest).
 	// The node owns the listener from Start on. A node without one is
 	// driven through Registry directly.
 	Listener net.Listener
@@ -131,7 +134,7 @@ type Node struct {
 // Start assembles and starts a node. On failure everything it acquired —
 // the listener included — is released.
 func Start(cfg Config) (*Node, error) {
-	n := &Node{cfg: cfg, reg: service.NewRegistry(cfg.MaxTotalRounds)}
+	n := &Node{cfg: cfg, reg: service.NewRegistry(service.DefaultMaxTotalRounds)}
 	if err := n.start(); err != nil {
 		n.Kill()
 		return nil, err

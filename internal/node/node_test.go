@@ -63,15 +63,9 @@ func (w *world) startAs(t *testing.T, dir string, wal durable.Config, role func(
 		StateDir: dir,
 		WAL:      wal,
 		Listener: ln,
-		Edge: gaas.ServerConfig{
-			Platform:     w.Platform,
-			TLS:          tlsConf,
-			ReadTimeout:  DefaultReadTimeout,
-			WriteTimeout: DefaultWriteTimeout,
-			IdleTimeout:  DefaultIdleTimeout,
-			MaxConns:     DefaultMaxConns,
-		},
+		Edge:     DefaultEdge(),
 	}
+	cfg.Edge.Platform, cfg.Edge.TLS = w.Platform, tlsConf
 	role(&cfg)
 	n, err := Start(cfg)
 	if err != nil {

@@ -78,17 +78,13 @@ type EdgeReport struct {
 
 const edgeServiceName = "edge.example"
 
-// edgeNode is a governed TLS edge admitting maxConns connections.
+// edgeNode is glimmerd's default TLS edge admitting maxConns connections
+// and reaping a started frame after 250 ms (a slowloris; the honest lanes
+// idle between frames, which IdleTimeout allows for minutes).
 func edgeNode(id uint32, maxConns int) nodeSpec {
-	return nodeSpec{transport: TransportTLS, Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, Edge: gaas.ServerConfig{
-		ReadTimeout:  250 * time.Millisecond, // what reaps a slowloris
-		WriteTimeout: 2 * time.Second,
-		// Generous: the honest lanes idle through the attack phases and
-		// must not be reaped. Slowloris is ReadTimeout's job — a started
-		// frame, not an idle connection.
-		IdleTimeout: 30 * time.Second,
-		MaxConns:    maxConns,
-	}}}
+	edge := glimnode.DefaultEdge()
+	edge.ReadTimeout, edge.MaxConns = 250*time.Millisecond, maxConns
+	return nodeSpec{transport: TransportTLS, Config: glimnode.Config{NodeID: id, Edge: edge}}
 }
 
 // edgeClients is the honest fleet's client side: the lanes it holds

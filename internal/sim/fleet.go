@@ -100,7 +100,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	}
 	var nodes []nodeSpec
 	for id := uint32(1); id <= fleetNodes; id++ {
-		nodes = append(nodes, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 16, StateDir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))}})
+		nodes = append(nodes, nodeSpec{Config: glimnode.Config{NodeID: id, StateDir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))}})
 	}
 	w, err := build([]testbed.TenantSpec{spec}, nodes...)
 	if err != nil {

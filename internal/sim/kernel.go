@@ -58,10 +58,10 @@ func hosting(name string, clock *atomic.Int64) service.TenantConfig {
 }
 
 // nodeSpec describes one glimmerd process as the node.Config it ships
-// with — ring identity, shared round budget, state directory and WAL
-// tuning (set: a durable node), edge governance limits, and the tenants
-// it hosts — plus the transport that fronts it (TransportDirect: no
-// edge). build fills in Tenants, startNode Listener, Edge.Platform and
+// with — ring identity, state directory and WAL tuning (set: a durable
+// node), the edge (node.DefaultEdge on a node that listens), and the
+// tenants it hosts — plus the transport that fronts it (TransportDirect:
+// no edge). build fills in Tenants, startNode Listener, Edge.Platform and
 // Edge.TLS. The spec outlives the process: a crashed node restarts from
 // the same one, tenants included. It holds no key:
 // node.Start gives a sim node its sealing key as it gives glimmerd's, from

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"glimmers/internal/durable"
+	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
 	glimnode "glimmers/internal/node"
 	"glimmers/internal/service"
@@ -59,7 +60,7 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 	t.Helper()
 	var specs []nodeSpec
 	for id := uint32(1); id <= uint32(nodes); id++ {
-		specs = append(specs, nodeSpec{Config: glimnode.Config{NodeID: id, MaxTotalRounds: 8, StateDir: t.TempDir(),
+		specs = append(specs, nodeSpec{Config: glimnode.Config{NodeID: id, StateDir: t.TempDir(),
 			WAL: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}}})
 	}
 	w, err := build([]testbed.TenantSpec{{
@@ -142,18 +143,22 @@ func TestSimCrashDuringPartition(t *testing.T) {
 }
 
 // TestSimHostsTenantsAsGlimmerd: every tenant every sim node hosts — in
-// the plan-driven signed and ticketed scenarios, the multi-tenant mix, the
-// fleet with its restarted owner, both edges of the adversary scenario and
-// both lives of the crash scenario, and this file's durable world — is
-// node.Hosting's template, as glimmerd builds it from -ticket-ttl (the
-// default TTL, or 0). The tenant's identity (name, keys, enclave, vetted
-// measurements) comes from testbed; Owns and the ticket clock are the
-// only other fields allowed to differ.
+// the plan-driven signed and ticketed scenarios, the multi-tenant mix
+// in-process and over TLS, the fleet with its restarted owner, both edges
+// of the adversary scenario and both lives of the crash scenario, and this
+// file's durable world — is node.Hosting's template, as glimmerd builds it
+// from -ticket-ttl (the default TTL, or 0). The tenant's identity (name,
+// keys, enclave, vetted measurements) comes from testbed; Owns and the
+// ticket clock are the only other fields allowed to differ. Every node
+// life with a listener serves node.DefaultEdge(), glimmerd's edge without
+// flags, but for the Platform and TLS it is handed and, in the adversary
+// scenario, the -read-timeout and -max-conns its attacks need.
 func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 	var (
 		mu     sync.Mutex
 		lives  int
 		hosted []service.TenantConfig
+		edges  []gaas.ServerConfig
 	)
 	started = func(n *node) {
 		mu.Lock()
@@ -162,34 +167,43 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 		for _, tenant := range n.Registry().Tenants() {
 			hosted = append(hosted, tenant.Config())
 		}
+		if n.Server() != nil {
+			edges = append(edges, n.Edge)
+		}
 	}
 	t.Cleanup(func() { started = func(*node) {} })
 	small := Config{Seed: 3, Devices: 4, Rounds: 2, Overlap: 2, Dim: 2, Faults: fullFaultPlan()}
 	ticketed := small
 	ticketed.Ticketed = true
-	plan := func(cfgs ...Config) func() error {
-		return func() error { _, err := MultiScenario{Name: "hosting", Tenants: cfgs}.Run(); return err }
+	bots := Config{Devices: 4, Rounds: 1, Workload: WorkloadBotdetect}
+	plan := func(transport TransportKind, cfgs ...Config) func() error {
+		return func() error {
+			_, err := MultiScenario{Name: "hosting", Tenants: cfgs, Transport: transport}.Run()
+			return err
+		}
 	}
 	for _, sc := range []struct {
-		name     string
-		lives    int  // node lives the scenario starts, at least
-		ticketed bool // some tenant is on the ticketed path
-		run      func() error
+		name      string
+		lives     int  // node lives the scenario starts, at least
+		listening int  // of them with a listener, at least
+		ticketed  bool // some tenant is on the ticketed path
+		run       func() error
 	}{
-		{"signed", 1, false, plan(small)},
-		{"ticketed", 1, true, plan(ticketed)},
-		{"multi-tenant", 1, true, plan(small, ticketed, Config{Devices: 4, Rounds: 1, Workload: WorkloadBotdetect})},
-		{"fleet", fleetNodes + 1, false, func() error { _, err := RunFleet(t.TempDir(), FleetConfig{Seed: 3}); return err }},
-		{"edge", 2, false, func() error { _, err := RunEdgeAdversary(EdgeConfig{Seed: 3}); return err }},
-		{"crash", 2, true, func() error { _, err := RunCrashRecovery(t.TempDir(), CrashConfig{Seed: 3}); return err }},
-		{"durable world", 2, false, func() error { durableWorld(t, 2, 4, 1); return nil }},
+		{"signed", 1, 0, false, plan(TransportDirect, small)},
+		{"ticketed", 1, 0, true, plan(TransportDirect, ticketed)},
+		{"multi-tenant", 1, 0, true, plan(TransportDirect, small, ticketed, bots)},
+		{"multi-tenant TLS", 1, 1, true, plan(TransportTLS, small, ticketed, bots)},
+		{"fleet", fleetNodes + 1, 0, false, func() error { _, err := RunFleet(t.TempDir(), FleetConfig{Seed: 3}); return err }},
+		{"edge", 2, 2, false, func() error { _, err := RunEdgeAdversary(EdgeConfig{Seed: 3}); return err }},
+		{"crash", 2, 0, true, func() error { _, err := RunCrashRecovery(t.TempDir(), CrashConfig{Seed: 3}); return err }},
+		{"durable world", 2, 0, false, func() error { durableWorld(t, 2, 4, 1); return nil }},
 	} {
-		lives, hosted = 0, nil
+		lives, hosted, edges = 0, nil, nil
 		if err := sc.run(); err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		if lives < sc.lives {
-			t.Errorf("%s: %d node lives seen, want at least %d", sc.name, lives, sc.lives)
+		if lives < sc.lives || len(edges) < sc.listening {
+			t.Errorf("%s: %d node lives seen, %d listening, want at least %d and %d", sc.name, lives, len(edges), sc.lives, sc.listening)
 		}
 		withTickets := 0
 		for _, h := range hosted {
@@ -216,7 +230,23 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 		if (withTickets > 0) != sc.ticketed {
 			t.Errorf("%s: %d tenants hosted on the ticketed path, want some: %v", sc.name, withTickets, sc.ticketed)
 		}
+		want := glimnode.DefaultEdge()
+		for _, got := range edges {
+			got.Platform, got.TLS = nil, nil
+			if sc.name == "edge" {
+				got.ReadTimeout, got.MaxConns = want.ReadTimeout, want.MaxConns
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: a node serves %s, node.DefaultEdge gives %s", sc.name, governance(got), governance(want))
+			}
+		}
 	}
+}
+
+// governance renders e's deadlines and caps.
+func governance(e gaas.ServerConfig) string {
+	return fmt.Sprintf("{read=%v write=%v idle=%v max-conns=%d per-ip=%d inflight-batches=%d}",
+		e.ReadTimeout, e.WriteTimeout, e.IdleTimeout, e.MaxConns, e.MaxConnsPerIP, e.MaxInflightBatches)
 }
 
 // admission renders h's admission and ticket fields.

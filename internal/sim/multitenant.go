@@ -49,14 +49,9 @@ type MultiScenario struct {
 	Transport TransportKind
 }
 
-const (
-	// simNodeID is the ring identity of the node a MultiScenario's tenants
-	// share.
-	simNodeID = 1
-	// roundBudgetSlack is each tenant's share of the node's live-round
-	// budget beyond its own rounds.
-	roundBudgetSlack = 16
-)
+// simNodeID is the ring identity of the node a MultiScenario's tenants
+// share.
+const simNodeID = 1
 
 // MultiReport is the outcome of one multi-tenant run.
 type MultiReport struct {
@@ -76,7 +71,7 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 	}
 	sims := make([]*simulation, len(s.Tenants))
 	specs := make([]testbed.TenantSpec, len(s.Tenants))
-	budget := 0
+	live := 0
 	for i, tcfg := range s.Tenants {
 		tcfg.Transport = s.Transport
 		if tcfg.ServiceName == "" {
@@ -90,11 +85,16 @@ func (s MultiScenario) Run() (*MultiReport, error) {
 			return nil, err
 		}
 		sims[i], specs[i] = newSimulation(cfg)
-		budget += cfg.Rounds + roundBudgetSlack
+		live += cfg.Rounds
+	}
+	// A run keeps every round it plays live: past the node's shared
+	// budget, admission would evict an open round.
+	if live > service.DefaultMaxTotalRounds {
+		return nil, fmt.Errorf("sim: the tenants' %d rounds exceed a node's budget of %d live rounds (service.DefaultMaxTotalRounds)", live, service.DefaultMaxTotalRounds)
 	}
 
 	start := time.Now()
-	w, err := build(specs, nodeSpec{Config: glimnode.Config{NodeID: simNodeID, MaxTotalRounds: budget}, transport: s.Transport})
+	w, err := build(specs, nodeSpec{Config: glimnode.Config{NodeID: simNodeID, Edge: glimnode.DefaultEdge()}, transport: s.Transport})
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,7 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 		Dim:     cfg.Dim,
 		Rounds:  []uint64{1, 2},
 		Hosting: hosting(crashServiceName, simClock()),
-	}}, nodeSpec{Config: glimnode.Config{NodeID: 1, MaxTotalRounds: 8, StateDir: stateDir,
+	}}, nodeSpec{Config: glimnode.Config{NodeID: 1, StateDir: stateDir,
 		// Huge thresholds: the background flusher never fires on its own, so
 		// the only disk writes come from barriers and explicit flush steps —
 		// the scenario controls exactly which records are durable at the kill.

@@ -49,11 +49,11 @@ const (
 	// co-located deployment, and the fastest path.
 	TransportDirect TransportKind = iota
 	// TransportTCP routes batches through gaas over loopback TCP — the
-	// cmd/glimmerd deployment.
+	// cmd/glimmerd deployment, on its default edge (node.DefaultEdge).
 	TransportTCP
 	// TransportTLS routes batches through gaas over loopback TCP wrapped
 	// in TLS — the hardened public-edge deployment of cmd/glimmerd with
-	// -tls-self-signed.
+	// -tls-self-signed: the same default edge behind TLS.
 	TransportTLS
 )
 

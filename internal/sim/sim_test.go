@@ -4,6 +4,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"glimmers/internal/service"
 )
 
 // Long-mode knobs: `go test ./internal/sim -sim.devices=64 -sim.rounds=12`
@@ -258,5 +260,24 @@ func TestSimRoundsWithinTheQuota(t *testing.T) {
 	_, err := Scenario{Name: "over-quota", Config: Config{Devices: 5, Rounds: 65}}.Run()
 	if err == nil || !strings.Contains(err.Error(), "65 rounds exceed a tenant's quota of 64 live rounds") {
 		t.Errorf("65 rounds: err = %v, want the quota of 64 named", err)
+	}
+}
+
+// TestSimTenantsWithinTheBudget: the tenants of one node share its budget
+// of service.DefaultMaxTotalRounds live rounds, and a run keeps every
+// round it plays live, so the tenants' rounds must fit it: four full
+// quotas and one round more are refused before any node starts.
+func TestSimTenantsWithinTheBudget(t *testing.T) {
+	lives := 0
+	started = func(*node) { lives++ }
+	t.Cleanup(func() { started = func(*node) {} })
+	full := Config{Devices: 5, Rounds: service.DefaultMaxRounds}
+	_, err := MultiScenario{Name: "over-budget", Tenants: []Config{full, full, full, full, {Devices: 5, Rounds: 1}}}.Run()
+	want := "257 rounds exceed a node's budget of 256 live rounds (service.DefaultMaxTotalRounds)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("4x64+1 rounds: err = %v, want %q", err, want)
+	}
+	if lives != 0 {
+		t.Errorf("the refused tenant set started %d node lives", lives)
 	}
 }
