@@ -39,13 +39,14 @@
 // hub (TOFU node pinning), while host:port ships this node's signed
 // partial seals to a remote coordinator when the daemon drains, once per
 // round: a round the coordinator answered is closed and never ships
-// again. The fleet plane (fleet-forward for peer batches, fleet-merge for
-// partial seals) mounts whenever either flag is set. A fleet node is its
-// signing key: with -state-dir the key lives in <dir>/node.key, made on
-// the first start, so a restarted node merges again under the pin its
-// coordinator took; without -state-dir each process has a key of its own,
-// and a restart cannot rejoin a live coordinator under the same -node-id.
-// The status lines name the key by a public-key fingerprint.
+// again; a node that is its own coordinator merges its rounds into its
+// hub the same way. Only a coordinator serves a fleet command. A fleet
+// node is its signing key: with -state-dir the key lives in
+// <dir>/node.key, made on the first start, so a restarted node merges
+// again under the pin its coordinator took; without -state-dir each
+// process has a key of its own, and a restart cannot rejoin a live
+// coordinator under the same -node-id. The status lines name the key by a
+// public-key fingerprint.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight batches,
 // seals every open round, and prints per-tenant sealed sums, rejection
@@ -155,8 +156,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return fmt.Errorf("shipping partial seals (-coordinator host:port) requires -node-id")
 	}
 	cfg.NodeID = uint32(*nodeID)
-	ring, err := parsePeers(*peers, cfg.NodeID)
-	if err != nil {
+	var err error
+	if cfg.Ring, err = parsePeers(*peers, cfg.NodeID); err != nil {
 		return fmt.Errorf("-peers: %v", err)
 	}
 	specs, err := parseTenants(*tenants)
@@ -171,7 +172,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	edge.Platform = sub.Platform
 	for _, spec := range specs {
-		spec.Hosting = node.Hosting(spec.Name, *ticketTTL, cfg.NodeID, ring)
+		spec.Hosting = node.Hosting(*ticketTTL)
 		t, err := sub.Provision(spec)
 		if err != nil {
 			return fmt.Errorf("tenant %q: %v", spec.Name, err)
@@ -183,10 +184,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	// Fleet role: "self" serves merges from an in-process hub (TOFU node
 	// pinning); any other coordinator is where this node's partial seals
-	// ship on drain. node.Start gives a fleet node its signing key: the
-	// one in -state-dir, made on the first start, or one per process
-	// without it. Coordinators pin the key on first use, so only a node
-	// restarted from its state directory merges again under its node id.
+	// ship on drain. node.Start gives a fleet node its signing key.
 	if *coordinator == "self" {
 		cfg.Hub = &service.MergeHub{AllowTOFU: true}
 	} else {
@@ -200,7 +198,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return err
 	}
 	out := printer{stdout}
-	out.status(n, cfg, *coordinator, ring)
+	out.status(n, cfg)
 	if *writeKnownHosts != "" {
 		if err := out.writePins(*writeKnownHosts, n.Registry().Tenants()); err != nil {
 			n.Kill()

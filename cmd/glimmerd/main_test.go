@@ -237,7 +237,7 @@ func TestReportPrintsShipmentsAndMerges(t *testing.T) {
 	for _, want := range []string{
 		"glimmerd: shipped partial svc.example round 9      cohort=4\n",
 		"glimmerd: merge svc.example round 9      cohort=4 rejected=2 refused=1\n",
-		"glimmerd: fleet counters: role=node-2 partials sent=1 received=0 refused=0 forwarded-batches=0\n",
+		"glimmerd: fleet counters: role=node-2 partials sent=1 received=0 refused=0\n",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("drain report lacks %q:\n%s", want, out.String())

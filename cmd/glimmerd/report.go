@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 
-	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
 	"glimmers/internal/node"
 	"glimmers/internal/service"
@@ -19,9 +18,9 @@ func (p printer) say(format string, args ...any) {
 }
 
 // status prints what a started node serves: recovery, the edge and its
-// limits, the fleet role over its peers' ring (nil without -peers), and
-// the per-tenant measurements clients pin.
-func (p printer) status(n *node.Node, cfg node.Config, coordinator string, ring *fleet.Ring) {
+// limits, the fleet role over its peers' ring, and the per-tenant
+// measurements clients pin.
+func (p printer) status(n *node.Node, cfg node.Config) {
 	if cfg.StateDir != "" {
 		rs := n.Recovered()
 		p.say("recovered state dir %s: snapshot=%v generation=%d wal_records=%d truncated=%dB replay_errors=%d",
@@ -41,9 +40,12 @@ func (p printer) status(n *node.Node, cfg node.Config, coordinator string, ring 
 			fp := k.Public().Fingerprint()
 			key = fmt.Sprintf(" key=%x", fp[:8])
 		}
-		peers := 0
-		if ring != nil {
-			peers = ring.Size()
+		peers, coordinator := 0, cfg.Coordinator
+		if cfg.Ring != nil {
+			peers = cfg.Ring.Size()
+		}
+		if cfg.Hub != nil {
+			coordinator = "self"
 		}
 		p.say("fleet: role=%s peers=%d coordinator=%q%s", n.Role(), peers, coordinator, key)
 	}
@@ -104,8 +106,7 @@ func (p printer) report(rep node.Report, stateDir string) {
 			h.Completed, h.Retired, h.SealsAbsorbed, h.SealsRefused, h.ContribsMerged, h.ContribsRejected)
 	}
 	if rep.Role != "standalone" {
-		p.say("fleet counters: role=%s partials sent=%d received=%d refused=%d forwarded-batches=%d", rep.Role,
-			sent, received, refused, rep.Edge.ForwardedBatches)
+		p.say("fleet counters: role=%s partials sent=%d received=%d refused=%d", rep.Role, sent, received, refused)
 	}
 	if stateDir != "" {
 		ws := rep.WAL

@@ -61,7 +61,7 @@ func main() {
 	}
 	hosted := glimmer.BuildBinary(cfg).Measurement()
 	tb.Service.Vet(hosted)
-	hosting := node.Hosting(tb.Service.Name(), 0, 0, nil)
+	hosting := node.Hosting(0)
 	hosting.Name, hosting.Verify, hosting.Dim = tb.Service.Name(), tb.Service.ContributionVerifyKey(), dim
 	hosting.Vetted, hosting.Glimmer, hosting.Provision = []glimmers.Measurement{hosted}, cfg, tb.Service.ProvisionDevice
 	edge := node.DefaultEdge()

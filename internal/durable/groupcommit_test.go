@@ -248,3 +248,35 @@ func TestBackgroundFlusherInterval(t *testing.T) {
 	}
 	t.Fatalf("record never flushed in the background: %+v", s.Stats())
 }
+
+// TestStagedBytesWakeTheFlusher: staging FlushBytes wakes the background
+// flusher early — the -wal-flush-bytes promise — with no barrier, Flush,
+// or snapshot involved, long before the flush interval and below the 4x
+// backpressure bound, so no inline flush does it either.
+func TestStagedBytesWakeTheFlusher(t *testing.T) {
+	const flushBytes = 4 << 10
+	reg := newTestRegistry(t)
+	s, err := OpenConfig(t.TempDir(), Config{FlushBytes: flushBytes, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(reg); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	for i := 0; s.Stats().StagedPeak < flushBytes; i++ {
+		s.Append(acceptRecord(1, [][32]byte{digest(byte(i))}, fixed.Vector{1, 2, 3, 4}))
+	}
+	if peak := s.Stats().StagedPeak; peak >= 4*flushBytes {
+		t.Fatalf("staged %d bytes, past the inline-flush bound %d", peak, 4*flushBytes)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if s.Stats().Writes > 0 {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("staging %d bytes never woke the flusher: %+v", flushBytes, s.Stats())
+}

@@ -80,7 +80,7 @@ func runE5(cfg Figure1Config) (res *E5Result, rep node.Report, err error) {
 	n := len(pop.Users)
 	const name = "nextwordpredictive.com"
 	t, err := testbed.NewTenant(testbed.TenantSpec{Name: name, Devices: n, Dim: dims, Rounds: []uint64{round},
-		Seed: int64(xcrypto.NewPRG(append(cfg.Seed, 'e', '5')).Uint64()), Hosting: node.Hosting(name, 0, 0, nil)})
+		Seed: int64(xcrypto.NewPRG(append(cfg.Seed, 'e', '5')).Uint64()), Hosting: node.Hosting(0)})
 	if err != nil {
 		return nil, rep, err
 	}

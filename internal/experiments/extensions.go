@@ -191,7 +191,7 @@ func (r *E9Result) Table() string {
 func RunE9(cfg E9Config) (*E9Result, error) {
 	const name = "iot.example"
 	t, err := testbed.NewTenant(testbed.TenantSpec{Name: name, Dim: cfg.Dim, Predicate: predicate.UnitRangeCheck("range", cfg.Dim),
-		Hosting: node.Hosting(name, 0, 0, nil)})
+		Hosting: node.Hosting(0)})
 	if err != nil {
 		return nil, err
 	}

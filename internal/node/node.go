@@ -1,10 +1,11 @@
 // Package node assembles one Glimmer-as-a-service host (§4.2 of the
 // paper): a tenant Registry, the durable Store under it, the governed gaas
-// edge in front of it, and the node's fleet role. It owns the only copy of
-// the start order — register tenants → open store → load the node key →
-// attach audit → recover → start compaction → mount fleet routes → serve —
-// and of the drain order — stop compaction → close listener → settle
-// handlers → seal + tally → ship and close → snapshot → close. It also
+// edge in front of it, and the node's fleet role, all from one Config. It
+// owns the only copy of the start order — place and register tenants →
+// open store → load the node key → attach audit → recover → start
+// compaction → mount the merge route → serve — and of the drain order —
+// stop compaction → close listener → settle handlers → seal + tally →
+// ship and close → snapshot → close. It also
 // owns the template every node hosts a tenant from (Hosting), the
 // compaction policy (compact.go) and where a fleet node's sealing
 // identity comes from (NodeSeal). cmd/glimmerd is flags in front of
@@ -49,22 +50,17 @@ func DefaultEdge() gaas.ServerConfig {
 	}
 }
 
-// Hosting is the template every node this repository starts registers the
-// tenant named name from. An unattended node's rounds march forward
-// forever, so a tenant evicts its least-filled round at the quota instead
-// of wedging ingest, and refuses rounds far from the ones in flight (the
-// round number is client-chosen). Session tickets are the amortized fast
-// path: one signature-verified grant per session, MACs thereafter. A
-// fleet node (ring non-nil) creates only the rounds the ring every
-// gaas.DialFleet client routes by places on it, so each of its partial
-// seals covers a whole round. Workers is left to GOMAXPROCS.
-func Hosting(name string, ticketTTL int64, self uint32, ring *fleet.Ring) service.TenantConfig {
+// Hosting is the template every node this repository starts registers a
+// tenant from. An unattended node's rounds march forward forever, so a
+// tenant evicts its least-filled round at the quota instead of wedging
+// ingest, and refuses rounds far from the ones in flight (the round number
+// is client-chosen). Session tickets are the amortized fast path: one
+// signature-verified grant per session, MACs thereafter. Workers is left
+// to GOMAXPROCS, and Owns to Start, which places the tenant on Config.Ring.
+func Hosting(ticketTTL int64) service.TenantConfig {
 	h := service.TenantConfig{EvictAtCap: true, RoundWindow: 16}
 	if ticketTTL > 0 {
 		h.TicketPolicy = &service.TicketConfig{TTL: ticketTTL}
-	}
-	if ring != nil {
-		h.Owns = ring.Owns(self, name)
 	}
 	return h
 }
@@ -98,18 +94,19 @@ type Config struct {
 	Edge     gaas.ServerConfig
 
 	// NodeID is this node's ring identity (0 = standalone). A fleet node
-	// serves fleet-forward for peer batches and signs its partial seals
-	// with the key in <StateDir>/node.key, made on its first start (one
-	// key per process without a StateDir). Coordinators pin that key on
-	// first use, so only a node restarted from its state directory merges
-	// again under the same NodeID. Hub, when non-nil, makes the node the
-	// merge coordinator serving fleet-merge.
+	// signs its partial seals with the key in <StateDir>/node.key, made on
+	// its first start (one key per process without a StateDir).
+	// Coordinators pin that key on first use, so only a node restarted
+	// from its state directory merges again under the same NodeID.
 	NodeID uint32
-	Hub    *service.MergeHub
-	// Coordinator, when set, is where Drain ships the partial seal of every
-	// round no coordinator has answered. Each seal covers its whole round:
-	// a fleet node's tenants refuse to create rounds their ring places on
-	// another node (service.TenantConfig.Owns), so a round has one holder.
+	// Ring, when non-nil, is the fleet's ring over its peers: Start makes
+	// each tenant create only the rounds it places on NodeID
+	// (service.TenantConfig.Owns), so a round has one holder.
+	Ring *fleet.Ring
+	// Hub, when non-nil, makes the node the merge coordinator serving
+	// fleet-merge. Drain merges each round no coordinator has answered at
+	// Coordinator, when set, or else at a fleet node's own Hub.
+	Hub         *service.MergeHub
 	Coordinator string
 }
 
@@ -144,6 +141,9 @@ func Start(cfg Config) (*Node, error) {
 
 func (n *Node) start() error {
 	for _, t := range n.cfg.Tenants {
+		if n.cfg.Ring != nil {
+			t.Owns = n.cfg.Ring.Owns(n.cfg.NodeID, t.Name)
+		}
 		if _, err := n.reg.AddTenant(t); err != nil {
 			return fmt.Errorf("node: tenant %q: %w", t.Name, err)
 		}
@@ -178,17 +178,11 @@ func (n *Node) start() error {
 	edge.Hosts, edge.Ingest = n.reg, n.reg
 	n.server = gaas.New(edge)
 	// Routes are registered before Serve starts: the route table is read
-	// lock-free on the frame path. An absent role is passed as a nil
-	// interface — a typed nil hub would mount a fleet-merge that panics.
-	var forward gaas.Ingestor
-	if n.cfg.NodeID != 0 {
-		forward = n.reg
-	}
-	var merger gaas.PartialMerger
+	// lock-free on the frame path. The one fleet command a node serves is
+	// a coordinator's fleet-merge.
 	if n.cfg.Hub != nil {
-		merger = n.cfg.Hub
+		n.server.Mux().HandleFleet(nil, n.cfg.Hub)
 	}
-	n.server.Mux().HandleFleet(forward, merger)
 	n.done = make(chan struct{})
 	go func() {
 		n.serveErr = n.server.Serve(n.cfg.Listener)
@@ -362,7 +356,7 @@ func (n *Node) Drain() (Report, error) {
 	rep.RoutingRejected = n.reg.Rejected()
 	// Ship before snapshotting: every cohort is fixed, so each export is
 	// the round's final partial, and the image keeps each answered close.
-	if n.cfg.Coordinator != "" && len(unshipped) > 0 {
+	if len(unshipped) > 0 {
 		rep.Shipped = n.shipPartialSeals(unshipped)
 	}
 	if hub := n.cfg.Hub; hub != nil {
@@ -393,20 +387,32 @@ func (n *Node) Drain() (Report, error) {
 	return rep, err
 }
 
-// shipPartialSeals ships each round's signed partial seal to the remote
-// merge coordinator and closes the round once the coordinator answers —
-// absorbs the seal or refuses it with one of wire.MergeRefusals — so it
-// ships once (a node that dies before the close is durable re-sends it,
-// and reads the replay refusal as the answer). Any other failure is
-// reported, not fatal, and leaves the round sealed for the next drain.
+// shipPartialSeals merges each round's signed partial seal at the node's
+// coordinator (Config.Hub or Config.Coordinator) and closes the round once
+// the coordinator answers — absorbs the seal or refuses it with one of
+// wire.MergeRefusals — so it ships once (a node that dies before the close
+// is durable re-sends it, and reads the replay refusal as the answer). Any
+// other failure is reported, not fatal, and leaves the round sealed.
 func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
-	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
-	defer cancel()
-	client, err := gaas.DialContext(ctx, n.cfg.Coordinator, gaas.DialConfig{NoSession: true})
-	if err != nil {
-		return []Shipment{{Err: fmt.Errorf("coordinator %s unreachable: %w", n.cfg.Coordinator, err)}}
+	merge := func(seal []byte) (wire.MergeResult, error) {
+		reply, err := n.cfg.Hub.MergePartialSeal(seal)
+		if err != nil {
+			return wire.MergeResult{}, err
+		}
+		return wire.DecodeMergeResult(reply)
 	}
-	defer client.Close()
+	if n.cfg.Coordinator != "" {
+		ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
+		defer cancel()
+		client, err := gaas.DialContext(ctx, n.cfg.Coordinator, gaas.DialConfig{NoSession: true})
+		if err != nil {
+			return []Shipment{{Err: fmt.Errorf("coordinator %s unreachable: %w", n.cfg.Coordinator, err)}}
+		}
+		defer client.Close()
+		merge = client.MergePartialSeal
+	} else if n.cfg.Hub == nil || n.cfg.NodeID == 0 {
+		return nil // no coordinator: the rounds stay sealed
+	}
 	seal := n.NodeSeal()
 	out := make([]Shipment, len(rounds))
 	for i, r := range rounds {
@@ -415,7 +421,7 @@ func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 			out[i].Err = fmt.Errorf("partial seal %s round %d: %w", r.tenant, r.round, err)
 			continue
 		}
-		out[i].Merge, err = client.MergePartialSeal(raw)
+		out[i].Merge, err = merge(raw)
 		if err == nil || slices.ContainsFunc(wire.MergeRefusals, func(s error) bool { return errors.Is(err, s) }) {
 			r.p.Close()
 		}

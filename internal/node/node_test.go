@@ -34,7 +34,7 @@ type world struct{ *testbed.Tenant }
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	tenant, err := testbed.NewTenant(testbed.TenantSpec{Name: testService, Dim: testDim,
-		Hosting: Hosting(testService, service.DefaultTicketTTL, 0, nil)})
+		Hosting: Hosting(service.DefaultTicketTTL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,45 +471,55 @@ func TestKillLeaksNothing(t *testing.T) {
 }
 
 // fleetOf is node id of a glimmerd fleet started with -node-id id and
-// -peers over ids, shipping to coordinator: every tenant creates only the
-// rounds the peers' ring places on id, as Hosting sets them.
+// -peers over ids, shipping to coordinator: Start makes every tenant
+// create only the rounds the peers' ring places on id.
 func fleetOf(t *testing.T, ids []uint32, id uint32, coordinator string) func(*Config) {
 	t.Helper()
 	ring, err := fleet.NewRing(ids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(c *Config) {
-		c.NodeID, c.Coordinator = id, coordinator
-		for i := range c.Tenants {
-			c.Tenants[i].Owns = Hosting(c.Tenants[i].Name, 0, id, ring).Owns
-		}
-	}
+	return func(c *Config) { c.NodeID, c.Ring, c.Coordinator = id, ring, coordinator }
 }
 
 // TestHostingOwnsTheRingShare: the template every node hosts a tenant
 // from evicts at the quota, admits rounds within 16 of the ones in flight,
-// grants tickets exactly when a TTL is given, and sets nothing else; with
-// -peers, the tenant creates exactly the rounds the peers' ring places on
-// this node; without, every round.
+// grants tickets exactly when a TTL is given, and sets nothing else; Start
+// places it on the node's ring, so with -peers the tenant creates exactly
+// the rounds the peers' ring places on this node and, without, every
+// round — and the Config it was handed keeps no placement.
 func TestHostingOwnsTheRingShare(t *testing.T) {
+	if h, want := Hosting(0), (service.TenantConfig{EvictAtCap: true, RoundWindow: 16}); !reflect.DeepEqual(h, want) {
+		t.Errorf("Hosting without tickets = %+v, want %+v", h, want)
+	}
+	ticketed := service.TenantConfig{EvictAtCap: true, RoundWindow: 16, TicketPolicy: &service.TicketConfig{TTL: 90}}
+	if h := Hosting(90); !reflect.DeepEqual(h, ticketed) {
+		t.Errorf("Hosting with a 90 s ticket TTL = %+v, want %+v", h, ticketed)
+	}
+
+	w := newWorld(t)
 	ring, err := fleet.NewRing([]uint32{1, 2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Hosting("svc.example", 0, 2, ring)
-	for round := uint64(0); round < 64; round++ {
-		if want := ring.Owner([]byte("svc.example"), round) == 2; h.Owns == nil || h.Owns(round) != want {
-			t.Fatalf("round %d: node 2 owns it = %v, the ring says %v", round, h.Owns != nil && h.Owns(round), want)
+	for _, placed := range []*fleet.Ring{ring, nil} {
+		cfg := Config{Tenants: []service.TenantConfig{w.Config()}, NodeID: 2, Ring: placed}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	h.Owns = nil
-	if want := (service.TenantConfig{EvictAtCap: true, RoundWindow: 16}); !reflect.DeepEqual(h, want) {
-		t.Errorf("Hosting without tickets = %+v, want %+v", h, want)
-	}
-	ticketed := service.TenantConfig{EvictAtCap: true, RoundWindow: 16, TicketPolicy: &service.TicketConfig{TTL: 90}}
-	if h := Hosting("svc.example", 90, 0, nil); !reflect.DeepEqual(h, ticketed) {
-		t.Errorf("Hosting with a 90 s ticket TTL = %+v, want %+v", h, ticketed)
+		hosted, _ := n.Registry().Tenant(testService)
+		owns := hosted.Config().Owns
+		for round := uint64(1); round <= 64; round++ {
+			want := placed == nil || ring.Owner([]byte(testService), round) == 2
+			if got := owns == nil || owns(round); got != want {
+				t.Fatalf("ring %v: round %d: node 2 owns it = %v, want %v", placed != nil, round, got, want)
+			}
+		}
+		if cfg.Tenants[0].Owns != nil {
+			t.Error("Start placed the caller's tenant Config, not its own copy")
+		}
+		n.Kill()
 	}
 }
 
@@ -619,6 +629,80 @@ func TestFleetOfThreeMergesEveryRound(t *testing.T) {
 	}
 	if st := hub.Stats(); st.Completed != rounds || st.SealsAbsorbed != rounds || st.SealsRefused != 0 || st.ContribsMerged != rounds*cohort {
 		t.Errorf("hub ledger %+v, want %d completed merges of %d contributions each", st, rounds, cohort)
+	}
+}
+
+// TestCoordinatorNodeMergesItsOwnRounds: a fleet node that is its own
+// coordinator (glimmerd's -node-id 1 -coordinator self) merges the rounds
+// its ring gives it into its own hub at drain, beside the seals its peer
+// ships to it, so every round the fleet took is merged with its whole
+// cohort and its exact sum.
+func TestCoordinatorNodeMergesItsOwnRounds(t *testing.T) {
+	w := newWorld(t)
+	ids := []uint32{1, 2}
+	hub := &service.MergeHub{AllowTOFU: true}
+	// Plain TCP: a shipping node dials its coordinator without TLS.
+	coordinator, coordAddr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
+		fleetOf(t, ids, 1, "")(c)
+		c.Hub, c.Edge.TLS = hub, nil
+	})
+	peer, peerAddr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
+		fleetOf(t, ids, 2, coordAddr)(c)
+		c.Edge.TLS = nil
+	})
+	fc, err := gaas.DialFleet(context.Background(), gaas.FleetConfig{
+		Nodes: []gaas.FleetNode{{ID: 1, Addr: coordAddr}, {ID: 2, Addr: peerAddr}},
+		Dial:  gaas.DialConfig{CallTimeout: 10 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+
+	const rounds, cohort = 8, 3
+	sums := make(map[uint64][]uint64, rounds)
+	owners := make(map[uint32]int)
+	for round := uint64(1); round <= rounds; round++ {
+		frame, sum := w.signedFrame(t, round, cohort)
+		if accepted, rejected, err := fc.SubmitBatch(frame); err != nil || accepted != cohort || rejected != 0 {
+			t.Fatalf("round %d tallied (%d, %d), err %v; want (%d, 0)", round, accepted, rejected, err, cohort)
+		}
+		sums[round] = sum
+		owners[fc.Ring().Owner([]byte(testService), round)]++
+	}
+	if len(owners) != 2 {
+		t.Fatalf("the ring placed all %d rounds on one node (%v); the test needs a spread", rounds, owners)
+	}
+
+	shipped := 0
+	for _, n := range []*Node{peer, coordinator} {
+		rep, err := n.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range rep.Shipped {
+			if sh.Err != nil {
+				t.Errorf("%s: %v", rep.Role, sh.Err)
+			}
+		}
+		if len(rep.Shipped) != owners[n.cfg.NodeID] {
+			t.Errorf("%s shipped %d partials, want one per round it owns (%d)", rep.Role, len(rep.Shipped), owners[n.cfg.NodeID])
+		}
+		shipped += len(rep.Shipped)
+		if n != coordinator {
+			continue
+		}
+		if len(rep.Merges) != rounds {
+			t.Errorf("the coordinator holds %d merges, want every round (%d)", len(rep.Merges), rounds)
+		}
+		for _, m := range rep.Merges {
+			if m.Count != cohort || m.Rejected != 0 || !slices.Equal(m.Sum, sums[m.Round]) {
+				t.Errorf("round %d merged cohort %d rejected %d sum %v, want %d, 0, %v", m.Round, m.Count, m.Rejected, m.Sum, cohort, sums[m.Round])
+			}
+		}
+	}
+	if st := hub.Stats(); shipped != rounds || st.Completed != rounds || st.SealsAbsorbed != rounds || st.ContribsMerged != rounds*cohort {
+		t.Errorf("%d partials shipped, hub ledger %+v; want %d completed merges of %d contributions each", shipped, st, rounds, cohort)
 	}
 }
 

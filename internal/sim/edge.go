@@ -78,15 +78,6 @@ type EdgeReport struct {
 
 const edgeServiceName = "edge.example"
 
-// edgeNode is glimmerd's default TLS edge admitting maxConns connections
-// and reaping a started frame after 250 ms (a slowloris; the honest lanes
-// idle between frames, which IdleTimeout allows for minutes).
-func edgeNode(id uint32, maxConns int) nodeSpec {
-	edge := glimnode.DefaultEdge()
-	edge.ReadTimeout, edge.MaxConns = 250*time.Millisecond, maxConns
-	return nodeSpec{transport: TransportTLS, Config: glimnode.Config{NodeID: id, Edge: edge}}
-}
-
 // edgeClients is the honest fleet's client side: the lanes it holds
 // through the attacks and the trust state they share.
 type edgeClients struct {
@@ -124,12 +115,16 @@ func pollActiveConns(server *gaas.Server, want int, deadline time.Duration) bool
 // return an error; invariant breaks are booked in the report's
 // Violations.
 func RunEdgeAdversary(cfg EdgeConfig) (*EdgeReport, error) {
-	// The honest edge: capacity for the fleet's lanes plus exactly the
-	// slowloris pool, so the flood overflows and the slowloris conns all
-	// get slots to trickle in.
+	// The honest edge: glimmerd's default TLS edge with capacity for the
+	// fleet's lanes plus exactly the slowloris pool, so the flood overflows
+	// and the slowloris conns all get slots to trickle in, reaping a
+	// started frame after 250 ms (a slowloris; the honest lanes idle
+	// between frames, which IdleTimeout allows for minutes).
+	edge := glimnode.DefaultEdge()
+	edge.ReadTimeout, edge.MaxConns = 250*time.Millisecond, edgeLanes+slowlorisConns
 	w, err := build(
-		[]testbed.TenantSpec{{Name: edgeServiceName, Seed: cfg.Seed, Devices: edgeDevices, Dim: edgeDim, Rounds: []uint64{1}, Hosting: hosting(edgeServiceName, nil)}},
-		edgeNode(1, edgeLanes+slowlorisConns))
+		[]testbed.TenantSpec{{Name: edgeServiceName, Seed: cfg.Seed, Devices: edgeDevices, Dim: edgeDim, Rounds: []uint64{1}, Hosting: hosting(nil)}},
+		nodeSpec{transport: TransportTLS, Config: glimnode.Config{NodeID: 1, Edge: edge}})
 	if err != nil {
 		return nil, err
 	}
@@ -311,11 +306,11 @@ func slowloris(rep *EdgeReport) step {
 func impostorEdge(rep *EdgeReport, f *edgeClients) step {
 	return func(s *script) error {
 		sub := s.at(owner).sub
-		evilTenant, err := sub.Provision(testbed.TenantSpec{Name: s.t.Name, Dim: s.t.Dim + 1, Hosting: hosting(s.t.Name, nil)})
+		evilTenant, err := sub.Provision(testbed.TenantSpec{Name: s.t.Name, Dim: s.t.Dim + 1, Hosting: hosting(nil)})
 		if err != nil {
 			return fmt.Errorf("sim: impostor: %w", err)
 		}
-		spec := edgeNode(2, 0)
+		spec := s.at(owner).nodeSpec // the honest node's host, its enclave swapped
 		spec.Tenants = []service.TenantConfig{evilTenant.Config()}
 		evil, err := startNode(sub, spec)
 		if err != nil {

@@ -93,7 +93,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 		Seed:    cfg.Seed,
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
-		Hosting: hosting(fleetSimService, nil),
+		Hosting: hosting(nil),
 	}
 	for round := uint64(1); round <= fleetRounds; round++ {
 		spec.Rounds = append(spec.Rounds, round)

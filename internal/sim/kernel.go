@@ -48,11 +48,11 @@ func simClock() *atomic.Int64 {
 // hosting is node.Hosting as glimmerd applies it: the default ticket TTL
 // for a ticketed tenant (one with a clock), -ticket-ttl 0 for the rest.
 // The sim's one seam is that clock.
-func hosting(name string, clock *atomic.Int64) service.TenantConfig {
+func hosting(clock *atomic.Int64) service.TenantConfig {
 	if clock == nil {
-		return glimnode.Hosting(name, 0, 0, nil)
+		return glimnode.Hosting(0)
 	}
-	h := glimnode.Hosting(name, service.DefaultTicketTTL, 0, nil)
+	h := glimnode.Hosting(service.DefaultTicketTTL)
 	h.TicketPolicy.Now = clock.Load
 	return h
 }
@@ -61,12 +61,12 @@ func hosting(name string, clock *atomic.Int64) service.TenantConfig {
 // with — ring identity, state directory and WAL tuning (set: a durable
 // node), the edge (node.DefaultEdge on a node that listens), and the
 // tenants it hosts — plus the transport that fronts it (TransportDirect:
-// no edge). build fills in Tenants, startNode Listener, Edge.Platform and
-// Edge.TLS. The spec outlives the process: a crashed node restarts from
-// the same one, tenants included. It holds no key:
-// node.Start gives a sim node its sealing key as it gives glimmerd's, from
-// the state directory, so a restarted node re-signs with the key its TOFU
-// pin expects only because that key survived on disk.
+// no edge). build fills in Tenants and Ring, startNode Listener,
+// Edge.Platform and Edge.TLS. The spec outlives the process: a crashed
+// node restarts from the same one, tenants and ring included. It holds no
+// key: node.Start gives a sim node its sealing key as it gives glimmerd's,
+// from the state directory, so a restarted node re-signs with the key its
+// TOFU pin expects only because that key survived on disk.
 type nodeSpec struct {
 	glimnode.Config
 	transport TransportKind

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 	}
 	w, err := build([]testbed.TenantSpec{{
 		Name: "kernel.example", Seed: 5, Devices: devices, Dim: 3, Rounds: rounds,
-		Hosting: hosting("kernel.example", nil),
+		Hosting: hosting(nil),
 	}}, specs...)
 	if err != nil {
 		t.Fatal(err)
@@ -142,34 +143,41 @@ func TestSimCrashDuringPartition(t *testing.T) {
 	}
 }
 
-// TestSimHostsTenantsAsGlimmerd: every tenant every sim node hosts — in
-// the plan-driven signed and ticketed scenarios, the multi-tenant mix
+// TestSimHostsTenantsAsGlimmerd: every node life the sim starts — in the
+// plan-driven signed and ticketed scenarios, the multi-tenant mix
 // in-process and over TLS, the fleet with its restarted owner, both edges
-// of the adversary scenario and both lives of the crash scenario, and this
-// file's durable world — is node.Hosting's template, as glimmerd builds it
-// from -ticket-ttl (the default TTL, or 0). The tenant's identity (name,
-// keys, enclave, vetted measurements) comes from testbed; Owns and the
-// ticket clock are the only other fields allowed to differ. Every node
-// life with a listener serves node.DefaultEdge(), glimmerd's edge without
-// flags, but for the Platform and TLS it is handed and, in the adversary
-// scenario, the -read-timeout and -max-conns its attacks need.
+// of the adversary scenario, both lives of the crash scenario and this
+// file's durable world — is a node.Config glimmerd could start. Its ring
+// is its world's ring, which names its NodeID (-node-id, -peers); it is
+// no coordinator (the sim merges in its scripts' hubs); its WAL runs at
+// durable's defaults, or at the crash seam that keeps the flusher still
+// (-wal-flush-bytes, -wal-flush-interval). Every tenant it hosts is
+// node.Hosting's template, as glimmerd builds it from -ticket-ttl (the
+// default TTL, or 0), placed by Start on the ring's share of rounds. The
+// tenant's identity (name, keys, enclave, vetted measurements) comes from
+// testbed; the ticket clock is the only other field allowed to differ.
+// Every node life with a listener serves node.DefaultEdge(), glimmerd's
+// edge without flags, but for the Platform and TLS it is handed and, in
+// the adversary scenario, the -read-timeout and -max-conns its attacks
+// need.
 func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
+	type life struct {
+		glimnode.Config
+		hosted    []service.TenantConfig
+		listening bool
+	}
 	var (
-		mu     sync.Mutex
-		lives  int
-		hosted []service.TenantConfig
-		edges  []gaas.ServerConfig
+		mu    sync.Mutex
+		lives []life
 	)
 	started = func(n *node) {
 		mu.Lock()
 		defer mu.Unlock()
-		lives++
+		l := life{Config: n.Config, listening: n.Server() != nil}
 		for _, tenant := range n.Registry().Tenants() {
-			hosted = append(hosted, tenant.Config())
+			l.hosted = append(l.hosted, tenant.Config())
 		}
-		if n.Server() != nil {
-			edges = append(edges, n.Edge)
-		}
+		lives = append(lives, l)
 	}
 	t.Cleanup(func() { started = func(*node) {} })
 	small := Config{Seed: 3, Devices: 4, Rounds: 2, Overlap: 2, Dim: 2, Faults: fullFaultPlan()}
@@ -182,6 +190,7 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 			return err
 		}
 	}
+	seam := durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}
 	for _, sc := range []struct {
 		name      string
 		lives     int  // node lives the scenario starts, at least
@@ -198,40 +207,55 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 		{"crash", 2, 0, true, func() error { _, err := RunCrashRecovery(t.TempDir(), CrashConfig{Seed: 3}); return err }},
 		{"durable world", 2, 0, false, func() error { durableWorld(t, 2, 4, 1); return nil }},
 	} {
-		lives, hosted, edges = 0, nil, nil
+		lives = nil
 		if err := sc.run(); err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		if lives < sc.lives || len(edges) < sc.listening {
-			t.Errorf("%s: %d node lives seen, %d listening, want at least %d and %d", sc.name, lives, len(edges), sc.lives, sc.listening)
-		}
-		withTickets := 0
-		for _, h := range hosted {
-			ttl := int64(0)
-			if h.TicketPolicy != nil {
-				ttl, withTickets = service.DefaultTicketTTL, withTickets+1
-				if h.TicketPolicy.Now == nil {
-					t.Errorf("%s: tenant %s reads the wall clock", sc.name, h.Name)
+		listening, withTickets := 0, 0
+		for _, l := range lives {
+			ring := lives[0].Ring
+			if ring == nil || l.Ring != ring || !slices.Contains(ring.Nodes(), l.NodeID) {
+				t.Errorf("%s: node %d started on ring %p, want its world's ring %p, which names it", sc.name, l.NodeID, l.Ring, ring)
+				continue
+			}
+			if l.Hub != nil || l.Coordinator != "" {
+				t.Errorf("%s: node %d is a coordinator or ships to one (%q)", sc.name, l.NodeID, l.Coordinator)
+			}
+			if l.WAL != (durable.Config{}) && l.WAL != seam {
+				t.Errorf("%s: node %d runs its WAL at %+v, want durable's defaults or %+v", sc.name, l.NodeID, l.WAL, seam)
+			}
+			for _, h := range l.hosted {
+				for round := uint64(1); round <= 64; round++ {
+					if want := ring.Owner([]byte(h.Name), round) == l.NodeID; h.Owns == nil || h.Owns(round) != want {
+						t.Fatalf("%s: node %d's tenant %s owns round %d = %v, its ring says %v",
+							sc.name, l.NodeID, h.Name, round, h.Owns != nil && h.Owns(round), want)
+					}
+				}
+				ttl := int64(0)
+				if h.TicketPolicy != nil {
+					ttl, withTickets = service.DefaultTicketTTL, withTickets+1
+					if h.TicketPolicy.Now == nil {
+						t.Errorf("%s: tenant %s reads the wall clock", sc.name, h.Name)
+					}
+				}
+				want := glimnode.Hosting(ttl)
+				got := h
+				got.Name, got.Verify, got.Dim, got.Vetted, got.Glimmer, got.Provision = "", nil, 0, nil, glimmer.Config{}, nil
+				got.Owns = nil
+				if got.TicketPolicy != nil {
+					policy := *got.TicketPolicy
+					policy.Now = nil
+					got.TicketPolicy = &policy
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: tenant %s hosted as %s, node.Hosting gives %s", sc.name, h.Name, admission(got), admission(want))
 				}
 			}
-			want := glimnode.Hosting(h.Name, ttl, 0, nil)
-			got := h
-			got.Name, got.Verify, got.Dim, got.Vetted, got.Glimmer, got.Provision = "", nil, 0, nil, glimmer.Config{}, nil
-			got.Owns = nil
-			if got.TicketPolicy != nil {
-				policy := *got.TicketPolicy
-				policy.Now = nil
-				got.TicketPolicy = &policy
+			if !l.listening {
+				continue
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: tenant %s hosted as %s, node.Hosting gives %s", sc.name, h.Name, admission(got), admission(want))
-			}
-		}
-		if (withTickets > 0) != sc.ticketed {
-			t.Errorf("%s: %d tenants hosted on the ticketed path, want some: %v", sc.name, withTickets, sc.ticketed)
-		}
-		want := glimnode.DefaultEdge()
-		for _, got := range edges {
+			listening++
+			got, want := l.Edge, glimnode.DefaultEdge()
 			got.Platform, got.TLS = nil, nil
 			if sc.name == "edge" {
 				got.ReadTimeout, got.MaxConns = want.ReadTimeout, want.MaxConns
@@ -239,6 +263,12 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: a node serves %s, node.DefaultEdge gives %s", sc.name, governance(got), governance(want))
 			}
+		}
+		if len(lives) < sc.lives || listening < sc.listening {
+			t.Errorf("%s: %d node lives seen, %d listening, want at least %d and %d", sc.name, len(lives), listening, sc.lives, sc.listening)
+		}
+		if (withTickets > 0) != sc.ticketed {
+			t.Errorf("%s: %d tenants hosted on the ticketed path, want some: %v", sc.name, withTickets, sc.ticketed)
 		}
 	}
 }

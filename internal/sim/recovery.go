@@ -105,7 +105,7 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 		Devices: cfg.Devices,
 		Dim:     cfg.Dim,
 		Rounds:  []uint64{1, 2},
-		Hosting: hosting(crashServiceName, simClock()),
+		Hosting: hosting(simClock()),
 	}}, nodeSpec{Config: glimnode.Config{NodeID: 1, StateDir: stateDir,
 		// Huge thresholds: the background flusher never fires on its own, so
 		// the only disk writes come from barriers and explicit flush steps —

@@ -118,7 +118,7 @@ func newSimulation(cfg Config) (*simulation, testbed.TenantSpec) {
 	}
 	// The ticket window covers the bogus rounds, so round admission refuses
 	// them; the ticket window is probed with a deliberately tight grant.
-	spec.Hosting = hosting(cfg.ServiceName, clock)
+	spec.Hosting = hosting(clock)
 	return &simulation{cfg: cfg, plan: p, clock: clock, rounds: make(map[uint64]*roundState)}, spec
 }
 

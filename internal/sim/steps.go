@@ -105,9 +105,9 @@ type script struct {
 // build is the one world builder: substrate → every tenant of the world
 // (each fleet provisioned with masks for its spec.Rounds, honest values
 // drawn from its seed) → a consistent-hash ring → nodes, each cold-started
-// from its spec with all the tenants in node.Config.Tenants owning the
-// ring's share (TenantConfig.Owns), as glimmerd starts with -peers. The
-// world holds one script per spec, in order.
+// from its spec with all the tenants in node.Config.Tenants and the ring
+// in node.Config.Ring, as glimmerd starts with -peers. The world holds one
+// script per spec, in order.
 func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 	sub, err := testbed.New()
 	if err != nil {
@@ -134,10 +134,7 @@ func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 		return nil, err
 	}
 	for _, ns := range nodes {
-		ns.Tenants = slices.Clone(hosted)
-		for i := range ns.Tenants {
-			ns.Tenants[i].Owns = w.ring.Owns(ns.NodeID, ns.Tenants[i].Name)
-		}
+		ns.Tenants, ns.Ring = hosted, w.ring
 		n, err := startNode(sub, ns)
 		if err != nil {
 			w.shutdown()
