@@ -40,13 +40,16 @@
 // partial seals to a remote coordinator when the daemon drains, once per
 // round: a round the coordinator answered is closed and never ships
 // again; a node that is its own coordinator merges its rounds into its
-// hub the same way. Only a coordinator serves a fleet command. A fleet
-// node is its signing key: with -state-dir the key lives in
-// <dir>/node.key, made on the first start, so a restarted node merges
-// again under the pin its coordinator took; without -state-dir each
-// process has a key of its own, and a restart cannot rejoin a live
-// coordinator under the same -node-id. The status lines name the key by a
-// public-key fingerprint.
+// hub the same way. A fleet runs one transport: a node that serves TLS
+// dials its coordinator over TLS, checking no certificate (the seal's
+// signature and the coordinator's pin carry the trust), so a fleet's
+// nodes and coordinator take the same -tls-* choice. Only a coordinator
+// serves a fleet command. A fleet node is its signing key: with
+// -state-dir the key lives in <dir>/node.key, made on the first start, so
+// a restarted node merges again under the pin its coordinator took;
+// without -state-dir each process has a key of its own, and a restart
+// cannot rejoin a live coordinator under the same -node-id. The status
+// lines name the key by a public-key fingerprint.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight batches,
 // seals every open round, and prints per-tenant sealed sums, rejection

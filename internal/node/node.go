@@ -105,7 +105,8 @@ type Config struct {
 	Ring *fleet.Ring
 	// Hub, when non-nil, makes the node the merge coordinator serving
 	// fleet-merge. Drain merges each round no coordinator has answered at
-	// Coordinator, when set, or else at a fleet node's own Hub.
+	// Coordinator (one transport: TLS exactly when Edge serves it, unverified,
+	// as the seal's signature carries the trust), else at a fleet node's Hub.
 	Hub         *service.MergeHub
 	Coordinator string
 }
@@ -281,11 +282,10 @@ type Report struct {
 	// counts what never reached a tenant (unroutable, unknown tenant).
 	Tenants         []TenantReport
 	RoutingRejected int
-	// Shipped is one entry per partial seal offered to Config.Coordinator
-	// (a lone error when it could not be reached); Merges is the state of
-	// every merge Config.Hub still holds, by service and round, and Hub
-	// (nil without one) its ledger over every merge it ever ran — a hub
-	// retires completed merges, so the totals live there.
+	// Shipped is one entry per partial seal offered to a coordinator;
+	// Merges is the state of every merge Config.Hub still holds, by service
+	// and round, and Hub (nil without one) its ledger over every merge it
+	// ever ran — a hub retires completed merges, so the totals live there.
 	Shipped []Shipment
 	Merges  []wire.MergeResult
 	Hub     *service.HubStats
@@ -404,12 +404,16 @@ func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 	if n.cfg.Coordinator != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 		defer cancel()
-		client, err := gaas.DialContext(ctx, n.cfg.Coordinator, gaas.DialConfig{NoSession: true})
-		if err != nil {
-			return []Shipment{{Err: fmt.Errorf("coordinator %s unreachable: %w", n.cfg.Coordinator, err)}}
+		dial := gaas.DialConfig{NoSession: true}
+		if n.cfg.Edge.TLS != nil {
+			dial.TLS = gaas.InsecureClientTLS()
 		}
-		defer client.Close()
-		merge = client.MergePartialSeal
+		client, err := gaas.DialContext(ctx, n.cfg.Coordinator, dial)
+		merge = func([]byte) (wire.MergeResult, error) { return wire.MergeResult{}, err }
+		if err == nil {
+			defer client.Close()
+			merge = client.MergePartialSeal
+		}
 	} else if n.cfg.Hub == nil || n.cfg.NodeID == 0 {
 		return nil // no coordinator: the rounds stay sealed
 	}
@@ -425,8 +429,10 @@ func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 		if err == nil || slices.ContainsFunc(wire.MergeRefusals, func(s error) bool { return errors.Is(err, s) }) {
 			r.p.Close()
 		}
-		if err != nil {
+		if errors.Is(err, gaas.ErrRemote) || err != nil && n.cfg.Coordinator == "" {
 			out[i].Err = fmt.Errorf("coordinator refused %s round %d: %w", r.tenant, r.round, err)
+		} else if err != nil {
+			out[i].Err = fmt.Errorf("shipping %s round %d: %w", r.tenant, r.round, err)
 		}
 	}
 	return out

@@ -74,6 +74,14 @@ func (w *world) startAs(t *testing.T, dir string, wal durable.Config, role func(
 	return n, ln.Addr().String()
 }
 
+// coordinator is glimmerd -coordinator self -tls-self-signed: a node
+// serving fleet-merge from hub (nil: one that serves no merges) over TLS,
+// the transport of the fleet nodes that ship to it.
+func (w *world) coordinator(t *testing.T, hub *service.MergeHub) (*Node, string) {
+	t.Helper()
+	return w.startAs(t, "", durable.Config{}, func(c *Config) { c.Hub = hub })
+}
+
 // splitFrame is a frame size that fans out at the tenant's Workers: 2 —
 // two chunks of 32, one on a goroutine of the frame's own.
 const splitFrame = 64
@@ -195,17 +203,9 @@ func TestStartDrainRecover(t *testing.T) {
 // hub's ledger.
 func TestDrainShipsToCoordinator(t *testing.T) {
 	w := newWorld(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plain TCP: a shipping node dials its coordinator without TLS.
-	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.Platform}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, coordAddr := w.coordinator(t, &service.MergeHub{AllowTOFU: true})
 	n, addr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
-		c.NodeID, c.Coordinator = 1, ln.Addr().String()
+		c.NodeID, c.Coordinator = 1, coordAddr
 	})
 	w.session(t, addr, 3, 5)
 	rep, err := n.Drain()
@@ -232,6 +232,48 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 	}
 }
 
+// TestDrainShipsToATLSCoordinator: a fleet runs one transport. A node
+// that serves no TLS dials a TLS coordinator in plain TCP and is cut off:
+// the shipment is a transport failure, not a coordinator's answer, and
+// the round stays sealed. Restarted with a TLS edge, as its coordinator
+// has, the node dials over TLS and the round merges.
+func TestDrainShipsToATLSCoordinator(t *testing.T) {
+	w, dir := newWorld(t), t.TempDir()
+	hub := &service.MergeHub{AllowTOFU: true}
+	coord, coordAddr := w.coordinator(t, hub)
+	defer coord.Kill()
+
+	plain, err := Start(Config{Tenants: []service.TenantConfig{w.Config()}, StateDir: dir, NodeID: 1, Coordinator: coordAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, sum := w.signedFrame(t, 3, 5)
+	if _, errs := plain.Registry().IngestBatch(frame); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
+	}
+	rep, err := plain.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shipped) != 1 || rep.Shipped[0].Err == nil || errors.Is(rep.Shipped[0].Err, gaas.ErrRemote) ||
+		!strings.HasPrefix(rep.Shipped[0].Err.Error(), "shipping "+testService+" round 3: ") {
+		t.Fatalf("a plaintext node shipped %+v to a TLS coordinator, want one transport failure for round 3", rep.Shipped)
+	}
+
+	n, _ := w.startAs(t, dir, durable.Config{}, func(c *Config) { c.NodeID, c.Coordinator = 1, coordAddr })
+	rep, err = n.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shipped) != 1 || rep.Shipped[0].Err != nil || rep.Shipped[0].Merge.Round != 3 ||
+		rep.Shipped[0].Merge.Count != 5 || !slices.Equal(rep.Shipped[0].Merge.Sum, sum) {
+		t.Fatalf("a TLS node shipped %+v, want round 3 absorbed with 5 contributions", rep.Shipped)
+	}
+	if st := hub.Stats(); st.SealsAbsorbed != 1 || st.SealsRefused != 0 {
+		t.Errorf("hub absorbed %d and refused %d seals, want 1 and 0", st.SealsAbsorbed, st.SealsRefused)
+	}
+}
+
 // TestRestartedFleetNodeMergesUnderItsPin: a fleet node's sealing
 // identity survives a restart from its state directory. The coordinator
 // pins node 1 on its first partial seal; a second life over the same
@@ -241,17 +283,10 @@ func TestDrainShipsToCoordinator(t *testing.T) {
 // on a fresh directory claiming node 1 is refused.
 func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	hub := &service.MergeHub{AllowTOFU: true}
-	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, coordAddr := w.coordinator(t, hub)
 	defer coord.Kill()
-	fleetNode := func(c *Config) { c.NodeID, c.Coordinator = 1, ln.Addr().String() }
+	fleetNode := func(c *Config) { c.NodeID, c.Coordinator = 1, coordAddr }
 	// life ingests one frame into round on a fleet node over dir and
 	// drains it, returning the shipment of that round.
 	life := func(w *world, dir string, round uint64) (Shipment, []Shipment) {
@@ -304,17 +339,10 @@ func TestRestartedFleetNodeMergesUnderItsPin(t *testing.T) {
 // and closes it; life 3's drain ships nothing.
 func TestKilledBeforeCloseResendsOnce(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	hub := &service.MergeHub{AllowTOFU: true}
-	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, coordAddr := w.coordinator(t, hub)
 	defer coord.Kill()
-	fleetNode := func(c *Config) { c.NodeID, c.Coordinator = 1, ln.Addr().String() }
+	fleetNode := func(c *Config) { c.NodeID, c.Coordinator = 1, coordAddr }
 
 	n, addr := w.startAs(t, dir, durable.Config{}, fleetNode)
 	w.session(t, addr, 3, 5)
@@ -323,7 +351,7 @@ func TestKilledBeforeCloseResendsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := gaas.DialContext(context.Background(), ln.Addr().String(), gaas.DialConfig{NoSession: true})
+	client, err := gaas.DialContext(context.Background(), coordAddr, gaas.DialConfig{NoSession: true, TLS: gaas.InsecureClientTLS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,16 +393,9 @@ func TestUnansweredRoundShipsAtNextDrain(t *testing.T) {
 	w, dir := newWorld(t), t.TempDir()
 	listen := func(hub *service.MergeHub) string {
 		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		n, addr := w.coordinator(t, hub)
 		t.Cleanup(n.Kill)
-		return ln.Addr().String()
+		return addr
 	}
 	life := func(coordinator string, ingest bool) []Shipment {
 		t.Helper()
@@ -560,22 +581,15 @@ func (w *world) signedFrame(t *testing.T, round uint64, n int) ([][]byte, []uint
 // round's whole cohort and its exact sum.
 func TestFleetOfThreeMergesEveryRound(t *testing.T) {
 	w := newWorld(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	hub := &service.MergeHub{AllowTOFU: true}
-	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, coordAddr := w.coordinator(t, hub)
 	defer coord.Kill()
 	ids := []uint32{1, 2, 3}
 	nodes := make([]*Node, len(ids))
 	var peers []gaas.FleetNode
 	for i, id := range ids {
 		var addr string
-		nodes[i], addr = w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, ids, id, ln.Addr().String()))
+		nodes[i], addr = w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, ids, id, coordAddr))
 		peers = append(peers, gaas.FleetNode{ID: id, Addr: addr})
 	}
 	fc, err := gaas.DialFleet(context.Background(), gaas.FleetConfig{Nodes: peers, Dial: gaas.DialConfig{
@@ -641,7 +655,8 @@ func TestCoordinatorNodeMergesItsOwnRounds(t *testing.T) {
 	w := newWorld(t)
 	ids := []uint32{1, 2}
 	hub := &service.MergeHub{AllowTOFU: true}
-	// Plain TCP: a shipping node dials its coordinator without TLS.
+	// A plaintext fleet: each node serves plain TCP, so the peer ships
+	// over it too.
 	coordinator, coordAddr := w.startAs(t, t.TempDir(), durable.Config{}, func(c *Config) {
 		fleetOf(t, ids, 1, "")(c)
 		c.Hub, c.Edge.TLS = hub, nil
@@ -714,15 +729,7 @@ func TestCoordinatorNodeMergesItsOwnRounds(t *testing.T) {
 // the merge with exactly the honest cohort.
 func TestNodeRefusesRoundItDoesNotOwn(t *testing.T) {
 	w := newWorld(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordinator := ln.Addr().String()
-	coord, err := Start(Config{Listener: ln, Hub: &service.MergeHub{AllowTOFU: true}, Edge: gaas.ServerConfig{Platform: w.Platform}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, coordinator := w.coordinator(t, &service.MergeHub{AllowTOFU: true})
 	defer coord.Kill()
 	ids := []uint32{1, 2, 3}
 	ring, err := fleet.NewRing(ids, 0)
@@ -807,15 +814,8 @@ func TestNodeRefusesRoundItDoesNotOwn(t *testing.T) {
 // round is withheld in part, never summed wrong.
 func TestDisagreeingRingsWithholdNeverWrong(t *testing.T) {
 	w := newWorld(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	hub := &service.MergeHub{AllowTOFU: true}
-	coord, err := Start(Config{Listener: ln, Hub: hub, Edge: gaas.ServerConfig{Platform: w.Platform}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, coordAddr := w.coordinator(t, hub)
 	defer coord.Kill()
 	peersA, peersB := []uint32{1, 3}, []uint32{2, 3}
 	ringA, err := fleet.NewRing(peersA, 0)
@@ -830,8 +830,8 @@ func TestDisagreeingRingsWithholdNeverWrong(t *testing.T) {
 	for ringA.Owner([]byte(testService), round) != 1 || ringB.Owner([]byte(testService), round) != 2 {
 		round++
 	}
-	a, _ := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, peersA, 1, ln.Addr().String()))
-	b, _ := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, peersB, 2, ln.Addr().String()))
+	a, _ := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, peersA, 1, coordAddr))
+	b, _ := w.startAs(t, t.TempDir(), durable.Config{}, fleetOf(t, peersB, 2, coordAddr))
 	frameA, sumA := w.signedFrame(t, round, 3)
 	frameB, _ := w.signedFrame(t, round, 2)
 	for _, fed := range []struct {

@@ -6,15 +6,16 @@ import (
 
 	"glimmers/internal/durable"
 	glimnode "glimmers/internal/node"
+	"glimmers/internal/service"
 	"glimmers/internal/testbed"
 	"glimmers/internal/wire"
 )
 
 // Fleet scenario: one tenant's rounds on N glimmerd nodes, each admitting
 // only the rounds the ring places on it as glimmerd's -peers does, each
-// owner sealing its round's one seal for a coordinator to merge — driven
-// through an owner's crash, a network partition, a client's cross-node
-// retry and a battery of forged-seal probes.
+// owner draining to ship its round's one seal over TCP to a coordinator
+// node that merges it — driven through an owner's crash, a network
+// partition, a client's cross-node retry and forged-seal probes.
 //
 // The scenario demands the fleet's three correctness claims:
 //
@@ -61,8 +62,8 @@ type FleetReport struct {
 	// torn-tail truncation, exactly as in the single-node crash scenario.
 	RecoverCrash durable.RecoverStats
 
-	MergedRounds   int    // rounds merged
-	MergedContribs uint64 // total cohort across the merges
+	MergedRounds   int    // merges the coordinator completed
+	MergedContribs uint64 // contributions it merged
 	RejectedTotal  uint64 // node-booked refusals carried in merged seals
 	RefusedSeals   uint64 // seals the coordinator turned away
 
@@ -98,7 +99,9 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	for round := uint64(1); round <= fleetRounds; round++ {
 		spec.Rounds = append(spec.Rounds, round)
 	}
-	var nodes []nodeSpec
+	// The coordinator, glimmerd -coordinator self. Its hub holds no node
+	// registry: identities pin on first use and the pins span rounds.
+	nodes := []nodeSpec{{Config: glimnode.Config{Hub: &service.MergeHub{AllowTOFU: true}, Edge: glimnode.DefaultEdge()}, transport: TransportTCP}}
 	for id := uint32(1); id <= fleetNodes; id++ {
 		nodes = append(nodes, nodeSpec{Config: glimnode.Config{NodeID: id, StateDir: filepath.Join(stateDir, fmt.Sprintf("node-%d", id))}})
 	}
@@ -113,12 +116,12 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	all, half, third := cfg.Devices, cfg.Devices/2, cfg.Devices/3
 	var scenario []step
 	// ----- Clean rounds: the ring places each round on one owner, the
-	// owner seals it, the coordinator merges the seal. Each cohort carries
+	// owner drains, the coordinator merges its seal. Each cohort carries
 	// the standard probe pair: a forged signature and a duplicate.
 	for round := uint64(1); round <= fleetCleanRounds; round++ {
 		scenario = append(scenario, inRound(round,
 			ingest(owner, 0, 1), forged(owner, all-1, nil), ingest(owner, 1, all), duplicate(owner, 0),
-			merge(sealOf(owner)),
+			drain(owner),
 			merged(2)))
 	}
 	crashRound := uint64(fleetCleanRounds + 1)
@@ -137,6 +140,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 			flush(owner),
 			notOwned(successor, half, all),
 			crash(owner, true),
+			func(s *script) error { rep.RecoverCrash = s.at(owner).Recovered(); return nil },
 			holds(owner, half),
 			// Dedup survived the crash: a duplicate of a pre-crash
 			// contribution is still a duplicate on the restarted owner.
@@ -148,7 +152,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 			refuse(split(sealOf(owner), 2), wire.ErrSealMismatch, "seal declaring a split round"),
 			refuse(flipped(sealOf(owner)), wire.ErrSealSignature, "flipped-signature seal"),
 			refuse(resigned(sealOf(owner), owner), wire.ErrSealIdentity, "seal re-signed under the owner's ID with another key"),
-			merge(sealOf(owner)),
+			drain(owner),
 			refuse(sealOf(owner), wire.ErrSealReplay, "replayed seal"),
 			refuse(resigned(sealOf(owner), successor), wire.ErrMergeComplete, "late seal from another node"),
 			merged(2)),
@@ -159,7 +163,7 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 			ingest(owner, 0, third),
 			notOwned(successor, third, all),
 			ingest(owner, third, all),
-			merge(sealOf(owner)),
+			drain(owner),
 			merged(0)),
 		// ----- Double-submit round: a client whose ack was lost retries at
 		// another node, which does not own the round, and at the owner,
@@ -172,14 +176,12 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 				rep.DoubleSubmitCaught = err == nil && len(s.violations) == before
 				return err
 			},
-			merge(sealOf(owner)),
+			drain(owner),
 			merged(1)),
 	)
 	if err := s.play(scenario...); err != nil {
 		return nil, err
 	}
-	rep.RecoverCrash = s.nodes[s.owners[crashRound]].Recovered()
-
 	// ----- Fleet reconciliation: every refusal anywhere in the fleet is
 	// accounted for exactly once, and nothing else was refused; a round's
 	// refusals travel in its owner's seal, so the merged totals equal the
@@ -192,14 +194,15 @@ func RunFleet(stateDir string, cfg FleetConfig) (*FleetReport, error) {
 	}
 	// The hub's ledger, not its merges: a first-contact refusal never had a
 	// merge to count it, and a retired merge's counters go with it.
-	hub := s.hub.Stats()
+	hub := s.coordinator.Hub.Stats()
+	rep.MergedRounds, rep.MergedContribs = hub.Completed, hub.ContribsMerged
 	rep.RejectedTotal, rep.RefusedSeals = hub.ContribsRejected, hub.SealsRefused
 	// Every round of the scenario opened one merge, and the scenario is far
 	// below the hub's caps, so it holds them all.
-	s.expectCount("merges the coordinator holds", hub.Completed, fleetRounds)
+	s.expectCount("merges the coordinator holds", rep.MergedRounds, fleetRounds)
 	s.expectCount("merged rejection accounting", int(rep.RejectedTotal), carried)
 	s.expectCount("seals the coordinator refused", int(rep.RefusedSeals), int(s.refusedSeals))
-	s.expectCount("merged contributions", int(s.mergedContribs), cfg.Devices*fleetRounds)
-	rep.MergedRounds, rep.MergedContribs, rep.Violations = s.mergedRounds, s.mergedContribs, s.violations
+	s.expectCount("merged contributions", int(rep.MergedContribs), cfg.Devices*fleetRounds)
+	rep.Violations = s.violations
 	return rep, nil
 }

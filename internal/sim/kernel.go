@@ -29,8 +29,9 @@ import (
 //	           blinded by its dealer enclave for a stated round set
 //	           (internal/testbed), hosted as glimmerd hosts it (hosting)
 //	node       one glimmerd process: a Registry hosting every tenant of the
-//	           world from its start, optionally a durable.Store under it
-//	           and a gaas edge in front of it
+//	           world from its start, optionally a durable.Store under it,
+//	           a gaas edge in front of it and a fleet role — a ring node
+//	           that ships at drain, or the coordinator it ships to
 //	checker    the violations list and the recurring assertions
 //
 // The pieces are the product's own, in the cmd/glimmerd topology; nothing
@@ -58,15 +59,16 @@ func hosting(clock *atomic.Int64) service.TenantConfig {
 }
 
 // nodeSpec describes one glimmerd process as the node.Config it ships
-// with — ring identity, state directory and WAL tuning (set: a durable
-// node), the edge (node.DefaultEdge on a node that listens), and the
-// tenants it hosts — plus the transport that fronts it (TransportDirect:
-// no edge). build fills in Tenants and Ring, startNode Listener,
-// Edge.Platform and Edge.TLS. The spec outlives the process: a crashed
-// node restarts from the same one, tenants and ring included. It holds no
-// key: node.Start gives a sim node its sealing key as it gives glimmerd's,
-// from the state directory, so a restarted node re-signs with the key its
-// TOFU pin expects only because that key survived on disk.
+// with — ring identity or coordinator hub, state directory and WAL tuning
+// (set: a durable node), the edge (node.DefaultEdge on a node that
+// listens), and the tenants it hosts — plus the transport that fronts it
+// (TransportDirect: no edge). build fills in Tenants, and Ring and
+// Coordinator on a ring node; startNode Listener, Edge.Platform and
+// Edge.TLS. The spec outlives the process: a crashed or drained node
+// restarts from the same one, tenants, ring and coordinator included. It
+// holds no key: node.Start gives a sim node its sealing key as it gives
+// glimmerd's, from the state directory, so a restarted node re-signs with
+// the key its TOFU pin expects only because that key survived on disk.
 type nodeSpec struct {
 	glimnode.Config
 	transport TransportKind

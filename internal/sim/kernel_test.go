@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"glimmers/internal/durable"
+	"glimmers/internal/fleet"
 	"glimmers/internal/gaas"
 	"glimmers/internal/glimmer"
 	glimnode "glimmers/internal/node"
@@ -56,10 +57,15 @@ func TestSimCrashPointSweep(t *testing.T) {
 }
 
 // durableWorld is a small signed-path world of durable nodes whose
-// flushers never fire on their own, so a test decides what is on disk.
+// flushers never fire on their own, so a test decides what is on disk. A
+// world of more than one node is a fleet: it has a coordinator, so its
+// nodes can drain.
 func durableWorld(t *testing.T, nodes, devices int, rounds ...uint64) *script {
 	t.Helper()
 	var specs []nodeSpec
+	if nodes > 1 {
+		specs = append(specs, nodeSpec{Config: glimnode.Config{Hub: &service.MergeHub{AllowTOFU: true}, Edge: glimnode.DefaultEdge()}, transport: TransportTCP})
+	}
 	for id := uint32(1); id <= uint32(nodes); id++ {
 		specs = append(specs, nodeSpec{Config: glimnode.Config{NodeID: id, StateDir: t.TempDir(),
 			WAL: durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}}})
@@ -120,13 +126,13 @@ func TestSimCrashDuringPartition(t *testing.T) {
 		ingest(owner, 0, 2),       // the owner takes two, then is cut off from the rest
 		notOwned(successor, 2, 4), // they fail over to another node, which does not own the round
 		flush(owner),
-		ingest(owner, 2, 3),  // a client on the owner's side: staged, never flushed
-		crash(owner, true),   // the owner dies mid-partition
-		holds(owner, 2),      // and comes back with the flushed prefix
-		duplicate(owner, 1),  // its dedup table survived
-		ingest(owner, 2, 6),  // the partition heals: the lost accept re-sends, the cohort completes
-		merge(sealOf(owner)), // the owner's one seal merges the round
-		merged(1),            // exact sum, full cohort, one refusal on the owner's books
+		ingest(owner, 2, 3), // a client on the owner's side: staged, never flushed
+		crash(owner, true),  // the owner dies mid-partition
+		holds(owner, 2),     // and comes back with the flushed prefix
+		duplicate(owner, 1), // its dedup table survived
+		ingest(owner, 2, 6), // the partition heals: the lost accept re-sends, the cohort completes
+		drain(owner),        // the owner's one seal ships and merges the round
+		merged(1),           // exact sum, full cohort, one refusal on the owner's books
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -143,28 +149,51 @@ func TestSimCrashDuringPartition(t *testing.T) {
 	}
 }
 
+// TestSimCheckerReportsBrokenPromises: the checker is what turns a broken
+// promise into a failure, so it must report one. A durable two-node round
+// is played to the end with two claims that do not hold — the owner holds
+// one contribution more than it does, and the merge carries one refusal
+// more than the owner booked — and the run reports exactly those two.
+func TestSimCheckerReportsBrokenPromises(t *testing.T) {
+	s := durableWorld(t, 2, 4, 1)
+	if err := s.play(inRound(1, ingest(owner, 0, 4), holds(owner, 5), drain(owner), merged(1))); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("node %d round 1 count = 4, want 5", s.placed[owner]),
+		"round 1 merged rejected = 0, want 1",
+	}
+	if !slices.Equal(s.violations, want) {
+		t.Errorf("violations = %q, want %q", s.violations, want)
+	}
+}
+
 // TestSimHostsTenantsAsGlimmerd: every node life the sim starts — in the
 // plan-driven signed and ticketed scenarios, the multi-tenant mix
-// in-process and over TLS, the fleet with its restarted owner, both edges
-// of the adversary scenario, both lives of the crash scenario and this
-// file's durable world — is a node.Config glimmerd could start. Its ring
-// is its world's ring, which names its NodeID (-node-id, -peers); it is
-// no coordinator (the sim merges in its scripts' hubs); its WAL runs at
-// durable's defaults, or at the crash seam that keeps the flusher still
-// (-wal-flush-bytes, -wal-flush-interval). Every tenant it hosts is
-// node.Hosting's template, as glimmerd builds it from -ticket-ttl (the
-// default TTL, or 0), placed by Start on the ring's share of rounds. The
-// tenant's identity (name, keys, enclave, vetted measurements) comes from
-// testbed; the ticket clock is the only other field allowed to differ.
-// Every node life with a listener serves node.DefaultEdge(), glimmerd's
-// edge without flags, but for the Platform and TLS it is handed and, in
-// the adversary scenario, the -read-timeout and -max-conns its attacks
-// need.
+// in-process and over TLS, the fleet with its coordinator and its owners
+// restarted by every drain and the crash, both edges of the adversary
+// scenario, both lives of the crash scenario and this file's durable
+// fleet — is a node.Config glimmerd could start. A fleet's coordinator is
+// glimmerd -coordinator self: NodeID 0, no ring, a hub, listening. Every
+// other life's ring is its world's ring, which names its NodeID
+// (-node-id, -peers), and its Coordinator is its world's coordinator's
+// address (-coordinator host:port), or empty in a world without one. Its
+// WAL runs at durable's defaults, or at the crash seam that keeps the
+// flusher still (-wal-flush-bytes, -wal-flush-interval). Every tenant it
+// hosts is node.Hosting's template, as glimmerd builds it from
+// -ticket-ttl (the default TTL, or 0), placed by Start on the ring's
+// share of rounds (all of them, off the ring). The tenant's identity
+// (name, keys, enclave, vetted measurements) comes from testbed; the
+// ticket clock is the only other field allowed to differ. Every node life
+// with a listener serves node.DefaultEdge(), glimmerd's edge without
+// flags, but for the Platform and TLS it is handed and, in the adversary
+// scenario, the -read-timeout and -max-conns its attacks need.
 func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 	type life struct {
 		glimnode.Config
 		hosted    []service.TenantConfig
 		listening bool
+		addr      string
 	}
 	var (
 		mu    sync.Mutex
@@ -173,7 +202,7 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 	started = func(n *node) {
 		mu.Lock()
 		defer mu.Unlock()
-		l := life{Config: n.Config, listening: n.Server() != nil}
+		l := life{Config: n.Config, listening: n.Server() != nil, addr: n.addr}
 		for _, tenant := range n.Registry().Tenants() {
 			l.hosted = append(l.hosted, tenant.Config())
 		}
@@ -191,44 +220,64 @@ func TestSimHostsTenantsAsGlimmerd(t *testing.T) {
 		}
 	}
 	seam := durable.Config{FlushBytes: 1 << 30, FlushInterval: time.Hour}
+	// Fleet lives: the coordinator, the three nodes, a restart per drain
+	// (one a round) and the crashed owner's restart.
+	fleetLives := 1 + fleetNodes + fleetRounds + 1
 	for _, sc := range []struct {
-		name      string
-		lives     int  // node lives the scenario starts, at least
-		listening int  // of them with a listener, at least
-		ticketed  bool // some tenant is on the ticketed path
-		run       func() error
+		name        string
+		lives       int  // node lives the scenario starts, at least
+		listening   int  // of them with a listener, at least
+		ticketed    bool // some tenant is on the ticketed path
+		coordinated bool // the world has a coordinator
+		run         func() error
 	}{
-		{"signed", 1, 0, false, plan(TransportDirect, small)},
-		{"ticketed", 1, 0, true, plan(TransportDirect, ticketed)},
-		{"multi-tenant", 1, 0, true, plan(TransportDirect, small, ticketed, bots)},
-		{"multi-tenant TLS", 1, 1, true, plan(TransportTLS, small, ticketed, bots)},
-		{"fleet", fleetNodes + 1, 0, false, func() error { _, err := RunFleet(t.TempDir(), FleetConfig{Seed: 3}); return err }},
-		{"edge", 2, 2, false, func() error { _, err := RunEdgeAdversary(EdgeConfig{Seed: 3}); return err }},
-		{"crash", 2, 0, true, func() error { _, err := RunCrashRecovery(t.TempDir(), CrashConfig{Seed: 3}); return err }},
-		{"durable world", 2, 0, false, func() error { durableWorld(t, 2, 4, 1); return nil }},
+		{"signed", 1, 0, false, false, plan(TransportDirect, small)},
+		{"ticketed", 1, 0, true, false, plan(TransportDirect, ticketed)},
+		{"multi-tenant", 1, 0, true, false, plan(TransportDirect, small, ticketed, bots)},
+		{"multi-tenant TLS", 1, 1, true, false, plan(TransportTLS, small, ticketed, bots)},
+		{"fleet", fleetLives, 1, false, true, func() error { _, err := RunFleet(t.TempDir(), FleetConfig{Seed: 3}); return err }},
+		{"edge", 2, 2, false, false, func() error { _, err := RunEdgeAdversary(EdgeConfig{Seed: 3}); return err }},
+		{"crash", 2, 0, true, false, func() error { _, err := RunCrashRecovery(t.TempDir(), CrashConfig{Seed: 3}); return err }},
+		{"durable fleet", 3, 1, false, true, func() error { durableWorld(t, 2, 4, 1); return nil }},
 	} {
 		lives = nil
 		if err := sc.run(); err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
+		var ring *fleet.Ring
+		coordinators, coordinator := 0, ""
+		for _, l := range lives {
+			if l.Hub != nil {
+				coordinators, coordinator = coordinators+1, l.addr
+			} else if ring == nil {
+				ring = l.Ring
+			}
+		}
+		if coordinators > 1 || (coordinators == 1) != sc.coordinated {
+			t.Errorf("%s: %d coordinator lives, want one: %v", sc.name, coordinators, sc.coordinated)
+		}
 		listening, withTickets := 0, 0
 		for _, l := range lives {
-			ring := lives[0].Ring
-			if ring == nil || l.Ring != ring || !slices.Contains(ring.Nodes(), l.NodeID) {
+			if l.Hub != nil {
+				if l.NodeID != 0 || l.Ring != nil || l.Coordinator != "" || !l.listening || l.addr == "" {
+					t.Errorf("%s: coordinator is node %d on ring %p shipping to %q, listening %v at %q; want glimmerd -coordinator self",
+						sc.name, l.NodeID, l.Ring, l.Coordinator, l.listening, l.addr)
+				}
+			} else if ring == nil || l.Ring != ring || !slices.Contains(ring.Nodes(), l.NodeID) {
 				t.Errorf("%s: node %d started on ring %p, want its world's ring %p, which names it", sc.name, l.NodeID, l.Ring, ring)
 				continue
-			}
-			if l.Hub != nil || l.Coordinator != "" {
-				t.Errorf("%s: node %d is a coordinator or ships to one (%q)", sc.name, l.NodeID, l.Coordinator)
+			} else if l.Coordinator != coordinator {
+				t.Errorf("%s: node %d ships to %q, want its world's coordinator %q", sc.name, l.NodeID, l.Coordinator, coordinator)
 			}
 			if l.WAL != (durable.Config{}) && l.WAL != seam {
 				t.Errorf("%s: node %d runs its WAL at %+v, want durable's defaults or %+v", sc.name, l.NodeID, l.WAL, seam)
 			}
 			for _, h := range l.hosted {
 				for round := uint64(1); round <= 64; round++ {
-					if want := ring.Owner([]byte(h.Name), round) == l.NodeID; h.Owns == nil || h.Owns(round) != want {
-						t.Fatalf("%s: node %d's tenant %s owns round %d = %v, its ring says %v",
-							sc.name, l.NodeID, h.Name, round, h.Owns != nil && h.Owns(round), want)
+					want := l.Ring == nil || ring.Owner([]byte(h.Name), round) == l.NodeID
+					if got := h.Owns == nil || h.Owns(round); got != want || (h.Owns == nil) != (l.Ring == nil) {
+						t.Fatalf("%s: node %d's tenant %s owns round %d = %v (placed: %v), its ring says %v",
+							sc.name, l.NodeID, h.Name, round, got, h.Owns != nil, want)
 					}
 				}
 				ttl := int64(0)

@@ -45,20 +45,24 @@ func positiveOr(v, def int) int {
 	return v
 }
 
-// world is what build made: the tenants, the nodes hosting all of them
-// (a crashed node's restart replaces its entry), their ring, and one
-// script per tenant.
+// world is what build made: the tenants, the nodes hosting all of them (a
+// restarted node's next life replaces its entry), their ring and its
+// coordinator (nil in a world without one), and one script per tenant.
 type world struct {
-	tenants []*testbed.Tenant
-	nodes   map[uint32]*node
-	ring    *fleet.Ring
-	scripts []*script
+	tenants     []*testbed.Tenant
+	nodes       map[uint32]*node
+	ring        *fleet.Ring
+	coordinator *node
+	scripts     []*script
 }
 
-// shutdown drains every node, then destroys every tenant.
+// shutdown drains every node, the coordinator last, then destroys every tenant.
 func (w *world) shutdown() {
 	for _, n := range w.nodes {
 		n.shutdown()
+	}
+	if w.coordinator != nil {
+		w.coordinator.shutdown()
 	}
 	for _, t := range w.tenants {
 		t.Destroy()
@@ -79,10 +83,6 @@ type script struct {
 	// only over the full cohort, so any lost or doubled contribution
 	// poisons the sum loudly).
 	values map[uint64][]fixed.Vector
-	// hub is the merge coordinator. It never sees an unblinded value and
-	// holds no node registry: identities pin on first use and the pins
-	// span rounds, so a key swap in any later round is caught.
-	hub *service.MergeHub
 
 	round  uint64
 	placed [2]uint32         // node id by place, for the round in play
@@ -97,17 +97,16 @@ type script struct {
 	injected     map[uint32]refusals
 	refusedSeals uint64
 
-	mergedRounds   int
-	mergedContribs uint64
-	sumDigests     map[uint64]string
+	sumDigests map[uint64]string
 }
 
 // build is the one world builder: substrate → every tenant of the world
 // (each fleet provisioned with masks for its spec.Rounds, honest values
-// drawn from its seed) → a consistent-hash ring → nodes, each cold-started
-// from its spec with all the tenants in node.Config.Tenants and the ring
-// in node.Config.Ring, as glimmerd starts with -peers. The world holds one
-// script per spec, in order.
+// drawn from its seed) → nodes, each cold-started from its spec hosting
+// all the tenants. A spec with a Hub and no NodeID is glimmerd
+// -coordinator self and starts first; the others get the ring over their
+// IDs and the coordinator's address, as glimmerd's -peers and
+// -coordinator give. The world holds one script per spec, in order.
 func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 	sub, err := testbed.New()
 	if err != nil {
@@ -125,16 +124,8 @@ func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 		w.scripts = append(w.scripts, newScript(w, t))
 		hosted = append(hosted, t.Config())
 	}
-	ids := make([]uint32, 0, len(nodes))
-	for _, ns := range nodes {
-		ids = append(ids, ns.NodeID)
-	}
-	if w.ring, err = fleet.NewRing(ids, 0); err != nil {
-		w.shutdown()
-		return nil, err
-	}
-	for _, ns := range nodes {
-		ns.Tenants, ns.Ring = hosted, w.ring
+	coldStart := func(ns nodeSpec) (*node, error) {
+		ns.Tenants = hosted
 		n, err := startNode(sub, ns)
 		if err != nil {
 			w.shutdown()
@@ -145,7 +136,29 @@ func build(specs []testbed.TenantSpec, nodes ...nodeSpec) (*world, error) {
 				s.violate("node %d cold start found state in a fresh dir: %+v", ns.NodeID, n.Recovered())
 			}
 		}
-		w.nodes[ns.NodeID] = n
+		return n, nil
+	}
+	var members []nodeSpec
+	ids := make([]uint32, 0, len(nodes))
+	for _, ns := range nodes {
+		if ns.Hub == nil || ns.NodeID != 0 {
+			members, ids = append(members, ns), append(ids, ns.NodeID)
+		} else if w.coordinator, err = coldStart(ns); err != nil {
+			return nil, err
+		}
+	}
+	if w.ring, err = fleet.NewRing(ids, 0); err != nil {
+		w.shutdown()
+		return nil, err
+	}
+	for _, ns := range members {
+		ns.Ring = w.ring
+		if w.coordinator != nil {
+			ns.Coordinator = w.coordinator.addr
+		}
+		if w.nodes[ns.NodeID], err = coldStart(ns); err != nil {
+			return nil, err
+		}
 	}
 	return w, nil
 }
@@ -158,7 +171,6 @@ func newScript(w *world, t *testbed.Tenant) *script {
 		checker:    new(checker),
 		t:          t,
 		values:     make(map[uint64][]fixed.Vector, len(t.Rounds)),
-		hub:        &service.MergeHub{AllowTOFU: true},
 		owners:     make(map[uint64]uint32),
 		raws:       make(map[uint64][][]byte),
 		seals:      make(map[sealRef][]byte),
@@ -352,9 +364,22 @@ func seal(at place) step {
 	return onNode(at, "seal", func(s *script, n *node) error { return n.manager(s.t).Seal(s.round) })
 }
 
-// crash kills node at (see node.kill) and restarts it from its spec. The
-// restart must load a snapshot that exists, report a torn tail it skips,
-// and replay without errors.
+// restart starts the next life of a node whose last one ended, from its
+// spec; the new life must replay without errors.
+func (s *script) restart(last *node) (*node, error) {
+	n, err := startNode(last.sub, last.nodeSpec)
+	if err != nil {
+		return nil, err
+	}
+	s.nodes[n.NodeID] = n
+	if n.Recovered().ReplayErrors != 0 {
+		s.violate("node %d replay reported %d errors", n.NodeID, n.Recovered().ReplayErrors)
+	}
+	return n, nil
+}
+
+// crash kills node at (see node.kill) and restarts it. The restart must
+// load a snapshot that exists and report a torn tail it skips.
 func crash(at place, tornTail bool) step {
 	return func(s *script) error {
 		dead := s.at(at)
@@ -365,19 +390,38 @@ func crash(at place, tornTail bool) step {
 		if err := dead.kill(tornTail); err != nil {
 			return err
 		}
-		n, err := startNode(dead.sub, dead.nodeSpec)
+		n, err := s.restart(dead)
 		if err != nil {
 			return err
 		}
-		s.nodes[n.NodeID] = n
 		if statErr == nil && !n.Recovered().SnapshotLoaded {
 			s.violate("restarted node %d did not load the snapshot", n.NodeID)
 		}
 		if tornTail && n.Recovered().TruncatedBytes == 0 {
 			s.violate("restarted node %d did not report the torn WAL tail", n.NodeID)
 		}
-		if n.Recovered().ReplayErrors != 0 {
-			s.violate("node %d replay reported %d errors", n.NodeID, n.Recovered().ReplayErrors)
+		return nil
+	}
+}
+
+// drain is glimmerd's SIGTERM and restart on node at: node.Drain seals
+// the round in play, ships its partial seal to the coordinator over TCP,
+// which must absorb it, and closes the round on the answer; the next life
+// must hold the round closed, so it never ships again.
+func drain(at place) step {
+	return func(s *script) error {
+		rep, err := s.at(at).Drain()
+		if err != nil {
+			return fmt.Errorf("sim: round %d drain: %w", s.round, err)
+		}
+		if sh := rep.Shipped; len(sh) != 1 || sh[0].Err != nil || sh[0].Merge.Service != s.t.Name || sh[0].Merge.Round != s.round {
+			s.violate("round %d: node %d shipped %+v, want the round absorbed", s.round, s.placed[at], sh)
+		}
+		if _, err := s.restart(s.at(at)); err != nil {
+			return err
+		}
+		if p, ok := s.pipeline(at); !ok || !errors.Is(p.Seal(), service.ErrRoundClosed) {
+			s.violate("round %d: node %d's next life does not hold the round closed", s.round, s.placed[at])
 		}
 		return nil
 	}
@@ -480,20 +524,6 @@ func (s *script) sealBytes(src sealSrc) ([]byte, error) {
 	return raw, nil
 }
 
-// merge hands a genuine seal to the coordinator, which must absorb it.
-func merge(src sealSrc) step {
-	return func(s *script) error {
-		raw, err := s.sealBytes(src)
-		if err != nil {
-			return err
-		}
-		if _, err := s.hub.MergePartialSeal(raw); err != nil {
-			s.violate("round %d: coordinator refused a genuine seal: %v", s.round, err)
-		}
-		return nil
-	}
-}
-
 // refuse hands a forged, split, replayed or late seal to the coordinator,
 // which must turn it away with want, leaving the merge undisturbed.
 func refuse(src sealSrc, want error, label string) step {
@@ -503,7 +533,7 @@ func refuse(src sealSrc, want error, label string) step {
 			return err
 		}
 		s.refusedSeals++
-		if _, err := s.hub.MergePartialSeal(raw); !errors.Is(err, want) {
+		if _, err := s.coordinator.Hub.MergePartialSeal(raw); !errors.Is(err, want) {
 			s.violate("round %d %s: got %v, want %v", s.round, label, err, want)
 		}
 		return nil
@@ -515,7 +545,7 @@ func refuse(src sealSrc, want error, label string) step {
 // (which travel in its seal), and records it.
 func merged(wantRejected uint64) step {
 	return func(s *script) error {
-		m, ok := s.hub.Lookup(s.t.Name, s.round)
+		m, ok := s.coordinator.Hub.Lookup(s.t.Name, s.round)
 		if !ok {
 			s.violate("round %d: no merge", s.round)
 			return nil
@@ -524,8 +554,6 @@ func merged(wantRejected uint64) step {
 		res := m.Result()
 		s.expectCount(fmt.Sprintf("round %d merged cohort", s.round), int(res.Count), s.t.Devices)
 		s.expectCount(fmt.Sprintf("round %d merged rejected", s.round), int(res.Rejected), int(wantRejected))
-		s.mergedRounds++
-		s.mergedContribs += res.Count
 		s.sumDigests[s.round] = m.Sum().Digest()
 		return nil
 	}
