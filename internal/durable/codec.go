@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"slices"
 
@@ -31,7 +32,7 @@ import (
 
 // snapshotMagic versions the image encoding; a format change bumps it.
 // An image is the magic, the big-endian generation of the WAL that
-// follows it, then service.RegistryState.Records in WAL frames.
+// follows it, then service.Registry.Records in WAL frames.
 const snapshotMagic = "glimmers/snapshot/v2"
 
 // ErrBadSnapshot reports an image that does not load: a bad header, a torn
@@ -52,8 +53,8 @@ const (
 // always fit maxFramePayload. A variable so tests can split small rounds.
 var imageDigests = 1 << 20
 
-// writeImage encodes st as the image that precedes WAL generation gen.
-func writeImage(w io.Writer, st service.RegistryState, gen uint64) error {
+// writeImage encodes recs as the image that precedes WAL generation gen.
+func writeImage(w io.Writer, recs iter.Seq[service.Record], gen uint64) error {
 	bw := bufio.NewWriterSize(w, walkBuffer)
 	bw.WriteString(snapshotMagic)
 	bw.Write(binary.BigEndian.AppendUint64(nil, gen))
@@ -65,7 +66,7 @@ func writeImage(w io.Writer, st service.RegistryState, gen uint64) error {
 		bw.Write(hdr[:])
 		bw.Write(e.Finish())
 	}
-	for _, rec := range st.Records() {
+	for rec := range recs {
 		for rec.Kind == service.BatchAccepted && len(rec.Digests) > imageDigests {
 			head := rec
 			head.Digests = rec.Digests[:imageDigests]

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -437,7 +438,11 @@ func recoverCrashState(t *testing.T, dir string, state map[string][]byte, checks
 			return err
 		}
 	}
-	for _, ts := range reg.ExportState().Tenants {
+	st := reg.ExportState()
+	if got, want := slices.Collect(reg.Records()), st.Records(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("Records streams %+v, the struct form holds %+v", got, want)
+	}
+	for _, ts := range st.Tenants {
 		for _, rs := range ts.Rounds {
 			if !allowed[rs.Round][roundKey(rs)] {
 				return fmt.Errorf("round %d recovered as %s, a state it never held", rs.Round, roundKey(rs))

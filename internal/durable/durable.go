@@ -283,11 +283,11 @@ func (s *Store) removeHeld(gen uint64) {
 // staged is discarded, and each step is durable before the next: the
 // staged tail is written to the closing WAL and synced; wal.<next> is made
 // and appends move to it; the image and every WAL below next are folded
-// into a blank registry of reg's tenants, whose image naming next is
-// written to snapshot.tmp, synced, renamed, and the directory synced; only
-// then go the WALs it holds. Ingest may run throughout: only the cut
-// holds up the flusher. After a failure the store appends to the WAL it
-// reached, which no image on disk holds.
+// into a blank registry of reg's tenants, whose Records stream a round at
+// a time into snapshot.tmp, the image naming next, which is synced and
+// renamed, and the directory synced; only then go the WALs it holds.
+// Ingest may run throughout: only the cut holds up the flusher. After a
+// failure the store appends to the WAL it reached, which no image holds.
 func (s *Store) Snapshot(reg *service.Registry) error {
 	blank := service.NewRegistry(0)
 	for _, t := range reg.Tenants() {
@@ -308,9 +308,8 @@ func (s *Store) Snapshot(reg *service.Registry) error {
 	if err != nil {
 		return err
 	}
-	st := blank.ExportState()
 	tmp := s.snapshotPath() + ".tmp"
-	img, err := s.create(tmp, s.snapshotPath(), 0o644, func(w io.Writer) error { return writeImage(w, st, next) })
+	img, err := s.create(tmp, s.snapshotPath(), 0o644, func(w io.Writer) error { return writeImage(w, blank.Records(), next) })
 	var fi os.FileInfo
 	if err == nil {
 		fi, err = img.Stat()
@@ -325,7 +324,7 @@ func (s *Store) Snapshot(reg *service.Registry) error {
 	s.stats.WALBytes -= held
 	s.stats.ImageBytes = uint64(fi.Size())
 	s.mu.Unlock()
-	s.audit("snapshot-taken", "generation=%d tenants=%d bytes=%d folded_wals=%d", next, len(st.Tenants), fi.Size(), fd.wals)
+	s.audit("snapshot-taken", "generation=%d tenants=%d bytes=%d folded_wals=%d", next, len(blank.Tenants()), fi.Size(), fd.wals)
 	return nil
 }
 

@@ -3,9 +3,11 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"iter"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -105,13 +107,24 @@ func testState(t *testing.T) service.RegistryState {
 	}
 }
 
-// encodeImage is the image writeImage puts on disk for st.
-func encodeImage(st service.RegistryState, gen uint64) []byte {
+// encodeImage is the image writeImage puts on disk for recs.
+func encodeImage(recs iter.Seq[service.Record], gen uint64) []byte {
 	var b bytes.Buffer
-	if err := writeImage(&b, st, gen); err != nil {
+	if err := writeImage(&b, recs, gen); err != nil {
 		panic(err) // a bytes.Buffer does not fail a write
 	}
 	return b.Bytes()
+}
+
+// fixtureImage is the image Snapshot writes of testState: the state
+// restored into a registry, streamed through Registry.Records.
+func fixtureImage(t *testing.T, gen uint64) []byte {
+	t.Helper()
+	reg := newTestRegistry(t)
+	if err := reg.RestoreState(testState(t)); err != nil {
+		t.Fatal(err)
+	}
+	return encodeImage(reg.Records(), gen)
 }
 
 // loadImageBytes applies an in-memory image to reg.
@@ -122,7 +135,7 @@ func loadImageBytes(reg *service.Registry, img []byte) (uint64, error) {
 // The acceptance criterion: export → image → load → export → image
 // must round-trip byte-identically.
 func TestSnapshotRoundTripByteIdentical(t *testing.T) {
-	enc1 := encodeImage(testState(t), 7)
+	enc1 := encodeImage(slices.Values(testState(t).Records()), 7)
 	reg := newTestRegistry(t)
 	gen, err := loadImageBytes(reg, enc1)
 	if err != nil {
@@ -131,7 +144,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 	if gen != 7 {
 		t.Fatalf("generation = %d, want 7", gen)
 	}
-	enc2 := encodeImage(reg.ExportState(), 7)
+	enc2 := encodeImage(reg.Records(), 7)
 	if !bytes.Equal(enc1, enc2) {
 		t.Fatalf("snapshot not byte-identical after restore:\n enc1: %x\n enc2: %x", enc1, enc2)
 	}
@@ -147,7 +160,7 @@ func TestRestoreRefusesConfigMismatch(t *testing.T) {
 	// Through the store, the mismatch is a record the image's Apply
 	// refuses: the image does not load.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot"), encodeImage(st, 1), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), encodeImage(slices.Values(st.Records()), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenConfig(dir, Config{})
@@ -163,7 +176,7 @@ func TestRestoreRefusesConfigMismatch(t *testing.T) {
 // valid image — a frame boundary included, which only the image's closing
 // record can tell from its end — fails Recover with ErrBadSnapshot.
 func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
-	full := encodeImage(testState(t), 1)
+	full := fixtureImage(t, 1)
 	bad := [][]byte{[]byte("x"), bytes.Repeat([]byte{0xFF}, 64)}
 	for n := 0; n < len(full); n++ {
 		bad = append(bad, full[:n])
@@ -290,7 +303,7 @@ func TestStoreRecoverReplaysWAL(t *testing.T) {
 	if !stats.SnapshotLoaded || stats.Records != 0 {
 		t.Fatalf("stats = %+v, want the snapshot alone", stats)
 	}
-	if replayed, restored := encodeImage(regB.ExportState(), 1), encodeImage(regC.ExportState(), 1); !bytes.Equal(replayed, restored) {
+	if replayed, restored := encodeImage(regB.Records(), 1), encodeImage(regC.Records(), 1); !bytes.Equal(replayed, restored) {
 		t.Fatalf("restored image diverges from the replayed registry:\nreplayed %x\nrestored %x", replayed, restored)
 	}
 }
@@ -434,7 +447,7 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 
 	// And the recovered registry exports the same image the writer
 	// would: byte-identical continuation.
-	if !bytes.Equal(encodeImage(regA.ExportState(), 9), encodeImage(regB.ExportState(), 9)) {
+	if !bytes.Equal(encodeImage(regA.Records(), 9), encodeImage(regB.Records(), 9)) {
 		t.Fatal("recovered registry diverges from the one that wrote the snapshot")
 	}
 }

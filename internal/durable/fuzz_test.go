@@ -62,12 +62,12 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("good offset %d out of range", good)
 		}
 		// The replayed registry's image must load and export the same image.
-		img := encodeImage(reg.ExportState(), 1)
+		img := encodeImage(reg.Records(), 1)
 		again := fuzzRegistry()
 		if _, err := loadImageBytes(again, img); err != nil {
 			t.Fatalf("replayed registry writes an image that does not load: %v", err)
 		}
-		if re := encodeImage(again.ExportState(), 1); !bytes.Equal(re, img) {
+		if re := encodeImage(again.Records(), 1); !bytes.Equal(re, img) {
 			t.Fatalf("image round trip diverged:\n got %x\nwant %x", re, img)
 		}
 	})

@@ -67,7 +67,7 @@ func goldenWAL() []byte {
 }
 
 func TestGoldenSnapshot(t *testing.T) {
-	got := encodeImage(testState(t), 7)
+	got := fixtureImage(t, 7)
 	if maybeUpdateGolden(t, "snapshot.hex", got) {
 		t.Skip("updated testdata/snapshot.hex")
 	}
@@ -132,7 +132,7 @@ func TestUpdateFuzzSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := encodeImage(testState(t), 7)
+	snap := fixtureImage(t, 7)
 	write("FuzzRecoverImage", "seed_valid", snap)
 	write("FuzzRecoverImage", "seed_truncated", snap[:len(snap)/2])
 	write("FuzzRecoverImage", "seed_magic_only", []byte(snapshotMagic))

@@ -342,7 +342,7 @@ func snapshotAndRecover(t *testing.T, dir string, regA *service.Registry, sA *St
 	if err := sA.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := encodeImage(regA.ExportState(), sA.gen)
+	want := encodeImage(regA.Records(), sA.gen)
 	if onDisk, err := os.ReadFile(filepath.Join(dir, "snapshot")); err != nil || !bytes.Equal(onDisk, want) {
 		t.Fatalf("image on disk differs from the export's (err %v)", err)
 	}
@@ -351,7 +351,7 @@ func snapshotAndRecover(t *testing.T, dir string, regA *service.Registry, sA *St
 	if !stats.SnapshotLoaded || stats.Records != 0 {
 		t.Fatalf("stats = %+v, want the image alone", stats)
 	}
-	if got := encodeImage(regB.ExportState(), sA.gen); !bytes.Equal(got, want) {
+	if got := encodeImage(regB.Records(), sA.gen); !bytes.Equal(got, want) {
 		t.Fatalf("recovered export differs:\n got %x\nwant %x", got, want)
 	}
 	return regB

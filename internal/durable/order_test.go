@@ -367,7 +367,7 @@ func TestSignedFrameOneWatermark(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	live := encodeImage(reg.ExportState(), 1)
+	live := encodeImage(reg.Records(), 1)
 	if accepted, errs := reg.IngestBatch(staged); accepted != n {
 		t.Fatalf("second frame: %d of %d accepted, errs %v", accepted, n, errs)
 	}
@@ -391,7 +391,7 @@ func TestSignedFrameOneWatermark(t *testing.T) {
 	if stats.Records != 2 || stats.ReplayErrors != 0 {
 		t.Fatalf("recovery replayed %d records with %d errors, want 2 and 0", stats.Records, stats.ReplayErrors)
 	}
-	if recovered := encodeImage(regB.ExportState(), 1); !bytes.Equal(recovered, live) {
+	if recovered := encodeImage(regB.Records(), 1); !bytes.Equal(recovered, live) {
 		t.Fatal("recovered state differs from the live registry's at the flush")
 	}
 	if accepted, errs := regB.IngestBatch(staged); accepted != n {

@@ -27,9 +27,6 @@ type Session struct {
 	batchScratch [][]byte
 }
 
-// RemoteAddr returns the client's address.
-func (s *Session) RemoteAddr() net.Addr { return s.conn.RemoteAddr() }
-
 func (s *Session) close() {
 	if s.dev != nil {
 		s.dev.Destroy()

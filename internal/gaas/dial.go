@@ -91,10 +91,11 @@ func DialContext(ctx context.Context, addr string, cfg DialConfig) (*Client, err
 }
 
 // clientOver builds DialContext's client over an established transport
-// conn: TLS when configured (bounded by HandshakeTimeout), then NewClient.
-// It owns conn: on error, what it built over conn is closed.
+// conn: TLS when configured (bounded by HandshakeTimeout), then the
+// attested user handshake unless cfg.NoSession (bounded by the same
+// timeout). It owns conn: on error, what it built over conn is closed.
 func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, error) {
-	var frames io.Writer = conn
+	c := &Client{conn: conn, frames: conn, callTimeout: cfg.CallTimeout}
 	if cfg.TLS != nil {
 		co := &coalesceConn{Conn: conn}
 		tconn := tls.Client(co, cfg.TLS)
@@ -108,36 +109,20 @@ func clientOver(ctx context.Context, conn net.Conn, cfg DialConfig) (*Client, er
 			conn.Close()
 			return nil, fmt.Errorf("gaas: tls handshake: %w", err)
 		}
-		conn, frames = tconn, &frameWriter{tls: tconn, co: co}
+		c.conn, c.frames = tconn, &frameWriter{tls: tconn, co: co}
 	}
-	c, err := newClient(conn, frames, cfg)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewClient wraps an established connection under cfg, running the
-// attested user handshake unless cfg.NoSession. The caller retains
-// ownership of conn when the handshake fails.
-func NewClient(conn net.Conn, cfg DialConfig) (*Client, error) {
-	return newClient(conn, conn, cfg)
-}
-
-// newClient is NewClient writing its request frames to frames.
-func newClient(conn net.Conn, frames io.Writer, cfg DialConfig) (*Client, error) {
-	c := &Client{conn: conn, frames: frames, callTimeout: cfg.CallTimeout}
 	if cfg.NoSession {
 		return c, nil
 	}
 	if cfg.HandshakeTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(cfg.HandshakeTimeout)); err != nil {
+		if err := c.conn.SetDeadline(time.Now().Add(cfg.HandshakeTimeout)); err != nil {
+			c.conn.Close()
 			return nil, fmt.Errorf("gaas: handshake deadline: %w", err)
 		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort disarm
+		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort disarm
 	}
 	if err := c.handshake(cfg.Verifier, cfg.Service, cfg.KnownHosts); err != nil {
+		c.conn.Close()
 		return nil, err
 	}
 	return c, nil

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,14 +179,14 @@ func TestCompactionBoundsWAL(t *testing.T) {
 	if err := n.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := reg.ExportState()
+	want := slices.Collect(reg.Records())
 	n.Kill()
 	again := w.startLocal(t, dir, wal)
 	defer again.Kill()
 	if !again.Recovered().SnapshotLoaded {
 		t.Fatalf("restart did not load an image: %+v", again.Recovered())
 	}
-	if got := again.Registry().ExportState(); !reflect.DeepEqual(got, want) {
+	if got := slices.Collect(again.Registry().Records()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restart holds %+v, want %+v", got, want)
 	}
 }

@@ -65,8 +65,9 @@ func Hosting(ticketTTL int64) service.TenantConfig {
 	return h
 }
 
-// shipTimeout bounds dialing the merge coordinator at drain.
-const shipTimeout = 30 * time.Second
+// shipTimeout bounds dialing the merge coordinator at drain, and each
+// call on that connection. A variable for tests.
+var shipTimeout = 30 * time.Second
 
 // Config describes one node, in the shape of gaas.ServerConfig one level
 // up: plain fields, one Start.
@@ -392,7 +393,10 @@ func (n *Node) Drain() (Report, error) {
 // the coordinator answers — absorbs the seal or refuses it with one of
 // wire.MergeRefusals — so it ships once (a node that dies before the close
 // is durable re-sends it, and reads the replay refusal as the answer). Any
-// other failure is reported, not fatal, and leaves the round sealed.
+// other failure is reported, not fatal, and leaves the round sealed. A dial
+// or transport failure ends the connection: no later round is sent on it,
+// so a coordinator that never answers holds Drain for one dial and one
+// call, and every round it held up ships at the next drain.
 func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 	merge := func(seal []byte) (wire.MergeResult, error) {
 		reply, err := n.cfg.Hub.MergePartialSeal(seal)
@@ -401,16 +405,16 @@ func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 		}
 		return wire.DecodeMergeResult(reply)
 	}
+	var lost error // the dial or transport failure that ended the connection
 	if n.cfg.Coordinator != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 		defer cancel()
-		dial := gaas.DialConfig{NoSession: true}
+		dial := gaas.DialConfig{NoSession: true, CallTimeout: shipTimeout}
 		if n.cfg.Edge.TLS != nil {
 			dial.TLS = gaas.InsecureClientTLS()
 		}
-		client, err := gaas.DialContext(ctx, n.cfg.Coordinator, dial)
-		merge = func([]byte) (wire.MergeResult, error) { return wire.MergeResult{}, err }
-		if err == nil {
+		var client *gaas.Client
+		if client, lost = gaas.DialContext(ctx, n.cfg.Coordinator, dial); lost == nil {
 			defer client.Close()
 			merge = client.MergePartialSeal
 		}
@@ -425,13 +429,16 @@ func (n *Node) shipPartialSeals(rounds []sealedRound) []Shipment {
 			out[i].Err = fmt.Errorf("partial seal %s round %d: %w", r.tenant, r.round, err)
 			continue
 		}
-		out[i].Merge, err = merge(raw)
+		if err = lost; err == nil {
+			out[i].Merge, err = merge(raw)
+		}
 		if err == nil || slices.ContainsFunc(wire.MergeRefusals, func(s error) bool { return errors.Is(err, s) }) {
 			r.p.Close()
 		}
 		if errors.Is(err, gaas.ErrRemote) || err != nil && n.cfg.Coordinator == "" {
 			out[i].Err = fmt.Errorf("coordinator refused %s round %d: %w", r.tenant, r.round, err)
 		} else if err != nil {
+			lost = err
 			out[i].Err = fmt.Errorf("shipping %s round %d: %w", r.tenant, r.round, err)
 		}
 	}

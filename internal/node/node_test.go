@@ -2,13 +2,18 @@ package node
 
 import (
 	"context"
+	"crypto/tls"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,6 +419,97 @@ func TestUnansweredRoundShipsAtNextDrain(t *testing.T) {
 	}
 	if sh := life(listen(&service.MergeHub{AllowTOFU: true}), false); len(sh) != 1 || sh[0].Err != nil || sh[0].Merge.Count != 5 {
 		t.Errorf("life 2 shipped %+v, want round 3 absorbed with 5 contributions", sh)
+	}
+}
+
+// TestDrainBoundedBySilentCoordinator: a coordinator that completes the
+// TLS handshake and never answers holds Drain for one call, not one per
+// round: the first round's call times out, the second is not sent, and
+// both stay sealed with a transport error until the next drain ships them
+// to a coordinator that answers.
+func TestDrainBoundedBySilentCoordinator(t *testing.T) {
+	defer func(d time.Duration) { shipTimeout = d }(shipTimeout)
+	shipTimeout = 200 * time.Millisecond
+	w, dir := newWorld(t), t.TempDir()
+	tlsConf, err := gaas.SelfSignedServerTLS("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := tls.Listen("tcp", "127.0.0.1:0", tlsConf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	var frames atomic.Int32
+	go func() {
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			go func() { // handshakes, reads frames, never answers
+				var hdr [4]byte
+				for {
+					if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+						return
+					}
+					frames.Add(1)
+					io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[:])))
+				}
+			}()
+		}
+	}()
+
+	n, addr := w.startAs(t, dir, durable.Config{}, func(c *Config) { c.NodeID, c.Coordinator = 1, silent.Addr().String() })
+	w.session(t, addr, 3, 2)
+	w.session(t, addr, 4, 2)
+	done := make(chan Report, 1)
+	start := time.Now()
+	go func() {
+		rep, err := n.Drain()
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rep
+	}()
+	var rep Report
+	select {
+	case rep = <-done:
+	case <-time.After(3 * shipTimeout):
+		t.Fatalf("Drain still blocked on a silent coordinator after %v", 3*shipTimeout)
+	}
+	if len(rep.Shipped) != 2 {
+		t.Fatalf("shipped %+v after %v, want rounds 3 and 4", rep.Shipped, time.Since(start))
+	}
+	for i, sh := range rep.Shipped {
+		if want := fmt.Sprintf("shipping %s round %d: ", testService, 3+i); sh.Err == nil || errors.Is(sh.Err, gaas.ErrRemote) ||
+			!strings.HasPrefix(sh.Err.Error(), want) || !errors.Is(sh.Err, os.ErrDeadlineExceeded) {
+			t.Errorf("shipment %d: err = %v, want %q and a call timeout", i, sh.Err, want)
+		}
+	}
+	if got := frames.Load(); got != 1 {
+		t.Errorf("the silent coordinator read %d frames, want 1: no round is sent after a transport failure", got)
+	}
+	sealed := 0
+	for rec := range n.Registry().Records() {
+		if rec.Kind == service.RoundSealed {
+			sealed++
+		}
+	}
+	if sealed != 2 {
+		t.Errorf("%d rounds left sealed, want 2", sealed)
+	}
+
+	coord, coordAddr := w.coordinator(t, &service.MergeHub{AllowTOFU: true})
+	defer coord.Kill()
+	again, _ := w.startAs(t, dir, durable.Config{}, func(c *Config) { c.NodeID, c.Coordinator = 1, coordAddr })
+	rep, err = again.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shipped) != 2 || rep.Shipped[0].Err != nil || rep.Shipped[1].Err != nil ||
+		rep.Shipped[0].Merge.Count != 2 || rep.Shipped[1].Merge.Count != 2 {
+		t.Fatalf("next drain shipped %+v, want rounds 3 and 4 absorbed with 2 contributions each", rep.Shipped)
 	}
 }
 

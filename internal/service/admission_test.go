@@ -75,8 +75,8 @@ func (j *tapeJournal) Append(rec Record) {
 }
 
 // replayInto plays the tape into r, a fresh registry of the same tenants,
-// and returns its exported state.
-func (j *tapeJournal) replayInto(t testing.TB, r *Registry) RegistryState {
+// and returns its records.
+func (j *tapeJournal) replayInto(t testing.TB, r *Registry) []Record {
 	t.Helper()
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -85,7 +85,7 @@ func (j *tapeJournal) replayInto(t testing.TB, r *Registry) RegistryState {
 			t.Errorf("replay: %v", err)
 		}
 	}
-	return r.ExportState()
+	return slices.Collect(r.Records())
 }
 
 // modelRound and modelTenant are the sequential model: what a tenant holds
@@ -388,7 +388,7 @@ func TestAdmissionConcurrent(t *testing.T) {
 	}
 	// The probes above were refused by detached pipelines, which still
 	// journal; replay drops records for rounds the registry no longer holds.
-	if got, want := tape.replayInto(t, admissionRegistry(t, budget, nil)), reg.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := tape.replayInto(t, admissionRegistry(t, budget, nil)), slices.Collect(reg.Records()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -495,7 +495,7 @@ func TestDropoutRacesSeal(t *testing.T) {
 	if got := p.Sum(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sealed sum = %v, want accepted + masks = %v", got, want)
 	}
-	if got, want := tape.replayInto(t, newRegistry()), reg.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := tape.replayInto(t, newRegistry()), slices.Collect(reg.Records()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -553,8 +553,8 @@ func TestForgetJournalsBeforeRecreate(t *testing.T) {
 		rounds[0].Phase != RoundPhaseOpen || len(rounds[0].Digests) != 1 {
 		t.Fatalf("live registry holds %+v, want round %d open with the one re-created contribution", rounds, round)
 	}
-	if got := tape.replayInto(t, admissionRegistry(t, 0, nil)); !reflect.DeepEqual(got, live) {
-		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, live)
+	if got, want := tape.replayInto(t, admissionRegistry(t, 0, nil)), slices.Collect(reg.Records()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed journal diverges from the live registry:\n got %+v\nwant %+v", got, want)
 	}
 	var kinds []RecordKind
 	for _, rec := range tape.recs {

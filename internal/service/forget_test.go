@@ -155,7 +155,8 @@ func TestForgetRacesIngest(t *testing.T) {
 						}
 					}
 				}
-				reg.ExportState()
+				for range reg.Records() {
+				}
 			}
 		}()
 	}

@@ -461,7 +461,7 @@ func TestOwnsGatesOnlyIngestCreation(t *testing.T) {
 			t.Errorf("live round 1 refused ingest: %v", err)
 		}
 	}
-	want := r.ExportState()
+	want := slices.Collect(r.Records())
 	if got := tape.replayInto(t, registry(nil)); !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed state differs:\n got %+v\nwant %+v", got, want)
 	}
@@ -631,5 +631,79 @@ func TestRegistryConcurrentMixedIngest(t *testing.T) {
 	}
 	if total != lanes*perLane {
 		t.Fatalf("total accepted = %d, want %d", total, lanes*perLane)
+	}
+}
+
+// TestRegistryRecordsStreamTheExport: the stream Snapshot writes is the
+// struct form's records, record for record — tenants with and without
+// tickets; open, sealed and closed rounds; refusals at all three levels —
+// and a consumer may stop it after any record.
+func TestRegistryRecordsStreamTheExport(t *testing.T) {
+	r := NewRegistry(0)
+	owns := func(round uint64) bool { return round < 9 }
+	for i, name := range []string{"b.example", "a.example", "c.example"} {
+		cfg := TenantConfig{Name: name, Dim: 2, Owns: owns}
+		if i < 2 {
+			cfg.TicketPolicy = &TicketConfig{}
+		}
+		if _, err := r.AddTenant(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tn := range r.Tenants() {
+		name, m := tn.Config().Name, tn.Manager()
+		if m.cfg.tickets != nil {
+			for id := uint64(1); id <= 2; id++ {
+				m.cfg.tickets.install(id, xcrypto.SessionKey{byte(id)}, 1, 4, 1<<40)
+			}
+		}
+		for round := uint64(1); round <= 3; round++ {
+			for i := range 3 {
+				if err := r.Ingest(tenantContribution(t, nil, name, round, 2, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.Ingest(tenantContribution(t, nil, name, 1, 2, 0)); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("duplicate: err = %v", err)
+		}
+		if err := r.Ingest(tenantContribution(t, nil, name, 9, 2, 0)); !errors.Is(err, ErrNotOwner) {
+			t.Fatalf("round 9: err = %v", err)
+		}
+		if m.Seal(2) != nil || m.Seal(3) != nil || m.Close(3) == nil {
+			t.Fatal("seal or close failed")
+		}
+	}
+	if err := r.Ingest([]byte("unroutable")); err == nil {
+		t.Fatal("the registry accepted unroutable bytes")
+	}
+
+	want := r.ExportState().Records()
+	levels := map[RejectLevel]int{}
+	for _, rec := range want {
+		if rec.Kind == Rejected {
+			levels[rec.Level] += rec.Count
+		}
+	}
+	if len(levels) != 3 || levels[LevelRound] != 3 || levels[LevelManager] != 3 || levels[LevelRegistry] != 1 {
+		t.Fatalf("refusals by level %v, want 3 round, 3 manager and 1 registry", levels)
+	}
+	if got := slices.Collect(r.Records()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Records streams\n%+v\nthe struct form holds\n%+v", got, want)
+	}
+	for stop := range want {
+		seen := 0
+		for rec := range r.Records() {
+			if !reflect.DeepEqual(rec, want[seen]) {
+				t.Fatalf("record %d = %+v, want %+v", seen, rec, want[seen])
+			}
+			if seen == stop {
+				break
+			}
+			seen++
+		}
+		if seen != stop {
+			t.Fatalf("stream ended after %d records, before record %d", seen, stop)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 
@@ -222,34 +223,53 @@ func (r *Registry) SetJournal(j Journal) {
 	}
 }
 
-// ExportState copies the registry's state; this walk takes each
-// shard/table lock only long enough to copy. internal/durable exports
-// only the registry it folded its files into, which nothing else
-// mutates, and encodes the copy outside every service lock.
+// ExportState copies the registry's state: the struct form of Records,
+// collected from the same round walk.
 func (r *Registry) ExportState() RegistryState {
 	st := RegistryState{Rejected: uint64(r.rejected.Load())}
 	for _, t := range r.Tenants() { // name-sorted
-		st.Tenants = append(st.Tenants, t.exportState())
+		ts := t.exportHead()
+		ts.Rounds = slices.Collect(t.manager.exportRounds())
+		st.Tenants = append(st.Tenants, ts)
 	}
 	return st
 }
 
-func (t *Tenant) exportState() TenantState {
-	m := t.manager
-	ts := TenantState{
-		Name:         t.cfg.Name,
-		ConfigDigest: t.ConfigDigest(),
-		Rejected:     uint64(m.rejected.Load()),
-	}
-	for _, round := range m.Rounds() { // ascending
-		if p, ok := m.Lookup(round); ok {
-			ts.Rounds = append(ts.Rounds, p.exportRound())
+// Records streams the registry as the journal records that rebuild it, in
+// image order (tenantRecords). Each round is exported under its own locks
+// only when the stream reaches it, so the stream holds one round's digests
+// at a time and yields outside every service lock.
+func (r *Registry) Records() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		for _, t := range r.Tenants() { // name-sorted
+			if !tenantRecords(t.exportHead(), t.manager.exportRounds(), yield) {
+				return
+			}
 		}
+		yield(Record{Kind: Rejected, Level: LevelRegistry, Count: int(r.rejected.Load())})
 	}
+}
+
+// exportHead is the tenant's state but its rounds.
+func (t *Tenant) exportHead() TenantState {
+	m := t.manager
+	ts := TenantState{Name: t.cfg.Name, ConfigDigest: t.ConfigDigest(), Rejected: uint64(m.rejected.Load())}
 	if m.cfg.tickets != nil {
 		ts.Tickets = m.cfg.tickets.exportTickets()
 	}
 	return ts
+}
+
+// exportRounds is the one walk of the live rounds: ascending, each
+// exported under its own locks when the walk reaches it.
+func (m *RoundManager) exportRounds() iter.Seq[RoundState] {
+	return func(yield func(RoundState) bool) {
+		for _, round := range m.Rounds() {
+			if p, ok := m.Lookup(round); ok && !yield(p.exportRound()) {
+				return
+			}
+		}
+	}
 }
 
 func (p *Pipeline) exportRound() RoundState {
@@ -290,31 +310,50 @@ func (t *TicketTable) exportTickets() []TicketState {
 }
 
 // Records is the state as the journal records that rebuild it, in image
-// order: per tenant, a TenantBound, then each round as created, accepted,
-// refused, then sealed or closed, then the tenant's tickets and its
-// manager's refusals; last, the registry's refusals.
+// order: each tenant's (tenantRecords), then the registry's refusals.
 func (st RegistryState) Records() []Record {
 	var recs []Record
 	for _, ts := range st.Tenants {
-		recs = append(recs, Record{Kind: TenantBound, Tenant: ts.Name, Digests: [][32]byte{ts.ConfigDigest}})
-		for _, rs := range ts.Rounds {
-			recs = append(recs,
-				Record{Kind: RoundCreated, Tenant: ts.Name, Round: rs.Round},
-				Record{Kind: BatchAccepted, Tenant: ts.Name, Round: rs.Round, Digests: rs.Digests, Lanes: rs.Sum},
-				Record{Kind: Rejected, Tenant: ts.Name, Round: rs.Round, Level: LevelRound, Count: int(rs.Rejected)})
-			switch rs.Phase {
-			case RoundPhaseSealed:
-				recs = append(recs, Record{Kind: RoundSealed, Tenant: ts.Name, Round: rs.Round})
-			case RoundPhaseClosed:
-				recs = append(recs, Record{Kind: RoundClosed, Tenant: ts.Name, Round: rs.Round})
-			}
-		}
-		for _, tk := range ts.Tickets {
-			recs = append(recs, Record{Kind: TicketGranted, Tenant: ts.Name, Ticket: tk})
-		}
-		recs = append(recs, Record{Kind: Rejected, Tenant: ts.Name, Level: LevelManager, Count: int(ts.Rejected)})
+		tenantRecords(ts, slices.Values(ts.Rounds), func(rec Record) bool {
+			recs = append(recs, rec)
+			return true
+		})
 	}
 	return append(recs, Record{Kind: Rejected, Level: LevelRegistry, Count: int(st.Rejected)})
+}
+
+// tenantRecords is image order, stated once: it yields a TenantBound, then
+// each of rounds as created, accepted, refused, then sealed or closed,
+// then ts's tickets and its manager's refusals. ts.Rounds is not read. It
+// reports whether yield asked for more.
+func tenantRecords(ts TenantState, rounds iter.Seq[RoundState], yield func(Record) bool) bool {
+	if !yield(Record{Kind: TenantBound, Tenant: ts.Name, Digests: [][32]byte{ts.ConfigDigest}}) {
+		return false
+	}
+	for rs := range rounds {
+		recs := []Record{
+			{Kind: RoundCreated, Tenant: ts.Name, Round: rs.Round},
+			{Kind: BatchAccepted, Tenant: ts.Name, Round: rs.Round, Digests: rs.Digests, Lanes: rs.Sum},
+			{Kind: Rejected, Tenant: ts.Name, Round: rs.Round, Level: LevelRound, Count: int(rs.Rejected)},
+		}
+		switch rs.Phase {
+		case RoundPhaseSealed:
+			recs = append(recs, Record{Kind: RoundSealed, Tenant: ts.Name, Round: rs.Round})
+		case RoundPhaseClosed:
+			recs = append(recs, Record{Kind: RoundClosed, Tenant: ts.Name, Round: rs.Round})
+		}
+		for _, rec := range recs {
+			if !yield(rec) {
+				return false
+			}
+		}
+	}
+	for _, tk := range ts.Tickets {
+		if !yield(Record{Kind: TicketGranted, Tenant: ts.Name, Ticket: tk}) {
+			return false
+		}
+	}
+	return yield(Record{Kind: Rejected, Tenant: ts.Name, Level: LevelManager, Count: int(ts.Rejected)})
 }
 
 // RestoreState applies st.Records() to a registry whose tenants have

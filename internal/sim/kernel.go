@@ -108,8 +108,8 @@ func startNode(sub *testbed.Substrate, spec nodeSpec) (*node, error) {
 // started sees every node life the sim starts (a test's hook).
 var started = func(*node) {}
 
-// listen opens the node's listener and the dialer that reaches it:
-// loopback TCP, or TLS-wrapped loopback TCP.
+// listen opens the node's listener and the raw dialer the slowloris probe
+// reaches it by: loopback TCP, or TLS-wrapped loopback TCP.
 func (n *node) listen(cfg *glimnode.Config) error {
 	switch n.transport {
 	case TransportTCP, TransportTLS: // TCP and TLS share the loopback socket

@@ -190,9 +190,9 @@ func runCrash(stateDir string, cfg CrashConfig, flushed, staged int) (*CrashRepo
 				}
 				s.reconcile("second life", n.ledger(n.manager(s.t)), want)
 				// The ticket table survived in full.
-				for _, tn := range n.Registry().ExportState().Tenants {
-					if tn.Name == crashServiceName {
-						rep.TicketsRestored = len(tn.Tickets)
+				for rec := range n.Registry().Records() {
+					if rec.Kind == service.TicketGranted && rec.Tenant == crashServiceName {
+						rep.TicketsRestored++
 					}
 				}
 				s.expectCount("restored tickets", rep.TicketsRestored, all)
@@ -219,11 +219,10 @@ func (s *script) observeSeal(rep *CrashReport, obsDir string) error {
 	if err != nil {
 		return fmt.Errorf("sim: observer recovery: %w", err)
 	}
-	for _, tn := range obs.Registry().ExportState().Tenants {
-		for _, rs := range tn.Rounds {
-			if tn.Name == s.t.Name && rs.Round == s.round && rs.Phase == service.RoundPhaseSealed {
-				rep.SealObserved = true
-			}
+	for rec := range obs.Registry().Records() {
+		if rec.Kind == service.RoundSealed && rec.Tenant == s.t.Name && rec.Round == s.round {
+			rep.SealObserved = true
+			break
 		}
 	}
 	if !rep.SealObserved {

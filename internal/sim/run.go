@@ -136,7 +136,7 @@ func (s *simulation) open(sc *script) (err error) {
 	} else {
 		verifier := &tee.QuoteVerifier{Root: s.t.AS.Root()}
 		verifier.Allow(s.t.Measurement())
-		if s.pool, err = newGaasPool(s.st.dial, verifier, s.t.Name); err != nil {
+		if s.pool, err = newGaasPool(s.st, verifier, s.t.Name); err != nil {
 			return err
 		}
 	}

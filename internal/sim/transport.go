@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"net"
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -66,20 +66,18 @@ func newDirectPool(reg *service.Registry) *transportPool {
 	return p
 }
 
-// newGaasPool dials submitters gaas clients (each with its own attested
-// handshake, like independent submitting hosts) and wraps them as
-// tally-only lanes.
-func newGaasPool(dial func() (net.Conn, error), verifier *tee.QuoteVerifier, serviceName string) (*transportPool, error) {
+// newGaasPool dials submitters gaas clients to n, over TLS when n serves
+// it (each with its own attested handshake, like independent submitting
+// hosts), and wraps them as tally-only lanes.
+func newGaasPool(n *node, verifier *tee.QuoteVerifier, serviceName string) (*transportPool, error) {
+	dial := gaas.DialConfig{Service: serviceName, Verifier: verifier}
+	if n.transport == TransportTLS {
+		dial.TLS = gaas.InsecureClientTLS()
+	}
 	p := &transportPool{lanes: make([]*lane, 0, submitters)}
 	for i := 0; i < submitters; i++ {
-		conn, err := dial()
+		client, err := gaas.DialContext(context.Background(), n.addr, dial)
 		if err != nil {
-			p.close()
-			return nil, err
-		}
-		client, err := gaas.NewClient(conn, gaas.DialConfig{Service: serviceName, Verifier: verifier})
-		if err != nil {
-			conn.Close()
 			p.close()
 			return nil, err
 		}
