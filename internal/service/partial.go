@@ -19,11 +19,11 @@ import (
 // A fleet node admits only the rounds its ring places on it
 // (TenantConfig.Owns), so a round's one owner holds all of it. Export
 // (Pipeline.PartialSeal) seals the round and emits a signed wire.PartialSeal
-// carrying the blinded sum, the accept/reject accounting and the dedup
-// digests, declaring one partial (NodeSeal.ShardCount 1). Merge (the
-// coordinator side) takes a round's one seal as its exact sum: the
-// coordinator checks who signed it and learns nothing else — it never sees
-// an unblinded value, so it stays outside the trust boundary, the same
+// carrying the blinded sum and the accept/reject accounting, declaring one
+// partial (NodeSeal.ShardCount 1). Merge (the coordinator side) takes a
+// round's one seal as its exact sum: the coordinator checks who signed it
+// and learns nothing else — it never sees an unblinded value or anything
+// per contribution, so it stays outside the trust boundary, the same
 // minimize-the-trusted-core move the paper makes for the service itself.
 //
 // A seal that declares a split round is refused. The fleet gave up
@@ -36,7 +36,7 @@ import (
 // wrong.
 //
 // Retention: a party outside the trust boundary keeps only what it needs to
-// do its job. A merge keeps its sum and counts, never the digests. A
+// do its job. A seal carries a round's sum and counts, never a digest. A
 // MergeHub keeps a fixed number of merges, the oldest retired first; a
 // fixed-size ring of tombstones remembers the keys that left, so a seal for
 // a recently retired round is refused instead of opening a fresh merge.
@@ -54,20 +54,17 @@ type NodeSeal struct {
 }
 
 // PartialSeal seals the round (idempotent; a closed round exports its
-// immutable aggregate) and returns the node's signed partial seal. The
-// export walks the same path durable snapshots use, so the digests are
-// the exact dedup coverage and the sum is the shards' total.
+// immutable aggregate) and returns the node's signed partial seal. A round
+// that has left its manager is refused with ErrRoundClosed: retire empties
+// its shards, and a seal of them would merge as the round's answer.
 func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 	if n.Key == nil {
 		return nil, errors.New("service: partial seal needs a node signing key")
 	}
-	if err := p.Seal(); err != nil && !errors.Is(err, ErrRoundClosed) {
-		return nil, err
-	}
-	rs := p.exportRound()
-	digests := make([]byte, 0, len(rs.Digests)*wire.SealDigestLen)
-	for i := range rs.Digests {
-		digests = append(digests, rs.Digests[i][:]...)
+	_ = p.Seal() // fails only on a closed round: one forgotten is refused below
+	sum, count, forgotten := p.snapshot()
+	if forgotten {
+		return nil, fmt.Errorf("service: partial seal: round %d left its manager: %w", p.round, ErrRoundClosed)
 	}
 	der, err := n.Key.Public().Marshal()
 	if err != nil {
@@ -80,10 +77,9 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 		ShardCount:  n.ShardCount,
 		Measurement: n.Measurement[:],
 		NodeKey:     der,
-		Count:       uint64(len(rs.Digests)),
-		Rejected:    rs.Rejected,
-		Sum:         glimmer.VectorToBits(rs.Sum),
-		Digests:     digests,
+		Count:       uint64(count),
+		Rejected:    uint64(p.rejected.Load()),
+		Sum:         glimmer.VectorToBits(sum),
 	}
 	sig, err := n.Key.Sign(seal.SignedBytes())
 	if err != nil {

@@ -418,12 +418,13 @@ func (p *Pipeline) setJournal(j Journal) {
 	p.stateMu.Unlock()
 }
 
-// snapshot reads sum and count together, in whatever state the round is.
+// snapshot reads sum and count together, in whatever state the round is,
+// and forgotten with them: detach sets it before retire empties the shards.
 // A chunk's accepted items enter a shard's count at dedup and the sum at
 // the fold that follows, both under stateMu's read side; holding the write
 // side here puts a contribution accepted concurrently either wholly in or
 // wholly out of the result, never split between the sum and the count.
-func (p *Pipeline) snapshot() (fixed.Vector, int) {
+func (p *Pipeline) snapshot() (fixed.Vector, int, bool) {
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
 	out := fixed.NewVector(p.cfg.Dim)
@@ -434,14 +435,14 @@ func (p *Pipeline) snapshot() (fixed.Vector, int) {
 		count += len(sh.seen)
 		sh.mu.Unlock()
 	}
-	return out, count
+	return out, count, p.forgotten
 }
 
 // Sum returns the aggregate sum. After Seal it is stable; while the round
 // is open it is a live snapshot and concurrent ingest may land before or
 // after it.
 func (p *Pipeline) Sum() fixed.Vector {
-	sum, _ := p.snapshot()
+	sum, _, _ := p.snapshot()
 	return sum
 }
 
@@ -461,7 +462,7 @@ func (p *Pipeline) Rejected() int { return int(p.rejected.Load()) }
 
 // Mean returns the aggregate mean over accepted contributions.
 func (p *Pipeline) Mean() (fixed.Vector, error) {
-	sum, n := p.snapshot()
+	sum, n, _ := p.snapshot()
 	if n == 0 {
 		return nil, errors.New("service: no contributions accepted")
 	}

@@ -15,7 +15,7 @@ import (
 // a codec change that alters them is a cross-version compatibility break
 // and must bump the protocol, not silently reshape the bytes.
 
-func readGolden(t *testing.T, name string) []byte {
+func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -11,15 +10,12 @@ import (
 // ships a PartialSeal to the merge coordinator: the node's identity (ring
 // ID, enclave measurement, verify key), the round it covers, how many
 // partials it declares the round splits into (1: a coordinator refuses any
-// other count), the blinded sum, the accept/reject accounting, and every
-// dedup digest the seal covers. MergeResult is the coordinator's answer.
-// Both encodings are public and auditable like every other message in the
-// system, and frozen by golden fixtures.
-
-// SealDigestLen is the length of one dedup digest as it appears in a
-// partial seal: SHA-256 of the raw contribution, or on the ticketed path
-// the 28-byte session MAC zero-padded to 32.
-const SealDigestLen = 32
+// other count), the blinded sum and the accept/reject accounting. Nothing
+// in it grows with the cohort: a coordinator merges a round from its one
+// seal, so it is sent no dedup digest and no per-contribution value.
+// MergeResult is the coordinator's answer. Both encodings are public and
+// auditable like every other message in the system, and frozen by golden
+// fixtures.
 
 // ErrPartialSeal is the decode-failure sentinel both merge-plane codecs
 // wrap.
@@ -71,8 +67,7 @@ type PartialSeal struct {
 	// the signature, so coordinators that pin keys out of band can demand
 	// a match, and TOFU coordinators pin it on first contact.
 	NodeKey []byte
-	// Count is the number of contributions this partial accepted; it must
-	// equal the number of digests carried below.
+	// Count is the number of contributions this partial accepted.
 	Count uint64
 	// Rejected is the number of submissions this node refused for the
 	// round — the accounting the coordinator reconciles globally.
@@ -81,19 +76,18 @@ type PartialSeal struct {
 	// blinded exactly like the contributions it totals, so the seal leaks
 	// nothing the transport didn't already carry.
 	Sum []uint64
-	// Digests is the partial's dedup coverage: Count digests of
-	// SealDigestLen bytes each, concatenated in strictly ascending
-	// lexicographic order (the canonical form — sorted, no duplicates).
-	Digests []byte
 	// Signature is the node's signature over SignedBytes.
 	Signature []byte
 }
 
 // SignedBytes returns the byte string the seal signature covers: a
 // domain-separated encoding of every field except the signature itself.
+// The v1 domain signed a seal that also carried the round's dedup digests;
+// a v1 seal fails to decode here, and a seal of this version fails to
+// decode at a v1 coordinator, so a mixed fleet withholds a round.
 func (s PartialSeal) SignedBytes() []byte {
 	w := NewWriter()
-	w.String("glimmers/partial-seal/v1")
+	w.String("glimmers/partial-seal/v2")
 	s.writeFields(w)
 	return w.Finish()
 }
@@ -108,7 +102,6 @@ func (s PartialSeal) writeFields(w *Writer) {
 	w.Uint64(s.Count)
 	w.Uint64(s.Rejected)
 	w.Uint64s(s.Sum)
-	w.Bytes(s.Digests)
 }
 
 // EncodePartialSeal serializes the full seal.
@@ -119,10 +112,9 @@ func EncodePartialSeal(s PartialSeal) []byte {
 	return w.Finish()
 }
 
-// DecodePartialSeal reverses EncodePartialSeal, enforcing the structural
-// invariants — fixed measurement length, digest-count/Count agreement,
-// and canonical (strictly ascending, duplicate-free) digest order — so a
-// malformed seal is refused before any crypto runs.
+// DecodePartialSeal reverses EncodePartialSeal, enforcing the fixed
+// measurement length, so a malformed seal is refused before any crypto
+// runs.
 func DecodePartialSeal(data []byte) (PartialSeal, error) {
 	r := NewReader(data)
 	s := PartialSeal{
@@ -135,7 +127,6 @@ func DecodePartialSeal(data []byte) (PartialSeal, error) {
 		Count:       r.Uint64(),
 		Rejected:    r.Uint64(),
 		Sum:         r.Uint64s(),
-		Digests:     r.Bytes(),
 		Signature:   r.Bytes(),
 	}
 	if err := r.Done(); err != nil {
@@ -143,17 +134,6 @@ func DecodePartialSeal(data []byte) (PartialSeal, error) {
 	}
 	if len(s.Measurement) != MeasurementLen {
 		return s, fmt.Errorf("%w: measurement is %d bytes", ErrPartialSeal, len(s.Measurement))
-	}
-	if len(s.Digests)%SealDigestLen != 0 {
-		return s, fmt.Errorf("%w: digest block is %d bytes", ErrPartialSeal, len(s.Digests))
-	}
-	if n := len(s.Digests) / SealDigestLen; uint64(n) != s.Count {
-		return s, fmt.Errorf("%w: %d digests for count %d", ErrPartialSeal, n, s.Count)
-	}
-	for i := SealDigestLen; i < len(s.Digests); i += SealDigestLen {
-		if bytes.Compare(s.Digests[i-SealDigestLen:i], s.Digests[i:i+SealDigestLen]) >= 0 {
-			return s, fmt.Errorf("%w: digests not in strict ascending order", ErrPartialSeal)
-		}
 	}
 	return s, nil
 }
