@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,8 +15,11 @@ import (
 // promise nobody sees. Every backticked `TestX`, `FuzzX` or `BenchmarkX` in
 // the four documents below must be declared in some _test.go file of the
 // module; a trailing * cites a family and needs one declared name with that
-// prefix.
+// prefix. README states the promises and threats in one table, found by its
+// heading, whose every row must cite a test or fuzz target in its last cell.
 func TestReadmeNamesExistingTests(t *testing.T) {
+	checkPromisesTable(t)
+
 	declaration := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Z]\w*)\(`)
 	declared := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -62,6 +66,68 @@ func TestReadmeNamesExistingTests(t *testing.T) {
 			if !exists(string(m[1]), len(m[2]) > 0) {
 				t.Errorf("%s cites %s, which no _test.go file declares", doc, m[0])
 			}
+		}
+	}
+}
+
+// promisesHeading introduces README's one risk → impact → mitigation → tests
+// table.
+const promisesHeading = "## Promises and threats"
+
+// checkPromisesTable fails unless README holds exactly one promises table
+// under promisesHeading, with the four columns, at least one row, and a
+// backticked Test or Fuzz name in every row's tests cell. Whether the names
+// exist is the citation check's.
+func checkPromisesTable(t *testing.T) {
+	text, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(text), "\n")
+	at := -1
+	for i, line := range lines {
+		if strings.TrimSpace(line) != promisesHeading {
+			continue
+		}
+		if at >= 0 {
+			t.Fatalf("README has %q twice (lines %d and %d)", promisesHeading, at+1, i+1)
+		}
+		at = i
+	}
+	if at < 0 {
+		t.Fatalf("README has no %q table", promisesHeading)
+	}
+	var table []string
+	for _, line := range lines[at+1:] {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		if strings.HasPrefix(line, "|") {
+			table = append(table, line)
+		} else if len(table) > 0 {
+			break
+		}
+	}
+	cells := func(row string) []string {
+		parts := strings.Split(strings.Trim(strings.TrimSpace(row), "|"), "|")
+		for i := range parts {
+			parts[i] = strings.TrimSpace(parts[i])
+		}
+		return parts
+	}
+	want := []string{"risk", "impact", "mitigation", "tests"}
+	if len(table) < 3 || !slices.Equal(cells(table[0]), want) {
+		t.Fatalf("README's %q section holds no table with columns %v and a row", promisesHeading, want)
+	}
+	testName := regexp.MustCompile("`(?:Test|Fuzz)[A-Z]\\w*\\*?`")
+	for _, row := range table[2:] {
+		c := cells(row)
+		if len(c) != len(want) {
+			t.Errorf("promises row has %d cells, want %d: %.60s…", len(c), len(want), row)
+			continue
+		}
+		if !testName.MatchString(c[len(c)-1]) {
+			t.Errorf("promises row %.60s… cites no test in its tests cell", c[0])
 		}
 	}
 }

@@ -144,6 +144,16 @@ func (c *Consortium) Endorse(round uint64, contribution fixed.Vector, private []
 	return e, stats, nil
 }
 
+// VerifyKeys is each member's public key, indexed by member: what a verifier
+// of the consortium's endorsements holds.
+func (c *Consortium) VerifyKeys() []*xcrypto.VerifyKey {
+	out := make([]*xcrypto.VerifyKey, len(c.members))
+	for i, m := range c.members {
+		out[i] = m.key.Public()
+	}
+	return out
+}
+
 // VerifyEndorsement checks an endorsement against the member public keys:
 // at least k distinct, valid signature shares.
 func VerifyEndorsement(e Endorsement, keys []*xcrypto.VerifyKey, k int) error {

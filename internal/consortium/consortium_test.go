@@ -7,7 +7,6 @@ import (
 	"glimmers/internal/blind"
 	"glimmers/internal/fixed"
 	"glimmers/internal/predicate"
-	"glimmers/internal/xcrypto"
 )
 
 const dim = 3
@@ -21,16 +20,6 @@ func newConsortium(t *testing.T, n, k int) *Consortium {
 	return c
 }
 
-// memberKeys is each member's verification key, indexed by member: what a
-// verifier of the consortium's endorsements holds.
-func memberKeys(c *Consortium) []*xcrypto.VerifyKey {
-	out := make([]*xcrypto.VerifyKey, len(c.members))
-	for i, m := range c.members {
-		out[i] = m.key.Public()
-	}
-	return out
-}
-
 func TestEndorseValidContribution(t *testing.T) {
 	c := newConsortium(t, 5, 3)
 	contribution := fixed.FromFloats([]float64{0.1, 0.5, 0.9})
@@ -41,7 +30,7 @@ func TestEndorseValidContribution(t *testing.T) {
 	if len(e.Sigs) != 5 {
 		t.Fatalf("sigs = %d, want 5 (all members endorse)", len(e.Sigs))
 	}
-	if err := VerifyEndorsement(e, memberKeys(c), c.threshold); err != nil {
+	if err := VerifyEndorsement(e, c.VerifyKeys(), c.threshold); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Disclosures != 5 {
@@ -102,7 +91,7 @@ func TestVerifyEndorsementThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := memberKeys(c)
+	keys := c.VerifyKeys()
 	// Strip shares below the threshold.
 	for idx := range e.Sigs {
 		if len(e.Sigs) <= 2 {
@@ -126,12 +115,12 @@ func TestVerifyEndorsementRejectsForgedShares(t *testing.T) {
 	for idx := range e.Sigs {
 		e.Sigs[idx] = []byte("forged")
 	}
-	if err := VerifyEndorsement(e, memberKeys(c), 2); !errors.Is(err, ErrThreshold) {
+	if err := VerifyEndorsement(e, c.VerifyKeys(), 2); !errors.Is(err, ErrThreshold) {
 		t.Fatalf("err = %v, want ErrThreshold", err)
 	}
 	// Out-of-range member indices are ignored, not a panic.
 	e.Sigs[99] = []byte("stray")
-	if err := VerifyEndorsement(e, memberKeys(c), 2); !errors.Is(err, ErrThreshold) {
+	if err := VerifyEndorsement(e, c.VerifyKeys(), 2); !errors.Is(err, ErrThreshold) {
 		t.Fatalf("err = %v, want ErrThreshold", err)
 	}
 }
@@ -147,12 +136,12 @@ func TestEndorsementBoundToValue(t *testing.T) {
 	tampered := e
 	tampered.Blinded = e.Blinded.Clone()
 	tampered.Blinded[0]++
-	if err := VerifyEndorsement(tampered, memberKeys(c), 2); err == nil {
+	if err := VerifyEndorsement(tampered, c.VerifyKeys(), 2); err == nil {
 		t.Fatal("signatures transferred to altered value")
 	}
 	tampered = e
 	tampered.Round = 5
-	if err := VerifyEndorsement(tampered, memberKeys(c), 2); err == nil {
+	if err := VerifyEndorsement(tampered, c.VerifyKeys(), 2); err == nil {
 		t.Fatal("signatures transferred to altered round")
 	}
 }

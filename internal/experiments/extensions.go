@@ -293,11 +293,15 @@ func RunE10(cfg E10Config) (*E10Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		keys := c.VerifyKeys()
 		var stats consortium.CostStats
 		start := time.Now()
 		for i := 0; i < cfg.Contributions; i++ {
-			_, s, err := c.Endorse(uint64(i), contribution, nil, nil)
+			e, s, err := c.Endorse(uint64(i), contribution, nil, nil)
 			if err != nil {
+				return nil, err
+			}
+			if err := consortium.VerifyEndorsement(e, keys, k); err != nil {
 				return nil, err
 			}
 			stats = s

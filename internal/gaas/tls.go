@@ -1,8 +1,7 @@
 package gaas
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
@@ -14,14 +13,14 @@ import (
 )
 
 // SelfSignedServerTLS builds a server TLS config around a fresh
-// self-signed ECDSA P-256 certificate for the given hosts (DNS names or
-// IP addresses; none defaults to localhost). gaas does not hang trust on
+// self-signed Ed25519 certificate for the given hosts (DNS names or IP
+// addresses; none defaults to localhost). gaas does not hang trust on
 // the certificate — the client trusts the enclave measurement it attests
 // and pins, and TLS only denies passive observers the frame plaintext —
 // so a self-signed transport cert is the honest default for a deployment
 // without a CA.
 func SelfSignedServerTLS(hosts ...string) (*tls.Config, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("gaas: tls key: %w", err)
 	}
@@ -47,7 +46,7 @@ func SelfSignedServerTLS(hosts ...string) (*tls.Config, error) {
 			tmpl.DNSNames = append(tmpl.DNSNames, h)
 		}
 	}
-	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, pub, key)
 	if err != nil {
 		return nil, fmt.Errorf("gaas: tls cert: %w", err)
 	}
